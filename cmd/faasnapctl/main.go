@@ -49,7 +49,7 @@ commands:
   waterfall <trace-id>                      render a trace as an ASCII waterfall (restore, gc, sweep, recovery)
   events [--follow] [--cluster]             event ledger; --follow streams NDJSON from a daemon,
                                             --cluster merges every backend's ledger via a gateway
-  metrics                                   daemon counters
+  metrics                                   daemon metrics (Prometheus text)
   cluster [fn]                              gateway topology (and fn's placement preference)
   slo                                       SLO burn-rate report (/cluster/slo on a gateway, /slo on a daemon)
   profiles [fn]                             flight-recorder summary (/cluster/profiles or /profiles?summary=1)
@@ -88,6 +88,27 @@ func doOnce(method, path string, body []byte) (*http.Response, []byte, error) {
 	return resp, raw, nil
 }
 
+// mustOK exits with the server's error unless the response is a 2xx.
+func mustOK(resp *http.Response, raw []byte) {
+	if resp.StatusCode/100 != 2 {
+		fmt.Fprintf(os.Stderr, "error (%d): %s\n", resp.StatusCode, bytes.TrimSpace(raw))
+		os.Exit(1)
+	}
+}
+
+// printBody prints a response body, indented when it is JSON.
+func printBody(raw []byte) {
+	var pretty bytes.Buffer
+	switch {
+	case len(raw) == 0:
+		fmt.Println("ok")
+	case json.Indent(&pretty, raw, "", "  ") == nil:
+		fmt.Println(pretty.String())
+	default:
+		fmt.Println(string(bytes.TrimSpace(raw)))
+	}
+}
+
 func call(method, path string, body interface{}) {
 	var buf []byte
 	if body != nil {
@@ -120,18 +141,8 @@ func call(method, path string, body interface{}) {
 			delay.Round(time.Millisecond), attempt+1, *retries)
 		time.Sleep(delay)
 	}
-	if resp.StatusCode/100 != 2 {
-		fmt.Fprintf(os.Stderr, "error (%d): %s\n", resp.StatusCode, bytes.TrimSpace(raw))
-		os.Exit(1)
-	}
-	var pretty bytes.Buffer
-	if len(raw) > 0 && json.Indent(&pretty, raw, "", "  ") == nil {
-		fmt.Println(pretty.String())
-	} else if len(raw) > 0 {
-		fmt.Println(string(bytes.TrimSpace(raw)))
-	} else {
-		fmt.Println("ok")
-	}
+	mustOK(resp, raw)
+	printBody(raw)
 }
 
 // callFallback GETs paths in order, printing the first non-404
@@ -146,17 +157,17 @@ func callFallback(paths ...string) {
 		if resp.StatusCode == http.StatusNotFound && i < len(paths)-1 {
 			continue
 		}
-		if resp.StatusCode/100 != 2 {
-			fmt.Fprintf(os.Stderr, "error (%d): %s\n", resp.StatusCode, bytes.TrimSpace(raw))
-			os.Exit(1)
-		}
-		var pretty bytes.Buffer
-		if len(raw) > 0 && json.Indent(&pretty, raw, "", "  ") == nil {
-			fmt.Println(pretty.String())
-		} else {
-			fmt.Println(string(bytes.TrimSpace(raw)))
-		}
+		mustOK(resp, raw)
+		printBody(raw)
 		return
+	}
+}
+
+// argc exits with the usage text unless a command got min..max
+// arguments.
+func argc(rest []string, min, max int) {
+	if len(rest) < min || len(rest) > max {
+		usage()
 	}
 }
 
@@ -186,8 +197,7 @@ func streamEvents() {
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
 		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		fmt.Fprintf(os.Stderr, "error (%d): %s\n", resp.StatusCode, bytes.TrimSpace(raw))
-		os.Exit(1)
+		mustOK(resp, raw)
 	}
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
@@ -210,31 +220,23 @@ func main() {
 	case "list":
 		call("GET", "/functions", nil)
 	case "manifest":
-		if len(rest) != 0 {
-			usage()
-		}
+		argc(rest, 0, 0)
 		call("GET", "/manifest", nil)
 	case "metrics":
-		call("GET", "/metrics.json", nil)
+		call("GET", "/metrics", nil)
 	case "cluster":
-		if len(rest) > 1 {
-			usage()
-		}
+		argc(rest, 0, 1)
 		path := "/cluster"
 		if len(rest) == 1 {
 			path += "?fn=" + rest[0]
 		}
 		call("GET", path, nil)
 	case "slo":
-		if len(rest) != 0 {
-			usage()
-		}
+		argc(rest, 0, 0)
 		callFallback("/cluster/slo", "/slo")
 	case "profiles":
 		if len(rest) > 0 && rest[0] == "slowest" {
-			if len(rest) < 2 || len(rest) > 3 {
-				usage()
-			}
+			argc(rest, 2, 3)
 			if _, err := strconv.Atoi(rest[1]); err != nil {
 				fatal(fmt.Errorf("bad slowest count %q", rest[1]))
 			}
@@ -245,9 +247,7 @@ func main() {
 			call("GET", path, nil)
 			break
 		}
-		if len(rest) > 1 {
-			usage()
-		}
+		argc(rest, 0, 1)
 		if len(rest) == 1 {
 			call("GET", "/profiles?summary=1&fn="+rest[0], nil)
 			break
@@ -260,17 +260,12 @@ func main() {
 			call("GET", "/traces/"+rest[0], nil)
 		}
 	case "waterfall":
-		if len(rest) != 1 {
-			usage()
-		}
+		argc(rest, 1, 1)
 		resp, raw, err := doOnce("GET", "/traces/"+rest[0], nil)
 		if err != nil {
 			fatal(err)
 		}
-		if resp.StatusCode/100 != 2 {
-			fmt.Fprintf(os.Stderr, "error (%d): %s\n", resp.StatusCode, bytes.TrimSpace(raw))
-			os.Exit(1)
-		}
+		mustOK(resp, raw)
 		var spans []*trace.Span
 		if err := json.Unmarshal(raw, &spans); err != nil {
 			fatal(fmt.Errorf("bad trace body: %w", err))
@@ -300,14 +295,10 @@ func main() {
 		// serves the merged cluster view, a daemon its own ledger.
 		callFallback("/cluster/events", "/events")
 	case "create":
-		if len(rest) != 1 {
-			usage()
-		}
+		argc(rest, 1, 1)
 		call("PUT", "/functions/"+rest[0], nil)
 	case "create-custom":
-		if len(rest) != 1 {
-			usage()
-		}
+		argc(rest, 1, 1)
 		raw, err := os.ReadFile(rest[0])
 		if err != nil {
 			fatal(err)
@@ -322,40 +313,26 @@ func main() {
 		}
 		call("PUT", "/functions/"+name, spec)
 	case "cas":
-		if len(rest) != 0 {
-			usage()
-		}
+		argc(rest, 0, 0)
 		call("GET", "/cas", nil)
 	case "chunkmap":
-		if len(rest) != 1 {
-			usage()
-		}
+		argc(rest, 1, 1)
 		call("GET", "/functions/"+rest[0]+"/chunkmap?summary=1", nil)
 	case "sync":
-		if len(rest) < 2 || len(rest) > 3 {
-			usage()
-		}
+		argc(rest, 2, 3)
 		eager := len(rest) == 3 && rest[2] == "eager"
 		call("POST", "/functions/"+rest[0]+"/sync",
 			map[string]interface{}{"source": rest[1], "eager": eager})
 	case "gc":
-		if len(rest) > 1 {
-			usage()
-		}
+		argc(rest, 0, 1)
 		demote := len(rest) == 1 && rest[0] == "demote"
 		body, _ := json.Marshal(map[string]interface{}{"demote": demote})
 		resp, raw, err := doOnce("POST", "/gc", body)
 		if err != nil {
 			fatal(err)
 		}
-		if resp.StatusCode/100 != 2 {
-			fmt.Fprintf(os.Stderr, "error (%d): %s\n", resp.StatusCode, bytes.TrimSpace(raw))
-			os.Exit(1)
-		}
-		var pretty bytes.Buffer
-		if json.Indent(&pretty, raw, "", "  ") == nil {
-			fmt.Println(pretty.String())
-		}
+		mustOK(resp, raw)
+		printBody(raw)
 		var gr struct {
 			Removed        int64   `json:"removed_chunks"`
 			ReclaimedBytes int64   `json:"reclaimed_bytes"`
@@ -372,23 +349,17 @@ func main() {
 			}
 		}
 	case "delete":
-		if len(rest) != 1 {
-			usage()
-		}
+		argc(rest, 1, 1)
 		call("DELETE", "/functions/"+rest[0], nil)
 	case "record":
-		if len(rest) < 1 || len(rest) > 2 {
-			usage()
-		}
+		argc(rest, 1, 2)
 		input := "A"
 		if len(rest) == 2 {
 			input = rest[1]
 		}
 		call("POST", "/functions/"+rest[0]+"/record", map[string]string{"input": input})
 	case "invoke":
-		if len(rest) < 1 || len(rest) > 3 {
-			usage()
-		}
+		argc(rest, 1, 3)
 		mode, input := "faasnap", "A"
 		if len(rest) >= 2 {
 			mode = rest[1]
@@ -398,9 +369,7 @@ func main() {
 		}
 		call("POST", "/functions/"+rest[0]+"/invoke", map[string]string{"mode": mode, "input": input})
 	case "burst":
-		if len(rest) < 4 || len(rest) > 5 {
-			usage()
-		}
+		argc(rest, 4, 5)
 		parallel, err := strconv.Atoi(rest[3])
 		if err != nil {
 			fatal(fmt.Errorf("bad parallel count %q", rest[3]))

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -14,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strings"
 
 	"faasnap/internal/daemon"
 	"faasnap/internal/kvstore"
@@ -105,6 +107,13 @@ func main() {
 		st, _ := e.Info()
 		fmt.Printf("\npersisted artifact: %s (%d bytes)\n", e.Name(), st.Size())
 	}
-	m := call("GET", srv.URL+"/metrics.json", nil)
-	fmt.Printf("daemon metrics: %v\n", m)
+	// The daemon's counters live in its telemetry registry.
+	resp, err := http.Get(srv.URL + "/metrics")
+	must(err)
+	defer resp.Body.Close()
+	for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+		if line := sc.Text(); strings.HasPrefix(line, "faasnap_invocations_total") || strings.HasPrefix(line, "faasnap_records_total") {
+			fmt.Println("daemon metrics:", line)
+		}
+	}
 }

@@ -12,11 +12,11 @@
 //	cold/<aa>/<digest>.z     cold tier: DEFLATE-compressed, modeled
 //	                         remote latency (internal/blockdev profile)
 //
-// A chunk commit follows the same atomicity discipline as snapfiles:
-// temp-file write, file fsync, rename to the digest name, parent-dir
-// fsync. A committed chunk is therefore complete or absent — and
-// because the name is the content hash, Get re-verifies the digest and
-// quarantines (never serves) a chunk that rotted on disk.
+// A chunk commit is the same durable write as a snapfile's
+// (atomicfile.Write): temp-file write, file fsync, rename to the digest
+// name, parent-dir fsync. A committed chunk is therefore complete or
+// absent — and because the name is the content hash, Get re-verifies
+// the digest and quarantines (never serves) a chunk that rotted on disk.
 //
 // The store is refcount-free on the write path: chunks are shared, so
 // deletes only remove references (snapfiles); GC takes the live digest
@@ -40,6 +40,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"faasnap/internal/atomicfile"
 	"faasnap/internal/blockdev"
 	"faasnap/internal/chaos"
 	"faasnap/internal/statedir"
@@ -235,42 +236,21 @@ func (s *Store) PutDigest(d Digest, data []byte) (bool, error) {
 	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {
 		return false, err
 	}
-	f, err := os.CreateTemp(filepath.Dir(final), d.String()+".*.tmp")
-	if err != nil {
-		return false, err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return false, err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return false, err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return false, err
-	}
-	chaos.MaybeCrash(chaos.CrashChunkPreRename)
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return false, err
-	}
-	chaos.MaybeCrash(chaos.CrashChunkPostRename)
-	dir, err := os.Open(filepath.Dir(final))
-	if err != nil {
-		return false, err
-	}
-	defer dir.Close()
-	if err := dir.Sync(); err != nil {
+	if err := commit(final, chaos.CrashChunkPreRename, chaos.CrashChunkPostRename, data); err != nil {
 		return false, err
 	}
 	s.chunksLocal.Inc()
 	s.bytesLocal.Add(float64(len(data)))
 	return false, nil
+}
+
+// commit makes data durable under path (atomicfile.Write), passing the
+// named crashpoints on either side of the rename.
+func commit(path, preRename, postRename string, data []byte) error {
+	return atomicfile.Write(path, preRename, postRename, func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 }
 
 // Get returns a chunk's bytes and the tier that served it, verifying
@@ -374,41 +354,11 @@ func (s *Store) Demote(d Digest) error {
 	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {
 		return err
 	}
-	f, err := os.CreateTemp(filepath.Dir(final), d.String()+".*.tmp")
-	if err != nil {
+	// Only after the cold copy is durable — file and directory entry
+	// both — does the local copy go; a crash before this point leaves
+	// the chunk present in at least one tier.
+	if err := commit(final, "", "", buf.Bytes()); err != nil {
 		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(buf.Bytes()); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Same discipline as PutDigest: the rename is durable only once the
-	// parent directory is synced. Only after the cold copy is durable —
-	// file and directory entry both — does the local copy go; a crash
-	// before this point leaves the chunk present in at least one tier.
-	dir, err := os.Open(filepath.Dir(final))
-	if err != nil {
-		return err
-	}
-	syncErr := dir.Sync()
-	dir.Close()
-	if syncErr != nil {
-		return syncErr
 	}
 	if err := os.Remove(s.localPath(d)); err != nil {
 		return err

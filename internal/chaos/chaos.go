@@ -20,6 +20,7 @@
 package chaos
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -169,6 +170,19 @@ func (d Decision) Err() error {
 		return nil
 	}
 	return fmt.Errorf("%w: %s at %s/%s", ErrInjected, d.Kind, d.point, d.op)
+}
+
+// Hang blocks for an injected hang: until ctx is done, or the rule's
+// delay_ms cap (30 s without one, so an undeadlined test cannot wedge).
+func (d Decision) Hang(ctx context.Context) {
+	limit := d.Delay
+	if limit <= 0 {
+		limit = 30 * time.Second
+	}
+	select {
+	case <-time.After(limit):
+	case <-ctx.Done():
+	}
 }
 
 type ruleState struct {

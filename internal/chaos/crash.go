@@ -110,9 +110,10 @@ func Crashpoints() []string {
 
 // armedCrash is the one armed crashpoint, nil when disarmed.
 type armedCrash struct {
-	point string
-	after int64 // fire on the Nth hit, 1-based
-	hits  atomic.Int64
+	point   string
+	after   int64 // fire on the Nth hit, 1-based
+	hits    atomic.Int64
+	observe func(point string) // see ObserveCrashpoints
 }
 
 var armed atomic.Pointer[armedCrash]
@@ -161,6 +162,14 @@ func ArmCrashpointFromEnv() error {
 	return ArmCrashpoint(os.Getenv(EnvCrashpoint))
 }
 
+// ObserveCrashpoints arms an observer in place of a crashpoint: until
+// restore is called, every MaybeCrash reports its point to fn and
+// nothing dies. Tests assert a write path's crashpoint order with it.
+func ObserveCrashpoints(fn func(point string)) (restore func()) {
+	armed.Store(&armedCrash{observe: fn})
+	return func() { armed.Store(nil) }
+}
+
 // ArmedCrashpoint reports the armed crashpoint name, "" when disarmed.
 func ArmedCrashpoint() string {
 	if a := armed.Load(); a != nil {
@@ -174,7 +183,16 @@ func ArmedCrashpoint() string {
 // documents; on an unarmed process it costs one atomic load.
 func MaybeCrash(point string) {
 	a := armed.Load()
-	if a == nil || a.point != point {
+	if a == nil {
+		return
+	}
+	if a.observe != nil {
+		if point != "" { // a write path with no crashpoint at this step
+			a.observe(point)
+		}
+		return
+	}
+	if a.point != point {
 		return
 	}
 	if a.hits.Add(1) != a.after {

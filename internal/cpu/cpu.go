@@ -47,9 +47,6 @@ func New(env *sim.Env, cores int) *PS {
 // Cores returns the pool's core count.
 func (c *PS) Cores() int { return c.cores }
 
-// Runnable returns the number of bursts currently executing.
-func (c *PS) Runnable() int { return len(c.jobs) }
-
 // MaxRunnable returns the high-water mark of concurrent bursts.
 func (c *PS) MaxRunnable() int { return c.maxRunnable }
 

@@ -2,7 +2,7 @@ package daemon
 
 // Chunk-store integration: every recording is chunked into the
 // content-addressed store (internal/casstore) and the snapfile carries
-// a v2 chunk map referencing it. The daemon serves the chunk plane —
+// a chunk map referencing it. The daemon serves the chunk plane —
 // GET /chunks/{digest}, GET /functions/{name}/chunkmap — and restores
 // functions it never recorded by pulling a peer's chunk map and only
 // the chunks it is missing (POST /functions/{name}/sync): loading-set
@@ -23,10 +23,11 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"faasnap/internal/casstore"
-	"faasnap/internal/chaos"
+	"faasnap/internal/core"
 	"faasnap/internal/events"
 	"faasnap/internal/snapfile"
 	"faasnap/internal/telemetry"
@@ -82,9 +83,7 @@ func (d *Daemon) liveChunkSets() (live, hot map[casstore.Digest]bool) {
 	live = make(map[casstore.Digest]bool)
 	hot = make(map[casstore.Digest]bool)
 	for _, fs := range d.reg.snapshot() {
-		fs.mu.Lock()
-		cm := fs.chunks
-		fs.mu.Unlock()
+		cm := fs.chunkMap()
 		if cm == nil {
 			continue
 		}
@@ -104,11 +103,9 @@ func (d *Daemon) liveChunkSets() (live, hot map[casstore.Digest]bool) {
 func (d *Daemon) logicalChunkBytes() int64 {
 	var n int64
 	for _, fs := range d.reg.snapshot() {
-		fs.mu.Lock()
-		if fs.chunks != nil {
-			n += fs.chunks.TotalBytes()
+		if cm := fs.chunkMap(); cm != nil {
+			n += cm.TotalBytes()
 		}
-		fs.mu.Unlock()
 	}
 	return n
 }
@@ -143,9 +140,6 @@ func (d *Daemon) updateDedupGauge() {
 // and the gateway's anti-entropy pass re-pulls the tail with an eager
 // chunk sync from a complete replica.
 func (d *Daemon) verifyChunks(name string, cm *snapfile.ChunkMap) error {
-	if cm == nil || d.cas == nil {
-		return nil
-	}
 	var lazyMissing int
 	for _, ref := range cm.Refs {
 		if d.cas.Has(casstore.Digest(ref.Digest)) {
@@ -166,16 +160,11 @@ func (d *Daemon) verifyChunks(name string, cm *snapfile.ChunkMap) error {
 // the local store can serve — the deficit GET /manifest surfaces so
 // anti-entropy knows this replica needs an eager re-sync.
 func (d *Daemon) missingChunks(name string) int {
-	if d.cas == nil {
-		return 0
-	}
 	fs, ok := d.fn(name)
 	if !ok {
 		return 0
 	}
-	fs.mu.Lock()
-	cm := fs.chunks
-	fs.mu.Unlock()
+	cm := fs.chunkMap()
 	if cm == nil {
 		return 0
 	}
@@ -342,17 +331,121 @@ func (d *Daemon) fetchChunk(source string, dg casstore.Digest) (int64, string, e
 	return int64(len(data)), tier, nil
 }
 
+// syncPlan is a peer's snapshot, decoded, and what restoring it here
+// has to move.
+type syncPlan struct {
+	raw  []byte // the peer's snapfile, byte for byte
+	arts *core.Artifacts
+	cm   *snapfile.ChunkMap
+	// eager chunks are fetched before the reply — loading-set chunks
+	// first, lowest group first (the paper's per-region restore
+	// priority); lazy ones by the background fetcher afterwards.
+	eager, lazy []snapfile.ChunkRef
+	present     int // refs the local store already holds
+}
+
+// planSync fetches the source's chunk map and snapfile for name, decodes
+// it, and splits the chunks this store is missing into eager and lazy.
+// Every error means the source could not supply a usable snapshot.
+func (d *Daemon) planSync(name string, req syncRequest) (*syncPlan, error) {
+	cmResp, err := syncClient.Get("http://" + req.Source + "/functions/" + name + "/chunkmap")
+	if err != nil {
+		return nil, fmt.Errorf("source chunk map: %w", err)
+	}
+	var cmr ChunkMapResponse
+	err = json.NewDecoder(io.LimitReader(cmResp.Body, 256<<20)).Decode(&cmr)
+	io.Copy(io.Discard, io.LimitReader(cmResp.Body, 4096))
+	cmResp.Body.Close()
+	if cmResp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("source has no chunk map for %s (%d)", name, cmResp.StatusCode)
+	}
+	if err != nil || len(cmr.Snapfile) == 0 {
+		return nil, fmt.Errorf("source chunk map undecodable: %v", err)
+	}
+	// Decode before committing anything: a torn transfer must fail the
+	// snapfile CRC here, not after it has a committed name.
+	p := &syncPlan{raw: cmr.Snapfile}
+	if p.arts, p.cm, err = snapfile.ReadChunked(bytes.NewReader(p.raw)); err != nil {
+		return nil, fmt.Errorf("source snapfile invalid: %w", err)
+	}
+	if p.arts.Fn.Name != name {
+		return nil, fmt.Errorf("source snapfile is for %q, not %q", p.arts.Fn.Name, name)
+	}
+	refs := append([]snapfile.ChunkRef(nil), p.cm.Refs...)
+	sort.SliceStable(refs, func(i, j int) bool {
+		if refs[i].LS != refs[j].LS {
+			return refs[i].LS
+		}
+		if refs[i].LS && refs[i].Group != refs[j].Group {
+			return refs[i].Group < refs[j].Group
+		}
+		return refs[i].StartPage < refs[j].StartPage
+	})
+	for _, ref := range refs {
+		switch {
+		case d.cas.Has(casstore.Digest(ref.Digest)):
+			p.present++
+		case ref.LS || req.Eager:
+			p.eager = append(p.eager, ref)
+		default:
+			p.lazy = append(p.lazy, ref)
+		}
+	}
+	return p, nil
+}
+
+// groupSpan is one prefetch group's eager fetch on the restore
+// waterfall: offsets from the sync's start, and the tiers that served.
+type groupSpan struct {
+	group      int64
+	ls         bool
+	start, dur time.Duration
+	chunks     int
+	bytes      int64
+	tiers      map[string]bool
+}
+
+// fetchEager pulls refs from source in order, one waterfall span per
+// prefetch group: planSync's order makes each group's chunks
+// contiguous, so the per-group wall time and serving tiers land on one
+// row each.
+func (d *Daemon) fetchEager(source string, refs []snapfile.ChunkRef, start time.Time) ([]*groupSpan, int64, error) {
+	var groups []*groupSpan
+	var total int64
+	for _, ref := range refs {
+		var g *groupSpan
+		if n := len(groups); n > 0 && groups[n-1].group == ref.Group && groups[n-1].ls == ref.LS {
+			g = groups[n-1]
+		} else {
+			g = &groupSpan{group: ref.Group, ls: ref.LS, start: time.Since(start), tiers: map[string]bool{}}
+			groups = append(groups, g)
+		}
+		n, tier, err := d.fetchChunk(source, casstore.Digest(ref.Digest))
+		if err != nil {
+			return nil, 0, err
+		}
+		if tier != "" {
+			g.tiers[tier] = true
+		}
+		g.chunks++
+		g.bytes += n
+		g.dur = time.Since(start) - g.start
+		total += n
+	}
+	return groups, total, nil
+}
+
 // handleSync restores a function this daemon may never have recorded,
-// from a peer: fetch the chunk map + raw snapfile, fetch only the
-// chunks missing locally — loading-set chunks first, in group order —
-// commit the snapfile, journal, deploy. The write ordering (chunks,
-// then snapfile, then journal, then reply) is the record path's, so
-// every crash-consistency invariant carries over.
+// from a peer: plan (fetch and decode the chunk map + raw snapfile,
+// keep only the chunks missing locally), fetch the eager ones, commit
+// (commitSnapshot — the record path's, so every crash-consistency
+// invariant carries over), reply, then fetch the lazy tail in the
+// background.
 func (d *Daemon) handleSync(w http.ResponseWriter, r *http.Request) {
 	if d.gateRecovering(w) {
 		return
 	}
-	if d.cas == nil || d.manifest == nil {
+	if d.cas == nil {
 		writeErr(w, http.StatusConflict, "sync requires a state directory")
 		return
 	}
@@ -366,173 +459,92 @@ func (d *Daemon) handleSync(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "sync needs a source daemon address")
 		return
 	}
-
-	// The restore mints a waterfall trace; a caller-supplied traceparent
-	// (the gateway's anti-entropy sweep) is adopted so the repair's trace
-	// id matches what the sweep recorded.
+	// The restore mints a waterfall trace, under the id of the gateway's
+	// anti-entropy sweep when it sent one.
 	start := time.Now()
-	traceID := d.traces.NextID()
-	if sc, ok := telemetry.Extract(r.Header); ok && sc.TraceID != "" {
-		traceID = trace.ID(sc.TraceID)
-	}
+	traceID := d.traceIDFor(r)
 
-	cmResp, err := syncClient.Get("http://" + req.Source + "/functions/" + name + "/chunkmap")
+	// Hold the GC sweep off from the moment the plan counts a chunk as
+	// present until the registry-published chunk map references it.
+	d.casOps.RLock()
+	defer d.casOps.RUnlock()
+	plan, err := d.planSync(name, req)
 	if err != nil {
-		writeErr(w, http.StatusBadGateway, "source chunk map: %v", err)
-		return
-	}
-	var cmr ChunkMapResponse
-	err = json.NewDecoder(io.LimitReader(cmResp.Body, 256<<20)).Decode(&cmr)
-	io.Copy(io.Discard, io.LimitReader(cmResp.Body, 4096))
-	cmResp.Body.Close()
-	if cmResp.StatusCode != http.StatusOK {
-		writeErr(w, http.StatusBadGateway, "source has no chunk map for %s (%d)", name, cmResp.StatusCode)
-		return
-	}
-	if err != nil || len(cmr.Snapfile) == 0 {
-		writeErr(w, http.StatusBadGateway, "source chunk map undecodable: %v", err)
-		return
-	}
-	// Decode before committing anything: a torn transfer must fail the
-	// snapfile CRC here, not after it has a committed name.
-	arts, cm, err := snapfile.ReadChunked(bytes.NewReader(cmr.Snapfile))
-	if err != nil {
-		writeErr(w, http.StatusBadGateway, "source snapfile invalid: %v", err)
-		return
-	}
-	if arts.Fn.Name != name {
-		writeErr(w, http.StatusBadGateway, "source snapfile is for %q, not %q", arts.Fn.Name, name)
+		writeErr(w, http.StatusBadGateway, "%v", err)
 		return
 	}
 	decodeDur := time.Since(start)
 	d.syncSeconds("decode").Observe(decodeDur)
 
-	resp := SyncResponse{
-		Function:      name,
-		Source:        req.Source,
-		SnapfileBytes: int64(len(cmr.Snapfile)),
-		TraceID:       string(traceID),
+	groups, fetched, err := d.fetchEager(req.Source, plan.eager, start)
+	if err != nil {
+		writeErr(w, http.StatusBadGateway, "fetch chunk: %v", err)
+		return
 	}
-	var eager, lazy []snapfile.ChunkRef
-	if cm != nil {
-		resp.ChunksTotal = len(cm.Refs)
-		resp.BytesTotal = cm.TotalBytes()
-		// Loading-set chunks first, lowest group first — the paper's
-		// per-region restore priority; the rest lazily unless asked.
-		refs := append([]snapfile.ChunkRef(nil), cm.Refs...)
-		sort.SliceStable(refs, func(i, j int) bool {
-			if refs[i].LS != refs[j].LS {
-				return refs[i].LS
-			}
-			if refs[i].LS && refs[i].Group != refs[j].Group {
-				return refs[i].Group < refs[j].Group
-			}
-			return refs[i].StartPage < refs[j].StartPage
-		})
-		for _, ref := range refs {
-			if d.cas.Has(casstore.Digest(ref.Digest)) {
-				resp.ChunksPresent++
-				continue
-			}
-			if ref.LS || req.Eager {
-				eager = append(eager, ref)
-			} else {
-				lazy = append(lazy, ref)
-			}
-		}
-	}
-	// Hold the GC sweep off until the fetched chunks are referenced by
-	// the registry-published chunk map below (the defer releases after
-	// fs.chunks is set).
-	d.casOps.RLock()
-	defer d.casOps.RUnlock()
-
-	// Eager fetches are traced one span per prefetch group: the sorted
-	// order means each group's chunks are contiguous, so the per-group
-	// wall time and serving tiers land on one waterfall row each.
-	type groupSpan struct {
-		group  int64
-		ls     bool
-		start  time.Duration
-		dur    time.Duration
-		chunks int
-		bytes  int64
-		tiers  map[string]bool
-	}
-	var groups []*groupSpan
-	eagerStart := time.Since(start)
-	for _, ref := range eager {
-		g := (*groupSpan)(nil)
-		if n := len(groups); n > 0 && groups[n-1].group == ref.Group && groups[n-1].ls == ref.LS {
-			g = groups[n-1]
-		} else {
-			g = &groupSpan{group: ref.Group, ls: ref.LS, start: time.Since(start), tiers: map[string]bool{}}
-			groups = append(groups, g)
-		}
-		n, tier, err := d.fetchChunk(req.Source, casstore.Digest(ref.Digest))
-		if err != nil {
-			writeErr(w, http.StatusBadGateway, "fetch chunk: %v", err)
-			return
-		}
-		if tier != "" {
-			g.tiers[tier] = true
-		}
-		g.chunks++
-		g.bytes += n
-		g.dur = time.Since(start) - g.start
-		resp.ChunksFetched++
-		resp.BytesFetched += n
-	}
-	d.syncSeconds("eager").Observe(time.Since(start) - eagerStart)
-	resp.ChunksLazy = len(lazy)
-
-	// Chunks durable; commit the snapfile exactly as received, then
-	// journal. Same ordering and crashpoints as a local record.
 	commitStart := time.Since(start)
-	chaos.MaybeCrash(chaos.CrashRecordPostChunks)
-	path := filepath.Join(d.cfg.StateDir, name+".snap")
-	if err := snapfile.CommitRaw(path, cmr.Snapfile); err != nil {
-		writeErr(w, http.StatusInternalServerError, "persist snapshot: %v", err)
-		return
-	}
-	chaos.MaybeCrash(chaos.CrashRecordPreJournal)
-	if me, ok := d.manifest.Get(name); !ok || me.Deleted {
-		specJSON := ""
-		if arts.Fn.Origin != nil {
-			if raw, merr := json.Marshal(arts.Fn.Origin); merr == nil {
-				specJSON = string(raw)
-			}
-		}
-		if _, err := d.manifest.Register(name, specJSON); err != nil {
-			writeErr(w, http.StatusInternalServerError, "journal registration: %v", err)
-			return
-		}
-	}
-	if _, err := d.manifest.Record(name, arts.RecordInput.Name); err != nil {
-		writeErr(w, http.StatusInternalServerError, "journal recording: %v", err)
-		return
-	}
+	d.syncSeconds("eager").Observe(commitStart - decodeDur)
 
-	fs, ok := d.fn(name)
-	if !ok {
-		fs = &fnState{spec: arts.Fn}
-		d.reg.set(name, fs)
-	}
+	// Chunks durable; commit the snapfile exactly as received, under the
+	// function's lock. getOrCreate, never set: a concurrent PUT's entry
+	// (and the VM behind it) must survive.
+	fs, existed := d.reg.getOrCreate(name, func() *fnState { return &fnState{spec: plan.arts.Fn} })
 	fs.mu.Lock()
-	fs.arts = arts
-	fs.chunks = cm
+	err = d.commitSnapshot(fs, plan.arts.RecordInput.Name, func(path string) error {
+		return snapfile.CommitRaw(path, plan.raw)
+	})
 	fs.mu.Unlock()
+	if err != nil {
+		// The registry mirrors the journal: an entry this sync created
+		// goes again unless its registration was journaled.
+		if me, ok := d.manifest.Get(name); !existed && (!ok || me.Deleted) {
+			d.reg.removeIf(name, fs)
+		}
+		writeErr(w, http.StatusInternalServerError, "%v", err)
+		return
+	}
 	commitDur := time.Since(start) - commitStart
 	d.syncSeconds("commit").Observe(commitDur)
 
-	// Assemble the restore waterfall: decode → eager fetch per prefetch
-	// group (tier-labelled) → commit. The lazy tail appends its span
-	// when the background fetcher drains.
-	wall := time.Since(start)
-	tb := trace.NewBuilder(traceID, "chunk-sync "+name)
-	root := tb.Span("chunk-sync "+name, "", 0, wall, map[string]string{
-		"function": name,
-		"source":   req.Source,
+	resp := SyncResponse{
+		Function:      name,
+		Source:        req.Source,
+		ChunksTotal:   len(plan.cm.Refs),
+		ChunksFetched: len(plan.eager),
+		ChunksPresent: plan.present,
+		ChunksLazy:    len(plan.lazy),
+		BytesTotal:    plan.cm.TotalBytes(),
+		BytesFetched:  fetched,
+		SnapfileBytes: int64(len(plan.raw)),
+		TraceID:       string(traceID),
+	}
+	tr := syncWaterfall(traceID, resp, time.Since(start), decodeDur, groups, commitStart, commitDur)
+	d.traces.Put(tr)
+
+	// Saved = bytes a whole-snapshot copy would have moved now but this
+	// restore did not: dedup hits plus the deferred lazy tail.
+	d.casSaved.Add(float64(resp.BytesTotal - resp.BytesFetched))
+	d.casSyncs.Inc()
+	d.updateDedupGauge()
+	d.log.Printf("synced %s from %s: %d/%d chunks fetched (%d present, %d lazy), %d of %d bytes",
+		name, req.Source, resp.ChunksFetched, resp.ChunksTotal, resp.ChunksPresent, resp.ChunksLazy,
+		resp.BytesFetched, resp.BytesTotal)
+	acknowledgeCommit(w, resp)
+
+	if len(plan.lazy) > 0 {
+		d.casLazyPending.Add(float64(len(plan.lazy)))
+		d.casLazyWG.Add(1)
+		go d.lazyTail(name, req.Source, plan.lazy, tr, time.Since(start))
+	}
+}
+
+// syncWaterfall assembles a restore's waterfall trace: decode → eager
+// fetch per prefetch group (tier-labelled) → commit. The lazy tail
+// appends its span when the background fetcher drains.
+func syncWaterfall(id trace.ID, resp SyncResponse, wall, decodeDur time.Duration, groups []*groupSpan, commitStart, commitDur time.Duration) *trace.Trace {
+	tb := trace.NewBuilder(id, "chunk-sync "+resp.Function)
+	root := tb.Span("chunk-sync "+resp.Function, "", 0, wall, map[string]string{
+		"function": resp.Function,
+		"source":   resp.Source,
 		"chunks":   strconv.Itoa(resp.ChunksTotal),
 	})
 	tb.Span("snapfile-decode", root, 0, decodeDur, map[string]string{
@@ -544,9 +556,13 @@ func (d *Daemon) handleSync(w http.ResponseWriter, r *http.Request) {
 			tiers = append(tiers, t)
 		}
 		sort.Strings(tiers)
+		tier := "none" // every chunk of the group was already present
+		if len(tiers) > 0 {
+			tier = strings.Join(tiers, ",")
+		}
 		tags := map[string]string{
 			"group":  strconv.FormatInt(g.group, 10),
-			"tier":   joinTiers(tiers),
+			"tier":   tier,
 			"chunks": strconv.Itoa(g.chunks),
 			"bytes":  strconv.FormatInt(g.bytes, 10),
 		}
@@ -556,77 +572,48 @@ func (d *Daemon) handleSync(w http.ResponseWriter, r *http.Request) {
 		tb.Span("eager-fetch", root, g.start, g.dur, tags)
 	}
 	tb.Span("commit", root, commitStart, commitDur, nil)
-	tr := tb.Finish()
-	d.traces.Put(tr)
-
-	// Saved = bytes a whole-snapshot copy would have moved now but this
-	// restore did not: dedup hits plus the deferred lazy tail.
-	d.casSaved.Add(float64(resp.BytesTotal - resp.BytesFetched))
-	d.casSyncs.Inc()
-	d.updateDedupGauge()
-	d.log.Printf("synced %s from %s: %d/%d chunks fetched (%d present, %d lazy), %d of %d bytes",
-		name, req.Source, resp.ChunksFetched, resp.ChunksTotal, resp.ChunksPresent, resp.ChunksLazy,
-		resp.BytesFetched, resp.BytesTotal)
-	writeJSON(w, http.StatusOK, resp)
-	chaos.MaybeCrash(chaos.CrashRecordPostReply)
-
-	if len(lazy) > 0 {
-		d.casLazyPending.Add(float64(len(lazy)))
-		d.casLazyWG.Add(1)
-		lazyOffset := time.Since(start)
-		lazyWall := time.Now()
-		snapshot := append([]*trace.Span(nil), tr.Spans...)
-		go func() {
-			defer d.casLazyWG.Done()
-			fetched, abandoned := d.fetchLazyChunks(name, req.Source, lazy)
-			lazyDur := time.Since(lazyWall)
-			d.syncSeconds("lazy").Observe(lazyDur)
-			// Re-put the trace with the lazy-tail span appended and the
-			// root stretched to cover it; Put overwrites in place, so the
-			// waterfall behind GET /traces/{id} gains the tail.
-			rootCopy := *snapshot[0]
-			rootCopy.Duration = (lazyOffset + lazyDur).Microseconds()
-			spans := append([]*trace.Span{&rootCopy}, snapshot[1:]...)
-			spans = append(spans, &trace.Span{
-				TraceID:   traceID,
-				SpanID:    trace.SpanID(traceID, len(snapshot)+1),
-				ParentID:  root,
-				Name:      "lazy-tail",
-				Timestamp: lazyOffset.Microseconds(),
-				Duration:  lazyDur.Microseconds(),
-				Tags: map[string]string{
-					"chunks":    strconv.Itoa(len(lazy)),
-					"fetched":   strconv.Itoa(fetched),
-					"abandoned": strconv.Itoa(abandoned),
-				},
-			})
-			d.traces.Put(&trace.Trace{ID: traceID, Name: tr.Name, Spans: spans})
-			if abandoned > 0 {
-				d.publishEvent(events.Event{
-					Type:     events.LazyAbandoned,
-					Function: name,
-					TraceID:  string(traceID),
-					Fields: map[string]string{
-						"abandoned": strconv.Itoa(abandoned),
-						"source":    req.Source,
-					},
-				})
-			}
-		}()
-	}
+	return tb.Finish()
 }
 
-// joinTiers renders a group's serving tiers for the span tag; an empty
-// set (every chunk already present) reads as "none".
-func joinTiers(tiers []string) string {
-	if len(tiers) == 0 {
-		return "none"
+// lazyTail fetches a sync's deferred chunks in the background, then
+// re-puts the restore's trace with a lazy-tail span appended and the
+// root stretched to cover it — Put overwrites in place, so the
+// waterfall behind GET /traces/{id} gains the tail. offset is where on
+// the waterfall the tail starts.
+func (d *Daemon) lazyTail(name, source string, lazy []snapfile.ChunkRef, tr *trace.Trace, offset time.Duration) {
+	defer d.casLazyWG.Done()
+	began := time.Now()
+	fetched, abandoned := d.fetchLazyChunks(name, source, lazy)
+	dur := time.Since(began)
+	d.syncSeconds("lazy").Observe(dur)
+	root := *tr.Spans[0]
+	root.Duration = (offset + dur).Microseconds()
+	spans := append([]*trace.Span{&root}, tr.Spans[1:]...)
+	spans = append(spans, &trace.Span{
+		TraceID:   tr.ID,
+		SpanID:    trace.SpanID(tr.ID, len(tr.Spans)+1),
+		ParentID:  root.SpanID,
+		Name:      "lazy-tail",
+		Timestamp: offset.Microseconds(),
+		Duration:  dur.Microseconds(),
+		Tags: map[string]string{
+			"chunks":    strconv.Itoa(len(lazy)),
+			"fetched":   strconv.Itoa(fetched),
+			"abandoned": strconv.Itoa(abandoned),
+		},
+	})
+	d.traces.Put(&trace.Trace{ID: tr.ID, Name: tr.Name, Spans: spans})
+	if abandoned > 0 {
+		d.publishEvent(events.Event{
+			Type:     events.LazyAbandoned,
+			Function: name,
+			TraceID:  string(tr.ID),
+			Fields: map[string]string{
+				"abandoned": strconv.Itoa(abandoned),
+				"source":    source,
+			},
+		})
 	}
-	out := tiers[0]
-	for _, t := range tiers[1:] {
-		out += "," + t
-	}
-	return out
 }
 
 // fetchLazyChunks pulls a sync's deferred chunks in the background,
@@ -710,27 +697,15 @@ func (d *Daemon) handleGC(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// The liveness set and the sweep run under the write side of casOps:
-	// an in-flight record/sync must publish its chunk map (or not have
-	// committed any chunks yet) before the sweep judges liveness.
 	start := time.Now()
-	d.casOps.Lock()
-	live, hot := d.liveChunkSets()
-	var hotFn func(casstore.Digest) bool
-	if req.Demote {
-		hotFn = func(dg casstore.Digest) bool { return hot[dg] }
-	}
-	res, err := d.cas.GC(func(dg casstore.Digest) bool { return live[dg] }, hotFn)
-	d.casOps.Unlock()
+	res, err := d.sweepChunks(req.Demote)
 	wall := time.Since(start)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "gc: %v", err)
 		return
 	}
-	d.casGCRemoved.Add(float64(res.Removed))
 	d.telemetry.Histogram("faasnap_cas_gc_seconds",
 		"Wall time of chunk-store garbage-collection sweeps.", nil).Observe(wall)
-	d.updateDedupGauge()
 	st, _ := d.cas.Stats()
 
 	gcTags := map[string]string{
@@ -786,26 +761,40 @@ func (d *Daemon) handleCAS(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// sweepChunks is the refcount sweep: chunks no live function references
+// are removed and, with demote, live chunks outside every loading set
+// move to the cold tier. The liveness set and the sweep run under the
+// write side of casOps: an in-flight record/sync must publish its chunk
+// map (or not have committed any chunks yet) before the sweep judges
+// liveness.
+func (d *Daemon) sweepChunks(demote bool) (casstore.GCResult, error) {
+	d.casOps.Lock()
+	live, hot := d.liveChunkSets()
+	var hotFn func(casstore.Digest) bool
+	if demote {
+		hotFn = func(dg casstore.Digest) bool { return hot[dg] }
+	}
+	res, err := d.cas.GC(func(dg casstore.Digest) bool { return live[dg] }, hotFn)
+	d.casOps.Unlock()
+	if err == nil {
+		d.casGCRemoved.Add(float64(res.Removed))
+		d.updateDedupGauge()
+	}
+	return res, err
+}
+
 // casRecoverySweep runs after manifest replay: temp chunks from a
 // writer that died mid-commit are dropped, then unreferenced chunks —
 // orphans of a crash between chunk commit and snapfile/journal — are
 // collected. No demotion here; recovery stays fast.
 func (d *Daemon) casRecoverySweep() {
-	if d.cas == nil {
-		return
-	}
-	d.casOps.Lock()
 	d.cas.SweepTemp()
-	live, _ := d.liveChunkSets()
-	res, err := d.cas.GC(func(dg casstore.Digest) bool { return live[dg] }, nil)
-	d.casOps.Unlock()
+	res, err := d.sweepChunks(false)
 	if err != nil {
 		d.log.Printf("recovery cas sweep: %v", err)
 		return
 	}
 	if res.Removed > 0 {
-		d.casGCRemoved.Add(float64(res.Removed))
 		d.log.Printf("recovery cas sweep: removed %d orphan chunks (%d bytes)", res.Removed, res.ReclaimedBytes)
 	}
-	d.updateDedupGauge()
 }

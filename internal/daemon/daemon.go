@@ -98,10 +98,29 @@ type fnState struct {
 	agent   *guestagent.Agent
 	arts    *core.Artifacts
 	chunks  *snapfile.ChunkMap
-	record  *core.RecordResult
 	// lastFaults is the most recent invocation's fault timeline,
 	// pre-encoded as NDJSON lines for GET /functions/{name}/faults.
 	lastFaults [][]byte
+}
+
+// shutdown stops the function's VMM and guest agent.
+func (fs *fnState) shutdown() {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if fs.machine != nil {
+		fs.machine.Close()
+	}
+	if fs.agent != nil {
+		fs.agent.Close()
+	}
+}
+
+// chunkMap returns the function's published chunk map, nil without a
+// persisted snapshot.
+func (fs *fnState) chunkMap() *snapfile.ChunkMap {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	return fs.chunks
 }
 
 // Daemon is the FaaSnap control plane.
@@ -117,7 +136,9 @@ type Daemon struct {
 	profiles  *obs.Ring
 	slo       *slo.Engine
 	telemetry *telemetry.Registry
-	faults    *faultHub
+	// faults fans each invocation's fault timeline out to the watchers
+	// of GET /functions/{name}/faults?watch=1, keyed by function.
+	faults *events.Hub
 
 	// events is the control-plane event ledger behind GET /events;
 	// deficitMu/deficitSeq/deficitN track per-function chunk-deficit
@@ -175,21 +196,6 @@ type Daemon struct {
 	// the access pattern is read-dominated: every invoke loads, only the
 	// first invoke of a function stores.
 	breakers sync.Map
-
-	stats struct {
-		records     atomic.Int64
-		invocations atomic.Int64
-		byMode      sync.Map // mode string -> *atomic.Int64
-	}
-}
-
-// bumpMode adds n invocations to one mode's counter.
-func (d *Daemon) bumpMode(mode string, n int64) {
-	v, ok := d.stats.byMode.Load(mode)
-	if !ok {
-		v, _ = d.stats.byMode.LoadOrStore(mode, new(atomic.Int64))
-	}
-	v.(*atomic.Int64).Add(n)
 }
 
 // New builds a daemon, reloading persisted snapshots from StateDir.
@@ -230,7 +236,7 @@ func New(cfg Config) (*Daemon, error) {
 		profiles:   obs.NewRing(cfg.ProfileRing),
 		slo:        slo.New(sloCfg),
 		telemetry:  cfg.Registry,
-		faults:     newFaultHub(),
+		faults:     events.NewHub(),
 		events:     ledger,
 		deficitSeq: make(map[string]uint64),
 		deficitN:   make(map[string]int),
@@ -244,11 +250,10 @@ func New(cfg Config) (*Daemon, error) {
 	d.admCapacity = d.telemetry.Gauge("faasnap_admission_capacity",
 		"The invocation limiter's total weight capacity.", nil)
 	d.admCapacity.Set(float64(d.limiter.Max()))
-	d.faults.onDrop = d.telemetry.Counter("faasnap_fault_watch_dropped_total",
-		"Fault-timeline lines dropped because a watcher was too slow.", nil)
-	eventsDropped := d.telemetry.Counter("faasnap_events_watch_dropped_total",
-		"Event-ledger lines dropped because a watcher was too slow.", nil)
-	d.events.OnDrop = eventsDropped.Inc
+	d.faults.OnDrop = d.telemetry.Counter("faasnap_fault_watch_dropped_total",
+		"Fault-timeline lines dropped because a watcher was too slow.", nil).Inc
+	d.events.OnDrop = d.telemetry.Counter("faasnap_events_watch_dropped_total",
+		"Event-ledger lines dropped because a watcher was too slow.", nil).Inc
 	d.chaos.SetTelemetry(d.telemetry)
 	d.chaos.SetOnFire(func(point, op string, kind chaos.Kind) {
 		ledger.Append(events.Event{
@@ -307,7 +312,7 @@ func New(cfg Config) (*Daemon, error) {
 // DrainStreams disconnects long-lived watch streams (fault timelines)
 // so http.Server.Shutdown can finish; pass it to RegisterOnShutdown.
 func (d *Daemon) DrainStreams() {
-	d.faults.close()
+	d.faults.Close()
 	d.events.Close()
 }
 
@@ -318,14 +323,7 @@ func (d *Daemon) Close() {
 	d.casLazyOnce.Do(func() { close(d.casLazyStop) })
 	d.casLazyWG.Wait()
 	for _, fs := range d.reg.snapshot() {
-		fs.mu.Lock()
-		if fs.machine != nil {
-			fs.machine.Close()
-		}
-		if fs.agent != nil {
-			fs.agent.Close()
-		}
-		fs.mu.Unlock()
+		fs.shutdown()
 	}
 	if d.kv != nil {
 		_ = d.kv.Close()
@@ -345,10 +343,9 @@ func (d *Daemon) fn(name string) (*fnState, bool) {
 // Handler returns the daemon's REST API handler.
 func (d *Daemon) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// The metrics routes are deliberately uninstrumented: scraping must
+	// The metrics route is deliberately uninstrumented: scraping must
 	// not change what the next scrape reports.
 	mux.HandleFunc("GET /metrics", d.handleMetricsProm)
-	mux.HandleFunc("GET /metrics.json", d.handleMetricsJSON)
 	handle := func(pattern string, h http.HandlerFunc) {
 		mux.HandleFunc(pattern, d.instrument(pattern, h))
 	}
@@ -474,17 +471,36 @@ func (d *Daemon) recordTrace(fn string, r *core.InvokeResult, id trace.ID, remot
 	return id
 }
 
-func (d *Daemon) handleTraceList(w http.ResponseWriter, r *http.Request) {
-	limit := 100
-	if s := r.URL.Query().Get("limit"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n <= 0 {
-			writeErr(w, http.StatusBadRequest, "bad limit %q", s)
-			return
-		}
-		limit = n
+// traceIDFor mints the id of the trace a request leaves behind. A
+// request arriving with a traceparent (from the gateway tier or any
+// tracing client) keeps its trace id, so the stored trace is
+// addressable by the id the upstream hop already knows.
+func (d *Daemon) traceIDFor(r *http.Request) trace.ID {
+	if sc, ok := telemetry.Extract(r.Header); ok && sc.TraceID != "" {
+		return trace.ID(sc.TraceID)
 	}
-	writeJSON(w, http.StatusOK, d.traces.ListNewest(limit))
+	return d.traces.NextID()
+}
+
+// queryCount reads the positive integer query parameter key (def when
+// absent); on a malformed one it answers 400 and reports false.
+func queryCount(w http.ResponseWriter, r *http.Request, key string, def int) (int, bool) {
+	s := r.URL.Query().Get(key)
+	if s == "" {
+		return def, true
+	}
+	n, err := strconv.Atoi(s)
+	if err != nil || n <= 0 {
+		writeErr(w, http.StatusBadRequest, "bad %s %q", key, s)
+		return 0, false
+	}
+	return n, true
+}
+
+func (d *Daemon) handleTraceList(w http.ResponseWriter, r *http.Request) {
+	if limit, ok := queryCount(w, r, "limit", 100); ok {
+		writeJSON(w, http.StatusOK, d.traces.ListNewest(limit))
+	}
 }
 
 func (d *Daemon) handleTraceGet(w http.ResponseWriter, r *http.Request) {
@@ -553,7 +569,7 @@ type FunctionInfo struct {
 	RecordInput  string  `json:"record_input,omitempty"`
 	WorkingSetMB float64 `json:"paper_ws_a_mb,omitempty"`
 	// Chunks/ChunkBytes describe the snapshot's content-addressed chunk
-	// map (zero for pre-chunking v1 snapfiles).
+	// map (zero on a daemon with no state directory).
 	Chunks     int   `json:"chunks,omitempty"`
 	ChunkBytes int64 `json:"chunk_bytes,omitempty"`
 	// GuestInvocations counts requests served by the in-guest agent.
@@ -660,13 +676,7 @@ func (d *Daemon) handleCreate(w http.ResponseWriter, r *http.Request) {
 	// idempotent, so a repeated PUT with an unchanged spec appends
 	// nothing and keeps its generation.
 	if d.manifest != nil {
-		specJSON := ""
-		if fs.spec.Origin != nil {
-			if raw, merr := json.Marshal(fs.spec.Origin); merr == nil {
-				specJSON = string(raw)
-			}
-		}
-		if _, err := d.manifest.Register(name, specJSON); err != nil {
+		if _, err := d.manifest.Register(name, specJSON(fs.spec)); err != nil {
 			if !exists {
 				d.reg.removeIf(name, fs)
 			}
@@ -750,14 +760,7 @@ func (d *Daemon) handleDelete(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "%v", errNotRegistered)
 		return
 	}
-	fs.mu.Lock()
-	if fs.machine != nil {
-		fs.machine.Close()
-	}
-	if fs.agent != nil {
-		fs.agent.Close()
-	}
-	fs.mu.Unlock()
+	fs.shutdown()
 	if d.cfg.StateDir != "" {
 		_ = os.Remove(filepath.Join(d.cfg.StateDir, name+".snap"))
 	}
@@ -868,6 +871,11 @@ func (d *Daemon) handleRecord(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// Hold the GC sweep off until this recording's chunks are referenced
+	// by the registry-published chunk map. Taken before fs.mu — the order
+	// the sweep and sync use — so the three cannot deadlock.
+	d.casOps.RLock()
+	defer d.casOps.RUnlock()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	// The §5 record flow: sanitizing on for the traced invocation,
@@ -908,72 +916,36 @@ func (d *Daemon) handleRecord(w http.ResponseWriter, r *http.Request) {
 
 	arts, res := core.Record(d.cfg.Host, fs.spec, in)
 	d.storeInput(fs.spec, in)
-	var chunks *snapfile.ChunkMap
-	if d.cfg.StateDir != "" {
-		// Hold the GC sweep off until this recording's chunks are
-		// referenced by the registry-published chunk map below (the defer
-		// releases after fs.chunks is set).
-		d.casOps.RLock()
-		defer d.casOps.RUnlock()
+	if d.cfg.StateDir == "" {
+		fs.arts = arts
+	} else {
 		// Chunk the snapshot into the content-addressed store first:
 		// chunks shared with earlier recordings (the base image) dedup to
 		// nothing, and a crash before the snapfile commit leaves only
 		// unreferenced chunks for the recovery sweep.
-		if d.cas != nil {
-			cm, payloads := casstore.BuildChunks(arts, 0)
-			for _, c := range payloads {
-				if _, err := d.cas.PutDigest(casstore.Digest(c.Ref.Digest), c.Data); err != nil {
-					writeErr(w, http.StatusInternalServerError, "persist chunk: %v", err)
-					return
-				}
-			}
-			chunks = cm
-			chaos.MaybeCrash(chaos.CrashRecordPostChunks)
-		}
-		path := filepath.Join(d.cfg.StateDir, fs.spec.Name+".snap")
-		if err := snapfile.SaveChunked(path, arts, chunks); err != nil {
-			writeErr(w, http.StatusInternalServerError, "persist snapshot: %v", err)
-			return
-		}
-		// Read the file straight back in one streaming pass — CRC check
-		// and decode together — and deploy the decoded artifacts, so what
-		// serves is exactly what disk holds. A snapshot that cannot pass
-		// its own checksum must never sit in the deploy path.
-		loaded, loadedCM, err := snapfile.LoadChunked(path)
-		if err != nil {
-			d.quarantine(path, err)
-			writeErr(w, http.StatusInternalServerError, "snapshot failed verification: %v", err)
-			return
-		}
-		arts, chunks = loaded, loadedCM
-		// The snapfile is committed but not yet journaled: a crash here
-		// (CrashRecordPreJournal) leaves an orphan .snap that recovery
-		// quarantines — the write was never acknowledged.
-		chaos.MaybeCrash(chaos.CrashRecordPreJournal)
-		if d.manifest != nil {
-			if _, err := d.manifest.Record(fs.spec.Name, in.Name); err != nil {
-				writeErr(w, http.StatusInternalServerError, "journal recording: %v", err)
+		chunks, payloads := casstore.BuildChunks(arts, 0)
+		for _, c := range payloads {
+			if _, err := d.cas.PutDigest(casstore.Digest(c.Ref.Digest), c.Data); err != nil {
+				writeErr(w, http.StatusInternalServerError, "persist chunk: %v", err)
 				return
 			}
 		}
+		err := d.commitSnapshot(fs, in.Name, func(path string) error {
+			return snapfile.SaveChunked(path, arts, chunks)
+		})
+		if err != nil {
+			writeErr(w, http.StatusInternalServerError, "%v", err)
+			return
+		}
 	}
-	// Only a fully committed recording (snapfile verified, journal
-	// appended) becomes servable state.
-	fs.arts = arts
-	fs.chunks = chunks
-	fs.record = &res
-	d.stats.records.Add(1)
 	core.ObserveRecord(d.telemetry, fs.spec.Name, res)
 	d.log.Printf("recorded %s input %s: ws=%d ls=%d regions=%d", fs.spec.Name, in.Name, res.WSPages, res.LSPages, res.LSRegions)
-	writeJSON(w, http.StatusOK, RecordResponse{
+	acknowledgeCommit(w, RecordResponse{
 		Function: fs.spec.Name,
 		Input:    in.Name,
 		Result:   res,
 		Duration: res.Duration.String(),
 	})
-	// Acknowledged: a crash from here on (CrashRecordPostReply) must
-	// recover the snapshot intact.
-	chaos.MaybeCrash(chaos.CrashRecordPostReply)
 	// Refresh the dedup gauge once this function's lock drops (the
 	// helper walks every fnState, so it cannot run under fs.mu).
 	go d.updateDedupGauge()
@@ -1010,11 +982,146 @@ type InvokeResponse struct {
 	AgentError     string `json:"agent_error,omitempty"`
 }
 
-func toResponse(fn string, r *core.InvokeResult) InvokeResponse {
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+// call is one /invoke or /burst request on its way through serve:
+// what validation resolved, and how the restore ended.
+type call struct {
+	prof *obs.Profile
+	fs   *fnState
+	arts *core.Artifacts
+	mode core.Mode // what the client asked for
+	in   workload.Input
+	// served is the restore's outcome; served.mode is what actually
+	// runs and differs from mode after a fallback.
+	served restoreOutcome
+}
+
+// serve is the one request pipeline behind /invoke and /burst — a burst
+// is a weight-N invoke. It owns what the two share: the flight record
+// of every exit path, the recovering gate, validation, weighted
+// admission, the per-request deadline and the reply (restore,
+// markFallback and response are its helpers). A route supplies what
+// differs: body is its request type and common the mode/input fields
+// inside it, weigh validates the route's own fields and returns the
+// admission weight, and run restores, simulates and builds the reply
+// (its only error is deadline expiry).
+func (d *Daemon) serve(w http.ResponseWriter, r *http.Request, route string,
+	body interface{}, common *invokeRequest, weigh func() (int64, error),
+	run func(context.Context, *call) (interface{}, error)) {
+	// The flight recorder sees every exit path: the profile is finalized
+	// (status, real wall time) and appended on the way out, and the SLO
+	// engine judges the same wall time the client observes.
+	prof := &obs.Profile{
+		Function: r.PathValue("name"),
+		Tenant:   r.Header.Get("X-Faasnap-Tenant"),
+		Route:    route,
+	}
+	sw := &statusWriter{ResponseWriter: w}
+	w = sw
+	wallStart := time.Now()
+	defer func() { d.recordProfile(prof, sw.status, time.Since(wallStart)) }()
+	if d.gateRecovering(w) {
+		return
+	}
+	// Validation — function, body, mode, the route's own fields, input,
+	// snapshot, in that order — runs no simulation and takes no lock
+	// beyond the registry read, so it comes before admission: the weight
+	// is in the body, and an invalid request is answered as such even by
+	// a saturated host.
+	c := &call{prof: prof}
+	weight, err := d.parseCall(r, c, body, common, weigh)
+	if err != nil {
+		code := http.StatusBadRequest
+		if errors.Is(err, errNoSnapshot) || errors.Is(err, errNotRegistered) {
+			code = http.StatusNotFound
+		}
+		writeErr(w, code, "%v", err)
+		return
+	}
+	prof.Mode = c.mode.String()
+	// Admission is all-or-nothing at the request's full weight: a
+	// saturated host sheds before doing any work, and admitting half a
+	// burst would skew the concurrency the caller asked to measure.
+	if !d.admit(weight) {
+		d.shed(w, route, weight)
+		return
+	}
+	prof.AdmissionMs = ms(time.Since(wallStart))
+	defer d.release(weight)
+	// The per-request deadline rides this context through every hop:
+	// daemon -> VMM API client -> guest agent.
+	ctx, cancel := context.WithTimeout(r.Context(), d.res.InvokeTimeout)
+	defer cancel()
+	reply, err := run(ctx, c)
+	if err != nil {
+		d.deadlineExceeded(w, route, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, reply)
+}
+
+// parseCall validates a serving request into c and returns its
+// admission weight.
+func (d *Daemon) parseCall(r *http.Request, c *call, body interface{}, common *invokeRequest, weigh func() (int64, error)) (int64, error) {
+	var ok bool
+	if c.fs, ok = d.fn(r.PathValue("name")); !ok {
+		return 0, errNotRegistered
+	}
+	if err := decodeBody(r, body); err != nil {
+		return 0, err
+	}
+	if common.Mode == "" {
+		common.Mode = "faasnap"
+	}
+	var err error
+	if c.mode, err = core.ParseMode(common.Mode); err != nil {
+		return 0, err
+	}
+	weight, err := weigh()
+	if err != nil {
+		return 0, err
+	}
+	if c.in, err = d.resolveInput(c.fs.spec, common.Input); err != nil {
+		return 0, err
+	}
+	c.fs.mu.Lock()
+	c.arts = c.fs.arts
+	c.fs.mu.Unlock()
+	if c.arts == nil {
+		return 0, errNoSnapshot
+	}
+	return weight, nil
+}
+
+// restore runs c's guarded control-plane restore (resilientRestore),
+// its VMM spans parented under sc, and notes the outcome in c.served and
+// the profile. One restore guards a whole burst: invocations of one
+// snapshot share it (§6.6). The only error is deadline expiry.
+func (d *Daemon) restore(ctx context.Context, c *call, sc telemetry.SpanContext) (err error) {
+	if c.served, err = d.resilientRestore(ctx, c.fs.spec.Name, c.arts, c.mode, sc); err != nil {
+		return err
+	}
+	c.prof.Retries = c.served.retries
+	c.markFallback(&c.prof.Degraded, &c.prof.FallbackMode, &c.prof.DegradedReason)
+	return nil
+}
+
+// markFallback is the one degraded annotation: after a fallback it
+// fills the degraded fields of a reply or of the profile.
+func (c *call) markFallback(degraded *bool, fallbackMode, reason *string) {
+	if c.served.mode != c.mode {
+		*degraded = true
+		*fallbackMode = c.served.mode.String()
+		*reason = c.served.reason
+	}
+}
+
+// response converts one simulated invocation into its API form. Mode
+// reports what the client asked for; after a fallback FallbackMode says
+// what actually served it.
+func (c *call) response(r *core.InvokeResult) InvokeResponse {
 	resp := InvokeResponse{
-		Function:      fn,
-		Mode:          r.Mode.String(),
+		Function:      c.fs.spec.Name,
+		Mode:          c.mode.String(),
 		Input:         r.Input,
 		SetupMs:       ms(r.Setup),
 		InvokeMs:      ms(r.Invoke),
@@ -1031,124 +1138,48 @@ func toResponse(fn string, r *core.InvokeResult) InvokeResponse {
 		resp.Degraded = true
 		resp.DegradedReason = "loading-set-io"
 	}
+	c.markFallback(&resp.Degraded, &resp.FallbackMode, &resp.DegradedReason)
 	return resp
 }
 
-func (d *Daemon) invokeArgs(r *http.Request) (*fnState, core.Mode, workload.Input, error) {
-	fs, ok := d.fn(r.PathValue("name"))
-	if !ok {
-		return nil, 0, workload.Input{}, errNotRegistered
-	}
+func (d *Daemon) handleInvoke(w http.ResponseWriter, r *http.Request) {
 	var req invokeRequest
-	if err := decodeBody(r, &req); err != nil {
-		return nil, 0, workload.Input{}, err
-	}
-	if req.Mode == "" {
-		req.Mode = "faasnap"
-	}
-	mode, err := core.ParseMode(req.Mode)
-	if err != nil {
-		return nil, 0, workload.Input{}, err
-	}
-	in, err := d.resolveInput(fs.spec, req.Input)
-	if err != nil {
-		return nil, 0, workload.Input{}, err
-	}
-	fs.mu.Lock()
-	arts := fs.arts
-	fs.mu.Unlock()
-	if arts == nil {
-		return nil, 0, workload.Input{}, errNoSnapshot
-	}
-	return fs, mode, in, nil
+	d.serve(w, r, "invoke", &req, &req,
+		func() (int64, error) { return 1, nil },
+		func(ctx context.Context, c *call) (interface{}, error) { return d.invokeOne(ctx, r, c) })
 }
 
-func (d *Daemon) handleInvoke(w http.ResponseWriter, r *http.Request) {
-	// The flight recorder sees every exit path: the profile is finalized
-	// (status, real wall time) and appended on the way out, and the SLO
-	// engine judges the same wall time the client observes.
-	prof := &obs.Profile{
-		Function: r.PathValue("name"),
-		Tenant:   r.Header.Get("X-Faasnap-Tenant"),
-		Route:    "invoke",
-	}
-	sw := &statusWriter{ResponseWriter: w}
-	w = sw
-	wallStart := time.Now()
-	defer func() { d.recordProfile(prof, sw.status, time.Since(wallStart)) }()
-	if d.gateRecovering(w) {
-		return
-	}
-	// Admission control first: a saturated host sheds load before doing
-	// any work for the request.
-	if !d.admit(1) {
-		d.shed(w, "invoke", 1)
-		return
-	}
-	prof.AdmissionMs = ms(time.Since(wallStart))
-	defer d.release(1)
-	fs, mode, in, err := d.invokeArgs(r)
-	if err != nil {
-		code := http.StatusBadRequest
-		if errors.Is(err, errNoSnapshot) || errors.Is(err, errNotRegistered) {
-			code = http.StatusNotFound
-		}
-		writeErr(w, code, "%v", err)
-		return
-	}
-	prof.Mode = mode.String()
-	fs.mu.Lock()
-	arts := fs.arts
-	fs.mu.Unlock()
-	// The per-request deadline rides this context through every hop:
-	// daemon -> VMM API client -> guest agent.
-	ctx, cancel := context.WithTimeout(r.Context(), d.res.InvokeTimeout)
-	defer cancel()
+// invokeOne is /invoke's part of the pipeline: one traced simulation,
+// forwarded to the guest agent, leaving a stitched trace and the fault
+// timeline behind.
+func (d *Daemon) invokeOne(ctx context.Context, r *http.Request, c *call) (interface{}, error) {
+	fs, prof := c.fs, c.prof
 	// Allocate the trace id before any work runs so lower layers can
 	// parent their spans under the root span the trace builder will
-	// create first (SpanID keeps the derivation in sync). A request
-	// arriving with a traceparent (from the gateway tier or any tracing
-	// client) keeps its trace id, so the stored trace is addressable by
-	// the id the upstream hop already knows.
-	traceID := d.traces.NextID()
-	if sc, ok := telemetry.Extract(r.Header); ok && sc.TraceID != "" {
-		traceID = trace.ID(sc.TraceID)
-	}
+	// create first (SpanID keeps the derivation in sync).
+	traceID := d.traceIDFor(r)
 	rootSC := telemetry.SpanContext{TraceID: string(traceID), SpanID: string(trace.SpanID(traceID, 1))}
-	var remote []telemetry.RemoteSpan
+	if err := d.restore(ctx, c, rootSC); err != nil {
+		return nil, err
+	}
+	if ctx.Err() != nil {
+		return nil, ctx.Err()
+	}
+	remote := c.served.spans
 	// The guest agent's work is causally downstream of the VMM restore,
 	// so its spans parent under the restore's request span when one
 	// exists, else directly under the root.
 	agentParent := rootSC
-	// Drive the restore through the Firecracker-style API: a fresh VMM
-	// gets the snapshot-load request, including the per-region mapping
-	// plan for FaaSnap modes (the §5 API extension). Restore failures
-	// degrade down the fallback chain instead of failing the request.
-	degraded := restoreOutcome{mode: mode}
-	if mode != core.ModeWarm && mode != core.ModeCold {
-		out, err := d.resilientRestore(ctx, fs.spec.Name, arts, mode, rootSC)
-		if err != nil {
-			d.deadlineExceeded(w, "invoke", err)
-			return
-		}
-		degraded = out
-		prof.Retries = out.retries
-		remote = append(remote, out.spans...)
-		if len(out.spans) > 0 {
-			agentParent.SpanID = out.spans[0].SpanID
-		}
+	if len(remote) > 0 {
+		agentParent.SpanID = remote[0].SpanID
 	}
-	if ctx.Err() != nil {
-		d.deadlineExceeded(w, "invoke", ctx.Err())
-		return
-	}
-	res := core.RunSingleTraced(d.cfg.Host, arts, degraded.mode, in)
+	res := core.RunSingleTraced(d.cfg.Host, c.arts, c.served.mode, c.in)
 	fillProfile(prof, res)
+	out := c.response(res)
 	// Forward the request to the in-guest server, as the daemon does
 	// for a live VM ("it uses the guest IP address to connect to the
 	// Flask server for invoking functions", §5). Agent failures must
 	// not be swallowed: they surface in the response and telemetry.
-	var agentErr error
 	fs.mu.Lock()
 	agent := fs.agent
 	fs.mu.Unlock()
@@ -1156,54 +1187,36 @@ func (d *Daemon) handleInvoke(w http.ResponseWriter, r *http.Request) {
 		ac := agent.Client()
 		ac.SetContext(ctx)
 		ac.SetTraceContext(agentParent)
-		if _, err := ac.Invoke(guestagent.InvokeRequest{Input: in.Name}); err != nil {
-			agentErr = err
+		if _, err := ac.Invoke(guestagent.InvokeRequest{Input: c.in.Name}); err != nil {
 			d.telemetry.Counter("faasnap_agent_errors_total",
 				"Guest-agent invoke failures surfaced to clients, by function.",
 				telemetry.L("function", fs.spec.Name)).Inc()
 			d.log.Printf("guest agent invoke: %v", err)
+			out.Degraded = true
+			out.AgentError = err.Error()
+			prof.Degraded = true
+			if prof.DegradedReason == "" {
+				prof.DegradedReason = "agent-error"
+			}
 		}
 		remote = append(remote, ac.TraceSpans()...)
 	}
-	d.stats.invocations.Add(1)
-	d.bumpMode(degraded.mode.String(), 1)
 	core.ObserveInvoke(d.telemetry, res)
-	out := toResponse(fs.spec.Name, res)
-	if degraded.mode != mode {
-		// Mode reports what the client asked for; FallbackMode what
-		// actually served it.
-		out.Mode = mode.String()
-		out.Degraded = true
-		out.FallbackMode = degraded.mode.String()
-		out.DegradedReason = degraded.reason
-		prof.Degraded = true
-		prof.FallbackMode = degraded.mode.String()
-		prof.DegradedReason = degraded.reason
-	}
 	if res.LSDegraded {
 		d.telemetry.Counter("faasnap_ls_degraded_total",
 			"FaaSnap restores served without the loading-set file after an I/O error, by function.",
 			telemetry.L("function", fs.spec.Name)).Inc()
 	}
-	if agentErr != nil {
-		out.Degraded = true
-		out.AgentError = agentErr.Error()
-		prof.Degraded = true
-		if prof.DegradedReason == "" {
-			prof.DegradedReason = "agent-error"
-		}
-	}
 	out.TraceID = string(d.recordTrace(fs.spec.Name, res, traceID, remote))
 	prof.TraceID = out.TraceID
 	d.publishFaults(fs, traceID, res)
-	writeJSON(w, http.StatusOK, out)
+	return out, nil
 }
 
 type burstRequest struct {
-	Mode         string `json:"mode"`
-	Input        string `json:"input"`
-	Parallel     int    `json:"parallel"`
-	SameSnapshot *bool  `json:"same_snapshot,omitempty"`
+	invokeRequest
+	Parallel     int   `json:"parallel"`
+	SameSnapshot *bool `json:"same_snapshot,omitempty"`
 }
 
 // BurstResponse is the burst endpoint's reply.
@@ -1223,119 +1236,42 @@ type BurstResponse struct {
 }
 
 func (d *Daemon) handleBurst(w http.ResponseWriter, r *http.Request) {
-	// One flight record per burst request (the burst is the unit the
-	// client asked for and the SLO judges); its exec/total timings are
-	// the burst mean.
-	prof := &obs.Profile{
-		Function: r.PathValue("name"),
-		Tenant:   r.Header.Get("X-Faasnap-Tenant"),
-		Route:    "burst",
-	}
-	sw := &statusWriter{ResponseWriter: w}
-	w = sw
-	wallStart := time.Now()
-	defer func() { d.recordProfile(prof, sw.status, time.Since(wallStart)) }()
-	if d.gateRecovering(w) {
-		return
-	}
-	fs, ok := d.fn(r.PathValue("name"))
-	if !ok {
-		writeErr(w, http.StatusNotFound, "%v", errNotRegistered)
-		return
-	}
 	var req burstRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.Mode == "" {
-		req.Mode = "faasnap"
-	}
-	mode, err := core.ParseMode(req.Mode)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if req.Parallel <= 0 || req.Parallel > d.res.MaxBurstParallel {
-		writeErr(w, http.StatusBadRequest, "parallel must be in [1,%d]", d.res.MaxBurstParallel)
-		return
-	}
-	in, err := d.resolveInput(fs.spec, req.Input)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	fs.mu.Lock()
-	arts := fs.arts
-	fs.mu.Unlock()
-	if arts == nil {
-		writeErr(w, http.StatusNotFound, "%v", errNoSnapshot)
-		return
-	}
-	// A burst admits at its full width: either the host has room for
-	// all of it or the whole burst is shed — admitting half a burst
-	// would skew the concurrency the caller asked to measure.
-	prof.Mode = mode.String()
-	weight := int64(req.Parallel)
-	if !d.admit(weight) {
-		d.shed(w, "burst", weight)
-		return
-	}
-	prof.AdmissionMs = ms(time.Since(wallStart))
-	defer d.release(weight)
-	ctx, cancel := context.WithTimeout(r.Context(), d.res.InvokeTimeout)
-	defer cancel()
-	// One control-plane restore guards the whole burst (invocations of
-	// one snapshot share the restore, §6.6); its failure degrades every
-	// invocation in the burst the same way.
-	degraded := restoreOutcome{mode: mode}
-	if mode != core.ModeWarm && mode != core.ModeCold {
-		out, err := d.resilientRestore(ctx, fs.spec.Name, arts, mode, telemetry.SpanContext{})
-		if err != nil {
-			d.deadlineExceeded(w, "burst", err)
-			return
+	weigh := func() (int64, error) {
+		if req.Parallel <= 0 || req.Parallel > d.res.MaxBurstParallel {
+			return 0, fmt.Errorf("parallel must be in [1,%d]", d.res.MaxBurstParallel)
 		}
-		degraded = out
+		return int64(req.Parallel), nil
 	}
-	same := true
-	if req.SameSnapshot != nil {
-		same = *req.SameSnapshot
-	}
-	br := core.RunBurst(d.cfg.Host, arts, degraded.mode, in, req.Parallel, same)
-	resp := BurstResponse{
-		Function: fs.spec.Name,
-		Mode:     mode.String(),
-		Parallel: req.Parallel,
-		Same:     same,
-		MeanMs:   float64(br.Mean) / float64(time.Millisecond),
-		StdMs:    float64(br.Std) / float64(time.Millisecond),
-	}
-	prof.ServedMode = degraded.mode.String()
-	prof.Retries = degraded.retries
-	prof.ExecMs = ms(br.Mean)
-	prof.TotalMs = ms(br.Mean)
-	if degraded.mode != mode {
-		resp.Degraded = true
-		resp.FallbackMode = degraded.mode.String()
-		resp.DegradedReason = degraded.reason
-		prof.Degraded = true
-		prof.FallbackMode = degraded.mode.String()
-		prof.DegradedReason = degraded.reason
-	}
-	for _, res := range br.Results {
-		ir := toResponse(fs.spec.Name, res)
-		if degraded.mode != mode {
-			ir.Mode = mode.String()
-			ir.Degraded = true
-			ir.FallbackMode = degraded.mode.String()
-			ir.DegradedReason = degraded.reason
+	// /burst's part of the pipeline: Parallel contending VMs in one
+	// simulation. The flight record's exec/total timings are the burst
+	// mean — the burst is the unit the client asked for and the SLO
+	// judges.
+	run := func(ctx context.Context, c *call) (interface{}, error) {
+		if err := d.restore(ctx, c, telemetry.SpanContext{}); err != nil {
+			return nil, err
 		}
-		resp.Results = append(resp.Results, ir)
+		same := req.SameSnapshot == nil || *req.SameSnapshot
+		br := core.RunBurst(d.cfg.Host, c.arts, c.served.mode, c.in, req.Parallel, same)
+		c.prof.ServedMode = c.served.mode.String()
+		c.prof.ExecMs = ms(br.Mean)
+		c.prof.TotalMs = ms(br.Mean)
+		resp := BurstResponse{
+			Function: c.fs.spec.Name,
+			Mode:     c.mode.String(),
+			Parallel: req.Parallel,
+			Same:     same,
+			MeanMs:   ms(br.Mean),
+			StdMs:    ms(br.Std),
+		}
+		c.markFallback(&resp.Degraded, &resp.FallbackMode, &resp.DegradedReason)
+		for _, res := range br.Results {
+			resp.Results = append(resp.Results, c.response(res))
+		}
+		core.ObserveBurst(d.telemetry, br)
+		return resp, nil
 	}
-	d.stats.invocations.Add(int64(req.Parallel))
-	d.bumpMode(degraded.mode.String(), int64(req.Parallel))
-	core.ObserveBurst(d.telemetry, br)
-	writeJSON(w, http.StatusOK, resp)
+	d.serve(w, r, "burst", &req, &req.invokeRequest, weigh, run)
 }
 
 // handleMetricsProm serves the telemetry registry in Prometheus text
@@ -1343,22 +1279,6 @@ func (d *Daemon) handleBurst(w http.ResponseWriter, r *http.Request) {
 func (d *Daemon) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	d.telemetry.WritePrometheus(w)
-}
-
-// handleMetricsJSON serves the legacy JSON counters (the pre-telemetry
-// GET /metrics payload, kept for existing consumers).
-func (d *Daemon) handleMetricsJSON(w http.ResponseWriter, r *http.Request) {
-	byMode := make(map[string]int64)
-	d.stats.byMode.Range(func(k, v interface{}) bool {
-		byMode[k.(string)] = v.(*atomic.Int64).Load()
-		return true
-	})
-	out := map[string]interface{}{
-		"records":     d.stats.records.Load(),
-		"invocations": d.stats.invocations.Load(),
-		"by_mode":     byMode,
-	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 func decodeBody(r *http.Request, v interface{}) error {

@@ -8,6 +8,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -112,11 +113,16 @@ func TestFullLifecycle(t *testing.T) {
 		t.Fatalf("list = %+v", list)
 	}
 
-	// Metrics counted.
-	var metricsOut map[string]interface{}
-	doJSON(t, "GET", srv.URL+"/metrics.json", nil, &metricsOut)
-	if metricsOut["invocations"].(float64) != 2 {
-		t.Fatalf("metrics = %v", metricsOut)
+	// Counted in the registry, by mode and by function.
+	metricsOut := scrape(t, srv.URL)
+	for _, line := range []string{
+		`faasnap_invocations_total{mode="faasnap"} 1`,
+		`faasnap_invocations_total{mode="firecracker"} 1`,
+		`faasnap_records_total{function="hello-world"} 1`,
+	} {
+		if !strings.Contains(metricsOut, line+"\n") {
+			t.Fatalf("scrape lacks %q", line)
+		}
 	}
 
 	// Delete.

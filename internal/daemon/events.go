@@ -2,8 +2,8 @@ package daemon
 
 // The daemon half of the cluster event ledger: GET /events serves the
 // retained control-plane events with seq/type/function filters, and
-// ?watch=1 streams new events as NDJSON with the same bounded-buffer
-// drop discipline as the fault hub — a stalled watcher loses lines,
+// ?watch=1 streams new events as NDJSON through the same hub type and
+// stream loop as the fault timelines — a stalled watcher loses lines,
 // never blocks an Append.
 
 import (
@@ -55,49 +55,17 @@ func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	ch := d.events.Subscribe()
-	defer d.events.Unsubscribe(ch)
-	w.WriteHeader(http.StatusOK)
-	rc := http.NewResponseController(w)
 	// Replay the retained backlog first so a watcher with a since_seq
 	// cursor misses nothing between its last poll and the subscribe.
-	for _, e := range d.events.Since(since, typ, fn) {
-		line, err := json.Marshal(e)
-		if err != nil {
-			continue
-		}
-		if _, err := w.Write(append(line, '\n')); err != nil {
-			return
-		}
-	}
-	_ = rc.Flush()
-	ctx := r.Context()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-d.events.Done():
-			return
-		case line := <-ch:
-			// Live lines are pre-marshalled; apply filters by decoding.
-			if typ != "" || fn != "" {
-				var e events.Event
-				if err := json.Unmarshal(line, &e); err != nil {
-					continue
-				}
-				if (typ != "" && e.Type != typ) || (fn != "" && e.Function != fn) {
-					continue
-				}
-			}
-			if _, err := w.Write(append(line, '\n')); err != nil {
-				return
-			}
-			if err := rc.Flush(); err != nil {
-				return
+	streamLines(w, r, d.events.Hub, typ, fn, func() [][]byte {
+		var lines [][]byte
+		for _, e := range d.events.Since(since, typ, fn) {
+			if line, err := json.Marshal(e); err == nil {
+				lines = append(lines, line)
 			}
 		}
-	}
+		return lines
+	})
 }
 
 // noteDeficit records a chunk-deficit observation for fn and returns

@@ -125,7 +125,7 @@ func TestSlowSubscribersDropNotBlock(t *testing.T) {
 	d, srv := newTestDaemon(t, Config{StateDir: t.TempDir()})
 
 	led := d.Events()
-	slow := led.Subscribe()
+	slow := led.Subscribe("", "")
 	defer led.Unsubscribe(slow)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -142,23 +142,20 @@ func TestSlowSubscribersDropNotBlock(t *testing.T) {
 		t.Fatal("6000 events into a 4096-line watch buffer dropped nothing")
 	}
 
-	fslow := d.faults.subscribe("flood-fn")
-	defer d.faults.unsubscribe(fslow)
+	fslow := d.faults.Subscribe("", "flood-fn")
+	defer d.faults.Unsubscribe(fslow)
 	line := []byte(`{"event":"fault"}`)
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1500; i++ {
-				d.faults.publish("flood-fn", line)
+				d.faults.Publish("", "flood-fn", line)
 			}
 		}()
 	}
 	wg.Wait()
-	d.faults.mu.Lock()
-	fdropped := d.faults.dropped
-	d.faults.mu.Unlock()
-	if fdropped == 0 {
+	if d.faults.Dropped() == 0 {
 		t.Fatal("6000 fault lines into a 4096-line watch buffer dropped nothing")
 	}
 

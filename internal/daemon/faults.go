@@ -2,74 +2,14 @@ package daemon
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"faasnap/internal/core"
-	"faasnap/internal/telemetry"
+	"faasnap/internal/events"
 	"faasnap/internal/trace"
 )
-
-// faultHub fans invocation fault timelines out to watchers of
-// GET /functions/{name}/faults?watch=1. Lines are NDJSON; a slow
-// watcher drops lines rather than stalling the invoke path.
-type faultHub struct {
-	mu      sync.Mutex
-	subs    map[chan []byte]string // channel -> function filter
-	dropped int64
-	// onDrop, when set, mirrors every dropped line into telemetry so
-	// watch-stream loss is visible (faasnap_fault_watch_dropped_total);
-	// the raw count alone was invisible outside the process.
-	onDrop *telemetry.Counter
-	done   chan struct{} // closed on daemon drain; releases watchers
-	once   sync.Once
-}
-
-func newFaultHub() *faultHub {
-	return &faultHub{subs: make(map[chan []byte]string), done: make(chan struct{})}
-}
-
-// close releases every watcher. Server.Shutdown waits for in-flight
-// requests, and a watch stream never ends on its own, so the daemon
-// must cut them loose when draining starts.
-func (h *faultHub) close() {
-	h.once.Do(func() { close(h.done) })
-}
-
-// subscribe registers a watcher for one function's fault lines.
-func (h *faultHub) subscribe(fn string) chan []byte {
-	ch := make(chan []byte, 4096)
-	h.mu.Lock()
-	h.subs[ch] = fn
-	h.mu.Unlock()
-	return ch
-}
-
-func (h *faultHub) unsubscribe(ch chan []byte) {
-	h.mu.Lock()
-	delete(h.subs, ch)
-	h.mu.Unlock()
-}
-
-// publish delivers one line to every watcher of fn.
-func (h *faultHub) publish(fn string, line []byte) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	for ch, filter := range h.subs {
-		if filter != fn {
-			continue
-		}
-		select {
-		case ch <- line:
-		default:
-			h.dropped++
-			if h.onDrop != nil {
-				h.onDrop.Inc()
-			}
-		}
-	}
-}
 
 // encodeFaultTimeline renders one traced invocation as NDJSON lines:
 // an "invocation" header, one "fault" line per event (the same fields
@@ -117,9 +57,7 @@ func (d *Daemon) publishFaults(fs *fnState, id trace.ID, res *core.InvokeResult)
 	fs.mu.Lock()
 	fs.lastFaults = lines
 	fs.mu.Unlock()
-	for _, ln := range lines {
-		d.faults.publish(fs.spec.Name, ln)
-	}
+	d.faults.Publish("", fs.spec.Name, lines...)
 }
 
 // handleFaults serves a function's fault timeline. Without ?watch=1 it
@@ -133,34 +71,59 @@ func (d *Daemon) handleFaults(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "function not registered")
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	if r.URL.Query().Get("watch") == "" {
-		fs.mu.Lock()
-		lines := fs.lastFaults
-		fs.mu.Unlock()
-		for _, ln := range lines {
-			_, _ = w.Write(ln)
-			_, _ = w.Write([]byte("\n"))
-		}
+	if r.URL.Query().Get("watch") != "" {
+		streamLines(w, r, d.faults, "", name, nil)
 		return
 	}
-	ch := d.faults.subscribe(name)
-	defer d.faults.unsubscribe(ch)
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	fs.mu.Lock()
+	lines := fs.lastFaults
+	fs.mu.Unlock()
+	for _, ln := range lines {
+		if writeLine(w, ln) != nil {
+			return
+		}
+	}
+}
+
+// writeLine writes one NDJSON line. The newline is a separate write:
+// a published line is shared by every watcher, so nothing may append
+// to it.
+func writeLine(w io.Writer, line []byte) error {
+	if _, err := w.Write(line); err != nil {
+		return err
+	}
+	_, err := w.Write([]byte{'\n'})
+	return err
+}
+
+// streamLines is the one NDJSON watch loop behind both watch routes
+// (fault timelines and the event ledger): subscribe to hub under the
+// (typ, function) filter, write the backlog — computed after the
+// subscription so nothing falls between the two — then stream lines as
+// they are published, until the client leaves or the hub closes.
+func streamLines(w http.ResponseWriter, r *http.Request, hub *events.Hub, typ events.Type, function string, backlog func() [][]byte) {
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	ch := hub.Subscribe(typ, function)
+	defer hub.Unsubscribe(ch)
 	w.WriteHeader(http.StatusOK)
 	rc := http.NewResponseController(w)
-	_ = rc.Flush()
-	ctx := r.Context()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-d.faults.done:
-			return
-		case line := <-ch:
-			if _, err := w.Write(append(line, '\n')); err != nil {
+	if backlog != nil {
+		for _, line := range backlog() {
+			if writeLine(w, line) != nil {
 				return
 			}
-			if err := rc.Flush(); err != nil {
+		}
+	}
+	_ = rc.Flush()
+	for {
+		select {
+		case <-r.Context().Done():
+			return
+		case <-hub.Done():
+			return
+		case line := <-ch:
+			if writeLine(w, line) != nil || rc.Flush() != nil {
 				return
 			}
 		}

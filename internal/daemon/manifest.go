@@ -11,6 +11,7 @@ package daemon
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -26,16 +27,6 @@ import (
 	"faasnap/internal/trace"
 	"faasnap/internal/workload"
 )
-
-// errOrphanSnapfile marks a .snap present on disk with no manifest
-// record of a completed recording — the leftover of a crash between
-// the snapfile commit and the journal append. It was never
-// acknowledged, so it is quarantined, not served.
-type orphanError struct{ name string }
-
-func (e orphanError) Error() string {
-	return "snapfile " + e.name + " has no manifest record (crash between snapshot commit and journal append)"
-}
 
 // Recovering reports whether the daemon is still replaying its
 // manifest; /readyz answers 503 with Retry-After until this clears.
@@ -72,13 +63,13 @@ func (d *Daemon) recoverState(rec *statedir.Recovery) {
 			"Manifest journals found with a torn or corrupt tail at recovery.", nil).Inc()
 		d.log.Printf("manifest recovery: truncated %d torn tail bytes (evidence: %s)", rec.TornBytes, rec.Evidence)
 	}
-	if rec.Created {
-		// Legacy state dir (snapfiles from before the manifest existed):
-		// adopt whatever verifies, so upgrading a host loses nothing.
-		d.adoptLegacySnapfiles()
-	}
 	for _, e := range d.manifest.Live() {
-		spec, err := d.resolveManifestSpec(e)
+		// Catalog functions resolve by name, custom ones from their
+		// journaled SpecConfig JSON.
+		spec, err := workload.ByName(e.Name)
+		if e.Spec != "" {
+			spec, err = workload.ParseSpec([]byte(e.Spec))
+		}
 		if err != nil {
 			d.log.Printf("recovery: cannot resolve spec for %s: %v", e.Name, err)
 			continue
@@ -86,11 +77,11 @@ func (d *Daemon) recoverState(rec *statedir.Recovery) {
 		fs := &fnState{spec: spec}
 		if e.HasSnapshot {
 			arts, cm, err := d.loadSnapfile(e.Name)
-			if err == nil && cm != nil {
-				// A chunked snapfile is only servable if its eager tier is
-				// intact: every loading-set chunk must be present in the
-				// store. Missing lazy chunks are tolerated — they refetch on
-				// demand or via anti-entropy.
+			if err == nil {
+				// A snapfile is only servable if its eager tier is intact:
+				// every loading-set chunk must be present in the store.
+				// Missing lazy chunks are tolerated — they refetch on demand
+				// or via anti-entropy.
 				err = d.verifyChunks(e.Name, cm)
 			}
 			if err != nil {
@@ -142,18 +133,8 @@ func (d *Daemon) recoverState(rec *statedir.Recovery) {
 	d.log.Printf("recovery complete: %d functions, manifest digest %s", d.reg.size(), d.manifest.Digest())
 }
 
-// resolveManifestSpec turns a manifest entry back into a workload
-// spec: catalog functions resolve by name, custom functions from their
-// journaled SpecConfig JSON.
-func (d *Daemon) resolveManifestSpec(e statedir.Entry) (*workload.Spec, error) {
-	if e.Spec != "" {
-		return workload.ParseSpec([]byte(e.Spec))
-	}
-	return workload.ByName(e.Name)
-}
-
 // loadSnapfile reads and verifies one function's snapfile in a single
-// streaming pass (chunk map included for v2 files), applying any armed
+// streaming pass (chunk map included), applying any armed
 // chaos storage fault (the injected-corruption path the resilience
 // tests drive).
 func (d *Daemon) loadSnapfile(name string) (*core.Artifacts, *snapfile.ChunkMap, error) {
@@ -168,39 +149,66 @@ func (d *Daemon) loadSnapfile(name string) (*core.Artifacts, *snapfile.ChunkMap,
 	return snapfile.LoadChunkedWithFault(path, fault)
 }
 
-// adoptLegacySnapfiles migrates a pre-manifest state dir: every
-// snapfile that verifies is journaled as a registration plus a
-// recording, so the next restart recovers through the manifest alone.
-func (d *Daemon) adoptLegacySnapfiles() {
-	entries, err := os.ReadDir(d.cfg.StateDir)
+// specJSON is the journaled form of a function's spec: the defining
+// SpecConfig for custom functions, empty for catalog ones (resolved by
+// name at recovery).
+func specJSON(spec *workload.Spec) string {
+	if spec.Origin == nil {
+		return ""
+	}
+	raw, err := json.Marshal(spec.Origin)
 	if err != nil {
-		d.log.Printf("adopt legacy snapfiles: %v", err)
-		return
+		return ""
 	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".snap") {
-			continue
-		}
-		name := strings.TrimSuffix(e.Name(), ".snap")
-		arts, _, err := d.loadSnapfile(name)
-		if err != nil {
-			d.quarantine(filepath.Join(d.cfg.StateDir, e.Name()), err)
-			continue
-		}
-		specJSON := ""
-		if arts.Fn.Origin != nil {
-			if raw, merr := json.Marshal(arts.Fn.Origin); merr == nil {
-				specJSON = string(raw)
-			}
-		}
-		if _, err := d.manifest.Register(arts.Fn.Name, specJSON); err != nil {
-			d.log.Printf("adopt %s: %v", name, err)
-			continue
-		}
-		if _, err := d.manifest.Record(arts.Fn.Name, arts.RecordInput.Name); err != nil {
-			d.log.Printf("adopt %s: %v", name, err)
+	return string(raw)
+}
+
+// commitSnapshot is the one snapshot commit, shared by a local
+// recording and a chunk-level sync from a peer: snapfile commit →
+// read-back verify → journal (register if absent, then record) →
+// publish, passing record.post-chunks and record.pre-journal on the way.
+// RESILIENCE.md ("The snapshot commit") tabulates what is durable at
+// each crashpoint and what recovery does with it.
+//
+// The caller has made every chunk the snapshot references durable and
+// holds fs.mu (commits to one function serialize) inside casOps.RLock
+// (the GC sweep cannot collect those chunks before the chunk map is
+// published). save commits the snapfile to the path it is given — an
+// encode of the recorded artifacts, or a peer's raw bytes. What is read
+// back is what gets deployed, so what serves is exactly what disk
+// holds; a snapshot that cannot pass its own checksum is quarantined.
+func (d *Daemon) commitSnapshot(fs *fnState, input string, save func(path string) error) error {
+	name := fs.spec.Name
+	chaos.MaybeCrash(chaos.CrashRecordPostChunks)
+	path := filepath.Join(d.cfg.StateDir, name+".snap")
+	if err := save(path); err != nil {
+		return fmt.Errorf("persist snapshot: %w", err)
+	}
+	arts, chunks, err := snapfile.LoadChunked(path)
+	if err != nil {
+		d.quarantine(path, err)
+		return fmt.Errorf("snapshot failed verification: %w", err)
+	}
+	chaos.MaybeCrash(chaos.CrashRecordPreJournal)
+	// A sync may be the first this daemon hears of the function.
+	if me, ok := d.manifest.Get(name); !ok || me.Deleted {
+		if _, err := d.manifest.Register(name, specJSON(fs.spec)); err != nil {
+			return fmt.Errorf("journal registration: %w", err)
 		}
 	}
+	if _, err := d.manifest.Record(name, input); err != nil {
+		return fmt.Errorf("journal recording: %w", err)
+	}
+	fs.arts, fs.chunks = arts, chunks
+	return nil
+}
+
+// acknowledgeCommit replies to the request whose snapshot commitSnapshot
+// just committed. A crash from here on (record.post-reply) must recover
+// the snapshot intact.
+func acknowledgeCommit(w http.ResponseWriter, reply interface{}) {
+	writeJSON(w, http.StatusOK, reply)
+	chaos.MaybeCrash(chaos.CrashRecordPostReply)
 }
 
 // sweepStateDir removes leftover temp files and quarantines orphan
@@ -228,7 +236,8 @@ func (d *Daemon) sweepStateDir() {
 		}
 		fn := strings.TrimSuffix(name, ".snap")
 		if me, ok := d.manifest.Get(fn); !ok || me.Deleted || !me.HasSnapshot {
-			d.quarantine(filepath.Join(d.cfg.StateDir, name), orphanError{name: fn})
+			d.quarantine(filepath.Join(d.cfg.StateDir, name),
+				fmt.Errorf("snapfile %s has no manifest record (crash between snapshot commit and journal append)", fn))
 		}
 	}
 }

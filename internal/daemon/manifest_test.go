@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"faasnap/internal/snapfile"
-	"faasnap/internal/statedir"
 	"faasnap/internal/workload"
 )
 
@@ -101,12 +100,12 @@ func TestOrphanSnapfileQuarantinedOnRecovery(t *testing.T) {
 	}
 	src := filepath.Join(dir, "hello-world.snap")
 	orphan := filepath.Join(dir, "read-list.snap")
-	arts, err := snapfile.Load(src)
+	arts, chunks, err := snapfile.LoadChunked(src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	arts.Fn = spec
-	if err := snapfile.Save(orphan, arts); err != nil {
+	if err := snapfile.SaveChunked(orphan, arts, chunks); err != nil {
 		t.Fatal(err)
 	}
 	// And a stray temp file, the other mid-write leftover.
@@ -132,29 +131,6 @@ func TestOrphanSnapfileQuarantinedOnRecovery(t *testing.T) {
 	var info FunctionInfo
 	if resp := doJSON(t, "GET", srv2.URL+"/functions/hello-world", nil, &info); resp.StatusCode != 200 || !info.HasSnapshot {
 		t.Fatalf("acknowledged snapshot lost: %d %+v", resp.StatusCode, info)
-	}
-}
-
-func TestLegacyStateDirAdopted(t *testing.T) {
-	// A state dir with snapfiles but no manifest is a pre-manifest
-	// daemon's: every verifying snapfile is adopted, then recovered
-	// through the manifest on the next restart.
-	dir := t.TempDir()
-	_, srv := newTestDaemon(t, Config{StateDir: dir})
-	recordedFn(t, srv.URL)
-	if err := os.Remove(filepath.Join(dir, statedir.ManifestName)); err != nil {
-		t.Fatal(err)
-	}
-
-	_, srv2 := newTestDaemon(t, Config{StateDir: dir})
-	var info FunctionInfo
-	if resp := doJSON(t, "GET", srv2.URL+"/functions/hello-world", nil, &info); resp.StatusCode != 200 || !info.HasSnapshot {
-		t.Fatalf("legacy snapfile not adopted: %d %+v", resp.StatusCode, info)
-	}
-	var mr ManifestResponse
-	doJSON(t, "GET", srv2.URL+"/manifest", nil, &mr)
-	if len(mr.Functions) != 1 || !mr.Functions[0].HasSnapshot {
-		t.Fatalf("adopted manifest = %+v", mr.Functions)
 	}
 }
 

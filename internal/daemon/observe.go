@@ -9,7 +9,6 @@ package daemon
 
 import (
 	"net/http"
-	"strconv"
 	"time"
 
 	"faasnap/internal/core"
@@ -110,25 +109,15 @@ func (d *Daemon) handleProfiles(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, obs.Summarize(d.profiles.Query(f, 0)))
 		return
 	}
-	if s := q.Get("slowest"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n <= 0 {
-			writeErr(w, http.StatusBadRequest, "bad slowest %q", s)
-			return
+	if q.Get("slowest") != "" {
+		if n, ok := queryCount(w, r, "slowest", 0); ok {
+			writeJSON(w, http.StatusOK, map[string]interface{}{"profiles": d.profiles.Slowest(f, n)})
 		}
-		writeJSON(w, http.StatusOK, map[string]interface{}{"profiles": d.profiles.Slowest(f, n)})
 		return
 	}
-	limit := 100
-	if s := q.Get("limit"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n <= 0 {
-			writeErr(w, http.StatusBadRequest, "bad limit %q", s)
-			return
-		}
-		limit = n
+	if limit, ok := queryCount(w, r, "limit", 100); ok {
+		writeJSON(w, http.StatusOK, map[string]interface{}{"profiles": d.profiles.Query(f, limit)})
 	}
-	writeJSON(w, http.StatusOK, map[string]interface{}{"profiles": d.profiles.Query(f, limit)})
 }
 
 // handleSLO serves the burn-rate engine's per-function report.

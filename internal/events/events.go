@@ -16,8 +16,9 @@ package events
 import (
 	"encoding/json"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"faasnap/internal/ring"
 )
 
 // Type enumerates the control-plane event kinds the ledger records.
@@ -78,26 +79,16 @@ type Event struct {
 // DefaultRing is the ledger capacity when none is configured.
 const DefaultRing = 1024
 
-// subBuf is the per-subscriber channel depth; mirrors the faultHub
-// discipline so a stalled watcher drops lines instead of blocking the
-// ledger.
-const subBuf = 4096
-
-// Ledger is a bounded ring of events plus a watch hub. All methods
-// are safe for concurrent use; Append never blocks on subscribers.
+// Ledger is a bounded ring of events plus a watch hub (the embedded
+// Hub: Subscribe, Unsubscribe, Dropped, OnDrop, Done, Close). All
+// methods are safe for concurrent use; Append never blocks on
+// subscribers.
 type Ledger struct {
-	mu      sync.Mutex
-	ring    []Event
-	cap     int
-	next    uint64 // next sequence number to assign (first is 1)
-	subs    map[chan []byte]struct{}
-	done    chan struct{}
-	once    sync.Once
-	dropped atomic.Uint64
+	*Hub
+	mu   sync.Mutex
+	ring *ring.Ring[Event]
+	next uint64 // next sequence number to assign (first is 1)
 
-	// OnDrop, if set, is invoked once per line dropped on a slow
-	// subscriber (wired to faasnap_events_watch_dropped_total).
-	OnDrop func()
 	// Now is the clock; defaults to time.Now. Tests may override.
 	Now func() time.Time
 }
@@ -108,44 +99,28 @@ func NewLedger(capacity int) *Ledger {
 	if capacity <= 0 {
 		capacity = DefaultRing
 	}
-	return &Ledger{
-		cap:  capacity,
-		subs: make(map[chan []byte]struct{}),
-		done: make(chan struct{}),
-		Now:  time.Now,
-	}
+	return &Ledger{Hub: NewHub(), ring: ring.New[Event](capacity), Now: time.Now}
 }
 
 // Append stamps e with the next sequence number and the current time,
-// stores it in the ring, publishes it to watchers, and returns the
-// stamped event. It never blocks: slow subscribers lose lines.
+// stores it in the ring, publishes it to the watchers whose filter it
+// passes, and returns the stamped event. It never blocks: slow
+// subscribers lose lines. The event is encoded only when somebody is
+// watching for it.
 func (l *Ledger) Append(e Event) Event {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.next++
 	e.Seq = l.next
 	if e.UnixMs == 0 {
 		e.UnixMs = l.Now().UnixMilli()
 	}
-	if len(l.ring) == l.cap {
-		copy(l.ring, l.ring[1:])
-		l.ring[len(l.ring)-1] = e
-	} else {
-		l.ring = append(l.ring, e)
-	}
-	line, err := json.Marshal(e)
-	if err == nil {
-		for ch := range l.subs {
-			select {
-			case ch <- line:
-			default:
-				l.dropped.Add(1)
-				if l.OnDrop != nil {
-					l.OnDrop()
-				}
-			}
+	l.ring.Push(e)
+	if l.Watched(e.Type, e.Function) {
+		if line, err := json.Marshal(e); err == nil {
+			l.Publish(e.Type, e.Function, line)
 		}
 	}
-	l.mu.Unlock()
 	return e
 }
 
@@ -156,18 +131,13 @@ func (l *Ledger) Since(seq uint64, typ Type, function string) []Event {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	var out []Event
-	for _, e := range l.ring {
-		if e.Seq <= seq {
-			continue
+	want := filter{typ, function}
+	l.ring.Ascend(func(e Event) bool {
+		if e.Seq > seq && want.passes(e.Type, e.Function) {
+			out = append(out, e)
 		}
-		if typ != "" && e.Type != typ {
-			continue
-		}
-		if function != "" && e.Function != function {
-			continue
-		}
-		out = append(out, e)
-	}
+		return true
+	})
 	return out
 }
 
@@ -183,35 +153,5 @@ func (l *Ledger) LastSeq() uint64 {
 func (l *Ledger) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.ring)
-}
-
-// Dropped returns the total lines dropped on slow subscribers.
-func (l *Ledger) Dropped() uint64 { return l.dropped.Load() }
-
-// Subscribe registers a watcher and returns its line channel. Each
-// line is one marshalled Event (no trailing newline).
-func (l *Ledger) Subscribe() chan []byte {
-	ch := make(chan []byte, subBuf)
-	l.mu.Lock()
-	l.subs[ch] = struct{}{}
-	l.mu.Unlock()
-	return ch
-}
-
-// Unsubscribe removes a watcher registered with Subscribe.
-func (l *Ledger) Unsubscribe(ch chan []byte) {
-	l.mu.Lock()
-	delete(l.subs, ch)
-	l.mu.Unlock()
-}
-
-// Done returns a channel closed when the ledger shuts down; watch
-// handlers select on it to terminate streams.
-func (l *Ledger) Done() <-chan struct{} { return l.done }
-
-// Close shuts the watch hub down. Idempotent. Events already in the
-// ring remain readable via Since.
-func (l *Ledger) Close() {
-	l.once.Do(func() { close(l.done) })
+	return l.ring.Len()
 }

@@ -89,7 +89,7 @@ func TestWatchDeliversAndSlowSubscriberDrops(t *testing.T) {
 	var drops int
 	l.OnDrop = func() { drops++ }
 
-	fast := l.Subscribe()
+	fast := l.Subscribe("", "")
 	l.Append(Event{Type: GCSweep})
 	select {
 	case line := <-fast:
@@ -104,7 +104,7 @@ func TestWatchDeliversAndSlowSubscriberDrops(t *testing.T) {
 
 	// A subscriber that never reads must not block Append past its
 	// buffer; overflow increments the drop counter.
-	slow := l.Subscribe()
+	slow := l.Subscribe("", "")
 	for i := 0; i < subBuf+50; i++ {
 		l.Append(Event{Type: Repair})
 	}
@@ -129,7 +129,7 @@ func TestConcurrentAppendAndSubscribe(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				ch := l.Subscribe()
+				ch := l.Subscribe("", "")
 				l.Since(0, "", "")
 				l.Unsubscribe(ch)
 			}
@@ -153,5 +153,61 @@ func TestCloseIdempotent(t *testing.T) {
 	}
 	if got := l.Since(0, "", ""); len(got) != 1 {
 		t.Fatal("ring unreadable after Close")
+	}
+}
+
+// TestAppendCostIndependentOfCapacity: once full, an append evicts in
+// O(1) — it must not shift the whole ring — and with nobody watching it
+// must not encode the event either. A 1024x larger ring may not make a
+// full-ring append measurably slower.
+func TestAppendCostIndependentOfCapacity(t *testing.T) {
+	perAppend := func(capacity int) time.Duration {
+		l := NewLedger(capacity)
+		for i := 0; i < capacity; i++ {
+			l.Append(Event{Type: GCSweep})
+		}
+		best := time.Duration(1 << 62)
+		for trial := 0; trial < 5; trial++ {
+			const n = 2000
+			start := time.Now()
+			for i := 0; i < n; i++ {
+				l.Append(Event{Type: GCSweep})
+			}
+			if d := time.Since(start) / n; d < best {
+				best = d
+			}
+		}
+		return best
+	}
+	small, large := perAppend(64), perAppend(64*1024)
+	if large > 8*small+time.Microsecond {
+		t.Fatalf("append at capacity: %v per event with a 64Ki ring vs %v with 64 — cost grows with capacity", large, small)
+	}
+}
+
+// TestWatchFiltersBeforeEncoding: a subscriber receives only the events
+// its (type, function) filter passes, and an event nobody is watching
+// for is never marshalled.
+func TestWatchFiltersBeforeEncoding(t *testing.T) {
+	l := NewLedger(8)
+	ch := l.Subscribe(Repair, "a")
+	defer l.Unsubscribe(ch)
+	l.Append(Event{Type: GCSweep})
+	l.Append(Event{Type: Repair, Function: "b"})
+	want := l.Append(Event{Type: Repair, Function: "a"})
+	select {
+	case line := <-ch:
+		var e Event
+		if err := json.Unmarshal(line, &e); err != nil || e.Seq != want.Seq {
+			t.Fatalf("filtered watcher got %q (%v), want seq %d", line, err, want.Seq)
+		}
+	default:
+		t.Fatal("matching event was not delivered")
+	}
+	if len(ch) != 0 {
+		t.Fatalf("watcher received %d lines its filter should have excluded", len(ch))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { l.Append(Event{Type: GCSweep}) }); allocs != 0 {
+		t.Fatalf("appending an unwatched event allocates %.0f times; it is being encoded for nobody", allocs)
 	}
 }

@@ -5,15 +5,14 @@ package gateway
 // after every sweep the gateway compares manifests across each
 // function's replica set. A backend that rejoined with lost or stale
 // state — wiped disk, quarantined snapshot, missed delete — is marked
-// stale, demoted in placement, and repaired by replaying the missing
-// registrations and recordings through its normal API from the
-// owner/standby copy. When a sweep finds no deficits the backend
-// returns to full ring weight. See GATEWAY.md.
+// stale, demoted in placement, and repaired through its normal API
+// from the owner/standby copy: missing registrations and deletes are
+// replayed, missing snapshots pulled chunk by chunk. When a sweep finds
+// no deficits the backend returns to full ring weight. See GATEWAY.md.
 
 import (
-	"bytes"
+	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -60,19 +59,10 @@ func (m *manifestInfo) entry(fn string) (manifestEntry, bool) {
 }
 
 // fetchManifest pulls one backend's durable-state summary; nil for
-// daemons without a state dir (404) or that predate the endpoint.
+// daemons without a state dir (404) or that did not answer.
 func (p *Pool) fetchManifest(b *Backend) *manifestInfo {
-	resp, err := p.client.Get("http://" + b.Addr + "/manifest")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil
-	}
 	var mi manifestInfo
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&mi); err != nil {
+	if !p.callBackend(context.Background(), b, http.MethodGet, "/manifest", nil, &mi) {
 		return nil
 	}
 	return &mi
@@ -93,31 +83,6 @@ func (p *Pool) chunkBytesCounter(b *Backend) *telemetry.Counter {
 		telemetry.L("backend", b.Addr))
 }
 
-// resyncOp replays one mutation against a backend's normal API; true on
-// a 2xx answer. Repairs ride the same endpoints clients use, so every
-// daemon-side invariant (journaling, verification, quarantine) applies
-// to replicated state too.
-func (p *Pool) resyncOp(b *Backend, method, path string, body []byte) bool {
-	var rd io.Reader
-	if len(body) > 0 {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequest(method, "http://"+b.Addr+path, rd)
-	if err != nil {
-		return false
-	}
-	if len(body) > 0 {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	resp.Body.Close()
-	return resp.StatusCode/100 == 2
-}
-
 // syncResult mirrors the subset of the daemon's POST /functions/{name}/sync
 // response the gateway accounts for.
 type syncResult struct {
@@ -130,37 +95,6 @@ type syncResult struct {
 	// minted for this sync; the gateway's repair event carries it so the
 	// transfer can be rendered with `faasnapctl waterfall`.
 	TraceID string `json:"trace_id,omitempty"`
-}
-
-// resyncChunkSync asks backend b to pull fn's snapshot from source via
-// the chunk-level sync endpoint, so only chunks b doesn't already hold
-// move over the wire. Returns the daemon's transfer accounting; ok is
-// false when the backend predates the endpoint or the pull failed, in
-// which case the caller falls back to replaying the recording.
-// eager asks the target to fetch every missing chunk before replying
-// instead of deferring non-loading-set chunks to its background
-// fetcher — used when the repair itself is about missing lazy chunks.
-func (p *Pool) resyncChunkSync(b *Backend, fn, source string, eager bool) (syncResult, bool) {
-	body, _ := json.Marshal(map[string]interface{}{"source": source, "eager": eager})
-	req, err := http.NewRequest(http.MethodPost, "http://"+b.Addr+"/functions/"+fn+"/sync", bytes.NewReader(body))
-	if err != nil {
-		return syncResult{}, false
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := p.client.Do(req)
-	if err != nil {
-		return syncResult{}, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return syncResult{}, false
-	}
-	var sr syncResult
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&sr); err != nil {
-		return syncResult{}, false
-	}
-	return sr, true
 }
 
 // noteRepair publishes a repair event and remembers its seq as the
@@ -192,7 +126,7 @@ func (p *Pool) noteRepair(addr string, e events.Event) {
 //   - winner live: backends missing the registration (or holding a
 //     stale tombstone) get the registration replayed — spec body
 //     included for custom functions — and backends missing the snapshot
-//     get the recording replayed with the winner's record input;
+//     pull it from the winner with a chunk-level sync;
 //   - winner tombstoned: live lower-generation copies are deleted, so
 //     an acknowledged delete can never resurrect through a backend that
 //     was down when it happened.
@@ -206,11 +140,62 @@ func (p *Pool) ResyncNow() int {
 		start, dur                   time.Duration
 	}
 	var repairs []repairRec
-	timed := func(fn, backend, action, traceID string, start time.Duration) {
+	actions := 0
+	// repaired books one successful repair: the per-action counter, a
+	// span on the sweep's trace, and a ledger event.
+	repaired := func(b *Backend, fn, counter, action string, start time.Duration, ev events.Event) {
+		p.resyncCounter(b, counter).Inc()
+		actions++
 		repairs = append(repairs, repairRec{
-			fn: fn, backend: backend, action: action, traceID: traceID,
+			fn: fn, backend: b.Addr, action: action, traceID: ev.TraceID,
 			start: start, dur: time.Since(t0) - start,
 		})
+		ev.Type, ev.Function = events.Repair, fn
+		if ev.Fields == nil {
+			ev.Fields = make(map[string]string, 2)
+		}
+		ev.Fields["backend"], ev.Fields["action"] = b.Addr, action
+		p.noteRepair(b.Addr, ev)
+	}
+	// replay repairs b by replaying one mutation through its normal API.
+	replay := func(b *Backend, fn, action, method string, body []byte) bool {
+		start := time.Since(t0)
+		if !p.callBackend(context.Background(), b, method, "/functions/"+fn, body, nil) {
+			return false
+		}
+		repaired(b, fn, action, action, start, events.Event{})
+		return true
+	}
+	// syncChunks repairs b by having it pull fn's snapshot from source
+	// over the chunk-level sync endpoint, so only chunks b doesn't
+	// already hold move over the wire; eager makes it fetch every missing
+	// chunk before replying instead of leaving the tail to its background
+	// fetcher. A failed sync issues nothing in its place: the backend
+	// stays stale and the next sweep retries. An eager sync repairs a
+	// chunk deficit the backend itself announced, so its event cites the
+	// backend's manifest_deficit event as cause: cause_seq plus
+	// cause_origin (the backend's address) resolve against that daemon's
+	// /events ledger, and trace_id resolves to the restore waterfall the
+	// sync minted.
+	syncChunks := func(b *Backend, fn, source string, eager bool, deficitSeq uint64) {
+		start := time.Since(t0)
+		body, _ := json.Marshal(map[string]interface{}{"source": source, "eager": eager})
+		var sr syncResult
+		if !p.callBackend(context.Background(), b, http.MethodPost, "/functions/"+fn+"/sync", body, &sr) {
+			return
+		}
+		p.chunkBytesCounter(b).Add(float64(sr.BytesFetched))
+		action := "chunks"
+		ev := events.Event{TraceID: sr.TraceID, Fields: map[string]string{
+			"source":         source,
+			"chunks_fetched": strconv.Itoa(sr.ChunksFetched),
+			"bytes_fetched":  strconv.FormatInt(sr.BytesFetched, 10),
+		}}
+		if eager {
+			action = "chunks_eager"
+			ev.CauseSeq, ev.CauseOrigin = deficitSeq, b.Addr
+		}
+		repaired(b, fn, "chunks", action, start, ev)
 	}
 	backends := p.snapshot()
 	manifests := make(map[string]*manifestInfo, len(backends))
@@ -232,7 +217,6 @@ func (p *Pool) ResyncNow() int {
 	}
 	sort.Strings(names)
 
-	actions := 0
 	stale := make(map[string]bool)
 	for _, fn := range names {
 		prefs := p.preference(fn, 1+p.replicas)
@@ -275,75 +259,24 @@ func (p *Pool) ResyncNow() int {
 			if winner.Deleted {
 				if ok && !e.Deleted && e.Generation < winner.Generation {
 					stale[b.Addr] = true
-					rs := time.Since(t0)
-					if p.resyncOp(b, http.MethodDelete, "/functions/"+fn, nil) {
-						p.resyncCounter(b, "delete").Inc()
-						actions++
-						timed(fn, b.Addr, "delete", "", rs)
-						p.noteRepair(b.Addr, events.Event{
-							Type: events.Repair, Function: fn,
-							Fields: map[string]string{"backend": b.Addr, "action": "delete"},
-						})
-					}
+					replay(b, fn, "delete", http.MethodDelete, nil)
 				}
 				continue
 			}
 			if !ok || e.Deleted {
 				stale[b.Addr] = true
-				rs := time.Since(t0)
-				if p.resyncOp(b, http.MethodPut, "/functions/"+fn, []byte(winner.Spec)) {
-					p.resyncCounter(b, "register").Inc()
-					actions++
-					timed(fn, b.Addr, "register", "", rs)
-					p.noteRepair(b.Addr, events.Event{
-						Type: events.Repair, Function: fn,
-						Fields: map[string]string{"backend": b.Addr, "action": "register"},
-					})
-				} else {
-					continue // no point recording onto a failed register
+				if !replay(b, fn, "register", http.MethodPut, []byte(winner.Spec)) {
+					continue // no point syncing onto a failed register
 				}
 				e = manifestEntry{Name: fn}
 			}
 			if winner.HasSnapshot && !e.HasSnapshot {
+				// The backend pulls the winner's chunk map and fetches only
+				// the chunks it is missing, so a standby that shares most
+				// content (same base image, or a stale-but-overlapping copy)
+				// repairs with a fraction of the snapfile's bytes.
 				stale[b.Addr] = true
-				// Prefer chunk-level sync: the backend pulls the winner's
-				// chunk map and fetches only the chunks it is missing, so a
-				// standby that shares most content (same base image, or a
-				// stale-but-overlapping copy) repairs with a fraction of the
-				// snapfile's bytes. Re-recording is the fallback for sources
-				// or targets that predate the chunk store.
-				synced := false
-				if winnerAddr != "" && winnerAddr != b.Addr {
-					rs := time.Since(t0)
-					if sr, ok := p.resyncChunkSync(b, fn, winnerAddr, false); ok {
-						p.resyncCounter(b, "chunks").Inc()
-						p.chunkBytesCounter(b).Add(float64(sr.BytesFetched))
-						actions++
-						synced = true
-						timed(fn, b.Addr, "chunks", sr.TraceID, rs)
-						p.noteRepair(b.Addr, events.Event{
-							Type: events.Repair, Function: fn, TraceID: sr.TraceID,
-							Fields: map[string]string{
-								"backend": b.Addr, "action": "chunks", "source": winnerAddr,
-								"chunks_fetched": strconv.Itoa(sr.ChunksFetched),
-								"bytes_fetched":  strconv.FormatInt(sr.BytesFetched, 10),
-							},
-						})
-					}
-				}
-				if !synced {
-					body, _ := json.Marshal(map[string]string{"input": winner.RecordInput})
-					rs := time.Since(t0)
-					if p.resyncOp(b, http.MethodPost, "/functions/"+fn+"/record", body) {
-						p.resyncCounter(b, "record").Inc()
-						actions++
-						timed(fn, b.Addr, "record", "", rs)
-						p.noteRepair(b.Addr, events.Event{
-							Type: events.Repair, Function: fn,
-							Fields: map[string]string{"backend": b.Addr, "action": "record"},
-						})
-					}
-				}
+				syncChunks(b, fn, winnerAddr, false, 0)
 			} else if winner.HasSnapshot && e.HasSnapshot && e.ChunksMissing > 0 &&
 				winner.ChunksMissing == 0 && b.Addr != winnerAddr {
 				// The backend has the snapshot but lost part of its chunk
@@ -352,27 +285,7 @@ func (p *Pool) ResyncNow() int {
 				// answers 404 to peers for the missing digests, so repair by
 				// pulling the deficit eagerly from a complete copy.
 				stale[b.Addr] = true
-				rs := time.Since(t0)
-				if sr, ok := p.resyncChunkSync(b, fn, winnerAddr, true); ok {
-					p.resyncCounter(b, "chunks").Inc()
-					p.chunkBytesCounter(b).Add(float64(sr.BytesFetched))
-					actions++
-					timed(fn, b.Addr, "chunks_eager", sr.TraceID, rs)
-					// The repair event cites the backend's own
-					// manifest_deficit event as its cause: cause_seq plus
-					// cause_origin (the backend's address) resolve against
-					// that daemon's /events ledger, and trace_id resolves to
-					// the restore waterfall the sync minted.
-					p.noteRepair(b.Addr, events.Event{
-						Type: events.Repair, Function: fn, TraceID: sr.TraceID,
-						CauseSeq: e.DeficitSeq, CauseOrigin: b.Addr,
-						Fields: map[string]string{
-							"backend": b.Addr, "action": "chunks_eager", "source": winnerAddr,
-							"chunks_fetched": strconv.Itoa(sr.ChunksFetched),
-							"bytes_fetched":  strconv.FormatInt(sr.BytesFetched, 10),
-						},
-					})
-				}
+				syncChunks(b, fn, winnerAddr, true, e.DeficitSeq)
 			}
 		}
 	}

@@ -1,8 +1,8 @@
 package gateway
 
 // Anti-entropy unit tests over scriptable fake backends: staleness
-// detection from /manifest generations, repair replay (register,
-// record, delete), placement demotion while stale, and recovery to
+// detection from /manifest generations, repairs (register, chunk
+// sync, delete), placement demotion while stale, and recovery to
 // full ring weight once manifests converge.
 
 import (
@@ -68,13 +68,13 @@ func TestAntiEntropyRepairsStaleBackend(t *testing.T) {
 
 	g.pool.CheckNow()
 	if n := g.pool.ResyncNow(); n != 2 {
-		t.Fatalf("resync actions = %d, want 2 (register + record)", n)
+		t.Fatalf("resync actions = %d, want 2 (register + chunks)", n)
 	}
-	if c, rec := standby.creates.Load(), standby.records.Load(); c != 1 || rec != 1 {
-		t.Fatalf("standby repairs: creates=%d records=%d, want 1 and 1", c, rec)
+	if c, sy, rec := standby.creates.Load(), standby.syncs.Load(), standby.records.Load(); c != 1 || sy != 1 || rec != 0 {
+		t.Fatalf("standby repairs: creates=%d syncs=%d records=%d, want 1, 1 and no record replay", c, sy, rec)
 	}
-	if c, rec := outside.creates.Load(), outside.records.Load(); c != 0 || rec != 0 {
-		t.Fatalf("non-replica backend was repaired: creates=%d records=%d", c, rec)
+	if c, sy := outside.creates.Load(), outside.syncs.Load(); c != 0 || sy != 0 {
+		t.Fatalf("non-replica backend was repaired: creates=%d syncs=%d", c, sy)
 	}
 
 	// While repairs are in flight the standby is demoted to the back of
@@ -93,7 +93,8 @@ func TestAntiEntropyRepairsStaleBackend(t *testing.T) {
 	g.reg.WritePrometheus(&buf)
 	metrics := buf.String()
 	for _, want := range []string{
-		`faasnap_gw_resync_total{action="record",backend="` + standby.addr + `"} 1`,
+		`faasnap_gw_resync_total{action="chunks",backend="` + standby.addr + `"} 1`,
+		`faasnap_gw_resync_chunk_bytes_total{backend="` + standby.addr + `"} 4096`,
 		`faasnap_gw_resync_total{action="register",backend="` + standby.addr + `"} 1`,
 		`faasnap_gw_backend_stale{backend="` + standby.addr + `"} 1`,
 	} {
@@ -111,6 +112,42 @@ func TestAntiEntropyRepairsStaleBackend(t *testing.T) {
 	}
 	if sb.Stale() {
 		t.Fatal("backend still stale after convergence")
+	}
+}
+
+// TestAntiEntropyFailedSyncRetriesNextSweep: a chunk sync that fails
+// issues nothing in its place — no record replay — and leaves the
+// backend stale; the next sweep tries the sync again.
+func TestAntiEntropyFailedSyncRetriesNextSweep(t *testing.T) {
+	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t)}
+	g := newTestGateway(t, Config{Replicas: 1}, fakes...)
+
+	const fn = "hello-world"
+	prefs := prefFakes(t, g, fn, 2, fakes)
+	owner, standby := prefs[0], prefs[1]
+	scriptManifest(owner, "d-owner", liveEntry(fn, 2, true, "A"))
+	scriptManifest(standby, "d-reg", liveEntry(fn, 1, false, ""))
+	standby.syncFail.Store(true)
+
+	g.pool.CheckNow()
+	if n := g.pool.ResyncNow(); n != 0 {
+		t.Fatalf("failed sync counted as %d repair actions", n)
+	}
+	if sy, rec := standby.syncs.Load(), standby.records.Load(); sy != 1 || rec != 0 {
+		t.Fatalf("first pass: syncs=%d records=%d, want one sync attempt and no record", sy, rec)
+	}
+	sb, _ := g.pool.backend(standby.addr)
+	if !sb.Stale() {
+		t.Fatal("backend whose repair failed is not stale")
+	}
+
+	standby.syncFail.Store(false)
+	g.pool.CheckNow()
+	if n := g.pool.ResyncNow(); n != 1 {
+		t.Fatalf("retry pass issued %d actions, want 1 (chunks)", n)
+	}
+	if sy, rec := standby.syncs.Load(), standby.records.Load(); sy != 2 || rec != 0 {
+		t.Fatalf("retry pass: syncs=%d records=%d, want 2 and 0", sy, rec)
 	}
 }
 
@@ -141,8 +178,8 @@ func TestAntiEntropyPropagatesDelete(t *testing.T) {
 }
 
 func TestAntiEntropyIgnoresManifestlessBackends(t *testing.T) {
-	// Backends without /manifest (stateless daemons, old versions) are
-	// neither repair sources nor targets, and never marked stale.
+	// Backends without /manifest (stateless daemons) are neither repair
+	// sources nor targets, and never marked stale.
 	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t)}
 	g := newTestGateway(t, Config{Replicas: 1}, fakes...)
 

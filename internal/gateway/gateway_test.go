@@ -29,18 +29,20 @@ type fakeBackend struct {
 	// creates records PUT /functions bodies seen (fan-out tests).
 	creates atomic.Int64
 	// sloJSON / profJSON script GET /slo and GET /profiles for the
-	// observability roll-up tests; unset means 404 (an old daemon).
+	// observability roll-up tests; unset means 404.
 	sloJSON  atomic.Value // string
 	profJSON atomic.Value // string
 	// traces is the handler for GET /traces/{id}; unset means 404.
 	traces atomic.Value // func(w http.ResponseWriter, r *http.Request)
 	// manifestJSON scripts GET /manifest for the anti-entropy tests;
-	// unset means 404 (a stateless or pre-manifest daemon).
+	// unset means 404 (a stateless daemon).
 	manifestJSON atomic.Value // string
-	// records / deletes count the re-sync mutations replayed onto this
-	// backend.
-	records atomic.Int64
-	deletes atomic.Int64
+	// records / syncs / deletes count the mutations that reached this
+	// backend; syncFail makes POST .../sync answer 502.
+	records  atomic.Int64
+	syncs    atomic.Int64
+	syncFail atomic.Bool
+	deletes  atomic.Int64
 }
 
 // serveScripted writes a scripted JSON body, or 404 when unset.
@@ -102,6 +104,15 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 		f.records.Add(1)
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"function":%q}`, r.PathValue("name"))
+	})
+	mux.HandleFunc("POST /functions/{name}/sync", func(w http.ResponseWriter, r *http.Request) {
+		f.syncs.Add(1)
+		if f.syncFail.Load() {
+			w.WriteHeader(http.StatusBadGateway)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintf(w, `{"function":%q,"chunks_fetched":3,"bytes_fetched":4096}`, r.PathValue("name"))
 	})
 	mux.HandleFunc("DELETE /functions/{name}", func(w http.ResponseWriter, r *http.Request) {
 		f.deletes.Add(1)

@@ -10,8 +10,6 @@ package gateway
 
 import (
 	"context"
-	"encoding/json"
-	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -123,32 +121,17 @@ func (g *Gateway) handleClusterEvents(w http.ResponseWriter, r *http.Request) {
 // merge; empty on any error — a backend that cannot answer simply
 // contributes nothing to this poll.
 func (g *Gateway) fetchBackendEvents(ctx context.Context, b *Backend, sinceSeq uint64, typ, fn string) []events.Event {
-	url := "http://" + b.Addr + "/events?since_seq=" + strconv.FormatUint(sinceSeq, 10)
+	path := "/events?since_seq=" + strconv.FormatUint(sinceSeq, 10)
 	if typ != "" {
-		url += "&type=" + typ
+		path += "&type=" + typ
 	}
 	if fn != "" {
-		url += "&function=" + fn
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return nil
-	}
-	resp, err := g.pool.client.Do(req)
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil
+		path += "&function=" + fn
 	}
 	var reply struct {
 		Events []events.Event `json:"events"`
 	}
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 8<<20)).Decode(&reply); err != nil {
-		return nil
-	}
+	g.pool.callBackend(ctx, b, http.MethodGet, path, nil, &reply)
 	return reply.Events
 }
 

@@ -54,7 +54,7 @@ func e2eGet(t *testing.T, url string, out interface{}) int {
 func TestClusterSLOMerge(t *testing.T) {
 	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t), newFakeBackend(t)}
 	// Backend 0 is burning f; backend 1 is healthy on f and alone on g;
-	// backend 2 predates GET /slo (404) and must be skipped, not fatal.
+	// backend 2 answers GET /slo with 404 and must be skipped, not fatal.
 	fakes[0].sloJSON.Store(sloBody("f", 90, 10))
 	fakes[1].sloJSON.Store(strings.Replace(sloBody("f", 100, 0), `}]}`,
 		`},{"function":"g","latency_ms":500,"target":0.99,"good":50,"bad":0,"attainment":1,"windows":[{"window":"5m0s","good":50,"bad":0,"burn_rate":0},{"window":"1h0m0s","good":50,"bad":0,"burn_rate":0}],"burning":false}]}`, 1))

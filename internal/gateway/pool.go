@@ -10,6 +10,8 @@ package gateway
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -47,7 +49,7 @@ type Backend struct {
 
 	// Observability snapshots from the last sweep, feeding the gateway's
 	// /cluster/slo and /cluster/profiles roll-ups. Nil until a sweep has
-	// fetched them (or when the daemon predates the endpoints).
+	// fetched them.
 	sloRep  *slo.Report
 	profSum *obs.Summary
 
@@ -133,7 +135,7 @@ func (b *Backend) profileSummary() *obs.Summary {
 }
 
 // saturation is the backend's admission-window occupancy in [0, 1] from
-// the last scrape (0 when the daemon predates the admission gauges).
+// the last scrape (0 until a scrape has reported the admission gauges).
 func (b *Backend) saturation() float64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -352,21 +354,46 @@ func (p *Pool) check(b *Backend) {
 	b.setManifest(p.fetchManifest(b))
 }
 
+// callBackend issues one request against a backend's normal API,
+// decoding a 2xx JSON answer into out when out is non-nil; true on a
+// 2xx answer. It carries the sweep's scrapes and its repairs — which
+// ride the same endpoints clients use, so every daemon-side invariant
+// (journaling, verification, quarantine) applies to replicated state
+// too.
+func (p *Pool) callBackend(ctx context.Context, b *Backend, method, path string, body []byte, out interface{}) bool {
+	var rd io.Reader
+	if len(body) > 0 {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, "http://"+b.Addr+path, rd)
+	if err != nil {
+		return false
+	}
+	if len(body) > 0 {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := p.client.Do(req)
+	if err != nil {
+		return false
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		return false
+	}
+	if out != nil {
+		return json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(out) == nil
+	}
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+	return true
+}
+
 // fetchSLO pulls one backend's GET /slo report and mirrors its burn
 // rates into per-backend gateway gauges, so one scrape of the gateway
 // shows which backend is burning which function's budget.
 func (p *Pool) fetchSLO(b *Backend) *slo.Report {
-	resp, err := p.client.Get("http://" + b.Addr + "/slo")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil
-	}
 	var rep slo.Report
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&rep); err != nil {
+	if !p.callBackend(context.Background(), b, http.MethodGet, "/slo", nil, &rep) {
 		return nil
 	}
 	for _, f := range rep.Functions {
@@ -384,17 +411,8 @@ func (p *Pool) fetchSLO(b *Backend) *slo.Report {
 
 // fetchProfiles pulls one backend's flight-recorder aggregation.
 func (p *Pool) fetchProfiles(b *Backend) *obs.Summary {
-	resp, err := p.client.Get("http://" + b.Addr + "/profiles?summary=1")
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return nil
-	}
 	var sum obs.Summary
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(&sum); err != nil {
+	if !p.callBackend(context.Background(), b, http.MethodGet, "/profiles?summary=1", nil, &sum) {
 		return nil
 	}
 	return &sum

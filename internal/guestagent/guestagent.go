@@ -12,12 +12,10 @@ package guestagent
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -66,8 +64,8 @@ func Start(name string, exec Executor) *Agent {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", a.handleHealth)
 	mux.HandleFunc("POST /invoke", a.handleInvoke)
-	mux.HandleFunc("GET /proc/sys/vm/sanitize_freed_pages", a.handleGetSanitize)
-	mux.HandleFunc("PUT /proc/sys/vm/sanitize_freed_pages", a.handlePutSanitize)
+	mux.HandleFunc("GET "+sanitizePath, a.handleGetSanitize)
+	mux.HandleFunc("PUT "+sanitizePath, a.handlePutSanitize)
 	a.server = &http.Server{Handler: telemetry.TraceMiddleware("guest-agent", mux)}
 	go func() {
 		defer close(a.done)
@@ -126,14 +124,7 @@ func (a *Agent) handleInvoke(w http.ResponseWriter, r *http.Request) {
 			go a.server.Close()
 			panic(http.ErrAbortHandler)
 		case d.Is(chaos.KindHang):
-			limit := d.Delay
-			if limit <= 0 {
-				limit = 30 * time.Second
-			}
-			select {
-			case <-r.Context().Done():
-			case <-time.After(limit):
-			}
+			d.Hang(r.Context())
 			writeErr(w, http.StatusInternalServerError, "%v", d.Err())
 			return
 		default:
@@ -196,147 +187,75 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...interface{
 	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// Client is the daemon-side handle to a guest agent.
+// Client is the daemon-side handle to a guest agent: a traced hop
+// over the virtual network.
 type Client struct {
-	http *http.Client
-
-	mu    sync.Mutex
-	ctx   context.Context
-	sc    telemetry.SpanContext
-	spans []telemetry.RemoteSpan
+	*telemetry.HopClient
 }
 
 // Client returns an HTTP client connected to the agent over the
 // virtual network.
 func (a *Agent) Client() *Client {
-	c := &Client{}
-	c.http = pipenet.HTTPClientWithHook(a.lis, pipenet.Hook{
-		Before: func(req *http.Request) {
-			c.mu.Lock()
-			sc := c.sc
-			c.mu.Unlock()
-			telemetry.Inject(req.Header, sc)
-		},
-		After: func(resp *http.Response) {
-			spans, err := telemetry.DecodeSpans(resp.Header.Get(telemetry.SpansHeader))
-			if err != nil || len(spans) == 0 {
-				return
-			}
-			c.mu.Lock()
-			c.spans = append(c.spans, spans...)
-			c.mu.Unlock()
-		},
-	})
-	return c
+	return &Client{telemetry.NewHopClient(pipenet.Transport(a.lis))}
 }
 
-// SetTraceContext makes subsequent requests carry the trace context.
-func (c *Client) SetTraceContext(sc telemetry.SpanContext) {
-	c.mu.Lock()
-	c.sc = sc
-	c.mu.Unlock()
-}
-
-// SetContext scopes subsequent requests to ctx: the daemon propagates
-// its per-invocation deadline across the guest-network hop through
-// here, so a hung or crashed guest cannot hold a request forever.
-func (c *Client) SetContext(ctx context.Context) {
-	c.mu.Lock()
-	c.ctx = ctx
-	c.mu.Unlock()
-}
-
-func (c *Client) context() context.Context {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ctx != nil {
-		return c.ctx
+// do sends one request to the agent — op names it in errors — with body
+// as JSON when non-nil, decoding a 2xx answer into out when non-nil.
+func (c *Client) do(op, method, path string, body, out interface{}) error {
+	var rd io.Reader
+	if body != nil {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			return err
+		}
+		rd = bytes.NewReader(raw)
 	}
-	return context.Background()
-}
-
-// TraceSpans returns the spans the agent reported for this client's
-// traced requests so far.
-func (c *Client) TraceSpans() []telemetry.RemoteSpan {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]telemetry.RemoteSpan(nil), c.spans...)
-}
-
-// Health checks agent liveness.
-func (c *Client) Health() error {
-	req, err := http.NewRequestWithContext(c.context(), http.MethodGet, "http://guest/healthz", nil)
+	req, err := http.NewRequestWithContext(c.Context(), method, "http://guest"+path, rd)
 	if err != nil {
 		return err
 	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return err
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("guestagent: health status %d", resp.StatusCode)
-	}
-	return nil
-}
-
-// Invoke runs the installed function.
-func (c *Client) Invoke(req InvokeRequest) (InvokeReply, error) {
-	raw, _ := json.Marshal(req)
-	hreq, err := http.NewRequestWithContext(c.context(), http.MethodPost, "http://guest/invoke", jsonBody(raw))
-	if err != nil {
-		return InvokeReply{}, err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	resp, err := c.http.Do(hreq)
-	if err != nil {
-		return InvokeReply{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		var e map[string]string
-		_ = json.NewDecoder(resp.Body).Decode(&e)
-		return InvokeReply{}, fmt.Errorf("guestagent: invoke failed (%d): %s", resp.StatusCode, e["error"])
-	}
-	var reply InvokeReply
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-		return InvokeReply{}, err
-	}
-	return reply, nil
-}
-
-// SetSanitize flips the guest kernel's freed-page sanitizing knob via
-// the agent's procfs endpoint.
-func (c *Client) SetSanitize(enabled bool) error {
-	raw, _ := json.Marshal(sanitizeBody{Enabled: enabled})
-	req, err := http.NewRequest(http.MethodPut, "http://guest/proc/sys/vm/sanitize_freed_pages", jsonBody(raw))
-	if err != nil {
-		return err
-	}
-	resp, err := c.http.Do(req)
+	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("guestagent: sanitize status %d", resp.StatusCode)
+		var e map[string]string
+		_ = json.NewDecoder(resp.Body).Decode(&e)
+		return fmt.Errorf("guestagent: %s failed (%d): %s", op, resp.StatusCode, e["error"])
+	}
+	if out != nil {
+		return json.NewDecoder(resp.Body).Decode(out)
 	}
 	return nil
 }
 
-// Sanitizing reads the sanitize knob.
-func (c *Client) Sanitizing() (bool, error) {
-	resp, err := c.http.Get("http://guest/proc/sys/vm/sanitize_freed_pages")
-	if err != nil {
-		return false, err
-	}
-	defer resp.Body.Close()
-	var body sanitizeBody
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		return false, err
-	}
-	return body.Enabled, nil
+// Health checks agent liveness.
+func (c *Client) Health() error {
+	return c.do("health", http.MethodGet, "/healthz", nil, nil)
 }
 
-// jsonBody wraps raw JSON for an HTTP request body.
-func jsonBody(raw []byte) io.Reader { return bytes.NewReader(raw) }
+// Invoke runs the installed function.
+func (c *Client) Invoke(req InvokeRequest) (InvokeReply, error) {
+	var reply InvokeReply
+	err := c.do("invoke", http.MethodPost, "/invoke", req, &reply)
+	return reply, err
+}
+
+const sanitizePath = "/proc/sys/vm/sanitize_freed_pages"
+
+// SetSanitize flips the guest kernel's freed-page sanitizing knob via
+// the agent's procfs endpoint.
+func (c *Client) SetSanitize(enabled bool) error {
+	return c.do("sanitize", http.MethodPut, sanitizePath, sanitizeBody{Enabled: enabled}, nil)
+}
+
+// Sanitizing reads the sanitize knob.
+func (c *Client) Sanitizing() (bool, error) {
+	var body sanitizeBody
+	err := c.do("sanitize", http.MethodGet, sanitizePath, nil, &body)
+	return body.Enabled, err
+}

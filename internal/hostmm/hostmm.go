@@ -300,9 +300,6 @@ func (a *AddrSpace) RegisterUffd(lo, hi int64, handler UffdHandler) {
 	a.uffdHandler = handler
 }
 
-// UnregisterUffd removes userfaultfd handling.
-func (a *AddrSpace) UnregisterUffd() { a.uffdHandler = nil }
-
 // InstallPage installs a PTE for page without a fault, as UFFDIO_COPY
 // does when REAP pre-populates the working set. The caller accounts
 // for the copy cost itself (typically via CostModel.UffdCopy).
@@ -324,19 +321,6 @@ func (a *AddrSpace) Prewarm(pages []int64) {
 		}
 		bitSet(a.eptMapped, page)
 	}
-}
-
-// PTEPresent reports whether the host PTE for page exists.
-func (a *AddrSpace) PTEPresent(page int64) bool {
-	a.check(page)
-	return bitGet(a.ptePresent, page)
-}
-
-// Touched reports whether the guest has accessed page since the last
-// (re)mapping, i.e. the EPT entry exists and an access costs nothing.
-func (a *AddrSpace) Touched(page int64) bool {
-	a.check(page)
-	return bitGet(a.eptMapped, page)
 }
 
 // Touch performs one guest read access to page. See TouchW.

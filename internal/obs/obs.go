@@ -17,6 +17,8 @@ package obs
 import (
 	"sort"
 	"sync"
+
+	"faasnap/internal/ring"
 )
 
 // DefaultRing is the default capacity of the profile ring and, shared
@@ -94,11 +96,9 @@ type Profile struct {
 // capacity overwrite the oldest record, so memory stays bounded no
 // matter how long the daemon runs.
 type Ring struct {
-	mu   sync.RWMutex
-	buf  []*Profile
-	head int // index of the oldest record
-	n    int
-	seq  uint64
+	mu  sync.RWMutex
+	buf *ring.Ring[*Profile]
+	seq uint64
 }
 
 // NewRing returns a ring retaining up to capacity profiles.
@@ -106,17 +106,17 @@ func NewRing(capacity int) *Ring {
 	if capacity <= 0 {
 		capacity = DefaultRing
 	}
-	return &Ring{buf: make([]*Profile, capacity)}
+	return &Ring{buf: ring.New[*Profile](capacity)}
 }
 
 // Cap returns the ring's capacity.
-func (r *Ring) Cap() int { return len(r.buf) }
+func (r *Ring) Cap() int { return r.buf.Cap() }
 
 // Len returns the number of retained profiles.
 func (r *Ring) Len() int {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.n
+	return r.buf.Len()
 }
 
 // Append records p, assigning its sequence number. The ring keeps the
@@ -126,13 +126,7 @@ func (r *Ring) Append(p *Profile) {
 	defer r.mu.Unlock()
 	r.seq++
 	p.Seq = r.seq
-	if r.n == len(r.buf) {
-		r.buf[r.head] = p
-		r.head = (r.head + 1) % len(r.buf)
-	} else {
-		r.buf[(r.head+r.n)%len(r.buf)] = p
-		r.n++
-	}
+	r.buf.Push(p)
 }
 
 // Filter selects profiles; zero fields match everything.
@@ -156,17 +150,13 @@ func (f Filter) matches(p *Profile) bool {
 func (r *Ring) Query(f Filter, limit int) []*Profile {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	out := make([]*Profile, 0, r.n)
-	for i := r.n - 1; i >= 0; i-- {
-		p := r.buf[(r.head+i)%len(r.buf)]
-		if !f.matches(p) {
-			continue
+	out := make([]*Profile, 0, r.buf.Len())
+	r.buf.Descend(func(p *Profile) bool {
+		if f.matches(p) {
+			out = append(out, p)
 		}
-		out = append(out, p)
-		if limit > 0 && len(out) >= limit {
-			break
-		}
-	}
+		return limit <= 0 || len(out) < limit
+	})
 	return out
 }
 

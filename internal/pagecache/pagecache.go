@@ -252,14 +252,6 @@ func (c *Cache) Drop(f *File) {
 	f.clearAll()
 }
 
-// DropAll evicts everything.
-func (c *Cache) DropAll() {
-	for _, f := range c.files {
-		c.totalPages -= f.nresident
-		f.clearAll()
-	}
-}
-
 // Populate marks every page of f resident without modelling I/O time.
 // It implements the paper's "Cached" reference configuration, where the
 // snapshot memory file is preloaded into the page cache before the

@@ -6,49 +6,12 @@ import (
 	"net/http"
 )
 
-// transportFor returns an http.RoundTripper whose every connection
-// dials the listener.
-func transportFor(l *Listener) http.RoundTripper {
+// Transport returns an http.RoundTripper whose every connection dials
+// the listener, regardless of the request URL's host.
+func Transport(l *Listener) http.RoundTripper {
 	return &http.Transport{
 		DialContext: func(ctx context.Context, network, address string) (net.Conn, error) {
 			return l.Dial()
 		},
 	}
-}
-
-// HTTPClient returns an HTTP client that connects to the listener
-// regardless of the request URL's host.
-func HTTPClient(l *Listener) *http.Client {
-	return &http.Client{Transport: transportFor(l)}
-}
-
-// Hook observes HTTP round trips crossing a pipenet hop. Before runs
-// just before the request is sent (trace-context injection); After
-// runs on a successful response (span collection). Either may be nil.
-type Hook struct {
-	Before func(*http.Request)
-	After  func(*http.Response)
-}
-
-type hookTransport struct {
-	base http.RoundTripper
-	hook Hook
-}
-
-func (t hookTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	if t.hook.Before != nil {
-		t.hook.Before(req)
-	}
-	resp, err := t.base.RoundTrip(req)
-	if err == nil && t.hook.After != nil {
-		t.hook.After(resp)
-	}
-	return resp, err
-}
-
-// HTTPClientWithHook is HTTPClient with a round-trip hook, the
-// mechanism trace context rides across the daemon→VMM and
-// daemon→guest-agent hops.
-func HTTPClientWithHook(l *Listener, hook Hook) *http.Client {
-	return &http.Client{Transport: hookTransport{base: transportFor(l), hook: hook}}
 }

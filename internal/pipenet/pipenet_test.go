@@ -124,7 +124,7 @@ func TestServesHTTP(t *testing.T) {
 	go srv.Serve(l)
 	defer srv.Close()
 
-	client := &http.Client{Transport: transportFor(l)}
+	client := &http.Client{Transport: Transport(l)}
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)

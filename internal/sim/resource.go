@@ -90,6 +90,3 @@ func (m *Mutex) Lock(p *Proc) { m.r.Acquire(p) }
 
 // Unlock releases the mutex.
 func (m *Mutex) Unlock() { m.r.Release() }
-
-// TryLock takes the mutex if free and reports whether it succeeded.
-func (m *Mutex) TryLock() bool { return m.r.TryAcquire() }

@@ -5,11 +5,11 @@
 // role of the snapshot/working-set files the paper's daemon keeps on
 // local or remote storage.
 //
-// Layout (little endian): magic "FSNP", u64 version, sections, and a
-// trailing CRC-32 (IEEE) of everything before it. Version 2 appends a
-// chunk-map section — content-addressed references into the CAS chunk
-// store (internal/casstore) — after the version-1 sections; version-1
-// files still read back (they simply carry no chunk map).
+// Layout (little endian): magic "FSNP", u64 version, the artifact
+// sections, a chunk-map section — content-addressed references into
+// the CAS chunk store (internal/casstore) — and a trailing CRC-32
+// (IEEE) of everything before it. There is one wire version; a file
+// carrying any other is rejected.
 package snapfile
 
 import (
@@ -21,8 +21,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 
+	"faasnap/internal/atomicfile"
 	"faasnap/internal/chaos"
 	"faasnap/internal/core"
 	"faasnap/internal/guest"
@@ -33,12 +33,8 @@ import (
 
 const (
 	magic = "FSNP"
-	// versionV1 files carry the artifact sections only; versionV2 adds
-	// the chunk-map section. Write picks the lowest version that can
-	// represent the payload, so a daemon without a chunk store keeps
-	// producing v1 files older builds can read.
-	versionV1 = 1
-	versionV2 = 2
+	// version is the one wire version.
+	version = 2
 	// maxSliceLen guards against corrupt length fields.
 	maxSliceLen = 1 << 28
 	// DigestLen is the size of a chunk digest (SHA-256).
@@ -59,7 +55,7 @@ type ChunkRef struct {
 	Group     int64 // lowest overlapping loading-set group, -1 when none
 }
 
-// ChunkMap is the v2 chunk-map section: the chunked view of the
+// ChunkMap is the chunk-map section: the chunked view of the
 // snapshot's non-zero memory extents. Page ranges not covered by any
 // ref are all-zero.
 type ChunkMap struct {
@@ -295,22 +291,12 @@ func readChunkMap(r *cr) *ChunkMap {
 	return m
 }
 
-// Write serializes arts to w as a version-1 file (no chunk map).
-func Write(w io.Writer, arts *core.Artifacts) error {
-	return WriteChunked(w, arts, nil)
-}
-
-// WriteChunked serializes arts to w, appending the chunk-map section
-// (version 2) when chunks is non-nil.
+// WriteChunked serializes arts and their chunk map to w.
 func WriteChunked(w io.Writer, arts *core.Artifacts, chunks *ChunkMap) error {
 	bw := bufio.NewWriter(w)
 	c := &cw{w: bw}
 	c.write([]byte(magic))
-	if chunks != nil {
-		c.u64(versionV2)
-	} else {
-		c.u64(versionV1)
-	}
+	c.u64(version)
 	c.str(arts.Fn.Name)
 	// Custom functions embed their defining config so they survive
 	// restarts; catalog functions resolve by name.
@@ -347,9 +333,7 @@ func WriteChunked(w io.Writer, arts *core.Artifacts, chunks *ChunkMap) error {
 	writeLoadingSet(c, arts.LS)
 	writeLoadingSet(c, arts.LSUnmerged)
 	c.i64s(arts.ReapWS.Pages)
-	if chunks != nil {
-		writeChunkMap(c, chunks)
-	}
+	writeChunkMap(c, chunks)
 
 	// Trailing checksum (not included in its own computation).
 	var buf [4]byte
@@ -363,18 +347,10 @@ func WriteChunked(w io.Writer, arts *core.Artifacts, chunks *ChunkMap) error {
 	return bw.Flush()
 }
 
-// Read deserializes artifacts from r, resolving the function model
-// from the workload catalog and verifying the checksum. Any chunk map
-// in a v2 file is parsed (and checksummed) but discarded; callers that
-// need it use ReadChunked.
-func Read(r io.Reader) (*core.Artifacts, error) {
-	arts, _, err := ReadChunked(r)
-	return arts, err
-}
-
-// ReadChunked is Read returning the v2 chunk-map section too (nil for
-// version-1 files). Decode and CRC verification happen in the same
-// streaming pass — there is no separate verify-then-decode read.
+// ReadChunked deserializes artifacts and their chunk map from r,
+// resolving the function model from the workload catalog. Decode and
+// CRC verification happen in the same streaming pass — there is no
+// separate verify-then-decode read.
 func ReadChunked(r io.Reader) (*core.Artifacts, *ChunkMap, error) {
 	c := &cr{r: bufio.NewReader(r)}
 	var m [4]byte
@@ -383,7 +359,7 @@ func ReadChunked(r io.Reader) (*core.Artifacts, *ChunkMap, error) {
 		return nil, nil, fmt.Errorf("snapfile: bad magic %q", m)
 	}
 	v := c.u64()
-	if c.err == nil && v != versionV1 && v != versionV2 {
+	if c.err == nil && v != version {
 		return nil, nil, fmt.Errorf("snapfile: unsupported version %d", v)
 	}
 	fnName := c.str()
@@ -425,7 +401,7 @@ func ReadChunked(r io.Reader) (*core.Artifacts, *ChunkMap, error) {
 	reapPages := c.i64s()
 
 	var chunks *ChunkMap
-	if v == versionV2 && c.err == nil {
+	if c.err == nil {
 		// readChunkMap returns nil on validation failure (with c.err
 		// set) — don't dereference it on that path.
 		chunks = readChunkMap(c)
@@ -484,22 +460,15 @@ const (
 	// sector would.
 	FaultCorrupt
 	// FaultTruncate drops the file's tail, as a crashed writer would
-	// (Save's atomic rename normally prevents this; remote copies can
-	// still arrive short).
+	// (SaveChunked's atomic rename normally prevents this; remote copies
+	// can still arrive short).
 	FaultTruncate
 )
 
-// ReadWithFault is Read with a storage fault applied to the stream
-// first. Faulted reads are expected to fail the checksum or section
-// parsing; a nil error under FaultCorrupt/FaultTruncate would mean the
-// format's integrity checking has a hole.
-func ReadWithFault(r io.Reader, f Fault) (*core.Artifacts, error) {
-	arts, _, err := ReadChunkedWithFault(r, f)
-	return arts, err
-}
-
 // ReadChunkedWithFault is ReadChunked with a storage fault applied to
-// the stream first, returning the chunk map alongside the artifacts.
+// the stream first. Faulted reads are expected to fail the checksum or
+// section parsing; a nil error under FaultCorrupt/FaultTruncate would
+// mean the format's integrity checking has a hole.
 func ReadChunkedWithFault(r io.Reader, f Fault) (*core.Artifacts, *ChunkMap, error) {
 	if f == FaultNone {
 		return ReadChunked(r)
@@ -519,12 +488,6 @@ func ReadChunkedWithFault(r io.Reader, f Fault) (*core.Artifacts, *ChunkMap, err
 	return ReadChunked(bytes.NewReader(raw))
 }
 
-// LoadWithFault is Load with a storage fault applied.
-func LoadWithFault(path string, f Fault) (*core.Artifacts, error) {
-	arts, _, err := LoadChunkedWithFault(path, f)
-	return arts, err
-}
-
 // LoadChunkedWithFault is LoadChunked with a storage fault applied.
 func LoadChunkedWithFault(path string, f Fault) (*core.Artifacts, *ChunkMap, error) {
 	fd, err := os.Open(path)
@@ -541,85 +504,33 @@ func LoadChunkedWithFault(path string, f Fault) (*core.Artifacts, *ChunkMap, err
 // verified decode is also the state it serves, instead of reading the
 // file twice.
 func Verify(path string) error {
-	_, err := Load(path)
+	_, _, err := LoadChunked(path)
 	return err
 }
 
-// Save writes arts to path atomically and durably: temp-file write,
-// fsync of the file, rename into place, fsync of the parent directory.
-// Without the first fsync a crash after the rename can leave a
-// committed name pointing at empty or torn data (the rename only
-// orders metadata, not the file's pages); without the directory fsync
-// the rename itself may not survive power loss. A committed snapfile
-// is therefore either absent or complete — never half-written.
-func Save(path string, arts *core.Artifacts) error {
-	return SaveChunked(path, arts, nil)
-}
-
-// SaveChunked is Save with a chunk-map section (version 2) when chunks
-// is non-nil.
+// SaveChunked writes arts and their chunk map to path atomically and
+// durably (atomicfile.Write): a committed snapfile is either absent or
+// complete — never half-written.
 func SaveChunked(path string, arts *core.Artifacts, chunks *ChunkMap) error {
-	return commit(path, func(f *os.File) error { return WriteChunked(f, arts, chunks) })
+	return commit(path, func(w io.Writer) error { return WriteChunked(w, arts, chunks) })
 }
 
 // CommitRaw writes pre-encoded snapfile bytes (as fetched from a peer
-// daemon) to path with Save's atomicity and durability discipline. The
+// daemon) to path with SaveChunked's atomicity and durability. The
 // caller is expected to have decoded raw first, so a torn or corrupt
 // transfer never reaches a committed name.
 func CommitRaw(path string, raw []byte) error {
-	return commit(path, func(f *os.File) error {
-		_, err := f.Write(raw)
+	return commit(path, func(w io.Writer) error {
+		_, err := w.Write(raw)
 		return err
 	})
 }
 
-func commit(path string, write func(*os.File) error) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	chaos.MaybeCrash(chaos.CrashSnapfilePreRename)
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	chaos.MaybeCrash(chaos.CrashSnapfilePostRename)
-	dir, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return err
-	}
-	defer dir.Close()
-	return dir.Sync()
+func commit(path string, write func(io.Writer) error) error {
+	return atomicfile.Write(path, chaos.CrashSnapfilePreRename, chaos.CrashSnapfilePostRename, write)
 }
 
-// Load reads artifacts from path.
-func Load(path string) (*core.Artifacts, error) {
-	arts, _, err := LoadChunked(path)
-	return arts, err
-}
-
-// LoadChunked reads artifacts and the chunk map (nil for v1 files)
-// from path.
+// LoadChunked reads artifacts and the chunk map from path.
 func LoadChunked(path string) (*core.Artifacts, *ChunkMap, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	return ReadChunked(f)
+	return LoadChunkedWithFault(path, FaultNone)
 }

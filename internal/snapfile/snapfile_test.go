@@ -2,6 +2,7 @@ package snapfile
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -21,13 +22,24 @@ func testArtifacts(t *testing.T) *core.Artifacts {
 	return arts
 }
 
+// write and read are the codec with the chunk map held fixed, for the
+// tests that are about the artifact sections only.
+func write(w io.Writer, arts *core.Artifacts) error {
+	return WriteChunked(w, arts, testChunkMap(arts.Mem.Pages))
+}
+
+func read(r io.Reader) (*core.Artifacts, error) {
+	arts, _, err := ReadChunked(r)
+	return arts, err
+}
+
 func TestRoundTrip(t *testing.T) {
 	arts := testArtifacts(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, arts); err != nil {
+	if err := write(&buf, arts); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,10 +86,10 @@ func TestRoundTripPreservesBehaviour(t *testing.T) {
 	// bit-identical to one served from the originals.
 	arts := testArtifacts(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, arts); err != nil {
+	if err := write(&buf, arts); err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := Read(&buf)
+	reloaded, err := read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +102,7 @@ func TestRoundTripPreservesBehaviour(t *testing.T) {
 }
 
 func TestBadMagic(t *testing.T) {
-	_, err := Read(strings.NewReader("NOPE----------------"))
+	_, err := read(strings.NewReader("NOPE----------------"))
 	if err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("err = %v", err)
 	}
@@ -99,12 +111,12 @@ func TestBadMagic(t *testing.T) {
 func TestChecksumMismatch(t *testing.T) {
 	arts := testArtifacts(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, arts); err != nil {
+	if err := write(&buf, arts); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
 	data[len(data)/2] ^= 0xff
-	_, err := Read(bytes.NewReader(data))
+	_, err := read(bytes.NewReader(data))
 	if err == nil {
 		t.Fatal("corrupted file read successfully")
 	}
@@ -113,12 +125,12 @@ func TestChecksumMismatch(t *testing.T) {
 func TestTruncatedFile(t *testing.T) {
 	arts := testArtifacts(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, arts); err != nil {
+	if err := write(&buf, arts); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
 	for _, n := range []int{0, 3, 10, len(data) / 2, len(data) - 1} {
-		if _, err := Read(bytes.NewReader(data[:n])); err == nil {
+		if _, err := read(bytes.NewReader(data[:n])); err == nil {
 			t.Fatalf("truncation to %d bytes read successfully", n)
 		}
 	}
@@ -128,13 +140,13 @@ func TestSaveLoad(t *testing.T) {
 	arts := testArtifacts(t)
 	dir := t.TempDir()
 	path := filepath.Join(dir, "hello-world.snap")
-	if err := Save(path, arts); err != nil {
+	if err := SaveChunked(path, arts, testChunkMap(arts.Mem.Pages)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
-		t.Fatal("temp file left behind")
+	if entries, _ := os.ReadDir(dir); len(entries) != 1 {
+		t.Fatalf("temp file left behind: %v", entries)
 	}
-	got, err := Load(path)
+	got, _, err := LoadChunked(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +156,7 @@ func TestSaveLoad(t *testing.T) {
 }
 
 func TestLoadMissingFile(t *testing.T) {
-	if _, err := Load(filepath.Join(t.TempDir(), "absent.snap")); err == nil {
+	if _, _, err := LoadChunked(filepath.Join(t.TempDir(), "absent.snap")); err == nil {
 		t.Fatal("load of missing file succeeded")
 	}
 }
@@ -152,18 +164,18 @@ func TestLoadMissingFile(t *testing.T) {
 func TestReadWithFault(t *testing.T) {
 	arts := testArtifacts(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, arts); err != nil {
+	if err := write(&buf, arts); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
 
-	if _, err := ReadWithFault(bytes.NewReader(data), FaultNone); err != nil {
+	if _, _, err := ReadChunkedWithFault(bytes.NewReader(data), FaultNone); err != nil {
 		t.Fatalf("FaultNone read failed: %v", err)
 	}
-	if _, err := ReadWithFault(bytes.NewReader(data), FaultCorrupt); err == nil {
+	if _, _, err := ReadChunkedWithFault(bytes.NewReader(data), FaultCorrupt); err == nil {
 		t.Fatal("corrupted read passed the checksum")
 	}
-	if _, err := ReadWithFault(bytes.NewReader(data), FaultTruncate); err == nil {
+	if _, _, err := ReadChunkedWithFault(bytes.NewReader(data), FaultTruncate); err == nil {
 		t.Fatal("truncated read succeeded")
 	}
 }
@@ -172,7 +184,7 @@ func TestVerify(t *testing.T) {
 	arts := testArtifacts(t)
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.snap")
-	if err := Save(good, arts); err != nil {
+	if err := SaveChunked(good, arts, testChunkMap(arts.Mem.Pages)); err != nil {
 		t.Fatal(err)
 	}
 	if err := Verify(good); err != nil {
@@ -209,10 +221,10 @@ func TestCustomFunctionRoundTrip(t *testing.T) {
 	}
 	arts, _ := core.Record(core.DefaultHostConfig(), fn, fn.A)
 	var buf bytes.Buffer
-	if err := Write(&buf, arts); err != nil {
+	if err := write(&buf, arts); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(&buf)
+	got, err := read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package snapfile
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -64,23 +65,28 @@ func TestChunkedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestV1ReadCompat: a v1 file (no chunk map) still reads, reporting a
-// nil chunk map — upgraded daemons must load pre-chunking state dirs.
-func TestV1ReadCompat(t *testing.T) {
+// withVersion returns a copy of an encoded snapfile with its version
+// field rewritten.
+func withVersion(file []byte, v uint64) []byte {
+	out := append([]byte(nil), file...)
+	binary.LittleEndian.PutUint64(out[len(magic):], v)
+	return out
+}
+
+// TestUnknownVersionsRejected: there is one wire version. A file
+// claiming version 1 (a format with no chunk map, never shipped) or a
+// future one is refused by name, before any section is parsed.
+func TestUnknownVersionsRejected(t *testing.T) {
 	arts := testArtifacts(t)
 	var buf bytes.Buffer
-	if err := Write(&buf, arts); err != nil {
+	if err := write(&buf, arts); err != nil {
 		t.Fatal(err)
 	}
-	got, cm, err := ReadChunked(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cm != nil {
-		t.Fatalf("v1 file produced a chunk map: %+v", cm)
-	}
-	if got.Fn.Name != arts.Fn.Name {
-		t.Fatalf("fn = %s, want %s", got.Fn.Name, arts.Fn.Name)
+	for _, v := range []uint64{0, 1, 3} {
+		_, _, err := ReadChunked(bytes.NewReader(withVersion(buf.Bytes(), v)))
+		if err == nil || !strings.Contains(err.Error(), "unsupported version") {
+			t.Fatalf("version %d: err = %v, want unsupported version", v, err)
+		}
 	}
 }
 

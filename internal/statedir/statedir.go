@@ -15,7 +15,7 @@
 //     of the payload) written and fsynced before the daemon replies;
 //   - compaction rewrites the whole log to a temp file, fsyncs it,
 //     renames it over the log, and fsyncs the parent directory — the
-//     same atomic-commit sequence snapfile.Save uses;
+//     same durable write (atomicfile.Write) snapfile commits use;
 //   - recovery accepts a torn or corrupt tail (the crash window is
 //     exactly one unacknowledged record), truncates it, and preserves
 //     the torn bytes under quarantine/ as evidence; it never serves a
@@ -34,6 +34,7 @@ import (
 	"sort"
 	"sync"
 
+	"faasnap/internal/atomicfile"
 	"faasnap/internal/chaos"
 )
 
@@ -98,8 +99,8 @@ type Entry struct {
 
 // Recovery reports what Open found and repaired.
 type Recovery struct {
-	// Created is true when no manifest existed (first boot or a legacy
-	// state dir) and a fresh one was created.
+	// Created is true when no manifest existed (first boot) and a fresh
+	// one was created.
 	Created bool
 	// Replayed counts the records applied.
 	Replayed int
@@ -113,7 +114,6 @@ type Recovery struct {
 // Manifest is the open journal plus its replayed in-memory state.
 type Manifest struct {
 	mu      sync.Mutex
-	dir     string
 	path    string
 	f       *os.File
 	entries map[string]*Entry
@@ -129,7 +129,6 @@ func Open(dir string) (*Manifest, *Recovery, error) {
 		return nil, nil, err
 	}
 	m := &Manifest{
-		dir:     dir,
 		path:    filepath.Join(dir, ManifestName),
 		entries: make(map[string]*Entry),
 	}
@@ -156,23 +155,18 @@ func Open(dir string) (*Manifest, *Recovery, error) {
 			_ = perr // the torn tail is expected after a crash; evidence preserved
 		}
 	}
-	f, err := os.OpenFile(m.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if rec.Created {
+		// Make the journal's existence itself durable before anything
+		// is acknowledged against it.
+		if err := atomicfile.Write(m.path, "", "", func(io.Writer) error { return nil }); err != nil {
+			return nil, nil, fmt.Errorf("statedir: create manifest: %w", err)
+		}
+	}
+	f, err := os.OpenFile(m.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("statedir: open manifest: %w", err)
 	}
 	m.f = f
-	if rec.Created {
-		// Make the journal's existence itself durable before anything
-		// is acknowledged against it.
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("statedir: sync manifest: %w", err)
-		}
-		if err := syncDir(dir); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("statedir: sync state dir: %w", err)
-		}
-	}
 	return m, rec, nil
 }
 
@@ -248,21 +242,31 @@ func (m *Manifest) apply(r record) error {
 	return nil
 }
 
+// frame encodes one record as a journal frame: magic, payload length,
+// CRC-32 of the payload, payload.
+func frame(r record) ([]byte, error) {
+	payload, err := json.Marshal(r)
+	if err != nil {
+		return nil, fmt.Errorf("statedir: encode record: %w", err)
+	}
+	out := make([]byte, 12+len(payload))
+	binary.LittleEndian.PutUint32(out[0:], frameMagic)
+	binary.LittleEndian.PutUint32(out[4:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(out[8:], crc32.ChecksumIEEE(payload))
+	copy(out[12:], payload)
+	return out, nil
+}
+
 // append journals one record: frame, write, fsync, then apply. The
 // fsync happens before apply and before the caller replies, so an
 // acknowledged operation is always on disk, and a crash between write
 // and fsync leaves only an unacknowledged torn tail.
 func (m *Manifest) append(r record) error {
-	payload, err := json.Marshal(r)
+	f, err := frame(r)
 	if err != nil {
-		return fmt.Errorf("statedir: encode record: %w", err)
+		return err
 	}
-	frame := make([]byte, 12+len(payload))
-	binary.LittleEndian.PutUint32(frame[0:], frameMagic)
-	binary.LittleEndian.PutUint32(frame[4:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[8:], crc32.ChecksumIEEE(payload))
-	copy(frame[12:], payload)
-	if _, err := m.f.Write(frame); err != nil {
+	if _, err := m.f.Write(f); err != nil {
 		return fmt.Errorf("statedir: append: %w", err)
 	}
 	chaos.MaybeCrash(chaos.CrashManifestPreSync)
@@ -282,13 +286,18 @@ func (m *Manifest) append(r record) error {
 	return nil
 }
 
-// nextGen returns name's next generation number: monotonic across the
-// function's whole history, including deletes and re-registrations.
-func (m *Manifest) nextGen(name string) uint64 {
-	if e := m.entries[name]; e != nil {
-		return e.Generation + 1
+// journal appends one record for name at its next generation number —
+// monotonic across the function's whole history, including deletes and
+// re-registrations — and returns that generation. Caller holds m.mu.
+func (m *Manifest) journal(r record) (uint64, error) {
+	r.Gen = 1
+	if e := m.entries[r.Name]; e != nil {
+		r.Gen = e.Generation + 1
 	}
-	return 1
+	if err := m.append(r); err != nil {
+		return 0, err
+	}
+	return r.Gen, nil
 }
 
 // Register journals a function registration (spec-only). spec is the
@@ -301,22 +310,14 @@ func (m *Manifest) Register(name, spec string) (uint64, error) {
 	if e := m.entries[name]; e != nil && !e.Deleted && e.Spec == spec {
 		return e.Generation, nil
 	}
-	gen := m.nextGen(name)
-	if err := m.append(record{Op: OpRegister, Name: name, Gen: gen, Spec: spec}); err != nil {
-		return 0, err
-	}
-	return gen, nil
+	return m.journal(record{Op: OpRegister, Name: name, Spec: spec})
 }
 
 // Record journals a committed snapshot recording for name.
 func (m *Manifest) Record(name, input string) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	gen := m.nextGen(name)
-	if err := m.append(record{Op: OpRecord, Name: name, Gen: gen, Input: input}); err != nil {
-		return 0, err
-	}
-	return gen, nil
+	return m.journal(record{Op: OpRecord, Name: name, Input: input})
 }
 
 // Invalidate journals the loss of name's snapshot (quarantined or
@@ -324,22 +325,14 @@ func (m *Manifest) Record(name, input string) (uint64, error) {
 func (m *Manifest) Invalidate(name string) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	gen := m.nextGen(name)
-	if err := m.append(record{Op: OpInvalidate, Name: name, Gen: gen}); err != nil {
-		return 0, err
-	}
-	return gen, nil
+	return m.journal(record{Op: OpInvalidate, Name: name})
 }
 
 // Delete journals a tombstone for name.
 func (m *Manifest) Delete(name string) (uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	gen := m.nextGen(name)
-	if err := m.append(record{Op: OpDelete, Name: name, Gen: gen}); err != nil {
-		return 0, err
-	}
-	return gen, nil
+	return m.journal(record{Op: OpDelete, Name: name})
 }
 
 // Get returns name's entry (tombstones included).
@@ -389,61 +382,31 @@ func (m *Manifest) Digest() string {
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-// Compact rewrites the journal to one OpEntry record per entry via the
-// atomic temp-write + fsync + rename + dir-sync sequence.
-func (m *Manifest) Compact() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.compactLocked()
-}
-
+// compactLocked rewrites the journal to one OpEntry record per entry,
+// committed over the old log by the atomic durable write.
 func (m *Manifest) compactLocked() error {
-	tmp := m.path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
 	names := make([]string, 0, len(m.entries))
 	for n := range m.entries {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	for _, n := range names {
-		e := m.entries[n]
-		payload, err := json.Marshal(record{
-			Op: OpEntry, Name: e.Name, Gen: e.Generation,
-			Spec: e.Spec, Input: e.RecordInput, Snap: e.HasSnapshot, Del: e.Deleted,
-		})
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
+	err := atomicfile.Write(m.path, "", "", func(w io.Writer) error {
+		for _, n := range names {
+			e := m.entries[n]
+			f, err := frame(record{
+				Op: OpEntry, Name: e.Name, Gen: e.Generation,
+				Spec: e.Spec, Input: e.RecordInput, Snap: e.HasSnapshot, Del: e.Deleted,
+			})
+			if err != nil {
+				return err
+			}
+			if _, err := w.Write(f); err != nil {
+				return err
+			}
 		}
-		frame := make([]byte, 12+len(payload))
-		binary.LittleEndian.PutUint32(frame[0:], frameMagic)
-		binary.LittleEndian.PutUint32(frame[4:], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(frame[8:], crc32.ChecksumIEEE(payload))
-		copy(frame[12:], payload)
-		if _, err := f.Write(frame); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, m.path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := syncDir(m.dir); err != nil {
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	old := m.f
@@ -467,17 +430,6 @@ func (m *Manifest) Close() error {
 	err := m.f.Close()
 	m.f = nil
 	return err
-}
-
-// syncDir fsyncs a directory so a rename or create inside it is
-// durable (the metadata half of the atomic-commit sequence).
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
 }
 
 // quarantineBytes preserves evidence bytes under dir/quarantine/ with

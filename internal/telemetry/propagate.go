@@ -228,3 +228,77 @@ func TraceMiddleware(service string, next http.Handler) http.Handler {
 		_, _ = w.Write(buf.body.Bytes())
 	})
 }
+
+// HopClient is the calling side of one traced hop (daemon→VMM API,
+// daemon→guest agent): requests sent through HTTP are scoped to a
+// context, carry a trace context, and collect the spans the serving
+// side reports back in SpansHeader for the caller to stitch in.
+type HopClient struct {
+	HTTP *http.Client
+
+	mu    sync.Mutex
+	ctx   context.Context
+	sc    SpanContext
+	spans []RemoteSpan
+}
+
+// NewHopClient returns a hop client sending over base.
+func NewHopClient(base http.RoundTripper) *HopClient {
+	c := &HopClient{}
+	c.HTTP = &http.Client{Transport: hopTransport{c, base}}
+	return c
+}
+
+type hopTransport struct {
+	c    *HopClient
+	base http.RoundTripper
+}
+
+func (t hopTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	t.c.mu.Lock()
+	sc := t.c.sc
+	t.c.mu.Unlock()
+	Inject(req.Header, sc)
+	resp, err := t.base.RoundTrip(req)
+	if err != nil {
+		return resp, err
+	}
+	if spans, derr := DecodeSpans(resp.Header.Get(SpansHeader)); derr == nil && len(spans) > 0 {
+		t.c.mu.Lock()
+		t.c.spans = append(t.c.spans, spans...)
+		t.c.mu.Unlock()
+	}
+	return resp, nil
+}
+
+// SetTraceContext makes subsequent requests carry the trace context.
+func (c *HopClient) SetTraceContext(sc SpanContext) {
+	c.mu.Lock()
+	c.sc = sc
+	c.mu.Unlock()
+}
+
+// SetContext scopes subsequent requests to ctx, so a hung peer cannot
+// outlive the request (and its deadline) that is waiting on it.
+func (c *HopClient) SetContext(ctx context.Context) {
+	c.mu.Lock()
+	c.ctx = ctx
+	c.mu.Unlock()
+}
+
+// Context returns the context requests are scoped to.
+func (c *HopClient) Context() context.Context {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.ctx != nil {
+		return c.ctx
+	}
+	return context.Background()
+}
+
+// TraceSpans returns the spans the serving side has reported so far.
+func (c *HopClient) TraceSpans() []RemoteSpan {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]RemoteSpan(nil), c.spans...)
+}

@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"faasnap/internal/ring"
 )
 
 // ID is a trace or span identifier (hex, Zipkin-style).
@@ -82,15 +84,13 @@ func (b *Builder) Append(s *Span) {
 func (b *Builder) Finish() *Trace { return b.trace }
 
 // Store is a bounded in-memory trace store, safe for concurrent use.
-// Trace ids live in a fixed-capacity ring buffer: storing past
-// capacity overwrites — and evicts — the oldest trace, so memory stays
-// bounded no matter how long the daemon runs.
+// Trace ids live in a fixed-capacity ring: storing past capacity
+// overwrites — and evicts — the oldest trace, so memory stays bounded
+// no matter how long the daemon runs.
 type Store struct {
 	mu     sync.RWMutex
 	byID   map[ID]*Trace
-	ring   []ID // fixed-capacity ring of ids, oldest at head
-	head   int  // index of the oldest id
-	n      int  // number of ids in the ring
+	ids    *ring.Ring[ID]
 	nextID uint64
 }
 
@@ -99,7 +99,7 @@ func NewStore(capacity int) *Store {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &Store{byID: make(map[ID]*Trace), ring: make([]ID, capacity)}
+	return &Store{byID: make(map[ID]*Trace), ids: ring.New[ID](capacity)}
 }
 
 // NextID allocates a fresh trace id.
@@ -114,17 +114,10 @@ func (s *Store) NextID() ID {
 func (s *Store) Put(t *Trace) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, exists := s.byID[t.ID]; exists {
-		s.byID[t.ID] = t
-		return
-	}
-	if s.n == len(s.ring) {
-		delete(s.byID, s.ring[s.head])
-		s.ring[s.head] = t.ID
-		s.head = (s.head + 1) % len(s.ring)
-	} else {
-		s.ring[(s.head+s.n)%len(s.ring)] = t.ID
-		s.n++
+	if _, exists := s.byID[t.ID]; !exists {
+		if old, evicted := s.ids.Push(t.ID); evicted {
+			delete(s.byID, old)
+		}
 	}
 	s.byID[t.ID] = t
 }
@@ -141,10 +134,11 @@ func (s *Store) Get(id ID) (*Trace, bool) {
 func (s *Store) List() []ID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	ids := make([]ID, 0, s.n)
-	for i := 0; i < s.n; i++ {
-		ids = append(ids, s.ring[(s.head+i)%len(s.ring)])
-	}
+	ids := make([]ID, 0, s.ids.Len())
+	s.ids.Ascend(func(id ID) bool {
+		ids = append(ids, id)
+		return true
+	})
 	return ids
 }
 
@@ -153,14 +147,15 @@ func (s *Store) List() []ID {
 func (s *Store) ListNewest(limit int) []ID {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := s.n
+	n := s.ids.Len()
 	if limit > 0 && limit < n {
 		n = limit
 	}
 	ids := make([]ID, 0, n)
-	for i := 0; i < n; i++ {
-		ids = append(ids, s.ring[(s.head+s.n-1-i)%len(s.ring)])
-	}
+	s.ids.Descend(func(id ID) bool {
+		ids = append(ids, id)
+		return len(ids) < n
+	})
 	return ids
 }
 

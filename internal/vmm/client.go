@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"faasnap/internal/chaos"
@@ -17,17 +16,13 @@ import (
 )
 
 // Client talks HTTP to a machine's API socket, like the FaaSnap daemon
-// talks to Firecracker over its Unix socket. When a trace context is
-// set, every request carries it and the VMM's reply spans are
-// collected for the daemon to stitch into the invocation trace.
+// talks to Firecracker over its Unix socket. It is a traced hop: when a
+// trace context is set, every request carries it and the VMM's reply
+// spans are collected for the daemon to stitch into the invocation
+// trace.
 type Client struct {
-	http  *http.Client
+	*telemetry.HopClient
 	chaos *chaos.Injector
-
-	mu    sync.Mutex
-	ctx   context.Context
-	sc    telemetry.SpanContext
-	spans []telemetry.RemoteSpan
 }
 
 // Client returns an API client for the machine.
@@ -35,58 +30,7 @@ func (m *Machine) Client() *Client {
 	m.mu.Lock()
 	inj := m.chaos
 	m.mu.Unlock()
-	c := &Client{chaos: inj}
-	c.http = pipenet.HTTPClientWithHook(m.lis, pipenet.Hook{
-		Before: func(req *http.Request) {
-			c.mu.Lock()
-			sc := c.sc
-			c.mu.Unlock()
-			telemetry.Inject(req.Header, sc)
-		},
-		After: func(resp *http.Response) {
-			spans, err := telemetry.DecodeSpans(resp.Header.Get(telemetry.SpansHeader))
-			if err != nil || len(spans) == 0 {
-				return
-			}
-			c.mu.Lock()
-			c.spans = append(c.spans, spans...)
-			c.mu.Unlock()
-		},
-	})
-	return c
-}
-
-// SetTraceContext makes subsequent requests carry the trace context.
-func (c *Client) SetTraceContext(sc telemetry.SpanContext) {
-	c.mu.Lock()
-	c.sc = sc
-	c.mu.Unlock()
-}
-
-// SetContext scopes subsequent requests to ctx: the daemon propagates
-// its per-invocation deadline to the VMM API hop through here, so a
-// hung VMM cannot outlive the request that is waiting on it.
-func (c *Client) SetContext(ctx context.Context) {
-	c.mu.Lock()
-	c.ctx = ctx
-	c.mu.Unlock()
-}
-
-func (c *Client) context() context.Context {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ctx != nil {
-		return c.ctx
-	}
-	return context.Background()
-}
-
-// TraceSpans returns the spans the VMM reported for this client's
-// traced requests so far.
-func (c *Client) TraceSpans() []telemetry.RemoteSpan {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]telemetry.RemoteSpan(nil), c.spans...)
+	return &Client{HopClient: telemetry.NewHopClient(pipenet.Transport(m.lis)), chaos: inj}
 }
 
 // APIError is a non-2xx response from the VMM.
@@ -114,7 +58,7 @@ func Retryable(err error) bool {
 }
 
 func (c *Client) do(method, path string, body, out interface{}) error {
-	ctx := c.context()
+	ctx := c.Context()
 	if d := c.chaos.Eval(chaos.PointVMMAPI, path); d.Fired() {
 		switch {
 		case d.Is(chaos.KindDelay):
@@ -124,16 +68,7 @@ func (c *Client) do(method, path string, body, out interface{}) error {
 				return fmt.Errorf("vmm: %s %s: %w", method, path, ctx.Err())
 			}
 		case d.Is(chaos.KindHang):
-			// A hang blocks until the caller's deadline fires; the rule's
-			// delay_ms caps it so an undeadlined test cannot wedge.
-			limit := d.Delay
-			if limit <= 0 {
-				limit = 30 * time.Second
-			}
-			select {
-			case <-time.After(limit):
-			case <-ctx.Done():
-			}
+			d.Hang(ctx)
 			if err := ctx.Err(); err != nil {
 				return fmt.Errorf("vmm: %s %s: %w", method, path, err)
 			}
@@ -154,7 +89,7 @@ func (c *Client) do(method, path string, body, out interface{}) error {
 	if err != nil {
 		return err
 	}
-	resp, err := c.http.Do(req)
+	resp, err := c.HTTP.Do(req)
 	if err != nil {
 		return fmt.Errorf("vmm: %s %s: %w", method, path, err)
 	}
