@@ -9,8 +9,9 @@
 // faasnapctl works unchanged with -addr pointed here, plus GET /cluster
 // for topology and GET /metrics for gateway telemetry.
 //
-// Each health sweep also runs the anti-entropy pass: backend manifests
-// (GET /manifest) are compared across every function's replica set,
+// Each health sweep (one GET /status per backend) also runs the
+// anti-entropy pass: the manifests those replies carry are compared
+// across every function's replica set,
 // and a rejoined-but-stale backend is repaired — missing registrations
 // and snapshots re-replicated, missed deletes propagated — before it
 // returns to full ring weight (see GATEWAY.md, "Anti-entropy
@@ -50,7 +51,7 @@ func run(logger *log.Logger) error {
 		backends       = flag.String("backends", "", "comma-separated daemon addresses (host:port), required")
 		replicas       = flag.Int("replicas", 1, "standby backends receiving registration and snapshot replication")
 		policy         = flag.String("policy", gateway.PolicySticky, "placement policy: sticky or random")
-		healthInterval = flag.Duration("health-interval", time.Second, "backend /readyz + /metrics sweep period")
+		healthInterval = flag.Duration("health-interval", time.Second, "backend GET /status sweep period")
 		requestTimeout = flag.Duration("request-timeout", 0, "per-request deadline across all backend attempts (0 = default 30s)")
 		retries        = flag.Int("retries", 0, "max backends tried per request (0 = default 3)")
 		maxPerBackend  = flag.Int64("max-per-backend", 0, "in-flight load per backend before spillover (0 = default 256)")

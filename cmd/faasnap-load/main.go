@@ -89,15 +89,13 @@ func run(logger *log.Logger) error {
 
 	base := *target
 	casAddrs := []string{*target}
-	var syncSweep func()
 	if *cluster > 0 {
-		addr, daemons, sweep, cleanup, err := startCluster(*cluster, *maxInFl, *slo, logger)
+		addr, daemons, cleanup, err := startCluster(*cluster, *maxInFl, *slo, logger)
 		if err != nil {
 			return err
 		}
 		defer cleanup()
 		base = addr
-		syncSweep = sweep
 		casAddrs = daemons
 	}
 
@@ -177,11 +175,6 @@ func run(logger *log.Logger) error {
 		rep.GoodputRPS, 100*rep.GoodputRatio, rep.Shed, rep.Degraded)
 
 	if *sloReport != "" || *sloCheck {
-		if syncSweep != nil {
-			// Force one final health sweep so the gateway's /cluster/slo
-			// reflects the run that just ended, not the last periodic scrape.
-			syncSweep()
-		}
 		if err := sloArtifact(base, *sloReport, *sloCheck, rep, logger); err != nil {
 			return err
 		}
@@ -237,7 +230,7 @@ func eventsArtifact(base, path string, logger *log.Logger) error {
 // engine judges server wall time, the client judges response time), so
 // more than a point of disagreement means one of them is lying.
 func sloArtifact(base, path string, check bool, rep *loadgen.Report, logger *log.Logger) error {
-	raw, report, err := fetchSLO(base)
+	raw, report, err := tierSLO(base)
 	if err != nil {
 		return fmt.Errorf("slo report: %w", err)
 	}
@@ -326,9 +319,9 @@ func casStats(bases []string) (float64, int64) {
 	return ratio, saved
 }
 
-// fetchSLO GETs the tier's SLO report: /cluster/slo on a gateway
+// tierSLO GETs the tier's SLO report: /cluster/slo on a gateway
 // (using its merged "cluster" view), falling back to /slo on a daemon.
-func fetchSLO(base string) ([]byte, *slo.Report, error) {
+func tierSLO(base string) ([]byte, *slo.Report, error) {
 	for _, p := range []string{"/cluster/slo", "/slo"} {
 		resp, err := http.Get(base + p)
 		if err != nil {
@@ -363,11 +356,9 @@ func fetchSLO(base string) ([]byte, *slo.Report, error) {
 // the client's goodput accounting uses, so -slo-check compares like
 // with like. Everything runs with HTTP request logging off — at
 // open-loop rates the log write is itself a contention point.
-// The returned sweep func forces one gateway health sweep (nil for a
-// single daemon, whose /slo is always current). The daemon base URLs
-// come back separately so the chunk-store accounting can be scraped
-// per host after the run.
-func startCluster(n int, maxInFlight int64, sloLat time.Duration, logger *log.Logger) (string, []string, func(), func(), error) {
+// The daemon base URLs come back separately so the chunk-store
+// accounting can be scraped per host after the run.
+func startCluster(n int, maxInFlight int64, sloLat time.Duration, logger *log.Logger) (string, []string, func(), error) {
 	quiet := log.New(io.Discard, "", 0)
 	var cleanups []func()
 	cleanup := func() {
@@ -384,7 +375,7 @@ func startCluster(n int, maxInFlight int64, sloLat time.Duration, logger *log.Lo
 		state, err := os.MkdirTemp("", "faasnap-load-state-*")
 		if err != nil {
 			cleanup()
-			return "", nil, nil, nil, err
+			return "", nil, nil, err
 		}
 		cleanups = append(cleanups, func() { os.RemoveAll(state) })
 		d, err := daemon.New(daemon.Config{
@@ -399,13 +390,13 @@ func startCluster(n int, maxInFlight int64, sloLat time.Duration, logger *log.Lo
 		})
 		if err != nil {
 			cleanup()
-			return "", nil, nil, nil, err
+			return "", nil, nil, err
 		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			d.Close()
 			cleanup()
-			return "", nil, nil, nil, err
+			return "", nil, nil, err
 		}
 		srv := &http.Server{Handler: d.Handler()}
 		go srv.Serve(ln)
@@ -415,7 +406,7 @@ func startCluster(n int, maxInFlight int64, sloLat time.Duration, logger *log.Lo
 	}
 	logger.Printf("cluster: %d daemons on %v", n, addrs)
 	if n == 1 {
-		return "http://" + addrs[0], bases, nil, cleanup, nil
+		return "http://" + addrs[0], bases, cleanup, nil
 	}
 
 	// The gateway here is a router, not the admission point: the
@@ -430,17 +421,17 @@ func startCluster(n int, maxInFlight int64, sloLat time.Duration, logger *log.Lo
 	})
 	if err != nil {
 		cleanup()
-		return "", nil, nil, nil, err
+		return "", nil, nil, err
 	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		gw.Close()
 		cleanup()
-		return "", nil, nil, nil, err
+		return "", nil, nil, err
 	}
 	srv := &http.Server{Handler: gw.Handler()}
 	go srv.Serve(ln)
 	cleanups = append(cleanups, func() { srv.Close(); gw.Close() })
 	logger.Printf("cluster: gateway on %s", ln.Addr().String())
-	return "http://" + ln.Addr().String(), bases, func() { gw.Pool().CheckNow() }, cleanup, nil
+	return "http://" + ln.Addr().String(), bases, cleanup, nil
 }

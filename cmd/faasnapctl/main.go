@@ -40,7 +40,8 @@ commands:
   invoke <fn> [mode] [input]                invoke (mode: warm|firecracker|cached|reap|faasnap|...)
   burst <fn> <mode> <input> <parallel> [same|diff]
   delete <fn>                               remove a function
-  manifest                                  durable-state manifest (digest + per-function generations)
+  manifest                                  daemon status: readiness, load, durable-state manifest (digest,
+                                            per-function generations, chunks pending / missing)
   cas                                       chunk-store occupancy and dedup accounting
   chunkmap <fn>                             snapshot chunk-map summary (count, bytes, loading set)
   sync <fn> <source host:port> [eager]      pull fn's snapshot from a peer, missing chunks only
@@ -221,7 +222,7 @@ func main() {
 		call("GET", "/functions", nil)
 	case "manifest":
 		argc(rest, 0, 0)
-		call("GET", "/manifest", nil)
+		call("GET", "/status", nil)
 	case "metrics":
 		call("GET", "/metrics", nil)
 	case "cluster":

@@ -14,6 +14,7 @@ package daemon
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,6 +25,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"faasnap/internal/casstore"
@@ -53,7 +56,7 @@ func (d *Daemon) initCAS() error {
 	d.casLazyPending = d.telemetry.Gauge("faasnap_cas_lazy_pending_chunks",
 		"Chunks a completed sync still owes to the background lazy fetcher.", nil)
 	d.casLazyFailed = d.telemetry.Counter("faasnap_cas_lazy_failed_chunks_total",
-		"Lazy chunk fetches abandoned after retries; the deficit is surfaced as chunks_missing in GET /manifest for anti-entropy repair.", nil)
+		"Lazy chunk fetches abandoned after retries; an abandoned chunk is owned by nobody, so GET /status reports it as chunks_missing for anti-entropy repair.", nil)
 	d.casSyncs = d.telemetry.Counter("faasnap_cas_sync_total",
 		"Chunk-level restores served for functions this daemon never recorded.", nil)
 	d.casGCRemoved = d.telemetry.Counter("faasnap_cas_gc_removed_chunks_total",
@@ -136,9 +139,10 @@ func (d *Daemon) updateDedupGauge() {
 // missing loading-set chunk makes the snapshot unusable (the eager
 // restore path would stall), so it is an error; missing lazy chunks
 // are tolerated — a sync target that crashed mid-lazy-fetch still
-// serves, the deficit is reported as chunks_missing in GET /manifest,
-// and the gateway's anti-entropy pass re-pulls the tail with an eager
-// chunk sync from a complete replica.
+// serves, the deficit is reported as chunks_missing in GET /status
+// (no fetcher survived the crash to own it), and the gateway's
+// anti-entropy pass re-pulls the tail with an eager chunk sync from a
+// complete replica.
 func (d *Daemon) verifyChunks(name string, cm *snapfile.ChunkMap) error {
 	var lazyMissing int
 	for _, ref := range cm.Refs {
@@ -156,25 +160,52 @@ func (d *Daemon) verifyChunks(name string, cm *snapfile.ChunkMap) error {
 	return nil
 }
 
-// missingChunks counts refs in name's chunk map that neither tier of
-// the local store can serve — the deficit GET /manifest surfaces so
-// anti-entropy knows this replica needs an eager re-sync.
-func (d *Daemon) missingChunks(name string) int {
+// chunkDeficit splits the refs of name's chunk map that neither tier of
+// the local store can serve into the two facts GET /status reports:
+// pending — still owed by the function's live lazy fetcher — and
+// missing — owned by nobody, so only an anti-entropy re-sync brings
+// them back — plus the seq of the manifest_deficit event announcing the
+// latter (the true deficit, never a live tail's pending chunks). The
+// lstat walk is the out-of-band-loss detector; pending is read before
+// it and the fetcher gives a chunk up only after storing it, so a chunk
+// resolved mid-walk is counted in pending but not absent: the deficit
+// can be transiently under-, never over-reported.
+func (d *Daemon) chunkDeficit(name string) (pending, missing int, seq uint64) {
 	fs, ok := d.fn(name)
 	if !ok {
-		return 0
+		return 0, 0, 0
 	}
-	cm := fs.chunkMap()
+	fs.mu.Lock()
+	cm, tail := fs.chunks, fs.tail
+	fs.mu.Unlock()
 	if cm == nil {
-		return 0
+		return 0, 0, 0
 	}
-	missing := 0
+	if tail != nil {
+		pending = int(tail.pending.Load())
+	}
+	absent := 0
 	for _, ref := range cm.Refs {
 		if !d.cas.Has(casstore.Digest(ref.Digest)) {
-			missing++
+			absent++
 		}
 	}
-	return missing
+	pending, missing = min(pending, absent), max(0, absent-pending)
+	// A deficit is announced when it first appears or its size changes;
+	// clearing to zero forgets the episode, so the next is announced afresh.
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if missing != fs.deficitN {
+		fs.deficitN, fs.deficitSeq = missing, 0
+		if missing > 0 {
+			fs.deficitSeq = d.events.Append(events.Event{
+				Type:     events.ManifestDeficit,
+				Function: name,
+				Fields:   map[string]string{"chunks_missing": strconv.Itoa(missing)},
+			}).Seq
+		}
+	}
+	return pending, missing, fs.deficitSeq
 }
 
 // handleChunkGet serves one chunk's bytes. Corrupt chunks have been
@@ -221,14 +252,17 @@ type ChunkRefJSON struct {
 // chunk map, CRC intact) and the refs to fetch. With ?summary=1 the
 // refs and snapfile are omitted.
 type ChunkMapResponse struct {
-	Function    string         `json:"function"`
-	RecordInput string         `json:"record_input"`
-	ChunkPages  int64          `json:"chunk_pages"`
-	ChunkCount  int            `json:"chunk_count"`
-	TotalBytes  int64          `json:"total_bytes"`
-	LSBytes     int64          `json:"ls_bytes"`
-	Chunks      []ChunkRefJSON `json:"chunks,omitempty"`
-	Snapfile    []byte         `json:"snapfile,omitempty"`
+	Function    string `json:"function"`
+	RecordInput string `json:"record_input"`
+	// Generation is this daemon's journaled generation for the function:
+	// what a peer syncing from here adopts as its own.
+	Generation uint64         `json:"generation"`
+	ChunkPages int64          `json:"chunk_pages"`
+	ChunkCount int            `json:"chunk_count"`
+	TotalBytes int64          `json:"total_bytes"`
+	LSBytes    int64          `json:"ls_bytes"`
+	Chunks     []ChunkRefJSON `json:"chunks,omitempty"`
+	Snapfile   []byte         `json:"snapfile,omitempty"`
 }
 
 func (d *Daemon) handleChunkMap(w http.ResponseWriter, r *http.Request) {
@@ -242,12 +276,15 @@ func (d *Daemon) handleChunkMap(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "%v", errNotRegistered)
 		return
 	}
+	// One critical section, the commit's: the generation read here is
+	// the one journaled with this chunk map.
 	fs.mu.Lock()
 	cm := fs.chunks
 	input := ""
 	if fs.arts != nil {
 		input = fs.arts.RecordInput.Name
 	}
+	me, _ := d.manifest.Get(name)
 	fs.mu.Unlock()
 	if cm == nil {
 		writeErr(w, http.StatusNotFound, "%s has no chunked snapshot", name)
@@ -256,6 +293,7 @@ func (d *Daemon) handleChunkMap(w http.ResponseWriter, r *http.Request) {
 	resp := ChunkMapResponse{
 		Function:    name,
 		RecordInput: input,
+		Generation:  me.Generation,
 		ChunkPages:  cm.ChunkPages,
 		ChunkCount:  len(cm.Refs),
 		TotalBytes:  cm.TotalBytes(),
@@ -337,6 +375,9 @@ type syncPlan struct {
 	raw  []byte // the peer's snapfile, byte for byte
 	arts *core.Artifacts
 	cm   *snapfile.ChunkMap
+	// generation is the source's journaled generation for the function;
+	// the commit adopts it rather than minting one.
+	generation uint64
 	// eager chunks are fetched before the reply — loading-set chunks
 	// first, lowest group first (the paper's per-region restore
 	// priority); lazy ones by the background fetcher afterwards.
@@ -344,11 +385,11 @@ type syncPlan struct {
 	present     int // refs the local store already holds
 }
 
-// planSync fetches the source's chunk map and snapfile for name, decodes
-// it, and splits the chunks this store is missing into eager and lazy.
-// Every error means the source could not supply a usable snapshot.
-func (d *Daemon) planSync(name string, req syncRequest) (*syncPlan, error) {
-	cmResp, err := syncClient.Get("http://" + req.Source + "/functions/" + name + "/chunkmap")
+// fetchSnapshot fetches the source's chunk map and snapfile for name and
+// decodes it. Every error means the source could not supply a usable
+// snapshot; nothing local has been touched yet.
+func fetchSnapshot(name, source string) (*syncPlan, error) {
+	cmResp, err := syncClient.Get("http://" + source + "/functions/" + name + "/chunkmap")
 	if err != nil {
 		return nil, fmt.Errorf("source chunk map: %w", err)
 	}
@@ -362,15 +403,23 @@ func (d *Daemon) planSync(name string, req syncRequest) (*syncPlan, error) {
 	if err != nil || len(cmr.Snapfile) == 0 {
 		return nil, fmt.Errorf("source chunk map undecodable: %v", err)
 	}
+	if cmr.Generation == 0 {
+		return nil, fmt.Errorf("source reports no journaled generation for %s", name)
+	}
 	// Decode before committing anything: a torn transfer must fail the
 	// snapfile CRC here, not after it has a committed name.
-	p := &syncPlan{raw: cmr.Snapfile}
+	p := &syncPlan{raw: cmr.Snapfile, generation: cmr.Generation}
 	if p.arts, p.cm, err = snapfile.ReadChunked(bytes.NewReader(p.raw)); err != nil {
 		return nil, fmt.Errorf("source snapfile invalid: %w", err)
 	}
 	if p.arts.Fn.Name != name {
 		return nil, fmt.Errorf("source snapfile is for %q, not %q", p.arts.Fn.Name, name)
 	}
+	return p, nil
+}
+
+// split sorts the chunks this store is missing into eager and lazy.
+func (p *syncPlan) split(cas *casstore.Store, eager bool) {
 	refs := append([]snapfile.ChunkRef(nil), p.cm.Refs...)
 	sort.SliceStable(refs, func(i, j int) bool {
 		if refs[i].LS != refs[j].LS {
@@ -383,15 +432,14 @@ func (d *Daemon) planSync(name string, req syncRequest) (*syncPlan, error) {
 	})
 	for _, ref := range refs {
 		switch {
-		case d.cas.Has(casstore.Digest(ref.Digest)):
+		case cas.Has(casstore.Digest(ref.Digest)):
 			p.present++
-		case ref.LS || req.Eager:
+		case ref.LS || eager:
 			p.eager = append(p.eager, ref)
 		default:
 			p.lazy = append(p.lazy, ref)
 		}
 	}
-	return p, nil
 }
 
 // groupSpan is one prefetch group's eager fetch on the restore
@@ -436,11 +484,12 @@ func (d *Daemon) fetchEager(source string, refs []snapfile.ChunkRef, start time.
 }
 
 // handleSync restores a function this daemon may never have recorded,
-// from a peer: plan (fetch and decode the chunk map + raw snapfile,
-// keep only the chunks missing locally), fetch the eager ones, commit
-// (commitSnapshot — the record path's, so every crash-consistency
-// invariant carries over), reply, then fetch the lazy tail in the
-// background.
+// from a peer: fetch and decode the chunk map + raw snapfile, take over
+// the function's live lazy fetcher if it has one, keep only the chunks
+// missing locally, fetch the eager ones, commit (commitSnapshot — the
+// record path's, so every crash-consistency invariant carries over —
+// journaling the source's generation, not a new one), reply, then fetch
+// the lazy tail in the background.
 func (d *Daemon) handleSync(w http.ResponseWriter, r *http.Request) {
 	if d.gateRecovering(w) {
 		return
@@ -464,15 +513,34 @@ func (d *Daemon) handleSync(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	traceID := d.traceIDFor(r)
 
-	// Hold the GC sweep off from the moment the plan counts a chunk as
-	// present until the registry-published chunk map references it.
-	d.casOps.RLock()
-	defer d.casOps.RUnlock()
-	plan, err := d.planSync(name, req)
+	// A source that cannot supply a usable snapshot fails the sync here,
+	// before it has disturbed a fetcher that is draining fine.
+	plan, err := fetchSnapshot(name, req.Source)
 	if err != nil {
 		writeErr(w, http.StatusBadGateway, "%v", err)
 		return
 	}
+
+	// At most one fetcher per function: stop the live one before splitting,
+	// so what it had not fetched yet is planned here and nothing it was
+	// fetching is fetched twice. It stays registered, still claiming its
+	// remainder as pending, until this sync's commit replaces it — or
+	// until this sync fails and its claim is dropped, which is when the
+	// remainder becomes missing.
+	mu, _ := d.syncLocks.LoadOrStore(name, new(sync.Mutex))
+	mu.(*sync.Mutex).Lock()
+	defer mu.(*sync.Mutex).Unlock()
+	if fs, ok := d.fn(name); ok {
+		if prev := fs.haltTail(); prev != nil {
+			defer prev.pending.Store(0)
+		}
+	}
+
+	// Hold the GC sweep off from the moment the plan counts a chunk as
+	// present until the registry-published chunk map references it.
+	d.casOps.RLock()
+	defer d.casOps.RUnlock()
+	plan.split(d.cas, req.Eager)
 	decodeDur := time.Since(start)
 	d.syncSeconds("decode").Observe(decodeDur)
 
@@ -488,10 +556,24 @@ func (d *Daemon) handleSync(w http.ResponseWriter, r *http.Request) {
 	// function's lock. getOrCreate, never set: a concurrent PUT's entry
 	// (and the VM behind it) must survive.
 	fs, existed := d.reg.getOrCreate(name, func() *fnState { return &fnState{spec: plan.arts.Fn} })
+	var tail *lazyTail
 	fs.mu.Lock()
-	err = d.commitSnapshot(fs, plan.arts.RecordInput.Name, func(path string) error {
+	err = d.commitSnapshot(fs, func(path string) error {
 		return snapfile.CommitRaw(path, plan.raw)
+	}, func() error {
+		return d.manifest.Adopt(name, specJSON(fs.spec), plan.arts.RecordInput.Name, plan.generation)
 	})
+	if err == nil {
+		if len(plan.lazy) > 0 {
+			tail = &lazyTail{done: make(chan struct{})}
+			// Close halts every fetcher through the daemon-wide parent.
+			tail.ctx, tail.halt = context.WithCancel(d.casLazyCtx)
+			tail.pending.Store(int64(len(plan.lazy)))
+		}
+		// Published with the chunk map it fetches for, so GET /status never
+		// sees the new map's lazy refs without their owner.
+		fs.tail = tail
+	}
 	fs.mu.Unlock()
 	if err != nil {
 		// The registry mirrors the journal: an entry this sync created
@@ -530,10 +612,10 @@ func (d *Daemon) handleSync(w http.ResponseWriter, r *http.Request) {
 		resp.BytesFetched, resp.BytesTotal)
 	acknowledgeCommit(w, resp)
 
-	if len(plan.lazy) > 0 {
+	if tail != nil {
 		d.casLazyPending.Add(float64(len(plan.lazy)))
 		d.casLazyWG.Add(1)
-		go d.lazyTail(name, req.Source, plan.lazy, tr, time.Since(start))
+		go d.lazyTail(name, req.Source, plan.lazy, tail, tr, time.Since(start))
 	}
 }
 
@@ -575,15 +657,43 @@ func syncWaterfall(id trace.ID, resp SyncResponse, wall, decodeDur time.Duration
 	return tb.Finish()
 }
 
+// lazyTail is one function's background chunk fetcher: the owner of the
+// chunks a sync deferred. pending is what it still owes — decremented
+// per chunk resolved, fetched or abandoned — and is what GET /status
+// subtracts from the store walk, so a draining tail is never mistaken
+// for a deficit. A fetcher that was halted keeps its claim until the
+// sync that halted it commits or gives up.
+type lazyTail struct {
+	pending atomic.Int64
+	ctx     context.Context
+	halt    context.CancelFunc
+	done    chan struct{}
+}
+
+// haltTail stops fs's lazy fetcher, if it has one, and returns it once
+// it has exited.
+func (fs *fnState) haltTail() *lazyTail {
+	fs.mu.Lock()
+	t := fs.tail
+	fs.mu.Unlock()
+	if t != nil {
+		t.halt()
+		<-t.done
+	}
+	return t
+}
+
 // lazyTail fetches a sync's deferred chunks in the background, then
 // re-puts the restore's trace with a lazy-tail span appended and the
 // root stretched to cover it — Put overwrites in place, so the
 // waterfall behind GET /traces/{id} gains the tail. offset is where on
 // the waterfall the tail starts.
-func (d *Daemon) lazyTail(name, source string, lazy []snapfile.ChunkRef, tr *trace.Trace, offset time.Duration) {
+func (d *Daemon) lazyTail(name, source string, lazy []snapfile.ChunkRef, t *lazyTail, tr *trace.Trace, offset time.Duration) {
 	defer d.casLazyWG.Done()
+	defer close(t.done)
+	defer t.halt() // releases the context once drained
 	began := time.Now()
-	fetched, abandoned := d.fetchLazyChunks(name, source, lazy)
+	fetched, abandoned := d.fetchLazyChunks(name, source, lazy, t)
 	dur := time.Since(began)
 	d.syncSeconds("lazy").Observe(dur)
 	root := *tr.Spans[0]
@@ -616,44 +726,37 @@ func (d *Daemon) lazyTail(name, source string, lazy []snapfile.ChunkRef, tr *tra
 	}
 }
 
-// fetchLazyChunks pulls a sync's deferred chunks in the background,
-// retrying transient failures with a short backoff. Failures are not
-// fatal — the function serves from its loading set — but a chunk
-// abandoned here is counted and surfaced as chunks_missing in GET
-// /manifest, which makes the gateway's anti-entropy pass issue an
-// eager re-sync from a complete replica.
-func (d *Daemon) fetchLazyChunks(name, source string, refs []snapfile.ChunkRef) (fetched, abandoned int) {
-	const attempts = 3
+// fetchLazyChunks pulls a sync's deferred chunks in the background
+// until done or halted (shutdown, delete, or a newer sync taking the
+// remainder over). Failures are not fatal — the function serves from
+// its loading set — but a chunk abandoned here is owned by nobody
+// afterwards: GET /status reports it as chunks_missing, which makes the
+// gateway's anti-entropy pass issue an eager re-sync from a complete
+// replica.
+func (d *Daemon) fetchLazyChunks(name, source string, refs []snapfile.ChunkRef, t *lazyTail) (fetched, abandoned int) {
 	for i, ref := range refs {
-		select {
-		case <-d.casLazyStop:
+		dg := casstore.Digest(ref.Digest)
+		var err error
+		// A sibling's sync or a local recording may have stored it since
+		// the plan: never fetch what the store holds.
+		if !d.cas.Has(dg) {
+			err = d.fetchLazyChunk(t.ctx, source, dg)
+		}
+		if err != nil && t.ctx.Err() != nil {
+			// Halted: the remainder is no longer this fetcher's to resolve.
 			d.casLazyPending.Add(-float64(len(refs) - i))
 			return fetched, abandoned
-		default:
-		}
-		var err error
-		for try := 0; try < attempts; try++ {
-			if try > 0 {
-				select {
-				case <-d.casLazyStop:
-					// Shutting down: the unfetched tail stays missing and is
-					// re-synced by recovery or anti-entropy.
-					d.casLazyPending.Add(-float64(len(refs) - i))
-					return fetched, abandoned
-				case <-time.After(time.Duration(try) * 50 * time.Millisecond):
-				}
-			}
-			if _, _, err = d.fetchChunk(source, casstore.Digest(ref.Digest)); err == nil {
-				break
-			}
 		}
 		if err != nil {
 			abandoned++
 			d.casLazyFailed.Inc()
-			d.log.Printf("lazy chunk fetch for %s: %v (abandoned after %d attempts)", name, err, attempts)
+			d.log.Printf("lazy chunk fetch for %s: %v (abandoned after %d attempts)", name, err, lazyAttempts)
 		} else {
 			fetched++
 		}
+		// Resolved either way — stored, or nobody's from here on. After
+		// the store, so chunkDeficit never counts a chunk twice.
+		t.pending.Add(-1)
 		d.casLazyPending.Dec()
 	}
 	if abandoned > 0 {
@@ -661,6 +764,28 @@ func (d *Daemon) fetchLazyChunks(name, source string, refs []snapfile.ChunkRef) 
 	}
 	d.updateDedupGauge()
 	return fetched, abandoned
+}
+
+const lazyAttempts = 3
+
+// fetchLazyChunk fetches one chunk, retrying transient failures with a
+// short backoff; a halt between attempts ends it with ctx's error.
+func (d *Daemon) fetchLazyChunk(ctx context.Context, source string, dg casstore.Digest) (err error) {
+	for try := 0; try < lazyAttempts; try++ {
+		if try > 0 {
+			select {
+			case <-ctx.Done():
+			case <-time.After(time.Duration(try) * 50 * time.Millisecond):
+			}
+		}
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		if _, _, err = d.fetchChunk(source, dg); err == nil {
+			return nil
+		}
+	}
+	return err
 }
 
 type gcRequest struct {

@@ -9,8 +9,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"faasnap/internal/events"
 )
 
 // casSpec is a custom function spec; every spec from this helper shares
@@ -355,4 +358,305 @@ func TestCASRecoveryKeepsChunks(t *testing.T) {
 		t.Fatalf("recovery changed chunk count: %d -> %d", before.Stats.LocalChunks, after.Stats.LocalChunks)
 	}
 	casInvoke(t, srv2, "cas-alpha")
+}
+
+// statusOf returns name's entry in srv's GET /status.
+func statusOf(t *testing.T, srv *httptest.Server, name string) StatusFunction {
+	t.Helper()
+	var st StatusResponse
+	if resp := doJSON(t, "GET", srv.URL+"/status", nil, &st); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d", resp.StatusCode)
+	}
+	for _, f := range st.Functions {
+		if f.Name == name {
+			return f
+		}
+	}
+	t.Fatalf("%s not in status: %+v", name, st.Functions)
+	return StatusFunction{}
+}
+
+// TestCASSyncAdoptsSourceGeneration: a sync journals the generation of
+// what it copied instead of minting one — however often it runs, the
+// copy never outranks its source — and the adopted entry survives a
+// restart.
+func TestCASSyncAdoptsSourceGeneration(t *testing.T) {
+	_, src := newTestDaemon(t, Config{StateDir: t.TempDir()})
+	casProvision(t, src, "cas-alpha")
+	dir := t.TempDir()
+	_, dst := newTestDaemon(t, Config{StateDir: dir})
+	syncBody := map[string]interface{}{"source": hostport(src), "eager": true}
+	syncOnce := func(to *httptest.Server) {
+		t.Helper()
+		if resp := doJSON(t, "POST", to.URL+"/functions/cas-alpha/sync", syncBody, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("sync = %d", resp.StatusCode)
+		}
+	}
+
+	want := statusOf(t, src, "cas-alpha").Generation
+	if want != 2 {
+		t.Fatalf("source generation = %d, want 2 (register, record)", want)
+	}
+	for round := 1; round <= 2; round++ {
+		syncOnce(dst)
+		if got := statusOf(t, dst, "cas-alpha"); got.Generation != want || !got.HasSnapshot || got.RecordInput != "A" {
+			t.Fatalf("sync %d: target entry = %+v, want the source's generation %d with its snapshot", round, got, want)
+		}
+	}
+
+	// The source re-records; the next sync moves the copy to the new
+	// version, and a restart replays the adopted entry as journaled.
+	if resp := doJSON(t, "POST", src.URL+"/functions/cas-alpha/record",
+		map[string]string{"input": "B"}, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("re-record = %d", resp.StatusCode)
+	}
+	syncOnce(dst)
+	if got := statusOf(t, dst, "cas-alpha"); got.Generation != 3 || got.RecordInput != "B" {
+		t.Fatalf("after re-record: target entry = %+v, want generation 3 input B", got)
+	}
+	dst.Close()
+	_, dst2 := newTestDaemon(t, Config{StateDir: dir})
+	if got := statusOf(t, dst2, "cas-alpha"); got.Generation != 3 || !got.HasSnapshot || got.Spec == "" {
+		t.Fatalf("after restart: target entry = %+v, want generation 3 with snapshot and spec", got)
+	}
+	casInvoke(t, dst2, "cas-alpha")
+}
+
+// gatedSource fronts a daemon and holds GET /chunks/{digest} for the
+// digests in hold until a token arrives, counting every chunk it
+// serves: a peer whose lazy tail drains one chunk per token.
+type gatedSource struct {
+	srv    *httptest.Server
+	tokens chan struct{}
+	mu     sync.Mutex
+	served map[string]int
+}
+
+func newGatedSource(t *testing.T, h http.Handler, hold map[string]bool) *gatedSource {
+	t.Helper()
+	g := &gatedSource{tokens: make(chan struct{}), served: make(map[string]int)}
+	g.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if dg, ok := strings.CutPrefix(r.URL.Path, "/chunks/"); ok {
+			if hold[dg] {
+				select {
+				case <-g.tokens:
+				case <-r.Context().Done():
+					return
+				}
+			}
+			g.mu.Lock()
+			g.served[dg]++
+			g.mu.Unlock()
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() { g.open(); g.srv.Close() })
+	return g
+}
+
+// open releases every held and future chunk request.
+func (g *gatedSource) open() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	select {
+	case <-g.tokens:
+	default:
+		close(g.tokens)
+	}
+}
+
+// assertServedOnce fails unless every chunk the source served, it
+// served exactly once, n of them in total.
+func (g *gatedSource) assertServedOnce(t *testing.T, n int) {
+	t.Helper()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.served) != n {
+		t.Fatalf("source served %d distinct chunks, want %d", len(g.served), n)
+	}
+	for dg, c := range g.served {
+		if c != 1 {
+			t.Fatalf("source served chunk %s %d times, want once", dg[:8], c)
+		}
+	}
+}
+
+// lazyDigests returns the non-loading-set digests of name's chunk map.
+func lazyDigests(t *testing.T, srv *httptest.Server, name string) (lazy map[string]bool, total int) {
+	t.Helper()
+	var cm ChunkMapResponse
+	doJSON(t, "GET", srv.URL+"/functions/"+name+"/chunkmap", nil, &cm)
+	lazy = make(map[string]bool)
+	for _, c := range cm.Chunks {
+		if !c.LoadingSet {
+			lazy[c.Digest] = true
+		}
+	}
+	if len(lazy) < 2 {
+		t.Fatalf("chunk map has %d lazy chunks; the test needs a tail", len(lazy))
+	}
+	return lazy, len(cm.Chunks)
+}
+
+// TestCASLazyTailPendingIsNotMissing: while a lazy tail drains, GET
+// /status reports what it still owes as chunks_pending — falling to
+// zero one resolved chunk at a time — never as chunks_missing, and
+// reading it appends nothing to the ledger.
+func TestCASLazyTailPendingIsNotMissing(t *testing.T) {
+	_, a := newTestDaemon(t, Config{StateDir: t.TempDir()})
+	casProvision(t, a, "cas-alpha")
+	lazy, total := lazyDigests(t, a, "cas-alpha")
+	// b before the gate: cleanups run last-in first-out, and b's Close
+	// waits for a fetcher the gate may still be holding.
+	d, b := newTestDaemon(t, Config{StateDir: t.TempDir()})
+	src := newGatedSource(t, a.Config.Handler, lazy)
+
+	var sr SyncResponse
+	if resp := doJSON(t, "POST", b.URL+"/functions/cas-alpha/sync",
+		map[string]interface{}{"source": hostport(src.srv)}, &sr); resp.StatusCode != http.StatusOK {
+		t.Fatalf("lazy sync = %d", resp.StatusCode)
+	}
+	if sr.ChunksLazy != len(lazy) {
+		t.Fatalf("sync deferred %d chunks, want the %d lazy ones", sr.ChunksLazy, len(lazy))
+	}
+	for left := len(lazy); ; left-- {
+		// Each token resolves exactly one chunk; poll until the fetcher
+		// has booked it.
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			st := statusOf(t, b, "cas-alpha")
+			if st.ChunksMissing != 0 || st.DeficitSeq != 0 {
+				t.Fatalf("live tail reported as a deficit: %+v", st)
+			}
+			if st.ChunksPending == left {
+				break
+			}
+			if st.ChunksPending < left || time.Now().After(deadline) {
+				t.Fatalf("chunks_pending = %d, want %d", st.ChunksPending, left)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if left == 0 {
+			break
+		}
+		src.tokens <- struct{}{}
+	}
+	waitLazyDrained(t, b)
+	if evs := d.Events().Since(0, events.ManifestDeficit, ""); len(evs) != 0 {
+		t.Fatalf("reading /status during a live tail appended %d manifest_deficit events", len(evs))
+	}
+	src.assertServedOnce(t, total)
+}
+
+// TestCASSyncTakesOverLiveTail: a sync that arrives while the
+// function's lazy fetcher is live stops it and plans its remainder —
+// one fetcher per function, no chunk fetched twice.
+func TestCASSyncTakesOverLiveTail(t *testing.T) {
+	_, a := newTestDaemon(t, Config{StateDir: t.TempDir()})
+	casProvision(t, a, "cas-alpha")
+	lazy, total := lazyDigests(t, a, "cas-alpha")
+	d, b := newTestDaemon(t, Config{StateDir: t.TempDir()})
+	src := newGatedSource(t, a.Config.Handler, lazy)
+
+	body := map[string]interface{}{"source": hostport(src.srv)}
+	if resp := doJSON(t, "POST", b.URL+"/functions/cas-alpha/sync", body, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("lazy sync = %d", resp.StatusCode)
+	}
+	// The tail is now parked inside its first fetch. An eager sync takes
+	// over: it can only plan once the fetcher has exited, so open the gate
+	// once it holds the sync lock, waiting for that.
+	body["eager"] = true
+	done := make(chan int, 1)
+	go func() { done <- post("POST", b.URL+"/functions/cas-alpha/sync", body) }()
+	mu, _ := d.syncLocks.LoadOrStore("cas-alpha", new(sync.Mutex))
+	for mu.(*sync.Mutex).TryLock() {
+		mu.(*sync.Mutex).Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	src.open()
+	if code := <-done; code != http.StatusOK {
+		t.Fatalf("takeover sync = %d", code)
+	}
+	if st := statusOf(t, b, "cas-alpha"); st.ChunksPending != 0 || st.ChunksMissing != 0 {
+		t.Fatalf("after takeover: %+v, want nothing pending or missing", st)
+	}
+	waitLazyDrained(t, b)
+	src.assertServedOnce(t, total)
+}
+
+// TestCASFailedSyncLeavesLiveTailAlone: a sync whose source cannot
+// supply a snapshot fails before it touches the function's live lazy
+// fetcher — the tail keeps its claim and drains, nothing goes missing.
+func TestCASFailedSyncLeavesLiveTailAlone(t *testing.T) {
+	_, a := newTestDaemon(t, Config{StateDir: t.TempDir()})
+	casProvision(t, a, "cas-alpha")
+	lazy, total := lazyDigests(t, a, "cas-alpha")
+	d, b := newTestDaemon(t, Config{StateDir: t.TempDir()})
+	src := newGatedSource(t, a.Config.Handler, lazy)
+
+	if code := post("POST", b.URL+"/functions/cas-alpha/sync",
+		map[string]interface{}{"source": hostport(src.srv)}); code != http.StatusOK {
+		t.Fatalf("lazy sync = %d", code)
+	}
+	// The tail is parked inside its first fetch. Neither an unreachable
+	// source nor one without the function may stop it.
+	_, empty := newTestDaemon(t, Config{StateDir: t.TempDir()})
+	for _, source := range []string{"127.0.0.1:1", hostport(empty)} {
+		if code := post("POST", b.URL+"/functions/cas-alpha/sync",
+			map[string]interface{}{"source": source, "eager": true}); code != http.StatusBadGateway {
+			t.Fatalf("sync from %s = %d, want 502", source, code)
+		}
+		if st := statusOf(t, b, "cas-alpha"); st.ChunksPending != len(lazy) || st.ChunksMissing != 0 {
+			t.Fatalf("after failed sync from %s: %+v, want %d pending, 0 missing", source, st, len(lazy))
+		}
+	}
+	src.open()
+	waitLazyDrained(t, b)
+	if st := statusOf(t, b, "cas-alpha"); st.ChunksPending != 0 || st.ChunksMissing != 0 {
+		t.Fatalf("after drain: %+v, want nothing pending or missing", st)
+	}
+	if evs := d.Events().Since(0, events.ManifestDeficit, ""); len(evs) != 0 {
+		t.Fatalf("failed syncs turned a live tail into %d manifest_deficit events", len(evs))
+	}
+	src.assertServedOnce(t, total)
+}
+
+// TestCASSyncsSerialisePerFunction: a sync stuck on a slow source holds
+// up later syncs of the same function only; another function's sync on
+// the same daemon completes meanwhile.
+func TestCASSyncsSerialisePerFunction(t *testing.T) {
+	_, a := newTestDaemon(t, Config{StateDir: t.TempDir()})
+	casProvision(t, a, "cas-alpha")
+	casProvision(t, a, "cas-beta")
+	lazy, _ := lazyDigests(t, a, "cas-alpha")
+	d, b := newTestDaemon(t, Config{StateDir: t.TempDir()})
+	src := newGatedSource(t, a.Config.Handler, lazy)
+
+	// An eager sync of cas-alpha parks inside its eager fetch, holding
+	// cas-alpha's sync lock.
+	stuck := make(chan int, 1)
+	go func() {
+		stuck <- post("POST", b.URL+"/functions/cas-alpha/sync",
+			map[string]interface{}{"source": hostport(src.srv), "eager": true})
+	}()
+	mu, _ := d.syncLocks.LoadOrStore("cas-alpha", new(sync.Mutex))
+	for mu.(*sync.Mutex).TryLock() {
+		mu.(*sync.Mutex).Unlock()
+		time.Sleep(time.Millisecond)
+	}
+	if code := post("POST", b.URL+"/functions/cas-beta/sync",
+		map[string]interface{}{"source": hostport(a), "eager": true}); code != http.StatusOK {
+		t.Fatalf("cas-beta sync behind a stuck cas-alpha sync = %d", code)
+	}
+	select {
+	case code := <-stuck:
+		t.Fatalf("cas-alpha sync returned %d while its source was gated", code)
+	default:
+	}
+	src.open()
+	if code := <-stuck; code != http.StatusOK {
+		t.Fatalf("cas-alpha sync = %d", code)
+	}
+	casInvoke(t, b, "cas-alpha")
+	casInvoke(t, b, "cas-beta")
 }

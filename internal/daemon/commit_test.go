@@ -188,7 +188,7 @@ func TestConcurrentRecordSyncPutOnOneFunction(t *testing.T) {
 				round, me.RecordInput, arts.RecordInput.Name, diskArts.RecordInput.Name)
 		}
 	}
-	if n := d.missingChunks(fn); n != 0 {
+	if _, n, _ := d.chunkDeficit(fn); n != 0 {
 		t.Fatalf("%d chunks of the final chunk map are missing from the store", n)
 	}
 }

@@ -98,13 +98,24 @@ type fnState struct {
 	agent   *guestagent.Agent
 	arts    *core.Artifacts
 	chunks  *snapfile.ChunkMap
+	// tail is the background fetcher that owns the lazy chunks of the
+	// sync that committed chunks — at most one per function; nil when
+	// no sync left one. See lazyTail in cas.go.
+	tail *lazyTail
+	// deficitN/deficitSeq are the chunk deficit GET /status last saw and
+	// the seq of the manifest_deficit event that announced it, so each
+	// deficit is announced once and the gateway can cite the event as
+	// its repair's cause.
+	deficitN   int
+	deficitSeq uint64
 	// lastFaults is the most recent invocation's fault timeline,
 	// pre-encoded as NDJSON lines for GET /functions/{name}/faults.
 	lastFaults [][]byte
 }
 
-// shutdown stops the function's VMM and guest agent.
+// shutdown stops the function's lazy fetcher, VMM and guest agent.
 func (fs *fnState) shutdown() {
+	fs.haltTail()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.machine != nil {
@@ -140,14 +151,8 @@ type Daemon struct {
 	// of GET /functions/{name}/faults?watch=1, keyed by function.
 	faults *events.Hub
 
-	// events is the control-plane event ledger behind GET /events;
-	// deficitMu/deficitSeq/deficitN track per-function chunk-deficit
-	// transitions so each deficit is announced once and its event seq
-	// can be reported to the gateway as the repair's cause.
-	events     *events.Ledger
-	deficitMu  sync.Mutex
-	deficitSeq map[string]uint64
-	deficitN   map[string]int
+	// events is the control-plane event ledger behind GET /events.
+	events *events.Ledger
 
 	res     ResilienceConfig
 	chaos   *chaos.Injector
@@ -178,13 +183,23 @@ type Daemon struct {
 	// chunks that no longer exist. Writers hold read; sweeps hold write.
 	casOps sync.RWMutex
 
-	// casLazyStop/casLazyWG stop and drain the background lazy-chunk
+	// casLazyCtx/casLazyWG halt and drain the background lazy-chunk
 	// fetchers on Close, so no goroutine writes into the state dir
 	// after shutdown. Whatever tail they leave is reported as
 	// chunks_missing and re-synced by anti-entropy.
-	casLazyStop chan struct{}
-	casLazyOnce sync.Once
+	casLazyCtx  context.Context
+	casLazyHalt context.CancelFunc
 	casLazyWG   sync.WaitGroup
+
+	// syncLocks (function name → *sync.Mutex) serializes one function's
+	// POST .../sync from takeover of its live lazy fetcher to the start
+	// of its successor, so a function never has two fetchers; syncs of
+	// different functions run concurrently.
+	syncLocks sync.Map
+
+	// inFlight counts requests inside instrumented routes — the load
+	// GET /status reports.
+	inFlight atomic.Int64
 
 	// admInFlight/admCapacity mirror the admission limiter into the
 	// scrape surface; cached here so the hot path never takes the
@@ -229,21 +244,19 @@ func New(cfg Config) (*Daemon, error) {
 		}
 	}
 	d := &Daemon{
-		cfg:        cfg,
-		log:        cfg.Logger,
-		reg:        newRegistry(),
-		traces:     trace.NewStore(traceRing),
-		profiles:   obs.NewRing(cfg.ProfileRing),
-		slo:        slo.New(sloCfg),
-		telemetry:  cfg.Registry,
-		faults:     events.NewHub(),
-		events:     ledger,
-		deficitSeq: make(map[string]uint64),
-		deficitN:   make(map[string]int),
-		res:        cfg.Resilience.withDefaults(),
-		chaos:      chaos.New(),
+		cfg:       cfg,
+		log:       cfg.Logger,
+		reg:       newRegistry(),
+		traces:    trace.NewStore(traceRing),
+		profiles:  obs.NewRing(cfg.ProfileRing),
+		slo:       slo.New(sloCfg),
+		telemetry: cfg.Registry,
+		faults:    events.NewHub(),
+		events:    ledger,
+		res:       cfg.Resilience.withDefaults(),
+		chaos:     chaos.New(),
 	}
-	d.casLazyStop = make(chan struct{})
+	d.casLazyCtx, d.casLazyHalt = context.WithCancel(context.Background())
 	d.limiter = resilience.NewLimiter(d.res.MaxInFlight)
 	d.admInFlight = d.telemetry.Gauge("faasnap_admission_inflight",
 		"Weight currently admitted by the invocation limiter.", nil)
@@ -320,7 +333,7 @@ func (d *Daemon) Close() {
 	d.DrainStreams()
 	// Stop and drain the lazy-chunk fetchers before anything touches
 	// the state dir they write into.
-	d.casLazyOnce.Do(func() { close(d.casLazyStop) })
+	d.casLazyHalt()
 	d.casLazyWG.Wait()
 	for _, fs := range d.reg.snapshot() {
 		fs.shutdown()
@@ -353,7 +366,7 @@ func (d *Daemon) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 	})
 	handle("GET /readyz", d.handleReady)
-	handle("GET /manifest", d.handleManifest)
+	handle("GET /status", d.handleStatus)
 	handle("GET /functions", d.handleList)
 	handle("PUT /functions/{name}", d.handleCreate)
 	handle("GET /functions/{name}", d.handleGet)
@@ -377,22 +390,18 @@ func (d *Daemon) Handler() http.Handler {
 	return d.logRequests(mux)
 }
 
-// handleReady is readiness, distinct from /healthz liveness: a daemon
-// that cannot persist snapshots or reach its kvstore keeps answering
-// /healthz (the process is alive) but reports 503 here so a gateway
-// health checker drains it instead of black-holing requests.
-func (d *Daemon) handleReady(w http.ResponseWriter, r *http.Request) {
+// notReady lists why the daemon should not be routed to; empty means
+// ready. Readiness is distinct from /healthz liveness: a daemon that is
+// still recovering, cannot persist snapshots or cannot reach its
+// kvstore keeps answering /healthz (the process is alive) but is
+// drained by a gateway instead of black-holing requests. GET /readyz
+// (the probe) and GET /status (the gateway's sweep) both report it.
+func (d *Daemon) notReady() []string {
 	// A recovering daemon is alive but not yet authoritative: manifest
 	// replay or snapshot re-deployment is still in flight, so a gateway
 	// must keep routing elsewhere until the registry matches the journal.
 	if d.recovering.Load() {
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, http.StatusServiceUnavailable, map[string]interface{}{
-			"ready":   false,
-			"state":   "recovering",
-			"reasons": []string{"manifest replay in progress"},
-		})
-		return
+		return []string{"manifest replay in progress"}
 	}
 	var reasons []string
 	if d.cfg.StateDir != "" {
@@ -409,11 +418,21 @@ func (d *Daemon) handleReady(w http.ResponseWriter, r *http.Request) {
 			reasons = append(reasons, fmt.Sprintf("kvstore ping: %v", err))
 		}
 	}
-	if len(reasons) > 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]interface{}{"ready": false, "reasons": reasons})
+	return reasons
+}
+
+func (d *Daemon) handleReady(w http.ResponseWriter, r *http.Request) {
+	reasons := d.notReady()
+	if len(reasons) == 0 {
+		writeJSON(w, http.StatusOK, map[string]bool{"ready": true})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"ready": true})
+	body := map[string]interface{}{"ready": false, "reasons": reasons}
+	if d.recovering.Load() {
+		w.Header().Set("Retry-After", "1")
+		body["state"] = "recovering"
+	}
+	writeJSON(w, http.StatusServiceUnavailable, body)
 }
 
 // recordTrace builds a Zipkin-style span tree for one invocation, as
@@ -930,8 +949,11 @@ func (d *Daemon) handleRecord(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 		}
-		err := d.commitSnapshot(fs, in.Name, func(path string) error {
+		err := d.commitSnapshot(fs, func(path string) error {
 			return snapfile.SaveChunked(path, arts, chunks)
+		}, func() error {
+			_, err := d.manifest.Record(fs.spec.Name, in.Name)
+			return err
 		})
 		if err != nil {
 			writeErr(w, http.StatusInternalServerError, "%v", err)

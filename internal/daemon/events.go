@@ -67,28 +67,3 @@ func (d *Daemon) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return lines
 	})
 }
-
-// noteDeficit records a chunk-deficit observation for fn and returns
-// the seq of the manifest_deficit event announcing it (0 when there is
-// no deficit). A deficit is announced when it first appears or when
-// its size changes; clearing to zero forgets the episode so the next
-// deficit is announced afresh.
-func (d *Daemon) noteDeficit(fn string, missing int) uint64 {
-	d.deficitMu.Lock()
-	defer d.deficitMu.Unlock()
-	if missing == 0 {
-		delete(d.deficitSeq, fn)
-		delete(d.deficitN, fn)
-		return 0
-	}
-	if d.deficitN[fn] != missing {
-		e := d.events.Append(events.Event{
-			Type:     events.ManifestDeficit,
-			Function: fn,
-			Fields:   map[string]string{"chunks_missing": strconv.Itoa(missing)},
-		})
-		d.deficitSeq[fn] = e.Seq
-		d.deficitN[fn] = missing
-	}
-	return d.deficitSeq[fn]
-}

@@ -6,8 +6,8 @@ package daemon
 // on start. Recovery replays the manifest, re-deploys verified
 // snapfiles, quarantines anything inconsistent (corrupt snapfiles,
 // orphans from a crash between snapfile commit and journal append),
-// and holds /readyz in a `recovering` state until the registry matches
-// the manifest. See RESILIENCE.md, "Crash consistency & recovery".
+// and holds readiness in a `recovering` state until the registry
+// matches the manifest. See RESILIENCE.md, "Crash consistency & recovery".
 
 import (
 	"encoding/json"
@@ -27,10 +27,6 @@ import (
 	"faasnap/internal/trace"
 	"faasnap/internal/workload"
 )
-
-// Recovering reports whether the daemon is still replaying its
-// manifest; /readyz answers 503 with Retry-After until this clears.
-func (d *Daemon) Recovering() bool { return d.recovering.Load() }
 
 // WaitRecovered blocks until recovery completes (immediately for a
 // daemon without a state dir, or one built with synchronous recovery).
@@ -87,10 +83,11 @@ func (d *Daemon) recoverState(rec *statedir.Recovery) {
 			if err != nil {
 				// The acknowledged registration survives; the snapshot is
 				// unusable and must never be served. Quarantine it and
-				// journal the loss so GET /manifest tells replicas this
-				// host needs the snapshot re-replicated.
+				// journal the loss — at the generation it had — so GET
+				// /status tells the gateway this host needs the snapshot
+				// re-replicated.
 				d.quarantine(filepath.Join(d.cfg.StateDir, e.Name+".snap"), err)
-				if _, ierr := d.manifest.Invalidate(e.Name); ierr != nil {
+				if ierr := d.manifest.Invalidate(e.Name); ierr != nil {
 					d.log.Printf("recovery: journal invalidate %s: %v", e.Name, ierr)
 				}
 			} else {
@@ -165,19 +162,21 @@ func specJSON(spec *workload.Spec) string {
 
 // commitSnapshot is the one snapshot commit, shared by a local
 // recording and a chunk-level sync from a peer: snapfile commit →
-// read-back verify → journal (register if absent, then record) →
-// publish, passing record.post-chunks and record.pre-journal on the way.
-// RESILIENCE.md ("The snapshot commit") tabulates what is durable at
-// each crashpoint and what recovery does with it.
+// read-back verify → journal → publish, passing record.post-chunks and
+// record.pre-journal on the way. RESILIENCE.md ("The snapshot commit")
+// tabulates what is durable at each crashpoint and what recovery does
+// with it.
 //
 // The caller has made every chunk the snapshot references durable and
 // holds fs.mu (commits to one function serialize) inside casOps.RLock
 // (the GC sweep cannot collect those chunks before the chunk map is
 // published). save commits the snapfile to the path it is given — an
-// encode of the recorded artifacts, or a peer's raw bytes. What is read
-// back is what gets deployed, so what serves is exactly what disk
-// holds; a snapshot that cannot pass its own checksum is quarantined.
-func (d *Daemon) commitSnapshot(fs *fnState, input string, save func(path string) error) error {
+// encode of the recorded artifacts, or a peer's raw bytes; journal
+// appends the commit's one manifest record — a recording mints a
+// generation, a sync adopts its source's. What is read back is what
+// gets deployed, so what serves is exactly what disk holds; a snapshot
+// that cannot pass its own checksum is quarantined.
+func (d *Daemon) commitSnapshot(fs *fnState, save func(path string) error, journal func() error) error {
 	name := fs.spec.Name
 	chaos.MaybeCrash(chaos.CrashRecordPostChunks)
 	path := filepath.Join(d.cfg.StateDir, name+".snap")
@@ -190,14 +189,8 @@ func (d *Daemon) commitSnapshot(fs *fnState, input string, save func(path string
 		return fmt.Errorf("snapshot failed verification: %w", err)
 	}
 	chaos.MaybeCrash(chaos.CrashRecordPreJournal)
-	// A sync may be the first this daemon hears of the function.
-	if me, ok := d.manifest.Get(name); !ok || me.Deleted {
-		if _, err := d.manifest.Register(name, specJSON(fs.spec)); err != nil {
-			return fmt.Errorf("journal registration: %w", err)
-		}
-	}
-	if _, err := d.manifest.Record(name, input); err != nil {
-		return fmt.Errorf("journal recording: %w", err)
+	if err := journal(); err != nil {
+		return fmt.Errorf("journal snapshot: %w", err)
 	}
 	fs.arts, fs.chunks = arts, chunks
 	return nil
@@ -242,53 +235,66 @@ func (d *Daemon) sweepStateDir() {
 	}
 }
 
-// ManifestFunction is one function's durable journal state plus the
-// local chunk store's deficit against its chunk map.
-type ManifestFunction struct {
+// StatusFunction is one function's durable journal state plus where its
+// chunk map stands against the local chunk store.
+type StatusFunction struct {
 	statedir.Entry
-	// ChunksMissing counts chunk-map refs absent from the local store —
-	// typically lazy chunks lost to a failed background fetch. Non-zero
-	// values tell the gateway's anti-entropy pass this replica needs an
-	// eager chunk re-sync from a complete copy.
+	// ChunksPending counts chunk-map refs a live background fetcher
+	// still owes: absent for now, and somebody's job.
+	ChunksPending int `json:"chunks_pending,omitempty"`
+	// ChunksMissing counts refs absent from both tiers and owned by
+	// nobody — abandoned after retries, lost out of band, or found at
+	// recovery. Non-zero tells the gateway's anti-entropy pass this
+	// replica needs an eager chunk re-sync from a complete copy.
 	ChunksMissing int `json:"chunks_missing,omitempty"`
 	// DeficitSeq is the ledger seq of the manifest_deficit event that
-	// announced the deficit; the gateway links its repair event back to
+	// announced ChunksMissing; the gateway links its repair event back to
 	// it as cause_seq, making the causality chain resolvable across
 	// daemons.
 	DeficitSeq uint64 `json:"deficit_seq,omitempty"`
 }
 
-// ManifestResponse is GET /manifest: the durable-state summary the
-// gateway's anti-entropy sweep compares across replicas.
-type ManifestResponse struct {
-	Digest     string             `json:"digest"`
-	Recovering bool               `json:"recovering"`
-	Functions  []ManifestFunction `json:"functions"`
+// StatusResponse is GET /status: everything the gateway's sweep asks a
+// backend, in one answer — the routing verdict /readyz probes, the load
+// the admission limiter and in-flight counter hold, and the durable-
+// state summary anti-entropy compares across replicas (omitted by a
+// daemon without a state dir).
+type StatusResponse struct {
+	Ready         bool             `json:"ready"`
+	Reasons       []string         `json:"reasons,omitempty"`
+	Recovering    bool             `json:"recovering"`
+	InFlight      int64            `json:"inflight"`
+	AdmissionUsed int64            `json:"admission_used"`
+	AdmissionMax  int64            `json:"admission_max"`
+	Digest        string           `json:"digest,omitempty"`
+	Functions     []StatusFunction `json:"functions,omitempty"`
 }
 
-// handleManifest reports the manifest digest and per-function
-// generations (tombstones included). It intentionally serves during
-// recovery — the journal is fully replayed before any handler runs;
-// only snapfile re-deployment is still in flight — so a gateway can
-// see what a recovering backend will hold.
-func (d *Daemon) handleManifest(w http.ResponseWriter, r *http.Request) {
-	if d.manifest == nil {
-		writeErr(w, http.StatusNotFound, "no state directory; this daemon keeps no durable manifest")
-		return
-	}
-	entries := d.manifest.Entries()
-	fns := make([]ManifestFunction, 0, len(entries))
-	for _, e := range entries {
-		mf := ManifestFunction{Entry: e}
-		if !e.Deleted && e.HasSnapshot {
-			mf.ChunksMissing = d.missingChunks(e.Name)
-			mf.DeficitSeq = d.noteDeficit(e.Name, mf.ChunksMissing)
-		}
-		fns = append(fns, mf)
-	}
-	writeJSON(w, http.StatusOK, ManifestResponse{
-		Digest:     d.manifest.Digest(),
+// handleStatus always answers 200: not-ready is a fact to report, not
+// a failure to answer. It serves during recovery — the journal is fully
+// replayed before any handler runs; only snapfile re-deployment is
+// still in flight — so a gateway can see what a recovering backend
+// will hold.
+func (d *Daemon) handleStatus(w http.ResponseWriter, r *http.Request) {
+	reasons := d.notReady()
+	resp := StatusResponse{
+		Ready:      len(reasons) == 0,
+		Reasons:    reasons,
 		Recovering: d.recovering.Load(),
-		Functions:  fns,
-	})
+		// Not counting this request.
+		InFlight:      d.inFlight.Load() - 1,
+		AdmissionUsed: d.limiter.InFlight(),
+		AdmissionMax:  d.limiter.Max(),
+	}
+	if d.manifest != nil {
+		resp.Digest = d.manifest.Digest()
+		for _, e := range d.manifest.Entries() {
+			sf := StatusFunction{Entry: e}
+			if !e.Deleted && e.HasSnapshot {
+				sf.ChunksPending, sf.ChunksMissing, sf.DeficitSeq = d.chunkDeficit(e.Name)
+			}
+			resp.Functions = append(resp.Functions, sf)
+		}
+	}
+	writeJSON(w, http.StatusOK, resp)
 }

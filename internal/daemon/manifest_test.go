@@ -6,6 +6,7 @@ package daemon
 // holds off traffic until replay completes.
 
 import (
+	"encoding/json"
 	"io"
 	"log"
 	"net/http"
@@ -69,9 +70,9 @@ func TestJournaledDeleteNeverResurrects(t *testing.T) {
 		t.Fatalf("deleted function resurrected after restart: %d", resp.StatusCode)
 	}
 	// The tombstone itself must survive, with the generation history.
-	var mr ManifestResponse
-	if resp := doJSON(t, "GET", srv2.URL+"/manifest", nil, &mr); resp.StatusCode != 200 {
-		t.Fatalf("manifest = %d", resp.StatusCode)
+	var mr StatusResponse
+	if resp := doJSON(t, "GET", srv2.URL+"/status", nil, &mr); resp.StatusCode != 200 {
+		t.Fatalf("status = %d", resp.StatusCode)
 	}
 	var found bool
 	for _, e := range mr.Functions {
@@ -150,7 +151,7 @@ func TestReadyzRecoveringState(t *testing.T) {
 	srv2 := httptest.NewServer(d2.Handler())
 	t.Cleanup(srv2.Close)
 	resp := doJSON(t, "GET", srv2.URL+"/readyz", nil, nil)
-	if d2.Recovering() && resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") == "" {
+	if d2.recovering.Load() && resp.StatusCode == http.StatusServiceUnavailable && resp.Header.Get("Retry-After") == "" {
 		t.Fatal("recovering readyz missing Retry-After")
 	}
 	d2.WaitRecovered()
@@ -163,17 +164,22 @@ func TestReadyzRecoveringState(t *testing.T) {
 	}
 }
 
-func TestManifestEndpoint(t *testing.T) {
+func TestStatusEndpoint(t *testing.T) {
 	dir := t.TempDir()
-	_, srv := newTestDaemon(t, Config{StateDir: dir})
+	_, srv := newTestDaemon(t, Config{StateDir: dir, Resilience: ResilienceConfig{MaxInFlight: 7}})
 	recordedFn(t, srv.URL)
 
-	var mr ManifestResponse
-	if resp := doJSON(t, "GET", srv.URL+"/manifest", nil, &mr); resp.StatusCode != 200 {
-		t.Fatalf("manifest = %d", resp.StatusCode)
+	var mr StatusResponse
+	if resp := doJSON(t, "GET", srv.URL+"/status", nil, &mr); resp.StatusCode != 200 {
+		t.Fatalf("status = %d", resp.StatusCode)
 	}
-	if mr.Digest == "" || mr.Recovering {
-		t.Fatalf("manifest response = %+v", mr)
+	if !mr.Ready || len(mr.Reasons) != 0 || mr.Digest == "" || mr.Recovering {
+		t.Fatalf("status response = %+v", mr)
+	}
+	// The load section is read straight from the limiter and the
+	// in-flight counter; the status request does not count itself.
+	if mr.InFlight != 0 || mr.AdmissionUsed != 0 || mr.AdmissionMax != 7 {
+		t.Fatalf("idle load = inflight %d, admission %d/%d; want 0, 0/7", mr.InFlight, mr.AdmissionUsed, mr.AdmissionMax)
 	}
 	if len(mr.Functions) != 1 {
 		t.Fatalf("functions = %+v", mr.Functions)
@@ -183,9 +189,18 @@ func TestManifestEndpoint(t *testing.T) {
 		t.Fatalf("entry = %+v", e)
 	}
 
-	// Stateless daemons have no manifest to report.
+	// Stateless daemons answer too, with the manifest section omitted.
 	_, srv2 := newTestDaemon(t, Config{})
-	if resp := doJSON(t, "GET", srv2.URL+"/manifest", nil, nil); resp.StatusCode != 404 {
-		t.Fatalf("stateless manifest = %d, want 404", resp.StatusCode)
+	var raw map[string]json.RawMessage
+	if resp := doJSON(t, "GET", srv2.URL+"/status", nil, &raw); resp.StatusCode != 200 {
+		t.Fatalf("stateless status = %d, want 200", resp.StatusCode)
+	}
+	if string(raw["ready"]) != "true" {
+		t.Fatalf("stateless daemon not ready: %s", raw["ready"])
+	}
+	for _, k := range []string{"digest", "functions"} {
+		if _, ok := raw[k]; ok {
+			t.Fatalf("stateless status carries a %q section: %s", k, raw[k])
+		}
 	}
 }

@@ -407,6 +407,14 @@ func TestCorruptSnapfileQuarantinedOnReload(t *testing.T) {
 	if info.HasSnapshot {
 		t.Fatal("corrupt snapshot still deployed")
 	}
+	// Losing the snapshot is not a mutation: the entry stays at the
+	// generation its record minted, so a replica still holding that
+	// snapshot outranks this one and anti-entropy repairs it.
+	var st StatusResponse
+	doJSON(t, "GET", srv2.URL+"/status", nil, &st)
+	if len(st.Functions) != 1 || st.Functions[0].Generation != 2 || st.Functions[0].HasSnapshot {
+		t.Fatalf("status after quarantine = %+v, want generation 2 without a snapshot", st.Functions)
+	}
 	resp = doJSON(t, "POST", srv2.URL+"/functions/hello-world/invoke", invokeRequest{Mode: "faasnap"}, nil)
 	if resp.StatusCode != 404 {
 		t.Fatalf("invoke on invalidated snapshot = %d, want 404", resp.StatusCode)

@@ -1,14 +1,15 @@
 package gateway
 
 // Anti-entropy re-sync: the health sweep learns each backend's durable
-// manifest (digest + per-function generations from GET /manifest), and
-// after every sweep the gateway compares manifests across each
-// function's replica set. A backend that rejoined with lost or stale
-// state — wiped disk, quarantined snapshot, missed delete — is marked
-// stale, demoted in placement, and repaired through its normal API
-// from the owner/standby copy: missing registrations and deletes are
-// replayed, missing snapshots pulled chunk by chunk. When a sweep finds
-// no deficits the backend returns to full ring weight. See GATEWAY.md.
+// state (digest + per-function generations, in its GET /status reply),
+// and after every sweep the gateway compares it across each function's
+// replica set. A backend that rejoined with lost or stale state — wiped
+// disk, quarantined snapshot, missed delete or re-record — is marked
+// stale, demoted in placement, and repaired through its normal API from
+// the owner/standby copy: missing registrations and deletes are
+// replayed, missing snapshots pulled chunk by chunk. When a pass that
+// has the backend's status finds no deficits it returns to full ring
+// weight. See GATEWAY.md.
 
 import (
 	"context"
@@ -23,8 +24,8 @@ import (
 	"faasnap/internal/trace"
 )
 
-// manifestEntry mirrors the daemon's statedir.Entry JSON: one
-// function's durable state on one backend.
+// manifestEntry mirrors one function of the daemon's GET /status reply:
+// its statedir.Entry plus where its chunk map stands against the store.
 type manifestEntry struct {
 	Name        string `json:"name"`
 	Generation  uint64 `json:"generation"`
@@ -32,9 +33,12 @@ type manifestEntry struct {
 	HasSnapshot bool   `json:"has_snapshot"`
 	RecordInput string `json:"record_input,omitempty"`
 	Spec        string `json:"spec,omitempty"`
+	// ChunksPending is what the backend's live lazy fetcher still owes:
+	// absent, but somebody's job — never a reason to repair.
+	ChunksPending int `json:"chunks_pending,omitempty"`
 	// ChunksMissing is the backend's chunk-store deficit against this
-	// function's chunk map (lazy chunks lost to a failed background
-	// fetch); non-zero triggers an eager chunk re-sync repair.
+	// function's chunk map that nobody owns (abandoned by the fetcher or
+	// lost out of band); non-zero triggers an eager chunk re-sync repair.
 	ChunksMissing int `json:"chunks_missing,omitempty"`
 	// DeficitSeq is the seq of the backend's manifest_deficit ledger
 	// event announcing that deficit; the gateway's repair event cites it
@@ -42,15 +46,31 @@ type manifestEntry struct {
 	DeficitSeq uint64 `json:"deficit_seq,omitempty"`
 }
 
-// manifestInfo mirrors the daemon's GET /manifest response.
-type manifestInfo struct {
-	Digest     string          `json:"digest"`
-	Recovering bool            `json:"recovering"`
-	Functions  []manifestEntry `json:"functions"`
+// incomplete is how many of its chunks the copy cannot serve to a peer
+// right now.
+func (e manifestEntry) incomplete() int { return e.ChunksPending + e.ChunksMissing }
+
+// outranks reports whether copy e beats copy w as the version its
+// replica set converges on: the higher generation; among equals — two
+// replicas that each missed a different mutation can count to the same
+// number — a tombstone, so an acknowledged delete never resurrects
+// through a tie, then the copy with the snapshot, then the most
+// complete, since a repair source must be able to serve every chunk it
+// advertises.
+func (e manifestEntry) outranks(w manifestEntry) bool {
+	switch {
+	case e.Generation != w.Generation:
+		return e.Generation > w.Generation
+	case e.Deleted != w.Deleted:
+		return e.Deleted
+	case e.HasSnapshot != w.HasSnapshot:
+		return e.HasSnapshot
+	}
+	return e.incomplete() < w.incomplete()
 }
 
-func (m *manifestInfo) entry(fn string) (manifestEntry, bool) {
-	for _, e := range m.Functions {
+func (v *backendView) entry(fn string) (manifestEntry, bool) {
+	for _, e := range v.Functions {
 		if e.Name == fn {
 			return e, true
 		}
@@ -58,94 +78,62 @@ func (m *manifestInfo) entry(fn string) (manifestEntry, bool) {
 	return manifestEntry{}, false
 }
 
-// fetchManifest pulls one backend's durable-state summary; nil for
-// daemons without a state dir (404) or that did not answer.
-func (p *Pool) fetchManifest(b *Backend) *manifestInfo {
-	var mi manifestInfo
-	if !p.callBackend(context.Background(), b, http.MethodGet, "/manifest", nil, &mi) {
-		return nil
-	}
-	return &mi
-}
-
-// resyncCounter counts one repair action issued to a backend.
-func (p *Pool) resyncCounter(b *Backend, action string) *telemetry.Counter {
-	return p.reg.Counter("faasnap_gw_resync_total",
-		"Anti-entropy repair operations issued to stale backends, by backend and action.",
-		telemetry.L("backend", b.Addr, "action", action))
-}
-
-// chunkBytesCounter counts chunk payload bytes moved into a backend by
-// anti-entropy chunk-sync repairs.
-func (p *Pool) chunkBytesCounter(b *Backend) *telemetry.Counter {
-	return p.reg.Counter("faasnap_gw_resync_chunk_bytes_total",
-		"Chunk payload bytes transferred by anti-entropy chunk-sync repairs, by backend.",
-		telemetry.L("backend", b.Addr))
-}
-
 // syncResult mirrors the subset of the daemon's POST /functions/{name}/sync
 // response the gateway accounts for.
 type syncResult struct {
-	ChunksTotal   int   `json:"chunks_total"`
 	ChunksFetched int   `json:"chunks_fetched"`
-	BytesTotal    int64 `json:"bytes_total"`
 	BytesFetched  int64 `json:"bytes_fetched"`
-	SnapfileBytes int64 `json:"snapfile_bytes"`
 	// TraceID identifies the restore-waterfall trace the target daemon
 	// minted for this sync; the gateway's repair event carries it so the
 	// transfer can be rendered with `faasnapctl waterfall`.
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// noteRepair publishes a repair event and remembers its seq as the
-// backend's most recent repair, so the converged event a later clean
-// pass emits can cite it as cause_seq.
-func (p *Pool) noteRepair(addr string, e events.Event) {
-	if p.events == nil {
-		return
-	}
-	ev := p.events.Append(e)
-	p.repairMu.Lock()
-	p.lastRepairSeq[addr] = ev.Seq
-	p.repairMu.Unlock()
-}
-
-// ResyncNow runs one anti-entropy pass over the manifests collected by
-// the last health sweep and returns the number of repair actions
-// issued. The sweep loop calls it after every CheckNow; tests call it
-// directly for a deterministic pass.
+// ResyncNow runs one anti-entropy pass over the status replies
+// collected by the last health sweep and returns the number of repair
+// actions issued. The sweep loop calls it after every CheckNow; tests
+// call it directly for a deterministic pass. Passes never overlap.
 //
 // Staleness is judged within each function's replica set (the ring
 // owner plus the configured standbys — the backends that are supposed
-// to hold it):
+// to hold it). The highest-generation entry wins: generations count
+// acknowledged client mutations per function, and neither losing a
+// snapshot nor copying one mints, so replicas that processed the same
+// fan-out history agree and a backend that missed operations sits
+// strictly below (outranks settles ties). GATEWAY.md ("Repair rules")
+// tabulates what each replica state gets:
 //
-//   - the highest-generation entry wins: generations count acknowledged
-//     mutations per function, so replicas that processed the same
-//     fan-out history agree, and a backend that missed operations sits
-//     strictly below;
-//   - winner live: backends missing the registration (or holding a
-//     stale tombstone) get the registration replayed — spec body
-//     included for custom functions — and backends missing the snapshot
-//     pull it from the winner with a chunk-level sync;
-//   - winner tombstoned: live lower-generation copies are deleted, so
-//     an acknowledged delete can never resurrect through a backend that
-//     was down when it happened.
+//   - winner tombstoned: live copies are deleted, so an acknowledged
+//     delete can never resurrect through a backend that was down when it
+//     happened;
+//   - winner live, replica absent or tombstoned: the registration is
+//     replayed, spec body included for custom functions;
+//   - winner has a snapshot the replica lacks or holds at a lower
+//     generation: the replica pulls it with a chunk-level sync and
+//     adopts the winner's generation, so the rule cannot re-fire;
+//   - same snapshot, replica's store missing chunks nobody owns: an
+//     eager chunk sync from a complete copy.
 //
-// Backends without a manifest (stateless, recovering, or unreachable
-// this sweep) are neither sources nor targets.
+// Backends without a current status (unreachable this sweep, not ready,
+// recovering, or stateless) are neither sources nor targets, and keep
+// the stale verdict they had.
 func (p *Pool) ResyncNow() int {
+	p.resyncMu.Lock()
+	defer p.resyncMu.Unlock()
 	t0 := time.Now()
 	type repairRec struct {
 		fn, backend, action, traceID string
 		start, dur                   time.Duration
 	}
 	var repairs []repairRec
-	actions := 0
 	// repaired books one successful repair: the per-action counter, a
-	// span on the sweep's trace, and a ledger event.
+	// span on the sweep's trace, and a ledger event — remembered as the
+	// backend's most recent, for the converged event of a later clean pass
+	// to cite as cause_seq.
 	repaired := func(b *Backend, fn, counter, action string, start time.Duration, ev events.Event) {
-		p.resyncCounter(b, counter).Inc()
-		actions++
+		p.reg.Counter("faasnap_gw_resync_total",
+			"Anti-entropy repair operations issued to stale backends, by backend and action.",
+			telemetry.L("backend", b.Addr, "action", counter)).Inc()
 		repairs = append(repairs, repairRec{
 			fn: fn, backend: b.Addr, action: action, traceID: ev.TraceID,
 			start: start, dur: time.Since(t0) - start,
@@ -155,12 +143,14 @@ func (p *Pool) ResyncNow() int {
 			ev.Fields = make(map[string]string, 2)
 		}
 		ev.Fields["backend"], ev.Fields["action"] = b.Addr, action
-		p.noteRepair(b.Addr, ev)
+		if p.events != nil {
+			p.lastRepairSeq[b.Addr] = p.events.Append(ev).Seq
+		}
 	}
 	// replay repairs b by replaying one mutation through its normal API.
 	replay := func(b *Backend, fn, action, method string, body []byte) bool {
 		start := time.Since(t0)
-		if !p.callBackend(context.Background(), b, method, "/functions/"+fn, body, nil) {
+		if p.callBackend(context.Background(), b, method, "/functions/"+fn, body, nil) != nil {
 			return false
 		}
 		repaired(b, fn, action, action, start, events.Event{})
@@ -181,10 +171,12 @@ func (p *Pool) ResyncNow() int {
 		start := time.Since(t0)
 		body, _ := json.Marshal(map[string]interface{}{"source": source, "eager": eager})
 		var sr syncResult
-		if !p.callBackend(context.Background(), b, http.MethodPost, "/functions/"+fn+"/sync", body, &sr) {
+		if p.callBackend(context.Background(), b, http.MethodPost, "/functions/"+fn+"/sync", body, &sr) != nil {
 			return
 		}
-		p.chunkBytesCounter(b).Add(float64(sr.BytesFetched))
+		p.reg.Counter("faasnap_gw_resync_chunk_bytes_total",
+			"Chunk payload bytes transferred by anti-entropy chunk-sync repairs, by backend.",
+			telemetry.L("backend", b.Addr)).Add(float64(sr.BytesFetched))
 		action := "chunks"
 		ev := events.Event{TraceID: sr.TraceID, Fields: map[string]string{
 			"source":         source,
@@ -198,15 +190,15 @@ func (p *Pool) ResyncNow() int {
 		repaired(b, fn, "chunks", action, start, ev)
 	}
 	backends := p.snapshot()
-	manifests := make(map[string]*manifestInfo, len(backends))
+	current := make(map[string]*backendView, len(backends))
 	fns := make(map[string]bool)
 	for _, b := range backends {
-		mi := b.manifestInfo()
-		if mi == nil || mi.Recovering || !b.Ready() {
+		v := b.view.Load()
+		if !v.Ready || v.Recovering || v.Digest == "" {
 			continue
 		}
-		manifests[b.Addr] = mi
-		for _, e := range mi.Functions {
+		current[b.Addr] = v
+		for _, e := range v.Functions {
 			fns[e.Name] = true
 		}
 	}
@@ -223,41 +215,27 @@ func (p *Pool) ResyncNow() int {
 		var winner *manifestEntry
 		var winnerAddr string
 		for _, b := range prefs {
-			mi := manifests[b.Addr]
-			if mi == nil {
+			v := current[b.Addr]
+			if v == nil {
 				continue
 			}
-			if e, ok := mi.entry(fn); ok {
-				// Highest generation wins; among equals prefer a copy with
-				// the snapshot, then the one with the smallest chunk-store
-				// deficit — a repair source must be able to serve every
-				// chunk it advertises.
-				better := winner == nil || e.Generation > winner.Generation
-				if winner != nil && e.Generation == winner.Generation {
-					if e.HasSnapshot != winner.HasSnapshot {
-						better = e.HasSnapshot
-					} else {
-						better = e.ChunksMissing < winner.ChunksMissing
-					}
-				}
-				if better {
-					we := e
-					winner = &we
-					winnerAddr = b.Addr
-				}
+			if e, ok := v.entry(fn); ok && (winner == nil || e.outranks(*winner)) {
+				we := e
+				winner = &we
+				winnerAddr = b.Addr
 			}
 		}
 		if winner == nil {
 			continue
 		}
 		for _, b := range prefs {
-			mi := manifests[b.Addr]
-			if mi == nil {
+			v := current[b.Addr]
+			if v == nil || b.Addr == winnerAddr {
 				continue
 			}
-			e, ok := mi.entry(fn)
+			e, ok := v.entry(fn)
 			if winner.Deleted {
-				if ok && !e.Deleted && e.Generation < winner.Generation {
+				if ok && !e.Deleted {
 					stale[b.Addr] = true
 					replay(b, fn, "delete", http.MethodDelete, nil)
 				}
@@ -270,15 +248,17 @@ func (p *Pool) ResyncNow() int {
 				}
 				e = manifestEntry{Name: fn}
 			}
-			if winner.HasSnapshot && !e.HasSnapshot {
+			if !winner.HasSnapshot {
+				continue
+			}
+			if !e.HasSnapshot || e.Generation < winner.Generation {
 				// The backend pulls the winner's chunk map and fetches only
 				// the chunks it is missing, so a standby that shares most
 				// content (same base image, or a stale-but-overlapping copy)
 				// repairs with a fraction of the snapfile's bytes.
 				stale[b.Addr] = true
 				syncChunks(b, fn, winnerAddr, false, 0)
-			} else if winner.HasSnapshot && e.HasSnapshot && e.ChunksMissing > 0 &&
-				winner.ChunksMissing == 0 && b.Addr != winnerAddr {
+			} else if e.ChunksMissing > 0 && winner.incomplete() == 0 {
 				// The backend has the snapshot but lost part of its chunk
 				// content — a lazy tail its background fetcher abandoned, or
 				// out-of-band loss. It serves fine from its loading set but
@@ -290,42 +270,30 @@ func (p *Pool) ResyncNow() int {
 		}
 	}
 	for _, b := range backends {
-		prev := b.Stale()
-		now := stale[b.Addr]
-		b.setStale(now)
-		v := 0.0
-		if now {
-			v = 1
+		if current[b.Addr] == nil {
+			continue // no status, no verdict: it keeps the one it had
 		}
+		now := stale[b.Addr]
+		prev := b.stale.Swap(now)
 		p.reg.Gauge("faasnap_gw_backend_stale",
-			"Backends found stale by the last anti-entropy pass (1 = repairs in flight, demoted in placement).",
-			telemetry.L("backend", b.Addr)).Set(v)
+			"Backends found stale by the last anti-entropy pass that had their status (1 = repairs in flight, demoted in placement).",
+			telemetry.L("backend", b.Addr)).Set(oneIf(now))
 		if p.events == nil || now == prev {
 			continue
 		}
+		verdict := func(typ events.Type) events.Event {
+			return events.Event{Type: typ, Fields: map[string]string{"backend": b.Addr}}
+		}
 		if now {
-			p.events.Append(events.Event{
-				Type:   events.BackendStale,
-				Fields: map[string]string{"backend": b.Addr},
-			})
+			p.events.Append(verdict(events.BackendStale))
 			continue
 		}
-		p.events.Append(events.Event{
-			Type:   events.BackendClean,
-			Fields: map[string]string{"backend": b.Addr},
-		})
+		p.events.Append(verdict(events.BackendClean))
 		// Converged closes the causality chain: it cites the backend's
 		// last repair event (a gateway-ledger seq) as cause_seq.
-		p.repairMu.Lock()
-		cause := p.lastRepairSeq[b.Addr]
-		p.repairMu.Unlock()
-		ev := events.Event{
-			Type:   events.Converged,
-			Fields: map[string]string{"backend": b.Addr},
-		}
-		if cause > 0 {
-			ev.CauseSeq = cause
-			ev.CauseOrigin = "gateway"
+		ev := verdict(events.Converged)
+		if cause := p.lastRepairSeq[b.Addr]; cause > 0 {
+			ev.CauseSeq, ev.CauseOrigin = cause, "gateway"
 		}
 		p.events.Append(ev)
 	}
@@ -334,12 +302,12 @@ func (p *Pool) ResyncNow() int {
 	// store: one root span for the pass, one child per repair action,
 	// chunk syncs cross-linked to the daemon-minted restore waterfall
 	// via the sync_trace tag.
-	if actions > 0 && p.traces != nil {
+	if len(repairs) > 0 && p.traces != nil {
 		wall := time.Since(t0)
 		tid := p.traces.NextID()
 		tb := trace.NewBuilder(tid, "anti-entropy-sweep")
 		root := tb.Span("anti-entropy-sweep", "", 0, wall,
-			map[string]string{"actions": strconv.Itoa(actions)})
+			map[string]string{"actions": strconv.Itoa(len(repairs))})
 		for _, r := range repairs {
 			tags := map[string]string{"backend": r.backend, "action": r.action}
 			if r.traceID != "" {
@@ -349,5 +317,5 @@ func (p *Pool) ResyncNow() int {
 		}
 		p.traces.Put(tb.Finish())
 	}
-	return actions
+	return len(repairs)
 }

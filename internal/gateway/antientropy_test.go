@@ -1,7 +1,7 @@
 package gateway
 
 // Anti-entropy unit tests over scriptable fake backends: staleness
-// detection from /manifest generations, repairs (register, chunk
+// detection from /status generations, repairs (register, chunk
 // sync, delete), placement demotion while stale, and recovery to
 // full ring weight once manifests converge.
 
@@ -10,11 +10,14 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"faasnap/internal/events"
 )
 
-// scriptManifest sets a fake backend's GET /manifest response.
+// scriptManifest sets the durable-state section of a fake backend's
+// GET /status response.
 func scriptManifest(f *fakeBackend, digest string, entries ...string) {
-	f.manifestJSON.Store(fmt.Sprintf(`{"digest":%q,"recovering":false,"functions":[%s]}`,
+	f.manifestJSON.Store(fmt.Sprintf(`"digest":%q,"recovering":false,"functions":[%s]`,
 		digest, strings.Join(entries, ",")))
 }
 
@@ -178,8 +181,9 @@ func TestAntiEntropyPropagatesDelete(t *testing.T) {
 }
 
 func TestAntiEntropyIgnoresManifestlessBackends(t *testing.T) {
-	// Backends without /manifest (stateless daemons) are neither repair
-	// sources nor targets, and never marked stale.
+	// Backends whose /status carries no durable-state section (stateless
+	// daemons) are neither repair sources nor targets, and never marked
+	// stale.
 	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t)}
 	g := newTestGateway(t, Config{Replicas: 1}, fakes...)
 
@@ -195,6 +199,166 @@ func TestAntiEntropyIgnoresManifestlessBackends(t *testing.T) {
 		if c := f.creates.Load(); c != 0 {
 			t.Fatalf("manifestless backend repaired: %d creates", c)
 		}
+	}
+}
+
+// TestAntiEntropyVersionRules is the repair-rule table of GATEWAY.md,
+// one standby state per row against an owner holding the function at
+// generation 2 (or 3, re-recorded) with its snapshot.
+func TestAntiEntropyVersionRules(t *testing.T) {
+	const fn = "hello-world"
+	withChunks := func(entry string, pending, missing int) string {
+		return strings.TrimSuffix(entry, "}") + fmt.Sprintf(`,"chunks_pending":%d,"chunks_missing":%d,"deficit_seq":7}`, pending, missing)
+	}
+	for _, tc := range []struct {
+		name           string
+		owner, standby string
+		actions, syncs int
+		action         string // the repair event's action, when one fires
+		stale          bool
+		// healed is the standby's entry once the repair has landed; the
+		// next pass must find nothing to do.
+		healed string
+	}{
+		{
+			name:    "same version, same snapshot: nothing to do",
+			owner:   liveEntry(fn, 2, true, "A"),
+			standby: liveEntry(fn, 2, true, "A"),
+		},
+		{
+			// Losing a snapshot does not mint: the standby is at the owner's
+			// generation without the snapshot, so the owner wins the tie.
+			name:    "snapshot quarantined at recovery",
+			owner:   liveEntry(fn, 2, true, "A"),
+			standby: liveEntry(fn, 2, false, ""),
+			actions: 1, syncs: 1, action: "chunks", stale: true,
+			healed: liveEntry(fn, 2, true, "A"),
+		},
+		{
+			// Both hold a snapshot, the standby's is of an older recording.
+			// The sync adopts the owner's generation, so the rule cannot
+			// fire twice.
+			name:    "missed a re-record while down",
+			owner:   liveEntry(fn, 3, true, "B"),
+			standby: liveEntry(fn, 2, true, "A"),
+			actions: 1, syncs: 1, action: "chunks", stale: true,
+			healed: liveEntry(fn, 3, true, "B"),
+		},
+		{
+			name:    "lazy tail still draining: pending is somebody's job",
+			owner:   liveEntry(fn, 2, true, "A"),
+			standby: withChunks(liveEntry(fn, 2, true, "A"), 5, 0),
+		},
+		{
+			name:    "chunks nobody owns: eager re-sync",
+			owner:   liveEntry(fn, 2, true, "A"),
+			standby: withChunks(liveEntry(fn, 2, true, "A"), 5, 2),
+			actions: 1, syncs: 1, action: "chunks_eager", stale: true,
+			healed: liveEntry(fn, 2, true, "A"),
+		},
+		{
+			// A source must be able to serve what it advertises: while the
+			// only other copy is itself incomplete, wait.
+			name:    "chunks nobody owns, no complete source yet",
+			owner:   withChunks(liveEntry(fn, 2, true, "A"), 3, 0),
+			standby: withChunks(liveEntry(fn, 2, true, "A"), 0, 2),
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t)}
+			g := newTestGateway(t, Config{Replicas: 1}, fakes...)
+			prefs := prefFakes(t, g, fn, 2, fakes)
+			owner, standby := prefs[0], prefs[1]
+			scriptManifest(owner, "d-owner", tc.owner)
+			scriptManifest(standby, "d-standby", tc.standby)
+
+			g.pool.CheckNow()
+			if n := g.pool.ResyncNow(); n != tc.actions {
+				t.Fatalf("actions = %d, want %d", n, tc.actions)
+			}
+			if sy := standby.syncs.Load(); int(sy) != tc.syncs {
+				t.Fatalf("standby syncs = %d, want %d", sy, tc.syncs)
+			}
+			if n := owner.syncs.Load() + owner.creates.Load() + owner.deletes.Load(); n != 0 {
+				t.Fatalf("the winner was repaired (%d mutations)", n)
+			}
+			sb, _ := g.pool.backend(standby.addr)
+			if sb.Stale() != tc.stale {
+				t.Fatalf("standby stale = %v, want %v", sb.Stale(), tc.stale)
+			}
+			if tc.action == "" {
+				return
+			}
+			repairs := g.Events().Since(0, events.Repair, fn)
+			if len(repairs) != 1 || repairs[0].Fields["action"] != tc.action {
+				t.Fatalf("repair events = %+v, want one %q", repairs, tc.action)
+			}
+			if tc.action == "chunks_eager" && (repairs[0].CauseSeq != 7 || repairs[0].CauseOrigin != standby.addr) {
+				t.Fatalf("eager repair cause = (%d, %q), want the standby's deficit event", repairs[0].CauseSeq, repairs[0].CauseOrigin)
+			}
+			scriptManifest(standby, "d-owner", tc.healed)
+			g.pool.CheckNow()
+			if n := g.pool.ResyncNow(); n != 0 || sb.Stale() {
+				t.Fatalf("pass after the repair: %d actions, stale=%v; want a clean no-op", n, sb.Stale())
+			}
+		})
+	}
+}
+
+// TestAntiEntropyKeepsVerdictWithoutStatus: a stale backend that dies
+// mid-repair stays stale — no backend_clean, no converged — through
+// every pass that cannot see it, and is cleared only by a pass that has
+// its status and finds nothing to repair; the converged event then still
+// cites the last repair.
+func TestAntiEntropyKeepsVerdictWithoutStatus(t *testing.T) {
+	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t)}
+	g := newTestGateway(t, Config{Replicas: 1}, fakes...)
+	const fn = "hello-world"
+	prefs := prefFakes(t, g, fn, 2, fakes)
+	owner, standby := prefs[0], prefs[1]
+	scriptManifest(owner, "d-owner", liveEntry(fn, 2, true, "A"))
+	scriptManifest(standby, "d-empty")
+
+	g.pool.CheckNow()
+	if n := g.pool.ResyncNow(); n != 2 {
+		t.Fatalf("repair pass actions = %d, want 2", n)
+	}
+	sb, _ := g.pool.backend(standby.addr)
+	if !sb.Stale() {
+		t.Fatal("repaired backend not marked stale")
+	}
+	repairs := g.Events().Since(0, events.Repair, fn)
+	lastRepair := repairs[len(repairs)-1].Seq
+	verdicts := func() (clean, converged []events.Event) {
+		return g.Events().Since(0, events.BackendClean, ""), g.Events().Since(0, events.Converged, "")
+	}
+
+	standby.down.Store(true)
+	for pass := 1; pass <= 3; pass++ {
+		g.pool.CheckNow()
+		if n := g.pool.ResyncNow(); n != 0 {
+			t.Fatalf("pass %d repaired a backend it has no status for (%d actions)", pass, n)
+		}
+		if !sb.Stale() {
+			t.Fatalf("pass %d cleared the verdict of a backend it could not see", pass)
+		}
+		if clean, conv := verdicts(); len(clean)+len(conv) != 0 {
+			t.Fatalf("pass %d: backend_clean %v / converged %v for a node that is still down", pass, clean, conv)
+		}
+	}
+
+	standby.down.Store(false)
+	scriptManifest(standby, "d-owner", liveEntry(fn, 2, true, "A"))
+	g.pool.CheckNow()
+	if n := g.pool.ResyncNow(); n != 0 || sb.Stale() {
+		t.Fatalf("pass after rejoin: %d actions, stale=%v", n, sb.Stale())
+	}
+	clean, conv := verdicts()
+	if len(clean) != 1 || len(conv) != 1 || conv[0].Fields["backend"] != standby.addr {
+		t.Fatalf("after rejoin: backend_clean %v, converged %v; want one each for the standby", clean, conv)
+	}
+	if conv[0].CauseSeq != lastRepair || conv[0].CauseOrigin != "gateway" {
+		t.Fatalf("converged cause = (%d, %q), want the last repair (%d, gateway)", conv[0].CauseSeq, conv[0].CauseOrigin, lastRepair)
 	}
 }
 

@@ -16,10 +16,12 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"faasnap/internal/daemon"
+	"faasnap/internal/events"
 )
 
 func startRealDaemon(t *testing.T) (*daemon.Daemon, string) {
@@ -201,7 +203,7 @@ func TestAntiEntropyChunkSync(t *testing.T) {
 // TestAntiEntropyRepairsMissingLazyChunks: a backend that has the
 // snapshot but lost chunk content (a lazy tail its background fetcher
 // abandoned, simulated here by deleting a chunk file out-of-band)
-// reports the deficit as chunks_missing in GET /manifest, and the next
+// reports the deficit as chunks_missing in GET /status, and the next
 // anti-entropy pass repairs it with an eager chunk sync — after which
 // the backend serves the digest to peers again and the sweep is a
 // no-op.
@@ -251,7 +253,7 @@ func TestAntiEntropyRepairsMissingLazyChunks(t *testing.T) {
 		t.Fatalf("deleted chunk served with %d", st)
 	}
 
-	// The deficit is visible in B's manifest.
+	// The deficit is visible in B's status.
 	missing := func(addr string) int {
 		var mi struct {
 			Functions []struct {
@@ -259,7 +261,7 @@ func TestAntiEntropyRepairsMissingLazyChunks(t *testing.T) {
 				ChunksMissing int    `json:"chunks_missing"`
 			} `json:"functions"`
 		}
-		daemonJSON(t, "GET", "http://"+addr+"/manifest", nil, &mi)
+		daemonJSON(t, "GET", "http://"+addr+"/status", nil, &mi)
 		for _, e := range mi.Functions {
 			if e.Name == fn {
 				return e.ChunksMissing
@@ -290,6 +292,136 @@ func TestAntiEntropyRepairsMissingLazyChunks(t *testing.T) {
 	g.pool.CheckNow()
 	if n := g.pool.ResyncNow(); n != 0 {
 		t.Fatalf("converged pass issued %d actions", n)
+	}
+}
+
+// TestAntiEntropyLeavesLiveTailAlone: a replica whose lazy tail is still
+// draining is not a replica with a deficit. With the source's non-
+// loading-set chunks held behind a gate, every pass that runs while the
+// tail drains reads chunks_pending falling and chunks_missing zero,
+// repairs nothing, and the source serves each chunk exactly once.
+func TestAntiEntropyLeavesLiveTailAlone(t *testing.T) {
+	dA, _ := startRealDaemon(t)
+	dB, addrB := startRealDaemon(t)
+
+	// A is reachable only through the gate, so the address the gateway
+	// hands B as its sync source is the gate's.
+	var mu sync.Mutex
+	hold := map[string]bool{}
+	served := map[string]int{}
+	tokens := make(chan struct{})
+	inner := dA.Handler()
+	gate := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if dg, ok := strings.CutPrefix(r.URL.Path, "/chunks/"); ok {
+			mu.Lock()
+			held := hold[dg]
+			mu.Unlock()
+			if held {
+				select {
+				case <-tokens:
+				case <-r.Context().Done():
+					return
+				}
+			}
+			mu.Lock()
+			served[dg]++
+			mu.Unlock()
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	// On the way out open the gate first: Close waits for held requests.
+	defer gate.Close()
+	defer close(tokens)
+	addrA := gate.Listener.Addr().String()
+	g := newTestGateway(t, Config{Replicas: 1, Backends: []string{addrA, addrB}})
+
+	const fn = "livetail-alpha"
+	if st := daemonJSON(t, "PUT", gate.URL+"/functions/"+fn, chunkSyncSpec(fn), nil); st != http.StatusOK {
+		t.Fatalf("register on A = %d", st)
+	}
+	if st := daemonJSON(t, "POST", gate.URL+"/functions/"+fn+"/record",
+		map[string]string{"input": "A"}, nil); st != http.StatusOK {
+		t.Fatalf("record on A = %d", st)
+	}
+	var cm struct {
+		Chunks []struct {
+			Digest     string `json:"digest"`
+			LoadingSet bool   `json:"loading_set"`
+		} `json:"chunks"`
+	}
+	daemonJSON(t, "GET", gate.URL+"/functions/"+fn+"/chunkmap", nil, &cm)
+	mu.Lock()
+	for _, c := range cm.Chunks {
+		if !c.LoadingSet {
+			hold[c.Digest] = true
+		}
+	}
+	tail := len(hold)
+	mu.Unlock()
+	if tail < 2 {
+		t.Fatalf("chunk map has %d lazy chunks; the test needs a tail", tail)
+	}
+
+	g.pool.CheckNow()
+	if n := g.pool.ResyncNow(); n != 2 {
+		t.Fatalf("initial resync actions = %d, want 2 (register + chunk-sync)", n)
+	}
+	entryB := func() manifestEntry {
+		b, _ := g.pool.backend(addrB)
+		e, ok := b.view.Load().entry(fn)
+		if !ok {
+			t.Fatalf("%s missing from B's status", fn)
+		}
+		return e
+	}
+	for left := tail; left >= 0; left-- {
+		// One token resolves one chunk; sweep until B's status shows it.
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			g.pool.CheckNow()
+			if n := g.pool.ResyncNow(); n != 0 {
+				t.Fatalf("pass with %d chunks pending issued %d repairs", left, n)
+			}
+			e := entryB()
+			if e.ChunksMissing != 0 {
+				t.Fatalf("live tail reported as missing: %+v", e)
+			}
+			if e.ChunksPending == left {
+				break
+			}
+			if e.ChunksPending < left || time.Now().After(deadline) {
+				t.Fatalf("chunks_pending = %d, want %d", e.ChunksPending, left)
+			}
+			time.Sleep(time.Millisecond)
+		}
+		if b, _ := g.pool.backend(addrB); b.Stale() {
+			t.Fatalf("replica with %d chunks pending and nothing missing is stale", left)
+		}
+		if left > 0 {
+			tokens <- struct{}{}
+		}
+	}
+
+	if v := metricValue(t, g, `faasnap_gw_resync_total{action="chunks",backend="`+addrB+`"}`); v != 1 {
+		t.Fatalf(`resync action "chunks" = %v, want 1 (the initial sync only)`, v)
+	}
+	for _, e := range g.Events().Since(0, events.Repair, fn) {
+		if e.Fields["action"] == "chunks_eager" {
+			t.Fatalf("eager repair fired at a live tail: %+v", e)
+		}
+	}
+	if evs := dB.Events().Since(0, events.ManifestDeficit, ""); len(evs) != 0 {
+		t.Fatalf("B announced %d deficits while its tail was live", len(evs))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(served) != len(cm.Chunks) {
+		t.Fatalf("source served %d distinct chunks, want %d", len(served), len(cm.Chunks))
+	}
+	for dg, n := range served {
+		if n != 1 {
+			t.Fatalf("source served chunk %s %d times, want once", dg[:8], n)
+		}
 	}
 }
 

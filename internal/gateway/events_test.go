@@ -299,7 +299,7 @@ func TestRepairCausalityChain(t *testing.T) {
 		t.Fatalf("remove chunk file: %v", err)
 	}
 
-	// The sweep's manifest fetch makes B announce the deficit, and the
+	// The sweep's status read makes B announce the deficit, and the
 	// repair pass issues exactly one eager chunk sync.
 	g.pool.CheckNow()
 	if n := g.pool.ResyncNow(); n != 1 {

@@ -61,7 +61,7 @@ type Config struct {
 	Logger *log.Logger
 	// Registry backs GET /metrics; nil creates a private one.
 	Registry *telemetry.Registry
-	// HealthInterval is the /readyz + /metrics sweep period (default 1s).
+	// HealthInterval is the GET /status sweep period (default 1s).
 	HealthInterval time.Duration
 	// RequestTimeout bounds one client request across every backend
 	// attempt (default 30s); expiry returns 504.
@@ -156,6 +156,16 @@ type Gateway struct {
 // New builds a gateway and runs the first health sweep before
 // returning, so routing decisions never start from an unknown state.
 func New(cfg Config) (*Gateway, error) {
+	g, err := build(cfg)
+	if err != nil {
+		return nil, err
+	}
+	g.pool.start()
+	return g, nil
+}
+
+// build wires a gateway up without starting its health loop.
+func build(cfg Config) (*Gateway, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("gateway: no backends configured")
@@ -174,11 +184,10 @@ func New(cfg Config) (*Gateway, error) {
 	}
 	g.pool = newPool(cfg.Backends, cfg.VNodes, cfg.HealthInterval, cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Registry)
 	g.pool.replicas = cfg.Replicas
-	// Wire the ledger and trace store before start: the first sweep
-	// (and its anti-entropy pass) runs synchronously inside start.
+	// Wired before start: the first sweep (and its anti-entropy pass)
+	// runs synchronously inside it.
 	g.pool.events = g.events
 	g.pool.traces = g.traces
-	g.pool.start()
 	return g, nil
 }
 
@@ -190,9 +199,6 @@ func (g *Gateway) Close() {
 
 // Events exposes the gateway's own event ledger (tests, bench harness).
 func (g *Gateway) Events() *events.Ledger { return g.events }
-
-// Pool exposes the backend pool (tests and the /cluster handler).
-func (g *Gateway) Pool() *Pool { return g.pool }
 
 // Handler returns the gateway's REST API handler. The surface mirrors
 // the daemon's so faasnapctl and other clients work unchanged against
@@ -260,18 +266,15 @@ func (g *Gateway) readyCount() int {
 }
 
 // handleCluster reports the serving topology: every backend's health,
-// breaker, and load, plus — with ?fn=<name> — the preference order
-// (owner first) the placement ring assigns that function.
+// breaker, and load from the last sweep, the functions burning SLO
+// budget (asked of the ready backends now) and — with ?fn=<name> — the
+// preference order (owner first) the placement ring assigns it.
 func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 	backends := make([]BackendStatus, 0)
 	for _, b := range g.pool.snapshot() {
 		backends = append(backends, b.status())
 	}
-	merged, _ := g.clusterSLO()
-	burning := merged.Burning()
-	if burning == nil {
-		burning = []string{}
-	}
+	_, burning, _ := g.clusterSLO(r.Context())
 	out := map[string]interface{}{
 		"policy":            g.cfg.Policy,
 		"replicas":          g.cfg.Replicas,
@@ -306,11 +309,11 @@ func (g *Gateway) candidates(fn string) []*Backend {
 	if len(prefs) <= 1 || g.cfg.Policy == PolicySticky {
 		if len(prefs) > 1 {
 			// Spillover order: a standby whose admission window was full
-			// at the last scrape will certainly shed, so unsaturated
+			// at the last sweep will certainly shed, so unsaturated
 			// backends go first; within each group, least-loaded wins.
 			rest := append([]*Backend(nil), prefs[1:]...)
 			sort.SliceStable(rest, func(i, j int) bool {
-				si, sj := rest[i].saturation() >= 1, rest[j].saturation() >= 1
+				si, sj := rest[i].view.Load().saturation() >= 1, rest[j].view.Load().saturation() >= 1
 				if si != sj {
 					return !si
 				}

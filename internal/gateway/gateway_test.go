@@ -12,6 +12,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -34,9 +35,15 @@ type fakeBackend struct {
 	profJSON atomic.Value // string
 	// traces is the handler for GET /traces/{id}; unset means 404.
 	traces atomic.Value // func(w http.ResponseWriter, r *http.Request)
-	// manifestJSON scripts GET /manifest for the anti-entropy tests;
-	// unset means 404 (a stateless daemon).
+	// manifestJSON scripts the durable-state section of GET /status
+	// (the digest/recovering/functions members, without braces) for the
+	// anti-entropy tests; unset means a stateless daemon.
 	manifestJSON atomic.Value // string
+	// down makes the backend drop every connection, as a killed host
+	// does. hits counts every request that reached it, by "METHOD path".
+	down   atomic.Bool
+	hitsMu sync.Mutex
+	hits   map[string]int
 	// records / syncs / deletes count the mutations that reached this
 	// backend; syncFail makes POST .../sync answer 502.
 	records  atomic.Int64
@@ -65,15 +72,13 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 		fmt.Fprintf(w, `{"function":%q,"mode":"faasnap","total_ms":1.5}`, r.PathValue("name"))
 	})
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !f.ready.Load() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			return
+	mux.HandleFunc("GET /status", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintf(w, `{"ready":%t`, f.ready.Load())
+		if m, ok := f.manifestJSON.Load().(string); ok && m != "" {
+			fmt.Fprint(w, ",", m)
 		}
-		fmt.Fprint(w, `{"ready":true}`)
-	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, "# TYPE faasnap_http_in_flight gauge\n")
+		fmt.Fprint(w, "}")
 	})
 	mux.HandleFunc("POST /functions/{name}/invoke", func(w http.ResponseWriter, r *http.Request) {
 		f.invokes.Add(1)
@@ -97,9 +102,6 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"name":%q,"vm_state":"Running"}`, r.PathValue("name"))
 	})
-	mux.HandleFunc("GET /manifest", func(w http.ResponseWriter, r *http.Request) {
-		serveScripted(w, &f.manifestJSON)
-	})
 	mux.HandleFunc("POST /functions/{name}/record", func(w http.ResponseWriter, r *http.Request) {
 		f.records.Add(1)
 		w.Header().Set("Content-Type", "application/json")
@@ -118,10 +120,29 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 		f.deletes.Add(1)
 		w.WriteHeader(http.StatusNoContent)
 	})
-	f.srv = httptest.NewServer(mux)
+	f.hits = make(map[string]int)
+	f.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if f.down.Load() {
+			panic(http.ErrAbortHandler)
+		}
+		f.hitsMu.Lock()
+		f.hits[r.Method+" "+r.URL.Path]++
+		f.hitsMu.Unlock()
+		mux.ServeHTTP(w, r)
+	}))
 	f.addr = strings.TrimPrefix(f.srv.URL, "http://")
 	t.Cleanup(f.srv.Close)
 	return f
+}
+
+// takeHits returns the requests seen since the last call and resets
+// the count.
+func (f *fakeBackend) takeHits() map[string]int {
+	f.hitsMu.Lock()
+	defer f.hitsMu.Unlock()
+	out := f.hits
+	f.hits = make(map[string]int)
+	return out
 }
 
 // newTestGateway builds a gateway over the fakes with a health loop
@@ -460,26 +481,50 @@ func TestClusterEndpoint(t *testing.T) {
 	}
 }
 
-func TestSumPromGauges(t *testing.T) {
-	text := `# HELP faasnap_http_in_flight Requests currently being served.
-# TYPE faasnap_http_in_flight gauge
-faasnap_http_in_flight{route="POST /functions/{name}/invoke"} 3
-faasnap_http_in_flight{route="POST /functions/{name}/burst"} 2
-faasnap_http_in_flight_other{route="x"} 100
-faasnap_http_requests_total{route="y"} 50
-faasnap_admission_inflight 17
-faasnap_admission_capacity 256
-`
-	sums := sumPromGauges(strings.NewReader(text),
-		"faasnap_http_in_flight", "faasnap_admission_inflight", "faasnap_admission_capacity")
-	if got := sums["faasnap_http_in_flight"]; got != 5 {
-		t.Fatalf("http_in_flight sum = %v, want 5", got)
+// TestSweepShape: a health sweep asks each backend exactly one question,
+// GET /status, and the /cluster roll-ups reach only ready backends, and
+// only when asked.
+func TestSweepShape(t *testing.T) {
+	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t), newFakeBackend(t)}
+	fakes[2].ready.Store(false)
+	g := newTestGateway(t, Config{}, fakes...)
+	srv := httptest.NewServer(g.Handler())
+	defer srv.Close()
+	for _, f := range fakes {
+		f.takeHits() // New's synchronous first sweep
 	}
-	if got := sums["faasnap_admission_inflight"]; got != 17 {
-		t.Fatalf("admission_inflight sum = %v, want 17", got)
+
+	for round := 1; round <= 3; round++ {
+		g.pool.CheckNow()
+		g.pool.ResyncNow()
+		for i, f := range fakes {
+			if hits := f.takeHits(); len(hits) != 1 || hits["GET /status"] != 1 {
+				t.Fatalf("sweep %d: backend %d saw %v, want exactly one GET /status", round, i, hits)
+			}
+		}
 	}
-	if got := sums["faasnap_admission_capacity"]; got != 256 {
-		t.Fatalf("admission_capacity sum = %v, want 256", got)
+
+	for path, want := range map[string]string{
+		"/cluster":          "GET /slo", // burning_functions
+		"/cluster/slo":      "GET /slo",
+		"/cluster/profiles": "GET /profiles",
+		"/cluster/events":   "GET /events",
+	} {
+		if sc := e2eGet(t, srv.URL+path, nil); sc != 200 {
+			t.Fatalf("%s = %d", path, sc)
+		}
+		for i, f := range fakes {
+			hits := f.takeHits()
+			if i == 2 {
+				if len(hits) != 0 {
+					t.Fatalf("%s reached the unready backend: %v", path, hits)
+				}
+				continue
+			}
+			if len(hits) != 1 || hits[want] != 1 {
+				t.Fatalf("%s: ready backend %d saw %v, want exactly one %s", path, i, hits, want)
+			}
+		}
 	}
 }
 

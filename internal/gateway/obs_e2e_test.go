@@ -137,9 +137,6 @@ func TestObservabilityE2E(t *testing.T) {
 		}
 	}
 
-	// Let at least one health sweep scrape /slo and /profiles.
-	time.Sleep(120 * time.Millisecond)
-
 	// --- The merged burn view localizes the fault. ---
 	var cslo struct {
 		Cluster struct {

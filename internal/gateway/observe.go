@@ -1,18 +1,19 @@
 package gateway
 
 // The gateway half of the observability plane: cluster roll-ups over
-// the per-daemon SLO engines and flight recorders. The health sweep
-// (pool.check) already fetched every backend's GET /slo and
-// GET /profiles?summary=1; the handlers here merge those snapshots so
-// one request answers "is the cluster meeting its objectives, and
-// which functions/backends are burning budget" without fanning out on
-// the query path.
+// the per-daemon SLO engines, flight recorders and event ledgers. Each
+// /cluster/* roll-up asks the ready backends when it is asked — one
+// fan-out (fanOut) behind all three — and merges the answers, so one
+// request answers "is the cluster meeting its objectives, and which
+// functions/backends are burning budget" from what the daemons hold
+// now, not from a cache a sweep refreshed.
 
 import (
 	"context"
 	"net/http"
 	"sort"
 	"strconv"
+	"sync"
 	"time"
 
 	"faasnap/internal/events"
@@ -22,30 +23,61 @@ import (
 	"faasnap/internal/trace"
 )
 
-// clusterSLO merges the last sweep's per-backend SLO reports. The
-// per-backend map keys are daemon addresses; backends whose sweep
-// found no report (down, or predating GET /slo) are absent.
-func (g *Gateway) clusterSLO() (*slo.Report, map[string]*slo.Report) {
-	per := make(map[string]*slo.Report)
-	var reports []*slo.Report
-	for _, b := range g.pool.snapshot() {
-		if rep := b.sloReport(); rep != nil {
-			per[b.Addr] = rep
-			reports = append(reports, rep)
+// fanOut GETs path from every ready backend concurrently and returns
+// the 2xx JSON answers keyed by backend address, plus those addresses
+// in backend order. A backend that cannot answer (down, or without the
+// endpoint) contributes nothing to this poll.
+func fanOut[T any](ctx context.Context, p *Pool, path string) (map[string]*T, []string) {
+	backends := p.snapshot()
+	outs := make([]*T, len(backends))
+	var wg sync.WaitGroup
+	for i, b := range backends {
+		if !b.Ready() {
+			continue
+		}
+		wg.Add(1)
+		go func(i int, b *Backend) {
+			defer wg.Done()
+			out := new(T)
+			if p.callBackend(ctx, b, http.MethodGet, path, nil, out) == nil {
+				outs[i] = out
+			}
+		}(i, b)
+	}
+	wg.Wait()
+	per := make(map[string]*T)
+	var addrs []string
+	for i, b := range backends {
+		if outs[i] != nil {
+			per[b.Addr] = outs[i]
+			addrs = append(addrs, b.Addr)
 		}
 	}
-	return slo.Merge(reports), per
+	return per, addrs
+}
+
+// clusterSLO asks every ready backend for its GET /slo and merges the
+// answers: the merged report, its burning functions (never nil), and
+// each backend's own report by address.
+func (g *Gateway) clusterSLO(ctx context.Context) (*slo.Report, []string, map[string]*slo.Report) {
+	per, addrs := fanOut[slo.Report](ctx, g.pool, "/slo")
+	reports := make([]*slo.Report, 0, len(addrs))
+	for _, a := range addrs {
+		reports = append(reports, per[a])
+	}
+	merged := slo.Merge(reports)
+	burning := merged.Burning()
+	if burning == nil {
+		burning = []string{}
+	}
+	return merged, burning, per
 }
 
 // handleClusterSLO serves GET /cluster/slo: the merged burn-rate view
 // (window counts summed across backends, burn rates recomputed from
 // the merged counts) plus each backend's own report.
 func (g *Gateway) handleClusterSLO(w http.ResponseWriter, r *http.Request) {
-	merged, per := g.clusterSLO()
-	burning := merged.Burning()
-	if burning == nil {
-		burning = []string{}
-	}
+	merged, burning, per := g.clusterSLO(r.Context())
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"cluster":           merged,
 		"burning_functions": burning,
@@ -57,13 +89,10 @@ func (g *Gateway) handleClusterSLO(w http.ResponseWriter, r *http.Request) {
 // flight-recorder aggregation (see obs.MergeSummaries for how counts
 // and quantiles combine) plus each backend's own summary.
 func (g *Gateway) handleClusterProfiles(w http.ResponseWriter, r *http.Request) {
-	per := make(map[string]*obs.Summary)
-	var sums []*obs.Summary
-	for _, b := range g.pool.snapshot() {
-		if s := b.profileSummary(); s != nil {
-			per[b.Addr] = s
-			sums = append(sums, s)
-		}
+	per, addrs := fanOut[obs.Summary](r.Context(), g.pool, "/profiles?summary=1")
+	sums := make([]*obs.Summary, 0, len(addrs))
+	for _, a := range addrs {
+		sums = append(sums, per[a])
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
 		"cluster":  obs.MergeSummaries(sums),
@@ -98,15 +127,21 @@ func (g *Gateway) handleClusterEvents(w http.ResponseWriter, r *http.Request) {
 	for i := range merged {
 		merged[i].Origin = "gateway"
 	}
-	for _, b := range g.pool.snapshot() {
-		if !b.Ready() {
-			continue
+	path := "/events?since_seq=" + strconv.FormatUint(sinceSeq, 10)
+	if typ != "" {
+		path += "&type=" + typ
+	}
+	if fn != "" {
+		path += "&function=" + fn
+	}
+	per, addrs := fanOut[struct {
+		Events []events.Event `json:"events"`
+	}](r.Context(), g.pool, path)
+	for _, a := range addrs {
+		for _, e := range per[a].Events {
+			e.Origin = a
+			merged = append(merged, e)
 		}
-		evs := g.fetchBackendEvents(r.Context(), b, sinceSeq, typ, fn)
-		for i := range evs {
-			evs[i].Origin = b.Addr
-		}
-		merged = append(merged, evs...)
 	}
 	sort.SliceStable(merged, func(i, j int) bool {
 		if merged[i].UnixMs != merged[j].UnixMs {
@@ -115,24 +150,6 @@ func (g *Gateway) handleClusterEvents(w http.ResponseWriter, r *http.Request) {
 		return merged[i].Seq < merged[j].Seq
 	})
 	writeJSON(w, http.StatusOK, map[string]interface{}{"events": merged})
-}
-
-// fetchBackendEvents pulls one backend's ledger tail for the cluster
-// merge; empty on any error — a backend that cannot answer simply
-// contributes nothing to this poll.
-func (g *Gateway) fetchBackendEvents(ctx context.Context, b *Backend, sinceSeq uint64, typ, fn string) []events.Event {
-	path := "/events?since_seq=" + strconv.FormatUint(sinceSeq, 10)
-	if typ != "" {
-		path += "&type=" + typ
-	}
-	if fn != "" {
-		path += "&function=" + fn
-	}
-	var reply struct {
-		Events []events.Event `json:"events"`
-	}
-	g.pool.callBackend(ctx, b, http.MethodGet, path, nil, &reply)
-	return reply.Events
 }
 
 // handleTraceFind looks a trace id up across backends: the gateway

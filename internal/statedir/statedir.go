@@ -5,9 +5,12 @@
 // FaaS platform — every warm invocation deploys from them — so the
 // manifest is the source of truth a restarted daemon recovers from:
 // replaying it rebuilds the registry exactly as acknowledged, detects
-// torn tail writes from a crash mid-append, and carries the monotonic
+// torn tail writes from a crash mid-append, and carries the
 // per-function generation numbers the gateway's anti-entropy sweep
-// compares across replicas.
+// compares across replicas. A generation counts acknowledged client
+// mutations — register, record, delete; invalidate and sync do not
+// mint: losing a snapshot leaves the version where it was, and a copy
+// pulled from a peer takes the version of what it is a copy of.
 //
 // Durability discipline:
 //
@@ -60,13 +63,14 @@ const (
 	// OpRecord marks a recorded snapshot committed to disk.
 	OpRecord Op = "record"
 	// OpInvalidate clears a function's snapshot (quarantined at
-	// recovery) while keeping the registration.
+	// recovery) while keeping the registration and the generation.
 	OpInvalidate Op = "invalidate"
 	// OpDelete tombstones a function. Tombstones are retained so a
 	// rejoined replica cannot resurrect a deleted function.
 	OpDelete Op = "delete"
-	// OpEntry sets a function's full entry verbatim; compaction emits
-	// one per entry so a compacted log replays to the identical state.
+	// OpEntry sets a function's full entry verbatim: compaction emits
+	// one per entry so a compacted log replays to the identical state,
+	// and a sync journals the entry it adopted from its source.
 	OpEntry Op = "entry"
 )
 
@@ -286,9 +290,11 @@ func (m *Manifest) append(r record) error {
 	return nil
 }
 
-// journal appends one record for name at its next generation number —
-// monotonic across the function's whole history, including deletes and
-// re-registrations — and returns that generation. Caller holds m.mu.
+// journal mints: it appends one record for name at its next generation
+// number — monotonic across the function's whole history, including
+// deletes and re-registrations — and returns that generation. Only the
+// acknowledged client mutations (register, record, delete) come through
+// here. Caller holds m.mu.
 func (m *Manifest) journal(r record) (uint64, error) {
 	r.Gen = 1
 	if e := m.entries[r.Name]; e != nil {
@@ -321,11 +327,33 @@ func (m *Manifest) Record(name, input string) (uint64, error) {
 }
 
 // Invalidate journals the loss of name's snapshot (quarantined or
-// missing at recovery) while keeping the registration live.
-func (m *Manifest) Invalidate(name string) (uint64, error) {
+// missing at recovery) at its current generation: the snapshot is gone,
+// the version is not newer, so among replicas at that generation the
+// ones still holding the snapshot outrank this one.
+func (m *Manifest) Invalidate(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.journal(record{Op: OpInvalidate, Name: name})
+	e := m.entries[name]
+	if e == nil {
+		return fmt.Errorf("statedir: invalidate %q: no such entry", name)
+	}
+	return m.append(record{Op: OpInvalidate, Name: name, Gen: e.Generation})
+}
+
+// Adopt journals a snapshot synced from a peer whose entry sits at
+// generation gen: name becomes live with that snapshot at
+// max(local, gen), in one record. A live entry keeps its registered
+// spec; an absent or tombstoned one takes spec.
+func (m *Manifest) Adopt(name, spec, input string, gen uint64) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e := m.entries[name]; e != nil {
+		if !e.Deleted {
+			spec = e.Spec
+		}
+		gen = max(gen, e.Generation)
+	}
+	return m.append(record{Op: OpEntry, Name: name, Gen: gen, Spec: spec, Input: input, Snap: true})
 }
 
 // Delete journals a tombstone for name.
@@ -372,8 +400,7 @@ func (m *Manifest) Live() []Entry {
 
 // Digest is a position-independent hash of the full entry set
 // (tombstones included): two replicas with equal digests hold the same
-// durable state. Reported by GET /manifest and compared by the
-// gateway's anti-entropy sweep.
+// durable state. Reported by GET /status.
 func (m *Manifest) Digest() string {
 	h := fnv.New64a()
 	for _, e := range m.Entries() {

@@ -3,6 +3,7 @@ package statedir
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -78,6 +79,63 @@ func TestGenerationsMonotonicAcrossDelete(t *testing.T) {
 	e, _ := m.Get("fn")
 	if e.Deleted || e.HasSnapshot {
 		t.Fatalf("re-registered entry = %+v", e)
+	}
+}
+
+// TestOnlyClientMutationsMint: invalidate keeps the generation and a
+// sync adopts its source's (never going backwards), and the adopted
+// entry — journaled as one verbatim record — replays identically, both
+// from the raw log and through compaction.
+func TestOnlyClientMutationsMint(t *testing.T) {
+	dir := t.TempDir()
+	m, _ := mustOpen(t, dir)
+	m.Register("fn", `{"name":"fn"}`)
+	m.Record("fn", "A")
+	if err := m.Invalidate("fn"); err != nil {
+		t.Fatal(err)
+	}
+	if e, _ := m.Get("fn"); e.HasSnapshot || e.Generation != 2 {
+		t.Fatalf("invalidated entry = %+v", e)
+	}
+	if err := m.Invalidate("ghost"); err == nil {
+		t.Fatal("invalidate of an unknown function succeeded")
+	}
+
+	// A live entry adopts the source's generation and keeps its own spec.
+	if err := m.Adopt("fn", "ignored", "B", 5); err != nil {
+		t.Fatal(err)
+	}
+	// A source behind the local copy cannot drag it backwards.
+	if err := m.Adopt("fn", "", "B", 3); err != nil {
+		t.Fatal(err)
+	}
+	// The first this journal hears of a function takes the given spec.
+	if err := m.Adopt("new", `{"name":"new"}`, "A", 2); err != nil {
+		t.Fatal(err)
+	}
+	want := m.Entries()
+	if e := want[0]; e.Name != "fn" || e.Generation != 5 || !e.HasSnapshot || e.RecordInput != "B" || e.Spec != `{"name":"fn"}` {
+		t.Fatalf("adopted entry = %+v", e)
+	}
+	if e := want[1]; e.Generation != 2 || !e.HasSnapshot || e.Spec != `{"name":"new"}` {
+		t.Fatalf("adopted new entry = %+v", e)
+	}
+	m.Close()
+
+	m2, _ := mustOpen(t, dir)
+	if got := m2.Entries(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed entries = %+v, want %+v", got, want)
+	}
+	m2.mu.Lock()
+	err := m2.compactLocked()
+	m2.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2.Close()
+	m3, _ := mustOpen(t, dir)
+	if got := m3.Entries(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("entries after compaction = %+v, want %+v", got, want)
 	}
 }
 
