@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-short test-race chaos crash-smoke gateway-e2e cas-smoke events-smoke bench-check loc bench bench-smoke experiments figures fuzz clean
+.PHONY: all check build vet test test-short test-race chaos crash-smoke gateway-e2e cas-smoke events-smoke bench-check loc bench-smoke experiments figures fuzz clean
 
 all: build vet test
 
@@ -89,9 +89,6 @@ loc:
 		if (d == "") d = "."; n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total\n", t }' | sort -k2
 
-bench:
-	$(GO) test -bench=. -benchmem -timeout 1500s
-
 # A short seeded open-loop burst against a real 3-daemon cluster behind
 # the gateway (EXPERIMENTS.md, load section). Writes
 # BENCH_open_loop.json plus the cluster's own SLO view
@@ -109,7 +106,9 @@ bench-smoke:
 		-slo-report BENCH_cluster_slo.json -slo-check \
 		-events-report BENCH_cluster_events.json
 
-# Regenerate every paper table/figure (writes bench_results.txt).
+# Regenerate every paper table/figure (writes bench_results.txt; the
+# wall-clock lines go to stderr, so an unchanged model reproduces the
+# committed file byte for byte — CI diffs it).
 experiments:
 	$(GO) run ./cmd/faasnap-bench -exp all | tee bench_results.txt
 

@@ -10,7 +10,8 @@
 //
 // Simulations are deterministic: every (experiment, trial) cell runs
 // with a fixed seed on its own virtual host, so the tables are
-// byte-identical at any -parallel setting.
+// byte-identical at any -parallel setting. Wall-clock lines go to
+// stderr, so stdout of `-exp all` is bench_results.txt exactly.
 //
 // Each experiment prints the same rows/series the corresponding paper
 // table or figure reports, with a note describing the expected shape.
@@ -32,7 +33,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment to run (fig1, fig2, table2, fig6, fig7, fig8, table3, fig9, fig10, fig11, footprint, or all)")
+		exp      = flag.String("exp", "all", "comma-separated experiments to run ("+strings.Join(experiments.Names(), ", ")+", or all)")
 		quick    = flag.Bool("quick", false, "reduced function sets and single trials")
 		trials   = flag.Int("trials", 0, "override trial count (0 = paper defaults)")
 		csv      = flag.Bool("csv", false, "emit CSV instead of aligned tables")
@@ -109,10 +110,11 @@ func main() {
 				fmt.Printf("(wrote %s)\n", path)
 			}
 		}
-		fmt.Printf("(%s regenerated in %v)\n\n", e.Name, time.Since(start).Round(time.Millisecond))
+		fmt.Println()
+		fmt.Fprintf(os.Stderr, "(%s regenerated in %v)\n", e.Name, time.Since(start).Round(time.Millisecond))
 	}
 	if len(todo) > 1 {
-		fmt.Printf("(%d experiments in %v, %d workers)\n",
+		fmt.Fprintf(os.Stderr, "(%d experiments in %v, %d workers)\n",
 			len(todo), time.Since(suiteStart).Round(time.Millisecond), workers)
 	}
 }

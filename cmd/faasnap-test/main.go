@@ -12,6 +12,7 @@ import (
 	"log"
 	"os"
 
+	"faasnap/internal/experiments"
 	"faasnap/internal/testconfig"
 )
 
@@ -33,7 +34,7 @@ func main() {
 	if *quiet {
 		report = nil
 	}
-	res, err := cfg.Run(report)
+	res, err := experiments.Matrix(cfg, report)
 	if err != nil {
 		log.Fatal(err)
 	}

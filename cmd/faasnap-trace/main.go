@@ -38,7 +38,7 @@ func main() {
 		fnName   = flag.String("fn", "image", "function to invoke")
 		modeName = flag.String("mode", "faasnap", "restore mode")
 		input    = flag.String("input", "B", "test input (A, B, ratio:<x>)")
-		record   = flag.String("record", "A", "record-phase input (A or B)")
+		record   = flag.String("record", "A", "record-phase input (A, B, ratio:<x>)")
 		jsonl    = flag.String("jsonl", "", "write per-fault events as JSON lines to this file")
 		top      = flag.Int("top", 10, "show the N slowest faults")
 		daemon   = flag.String("daemon", "", "analyze a running daemon's fault stream (base URL) instead of simulating")
@@ -61,22 +61,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	recIn := fn.A
-	if *record == "B" {
-		recIn = fn.B
+	recIn, err := fn.ResolveInput(*record)
+	if err != nil {
+		log.Fatal(err)
 	}
-	var in workload.Input
-	switch *input {
-	case "A":
-		in = fn.A
-	case "B":
-		in = fn.B
-	default:
-		var ratio float64
-		if _, err := fmt.Sscanf(*input, "ratio:%g", &ratio); err != nil || ratio <= 0 {
-			log.Fatalf("bad input %q", *input)
-		}
-		in = fn.InputForRatio(ratio)
+	in, err := fn.ResolveInput(*input)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	cfg := core.DefaultHostConfig()

@@ -171,20 +171,11 @@ func (f *Function) Description() string { return f.spec.Description }
 // Spec returns the underlying workload model.
 func (f *Function) Spec() *workload.Spec { return f.spec }
 
-// ResolveInput maps an input name — "A", "B", or "ratio:<x>" — to an
-// input definition.
+// ResolveInput maps an input name — A (also the empty name), B, or
+// ratio:<x> — to an input definition; see workload.Spec.ResolveInput
+// for the syntax and the size bound.
 func (f *Function) ResolveInput(name string) (Input, error) {
-	switch name {
-	case "", "A":
-		return f.spec.A, nil
-	case "B":
-		return f.spec.B, nil
-	}
-	var ratio float64
-	if _, err := fmt.Sscanf(name, "ratio:%g", &ratio); err == nil && ratio > 0 {
-		return f.spec.InputForRatio(ratio), nil
-	}
-	return Input{}, fmt.Errorf("faasnap: unknown input %q (use A, B, or ratio:<x>)", name)
+	return f.spec.ResolveInput(name)
 }
 
 // Record runs the record phase with the named input, producing the

@@ -113,6 +113,10 @@ func TestResolveInput(t *testing.T) {
 	if _, err := fn.ResolveInput("ratio:-1"); err == nil {
 		t.Fatal("negative ratio resolved")
 	}
+	// Sscanf used to stop at the first character that was not a number.
+	if _, err := fn.ResolveInput("ratio:2abc"); err == nil {
+		t.Fatal("ratio with trailing garbage resolved")
+	}
 }
 
 func TestRemoteStorageConfig(t *testing.T) {

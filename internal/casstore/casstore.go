@@ -415,24 +415,6 @@ func (s *Store) walk() ([]tierEntry, error) {
 	return out, nil
 }
 
-// List returns every stored digest, sorted.
-func (s *Store) List() ([]Digest, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	entries, err := s.walk()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Digest, 0, len(entries))
-	for _, e := range entries {
-		if n := len(out); n > 0 && out[n-1] == e.digest {
-			continue // present in both tiers
-		}
-		out = append(out, e.digest)
-	}
-	return out, nil
-}
-
 // Stats reports the store's physical occupancy by re-walking the tree,
 // so it is exact even across restarts.
 func (s *Store) Stats() (Stats, error) {

@@ -1,10 +1,11 @@
-// Package cluster simulates a multi-host FaaS serving tier above the
-// single-host policy model: hosts with finite memory run warm VM
-// pools, a placement policy routes invocations, keep-alive expiry and
-// memory pressure evict idle VMs, and — following the paper's §7.2
-// proposal that "warm VMs can be evicted from memory via snapshot to
-// local disk" — evictions can create the snapshots that later absorb
-// would-be cold starts.
+// Package cluster is the warm-pool simulator behind the §7.1 policy and
+// §7.2 cluster reports: hosts with finite memory run warm VM pools, a
+// placement policy routes invocations, keep-alive expiry and memory
+// pressure evict idle VMs, and — following the paper's §7.2 proposal
+// that "warm VMs can be evicted from memory via snapshot to local
+// disk" — evictions can create the snapshots that later absorb
+// would-be cold starts. One function on one host with HostMem
+// math.MaxInt64 is the single-host keep-alive model of §7.1.
 package cluster
 
 import (
@@ -91,7 +92,6 @@ func (r Result) StartFraction(k policy.StartKind) float64 {
 // vm is a pooled VM on some host.
 type vm struct {
 	fn      int
-	host    int
 	freeAt  time.Duration
 	expires time.Duration
 	started time.Duration
@@ -260,7 +260,7 @@ func Simulate(cfg Config, fns []Function) Result {
 				kind = policy.ColdStart
 				startLat = fn.Costs.ColdStart
 			}
-			pick = &vm{fn: a.fn, host: 0, started: t}
+			pick = &vm{fn: a.fn, started: t}
 			pickHost.vms = append(pickHost.vms, pick)
 			pickHost.usedMem += fn.Costs.WarmRSSBytes
 		}

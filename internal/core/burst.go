@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"faasnap/internal/blockdev"
 	"faasnap/internal/sim"
 	"faasnap/internal/workload"
 )
@@ -97,6 +96,3 @@ func meanStd(results []*InvokeResult) (time.Duration, time.Duration) {
 	}
 	return time.Duration(mean), time.Duration(math.Sqrt(varsum / float64(len(results))))
 }
-
-// remoteProfile returns the EBS device profile for remote-storage runs.
-func remoteProfile() blockdev.Profile { return blockdev.EBSRemote() }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"faasnap/internal/blockdev"
 	"faasnap/internal/metrics"
 	"faasnap/internal/sim"
 	"faasnap/internal/workload"
@@ -284,7 +285,7 @@ func TestRemoteStorageSlower(t *testing.T) {
 	arts := artifactsFor(t, "json")
 	local := RunSingle(DefaultHostConfig(), arts, ModeFaaSnap, arts.Fn.B)
 	cfg := DefaultHostConfig()
-	cfg.Disk = remoteProfile()
+	cfg.Disk = blockdev.EBSRemote()
 	remote := RunSingle(cfg, arts, ModeFaaSnap, arts.Fn.B)
 	t.Logf("json faasnap: local=%v remote=%v", local.Total, remote.Total)
 	if remote.Total <= local.Total {
@@ -361,40 +362,33 @@ func TestProvisionMatchesSyntheticLayout(t *testing.T) {
 	}
 }
 
-func TestWarmChainGetsFasterThenStable(t *testing.T) {
-	arts := artifactsFor(t, "image")
-	inputs := []workload.Input{arts.Fn.B, arts.Fn.B, arts.Fn.B}
-	results := RunWarmChain(DefaultHostConfig(), arts, inputs)
-	if len(results) != 3 {
-		t.Fatalf("results = %d", len(results))
-	}
-	// The first invocation faults in input B's new pages; repeats with
-	// the identical input find everything resident.
-	if results[0].Faults.Total() == 0 {
-		t.Fatal("first warm invocation faulted nothing")
-	}
-	if results[1].Faults.Total() >= results[0].Faults.Total()/2 {
-		t.Fatalf("second warm invocation faults = %d vs first %d, want big drop",
-			results[1].Faults.Total(), results[0].Faults.Total())
-	}
-	if results[2].Total > results[1].Total*11/10 {
-		t.Fatalf("warm chain not stable: %v then %v", results[1].Total, results[2].Total)
-	}
-}
-
-func TestWarmChainDifferentInputsKeepFaulting(t *testing.T) {
-	arts := artifactsFor(t, "image")
-	inputs := []workload.Input{
-		arts.Fn.B,
-		arts.Fn.InputForRatio(2),
-		arts.Fn.InputForRatio(3),
-	}
-	results := RunWarmChain(DefaultHostConfig(), arts, inputs)
-	for i, r := range results {
-		if r.Faults.Count[metrics.FaultAnon] == 0 {
-			t.Fatalf("invocation %d with fresh input had no anonymous faults", i)
+// TestLargestAdmittedInputPairFitsHeap runs the case
+// workload.Spec.CheckInput is sized for: record with the largest input
+// it admits, then serve that size again on top of what the snapshot
+// retained. It must fit the guest heap exactly — one page more does not.
+func TestLargestAdmittedInputPairFitsHeap(t *testing.T) {
+	fn, _ := workload.ByName("image")
+	lo, hi := int64(0), int64(workload.GuestPages) // admitted, refused
+	for hi-lo > 1 {
+		if mid := (lo + hi) / 2; fn.CheckInput(workload.Input{DataPages: mid}) == nil {
+			lo = mid
+		} else {
+			hi = mid
 		}
 	}
+	in := workload.Input{Name: "max", DataPages: lo, Seed: 5}
+	arts, _ := Record(DefaultHostConfig(), fn, in)
+	in.Seed = 6
+	if r := RunSingle(DefaultHostConfig(), arts, ModeWarm, in); r.Total <= 0 {
+		t.Fatalf("result = %+v", r)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%d pages on top of a %d-page recording fit the heap: CheckInput is not tight", lo+1, lo)
+		}
+	}()
+	in.DataPages++
+	RunSingle(DefaultHostConfig(), arts, ModeWarm, in)
 }
 
 func TestFaultTracing(t *testing.T) {

@@ -366,32 +366,6 @@ func (d *Deployment) runMeasured(p *sim.Proc, vm *guest.VM, in workload.Input, r
 	r.CacheStats = h.Cache.Stats().Sub(cacheStats0)
 }
 
-// RunWarmChain serves a sequence of invocations on one warm VM: the
-// first request pays the usual restore-or-boot cost implied by its
-// prior record phase (modelled as a warm VM that already served the
-// record input), and every subsequent request reuses the accumulated
-// memory state — the warm-start behaviour keep-alive policies rely on
-// (§2.1, §7.1).
-func RunWarmChain(cfg HostConfig, arts *Artifacts, inputs []workload.Input) []*InvokeResult {
-	h := NewHost(cfg)
-	d := h.Deploy(arts, "")
-	gcfg := arts.Fn.GuestConfig()
-	results := make([]*InvokeResult, len(inputs))
-	h.Env.Go("warm-chain", func(p *sim.Proc) {
-		as := hostmm.New(h.Env, h.Cache, cfg.Costs, gcfg.Pages)
-		as.Mmap(nil, 0, gcfg.Pages, hostmm.BackAnon, nil, 0)
-		as.Prewarm(arts.ReapWS.Pages)
-		vm := guest.NewVM(h.Env, h.CPU, as, arts.Mem.Clone(), arts.Alloc.Clone(), gcfg)
-		for i, in := range inputs {
-			r := &InvokeResult{Mode: ModeWarm, Fn: arts.Fn.Name, Input: in.Name}
-			d.runMeasured(p, vm, in, r)
-			results[i] = r
-		}
-	})
-	h.Env.Run()
-	return results
-}
-
 // RunSingle records nothing and serves one invocation of arts under
 // mode on a fresh host with cold caches, returning the result after
 // the simulation completes.

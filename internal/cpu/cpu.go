@@ -21,10 +21,6 @@ type PS struct {
 	jobs    map[*job]struct{}
 	changed *sim.Cond
 	last    sim.Time
-
-	// Stats
-	totalWork   time.Duration // pure compute executed
-	maxRunnable int
 }
 
 type job struct {
@@ -46,12 +42,6 @@ func New(env *sim.Env, cores int) *PS {
 
 // Cores returns the pool's core count.
 func (c *PS) Cores() int { return c.cores }
-
-// MaxRunnable returns the high-water mark of concurrent bursts.
-func (c *PS) MaxRunnable() int { return c.maxRunnable }
-
-// TotalWork returns the total pure compute executed so far.
-func (c *PS) TotalWork() time.Duration { return c.totalWork }
 
 // rate returns the fraction of one core each runnable burst receives.
 func (c *PS) rate() float64 {
@@ -93,10 +83,6 @@ func (c *PS) Exec(p *sim.Proc, work time.Duration) {
 	c.settle()
 	j := &job{remaining: float64(work)}
 	c.jobs[j] = struct{}{}
-	if len(c.jobs) > c.maxRunnable {
-		c.maxRunnable = len(c.jobs)
-	}
-	c.totalWork += work
 	c.changed.Broadcast()
 	for {
 		c.settle()

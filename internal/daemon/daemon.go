@@ -817,8 +817,10 @@ type inputDescriptor struct {
 	DataPages int64  `json:"data_pages"`
 }
 
-// resolveInput maps an API input name ("A", "B", "ratio:2.0") to a
-// workload input, consulting the kvstore first when configured.
+// resolveInput maps an API input name to a workload input: a
+// descriptor under that name in the kvstore, when one is configured,
+// else whatever the function model resolves it to. A kvstore descriptor
+// is outside input and passes the same size check as a ratio input.
 func (d *Daemon) resolveInput(spec *workload.Spec, name string) (workload.Input, error) {
 	if name == "" {
 		name = "A"
@@ -827,23 +829,15 @@ func (d *Daemon) resolveInput(spec *workload.Spec, name string) (workload.Input,
 		if raw, err := d.kv.Get("input:" + spec.Name + ":" + name); err == nil {
 			var desc inputDescriptor
 			if err := json.Unmarshal(raw, &desc); err == nil {
-				return workload.Input{Name: desc.Name, Bytes: desc.Bytes, Seed: desc.Seed, DataPages: desc.DataPages}, nil
+				in := workload.Input{Name: desc.Name, Bytes: desc.Bytes, Seed: desc.Seed, DataPages: desc.DataPages}
+				if err := spec.CheckInput(in); err != nil {
+					return workload.Input{}, fmt.Errorf("kvstore input %q: %w", name, err)
+				}
+				return in, nil
 			}
 		}
 	}
-	switch {
-	case name == "A":
-		return spec.A, nil
-	case name == "B":
-		return spec.B, nil
-	case strings.HasPrefix(name, "ratio:"):
-		ratio, err := strconv.ParseFloat(strings.TrimPrefix(name, "ratio:"), 64)
-		if err != nil || ratio <= 0 {
-			return workload.Input{}, fmt.Errorf("bad ratio input %q", name)
-		}
-		return spec.InputForRatio(ratio), nil
-	}
-	return workload.Input{}, fmt.Errorf("unknown input %q (use A, B, or ratio:<x>)", name)
+	return spec.ResolveInput(name)
 }
 
 // storeInput publishes the input descriptor to the kvstore, as

@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"faasnap/internal/chaos"
+	"faasnap/internal/kvstore"
 	"faasnap/internal/obs"
 )
 
@@ -161,6 +164,98 @@ func TestServeExits(t *testing.T) {
 					t.Fatalf("profile degraded fields = %v/%q/%q", p.Degraded, p.FallbackMode, p.DegradedReason)
 				}
 			})
+		}
+	}
+}
+
+// postInput posts {"input": name} to one of the three routes that take
+// an input name and returns the status and the error body. A handler
+// panic would drop the connection and fail here.
+func postInput(t *testing.T, base, fn, route, name string) (int, string) {
+	t.Helper()
+	req := map[string]interface{}{"input": name}
+	if route == "burst" {
+		req["parallel"] = 2
+	}
+	raw, _ := json.Marshal(req)
+	resp, err := http.Post(base+"/functions/"+fn+"/"+route, "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatalf("%s %q: %v", route, name, err)
+	}
+	defer resp.Body.Close()
+	var body errorBody
+	if resp.StatusCode/100 != 2 {
+		if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
+			t.Fatalf("%s %q: status %d without the daemon's error body: %v", route, name, resp.StatusCode, err)
+		}
+	}
+	return resp.StatusCode, body.Error
+}
+
+// TestBadInputNameIs400 sends every input name one of the old resolvers
+// let through by accident — non-finite, non-positive, trailing garbage,
+// too large for the guest heap — to every route that takes one. Each is
+// a 400 naming the input, and the function keeps serving.
+func TestBadInputNameIs400(t *testing.T) {
+	_, srv := newTestDaemon(t, Config{})
+	recordedFn(t, srv.URL)
+	for _, name := range []string{
+		"ratio:NaN", "ratio:Inf", "ratio:+Inf", "ratio:-1", "ratio:0",
+		"ratio:2abc", "ratio:", "ratio:1e4", "C",
+	} {
+		for _, route := range []string{"invoke", "burst", "record"} {
+			status, msg := postInput(t, srv.URL, "hello-world", route, name)
+			if status != 400 || !strings.Contains(msg, strconv.Quote(name)) {
+				t.Errorf("%s %q = %d %q, want 400 naming the input", route, name, status, msg)
+			}
+		}
+		if status, msg := postInput(t, srv.URL, "hello-world", "invoke", "ratio:2"); status != 200 {
+			t.Fatalf("valid invoke after %q = %d %q", name, status, msg)
+		}
+	}
+	for _, route := range []string{"burst", "record"} {
+		if status, msg := postInput(t, srv.URL, "hello-world", route, "B"); status != 200 {
+			t.Fatalf("valid %s after the bad names = %d %q", route, status, msg)
+		}
+	}
+}
+
+// TestKVStoreDescriptorIsSizeChecked plants input descriptors in the
+// kvstore, where anyone who can reach it can write: one the guest cannot
+// hold is a 400, not an unchecked trip into the guest allocator.
+func TestKVStoreDescriptorIsSizeChecked(t *testing.T) {
+	kv := kvstore.NewServer()
+	addr, err := kv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	_, srv := newTestDaemon(t, Config{KVAddr: addr})
+	recordedFn(t, srv.URL)
+	c, err := kvstore.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for name, tc := range map[string]struct {
+		desc   string
+		status int
+	}{
+		"huge":      {`{"name":"huge","data_pages":1000000000}`, 400},
+		"maxpages":  {`{"name":"maxpages","data_pages":9223372036854775807}`, 400},
+		"negpages":  {`{"name":"negpages","data_pages":-5}`, 400},
+		"negbytes":  {`{"name":"negbytes","bytes":-1,"data_pages":10}`, 400},
+		"hugebytes": {`{"name":"hugebytes","bytes":1099511627776,"data_pages":10}`, 400},
+		// The examples/platform case.
+		"spike": {`{"name":"spike","bytes":81920,"seed":99,"data_pages":600}`, 200},
+	} {
+		if err := c.Set("input:hello-world:"+name, []byte(tc.desc)); err != nil {
+			t.Fatal(err)
+		}
+		for _, route := range []string{"invoke", "burst", "record"} {
+			if status, msg := postInput(t, srv.URL, "hello-world", route, name); status != tc.status {
+				t.Errorf("%s %s = %d %q, want %d", route, name, status, msg, tc.status)
+			}
 		}
 	}
 }

@@ -85,7 +85,7 @@ func Fig7(opt Options) *Report {
 			run.then(func() {
 				s := t.totals()
 				row[1+mi] = msPair(s)
-				seriesY[mi] = append(seriesY[mi], float64(s.mean())/1e6)
+				seriesY[mi] = append(seriesY[mi], msf(s.mean()))
 			})
 		}
 	}
@@ -149,7 +149,7 @@ func Fig8(opt Options) *Report {
 					mean := t.totals().mean()
 					row[2+mi] = ms(mean)
 					series[mi].X = append(series[mi].X, ratio)
-					series[mi].Y = append(series[mi].Y, float64(mean)/1e6)
+					series[mi].Y = append(series[mi].Y, msf(mean))
 				})
 			}
 		}

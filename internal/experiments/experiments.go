@@ -9,7 +9,6 @@ package experiments
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"sync"
 	"text/tabwriter"
@@ -177,9 +176,10 @@ func totals(results []*core.InvokeResult) sample {
 	return s
 }
 
-func ms(d time.Duration) string {
-	return fmt.Sprintf("%.1f", float64(d)/float64(time.Millisecond))
-}
+// msf is d in milliseconds.
+func msf(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+
+func ms(d time.Duration) string { return fmt.Sprintf("%.1f", msf(d)) }
 
 func msPair(s sample) string {
 	return fmt.Sprintf("%s±%s", ms(s.mean()), ms(s.std()))
@@ -215,6 +215,15 @@ func All() []Experiment {
 	}
 }
 
+// Names returns the experiment names in paper order.
+func Names() []string {
+	var names []string
+	for _, e := range All() {
+		names = append(names, e.Name)
+	}
+	return names
+}
+
 // ByName returns the named experiment.
 func ByName(name string) (Experiment, error) {
 	for _, e := range All() {
@@ -222,10 +231,5 @@ func ByName(name string) (Experiment, error) {
 			return e, nil
 		}
 	}
-	var names []string
-	for _, e := range All() {
-		names = append(names, e.Name)
-	}
-	sort.Strings(names)
-	return Experiment{}, fmt.Errorf("experiments: unknown experiment %q (have: %s)", name, strings.Join(names, ", "))
+	return Experiment{}, fmt.Errorf("experiments: unknown experiment %q (have: %s)", name, strings.Join(Names(), ", "))
 }

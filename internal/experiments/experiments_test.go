@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -434,11 +436,39 @@ func TestSampleStats(t *testing.T) {
 	if s.mean() != 20*time.Millisecond {
 		t.Fatalf("mean = %v", s.mean())
 	}
-	if s.std() == 0 {
-		t.Fatal("std = 0 for varied sample")
+	// Population std: sqrt(200/3) ms, truncated to the nanosecond.
+	if s.std() != 8164965*time.Nanosecond {
+		t.Fatalf("std = %v", s.std())
 	}
 	var empty sample
 	if empty.mean() != 0 || empty.std() != 0 {
 		t.Fatal("empty sample stats nonzero")
+	}
+}
+
+// TestPaperTablesGolden regenerates the six sub-second reports in full
+// mode and compares each, byte for byte, with its section of the
+// committed bench_results.txt (`make experiments` writes that file), so
+// a change that moves the virtual clock or the warm-pool simulator shows
+// up as a diff of a paper table.
+func TestPaperTablesGolden(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("..", "..", "bench_results.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := map[string]string{}
+	for _, section := range strings.Split(string(raw), "\n\n") {
+		if name, _, ok := strings.Cut(strings.TrimPrefix(section, "== "), ":"); ok {
+			golden[name] = section + "\n"
+		}
+	}
+	for _, name := range []string{"fig2", "table3", "fig9", "policy", "ablations", "cluster"} {
+		e, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := e.Run(Options{}).String(); got != golden[name] {
+			t.Errorf("%s differs from bench_results.txt:\n--- regenerated\n%s--- committed\n%s", name, got, golden[name])
+		}
 	}
 }

@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
+	"faasnap/internal/cluster"
 	"faasnap/internal/core"
 	"faasnap/internal/policy"
 	"faasnap/internal/workload"
@@ -13,7 +15,9 @@ import (
 // arrival traces at several frequencies served under keep-alive-only,
 // keep-alive + vanilla-Firecracker snapshots, and keep-alive + FaaSnap
 // policies, with per-mode start costs measured from the data-plane
-// simulator.
+// simulator. Each row is the warm-pool simulator (internal/cluster) in
+// its smallest form: one function on one host whose memory never runs
+// out, so keep-alive is the only reason a warm VM goes away.
 func PolicyReport(opt Options) *Report {
 	host := opt.host()
 	fns := []string{"json", "recognition"}
@@ -30,7 +34,7 @@ func PolicyReport(opt Options) *Report {
 		Header: []string{"function", "mean gap", "policy", "warm", "snapshot", "cold",
 			"p95 start (ms)", "warm GBh", "snap GBh"},
 	}
-	// Measure the per-mode start costs through the runner; the policy
+	// Measure the per-mode start costs through the runner; the pool
 	// simulations themselves are cheap and run after the barrier.
 	run := newRunner(opt)
 	type measured struct {
@@ -68,28 +72,32 @@ func PolicyReport(opt Options) *Report {
 			SnapshotBytes: arts.Mem.SparseBytes() + arts.LS.Bytes(),
 		}
 		policies := []struct {
-			pol   policy.Policy
-			start time.Duration
+			name      string
+			snapshots cluster.SnapshotPolicy
+			start     time.Duration
 		}{
-			{policy.Policy{Name: "keep-alive only", KeepAlive: keepAlive}, 0},
-			{policy.Policy{Name: "ka + firecracker", KeepAlive: keepAlive, UseSnapshot: true}, vanilla.Total - warm.Total},
-			{policy.Policy{Name: "ka + faasnap", KeepAlive: keepAlive, UseSnapshot: true}, fsnap.Total - warm.Total},
+			{"keep-alive only", cluster.NoSnapshots, 0},
+			{"ka + firecracker", cluster.ProactiveSnapshots, vanilla.Total - warm.Total},
+			{"ka + faasnap", cluster.ProactiveSnapshots, fsnap.Total - warm.Total},
 		}
 		for _, rate := range rates {
-			arr := policy.Generate(policy.TraceSpec{
+			trace := policy.TraceSpec{
 				MeanInterarrival: rate, Horizon: horizon, Seed: 11,
 				BurstProb: 0.05, BurstSize: 8,
-			})
+			}
 			for _, pc := range policies {
 				costs := baseCosts
 				costs.SnapshotStart = pc.start
-				res := policy.Simulate(arr, pc.pol, costs, horizon)
+				res := cluster.Simulate(cluster.Config{
+					Hosts: 1, HostMem: math.MaxInt64,
+					KeepAlive: keepAlive, Snapshots: pc.snapshots, Horizon: horizon,
+				}, []cluster.Function{{Name: name, Costs: costs, Trace: trace}})
 				rep.Rows = append(rep.Rows, []string{
-					name, rate.String(), pc.pol.Name,
+					name, rate.String(), pc.name,
 					fmt.Sprintf("%d", res.Starts[policy.WarmStart]),
 					fmt.Sprintf("%d", res.Starts[policy.SnapshotStart]),
 					fmt.Sprintf("%d", res.Starts[policy.ColdStart]),
-					ms(res.P95StartLatency),
+					ms(res.P95Start),
 					fmt.Sprintf("%.2f", res.WarmGBHours),
 					fmt.Sprintf("%.2f", res.SnapshotGBHours),
 				})

@@ -124,9 +124,10 @@ type trialSet struct {
 // totals returns the per-trial total durations.
 func (t *trialSet) totals() sample { return totals(t.results) }
 
-// trials schedules `trials` invocations of (arts, mode, in) with the
-// same distinct per-trial seeds the sequential harness used, one cell
-// per trial, each slotted by index.
+// trials schedules `trials` invocations of (arts, mode, in), one cell
+// per trial, each slotted by index. Trial i runs under host seed
+// 1000·i+7 — the one place per-trial seeds are assigned, for every
+// paper table and for the faasnap-test matrix alike.
 func (r *Runner) trials(host core.HostConfig, arts artsSource, mode core.Mode, in workload.Input, trials int) *trialSet {
 	t := &trialSet{results: make([]*core.InvokeResult, trials)}
 	for i := 0; i < trials; i++ {
@@ -146,7 +147,7 @@ type invocation struct {
 }
 
 // single schedules one invocation of (arts, mode, in) under host's own
-// seed, matching the sequential harness's direct RunSingle calls.
+// seed.
 func (r *Runner) single(host core.HostConfig, arts artsSource, mode core.Mode, in workload.Input) *invocation {
 	c := &invocation{}
 	r.submit(func() {

@@ -68,7 +68,7 @@ func Fig10(opt Options) *Report {
 						br := b.res
 						row[3+mi] = fmt.Sprintf("%s±%s", ms(br.Mean), ms(br.Std))
 						series[mi].X = append(series[mi].X, float64(par))
-						series[mi].Y = append(series[mi].Y, float64(br.Mean)/1e6)
+						series[mi].Y = append(series[mi].Y, msf(br.Mean))
 					})
 				}
 			}
@@ -117,7 +117,7 @@ func Fig11(opt Options) *Report {
 			run.then(func() {
 				s := t.totals()
 				row[1+mi] = msPair(s)
-				seriesY[mi] = append(seriesY[mi], float64(s.mean())/1e6)
+				seriesY[mi] = append(seriesY[mi], msf(s.mean()))
 			})
 		}
 	}

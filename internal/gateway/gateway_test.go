@@ -311,6 +311,34 @@ func TestRetryOnBackendError(t *testing.T) {
 	if rep.backend == fakes[oi].addr {
 		t.Fatal("failing owner answered the request")
 	}
+
+	// A 400 is the client's error, not the backend's (a bad input name,
+	// say): it passes through after one attempt and leaves the breaker
+	// closed, where a dropped connection would count against it.
+	oi = ownerIndex(t, g, "fn-b", fakes)
+	fakes[oi].invoke.Store(func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusBadRequest)
+		fmt.Fprint(w, `{"error":"workload: bad input \"ratio:NaN\""}`)
+	})
+	var before int64
+	for _, f := range fakes {
+		before += f.invokes.Load()
+	}
+	rep = gwInvoke(t, g, "fn-b")
+	if rep.status != 400 || rep.backend != fakes[oi].addr || rep.body["error"] == nil {
+		t.Fatalf("got %d from %s body %v, want the owner's 400 passed through", rep.status, rep.backend, rep.body)
+	}
+	var after int64
+	for _, f := range fakes {
+		after += f.invokes.Load()
+	}
+	if after-before != 1 {
+		t.Fatalf("a 400 cost %d attempts, want 1", after-before)
+	}
+	ob, _ := g.pool.backend(fakes[oi].addr)
+	if st := ob.breaker.State().String(); st != "closed" {
+		t.Fatalf("owner breaker %s after a 400, want closed", st)
+	}
 }
 
 // A 404 is a locality miss, not a failure: the request tries the next

@@ -13,6 +13,7 @@ package hostmm
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"time"
 
@@ -266,13 +267,19 @@ func (a *AddrSpace) Mmap(p *sim.Proc, start, n int64, back Backing, file *pageca
 	out = append(out, VMA{Start: start, End: end, Back: back, File: file, FileOff: fileOff})
 	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	a.vmas = out
-	// Discard PTEs in the replaced range.
-	for g := start; g < end; g++ {
-		if bitGet(a.ptePresent, g) {
-			a.ptePresent[g/64] &^= 1 << (uint(g) % 64)
-			a.rss--
+	// Discard PTEs in the replaced range, one bitmap word at a time: the
+	// base mapping covers the whole guest on every restore.
+	for w := start / 64; w <= (end-1)/64; w++ {
+		mask := ^uint64(0)
+		if lo := w * 64; lo < start {
+			mask <<= uint(start - lo)
 		}
-		a.eptMapped[g/64] &^= 1 << (uint(g) % 64)
+		if hi := w*64 + 64; hi > end {
+			mask &= ^uint64(0) >> uint(hi-end)
+		}
+		a.rss -= int64(bits.OnesCount64(a.ptePresent[w] & mask))
+		a.ptePresent[w] &^= mask
+		a.eptMapped[w] &^= mask
 	}
 	a.mmapCalls++
 	if p != nil {

@@ -86,7 +86,8 @@ func TestPropertyVMAInvariants(t *testing.T) {
 }
 
 // TestPropertyRSSCountsDistinctPages: after touching random pages, RSS
-// equals the number of distinct pages touched.
+// equals the number of distinct pages touched, and a remap of a random
+// range takes exactly its pages back out.
 func TestPropertyRSSCountsDistinctPages(t *testing.T) {
 	const pages = 2048
 	f := func(seed int64, nTouches uint8) bool {
@@ -108,6 +109,26 @@ func TestPropertyRSSCountsDistinctPages(t *testing.T) {
 			}
 			if as.Stats().Total() != int64(len(distinct)) {
 				ok = false // revisits must not fault
+			}
+			// Remapping any range, word-aligned or not, discards exactly
+			// the PTEs inside it: those pages fault again, the rest do not.
+			lo := int64(rng.Intn(pages))
+			n := 1 + int64(rng.Intn(int(pages-lo)))
+			as.Mmap(p, lo, n, BackAnon, nil, 0)
+			kept := 0
+			for pg := range distinct {
+				if pg < lo || pg >= lo+n {
+					kept++
+				}
+			}
+			if as.RSS() != int64(kept) {
+				ok = false
+			}
+			for pg := range distinct {
+				as.Touch(p, pg)
+			}
+			if as.RSS() != int64(len(distinct)) || as.Stats().Total() != int64(2*len(distinct)-kept) {
+				ok = false
 			}
 		})
 		env.Run()

@@ -75,13 +75,12 @@ func (c *Client) redial() error {
 // ErrNil is returned by Get for missing keys.
 var ErrNil = errors.New("kvstore: nil reply")
 
-// reply is one parsed RESP response.
+// reply is one parsed RESP response: a simple string, an error or a
+// bulk string — the types PING, SET and GET are answered with.
 type reply struct {
-	kind  byte // '+', '-', ':', '$', '*'
+	kind  byte // '+', '-', '$'
 	str   string
-	n     int64
 	bulk  []byte
-	array []reply
 	isNil bool
 }
 
@@ -128,12 +127,6 @@ func (c *Client) readReply() (reply, error) {
 		return reply{kind: '+', str: string(line[1:])}, nil
 	case '-':
 		return reply{kind: '-', str: string(line[1:])}, nil
-	case ':':
-		n, err := strconv.ParseInt(string(line[1:]), 10, 64)
-		if err != nil {
-			return reply{}, errProtocol
-		}
-		return reply{kind: ':', n: n}, nil
 	case '$':
 		l, err := strconv.Atoi(string(line[1:]))
 		if err != nil {
@@ -147,20 +140,6 @@ func (c *Client) readReply() (reply, error) {
 			return reply{}, err
 		}
 		return reply{kind: '$', bulk: buf[:l]}, nil
-	case '*':
-		n, err := strconv.Atoi(string(line[1:]))
-		if err != nil || n < 0 {
-			return reply{}, errProtocol
-		}
-		out := reply{kind: '*', array: make([]reply, 0, n)}
-		for i := 0; i < n; i++ {
-			el, err := c.readReply()
-			if err != nil {
-				return reply{}, err
-			}
-			out.array = append(out.array, el)
-		}
-		return out, nil
 	}
 	return reply{}, errProtocol
 }
@@ -209,78 +188,4 @@ func (c *Client) Get(key string) ([]byte, error) {
 		return nil, ErrNil
 	}
 	return r.bulk, nil
-}
-
-// Del removes keys, returning how many existed.
-func (c *Client) Del(keys ...string) (int64, error) {
-	args := [][]byte{[]byte("DEL")}
-	for _, k := range keys {
-		args = append(args, []byte(k))
-	}
-	r, err := c.cmd(args...)
-	if err != nil {
-		return 0, err
-	}
-	return r.n, r.err()
-}
-
-// Exists reports whether key is present.
-func (c *Client) Exists(key string) (bool, error) {
-	r, err := c.cmd([]byte("EXISTS"), []byte(key))
-	if err != nil {
-		return false, err
-	}
-	return r.n == 1, r.err()
-}
-
-// StrLen returns the byte length of key's value (0 if missing).
-func (c *Client) StrLen(key string) (int64, error) {
-	r, err := c.cmd([]byte("STRLEN"), []byte(key))
-	if err != nil {
-		return 0, err
-	}
-	return r.n, r.err()
-}
-
-// Append appends to key's value and returns the new length.
-func (c *Client) Append(key string, value []byte) (int64, error) {
-	r, err := c.cmd([]byte("APPEND"), []byte(key), value)
-	if err != nil {
-		return 0, err
-	}
-	return r.n, r.err()
-}
-
-// DBSize returns the number of keys.
-func (c *Client) DBSize() (int64, error) {
-	r, err := c.cmd([]byte("DBSIZE"))
-	if err != nil {
-		return 0, err
-	}
-	return r.n, r.err()
-}
-
-// FlushAll clears the store.
-func (c *Client) FlushAll() error {
-	r, err := c.cmd([]byte("FLUSHALL"))
-	if err != nil {
-		return err
-	}
-	return r.err()
-}
-
-// Keys lists keys matching pattern ("*" or exact).
-func (c *Client) Keys(pattern string) ([]string, error) {
-	r, err := c.cmd([]byte("KEYS"), []byte(pattern))
-	if err != nil {
-		return nil, err
-	}
-	if err := r.err(); err != nil {
-		return nil, err
-	}
-	out := make([]string, 0, len(r.array))
-	for _, el := range r.array {
-		out = append(out, string(el.bulk))
-	}
-	return out, nil
 }

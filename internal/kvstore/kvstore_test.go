@@ -66,85 +66,6 @@ func TestBinarySafety(t *testing.T) {
 	}
 }
 
-func TestStrLen(t *testing.T) {
-	c := newPair(t)
-	_ = c.Set("k", make([]byte, 12345))
-	n, err := c.StrLen("k")
-	if err != nil || n != 12345 {
-		t.Fatalf("strlen = %d, %v", n, err)
-	}
-	n, err = c.StrLen("absent")
-	if err != nil || n != 0 {
-		t.Fatalf("strlen absent = %d, %v", n, err)
-	}
-}
-
-func TestAppend(t *testing.T) {
-	c := newPair(t)
-	n, err := c.Append("log", []byte("abc"))
-	if err != nil || n != 3 {
-		t.Fatalf("append = %d, %v", n, err)
-	}
-	n, err = c.Append("log", []byte("de"))
-	if err != nil || n != 5 {
-		t.Fatalf("append = %d, %v", n, err)
-	}
-	v, _ := c.Get("log")
-	if string(v) != "abcde" {
-		t.Fatalf("value = %q", v)
-	}
-}
-
-func TestDelExists(t *testing.T) {
-	c := newPair(t)
-	_ = c.Set("a", []byte("1"))
-	_ = c.Set("b", []byte("2"))
-	ok, _ := c.Exists("a")
-	if !ok {
-		t.Fatal("a should exist")
-	}
-	n, err := c.Del("a", "b", "c")
-	if err != nil || n != 2 {
-		t.Fatalf("del = %d, %v", n, err)
-	}
-	ok, _ = c.Exists("a")
-	if ok {
-		t.Fatal("a should be gone")
-	}
-}
-
-func TestDBSizeAndFlush(t *testing.T) {
-	c := newPair(t)
-	for i := 0; i < 5; i++ {
-		_ = c.Set(fmt.Sprintf("k%d", i), []byte("v"))
-	}
-	n, _ := c.DBSize()
-	if n != 5 {
-		t.Fatalf("dbsize = %d", n)
-	}
-	if err := c.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	n, _ = c.DBSize()
-	if n != 0 {
-		t.Fatalf("dbsize after flush = %d", n)
-	}
-}
-
-func TestKeys(t *testing.T) {
-	c := newPair(t)
-	_ = c.Set("x", []byte("1"))
-	_ = c.Set("y", []byte("2"))
-	keys, err := c.Keys("*")
-	if err != nil || len(keys) != 2 {
-		t.Fatalf("keys = %v, %v", keys, err)
-	}
-	keys, err = c.Keys("x")
-	if err != nil || len(keys) != 1 || keys[0] != "x" {
-		t.Fatalf("keys(x) = %v, %v", keys, err)
-	}
-}
-
 func TestUnknownCommandError(t *testing.T) {
 	c := newPair(t)
 	r, err := c.cmd([]byte("WHATISTHIS"))
@@ -189,11 +110,11 @@ func TestConcurrentClients(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	c, _ := Dial(addr)
-	defer c.Close()
-	n, _ := c.DBSize()
+	s.mu.RLock()
+	n := len(s.data)
+	s.mu.RUnlock()
 	if n != 400 {
-		t.Fatalf("dbsize = %d, want 400", n)
+		t.Fatalf("keys stored = %d, want 400", n)
 	}
 }
 

@@ -4,8 +4,7 @@
 // storage for function inputs, outputs, and intermediate data that
 // persists beyond the lifetime of an invocation (§5).
 //
-// Supported commands: PING, ECHO, SET, GET, DEL, EXISTS, STRLEN,
-// APPEND, DBSIZE, FLUSHALL, KEYS (exact and "*").
+// Supported commands: PING, SET, GET — what the daemon's client sends.
 package kvstore
 
 import (
@@ -125,11 +124,6 @@ func (s *Server) dispatch(w *bufio.Writer, args [][]byte) {
 		} else {
 			writeSimple(w, "PONG")
 		}
-	case "ECHO":
-		if !arity(w, args, 2) {
-			return
-		}
-		writeBulk(w, args[1])
 	case "SET":
 		if !arity(w, args, 3) {
 			return
@@ -150,78 +144,6 @@ func (s *Server) dispatch(w *bufio.Writer, args [][]byte) {
 			return
 		}
 		writeBulk(w, v)
-	case "APPEND":
-		if !arity(w, args, 3) {
-			return
-		}
-		s.mu.Lock()
-		key := string(args[1])
-		s.data[key] = append(s.data[key], args[2]...)
-		n := len(s.data[key])
-		s.mu.Unlock()
-		writeInt(w, int64(n))
-	case "DEL":
-		if len(args) < 2 {
-			writeError(w, "wrong number of arguments for 'del' command")
-			return
-		}
-		n := 0
-		s.mu.Lock()
-		for _, k := range args[1:] {
-			if _, ok := s.data[string(k)]; ok {
-				delete(s.data, string(k))
-				n++
-			}
-		}
-		s.mu.Unlock()
-		writeInt(w, int64(n))
-	case "EXISTS":
-		if !arity(w, args, 2) {
-			return
-		}
-		s.mu.RLock()
-		_, ok := s.data[string(args[1])]
-		s.mu.RUnlock()
-		if ok {
-			writeInt(w, 1)
-		} else {
-			writeInt(w, 0)
-		}
-	case "STRLEN":
-		if !arity(w, args, 2) {
-			return
-		}
-		s.mu.RLock()
-		v := s.data[string(args[1])]
-		s.mu.RUnlock()
-		writeInt(w, int64(len(v)))
-	case "DBSIZE":
-		s.mu.RLock()
-		n := len(s.data)
-		s.mu.RUnlock()
-		writeInt(w, int64(n))
-	case "FLUSHALL":
-		s.mu.Lock()
-		s.data = make(map[string][]byte)
-		s.mu.Unlock()
-		writeSimple(w, "OK")
-	case "KEYS":
-		if !arity(w, args, 2) {
-			return
-		}
-		pat := string(args[1])
-		var keys []string
-		s.mu.RLock()
-		for k := range s.data {
-			if pat == "*" || k == pat {
-				keys = append(keys, k)
-			}
-		}
-		s.mu.RUnlock()
-		writeArrayLen(w, len(keys))
-		for _, k := range keys {
-			writeBulk(w, []byte(k))
-		}
 	default:
 		writeError(w, fmt.Sprintf("unknown command '%s'", cmd))
 	}
@@ -300,9 +222,7 @@ func readLine(r *bufio.Reader) ([]byte, error) {
 
 func writeSimple(w *bufio.Writer, s string) { fmt.Fprintf(w, "+%s\r\n", s) }
 func writeError(w *bufio.Writer, s string)  { fmt.Fprintf(w, "-ERR %s\r\n", s) }
-func writeInt(w *bufio.Writer, n int64)     { fmt.Fprintf(w, ":%d\r\n", n) }
 func writeNil(w *bufio.Writer)              { fmt.Fprint(w, "$-1\r\n") }
-func writeArrayLen(w *bufio.Writer, n int)  { fmt.Fprintf(w, "*%d\r\n", n) }
 func writeBulk(w *bufio.Writer, b []byte) {
 	fmt.Fprintf(w, "$%d\r\n", len(b))
 	w.Write(b)

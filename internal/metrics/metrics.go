@@ -120,22 +120,6 @@ func BucketBound(i int) time.Duration {
 	return histBase << uint(i)
 }
 
-// FractionAbove returns the fraction of observations in buckets whose
-// lower bound is at least thresh.
-func (h *Histogram) FractionAbove(thresh time.Duration) float64 {
-	if h.N == 0 {
-		return 0
-	}
-	var n int64
-	for i := 1; i <= HistBuckets; i++ {
-		if BucketBound(i-1) >= thresh {
-			n += h.Counts[i]
-		}
-	}
-	// Underflow bucket is always below any threshold >= histBase.
-	return float64(n) / float64(h.N)
-}
-
 // Merge adds other's observations into h.
 func (h *Histogram) Merge(other *Histogram) {
 	for i := range h.Counts {

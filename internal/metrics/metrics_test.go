@@ -45,26 +45,9 @@ func TestHistogramMeanAndMax(t *testing.T) {
 	}
 }
 
-func TestFractionAbove(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 90; i++ {
-		h.Add(3 * time.Microsecond)
-	}
-	for i := 0; i < 10; i++ {
-		h.Add(64 * time.Microsecond)
-	}
-	got := h.FractionAbove(32 * time.Microsecond)
-	if got < 0.09 || got > 0.11 {
-		t.Fatalf("FractionAbove(32µs) = %v, want ~0.10", got)
-	}
-	if h.FractionAbove(time.Microsecond) < 0.99 {
-		t.Fatalf("FractionAbove(1µs) = %v, want ~1", h.FractionAbove(time.Microsecond))
-	}
-}
-
 func TestEmptyHistogram(t *testing.T) {
 	var h Histogram
-	if h.Mean() != 0 || h.FractionAbove(time.Microsecond) != 0 {
+	if h.Mean() != 0 {
 		t.Fatal("empty histogram not zero-valued")
 	}
 }

@@ -27,9 +27,6 @@ const PageSize = 4096
 const (
 	initialRAPages = 4
 	maxRAPages     = 32
-	// maxRequestPages bounds a single fault-path device request
-	// (128 KiB), the typical max transfer for one bio.
-	maxRequestPages = 32
 	// bulkRequestPages bounds explicit bulk reads (the FaaSnap loader,
 	// REAP's fetch): large sequential preads issue MB-scale transfers.
 	bulkRequestPages = 256
@@ -388,7 +385,7 @@ func (c *Cache) submitAsyncWindow(f *File) {
 
 // ReadRange performs a bulk buffered read of pages [start, start+n) of
 // f, populating the cache. Pages already resident or in flight are
-// skipped; device requests are capped at maxRequestPages each. This is
+// skipped; device requests are capped at bulkRequestPages each. This is
 // the FaaSnap loader's prefetch path. It returns the number of pages
 // actually read from the device.
 func (c *Cache) ReadRange(p *sim.Proc, f *File, start, n int64, class blockdev.Class) int64 {

@@ -1,23 +1,17 @@
-// Package policy implements the serving-policy analysis of the paper's
-// §7.1 discussion: when should a platform serve an invocation from a
-// warm VM, from a snapshot, or with a cold boot? It generates
-// invocation arrival processes shaped like the Azure traces the paper
-// cites (most functions invoked less than hourly, a small head invoked
-// every minute, occasional bursts), simulates a keep-alive + snapshot
-// policy over them with per-mode start costs measured from the core
-// simulator, and accounts start latency against warm-pool memory and
-// snapshot storage.
+// Package policy holds the vocabulary of the paper's §7.1 discussion —
+// when should a platform serve an invocation from a warm VM, from a
+// snapshot, or with a cold boot? — that the warm-pool simulator in
+// internal/cluster runs on: invocation arrival processes shaped like
+// the Azure traces the paper cites (most functions invoked less than
+// hourly, a small head invoked every minute, occasional bursts), the
+// per-mode start costs of one function as measured from the core
+// simulator, and the three ways an invocation can start.
 package policy
 
 import (
-	"bufio"
 	"fmt"
-	"io"
-	"math"
 	"math/rand"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -66,43 +60,6 @@ func Generate(spec TraceSpec) Arrivals {
 	return out
 }
 
-// ParseTrace reads an arrival trace from r: one arrival per line as
-// milliseconds since trace start (comments with '#' and blank lines
-// ignored). This is the import path for real invocation logs such as
-// the Azure Functions traces the paper cites [29].
-func ParseTrace(r io.Reader) (Arrivals, error) {
-	var out Arrivals
-	sc := bufio.NewScanner(r)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		ms, err := strconv.ParseFloat(text, 64)
-		if err != nil || ms < 0 {
-			return nil, fmt.Errorf("policy: bad arrival on line %d: %q", line, text)
-		}
-		out = append(out, time.Duration(ms*float64(time.Millisecond)))
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
-}
-
-// WriteTrace writes arrivals in the ParseTrace format.
-func WriteTrace(w io.Writer, arr Arrivals) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "# one arrival per line, milliseconds since trace start")
-	for _, at := range arr {
-		fmt.Fprintf(bw, "%.3f\n", float64(at)/float64(time.Millisecond))
-	}
-	return bw.Flush()
-}
-
 // Costs are the per-mode serving costs for one function, measured from
 // the data-plane simulator.
 type Costs struct {
@@ -117,17 +74,6 @@ type Costs struct {
 	WarmRSSBytes int64
 	// SnapshotBytes is the storage a snapshot occupies.
 	SnapshotBytes int64
-}
-
-// Policy is a serving policy.
-type Policy struct {
-	Name string
-	// KeepAlive is how long an idle warm VM is retained (AWS Lambda:
-	// 15–60 minutes, §2.1). Zero disables warm retention.
-	KeepAlive time.Duration
-	// UseSnapshot serves non-warm invocations from a snapshot instead
-	// of a cold boot (a snapshot exists after the first invocation).
-	UseSnapshot bool
 }
 
 // StartKind classifies how an invocation was served.
@@ -153,133 +99,4 @@ func (k StartKind) String() string {
 		return "cold"
 	}
 	return fmt.Sprintf("kind(%d)", int(k))
-}
-
-// Result summarizes a simulated trace.
-type Result struct {
-	Invocations int
-	Starts      [3]int // by StartKind
-
-	MeanStartLatency time.Duration
-	P95StartLatency  time.Duration
-
-	// WarmGBHours integrates warm-VM residency (busy + idle until
-	// eviction) over the horizon.
-	WarmGBHours float64
-	// SnapshotGBHours integrates snapshot storage held.
-	SnapshotGBHours float64
-	// MaxPoolSize is the largest number of simultaneously live VMs.
-	MaxPoolSize int
-}
-
-// StartFraction returns the fraction of invocations served by kind k.
-func (r Result) StartFraction(k StartKind) float64 {
-	if r.Invocations == 0 {
-		return 0
-	}
-	return float64(r.Starts[k]) / float64(r.Invocations)
-}
-
-// vm is one pooled VM in the policy simulation.
-type vm struct {
-	freeAt  time.Duration // finishes its current invocation at this time
-	expires time.Duration // idle eviction deadline
-	started time.Duration // when it came alive (for residency accounting)
-}
-
-// Simulate runs the policy over the arrivals with the given costs.
-// Each invocation is served by an idle warm VM when one exists,
-// otherwise by a snapshot restore (if enabled and a snapshot exists —
-// i.e. any invocation has completed before) or a cold boot.
-func Simulate(arrivals Arrivals, pol Policy, costs Costs, horizon time.Duration) Result {
-	var res Result
-	var pool []*vm
-	var latencies []time.Duration
-	var warmSeconds float64 // byte-seconds of warm residency
-	snapshotAt := time.Duration(-1)
-	firstDone := time.Duration(-1)
-
-	for _, t := range arrivals {
-		res.Invocations++
-		// Evict idle VMs whose keep-alive lapsed before t.
-		alive := pool[:0]
-		for _, v := range pool {
-			if v.freeAt <= t && v.expires <= t {
-				warmSeconds += float64(costs.WarmRSSBytes) * (v.expires - v.started).Seconds()
-				continue
-			}
-			alive = append(alive, v)
-		}
-		pool = alive
-
-		// Pick the warm VM that has been idle longest.
-		var pick *vm
-		for _, v := range pool {
-			if v.freeAt <= t && (pick == nil || v.freeAt < pick.freeAt) {
-				pick = v
-			}
-		}
-		var start time.Duration
-		var kind StartKind
-		switch {
-		case pick != nil:
-			kind = WarmStart
-			start = costs.WarmStart
-		case pol.UseSnapshot && firstDone >= 0 && firstDone <= t:
-			kind = SnapshotStart
-			start = costs.SnapshotStart
-		default:
-			kind = ColdStart
-			start = costs.ColdStart
-		}
-		res.Starts[kind]++
-		latencies = append(latencies, start)
-
-		finish := t + start + costs.Exec
-		if pick != nil {
-			pick.freeAt = finish
-			pick.expires = finish + pol.KeepAlive
-		} else {
-			pool = append(pool, &vm{started: t, freeAt: finish, expires: finish + pol.KeepAlive})
-		}
-		if len(pool) > res.MaxPoolSize {
-			res.MaxPoolSize = len(pool)
-		}
-		if firstDone < 0 || finish < firstDone {
-			firstDone = finish
-			if snapshotAt < 0 {
-				snapshotAt = finish
-			}
-		}
-	}
-	// Account residual residency at the horizon.
-	for _, v := range pool {
-		end := v.expires
-		if end > horizon {
-			end = horizon
-		}
-		if end > v.started {
-			warmSeconds += float64(costs.WarmRSSBytes) * (end - v.started).Seconds()
-		}
-	}
-	res.WarmGBHours = warmSeconds / (1 << 30) / 3600
-	if pol.UseSnapshot && snapshotAt >= 0 && horizon > snapshotAt {
-		res.SnapshotGBHours = float64(costs.SnapshotBytes) * (horizon - snapshotAt).Seconds() / (1 << 30) / 3600
-	}
-
-	if len(latencies) > 0 {
-		var sum time.Duration
-		for _, l := range latencies {
-			sum += l
-		}
-		res.MeanStartLatency = sum / time.Duration(len(latencies))
-		sorted := append([]time.Duration(nil), latencies...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		idx := int(math.Ceil(0.95*float64(len(sorted)))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		res.P95StartLatency = sorted[idx]
-	}
-	return res
 }

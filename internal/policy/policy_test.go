@@ -1,19 +1,24 @@
-package policy
+// The tests sit outside the package because the pool-behaviour tests
+// below drive the warm-pool simulator, internal/cluster, which imports
+// policy for the types these tests build.
+package policy_test
 
 import (
-	"bytes"
-	"strings"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"faasnap/internal/cluster"
+	"faasnap/internal/policy"
 )
 
-func spec(mean, horizon time.Duration) TraceSpec {
-	return TraceSpec{MeanInterarrival: mean, Horizon: horizon, Seed: 7}
+func spec(mean, horizon time.Duration) policy.TraceSpec {
+	return policy.TraceSpec{MeanInterarrival: mean, Horizon: horizon, Seed: 7}
 }
 
 func TestGenerateSortedWithinHorizon(t *testing.T) {
-	arr := Generate(spec(time.Minute, time.Hour))
+	arr := policy.Generate(spec(time.Minute, time.Hour))
 	if len(arr) == 0 {
 		t.Fatal("empty trace")
 	}
@@ -32,8 +37,8 @@ func TestGenerateSortedWithinHorizon(t *testing.T) {
 }
 
 func TestGenerateDeterministic(t *testing.T) {
-	a := Generate(spec(time.Minute, time.Hour))
-	b := Generate(spec(time.Minute, time.Hour))
+	a := policy.Generate(spec(time.Minute, time.Hour))
+	b := policy.Generate(spec(time.Minute, time.Hour))
 	if len(a) != len(b) {
 		t.Fatal("nondeterministic trace length")
 	}
@@ -48,14 +53,27 @@ func TestGenerateBursts(t *testing.T) {
 	s := spec(time.Minute, time.Hour)
 	s.BurstProb = 1.0
 	s.BurstSize = 8
-	arr := Generate(s)
+	arr := policy.Generate(s)
 	if len(arr)%8 != 0 {
 		t.Fatalf("arrivals = %d, want multiple of burst size", len(arr))
 	}
 }
 
-func testCosts() Costs {
-	return Costs{
+// simulate serves one function's trace from one host whose memory never
+// runs out, the form in which the simulator answers the §7.1 question.
+func simulate(trace policy.TraceSpec, keepAlive time.Duration, useSnapshot bool) cluster.Result {
+	snapshots := cluster.NoSnapshots
+	if useSnapshot {
+		snapshots = cluster.ProactiveSnapshots
+	}
+	return cluster.Simulate(cluster.Config{
+		Hosts: 1, HostMem: math.MaxInt64,
+		KeepAlive: keepAlive, Snapshots: snapshots, Horizon: trace.Horizon,
+	}, []cluster.Function{{Name: "fn", Costs: testCosts(), Trace: trace}})
+}
+
+func testCosts() policy.Costs {
+	return policy.Costs{
 		WarmStart:     0,
 		SnapshotStart: 70 * time.Millisecond,
 		ColdStart:     900 * time.Millisecond,
@@ -66,49 +84,47 @@ func testCosts() Costs {
 }
 
 func TestFrequentFunctionStaysWarm(t *testing.T) {
-	arr := Generate(spec(30*time.Second, time.Hour))
-	res := Simulate(arr, Policy{KeepAlive: 15 * time.Minute, UseSnapshot: true}, testCosts(), time.Hour)
-	if res.Starts[ColdStart] != 1 {
-		t.Fatalf("cold starts = %d, want exactly the first", res.Starts[ColdStart])
+	res := simulate(spec(30*time.Second, time.Hour), 15*time.Minute, true)
+	if res.Starts[policy.ColdStart] != 1 {
+		t.Fatalf("cold starts = %d, want exactly the first", res.Starts[policy.ColdStart])
 	}
-	if res.StartFraction(WarmStart) < 0.9 {
-		t.Fatalf("warm fraction = %v, want >= 0.9 for a frequent function", res.StartFraction(WarmStart))
+	if res.StartFraction(policy.WarmStart) < 0.9 {
+		t.Fatalf("warm fraction = %v, want >= 0.9 for a frequent function", res.StartFraction(policy.WarmStart))
 	}
 }
 
 func TestRareFunctionUsesSnapshots(t *testing.T) {
 	// Invoked every ~30 minutes with a 15-minute keep-alive: warm VMs
 	// always expire; snapshots absorb what would be cold starts.
-	arr := Generate(spec(30*time.Minute, 24*time.Hour))
-	withSnap := Simulate(arr, Policy{KeepAlive: 15 * time.Minute, UseSnapshot: true}, testCosts(), 24*time.Hour)
-	without := Simulate(arr, Policy{KeepAlive: 15 * time.Minute, UseSnapshot: false}, testCosts(), 24*time.Hour)
-	if withSnap.Starts[ColdStart] > 1 {
-		t.Fatalf("cold starts with snapshots = %d, want 1", withSnap.Starts[ColdStart])
+	trace := spec(30*time.Minute, 24*time.Hour)
+	withSnap := simulate(trace, 15*time.Minute, true)
+	without := simulate(trace, 15*time.Minute, false)
+	if withSnap.Starts[policy.ColdStart] > 1 {
+		t.Fatalf("cold starts with snapshots = %d, want 1", withSnap.Starts[policy.ColdStart])
 	}
-	if without.Starts[ColdStart] < len(arr)/2 {
-		t.Fatalf("cold starts without snapshots = %d of %d, want most", without.Starts[ColdStart], len(arr))
+	if without.Starts[policy.ColdStart] < without.Invocations/2 {
+		t.Fatalf("cold starts without snapshots = %d of %d, want most", without.Starts[policy.ColdStart], without.Invocations)
 	}
-	if withSnap.P95StartLatency >= without.P95StartLatency {
-		t.Fatalf("snapshot p95 (%v) not below cold p95 (%v)", withSnap.P95StartLatency, without.P95StartLatency)
+	if withSnap.P95Start >= without.P95Start {
+		t.Fatalf("snapshot p95 (%v) not below cold p95 (%v)", withSnap.P95Start, without.P95Start)
 	}
 }
 
 func TestKeepAliveCostsMemory(t *testing.T) {
-	arr := Generate(spec(10*time.Minute, 24*time.Hour))
-	long := Simulate(arr, Policy{KeepAlive: 60 * time.Minute}, testCosts(), 24*time.Hour)
-	short := Simulate(arr, Policy{KeepAlive: time.Minute}, testCosts(), 24*time.Hour)
+	trace := spec(10*time.Minute, 24*time.Hour)
+	long := simulate(trace, 60*time.Minute, false)
+	short := simulate(trace, time.Minute, false)
 	if long.WarmGBHours <= short.WarmGBHours {
 		t.Fatalf("longer keep-alive (%v GBh) not more memory than shorter (%v GBh)",
 			long.WarmGBHours, short.WarmGBHours)
 	}
-	if long.StartFraction(WarmStart) <= short.StartFraction(WarmStart) {
+	if long.StartFraction(policy.WarmStart) <= short.StartFraction(policy.WarmStart) {
 		t.Fatal("longer keep-alive did not increase warm hits")
 	}
 }
 
 func TestSnapshotStorageAccounted(t *testing.T) {
-	arr := Generate(spec(time.Hour, 24*time.Hour))
-	res := Simulate(arr, Policy{KeepAlive: 15 * time.Minute, UseSnapshot: true}, testCosts(), 24*time.Hour)
+	res := simulate(spec(time.Hour, 24*time.Hour), 15*time.Minute, true)
 	if res.SnapshotGBHours <= 0 {
 		t.Fatal("no snapshot storage accounted")
 	}
@@ -122,15 +138,14 @@ func TestBurstGrowsPool(t *testing.T) {
 	s := spec(time.Minute, time.Hour)
 	s.BurstProb = 0.2
 	s.BurstSize = 16
-	arr := Generate(s)
-	res := Simulate(arr, Policy{KeepAlive: 15 * time.Minute, UseSnapshot: true}, testCosts(), time.Hour)
-	if res.MaxPoolSize < 16 {
-		t.Fatalf("max pool = %d, want >= burst size", res.MaxPoolSize)
+	res := simulate(s, 15*time.Minute, true)
+	if res.PeakHostVMs < 16 {
+		t.Fatalf("max pool = %d, want >= burst size", res.PeakHostVMs)
 	}
 }
 
 func TestStartKindString(t *testing.T) {
-	if WarmStart.String() != "warm" || SnapshotStart.String() != "snapshot" || ColdStart.String() != "cold" {
+	if policy.WarmStart.String() != "warm" || policy.SnapshotStart.String() != "snapshot" || policy.ColdStart.String() != "cold" {
 		t.Fatal("bad kind strings")
 	}
 }
@@ -140,23 +155,22 @@ func TestSimulateInvariants(t *testing.T) {
 	// invocation is never warm.
 	f := func(seed int64, meanMinutes uint8, keepMinutes uint8, useSnap bool) bool {
 		mean := time.Duration(meanMinutes%60+1) * time.Minute
-		s := TraceSpec{MeanInterarrival: mean, Horizon: 12 * time.Hour, Seed: seed}
-		arr := Generate(s)
+		s := policy.TraceSpec{MeanInterarrival: mean, Horizon: 12 * time.Hour, Seed: seed}
+		arr := policy.Generate(s)
 		if len(arr) == 0 {
 			return true
 		}
-		pol := Policy{KeepAlive: time.Duration(keepMinutes%90) * time.Minute, UseSnapshot: useSnap}
-		res := Simulate(arr, pol, testCosts(), 12*time.Hour)
+		res := simulate(s, time.Duration(keepMinutes%90)*time.Minute, useSnap)
 		if res.Invocations != len(arr) {
 			return false
 		}
-		if res.Starts[WarmStart]+res.Starts[SnapshotStart]+res.Starts[ColdStart] != res.Invocations {
+		if res.Starts[policy.WarmStart]+res.Starts[policy.SnapshotStart]+res.Starts[policy.ColdStart] != res.Invocations {
 			return false
 		}
-		if res.Starts[ColdStart] < 1 {
+		if res.Starts[policy.ColdStart] < 1 {
 			return false // the very first start cannot be warm or snapshot
 		}
-		if !useSnap && res.Starts[SnapshotStart] != 0 {
+		if !useSnap && res.Starts[policy.SnapshotStart] != 0 {
 			return false
 		}
 		if res.WarmGBHours < 0 || res.SnapshotGBHours < 0 {
@@ -170,69 +184,8 @@ func TestSimulateInvariants(t *testing.T) {
 }
 
 func TestZeroKeepAliveNeverWarm(t *testing.T) {
-	arr := Generate(spec(time.Minute, time.Hour))
-	res := Simulate(arr, Policy{KeepAlive: 0, UseSnapshot: true}, testCosts(), time.Hour)
-	if res.Starts[WarmStart] != 0 {
-		t.Fatalf("warm starts = %d with zero keep-alive", res.Starts[WarmStart])
-	}
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	arr := Generate(spec(time.Minute, time.Hour))
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, arr); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ParseTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(arr) {
-		t.Fatalf("round trip lost arrivals: %d vs %d", len(back), len(arr))
-	}
-	for i := range arr {
-		diff := back[i] - arr[i]
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > time.Millisecond {
-			t.Fatalf("arrival %d drifted: %v vs %v", i, back[i], arr[i])
-		}
-	}
-}
-
-func TestParseTraceFormat(t *testing.T) {
-	in := "# header\n\n100\n50.5\n  200  \n"
-	arr, err := ParseTrace(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Arrivals{50500 * time.Microsecond, 100 * time.Millisecond, 200 * time.Millisecond}
-	if len(arr) != 3 {
-		t.Fatalf("arrivals = %v", arr)
-	}
-	for i := range want {
-		if arr[i] != want[i] {
-			t.Fatalf("arrivals = %v, want %v (sorted)", arr, want)
-		}
-	}
-}
-
-func TestParseTraceRejectsGarbage(t *testing.T) {
-	for _, in := range []string{"abc\n", "-5\n", "1e999\n"} {
-		if _, err := ParseTrace(strings.NewReader(in)); err == nil {
-			t.Errorf("accepted %q", in)
-		}
-	}
-}
-
-func TestParsedTraceDrivesSimulation(t *testing.T) {
-	arr, err := ParseTrace(strings.NewReader("0\n60000\n120000\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := Simulate(arr, Policy{KeepAlive: 10 * time.Minute}, testCosts(), time.Hour)
-	if res.Invocations != 3 || res.Starts[WarmStart] != 2 {
-		t.Fatalf("result = %+v", res)
+	res := simulate(spec(time.Minute, time.Hour), 0, true)
+	if res.Starts[policy.WarmStart] != 0 {
+		t.Fatalf("warm starts = %d with zero keep-alive", res.Starts[policy.WarmStart])
 	}
 }

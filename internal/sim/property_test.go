@@ -65,15 +65,15 @@ func TestPropertyResourceConservation(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed ^ int64(n)))
 				p.Sleep(time.Duration(rng.Intn(50)) * time.Microsecond)
 				r.Acquire(p)
-				if r.InUse() > maxSeen {
-					maxSeen = r.InUse()
+				if r.inUse > maxSeen {
+					maxSeen = r.inUse
 				}
 				p.Sleep(time.Duration(rng.Intn(50)+1) * time.Microsecond)
 				r.Release()
 			})
 		}
 		e.Run()
-		return maxSeen <= capacity && r.InUse() == 0 && r.Queued() == 0
+		return maxSeen <= capacity && r.inUse == 0 && len(r.queue) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -20,33 +20,6 @@ func NewResource(env *Env, capacity int) *Resource {
 	return &Resource{env: env, cap: capacity}
 }
 
-// Cap returns the resource capacity.
-func (r *Resource) Cap() int { return r.cap }
-
-// InUse returns the number of slots currently held.
-func (r *Resource) InUse() int { return r.inUse }
-
-// Queued returns the number of processes waiting for a slot.
-func (r *Resource) Queued() int {
-	n := 0
-	for _, w := range r.queue {
-		if !w.delivered {
-			n++
-		}
-	}
-	return n
-}
-
-// TryAcquire takes a slot if one is free without blocking and reports
-// whether it succeeded.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse < r.cap && len(r.queue) == 0 {
-		r.inUse++
-		return true
-	}
-	return false
-}
-
 // Acquire blocks p until a slot is available and takes it.
 func (r *Resource) Acquire(p *Proc) {
 	if r.inUse < r.cap && len(r.queue) == 0 {

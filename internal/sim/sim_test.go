@@ -242,25 +242,6 @@ func TestResourceCapacityTwo(t *testing.T) {
 	}
 }
 
-func TestTryAcquire(t *testing.T) {
-	e := NewEnv(1)
-	r := NewResource(e, 1)
-	e.Go("p", func(p *Proc) {
-		if !r.TryAcquire() {
-			t.Error("TryAcquire on free resource failed")
-		}
-		if r.TryAcquire() {
-			t.Error("TryAcquire on busy resource succeeded")
-		}
-		r.Release()
-		if !r.TryAcquire() {
-			t.Error("TryAcquire after release failed")
-		}
-		r.Release()
-	})
-	e.Run()
-}
-
 func TestMutex(t *testing.T) {
 	e := NewEnv(1)
 	m := NewMutex(e)
@@ -354,25 +335,4 @@ func TestShutdownKillsParkedProcesses(t *testing.T) {
 	if reached {
 		t.Fatal("stuck process ran past its wait")
 	}
-}
-
-func TestQueuedCount(t *testing.T) {
-	e := NewEnv(1)
-	r := NewResource(e, 1)
-	e.Go("holder", func(p *Proc) {
-		r.Acquire(p)
-		p.Sleep(10 * time.Microsecond)
-		if got := r.Queued(); got != 2 {
-			t.Errorf("Queued = %d, want 2", got)
-		}
-		r.Release()
-	})
-	for i := 0; i < 2; i++ {
-		e.Go("waiter", func(p *Proc) {
-			p.Sleep(time.Microsecond)
-			r.Acquire(p)
-			r.Release()
-		})
-	}
-	e.Run()
 }

@@ -73,9 +73,6 @@ func (m *MemoryFile) SetZero(page int64, z bool) {
 	}
 }
 
-// ZeroPages returns the number of zero pages.
-func (m *MemoryFile) ZeroPages() int64 { return m.nzero }
-
 // NonZeroPages returns the number of non-zero pages.
 func (m *MemoryFile) NonZeroPages() int64 { return m.Pages - m.nzero }
 
@@ -182,33 +179,4 @@ func minGroup(a, b int) int {
 	default:
 		return b
 	}
-}
-
-// TotalPages sums the page counts of regions.
-func TotalPages(regions []Region) int64 {
-	var n int64
-	for _, r := range regions {
-		n += r.Len
-	}
-	return n
-}
-
-// VMState is the non-memory part of a snapshot: virtual device and
-// vCPU state. Its size is small and restoring it takes milliseconds.
-type VMState struct {
-	Bytes int64
-}
-
-// NewVMState returns a VM state blob of a typical size.
-func NewVMState() VMState { return VMState{Bytes: 128 * 1024} }
-
-// Snapshot bundles the artifacts of one snapshot of one function VM.
-type Snapshot struct {
-	ID       string
-	Function string
-	Mem      *MemoryFile
-	State    VMState
-	// Generation increments every time a new snapshot replaces this
-	// function's previous one.
-	Generation int
 }

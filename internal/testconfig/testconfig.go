@@ -1,8 +1,8 @@
-// Package testconfig implements the artifact-appendix test driver: the
-// paper's evaluation is driven by `test.py test-2inputs.json` /
-// `test-6inputs.json` configs (App. A.4); this package parses the
-// equivalent JSON configuration, runs the described record/test
-// matrix, and produces structured results.
+// Package testconfig is the data side of the artifact-appendix test
+// driver: the paper's evaluation is driven by `test.py
+// test-2inputs.json` / `test-6inputs.json` configs (App. A.4); this
+// package parses and validates the equivalent JSON configuration and
+// defines the structured results. experiments.Matrix runs the matrix.
 package testconfig
 
 import (
@@ -10,7 +10,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
@@ -30,7 +29,8 @@ type Config struct {
 	Modes []string `json:"modes,omitempty"`
 	// RecordInput is the record-phase input ("A" or "B").
 	RecordInput string `json:"record_input"`
-	// TestInputs are the test-phase inputs ("A", "B", "ratio:<x>").
+	// TestInputs are the test-phase inputs, by the names
+	// workload.Spec.ResolveInput takes (A, B, ratio:<x>).
 	TestInputs []string `json:"test_inputs"`
 	// Trials per (function, mode, input) cell.
 	Trials int `json:"trials"`
@@ -54,9 +54,18 @@ func (c *Config) Validate() error {
 	if len(c.Functions) == 0 {
 		c.Functions = workload.Names()
 	}
-	for _, fn := range c.Functions {
-		if _, err := workload.ByName(fn); err != nil {
+	if len(c.TestInputs) == 0 {
+		return fmt.Errorf("testconfig: test_inputs must not be empty")
+	}
+	for _, name := range c.Functions {
+		fn, err := workload.ByName(name)
+		if err != nil {
 			return fmt.Errorf("testconfig: %w", err)
+		}
+		for _, in := range c.TestInputs {
+			if _, err := fn.ResolveInput(in); err != nil {
+				return fmt.Errorf("testconfig: function %s: %w", name, err)
+			}
 		}
 	}
 	if len(c.Modes) == 0 {
@@ -72,19 +81,6 @@ func (c *Config) Validate() error {
 	}
 	if c.RecordInput != "A" && c.RecordInput != "B" {
 		return fmt.Errorf("testconfig: record_input must be A or B, got %q", c.RecordInput)
-	}
-	if len(c.TestInputs) == 0 {
-		return fmt.Errorf("testconfig: test_inputs must not be empty")
-	}
-	for _, in := range c.TestInputs {
-		if in != "A" && in != "B" && !strings.HasPrefix(in, "ratio:") {
-			return fmt.Errorf("testconfig: bad test input %q", in)
-		}
-		if strings.HasPrefix(in, "ratio:") {
-			if r, err := strconv.ParseFloat(strings.TrimPrefix(in, "ratio:"), 64); err != nil || r <= 0 {
-				return fmt.Errorf("testconfig: bad ratio input %q", in)
-			}
-		}
 	}
 	if c.Trials <= 0 {
 		c.Trials = 1
@@ -148,146 +144,13 @@ type Results struct {
 	Rows    []Row         `json:"rows"`
 }
 
-// hostFor builds the host configuration for the config.
-func (c *Config) hostFor() core.HostConfig {
+// HostConfig builds the simulated host the config describes.
+func (c *Config) HostConfig() core.HostConfig {
 	host := core.DefaultHostConfig()
 	if c.Disk == "ebs" {
 		host.Disk = blockdev.EBSRemote()
 	}
 	return host
-}
-
-// Run executes the full matrix. Progress lines go to report if
-// non-nil.
-func (c *Config) Run(report func(string)) (*Results, error) {
-	if err := c.Validate(); err != nil {
-		return nil, err
-	}
-	say := func(format string, args ...interface{}) {
-		if report != nil {
-			report(fmt.Sprintf(format, args...))
-		}
-	}
-	host := c.hostFor()
-	res := &Results{Name: c.Name, Started: time.Now()}
-	start := time.Now()
-	for _, fnName := range c.Functions {
-		fn, err := workload.ByName(fnName)
-		if err != nil {
-			return nil, err
-		}
-		recIn := fn.A
-		if c.RecordInput == "B" {
-			recIn = fn.B
-		}
-		say("record %s (input %s)", fnName, recIn.Name)
-		recHost := host
-		recHost.Seed = 1
-		arts, _ := core.Record(recHost, fn, recIn)
-
-		for _, inName := range c.TestInputs {
-			in, err := resolveInput(fn, inName)
-			if err != nil {
-				return nil, err
-			}
-			for _, modeName := range c.Modes {
-				mode, err := core.ParseMode(modeName)
-				if err != nil {
-					return nil, err
-				}
-				row := Row{Function: fnName, Mode: modeName, Input: in.Name, Parallel: max(1, c.Parallel)}
-				if c.Parallel > 1 {
-					same := true
-					if c.SameSnapshot != nil {
-						same = *c.SameSnapshot
-					}
-					br := core.RunBurst(host, arts, mode, in, c.Parallel, same)
-					row.MeanMs = msf(br.Mean)
-					row.StdMs = msf(br.Std)
-					row.SetupMs = msf(br.Results[0].Setup)
-					row.InvokeMs = msf(br.Results[0].Invoke)
-					row.Majors = br.Results[0].Faults.Majors()
-					row.Faults = br.Results[0].Faults.Total()
-				} else {
-					var totals []time.Duration
-					var last *core.InvokeResult
-					for trial := 0; trial < c.Trials; trial++ {
-						cfg := host
-						cfg.Seed = int64(1000*trial + 7)
-						last = core.RunSingle(cfg, arts, mode, in)
-						totals = append(totals, last.Total)
-					}
-					mean, std := meanStd(totals)
-					row.MeanMs = msf(mean)
-					row.StdMs = msf(std)
-					row.SetupMs = msf(last.Setup)
-					row.InvokeMs = msf(last.Invoke)
-					row.Majors = last.Faults.Majors()
-					row.Faults = last.Faults.Total()
-				}
-				say("  %s %s input %s: %.1f ms", fnName, modeName, in.Name, row.MeanMs)
-				res.Rows = append(res.Rows, row)
-			}
-		}
-	}
-	res.Elapsed = time.Since(start)
-	return res, nil
-}
-
-func resolveInput(fn *workload.Spec, name string) (workload.Input, error) {
-	switch name {
-	case "A":
-		return fn.A, nil
-	case "B":
-		return fn.B, nil
-	}
-	r, err := strconv.ParseFloat(strings.TrimPrefix(name, "ratio:"), 64)
-	if err != nil || r <= 0 {
-		return workload.Input{}, fmt.Errorf("testconfig: bad input %q", name)
-	}
-	return fn.InputForRatio(r), nil
-}
-
-func msf(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-
-func meanStd(ds []time.Duration) (time.Duration, time.Duration) {
-	if len(ds) == 0 {
-		return 0, 0
-	}
-	var sum float64
-	for _, d := range ds {
-		sum += float64(d)
-	}
-	mean := sum / float64(len(ds))
-	var varsum float64
-	for _, d := range ds {
-		diff := float64(d) - mean
-		varsum += diff * diff
-	}
-	std := 0.0
-	if len(ds) > 1 {
-		std = varsum / float64(len(ds))
-	}
-	return time.Duration(mean), time.Duration(sqrt(std))
-}
-
-// sqrt avoids importing math for one call.
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 20; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Table renders results as an aligned text table.

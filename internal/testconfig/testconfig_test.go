@@ -1,4 +1,6 @@
-package testconfig
+// The tests sit outside the package so the matrix tests can drive a
+// parsed config through experiments.Matrix, which imports testconfig.
+package testconfig_test
 
 import (
 	"encoding/json"
@@ -6,6 +8,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"faasnap/internal/experiments"
+	"faasnap/internal/testconfig"
 )
 
 func minimalJSON() string {
@@ -20,7 +25,7 @@ func minimalJSON() string {
 }
 
 func TestParseMinimal(t *testing.T) {
-	c, err := Parse([]byte(minimalJSON()))
+	c, err := testconfig.Parse([]byte(minimalJSON()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +35,7 @@ func TestParseMinimal(t *testing.T) {
 }
 
 func TestParseDefaults(t *testing.T) {
-	c, err := Parse([]byte(`{"name":"d","test_inputs":["B"]}`))
+	c, err := testconfig.Parse([]byte(`{"name":"d","test_inputs":["B"]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,19 +63,19 @@ func TestParseRejections(t *testing.T) {
 		`{"name":"x","test_inputs":["B"],"disk":"floppy"}`,
 	}
 	for i, raw := range bad {
-		if _, err := Parse([]byte(raw)); err == nil {
+		if _, err := testconfig.Parse([]byte(raw)); err == nil {
 			t.Errorf("case %d accepted: %s", i, raw)
 		}
 	}
 }
 
 func TestRunMinimalMatrix(t *testing.T) {
-	c, err := Parse([]byte(minimalJSON()))
+	c, err := testconfig.Parse([]byte(minimalJSON()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var progress []string
-	res, err := c.Run(func(s string) { progress = append(progress, s) })
+	res, err := experiments.Matrix(c, func(s string) { progress = append(progress, s) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +98,7 @@ func TestRunMinimalMatrix(t *testing.T) {
 }
 
 func TestRunBurstMatrix(t *testing.T) {
-	c, err := Parse([]byte(`{
+	c, err := testconfig.Parse([]byte(`{
 		"name": "b",
 		"functions": ["hello-world"],
 		"test_inputs": ["A"],
@@ -103,7 +108,7 @@ func TestRunBurstMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Run(nil)
+	res, err := experiments.Matrix(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +118,7 @@ func TestRunBurstMatrix(t *testing.T) {
 }
 
 func TestRunModeComparisonShape(t *testing.T) {
-	c, err := Parse([]byte(`{
+	c, err := testconfig.Parse([]byte(`{
 		"name": "cmp",
 		"functions": ["json"],
 		"test_inputs": ["B"],
@@ -123,11 +128,11 @@ func TestRunModeComparisonShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Run(nil)
+	res, err := experiments.Matrix(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	byMode := map[string]Row{}
+	byMode := map[string]testconfig.Row{}
 	for _, r := range res.Rows {
 		byMode[r.Mode] = r
 	}
@@ -139,7 +144,7 @@ func TestRunModeComparisonShape(t *testing.T) {
 
 func TestShippedConfigsParse(t *testing.T) {
 	for _, name := range []string{"test-2inputs.json", "test-6inputs.json", "test-burst.json"} {
-		c, err := LoadFile(filepath.Join("..", "..", "configs", name))
+		c, err := testconfig.LoadFile(filepath.Join("..", "..", "configs", name))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -150,40 +155,27 @@ func TestShippedConfigsParse(t *testing.T) {
 }
 
 func TestLoadFileMissing(t *testing.T) {
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "no.json")); err == nil {
+	if _, err := testconfig.LoadFile(filepath.Join(t.TempDir(), "no.json")); err == nil {
 		t.Fatal("missing file loaded")
 	}
 }
 
 func TestResultsJSONRoundTrip(t *testing.T) {
-	res := &Results{
+	res := &testconfig.Results{
 		Name:    "x",
 		Started: time.Now(),
 		Elapsed: time.Second,
-		Rows:    []Row{{Function: "f", Mode: "faasnap", Input: "B", MeanMs: 12.5}},
+		Rows:    []testconfig.Row{{Function: "f", Mode: "faasnap", Input: "B", MeanMs: 12.5}},
 	}
 	raw, err := json.Marshal(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var back Results
+	var back testconfig.Results
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Rows[0].MeanMs != 12.5 {
 		t.Fatalf("round trip = %+v", back)
-	}
-}
-
-func TestSqrtHelper(t *testing.T) {
-	for _, c := range []struct{ in, want float64 }{{0, 0}, {-4, 0}, {4, 2}, {9, 3}, {2, 1.41421356}} {
-		got := sqrt(c.in)
-		diff := got - c.want
-		if diff < 0 {
-			diff = -diff
-		}
-		if diff > 1e-6 {
-			t.Errorf("sqrt(%v) = %v, want %v", c.in, got, c.want)
-		}
 	}
 }

@@ -130,18 +130,6 @@ func (s *Store) Get(id ID) (*Trace, bool) {
 	return t, ok
 }
 
-// List returns trace ids, newest last.
-func (s *Store) List() []ID {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ids := make([]ID, 0, s.ids.Len())
-	s.ids.Ascend(func(id ID) bool {
-		ids = append(ids, id)
-		return true
-	})
-	return ids
-}
-
 // ListNewest returns up to limit trace ids, newest first. limit <= 0
 // returns all.
 func (s *Store) ListNewest(limit int) []ID {

@@ -163,13 +163,6 @@ func (m *Machine) State() State {
 	return m.state
 }
 
-// LoadedSnapshot returns the last snapshot-load request, if any.
-func (m *Machine) LoadedSnapshot() *SnapshotLoadRequest {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.loaded
-}
-
 // Snapshots returns the snapshot-create requests handled so far.
 func (m *Machine) Snapshots() []SnapshotCreateRequest {
 	m.mu.Lock()

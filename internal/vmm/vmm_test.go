@@ -140,10 +140,6 @@ func TestSnapshotLoadWithRegionMaps(t *testing.T) {
 	if m.State() != StateRunning {
 		t.Fatalf("state after resume load = %v", m.State())
 	}
-	got := m.LoadedSnapshot()
-	if got == nil || len(got.RegionMaps) != 3 {
-		t.Fatalf("loaded = %+v", got)
-	}
 }
 
 func TestSnapshotLoadWithoutResumeIsPaused(t *testing.T) {

@@ -24,7 +24,10 @@ package workload
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"time"
 
 	"faasnap/internal/guest"
@@ -272,6 +275,53 @@ func (s *Spec) InputForRatio(ratio float64) Input {
 		Seed:      hashSeed(s.Name, "ratio", fmt.Sprintf("%.4f", ratio)),
 		DataPages: int64(float64(s.A.DataPages) * ratio),
 	}
+}
+
+// ResolveInput maps an input name to an input definition: "" or "A",
+// "B", or ratio:<x> for x times input A's size (Figure 8), x a finite
+// number > 0. This is the one place that knows the syntax. An unknown
+// name, a malformed ratio and a ratio whose input CheckInput refuses
+// are errors.
+func (s *Spec) ResolveInput(name string) (Input, error) {
+	switch name {
+	case "", "A":
+		return s.A, nil
+	case "B":
+		return s.B, nil
+	}
+	x, ok := strings.CutPrefix(name, "ratio:")
+	if !ok {
+		return Input{}, fmt.Errorf("workload: unknown input %q (use A, B, or ratio:<x>)", name)
+	}
+	// !(ratio > 0) also catches NaN, which ParseFloat accepts.
+	ratio, err := strconv.ParseFloat(x, 64)
+	if err != nil || !(ratio > 0) || math.IsInf(ratio, 1) {
+		return Input{}, fmt.Errorf("workload: bad input %q: ratio must be a finite number > 0", name)
+	}
+	in := s.InputForRatio(ratio)
+	if err := s.CheckInput(in); err != nil {
+		return Input{}, fmt.Errorf("workload: bad input %q: %w", name, err)
+	}
+	return in, nil
+}
+
+// CheckInput reports whether the guest can run in: sizes are
+// non-negative, the nominal size is at most the guest's memory, and the
+// data pages fit the heap together with the share of them a snapshot
+// keeps live (RetainFrac). That second term makes the bound hold for
+// pairs: any admitted test input fits beside what any admitted record
+// input left behind, so no admitted input exhausts the guest heap.
+func (s *Spec) CheckInput(in Input) error {
+	const heapPages = GuestPages - GuestPages/2
+	if in.Bytes < 0 || in.Bytes > GuestPages*snapshot.PageSize {
+		return fmt.Errorf("input size %d bytes outside the %d-byte guest", in.Bytes, int64(GuestPages*snapshot.PageSize))
+	}
+	// As guest.free rounds: the freed share is truncated.
+	retained := func() int64 { return in.DataPages - int64(float64(in.DataPages)*(1-s.RetainFrac)) }
+	if in.DataPages < 0 || in.DataPages > heapPages || in.DataPages+retained() > heapPages {
+		return fmt.Errorf("%d data pages do not fit the %d-page guest heap", in.DataPages, int64(heapPages))
+	}
+	return nil
 }
 
 // WarmEstimate returns the approximate warm-VM execution time for an

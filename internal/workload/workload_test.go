@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"time"
 
@@ -202,6 +204,68 @@ func TestSeqStableIsAddressOrdered(t *testing.T) {
 				t.Fatalf("read-list access went backwards: %d after %d", p, last)
 			}
 			last = p
+		}
+	}
+}
+
+// TestResolveInput pins the one input-name rule: what the parent's four
+// resolvers all accepted resolves to the same Input as before, and
+// everything any one of them let through by accident is an error.
+func TestResolveInput(t *testing.T) {
+	for _, s := range Benchmarks() {
+		for name, want := range map[string]Input{"": s.A, "A": s.A, "B": s.B} {
+			if got, err := s.ResolveInput(name); err != nil || got != want {
+				t.Errorf("%s %q = %+v, %v; want %+v", s.Name, name, got, err, want)
+			}
+		}
+		// Figure 8's and configs/test-6inputs.json's ratios.
+		for _, ratio := range []float64{0.25, 0.5, 1, 2, 4} {
+			name := fmt.Sprintf("ratio:%g", ratio)
+			if got, err := s.ResolveInput(name); err != nil || got != s.InputForRatio(ratio) {
+				t.Errorf("%s %q = %+v, %v; want %+v", s.Name, name, got, err, s.InputForRatio(ratio))
+			}
+		}
+	}
+	image, _ := ByName("image")
+	want := Input{Name: "r4.00", Bytes: 4 * 101 << 10, Seed: hashSeed("image", "ratio", "4.0000"), DataPages: 9600}
+	if got, err := image.ResolveInput("ratio:4"); err != nil || got != want {
+		t.Fatalf("image ratio:4 = %+v, %v; want %+v", got, err, want)
+	}
+	hello, _ := ByName("hello-world")
+	for _, name := range []string{
+		"ratio:NaN", "ratio:Inf", "ratio:+Inf", "ratio:-Inf", "ratio:-1", "ratio:0", "ratio:1e-400",
+		"ratio:2abc", "ratio:", "ratio: 2", "ratio:1e4", "ratio:1e300", "C", "a", "ratio", "Ratio:2",
+	} {
+		if got, err := hello.ResolveInput(name); err == nil {
+			t.Errorf("hello-world %q resolved to %+v", name, got)
+		}
+	}
+}
+
+// TestCheckInputBoundsThePair checks the reason for CheckInput's
+// retained-pages term: the largest input it admits still fits the heap
+// beside what a recording of that same input keeps live, and one page
+// more is refused.
+func TestCheckInputBoundsThePair(t *testing.T) {
+	const heap = GuestPages - GuestPages/2
+	for _, s := range Catalog() {
+		lo, hi := int64(0), int64(heap)+1 // admitted, refused
+		for hi-lo > 1 {
+			if mid := (lo + hi) / 2; s.CheckInput(Input{DataPages: mid}) == nil {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		retained := lo - int64(float64(lo)*(1-s.RetainFrac))
+		if lo+retained > heap || lo < heap/2 {
+			t.Errorf("%s: admits %d pages (+%d retained) in a %d-page heap", s.Name, lo, retained, int64(heap))
+		}
+	}
+	s, _ := ByName("json")
+	for _, in := range []Input{{DataPages: -1}, {Bytes: -1}, {DataPages: 1_000_000_000}, {DataPages: math.MaxInt64}, {Bytes: 1 << 40}} {
+		if s.CheckInput(in) == nil {
+			t.Errorf("json: %+v admitted", in)
 		}
 	}
 }
