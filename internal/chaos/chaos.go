@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -305,16 +306,7 @@ func (r *ruleState) matches(point, op string) bool {
 	if r.Point != point {
 		return false
 	}
-	return r.Op == "" || contains(op, r.Op)
-}
-
-func contains(s, sub string) bool {
-	for i := 0; i+len(sub) <= len(s); i++ {
-		if s[i:i+len(sub)] == sub {
-			return true
-		}
-	}
-	return false
+	return strings.Contains(op, r.Op) // an empty rule op is in every op
 }
 
 // Eval consults the rules for one operation at an injection point. The

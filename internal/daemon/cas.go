@@ -32,6 +32,7 @@ import (
 	"faasnap/internal/casstore"
 	"faasnap/internal/core"
 	"faasnap/internal/events"
+	"faasnap/internal/resilience"
 	"faasnap/internal/snapfile"
 	"faasnap/internal/telemetry"
 	"faasnap/internal/trace"
@@ -769,23 +770,12 @@ func (d *Daemon) fetchLazyChunks(name, source string, refs []snapfile.ChunkRef, 
 const lazyAttempts = 3
 
 // fetchLazyChunk fetches one chunk, retrying transient failures with a
-// short backoff; a halt between attempts ends it with ctx's error.
-func (d *Daemon) fetchLazyChunk(ctx context.Context, source string, dg casstore.Digest) (err error) {
-	for try := 0; try < lazyAttempts; try++ {
-		if try > 0 {
-			select {
-			case <-ctx.Done():
-			case <-time.After(time.Duration(try) * 50 * time.Millisecond):
-			}
-		}
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		if _, _, err = d.fetchChunk(source, dg); err == nil {
-			return nil
-		}
-	}
-	return err
+// short backoff; a halt ends it at once.
+func (d *Daemon) fetchLazyChunk(ctx context.Context, source string, dg casstore.Digest) error {
+	return resilience.Retry(ctx, lazyAttempts, 50*time.Millisecond, nil, func() error {
+		_, _, err := d.fetchChunk(source, dg)
+		return err
+	})
 }
 
 type gcRequest struct {

@@ -140,7 +140,7 @@ type Daemon struct {
 	log *log.Logger
 	kv  *kvstore.Client
 
-	// reg is the lock-striped function registry; see registry.go.
+	// reg is the function registry; see registry.go.
 	reg *registry
 
 	traces    *trace.Store
@@ -662,7 +662,7 @@ func (d *Daemon) handleCreate(w http.ResponseWriter, r *http.Request) {
 		// Boot a clean VM through the Firecracker-style API.
 		// Telemetry is attached before the first API call so the boot
 		// itself is counted.
-		m := launchVMM(name)
+		m := vmm.Launch(name)
 		m.SetTelemetry(d.telemetry)
 		m.SetChaos(d.chaos)
 		c := m.Client()
@@ -676,7 +676,7 @@ func (d *Daemon) handleCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		// The in-guest server comes up with the VM; invocation
 		// requests are forwarded to it.
-		agent := startAgent(name, func(req guestagent.InvokeRequest) (guestagent.InvokeReply, error) {
+		agent := guestagent.Start(name, func(req guestagent.InvokeRequest) (guestagent.InvokeReply, error) {
 			return guestagent.InvokeReply{}, nil
 		})
 		agent.SetTelemetry(d.telemetry)
@@ -706,13 +706,6 @@ func (d *Daemon) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, d.infoLocked(fs))
 }
-
-// launchVMM and startAgent are indirection points so tests can inject
-// boot failures into the create path.
-var (
-	launchVMM  = vmm.Launch
-	startAgent = guestagent.Start
-)
 
 // infoLocked is info for a caller already holding fs.mu.
 func (d *Daemon) infoLocked(fs *fnState) FunctionInfo {
@@ -864,6 +857,50 @@ type RecordResponse struct {
 	Duration string            `json:"record_duration"`
 }
 
+// recordSnapshot is the record phase on fs's long-lived VM in the
+// paper's order (§5; RESILIENCE.md, "The record sequence"). It is the
+// one owner of the sanitize and pause windows, so no early return
+// leaves either open: a pause that succeeded is always followed by a
+// resume, and a VM found Paused (an earlier resume itself failed) has
+// its window closed by this record. The caller holds fs.mu.
+func (d *Daemon) recordSnapshot(fs *fnState, in workload.Input) (arts *core.Artifacts, res core.RecordResult, err error) {
+	sanitize := func(on bool) error {
+		if fs.agent == nil {
+			return nil
+		}
+		return fs.agent.Client().SetSanitize(on)
+	}
+	if err := sanitize(true); err != nil {
+		return nil, res, fmt.Errorf("enable sanitizing: %w", err)
+	}
+	// Pure: nothing between the two toggles can fail.
+	arts, res = core.Record(d.cfg.Host, fs.spec, in)
+	if err := sanitize(false); err != nil {
+		return nil, res, fmt.Errorf("disable sanitizing: %w", err)
+	}
+	if fs.machine == nil {
+		return arts, res, nil
+	}
+	c := fs.machine.Client()
+	if fs.machine.State() != vmm.StatePaused {
+		if err := c.Pause(); err != nil {
+			return nil, res, fmt.Errorf("pause: %w", err)
+		}
+	}
+	defer func() {
+		if rerr := c.Resume(); rerr != nil {
+			err = errors.Join(err, fmt.Errorf("resume: %w", rerr))
+		}
+	}()
+	if err := c.CreateSnapshot(vmm.SnapshotCreateRequest{
+		SnapshotPath: fmt.Sprintf("/snapshots/%s.state", fs.spec.Name),
+		MemFilePath:  fmt.Sprintf("/snapshots/%s.mem", fs.spec.Name),
+	}); err != nil {
+		return nil, res, fmt.Errorf("snapshot create: %w", err)
+	}
+	return arts, res, nil
+}
+
 func (d *Daemon) handleRecord(w http.ResponseWriter, r *http.Request) {
 	if d.gateRecovering(w) {
 		return
@@ -891,43 +928,11 @@ func (d *Daemon) handleRecord(w http.ResponseWriter, r *http.Request) {
 	defer d.casOps.RUnlock()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	// The §5 record flow: sanitizing on for the traced invocation,
-	// toggled off through the guest's procfs interface before the
-	// snapshot is taken.
-	if fs.agent != nil {
-		ac := fs.agent.Client()
-		if err := ac.SetSanitize(true); err != nil {
-			writeErr(w, http.StatusInternalServerError, "enable sanitizing: %v", err)
-			return
-		}
-		defer func() {
-			if err := ac.SetSanitize(false); err != nil {
-				d.log.Printf("disable sanitizing: %v", err)
-			}
-		}()
+	arts, res, err := d.recordSnapshot(fs, in)
+	if err != nil {
+		writeErr(w, http.StatusInternalServerError, "%v", err)
+		return
 	}
-	// Drive the VMM snapshot lifecycle: pause, snapshot, resume.
-	if fs.machine != nil {
-		c := fs.machine.Client()
-		if err := c.Pause(); err != nil {
-			writeErr(w, http.StatusConflict, "pause: %v", err)
-			return
-		}
-		snapReq := vmm.SnapshotCreateRequest{
-			SnapshotPath: fmt.Sprintf("/snapshots/%s.state", fs.spec.Name),
-			MemFilePath:  fmt.Sprintf("/snapshots/%s.mem", fs.spec.Name),
-		}
-		if err := c.CreateSnapshot(snapReq); err != nil {
-			writeErr(w, http.StatusInternalServerError, "snapshot create: %v", err)
-			return
-		}
-		if err := c.Resume(); err != nil {
-			writeErr(w, http.StatusInternalServerError, "resume: %v", err)
-			return
-		}
-	}
-
-	arts, res := core.Record(d.cfg.Host, fs.spec, in)
 	d.storeInput(fs.spec, in)
 	if d.cfg.StateDir == "" {
 		fs.arts = arts

@@ -8,12 +8,13 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"faasnap/internal/chaos"
 	"faasnap/internal/core"
-	"faasnap/internal/guestagent"
 	"faasnap/internal/hostmm"
 	"faasnap/internal/kvstore"
 	"faasnap/internal/vmm"
@@ -430,52 +431,19 @@ func TestNewPreservesPartialHostConfig(t *testing.T) {
 
 func TestCreateFailureCleanup(t *testing.T) {
 	// A PUT whose boot path fails must not leak a VMM or leave a
-	// machine-less entry registered in GET /functions.
+	// machine-less entry registered in GET /functions. Each case is one
+	// chaos rule that fires once, at one step of the boot sequence.
 	cases := []struct {
-		name    string
-		install func(t *testing.T, launched *[]*vmm.Machine)
+		name string
+		rule chaos.Rule
 	}{
-		{"machine-config", func(t *testing.T, launched *[]*vmm.Machine) {
-			orig := launchVMM
-			launchVMM = func(id string) *vmm.Machine {
-				m := orig(id)
-				m.InjectFault("machine-config")
-				*launched = append(*launched, m)
-				return m
-			}
-			t.Cleanup(func() { launchVMM = orig })
-		}},
-		{"instance-start", func(t *testing.T, launched *[]*vmm.Machine) {
-			orig := launchVMM
-			launchVMM = func(id string) *vmm.Machine {
-				m := orig(id)
-				m.InjectFault("instance-start")
-				*launched = append(*launched, m)
-				return m
-			}
-			t.Cleanup(func() { launchVMM = orig })
-		}},
-		{"agent-health", func(t *testing.T, launched *[]*vmm.Machine) {
-			origLaunch := launchVMM
-			launchVMM = func(id string) *vmm.Machine {
-				m := origLaunch(id)
-				*launched = append(*launched, m)
-				return m
-			}
-			origStart := startAgent
-			startAgent = func(name string, exec guestagent.Executor) *guestagent.Agent {
-				a := origStart(name, exec)
-				a.Close() // health check against a dead agent fails
-				return a
-			}
-			t.Cleanup(func() { launchVMM = origLaunch; startAgent = origStart })
-		}},
+		{"machine-config", chaos.Rule{Point: chaos.PointVMMAPI, Op: "/machine-config", Kind: chaos.KindError, Count: 1}},
+		{"instance-start", chaos.Rule{Point: chaos.PointVMMAPI, Op: "/actions", Kind: chaos.KindError, Count: 1}},
+		{"agent-health", chaos.Rule{Point: chaos.PointPipenet, Op: "-guest:80", Kind: chaos.KindDrop, Count: 1}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, srv := newTestDaemon(t, Config{})
-			var launched []*vmm.Machine
-			tc.install(t, &launched)
+			_, srv := newTestDaemon(t, Config{Chaos: &chaos.Config{Enabled: true, Rules: []chaos.Rule{tc.rule}}})
 
 			resp := doJSON(t, "PUT", srv.URL+"/functions/hello-world", nil, nil)
 			if resp.StatusCode != 500 {
@@ -491,22 +459,97 @@ func TestCreateFailureCleanup(t *testing.T) {
 			if resp.StatusCode != 404 {
 				t.Fatalf("get after failed create = %d, want 404", resp.StatusCode)
 			}
-			// …and the VMM torn down: its API socket no longer answers.
-			if len(launched) != 1 {
-				t.Fatalf("launched %d machines, want 1", len(launched))
+			// …and the VMM torn down: the one fault was the injected one,
+			// and no microVM process is left alive.
+			if n := metricSum(t, srv.URL, "faasnap_chaos_injected_total", ""); n != 1 {
+				t.Fatalf("chaos_injected_total = %v, want 1", n)
 			}
-			if _, err := launched[0].Client().Info(); err == nil {
-				t.Fatal("leaked VMM: API socket still answering after failed create")
+			if n := metricSum(t, srv.URL, "faasnap_vmm_active", ""); n != 0 {
+				t.Fatalf("leaked VMM: faasnap_vmm_active = %v after failed create, want 0", n)
 			}
 
-			// With the hooks restored the same PUT succeeds, proving the
+			// The rule is spent, so the same PUT now succeeds, proving the
 			// failed attempt left no poisoned state behind.
-			launchVMM, startAgent = vmm.Launch, guestagent.Start
 			var info FunctionInfo
 			resp = doJSON(t, "PUT", srv.URL+"/functions/hello-world", nil, &info)
 			if resp.StatusCode != 200 || info.VMState != string(vmm.StateRunning) {
 				t.Fatalf("retry create = %d %+v", resp.StatusCode, info)
 			}
 		})
+	}
+}
+
+// TestHopConnectionsArePerRequest: no connection to an in-process peer
+// (a VMM's API socket, a guest agent) may outlive the request that used
+// it. Every invoke builds two short-lived hop clients and every record
+// two more; a kept-alive connection under any of them strands a client
+// read loop, a client write loop and a server conn.serve for the life
+// of the peer.
+func TestHopConnectionsArePerRequest(t *testing.T) {
+	// settle waits for goroutines on their way out (a closed connection's
+	// loops, the post-record gauge refresh) and returns the count.
+	settle := func(limit int) int {
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > limit && time.Now().Before(deadline) {
+			time.Sleep(10 * time.Millisecond)
+		}
+		return runtime.NumGoroutine()
+	}
+	beforeNew := runtime.NumGoroutine()
+	d, err := New(Config{Logger: log.New(io.Discard, "", 0), QuietHTTP: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(d.Handler())
+	closed := false
+	shutdown := func() {
+		if !closed {
+			closed = true
+			srv.Close()
+			d.Close()
+		}
+	}
+	defer shutdown()
+	// One client, every body drained: the test's own connection to the
+	// daemon is reused, so what grows is the daemon's doing.
+	call := func(method, path, body string) {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != 200 {
+			t.Fatalf("%s %s = %d", method, path, resp.StatusCode)
+		}
+	}
+	call("PUT", "/functions/hello-world", "")
+	call("POST", "/functions/hello-world/record", `{"input":"A"}`)
+	call("POST", "/functions/hello-world/invoke", `{"mode":"faasnap","input":"B"}`)
+
+	beforeLoop := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		// Mostly warm, which forwards to the agent and is cheap to
+		// simulate; every twentieth restores through a fresh VMM as well.
+		mode := "warm"
+		if i%20 == 0 {
+			mode = "faasnap"
+		}
+		call("POST", "/functions/hello-world/invoke", `{"mode":"`+mode+`","input":"B"}`)
+	}
+	for i := 0; i < 5; i++ {
+		call("POST", "/functions/hello-world/record", `{"input":"A"}`)
+	}
+	if n := settle(beforeLoop + 10); n > beforeLoop+10 {
+		t.Fatalf("%d goroutines after 200 invokes and 5 records, %d before: hop connections outlive their requests", n, beforeLoop)
+	}
+	shutdown()
+	if n := settle(beforeNew + 5); n > beforeNew+5 {
+		t.Fatalf("%d goroutines after Close, %d before New", n, beforeNew)
 	}
 }

@@ -1,126 +1,66 @@
 package daemon
 
-// The function registry, lock-striped so the invoke hot path never
-// contends on one global mutex. The seed design kept every function
-// behind a single sync.RWMutex; at open-loop rates (thousands of
-// lookups per second across hundreds of tenants) that lock was the top
-// entry in the mutex contention profile. Striping by function-name hash
-// bounds contention to 1/registryShards of the traffic, and the common
-// operation — fn() on the invoke path — takes only a shard read lock.
+// The function registry: name -> *fnState over a sync.Map, so the
+// invoke hot path's lookup is an atomic read that no registration,
+// delete or list can stall. These methods are the registry's whole
+// contract; nothing else in the daemon touches the map.
 
 import (
-	"hash/fnv"
 	"sort"
 	"sync"
 )
 
-// registryShards is the stripe count; a power of two so the hash can
-// mask instead of mod. 64 stripes keep worst-case contention below 2%
-// of a uniform key load even at the e2e harness's highest widths.
-const registryShards = 64
-
-type regShard struct {
-	mu sync.RWMutex
-	m  map[string]*fnState
-}
-
-// registry maps function name -> state across registryShards stripes.
 type registry struct {
-	shards [registryShards]regShard
+	m sync.Map // function name -> *fnState
 }
 
-func newRegistry() *registry {
-	r := &registry{}
-	for i := range r.shards {
-		r.shards[i].m = make(map[string]*fnState)
-	}
-	return r
-}
-
-// shardFor picks the stripe for a function name (FNV-1a, masked).
-func (r *registry) shardFor(name string) *regShard {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(name))
-	return &r.shards[h.Sum64()&(registryShards-1)]
-}
+func newRegistry() *registry { return &registry{} }
 
 // get returns the named function's state, if registered.
 func (r *registry) get(name string) (*fnState, bool) {
-	s := r.shardFor(name)
-	s.mu.RLock()
-	fs, ok := s.m[name]
-	s.mu.RUnlock()
+	v, ok := r.m.Load(name)
+	fs, _ := v.(*fnState)
 	return fs, ok
 }
 
 // getOrCreate returns the existing state for name, or installs the one
 // mk builds. The second result reports whether name already existed.
+// mk does not run for a name found registered; when two creates race,
+// both may build and one state is dropped unpublished.
 func (r *registry) getOrCreate(name string, mk func() *fnState) (*fnState, bool) {
-	s := r.shardFor(name)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if fs, ok := s.m[name]; ok {
+	if fs, ok := r.get(name); ok {
 		return fs, true
 	}
-	fs := mk()
-	s.m[name] = fs
-	return fs, false
+	v, existed := r.m.LoadOrStore(name, mk())
+	return v.(*fnState), existed
 }
 
 // set unconditionally installs state for name (reload path).
-func (r *registry) set(name string, fs *fnState) {
-	s := r.shardFor(name)
-	s.mu.Lock()
-	s.m[name] = fs
-	s.mu.Unlock()
-}
+func (r *registry) set(name string, fs *fnState) { r.m.Store(name, fs) }
 
 // remove deletes and returns the named state.
 func (r *registry) remove(name string) (*fnState, bool) {
-	s := r.shardFor(name)
-	s.mu.Lock()
-	fs, ok := s.m[name]
-	delete(s.m, name)
-	s.mu.Unlock()
+	v, ok := r.m.LoadAndDelete(name)
+	fs, _ := v.(*fnState)
 	return fs, ok
 }
 
 // removeIf deletes name only if it still maps to fs — the create path's
 // boot-failure cleanup must not tear down an entry a concurrent PUT
 // re-registered.
-func (r *registry) removeIf(name string, fs *fnState) {
-	s := r.shardFor(name)
-	s.mu.Lock()
-	if cur, ok := s.m[name]; ok && cur == fs {
-		delete(s.m, name)
-	}
-	s.mu.Unlock()
-}
+func (r *registry) removeIf(name string, fs *fnState) { r.m.CompareAndDelete(name, fs) }
 
 // snapshot returns every registered state, sorted by function name so
-// list responses are deterministic regardless of stripe layout.
+// list responses are deterministic.
 func (r *registry) snapshot() []*fnState {
 	var out []*fnState
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		for _, fs := range s.m {
-			out = append(out, fs)
-		}
-		s.mu.RUnlock()
-	}
+	r.m.Range(func(_, v any) bool {
+		out = append(out, v.(*fnState))
+		return true
+	})
 	sort.Slice(out, func(i, j int) bool { return out[i].spec.Name < out[j].spec.Name })
 	return out
 }
 
-// size returns the registered-function count.
-func (r *registry) size() int {
-	n := 0
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.RLock()
-		n += len(s.m)
-		s.mu.RUnlock()
-	}
-	return n
-}
+// size returns the registered-function count (recovery's log lines).
+func (r *registry) size() int { return len(r.snapshot()) }

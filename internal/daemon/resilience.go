@@ -245,22 +245,19 @@ func (d *Daemon) resilientRestore(ctx context.Context, fn string, arts *core.Art
 			out.mode = m
 			return out, nil
 		}
-		br := d.breaker(fn)
-		var err error
-		if !br.Allow() {
-			err = errCircuitOpen
-		} else {
+		err := errCircuitOpen
+		if report, admitted := d.breaker(fn).Allow(); admitted {
 			var spans []telemetry.RemoteSpan
 			var retries int
 			spans, retries, err = d.restoreVMM(ctx, fn, arts, m, sc)
 			out.retries += retries
 			if err == nil {
-				br.Success()
+				report(resilience.Healthy)
 				out.mode = m
 				out.spans = spans
 				return out, nil
 			}
-			br.Failure()
+			report(resilience.Unhealthy)
 		}
 		if ctx.Err() != nil {
 			return out, ctx.Err()

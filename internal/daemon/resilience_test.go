@@ -21,6 +21,7 @@ import (
 	"faasnap/internal/chaos"
 	"faasnap/internal/resilience"
 	"faasnap/internal/snapfile"
+	"faasnap/internal/vmm"
 )
 
 // metricSum reads GET /metrics and sums every series of the named
@@ -237,6 +238,76 @@ func TestBreakerOpensHalfOpensAndCloses(t *testing.T) {
 	}
 	if got := metricSum(t, srv.URL, "faasnap_breaker_state", `function="hello-world"`); got != float64(resilience.Closed) {
 		t.Fatalf("breaker gauge = %v, want closed", got)
+	}
+}
+
+// TestRecordFaultLeavesVMRunning is the single-fault matrix over the
+// record sequence (RESILIENCE.md, "The record sequence"): one chaos
+// rule that fires once, at each step that talks to the guest agent or
+// the VMM. The faulted record is refused with a well-formed error, and
+// the fault must not outlive it: the next record succeeds and leaves
+// the VM running with sanitizing off — a record that fails may not
+// wedge the function until it is deleted.
+func TestRecordFaultLeavesVMRunning(t *testing.T) {
+	once := func(point, op string, kind chaos.Kind) chaos.Rule {
+		return chaos.Rule{Point: point, Op: op, Kind: kind, Count: 1}
+	}
+	cases := []struct {
+		name  string
+		rules []chaos.Rule
+		// after is the VM's state once the faulted record has returned:
+		// Paused only when the fault hit the resume itself, until the next
+		// record closes the window.
+		after vmm.State
+	}{
+		{"sanitize-on dial", []chaos.Rule{once(chaos.PointPipenet, "-guest:80", chaos.KindDrop)}, vmm.StateRunning},
+		{"pause", []chaos.Rule{once(chaos.PointVMMAPI, "/vm", chaos.KindError)}, vmm.StateRunning},
+		{"snapshot-create", []chaos.Rule{once(chaos.PointVMMAPI, "/snapshot/create", chaos.KindError)}, vmm.StateRunning},
+		// The delay rule consumes the first PATCH /vm (the pause), so the
+		// error rule meets the second (the resume).
+		{"resume", []chaos.Rule{once(chaos.PointVMMAPI, "/vm", chaos.KindDelay), once(chaos.PointVMMAPI, "/vm", chaos.KindError)}, vmm.StatePaused},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d, srv := newTestDaemon(t, Config{})
+			// Armed after the boot, whose own calls the rules would match.
+			if resp := doJSON(t, "PUT", srv.URL+"/functions/hello-world", nil, nil); resp.StatusCode != 200 {
+				t.Fatalf("create = %d", resp.StatusCode)
+			}
+			if resp := doJSON(t, "PUT", srv.URL+"/chaos", chaos.Config{Enabled: true, Rules: tc.rules}, nil); resp.StatusCode != 200 {
+				t.Fatalf("arm chaos = %d", resp.StatusCode)
+			}
+			fs, _ := d.fn("hello-world")
+			state := func() (vmm.State, bool) { return fs.machine.State(), fs.agent.Sanitizing() }
+
+			resp := doJSON(t, "POST", srv.URL+"/functions/hello-world/record", nil, nil)
+			if resp.StatusCode/100 == 2 {
+				t.Fatalf("faulted record = %d, want an error", resp.StatusCode)
+			}
+			var st chaos.Status
+			doJSON(t, "GET", srv.URL+"/chaos", nil, &st)
+			for i, r := range st.Rules {
+				if r.Fired != 1 {
+					t.Fatalf("rule %d fired %d times during the faulted record, want 1", i, r.Fired)
+				}
+			}
+			if vm, sanitizing := state(); vm != tc.after || sanitizing {
+				t.Fatalf("after the faulted record: vm %q, sanitizing %v; want %q, false", vm, sanitizing, tc.after)
+			}
+
+			resp = doJSON(t, "POST", srv.URL+"/functions/hello-world/record", nil, nil)
+			if resp.StatusCode != 200 {
+				t.Fatalf("record after the fault = %d, want 200", resp.StatusCode)
+			}
+			if vm, sanitizing := state(); vm != vmm.StateRunning || sanitizing {
+				t.Fatalf("after the next record: vm %q, sanitizing %v; want Running, false", vm, sanitizing)
+			}
+			var info FunctionInfo
+			doJSON(t, "GET", srv.URL+"/functions/hello-world", nil, &info)
+			if info.VMState != string(vmm.StateRunning) || !info.HasSnapshot {
+				t.Fatalf("function after the next record = %+v", info)
+			}
+		})
 	}
 }
 

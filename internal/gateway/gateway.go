@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"faasnap/internal/events"
+	"faasnap/internal/resilience"
 	"faasnap/internal/telemetry"
 	"faasnap/internal/trace"
 )
@@ -395,9 +396,13 @@ func (g *Gateway) do(ctx context.Context, b *Backend, method, path string, query
 	return proxyResult{status: resp.StatusCode, header: resp.Header, body: raw}, nil
 }
 
+// placementFanout labels the requests a mutation sends to every replica
+// (register, record, delete): they are addressed, not placed.
+const placementFanout = "fanout"
+
 func (g *Gateway) countRequest(b *Backend, placement string, status int) {
 	g.reg.Counter("faasnap_gw_requests_total",
-		"Requests forwarded to backends, by backend, placement, and status class.",
+		"Requests sent to backends, by backend, placement, and status class.",
 		telemetry.L("backend", b.Addr, "placement", placement, "class", statusClass(status))).Inc()
 }
 
@@ -408,15 +413,44 @@ func statusClass(code int) string {
 	return fmt.Sprintf("%dxx", code/100)
 }
 
+// classify is the one reading of what a backend attempt says about the
+// backend's health: the table in GATEWAY.md, "Classifying an attempt".
+func classify(ctx context.Context, res proxyResult, err error) resilience.Verdict {
+	switch {
+	case err != nil && ctx.Err() != nil:
+		return resilience.NoVerdict
+	case err != nil, res.status >= 500 && res.status != http.StatusGatewayTimeout:
+		return resilience.Unhealthy
+	}
+	return resilience.Healthy
+}
+
+// attempt sends one request to one backend and is where every outcome
+// reaches that backend's breaker and the request counter, exactly once.
+// report is what the breaker's admission handed a gated request
+// (forward); nil for one sent whatever its state (fan-out, delete).
+func (g *Gateway) attempt(ctx context.Context, b *Backend, report func(resilience.Verdict), placement, method, path, query string, body []byte, sc telemetry.SpanContext, extra ...http.Header) (proxyResult, resilience.Verdict, error) {
+	if report == nil {
+		report = b.breaker.Report
+	}
+	v := resilience.NoVerdict
+	defer func() { report(v) }() // also on a panic: a probe slot is never left held
+	res, err := g.do(ctx, b, method, path, query, body, sc, extra...)
+	if v = classify(ctx, res, err); v != resilience.NoVerdict {
+		g.countRequest(b, placement, res.status)
+	}
+	return res, v, err
+}
+
 // handleForward routes one function-scoped request (invoke, burst,
 // get, faults) with snapshot-locality-aware placement and bounded
-// retry-on-another-backend:
+// retry-on-another-backend. What an attempt says about its backend is
+// classify's; what the request does next is decided here:
 //
-//   - transport errors and backend 5xx count against the backend's
-//     breaker and move to the next candidate;
-//   - 429 honors the backend's shed (no breaker penalty) and tries a
-//     less-loaded backend, propagating the largest Retry-After if every
-//     candidate sheds;
+//   - an unhealthy attempt (transport error, 5xx) moves to the next
+//     candidate;
+//   - 429 honors the backend's shed and tries a less-loaded backend,
+//     propagating the largest Retry-After if every candidate sheds;
 //   - 404 means this backend does not hold the function — another
 //     replica may, so it is a miss, not an error;
 //   - deadline expiry anywhere returns 504.
@@ -461,7 +495,11 @@ func (g *Gateway) handleForward(w http.ResponseWriter, r *http.Request) {
 			g.deadlineExceeded(w, ctx.Err())
 			return
 		}
-		if !b.Ready() || b.load() >= g.cfg.MaxPerBackend || !b.breaker.Allow() {
+		if !b.Ready() || b.load() >= g.cfg.MaxPerBackend {
+			continue
+		}
+		report, admitted := b.breaker.Allow()
+		if !admitted {
 			continue
 		}
 		placement := PlacementRetry
@@ -472,43 +510,29 @@ func (g *Gateway) handleForward(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		attempts++
-		res, err := g.do(ctx, b, r.Method, r.URL.Path, r.URL.RawQuery, body, sc, fwd)
-		if err != nil {
-			if ctx.Err() != nil {
-				g.deadlineExceeded(w, ctx.Err())
-				return
-			}
-			b.breaker.Failure()
-			g.countRequest(b, placement, 0)
+		res, v, err := g.attempt(ctx, b, report, placement, r.Method, r.URL.Path, r.URL.RawQuery, body, sc, fwd)
+		switch {
+		case v == resilience.NoVerdict:
+			g.deadlineExceeded(w, ctx.Err())
+			return
+		case err != nil:
 			lastErr = err
 			g.log.Printf("backend %s: %s %s failed: %v", b.Addr, r.Method, r.URL.Path, err)
-			continue
-		}
-		g.countRequest(b, placement, res.status)
-		switch {
 		case res.status == http.StatusTooManyRequests:
-			// The backend shed by policy; it is healthy. Spill to a
-			// less-loaded backend, remembering its backoff hint.
-			b.breaker.Success()
+			// The backend shed by policy. Spill to a less-loaded backend,
+			// remembering its backoff hint.
 			sawShed = true
 			if ra, err := strconv.Atoi(res.header.Get("Retry-After")); err == nil && ra > retryAfter {
 				retryAfter = ra
 			}
-			continue
 		case res.status == http.StatusNotFound:
 			// Not registered here; a snapshot replica may hold it.
-			b.breaker.Success()
-			miss := res
-			lastMiss = &miss
-			continue
-		case res.status >= 500 && res.status != http.StatusGatewayTimeout:
-			b.breaker.Failure()
+			lastMiss = &res
+		case v == resilience.Unhealthy:
 			lastErr = fmt.Errorf("backend %s returned %d", b.Addr, res.status)
-			continue
 		default:
 			// 2xx, 4xx client errors, and backend 504s pass through.
-			b.breaker.Success()
-			g.writeProxied(w, res, b, placement)
+			g.writeProxied(w, res, b, placement, nil)
 			return
 		}
 	}
@@ -543,26 +567,23 @@ func (g *Gateway) deadlineExceeded(w http.ResponseWriter, err error) {
 }
 
 // writeProxied relays a backend response, stamping placement metadata
-// into JSON-object bodies and always into response headers.
-func (g *Gateway) writeProxied(w http.ResponseWriter, res proxyResult, b *Backend, placement string) {
+// (and the caller's extra fields) into JSON-object bodies and always
+// into response headers.
+func (g *Gateway) writeProxied(w http.ResponseWriter, res proxyResult, b *Backend, placement string, extra map[string]interface{}) {
 	w.Header().Set("X-Faasnap-Backend", b.Addr)
 	w.Header().Set("X-Faasnap-Placement", placement)
 	var obj map[string]interface{}
 	if json.Unmarshal(res.body, &obj) == nil && obj != nil {
 		obj["backend"] = b.Addr
 		obj["placement"] = placement
+		for k, v := range extra {
+			obj[k] = v
+		}
 		if raw, err := json.Marshal(obj); err == nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(res.status)
-			_, _ = w.Write(raw)
-			return
+			res.body, res.header = raw, http.Header{"Content-Type": []string{"application/json"}}
 		}
 	}
-	if ct := res.header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(res.status)
-	_, _ = w.Write(res.body)
+	g.writeRaw(w, res)
 }
 
 func (g *Gateway) writeRaw(w http.ResponseWriter, res proxyResult) {
@@ -598,9 +619,8 @@ func (g *Gateway) handleFanout(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var accepted []string
-	var first *proxyResult
+	var first, clientErr *proxyResult
 	var firstBackend *Backend
-	var clientErr *proxyResult
 	for _, b := range prefs {
 		if ctx.Err() != nil {
 			g.deadlineExceeded(w, ctx.Err())
@@ -609,33 +629,20 @@ func (g *Gateway) handleFanout(w http.ResponseWriter, r *http.Request) {
 		if !b.Ready() {
 			continue
 		}
-		res, err := g.do(ctx, b, r.Method, r.URL.Path, r.URL.RawQuery, body, sc)
+		res, _, err := g.attempt(ctx, b, nil, placementFanout, r.Method, r.URL.Path, r.URL.RawQuery, body, sc)
 		if err != nil {
-			b.breaker.Failure()
 			g.log.Printf("fanout %s to %s failed: %v", r.URL.Path, b.Addr, err)
 			continue
 		}
-		g.reg.Counter("faasnap_gw_fanout_total",
-			"Fan-out requests (register/record) sent to backends, by backend and status class.",
-			telemetry.L("backend", b.Addr, "class", statusClass(res.status))).Inc()
 		if res.status/100 == 2 {
-			b.breaker.Success()
 			accepted = append(accepted, b.Addr)
 			if first == nil {
-				firstRes := res
-				first = &firstRes
-				firstBackend = b
+				first, firstBackend = &res, b
 			}
-			continue
-		}
-		if res.status >= 500 {
-			b.breaker.Failure()
-		} else if clientErr == nil {
+		} else if res.status < 500 {
 			// A 4xx is deterministic (bad spec, unknown function):
 			// every backend would refuse it the same way.
-			b.breaker.Success()
-			errRes := res
-			clientErr = &errRes
+			clientErr = &res
 			break
 		}
 	}
@@ -655,21 +662,7 @@ func (g *Gateway) handleFanout(w http.ResponseWriter, r *http.Request) {
 	if owner := g.pool.preference(fn, 1); len(owner) > 0 && firstBackend == owner[0] {
 		placement = PlacementSticky
 	}
-	w.Header().Set("X-Faasnap-Backend", firstBackend.Addr)
-	w.Header().Set("X-Faasnap-Placement", placement)
-	var obj map[string]interface{}
-	if json.Unmarshal(first.body, &obj) == nil && obj != nil {
-		obj["backend"] = firstBackend.Addr
-		obj["placement"] = placement
-		obj["replicated_to"] = accepted
-		if raw, err := json.Marshal(obj); err == nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(first.status)
-			_, _ = w.Write(raw)
-			return
-		}
-	}
-	g.writeRaw(w, *first)
+	g.writeProxied(w, *first, firstBackend, placement, map[string]interface{}{"replicated_to": accepted})
 }
 
 // handleListAll merges GET /functions across every ready backend,
@@ -726,13 +719,8 @@ func (g *Gateway) handleDeleteAll(w http.ResponseWriter, r *http.Request) {
 		if !b.Ready() {
 			continue
 		}
-		res, err := g.do(ctx, b, http.MethodDelete, r.URL.Path, "", nil, telemetry.SpanContext{})
-		if err != nil {
-			b.breaker.Failure()
-			continue
-		}
-		b.breaker.Success()
-		if res.status/100 == 2 {
+		res, _, err := g.attempt(ctx, b, nil, placementFanout, http.MethodDelete, r.URL.Path, "", nil, telemetry.SpanContext{})
+		if err == nil && res.status/100 == 2 {
 			found = true
 		}
 	}

@@ -5,6 +5,7 @@ package gateway
 // deadline propagation — no real daemons involved.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -16,6 +17,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"faasnap/internal/resilience"
 )
 
 // fakeBackend is a scriptable stand-in for one faasnapd.
@@ -283,7 +286,7 @@ func TestSpilloverWhenBreakerOpen(t *testing.T) {
 	oi := ownerIndex(t, g, "fn-a", fakes)
 	ob, _ := g.pool.backend(fakes[oi].addr)
 	for i := 0; i < 3; i++ {
-		ob.breaker.Failure()
+		ob.breaker.Report(resilience.Unhealthy)
 	}
 	rep := gwInvoke(t, g, "fn-a")
 	if rep.status != 200 || rep.placement != PlacementSpillover {
@@ -434,6 +437,79 @@ func TestDeadlinePropagation(t *testing.T) {
 	}
 	if el := time.Since(start); el > time.Second {
 		t.Fatalf("deadline took %v to fire, want ~100ms", el)
+	}
+}
+
+// A half-open probe that ends without a verdict — the gateway's deadline
+// ran out on it, or the client hung up — must give its slot back: the
+// breaker neither closes nor re-opens, and once the backend is healthy
+// the next request after a cooldown probes it and closes the breaker.
+// (A probe that returned without reporting used to hold the slot for
+// good: every later invoke was a 503 from a breaker stuck half-open.)
+func TestProbeWithoutVerdictReleasesBreaker(t *testing.T) {
+	const cooldown = 50 * time.Millisecond
+	for _, how := range []string{"deadline", "client-cancel"} {
+		t.Run(how, func(t *testing.T) {
+			f := newFakeBackend(t)
+			g := newTestGateway(t, Config{RequestTimeout: 100 * time.Millisecond, BreakerThreshold: 1, BreakerCooldown: cooldown}, f)
+			// handled signals each request the gateway has finished with —
+			// its verdict is in by then — which a client that hung up
+			// cannot learn from a reply.
+			handled, h := make(chan struct{}, 8), g.Handler()
+			srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				h.ServeHTTP(w, r)
+				handled <- struct{}{}
+			}))
+			defer srv.Close()
+			b, _ := g.pool.backend(f.addr)
+			invoke := func(want int, wantBreaker string) {
+				t.Helper()
+				rep := gwInvokeURL(t, srv.URL, "fn-a")
+				<-handled
+				if st := b.breaker.State().String(); rep.status != want || st != wantBreaker {
+					t.Fatalf("invoke = %d with the breaker %s, want %d, %s", rep.status, st, want, wantBreaker)
+				}
+			}
+
+			f.invoke.Store(func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusInternalServerError) })
+			invoke(http.StatusServiceUnavailable, "open")
+
+			// The probe hangs until whoever is waiting on it gives up.
+			time.Sleep(cooldown)
+			arrived, release := make(chan struct{}, 1), make(chan struct{})
+			defer close(release) // a handler still hung would block the fake's Close
+			f.invoke.Store(func(w http.ResponseWriter, r *http.Request) {
+				arrived <- struct{}{}
+				select {
+				case <-r.Context().Done():
+				case <-release:
+				}
+			})
+			if how == "deadline" {
+				invoke(http.StatusGatewayTimeout, "half-open")
+			} else {
+				ctx, cancel := context.WithCancel(context.Background())
+				req, _ := http.NewRequestWithContext(ctx, "POST", srv.URL+"/functions/fn-a/invoke", strings.NewReader(`{}`))
+				errc := make(chan error, 1)
+				go func() {
+					_, err := http.DefaultClient.Do(req)
+					errc <- err
+				}()
+				<-arrived
+				cancel()
+				if err := <-errc; err == nil {
+					t.Fatal("cancelled invoke got a reply")
+				}
+				<-handled
+				if st := b.breaker.State().String(); st != "half-open" {
+					t.Fatalf("breaker %s after a cancelled probe, want half-open", st)
+				}
+			}
+
+			f.invoke.Store(func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, `{"ok":true}`) })
+			time.Sleep(cooldown)
+			invoke(http.StatusOK, "closed")
+		})
 	}
 }
 

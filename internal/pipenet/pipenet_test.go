@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -144,4 +146,34 @@ func TestServesHTTP(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// A Transport's connections are per request: each request dials — so a
+// dial fault sees every request, not every connection — and nothing is
+// kept alive for a later one.
+func TestTransportDialsPerRequest(t *testing.T) {
+	l := NewListener("http")
+	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, "pong")
+	})}
+	go srv.Serve(l)
+	defer srv.Close()
+	var dials atomic.Int64
+	l.SetDialFault(func() (time.Duration, error) {
+		dials.Add(1)
+		return 0, nil
+	})
+
+	client := &http.Client{Transport: Transport(l)}
+	for i := 0; i < 5; i++ {
+		resp, err := client.Get("http://guest/ping")
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}
+	if n := dials.Load(); n != 5 {
+		t.Fatalf("%d dials for 5 requests, want one each", n)
+	}
 }

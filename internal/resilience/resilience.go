@@ -112,9 +112,27 @@ func (s BreakerState) String() string {
 	return "unknown"
 }
 
+// Verdict is what one call learned about the guarded path.
+type Verdict int
+
+const (
+	// NoVerdict says nothing about the path: the call ended for a reason
+	// of its own (its context was cancelled or ran out).
+	NoVerdict Verdict = iota
+	// Healthy closes the breaker.
+	Healthy
+	// Unhealthy counts against it: the threshold'th in a row — or any
+	// failed half-open probe — opens the breaker.
+	Unhealthy
+)
+
 // Breaker is a consecutive-failure circuit breaker: Threshold failures
 // in a row open it; after Cooldown one probe is admitted, and its
 // outcome closes the breaker or re-arms the cooldown.
+//
+// Admission and outcome are one protocol: Allow hands an admitted call
+// the function it reports through, so the probe slot is released by the
+// call that took it, whatever that call learned.
 type Breaker struct {
 	threshold int
 	cooldown  time.Duration
@@ -160,52 +178,61 @@ func (b *Breaker) transition(to BreakerState) {
 	}
 }
 
-// Allow reports whether a request may take the guarded path. In Open it
+// Allow reports whether a call may take the guarded path. In Open it
 // flips to HalfOpen once the cooldown has elapsed and admits a single
-// probe; concurrent callers during the probe are rejected.
-func (b *Breaker) Allow() bool {
+// probe; concurrent callers during the probe are rejected. An admitted
+// call gets the function to report its verdict through and must call it
+// on every way out; only its first call counts. A probe that reports
+// NoVerdict frees its slot and leaves the breaker half-open, so the
+// next caller probes instead.
+func (b *Breaker) Allow() (report func(Verdict), ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
-	case Closed:
-		return true
 	case Open:
 		if b.now().Sub(b.openedAt) < b.cooldown {
-			return false
+			return nil, false
 		}
 		b.transition(HalfOpen)
-		b.probing = true
-		return true
+		b.probing = false // a probe left over from an earlier spell holds nothing
+		fallthrough
 	case HalfOpen:
 		if b.probing {
-			return false
+			return nil, false
 		}
 		b.probing = true
-		return true
 	}
-	return false
+	probe := b.state == HalfOpen
+	var reported atomic.Bool
+	return func(v Verdict) {
+		if reported.CompareAndSwap(false, true) {
+			b.record(v, probe)
+		}
+	}, true
 }
 
-// Success reports a guarded-path success, closing the breaker.
-func (b *Breaker) Success() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.failures = 0
-	b.probing = false
-	b.transition(Closed)
-}
+// Report feeds in the verdict of a call that was sent without asking
+// Allow (one that goes out whatever the breaker's state).
+func (b *Breaker) Report(v Verdict) { b.record(v, false) }
 
-// Failure reports a guarded-path failure. The threshold'th consecutive
-// failure — or any failed half-open probe — opens the breaker.
-func (b *Breaker) Failure() {
+// record applies one verdict; probe says the caller holds the slot.
+func (b *Breaker) record(v Verdict, probe bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.failures++
-	b.probing = false
-	if b.state == HalfOpen || b.failures >= b.threshold {
-		b.openedAt = b.now()
+	if probe {
+		b.probing = false
+	}
+	switch v {
+	case Healthy:
 		b.failures = 0
-		b.transition(Open)
+		b.transition(Closed)
+	case Unhealthy:
+		b.failures++
+		if b.state == HalfOpen || b.failures >= b.threshold {
+			b.openedAt = b.now()
+			b.failures = 0
+			b.transition(Open)
+		}
 	}
 }
 

@@ -92,6 +92,17 @@ func TestRetryHonorsContext(t *testing.T) {
 	}
 }
 
+// admit takes the breaker's admission for one call, failing the test if
+// it is refused.
+func admit(t *testing.T, b *Breaker, what string) func(Verdict) {
+	t.Helper()
+	report, ok := b.Allow()
+	if !ok {
+		t.Fatalf("%s rejected", what)
+	}
+	return report
+}
+
 func TestBreakerLifecycle(t *testing.T) {
 	now := time.Unix(0, 0)
 	var transitions []BreakerState
@@ -100,47 +111,38 @@ func TestBreakerLifecycle(t *testing.T) {
 
 	// Closed until the third consecutive failure.
 	for i := 0; i < 2; i++ {
-		if !b.Allow() {
-			t.Fatal("closed breaker rejected")
-		}
-		b.Failure()
+		admit(t, b, "closed breaker")(Unhealthy)
 	}
 	if b.State() != Closed {
 		t.Fatalf("state after 2 failures: %v", b.State())
 	}
-	b.Allow()
-	b.Failure()
+	admit(t, b, "closed breaker")(Unhealthy)
 	if b.State() != Open {
 		t.Fatalf("state after 3 failures: %v", b.State())
 	}
-	if b.Allow() {
+	if _, ok := b.Allow(); ok {
 		t.Fatal("open breaker admitted before cooldown")
 	}
 
 	// After cooldown: exactly one half-open probe.
 	now = now.Add(time.Second)
-	if !b.Allow() {
-		t.Fatal("half-open probe rejected")
-	}
+	probe := admit(t, b, "half-open probe")
 	if b.State() != HalfOpen {
 		t.Fatalf("state during probe: %v", b.State())
 	}
-	if b.Allow() {
+	if _, ok := b.Allow(); ok {
 		t.Fatal("second concurrent probe admitted")
 	}
 
 	// A failed probe re-opens immediately (single failure, not threshold).
-	b.Failure()
+	probe(Unhealthy)
 	if b.State() != Open {
 		t.Fatalf("state after failed probe: %v", b.State())
 	}
 
 	// A successful probe closes.
 	now = now.Add(time.Second)
-	if !b.Allow() {
-		t.Fatal("second probe rejected")
-	}
-	b.Success()
+	admit(t, b, "second probe")(Healthy)
 	if b.State() != Closed {
 		t.Fatalf("state after good probe: %v", b.State())
 	}
@@ -158,14 +160,69 @@ func TestBreakerLifecycle(t *testing.T) {
 
 func TestBreakerSuccessResetsFailureStreak(t *testing.T) {
 	b := NewBreaker(3, time.Second, nil)
-	b.Failure()
-	b.Failure()
-	b.Success()
-	b.Failure()
-	b.Failure()
+	for _, v := range []Verdict{Unhealthy, Unhealthy, Healthy, Unhealthy, Unhealthy} {
+		b.Report(v)
+	}
 	if b.State() != Closed {
 		t.Fatalf("non-consecutive failures opened breaker: %v", b.State())
 	}
+}
+
+// halfOpen returns a threshold-1 breaker whose cooldown has just run
+// out.
+func halfOpen() *Breaker {
+	now := time.Unix(0, 0)
+	b := NewBreaker(1, time.Second, nil)
+	b.SetClock(func() time.Time { return now })
+	b.Report(Unhealthy)
+	now = now.Add(time.Second)
+	return b
+}
+
+// A probe whose call ended for its own reasons learned nothing: the slot
+// is free again at once, and the breaker neither closed nor re-armed its
+// cooldown.
+func TestBreakerNoVerdictReleasesProbe(t *testing.T) {
+	b := halfOpen()
+	admit(t, b, "probe")(NoVerdict)
+	if b.State() != HalfOpen {
+		t.Fatalf("state after a no-verdict probe: %v, want half-open", b.State())
+	}
+	admit(t, b, "probe after a no-verdict probe")(Healthy)
+	if b.State() != Closed {
+		t.Fatalf("state after good probe: %v", b.State())
+	}
+	// In Closed a no-verdict call leaves the failure streak alone.
+	b = NewBreaker(2, time.Second, nil)
+	for _, v := range []Verdict{Unhealthy, NoVerdict, Unhealthy} {
+		admit(t, b, "closed breaker")(v)
+	}
+	if b.State() != Open {
+		t.Fatalf("state after unhealthy, no-verdict, unhealthy: %v, want open", b.State())
+	}
+}
+
+// Only an admitted call's first report counts.
+func TestBreakerReportsOnce(t *testing.T) {
+	b := NewBreaker(2, time.Second, nil)
+	report := admit(t, b, "closed breaker")
+	report(Unhealthy)
+	report(Unhealthy)
+	if b.State() != Closed {
+		t.Fatal("one call's repeated report counted as two failures")
+	}
+	b = halfOpen()
+	probe := admit(t, b, "probe")
+	probe(NoVerdict)
+	next := admit(t, b, "second probe")
+	probe(Healthy) // late and repeated: must neither close nor free the second probe's slot
+	if b.State() != HalfOpen {
+		t.Fatalf("state after a repeated report: %v, want half-open", b.State())
+	}
+	if _, ok := b.Allow(); ok {
+		t.Fatal("a repeated report freed another probe's slot")
+	}
+	next(Healthy)
 }
 
 func TestBreakerStateString(t *testing.T) {

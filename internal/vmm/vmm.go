@@ -113,8 +113,7 @@ type Machine struct {
 	configured bool
 	loaded     *SnapshotLoadRequest
 	snapshots  []SnapshotCreateRequest
-	generation uint64          // bumps on every snapshot load (§7.4)
-	failNext   map[string]bool // injected one-shot API faults, by op
+	generation uint64 // bumps on every snapshot load (§7.4)
 
 	tel       *machineTelemetry
 	telOnDown sync.Once // the active gauge decrements exactly once
@@ -214,29 +213,6 @@ func (m *Machine) Close() {
 	}
 }
 
-// InjectFault makes the machine's next API call against the named
-// operation fail with a 500, simulating a VMM-side error for lifecycle
-// tests. Ops: "machine-config", "instance-start", "snapshot/load",
-// "snapshot/create".
-func (m *Machine) InjectFault(op string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.failNext == nil {
-		m.failNext = make(map[string]bool)
-	}
-	m.failNext[op] = true
-}
-
-// takeFault consumes a pending injected fault for op. Callers must
-// hold m.mu.
-func (m *Machine) takeFault(op string) bool {
-	if m.failNext[op] {
-		delete(m.failNext, op)
-		return true
-	}
-	return false
-}
-
 func writeJSON(w http.ResponseWriter, code int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -268,10 +244,6 @@ func (m *Machine) handleMachineConfig(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		writeJSON(w, http.StatusOK, m.config)
 	case http.MethodPut:
-		if m.takeFault("machine-config") {
-			writeErr(w, http.StatusInternalServerError, "injected machine-config fault")
-			return
-		}
 		if m.state != StateNotStarted {
 			writeErr(w, http.StatusBadRequest, "machine config can only be set before boot")
 			return
@@ -300,10 +272,6 @@ func (m *Machine) handleSnapshotLoad(w http.ResponseWriter, r *http.Request) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.takeFault("snapshot/load") {
-		writeErr(w, http.StatusInternalServerError, "injected snapshot-load fault")
-		return
-	}
 	if m.state != StateNotStarted || m.loaded != nil {
 		writeErr(w, http.StatusBadRequest, "snapshot can only be loaded into a fresh VM")
 		return
@@ -356,10 +324,6 @@ func (m *Machine) handleSnapshotCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.takeFault("snapshot/create") {
-		writeErr(w, http.StatusInternalServerError, "injected snapshot-create fault")
-		return
-	}
 	if m.state != StatePaused {
 		writeErr(w, http.StatusBadRequest, "snapshots can only be taken of paused VMs")
 		return
@@ -394,10 +358,6 @@ func (m *Machine) handleActions(w http.ResponseWriter, r *http.Request) {
 	defer m.mu.Unlock()
 	switch act.ActionType {
 	case "InstanceStart":
-		if m.takeFault("instance-start") {
-			writeErr(w, http.StatusInternalServerError, "injected instance-start fault")
-			return
-		}
 		if m.state != StateNotStarted {
 			writeErr(w, http.StatusBadRequest, "instance already started")
 			return
