@@ -10,6 +10,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"faasnap/internal/blockdev"
@@ -249,22 +250,58 @@ type Artifacts struct {
 	LS          *workingset.LoadingSet
 	LSUnmerged  *workingset.LoadingSet // gap-0 regions, for the per-region ablation
 	ReapWS      *workingset.WSFile     // REAP fault-order working set
+
+	derived derived
+}
+
+// derived holds what the fields above determine and every restore
+// needs: the scan of the memory file into non-zero regions (§4.5), the
+// mapping plans built on it (§4.8) and each mode's prefetch bitmap.
+// The paper's daemon computes these once, after the record phase; here
+// each is filled on first use and then shared, read-only, by every
+// invocation of the snapshot. The zero value is an empty holder.
+type derived struct {
+	mu       sync.Mutex
+	nonZero  []snapshot.Region  // nil until scanned
+	plans    [2][]MapRegion     // without, with the loading-set layer
+	prefetch [numModes]*pageSet // by the mode whose plan it is
 }
 
 // Clone returns a shallow copy whose derived-set fields (WS, LS, ...)
 // may be replaced without affecting the original — the designated
 // mutation point for ablation variants of shared, cached artifacts.
 // The referenced files and sets themselves stay shared and must still
-// be treated as read-only.
+// be treated as read-only. The copy starts with nothing derived: what
+// the original computed from its LS or WS says nothing about the
+// copy's.
 func (a *Artifacts) Clone() *Artifacts {
-	c := *a
-	return &c
+	return &Artifacts{
+		Fn:          a.Fn,
+		RecordInput: a.RecordInput,
+		Mem:         a.Mem,
+		Alloc:       a.Alloc,
+		WS:          a.WS,
+		LS:          a.LS,
+		LSUnmerged:  a.LSUnmerged,
+		ReapWS:      a.ReapWS,
+	}
 }
 
 // NonZeroRegions returns the memory file's non-zero regions (cold set
-// plus loading-set pages), computed lazily.
+// plus loading-set pages), computed lazily: the file is scanned on the
+// first call and the result shared by all later ones. Callers must not
+// modify it.
 func (a *Artifacts) NonZeroRegions() []snapshot.Region {
-	return a.Mem.NonZeroRegions()
+	a.derived.mu.Lock()
+	defer a.derived.mu.Unlock()
+	return a.nonZeroLocked()
+}
+
+func (a *Artifacts) nonZeroLocked() []snapshot.Region {
+	if a.derived.nonZero == nil {
+		a.derived.nonZero = a.Mem.NonZeroRegions()
+	}
+	return a.derived.nonZero
 }
 
 // MapBacking identifies what a mapping-plan region is backed by.
@@ -292,10 +329,22 @@ type MapRegion struct {
 // order: the anonymous base layer, the non-zero regions over the
 // memory file, and (when withLoadingSet) the loading-set regions over
 // the loading-set file. The daemon passes exactly this plan to the
-// extended VMM snapshot-load API.
+// extended VMM snapshot-load API. The plan is built once per variant
+// and shared: callers must not modify it.
 func (a *Artifacts) MappingPlan(withLoadingSet bool) []MapRegion {
-	plan := []MapRegion{{Start: 0, Pages: a.Fn.GuestConfig().Pages, Backing: MapAnon}}
-	for _, reg := range a.NonZeroRegions() {
+	a.derived.mu.Lock()
+	defer a.derived.mu.Unlock()
+	variant := 0
+	if withLoadingSet {
+		variant = 1
+	}
+	if plan := a.derived.plans[variant]; plan != nil {
+		return plan
+	}
+	nonZero := a.nonZeroLocked()
+	plan := make([]MapRegion, 0, 1+len(nonZero)+variant*len(a.LS.Regions))
+	plan = append(plan, MapRegion{Start: 0, Pages: a.Fn.GuestConfig().Pages, Backing: MapAnon})
+	for _, reg := range nonZero {
 		plan = append(plan, MapRegion{Start: reg.Start, Pages: reg.Len, Backing: MapMemoryFile, FileOff: reg.Start})
 	}
 	if withLoadingSet {
@@ -303,6 +352,7 @@ func (a *Artifacts) MappingPlan(withLoadingSet bool) []MapRegion {
 			plan = append(plan, MapRegion{Start: reg.Start, Pages: reg.Len, Backing: MapLoadingSet, FileOff: a.LS.Offsets[i]})
 		}
 	}
+	a.derived.plans[variant] = plan
 	return plan
 }
 

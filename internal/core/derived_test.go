@@ -1,0 +1,193 @@
+package core
+
+import (
+	"reflect"
+	"runtime"
+	"sync"
+	"testing"
+
+	"faasnap/internal/snapshot"
+	"faasnap/internal/workingset"
+)
+
+// referenceMappingPlan is MappingPlan as it was when every restore
+// rebuilt it: a scan of the memory file and a fresh slice per call.
+func referenceMappingPlan(a *Artifacts, withLoadingSet bool) []MapRegion {
+	plan := []MapRegion{{Start: 0, Pages: a.Fn.GuestConfig().Pages, Backing: MapAnon}}
+	for _, reg := range a.Mem.NonZeroRegions() {
+		plan = append(plan, MapRegion{Start: reg.Start, Pages: reg.Len, Backing: MapMemoryFile, FileOff: reg.Start})
+	}
+	if withLoadingSet {
+		for i, reg := range a.LS.Regions {
+			plan = append(plan, MapRegion{Start: reg.Start, Pages: reg.Len, Backing: MapLoadingSet, FileOff: a.LS.Offsets[i]})
+		}
+	}
+	return plan
+}
+
+// referencePrefetchSet is prefetchSet as it was when every traced
+// invoke rebuilt the bitmap.
+func referencePrefetchSet(arts *Artifacts, mode Mode, lsDegraded bool) *pageSet {
+	set := newPageSet(arts.Fn.GuestConfig().Pages)
+	addRegions := func(regions []snapshot.Region) {
+		for _, reg := range regions {
+			for p := reg.Start; p < reg.End(); p++ {
+				set.add(p)
+			}
+		}
+	}
+	switch mode {
+	case ModeFaaSnap:
+		if lsDegraded {
+			addRegions(arts.LSUnmerged.Regions)
+		} else {
+			addRegions(arts.LS.Regions)
+		}
+	case ModePerRegion:
+		addRegions(arts.LSUnmerged.Regions)
+	case ModeConcurrentPaging:
+		for _, g := range arts.WS.Groups {
+			for _, p := range g {
+				set.add(p)
+			}
+		}
+	case ModeREAP:
+		for _, p := range arts.ReapWS.Pages {
+			set.add(p)
+		}
+	default:
+		return nil
+	}
+	return set
+}
+
+// checkDerived compares everything the holder serves with the per-call
+// derivations, twice: the first call fills, the second reads.
+func checkDerived(t *testing.T, what string, a *Artifacts) {
+	t.Helper()
+	for call := 1; call <= 2; call++ {
+		if got, want := a.NonZeroRegions(), a.Mem.NonZeroRegions(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: call %d: NonZeroRegions differs from a scan", what, call)
+		}
+		for _, withLS := range []bool{false, true} {
+			if got, want := a.MappingPlan(withLS), referenceMappingPlan(a, withLS); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: call %d: MappingPlan(%v) has %d regions, reference %d", what, call, withLS, len(got), len(want))
+			}
+		}
+		for mode := Mode(0); mode < numModes; mode++ {
+			for _, degraded := range []bool{false, true} {
+				if got, want := a.prefetchSet(mode, degraded), referencePrefetchSet(a, mode, degraded); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s: call %d: prefetchSet(%v, degraded=%v) differs from the reference", what, call, mode, degraded)
+				}
+			}
+		}
+	}
+}
+
+// TestCloneStartsWithNothingDerived: a clone whose LS (or WS) is
+// replaced serves plans and prefetch sets of the new sets, the original
+// keeps serving its own, and Clone carries every exported field over.
+func TestCloneStartsWithNothingDerived(t *testing.T) {
+	base := artifactsFor(t, "hello-world")
+	checkDerived(t, "base", base)
+	basePlan := base.MappingPlan(true)
+
+	variant := base.Clone()
+	bv, vv := reflect.ValueOf(base).Elem(), reflect.ValueOf(variant).Elem()
+	for i := 0; i < bv.NumField(); i++ {
+		if f := bv.Type().Field(i); f.IsExported() && !reflect.DeepEqual(bv.Field(i).Interface(), vv.Field(i).Interface()) {
+			t.Fatalf("Clone dropped field %s", f.Name)
+		}
+	}
+	variant.LS = workingset.BuildLoadingSet(base.WS, base.Mem, 0)
+	variant.WS = workingset.Regroup(base.WS, 256)
+	if len(variant.LS.Regions) == len(base.LS.Regions) {
+		t.Fatal("gap-0 loading set has as many regions as the merged one; the test needs them to differ")
+	}
+	checkDerived(t, "variant", variant)
+	lsMaps := 0
+	for _, m := range variant.MappingPlan(true) {
+		if m.Backing == MapLoadingSet {
+			lsMaps++
+		}
+	}
+	if lsMaps != len(variant.LS.Regions) {
+		t.Fatalf("variant plan maps %d loading-set regions, its LS has %d (the original's has %d)", lsMaps, len(variant.LS.Regions), len(base.LS.Regions))
+	}
+	checkDerived(t, "base after variant", base)
+	if after := base.MappingPlan(true); &after[0] != &basePlan[0] {
+		t.Fatal("the original's plan was rebuilt; it should be the one shared slice")
+	}
+}
+
+// TestDerivedConcurrentFirstUse races 16 goroutines on one Artifacts
+// whose holder is still empty (run with -race): plans, regions and full
+// traced invocations, all of which must agree.
+func TestDerivedConcurrentFirstUse(t *testing.T) {
+	arts := artifactsFor(t, "hello-world").Clone()
+	cfg := DefaultHostConfig()
+	want := referenceMappingPlan(arts, true)
+	totals := make([]int64, 16)
+	var wg sync.WaitGroup
+	for i := range totals {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if !reflect.DeepEqual(arts.MappingPlan(i%2 == 0), referenceMappingPlan(arts, i%2 == 0)) ||
+				!reflect.DeepEqual(arts.MappingPlan(true), want) {
+				t.Error("concurrent MappingPlan differs from the reference")
+			}
+			arts.NonZeroRegions()
+			mode := []Mode{ModeFaaSnap, ModeREAP}[i%2]
+			var r *InvokeResult
+			if i%4 < 2 {
+				r = RunSingleTraced(cfg, arts, mode, arts.Fn.B)
+			} else {
+				r = RunSingle(cfg, arts, mode, arts.Fn.B)
+			}
+			totals[i] = int64(r.Total)
+		}(i)
+	}
+	wg.Wait()
+	for i := 2; i < len(totals); i++ {
+		if totals[i] != totals[i%2] {
+			t.Fatalf("invocation %d took %d ns, invocation %d (same mode) %d", i, totals[i], i%2, totals[i%2])
+		}
+	}
+}
+
+// TestInvokeAllocationBudget is the CI-visible half of the benchmark's
+// alloc_mb_per_op: one traced image/B invocation must stay within
+// 12 MB in each paper mode, and FaaSnap's few hundred mmaps may not
+// cost more than a quarter over Firecracker's one. (Before the VMA
+// splice and the per-snapshot derivations: 55.5 / 12.1 / 11.5 / 11.6 MB
+// for faasnap / firecracker / reap / cached.)
+func TestInvokeAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation changes allocation sizes")
+	}
+	arts := artifactsFor(t, "image")
+	cfg := DefaultHostConfig()
+	perInvoke := func(mode Mode) float64 {
+		RunSingleTraced(cfg, arts, mode, arts.Fn.B) // fill what is derived once
+		const runs = 3
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			RunSingleTraced(cfg, arts, mode, arts.Fn.B)
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs / (1 << 20)
+	}
+	mb := map[Mode]float64{}
+	for _, mode := range []Mode{ModeFaaSnap, ModeFirecracker, ModeREAP, ModeCached} {
+		mb[mode] = perInvoke(mode)
+		t.Logf("%-12s %.2f MB per traced invoke", mode, mb[mode])
+		if mb[mode] > 12 {
+			t.Errorf("%v allocates %.1f MB per invoke, budget 12 MB", mode, mb[mode])
+		}
+	}
+	if mb[ModeFaaSnap] > 1.25*mb[ModeFirecracker] {
+		t.Errorf("faasnap allocates %.1f MB per invoke, more than 1.25x firecracker's %.1f MB", mb[ModeFaaSnap], mb[ModeFirecracker])
+	}
+}

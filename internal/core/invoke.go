@@ -321,7 +321,11 @@ func (d *Deployment) runMeasured(p *sim.Proc, vm *guest.VM, in workload.Input, r
 	h := d.H
 	as := vm.AddrSpace()
 	as.ResetStats()
+	prog := d.Arts.Fn.Program(in)
 	if d.TraceFaults {
+		// A page faults at most once per invocation, so the program's
+		// page count bounds the trace: size it once instead of doubling.
+		r.FaultTrace = make([]hostmm.FaultEvent, 0, prog.TouchedPages())
 		as.SetFaultHook(func(ev hostmm.FaultEvent) {
 			r.FaultTrace = append(r.FaultTrace, ev)
 		})
@@ -347,7 +351,7 @@ func (d *Deployment) runMeasured(p *sim.Proc, vm *guest.VM, in workload.Input, r
 		})
 	}
 
-	vm.Exec(p, d.Arts.Fn.Program(in))
+	vm.Exec(p, prog)
 	stopBG.Fire()
 
 	r.Invoke = p.Now() - start

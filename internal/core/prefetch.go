@@ -65,6 +65,14 @@ func (s *pageSet) add(p int64) {
 	}
 }
 
+func (s *pageSet) addRegions(regions []snapshot.Region) {
+	for _, reg := range regions {
+		for p := reg.Start; p < reg.End(); p++ {
+			s.add(p)
+		}
+	}
+}
+
 func (s *pageSet) has(p int64) bool {
 	if p < 0 || p >= int64(len(s.bits))*64 {
 		return false
@@ -73,55 +81,46 @@ func (s *pageSet) has(p int64) bool {
 }
 
 // prefetchSet returns the guest pages the given restore mode
-// prefetches for arts, or nil when the mode has no prefetch plan
-// (warm, plain Firecracker, Cached, cold).
-func prefetchSet(arts *Artifacts, mode Mode, lsDegraded bool) *pageSet {
-	pages := arts.Fn.GuestConfig().Pages
+// prefetches for these artifacts, or nil when the mode has no prefetch
+// plan (warm, plain Firecracker, Cached, cold). The bitmap is built
+// once per mode and shared: callers only read it.
+func (a *Artifacts) prefetchSet(mode Mode, lsDegraded bool) *pageSet {
+	if mode == ModeFaaSnap && lsDegraded {
+		// Degraded restores fall back to the per-region plan over the
+		// unmerged regions.
+		mode = ModePerRegion
+	}
+	switch mode {
+	case ModeFaaSnap, ModePerRegion, ModeConcurrentPaging, ModeREAP:
+	default:
+		return nil
+	}
+	a.derived.mu.Lock()
+	defer a.derived.mu.Unlock()
+	if set := a.derived.prefetch[mode]; set != nil {
+		return set
+	}
+	set := newPageSet(a.Fn.GuestConfig().Pages)
 	switch mode {
 	case ModeFaaSnap:
-		set := newPageSet(pages)
-		if lsDegraded {
-			// Degraded restores fall back to the per-region plan over the
-			// unmerged regions.
-			for _, reg := range arts.LSUnmerged.Regions {
-				for p := reg.Start; p < reg.End(); p++ {
-					set.add(p)
-				}
-			}
-			return set
-		}
 		// The loading-set regions include merge-gap filler pages; those
 		// are genuinely read from disk, so they count as prefetched.
-		for _, reg := range arts.LS.Regions {
-			for p := reg.Start; p < reg.End(); p++ {
-				set.add(p)
-			}
-		}
-		return set
+		set.addRegions(a.LS.Regions)
 	case ModePerRegion:
-		set := newPageSet(pages)
-		for _, reg := range arts.LSUnmerged.Regions {
-			for p := reg.Start; p < reg.End(); p++ {
-				set.add(p)
-			}
-		}
-		return set
+		set.addRegions(a.LSUnmerged.Regions)
 	case ModeConcurrentPaging:
-		set := newPageSet(pages)
-		for _, g := range arts.WS.Groups {
+		for _, g := range a.WS.Groups {
 			for _, p := range g {
 				set.add(p)
 			}
 		}
-		return set
 	case ModeREAP:
-		set := newPageSet(pages)
-		for _, p := range arts.ReapWS.Pages {
+		for _, p := range a.ReapWS.Pages {
 			set.add(p)
 		}
-		return set
 	}
-	return nil
+	a.derived.prefetch[mode] = set
+	return set
 }
 
 // ComputePrefetch joins the mode's prefetch plan against the result's
@@ -133,7 +132,7 @@ func ComputePrefetch(arts *Artifacts, r *InvokeResult) *PrefetchStats {
 	if r == nil || r.FaultTrace == nil {
 		return nil
 	}
-	pre := prefetchSet(arts, r.Mode, r.LSDegraded)
+	pre := arts.prefetchSet(r.Mode, r.LSDegraded)
 	if pre == nil {
 		return nil
 	}

@@ -108,9 +108,9 @@ type fnState struct {
 	// its repair's cause.
 	deficitN   int
 	deficitSeq uint64
-	// lastFaults is the most recent invocation's fault timeline,
-	// pre-encoded as NDJSON lines for GET /functions/{name}/faults.
-	lastFaults [][]byte
+	// lastFaults is the most recent invocation's fault timeline, kept
+	// raw; GET /functions/{name}/faults encodes it on demand.
+	lastFaults *faultTimeline
 }
 
 // shutdown stops the function's lazy fetcher, VMM and guest agent.
@@ -251,7 +251,7 @@ func New(cfg Config) (*Daemon, error) {
 		profiles:  obs.NewRing(cfg.ProfileRing),
 		slo:       slo.New(sloCfg),
 		telemetry: cfg.Registry,
-		faults:    events.NewHub(),
+		faults:    events.NewHub(faultWatchDepth),
 		events:    ledger,
 		res:       cfg.Resilience.withDefaults(),
 		chaos:     chaos.New(),
@@ -264,7 +264,7 @@ func New(cfg Config) (*Daemon, error) {
 		"The invocation limiter's total weight capacity.", nil)
 	d.admCapacity.Set(float64(d.limiter.Max()))
 	d.faults.OnDrop = d.telemetry.Counter("faasnap_fault_watch_dropped_total",
-		"Fault-timeline lines dropped because a watcher was too slow.", nil).Inc
+		"Fault timelines dropped, whole, because a watcher was too slow.", nil).Inc
 	d.events.OnDrop = d.telemetry.Counter("faasnap_events_watch_dropped_total",
 		"Event-ledger lines dropped because a watcher was too slow.", nil).Inc
 	d.chaos.SetTelemetry(d.telemetry)

@@ -156,7 +156,7 @@ func TestSlowSubscribersDropNotBlock(t *testing.T) {
 	}
 	wg.Wait()
 	if d.faults.Dropped() == 0 {
-		t.Fatal("6000 fault lines into a 4096-line watch buffer dropped nothing")
+		t.Fatal("6000 messages into a 16-timeline watch buffer dropped nothing")
 	}
 
 	out := scrape(t, srv.URL)

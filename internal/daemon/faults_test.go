@@ -1,0 +1,260 @@
+package daemon
+
+import (
+	"bufio"
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"testing"
+	"time"
+
+	"faasnap/internal/core"
+	"faasnap/internal/hostmm"
+	"faasnap/internal/metrics"
+	"faasnap/internal/trace"
+)
+
+// referenceFaultLines is the encoder the daemon used before it wrote
+// timelines directly: one map and one json.Marshal per line. It is the
+// byte-for-byte oracle for encodeFaultTimeline.
+func referenceFaultLines(tl *faultTimeline) [][]byte {
+	var lines [][]byte
+	put := func(v interface{}) {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			panic(err)
+		}
+		lines = append(lines, raw)
+	}
+	put(map[string]interface{}{
+		"event":    "invocation",
+		"function": tl.function,
+		"mode":     tl.mode,
+		"input":    tl.input,
+		"trace_id": tl.traceID,
+		"setup_us": tl.setup.Microseconds(),
+		"total_us": tl.total.Microseconds(),
+	})
+	for _, ev := range tl.events {
+		put(map[string]interface{}{
+			"event":  "fault",
+			"at_us":  ev.At.Microseconds(),
+			"page":   ev.Page,
+			"kind":   ev.Kind.String(),
+			"dur_us": float64(ev.Duration) / float64(time.Microsecond),
+			"write":  ev.Write,
+		})
+	}
+	put(map[string]interface{}{
+		"event":  "end",
+		"faults": len(tl.events),
+	})
+	return lines
+}
+
+// syntheticEvents returns n fault events cycling through every kind,
+// both write values and a spread of durations.
+func syntheticEvents(n int) []hostmm.FaultEvent {
+	durs := []time.Duration{
+		0, 1, 999, 1500, 2500, 3700, 32 * time.Microsecond, 2500 * time.Microsecond,
+		123456789, 7 * time.Second, 1<<62 + 12345,
+	}
+	evs := make([]hostmm.FaultEvent, n)
+	for i := range evs {
+		evs[i] = hostmm.FaultEvent{
+			At:       time.Duration(i) * 1700 * time.Nanosecond,
+			Page:     int64(i*37) % 524288,
+			Kind:     metrics.FaultKind(i) % metrics.NumFaultKinds,
+			Duration: durs[i%len(durs)],
+			Write:    i%3 == 0,
+		}
+	}
+	return evs
+}
+
+// TestEncodeFaultTimelineMatchesReference pins the typed encoder to the
+// reflection-based one line for line: every fault kind, write true and
+// false, durations from zero and sub-microsecond to seconds, and header
+// strings that need JSON and HTML escaping.
+func TestEncodeFaultTimelineMatchesReference(t *testing.T) {
+	for _, tl := range []*faultTimeline{
+		{function: "image", mode: "faasnap", input: "B", traceID: "0123456789abcdef",
+			setup: 45678 * time.Microsecond, total: 139 * time.Millisecond,
+			events: syntheticEvents(5 * 11 * 3)},
+		{function: "a\"b\\c<d>&e é\x01\xff", mode: "mode(9)", input: "ratio:0.5", traceID: "",
+			events: syntheticEvents(3)},
+		{function: "empty", mode: "warm", input: "A"},
+	} {
+		want := bytes.Join(referenceFaultLines(tl), []byte("\n"))
+		if got := encodeFaultTimeline(tl); !bytes.Equal(got, want) {
+			gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+			for i := range wl {
+				if i >= len(gl) || !bytes.Equal(gl[i], wl[i]) {
+					t.Fatalf("%s: line %d differs:\n got %s\nwant %s", tl.mode, i, gl[min(i, len(gl)-1)], wl[i])
+				}
+			}
+			t.Fatalf("%s: %d lines, want %d", tl.mode, len(gl), len(wl))
+		}
+	}
+	// A kind outside the enum prints as metrics does, quoted.
+	odd := &faultTimeline{events: []hostmm.FaultEvent{{Kind: 17}}}
+	if got, want := encodeFaultTimeline(odd), bytes.Join(referenceFaultLines(odd), []byte("\n")); !bytes.Equal(got, want) {
+		t.Fatalf("unknown kind: got %s, want %s", got, want)
+	}
+}
+
+// TestEncodeFaultTimelineAllocations: encoding a 20 000-event timeline
+// on demand allocates a handful of objects, not the ~20 per line the
+// map encoder did (417 k for this size).
+func TestEncodeFaultTimelineAllocations(t *testing.T) {
+	tl := &faultTimeline{function: "image", mode: "faasnap", input: "B", traceID: "t", events: syntheticEvents(20000)}
+	if allocs := testing.AllocsPerRun(5, func() { encodeFaultTimeline(tl) }); allocs > 8 {
+		t.Fatalf("encoding 20k events allocates %.0f objects, want a handful", allocs)
+	}
+}
+
+// getFaults returns the body of GET /functions/{fn}/faults.
+func getFaults(t *testing.T, base, fn string) []byte {
+	t.Helper()
+	resp, err := http.Get(base + "/functions/" + fn + "/faults")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// TestFaultTimelineEncodedOnDemand: with nobody watching, an invoke
+// parks the raw trace and encodes nothing; the GET that follows returns
+// what the eager encoder would have produced; with a watcher subscribed
+// the published message is that same timeline.
+func TestFaultTimelineEncodedOnDemand(t *testing.T) {
+	d, srv := newTestDaemon(t, Config{})
+	doJSON(t, "PUT", srv.URL+"/functions/hello-world", nil, nil)
+	doJSON(t, "POST", srv.URL+"/functions/hello-world/record", nil, nil)
+	if body := getFaults(t, srv.URL, "hello-world"); len(body) != 0 {
+		t.Fatalf("timeline before any invocation = %q, want empty", body)
+	}
+	fs, _ := d.fn("hello-world")
+
+	// The publish step with no watcher: a 20k-event trace costs the
+	// holder struct and nothing per event.
+	big := &core.InvokeResult{Mode: core.ModeFaaSnap, Input: "B", FaultTrace: syntheticEvents(20000)}
+	if allocs := testing.AllocsPerRun(10, func() { d.publishFaults(fs, trace.ID("t"), big) }); allocs > 2 {
+		t.Fatalf("publishFaults with no watcher allocates %.0f objects: the timeline is being encoded for nobody", allocs)
+	}
+
+	var inv InvokeResponse
+	doJSON(t, "POST", srv.URL+"/functions/hello-world/invoke",
+		map[string]string{"mode": "faasnap", "input": "B"}, &inv)
+	fs.mu.Lock()
+	tl := fs.lastFaults
+	fs.mu.Unlock()
+	if tl == nil || tl.traceID != inv.TraceID || int64(len(tl.events)) != inv.Faults {
+		t.Fatalf("parked timeline = %+v, want the raw trace of invocation %s (%d faults)", tl, inv.TraceID, inv.Faults)
+	}
+	want := append(bytes.Join(referenceFaultLines(tl), []byte("\n")), '\n')
+	if got := getFaults(t, srv.URL, "hello-world"); !bytes.Equal(got, want) {
+		t.Fatalf("GET after an unwatched invoke differs from the eager encoding (%d vs %d bytes)", len(got), len(want))
+	}
+
+	ch := d.faults.Subscribe("", "hello-world")
+	defer d.faults.Unsubscribe(ch)
+	doJSON(t, "POST", srv.URL+"/functions/hello-world/invoke",
+		map[string]string{"mode": "reap", "input": "A"}, &inv)
+	select {
+	case msg := <-ch:
+		if got := getFaults(t, srv.URL, "hello-world"); !bytes.Equal(got, append(msg[:len(msg):len(msg)], '\n')) {
+			t.Fatal("watched message and GET disagree about the same invocation")
+		}
+		if !bytes.Contains(msg, []byte(`"trace_id":"`+inv.TraceID+`"`)) || !bytes.Contains(msg, []byte(`"mode":"reap"`)) {
+			t.Fatalf("watched message is not invocation %s: %.200s", inv.TraceID, msg)
+		}
+	default:
+		t.Fatal("a subscribed watcher received no timeline")
+	}
+}
+
+// TestFaultWatchLargeTimelineComplete: a timeline with more lines than
+// any per-line buffer (image/faasnap/B is ~9k faults; the hub used to
+// hold 4 096 lines and drop the rest, "end" marker included) reaches a
+// watcher whole. Two invocations give two complete invocation … end
+// groups whose fault lines match the end line's count.
+func TestFaultWatchLargeTimelineComplete(t *testing.T) {
+	d, srv := newTestDaemon(t, Config{})
+	doJSON(t, "PUT", srv.URL+"/functions/image", nil, nil)
+	doJSON(t, "POST", srv.URL+"/functions/image/record", nil, nil)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", srv.URL+"/functions/image/faults?watch=1", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+
+	type line struct {
+		Event  string `json:"event"`
+		Faults int    `json:"faults"`
+	}
+	lines := make(chan line, 64)
+	go func() {
+		defer close(lines)
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
+		for sc.Scan() {
+			var ln line
+			if json.Unmarshal(sc.Bytes(), &ln) == nil {
+				lines <- ln
+			}
+		}
+	}()
+
+	var want []int64
+	for i := 0; i < 2; i++ {
+		var inv InvokeResponse
+		doJSON(t, "POST", srv.URL+"/functions/image/invoke",
+			map[string]string{"mode": "faasnap", "input": "B"}, &inv)
+		if inv.Faults <= 4096 {
+			t.Fatalf("image/faasnap/B took %d faults; the test needs more than the old 4096-line buffer", inv.Faults)
+		}
+		want = append(want, inv.Faults)
+	}
+
+	groups, faults, open := 0, int64(0), false
+	for ln := range lines {
+		switch ln.Event {
+		case "invocation":
+			if open {
+				t.Fatal("a new group started before the previous one ended")
+			}
+			open, faults = true, 0
+		case "fault":
+			faults++
+		case "end":
+			if !open || faults != int64(ln.Faults) || faults != want[groups] {
+				t.Fatalf("group %d: open %v, %d fault lines, end says %d, invoke reported %d", groups, open, faults, ln.Faults, want[groups])
+			}
+			open = false
+			if groups++; groups == len(want) {
+				cancel()
+			}
+		}
+	}
+	if groups != len(want) {
+		t.Fatalf("received %d complete groups, want %d", groups, len(want))
+	}
+	if n := d.faults.Dropped(); n != 0 {
+		t.Fatalf("%d timelines dropped on a watcher that was reading", n)
+	}
+}

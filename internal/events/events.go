@@ -99,7 +99,7 @@ func NewLedger(capacity int) *Ledger {
 	if capacity <= 0 {
 		capacity = DefaultRing
 	}
-	return &Ledger{Hub: NewHub(), ring: ring.New[Event](capacity), Now: time.Now}
+	return &Ledger{Hub: NewHub(lineDepth), ring: ring.New[Event](capacity), Now: time.Now}
 }
 
 // Append stamps e with the next sequence number and the current time,

@@ -1,6 +1,7 @@
 package events
 
 import (
+	"bytes"
 	"encoding/json"
 	"sync"
 	"testing"
@@ -105,7 +106,7 @@ func TestWatchDeliversAndSlowSubscriberDrops(t *testing.T) {
 	// A subscriber that never reads must not block Append past its
 	// buffer; overflow increments the drop counter.
 	slow := l.Subscribe("", "")
-	for i := 0; i < subBuf+50; i++ {
+	for i := 0; i < lineDepth+50; i++ {
 		l.Append(Event{Type: Repair})
 	}
 	if l.Dropped() != 50 || drops != 50 {
@@ -209,5 +210,32 @@ func TestWatchFiltersBeforeEncoding(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { l.Append(Event{Type: GCSweep}) }); allocs != 0 {
 		t.Fatalf("appending an unwatched event allocates %.0f times; it is being encoded for nobody", allocs)
+	}
+}
+
+// TestHubMessageIsTheUnit: a multi-line message arrives as one channel
+// item, and a subscriber with no room loses it whole — one drop,
+// whatever the line count — never a prefix of it.
+func TestHubMessageIsTheUnit(t *testing.T) {
+	h := NewHub(2)
+	var drops int
+	h.OnDrop = func() { drops++ }
+	ch := h.Subscribe("", "fn")
+	defer h.Unsubscribe(ch)
+	other := h.Subscribe("", "other-fn")
+	defer h.Unsubscribe(other)
+
+	timeline := []byte("{\"event\":\"invocation\"}\n{\"event\":\"fault\"}\n{\"event\":\"end\"}")
+	for i := 0; i < 5; i++ {
+		h.Publish("", "fn", timeline)
+	}
+	if len(ch) != 2 || len(other) != 0 {
+		t.Fatalf("buffered %d messages (other: %d), want 2 and 0", len(ch), len(other))
+	}
+	if got := <-ch; !bytes.Equal(got, timeline) {
+		t.Fatalf("delivered %q, want the whole message", got)
+	}
+	if h.Dropped() != 3 || drops != 3 {
+		t.Fatalf("dropped = %d (cb %d), want 3: one per message, not per line", h.Dropped(), drops)
 	}
 }

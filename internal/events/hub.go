@@ -2,24 +2,29 @@ package events
 
 import "sync"
 
-// subBuf is the per-subscriber channel depth: a stalled watcher costs
-// at most this many buffered lines.
-const subBuf = 4096
+// lineDepth is the per-subscriber buffer of a hub whose messages are
+// single lines (the event ledger): a stalled watcher costs at most
+// this many buffered lines.
+const lineDepth = 4096
 
-// Hub fans pre-encoded NDJSON lines out to watchers, each filtered by
-// an event type and a function name (empty matches everything) — the
-// one fan-out behind both watch streams, GET /events?watch=1 and the
-// per-function fault timelines. Publish never blocks: a subscriber
-// whose buffer is full loses the line, and the loss is counted.
+// Hub fans pre-encoded NDJSON messages out to watchers, each filtered
+// by an event type and a function name (empty matches everything) —
+// the one fan-out behind both watch streams, GET /events?watch=1 and
+// the per-function fault timelines. A message is the unit of delivery:
+// one line, or several joined by '\n' that must arrive together (one
+// invocation's whole fault timeline). Publish never blocks: a
+// subscriber whose buffer is full loses the message, whole, and the
+// loss is counted once.
 type Hub struct {
 	mu      sync.Mutex
+	depth   int
 	subs    map[chan []byte]filter
 	dropped uint64
 	done    chan struct{}
 	once    sync.Once
 
 	// OnDrop, if set before the hub is shared, is invoked once per
-	// line dropped on a slow subscriber.
+	// message dropped on a slow subscriber.
 	OnDrop func()
 }
 
@@ -33,16 +38,18 @@ func (f filter) passes(typ Type, function string) bool {
 	return (f.typ == "" || f.typ == typ) && (f.function == "" || f.function == function)
 }
 
-// NewHub returns an empty hub.
-func NewHub() *Hub {
-	return &Hub{subs: make(map[chan []byte]filter), done: make(chan struct{})}
+// NewHub returns an empty hub whose subscribers each buffer up to depth
+// messages. What a stalled watcher can pin is depth times the message
+// size, so a hub of large messages takes a small depth.
+func NewHub(depth int) *Hub {
+	return &Hub{depth: depth, subs: make(map[chan []byte]filter), done: make(chan struct{})}
 }
 
-// Subscribe registers a watcher for lines published under typ and
-// function (empty matches everything) and returns its line channel.
-// Lines carry no trailing newline.
+// Subscribe registers a watcher for messages published under typ and
+// function (empty matches everything) and returns its channel.
+// Messages carry no trailing newline.
 func (h *Hub) Subscribe(typ Type, function string) chan []byte {
-	ch := make(chan []byte, subBuf)
+	ch := make(chan []byte, h.depth)
 	h.mu.Lock()
 	h.subs[ch] = filter{typ, function}
 	h.mu.Unlock()
@@ -57,7 +64,7 @@ func (h *Hub) Unsubscribe(ch chan []byte) {
 }
 
 // Watched reports whether any subscriber's filter passes the key, so a
-// publisher can skip encoding lines nobody would receive.
+// publisher can skip encoding a message nobody would receive.
 func (h *Hub) Watched(typ Type, function string) bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -69,29 +76,28 @@ func (h *Hub) Watched(typ Type, function string) bool {
 	return false
 }
 
-// Publish delivers lines, in order, to every subscriber whose filter
-// passes the key.
-func (h *Hub) Publish(typ Type, function string, lines ...[]byte) {
+// Publish delivers msg to every subscriber whose filter passes the
+// key. The bytes are shared by all of them and must not change
+// afterwards.
+func (h *Hub) Publish(typ Type, function string, msg []byte) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for ch, f := range h.subs {
 		if !f.passes(typ, function) {
 			continue
 		}
-		for _, line := range lines {
-			select {
-			case ch <- line:
-			default:
-				h.dropped++
-				if h.OnDrop != nil {
-					h.OnDrop()
-				}
+		select {
+		case ch <- msg:
+		default:
+			h.dropped++
+			if h.OnDrop != nil {
+				h.OnDrop()
 			}
 		}
 	}
 }
 
-// Dropped returns the total lines dropped on slow subscribers.
+// Dropped returns the total messages dropped on slow subscribers.
 func (h *Hub) Dropped() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()

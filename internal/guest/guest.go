@@ -52,6 +52,8 @@ type Op struct {
 }
 
 // Program is a function's page-access program for one invocation.
+// Exec only reads it, so one Program may be shared by any number of
+// VMs, concurrently; nothing may modify it once built.
 type Program struct {
 	Ops []Op
 }

@@ -3,6 +3,7 @@ package guest
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -367,5 +368,41 @@ func TestSnapshotContentProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSharedProgramConcurrentExec pins the contract on Program: Exec
+// only reads it, so two VMs in two simulations may run one Program at
+// the same time (run with -race) and both see the same outcome.
+func TestSharedProgramConcurrentExec(t *testing.T) {
+	prog := &Program{Ops: []Op{
+		{Kind: OpCompute, Compute: time.Millisecond},
+		{Kind: OpTouch, Pages: []int64{1, 2, 3, 200, 201}, PerPage: time.Microsecond},
+		{Kind: OpAllocWrite, Count: 100, Tag: "input", NonZero: true, PerPage: time.Microsecond},
+		{Kind: OpFree, Tag: "input", Frac: 0.5},
+	}}
+	before := fmt.Sprintf("%+v", prog)
+	var wg sync.WaitGroup
+	ends := make([]sim.Time, 2)
+	faults := make([]int64, 2)
+	for i := range ends {
+		w := newWorld(t)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			w.env.Go("vcpu", func(p *sim.Proc) {
+				w.vm.Exec(p, prog)
+				ends[i] = p.Now()
+			})
+			w.env.Run()
+			faults[i] = w.as.Stats().Total()
+		}(i)
+	}
+	wg.Wait()
+	if ends[0] != ends[1] || faults[0] != faults[1] || faults[0] != 105 {
+		t.Fatalf("shared program ran differently: ends %v, faults %v (want 105 each)", ends, faults)
+	}
+	if after := fmt.Sprintf("%+v", prog); after != before {
+		t.Fatalf("Exec modified the program:\n before %s\n after  %s", before, after)
 	}
 }

@@ -14,6 +14,7 @@ package hostmm
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"time"
 
@@ -231,7 +232,9 @@ func (a *AddrSpace) check(page int64) {
 // the new mapping replaces whatever overlapped it, which is how the
 // VMM layers loading-set and non-zero regions over the base anonymous
 // mapping (§4.8). If p is non-nil the syscall cost is charged to it.
-// PTEs under the remapped range are discarded, as mmap does.
+// PTEs under the remapped range are discarded, as mmap does. A call
+// costs O(log VMAs + VMAs overlapped), so the few hundred calls of a
+// per-region restore stay cheap, as they are on Linux's VMA tree.
 func (a *AddrSpace) Mmap(p *sim.Proc, start, n int64, back Backing, file *pagecache.File, fileOff int64) {
 	if n <= 0 {
 		panic("hostmm: empty mmap")
@@ -242,31 +245,31 @@ func (a *AddrSpace) Mmap(p *sim.Proc, start, n int64, back Backing, file *pageca
 		panic("hostmm: file mapping without file")
 	}
 	end := start + n
-	var out []VMA
-	for _, v := range a.vmas {
-		switch {
-		case v.End <= start || v.Start >= end:
-			out = append(out, v)
-		default:
-			// Overlap: keep the non-overlapping fringes.
-			if v.Start < start {
-				left := v
-				left.End = start
-				out = append(out, left)
-			}
-			if v.End > end {
-				right := v
-				if right.Back == BackFile {
-					right.FileOff = v.filePage(end)
-				}
-				right.Start = end
-				out = append(out, right)
-			}
-		}
+	// a.vmas is sorted and non-overlapping, so the VMAs overlapping
+	// [start, end) are one contiguous run [lo, hi); splice the new
+	// mapping and the run's surviving fringes over it in place.
+	lo := sort.Search(len(a.vmas), func(i int) bool { return a.vmas[i].End > start })
+	hi := lo + sort.Search(len(a.vmas)-lo, func(i int) bool { return a.vmas[lo+i].Start >= end })
+	var repl [3]VMA
+	k := 0
+	if lo < hi && a.vmas[lo].Start < start {
+		left := a.vmas[lo]
+		left.End = start
+		repl[k] = left
+		k++
 	}
-	out = append(out, VMA{Start: start, End: end, Back: back, File: file, FileOff: fileOff})
-	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
-	a.vmas = out
+	repl[k] = VMA{Start: start, End: end, Back: back, File: file, FileOff: fileOff}
+	k++
+	if lo < hi && a.vmas[hi-1].End > end {
+		right := a.vmas[hi-1]
+		if right.Back == BackFile {
+			right.FileOff = right.filePage(end)
+		}
+		right.Start = end
+		repl[k] = right
+		k++
+	}
+	a.vmas = slices.Replace(a.vmas, lo, hi, repl[:k]...)
 	// Discard PTEs in the replaced range, one bitmap word at a time: the
 	// base mapping covers the whole guest on every restore.
 	for w := start / 64; w <= (end-1)/64; w++ {

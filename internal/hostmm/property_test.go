@@ -2,6 +2,8 @@ package hostmm
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -136,5 +138,117 @@ func TestPropertyRSSCountsDistinctPages(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// rebuildMmap is the rebuild-and-sort VMA update Mmap used before it
+// spliced in place, kept as the oracle for TestMmapSpliceMatchesRebuild.
+func rebuildMmap(vmas []VMA, start, n int64, back Backing, file *pagecache.File, fileOff int64) []VMA {
+	end := start + n
+	var out []VMA
+	for _, v := range vmas {
+		switch {
+		case v.End <= start || v.Start >= end:
+			out = append(out, v)
+		default:
+			if v.Start < start {
+				left := v
+				left.End = start
+				out = append(out, left)
+			}
+			if v.End > end {
+				right := v
+				if right.Back == BackFile {
+					right.FileOff = v.filePage(end)
+				}
+				right.Start = end
+				out = append(out, right)
+			}
+		}
+	}
+	out = append(out, VMA{Start: start, End: end, Back: back, File: file, FileOff: fileOff})
+	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
+	return out
+}
+
+// TestMmapSpliceMatchesRebuild drives seeded random sequences of
+// overlapping anonymous and file mappings — strictly inside one VMA,
+// covering one exactly, spanning many, touching edges, landing in
+// unmapped holes — interleaved with page installs, and checks VMAs(),
+// RSS() and MmapCalls() against the rebuild-and-sort reference after
+// every call.
+func TestMmapSpliceMatchesRebuild(t *testing.T) {
+	const pages = 1024
+	env := sim.NewEnv(1)
+	cache := pagecache.New(env)
+	dev := blockdev.New(env, blockdev.NVMeLocal())
+	files := []*pagecache.File{cache.Register("f0", dev, pages), cache.Register("f1", dev, pages)}
+	for seed := int64(0); seed < 1000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		as := New(env, cache, DefaultCosts(), pages)
+		var want []VMA
+		present := make([]bool, pages)
+		var rss int64
+		calls := 0
+		steps := 4 + rng.Intn(40)
+		for step := 0; step < steps; step++ {
+			var start, n int64
+			cur := as.VMAs()
+			switch shape := rng.Intn(5); {
+			case shape == 0 || len(cur) == 0: // anywhere, any length
+				start = int64(rng.Intn(pages))
+				n = 1 + int64(rng.Intn(int(pages-start)))
+			case shape == 1: // exactly one existing VMA
+				v := cur[rng.Intn(len(cur))]
+				start, n = v.Start, v.End-v.Start
+			case shape == 2: // strictly inside one VMA, when it has room
+				v := cur[rng.Intn(len(cur))]
+				start, n = v.Start, v.End-v.Start
+				if n >= 3 {
+					start += 1 + int64(rng.Intn(int(n-2)))
+					n = 1 + int64(rng.Intn(int(v.End-1-start)))
+				}
+			case shape == 3: // from one VMA's start to another's end
+				i := rng.Intn(len(cur))
+				j := i + rng.Intn(len(cur)-i)
+				start, n = cur[i].Start, cur[j].End-cur[i].Start
+			default: // ending exactly where a VMA starts
+				v := cur[rng.Intn(len(cur))]
+				if v.Start == 0 {
+					start, n = 0, v.End
+				} else {
+					start = int64(rng.Intn(int(v.Start)))
+					n = v.Start - start
+				}
+			}
+			back, file, off := BackAnon, (*pagecache.File)(nil), int64(0)
+			if rng.Intn(2) == 0 {
+				back, file = BackFile, files[rng.Intn(len(files))]
+				off = int64(rng.Intn(int(pages - n + 1)))
+			}
+			as.Mmap(nil, start, n, back, file, off)
+			want = rebuildMmap(want, start, n, back, file, off)
+			calls++
+			for p := start; p < start+n; p++ {
+				if present[p] {
+					present[p] = false
+					rss--
+				}
+			}
+			if got := as.VMAs(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d step %d: mmap [%d,%d): VMAs\n got %+v\nwant %+v", seed, step, start, start+n, got, want)
+			}
+			for i := 0; i < 8; i++ {
+				p := int64(rng.Intn(pages))
+				as.InstallPage(p)
+				if !present[p] {
+					present[p] = true
+					rss++
+				}
+			}
+			if as.RSS() != rss || as.MmapCalls() != calls {
+				t.Fatalf("seed %d step %d: RSS %d calls %d, want %d and %d", seed, step, as.RSS(), as.MmapCalls(), rss, calls)
+			}
+		}
 	}
 }

@@ -8,6 +8,7 @@ package snapshot
 
 import (
 	"fmt"
+	"math/bits"
 
 	"faasnap/internal/pagecache"
 )
@@ -110,18 +111,30 @@ func (r Region) End() int64 { return r.Start + r.Len }
 // non-zero regions", §4.5).
 func (m *MemoryFile) ScanRegions() []Region {
 	var out []Region
-	var cur Region
-	cur.Group = -1
-	for p := int64(0); p < m.Pages; p++ {
-		z := m.IsZero(p)
-		if cur.Len > 0 && cur.Zero == z {
-			cur.Len++
-			continue
+	cur := Region{Group: -1}
+	// One bitmap word at a time: a run of equal bits inside a word is a
+	// trailing-zeros count, so a 2 GB guest costs 8 192 words, not
+	// 524 288 page tests.
+	for base := int64(0); base < m.Pages; base += 64 {
+		n := min(64, m.Pages-base)
+		w := m.zero[base/64]
+		for off := int64(0); off < n; {
+			rest := w >> uint(off)
+			z := rest&1 != 0
+			if z {
+				rest = ^rest
+			}
+			run := min(int64(bits.TrailingZeros64(rest)), n-off)
+			if cur.Len > 0 && cur.Zero == z {
+				cur.Len += run
+			} else {
+				if cur.Len > 0 {
+					out = append(out, cur)
+				}
+				cur = Region{Start: base + off, Len: run, Zero: z, Group: -1}
+			}
+			off += run
 		}
-		if cur.Len > 0 {
-			out = append(out, cur)
-		}
-		cur = Region{Start: p, Len: 1, Zero: z, Group: -1}
 	}
 	if cur.Len > 0 {
 		out = append(out, cur)

@@ -2,6 +2,7 @@ package snapshot
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -225,5 +226,72 @@ func TestZeroScanProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// scanRegionsPerBit is the page-at-a-time scan ScanRegions used before
+// it walked the bitmap by words, kept as the oracle.
+func scanRegionsPerBit(m *MemoryFile) []Region {
+	var out []Region
+	var cur Region
+	cur.Group = -1
+	for p := int64(0); p < m.Pages; p++ {
+		z := m.IsZero(p)
+		if cur.Len > 0 && cur.Zero == z {
+			cur.Len++
+			continue
+		}
+		if cur.Len > 0 {
+			out = append(out, cur)
+		}
+		cur = Region{Start: p, Len: 1, Zero: z, Group: -1}
+	}
+	if cur.Len > 0 {
+		out = append(out, cur)
+	}
+	return out
+}
+
+// TestScanRegionsMatchesPerBit compares the word-wise scan with the
+// per-bit reference on the shapes a word walk can get wrong: page
+// counts off a word boundary, uniform files, whole words alternating,
+// runs crossing word boundaries, and seeded random bitmaps of several
+// densities.
+func TestScanRegionsMatchesPerBit(t *testing.T) {
+	check := func(name string, m *MemoryFile) {
+		t.Helper()
+		if got, want := m.ScanRegions(), scanRegionsPerBit(m); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %d pages: got %v, want %v", name, m.Pages, got, want)
+		}
+	}
+	for _, pages := range []int64{1, 63, 64, 65, 127, 128, 1000, 4096} {
+		m := NewMemoryFile(pages)
+		check("all-zero", m)
+		for p := int64(0); p < pages; p++ {
+			m.SetZero(p, false)
+		}
+		check("all-non-zero", m)
+		for p := int64(0); p < pages; p++ {
+			m.SetZero(p, p/64%2 == 0)
+		}
+		check("alternating words", m)
+		for p := int64(0); p < pages; p++ {
+			m.SetZero(p, (p+32)/64%2 == 0)
+		}
+		check("runs straddling words", m)
+		m.SetZero(pages-1, !m.IsZero(pages-1))
+		check("last page flipped", m)
+		for seed := int64(0); seed < 40; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			flip := 1 + rng.Intn(8) // mean run length
+			z := true
+			for p := int64(0); p < pages; p++ {
+				if rng.Intn(flip) == 0 {
+					z = !z
+				}
+				m.SetZero(p, z)
+			}
+			check("random", m)
+		}
 	}
 }

@@ -112,7 +112,7 @@ func (c *SpecConfig) Spec() (s *Spec, err error) {
 	s.WSB = float64(s.StablePages+s.B.DataPages) / PagesPerMB
 	cc := *c
 	s.Origin = &cc
-	s.stableRuns() // panics (recovered above) if the layout overflows
+	s.layout() // panics (recovered above) if the layout overflows
 	return s, nil
 }
 

@@ -1,0 +1,166 @@
+package workload
+
+import (
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+	"time"
+
+	"faasnap/internal/guest"
+)
+
+// referenceProgram is Program as it was before the layout and the A/B
+// programs were memoised: everything re-derived from the spec's fields,
+// a fresh math/rand source per stable run. It is the oracle for
+// TestProgramMatchesReference.
+func referenceProgram(s *Spec, in Input) *guest.Program {
+	runs := s.stableRuns()
+	order := make([]int, len(runs))
+	for i := range order {
+		order[i] = i
+	}
+	if !s.SeqStable {
+		rng := rand.New(rand.NewSource(hashSeed(s.Name, "order")))
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+	}
+	touchedPrefix := func(r run, seed int64, idx int) int64 {
+		if r.length <= 2 {
+			return r.length
+		}
+		rng := rand.New(rand.NewSource(seed ^ int64(idx)*0x4f1bbcdcbfa53e0b))
+		slack := r.length / 5
+		return r.length - int64(rng.Int63n(slack+1))
+	}
+	var touched int64
+	prefixes := make([]int64, len(runs))
+	for i, r := range runs {
+		if s.SeqStable {
+			prefixes[i] = r.length
+		} else {
+			prefixes[i] = touchedPrefix(r, in.Seed, i)
+		}
+		touched += prefixes[i]
+	}
+	var stablePerPage time.Duration
+	if touched > 0 {
+		stablePerPage = time.Duration(int64(s.Base) * 6 / 10 / touched)
+	}
+	inputCompute := time.Duration(in.Bytes/1024)*s.ComputePerKB + time.Duration(in.DataPages)*s.PerPage
+	var dataPerPage time.Duration
+	if in.DataPages > 0 {
+		dataPerPage = inputCompute / time.Duration(in.DataPages)
+	}
+	var ops []guest.Op
+	ops = append(ops, guest.Op{Kind: guest.OpCompute, Compute: s.Base * 15 / 100})
+	quarter := len(order) / 4
+	appendChunk := func(i int) {
+		r := runs[i]
+		n := prefixes[i]
+		pages := make([]int64, n)
+		for j := int64(0); j < n; j++ {
+			pages[j] = r.start + j
+		}
+		ops = append(ops, guest.Op{Kind: guest.OpTouch, Pages: pages, PerPage: stablePerPage})
+	}
+	for _, i := range order[:quarter] {
+		appendChunk(i)
+	}
+	rest := order[quarter:]
+	sliceEvery := 1
+	if len(rest) > dataSlices {
+		sliceEvery = len(rest) / dataSlices
+	}
+	slicePages := in.DataPages / dataSlices
+	slicesDone := int64(0)
+	for k, i := range rest {
+		appendChunk(i)
+		if (k+1)%sliceEvery == 0 && slicesDone < dataSlices-1 && slicePages > 0 {
+			ops = append(ops, guest.Op{
+				Kind: guest.OpAllocWrite, Count: slicePages, Tag: "input",
+				NonZero: true, PerPage: dataPerPage,
+			})
+			slicesDone++
+		}
+	}
+	if remaining := in.DataPages - slicesDone*slicePages; remaining > 0 {
+		ops = append(ops, guest.Op{
+			Kind: guest.OpAllocWrite, Count: remaining, Tag: "input",
+			NonZero: true, PerPage: dataPerPage,
+		})
+	}
+	ops = append(ops, guest.Op{Kind: guest.OpCompute, Compute: s.Base * 25 / 100})
+	ops = append(ops, guest.Op{Kind: guest.OpFree, Tag: "input", Frac: 1 - s.RetainFrac})
+	return &guest.Program{Ops: ops}
+}
+
+// TestProgramMatchesReference: for every catalog function (the nine of
+// Figure 6 and the three synthetic ones, read-list being the only
+// SeqStable layout) and inputs A, B, ratio:0.5 and ratio:2, Program
+// returns exactly what the per-call derivation did — memoised or built
+// through the one reseeded source — on the first call and on the
+// second.
+func TestProgramMatchesReference(t *testing.T) {
+	for _, s := range Catalog() {
+		for _, name := range []string{"A", "B", "ratio:0.5", "ratio:2"} {
+			in, err := s.ResolveInput(name)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", s.Name, name, err)
+			}
+			want := referenceProgram(s, in)
+			for call := 1; call <= 2; call++ {
+				if got := s.Program(in); !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s/%s: call %d differs from the reference build", s.Name, name, call)
+				}
+			}
+		}
+	}
+}
+
+// TestProgramMemoisedForOwnInputsOnly: A and B come back as the one
+// shared program each; any other input is a fresh build every time.
+func TestProgramMemoisedForOwnInputsOnly(t *testing.T) {
+	s, _ := ByName("json")
+	if s.Program(s.A) != s.Program(s.A) || s.Program(s.B) != s.Program(s.B) {
+		t.Fatal("Program(A) / Program(B) are rebuilt per call")
+	}
+	if s.Program(s.A) == s.Program(s.B) {
+		t.Fatal("A and B share one memo slot")
+	}
+	r := s.InputForRatio(2)
+	if s.Program(r) == s.Program(r) {
+		t.Fatal("a ratio input was memoised: only A and B have slots")
+	}
+	// The synthetic functions' A and B differ in name only; each still
+	// gets its own slot.
+	h, _ := ByName("hello-world")
+	if h.Program(h.A) == h.Program(h.B) {
+		t.Fatal("hello-world A and B share one memo slot")
+	}
+}
+
+// TestProgramConcurrentFirstUse races the first Program, CleanMemory
+// and InitProgram calls on one fresh spec (run with -race).
+func TestProgramConcurrentFirstUse(t *testing.T) {
+	s, _ := ByName("pyaes")
+	want := referenceProgram(s, s.B)
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			switch i % 4 {
+			case 0:
+				s.CleanMemory()
+			case 1:
+				s.InitProgram()
+			case 2:
+				s.Program(s.A)
+			}
+			if got := s.Program(s.B); !reflect.DeepEqual(got, want) {
+				t.Error("concurrent Program(B) differs from the reference build")
+			}
+		}(i)
+	}
+	wg.Wait()
+}

@@ -3,6 +3,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -70,6 +71,9 @@ func TestStableRunsDeterministicAndSized(t *testing.T) {
 	s, _ := ByName("image")
 	r1 := s.stableRuns()
 	r2 := s.stableRuns()
+	if got := s.layout().runs; !reflect.DeepEqual(got, r1) {
+		t.Fatal("memoised layout differs from a fresh one")
+	}
 	if len(r1) != len(r2) {
 		t.Fatal("stable runs not deterministic")
 	}
@@ -113,8 +117,9 @@ func TestCleanMemoryLayout(t *testing.T) {
 
 func TestProgramDeterministicPerInput(t *testing.T) {
 	s, _ := ByName("image")
+	fresh, _ := ByName("image") // its own memo, so p2 is a second build
 	p1 := s.Program(s.A)
-	p2 := s.Program(s.A)
+	p2 := fresh.Program(fresh.A)
 	if len(p1.Ops) != len(p2.Ops) {
 		t.Fatal("program not deterministic")
 	}
