@@ -430,6 +430,7 @@ type gatedSource struct {
 	tokens chan struct{}
 	mu     sync.Mutex
 	served map[string]int
+	parked int // requests that have reached the gate, released or not
 }
 
 func newGatedSource(t *testing.T, h http.Handler, hold map[string]bool) *gatedSource {
@@ -438,6 +439,9 @@ func newGatedSource(t *testing.T, h http.Handler, hold map[string]bool) *gatedSo
 	g.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if dg, ok := strings.CutPrefix(r.URL.Path, "/chunks/"); ok {
 			if hold[dg] {
+				g.mu.Lock()
+				g.parked++
+				g.mu.Unlock()
 				select {
 				case <-g.tokens:
 				case <-r.Context().Done():
@@ -462,6 +466,24 @@ func (g *gatedSource) open() {
 	case <-g.tokens:
 	default:
 		close(g.tokens)
+	}
+}
+
+// waitParked returns once n held requests have reached the gate. A
+// fetcher issues one request at a time, so with the gate shut the n-th
+// arrival tells how far the daemon's syncs have got.
+func (g *gatedSource) waitParked(t *testing.T, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		g.mu.Lock()
+		parked := g.parked
+		g.mu.Unlock()
+		if parked >= n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d requests reached the gate, want %d", parked, n)
+		}
 	}
 }
 
@@ -555,24 +577,22 @@ func TestCASSyncTakesOverLiveTail(t *testing.T) {
 	_, a := newTestDaemon(t, Config{StateDir: t.TempDir()})
 	casProvision(t, a, "cas-alpha")
 	lazy, total := lazyDigests(t, a, "cas-alpha")
-	d, b := newTestDaemon(t, Config{StateDir: t.TempDir()})
+	_, b := newTestDaemon(t, Config{StateDir: t.TempDir()})
 	src := newGatedSource(t, a.Config.Handler, lazy)
 
 	body := map[string]interface{}{"source": hostport(src.srv)}
 	if resp := doJSON(t, "POST", b.URL+"/functions/cas-alpha/sync", body, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("lazy sync = %d", resp.StatusCode)
 	}
-	// The tail is now parked inside its first fetch. An eager sync takes
-	// over: it can only plan once the fetcher has exited, so open the gate
-	// once it holds the sync lock, waiting for that.
+	// The tail parks inside its first fetch. An eager sync takes over: it
+	// halts the fetcher — cancelling that fetch — and plans the remainder,
+	// so the second request to reach the gate is the takeover's own; open
+	// the gate then.
+	src.waitParked(t, 1)
 	body["eager"] = true
 	done := make(chan int, 1)
 	go func() { done <- post("POST", b.URL+"/functions/cas-alpha/sync", body) }()
-	mu, _ := d.syncLocks.LoadOrStore("cas-alpha", new(sync.Mutex))
-	for mu.(*sync.Mutex).TryLock() {
-		mu.(*sync.Mutex).Unlock()
-		time.Sleep(time.Millisecond)
-	}
+	src.waitParked(t, 2)
 	src.open()
 	if code := <-done; code != http.StatusOK {
 		t.Fatalf("takeover sync = %d", code)
@@ -629,21 +649,17 @@ func TestCASSyncsSerialisePerFunction(t *testing.T) {
 	casProvision(t, a, "cas-alpha")
 	casProvision(t, a, "cas-beta")
 	lazy, _ := lazyDigests(t, a, "cas-alpha")
-	d, b := newTestDaemon(t, Config{StateDir: t.TempDir()})
+	_, b := newTestDaemon(t, Config{StateDir: t.TempDir()})
 	src := newGatedSource(t, a.Config.Handler, lazy)
 
 	// An eager sync of cas-alpha parks inside its eager fetch, holding
-	// cas-alpha's sync lock.
+	// cas-alpha's sync gate.
 	stuck := make(chan int, 1)
 	go func() {
 		stuck <- post("POST", b.URL+"/functions/cas-alpha/sync",
 			map[string]interface{}{"source": hostport(src.srv), "eager": true})
 	}()
-	mu, _ := d.syncLocks.LoadOrStore("cas-alpha", new(sync.Mutex))
-	for mu.(*sync.Mutex).TryLock() {
-		mu.(*sync.Mutex).Unlock()
-		time.Sleep(time.Millisecond)
-	}
+	src.waitParked(t, 1)
 	if code := post("POST", b.URL+"/functions/cas-beta/sync",
 		map[string]interface{}{"source": hostport(a), "eager": true}); code != http.StatusOK {
 		t.Fatalf("cas-beta sync behind a stuck cas-alpha sync = %d", code)

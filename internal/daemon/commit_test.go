@@ -162,13 +162,12 @@ func TestConcurrentRecordSyncPutOnOneFunction(t *testing.T) {
 			}
 		}
 
-		fs, ok := d.fn(fn)
+		fs, ok := d.idx.lookup(fn)
 		if !ok {
 			t.Fatalf("round %d: function missing from the registry", round)
 		}
-		fs.mu.Lock()
-		machine, agent, arts, chunks := fs.machine, fs.agent, fs.arts, fs.chunks
-		fs.mu.Unlock()
+		machine, agent := fs.guest()
+		arts, chunks := fs.published().arts, fs.published().chunks
 		if machine == nil || agent == nil {
 			t.Fatalf("round %d: the entry an acknowledged PUT booted lost its VM (machine %v, agent %v)", round, machine != nil, agent != nil)
 		}
@@ -179,7 +178,7 @@ func TestConcurrentRecordSyncPutOnOneFunction(t *testing.T) {
 		if arts == nil || chunks == nil || !reflect.DeepEqual(chunks.Refs, diskChunks.Refs) {
 			t.Fatalf("round %d: the registry's chunk map is not the on-disk snapfile's", round)
 		}
-		me, ok := d.manifest.Get(fn)
+		me, ok := d.idx.entry(fn)
 		if !ok || me.Deleted || !me.HasSnapshot {
 			t.Fatalf("round %d: manifest entry = %+v, want live with a snapshot", round, me)
 		}
@@ -188,7 +187,7 @@ func TestConcurrentRecordSyncPutOnOneFunction(t *testing.T) {
 				round, me.RecordInput, arts.RecordInput.Name, diskArts.RecordInput.Name)
 		}
 	}
-	if _, n, _ := d.chunkDeficit(fn); n != 0 {
+	if _, n, _ := d.life.observeDeficit(fn); n != 0 {
 		t.Fatalf("%d chunks of the final chunk map are missing from the store", n)
 	}
 }

@@ -21,14 +21,12 @@ import (
 	"log"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"faasnap/internal/casstore"
 	"faasnap/internal/chaos"
 	"faasnap/internal/core"
 	"faasnap/internal/events"
@@ -37,8 +35,6 @@ import (
 	"faasnap/internal/obs"
 	"faasnap/internal/resilience"
 	"faasnap/internal/slo"
-	"faasnap/internal/snapfile"
-	"faasnap/internal/statedir"
 	"faasnap/internal/telemetry"
 	"faasnap/internal/trace"
 	"faasnap/internal/vmm"
@@ -90,112 +86,44 @@ type Config struct {
 	AsyncRecovery bool
 }
 
-// fnState is one managed function.
-type fnState struct {
-	mu      sync.Mutex
-	spec    *workload.Spec
-	machine *vmm.Machine
-	agent   *guestagent.Agent
-	arts    *core.Artifacts
-	chunks  *snapfile.ChunkMap
-	// tail is the background fetcher that owns the lazy chunks of the
-	// sync that committed chunks — at most one per function; nil when
-	// no sync left one. See lazyTail in cas.go.
-	tail *lazyTail
-	// deficitN/deficitSeq are the chunk deficit GET /status last saw and
-	// the seq of the manifest_deficit event that announced it, so each
-	// deficit is announced once and the gateway can cite the event as
-	// its repair's cause.
-	deficitN   int
-	deficitSeq uint64
-	// lastFaults is the most recent invocation's fault timeline, kept
-	// raw; GET /functions/{name}/faults encodes it on demand.
-	lastFaults *faultTimeline
-}
-
-// shutdown stops the function's lazy fetcher, VMM and guest agent.
-func (fs *fnState) shutdown() {
-	fs.haltTail()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.machine != nil {
-		fs.machine.Close()
-	}
-	if fs.agent != nil {
-		fs.agent.Close()
-	}
-}
-
-// chunkMap returns the function's published chunk map, nil without a
-// persisted snapshot.
-func (fs *fnState) chunkMap() *snapfile.ChunkMap {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.chunks
+// env is what every layer of the daemon — handlers, index, store,
+// lifecycle — logs, counts, injects faults and leaves events and traces
+// through.
+type env struct {
+	log       *log.Logger
+	telemetry *telemetry.Registry
+	chaos     *chaos.Injector
+	// events is the control-plane event ledger behind GET /events.
+	events *events.Ledger
+	traces *trace.Store
 }
 
 // Daemon is the FaaSnap control plane.
 type Daemon struct {
+	env
 	cfg Config
-	log *log.Logger
 	kv  *kvstore.Client
 
-	// reg is the function registry; see registry.go.
-	reg *registry
+	// The three owners of a function's state (index.go, store.go,
+	// lifecycle.go); the handlers below are adapters over them. store is
+	// nil without a state directory.
+	idx   *index
+	store *store
+	life  *lifecycle
 
-	traces    *trace.Store
-	profiles  *obs.Ring
-	slo       *slo.Engine
-	telemetry *telemetry.Registry
+	profiles *obs.Ring
+	slo      *slo.Engine
 	// faults fans each invocation's fault timeline out to the watchers
 	// of GET /functions/{name}/faults?watch=1, keyed by function.
 	faults *events.Hub
 
-	// events is the control-plane event ledger behind GET /events.
-	events *events.Ledger
-
 	res     ResilienceConfig
-	chaos   *chaos.Injector
 	limiter *resilience.Limiter
 
-	// manifest is the durable registration journal (nil without a state
-	// dir); recovering gates mutating routes until replay completes and
-	// recovered unblocks WaitRecovered.
-	manifest   *statedir.Manifest
+	// recovering gates mutating routes until journal replay completes
+	// and recovered unblocks WaitRecovered.
 	recovering atomic.Bool
 	recovered  chan struct{}
-
-	// cas is the content-addressed chunk store (nil without a state
-	// dir); see cas.go for the chunk plane it backs.
-	cas            *casstore.Store
-	casDedup       *telemetry.Gauge
-	casSaved       *telemetry.Counter
-	casLazyPending *telemetry.Gauge
-	casLazyFailed  *telemetry.Counter
-	casSyncs       *telemetry.Counter
-	casGCRemoved   *telemetry.Counter
-
-	// casOps excludes the GC sweep from record/sync's chunk-commit →
-	// registry-publish window: GC liveness comes from the registry's
-	// chunk maps, so a sweep running between a writer's chunk commits
-	// and its snapfile/registry publish would collect the just-written
-	// chunks as orphans and the acked snapfile would then reference
-	// chunks that no longer exist. Writers hold read; sweeps hold write.
-	casOps sync.RWMutex
-
-	// casLazyCtx/casLazyWG halt and drain the background lazy-chunk
-	// fetchers on Close, so no goroutine writes into the state dir
-	// after shutdown. Whatever tail they leave is reported as
-	// chunks_missing and re-synced by anti-entropy.
-	casLazyCtx  context.Context
-	casLazyHalt context.CancelFunc
-	casLazyWG   sync.WaitGroup
-
-	// syncLocks (function name → *sync.Mutex) serializes one function's
-	// POST .../sync from takeover of its live lazy fetcher to the start
-	// of its successor, so a function never has two fetchers; syncs of
-	// different functions run concurrently.
-	syncLocks sync.Map
 
 	// inFlight counts requests inside instrumented routes — the load
 	// GET /status reports.
@@ -243,20 +171,22 @@ func New(cfg Config) (*Daemon, error) {
 			})
 		}
 	}
-	d := &Daemon{
-		cfg:       cfg,
+	e := env{
 		log:       cfg.Logger,
-		reg:       newRegistry(),
+		telemetry: cfg.Registry,
+		chaos:     chaos.New(),
+		events:    ledger,
 		traces:    trace.NewStore(traceRing),
+	}
+	d := &Daemon{
+		env:       e,
+		cfg:       cfg,
 		profiles:  obs.NewRing(cfg.ProfileRing),
 		slo:       slo.New(sloCfg),
-		telemetry: cfg.Registry,
 		faults:    events.NewHub(faultWatchDepth),
-		events:    ledger,
 		res:       cfg.Resilience.withDefaults(),
-		chaos:     chaos.New(),
+		recovered: make(chan struct{}),
 	}
-	d.casLazyCtx, d.casLazyHalt = context.WithCancel(context.Background())
 	d.limiter = resilience.NewLimiter(d.res.MaxInFlight)
 	d.admInFlight = d.telemetry.Gauge("faasnap_admission_inflight",
 		"Weight currently admitted by the invocation limiter.", nil)
@@ -290,67 +220,88 @@ func New(cfg Config) (*Daemon, error) {
 		}
 		d.kv = kv
 	}
-	d.recovered = make(chan struct{})
-	if cfg.StateDir != "" {
-		if err := os.MkdirAll(cfg.StateDir, 0o755); err != nil {
-			return nil, fmt.Errorf("daemon: state dir: %w", err)
-		}
-		if err := d.initCAS(); err != nil {
-			return nil, fmt.Errorf("daemon: chunk store: %w", err)
-		}
-		d.cas.SetOnQuarantine(func(dg casstore.Digest, tier casstore.Tier) {
-			ledger.Append(events.Event{
-				Type:   events.ChunkQuarantine,
-				Fields: map[string]string{"digest": dg.String(), "tier": tier.String()},
-			})
-		})
-		m, rec, err := statedir.Open(cfg.StateDir)
-		if err != nil {
-			return nil, fmt.Errorf("daemon: manifest: %w", err)
-		}
-		d.manifest = m
-		d.recovering.Store(true)
-		if cfg.AsyncRecovery {
-			go d.recoverState(rec)
-		} else {
-			d.recoverState(rec)
-		}
-	} else {
+	// The journal's Open creates the state directory.
+	var err error
+	if d.idx, err = openIndex(cfg.StateDir); err != nil {
+		return nil, fmt.Errorf("daemon: manifest: %w", err)
+	}
+	d.life = &lifecycle{env: e, idx: d.idx, host: d.cfg.Host, kv: d.kv}
+	d.life.bgCtx, d.life.bgHalt = context.WithCancel(context.Background())
+	if cfg.StateDir == "" {
 		close(d.recovered)
+		return d, nil
+	}
+	if d.store, err = openStore(cfg.StateDir, e, d.idx.chunkMaps); err != nil {
+		d.idx.close()
+		return nil, fmt.Errorf("daemon: chunk store: %w", err)
+	}
+	d.life.store = d.store
+	d.recovering.Store(true)
+	recover := func() {
+		d.life.recover()
+		d.recovering.Store(false)
+		close(d.recovered)
+	}
+	if cfg.AsyncRecovery {
+		go recover()
+	} else {
+		recover()
 	}
 	return d, nil
 }
 
-// Close shuts down managed VMMs and connections.
-// DrainStreams disconnects long-lived watch streams (fault timelines)
-// so http.Server.Shutdown can finish; pass it to RegisterOnShutdown.
+// DrainStreams disconnects long-lived watch streams (fault timelines,
+// the event ledger) so http.Server.Shutdown can finish; pass it to
+// RegisterOnShutdown.
 func (d *Daemon) DrainStreams() {
 	d.faults.Close()
 	d.events.Close()
 }
 
+// Close shuts down background fetchers, managed VMMs and connections.
 func (d *Daemon) Close() {
 	d.DrainStreams()
-	// Stop and drain the lazy-chunk fetchers before anything touches
-	// the state dir they write into.
-	d.casLazyHalt()
-	d.casLazyWG.Wait()
-	for _, fs := range d.reg.snapshot() {
-		fs.shutdown()
-	}
+	d.life.close(d.recovered)
 	if d.kv != nil {
 		_ = d.kv.Close()
 	}
-	if d.manifest != nil {
-		// Recovery may still be appending (invalidations); let it finish
-		// before closing the journal under it.
-		d.WaitRecovered()
-		_ = d.manifest.Close()
+}
+
+// WaitRecovered blocks until recovery completes (immediately for a
+// daemon without a state dir, or one built with synchronous recovery).
+func (d *Daemon) WaitRecovered() { <-d.recovered }
+
+// gateRecovering rejects a request while recovery is in flight, with
+// the same Retry-After contract as admission shed: the state the
+// request would read or mutate is not yet authoritative.
+func (d *Daemon) gateRecovering(w http.ResponseWriter) bool {
+	if !d.recovering.Load() {
+		return false
+	}
+	w.Header().Set("Retry-After", "1")
+	writeErr(w, http.StatusServiceUnavailable, "daemon recovering: manifest replay in progress; retry shortly")
+	return true
+}
+
+// settled keeps a mutating route closed while recovery is in flight.
+func (d *Daemon) settled(h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if !d.gateRecovering(w) {
+			h(w, r)
+		}
 	}
 }
 
-func (d *Daemon) fn(name string) (*fnState, bool) {
-	return d.reg.get(name)
+// stored answers a chunk route of a daemon that keeps no store the way
+// the store says to (verb as in store.need).
+func (d *Daemon) stored(verb string, h http.HandlerFunc) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if err := d.store.need(verb); err != nil {
+			writeFailure(w, err)
+			return
+		}
+		h(w, r)
+	}
 }
 
 // Handler returns the daemon's REST API handler.
@@ -368,15 +319,15 @@ func (d *Daemon) Handler() http.Handler {
 	handle("GET /readyz", d.handleReady)
 	handle("GET /status", d.handleStatus)
 	handle("GET /functions", d.handleList)
-	handle("PUT /functions/{name}", d.handleCreate)
+	handle("PUT /functions/{name}", d.settled(d.handleCreate))
 	handle("GET /functions/{name}", d.handleGet)
-	handle("DELETE /functions/{name}", d.handleDelete)
-	handle("POST /functions/{name}/record", d.handleRecord)
-	handle("GET /functions/{name}/chunkmap", d.handleChunkMap)
-	handle("POST /functions/{name}/sync", d.handleSync)
-	handle("GET /chunks/{digest}", d.handleChunkGet)
-	handle("GET /cas", d.handleCAS)
-	handle("POST /gc", d.handleGC)
+	handle("DELETE /functions/{name}", d.settled(d.handleDelete))
+	handle("POST /functions/{name}/record", d.settled(d.handleRecord))
+	handle("GET /functions/{name}/chunkmap", d.stored("", d.handleChunkMap))
+	handle("POST /functions/{name}/sync", d.settled(d.stored("sync", d.handleSync)))
+	handle("GET /chunks/{digest}", d.stored("", d.handleChunkGet))
+	handle("GET /cas", d.stored("", d.handleCAS))
+	handle("POST /gc", d.settled(d.stored("gc", d.handleGC)))
 	handle("POST /functions/{name}/invoke", d.handleInvoke)
 	handle("POST /functions/{name}/burst", d.handleBurst)
 	handle("GET /functions/{name}/faults", d.handleFaults)
@@ -574,6 +525,37 @@ func writeErr(w http.ResponseWriter, code int, format string, args ...interface{
 	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
+// failure is an error that knows the status its route answers it with;
+// any other error from the index, the store or the lifecycle is a 500.
+type failure struct {
+	code int
+	msg  string
+}
+
+func (f *failure) Error() string { return f.msg }
+
+func failf(code int, format string, args ...interface{}) *failure {
+	return &failure{code: code, msg: fmt.Sprintf(format, args...)}
+}
+
+func writeFailure(w http.ResponseWriter, err error) {
+	code := http.StatusInternalServerError
+	var f *failure
+	if errors.As(err, &f) {
+		code = f.code
+	}
+	writeErr(w, code, "%v", err)
+}
+
+// answer ends an adapter: the call's failure, or its result as 200 JSON.
+func answer(w http.ResponseWriter, v interface{}, err error) {
+	if err != nil {
+		writeFailure(w, err)
+		return
+	}
+	writeJSON(w, http.StatusOK, v)
+}
+
 // FunctionInfo is the API representation of a managed function.
 type FunctionInfo struct {
 	Name         string  `json:"name"`
@@ -595,25 +577,44 @@ type FunctionInfo struct {
 	GuestInvocations int64 `json:"guest_invocations,omitempty"`
 }
 
-func (d *Daemon) info(fs *fnState) FunctionInfo {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return d.infoLocked(fs)
+// info reports fs as the API shows it, from its published view.
+func info(fs *fnState) FunctionInfo {
+	v := fs.published()
+	info := FunctionInfo{
+		Name:         fs.spec.Name,
+		Description:  fs.spec.Description,
+		HasSnapshot:  v.arts != nil,
+		WorkingSetMB: fs.spec.WSA,
+	}
+	if machine, agent := fs.guest(); machine != nil {
+		info.VMState = string(machine.State())
+		info.GuestInvocations = agent.Invocations()
+	}
+	if v.arts != nil {
+		info.WSPages = v.arts.WS.Pages()
+		info.LSPages = v.arts.LS.Total
+		info.LSRegions = len(v.arts.LS.Regions)
+		info.ReapWSPages = v.arts.ReapWS.PageCount()
+		info.SnapshotMB = float64(v.arts.Mem.SparseBytes()) / (1 << 20)
+		info.RecordInput = v.arts.RecordInput.Name
+	}
+	if v.chunks != nil {
+		info.Chunks = len(v.chunks.Refs)
+		info.ChunkBytes = v.chunks.TotalBytes()
+	}
+	return info
 }
 
 func (d *Daemon) handleList(w http.ResponseWriter, r *http.Request) {
-	fns := d.reg.snapshot()
+	fns := d.idx.live()
 	out := make([]FunctionInfo, 0, len(fns))
 	for _, fs := range fns {
-		out = append(out, d.info(fs))
+		out = append(out, info(fs))
 	}
 	writeJSON(w, http.StatusOK, out)
 }
 
 func (d *Daemon) handleCreate(w http.ResponseWriter, r *http.Request) {
-	if d.gateRecovering(w) {
-		return
-	}
 	name := r.PathValue("name")
 	spec, err := workload.ByName(name)
 	if err != nil {
@@ -637,144 +638,27 @@ func (d *Daemon) handleCreate(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	fs, exists := d.reg.getOrCreate(name, func() *fnState { return &fnState{spec: spec} })
-
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.machine == nil {
-		// Any failure on the boot path must tear down whatever came up
-		// (machine, agent) and, for a function this request registered,
-		// deregister it — a failed PUT may not leave a machine-less
-		// entry in GET /functions or a leaked VMM behind a 500.
-		bootFail := func(m *vmm.Machine, a *guestagent.Agent, code int, format string, args ...interface{}) {
-			if a != nil {
-				a.Close()
-			}
-			if m != nil {
-				m.Close()
-			}
-			fs.machine, fs.agent = nil, nil
-			if !exists {
-				d.reg.removeIf(name, fs)
-			}
-			writeErr(w, code, format, args...)
-		}
-		// Boot a clean VM through the Firecracker-style API.
-		// Telemetry is attached before the first API call so the boot
-		// itself is counted.
-		m := vmm.Launch(name)
-		m.SetTelemetry(d.telemetry)
-		m.SetChaos(d.chaos)
-		c := m.Client()
-		if err := c.SetMachineConfig(vmm.MachineConfig{VcpuCount: 2, MemSizeMib: 2048}); err != nil {
-			bootFail(m, nil, http.StatusInternalServerError, "machine config: %v", err)
-			return
-		}
-		if err := c.Start(); err != nil {
-			bootFail(m, nil, http.StatusInternalServerError, "instance start: %v", err)
-			return
-		}
-		// The in-guest server comes up with the VM; invocation
-		// requests are forwarded to it.
-		agent := guestagent.Start(name, func(req guestagent.InvokeRequest) (guestagent.InvokeReply, error) {
-			return guestagent.InvokeReply{}, nil
-		})
-		agent.SetTelemetry(d.telemetry)
-		agent.SetChaos(d.chaos)
-		if err := agent.Client().Health(); err != nil {
-			bootFail(m, agent, http.StatusInternalServerError, "guest agent: %v", err)
-			return
-		}
-		fs.machine = m
-		fs.agent = agent
-		d.log.Printf("booted VM for %s (guest agent up)", name)
+	fs, err := d.life.create(name, spec)
+	if err != nil {
+		writeFailure(w, err)
+		return
 	}
-	// Journal the registration before acknowledging it: a crash after
-	// the append (CrashRegisterPostJournal) must still recover this
-	// function — spec-only registrations included. Register is
-	// idempotent, so a repeated PUT with an unchanged spec appends
-	// nothing and keeps its generation.
-	if d.manifest != nil {
-		if _, err := d.manifest.Register(name, specJSON(fs.spec)); err != nil {
-			if !exists {
-				d.reg.removeIf(name, fs)
-			}
-			writeErr(w, http.StatusInternalServerError, "journal registration: %v", err)
-			return
-		}
-		chaos.MaybeCrash(chaos.CrashRegisterPostJournal)
-	}
-	writeJSON(w, http.StatusOK, d.infoLocked(fs))
-}
-
-// infoLocked is info for a caller already holding fs.mu.
-func (d *Daemon) infoLocked(fs *fnState) FunctionInfo {
-	info := FunctionInfo{
-		Name:         fs.spec.Name,
-		Description:  fs.spec.Description,
-		HasSnapshot:  fs.arts != nil,
-		WorkingSetMB: fs.spec.WSA,
-	}
-	if fs.machine != nil {
-		info.VMState = string(fs.machine.State())
-	}
-	if fs.agent != nil {
-		info.GuestInvocations = fs.agent.Invocations()
-	}
-	if fs.arts != nil {
-		info.WSPages = fs.arts.WS.Pages()
-		info.LSPages = fs.arts.LS.Total
-		info.LSRegions = len(fs.arts.LS.Regions)
-		info.ReapWSPages = fs.arts.ReapWS.PageCount()
-		info.SnapshotMB = float64(fs.arts.Mem.SparseBytes()) / (1 << 20)
-		info.RecordInput = fs.arts.RecordInput.Name
-	}
-	if fs.chunks != nil {
-		info.Chunks = len(fs.chunks.Refs)
-		info.ChunkBytes = fs.chunks.TotalBytes()
-	}
-	return info
+	writeJSON(w, http.StatusOK, info(fs))
 }
 
 func (d *Daemon) handleGet(w http.ResponseWriter, r *http.Request) {
-	fs, ok := d.fn(r.PathValue("name"))
+	fs, ok := d.idx.lookup(r.PathValue("name"))
 	if !ok {
-		writeErr(w, http.StatusNotFound, "%v", errNotRegistered)
+		writeFailure(w, errNotRegistered)
 		return
 	}
-	writeJSON(w, http.StatusOK, d.info(fs))
+	writeJSON(w, http.StatusOK, info(fs))
 }
 
 func (d *Daemon) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if d.gateRecovering(w) {
+	if err := d.life.delete(r.PathValue("name")); err != nil {
+		writeFailure(w, err)
 		return
-	}
-	name := r.PathValue("name")
-	fs, ok := d.fn(name)
-	if !ok {
-		writeErr(w, http.StatusNotFound, "%v", errNotRegistered)
-		return
-	}
-	// Journal the tombstone before tearing anything down: once the
-	// delete is acknowledged a restart must not resurrect the function,
-	// and generations keep climbing across the tombstone so re-registers
-	// are ordered after it. A crash right after the append
-	// (CrashDeletePostJournal) leaves the snapfile behind — recovery
-	// sweeps it into quarantine off the tombstone.
-	if d.manifest != nil {
-		if _, err := d.manifest.Delete(name); err != nil {
-			writeErr(w, http.StatusInternalServerError, "journal delete: %v", err)
-			return
-		}
-		chaos.MaybeCrash(chaos.CrashDeletePostJournal)
-	}
-	if fs, ok = d.reg.remove(name); !ok {
-		writeErr(w, http.StatusNotFound, "%v", errNotRegistered)
-		return
-	}
-	fs.shutdown()
-	if d.cfg.StateDir != "" {
-		_ = os.Remove(filepath.Join(d.cfg.StateDir, name+".snap"))
 	}
 	w.WriteHeader(http.StatusNoContent)
 }
@@ -835,13 +719,13 @@ func (d *Daemon) resolveInput(spec *workload.Spec, name string) (workload.Input,
 
 // storeInput publishes the input descriptor to the kvstore, as
 // function inputs live in external storage (§5).
-func (d *Daemon) storeInput(spec *workload.Spec, in workload.Input) {
-	if d.kv == nil {
+func (l *lifecycle) storeInput(spec *workload.Spec, in workload.Input) {
+	if l.kv == nil {
 		return
 	}
 	desc, _ := json.Marshal(inputDescriptor{Name: in.Name, Bytes: in.Bytes, Seed: in.Seed, DataPages: in.DataPages})
-	if err := d.kv.Set("input:"+spec.Name+":"+in.Name, desc); err != nil {
-		d.log.Printf("kvstore set failed: %v", err)
+	if err := l.kv.Set("input:"+spec.Name+":"+in.Name, desc); err != nil {
+		l.log.Printf("kvstore set failed: %v", err)
 	}
 }
 
@@ -857,57 +741,11 @@ type RecordResponse struct {
 	Duration string            `json:"record_duration"`
 }
 
-// recordSnapshot is the record phase on fs's long-lived VM in the
-// paper's order (§5; RESILIENCE.md, "The record sequence"). It is the
-// one owner of the sanitize and pause windows, so no early return
-// leaves either open: a pause that succeeded is always followed by a
-// resume, and a VM found Paused (an earlier resume itself failed) has
-// its window closed by this record. The caller holds fs.mu.
-func (d *Daemon) recordSnapshot(fs *fnState, in workload.Input) (arts *core.Artifacts, res core.RecordResult, err error) {
-	sanitize := func(on bool) error {
-		if fs.agent == nil {
-			return nil
-		}
-		return fs.agent.Client().SetSanitize(on)
-	}
-	if err := sanitize(true); err != nil {
-		return nil, res, fmt.Errorf("enable sanitizing: %w", err)
-	}
-	// Pure: nothing between the two toggles can fail.
-	arts, res = core.Record(d.cfg.Host, fs.spec, in)
-	if err := sanitize(false); err != nil {
-		return nil, res, fmt.Errorf("disable sanitizing: %w", err)
-	}
-	if fs.machine == nil {
-		return arts, res, nil
-	}
-	c := fs.machine.Client()
-	if fs.machine.State() != vmm.StatePaused {
-		if err := c.Pause(); err != nil {
-			return nil, res, fmt.Errorf("pause: %w", err)
-		}
-	}
-	defer func() {
-		if rerr := c.Resume(); rerr != nil {
-			err = errors.Join(err, fmt.Errorf("resume: %w", rerr))
-		}
-	}()
-	if err := c.CreateSnapshot(vmm.SnapshotCreateRequest{
-		SnapshotPath: fmt.Sprintf("/snapshots/%s.state", fs.spec.Name),
-		MemFilePath:  fmt.Sprintf("/snapshots/%s.mem", fs.spec.Name),
-	}); err != nil {
-		return nil, res, fmt.Errorf("snapshot create: %w", err)
-	}
-	return arts, res, nil
-}
-
 func (d *Daemon) handleRecord(w http.ResponseWriter, r *http.Request) {
-	if d.gateRecovering(w) {
-		return
-	}
-	fs, ok := d.fn(r.PathValue("name"))
+	name := r.PathValue("name")
+	fs, ok := d.idx.lookup(name)
 	if !ok {
-		writeErr(w, http.StatusNotFound, "function not registered; PUT /functions/%s first", r.PathValue("name"))
+		writeErr(w, http.StatusNotFound, "function not registered; PUT /functions/%s first", name)
 		return
 	}
 	var req recordRequest
@@ -920,56 +758,136 @@ func (d *Daemon) handleRecord(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-
-	// Hold the GC sweep off until this recording's chunks are referenced
-	// by the registry-published chunk map. Taken before fs.mu — the order
-	// the sweep and sync use — so the three cannot deadlock.
-	d.casOps.RLock()
-	defer d.casOps.RUnlock()
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	arts, res, err := d.recordSnapshot(fs, in)
+	res, err := d.life.record(name, in)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, "%v", err)
+		writeFailure(w, err)
 		return
 	}
-	d.storeInput(fs.spec, in)
-	if d.cfg.StateDir == "" {
-		fs.arts = arts
-	} else {
-		// Chunk the snapshot into the content-addressed store first:
-		// chunks shared with earlier recordings (the base image) dedup to
-		// nothing, and a crash before the snapfile commit leaves only
-		// unreferenced chunks for the recovery sweep.
-		chunks, payloads := casstore.BuildChunks(arts, 0)
-		for _, c := range payloads {
-			if _, err := d.cas.PutDigest(casstore.Digest(c.Ref.Digest), c.Data); err != nil {
-				writeErr(w, http.StatusInternalServerError, "persist chunk: %v", err)
-				return
-			}
-		}
-		err := d.commitSnapshot(fs, func(path string) error {
-			return snapfile.SaveChunked(path, arts, chunks)
-		}, func() error {
-			_, err := d.manifest.Record(fs.spec.Name, in.Name)
-			return err
-		})
-		if err != nil {
-			writeErr(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-	}
-	core.ObserveRecord(d.telemetry, fs.spec.Name, res)
-	d.log.Printf("recorded %s input %s: ws=%d ls=%d regions=%d", fs.spec.Name, in.Name, res.WSPages, res.LSPages, res.LSRegions)
 	acknowledgeCommit(w, RecordResponse{
-		Function: fs.spec.Name,
+		Function: name,
 		Input:    in.Name,
 		Result:   res,
 		Duration: res.Duration.String(),
 	})
-	// Refresh the dedup gauge once this function's lock drops (the
-	// helper walks every fnState, so it cannot run under fs.mu).
-	go d.updateDedupGauge()
+}
+
+// acknowledgeCommit replies to the request whose snapshot the lifecycle
+// just committed. A crash from here on (record.post-reply) must recover
+// the snapshot intact.
+func acknowledgeCommit(w http.ResponseWriter, reply interface{}) {
+	writeJSON(w, http.StatusOK, reply)
+	chaos.MaybeCrash(chaos.CrashRecordPostReply)
+}
+
+func (d *Daemon) handleSync(w http.ResponseWriter, r *http.Request) {
+	var req syncRequest
+	if err := decodeBody(r, &req); err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	if req.Source == "" {
+		writeErr(w, http.StatusBadRequest, "sync needs a source daemon address")
+		return
+	}
+	// The restore mints a waterfall trace, under the id of the gateway's
+	// anti-entropy sweep when it sent one.
+	resp, err := d.life.sync(r.Context(), r.PathValue("name"), req, d.traceIDFor(r))
+	if err != nil {
+		writeFailure(w, err)
+		return
+	}
+	acknowledgeCommit(w, resp)
+}
+
+func (d *Daemon) handleGC(w http.ResponseWriter, r *http.Request) {
+	var req gcRequest
+	if err := decodeBody(r, &req); err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	resp, err := d.life.gc(req.Demote)
+	answer(w, resp, err)
+}
+
+func (d *Daemon) handleChunkGet(w http.ResponseWriter, r *http.Request) {
+	data, tier, err := d.store.get(r.PathValue("digest"))
+	if err != nil {
+		writeFailure(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("X-Faasnap-Chunk-Tier", tier)
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(data)
+}
+
+func (d *Daemon) handleChunkMap(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	fs, ok := d.idx.lookup(name)
+	if !ok {
+		writeFailure(w, errNotRegistered)
+		return
+	}
+	// The generation is read before the view and the view before the
+	// snapfile, the reverse of the commit's order (snapfile, journal,
+	// publish): a peer may be handed newer bytes than the generation it
+	// adopts with them, never older ones.
+	e, _ := d.idx.entry(name)
+	v := fs.published()
+	if v.chunks == nil {
+		writeErr(w, http.StatusNotFound, "%s has no chunked snapshot", name)
+		return
+	}
+	resp, err := d.store.export(name, v.arts.RecordInput.Name, e.Generation, v.chunks, r.URL.Query().Get("summary") != "")
+	answer(w, resp, err)
+}
+
+func (d *Daemon) handleCAS(w http.ResponseWriter, r *http.Request) {
+	resp, err := d.store.report()
+	answer(w, resp, err)
+}
+
+// StatusResponse is GET /status: everything the gateway's sweep asks a
+// backend, in one answer — the routing verdict /readyz probes, the load
+// the admission limiter and in-flight counter hold, and the durable-
+// state summary anti-entropy compares across replicas (omitted by a
+// daemon without a state dir).
+type StatusResponse struct {
+	Ready         bool             `json:"ready"`
+	Reasons       []string         `json:"reasons,omitempty"`
+	Recovering    bool             `json:"recovering"`
+	InFlight      int64            `json:"inflight"`
+	AdmissionUsed int64            `json:"admission_used"`
+	AdmissionMax  int64            `json:"admission_max"`
+	Digest        string           `json:"digest,omitempty"`
+	Functions     []StatusFunction `json:"functions,omitempty"`
+}
+
+// handleStatus always answers 200: not-ready is a fact to report, not
+// a failure to answer. It serves during recovery — the journal is fully
+// replayed before any handler runs; only snapfile re-deployment is
+// still in flight — so a gateway can see what a recovering backend
+// will hold.
+func (d *Daemon) handleStatus(w http.ResponseWriter, r *http.Request) {
+	reasons := d.notReady()
+	resp := StatusResponse{
+		Ready:      len(reasons) == 0,
+		Reasons:    reasons,
+		Recovering: d.recovering.Load(),
+		// Not counting this request.
+		InFlight:      d.inFlight.Load() - 1,
+		AdmissionUsed: d.limiter.InFlight(),
+		AdmissionMax:  d.limiter.Max(),
+	}
+	var entries []StatusFunction
+	resp.Digest, entries = d.idx.status()
+	for _, sf := range entries {
+		if !sf.Deleted && sf.HasSnapshot {
+			sf.ChunksPending, sf.ChunksMissing, sf.DeficitSeq = d.life.observeDeficit(sf.Name)
+		}
+		resp.Functions = append(resp.Functions, sf)
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 type invokeRequest struct {
@@ -1084,7 +1002,7 @@ func (d *Daemon) serve(w http.ResponseWriter, r *http.Request, route string,
 // admission weight.
 func (d *Daemon) parseCall(r *http.Request, c *call, body interface{}, common *invokeRequest, weigh func() (int64, error)) (int64, error) {
 	var ok bool
-	if c.fs, ok = d.fn(r.PathValue("name")); !ok {
+	if c.fs, ok = d.idx.lookup(r.PathValue("name")); !ok {
 		return 0, errNotRegistered
 	}
 	if err := decodeBody(r, body); err != nil {
@@ -1104,10 +1022,7 @@ func (d *Daemon) parseCall(r *http.Request, c *call, body interface{}, common *i
 	if c.in, err = d.resolveInput(c.fs.spec, common.Input); err != nil {
 		return 0, err
 	}
-	c.fs.mu.Lock()
-	c.arts = c.fs.arts
-	c.fs.mu.Unlock()
-	if c.arts == nil {
+	if c.arts = c.fs.published().arts; c.arts == nil {
 		return 0, errNoSnapshot
 	}
 	return weight, nil
@@ -1201,10 +1116,7 @@ func (d *Daemon) invokeOne(ctx context.Context, r *http.Request, c *call) (inter
 	// for a live VM ("it uses the guest IP address to connect to the
 	// Flask server for invoking functions", §5). Agent failures must
 	// not be swallowed: they surface in the response and telemetry.
-	fs.mu.Lock()
-	agent := fs.agent
-	fs.mu.Unlock()
-	if agent != nil {
+	if _, agent := fs.guest(); agent != nil {
 		ac := agent.Client()
 		ac.SetContext(ctx)
 		ac.SetTraceContext(agentParent)

@@ -284,8 +284,8 @@ func TestGuestAgentIntegration(t *testing.T) {
 	}
 	// The record flow must leave sanitizing disabled (§5: it is only
 	// needed during the record phase).
-	fs, _ := d.fn("hello-world")
-	if fs.agent.Sanitizing() {
+	fs, _ := d.idx.lookup("hello-world")
+	if _, agent := fs.guest(); agent.Sanitizing() {
 		t.Fatal("sanitizing left enabled after record")
 	}
 }

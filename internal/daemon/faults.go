@@ -97,9 +97,7 @@ func (d *Daemon) publishFaults(fs *fnState, id trace.ID, res *core.InvokeResult)
 		total:    res.Total,
 		events:   res.FaultTrace,
 	}
-	fs.mu.Lock()
-	fs.lastFaults = tl
-	fs.mu.Unlock()
+	fs.setFaults(tl)
 	if d.faults.Watched("", tl.function) {
 		d.faults.Publish("", tl.function, encodeFaultTimeline(tl))
 	}
@@ -111,7 +109,7 @@ func (d *Daemon) publishFaults(fs *fnState, id trace.ID, res *core.InvokeResult)
 // until the client disconnects.
 func (d *Daemon) handleFaults(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
-	fs, ok := d.fn(name)
+	fs, ok := d.idx.lookup(name)
 	if !ok {
 		writeErr(w, http.StatusNotFound, "function not registered")
 		return
@@ -121,10 +119,7 @@ func (d *Daemon) handleFaults(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	fs.mu.Lock()
-	tl := fs.lastFaults
-	fs.mu.Unlock()
-	if tl != nil {
+	if tl := fs.faults(); tl != nil {
 		_ = writeLine(w, encodeFaultTimeline(tl)) // the client left; nothing to add
 	}
 }

@@ -141,7 +141,7 @@ func TestFaultTimelineEncodedOnDemand(t *testing.T) {
 	if body := getFaults(t, srv.URL, "hello-world"); len(body) != 0 {
 		t.Fatalf("timeline before any invocation = %q, want empty", body)
 	}
-	fs, _ := d.fn("hello-world")
+	fs, _ := d.idx.lookup("hello-world")
 
 	// The publish step with no watcher: a 20k-event trace costs the
 	// holder struct and nothing per event.
@@ -153,9 +153,7 @@ func TestFaultTimelineEncodedOnDemand(t *testing.T) {
 	var inv InvokeResponse
 	doJSON(t, "POST", srv.URL+"/functions/hello-world/invoke",
 		map[string]string{"mode": "faasnap", "input": "B"}, &inv)
-	fs.mu.Lock()
-	tl := fs.lastFaults
-	fs.mu.Unlock()
+	tl := fs.faults()
 	if tl == nil || tl.traceID != inv.TraceID || int64(len(tl.events)) != inv.Faults {
 		t.Fatalf("parked timeline = %+v, want the raw trace of invocation %s (%d faults)", tl, inv.TraceID, inv.Faults)
 	}

@@ -12,17 +12,13 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
-	"strings"
 	"time"
 
 	"faasnap/internal/chaos"
 	"faasnap/internal/core"
 	"faasnap/internal/events"
 	"faasnap/internal/resilience"
-	"faasnap/internal/statedir"
 	"faasnap/internal/telemetry"
 	"faasnap/internal/vmm"
 )
@@ -78,7 +74,7 @@ func (c ResilienceConfig) withDefaults() ResilienceConfig {
 // Sentinel errors for the daemon's error paths; handlers classify with
 // errors.Is rather than matching message strings.
 var (
-	errNotRegistered = errors.New("function not registered")
+	errNotRegistered = failf(http.StatusNotFound, "function not registered")
 	errNoSnapshot    = errors.New("function has no snapshot; POST /functions/{name}/record first")
 	errCircuitOpen   = errors.New("circuit breaker open")
 )
@@ -274,33 +270,6 @@ func (d *Daemon) resilientRestore(ctx context.Context, fn string, arts *core.Art
 		d.log.Printf("restore %s as %s failed (%v); falling back to %s", fn, m, err, next)
 	}
 	return out, nil
-}
-
-// quarantine moves a snapfile that failed verification into the state
-// directory's quarantine/ subdirectory, out of the deploy path but
-// preserved for inspection.
-func (d *Daemon) quarantine(path string, cause error) {
-	qdir := filepath.Join(d.cfg.StateDir, "quarantine")
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		d.log.Printf("quarantine dir: %v", err)
-		return
-	}
-	// QuarantinePath suffixes .2, .3, ... when the base name is taken:
-	// a second corrupt copy of the same function must not overwrite the
-	// first piece of evidence.
-	dst := statedir.QuarantinePath(qdir, filepath.Base(path))
-	if err := os.Rename(path, dst); err != nil {
-		d.log.Printf("quarantine %s: %v", path, err)
-		return
-	}
-	d.telemetry.Counter("faasnap_snapfile_quarantined_total",
-		"Snapshot files that failed verification and were quarantined.", nil).Inc()
-	d.publishEvent(events.Event{
-		Type:     events.SnapfileQuarantine,
-		Function: strings.TrimSuffix(filepath.Base(path), ".snap"),
-		Fields:   map[string]string{"cause": cause.Error()},
-	})
-	d.log.Printf("quarantined corrupt snapfile %s -> %s: %v", path, dst, cause)
 }
 
 // handleChaosGet reports the chaos injector's config and fire counts.

@@ -277,8 +277,9 @@ func TestRecordFaultLeavesVMRunning(t *testing.T) {
 			if resp := doJSON(t, "PUT", srv.URL+"/chaos", chaos.Config{Enabled: true, Rules: tc.rules}, nil); resp.StatusCode != 200 {
 				t.Fatalf("arm chaos = %d", resp.StatusCode)
 			}
-			fs, _ := d.fn("hello-world")
-			state := func() (vmm.State, bool) { return fs.machine.State(), fs.agent.Sanitizing() }
+			fs, _ := d.idx.lookup("hello-world")
+			machine, agent := fs.guest()
+			state := func() (vmm.State, bool) { return machine.State(), agent.Sanitizing() }
 
 			resp := doJSON(t, "POST", srv.URL+"/functions/hello-world/record", nil, nil)
 			if resp.StatusCode/100 == 2 {

@@ -1,0 +1,690 @@
+package daemon
+
+// The store: a function's bytes. Every recording is chunked into the
+// content-addressed store (internal/casstore) and its snapfile
+// (internal/snapfile) carries a chunk map referencing it; a function
+// this daemon never recorded is restored by pulling a peer's chunk map
+// and only the chunks missing here — loading-set chunks eagerly in group
+// order, per the paper's per-region restore priority, the rest lazily in
+// the background. The store owns the chunk store, the snapfile paths,
+// the peer client and the chunk-plane gauges, and is the only code that
+// imports either package; a daemon without a state directory has no
+// store at all.
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"faasnap/internal/casstore"
+	"faasnap/internal/chaos"
+	"faasnap/internal/core"
+	"faasnap/internal/events"
+	"faasnap/internal/resilience"
+	"faasnap/internal/snapfile"
+	"faasnap/internal/telemetry"
+)
+
+type (
+	chunkMap = snapfile.ChunkMap
+	chunkRef = snapfile.ChunkRef
+)
+
+type store struct {
+	env
+	dir string
+	cas *casstore.Store
+	// live returns every live function's published chunk map: what the
+	// sweep may not collect, and the size the store would need with no
+	// dedup.
+	live func() []*chunkMap
+	// peer fetches chunk maps and chunks from peer daemons. Separate from
+	// the gateway's client: sync transfers can be large.
+	peer *http.Client
+
+	// ops excludes the GC sweep from a record's or sync's chunk-commit →
+	// publish window: liveness comes from the published chunk maps, so a
+	// sweep running between a writer's chunk commits and its publish
+	// would collect the just-written chunks as orphans and the acked
+	// snapfile would then reference chunks that no longer exist. Writers
+	// hold read; sweeps hold write.
+	ops sync.RWMutex
+
+	dedup       *telemetry.Gauge
+	saved       *telemetry.Counter
+	lazyPending *telemetry.Gauge
+	lazyFailed  *telemetry.Counter
+	syncs       *telemetry.Counter
+	gcRemoved   *telemetry.Counter
+}
+
+// openStore opens the chunk store under dir and registers the chunk
+// plane's metric families.
+func openStore(dir string, e env, live func() []*chunkMap) (*store, error) {
+	cas, err := casstore.Open(dir, e.telemetry)
+	if err != nil {
+		return nil, err
+	}
+	cas.SetOnQuarantine(func(dg casstore.Digest, tier casstore.Tier) {
+		e.events.Append(events.Event{
+			Type:   events.ChunkQuarantine,
+			Fields: map[string]string{"digest": dg.String(), "tier": tier.String()},
+		})
+	})
+	s := &store{env: e, dir: dir, cas: cas, live: live, peer: &http.Client{Timeout: 30 * time.Second}}
+	s.dedup = s.telemetry.Gauge("faasnap_cas_dedup_ratio",
+		"Fraction of logically referenced chunk bytes saved by dedup and compression (1 - physical/logical).", nil)
+	s.saved = s.telemetry.Counter("faasnap_cas_restore_bytes_saved_total",
+		"Bytes a chunk-level restore did not transfer eagerly (already present via dedup, or deferred to lazy fetch).", nil)
+	s.lazyPending = s.telemetry.Gauge("faasnap_cas_lazy_pending_chunks",
+		"Chunks a completed sync still owes to the background lazy fetcher.", nil)
+	s.lazyFailed = s.telemetry.Counter("faasnap_cas_lazy_failed_chunks_total",
+		"Lazy chunk fetches abandoned after retries; an abandoned chunk is owned by nobody, so GET /status reports it as chunks_missing for anti-entropy repair.", nil)
+	s.syncs = s.telemetry.Counter("faasnap_cas_sync_total",
+		"Chunk-level restores served for functions this daemon never recorded.", nil)
+	s.gcRemoved = s.telemetry.Counter("faasnap_cas_gc_removed_chunks_total",
+		"Unreferenced chunks removed by the refcount sweep.", nil)
+	// Background-op duration histograms are registered up front so they
+	// appear in the scrape before their first observation.
+	s.gcSeconds()
+	for _, p := range []string{"decode", "eager", "commit", "lazy"} {
+		s.syncSeconds(p)
+	}
+	return s, nil
+}
+
+func (s *store) gcSeconds() *telemetry.Histogram {
+	return s.telemetry.Histogram("faasnap_cas_gc_seconds",
+		"Wall time of chunk-store garbage-collection sweeps.", nil)
+}
+
+// syncSeconds returns the chunk-sync phase histogram for one phase.
+func (s *store) syncSeconds(phase string) *telemetry.Histogram {
+	return s.telemetry.Histogram("faasnap_cas_sync_seconds",
+		"Chunk-level restore wall time by phase (decode, eager fetch, commit, lazy tail).",
+		telemetry.L("phase", phase))
+}
+
+// need is the failure a chunk route answers with on a daemon that
+// keeps no store: a read finds nothing (verb ""), a mutation conflicts.
+func (s *store) need(verb string) error {
+	switch {
+	case s != nil:
+		return nil
+	case verb == "":
+		return failf(http.StatusNotFound, "no state directory; this daemon keeps no chunk store")
+	default:
+		return failf(http.StatusConflict, "%s requires a state directory", verb)
+	}
+}
+
+func (s *store) snapPath(name string) string { return filepath.Join(s.dir, name+".snap") }
+
+// logicalBytes sums every live function's chunk-map payload — the size
+// the store would need with no dedup.
+func (s *store) logicalBytes() int64 {
+	var n int64
+	for _, cm := range s.live() {
+		n += cm.TotalBytes()
+	}
+	return n
+}
+
+// refreshDedup recomputes faasnap_cas_dedup_ratio from the live chunk
+// maps and the store's physical footprint (a walk of the chunk tree).
+func (s *store) refreshDedup() {
+	logical := s.logicalBytes()
+	if logical <= 0 {
+		s.dedup.Set(0)
+		return
+	}
+	st, err := s.cas.Stats()
+	if err != nil {
+		return
+	}
+	s.dedup.Set(max(0, 1-float64(st.PhysicalBytes())/float64(logical)))
+}
+
+// putSnapshot chunks a recording into the content-addressed store —
+// chunks shared with earlier recordings (the base image) dedup to
+// nothing, and a crash before the snapfile commit leaves only
+// unreferenced chunks for the recovery sweep — and returns the save that
+// encodes its snapfile.
+func (s *store) putSnapshot(arts *core.Artifacts) (save func(path string) error, err error) {
+	chunks, payloads := casstore.BuildChunks(arts, 0)
+	for _, c := range payloads {
+		if _, err := s.cas.PutDigest(casstore.Digest(c.Ref.Digest), c.Data); err != nil {
+			return nil, fmt.Errorf("persist chunk: %w", err)
+		}
+	}
+	return func(path string) error { return snapfile.SaveChunked(path, arts, chunks) }, nil
+}
+
+// writeSnapfile commits name's snapfile — an encode of the recorded
+// artifacts, or a peer's raw bytes — and reads it back. What is read
+// back is what gets deployed, so what serves is exactly what disk holds;
+// a snapshot that cannot pass its own checksum is quarantined.
+func (s *store) writeSnapfile(name string, save func(path string) error) (*core.Artifacts, *chunkMap, error) {
+	path := s.snapPath(name)
+	if err := save(path); err != nil {
+		return nil, nil, fmt.Errorf("persist snapshot: %w", err)
+	}
+	arts, chunks, err := snapfile.LoadChunked(path)
+	if err != nil {
+		s.quarantine(name+".snap", err)
+		return nil, nil, fmt.Errorf("snapshot failed verification: %w", err)
+	}
+	return arts, chunks, nil
+}
+
+// load reads and verifies name's snapfile in a single streaming pass
+// (chunk map included), applying any armed chaos storage fault, and
+// checks the chunk map against the store. A missing loading-set chunk
+// makes the snapshot unusable (the eager restore path would stall), so
+// it is an error; missing lazy chunks are tolerated — a sync target that
+// crashed mid-lazy-fetch still serves, the deficit is reported as
+// chunks_missing in GET /status (no fetcher survived the crash to own
+// it), and the gateway's anti-entropy pass re-pulls the tail with an
+// eager chunk sync from a complete replica.
+func (s *store) load(name string) (*core.Artifacts, *chunkMap, error) {
+	fault := snapfile.FaultNone
+	switch dec := s.chaos.Eval(chaos.PointSnapfile, name+".snap"); {
+	case dec.Is(chaos.KindCorrupt):
+		fault = snapfile.FaultCorrupt
+	case dec.Is(chaos.KindTruncate):
+		fault = snapfile.FaultTruncate
+	}
+	arts, cm, err := snapfile.LoadChunkedWithFault(s.snapPath(name), fault)
+	if err != nil {
+		return nil, nil, err
+	}
+	var lazyMissing int
+	for _, ref := range cm.Refs {
+		if s.cas.Has(casstore.Digest(ref.Digest)) {
+			continue
+		}
+		if ref.LS {
+			return nil, nil, fmt.Errorf("loading-set chunk %x missing from store", ref.Digest[:8])
+		}
+		lazyMissing++
+	}
+	if lazyMissing > 0 {
+		s.log.Printf("recovery: %s is missing %d lazy chunks (reported as chunks_missing; anti-entropy re-syncs them)", name, lazyMissing)
+	}
+	return arts, cm, nil
+}
+
+// absent counts the refs of cm neither tier of the store can serve: an
+// lstat walk, the out-of-band-loss detector.
+func (s *store) absent(cm *chunkMap) (n int) {
+	for _, ref := range cm.Refs {
+		if !s.cas.Has(casstore.Digest(ref.Digest)) {
+			n++
+		}
+	}
+	return n
+}
+
+// remove deletes name's snapfile; its chunks go with the next sweep
+// unless shared.
+func (s *store) remove(name string) { _ = os.Remove(s.snapPath(name)) }
+
+// quarantine moves the state-directory file base, a snapfile that failed
+// verification, into the quarantine/ subdirectory: out of the deploy
+// path but preserved for inspection.
+func (s *store) quarantine(base string, cause error) {
+	qdir := filepath.Join(s.dir, "quarantine")
+	if err := os.MkdirAll(qdir, 0o755); err != nil {
+		s.log.Printf("quarantine dir: %v", err)
+		return
+	}
+	// quarantinePath suffixes .2, .3, ... when the base name is taken:
+	// a second corrupt copy of the same function must not overwrite the
+	// first piece of evidence.
+	path, dst := filepath.Join(s.dir, base), quarantinePath(qdir, base)
+	if err := os.Rename(path, dst); err != nil {
+		s.log.Printf("quarantine %s: %v", path, err)
+		return
+	}
+	s.telemetry.Counter("faasnap_snapfile_quarantined_total",
+		"Snapshot files that failed verification and were quarantined.", nil).Inc()
+	s.events.Append(events.Event{
+		Type:     events.SnapfileQuarantine,
+		Function: strings.TrimSuffix(base, ".snap"),
+		Fields:   map[string]string{"cause": cause.Error()},
+	})
+	s.log.Printf("quarantined corrupt snapfile %s -> %s: %v", path, dst, cause)
+}
+
+// sweepDir removes leftover temp files and quarantines orphan snapfiles
+// — a .snap the journal holds no snapshot for (journaled reports that)
+// was committed by a writer that died before journaling, i.e. an
+// unacknowledged write.
+func (s *store) sweepDir(journaled func(fn string) bool) {
+	entries, err := os.ReadDir(s.dir)
+	if err != nil {
+		s.log.Printf("state dir sweep: %v", err)
+		return
+	}
+	for _, e := range entries {
+		name := e.Name()
+		switch {
+		case e.IsDir():
+		case strings.HasSuffix(name, ".tmp"):
+			// Temp files are mid-write by definition: never acknowledged,
+			// safe to drop.
+			_ = os.Remove(filepath.Join(s.dir, name))
+		case strings.HasSuffix(name, ".snap"):
+			if fn := strings.TrimSuffix(name, ".snap"); !journaled(fn) {
+				s.quarantine(name, fmt.Errorf("snapfile %s has no manifest record (crash between snapshot commit and journal append)", fn))
+			}
+		}
+	}
+}
+
+// get serves one chunk's bytes and the tier that held them, by hex
+// digest. Corrupt chunks have been quarantined by the store by the time
+// the error surfaces — they are never served; a peer retries elsewhere
+// or re-records.
+func (s *store) get(digest string) ([]byte, string, error) {
+	dg, err := casstore.ParseDigest(digest)
+	if err != nil {
+		return nil, "", failf(http.StatusBadRequest, "%v", err)
+	}
+	data, tier, err := s.cas.Get(dg)
+	switch {
+	case err == nil:
+		return data, tier.String(), nil
+	case errors.Is(err, casstore.ErrCorrupt):
+		return nil, "", failf(http.StatusInternalServerError, "chunk %s failed verification and was quarantined", dg)
+	default:
+		return nil, "", failf(http.StatusNotFound, "chunk %s not stored here", dg)
+	}
+}
+
+// ChunkRefJSON is one chunk-map entry in API responses.
+type ChunkRefJSON struct {
+	Digest     string `json:"digest"`
+	StartPage  int64  `json:"start_page"`
+	Pages      int64  `json:"pages"`
+	Bytes      int64  `json:"bytes"`
+	LoadingSet bool   `json:"loading_set"`
+	Group      int64  `json:"group"`
+}
+
+// ChunkMapResponse is GET /functions/{name}/chunkmap: everything a
+// peer needs to restore the function — the raw snapfile (metadata +
+// chunk map, CRC intact) and the refs to fetch. With ?summary=1 the
+// refs and snapfile are omitted.
+type ChunkMapResponse struct {
+	Function    string `json:"function"`
+	RecordInput string `json:"record_input"`
+	// Generation is this daemon's journaled generation for the function:
+	// what a peer syncing from here adopts as its own.
+	Generation uint64         `json:"generation"`
+	ChunkPages int64          `json:"chunk_pages"`
+	ChunkCount int            `json:"chunk_count"`
+	TotalBytes int64          `json:"total_bytes"`
+	LSBytes    int64          `json:"ls_bytes"`
+	Chunks     []ChunkRefJSON `json:"chunks,omitempty"`
+	Snapfile   []byte         `json:"snapfile,omitempty"`
+}
+
+// export describes name's published chunk map for a peer; unless summary
+// it attaches the refs and the snapfile as it sits on disk.
+func (s *store) export(name, input string, generation uint64, cm *chunkMap, summary bool) (ChunkMapResponse, error) {
+	resp := ChunkMapResponse{
+		Function:    name,
+		RecordInput: input,
+		Generation:  generation,
+		ChunkPages:  cm.ChunkPages,
+		ChunkCount:  len(cm.Refs),
+		TotalBytes:  cm.TotalBytes(),
+		LSBytes:     cm.LSBytes(),
+	}
+	if summary {
+		return resp, nil
+	}
+	var err error
+	if resp.Snapfile, err = os.ReadFile(s.snapPath(name)); err != nil {
+		return resp, fmt.Errorf("read snapfile: %w", err)
+	}
+	resp.Chunks = make([]ChunkRefJSON, 0, len(cm.Refs))
+	for _, ref := range cm.Refs {
+		resp.Chunks = append(resp.Chunks, ChunkRefJSON{
+			Digest:     casstore.Digest(ref.Digest).String(),
+			StartPage:  ref.StartPage,
+			Pages:      ref.Pages,
+			Bytes:      ref.Bytes,
+			LoadingSet: ref.LS,
+			Group:      ref.Group,
+		})
+	}
+	return resp, nil
+}
+
+// fetchChunk pulls one chunk from the source and commits it under its
+// digest, reporting which tier served it; PutDigest rejects transfer
+// corruption before commit. ctx bounds the transfer: a lazy fetcher's
+// halt or an eager sync's request ending stops it at once instead of
+// waiting out a peer that never answers.
+func (s *store) fetchChunk(ctx context.Context, source string, dg casstore.Digest) (int64, string, error) {
+	resp, err := s.peerGet(ctx, source, "/chunks/"+dg.String())
+	if err != nil {
+		return 0, "", err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+		return 0, "", fmt.Errorf("source answered %d for chunk %s", resp.StatusCode, dg)
+	}
+	tier := resp.Header.Get("X-Faasnap-Chunk-Tier")
+	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
+	if err != nil {
+		return 0, tier, err
+	}
+	if _, err := s.cas.PutDigest(dg, data); err != nil {
+		return 0, tier, err
+	}
+	return int64(len(data)), tier, nil
+}
+
+func (s *store) peerGet(ctx context.Context, source, path string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+source+path, nil)
+	if err != nil {
+		return nil, err
+	}
+	return s.peer.Do(req)
+}
+
+// syncPlan is a peer's snapshot, decoded, and what restoring it here
+// has to move.
+type syncPlan struct {
+	raw  []byte // the peer's snapfile, byte for byte
+	arts *core.Artifacts
+	cm   *chunkMap
+	// generation is the source's journaled generation for the function;
+	// the commit adopts it rather than minting one.
+	generation uint64
+	// eager chunks are fetched before the reply — loading-set chunks
+	// first, lowest group first (the paper's per-region restore
+	// priority); lazy ones by the background fetcher afterwards.
+	eager, lazy []chunkRef
+	present     int // refs the local store already holds
+}
+
+// save commits the snapfile exactly as received.
+func (p *syncPlan) save(path string) error { return snapfile.CommitRaw(path, p.raw) }
+
+// planFrom fetches the source's chunk map and snapfile for name and
+// decodes it. Every error means the source could not supply a usable
+// snapshot; nothing local has been touched yet.
+func (s *store) planFrom(ctx context.Context, name, source string) (*syncPlan, error) {
+	cmResp, err := s.peerGet(ctx, source, "/functions/"+name+"/chunkmap")
+	if err != nil {
+		return nil, fmt.Errorf("source chunk map: %w", err)
+	}
+	var cmr ChunkMapResponse
+	err = json.NewDecoder(io.LimitReader(cmResp.Body, 256<<20)).Decode(&cmr)
+	io.Copy(io.Discard, io.LimitReader(cmResp.Body, 4096))
+	cmResp.Body.Close()
+	if cmResp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("source has no chunk map for %s (%d)", name, cmResp.StatusCode)
+	}
+	if err != nil || len(cmr.Snapfile) == 0 {
+		return nil, fmt.Errorf("source chunk map undecodable: %v", err)
+	}
+	if cmr.Generation == 0 {
+		return nil, fmt.Errorf("source reports no journaled generation for %s", name)
+	}
+	// Decode before committing anything: a torn transfer must fail the
+	// snapfile CRC here, not after it has a committed name.
+	p := &syncPlan{raw: cmr.Snapfile, generation: cmr.Generation}
+	if p.arts, p.cm, err = snapfile.ReadChunked(bytes.NewReader(p.raw)); err != nil {
+		return nil, fmt.Errorf("source snapfile invalid: %w", err)
+	}
+	if p.arts.Fn.Name != name {
+		return nil, fmt.Errorf("source snapfile is for %q, not %q", p.arts.Fn.Name, name)
+	}
+	return p, nil
+}
+
+// split sorts the chunks this store is missing into p's eager and lazy
+// sets. The caller holds ops for reading from here to the publish of
+// p's chunk map, so no sweep collects a chunk counted as present.
+func (s *store) split(p *syncPlan, eager bool) {
+	refs := append([]chunkRef(nil), p.cm.Refs...)
+	sort.SliceStable(refs, func(i, j int) bool {
+		if refs[i].LS != refs[j].LS {
+			return refs[i].LS
+		}
+		if refs[i].LS && refs[i].Group != refs[j].Group {
+			return refs[i].Group < refs[j].Group
+		}
+		return refs[i].StartPage < refs[j].StartPage
+	})
+	for _, ref := range refs {
+		switch {
+		case s.cas.Has(casstore.Digest(ref.Digest)):
+			p.present++
+		case ref.LS || eager:
+			p.eager = append(p.eager, ref)
+		default:
+			p.lazy = append(p.lazy, ref)
+		}
+	}
+}
+
+// groupSpan is one prefetch group's eager fetch on the restore
+// waterfall: offsets from the sync's start, and the tiers that served.
+type groupSpan struct {
+	group      int64
+	ls         bool
+	start, dur time.Duration
+	chunks     int
+	bytes      int64
+	tiers      map[string]bool
+}
+
+// fetch pulls refs from source in order, one waterfall span per
+// prefetch group: split's order makes each group's chunks contiguous,
+// so the per-group wall time and serving tiers land on one row each.
+func (s *store) fetch(ctx context.Context, source string, refs []chunkRef, start time.Time) ([]*groupSpan, int64, error) {
+	var groups []*groupSpan
+	var total int64
+	for _, ref := range refs {
+		var g *groupSpan
+		if n := len(groups); n > 0 && groups[n-1].group == ref.Group && groups[n-1].ls == ref.LS {
+			g = groups[n-1]
+		} else {
+			g = &groupSpan{group: ref.Group, ls: ref.LS, start: time.Since(start), tiers: map[string]bool{}}
+			groups = append(groups, g)
+		}
+		n, tier, err := s.fetchChunk(ctx, source, casstore.Digest(ref.Digest))
+		if err != nil {
+			return nil, 0, err
+		}
+		if tier != "" {
+			g.tiers[tier] = true
+		}
+		g.chunks++
+		g.bytes += n
+		g.dur = time.Since(start) - g.start
+		total += n
+	}
+	return groups, total, nil
+}
+
+// lazyTail is one function's background chunk fetcher: the owner of the
+// chunks a sync deferred, published in the same view as the chunk map it
+// fetches for. pending is what it still owes — decremented per chunk
+// resolved, fetched or abandoned — and is what GET /status subtracts
+// from the store walk, so a draining tail is never mistaken for a
+// deficit. A fetcher that was halted keeps its claim until the sync that
+// halted it commits or gives up.
+type lazyTail struct {
+	pending atomic.Int64
+	ctx     context.Context
+	halt    context.CancelFunc
+	done    chan struct{}
+}
+
+// newTail returns the owner of n deferred chunks, to be handed to drain;
+// cancelling parent halts it.
+func (s *store) newTail(parent context.Context, n int) *lazyTail {
+	t := &lazyTail{done: make(chan struct{})}
+	t.ctx, t.halt = context.WithCancel(parent)
+	t.pending.Store(int64(n))
+	s.lazyPending.Add(float64(n))
+	return t
+}
+
+// stop halts the fetcher and returns once it has exited; its in-flight
+// fetch is cancelled, so this does not wait on the peer.
+func (t *lazyTail) stop() {
+	t.halt()
+	<-t.done
+}
+
+const lazyAttempts = 3
+
+// drain pulls a sync's deferred chunks until done or halted (shutdown,
+// delete, or a newer sync taking the remainder over), retrying
+// transient failures with a short backoff. Failures are not fatal — the
+// function serves from its loading set — but a chunk abandoned here is
+// owned by nobody afterwards: GET /status reports it as chunks_missing,
+// which makes the gateway's anti-entropy pass issue an eager re-sync
+// from a complete replica.
+func (s *store) drain(name, source string, refs []chunkRef, t *lazyTail) (fetched, abandoned int) {
+	defer close(t.done)
+	defer t.halt() // releases the context once drained
+	for i, ref := range refs {
+		dg := casstore.Digest(ref.Digest)
+		var err error
+		// A sibling's sync or a local recording may have stored it since
+		// the plan: never fetch what the store holds.
+		if !s.cas.Has(dg) {
+			err = resilience.Retry(t.ctx, lazyAttempts, 50*time.Millisecond, nil, func() error {
+				_, _, err := s.fetchChunk(t.ctx, source, dg)
+				return err
+			})
+		}
+		if err != nil && t.ctx.Err() != nil {
+			// Halted: the remainder is no longer this fetcher's to resolve.
+			s.lazyPending.Add(-float64(len(refs) - i))
+			return fetched, abandoned
+		}
+		if err != nil {
+			abandoned++
+			s.lazyFailed.Inc()
+			s.log.Printf("lazy chunk fetch for %s: %v (abandoned after %d attempts)", name, err, lazyAttempts)
+		} else {
+			fetched++
+		}
+		// Resolved either way — stored, or nobody's from here on. After
+		// the store, so the deficit never counts a chunk twice.
+		t.pending.Add(-1)
+		s.lazyPending.Dec()
+	}
+	if abandoned > 0 {
+		s.log.Printf("sync of %s left %d lazy chunks unfetched; reported as chunks_missing for anti-entropy re-sync", name, abandoned)
+	}
+	s.refreshDedup()
+	return fetched, abandoned
+}
+
+// GCResponse reports one sweep plus the store's resulting state.
+type GCResponse struct {
+	casstore.GCResult
+	// ChunksExamined is every chunk the sweep judged (kept + removed).
+	ChunksExamined int64          `json:"chunks_examined"`
+	WallMs         float64        `json:"wall_ms"`
+	TraceID        string         `json:"trace_id,omitempty"`
+	Stats          casstore.Stats `json:"stats"`
+	DedupRatio     float64        `json:"dedup_ratio"`
+}
+
+// sweep is the refcount sweep: chunks no live function references are
+// removed and, with demote, live chunks outside every loading set move
+// to the compressed cold tier. Tombstoned functions are not live, so an
+// acked delete's chunks are collected unless shared and can never
+// resurrect it. The liveness set and the sweep run under the write side
+// of ops: an in-flight record or sync must publish its chunk map (or not
+// have committed any chunks yet) before the sweep judges liveness.
+func (s *store) sweep(demote bool) (casstore.GCResult, error) {
+	s.ops.Lock()
+	live, hot := make(map[casstore.Digest]bool), make(map[casstore.Digest]bool)
+	for _, cm := range s.live() {
+		for _, ref := range cm.Refs {
+			live[casstore.Digest(ref.Digest)] = true
+			if ref.LS {
+				hot[casstore.Digest(ref.Digest)] = true
+			}
+		}
+	}
+	var hotFn func(casstore.Digest) bool
+	if demote {
+		hotFn = func(dg casstore.Digest) bool { return hot[dg] }
+	}
+	res, err := s.cas.GC(func(dg casstore.Digest) bool { return live[dg] }, hotFn)
+	s.ops.Unlock()
+	if err == nil {
+		s.gcRemoved.Add(float64(res.Removed))
+		s.refreshDedup()
+	}
+	return res, err
+}
+
+// stats returns the store's occupancy and the dedup ratio last computed.
+func (s *store) stats() (casstore.Stats, float64) {
+	st, _ := s.cas.Stats()
+	return st, s.dedup.Value()
+}
+
+// recoverySweep runs after journal replay: temp chunks from a writer
+// that died mid-commit are dropped, then unreferenced chunks — orphans
+// of a crash between chunk commit and snapfile/journal — are collected.
+// No demotion here; recovery stays fast.
+func (s *store) recoverySweep() {
+	s.cas.SweepTemp()
+	res, err := s.sweep(false)
+	if err != nil {
+		s.log.Printf("recovery cas sweep: %v", err)
+		return
+	}
+	if res.Removed > 0 {
+		s.log.Printf("recovery cas sweep: removed %d orphan chunks (%d bytes)", res.Removed, res.ReclaimedBytes)
+	}
+}
+
+// CASResponse is GET /cas: the store's occupancy and dedup accounting.
+type CASResponse struct {
+	Stats             casstore.Stats `json:"stats"`
+	LogicalBytes      int64          `json:"logical_bytes"`
+	DedupRatio        float64        `json:"dedup_ratio"`
+	RestoreBytesSaved int64          `json:"restore_bytes_saved"`
+	LazyPendingChunks int64          `json:"lazy_pending_chunks"`
+}
+
+func (s *store) report() (CASResponse, error) {
+	s.refreshDedup()
+	st, err := s.cas.Stats()
+	return CASResponse{
+		Stats:             st,
+		LogicalBytes:      s.logicalBytes(),
+		DedupRatio:        s.dedup.Value(),
+		RestoreBytesSaved: int64(s.saved.Value()),
+		LazyPendingChunks: int64(s.lazyPending.Value()),
+	}, err
+}
