@@ -84,12 +84,27 @@ bench-check:
 # Non-test Go lines outside benchmark/, per package and in total — the
 # number a simplification moves — in two columns: every line, then
 # code-only lines (non-blank and not a //-only line), so a real
-# reduction can be told from deleted comments.
+# reduction can be told from deleted comments. `make loc BASE=<ref>`
+# prints, per package and in total, both columns of <ref>'s tree (taken
+# with `git archive`, nothing checked out), both of this tree's, and
+# their difference.
+LOC_COUNT = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
+	| xargs awk '{ d = FILENAME; sub(/^\.\//, "", d); sub(/\/?[^\/]*$$/, "", d); if (d == "") d = "."; \
+	n[d]++; t++; if ($$0 !~ /^[ \t]*($$|\/\/)/) { c[d]++; ct++ } } \
+	END { for (d in n) printf "%6d %6d %s\n", n[d], c[d], d; printf "%6d %6d total\n", t, ct }'
+
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
-		| xargs awk '{ d = FILENAME; sub(/^\.\//, "", d); sub(/\/?[^\/]*$$/, "", d); if (d == "") d = "."; \
-		n[d]++; t++; if ($$0 !~ /^[ \t]*($$|\/\/)/) { c[d]++; ct++ } } \
-		END { for (d in n) printf "%6d %6d %s\n", n[d], c[d], d; printf "%6d %6d total\n", t, ct }' | sort -k3
+ifeq ($(BASE),)
+	@$(LOC_COUNT) | sort -k3
+else
+	@base=$$(mktemp -d) && trap 'rm -rf "$$base"' EXIT && \
+	git archive "$(BASE)" | tar -x -C "$$base" && \
+	printf '%13s  %13s  %13s\n' base tree difference && \
+	{ (cd "$$base" && $(LOC_COUNT)) | sed 's/^/base /'; $(LOC_COUNT) | sed 's/^/tree /'; } \
+	| awk '{ k = $$4; seen[k] = 1; if ($$1 == "base") { ba[k] = $$2; bc[k] = $$3 } else { ta[k] = $$2; tc[k] = $$3 } } \
+	END { for (k in seen) printf "%6d %6d  %6d %6d  %+6d %+6d  %s\n", \
+		ba[k], bc[k], ta[k], tc[k], ta[k] - ba[k], tc[k] - bc[k], k }' | sort -k7
+endif
 
 # A short seeded open-loop burst against a real 3-daemon cluster behind
 # the gateway (EXPERIMENTS.md, load section). Writes

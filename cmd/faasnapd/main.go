@@ -57,8 +57,7 @@ func run(logger *log.Logger) error {
 		maxInFlight   = flag.Int64("max-inflight", 0, "admission-control bound on in-flight invocations (0 = default 256)")
 		maxBurst      = flag.Int("max-burst", 0, "largest accepted burst parallelism (0 = default 256)")
 		quietHTTP     = flag.Bool("quiet-http", false, "drop the per-request access log line (for load benchmarks; telemetry still counts every request)")
-		traceRing     = flag.Int("trace-ring", obs.DefaultRing, "trace store capacity (must be > 0)")
-		profileRing   = flag.Int("profile-ring", obs.DefaultRing, "flight-recorder profile ring capacity (must be > 0)")
+		traceRing     = flag.Int("trace-ring", obs.DefaultRing, "capacity of the trace store and the flight-recorder profile ring (must be > 0)")
 		eventRing     = flag.Int("event-ring", 0, "cluster event ledger capacity (0 = default 1024)")
 		sloLatency    = flag.Duration("slo-latency", 0, "per-request latency objective for GET /slo (0 = default 500ms)")
 		sloTarget     = flag.Float64("slo-target", 0, "SLO attainment target in (0,1) (0 = default 0.99)")
@@ -66,9 +65,6 @@ func run(logger *log.Logger) error {
 	flag.Parse()
 	if *traceRing <= 0 {
 		return fmt.Errorf("-trace-ring must be > 0, got %d", *traceRing)
-	}
-	if *profileRing <= 0 {
-		return fmt.Errorf("-profile-ring must be > 0, got %d", *profileRing)
 	}
 	if *sloTarget < 0 || *sloTarget >= 1 {
 		return fmt.Errorf("-slo-target must be in [0,1), got %g", *sloTarget)
@@ -150,7 +146,6 @@ func run(logger *log.Logger) error {
 		AsyncRecovery: true,
 		QuietHTTP:     *quietHTTP,
 		TraceRing:     *traceRing,
-		ProfileRing:   *profileRing,
 		EventRing:     *eventRing,
 		SLO: slo.Config{
 			Default: slo.Objective{Latency: *sloLatency, Target: *sloTarget},

@@ -66,12 +66,10 @@ type Config struct {
 	// logger's mutex and stderr write serialize the request path; the
 	// load harness and benchmarked deployments turn it off.
 	QuietHTTP bool
-	// TraceRing caps the trace store; <= 0 takes obs.DefaultRing. It
-	// shares its default with ProfileRing so a profile's exemplar trace
-	// usually still resolves while the profile is retained.
+	// TraceRing caps both the trace store and the flight recorder, so a
+	// profile's exemplar trace usually still resolves while the profile
+	// is retained; <= 0 takes obs.DefaultRing.
 	TraceRing int
-	// ProfileRing caps the flight recorder; <= 0 takes obs.DefaultRing.
-	ProfileRing int
 	// SLO configures per-function objectives and burn-rate windows for
 	// the GET /slo engine; the zero value takes the package defaults.
 	SLO slo.Config
@@ -152,9 +150,9 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.NewRegistry()
 	}
-	traceRing := cfg.TraceRing
-	if traceRing <= 0 {
-		traceRing = obs.DefaultRing
+	ringSize := cfg.TraceRing
+	if ringSize <= 0 {
+		ringSize = obs.DefaultRing
 	}
 	sloCfg := cfg.SLO
 	if sloCfg.Gauges == nil {
@@ -176,12 +174,12 @@ func New(cfg Config) (*Daemon, error) {
 		telemetry: cfg.Registry,
 		chaos:     chaos.New(),
 		events:    ledger,
-		traces:    trace.NewStore(traceRing),
+		traces:    trace.NewStore(ringSize),
 	}
 	d := &Daemon{
 		env:       e,
 		cfg:       cfg,
-		profiles:  obs.NewRing(cfg.ProfileRing),
+		profiles:  obs.NewRing(ringSize),
 		slo:       slo.New(sloCfg),
 		faults:    events.NewHub(faultWatchDepth),
 		res:       cfg.Resilience.withDefaults(),
@@ -317,17 +315,17 @@ func (d *Daemon) Handler() http.Handler {
 		writeJSON(w, http.StatusOK, map[string]bool{"ok": true})
 	})
 	handle("GET /readyz", d.handleReady)
-	handle("GET /status", d.handleStatus)
-	handle("GET /functions", d.handleList)
-	handle("PUT /functions/{name}", d.settled(d.handleCreate))
-	handle("GET /functions/{name}", d.handleGet)
-	handle("DELETE /functions/{name}", d.settled(d.handleDelete))
-	handle("POST /functions/{name}/record", d.settled(d.handleRecord))
-	handle("GET /functions/{name}/chunkmap", d.stored("", d.handleChunkMap))
-	handle("POST /functions/{name}/sync", d.settled(d.stored("sync", d.handleSync)))
+	handle("GET /status", route(d.status, answer))
+	handle("GET /functions", route(d.list, answer))
+	handle("PUT /functions/{name}", d.settled(route(d.create, answer)))
+	handle("GET /functions/{name}", route(d.get, answer))
+	handle("DELETE /functions/{name}", d.settled(route(d.remove, noContent)))
+	handle("POST /functions/{name}/record", d.settled(route(d.record, acknowledgeCommit)))
+	handle("GET /functions/{name}/chunkmap", d.stored("", route(d.chunkMap, answer)))
+	handle("POST /functions/{name}/sync", d.settled(d.stored("sync", route(d.sync, acknowledgeCommit))))
 	handle("GET /chunks/{digest}", d.stored("", d.handleChunkGet))
-	handle("GET /cas", d.stored("", d.handleCAS))
-	handle("POST /gc", d.settled(d.stored("gc", d.handleGC)))
+	handle("GET /cas", d.stored("", route(d.cas, answer)))
+	handle("POST /gc", d.settled(d.stored("gc", route(d.gc, answer))))
 	handle("POST /functions/{name}/invoke", d.handleInvoke)
 	handle("POST /functions/{name}/burst", d.handleBurst)
 	handle("GET /functions/{name}/faults", d.handleFaults)
@@ -335,9 +333,9 @@ func (d *Daemon) Handler() http.Handler {
 	handle("GET /traces", d.handleTraceList)
 	handle("GET /traces/{id}", d.handleTraceGet)
 	handle("GET /profiles", d.handleProfiles)
-	handle("GET /slo", d.handleSLO)
-	handle("GET /chaos", d.handleChaosGet)
-	handle("PUT /chaos", d.handleChaosPut)
+	handle("GET /slo", route(d.sloReport, answer))
+	handle("GET /chaos", route(d.chaosStatus, answer))
+	handle("PUT /chaos", route(d.configureChaos, answer))
 	return d.logRequests(mux)
 }
 
@@ -547,14 +545,27 @@ func writeFailure(w http.ResponseWriter, err error) {
 	writeErr(w, code, "%v", err)
 }
 
-// answer ends an adapter: the call's failure, or its result as 200 JSON.
-func answer(w http.ResponseWriter, v interface{}, err error) {
-	if err != nil {
-		writeFailure(w, err)
-		return
+// route is the one adapter of the JSON routes: one call into the index,
+// the store or the lifecycle, then the call's failure, or its result sent
+// by reply (answer, acknowledgeCommit or noContent). The call reads what
+// it needs from the request, the body through decodeBody after its own
+// checks, so record still answers an unknown function before a bad body.
+func route[Resp any](call func(*http.Request) (Resp, error), reply func(http.ResponseWriter, interface{})) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		resp, err := call(r)
+		if err != nil {
+			writeFailure(w, err)
+			return
+		}
+		reply(w, resp)
 	}
-	writeJSON(w, http.StatusOK, v)
 }
+
+// answer replies with a route's result as 200 JSON.
+func answer(w http.ResponseWriter, v interface{}) { writeJSON(w, http.StatusOK, v) }
+
+// noContent replies to a route whose success has no body.
+func noContent(w http.ResponseWriter, _ interface{}) { w.WriteHeader(http.StatusNoContent) }
 
 // FunctionInfo is the API representation of a managed function.
 type FunctionInfo struct {
@@ -605,62 +616,52 @@ func info(fs *fnState) FunctionInfo {
 	return info
 }
 
-func (d *Daemon) handleList(w http.ResponseWriter, r *http.Request) {
+func (d *Daemon) list(*http.Request) ([]FunctionInfo, error) {
 	fns := d.idx.live()
 	out := make([]FunctionInfo, 0, len(fns))
 	for _, fs := range fns {
 		out = append(out, info(fs))
 	}
-	writeJSON(w, http.StatusOK, out)
+	return out, nil
 }
 
-func (d *Daemon) handleCreate(w http.ResponseWriter, r *http.Request) {
+func (d *Daemon) create(r *http.Request) (FunctionInfo, error) {
 	name := r.PathValue("name")
 	spec, err := workload.ByName(name)
 	if err != nil {
 		// Not in the catalog: the body may carry a custom spec.
 		if r.Body == nil || r.ContentLength == 0 {
-			writeErr(w, http.StatusNotFound, "unknown function %q (catalog: %s; or PUT a custom spec body)", name, strings.Join(workload.Names(), ", "))
-			return
+			return FunctionInfo{}, failf(http.StatusNotFound, "unknown function %q (catalog: %s; or PUT a custom spec body)", name, strings.Join(workload.Names(), ", "))
 		}
 		raw, rerr := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 		if rerr != nil {
-			writeErr(w, http.StatusBadRequest, "read body: %v", rerr)
-			return
+			return FunctionInfo{}, failf(http.StatusBadRequest, "read body: %v", rerr)
 		}
 		spec, err = workload.ParseSpec(raw)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, "%v", err)
-			return
+			return FunctionInfo{}, failf(http.StatusBadRequest, "%v", err)
 		}
 		if spec.Name != name {
-			writeErr(w, http.StatusBadRequest, "spec name %q does not match path %q", spec.Name, name)
-			return
+			return FunctionInfo{}, failf(http.StatusBadRequest, "spec name %q does not match path %q", spec.Name, name)
 		}
 	}
 	fs, err := d.life.create(name, spec)
 	if err != nil {
-		writeFailure(w, err)
-		return
+		return FunctionInfo{}, err
 	}
-	writeJSON(w, http.StatusOK, info(fs))
+	return info(fs), nil
 }
 
-func (d *Daemon) handleGet(w http.ResponseWriter, r *http.Request) {
+func (d *Daemon) get(r *http.Request) (FunctionInfo, error) {
 	fs, ok := d.idx.lookup(r.PathValue("name"))
 	if !ok {
-		writeFailure(w, errNotRegistered)
-		return
+		return FunctionInfo{}, errNotRegistered
 	}
-	writeJSON(w, http.StatusOK, info(fs))
+	return info(fs), nil
 }
 
-func (d *Daemon) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if err := d.life.delete(r.PathValue("name")); err != nil {
-		writeFailure(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+func (d *Daemon) remove(r *http.Request) (struct{}, error) {
+	return struct{}{}, d.life.delete(r.PathValue("name"))
 }
 
 // regionMaps converts the artifacts' mapping plan into the VMM API's
@@ -741,34 +742,29 @@ type RecordResponse struct {
 	Duration string            `json:"record_duration"`
 }
 
-func (d *Daemon) handleRecord(w http.ResponseWriter, r *http.Request) {
+// record checks the function is registered before it reads the body:
+// an unknown function is a 404 whatever the body holds.
+func (d *Daemon) record(r *http.Request) (RecordResponse, error) {
 	name := r.PathValue("name")
 	fs, ok := d.idx.lookup(name)
 	if !ok {
-		writeErr(w, http.StatusNotFound, "function not registered; PUT /functions/%s first", name)
-		return
+		return RecordResponse{}, failf(http.StatusNotFound, "function not registered; PUT /functions/%s first", name)
 	}
 	var req recordRequest
 	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return RecordResponse{}, err
 	}
 	in, err := d.resolveInput(fs.spec, req.Input)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return RecordResponse{}, failf(http.StatusBadRequest, "%v", err)
 	}
 	res, err := d.life.record(name, in)
-	if err != nil {
-		writeFailure(w, err)
-		return
-	}
-	acknowledgeCommit(w, RecordResponse{
+	return RecordResponse{
 		Function: name,
 		Input:    in.Name,
 		Result:   res,
 		Duration: res.Duration.String(),
-	})
+	}, err
 }
 
 // acknowledgeCommit replies to the request whose snapshot the lifecycle
@@ -779,34 +775,25 @@ func acknowledgeCommit(w http.ResponseWriter, reply interface{}) {
 	chaos.MaybeCrash(chaos.CrashRecordPostReply)
 }
 
-func (d *Daemon) handleSync(w http.ResponseWriter, r *http.Request) {
+func (d *Daemon) sync(r *http.Request) (SyncResponse, error) {
 	var req syncRequest
 	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return SyncResponse{}, err
 	}
 	if req.Source == "" {
-		writeErr(w, http.StatusBadRequest, "sync needs a source daemon address")
-		return
+		return SyncResponse{}, failf(http.StatusBadRequest, "sync needs a source daemon address")
 	}
 	// The restore mints a waterfall trace, under the id of the gateway's
 	// anti-entropy sweep when it sent one.
-	resp, err := d.life.sync(r.Context(), r.PathValue("name"), req, d.traceIDFor(r))
-	if err != nil {
-		writeFailure(w, err)
-		return
-	}
-	acknowledgeCommit(w, resp)
+	return d.life.sync(r.Context(), r.PathValue("name"), req, d.traceIDFor(r))
 }
 
-func (d *Daemon) handleGC(w http.ResponseWriter, r *http.Request) {
+func (d *Daemon) gc(r *http.Request) (GCResponse, error) {
 	var req gcRequest
 	if err := decodeBody(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return GCResponse{}, err
 	}
-	resp, err := d.life.gc(req.Demote)
-	answer(w, resp, err)
+	return d.life.gc(req.Demote)
 }
 
 func (d *Daemon) handleChunkGet(w http.ResponseWriter, r *http.Request) {
@@ -821,12 +808,11 @@ func (d *Daemon) handleChunkGet(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(data)
 }
 
-func (d *Daemon) handleChunkMap(w http.ResponseWriter, r *http.Request) {
+func (d *Daemon) chunkMap(r *http.Request) (ChunkMapResponse, error) {
 	name := r.PathValue("name")
 	fs, ok := d.idx.lookup(name)
 	if !ok {
-		writeFailure(w, errNotRegistered)
-		return
+		return ChunkMapResponse{}, errNotRegistered
 	}
 	// The generation is read before the view and the view before the
 	// snapfile, the reverse of the commit's order (snapfile, journal,
@@ -835,17 +821,12 @@ func (d *Daemon) handleChunkMap(w http.ResponseWriter, r *http.Request) {
 	e, _ := d.idx.entry(name)
 	v := fs.published()
 	if v.chunks == nil {
-		writeErr(w, http.StatusNotFound, "%s has no chunked snapshot", name)
-		return
+		return ChunkMapResponse{}, failf(http.StatusNotFound, "%s has no chunked snapshot", name)
 	}
-	resp, err := d.store.export(name, v.arts.RecordInput.Name, e.Generation, v.chunks, r.URL.Query().Get("summary") != "")
-	answer(w, resp, err)
+	return d.store.export(name, v.arts.RecordInput.Name, e.Generation, v.chunks, r.URL.Query().Get("summary") != "")
 }
 
-func (d *Daemon) handleCAS(w http.ResponseWriter, r *http.Request) {
-	resp, err := d.store.report()
-	answer(w, resp, err)
-}
+func (d *Daemon) cas(*http.Request) (CASResponse, error) { return d.store.report() }
 
 // StatusResponse is GET /status: everything the gateway's sweep asks a
 // backend, in one answer — the routing verdict /readyz probes, the load
@@ -863,12 +844,12 @@ type StatusResponse struct {
 	Functions     []StatusFunction `json:"functions,omitempty"`
 }
 
-// handleStatus always answers 200: not-ready is a fact to report, not
-// a failure to answer. It serves during recovery — the journal is fully
+// status always answers 200: not-ready is a fact to report, not a
+// failure to answer. It serves during recovery — the journal is fully
 // replayed before any handler runs; only snapfile re-deployment is
 // still in flight — so a gateway can see what a recovering backend
 // will hold.
-func (d *Daemon) handleStatus(w http.ResponseWriter, r *http.Request) {
+func (d *Daemon) status(*http.Request) (StatusResponse, error) {
 	reasons := d.notReady()
 	resp := StatusResponse{
 		Ready:      len(reasons) == 0,
@@ -887,7 +868,7 @@ func (d *Daemon) handleStatus(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Functions = append(resp.Functions, sf)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return resp, nil
 }
 
 type invokeRequest struct {
@@ -1214,6 +1195,8 @@ func (d *Daemon) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	d.telemetry.WritePrometheus(w)
 }
 
+// decodeBody reads a JSON request body into v; an empty one leaves v as
+// it is. A malformed body is the route's 400.
 func decodeBody(r *http.Request, v interface{}) error {
 	if r.Body == nil || r.ContentLength == 0 {
 		return nil
@@ -1221,7 +1204,7 @@ func decodeBody(r *http.Request, v interface{}) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("bad request body: %w", err)
+		return failf(http.StatusBadRequest, "bad request body: %v", err)
 	}
 	return nil
 }

@@ -1,15 +1,17 @@
 package daemon
 
 // The index: which functions exist, and at which generation. It owns the
-// in-memory registry (registry.go) and the durable journal beside it
-// (internal/statedir) and is the only code that calls either, so whether
-// a function exists is one fact — the journal's, mirrored by the
+// in-memory registry and the durable journal beside it
+// (internal/statedir) and is the only code that touches either, so
+// whether a function exists is one fact — the journal's, mirrored by the
 // registry — kept in step here and nowhere else. A daemon without a
 // state directory has no journal; that is decided once, in this file.
 
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
+	"sync"
 
 	"faasnap/internal/chaos"
 	"faasnap/internal/statedir"
@@ -17,7 +19,10 @@ import (
 )
 
 type index struct {
-	reg *registry
+	// reg maps function name -> *fnState. A sync.Map, so the invoke hot
+	// path's lookup is an atomic read that no registration, delete or
+	// list can stall.
+	reg sync.Map
 	// journal is nil on a daemon without a state directory: nothing is
 	// journaled and every function lives as long as the process.
 	journal *statedir.Manifest
@@ -28,7 +33,7 @@ type index struct {
 // openIndex opens the index over stateDir's journal; "" is a daemon
 // that journals nothing.
 func openIndex(stateDir string) (*index, error) {
-	x := &index{reg: newRegistry()}
+	x := &index{}
 	if stateDir == "" {
 		return x, nil
 	}
@@ -44,11 +49,23 @@ func (x *index) close() {
 }
 
 // lookup is the invoke hot path's read: one atomic load.
-func (x *index) lookup(name string) (*fnState, bool) { return x.reg.get(name) }
+func (x *index) lookup(name string) (*fnState, bool) {
+	v, ok := x.reg.Load(name)
+	fs, _ := v.(*fnState)
+	return fs, ok
+}
 
-// live returns every registered function, sorted by name. Tombstoned
-// functions are not among them.
-func (x *index) live() []*fnState { return x.reg.snapshot() }
+// live returns every registered function, sorted by name so list
+// responses are deterministic. Tombstoned functions are not among them.
+func (x *index) live() []*fnState {
+	var out []*fnState
+	x.reg.Range(func(_, v any) bool {
+		out = append(out, v.(*fnState))
+		return true
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].spec.Name < out[j].spec.Name })
+	return out
+}
 
 // chunkMaps returns every live function's published chunk map: the
 // store's liveness set and its logical size.
@@ -67,20 +84,24 @@ func (x *index) chunkMaps() []*chunkMap {
 // which ends by journaling what it did. A step that fails on an entry
 // this call inserted takes the entry out again unless the journal holds
 // the function live: the registry mirrors the journal, and a failed
-// request may not leave an unjournaled, machine-less entry behind. With
-// a nil spec the function must already exist.
+// request may not leave an unjournaled, machine-less entry behind. The
+// rollback removes only the entry this call inserted, never one a
+// concurrent PUT put in its place. With a nil spec the function must
+// already exist. When two calls race to insert, both may build an entry
+// and one is dropped unpublished.
 func (x *index) enter(name string, spec *workload.Spec, step func(*fnState) error) (*fnState, error) {
-	var fs *fnState
-	var existed bool
-	if spec != nil {
-		fs, existed = x.reg.getOrCreate(name, func() *fnState { return newFnState(spec) })
-	} else if fs, existed = x.lookup(name); !existed {
+	fs, existed := x.lookup(name)
+	if !existed && spec == nil {
 		return nil, errNotRegistered
+	}
+	if !existed {
+		v, loaded := x.reg.LoadOrStore(name, newFnState(spec))
+		fs, existed = v.(*fnState), loaded
 	}
 	err := step(fs)
 	if err != nil && !existed {
 		if e, ok := x.entry(name); !ok || e.Deleted {
-			x.reg.removeIf(name, fs)
+			x.reg.CompareAndDelete(name, fs)
 		}
 	}
 	return fs, err
@@ -133,11 +154,11 @@ func (x *index) tombstone(name string) (*fnState, error) {
 		}
 		chaos.MaybeCrash(chaos.CrashDeletePostJournal)
 	}
-	fs, ok := x.reg.remove(name)
+	v, ok := x.reg.LoadAndDelete(name)
 	if !ok {
 		return nil, errNotRegistered
 	}
-	return fs, nil
+	return v.(*fnState), nil
 }
 
 // entry returns name's journaled state, tombstones included.
@@ -164,7 +185,7 @@ func (x *index) status() (digest string, fns []StatusFunction) {
 // re-deploys; restore installs one of them in the registry.
 func (x *index) journaled() []statedir.Entry { return x.journal.Live() }
 
-func (x *index) restore(fs *fnState) { x.reg.set(fs.spec.Name, fs) }
+func (x *index) restore(fs *fnState) { x.reg.Store(fs.spec.Name, fs) }
 
 // quarantinePath names where the state directory keeps evidence.
 var quarantinePath = statedir.QuarantinePath

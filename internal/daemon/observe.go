@@ -120,10 +120,8 @@ func (d *Daemon) handleProfiles(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleSLO serves the burn-rate engine's per-function report.
-func (d *Daemon) handleSLO(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, d.slo.Report())
-}
+// sloReport is the burn-rate engine's per-function report.
+func (d *Daemon) sloReport(*http.Request) (*slo.Report, error) { return d.slo.Report(), nil }
 
 // SLOEngine exposes the daemon's SLO engine (tests and embedders).
 func (d *Daemon) SLOEngine() *slo.Engine { return d.slo }

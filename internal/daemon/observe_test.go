@@ -215,7 +215,7 @@ func TestProfilesEndpoint(t *testing.T) {
 // TestProfileRingBound proves the recorder's memory stays bounded: a
 // tiny ring retains only the newest records.
 func TestProfileRingBound(t *testing.T) {
-	_, srv := newTestDaemon(t, Config{StateDir: t.TempDir(), ProfileRing: 2, TraceRing: 2})
+	_, srv := newTestDaemon(t, Config{StateDir: t.TempDir(), TraceRing: 2})
 	provisionAndInvoke(t, srv.URL, "hello-world", "faasnap", 4)
 	var raw struct {
 		Profiles []*obs.Profile `json:"profiles"`

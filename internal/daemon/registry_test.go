@@ -1,10 +1,12 @@
 package daemon
 
-// Tests for the lock-striped function registry: single-threaded
-// semantics first, then the concurrent register/invoke/delete/list mix
-// the stripes exist for (run with -race).
+// Tests for the index's function registry: single-threaded semantics
+// first, then the concurrent register/invoke/delete/list mix the
+// sync.Map exists for (run with -race). Both drive the index's own
+// methods on a daemon without a journal.
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -17,62 +19,82 @@ func regState(name string) *fnState {
 	return &fnState{spec: &workload.Spec{Name: name}}
 }
 
+// errStep fails an index.enter step, which rolls back the entry that
+// call inserted.
+var errStep = errors.New("step failed")
+
 func TestRegistrySemantics(t *testing.T) {
-	r := newRegistry()
-	if _, ok := r.get("a"); ok {
+	x, _ := openIndex("")
+	if _, ok := x.lookup("a"); ok {
 		t.Fatal("empty registry returned a state")
 	}
+	ok := func(*fnState) error { return nil }
 
-	fs, existed := r.getOrCreate("a", func() *fnState { return regState("a") })
-	if existed || fs == nil {
-		t.Fatalf("first getOrCreate: existed=%v fs=%v", existed, fs)
+	fs, err := x.enter("a", &workload.Spec{Name: "a"}, ok)
+	if cur, found := x.lookup("a"); err != nil || fs == nil || !found || cur != fs {
+		t.Fatalf("first enter: fs=%v err=%v, lookup=%v", fs, err, cur)
 	}
-	again, existed := r.getOrCreate("a", func() *fnState { t.Fatal("mk ran for existing entry"); return nil })
-	if !existed || again != fs {
-		t.Fatal("second getOrCreate did not return the original state")
+	again, err := x.enter("a", &workload.Spec{Name: "a"}, ok)
+	if err != nil || again != fs {
+		t.Fatal("second enter did not return the original state")
 	}
-
-	// removeIf only removes the exact state it was handed: a concurrent
-	// re-register must survive the loser's cleanup.
-	replacement := regState("a")
-	r.set("a", replacement)
-	r.removeIf("a", fs) // stale pointer: no-op
-	if cur, ok := r.get("a"); !ok || cur != replacement {
-		t.Fatal("removeIf with a stale pointer removed the replacement")
-	}
-	r.removeIf("a", replacement)
-	if _, ok := r.get("a"); ok {
-		t.Fatal("removeIf with the current pointer did not remove")
+	if _, err := x.enter("nobody", nil, ok); !errors.Is(err, errNotRegistered) {
+		t.Fatalf("enter without a spec on an unknown name = %v", err)
 	}
 
-	// snapshot is sorted by name regardless of stripe layout.
+	// A failed step's rollback only removes the exact state its call
+	// inserted: a concurrent re-register must survive the loser's cleanup.
+	replacement := regState("b")
+	x.enter("b", &workload.Spec{Name: "b"}, func(*fnState) error {
+		x.restore(replacement)
+		return errStep
+	}) // stale pointer: no-op
+	if cur, ok := x.lookup("b"); !ok || cur != replacement {
+		t.Fatal("rollback with a stale pointer removed the replacement")
+	}
+	x.enter("c", &workload.Spec{Name: "c"}, func(*fnState) error { return errStep })
+	if _, ok := x.lookup("c"); ok {
+		t.Fatal("rollback with the current pointer did not remove")
+	}
+	// A failed step on an entry that already existed removes nothing.
+	x.enter("a", nil, func(*fnState) error { return errStep })
+	if cur, ok := x.lookup("a"); !ok || cur != fs {
+		t.Fatal("failed step on an existing entry removed it")
+	}
+	x.tombstone("a")
+	x.tombstone("b")
+
+	// live is sorted by name regardless of insertion order.
 	names := []string{"zeta", "alpha", "mid", "beta"}
 	for _, n := range names {
-		r.set(n, regState(n))
+		x.restore(regState(n))
 	}
-	snap := r.snapshot()
-	if len(snap) != len(names) || r.size() != len(names) {
-		t.Fatalf("snapshot len=%d size=%d, want %d", len(snap), r.size(), len(names))
+	snap := x.live()
+	if len(snap) != len(names) {
+		t.Fatalf("live len=%d, want %d", len(snap), len(names))
 	}
 	for i := 1; i < len(snap); i++ {
 		if snap[i-1].spec.Name >= snap[i].spec.Name {
-			t.Fatalf("snapshot unsorted: %q before %q", snap[i-1].spec.Name, snap[i].spec.Name)
+			t.Fatalf("live unsorted: %q before %q", snap[i-1].spec.Name, snap[i].spec.Name)
 		}
 	}
-	if fs, ok := r.remove("mid"); !ok || fs.spec.Name != "mid" {
-		t.Fatal("remove did not return the removed state")
+	if fs, err := x.tombstone("mid"); err != nil || fs.spec.Name != "mid" {
+		t.Fatal("tombstone did not return the removed state")
 	}
-	if r.size() != len(names)-1 {
-		t.Fatalf("size after remove = %d", r.size())
+	if _, err := x.tombstone("mid"); !errors.Is(err, errNotRegistered) {
+		t.Fatalf("second tombstone = %v", err)
+	}
+	if n := len(x.live()); n != len(names)-1 {
+		t.Fatalf("live after tombstone = %d", n)
 	}
 }
 
-// TestRegistryConcurrentChurn drives every registry operation from many
-// goroutines over a key set spanning all stripes. The invariant under
+// TestRegistryConcurrentChurn drives every registry operation of the
+// index from many goroutines over a shared key set. The invariant under
 // -race is simply no race and no lost update: after the churn each key
 // either resolves to its last-written state or is absent.
 func TestRegistryConcurrentChurn(t *testing.T) {
-	r := newRegistry()
+	x, _ := openIndex("")
 	const workers, keys, rounds = 16, 128, 200
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -81,33 +103,35 @@ func TestRegistryConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
 				name := fmt.Sprintf("fn-%03d", (w*31+i)%keys)
-				switch i % 5 {
+				spec := &workload.Spec{Name: name}
+				switch i % 6 {
 				case 0:
-					r.getOrCreate(name, func() *fnState { return regState(name) })
+					x.enter(name, spec, func(*fnState) error { return nil })
 				case 1:
-					r.get(name)
+					x.lookup(name)
 				case 2:
-					r.set(name, regState(name))
+					x.restore(regState(name))
 				case 3:
-					if fs, ok := r.get(name); ok {
-						r.removeIf(name, fs)
-					}
+					// Insert-then-roll-back: a compare-and-delete racing the rest.
+					x.enter(name, spec, func(*fnState) error { return errStep })
 				case 4:
-					r.snapshot()
+					x.live()
+				case 5:
+					x.tombstone(name)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	// The registry must still be internally consistent: every snapshot
-	// entry is reachable by get, and size agrees with snapshot.
-	snap := r.snapshot()
-	if len(snap) != r.size() {
-		t.Fatalf("size %d != snapshot %d", r.size(), len(snap))
+	// The registry must still be internally consistent: every live entry
+	// is reachable by lookup, and the count is stable once the churn ends.
+	snap := x.live()
+	if n := len(x.live()); n != len(snap) {
+		t.Fatalf("live count %d != %d", n, len(snap))
 	}
 	for _, fs := range snap {
-		if got, ok := r.get(fs.spec.Name); !ok || got != fs {
-			t.Fatalf("snapshot entry %q not reachable via get", fs.spec.Name)
+		if got, ok := x.lookup(fs.spec.Name); !ok || got != fs {
+			t.Fatalf("live entry %q not reachable via lookup", fs.spec.Name)
 		}
 	}
 }

@@ -272,24 +272,20 @@ func (d *Daemon) resilientRestore(ctx context.Context, fn string, arts *core.Art
 	return out, nil
 }
 
-// handleChaosGet reports the chaos injector's config and fire counts.
-func (d *Daemon) handleChaosGet(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, d.chaos.Status())
-}
+// chaosStatus reports the chaos injector's config and fire counts.
+func (d *Daemon) chaosStatus(*http.Request) (chaos.Status, error) { return d.chaos.Status(), nil }
 
-// handleChaosPut replaces the chaos configuration live. Reconfiguring
+// configureChaos replaces the chaos configuration live. Reconfiguring
 // reseeds the RNG and zeroes per-rule fire counts, so a fixed config
 // replays a fixed fault sequence.
-func (d *Daemon) handleChaosPut(w http.ResponseWriter, r *http.Request) {
+func (d *Daemon) configureChaos(r *http.Request) (chaos.Status, error) {
 	var cfg chaos.Config
 	if err := decodeBody(r, &cfg); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return chaos.Status{}, err
 	}
 	if err := d.chaos.Configure(cfg); err != nil {
-		writeErr(w, http.StatusBadRequest, "%v", err)
-		return
+		return chaos.Status{}, failf(http.StatusBadRequest, "%v", err)
 	}
 	d.log.Printf("chaos reconfigured: enabled=%v seed=%d rules=%d", cfg.Enabled, cfg.Seed, len(cfg.Rules))
-	writeJSON(w, http.StatusOK, d.chaos.Status())
+	return d.chaos.Status(), nil
 }

@@ -246,7 +246,7 @@ func TestKVStoreDescriptorIsSizeChecked(t *testing.T) {
 		"negpages":  {`{"name":"negpages","data_pages":-5}`, 400},
 		"negbytes":  {`{"name":"negbytes","bytes":-1,"data_pages":10}`, 400},
 		"hugebytes": {`{"name":"hugebytes","bytes":1099511627776,"data_pages":10}`, 400},
-		// The examples/platform case.
+		// An in-range descriptor for a larger input.
 		"spike": {`{"name":"spike","bytes":81920,"seed":99,"data_pages":600}`, 200},
 	} {
 		if err := c.Set("input:hello-world:"+name, []byte(tc.desc)); err != nil {

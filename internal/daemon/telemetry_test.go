@@ -222,9 +222,13 @@ func TestTraceListLimit(t *testing.T) {
 	if len(got) != 3 || got[0] != ids[2] {
 		t.Fatalf("traces = %v, want 3 newest-first", got)
 	}
-	resp := doJSON(t, "GET", srv.URL+"/traces?limit=bogus", nil, nil)
-	if resp.StatusCode != 400 {
-		t.Fatalf("bad limit = %d, want 400", resp.StatusCode)
+	// A limit must be a positive count, as for /profiles: limit=0 does
+	// not mean "everything".
+	for _, limit := range []string{"bogus", "0"} {
+		resp := doJSON(t, "GET", srv.URL+"/traces?limit="+limit, nil, nil)
+		if resp.StatusCode != 400 {
+			t.Fatalf("limit=%s = %d, want 400", limit, resp.StatusCode)
+		}
 	}
 }
 

@@ -67,8 +67,8 @@ func TestObservabilityE2E(t *testing.T) {
 		Replicas:       1,
 	})
 
-	// Pick two catalog functions with distinct sticky owners so chaos on
-	// one owner cannot touch the other function's traffic.
+	// Pick two functions with distinct sticky owners so chaos on one
+	// owner cannot touch the other function's traffic.
 	owner := func(fn string) string {
 		var cl struct {
 			Preference []string `json:"preference"`
@@ -79,27 +79,31 @@ func TestObservabilityE2E(t *testing.T) {
 		}
 		return cl.Preference[0]
 	}
-	// Only cheap workloads: their natural wall time sits far below the
-	// objective, so any burn is attributable to the injected stalls.
-	cheap := []string{"hello-world", "json", "pyaes", "matmul"}
-	for _, n := range cheap {
-		if _, err := workload.ByName(n); err != nil {
-			t.Fatalf("catalog lost %s: %v", n, err)
+	// Both are custom clones of hello-world: its natural wall time sits
+	// far below the objective, so any burn is attributable to the
+	// injected stalls. Names are generated until placement separates two,
+	// so the pick does not depend on where a fixed set of names happens
+	// to land; about two names in three land on another owner.
+	clone := func(name string) workload.SpecConfig {
+		return workload.SpecConfig{
+			Name: name, BootMB: 100, StablePages: 2950, ChunkMean: 3, RetainFrac: 0.2,
+			BaseMs: 4, PerPageUs: 2, InitMs: 600,
+			InputA: workload.InputConfig{DataPages: 64}, InputB: workload.InputConfig{DataPages: 64},
 		}
 	}
-	slowFn, fastFn := cheap[0], ""
-	for _, n := range cheap[1:] {
-		if owner(n) != owner(slowFn) {
+	const candidates = 1000
+	slowFn, fastFn := "obs-0", ""
+	for i := 1; fastFn == "" && i < candidates; i++ {
+		if n := fmt.Sprintf("obs-%d", i); owner(n) != owner(slowFn) {
 			fastFn = n
-			break
 		}
 	}
 	if fastFn == "" {
-		t.Fatalf("no two cheap functions with distinct owners among %v", cheap)
+		t.Fatalf("the gateway placed %d function names on one owner", candidates)
 	}
 
 	for _, fn := range []string{slowFn, fastFn} {
-		if resp := e2eJSON(t, "PUT", gwSrv.URL+"/functions/"+fn, nil, nil); resp.StatusCode/100 != 2 {
+		if resp := e2eJSON(t, "PUT", gwSrv.URL+"/functions/"+fn, clone(fn), nil); resp.StatusCode/100 != 2 {
 			t.Fatalf("create %s = %d", fn, resp.StatusCode)
 		}
 		if resp := e2eJSON(t, "POST", gwSrv.URL+"/functions/"+fn+"/record",
