@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-short test-race chaos crash-smoke gateway-e2e cas-smoke events-smoke bench-check loc bench-smoke experiments figures fuzz clean
+.PHONY: all check build vet test test-short test-race chaos crash-smoke gateway-e2e cas-smoke events-smoke bench-check loc experiments figures fuzz clean
 
 all: build vet test
 
@@ -105,23 +105,6 @@ else
 	END { for (k in seen) printf "%6d %6d  %6d %6d  %+6d %+6d  %s\n", \
 		ba[k], bc[k], ta[k], tc[k], ta[k] - ba[k], tc[k] - bc[k], k }' | sort -k7
 endif
-
-# A short seeded open-loop burst against a real 3-daemon cluster behind
-# the gateway (EXPERIMENTS.md, load section). Writes
-# BENCH_open_loop.json plus the cluster's own SLO view
-# (BENCH_cluster_slo.json) and the final cluster event ledger
-# (BENCH_cluster_events.json); CI uploads all three so every PR has a
-# comparable serving-tier latency/goodput digest and a record of what
-# the control plane did during the run (neither of those two is
-# committed). -slo-check fails the run if the
-# SLO engine's attainment and the client's goodput-under-SLO disagree
-# by more than a point — the two measurement planes must agree.
-bench-smoke:
-	$(GO) run ./cmd/faasnap-load -cluster 3 -functions 24 -tenants 8 \
-		-rps 50 -duration 5s -seed 1 -max-inflight 16 \
-		-out BENCH_open_loop.json \
-		-slo-report BENCH_cluster_slo.json -slo-check \
-		-events-report BENCH_cluster_events.json
 
 # Regenerate every paper table/figure (writes bench_results.txt; the
 # wall-clock lines go to stderr, so an unchanged model reproduces the

@@ -50,7 +50,6 @@ func run(logger *log.Logger) error {
 		listen         = flag.String("listen", "127.0.0.1:8800", "gateway listen address")
 		backends       = flag.String("backends", "", "comma-separated daemon addresses (host:port), required")
 		replicas       = flag.Int("replicas", 1, "standby backends receiving registration and snapshot replication")
-		policy         = flag.String("policy", gateway.PolicySticky, "placement policy: sticky or random")
 		healthInterval = flag.Duration("health-interval", time.Second, "backend GET /status sweep period")
 		requestTimeout = flag.Duration("request-timeout", 0, "per-request deadline across all backend attempts (0 = default 30s)")
 		retries        = flag.Int("retries", 0, "max backends tried per request (0 = default 3)")
@@ -73,7 +72,6 @@ func run(logger *log.Logger) error {
 		Backends:       addrs,
 		Logger:         logger,
 		Replicas:       *replicas,
-		Policy:         *policy,
 		HealthInterval: *healthInterval,
 		RequestTimeout: *requestTimeout,
 		RetryAttempts:  *retries,
@@ -97,8 +95,8 @@ func run(logger *log.Logger) error {
 
 	errCh := make(chan error, 1)
 	go func() {
-		logger.Printf("FaaSnap gateway listening on %s (policy=%s backends=%d replicas=%d)",
-			*listen, *policy, len(addrs), *replicas)
+		logger.Printf("FaaSnap gateway listening on %s (backends=%d replicas=%d)",
+			*listen, len(addrs), *replicas)
 		fmt.Fprintf(os.Stderr, "try: curl http://%s/cluster\n", *listen)
 		errCh <- srv.ListenAndServe()
 	}()

@@ -62,9 +62,9 @@ type Config struct {
 	// Chaos optionally arms fault injection from daemon start; the
 	// injector is always present and reconfigurable via PUT /chaos.
 	Chaos *chaos.Config
-	// QuietHTTP drops the per-request log line. Under open-loop load the
-	// logger's mutex and stderr write serialize the request path; the
-	// load harness and benchmarked deployments turn it off.
+	// QuietHTTP drops the per-request log line. Under load the logger's
+	// mutex and stderr write serialize the request path; benchmarked
+	// deployments turn it off.
 	QuietHTTP bool
 	// TraceRing caps both the trace store and the flight recorder, so a
 	// profile's exemplar trace usually still resolves while the profile

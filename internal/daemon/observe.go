@@ -4,8 +4,8 @@ package daemon
 // flight recorder (GET /profiles) and the SLO burn-rate engine
 // (GET /slo). Every invoke/burst request appends one obs.Profile on
 // the way out — including shed, not-found, and deadline outcomes — and
-// feeds the SLO engine with its real wall time, the measurement the
-// load harness's goodput-under-SLO is judged against.
+// feeds the SLO engine with its real wall time, the measurement a
+// client's own goodput-under-SLO is judged against.
 
 import (
 	"net/http"

@@ -3,10 +3,9 @@ package gateway_test
 // End-to-end proof of the multi-host serving tier: three real daemons
 // behind a real gateway over real HTTP. The test registers and records
 // functions through the gateway's fan-out, shows sticky routing lands
-// on the snapshot's owner where the locality-blind random baseline pays
-// retry hops for the same virtual result, then kills one backend
-// mid-burst with chaos armed on another and requires every
-// client-visible answer to be 200/429/504 — never 500.
+// repeat invocations on the snapshot's owner with one virtual result,
+// then kills one backend mid-burst with chaos armed on another and
+// requires every client-visible answer to be 200/429/504 — never 500.
 
 import (
 	"bytes"
@@ -249,50 +248,27 @@ func TestGatewayE2E(t *testing.T) {
 		t.Fatalf("preference %v names unknown backends", cluster.Preference)
 	}
 
-	// --- Sticky vs random on repeat invocations (all backends up). ---
-	// The random baseline is locality-blind: ~1/3 of its picks land on
-	// the backend holding no hello-world snapshot, eat a 404, and pay a
-	// retry hop. The policies differ in hops, never in what is simulated:
-	// every reply, whichever way it was routed, carries the same virtual
-	// total. (Wall latency on a shared box is no evidence either way.)
-	randSrv := startGateway(t, gateway.Config{
-		Backends:       addrs,
-		HealthInterval: 25 * time.Millisecond,
-		RequestTimeout: 10 * time.Second,
-		RetryAttempts:  3,
-		Replicas:       1,
-		Policy:         gateway.PolicyRandom,
-		Seed:           7,
-	})
+	// --- Repeat invocations (all backends up) land on the owner, and
+	// every reply carries the same virtual total. (Wall latency on a
+	// shared box is no evidence either way.) ---
 	const samples = 90
 	stickyPlacements := map[string]int{}
-	randomPlacements := map[string]int{}
 	virtual := map[float64]int{}
 	for i := 0; i < samples; i++ {
 		st, pl, ms := invokeOnce(t, gwSrv.URL, "hello-world")
 		if st != 200 {
-			t.Fatalf("sticky invoke %d = %d", i, st)
+			t.Fatalf("invoke %d = %d", i, st)
 		}
 		stickyPlacements[pl]++
-		virtual[ms]++
-		st, pl, ms = invokeOnce(t, randSrv.URL, "hello-world")
-		if st != 200 {
-			t.Fatalf("random invoke %d = %d", i, st)
-		}
-		randomPlacements[pl]++
 		virtual[ms]++
 	}
 	if frac := float64(stickyPlacements[gateway.PlacementSticky]) / samples; frac < 0.9 {
 		t.Fatalf("sticky placement rate = %.0f%% (%v), want >= 90%%", frac*100, stickyPlacements)
 	}
-	if randomPlacements[gateway.PlacementRetry] == 0 {
-		t.Fatalf("random baseline never paid a retry hop: %v", randomPlacements)
-	}
 	if len(virtual) != 1 || virtual[0] != 0 {
-		t.Fatalf("virtual total_ms differs across routes: %v", virtual)
+		t.Fatalf("virtual total_ms differs across replies: %v", virtual)
 	}
-	t.Logf("repeat invocations: placements sticky %v vs random %v, virtual total_ms %v",
-		stickyPlacements, randomPlacements, virtual)
+	t.Logf("repeat invocations: placements %v, virtual total_ms %v", stickyPlacements, virtual)
 
 	// --- Fault phase: chaos on the standby, then kill the owner cold
 	// mid-burst. Spillover lands on the chaos-slowed standby; no client

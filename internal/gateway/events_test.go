@@ -9,6 +9,8 @@ package gateway
 import (
 	"bytes"
 	"encoding/json"
+	"go/scanner"
+	"go/token"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -30,10 +32,70 @@ func gwScrape(g *Gateway) string {
 	return buf.String()
 }
 
-// TestGatewayMetricsLint mirrors the daemon's scrape lint: after real
-// traffic and a sweep, every family the gateway exposes must be
-// faasnap_gw_-prefixed snake_case with HELP and TYPE lines.
+// sourceFamilies returns the metric families this package's non-test
+// source registers: every string literal that is a whole faasnap_ name.
+// They are read from the source, not a scrape, because no one scrape
+// reaches them all (faasnap_gw_shed_total needs every backend to shed).
+func sourceFamilies(t *testing.T) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := regexp.MustCompile(`^faasnap_[a-z0-9_]+$`)
+	fams := map[string]bool{}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sc scanner.Scanner
+		sc.Init(token.NewFileSet().AddFile(path, -1, len(src)), src, nil, 0)
+		for {
+			_, tok, lit := sc.Scan()
+			if tok == token.EOF {
+				break
+			}
+			if tok != token.STRING {
+				continue
+			}
+			if v, err := strconv.Unquote(lit); err == nil && name.MatchString(v) {
+				fams[v] = true
+			}
+		}
+	}
+	return fams
+}
+
+// TestGatewayMetricsLint mirrors the daemon's lint. GATEWAY.md's metric
+// table and the families the gateway's source registers are one list (a
+// family without a row fails, and so does a row nothing registers); and
+// after real traffic and a sweep, every family the gateway exposes must
+// be faasnap_gw_-prefixed snake_case with HELP and TYPE lines.
 func TestGatewayMetricsLint(t *testing.T) {
+	registered := sourceFamilies(t)
+	raw, err := os.ReadFile("../../GATEWAY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, m := range regexp.MustCompile("(?m)^\\| `(faasnap_[a-z0-9_]+)` \\|").FindAllStringSubmatch(string(raw), -1) {
+		documented[m[1]] = true
+	}
+	for name := range registered {
+		if !documented[name] {
+			t.Errorf("family %s is registered but has no row in GATEWAY.md", name)
+		}
+	}
+	for name := range documented {
+		if !registered[name] {
+			t.Errorf("GATEWAY.md has a row for %s, which nothing registers", name)
+		}
+	}
+
 	f1, f2 := newFakeBackend(t), newFakeBackend(t)
 	g := newTestGateway(t, Config{}, f1, f2)
 	gwInvoke(t, g, "lint-fn")

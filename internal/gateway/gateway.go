@@ -16,12 +16,10 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
 	"net/http"
 	"os"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -29,16 +27,6 @@ import (
 	"faasnap/internal/resilience"
 	"faasnap/internal/telemetry"
 	"faasnap/internal/trace"
-)
-
-// Policy names a routing policy.
-const (
-	// PolicySticky is the default: consistent-hash owner first,
-	// least-loaded spillover.
-	PolicySticky = "sticky"
-	// PolicyRandom routes uniformly at random over ready backends — the
-	// locality-blind baseline the e2e test measures sticky against.
-	PolicyRandom = "random"
 )
 
 // Placement values reported in the "placement" response field.
@@ -80,11 +68,6 @@ type Config struct {
 	// breakers (defaults 3 failures, 2s).
 	BreakerThreshold int
 	BreakerCooldown  time.Duration
-	// Policy is PolicySticky (default) or PolicyRandom.
-	Policy string
-	// Seed seeds the random policy's picks (0 = 1), keeping baselines
-	// reproducible.
-	Seed int64
 	// VNodes is the ring's virtual-node count per backend (default 64).
 	VNodes int
 	// QuietHTTP drops the per-request access log line entirely (for load
@@ -121,12 +104,6 @@ func (c Config) withDefaults() Config {
 	if c.BreakerCooldown == 0 {
 		c.BreakerCooldown = 2 * time.Second
 	}
-	if c.Policy == "" {
-		c.Policy = PolicySticky
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
 	return c
 }
 
@@ -149,9 +126,6 @@ type Gateway struct {
 	proxy *http.Client
 
 	traceSeq atomic.Uint64
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 }
 
 // New builds a gateway and runs the first health sweep before
@@ -171,9 +145,6 @@ func build(cfg Config) (*Gateway, error) {
 	if len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("gateway: no backends configured")
 	}
-	if cfg.Policy != PolicySticky && cfg.Policy != PolicyRandom {
-		return nil, fmt.Errorf("gateway: unknown policy %q (%s or %s)", cfg.Policy, PolicySticky, PolicyRandom)
-	}
 	g := &Gateway{
 		cfg:    cfg,
 		log:    cfg.Logger,
@@ -181,7 +152,6 @@ func build(cfg Config) (*Gateway, error) {
 		events: events.NewLedger(0),
 		traces: trace.NewStore(0),
 		proxy:  &http.Client{},
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
 	}
 	g.pool = newPool(cfg.Backends, cfg.VNodes, cfg.HealthInterval, cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Registry)
 	g.pool.replicas = cfg.Replicas
@@ -277,7 +247,6 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 	}
 	_, burning, _ := g.clusterSLO(r.Context())
 	out := map[string]interface{}{
-		"policy":            g.cfg.Policy,
 		"replicas":          g.cfg.Replicas,
 		"backends":          backends,
 		"burning_functions": burning,
@@ -300,35 +269,27 @@ func (g *Gateway) nextTraceSC() telemetry.SpanContext {
 	}
 }
 
-// candidates returns the ordered backends a request for fn should try.
-// Sticky policy: the ring owner first, then the remaining backends by
-// ascending load, ties broken by ring (standby) order so equally-loaded
-// snapshot replicas are preferred. Random policy: a uniform shuffle of
-// all backends — the locality-blind baseline.
+// candidates returns the ordered backends a request for fn should try:
+// the ring owner first, then the remaining backends by ascending load,
+// ties broken by ring (standby) order so equally-loaded snapshot
+// replicas are preferred.
 func (g *Gateway) candidates(fn string) []*Backend {
 	prefs := g.pool.preference(fn, 0)
-	if len(prefs) <= 1 || g.cfg.Policy == PolicySticky {
-		if len(prefs) > 1 {
-			// Spillover order: a standby whose admission window was full
-			// at the last sweep will certainly shed, so unsaturated
-			// backends go first; within each group, least-loaded wins.
-			rest := append([]*Backend(nil), prefs[1:]...)
-			sort.SliceStable(rest, func(i, j int) bool {
-				si, sj := rest[i].view.Load().saturation() >= 1, rest[j].view.Load().saturation() >= 1
-				if si != sj {
-					return !si
-				}
-				return rest[i].load() < rest[j].load()
-			})
-			prefs = append(prefs[:1:1], rest...)
-		}
-		return demoteStale(prefs)
+	if len(prefs) > 1 {
+		// Spillover order: a standby whose admission window was full at
+		// the last sweep will certainly shed, so unsaturated backends go
+		// first; within each group, least-loaded wins. prefs is this
+		// call's own slice, so the standbys sort in place.
+		rest := prefs[1:]
+		sort.SliceStable(rest, func(i, j int) bool {
+			si, sj := rest[i].view.Load().saturation() >= 1, rest[j].view.Load().saturation() >= 1
+			if si != sj {
+				return !si
+			}
+			return rest[i].load() < rest[j].load()
+		})
 	}
-	shuffled := append([]*Backend(nil), prefs...)
-	g.rngMu.Lock()
-	g.rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	g.rngMu.Unlock()
-	return demoteStale(shuffled)
+	return demoteStale(prefs)
 }
 
 // demoteStale keeps a stale backend (anti-entropy repairs in flight)

@@ -12,6 +12,8 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -43,10 +45,12 @@ type fakeBackend struct {
 	// anti-entropy tests; unset means a stateless daemon.
 	manifestJSON atomic.Value // string
 	// down makes the backend drop every connection, as a killed host
-	// does. hits counts every request that reached it, by "METHOD path".
-	down   atomic.Bool
-	hitsMu sync.Mutex
-	hits   map[string]int
+	// does. hits counts every request that reached it, by "METHOD path",
+	// and queries keeps the raw query of the latest one per key.
+	down    atomic.Bool
+	hitsMu  sync.Mutex
+	hits    map[string]int
+	queries map[string]string
 	// records / syncs / deletes count the mutations that reached this
 	// backend; syncFail makes POST .../sync answer 502.
 	records  atomic.Int64
@@ -124,12 +128,14 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 		w.WriteHeader(http.StatusNoContent)
 	})
 	f.hits = make(map[string]int)
+	f.queries = make(map[string]string)
 	f.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if f.down.Load() {
 			panic(http.ErrAbortHandler)
 		}
 		f.hitsMu.Lock()
 		f.hits[r.Method+" "+r.URL.Path]++
+		f.queries[r.Method+" "+r.URL.Path] = r.URL.RawQuery
 		f.hitsMu.Unlock()
 		mux.ServeHTTP(w, r)
 	}))
@@ -146,6 +152,14 @@ func (f *fakeBackend) takeHits() map[string]int {
 	out := f.hits
 	f.hits = make(map[string]int)
 	return out
+}
+
+// lastQuery returns the raw query of the latest request to key
+// ("METHOD path").
+func (f *fakeBackend) lastQuery(key string) string {
+	f.hitsMu.Lock()
+	defer f.hitsMu.Unlock()
+	return f.queries[key]
 }
 
 // newTestGateway builds a gateway over the fakes with a health loop
@@ -561,14 +575,13 @@ func TestClusterEndpoint(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	var body struct {
-		Policy   string          `json:"policy"`
 		Backends []BackendStatus `json:"backends"`
 		Pref     []string        `json:"preference"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatal(err)
 	}
-	if body.Policy != PolicySticky || len(body.Backends) != 2 {
+	if len(body.Backends) != 2 {
 		t.Fatalf("cluster = %+v", body)
 	}
 	readyCount := 0
@@ -630,13 +643,34 @@ func TestSweepShape(t *testing.T) {
 			}
 		}
 	}
+
+	// /cluster/events hands its filters to the daemons as the values the
+	// client sent: a value holding '&' or '=' is not a second parameter,
+	// and one holding a space still reaches every backend.
+	for _, filter := range []url.Values{
+		{"function": {"a&type=gc_sweep"}},
+		{"function": {"f"}, "type": {"x y"}},
+	} {
+		if sc := e2eGet(t, srv.URL+"/cluster/events?"+filter.Encode(), nil); sc != 200 {
+			t.Fatalf("/cluster/events?%s = %d", filter.Encode(), sc)
+		}
+		want := url.Values{"since_seq": {"0"}}
+		for k, v := range filter {
+			want[k] = v
+		}
+		for i, f := range fakes[:2] {
+			if hits := f.takeHits(); hits["GET /events"] != 1 {
+				t.Fatalf("filter %v: ready backend %d saw %v, want one GET /events", filter, i, hits)
+			}
+			if got, err := url.ParseQuery(f.lastQuery("GET /events")); err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("filter %v: backend %d got query %v (%v), want %v", filter, i, got, err, want)
+			}
+		}
+	}
 }
 
 func TestNewRejectsBadConfig(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("New with no backends succeeded")
-	}
-	if _, err := New(Config{Backends: []string{"h:1"}, Policy: "bogus", Logger: log.New(io.Discard, "", 0)}); err == nil {
-		t.Fatal("New with bogus policy succeeded")
 	}
 }

@@ -11,6 +11,7 @@ package gateway
 import (
 	"context"
 	"net/http"
+	"net/url"
 	"sort"
 	"strconv"
 	"sync"
@@ -127,16 +128,16 @@ func (g *Gateway) handleClusterEvents(w http.ResponseWriter, r *http.Request) {
 	for i := range merged {
 		merged[i].Origin = "gateway"
 	}
-	path := "/events?since_seq=" + strconv.FormatUint(sinceSeq, 10)
+	fwd := url.Values{"since_seq": {strconv.FormatUint(sinceSeq, 10)}}
 	if typ != "" {
-		path += "&type=" + typ
+		fwd.Set("type", typ)
 	}
 	if fn != "" {
-		path += "&function=" + fn
+		fwd.Set("function", fn)
 	}
 	per, addrs := fanOut[struct {
 		Events []events.Event `json:"events"`
-	}](r.Context(), g.pool, path)
+	}](r.Context(), g.pool, "/events?"+fwd.Encode())
 	for _, a := range addrs {
 		for _, e := range per[a].Events {
 			e.Origin = a

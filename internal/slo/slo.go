@@ -28,8 +28,8 @@ type Objective struct {
 	Target float64 `json:"target"`
 }
 
-// DefaultObjective mirrors the load harness default SLO (500ms) with
-// a 99% target.
+// DefaultObjective is the objective a function gets unless configured:
+// 500ms at a 99% target.
 func DefaultObjective() Objective {
 	return Objective{Latency: 500 * time.Millisecond, Target: 0.99}
 }
