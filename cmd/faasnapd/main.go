@@ -58,7 +58,6 @@ func run(logger *log.Logger) error {
 		maxBurst      = flag.Int("max-burst", 0, "largest accepted burst parallelism (0 = default 256)")
 		quietHTTP     = flag.Bool("quiet-http", false, "drop the per-request access log line (for load benchmarks; telemetry still counts every request)")
 		traceRing     = flag.Int("trace-ring", obs.DefaultRing, "capacity of the trace store and the flight-recorder profile ring (must be > 0)")
-		eventRing     = flag.Int("event-ring", 0, "cluster event ledger capacity (0 = default 1024)")
 		sloLatency    = flag.Duration("slo-latency", 0, "per-request latency objective for GET /slo (0 = default 500ms)")
 		sloTarget     = flag.Float64("slo-target", 0, "SLO attainment target in (0,1) (0 = default 0.99)")
 	)
@@ -146,7 +145,6 @@ func run(logger *log.Logger) error {
 		AsyncRecovery: true,
 		QuietHTTP:     *quietHTTP,
 		TraceRing:     *traceRing,
-		EventRing:     *eventRing,
 		SLO: slo.Config{
 			Default: slo.Objective{Latency: *sloLatency, Target: *sloTarget},
 		},

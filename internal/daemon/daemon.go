@@ -53,11 +53,8 @@ type Config struct {
 	KVAddr string
 	// Logger receives operational logs; nil discards them.
 	Logger *log.Logger
-	// Registry is the telemetry registry backing GET /metrics; nil
-	// creates a private one.
-	Registry *telemetry.Registry
-	// Resilience tunes deadlines, retries, the circuit breaker, and
-	// admission control; zero fields take defaults.
+	// Resilience tunes deadlines and admission control; zero fields take
+	// defaults.
 	Resilience ResilienceConfig
 	// Chaos optionally arms fault injection from daemon start; the
 	// injector is always present and reconfigurable via PUT /chaos.
@@ -70,12 +67,9 @@ type Config struct {
 	// profile's exemplar trace usually still resolves while the profile
 	// is retained; <= 0 takes obs.DefaultRing.
 	TraceRing int
-	// SLO configures per-function objectives and burn-rate windows for
-	// the GET /slo engine; the zero value takes the package defaults.
+	// SLO configures the objective of the GET /slo engine; the zero
+	// value takes the package default.
 	SLO slo.Config
-	// EventRing caps the cluster event ledger behind GET /events; <= 0
-	// takes events.DefaultRing.
-	EventRing int
 	// AsyncRecovery runs manifest replay and snapshot re-deployment in
 	// the background after New returns; /readyz answers 503 with
 	// Retry-After until recovery completes. faasnapd sets it so a host
@@ -147,31 +141,25 @@ func New(cfg Config) (*Daemon, error) {
 	// Fill host defaults field-wise: a partially-specified Host (custom
 	// costs, core count, seed) must survive construction intact.
 	cfg.Host = cfg.Host.WithDefaults()
-	if cfg.Registry == nil {
-		cfg.Registry = telemetry.NewRegistry()
-	}
+	reg := telemetry.NewRegistry()
 	ringSize := cfg.TraceRing
 	if ringSize <= 0 {
 		ringSize = obs.DefaultRing
 	}
-	sloCfg := cfg.SLO
-	if sloCfg.Gauges == nil {
-		sloCfg.Gauges = sloGauges{reg: cfg.Registry}
-	}
 	// The ledger exists before the SLO engine and chaos injector so
 	// their transition callbacks can close over it.
-	ledger := events.NewLedger(cfg.EventRing)
-	if sloCfg.OnPage == nil {
-		sloCfg.OnPage = func(fn string, burning bool) {
-			ledger.Append(events.Event{
-				Type: events.SLOPage, Function: fn,
-				Fields: map[string]string{"burning": strconv.FormatBool(burning)},
-			})
-		}
+	ledger := events.NewLedger(0)
+	sloCfg := cfg.SLO
+	sloCfg.Gauges = sloGauges{reg: reg}
+	sloCfg.OnPage = func(fn string, burning bool) {
+		ledger.Append(events.Event{
+			Type: events.SLOPage, Function: fn,
+			Fields: map[string]string{"burning": strconv.FormatBool(burning)},
+		})
 	}
 	e := env{
 		log:       cfg.Logger,
-		telemetry: cfg.Registry,
+		telemetry: reg,
 		chaos:     chaos.New(),
 		events:    ledger,
 		traces:    trace.NewStore(ringSize),

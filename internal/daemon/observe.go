@@ -48,7 +48,7 @@ func (d *Daemon) recordProfile(p *obs.Profile, status int, wall time.Duration) {
 	p.WallMs = ms(wall)
 	p.UnixMs = time.Now().UnixMilli()
 	d.profiles.Append(p)
-	if counted, good := d.slo.Judge(p.Function, status, wall); counted {
+	if counted, good := d.slo.Judge(status, wall); counted {
 		d.slo.Record(p.Function, good)
 	}
 }

@@ -34,17 +34,19 @@ type ResilienceConfig struct {
 	MaxInFlight int64
 	// MaxBurstParallel caps burstRequest.Parallel; larger asks get 400.
 	MaxBurstParallel int
-	// RetryAttempts bounds tries of one restore (first try included).
-	RetryAttempts int
-	// RetryBase seeds the exponential backoff between restore attempts.
-	RetryBase time.Duration
-	// BreakerThreshold is the consecutive restore failures that open a
-	// function's circuit breaker.
-	BreakerThreshold int
-	// BreakerCooldown is how long an open breaker rejects restores
-	// before admitting a half-open probe.
-	BreakerCooldown time.Duration
 }
+
+const (
+	// One restore gets restoreAttempts tries (the first included), with
+	// exponential backoff from restoreBackoff between them.
+	restoreAttempts = 3
+	restoreBackoff  = 2 * time.Millisecond
+	// A function's circuit breaker opens after breakerThreshold restore
+	// failures in a row and admits one half-open probe breakerCooldown
+	// later.
+	breakerThreshold = 3
+	breakerCooldown  = 2 * time.Second
+)
 
 func (c ResilienceConfig) withDefaults() ResilienceConfig {
 	if c.InvokeTimeout == 0 {
@@ -55,18 +57,6 @@ func (c ResilienceConfig) withDefaults() ResilienceConfig {
 	}
 	if c.MaxBurstParallel == 0 {
 		c.MaxBurstParallel = 256
-	}
-	if c.RetryAttempts == 0 {
-		c.RetryAttempts = 3
-	}
-	if c.RetryBase == 0 {
-		c.RetryBase = 2 * time.Millisecond
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown == 0 {
-		c.BreakerCooldown = 2 * time.Second
 	}
 	return c
 }
@@ -90,7 +80,7 @@ func (d *Daemon) breaker(fn string) *resilience.Breaker {
 	gauge := d.telemetry.Gauge("faasnap_breaker_state",
 		"Restore circuit-breaker state per function (0 closed, 1 open, 2 half-open).",
 		telemetry.L("function", fn))
-	b := resilience.NewBreaker(d.res.BreakerThreshold, d.res.BreakerCooldown,
+	b := resilience.NewBreaker(breakerThreshold, breakerCooldown,
 		func(s resilience.BreakerState) {
 			gauge.Set(float64(s))
 			d.publishEvent(events.Event{
@@ -189,7 +179,7 @@ type restoreOutcome struct {
 func (d *Daemon) restoreVMM(ctx context.Context, name string, arts *core.Artifacts, mode core.Mode, sc telemetry.SpanContext) ([]telemetry.RemoteSpan, int, error) {
 	var spans []telemetry.RemoteSpan
 	attempt := 0
-	err := resilience.Retry(ctx, d.res.RetryAttempts, d.res.RetryBase, vmm.Retryable, func() error {
+	err := resilience.Retry(ctx, restoreAttempts, restoreBackoff, vmm.Retryable, func() error {
 		attempt++
 		if attempt > 1 {
 			d.telemetry.Counter("faasnap_restore_retries_total",

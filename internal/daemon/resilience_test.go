@@ -187,21 +187,26 @@ func TestLoadingSetIOErrorDegradesToMemoryFileOnly(t *testing.T) {
 }
 
 func TestBreakerOpensHalfOpensAndCloses(t *testing.T) {
-	// Threshold 1: the first restore failure opens the breaker. The
-	// cooldown is driven through the breaker's injectable clock rather
-	// than real sleeps, so the sequence cannot flake on a slow runner.
+	// All but one of the breaker's threshold failures are on the books
+	// before the first invoke, whose restore fails every attempt: that
+	// failure opens the breaker. The cooldown is driven through the
+	// breaker's injectable clock rather than real sleeps, so the sequence
+	// cannot flake on a slow runner.
 	d, srv := newTestDaemon(t, Config{
-		Resilience: ResilienceConfig{RetryAttempts: 1, BreakerThreshold: 1, BreakerCooldown: time.Hour},
 		Chaos: &chaos.Config{Enabled: true, Rules: []chaos.Rule{
-			{Point: chaos.PointVMMAPI, Op: "snapshot/load", Kind: chaos.KindError, Count: 1},
+			{Point: chaos.PointVMMAPI, Op: "snapshot/load", Kind: chaos.KindError, Count: restoreAttempts},
 		}},
 	})
 	recordedFn(t, srv.URL)
-	var elapsed atomic.Int64 // hours advanced past the real start
+	var elapsed atomic.Int64 // cooldowns advanced past the real start
 	start := time.Now()
-	d.breaker("hello-world").SetClock(func() time.Time {
-		return start.Add(time.Duration(elapsed.Load()) * time.Hour)
+	br := d.breaker("hello-world")
+	br.SetClock(func() time.Time {
+		return start.Add(time.Duration(elapsed.Load()) * breakerCooldown)
 	})
+	for i := 1; i < breakerThreshold; i++ {
+		br.Report(resilience.Unhealthy)
+	}
 	invoke := func() InvokeResponse {
 		var inv InvokeResponse
 		resp := doJSON(t, "POST", srv.URL+"/functions/hello-world/invoke",

@@ -88,9 +88,6 @@ type Ledger struct {
 	mu   sync.Mutex
 	ring *ring.Ring[Event]
 	next uint64 // next sequence number to assign (first is 1)
-
-	// Now is the clock; defaults to time.Now. Tests may override.
-	Now func() time.Time
 }
 
 // NewLedger returns a ledger retaining at most capacity events.
@@ -99,7 +96,7 @@ func NewLedger(capacity int) *Ledger {
 	if capacity <= 0 {
 		capacity = DefaultRing
 	}
-	return &Ledger{Hub: NewHub(lineDepth), ring: ring.New[Event](capacity), Now: time.Now}
+	return &Ledger{Hub: NewHub(lineDepth), ring: ring.New[Event](capacity)}
 }
 
 // Append stamps e with the next sequence number and the current time,
@@ -113,7 +110,7 @@ func (l *Ledger) Append(e Event) Event {
 	l.next++
 	e.Seq = l.next
 	if e.UnixMs == 0 {
-		e.UnixMs = l.Now().UnixMilli()
+		e.UnixMs = time.Now().UnixMilli()
 	}
 	l.ring.Push(e)
 	if l.Watched(e.Type, e.Function) {

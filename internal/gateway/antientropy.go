@@ -117,9 +117,9 @@ type syncResult struct {
 // Backends without a current status (unreachable this sweep, not ready,
 // recovering, or stateless) are neither sources nor targets, and keep
 // the stale verdict they had.
-func (p *Pool) ResyncNow() int {
-	p.resyncMu.Lock()
-	defer p.resyncMu.Unlock()
+func (g *Gateway) ResyncNow() int {
+	g.resyncMu.Lock()
+	defer g.resyncMu.Unlock()
 	t0 := time.Now()
 	type repairRec struct {
 		fn, backend, action, traceID string
@@ -131,7 +131,7 @@ func (p *Pool) ResyncNow() int {
 	// backend's most recent, for the converged event of a later clean pass
 	// to cite as cause_seq.
 	repaired := func(b *Backend, fn, counter, action string, start time.Duration, ev events.Event) {
-		p.reg.Counter("faasnap_gw_resync_total",
+		g.reg.Counter("faasnap_gw_resync_total",
 			"Anti-entropy repair operations issued to stale backends, by backend and action.",
 			telemetry.L("backend", b.Addr, "action", counter)).Inc()
 		repairs = append(repairs, repairRec{
@@ -143,14 +143,19 @@ func (p *Pool) ResyncNow() int {
 			ev.Fields = make(map[string]string, 2)
 		}
 		ev.Fields["backend"], ev.Fields["action"] = b.Addr, action
-		if p.events != nil {
-			p.lastRepairSeq[b.Addr] = p.events.Append(ev).Seq
-		}
+		g.lastRepairSeq[b.Addr] = g.events.Append(ev).Seq
+	}
+	// call issues one repair under the deadline a client request gets;
+	// Close cuts it short.
+	call := func(b *Backend, method, path string, body []byte, out interface{}) error {
+		ctx, cancel := context.WithTimeout(g.ctx, g.cfg.RequestTimeout)
+		defer cancel()
+		return g.callBackend(ctx, b, method, path, body, out)
 	}
 	// replay repairs b by replaying one mutation through its normal API.
 	replay := func(b *Backend, fn, action, method string, body []byte) bool {
 		start := time.Since(t0)
-		if p.callBackend(context.Background(), b, method, "/functions/"+fn, body, nil) != nil {
+		if call(b, method, "/functions/"+fn, body, nil) != nil {
 			return false
 		}
 		repaired(b, fn, action, action, start, events.Event{})
@@ -171,10 +176,10 @@ func (p *Pool) ResyncNow() int {
 		start := time.Since(t0)
 		body, _ := json.Marshal(map[string]interface{}{"source": source, "eager": eager})
 		var sr syncResult
-		if p.callBackend(context.Background(), b, http.MethodPost, "/functions/"+fn+"/sync", body, &sr) != nil {
+		if call(b, http.MethodPost, "/functions/"+fn+"/sync", body, &sr) != nil {
 			return
 		}
-		p.reg.Counter("faasnap_gw_resync_chunk_bytes_total",
+		g.reg.Counter("faasnap_gw_resync_chunk_bytes_total",
 			"Chunk payload bytes transferred by anti-entropy chunk-sync repairs, by backend.",
 			telemetry.L("backend", b.Addr)).Add(float64(sr.BytesFetched))
 		action := "chunks"
@@ -189,7 +194,7 @@ func (p *Pool) ResyncNow() int {
 		}
 		repaired(b, fn, "chunks", action, start, ev)
 	}
-	backends := p.snapshot()
+	backends := g.pool.snapshot()
 	current := make(map[string]*backendView, len(backends))
 	fns := make(map[string]bool)
 	for _, b := range backends {
@@ -211,7 +216,7 @@ func (p *Pool) ResyncNow() int {
 
 	stale := make(map[string]bool)
 	for _, fn := range names {
-		prefs := p.preference(fn, 1+p.replicas)
+		prefs := g.pool.preference(fn, 1+g.cfg.Replicas)
 		var winner *manifestEntry
 		var winnerAddr string
 		for _, b := range prefs {
@@ -275,36 +280,36 @@ func (p *Pool) ResyncNow() int {
 		}
 		now := stale[b.Addr]
 		prev := b.stale.Swap(now)
-		p.reg.Gauge("faasnap_gw_backend_stale",
+		g.reg.Gauge("faasnap_gw_backend_stale",
 			"Backends found stale by the last anti-entropy pass that had their status (1 = repairs in flight, demoted in placement).",
 			telemetry.L("backend", b.Addr)).Set(oneIf(now))
-		if p.events == nil || now == prev {
+		if now == prev {
 			continue
 		}
 		verdict := func(typ events.Type) events.Event {
 			return events.Event{Type: typ, Fields: map[string]string{"backend": b.Addr}}
 		}
 		if now {
-			p.events.Append(verdict(events.BackendStale))
+			g.events.Append(verdict(events.BackendStale))
 			continue
 		}
-		p.events.Append(verdict(events.BackendClean))
+		g.events.Append(verdict(events.BackendClean))
 		// Converged closes the causality chain: it cites the backend's
 		// last repair event (a gateway-ledger seq) as cause_seq.
 		ev := verdict(events.Converged)
-		if cause := p.lastRepairSeq[b.Addr]; cause > 0 {
+		if cause := g.lastRepairSeq[b.Addr]; cause > 0 {
 			ev.CauseSeq, ev.CauseOrigin = cause, "gateway"
 		}
-		p.events.Append(ev)
+		g.events.Append(ev)
 	}
 
 	// A sweep that issued repairs leaves a trace in the gateway-local
 	// store: one root span for the pass, one child per repair action,
 	// chunk syncs cross-linked to the daemon-minted restore waterfall
 	// via the sync_trace tag.
-	if len(repairs) > 0 && p.traces != nil {
+	if len(repairs) > 0 {
 		wall := time.Since(t0)
-		tid := p.traces.NextID()
+		tid := g.traces.NextID()
 		tb := trace.NewBuilder(tid, "anti-entropy-sweep")
 		root := tb.Span("anti-entropy-sweep", "", 0, wall,
 			map[string]string{"actions": strconv.Itoa(len(repairs))})
@@ -315,7 +320,7 @@ func (p *Pool) ResyncNow() int {
 			}
 			tb.Span("repair "+r.fn, root, r.start, r.dur, tags)
 		}
-		p.traces.Put(tb.Finish())
+		g.traces.Put(tb.Finish())
 	}
 	return len(repairs)
 }

@@ -69,8 +69,8 @@ func TestAntiEntropyRepairsStaleBackend(t *testing.T) {
 	scriptManifest(standby, "d-empty")
 	scriptManifest(outside, "d-empty")
 
-	g.pool.CheckNow()
-	if n := g.pool.ResyncNow(); n != 2 {
+	g.CheckNow()
+	if n := g.ResyncNow(); n != 2 {
 		t.Fatalf("resync actions = %d, want 2 (register + chunks)", n)
 	}
 	if c, sy, rec := standby.creates.Load(), standby.syncs.Load(), standby.records.Load(); c != 1 || sy != 1 || rec != 0 {
@@ -109,8 +109,8 @@ func TestAntiEntropyRepairsStaleBackend(t *testing.T) {
 	// Once the standby's manifest converges, the next pass repairs
 	// nothing and restores full ring weight.
 	scriptManifest(standby, "d-owner", liveEntry(fn, 2, true, "A"))
-	g.pool.CheckNow()
-	if n := g.pool.ResyncNow(); n != 0 {
+	g.CheckNow()
+	if n := g.ResyncNow(); n != 0 {
 		t.Fatalf("converged pass issued %d actions", n)
 	}
 	if sb.Stale() {
@@ -132,8 +132,8 @@ func TestAntiEntropyFailedSyncRetriesNextSweep(t *testing.T) {
 	scriptManifest(standby, "d-reg", liveEntry(fn, 1, false, ""))
 	standby.syncFail.Store(true)
 
-	g.pool.CheckNow()
-	if n := g.pool.ResyncNow(); n != 0 {
+	g.CheckNow()
+	if n := g.ResyncNow(); n != 0 {
 		t.Fatalf("failed sync counted as %d repair actions", n)
 	}
 	if sy, rec := standby.syncs.Load(), standby.records.Load(); sy != 1 || rec != 0 {
@@ -145,8 +145,8 @@ func TestAntiEntropyFailedSyncRetriesNextSweep(t *testing.T) {
 	}
 
 	standby.syncFail.Store(false)
-	g.pool.CheckNow()
-	if n := g.pool.ResyncNow(); n != 1 {
+	g.CheckNow()
+	if n := g.ResyncNow(); n != 1 {
 		t.Fatalf("retry pass issued %d actions, want 1 (chunks)", n)
 	}
 	if sy, rec := standby.syncs.Load(), standby.records.Load(); sy != 2 || rec != 0 {
@@ -168,8 +168,8 @@ func TestAntiEntropyPropagatesDelete(t *testing.T) {
 	scriptManifest(owner, "d-tomb", tombstone(fn, 3))
 	scriptManifest(standby, "d-live", liveEntry(fn, 2, true, "A"))
 
-	g.pool.CheckNow()
-	if n := g.pool.ResyncNow(); n != 1 {
+	g.CheckNow()
+	if n := g.ResyncNow(); n != 1 {
 		t.Fatalf("resync actions = %d, want 1 (delete)", n)
 	}
 	if d := standby.deletes.Load(); d != 1 {
@@ -187,8 +187,8 @@ func TestAntiEntropyIgnoresManifestlessBackends(t *testing.T) {
 	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t)}
 	g := newTestGateway(t, Config{Replicas: 1}, fakes...)
 
-	g.pool.CheckNow()
-	if n := g.pool.ResyncNow(); n != 0 {
+	g.CheckNow()
+	if n := g.ResyncNow(); n != 0 {
 		t.Fatalf("resync against manifestless backends = %d actions", n)
 	}
 	for _, f := range fakes {
@@ -272,8 +272,8 @@ func TestAntiEntropyVersionRules(t *testing.T) {
 			scriptManifest(owner, "d-owner", tc.owner)
 			scriptManifest(standby, "d-standby", tc.standby)
 
-			g.pool.CheckNow()
-			if n := g.pool.ResyncNow(); n != tc.actions {
+			g.CheckNow()
+			if n := g.ResyncNow(); n != tc.actions {
 				t.Fatalf("actions = %d, want %d", n, tc.actions)
 			}
 			if sy := standby.syncs.Load(); int(sy) != tc.syncs {
@@ -297,8 +297,8 @@ func TestAntiEntropyVersionRules(t *testing.T) {
 				t.Fatalf("eager repair cause = (%d, %q), want the standby's deficit event", repairs[0].CauseSeq, repairs[0].CauseOrigin)
 			}
 			scriptManifest(standby, "d-owner", tc.healed)
-			g.pool.CheckNow()
-			if n := g.pool.ResyncNow(); n != 0 || sb.Stale() {
+			g.CheckNow()
+			if n := g.ResyncNow(); n != 0 || sb.Stale() {
 				t.Fatalf("pass after the repair: %d actions, stale=%v; want a clean no-op", n, sb.Stale())
 			}
 		})
@@ -319,8 +319,8 @@ func TestAntiEntropyKeepsVerdictWithoutStatus(t *testing.T) {
 	scriptManifest(owner, "d-owner", liveEntry(fn, 2, true, "A"))
 	scriptManifest(standby, "d-empty")
 
-	g.pool.CheckNow()
-	if n := g.pool.ResyncNow(); n != 2 {
+	g.CheckNow()
+	if n := g.ResyncNow(); n != 2 {
 		t.Fatalf("repair pass actions = %d, want 2", n)
 	}
 	sb, _ := g.pool.backend(standby.addr)
@@ -335,8 +335,8 @@ func TestAntiEntropyKeepsVerdictWithoutStatus(t *testing.T) {
 
 	standby.down.Store(true)
 	for pass := 1; pass <= 3; pass++ {
-		g.pool.CheckNow()
-		if n := g.pool.ResyncNow(); n != 0 {
+		g.CheckNow()
+		if n := g.ResyncNow(); n != 0 {
 			t.Fatalf("pass %d repaired a backend it has no status for (%d actions)", pass, n)
 		}
 		if !sb.Stale() {
@@ -349,8 +349,8 @@ func TestAntiEntropyKeepsVerdictWithoutStatus(t *testing.T) {
 
 	standby.down.Store(false)
 	scriptManifest(standby, "d-owner", liveEntry(fn, 2, true, "A"))
-	g.pool.CheckNow()
-	if n := g.pool.ResyncNow(); n != 0 || sb.Stale() {
+	g.CheckNow()
+	if n := g.ResyncNow(); n != 0 || sb.Stale() {
 		t.Fatalf("pass after rejoin: %d actions, stale=%v", n, sb.Stale())
 	}
 	clean, conv := verdicts()

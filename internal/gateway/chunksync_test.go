@@ -128,8 +128,8 @@ func TestAntiEntropyChunkSync(t *testing.T) {
 		t.Fatalf("chunk map on A: %+v", cm)
 	}
 
-	g.pool.CheckNow()
-	if n := g.pool.ResyncNow(); n != 2 {
+	g.CheckNow()
+	if n := g.ResyncNow(); n != 2 {
 		t.Fatalf("resync actions = %d, want 2 (register + chunk-sync)", n)
 	}
 
@@ -173,8 +173,8 @@ func TestAntiEntropyChunkSync(t *testing.T) {
 		TotalBytes int64 `json:"total_bytes"`
 	}
 	daemonJSON(t, "GET", base+"/functions/"+sibling+"/chunkmap?summary=1", nil, &cmSib)
-	g.pool.CheckNow()
-	if n := g.pool.ResyncNow(); n != 2 {
+	g.CheckNow()
+	if n := g.ResyncNow(); n != 2 {
 		t.Fatalf("sibling resync actions = %d, want 2", n)
 	}
 	movedBoth := metricValue(t, g, `faasnap_gw_resync_chunk_bytes_total{backend="`+addrB+`"}`)
@@ -194,8 +194,8 @@ func TestAntiEntropyChunkSync(t *testing.T) {
 	}
 
 	// Converged: the next pass is a no-op.
-	g.pool.CheckNow()
-	if n := g.pool.ResyncNow(); n != 0 {
+	g.CheckNow()
+	if n := g.ResyncNow(); n != 0 {
 		t.Fatalf("converged pass issued %d actions", n)
 	}
 }
@@ -221,8 +221,8 @@ func TestAntiEntropyRepairsMissingLazyChunks(t *testing.T) {
 		map[string]string{"input": "A"}, nil); st != http.StatusOK {
 		t.Fatalf("record on A = %d", st)
 	}
-	g.pool.CheckNow()
-	if n := g.pool.ResyncNow(); n != 2 {
+	g.CheckNow()
+	if n := g.ResyncNow(); n != 2 {
 		t.Fatalf("initial resync actions = %d, want 2 (register + chunk-sync)", n)
 	}
 	waitCASDrained(t, "http://"+addrB)
@@ -274,8 +274,8 @@ func TestAntiEntropyRepairsMissingLazyChunks(t *testing.T) {
 	}
 
 	// One repair action: an eager chunk sync that restores the deficit.
-	g.pool.CheckNow()
-	if n := g.pool.ResyncNow(); n != 1 {
+	g.CheckNow()
+	if n := g.ResyncNow(); n != 1 {
 		t.Fatalf("repair pass actions = %d, want 1", n)
 	}
 	if v := metricValue(t, g, `faasnap_gw_resync_total{action="chunks",backend="`+addrB+`"}`); v != 2 {
@@ -289,8 +289,8 @@ func TestAntiEntropyRepairsMissingLazyChunks(t *testing.T) {
 	}
 
 	// Converged: the next pass is a no-op.
-	g.pool.CheckNow()
-	if n := g.pool.ResyncNow(); n != 0 {
+	g.CheckNow()
+	if n := g.ResyncNow(); n != 0 {
 		t.Fatalf("converged pass issued %d actions", n)
 	}
 }
@@ -362,8 +362,8 @@ func TestAntiEntropyLeavesLiveTailAlone(t *testing.T) {
 		t.Fatalf("chunk map has %d lazy chunks; the test needs a tail", tail)
 	}
 
-	g.pool.CheckNow()
-	if n := g.pool.ResyncNow(); n != 2 {
+	g.CheckNow()
+	if n := g.ResyncNow(); n != 2 {
 		t.Fatalf("initial resync actions = %d, want 2 (register + chunk-sync)", n)
 	}
 	entryB := func() manifestEntry {
@@ -378,8 +378,8 @@ func TestAntiEntropyLeavesLiveTailAlone(t *testing.T) {
 		// One token resolves one chunk; sweep until B's status shows it.
 		deadline := time.Now().Add(30 * time.Second)
 		for {
-			g.pool.CheckNow()
-			if n := g.pool.ResyncNow(); n != 0 {
+			g.CheckNow()
+			if n := g.ResyncNow(); n != 0 {
 				t.Fatalf("pass with %d chunks pending issued %d repairs", left, n)
 			}
 			e := entryB()
@@ -422,6 +422,113 @@ func TestAntiEntropyLeavesLiveTailAlone(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("source served chunk %s %d times, want once", dg[:8], n)
 		}
+	}
+}
+
+// TestAntiEntropyRepairOutlastsProbeBound: a repair carries the request
+// deadline, not the status probe's. With the source holding its
+// loading-set chunk replies so the sync takes ~2.5 s, one pass repairs
+// the wiped standby, counts the repair once, and counts every byte the
+// standby fetched.
+func TestAntiEntropyRepairOutlastsProbeBound(t *testing.T) {
+	dA, _ := startRealDaemon(t)
+	_, addrB := startRealDaemon(t)
+
+	// A is reachable only through the gate, which delays each loading-set
+	// chunk and counts what it sends. The lazy tail is held until the
+	// test ends, so every chunk byte B fetches in the pass is counted.
+	var mu sync.Mutex
+	ls := map[string]bool{}
+	var delay time.Duration
+	var sent int64
+	release := make(chan struct{})
+	inner := dA.Handler()
+	gate := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		dg, ok := strings.CutPrefix(r.URL.Path, "/chunks/")
+		if !ok {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		mu.Lock()
+		eager, d := ls[dg], delay
+		mu.Unlock()
+		if !eager {
+			select {
+			case <-release:
+			case <-r.Context().Done():
+				return
+			}
+			inner.ServeHTTP(w, r)
+			return
+		}
+		time.Sleep(d)
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		mu.Lock()
+		sent += int64(rec.Body.Len())
+		mu.Unlock()
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
+	// On the way out open the gate first: Close waits for held requests.
+	defer gate.Close()
+	defer close(release)
+	addrA := gate.Listener.Addr().String()
+	g := newTestGateway(t, Config{Replicas: 1, Backends: []string{addrA, addrB}})
+
+	const fn = "bigrepair-alpha"
+	if st := daemonJSON(t, "PUT", gate.URL+"/functions/"+fn, chunkSyncSpec(fn), nil); st != http.StatusOK {
+		t.Fatalf("register on A = %d", st)
+	}
+	if st := daemonJSON(t, "POST", gate.URL+"/functions/"+fn+"/record",
+		map[string]string{"input": "A"}, nil); st != http.StatusOK {
+		t.Fatalf("record on A = %d", st)
+	}
+	var cm struct {
+		Chunks []struct {
+			Digest     string `json:"digest"`
+			LoadingSet bool   `json:"loading_set"`
+		} `json:"chunks"`
+	}
+	daemonJSON(t, "GET", gate.URL+"/functions/"+fn+"/chunkmap", nil, &cm)
+	mu.Lock()
+	for _, c := range cm.Chunks {
+		if c.LoadingSet {
+			ls[c.Digest] = true
+		}
+	}
+	if len(ls) == 0 {
+		mu.Unlock()
+		t.Fatal("chunk map has no loading set")
+	}
+	delay = 2500 * time.Millisecond / time.Duration(len(ls))
+	mu.Unlock()
+
+	start := time.Now()
+	g.CheckNow()
+	if n := g.ResyncNow(); n != 2 {
+		t.Fatalf("resync actions = %d, want 2 (register + chunk-sync)", n)
+	}
+	if el := time.Since(start); el <= probeTimeout {
+		t.Fatalf("the pass took %v; the gate should hold the sync past the %v probe bound", el, probeTimeout)
+	}
+	var info struct {
+		HasSnapshot bool `json:"has_snapshot"`
+	}
+	if st := daemonJSON(t, "GET", "http://"+addrB+"/functions/"+fn, nil, &info); st != http.StatusOK || !info.HasSnapshot {
+		t.Fatalf("standby after one pass: status=%d info=%+v", st, info)
+	}
+	if v := metricValue(t, g, `faasnap_gw_resync_total{action="chunks",backend="`+addrB+`"}`); v != 1 {
+		t.Fatalf(`resync action "chunks" = %v, want 1`, v)
+	}
+	mu.Lock()
+	fetched := sent
+	mu.Unlock()
+	if v := metricValue(t, g, `faasnap_gw_resync_chunk_bytes_total{backend="`+addrB+`"}`); fetched == 0 || int64(v) != fetched {
+		t.Fatalf("resync chunk bytes = %v, want the %d bytes the standby fetched", v, fetched)
 	}
 }
 

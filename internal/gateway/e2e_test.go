@@ -204,7 +204,6 @@ func TestGatewayE2E(t *testing.T) {
 		Backends:       addrs,
 		HealthInterval: 25 * time.Millisecond,
 		RequestTimeout: 10 * time.Second,
-		RetryAttempts:  3,
 		Replicas:       1,
 	})
 
@@ -402,7 +401,6 @@ func TestGatewayE2EResync(t *testing.T) {
 		Backends:       addrs,
 		HealthInterval: 25 * time.Millisecond,
 		RequestTimeout: 10 * time.Second,
-		RetryAttempts:  3,
 		Replicas:       1,
 	})
 

@@ -99,8 +99,8 @@ func TestGatewayMetricsLint(t *testing.T) {
 	f1, f2 := newFakeBackend(t), newFakeBackend(t)
 	g := newTestGateway(t, Config{}, f1, f2)
 	gwInvoke(t, g, "lint-fn")
-	g.pool.CheckNow()
-	g.pool.ResyncNow()
+	g.CheckNow()
+	g.ResyncNow()
 
 	out := gwScrape(g)
 	nameRe := regexp.MustCompile(`^faasnap_gw_[a-z0-9_]+$`)
@@ -241,8 +241,8 @@ func TestEventsSmoke(t *testing.T) {
 		map[string]string{"input": "A"}, nil); st != http.StatusOK {
 		t.Fatalf("record on A = %d", st)
 	}
-	g.pool.CheckNow()
-	if n := g.pool.ResyncNow(); n != 2 {
+	g.CheckNow()
+	if n := g.ResyncNow(); n != 2 {
 		t.Fatalf("resync actions = %d, want 2 (register + chunk-sync)", n)
 	}
 
@@ -317,8 +317,8 @@ func TestRepairCausalityChain(t *testing.T) {
 		map[string]string{"input": "A"}, nil); st != http.StatusOK {
 		t.Fatalf("record on A = %d", st)
 	}
-	g.pool.CheckNow()
-	if n := g.pool.ResyncNow(); n != 4 {
+	g.CheckNow()
+	if n := g.ResyncNow(); n != 4 {
 		t.Fatalf("initial resync actions = %d, want 4 (register + chunk-sync on B and C)", n)
 	}
 	waitCASDrained(t, "http://"+addrB)
@@ -363,8 +363,8 @@ func TestRepairCausalityChain(t *testing.T) {
 
 	// The sweep's status read makes B announce the deficit, and the
 	// repair pass issues exactly one eager chunk sync.
-	g.pool.CheckNow()
-	if n := g.pool.ResyncNow(); n != 1 {
+	g.CheckNow()
+	if n := g.ResyncNow(); n != 1 {
 		t.Fatalf("repair pass actions = %d, want 1", n)
 	}
 
@@ -416,8 +416,8 @@ func TestRepairCausalityChain(t *testing.T) {
 
 	// Converged: the next clean pass closes the chain, citing the
 	// repair event in the gateway's own ledger.
-	g.pool.CheckNow()
-	if n := g.pool.ResyncNow(); n != 0 {
+	g.CheckNow()
+	if n := g.ResyncNow(); n != 0 {
 		t.Fatalf("converged pass issued %d actions", n)
 	}
 	var converged *events.Event

@@ -1,7 +1,7 @@
 package gateway
 
 // The request path against scripted in-process backends (a RoundTripper
-// behind the gateway's own clients — no sockets, no timers): the one
+// behind the gateway's one client — no sockets, no timers): the one
 // classification of an attempt, column by column, and a seeded model of
 // the forward path's bookkeeping — in-flight counts, breaker probe
 // slots, routability — under a fake clock.
@@ -154,9 +154,8 @@ func newScriptedGateway(t *testing.T, net *scriptedNet, cfg Config, addrs ...str
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.pool.client = &http.Client{Transport: net}
-	g.proxy = &http.Client{Transport: net}
-	g.pool.CheckNow()
+	g.client.Transport = net
+	g.CheckNow()
 	net.handler = g.Handler()
 	return g
 }
@@ -174,9 +173,10 @@ func (n *scriptedNet) send(method, path string) *httptest.ResponseRecorder {
 // by row, through each of the three handlers that send to backends: the
 // verdict a backend's breaker draws from an answer does not depend on
 // which handler asked. A verdict is read off the breaker's behaviour —
-// with threshold 2 and one failure on the books, an unhealthy answer
-// opens it, a healthy one resets the streak (one more failure does not
-// open it), and no verdict leaves the streak alone (one more does).
+// with all but one of its threshold's failures on the books, an
+// unhealthy answer opens it, a healthy one resets the streak (one more
+// failure does not open it), and no verdict leaves the streak alone
+// (one more does).
 func TestAttemptClassification(t *testing.T) {
 	rows := []struct {
 		a    action
@@ -202,9 +202,11 @@ func TestAttemptClassification(t *testing.T) {
 	for _, row := range rows {
 		for _, col := range columns {
 			net := &scriptedNet{script: map[string]action{"b:1": row.a}}
-			g := newScriptedGateway(t, net, Config{BreakerThreshold: 2, BreakerCooldown: time.Hour}, "b:1")
+			g := newScriptedGateway(t, net, Config{}, "b:1")
 			br := g.pool.backends["b:1"].breaker
-			br.Report(resilience.Unhealthy)
+			for i := 1; i < breakerThreshold; i++ {
+				br.Report(resilience.Unhealthy)
+			}
 			net.send(col.method, col.path)
 			got := resilience.Unhealthy
 			if br.State() == resilience.Closed {
@@ -237,8 +239,6 @@ type forwardModel struct {
 	log         []string
 }
 
-const modelCooldown = time.Second
-
 func newForwardModel(t *testing.T, seed int64) *forwardModel {
 	m := &forwardModel{t: t, seed: seed, rng: rand.New(rand.NewSource(seed)), now: time.Unix(0, 0),
 		addrs: []string{"b0:1", "b1:1", "b2:1"}, lastHealthy: map[string]bool{}}
@@ -249,9 +249,7 @@ func newForwardModel(t *testing.T, seed int64) *forwardModel {
 		}
 	}}
 	m.g = newScriptedGateway(t, m.net, Config{
-		RequestTimeout:   time.Hour, // deadlines are the script's to fire
-		BreakerThreshold: 1 + m.rng.Intn(3),
-		BreakerCooldown:  modelCooldown,
+		RequestTimeout: time.Hour, // deadlines are the script's to fire
 	}, m.addrs...)
 	for _, b := range m.g.pool.snapshot() {
 		b.breaker.SetClock(func() time.Time { return m.now })
@@ -296,8 +294,8 @@ func (m *forwardModel) step() {
 	m.logf("step")
 	for n := 1 + m.rng.Intn(4); n > 0; n-- {
 		if m.rng.Intn(2) == 0 {
-			m.now = m.now.Add(modelCooldown)
-			m.logf("  clock +%v", modelCooldown)
+			m.now = m.now.Add(breakerCooldown)
+			m.logf("  clock +%v", breakerCooldown)
 		}
 		var script [3]action
 		for i := range script {
@@ -334,8 +332,8 @@ func (m *forwardModel) invariants() {
 	// serves what is routed to it. (This closes every breaker, which is
 	// why a step is a burst: the sequences that matter play out inside
 	// one.)
-	m.now = m.now.Add(modelCooldown)
-	m.logf("  clock +%v, probing every backend:", modelCooldown)
+	m.now = m.now.Add(breakerCooldown)
+	m.logf("  clock +%v, probing every backend:", breakerCooldown)
 	m.mustServe(allOK)
 }
 

@@ -10,7 +10,6 @@
 package gateway
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -20,6 +19,7 @@ import (
 	"os"
 	"sort"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -48,40 +48,40 @@ type Config struct {
 	Backends []string
 	// Logger receives operational logs; nil discards them.
 	Logger *log.Logger
-	// Registry backs GET /metrics; nil creates a private one.
-	Registry *telemetry.Registry
 	// HealthInterval is the GET /status sweep period (default 1s).
 	HealthInterval time.Duration
 	// RequestTimeout bounds one client request across every backend
-	// attempt (default 30s); expiry returns 504.
+	// attempt, and one anti-entropy repair (default 30s); a client
+	// request that runs it out gets 504.
 	RequestTimeout time.Duration
-	// RetryAttempts is the most backends one request may be sent to
-	// (default 3).
-	RetryAttempts int
 	// Replicas is how many standby backends receive function
 	// registration and snapshot recording besides the owner (default 1).
 	Replicas int
 	// MaxPerBackend is the per-backend in-flight load above which the
 	// owner is considered saturated and spilled over (default 256).
 	MaxPerBackend int64
-	// BreakerThreshold / BreakerCooldown tune the per-backend circuit
-	// breakers (defaults 3 failures, 2s).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
-	// VNodes is the ring's virtual-node count per backend (default 64).
-	VNodes int
 	// QuietHTTP drops the per-request access log line entirely (for load
 	// benchmarks; telemetry still counts every request). Scrape noise
 	// (/metrics, /healthz) is never logged regardless.
 	QuietHTTP bool
 }
 
+const (
+	// retryAttempts is the most backends one request may be sent to.
+	retryAttempts = 3
+	// A backend's circuit breaker opens after breakerThreshold unhealthy
+	// attempts in a row and admits one probe breakerCooldown later.
+	breakerThreshold = 3
+	breakerCooldown  = 2 * time.Second
+	// probeTimeout bounds one backend's answer to the status sweep and
+	// to each fan-out of GET /functions and the /cluster roll-ups, so a
+	// backend that never answers costs a sweep or a roll-up this much.
+	probeTimeout = 2 * time.Second
+)
+
 func (c Config) withDefaults() Config {
 	if c.Logger == nil {
 		c.Logger = log.New(os.Stderr, "faasnap-gw: ", log.LstdFlags)
-	}
-	if c.Registry == nil {
-		c.Registry = telemetry.NewRegistry()
 	}
 	if c.HealthInterval == 0 {
 		c.HealthInterval = time.Second
@@ -89,20 +89,11 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout == 0 {
 		c.RequestTimeout = 30 * time.Second
 	}
-	if c.RetryAttempts == 0 {
-		c.RetryAttempts = 3
-	}
 	if c.Replicas == 0 {
 		c.Replicas = 1
 	}
 	if c.MaxPerBackend == 0 {
 		c.MaxPerBackend = 256
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 3
-	}
-	if c.BreakerCooldown == 0 {
-		c.BreakerCooldown = 2 * time.Second
 	}
 	return c
 }
@@ -121,9 +112,22 @@ type Gateway struct {
 	events *events.Ledger
 	traces *trace.Store
 
-	// proxy is the client for forwarded requests; per-request deadlines
-	// come from contexts, not a client timeout.
-	proxy *http.Client
+	// client carries every request to a backend. It has no timeout of
+	// its own: each call's context carries the deadline of whoever
+	// waits on it (GATEWAY.md, "Deadlines").
+	client *http.Client
+
+	// ctx scopes the health loop — sweeps and the repairs they issue —
+	// and Close cancels it; done closes when the loop has exited.
+	ctx    context.Context
+	cancel context.CancelFunc
+	done   chan struct{}
+	// resyncMu makes anti-entropy passes one at a time, ticker and
+	// callers alike; under it, lastRepairSeq remembers each backend's
+	// most recent repair event so the converged event a later pass
+	// emits can cite it as cause_seq.
+	resyncMu      sync.Mutex
+	lastRepairSeq map[string]uint64
 
 	traceSeq atomic.Uint64
 }
@@ -135,7 +139,7 @@ func New(cfg Config) (*Gateway, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.pool.start()
+	g.start()
 	return g, nil
 }
 
@@ -146,25 +150,25 @@ func build(cfg Config) (*Gateway, error) {
 		return nil, fmt.Errorf("gateway: no backends configured")
 	}
 	g := &Gateway{
-		cfg:    cfg,
-		log:    cfg.Logger,
-		reg:    cfg.Registry,
-		events: events.NewLedger(0),
-		traces: trace.NewStore(0),
-		proxy:  &http.Client{},
+		cfg:           cfg,
+		log:           cfg.Logger,
+		reg:           telemetry.NewRegistry(),
+		events:        events.NewLedger(0),
+		traces:        trace.NewStore(0),
+		client:        &http.Client{},
+		done:          make(chan struct{}),
+		lastRepairSeq: make(map[string]uint64),
 	}
-	g.pool = newPool(cfg.Backends, cfg.VNodes, cfg.HealthInterval, cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Registry)
-	g.pool.replicas = cfg.Replicas
-	// Wired before start: the first sweep (and its anti-entropy pass)
-	// runs synchronously inside it.
-	g.pool.events = g.events
-	g.pool.traces = g.traces
+	g.ctx, g.cancel = context.WithCancel(context.Background())
+	g.pool = newPool(cfg.Backends, g.reg, g.events)
 	return g, nil
 }
 
-// Close stops the health loop.
+// Close stops the health loop, cutting short whatever sweep or repair
+// it has in flight.
 func (g *Gateway) Close() {
-	g.pool.close()
+	g.cancel()
+	<-g.done
 	g.events.Close()
 }
 
@@ -316,20 +320,12 @@ type proxyResult struct {
 // daemon's flight recorder attributes profiles to) are copied onto the
 // outgoing request.
 func (g *Gateway) do(ctx context.Context, b *Backend, method, path string, query string, body []byte, sc telemetry.SpanContext, extra ...http.Header) (proxyResult, error) {
-	url := "http://" + b.Addr + path
 	if query != "" {
-		url += "?" + query
+		path += "?" + query
 	}
-	var rd io.Reader
-	if len(body) > 0 {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, rd)
+	req, err := newRequest(ctx, b, method, path, body)
 	if err != nil {
 		return proxyResult{}, err
-	}
-	if len(body) > 0 {
-		req.Header.Set("Content-Type", "application/json")
 	}
 	for _, h := range extra {
 		for k, vs := range h {
@@ -341,7 +337,7 @@ func (g *Gateway) do(ctx context.Context, b *Backend, method, path string, query
 	telemetry.Inject(req.Header, sc)
 	b.inflight.Add(1)
 	start := time.Now()
-	resp, err := g.proxy.Do(req)
+	resp, err := g.client.Do(req)
 	g.reg.Histogram("faasnap_gw_backend_seconds",
 		"Wall time of forwarded backend requests, by backend.",
 		telemetry.L("backend", b.Addr)).Observe(time.Since(start))
@@ -449,7 +445,7 @@ func (g *Gateway) handleForward(w http.ResponseWriter, r *http.Request) {
 	var lastMiss *proxyResult
 	var lastErr error
 	for _, b := range cands {
-		if attempts >= g.cfg.RetryAttempts {
+		if attempts >= retryAttempts {
 			break
 		}
 		if ctx.Err() != nil {
@@ -630,30 +626,18 @@ func (g *Gateway) handleFanout(w http.ResponseWriter, r *http.Request) {
 // deduplicating by name and annotating each entry with the backends
 // that hold it.
 func (g *Gateway) handleListAll(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
-	defer cancel()
+	per, addrs := fanOut[[]map[string]interface{}](r.Context(), g, "/functions")
 	merged := make(map[string]map[string]interface{})
-	for _, b := range g.pool.snapshot() {
-		if !b.Ready() {
-			continue
-		}
-		res, err := g.do(ctx, b, http.MethodGet, "/functions", "", nil, telemetry.SpanContext{})
-		if err != nil || res.status != http.StatusOK {
-			continue
-		}
-		var list []map[string]interface{}
-		if json.Unmarshal(res.body, &list) != nil {
-			continue
-		}
-		for _, entry := range list {
+	for _, addr := range addrs {
+		for _, entry := range *per[addr] {
 			name, _ := entry["name"].(string)
 			if name == "" {
 				continue
 			}
 			if have, ok := merged[name]; ok {
-				have["backends"] = append(have["backends"].([]string), b.Addr)
+				have["backends"] = append(have["backends"].([]string), addr)
 			} else {
-				entry["backends"] = []string{b.Addr}
+				entry["backends"] = []string{addr}
 				merged[name] = entry
 			}
 		}

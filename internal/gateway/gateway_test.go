@@ -14,6 +14,7 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,6 +58,11 @@ type fakeBackend struct {
 	syncs    atomic.Int64
 	syncFail atomic.Bool
 	deletes  atomic.Int64
+	// wedged makes the backend answer GET /status and hold every other
+	// request until its caller gives up, signalling parked as each one
+	// arrives.
+	wedged atomic.Bool
+	parked chan struct{}
 }
 
 // serveScripted writes a scripted JSON body, or 404 when unset.
@@ -127,8 +133,13 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 		f.deletes.Add(1)
 		w.WriteHeader(http.StatusNoContent)
 	})
+	mux.HandleFunc("GET /functions", func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		fmt.Fprintf(w, `[{"name":"on-%s"}]`, r.Host)
+	})
 	f.hits = make(map[string]int)
 	f.queries = make(map[string]string)
+	f.parked = make(chan struct{}, 8)
 	f.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if f.down.Load() {
 			panic(http.ErrAbortHandler)
@@ -137,6 +148,14 @@ func newFakeBackend(t *testing.T) *fakeBackend {
 		f.hits[r.Method+" "+r.URL.Path]++
 		f.queries[r.Method+" "+r.URL.Path] = r.URL.RawQuery
 		f.hitsMu.Unlock()
+		if f.wedged.Load() && r.URL.Path != "/status" {
+			select {
+			case f.parked <- struct{}{}:
+			default:
+			}
+			<-r.Context().Done()
+			return
+		}
 		mux.ServeHTTP(w, r)
 	}))
 	f.addr = strings.TrimPrefix(f.srv.URL, "http://")
@@ -259,7 +278,7 @@ func TestSpilloverWhenOwnerUnready(t *testing.T) {
 	g := newTestGateway(t, Config{}, fakes...)
 	oi := ownerIndex(t, g, "fn-a", fakes)
 	fakes[oi].ready.Store(false)
-	g.pool.CheckNow()
+	g.CheckNow()
 
 	// Load the second-preference backend so least-loaded wins over ring
 	// order.
@@ -296,9 +315,10 @@ func TestSpilloverWhenOwnerSaturated(t *testing.T) {
 // An open breaker skips the owner without spending an attempt on it.
 func TestSpilloverWhenBreakerOpen(t *testing.T) {
 	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t), newFakeBackend(t)}
-	g := newTestGateway(t, Config{BreakerThreshold: 3, BreakerCooldown: time.Hour}, fakes...)
+	g := newTestGateway(t, Config{}, fakes...)
 	oi := ownerIndex(t, g, "fn-a", fakes)
 	ob, _ := g.pool.backend(fakes[oi].addr)
+	ob.breaker.SetClock(func() time.Time { return time.Unix(0, 0) }) // the cooldown never runs out
 	for i := 0; i < 3; i++ {
 		ob.breaker.Report(resilience.Unhealthy)
 	}
@@ -461,11 +481,10 @@ func TestDeadlinePropagation(t *testing.T) {
 // (A probe that returned without reporting used to hold the slot for
 // good: every later invoke was a 503 from a breaker stuck half-open.)
 func TestProbeWithoutVerdictReleasesBreaker(t *testing.T) {
-	const cooldown = 50 * time.Millisecond
 	for _, how := range []string{"deadline", "client-cancel"} {
 		t.Run(how, func(t *testing.T) {
 			f := newFakeBackend(t)
-			g := newTestGateway(t, Config{RequestTimeout: 100 * time.Millisecond, BreakerThreshold: 1, BreakerCooldown: cooldown}, f)
+			g := newTestGateway(t, Config{RequestTimeout: 100 * time.Millisecond}, f)
 			// handled signals each request the gateway has finished with —
 			// its verdict is in by then — which a client that hung up
 			// cannot learn from a reply.
@@ -476,6 +495,11 @@ func TestProbeWithoutVerdictReleasesBreaker(t *testing.T) {
 			}))
 			defer srv.Close()
 			b, _ := g.pool.backend(f.addr)
+			var cooldowns atomic.Int64 // breaker cooldowns elapsed on its clock
+			start := time.Now()
+			b.breaker.SetClock(func() time.Time {
+				return start.Add(time.Duration(cooldowns.Load()) * breakerCooldown)
+			})
 			invoke := func(want int, wantBreaker string) {
 				t.Helper()
 				rep := gwInvokeURL(t, srv.URL, "fn-a")
@@ -486,10 +510,13 @@ func TestProbeWithoutVerdictReleasesBreaker(t *testing.T) {
 			}
 
 			f.invoke.Store(func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusInternalServerError) })
+			for i := 1; i < breakerThreshold; i++ {
+				invoke(http.StatusServiceUnavailable, "closed")
+			}
 			invoke(http.StatusServiceUnavailable, "open")
 
 			// The probe hangs until whoever is waiting on it gives up.
-			time.Sleep(cooldown)
+			cooldowns.Add(1)
 			arrived, release := make(chan struct{}, 1), make(chan struct{})
 			defer close(release) // a handler still hung would block the fake's Close
 			f.invoke.Store(func(w http.ResponseWriter, r *http.Request) {
@@ -521,7 +548,7 @@ func TestProbeWithoutVerdictReleasesBreaker(t *testing.T) {
 			}
 
 			f.invoke.Store(func(w http.ResponseWriter, r *http.Request) { fmt.Fprint(w, `{"ok":true}`) })
-			time.Sleep(cooldown)
+			cooldowns.Add(1)
 			invoke(http.StatusOK, "closed")
 		})
 	}
@@ -566,7 +593,7 @@ func TestClusterEndpoint(t *testing.T) {
 	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t)}
 	fakes[1].ready.Store(false)
 	g := newTestGateway(t, Config{}, fakes...)
-	g.pool.CheckNow()
+	g.CheckNow()
 	srv := httptest.NewServer(g.Handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/cluster?fn=hello-world")
@@ -612,8 +639,8 @@ func TestSweepShape(t *testing.T) {
 	}
 
 	for round := 1; round <= 3; round++ {
-		g.pool.CheckNow()
-		g.pool.ResyncNow()
+		g.CheckNow()
+		g.ResyncNow()
 		for i, f := range fakes {
 			if hits := f.takeHits(); len(hits) != 1 || hits["GET /status"] != 1 {
 				t.Fatalf("sweep %d: backend %d saw %v, want exactly one GET /status", round, i, hits)
@@ -666,6 +693,72 @@ func TestSweepShape(t *testing.T) {
 				t.Fatalf("filter %v: backend %d got query %v (%v), want %v", filter, i, got, err, want)
 			}
 		}
+	}
+}
+
+// TestListAllSurvivesWedgedBackend: GET /functions asks the ready
+// backends concurrently, each under the probe bound, so one that never
+// answers costs the list that bound and leaves out itself alone — not
+// the whole request deadline and every backend after it in address
+// order.
+func TestListAllSurvivesWedgedBackend(t *testing.T) {
+	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t), newFakeBackend(t)}
+	sort.Slice(fakes, func(i, j int) bool { return fakes[i].addr < fakes[j].addr })
+	fakes[0].wedged.Store(true)
+	g := newTestGateway(t, Config{RequestTimeout: 5 * time.Second}, fakes...)
+	srv := httptest.NewServer(g.Handler())
+	defer srv.Close()
+
+	start := time.Now()
+	var list []struct {
+		Name     string   `json:"name"`
+		Backends []string `json:"backends"`
+	}
+	if sc := e2eGet(t, srv.URL+"/functions", &list); sc != 200 {
+		t.Fatalf("GET /functions = %d", sc)
+	}
+	if el := time.Since(start); el > probeTimeout+time.Second {
+		t.Errorf("GET /functions took %v with one backend wedged; the probe bound is %v", el, probeTimeout)
+	}
+	var got []string
+	for _, e := range list {
+		got = append(got, e.Name+"@"+strings.Join(e.Backends, ","))
+	}
+	want := []string{"on-" + fakes[1].addr + "@" + fakes[1].addr, "on-" + fakes[2].addr + "@" + fakes[2].addr}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("GET /functions listed %v, want %v", got, want)
+	}
+}
+
+// TestCloseCutsRepairShort: the sweep's repairs run under the gateway's
+// own context, so Close returns at once even while a repair is parked
+// on a backend that never answers.
+func TestCloseCutsRepairShort(t *testing.T) {
+	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t)}
+	cfg := Config{HealthInterval: 10 * time.Millisecond, Logger: log.New(io.Discard, "", 0)}
+	for _, f := range fakes {
+		scriptManifest(f, "d-empty")
+		cfg.Backends = append(cfg.Backends, f.addr)
+	}
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefs := prefFakes(t, g, "hello-world", 2, fakes)
+	owner, standby := prefs[0], prefs[1]
+	standby.wedged.Store(true)
+	scriptManifest(owner, "d-owner", liveEntry("hello-world", 1, false, ""))
+	select {
+	case <-standby.parked: // the register replay reached the standby, which holds it
+	case <-time.After(10 * time.Second):
+		g.Close()
+		t.Fatal("no repair reached the wedged standby")
+	}
+
+	start := time.Now()
+	g.Close()
+	if el := time.Since(start); el >= 100*time.Millisecond {
+		t.Fatalf("Close took %v with a repair parked", el)
 	}
 }
 

@@ -1,7 +1,7 @@
 package gateway
 
 // A deterministic model of the replica-state protocol: in-memory model
-// daemons behind the gateway's own http.Clients (an in-process
+// daemons behind the gateway's own http.Client (an in-process
 // RoundTripper — no sockets, no sleeps), the real CheckNow / ResyncNow /
 // fan-out handlers on top, and a seeded schedule of client mutations
 // and faults. The model daemons implement the daemon's side of the
@@ -75,6 +75,10 @@ type modelNet struct {
 	// last answered GET /status ready.
 	sweep int
 	seen  map[string]int
+	// resyncing is set while the schedule is inside ResyncNow: every
+	// request issued then is a repair, every other one a status probe or
+	// a client's.
+	resyncing bool
 	// violations collects broken invariants as they happen.
 	violations []string
 }
@@ -83,16 +87,8 @@ func (m *modelNet) violate(format string, args ...interface{}) {
 	m.violations = append(m.violations, fmt.Sprintf(format, args...))
 }
 
-// transport is one of the gateway's two clients: repair marks the
-// pool's (status sweeps and repairs) against the proxy's (client
-// mutations through the fan-out).
-type modelTransport struct {
-	net    *modelNet
-	repair bool
-}
-
-func (t modelTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	m := t.net
+// RoundTrip makes the cluster the gateway's transport.
+func (m *modelNet) RoundTrip(req *http.Request) (*http.Response, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	addr := req.URL.Host
@@ -100,11 +96,11 @@ func (t modelTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	if n == nil || !n.up {
 		return nil, fmt.Errorf("dial %s: connection refused", addr)
 	}
-	if t.repair && req.URL.Path != "/status" && m.seen[addr] != m.sweep {
+	if m.resyncing && m.seen[addr] != m.sweep {
 		m.violate("repair %s %s reached %s, which had no status in sweep %d", req.Method, req.URL.Path, addr, m.sweep)
 	}
 	rec := httptest.NewRecorder()
-	m.serve(rec, req, addr, n, t.repair)
+	m.serve(rec, req, addr, n, m.resyncing)
 	return rec.Result(), nil
 }
 
@@ -313,8 +309,7 @@ func newModelRun(t *testing.T, seed int64) *modelRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.pool.client = &http.Client{Transport: modelTransport{net: r.net, repair: true}}
-	g.proxy = &http.Client{Transport: modelTransport{net: r.net}}
+	g.client.Transport = r.net
 	r.g = g
 	return r
 }
@@ -337,13 +332,15 @@ func (r *modelRun) client(method, path, body string) int {
 
 func (r *modelRun) check() {
 	r.net.sweep++
-	r.g.pool.CheckNow()
+	r.g.CheckNow()
 	r.fresh = true
 }
 
 func (r *modelRun) resync() int {
 	r.fresh = false
-	return r.g.pool.ResyncNow()
+	r.net.resyncing = true
+	defer func() { r.net.resyncing = false }()
+	return r.g.ResyncNow()
 }
 
 // step runs one random schedule operation.

@@ -63,7 +63,6 @@ func TestObservabilityE2E(t *testing.T) {
 		Backends:       addrs,
 		HealthInterval: 25 * time.Millisecond,
 		RequestTimeout: 10 * time.Second,
-		RetryAttempts:  3,
 		Replicas:       1,
 	})
 

@@ -3,7 +3,8 @@ package gateway
 // The gateway half of the observability plane: cluster roll-ups over
 // the per-daemon SLO engines, flight recorders and event ledgers. Each
 // /cluster/* roll-up asks the ready backends when it is asked — one
-// fan-out (fanOut) behind all three — and merges the answers, so one
+// fan-out (fanOut) behind all three, and behind GET /functions — and
+// merges the answers, so one
 // request answers "is the cluster meeting its objectives, and which
 // functions/backends are burning budget" from what the daemons hold
 // now, not from a cache a sweep refreshed.
@@ -26,10 +27,11 @@ import (
 
 // fanOut GETs path from every ready backend concurrently and returns
 // the 2xx JSON answers keyed by backend address, plus those addresses
-// in backend order. A backend that cannot answer (down, or without the
-// endpoint) contributes nothing to this poll.
-func fanOut[T any](ctx context.Context, p *Pool, path string) (map[string]*T, []string) {
-	backends := p.snapshot()
+// in backend order. A backend that cannot answer within probeTimeout
+// (down, wedged, or without the endpoint) contributes nothing to this
+// poll.
+func fanOut[T any](ctx context.Context, g *Gateway, path string) (map[string]*T, []string) {
+	backends := g.pool.snapshot()
 	outs := make([]*T, len(backends))
 	var wg sync.WaitGroup
 	for i, b := range backends {
@@ -39,8 +41,10 @@ func fanOut[T any](ctx context.Context, p *Pool, path string) (map[string]*T, []
 		wg.Add(1)
 		go func(i int, b *Backend) {
 			defer wg.Done()
+			ctx, cancel := context.WithTimeout(ctx, probeTimeout)
+			defer cancel()
 			out := new(T)
-			if p.callBackend(ctx, b, http.MethodGet, path, nil, out) == nil {
+			if g.callBackend(ctx, b, http.MethodGet, path, nil, out) == nil {
 				outs[i] = out
 			}
 		}(i, b)
@@ -61,7 +65,7 @@ func fanOut[T any](ctx context.Context, p *Pool, path string) (map[string]*T, []
 // answers: the merged report, its burning functions (never nil), and
 // each backend's own report by address.
 func (g *Gateway) clusterSLO(ctx context.Context) (*slo.Report, []string, map[string]*slo.Report) {
-	per, addrs := fanOut[slo.Report](ctx, g.pool, "/slo")
+	per, addrs := fanOut[slo.Report](ctx, g, "/slo")
 	reports := make([]*slo.Report, 0, len(addrs))
 	for _, a := range addrs {
 		reports = append(reports, per[a])
@@ -90,7 +94,7 @@ func (g *Gateway) handleClusterSLO(w http.ResponseWriter, r *http.Request) {
 // flight-recorder aggregation (see obs.MergeSummaries for how counts
 // and quantiles combine) plus each backend's own summary.
 func (g *Gateway) handleClusterProfiles(w http.ResponseWriter, r *http.Request) {
-	per, addrs := fanOut[obs.Summary](r.Context(), g.pool, "/profiles?summary=1")
+	per, addrs := fanOut[obs.Summary](r.Context(), g, "/profiles?summary=1")
 	sums := make([]*obs.Summary, 0, len(addrs))
 	for _, a := range addrs {
 		sums = append(sums, per[a])
@@ -137,7 +141,7 @@ func (g *Gateway) handleClusterEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	per, addrs := fanOut[struct {
 		Events []events.Event `json:"events"`
-	}](r.Context(), g.pool, "/events?"+fwd.Encode())
+	}](r.Context(), g, "/events?"+fwd.Encode())
 	for _, a := range addrs {
 		for _, e := range per[a].Events {
 			e.Origin = a

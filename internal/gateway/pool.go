@@ -24,7 +24,6 @@ import (
 	"faasnap/internal/events"
 	"faasnap/internal/resilience"
 	"faasnap/internal/telemetry"
-	"faasnap/internal/trace"
 )
 
 // Backend is one faasnapd the gateway routes to.
@@ -128,44 +127,16 @@ func (b *Backend) status() BackendStatus {
 	return st
 }
 
-// Pool owns the backend set, the placement ring, and the health loop.
+// Pool owns the backend set and the placement ring.
 type Pool struct {
 	ring     *Ring
-	client   *http.Client
-	interval time.Duration
-	reg      *telemetry.Registry
-	// replicas is the gateway's standby count: a function's replica set
-	// (the anti-entropy repair scope) is the ring owner + replicas.
-	replicas int
-
 	backends map[string]*Backend // fixed at construction
-
-	// events/traces are the gateway's ledger and trace store, wired by
-	// New before start; nil in bare-pool tests. resyncMu makes
-	// anti-entropy passes one at a time, ticker and callers alike;
-	// under it, lastRepairSeq remembers each backend's most recent
-	// repair event so the converged event a later pass emits can cite it
-	// as cause_seq.
-	events        *events.Ledger
-	traces        *trace.Store
-	resyncMu      sync.Mutex
-	lastRepairSeq map[string]uint64
-
-	stop chan struct{}
-	done chan struct{}
 }
 
-func newPool(addrs []string, vnodes int, interval time.Duration, breakerThreshold int, breakerCooldown time.Duration, reg *telemetry.Registry) *Pool {
-	p := &Pool{
-		ring:          NewRing(vnodes),
-		client:        &http.Client{Timeout: 2 * time.Second},
-		interval:      interval,
-		reg:           reg,
-		backends:      make(map[string]*Backend),
-		lastRepairSeq: make(map[string]uint64),
-		stop:          make(chan struct{}),
-		done:          make(chan struct{}),
-	}
+// newPool builds the backend set; every breaker transition lands on the
+// per-backend gauge and in ledger.
+func newPool(addrs []string, reg *telemetry.Registry, ledger *events.Ledger) *Pool {
+	p := &Pool{ring: NewRing(0), backends: make(map[string]*Backend)}
 	for _, addr := range addrs {
 		if _, dup := p.backends[addr]; dup {
 			continue
@@ -178,12 +149,10 @@ func newPool(addrs []string, vnodes int, interval time.Duration, breakerThreshol
 		b.breaker = resilience.NewBreaker(breakerThreshold, breakerCooldown,
 			func(s resilience.BreakerState) {
 				gauge.Set(float64(s))
-				if p.events != nil {
-					p.events.Append(events.Event{
-						Type:   events.BreakerTransition,
-						Fields: map[string]string{"backend": addr, "state": s.String()},
-					})
-				}
+				ledger.Append(events.Event{
+					Type:   events.BreakerTransition,
+					Fields: map[string]string{"backend": addr, "state": s.String()},
+				})
 			})
 		p.backends[addr] = b
 		p.ring.Add(addr)
@@ -196,23 +165,23 @@ func newPool(addrs []string, vnodes int, interval time.Duration, breakerThreshol
 // serves its first request; every sweep is followed by an anti-entropy
 // pass so a rejoined-but-stale backend is repaired within one interval
 // of coming back.
-func (p *Pool) start() {
-	sweepHist := p.reg.Histogram("faasnap_gw_sweep_seconds",
+func (g *Gateway) start() {
+	sweepHist := g.reg.Histogram("faasnap_gw_sweep_seconds",
 		"Wall time of one health-check plus anti-entropy sweep across all backends.", nil)
 	sweep := func() {
 		t0 := time.Now()
-		p.CheckNow()
-		p.ResyncNow()
+		g.CheckNow()
+		g.ResyncNow()
 		sweepHist.Observe(time.Since(t0))
 	}
 	sweep()
 	go func() {
-		defer close(p.done)
-		t := time.NewTicker(p.interval)
+		defer close(g.done)
+		t := time.NewTicker(g.cfg.HealthInterval)
 		defer t.Stop()
 		for {
 			select {
-			case <-p.stop:
+			case <-g.ctx.Done():
 				return
 			case <-t.C:
 				sweep()
@@ -221,29 +190,26 @@ func (p *Pool) start() {
 	}()
 }
 
-func (p *Pool) close() {
-	close(p.stop)
-	<-p.done
-}
-
 // CheckNow runs one health + load sweep across all backends,
 // concurrently, and returns when every verdict is in.
-func (p *Pool) CheckNow() {
+func (g *Gateway) CheckNow() {
 	var wg sync.WaitGroup
-	for _, b := range p.snapshot() {
+	for _, b := range g.pool.snapshot() {
 		wg.Add(1)
 		go func(b *Backend) {
 			defer wg.Done()
-			p.check(b)
+			g.check(b)
 		}(b)
 	}
 	wg.Wait()
 }
 
 // check asks one backend its one question and swaps the answer in.
-func (p *Pool) check(b *Backend) {
+func (g *Gateway) check(b *Backend) {
 	v := &backendView{checked: time.Now()}
-	if err := p.callBackend(context.Background(), b, http.MethodGet, "/status", nil, &v.backendState); err != nil {
+	ctx, cancel := context.WithTimeout(g.ctx, probeTimeout)
+	defer cancel()
+	if err := g.callBackend(ctx, b, http.MethodGet, "/status", nil, &v.backendState); err != nil {
 		*v = backendView{checked: v.checked, err: err.Error()}
 	} else if !v.Ready {
 		v.err = "not ready: " + strings.Join(v.Reasons, "; ")
@@ -251,7 +217,7 @@ func (p *Pool) check(b *Backend) {
 	b.view.Store(v)
 
 	gauge := func(name, help string, val float64) {
-		p.reg.Gauge(name, help, telemetry.L("backend", b.Addr)).Set(val)
+		g.reg.Gauge(name, help, telemetry.L("backend", b.Addr)).Set(val)
 	}
 	gauge("faasnap_gw_backend_up",
 		"Backend readiness as seen by the gateway health checker (1 ready).", oneIf(v.Ready))
@@ -271,32 +237,43 @@ func oneIf(b bool) float64 {
 	return 0
 }
 
-// callBackend issues one request against a backend's normal API,
-// decoding a 2xx JSON answer into out when out is non-nil; any other
-// outcome is an error. It carries the sweep's status question, the
-// /cluster roll-ups' fan-out and the repairs — which ride the same
-// endpoints clients use, so every daemon-side invariant (journaling,
-// verification, quarantine) applies to replicated state too.
-func (p *Pool) callBackend(ctx context.Context, b *Backend, method, path string, body []byte, out interface{}) error {
+// newRequest builds every request the gateway sends to a daemon: target
+// is the path, with its query if any, on b's normal API.
+func newRequest(ctx context.Context, b *Backend, method, target string, body []byte) (*http.Request, error) {
 	var rd io.Reader
 	if len(body) > 0 {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, "http://"+b.Addr+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, "http://"+b.Addr+target, rd)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(body) > 0 {
 		req.Header.Set("Content-Type", "application/json")
 	}
-	resp, err := p.client.Do(req)
+	return req, nil
+}
+
+// callBackend issues one request against a backend's normal API,
+// decoding a 2xx JSON answer into out when out is non-nil; any other
+// outcome is an error. It carries the sweep's status question, the
+// fan-outs of GET /functions and the /cluster roll-ups, and the repairs
+// — which ride the same endpoints clients use, so every daemon-side
+// invariant (journaling, verification, quarantine) applies to
+// replicated state too.
+func (g *Gateway) callBackend(ctx context.Context, b *Backend, method, target string, body []byte, out interface{}) error {
+	req, err := newRequest(ctx, b, method, target, body)
+	if err != nil {
+		return err
+	}
+	resp, err := g.client.Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return fmt.Errorf("%s %s returned %d", method, path, resp.StatusCode)
+		return fmt.Errorf("%s %s returned %d", method, target, resp.StatusCode)
 	}
 	if out != nil {
 		return json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(out)

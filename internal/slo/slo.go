@@ -1,7 +1,7 @@
-// Package slo implements per-function service-level objectives with
-// multi-window burn-rate computation in the Google SRE style: a pair
-// of paired windows (fast 5m/1h, slow 30m/6h) over sliding bucketed
-// counters. A burn rate of 1 means the function is consuming error
+// Package slo judges every function against one service-level
+// objective, with multi-window burn-rate computation in the Google SRE
+// style: a pair of paired windows (fast 5m/1h, slow 30m/6h) over
+// sliding bucketed counters. A burn rate of 1 means the function is consuming error
 // budget at exactly the rate that exhausts it at the objective
 // horizon; a fast-window burn > threshold with the paired long window
 // also burning is the page condition. Reports are mergeable so the
@@ -16,9 +16,9 @@ import (
 	"time"
 )
 
-// Objective is a per-function (or default) service objective. Latency
-// is judged against real server wall time; availability against the
-// HTTP outcome class.
+// Objective is the service objective every function is judged
+// against. Latency is judged against real server wall time;
+// availability against the HTTP outcome class.
 type Objective struct {
 	// Latency is the per-request latency bound; a served request slower
 	// than this is "bad" even when it succeeds.
@@ -45,21 +45,12 @@ func (o Objective) withDefaults() Objective {
 	return o
 }
 
-// WindowPair couples a fast window with its confirming slow window:
-// the fast window catches the burn quickly, the long one keeps a
-// short blip from paging.
-type WindowPair struct {
-	Fast time.Duration `json:"fast"`
-	Slow time.Duration `json:"slow"`
-}
-
-// DefaultWindows is the standard multi-window configuration:
-// {5m, 1h} and {30m, 6h}.
-func DefaultWindows() []WindowPair {
-	return []WindowPair{
-		{Fast: 5 * time.Minute, Slow: time.Hour},
-		{Fast: 30 * time.Minute, Slow: 6 * time.Hour},
-	}
+// windows are the burn-rate window pairs, {5m, 1h} and {30m, 6h}: each
+// fast window catches a burn quickly, and its confirming slow window
+// keeps a short blip from paging.
+var windows = [...]struct{ fast, slow time.Duration }{
+	{5 * time.Minute, time.Hour},
+	{30 * time.Minute, 6 * time.Hour},
 }
 
 // windowBuckets is the resolution of each sliding window: counts are
@@ -156,7 +147,6 @@ type Report struct {
 
 // fnState holds one function's engine state.
 type fnState struct {
-	obj       Objective
 	good, bad int64            // lifetime
 	windows   []*slidingWindow // flattened pairs: fast0, slow0, fast1, slow1, ...
 	burning   bool             // last page-condition state, for transition callbacks
@@ -172,12 +162,9 @@ type Gauges interface {
 
 // Config configures an Engine.
 type Config struct {
-	// Default is applied to functions without an explicit objective.
+	// Default is the objective every function is judged against; zero
+	// fields take DefaultObjective's.
 	Default Objective
-	// PerFunction overrides by function name.
-	PerFunction map[string]Objective
-	// Windows are the burn-rate window pairs (DefaultWindows if nil).
-	Windows []WindowPair
 	// Now is the clock (time.Now if nil) — injectable for tests.
 	Now func() time.Time
 	// Gauges, when set, receives burn-rate/attainment updates on Record.
@@ -191,10 +178,9 @@ type Config struct {
 
 // Engine tracks outcomes and computes burn rates.
 type Engine struct {
-	mu      sync.Mutex
-	cfg     Config
-	windows []WindowPair
-	fns     map[string]*fnState
+	mu  sync.Mutex
+	cfg Config
+	fns map[string]*fnState
 }
 
 // New returns an engine with cfg's defaults applied.
@@ -203,41 +189,29 @@ func New(cfg Config) *Engine {
 	if cfg.Now == nil {
 		cfg.Now = time.Now
 	}
-	wins := cfg.Windows
-	if len(wins) == 0 {
-		wins = DefaultWindows()
-	}
-	return &Engine{cfg: cfg, windows: wins, fns: make(map[string]*fnState)}
-}
-
-// Objective returns the objective governing function fn.
-func (e *Engine) Objective(fn string) Objective {
-	if o, ok := e.cfg.PerFunction[fn]; ok {
-		return o.withDefaults()
-	}
-	return e.cfg.Default
+	return &Engine{cfg: cfg, fns: make(map[string]*fnState)}
 }
 
 func (e *Engine) state(fn string) *fnState {
 	st, ok := e.fns[fn]
 	if !ok {
-		st = &fnState{obj: e.Objective(fn)}
-		for _, p := range e.windows {
-			st.windows = append(st.windows, newSlidingWindow(p.Fast), newSlidingWindow(p.Slow))
+		st = &fnState{}
+		for _, p := range windows {
+			st.windows = append(st.windows, newSlidingWindow(p.fast), newSlidingWindow(p.slow))
 		}
 		e.fns[fn] = st
 	}
 	return st
 }
 
-// Judge classifies one served request against fn's objective: good
+// Judge classifies one served request against the objective: good
 // means a 2xx answered within the latency bound. Client errors
 // (4xx other than 429) are excluded from the SLO — they do not count
 // at all — so Judge returns (counted, good).
-func (e *Engine) Judge(fn string, status int, wall time.Duration) (counted, good bool) {
+func (e *Engine) Judge(status int, wall time.Duration) (counted, good bool) {
 	switch {
 	case status/100 == 2:
-		return true, wall <= e.Objective(fn).Latency
+		return true, wall <= e.cfg.Default.Latency
 	case status == 429 || status == 504 || status/100 == 5:
 		return true, false
 	default: // 4xx client errors: not the platform's SLO
@@ -273,10 +247,10 @@ func (e *Engine) Record(fn string, good bool) {
 // burningLocked evaluates the page condition: any fast window burning
 // above 1 with its paired slow window also above 1.
 func (e *Engine) burningLocked(st *fnState, now time.Time) bool {
-	for i := range e.windows {
+	for i := range windows {
 		fg, fb := st.windows[2*i].totals(now)
 		sg, sb := st.windows[2*i+1].totals(now)
-		if burnRate(fg, fb, st.obj.Target) > 1 && burnRate(sg, sb, st.obj.Target) > 1 {
+		if burnRate(fg, fb, e.cfg.Default.Target) > 1 && burnRate(sg, sb, e.cfg.Default.Target) > 1 {
 			return true
 		}
 	}
@@ -302,10 +276,10 @@ func windowLabel(d time.Duration) string {
 }
 
 func (e *Engine) publishLocked(fn string, st *fnState, now time.Time) {
-	for i, p := range e.windows {
-		for j, span := range []time.Duration{p.Fast, p.Slow} {
+	for i, p := range windows {
+		for j, span := range []time.Duration{p.fast, p.slow} {
 			g, b := st.windows[2*i+j].totals(now)
-			e.cfg.Gauges.SetBurnRate(fn, windowLabel(span), burnRate(g, b, st.obj.Target))
+			e.cfg.Gauges.SetBurnRate(fn, windowLabel(span), burnRate(g, b, e.cfg.Default.Target))
 		}
 	}
 	att := 1.0
@@ -318,8 +292,8 @@ func (e *Engine) publishLocked(fn string, st *fnState, now time.Time) {
 func (e *Engine) reportLocked(fn string, st *fnState, now time.Time) FunctionReport {
 	fr := FunctionReport{
 		Function:  fn,
-		LatencyMs: float64(st.obj.Latency) / float64(time.Millisecond),
-		Target:    st.obj.Target,
+		LatencyMs: float64(e.cfg.Default.Latency) / float64(time.Millisecond),
+		Target:    e.cfg.Default.Target,
 		Good:      st.good,
 		Bad:       st.bad,
 	}
@@ -327,14 +301,14 @@ func (e *Engine) reportLocked(fn string, st *fnState, now time.Time) FunctionRep
 	if st.good+st.bad > 0 {
 		fr.Attainment = float64(st.good) / float64(st.good+st.bad)
 	}
-	for i, p := range e.windows {
+	for i, p := range windows {
 		fg, fb := st.windows[2*i].totals(now)
 		sg, sb := st.windows[2*i+1].totals(now)
-		fastBurn := burnRate(fg, fb, st.obj.Target)
-		slowBurn := burnRate(sg, sb, st.obj.Target)
+		fastBurn := burnRate(fg, fb, e.cfg.Default.Target)
+		slowBurn := burnRate(sg, sb, e.cfg.Default.Target)
 		fr.Windows = append(fr.Windows,
-			WindowReport{Window: windowLabel(p.Fast), Good: fg, Bad: fb, BurnRate: fastBurn},
-			WindowReport{Window: windowLabel(p.Slow), Good: sg, Bad: sb, BurnRate: slowBurn},
+			WindowReport{Window: windowLabel(p.fast), Good: fg, Bad: fb, BurnRate: fastBurn},
+			WindowReport{Window: windowLabel(p.slow), Good: sg, Bad: sb, BurnRate: slowBurn},
 		)
 		if fastBurn > 1 && slowBurn > 1 {
 			fr.Burning = true

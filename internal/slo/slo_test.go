@@ -42,7 +42,7 @@ func TestJudgeClassification(t *testing.T) {
 		{400, 0, false, false},
 	}
 	for _, c := range cases {
-		counted, good := e.Judge("f", c.status, c.wall)
+		counted, good := e.Judge(c.status, c.wall)
 		if counted != c.counted || good != c.good {
 			t.Errorf("Judge(%d, %v) = (%v, %v), want (%v, %v)",
 				c.status, c.wall, counted, good, c.counted, c.good)
@@ -106,19 +106,6 @@ func TestWindowExpiry(t *testing.T) {
 	// Lifetime counts never expire.
 	if f.Bad != 10 {
 		t.Errorf("lifetime bad = %d, want 10", f.Bad)
-	}
-}
-
-func TestPerFunctionObjective(t *testing.T) {
-	e := New(Config{
-		Default:     Objective{Latency: 500 * time.Millisecond, Target: 0.99},
-		PerFunction: map[string]Objective{"strict": {Latency: 10 * time.Millisecond, Target: 0.999}},
-	})
-	if _, good := e.Judge("strict", 200, 20*time.Millisecond); good {
-		t.Error("strict objective should judge 20ms as bad")
-	}
-	if _, good := e.Judge("lax", 200, 20*time.Millisecond); !good {
-		t.Error("default objective should judge 20ms as good")
 	}
 }
 

@@ -1,0 +1,138 @@
+package faasnap_test
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestEveryOptionHasACaller holds the configuration surface to the
+// options something uses: every field of the config types below must be
+// set by some non-test file outside the type's own package — a cmd, the
+// benchmark module, or another package. A value nobody sets is a
+// constant, and belongs in the code as one.
+func TestEveryOptionHasACaller(t *testing.T) {
+	types := []struct{ dir, pkg, typ string }{
+		{"internal/daemon", "faasnap/internal/daemon", "Config"},
+		{"internal/daemon", "faasnap/internal/daemon", "ResilienceConfig"},
+		{"internal/gateway", "faasnap/internal/gateway", "Config"},
+		{"internal/slo", "faasnap/internal/slo", "Config"},
+	}
+	// Test seams: fields only a test sets, each with the test that needs
+	// it.
+	seams := map[string]string{
+		"slo.Config.Now": "TestWindowExpiry and TestBurnRateMath advance a fake clock through the burn-rate windows",
+	}
+
+	fset := token.NewFileSet()
+	files := map[string]*ast.File{} // every non-test Go file, by path
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		files[path] = f
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range types {
+		name := filepath.Base(tc.pkg) + "." + tc.typ
+		fields := declaredFields(files, tc.dir, tc.typ)
+		if len(fields) == 0 {
+			t.Fatalf("%s: no fields found in %s", name, tc.dir)
+		}
+		set := map[string]bool{}
+		for path, f := range files {
+			if filepath.Dir(path) == filepath.Clean(tc.dir) {
+				continue
+			}
+			local := importName(f, tc.pkg)
+			if local == "" {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					if sel, ok := n.Type.(*ast.SelectorExpr); ok && sel.Sel.Name == tc.typ {
+						if id, ok := sel.X.(*ast.Ident); ok && id.Name == local {
+							for _, el := range n.Elts {
+								if kv, ok := el.(*ast.KeyValueExpr); ok {
+									if key, ok := kv.Key.(*ast.Ident); ok {
+										set[key.Name] = true
+									}
+								}
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					// cfg.Field = v: without type information, a field of
+					// this name in a file that imports the package.
+					for _, lhs := range n.Lhs {
+						if sel, ok := lhs.(*ast.SelectorExpr); ok {
+							set[sel.Sel.Name] = true
+						}
+					}
+				}
+				return true
+			})
+		}
+		for _, field := range fields {
+			if !set[field] && seams[name+"."+field] == "" {
+				t.Errorf("%s.%s is set by no caller outside %s: make it a constant", name, field, tc.dir)
+			}
+		}
+	}
+}
+
+// declaredFields lists the fields of struct type typ declared in dir.
+func declaredFields(files map[string]*ast.File, dir, typ string) []string {
+	var fields []string
+	for path, f := range files {
+		if filepath.Dir(path) != filepath.Clean(dir) {
+			continue
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			ts, ok := n.(*ast.TypeSpec)
+			if !ok || ts.Name.Name != typ {
+				return true
+			}
+			if st, ok := ts.Type.(*ast.StructType); ok {
+				for _, fl := range st.Fields.List {
+					for _, id := range fl.Names {
+						fields = append(fields, id.Name)
+					}
+				}
+			}
+			return false
+		})
+	}
+	return fields
+}
+
+// importName is the name file f refers to package path by, "" when f
+// does not import it.
+func importName(f *ast.File, path string) string {
+	for _, imp := range f.Imports {
+		if p, _ := strconv.Unquote(imp.Path.Value); p == path {
+			if imp.Name != nil {
+				return imp.Name.Name
+			}
+			return filepath.Base(path)
+		}
+	}
+	return ""
+}
