@@ -2,15 +2,14 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-short test-race chaos crash-smoke gateway-e2e cas-smoke events-smoke bench-check loc experiments figures fuzz clean
+.PHONY: all check build vet test test-short test-race chaos gateway-e2e cas-smoke events-smoke bench-check loc experiments figures fuzz clean
 
 all: build vet test
 
 # What CI runs: compile, vet, the benchmark module's own check, then
 # every test once without and once with the race detector. The named
-# smokes below (chaos, crash-smoke, gateway-e2e, cas-smoke,
-# events-smoke) are subsets of those two runs, for iterating on one
-# area.
+# smokes below (chaos, gateway-e2e, cas-smoke, events-smoke) are
+# subsets of those two runs, for iterating on one area.
 check: build vet bench-check test test-race
 
 build:
@@ -40,14 +39,6 @@ chaos:
 		./internal/chaos/ ./internal/resilience/ ./internal/daemon/ \
 		./internal/vmm/ ./internal/guestagent/ ./internal/pipenet/ \
 		./internal/blockdev/ ./internal/snapfile/
-
-# The crash-consistency smoke (RESILIENCE.md, "Crash consistency &
-# recovery"): builds the real faasnapd, SIGKILLs it at every named
-# crashpoint plus 20+ seeded random offsets and SIGTERMs it mid-record,
-# then restarts and asserts acked-writes-survive / unacked-absent-or-
-# quarantined / never-serve-corrupt. Bounded to stay under a minute.
-crash-smoke:
-	$(GO) test -count=1 -timeout 120s ./internal/crashtest/
 
 # The multi-host serving-tier e2e (GATEWAY.md): three real daemons
 # behind a faasnap-gw routing tier; one backend is killed mid-burst

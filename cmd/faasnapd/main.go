@@ -52,7 +52,6 @@ func run(logger *log.Logger) error {
 		disk          = flag.String("disk", "nvme", "snapshot storage device: nvme or ebs")
 		pprofAddr     = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = off)")
 		chaosPath     = flag.String("chaos", "", "JSON chaos config armed at start (also settable live via PUT /chaos)")
-		crashpoint    = flag.String("crashpoint", "", "arm a crash-injection point (\"point\" or \"point:N\"); the process SIGKILLs itself at the Nth hit — crash-consistency testing only")
 		invokeTimeout = flag.Duration("invoke-timeout", 0, "per-request deadline for /invoke and /burst (0 = default 30s)")
 		maxInFlight   = flag.Int64("max-inflight", 0, "admission-control bound on in-flight invocations (0 = default 256)")
 		maxBurst      = flag.Int("max-burst", 0, "largest accepted burst parallelism (0 = default 256)")
@@ -67,20 +66,6 @@ func run(logger *log.Logger) error {
 	}
 	if *sloTarget < 0 || *sloTarget >= 1 {
 		return fmt.Errorf("-slo-target must be in [0,1), got %g", *sloTarget)
-	}
-
-	// Crashpoints arm from the env (FAASNAP_CRASHPOINT, the harness
-	// path) or the flag; the flag wins when both are set.
-	if err := chaos.ArmCrashpointFromEnv(); err != nil {
-		return err
-	}
-	if *crashpoint != "" {
-		if err := chaos.ArmCrashpoint(*crashpoint); err != nil {
-			return err
-		}
-	}
-	if armed := chaos.ArmedCrashpoint(); armed != "" {
-		logger.Printf("CRASHPOINT ARMED: %s (process will SIGKILL itself)", armed)
 	}
 
 	var chaosCfg *chaos.Config

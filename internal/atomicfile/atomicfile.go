@@ -1,21 +1,117 @@
-// Package atomicfile is the daemon's one durable-write primitive: the
-// sequence that makes a file either absent or complete under its final
-// name, whatever instant the process or the machine dies. Snapfile
-// commits, chunk puts, cold-tier demotions and manifest compaction all
-// go through Write, so the discipline cannot drift between them.
+// Package atomicfile is the one owner of the daemon's state directory:
+// every file and directory operation of the chunk store, the journal,
+// the snapfiles and the daemon's own sweeps goes through it. Write is the
+// one durable-write primitive — the sequence that makes a file either
+// absent or complete under its final name, whatever instant the process
+// or the machine dies — and MkdirAll the one way a directory is made, so
+// the flush discipline cannot drift between callers.
+//
+// Every call goes straight to the operating system unless a test has
+// mounted another filesystem over the path's root (Mount): the daemon's
+// crash tests mount an in-memory disk that tracks what each flush made
+// durable, and recover daemons over what a SIGKILL or a power cut would
+// leave of it.
 package atomicfile
 
 import (
+	"errors"
+	"fmt"
 	"io"
+	"io/fs"
+	"maps"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
 
 	"faasnap/internal/chaos"
 )
 
-// fsync is the durability flush, a variable so the package's tests can
-// count the flushes and fail one.
-var fsync = (*os.File).Sync
+// FS is a filesystem mounted under a root. Its methods behave as the os
+// functions of the same names.
+type FS interface {
+	// OpenFile is called with O_RDONLY (files and directories),
+	// O_WRONLY|O_APPEND, or O_WRONLY|O_CREATE|O_EXCL.
+	OpenFile(name string, flag int, perm fs.FileMode) (File, error)
+	CreateTemp(dir, pattern string) (File, error)
+	ReadFile(name string) ([]byte, error)
+	ReadDir(name string) ([]fs.DirEntry, error)
+	Lstat(name string) (fs.FileInfo, error)
+	Mkdir(name string, perm fs.FileMode) error
+	Rename(oldpath, newpath string) error
+	Remove(name string) error
+	Truncate(name string, size int64) error
+}
+
+// File is an open file or directory. Sync flushes a file's bytes, or a
+// directory's entries.
+type File interface {
+	io.ReadWriteCloser
+	Sync() error
+	Name() string
+}
+
+// osFS serves every path no filesystem is mounted over.
+type osFS struct{}
+
+func (osFS) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
+	return file(os.OpenFile(name, flag, perm))
+}
+func (osFS) CreateTemp(dir, pattern string) (File, error) { return file(os.CreateTemp(dir, pattern)) }
+func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
+func (osFS) ReadDir(name string) ([]fs.DirEntry, error)   { return os.ReadDir(name) }
+func (osFS) Lstat(name string) (fs.FileInfo, error)       { return os.Lstat(name) }
+func (osFS) Mkdir(name string, perm fs.FileMode) error    { return os.Mkdir(name, perm) }
+func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error                     { return os.Remove(name) }
+func (osFS) Truncate(name string, size int64) error       { return os.Truncate(name, size) }
+
+// file keeps a failed open's nil *os.File from becoming a non-nil File.
+func file(f *os.File, err error) (File, error) {
+	if err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
+var (
+	mountMu sync.Mutex
+	// mounts maps each mounted root to its filesystem; replaced whole
+	// under mountMu, so the lookup on every call is one atomic load.
+	mounts atomic.Pointer[map[string]FS]
+)
+
+// Mount serves every path at or under root from fsys until unmount is
+// called. It is the package's one test hook.
+func Mount(root string, fsys FS) (unmount func()) {
+	root = filepath.Clean(root)
+	remount(func(m map[string]FS) { m[root] = fsys })
+	return func() { remount(func(m map[string]FS) { delete(m, root) }) }
+}
+
+func remount(edit func(map[string]FS)) {
+	mountMu.Lock()
+	defer mountMu.Unlock()
+	next := map[string]FS{}
+	if cur := mounts.Load(); cur != nil {
+		maps.Copy(next, *cur)
+	}
+	edit(next)
+	mounts.Store(&next)
+}
+
+// on returns the filesystem path lives on.
+func on(path string) FS {
+	if m := mounts.Load(); m != nil {
+		for root, fsys := range *m {
+			if path == root || strings.HasPrefix(path, root+string(filepath.Separator)) {
+				return fsys
+			}
+		}
+	}
+	return osFS{}
+}
 
 // Write commits what write produces to path:
 //
@@ -33,19 +129,19 @@ var fsync = (*os.File).Sync
 // leave the commit invisible; dying at the second leaves a file that is
 // complete if it survived at all.
 func Write(path, preRename, postRename string, write func(io.Writer) error) (err error) {
-	dir := filepath.Dir(path)
-	f, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
+	fsys, dir := on(path), filepath.Dir(path)
+	f, err := fsys.CreateTemp(dir, filepath.Base(path)+".*.tmp")
 	if err != nil {
 		return err
 	}
 	tmp := f.Name()
 	defer func() {
 		if err != nil {
-			os.Remove(tmp)
+			fsys.Remove(tmp)
 		}
 	}()
 	if err = write(f); err == nil {
-		err = fsync(f)
+		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr
@@ -54,14 +150,132 @@ func Write(path, preRename, postRename string, write func(io.Writer) error) (err
 		return err
 	}
 	chaos.MaybeCrash(preRename)
-	if err = os.Rename(tmp, path); err != nil {
+	if err = fsys.Rename(tmp, path); err != nil {
 		return err
 	}
 	chaos.MaybeCrash(postRename)
-	d, err := os.Open(dir)
+	return syncDir(fsys, dir)
+}
+
+func syncDir(fsys FS, dir string) error {
+	d, err := fsys.OpenFile(dir, os.O_RDONLY, 0)
 	if err != nil {
 		return err
 	}
 	defer d.Close()
-	return fsync(d)
+	return d.Sync()
+}
+
+// MkdirAll creates path and any missing parents, and flushes the parent
+// of every directory it creates (or finds created by a concurrent
+// caller): a directory's name is an entry of its parent, so without that
+// flush a power cut can drop the directory and every file committed in
+// it, however durably those files were written.
+func MkdirAll(path string) error {
+	fsys := on(path)
+	if fi, err := fsys.Lstat(path); err == nil {
+		if fi.IsDir() {
+			return nil
+		}
+		return &fs.PathError{Op: "mkdir", Path: path, Err: fs.ErrExist}
+	}
+	parent := filepath.Dir(path)
+	if parent != path {
+		if err := MkdirAll(parent); err != nil {
+			return err
+		}
+	}
+	if err := fsys.Mkdir(path, 0o755); err != nil && !errors.Is(err, fs.ErrExist) {
+		return err
+	}
+	return syncDir(fsys, parent)
+}
+
+// Open opens path for reading.
+func Open(path string) (File, error) { return on(path).OpenFile(path, os.O_RDONLY, 0) }
+
+// OpenAppend opens the existing file at path for appending; what is
+// appended is durable once the caller syncs it.
+func OpenAppend(path string) (File, error) {
+	return on(path).OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+}
+
+func ReadFile(path string) ([]byte, error)       { return on(path).ReadFile(path) }
+func ReadDir(path string) ([]fs.DirEntry, error) { return on(path).ReadDir(path) }
+func Remove(path string) error                   { return on(path).Remove(path) }
+
+// Truncate cuts the file at path to size bytes; like any change to the
+// file, that is durable once the file is next synced.
+func Truncate(path string, size int64) error { return on(path).Truncate(path, size) }
+
+// Exists reports whether anything is at path.
+func Exists(path string) bool {
+	_, err := on(path).Lstat(path)
+	return err == nil
+}
+
+// Walk calls fn for every file below root, in lexical order; a missing
+// root holds none.
+func Walk(root string, fn func(path string, d fs.DirEntry) error) error {
+	entries, err := ReadDir(root)
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		path := filepath.Join(root, e.Name())
+		if e.IsDir() {
+			err = Walk(path, fn)
+		} else {
+			err = fn(path, e)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Quarantine preserves evidence under stateDir/quarantine/ and returns
+// where: the file at src is moved there or, when src is "", raw is
+// written there. The name is base if free, else base.2, base.3, ... —
+// repeated quarantines of one name never overwrite earlier evidence. The
+// move is not flushed: if a power cut undoes it, the next recovery finds
+// the file where it was and judges it again.
+func Quarantine(stateDir, base, src string, raw []byte) (string, error) {
+	qdir := filepath.Join(stateDir, "quarantine")
+	if err := MkdirAll(qdir); err != nil {
+		return "", err
+	}
+	fsys, dst := on(qdir), filepath.Join(qdir, base)
+	for i := 2; Exists(dst); i++ {
+		dst = fmt.Sprintf("%s.%d", filepath.Join(qdir, base), i)
+	}
+	if src != "" {
+		return dst, fsys.Rename(src, dst)
+	}
+	f, err := fsys.OpenFile(dst, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return "", err
+	}
+	_, err = f.Write(raw)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return dst, err
+}
+
+// Writable checks that dir accepts a new file by creating and removing
+// one. The probe is named *.tmp, so a crash between the two leaves
+// nothing the recovery sweeps do not remove.
+func Writable(dir string) error {
+	fsys := on(dir)
+	f, err := fsys.CreateTemp(dir, ".writable-*.tmp")
+	if err != nil {
+		return err
+	}
+	f.Close()
+	return fsys.Remove(f.Name())
 }

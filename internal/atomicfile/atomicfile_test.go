@@ -2,7 +2,9 @@ package atomicfile
 
 import (
 	"errors"
+	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,39 +13,58 @@ import (
 	"faasnap/internal/chaos"
 )
 
-// traceSteps records, in order, every fsync (tagged file or dir) and
-// every crashpoint Write passes (also handed to atPoint when non-nil),
-// optionally failing the nth fsync.
-func traceSteps(t *testing.T, failSync int, atPoint func(point string)) *[]string {
-	t.Helper()
-	var steps []string
-	syncs := 0
-	fsync = func(f *os.File) error {
-		st, err := f.Stat()
-		if err != nil {
-			t.Fatal(err)
-		}
-		kind := "fsync-file"
-		if st.IsDir() {
-			kind = "fsync-dir"
-		}
-		steps = append(steps, kind)
-		if syncs++; syncs == failSync {
-			return errors.New("injected fsync failure")
-		}
-		return f.Sync()
+// tracer is the OS filesystem with every flush recorded, tagged file or
+// dir, and the failSync'th flush failed.
+type tracer struct {
+	osFS
+	steps           []string
+	syncs, failSync int
+}
+
+func (tr *tracer) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
+	f, err := tr.osFS.OpenFile(name, flag, perm)
+	return tracedFile{f, tr}, err
+}
+
+func (tr *tracer) CreateTemp(dir, pattern string) (File, error) {
+	f, err := tr.osFS.CreateTemp(dir, pattern)
+	return tracedFile{f, tr}, err
+}
+
+type tracedFile struct {
+	File
+	tr *tracer
+}
+
+func (f tracedFile) Sync() error {
+	kind := "fsync-file"
+	if st, err := os.Stat(f.Name()); err == nil && st.IsDir() {
+		kind = "fsync-dir"
 	}
+	f.tr.steps = append(f.tr.steps, kind)
+	if f.tr.syncs++; f.tr.syncs == f.tr.failSync {
+		return errors.New("injected fsync failure")
+	}
+	return f.File.Sync()
+}
+
+// traceSteps mounts a tracer over dir that also records every crashpoint
+// passed (handed to atPoint when non-nil), in order with the flushes.
+func traceSteps(t *testing.T, dir string, failSync int, atPoint func(point string)) *tracer {
+	t.Helper()
+	tr := &tracer{failSync: failSync}
+	unmount := Mount(dir, tr)
 	restore := chaos.ObserveCrashpoints(func(p string) {
-		steps = append(steps, p)
+		tr.steps = append(tr.steps, p)
 		if atPoint != nil {
 			atPoint(p)
 		}
 	})
 	t.Cleanup(func() {
-		fsync = (*os.File).Sync
+		unmount()
 		restore()
 	})
-	return &steps
+	return tr
 }
 
 func dirNames(t *testing.T, dir string) []string {
@@ -72,7 +93,7 @@ func TestWriteOrder(t *testing.T) {
 	payload := []byte("snapshot bytes")
 
 	var atPre, atPost string
-	steps := traceSteps(t, 0, func(p string) {
+	tr := traceSteps(t, dir, 0, func(p string) {
 		raw, err := os.ReadFile(path)
 		switch p {
 		case "pre":
@@ -90,7 +111,7 @@ func TestWriteOrder(t *testing.T) {
 	})
 
 	err := Write(path, "pre", "post", func(w io.Writer) error {
-		*steps = append(*steps, "write")
+		tr.steps = append(tr.steps, "write")
 		_, err := w.Write(payload)
 		return err
 	})
@@ -98,8 +119,8 @@ func TestWriteOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{"write", "fsync-file", "pre", "post", "fsync-dir"}
-	if !reflect.DeepEqual(*steps, want) {
-		t.Fatalf("steps = %v, want %v", *steps, want)
+	if !reflect.DeepEqual(tr.steps, want) {
+		t.Fatalf("steps = %v, want %v", tr.steps, want)
 	}
 	if atPre != "" || atPost != "" {
 		t.Fatal(atPre, atPost)
@@ -112,13 +133,13 @@ func TestWriteOrder(t *testing.T) {
 // TestWriteWithoutCrashpoints: callers with no crashpoints (demotion,
 // compaction) pass empty names and get the same flushes.
 func TestWriteWithoutCrashpoints(t *testing.T) {
-	steps := traceSteps(t, 0, nil)
-	path := filepath.Join(t.TempDir(), "manifest.log")
-	if err := Write(path, "", "", func(w io.Writer) error { return nil }); err != nil {
+	dir := t.TempDir()
+	tr := traceSteps(t, dir, 0, nil)
+	if err := Write(filepath.Join(dir, "manifest.log"), "", "", func(w io.Writer) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"fsync-file", "fsync-dir"}; !reflect.DeepEqual(*steps, want) {
-		t.Fatalf("steps = %v, want %v", *steps, want)
+	if want := []string{"fsync-file", "fsync-dir"}; !reflect.DeepEqual(tr.steps, want) {
+		t.Fatalf("steps = %v, want %v", tr.steps, want)
 	}
 }
 
@@ -140,8 +161,8 @@ func TestWriteFailureLeavesNothing(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			steps := traceSteps(t, tc.failSync, nil)
 			dir := t.TempDir()
+			tr := traceSteps(t, dir, tc.failSync, nil)
 			path := filepath.Join(dir, "target")
 			var want []string
 			if tc.blockName {
@@ -153,12 +174,63 @@ func TestWriteFailureLeavesNothing(t *testing.T) {
 			if err := Write(path, "pre", "post", tc.write); err == nil {
 				t.Fatal("Write succeeded despite the injected failure")
 			}
-			if !reflect.DeepEqual(*steps, tc.wantSteps) {
-				t.Fatalf("steps = %v, want %v", *steps, tc.wantSteps)
+			if !reflect.DeepEqual(tr.steps, tc.wantSteps) {
+				t.Fatalf("steps = %v, want %v", tr.steps, tc.wantSteps)
 			}
 			if names := dirNames(t, dir); !reflect.DeepEqual(names, want) {
 				t.Fatalf("directory holds %v after a failed commit, want %v", names, want)
 			}
 		})
+	}
+}
+
+// TestMkdirAllFlushesParents: every directory MkdirAll creates is made
+// durable in its parent, one flush each; an existing one costs none.
+func TestMkdirAllFlushesParents(t *testing.T) {
+	dir := t.TempDir()
+	tr := traceSteps(t, dir, 0, nil)
+	if err := MkdirAll(filepath.Join(dir, "cas", "chunks", "ab")); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"fsync-dir", "fsync-dir", "fsync-dir"}; !reflect.DeepEqual(tr.steps, want) {
+		t.Fatalf("creating three directories: steps = %v, want %v", tr.steps, want)
+	}
+	tr.steps = nil
+	if err := MkdirAll(filepath.Join(dir, "cas", "chunks", "ab")); err != nil || len(tr.steps) != 0 {
+		t.Fatalf("existing directory: err %v, steps %v, want no flush", err, tr.steps)
+	}
+}
+
+// TestQuarantineNamesNeverCollide: repeated quarantines of one name —
+// moved files and written bytes alike — land under base, base.2,
+// base.3, ..., and no earlier piece of evidence is overwritten.
+func TestQuarantineNamesNeverCollide(t *testing.T) {
+	dir := t.TempDir()
+	var got []string
+	for i := 0; i < 5; i++ {
+		evidence := fmt.Sprintf("copy %d", i)
+		src, raw := "", []byte(evidence)
+		if i%2 == 0 {
+			src, raw = filepath.Join(dir, "fn.snap"), nil
+			if err := os.WriteFile(src, []byte(evidence), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dst, err := Quarantine(dir, "fn.snap", src, raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, filepath.Base(dst))
+		for j, name := range got {
+			if b, err := os.ReadFile(filepath.Join(dir, "quarantine", name)); err != nil || string(b) != fmt.Sprintf("copy %d", j) {
+				t.Fatalf("after quarantine %d, %s holds %q (%v), want copy %d", i, name, b, err, j)
+			}
+		}
+	}
+	if want := []string{"fn.snap", "fn.snap.2", "fn.snap.3", "fn.snap.4", "fn.snap.5"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("quarantine names = %v, want %v", got, want)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "fn.snap")); !os.IsNotExist(err) {
+		t.Fatalf("quarantined file still in place: %v", err)
 	}
 }

@@ -32,7 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -43,7 +43,6 @@ import (
 	"faasnap/internal/atomicfile"
 	"faasnap/internal/blockdev"
 	"faasnap/internal/chaos"
-	"faasnap/internal/statedir"
 	"faasnap/internal/telemetry"
 )
 
@@ -113,8 +112,8 @@ type GCResult struct {
 
 // Store is one host's chunk store.
 type Store struct {
-	dir  string // <state-dir>/cas
-	qdir string // <state-dir>/quarantine, shared with snapfiles
+	dir   string // <state-dir>/cas
+	state string // <state-dir>, whose quarantine/ corrupt chunks go to
 
 	// cold models the remote tier's device: fetch latency is
 	// Profile.Latency + size/Bandwidth, reported via telemetry the same
@@ -149,18 +148,15 @@ func (s *Store) SetOnQuarantine(fn func(d Digest, tier Tier)) {
 	s.onQuarantine.Store(&fn)
 }
 
-// Open opens (creating if needed) the chunk store under stateDir,
-// registering its metric families on reg (nil for none).
+// Open opens the chunk store under stateDir, registering its metric
+// families on reg (nil for none). It creates nothing: a tier's
+// directories are made, and flushed into their parents, with its first
+// chunk.
 func Open(stateDir string, reg *telemetry.Registry) (*Store, error) {
 	s := &Store{
-		dir:  filepath.Join(stateDir, "cas"),
-		qdir: filepath.Join(stateDir, "quarantine"),
-		cold: blockdev.EBSRemote(),
-	}
-	for _, d := range []string{s.localDir(), s.coldDir()} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
-			return nil, fmt.Errorf("casstore: %w", err)
-		}
+		dir:   filepath.Join(stateDir, "cas"),
+		state: stateDir,
+		cold:  blockdev.EBSRemote(),
 	}
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -202,11 +198,7 @@ func (s *Store) coldPath(d Digest) string {
 
 // Has reports whether the digest is stored in either tier.
 func (s *Store) Has(d Digest) bool {
-	if _, err := os.Lstat(s.localPath(d)); err == nil {
-		return true
-	}
-	_, err := os.Lstat(s.coldPath(d))
-	return err == nil
+	return atomicfile.Exists(s.localPath(d)) || atomicfile.Exists(s.coldPath(d))
 }
 
 // Put stores data under its own digest, returning the digest and
@@ -233,7 +225,7 @@ func (s *Store) PutDigest(d Digest, data []byte) (bool, error) {
 		return true, nil
 	}
 	final := s.localPath(d)
-	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {
+	if err := atomicfile.MkdirAll(filepath.Dir(final)); err != nil {
 		return false, err
 	}
 	if err := commit(final, chaos.CrashChunkPreRename, chaos.CrashChunkPostRename, data); err != nil {
@@ -262,7 +254,7 @@ func (s *Store) Get(d Digest) ([]byte, Tier, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	start := time.Now()
-	raw, lerr := os.ReadFile(s.localPath(d))
+	raw, lerr := atomicfile.ReadFile(s.localPath(d))
 	if lerr == nil {
 		if Sum(raw) != d {
 			s.quarantineChunk(s.localPath(d), d, int64(len(raw)), TierLocal)
@@ -271,15 +263,15 @@ func (s *Store) Get(d Digest) ([]byte, Tier, error) {
 		s.fetchLocal.Observe(time.Since(start))
 		return raw, TierLocal, nil
 	}
-	if !os.IsNotExist(lerr) {
+	if !errors.Is(lerr, fs.ErrNotExist) {
 		// A present-but-unreadable local chunk (EACCES, I/O error) is a
 		// read failure, not absence — falling through to the cold tier
 		// would misreport it as ErrNotFound.
 		return nil, TierLocal, fmt.Errorf("casstore: read chunk %s: %w", d, lerr)
 	}
-	comp, err := os.ReadFile(s.coldPath(d))
+	comp, err := atomicfile.ReadFile(s.coldPath(d))
 	if err != nil {
-		if os.IsNotExist(err) {
+		if errors.Is(err, fs.ErrNotExist) {
 			return nil, TierLocal, fmt.Errorf("%w: %s", ErrNotFound, d)
 		}
 		return nil, TierCold, fmt.Errorf("casstore: read chunk %s: %w", d, err)
@@ -298,15 +290,11 @@ func (s *Store) Get(d Digest) ([]byte, Tier, error) {
 	return raw, TierCold, nil
 }
 
-// quarantineChunk moves a failed chunk into the shared quarantine
-// directory (collision-free names, same rules as snapfiles). Caller
-// holds at least the read lock.
+// quarantineChunk moves a failed chunk into the state directory's
+// quarantine, beside snapfiles and torn journal tails. Caller holds at
+// least the read lock.
 func (s *Store) quarantineChunk(path string, d Digest, size int64, tier Tier) {
-	if err := os.MkdirAll(s.qdir, 0o755); err != nil {
-		return
-	}
-	dst := statedir.QuarantinePath(s.qdir, "chunk-"+d.String())
-	if err := os.Rename(path, dst); err != nil {
+	if _, err := atomicfile.Quarantine(s.state, "chunk-"+d.String(), path, nil); err != nil {
 		return
 	}
 	s.quarantined.Inc()
@@ -328,9 +316,9 @@ func (s *Store) quarantineChunk(path string, d Digest, size int64, tier Tier) {
 func (s *Store) Demote(d Digest) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	raw, err := os.ReadFile(s.localPath(d))
+	raw, err := atomicfile.ReadFile(s.localPath(d))
 	if err != nil {
-		if _, cerr := os.Lstat(s.coldPath(d)); cerr == nil {
+		if atomicfile.Exists(s.coldPath(d)) {
 			return nil // already cold
 		}
 		return fmt.Errorf("%w: %s", ErrNotFound, d)
@@ -351,7 +339,7 @@ func (s *Store) Demote(d Digest) error {
 		return err
 	}
 	final := s.coldPath(d)
-	if err := os.MkdirAll(filepath.Dir(final), 0o755); err != nil {
+	if err := atomicfile.MkdirAll(filepath.Dir(final)); err != nil {
 		return err
 	}
 	// Only after the cold copy is durable — file and directory entry
@@ -360,7 +348,7 @@ func (s *Store) Demote(d Digest) error {
 	if err := commit(final, "", "", buf.Bytes()); err != nil {
 		return err
 	}
-	if err := os.Remove(s.localPath(d)); err != nil {
+	if err := atomicfile.Remove(s.localPath(d)); err != nil {
 		return err
 	}
 	s.chunksLocal.Dec()
@@ -386,10 +374,7 @@ func (s *Store) walk() ([]tierEntry, error) {
 		dir  string
 		tier Tier
 	}{{s.localDir(), TierLocal}, {s.coldDir(), TierCold}} {
-		err := filepath.WalkDir(t.dir, func(path string, de os.DirEntry, err error) error {
-			if err != nil || de.IsDir() {
-				return err
-			}
+		err := atomicfile.Walk(t.dir, func(path string, de fs.DirEntry) error {
 			name := de.Name()
 			if strings.HasSuffix(name, ".tmp") {
 				return nil
@@ -477,7 +462,7 @@ func (s *Store) GC(live func(Digest) bool, hot func(Digest) bool) (GCResult, err
 			}
 			continue
 		}
-		if err := os.Remove(e.path); err == nil {
+		if err := atomicfile.Remove(e.path); err == nil {
 			res.Removed++
 			res.ReclaimedBytes += e.size
 		}
@@ -499,12 +484,9 @@ func (s *Store) GC(live func(Digest) bool, hot func(Digest) bool) (GCResult, err
 func (s *Store) SweepTemp() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_ = filepath.WalkDir(s.dir, func(path string, de os.DirEntry, err error) error {
-		if err != nil || de.IsDir() {
-			return nil
-		}
+	_ = atomicfile.Walk(s.dir, func(path string, de fs.DirEntry) error {
 		if strings.HasSuffix(de.Name(), ".tmp") {
-			_ = os.Remove(path)
+			_ = atomicfile.Remove(path)
 		}
 		return nil
 	})

@@ -5,73 +5,18 @@ import (
 	"testing"
 )
 
-// overrideCrashNow swaps the process-kill for a recorder and restores
-// it at cleanup; the real kill is only exercised by the subprocess
-// harness in internal/crashtest.
-func overrideCrashNow(t *testing.T) *[]string {
-	t.Helper()
-	var fired []string
-	prev := crashNow
-	crashNow = func(point string) { fired = append(fired, point) }
-	t.Cleanup(func() {
-		crashNow = prev
-		armed.Store(nil)
-	})
-	return &fired
-}
-
+// TestCrashpointArmAndFire: an armed observer hears every crashpoint
+// passed, each hit, and nothing once restored.
 func TestCrashpointArmAndFire(t *testing.T) {
-	fired := overrideCrashNow(t)
-	if err := ArmCrashpoint(CrashManifestPostAppend); err != nil {
-		t.Fatal(err)
-	}
-	if got := ArmedCrashpoint(); got != CrashManifestPostAppend {
-		t.Fatalf("ArmedCrashpoint = %q", got)
-	}
-	MaybeCrash(CrashSnapfilePreRename) // different point: no fire
+	var fired []string
+	restore := ObserveCrashpoints(func(p string) { fired = append(fired, p) })
 	MaybeCrash(CrashManifestPostAppend)
-	if len(*fired) != 1 || (*fired)[0] != CrashManifestPostAppend {
-		t.Fatalf("fired = %v", *fired)
-	}
-	// Fires exactly once, not on every subsequent hit.
+	MaybeCrash("") // a write path with no crashpoint at this step
 	MaybeCrash(CrashManifestPostAppend)
-	if len(*fired) != 1 {
-		t.Fatalf("crashpoint fired again: %v", *fired)
-	}
-}
-
-func TestCrashpointNthHit(t *testing.T) {
-	fired := overrideCrashNow(t)
-	if err := ArmCrashpoint(CrashRecordPostReply + ":3"); err != nil {
-		t.Fatal(err)
-	}
+	restore()
 	MaybeCrash(CrashRecordPostReply)
-	MaybeCrash(CrashRecordPostReply)
-	if len(*fired) != 0 {
-		t.Fatalf("fired before third hit: %v", *fired)
-	}
-	MaybeCrash(CrashRecordPostReply)
-	if len(*fired) != 1 {
-		t.Fatalf("did not fire on third hit: %v", *fired)
-	}
-}
-
-func TestCrashpointValidation(t *testing.T) {
-	overrideCrashNow(t)
-	if err := ArmCrashpoint("no-such-point"); err == nil {
-		t.Fatal("unknown crashpoint accepted")
-	}
-	if err := ArmCrashpoint(CrashRecordPostReply + ":0"); err == nil {
-		t.Fatal("zero hit count accepted")
-	}
-	if err := ArmCrashpoint(CrashRecordPostReply + ":x"); err == nil {
-		t.Fatal("non-numeric hit count accepted")
-	}
-	if err := ArmCrashpoint(""); err != nil {
-		t.Fatalf("disarm: %v", err)
-	}
-	if got := ArmedCrashpoint(); got != "" {
-		t.Fatalf("still armed after disarm: %q", got)
+	if want := []string{CrashManifestPostAppend, CrashManifestPostAppend}; strings.Join(fired, ",") != strings.Join(want, ",") {
+		t.Fatalf("observed %v, want %v", fired, want)
 	}
 }
 

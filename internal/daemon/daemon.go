@@ -341,13 +341,9 @@ func (d *Daemon) notReady() []string {
 		return []string{"manifest replay in progress"}
 	}
 	var reasons []string
-	if d.cfg.StateDir != "" {
-		probe, err := os.CreateTemp(d.cfg.StateDir, ".readyz-*")
-		if err != nil {
+	if d.store != nil {
+		if err := d.store.writable(); err != nil {
 			reasons = append(reasons, fmt.Sprintf("state dir not writable: %v", err))
-		} else {
-			probe.Close()
-			os.Remove(probe.Name())
 		}
 	}
 	if d.kv != nil {

@@ -187,9 +187,6 @@ func (x *index) journaled() []statedir.Entry { return x.journal.Live() }
 
 func (x *index) restore(fs *fnState) { x.reg.Store(fs.spec.Name, fs) }
 
-// quarantinePath names where the state directory keeps evidence.
-var quarantinePath = statedir.QuarantinePath
-
 // specJSON is the journaled form of a function's spec: the defining
 // SpecConfig for custom functions, empty for catalog ones (resolved by
 // name at recovery).

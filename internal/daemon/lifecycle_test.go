@@ -164,8 +164,8 @@ func TestNoGoroutineOutlivesClose(t *testing.T) {
 }
 
 // TestLayering asserts the seams by construction: only store.go imports
-// casstore and snapfile, only index.go imports statedir, and fnState is
-// built, assigned and published in lifecycle.go alone.
+// casstore, snapfile and atomicfile, only index.go imports statedir, and
+// fnState is built, assigned and published in lifecycle.go alone.
 func TestLayering(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi os.FileInfo) bool {
@@ -176,9 +176,10 @@ func TestLayering(t *testing.T) {
 	}
 	files := pkgs["daemon"].Files
 	owner := map[string]string{
-		"faasnap/internal/casstore": "store.go",
-		"faasnap/internal/snapfile": "store.go",
-		"faasnap/internal/statedir": "index.go",
+		"faasnap/internal/atomicfile": "store.go",
+		"faasnap/internal/casstore":   "store.go",
+		"faasnap/internal/snapfile":   "store.go",
+		"faasnap/internal/statedir":   "index.go",
 	}
 	fields := map[string]bool{}
 	ast.Inspect(files["lifecycle.go"], func(n ast.Node) bool {

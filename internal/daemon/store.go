@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -27,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"faasnap/internal/atomicfile"
 	"faasnap/internal/casstore"
 	"faasnap/internal/chaos"
 	"faasnap/internal/core"
@@ -238,22 +238,19 @@ func (s *store) absent(cm *chunkMap) (n int) {
 
 // remove deletes name's snapfile; its chunks go with the next sweep
 // unless shared.
-func (s *store) remove(name string) { _ = os.Remove(s.snapPath(name)) }
+func (s *store) remove(name string) { _ = atomicfile.Remove(s.snapPath(name)) }
+
+// writable is the readiness probe's check that the state directory
+// still accepts files.
+func (s *store) writable() error { return atomicfile.Writable(s.dir) }
 
 // quarantine moves the state-directory file base, a snapfile that failed
 // verification, into the quarantine/ subdirectory: out of the deploy
 // path but preserved for inspection.
 func (s *store) quarantine(base string, cause error) {
-	qdir := filepath.Join(s.dir, "quarantine")
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		s.log.Printf("quarantine dir: %v", err)
-		return
-	}
-	// quarantinePath suffixes .2, .3, ... when the base name is taken:
-	// a second corrupt copy of the same function must not overwrite the
-	// first piece of evidence.
-	path, dst := filepath.Join(s.dir, base), quarantinePath(qdir, base)
-	if err := os.Rename(path, dst); err != nil {
+	path := filepath.Join(s.dir, base)
+	dst, err := atomicfile.Quarantine(s.dir, base, path, nil)
+	if err != nil {
 		s.log.Printf("quarantine %s: %v", path, err)
 		return
 	}
@@ -272,7 +269,7 @@ func (s *store) quarantine(base string, cause error) {
 // was committed by a writer that died before journaling, i.e. an
 // unacknowledged write.
 func (s *store) sweepDir(journaled func(fn string) bool) {
-	entries, err := os.ReadDir(s.dir)
+	entries, err := atomicfile.ReadDir(s.dir)
 	if err != nil {
 		s.log.Printf("state dir sweep: %v", err)
 		return
@@ -284,7 +281,7 @@ func (s *store) sweepDir(journaled func(fn string) bool) {
 		case strings.HasSuffix(name, ".tmp"):
 			// Temp files are mid-write by definition: never acknowledged,
 			// safe to drop.
-			_ = os.Remove(filepath.Join(s.dir, name))
+			_ = atomicfile.Remove(filepath.Join(s.dir, name))
 		case strings.HasSuffix(name, ".snap"):
 			if fn := strings.TrimSuffix(name, ".snap"); !journaled(fn) {
 				s.quarantine(name, fmt.Errorf("snapfile %s has no manifest record (crash between snapshot commit and journal append)", fn))
@@ -357,7 +354,7 @@ func (s *store) export(name, input string, generation uint64, cm *chunkMap, summ
 		return resp, nil
 	}
 	var err error
-	if resp.Snapfile, err = os.ReadFile(s.snapPath(name)); err != nil {
+	if resp.Snapfile, err = atomicfile.ReadFile(s.snapPath(name)); err != nil {
 		return resp, fmt.Errorf("read snapfile: %w", err)
 	}
 	resp.Chunks = make([]ChunkRefJSON, 0, len(cm.Refs))

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 
 	"faasnap/internal/atomicfile"
 	"faasnap/internal/chaos"
@@ -490,7 +489,7 @@ func ReadChunkedWithFault(r io.Reader, f Fault) (*core.Artifacts, *ChunkMap, err
 
 // LoadChunkedWithFault is LoadChunked with a storage fault applied.
 func LoadChunkedWithFault(path string, f Fault) (*core.Artifacts, *ChunkMap, error) {
-	fd, err := os.Open(path)
+	fd, err := atomicfile.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}

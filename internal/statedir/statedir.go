@@ -28,11 +28,12 @@ package statedir
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
 	"io"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -119,7 +120,7 @@ type Recovery struct {
 type Manifest struct {
 	mu      sync.Mutex
 	path    string
-	f       *os.File
+	f       atomicfile.File
 	entries map[string]*Entry
 	// appends counts records written since open/compaction.
 	appends int
@@ -129,7 +130,7 @@ type Manifest struct {
 // Recovery says whether a torn tail was truncated; its evidence file
 // lives under dir/quarantine/.
 func Open(dir string) (*Manifest, *Recovery, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := atomicfile.MkdirAll(dir); err != nil {
 		return nil, nil, err
 	}
 	m := &Manifest{
@@ -137,9 +138,9 @@ func Open(dir string) (*Manifest, *Recovery, error) {
 		entries: make(map[string]*Entry),
 	}
 	rec := &Recovery{}
-	raw, err := os.ReadFile(m.path)
+	raw, err := atomicfile.ReadFile(m.path)
 	switch {
-	case os.IsNotExist(err):
+	case errors.Is(err, fs.ErrNotExist):
 		rec.Created = true
 	case err != nil:
 		return nil, nil, fmt.Errorf("statedir: read manifest: %w", err)
@@ -152,8 +153,8 @@ func Open(dir string) (*Manifest, *Recovery, error) {
 			// it as evidence and truncate the journal back to the good
 			// prefix so the next append starts on a frame boundary.
 			rec.TornBytes = len(raw) - good
-			rec.Evidence, _ = quarantineBytes(dir, "manifest.torn", raw[good:])
-			if err := os.Truncate(m.path, int64(good)); err != nil {
+			rec.Evidence, _ = atomicfile.Quarantine(dir, "manifest.torn", "", raw[good:])
+			if err := atomicfile.Truncate(m.path, int64(good)); err != nil {
 				return nil, nil, fmt.Errorf("statedir: truncate torn tail: %w", err)
 			}
 			_ = perr // the torn tail is expected after a crash; evidence preserved
@@ -166,7 +167,7 @@ func Open(dir string) (*Manifest, *Recovery, error) {
 			return nil, nil, fmt.Errorf("statedir: create manifest: %w", err)
 		}
 	}
-	f, err := os.OpenFile(m.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := atomicfile.OpenAppend(m.path)
 	if err != nil {
 		return nil, nil, fmt.Errorf("statedir: open manifest: %w", err)
 	}
@@ -437,7 +438,7 @@ func (m *Manifest) compactLocked() error {
 		return err
 	}
 	old := m.f
-	nf, err := os.OpenFile(m.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	nf, err := atomicfile.OpenAppend(m.path)
 	if err != nil {
 		return err
 	}
@@ -457,35 +458,4 @@ func (m *Manifest) Close() error {
 	err := m.f.Close()
 	m.f = nil
 	return err
-}
-
-// quarantineBytes preserves evidence bytes under dir/quarantine/ with
-// a collision-free name (base, base.2, base.3, ...).
-func quarantineBytes(dir, base string, raw []byte) (string, error) {
-	qdir := filepath.Join(dir, "quarantine")
-	if err := os.MkdirAll(qdir, 0o755); err != nil {
-		return "", err
-	}
-	dst := QuarantinePath(qdir, base)
-	if err := os.WriteFile(dst, raw, 0o644); err != nil {
-		return "", err
-	}
-	return dst, nil
-}
-
-// QuarantinePath returns a collision-free destination for base inside
-// qdir: the bare name if free, else base.2, base.3, ... — repeated
-// quarantines of the same function must never overwrite prior
-// evidence.
-func QuarantinePath(qdir, base string) string {
-	dst := filepath.Join(qdir, base)
-	if _, err := os.Lstat(dst); os.IsNotExist(err) {
-		return dst
-	}
-	for i := 2; ; i++ {
-		cand := fmt.Sprintf("%s.%d", dst, i)
-		if _, err := os.Lstat(cand); os.IsNotExist(err) {
-			return cand
-		}
-	}
 }

@@ -29,26 +29,7 @@ func TestEveryOptionHasACaller(t *testing.T) {
 		"slo.Config.Now": "TestWindowExpiry and TestBurnRateMath advance a fake clock through the burn-rate windows",
 	}
 
-	fset := token.NewFileSet()
-	files := map[string]*ast.File{} // every non-test Go file, by path
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
-			return filepath.SkipDir
-		}
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
-		files[path] = f
-		return err
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	files := nonTestFiles(t, token.NewFileSet())
 	for _, tc := range types {
 		name := filepath.Base(tc.pkg) + "." + tc.typ
 		fields := declaredFields(files, tc.dir, tc.typ)
@@ -96,6 +77,63 @@ func TestEveryOptionHasACaller(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStateDirHasOneOwner keeps internal/atomicfile the one owner of the
+// state directory: no non-test file of the packages that keep state —
+// the chunk store, the journal, the snapfile codec, the daemon — calls
+// an os or path/filepath function that touches the filesystem. Every
+// byte they persist then takes the flush discipline atomicfile enforces,
+// and the crash tests' in-memory disk sees every operation.
+func TestStateDirHasOneOwner(t *testing.T) {
+	touchesDisk := map[string]string{
+		"os": " Chmod Chown Chtimes Create CreateTemp DirFS Link Lstat Mkdir MkdirAll MkdirTemp Open OpenFile" +
+			" ReadDir ReadFile Readlink Remove RemoveAll Rename Stat Symlink Truncate WriteFile ",
+		"path/filepath": " EvalSymlinks Glob Walk WalkDir ",
+	}
+	fset := token.NewFileSet()
+	for path, f := range nonTestFiles(t, fset) {
+		if dir := filepath.ToSlash(filepath.Dir(path)); !strings.Contains(" internal/casstore internal/statedir internal/snapfile internal/daemon ", " "+dir+" ") {
+			continue
+		}
+		for pkg, funcs := range touchesDisk {
+			local := importName(f, pkg)
+			ast.Inspect(f, func(n ast.Node) bool {
+				if sel, ok := n.(*ast.SelectorExpr); ok && local != "" {
+					if id, ok := sel.X.(*ast.Ident); ok && id.Name == local && strings.Contains(funcs, " "+sel.Sel.Name+" ") {
+						t.Errorf("%s calls %s.%s; the state directory is reached through internal/atomicfile",
+							fset.Position(sel.Pos()), pkg, sel.Sel.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+}
+
+// nonTestFiles parses every non-test Go file under the repository root,
+// by path.
+func nonTestFiles(t *testing.T, fset *token.FileSet) map[string]*ast.File {
+	t.Helper()
+	files := map[string]*ast.File{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		files[path] = f
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
 }
 
 // declaredFields lists the fields of struct type typ declared in dir.
