@@ -2,15 +2,16 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-short test-race chaos gateway-e2e cas-smoke events-smoke bench-check loc experiments figures fuzz clean
+.PHONY: all check build vet test test-short test-race chaos gateway-e2e cas-smoke events-smoke bench-check bench-micro loc experiments figures fuzz clean
 
 all: build vet test
 
-# What CI runs: compile, vet, the benchmark module's own check, then
-# every test once without and once with the race detector. The named
-# smokes below (chaos, gateway-e2e, cas-smoke, events-smoke) are
-# subsets of those two runs, for iterating on one area.
-check: build vet bench-check test test-race
+# What CI runs: compile, vet, the benchmark module's own check, one
+# pass of the kernel micro-benchmarks, then every test once without and
+# once with the race detector. The named smokes below (chaos,
+# gateway-e2e, cas-smoke, events-smoke) are subsets of those two test
+# runs, for iterating on one area.
+check: build vet bench-check bench-micro test test-race
 
 build:
 	$(GO) build ./...
@@ -71,6 +72,12 @@ events-smoke:
 # driver.
 bench-check:
 	cd benchmark && $(GO) vet . && $(GO) test .
+
+# One iteration of every Benchmark* function in the DES kernel and the
+# page cache: no timing is compared, but a benchmark that panics, hangs
+# or no longer compiles fails here rather than when someone profiles.
+bench-micro:
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/pagecache
 
 # Non-test Go lines outside benchmark/, per package and in total — the
 # number a simplification moves — in two columns: every line, then

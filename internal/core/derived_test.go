@@ -158,17 +158,19 @@ func TestDerivedConcurrentFirstUse(t *testing.T) {
 
 // TestInvokeAllocationBudget is the CI-visible half of the benchmark's
 // alloc_mb_per_op: one traced image/B invocation must stay within
-// 12 MB in each paper mode, and FaaSnap's few hundred mmaps may not
-// cost more than a quarter over Firecracker's one. (Before the VMA
-// splice and the per-snapshot derivations: 55.5 / 12.1 / 11.5 / 11.6 MB
-// for faasnap / firecracker / reap / cached.)
+// 1.5 MB and 8 000 heap objects in each paper mode, and FaaSnap's few
+// hundred mmaps may not cost more than a quarter over Firecracker's
+// one. (Before the VMA splice and the per-snapshot derivations: 55.5 /
+// 12.1 / 11.5 / 11.6 MB for faasnap / firecracker / reap / cached;
+// before the direct hand-off kernel: 1.8–2.2 MB and 29k–48k objects.)
 func TestInvokeAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation sizes")
 	}
+	const budgetMB, budgetMallocs = 1.5, 8000
 	arts := artifactsFor(t, "image")
 	cfg := DefaultHostConfig()
-	perInvoke := func(mode Mode) float64 {
+	perInvoke := func(mode Mode) (mb, mallocs float64) {
 		RunSingleTraced(cfg, arts, mode, arts.Fn.B) // fill what is derived once
 		const runs = 3
 		var before, after runtime.MemStats
@@ -177,14 +179,19 @@ func TestInvokeAllocationBudget(t *testing.T) {
 			RunSingleTraced(cfg, arts, mode, arts.Fn.B)
 		}
 		runtime.ReadMemStats(&after)
-		return float64(after.TotalAlloc-before.TotalAlloc) / runs / (1 << 20)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs / (1 << 20),
+			float64(after.Mallocs-before.Mallocs) / runs
 	}
 	mb := map[Mode]float64{}
 	for _, mode := range []Mode{ModeFaaSnap, ModeFirecracker, ModeREAP, ModeCached} {
-		mb[mode] = perInvoke(mode)
-		t.Logf("%-12s %.2f MB per traced invoke", mode, mb[mode])
-		if mb[mode] > 12 {
-			t.Errorf("%v allocates %.1f MB per invoke, budget 12 MB", mode, mb[mode])
+		var mallocs float64
+		mb[mode], mallocs = perInvoke(mode)
+		t.Logf("%-12s %.2f MB, %.0f objects per traced invoke", mode, mb[mode], mallocs)
+		if mb[mode] > budgetMB {
+			t.Errorf("%v allocates %.2f MB per invoke, budget %.1f MB", mode, mb[mode], budgetMB)
+		}
+		if mallocs > budgetMallocs {
+			t.Errorf("%v allocates %.0f objects per invoke, budget %d", mode, mallocs, budgetMallocs)
 		}
 	}
 	if mb[ModeFaaSnap] > 1.25*mb[ModeFirecracker] {

@@ -7,7 +7,7 @@ package metrics
 
 import (
 	"fmt"
-	"math"
+	"math/bits"
 	"strings"
 	"time"
 )
@@ -87,7 +87,7 @@ func bucketFor(d time.Duration) int {
 	if d < histBase {
 		return 0
 	}
-	i := 1 + int(math.Log2(float64(d)/float64(histBase)))
+	i := bits.Len64(uint64(d / histBase))
 	if i > HistBuckets {
 		i = HistBuckets
 	}

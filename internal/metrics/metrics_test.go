@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -25,6 +26,38 @@ func TestBucketing(t *testing.T) {
 	for _, c := range cases {
 		if got := bucketFor(c.d); got != c.want {
 			t.Errorf("bucketFor(%v) = %d, want %d", c.d, got, c.want)
+		}
+	}
+}
+
+// TestBucketForMatchesLog2 checks bucketFor against the floating-point
+// formula it replaced, 1 + ⌊log₂(d/histBase)⌋ capped at HistBuckets: at
+// every bucket edge ±3 ns for 40 doublings, and at every d in
+// [500 ns, 50 ms]. (Uncapped, the float form is the inexact one: at
+// 2^40 buckets it rounds histBase·2^40 − 1 ns up into the next bucket.)
+func TestBucketForMatchesLog2(t *testing.T) {
+	check := func(d time.Duration) bool {
+		want := 1 + int(math.Log2(float64(d)/float64(histBase)))
+		if want > HistBuckets {
+			want = HistBuckets
+		}
+		if got := bucketFor(d); got != want {
+			t.Errorf("bucketFor(%d ns) = %d, want %d", d, got, want)
+			return false
+		}
+		return true
+	}
+	for k := 0; k <= 40; k++ {
+		edge := histBase << k
+		for delta := -3 * time.Nanosecond; delta <= 3*time.Nanosecond; delta++ {
+			if d := edge + delta; d >= histBase && !check(d) {
+				return
+			}
+		}
+	}
+	for d := histBase; d <= 50*time.Millisecond; d++ {
+		if !check(d) {
+			return
 		}
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"time"
 )
 
-// BenchmarkEventThroughput measures raw scheduler throughput: how many
+// BenchmarkEventThroughput measures raw kernel throughput: how many
 // timer events per second the DES kernel can process.
 func BenchmarkEventThroughput(b *testing.B) {
 	e := NewEnv(1)
@@ -43,6 +43,31 @@ func BenchmarkResourceContention(b *testing.B) {
 				r.Acquire(p)
 				p.Sleep(time.Nanosecond)
 				r.Release()
+			}
+		})
+	}
+	b.ResetTimer()
+	e.Run()
+}
+
+// BenchmarkCondWaitTimeout measures the wake pattern of cpu.PS.Exec:
+// four processes share one condition, and each compute burst announces
+// itself with a Broadcast, waits on the condition until its own
+// deadline (woken early by every other burst's announcement), and
+// announces its end. One op is one burst.
+func BenchmarkCondWaitTimeout(b *testing.B) {
+	e := NewEnv(1)
+	c := NewCond(e)
+	per := b.N/4 + 1
+	for i := 0; i < 4; i++ {
+		work := time.Duration(i+1) * time.Microsecond
+		e.Go("vcpu", func(p *Proc) {
+			for j := 0; j < per; j++ {
+				c.Broadcast()
+				for end := p.Now() + work; p.Now() < end; {
+					c.WaitTimeout(p, end-p.Now())
+				}
+				c.Broadcast()
 			}
 		})
 	}

@@ -1,0 +1,205 @@
+package sim
+
+import (
+	"fmt"
+	"hash/fnv"
+	"runtime"
+	"testing"
+	"time"
+)
+
+// scheduleFingerprint is the FNV-64a hash of the (Now, process, wake)
+// sequence TestScheduleFingerprint logs. It pins the order in which the
+// kernel delivers wake-ups: a kernel change that reorders any two of
+// them changes the hash.
+const scheduleFingerprint = "d07d5dd5b38cc766"
+
+// TestScheduleFingerprint runs a seeded mix of every blocking call the
+// kernel offers and hashes what each process observes when it wakes.
+func TestScheduleFingerprint(t *testing.T) {
+	h := fnv.New64a()
+	wakes := map[string]int{}
+	log := func(p *Proc, kind string) {
+		fmt.Fprintf(h, "%d %s %s\n", p.Now(), p.Name(), kind)
+		wakes[kind]++
+	}
+	e := NewEnv(7)
+	rng := e.Rand()
+	res := NewResource(e, 2)
+	mu := NewMutex(e)
+	cond := NewCond(e)
+	events := make([]*Event, 24)
+	for i := range events {
+		events[i] = NewEvent(e)
+	}
+	var worker func(name string, steps, depth int) func(*Proc)
+	worker = func(name string, steps, depth int) func(*Proc) {
+		return func(p *Proc) {
+			log(p, "start")
+			for s := 0; s < steps; s++ {
+				switch op := rng.Intn(10); op {
+				case 0:
+					p.Sleep(time.Duration(rng.Intn(4)) * time.Microsecond)
+					log(p, "sleep")
+				case 1:
+					if cond.WaitTimeout(p, time.Duration(rng.Intn(6))*time.Microsecond) {
+						log(p, "signal")
+					} else {
+						log(p, "timeout")
+					}
+				case 2:
+					cond.Broadcast()
+				case 3:
+					res.Acquire(p)
+					log(p, "acquire")
+					p.Sleep(time.Duration(rng.Intn(3)) * time.Microsecond)
+					res.Release()
+				case 4:
+					mu.Lock(p)
+					log(p, "lock")
+					p.Sleep(time.Microsecond)
+					mu.Unlock()
+				case 5:
+					events[rng.Intn(len(events))].Wait(p)
+					log(p, "event")
+				case 6:
+					events[rng.Intn(len(events))].Fire()
+				case 7:
+					if depth < 2 {
+						child := e.Go(fmt.Sprintf("%s.%d", name, s), worker(fmt.Sprintf("%s.%d", name, s), 6, depth+1))
+						p.Join(child)
+						log(p, "join")
+					}
+				case 8:
+					if rng.Intn(8) == 0 {
+						cond.Wait(p)
+						log(p, "wait")
+					}
+				case 9:
+					p.Sleep(0)
+					log(p, "yield")
+				}
+			}
+		}
+	}
+	for i := 0; i < 12; i++ {
+		name := fmt.Sprintf("w%d", i)
+		e.Go(name, worker(name, 80, 0))
+	}
+	// Keeps firing events and broadcasting for a while, so most waits end.
+	e.Go("pulse", func(p *Proc) {
+		for i := 0; i < 200; i++ {
+			p.Sleep(3 * time.Microsecond)
+			cond.Broadcast()
+			events[i%len(events)].Fire()
+		}
+	})
+	e.Run()
+	got := fmt.Sprintf("%016x", h.Sum64())
+	t.Logf("wakes by kind %v, ended at %v", wakes, e.Now())
+	if got != scheduleFingerprint {
+		t.Fatalf("schedule fingerprint = %s, want %s: the kernel delivers wake-ups in a different order", got, scheduleFingerprint)
+	}
+}
+
+// TestWaitTimeoutLeavesNoStaleTimers churns WaitTimeout against
+// Broadcast, as cpu.PS does: a timeout that loses to a signal must
+// leave the event queue, not wait there for its instant to pass.
+func TestWaitTimeoutLeavesNoStaleTimers(t *testing.T) {
+	const waiters = 16
+	e := NewEnv(1)
+	c := NewCond(e)
+	parked := 0
+	for i := 0; i < waiters; i++ {
+		e.Go("waiter", func(p *Proc) {
+			for k := 0; k < 500; k++ {
+				// Every other wait has a timeout far beyond the next
+				// broadcast; the rest race it.
+				d := time.Duration(1+e.Rand().Intn(3)) * time.Microsecond
+				if k%2 == 0 {
+					d = 10 * time.Millisecond
+				}
+				parked++
+				c.WaitTimeout(p, d)
+				parked--
+			}
+		})
+	}
+	e.Go("broadcaster", func(p *Proc) {
+		for k := 0; k < 1000; k++ {
+			p.Sleep(2 * time.Microsecond)
+			pending := parked // each parked waiter gets one signal
+			c.Broadcast()
+			// One timer per live process plus the signals just posted.
+			if n, bound := len(e.events), waiters+1+pending; n > bound {
+				t.Errorf("at %v: %d queued events, want at most %d", p.Now(), n, bound)
+				return
+			}
+		}
+	})
+	e.Run()
+}
+
+// settleGoroutines waits for exiting process goroutines to finish and
+// reports whether the count fell back to base.
+func settleGoroutines(base int) (int, bool) {
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		n := runtime.NumGoroutine()
+		if n <= base || time.Now().After(deadline) {
+			return n, n <= base
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+func TestRunLeavesNoGoroutinesAfterPanic(t *testing.T) {
+	base := runtime.NumGoroutine()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("expected panic from Run")
+			}
+		}()
+		e := NewEnv(1)
+		ev := NewEvent(e)
+		for i := 0; i < 4; i++ {
+			e.Go("parked", func(p *Proc) { ev.Wait(p) })
+		}
+		e.Go("sleeper", func(p *Proc) { p.Sleep(time.Millisecond) })
+		e.Go("bad", func(p *Proc) {
+			p.Sleep(time.Microsecond)
+			e.Go("unstarted", func(p *Proc) { p.Sleep(time.Microsecond) })
+			panic("boom")
+		})
+		e.Run()
+	}()
+	if n, ok := settleGoroutines(base); !ok {
+		t.Fatalf("%d goroutines after a panicking run, want %d", n, base)
+	}
+}
+
+func TestRunLeavesNoGoroutinesForParkedDaemons(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEnv(1)
+	c := NewCond(e)
+	r := NewResource(e, 1)
+	for i := 0; i < 4; i++ {
+		e.Go("daemon", func(p *Proc) {
+			for {
+				c.Wait(p)
+			}
+		})
+	}
+	e.Go("holder", func(p *Proc) { r.Acquire(p) })
+	e.Go("blocked", func(p *Proc) { r.Acquire(p) })
+	e.Go("worker", func(p *Proc) {
+		p.Sleep(time.Microsecond)
+		c.Broadcast()
+		p.Sleep(time.Microsecond)
+	})
+	e.Run()
+	if n, ok := settleGoroutines(base); !ok {
+		t.Fatalf("%d goroutines after the run, want %d", n, base)
+	}
+}

@@ -9,7 +9,8 @@ type Resource struct {
 	env   *Env
 	cap   int
 	inUse int
-	queue []*waiter
+	queue []token // waiters from queue[head] on, oldest first
+	head  int
 }
 
 // NewResource returns a resource with the given capacity (> 0).
@@ -22,12 +23,16 @@ func NewResource(env *Env, capacity int) *Resource {
 
 // Acquire blocks p until a slot is available and takes it.
 func (r *Resource) Acquire(p *Proc) {
-	if r.inUse < r.cap && len(r.queue) == 0 {
+	if r.inUse < r.cap && r.head == len(r.queue) {
 		r.inUse++
 		return
 	}
-	w := &waiter{proc: p, kind: wakeSignal}
-	r.queue = append(r.queue, w)
+	if r.head > 0 && len(r.queue) == cap(r.queue) {
+		// Reuse the granted front of the queue instead of growing it.
+		n := copy(r.queue, r.queue[r.head:])
+		r.queue, r.head = r.queue[:n], 0
+	}
+	r.queue = append(r.queue, p.token())
 	p.park()
 	// The releasing process transferred its slot to us; inUse already
 	// accounts for it.
@@ -39,16 +44,14 @@ func (r *Resource) Release() {
 	if r.inUse <= 0 {
 		panic("sim: Release without Acquire")
 	}
-	for len(r.queue) > 0 {
-		w := r.queue[0]
-		r.queue = r.queue[1:]
-		if w.delivered {
-			continue
-		}
-		// Hand the slot to the waiter: inUse stays the same.
-		r.env.post(w, r.env.now, wakeSignal)
+	if r.head < len(r.queue) {
+		// Hand the slot to the waiter: inUse stays the same. A queued
+		// park has no other wake, so its token is always live.
+		r.env.post(r.queue[r.head], r.env.now, wakeSignal)
+		r.head++
 		return
 	}
+	r.queue, r.head = r.queue[:0], 0
 	r.inUse--
 }
 

@@ -5,9 +5,11 @@
 // sim processes against a virtual clock.
 //
 // The kernel follows the classic process-interaction style (as in SimPy):
-// each process is a goroutine, but exactly one goroutine runs at a time
-// and control transfers only through the scheduler, so a simulation is
-// fully deterministic. Ties in event time are broken by a monotonically
+// each process is a goroutine, but exactly one goroutine runs at a time,
+// so a simulation is fully deterministic. There is no scheduler
+// goroutine: a process that blocks pops the next event itself and hands
+// control straight to the process it wakes, or simply carries on when
+// the wake is its own. Ties in event time are broken by a monotonically
 // increasing sequence number.
 //
 // Virtual time is represented as time.Duration since the start of the
@@ -15,7 +17,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"time"
@@ -26,7 +27,7 @@ import (
 type Time = time.Duration
 
 // waitKind identifies what woke a parked process.
-type waitKind int
+type waitKind uint8
 
 const (
 	wakeTimer waitKind = iota
@@ -35,42 +36,28 @@ const (
 	wakeKill
 )
 
-// waiter is a single-delivery wake token. A parked process may be
-// referenced by several pending events (for example a timeout and a
-// condition broadcast); the first event to be popped delivers the wake
-// and the rest become no-ops.
-type waiter struct {
-	proc      *Proc
-	delivered bool
-	kind      waitKind
+// token names one park of one process. A parked process may be
+// referenced by several tokens (for example a timeout and a condition
+// broadcast); delivering the first bumps the process's generation,
+// which turns the rest into no-ops.
+type token struct {
+	proc *Proc
+	gen  uint64
 }
+
+// live reports whether the park the token names is still waiting.
+func (t token) live() bool { return t.proc.gen == t.gen }
 
 // event is a scheduled wake-up in the event heap.
 type event struct {
-	at   Time
-	seq  uint64
-	w    *waiter
+	at  Time
+	seq uint64
+	token
 	kind waitKind
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+func (a *event) before(b *event) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
 // Env is a simulation environment: a virtual clock, an event queue, and
@@ -78,9 +65,9 @@ func (h *eventHeap) Pop() interface{} {
 // concurrently executing simulations.
 type Env struct {
 	now    Time
-	events eventHeap
+	events []event // 4-ary min-heap on (at, seq)
 	seq    uint64
-	yield  chan struct{}
+	done   chan struct{} // the queue drained or a process panicked
 	procs  []*Proc
 	rng    *rand.Rand
 	failed interface{} // panic value captured from a process
@@ -91,8 +78,8 @@ type Env struct {
 // seed, making every run reproducible.
 func NewEnv(seed int64) *Env {
 	return &Env{
-		yield: make(chan struct{}),
-		rng:   rand.New(rand.NewSource(seed)),
+		done: make(chan struct{}),
+		rng:  rand.New(rand.NewSource(seed)),
 	}
 }
 
@@ -103,12 +90,113 @@ func (e *Env) Now() Time { return e.now }
 // only be used from the currently running process or before Run.
 func (e *Env) Rand() *rand.Rand { return e.rng }
 
-func (e *Env) post(w *waiter, at Time, kind waitKind) {
+func (e *Env) post(t token, at Time, kind waitKind) {
 	if at < e.now {
 		at = e.now
 	}
 	e.seq++
-	heap.Push(&e.events, &event{at: at, seq: e.seq, w: w, kind: kind})
+	e.events = append(e.events, event{at: at, seq: e.seq, token: t, kind: kind})
+	e.up(len(e.events) - 1)
+}
+
+// place stores ev at heap index i, keeping a timer's owner pointed at it.
+func (e *Env) place(i int, ev event) {
+	e.events[i] = ev
+	if ev.kind == wakeTimer {
+		ev.proc.timer = i
+	}
+}
+
+func (e *Env) up(i int) {
+	h := e.events
+	ev := h[i]
+	for i > 0 {
+		parent := (i - 1) / 4
+		if !ev.before(&h[parent]) {
+			break
+		}
+		e.place(i, h[parent])
+		i = parent
+	}
+	e.place(i, ev)
+}
+
+// down sifts the event at i towards the leaves and returns where it
+// came to rest.
+func (e *Env) down(i int) int {
+	h := e.events
+	n := len(h)
+	ev := h[i]
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		min := first
+		for c := first + 1; c < first+4 && c < n; c++ {
+			if h[c].before(&h[min]) {
+				min = c
+			}
+		}
+		if !h[min].before(&ev) {
+			break
+		}
+		e.place(i, h[min])
+		i = min
+	}
+	e.place(i, ev)
+	return i
+}
+
+// remove deletes the event at heap index i.
+func (e *Env) remove(i int) {
+	n := len(e.events) - 1
+	last := e.events[n]
+	e.events[n] = event{}
+	e.events = e.events[:n]
+	if i < n {
+		e.events[i] = last
+		if e.down(i) == i {
+			e.up(i)
+		}
+	}
+}
+
+// next pops the next deliverable event, advances the clock to it and
+// delivers it: the woken process's other tokens go stale and its
+// pending timeout, if a signal beat it, leaves the heap. It returns a
+// nil process once the queue has drained.
+func (e *Env) next() (*Proc, waitKind) {
+	for len(e.events) > 0 {
+		ev := e.events[0]
+		e.remove(0)
+		p := ev.proc
+		if p.gen != ev.gen {
+			continue // a rival wake of the same park came first
+		}
+		p.gen++
+		if ev.kind == wakeTimer {
+			p.timer = -1
+		} else if p.timer >= 0 {
+			e.remove(p.timer)
+			p.timer = -1
+		}
+		if ev.at > e.now {
+			e.now = ev.at
+		}
+		return p, ev.kind
+	}
+	return nil, 0
+}
+
+// handoff transfers control to q with wake k, or tells Run that the
+// queue has drained when q is nil.
+func (e *Env) handoff(q *Proc, k waitKind) {
+	if q == nil {
+		e.done <- struct{}{}
+		return
+	}
+	q.resume <- k
 }
 
 // Proc is a simulation process. All methods that advance virtual time
@@ -118,6 +206,8 @@ type Proc struct {
 	env      *Env
 	name     string
 	resume   chan waitKind
+	gen      uint64 // parks delivered so far; tokens of older parks are stale
+	timer    int    // heap index of the pending timeout, or -1
 	done     bool
 	killed   bool
 	finished *Event
@@ -132,6 +222,9 @@ func (p *Proc) Env() *Env { return p.env }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
 
+// token names the park p is about to make.
+func (p *Proc) token() token { return token{proc: p, gen: p.gen} }
+
 // errKilled is panicked inside process goroutines that are still parked
 // when the environment shuts down; the run wrapper swallows it.
 type errKilled struct{}
@@ -144,42 +237,54 @@ func (e *Env) Go(name string, fn func(*Proc)) *Proc {
 		env:      e,
 		name:     name,
 		resume:   make(chan waitKind),
+		timer:    -1,
 		finished: NewEvent(e),
 	}
 	e.procs = append(e.procs, p)
-	w := &waiter{proc: p, kind: wakeStart}
-	e.post(w, e.now, wakeStart)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(errKilled); ok {
-					// Parked process killed at shutdown: exit without
-					// touching the scheduler (Close resumes us and does
-					// not expect a yield).
-					close(p.resume)
-					return
-				}
-				p.env.failed = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
-			}
-			p.done = true
-			p.finished.Fire()
-			e.yield <- struct{}{}
-		}()
-		k := <-p.resume
-		if k == wakeKill {
-			panic(errKilled{})
-		}
-		fn(p)
-	}()
+	e.post(p.token(), e.now, wakeStart)
+	go p.run(fn)
 	return p
 }
 
+func (p *Proc) run(fn func(*Proc)) {
+	e := p.env
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(errKilled); ok {
+				// Parked process killed at shutdown: exit without
+				// touching the kernel (close resumes us and waits for
+				// the channel to close).
+				close(p.resume)
+				return
+			}
+			p.done = true
+			e.failed = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
+			e.done <- struct{}{}
+			return
+		}
+		p.done = true
+		p.finished.Fire()
+		e.handoff(e.next())
+	}()
+	if <-p.resume == wakeKill {
+		panic(errKilled{})
+	}
+	fn(p)
+}
+
 // park blocks the calling process until one of its registered wake
-// events fires, and reports which kind fired.
+// events is delivered, and reports which kind it was. It is the one
+// place a process blocks and is woken: it pops the next event itself
+// and returns at once if the wake is its own, or hands control to the
+// process it wakes and waits to be handed control back.
 func (p *Proc) park() waitKind {
-	p.env.yield <- struct{}{}
-	k := <-p.resume
-	if k == wakeKill {
+	e := p.env
+	q, k := e.next()
+	if q == p {
+		return k
+	}
+	e.handoff(q, k)
+	if k = <-p.resume; k == wakeKill {
 		panic(errKilled{})
 	}
 	return k
@@ -192,8 +297,7 @@ func (p *Proc) Sleep(d time.Duration) {
 		// processes scheduled at the same instant a chance to run first.
 		d = 0
 	}
-	w := &waiter{proc: p, kind: wakeTimer}
-	p.env.post(w, p.env.now+d, wakeTimer)
+	p.env.post(p.token(), p.env.now+d, wakeTimer)
 	p.park()
 }
 
@@ -205,29 +309,22 @@ func (p *Proc) Join(other *Proc) {
 // Run executes the simulation until the event queue drains, then kills
 // any processes still parked (for example daemon loops waiting on
 // conditions) so no goroutines leak. It panics if any process panicked.
+// Run itself only wakes the first process; from then on processes hand
+// control to one another until the queue drains or one panics.
 func (e *Env) Run() {
 	if e.inRun {
 		panic("sim: Run called reentrantly")
 	}
 	e.inRun = true
 	defer func() { e.inRun = false }()
-	for e.events.Len() > 0 {
-		ev := heap.Pop(&e.events).(*event)
-		if ev.w.delivered || ev.w.proc.done {
-			continue
-		}
-		ev.w.delivered = true
-		if ev.at > e.now {
-			e.now = ev.at
-		}
-		ev.w.proc.resume <- ev.kind
-		<-e.yield
-		if e.failed != nil {
-			e.close()
-			panic(e.failed)
-		}
+	if q, k := e.next(); q != nil {
+		q.resume <- k
+		<-e.done
 	}
 	e.close()
+	if e.failed != nil {
+		panic(e.failed)
+	}
 }
 
 // close kills all parked processes so their goroutines exit.
@@ -247,7 +344,7 @@ func (e *Env) close() {
 type Event struct {
 	env     *Env
 	fired   bool
-	waiters []*waiter
+	waiters []token
 }
 
 // NewEvent returns an unfired event in env.
@@ -264,7 +361,7 @@ func (ev *Event) Fire() {
 	}
 	ev.fired = true
 	for _, w := range ev.waiters {
-		if !w.delivered {
+		if w.live() {
 			ev.env.post(w, ev.env.now, wakeSignal)
 		}
 	}
@@ -276,8 +373,7 @@ func (ev *Event) Wait(p *Proc) {
 	if ev.fired {
 		return
 	}
-	w := &waiter{proc: p, kind: wakeSignal}
-	ev.waiters = append(ev.waiters, w)
+	ev.waiters = append(ev.waiters, p.token())
 	p.park()
 }
 
@@ -285,7 +381,7 @@ func (ev *Event) Wait(p *Proc) {
 // waiters; there is no memory of past broadcasts.
 type Cond struct {
 	env     *Env
-	waiters []*waiter
+	waiters []token
 }
 
 // NewCond returns a condition in env.
@@ -294,17 +390,16 @@ func NewCond(env *Env) *Cond { return &Cond{env: env} }
 // Broadcast wakes every process currently waiting on the condition.
 func (c *Cond) Broadcast() {
 	for _, w := range c.waiters {
-		if !w.delivered {
+		if w.live() {
 			c.env.post(w, c.env.now, wakeSignal)
 		}
 	}
-	c.waiters = nil
+	c.waiters = c.waiters[:0]
 }
 
 // Wait parks p until the next Broadcast.
 func (c *Cond) Wait(p *Proc) {
-	w := &waiter{proc: p}
-	c.waiters = append(c.waiters, w)
+	c.waiters = append(c.waiters, p.token())
 	p.park()
 }
 
@@ -312,9 +407,8 @@ func (c *Cond) Wait(p *Proc) {
 // whichever happens first. It reports whether the condition was
 // signalled (false means the timeout fired).
 func (c *Cond) WaitTimeout(p *Proc, d time.Duration) bool {
-	w := &waiter{proc: p}
+	w := p.token()
 	c.waiters = append(c.waiters, w)
 	p.env.post(w, p.env.now+d, wakeTimer)
-	k := p.park()
-	return k == wakeSignal
+	return p.park() == wakeSignal
 }
