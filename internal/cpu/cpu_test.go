@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 	"time"
 
@@ -173,5 +175,53 @@ func TestInterleavedComputeAndSleep(t *testing.T) {
 	}
 	if endCompute <= 5*time.Millisecond {
 		t.Fatalf("compute end = %v, want > 5ms (contention ignored)", endCompute)
+	}
+}
+
+// psFingerprint is the FNV-64a hash of the (Now, burst) sequence
+// TestPSFingerprint logs at every Exec return. It pins when each burst
+// completes and the order of completions that coincide: a change to PS
+// that moves either changes the hash.
+const psFingerprint = "8fd2bf2fe6697046"
+
+// TestPSFingerprint runs a seeded mix of bursts on a 3-core pool:
+// equal bursts that start together (exact ties), random lengths with
+// staggered arrivals and sleeps between bursts, and up to 12 runnable
+// bursts at once, so the share moves as bursts come and go.
+func TestPSFingerprint(t *testing.T) {
+	h := fnv.New64a()
+	e := sim.NewEnv(3)
+	c := New(e, 3)
+	rng := e.Rand()
+	bursts := 0
+	exec := func(p *sim.Proc, work time.Duration) {
+		c.Exec(p, work)
+		fmt.Fprintf(h, "%d %s\n", p.Now(), p.Name())
+		bursts++
+	}
+	for i := 0; i < 4; i++ {
+		e.Go(fmt.Sprintf("tie%d", i), func(p *sim.Proc) {
+			for k := 0; k < 20; k++ {
+				exec(p, 700*time.Microsecond)
+				p.Sleep(300 * time.Microsecond)
+			}
+		})
+	}
+	for i := 0; i < 8; i++ {
+		e.Go(fmt.Sprintf("mix%d", i), func(p *sim.Proc) {
+			p.Sleep(time.Duration(rng.Intn(2000)) * time.Microsecond)
+			for k := 0; k < 30; k++ {
+				exec(p, time.Duration(1+rng.Intn(3_000_000)))
+				if rng.Intn(3) > 0 {
+					p.Sleep(time.Duration(rng.Intn(1_500_000)))
+				}
+			}
+		})
+	}
+	e.Run()
+	got := fmt.Sprintf("%016x", h.Sum64())
+	t.Logf("%d bursts, ended at %v", bursts, e.Now())
+	if got != psFingerprint {
+		t.Fatalf("PS fingerprint = %s, want %s: bursts complete at other instants or in another order", got, psFingerprint)
 	}
 }
