@@ -73,11 +73,12 @@ events-smoke:
 bench-check:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
-# One iteration of every Benchmark* function in the DES kernel and the
-# page cache: no timing is compared, but a benchmark that panics, hangs
-# or no longer compiles fails here rather than when someone profiles.
+# One iteration of every Benchmark* function in the DES kernel, the
+# processor-sharing CPU and the page cache: no timing is compared, but a
+# benchmark that panics, hangs or no longer compiles fails here rather
+# than when someone profiles.
 bench-micro:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/pagecache
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/cpu ./internal/pagecache
 
 # Non-test Go lines outside benchmark/, per package and in total — the
 # number a simplification moves — in two columns: every line, then

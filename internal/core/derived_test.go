@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"faasnap/internal/sim"
 	"faasnap/internal/snapshot"
 	"faasnap/internal/workingset"
 )
@@ -196,5 +197,36 @@ func TestInvokeAllocationBudget(t *testing.T) {
 	}
 	if mb[ModeFaaSnap] > 1.25*mb[ModeFirecracker] {
 		t.Errorf("faasnap allocates %.1f MB per invoke, more than 1.25x firecracker's %.1f MB", mb[ModeFaaSnap], mb[ModeFirecracker])
+	}
+}
+
+// TestInvokeSwitchBudget pins the DES kernel's work for one image/B
+// invocation in each paper mode. When every processor-sharing wake
+// resumed its burst's goroutine, the invocations made 3 615 / 4 737 /
+// 4 642 / 3 623 hand-offs; deciding those wakes on the kernel's stack
+// must keep them within budget and deliver exactly the same events.
+func TestInvokeSwitchBudget(t *testing.T) {
+	arts := artifactsFor(t, "image")
+	for _, c := range []struct {
+		mode             Mode
+		events, handoffs uint64
+	}{
+		{ModeFaaSnap, 11576, 250},
+		{ModeFirecracker, 19939, 1500},
+		{ModeREAP, 19619, 1500},
+		{ModeCached, 16619, 250},
+	} {
+		h := NewHost(DefaultHostConfig())
+		d := h.Deploy(arts, "")
+		h.Env.Go("invoke-driver", func(p *sim.Proc) { d.Invoke(p, c.mode, arts.Fn.B) })
+		h.Env.Run()
+		events, handoffs := h.Env.Work()
+		t.Logf("%-12s %d events, %d hand-offs", c.mode, events, handoffs)
+		if events != c.events {
+			t.Errorf("%v delivers %d events, want exactly %d", c.mode, events, c.events)
+		}
+		if handoffs > c.handoffs {
+			t.Errorf("%v makes %d goroutine hand-offs, budget %d", c.mode, handoffs, c.handoffs)
+		}
 	}
 }

@@ -2,8 +2,8 @@
 // C cores are shared equally among the runnable compute bursts, so when
 // more vCPUs are runnable than there are cores, every burst stretches
 // proportionally. This reproduces the paper's Figure 10 observation
-// that at 64 parallel 2-vCPU guests on a 96-core host "the CPU becomes
-// the bottleneck and all settings take longer to execute".
+// that at 64 parallel 2-vCPU guests on 64 core-equivalents (c5d.metal)
+// "the CPU becomes the bottleneck and all settings take longer to execute".
 package cpu
 
 import (
@@ -18,12 +18,15 @@ import (
 type PS struct {
 	env     *sim.Env
 	cores   int
-	jobs    map[*job]struct{}
+	jobs    []*job // the n runnable bursts, then finished ones for reuse
+	n       int
 	changed *sim.Cond
 	last    sim.Time
 }
 
 type job struct {
+	ps        *PS
+	i         int     // index in ps.jobs
 	remaining float64 // nanoseconds of pure compute left
 }
 
@@ -32,12 +35,7 @@ func New(env *sim.Env, cores int) *PS {
 	if cores <= 0 {
 		panic("cpu: core count must be positive")
 	}
-	return &PS{
-		env:     env,
-		cores:   cores,
-		jobs:    make(map[*job]struct{}),
-		changed: sim.NewCond(env),
-	}
+	return &PS{env: env, cores: cores, changed: sim.NewCond(env)}
 }
 
 // Cores returns the pool's core count.
@@ -45,14 +43,10 @@ func (c *PS) Cores() int { return c.cores }
 
 // rate returns the fraction of one core each runnable burst receives.
 func (c *PS) rate() float64 {
-	n := len(c.jobs)
-	if n == 0 {
-		return 1
+	if c.n > c.cores {
+		return float64(c.cores) / float64(c.n)
 	}
-	if n <= c.cores {
-		return 1
-	}
-	return float64(c.cores) / float64(n)
+	return 1
 }
 
 // settle charges elapsed virtual time against every runnable job at the
@@ -64,7 +58,7 @@ func (c *PS) settle() {
 	}
 	elapsed := float64(now - c.last)
 	r := c.rate()
-	for j := range c.jobs {
+	for _, j := range c.jobs[:c.n] {
 		j.remaining -= elapsed * r
 		if j.remaining < 0 {
 			j.remaining = 0
@@ -81,20 +75,26 @@ func (c *PS) Exec(p *sim.Proc, work time.Duration) {
 		return
 	}
 	c.settle()
-	j := &job{remaining: float64(work)}
-	c.jobs[j] = struct{}{}
-	c.changed.Broadcast()
-	for {
-		c.settle()
-		if j.remaining <= 0.5 { // sub-nanosecond residue is done
-			break
-		}
-		eta := time.Duration(math.Ceil(j.remaining / c.rate()))
-		// Wake either when our burst would complete at the current rate
-		// or when the set of runnable bursts changes.
-		c.changed.WaitTimeout(p, eta)
+	if c.n == len(c.jobs) {
+		c.jobs = append(c.jobs, &job{ps: c})
 	}
-	c.settle()
-	delete(c.jobs, j)
+	j := c.jobs[c.n]
+	j.i, j.remaining = c.n, float64(work)
+	c.n++
 	c.changed.Broadcast()
+	c.changed.WaitFor(p, j)
+	c.n--
+	last := c.jobs[c.n]
+	c.jobs[j.i], c.jobs[c.n], last.i = last, j, j.i
+	c.changed.Broadcast()
+}
+
+// Recheck settles the pool at every wake of j's Exec and returns 0 once
+// j's work is done, or else how long j needs at the current share.
+func (j *job) Recheck() time.Duration {
+	j.ps.settle()
+	if j.remaining <= 0.5 { // sub-nanosecond residue is done
+		return 0
+	}
+	return time.Duration(math.Ceil(j.remaining / j.ps.rate()))
 }

@@ -50,23 +50,24 @@ func BenchmarkResourceContention(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkCondWaitTimeout measures the wake pattern of cpu.PS.Exec:
-// four processes share one condition, and each compute burst announces
+// BenchmarkCondWaitFor measures the wake pattern of cpu.PS.Exec: four
+// processes share one condition, and each compute burst announces
 // itself with a Broadcast, waits on the condition until its own
-// deadline (woken early by every other burst's announcement), and
-// announces its end. One op is one burst.
-func BenchmarkCondWaitTimeout(b *testing.B) {
+// deadline (every other burst's announcement wakes it early, and the
+// kernel rechecks it without resuming it), and announces its end. One
+// op is one burst.
+func BenchmarkCondWaitFor(b *testing.B) {
 	e := NewEnv(1)
 	c := NewCond(e)
 	per := b.N/4 + 1
 	for i := 0; i < 4; i++ {
 		work := time.Duration(i+1) * time.Microsecond
 		e.Go("vcpu", func(p *Proc) {
+			d := &deadline{p: p}
 			for j := 0; j < per; j++ {
 				c.Broadcast()
-				for end := p.Now() + work; p.Now() < end; {
-					c.WaitTimeout(p, end-p.Now())
-				}
+				d.end = p.Now() + work
+				c.WaitFor(p, d)
 				c.Broadcast()
 			}
 		})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -138,6 +139,65 @@ func TestWaitTimeoutLeavesNoStaleTimers(t *testing.T) {
 		}
 	})
 	e.Run()
+}
+
+// deadline is a Recheck whose wait is over at a fixed instant.
+type deadline struct {
+	p   *Proc
+	end Time
+}
+
+func (d *deadline) Recheck() time.Duration { return d.end - d.p.Now() }
+
+// TestWaitForMatchesWaitTimeoutLoop runs one seeded schedule twice:
+// once with each wait a loop of WaitTimeout that rechecks its deadline
+// on its own goroutine, once with a WaitFor the kernel rechecks. Both
+// must deliver the same events in the same order, and WaitFor must
+// resume no process before its wait is over.
+func TestWaitForMatchesWaitTimeoutLoop(t *testing.T) {
+	run := func(waitFor bool) (log string, events, handoffs uint64) {
+		var b strings.Builder
+		e := NewEnv(5)
+		c := NewCond(e)
+		rng := e.Rand()
+		for i := 0; i < 8; i++ {
+			name := fmt.Sprintf("w%d", i)
+			e.Go(name, func(p *Proc) {
+				d := &deadline{p: p}
+				for k := 0; k < 50; k++ {
+					c.Broadcast()
+					d.end = p.Now() + time.Duration(1+rng.Intn(20))*time.Microsecond
+					if waitFor {
+						c.WaitFor(p, d)
+					} else {
+						for d.Recheck() > 0 {
+							c.WaitTimeout(p, d.Recheck())
+						}
+					}
+					if p.Now() != d.end {
+						t.Errorf("%s resumed at %v, its wait ends at %v", name, p.Now(), d.end)
+					}
+					fmt.Fprintf(&b, "%d %s\n", p.Now(), name)
+					p.Sleep(time.Duration(rng.Intn(3)) * time.Microsecond)
+				}
+			})
+		}
+		e.Run()
+		events, handoffs = e.Work()
+		return b.String(), events, handoffs
+	}
+	loopLog, loopEvents, loopHandoffs := run(false)
+	log, events, handoffs := run(true)
+	t.Logf("%d events; hand-offs: %d with a WaitTimeout loop, %d with WaitFor", events, loopHandoffs, handoffs)
+	if log != loopLog {
+		t.Fatal("WaitFor resumes processes in another order than a WaitTimeout loop")
+	}
+	if events != loopEvents {
+		t.Fatalf("WaitFor delivers %d events, a WaitTimeout loop %d", events, loopEvents)
+	}
+	if handoffs*2 > loopHandoffs {
+		t.Fatalf("WaitFor makes %d hand-offs, want at most half of the loop's %d", handoffs, loopHandoffs)
+	}
 }
 
 // settleGoroutines waits for exiting process goroutines to finish and

@@ -8,9 +8,9 @@
 // each process is a goroutine, but exactly one goroutine runs at a time,
 // so a simulation is fully deterministic. There is no scheduler
 // goroutine: a process that blocks pops the next event itself and hands
-// control straight to the process it wakes, or simply carries on when
-// the wake is its own. Ties in event time are broken by a monotonically
-// increasing sequence number.
+// control straight to the process it wakes, carries on when the wake is
+// its own, and decides a Cond.WaitFor's wake on its own stack. Ties in
+// event time are broken by a monotonically increasing sequence number.
 //
 // Virtual time is represented as time.Duration since the start of the
 // run; no real time passes while a simulation executes.
@@ -72,6 +72,16 @@ type Env struct {
 	rng    *rand.Rand
 	failed interface{} // panic value captured from a process
 	inRun  bool
+	hops   uint64 // hand-offs between goroutines; see Work
+}
+
+// Work reports the events the kernel has delivered (live pops, each of
+// which bumps one generation) and its hand-offs between goroutines.
+func (e *Env) Work() (events, handoffs uint64) {
+	for _, p := range e.procs {
+		events += p.gen
+	}
+	return events, e.hops
 }
 
 // NewEnv returns a fresh environment whose random source is seeded with
@@ -163,9 +173,9 @@ func (e *Env) remove(i int) {
 }
 
 // next pops the next deliverable event, advances the clock to it and
-// delivers it: the woken process's other tokens go stale and its
-// pending timeout, if a signal beat it, leaves the heap. It returns a
-// nil process once the queue has drained.
+// delivers it: the woken process's other tokens go stale, its pending
+// timeout, if a signal beat it, leaves the heap, and a WaitFor not yet
+// done parks again. It returns a nil process once the queue has drained.
 func (e *Env) next() (*Proc, waitKind) {
 	for len(e.events) > 0 {
 		ev := e.events[0]
@@ -184,6 +194,13 @@ func (e *Env) next() (*Proc, waitKind) {
 		if ev.at > e.now {
 			e.now = ev.at
 		}
+		if p.recheck != nil {
+			if d := p.recheck.Recheck(); d > 0 {
+				p.cond.arm(p, d)
+				continue
+			}
+			p.recheck, p.cond = nil, nil
+		}
 		return p, ev.kind
 	}
 	return nil, 0
@@ -196,6 +213,7 @@ func (e *Env) handoff(q *Proc, k waitKind) {
 		e.done <- struct{}{}
 		return
 	}
+	e.hops++
 	q.resume <- k
 }
 
@@ -208,6 +226,8 @@ type Proc struct {
 	resume   chan waitKind
 	gen      uint64 // parks delivered so far; tokens of older parks are stale
 	timer    int    // heap index of the pending timeout, or -1
+	cond     *Cond
+	recheck  Recheck // decides the WaitFor p is parked in on cond, if any
 	done     bool
 	killed   bool
 	finished *Event
@@ -403,12 +423,32 @@ func (c *Cond) Wait(p *Proc) {
 	p.park()
 }
 
+// A Recheck decides a Cond.WaitFor.
+type Recheck interface{ Recheck() time.Duration }
+
+// WaitFor parks p on the condition until r.Recheck, run now and at each
+// wake (Broadcast or timeout) on whatever stack pops it, returns 0 or
+// less; otherwise it returns the longest to wait for the next wake. A
+// Recheck may update model state but must not block, broadcast or post.
+func (c *Cond) WaitFor(p *Proc, r Recheck) {
+	if d := r.Recheck(); d > 0 {
+		p.recheck, p.cond = r, c
+		c.arm(p, d)
+		p.park()
+	}
+}
+
 // WaitTimeout parks p until the next Broadcast or until d elapses,
-// whichever happens first. It reports whether the condition was
-// signalled (false means the timeout fired).
+// whichever happens first, like a WaitFor ended by its first wake. It
+// reports whether the condition was signalled (false: the timeout fired).
 func (c *Cond) WaitTimeout(p *Proc, d time.Duration) bool {
+	c.arm(p, d)
+	return p.park() == wakeSignal
+}
+
+// arm registers p's next park with c and with a timeout d.
+func (c *Cond) arm(p *Proc, d time.Duration) {
 	w := p.token()
 	c.waiters = append(c.waiters, w)
-	p.env.post(w, p.env.now+d, wakeTimer)
-	return p.park() == wakeSignal
+	c.env.post(w, c.env.now+d, wakeTimer)
 }
