@@ -405,7 +405,7 @@ func TestSIGTERMMidRecordDrainsCleanly(t *testing.T) {
 	for _, e := range entries {
 		if name := filepath.Join(dir, e.Name()); strings.HasSuffix(name, ".tmp") {
 			t.Fatalf("temp file %s left after the drain", name)
-		} else if err := snapfile.Verify(name); strings.HasSuffix(name, ".snap") && err != nil {
+		} else if _, _, err := snapfile.LoadChunked(name); strings.HasSuffix(name, ".snap") && err != nil {
 			t.Fatalf("snapfile %s fails verification after the drain: %v", name, err)
 		}
 	}

@@ -141,34 +141,21 @@ func New(cfg Config) (*Daemon, error) {
 	// Fill host defaults field-wise: a partially-specified Host (custom
 	// costs, core count, seed) must survive construction intact.
 	cfg.Host = cfg.Host.WithDefaults()
-	reg := telemetry.NewRegistry()
 	ringSize := cfg.TraceRing
 	if ringSize <= 0 {
 		ringSize = obs.DefaultRing
 	}
-	// The ledger exists before the SLO engine and chaos injector so
-	// their transition callbacks can close over it.
-	ledger := events.NewLedger(0)
-	sloCfg := cfg.SLO
-	sloCfg.Gauges = sloGauges{reg: reg}
-	sloCfg.OnPage = func(fn string, burning bool) {
-		ledger.Append(events.Event{
-			Type: events.SLOPage, Function: fn,
-			Fields: map[string]string{"burning": strconv.FormatBool(burning)},
-		})
-	}
-	e := env{
-		log:       cfg.Logger,
-		telemetry: reg,
-		chaos:     chaos.New(),
-		events:    ledger,
-		traces:    trace.NewStore(ringSize),
-	}
 	d := &Daemon{
-		env:       e,
+		env: env{
+			log:       cfg.Logger,
+			telemetry: telemetry.NewRegistry(),
+			chaos:     chaos.New(),
+			events:    events.NewLedger(0),
+			traces:    trace.NewStore(ringSize),
+		},
 		cfg:       cfg,
 		profiles:  obs.NewRing(ringSize),
-		slo:       slo.New(sloCfg),
+		slo:       slo.New(cfg.SLO),
 		faults:    events.NewHub(faultWatchDepth),
 		res:       cfg.Resilience.withDefaults(),
 		recovered: make(chan struct{}),
@@ -185,7 +172,7 @@ func New(cfg Config) (*Daemon, error) {
 		"Event-ledger lines dropped because a watcher was too slow.", nil).Inc
 	d.chaos.SetTelemetry(d.telemetry)
 	d.chaos.SetOnFire(func(point, op string, kind chaos.Kind) {
-		ledger.Append(events.Event{
+		d.events.Append(events.Event{
 			Type:   events.ChaosInjected,
 			Fields: map[string]string{"point": point, "op": op, "kind": string(kind)},
 		})
@@ -211,13 +198,13 @@ func New(cfg Config) (*Daemon, error) {
 	if d.idx, err = openIndex(cfg.StateDir); err != nil {
 		return nil, fmt.Errorf("daemon: manifest: %w", err)
 	}
-	d.life = &lifecycle{env: e, idx: d.idx, host: d.cfg.Host, kv: d.kv}
+	d.life = &lifecycle{env: d.env, idx: d.idx, host: d.cfg.Host, kv: d.kv}
 	d.life.bgCtx, d.life.bgHalt = context.WithCancel(context.Background())
 	if cfg.StateDir == "" {
 		close(d.recovered)
 		return d, nil
 	}
-	if d.store, err = openStore(cfg.StateDir, e, d.idx.chunkMaps); err != nil {
+	if d.store, err = openStore(cfg.StateDir, d.env, d.idx.chunkMaps); err != nil {
 		d.idx.close()
 		return nil, fmt.Errorf("daemon: chunk store: %w", err)
 	}

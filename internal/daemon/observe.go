@@ -9,31 +9,16 @@ package daemon
 
 import (
 	"net/http"
+	"strconv"
 	"time"
 
 	"faasnap/internal/core"
+	"faasnap/internal/events"
 	"faasnap/internal/metrics"
 	"faasnap/internal/obs"
 	"faasnap/internal/slo"
 	"faasnap/internal/telemetry"
 )
-
-// sloGauges mirrors the SLO engine's state into the scrape surface.
-type sloGauges struct {
-	reg *telemetry.Registry
-}
-
-func (g sloGauges) SetBurnRate(function, window string, v float64) {
-	g.reg.Gauge("faasnap_slo_burn_rate",
-		"Error-budget burn rate per function and window (1 = burning exactly the budget).",
-		telemetry.L("function", function, "window", window)).Set(v)
-}
-
-func (g sloGauges) SetAttainment(function string, v float64) {
-	g.reg.Gauge("faasnap_slo_attainment",
-		"Lifetime SLO attainment per function (good fraction of counted requests).",
-		telemetry.L("function", function)).Set(v)
-}
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
@@ -49,7 +34,28 @@ func (d *Daemon) recordProfile(p *obs.Profile, status int, wall time.Duration) {
 	p.UnixMs = time.Now().UnixMilli()
 	d.profiles.Append(p)
 	if counted, good := d.slo.Judge(status, wall); counted {
-		d.slo.Record(p.Function, good)
+		d.slo.Record(p.Function, good, d.observeSLO)
+	}
+}
+
+// observeSLO publishes one SLO evaluation: the burn-rate and
+// attainment gauges, and a slo_page event when the outcome moved the
+// page condition. The engine calls it under its lock, so gauges and
+// events land in the order the engine decided them.
+func (d *Daemon) observeSLO(fr slo.FunctionReport, pageChanged bool) {
+	for _, w := range fr.Windows {
+		d.telemetry.Gauge("faasnap_slo_burn_rate",
+			"Error-budget burn rate per function and window (1 = burning exactly the budget).",
+			telemetry.L("function", fr.Function, "window", w.Window)).Set(w.BurnRate)
+	}
+	d.telemetry.Gauge("faasnap_slo_attainment",
+		"Lifetime SLO attainment per function (good fraction of counted requests).",
+		telemetry.L("function", fr.Function)).Set(fr.Attainment)
+	if pageChanged {
+		d.events.Append(events.Event{
+			Type: events.SLOPage, Function: fr.Function,
+			Fields: map[string]string{"burning": strconv.FormatBool(fr.Burning)},
+		})
 	}
 }
 
@@ -122,6 +128,3 @@ func (d *Daemon) handleProfiles(w http.ResponseWriter, r *http.Request) {
 
 // sloReport is the burn-rate engine's per-function report.
 func (d *Daemon) sloReport(*http.Request) (*slo.Report, error) { return d.slo.Report(), nil }
-
-// SLOEngine exposes the daemon's SLO engine (tests and embedders).
-func (d *Daemon) SLOEngine() *slo.Engine { return d.slo }

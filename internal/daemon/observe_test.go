@@ -21,6 +21,7 @@ import (
 	"time"
 
 	"faasnap/internal/chaos"
+	"faasnap/internal/events"
 	"faasnap/internal/obs"
 	"faasnap/internal/slo"
 )
@@ -457,6 +458,53 @@ func TestSLOJudgesWallTime(t *testing.T) {
 	}
 }
 
+// TestSLOPageEvents drives the page condition through the daemon under
+// a loose objective (target 0.5, so one bad outcome in two burns at
+// exactly 1): a hung restore's 504 enters the page condition, and the
+// first good invoke after it leaves it. GET /events must show exactly
+// one slo_page for each transition, in the order they happened, and no
+// more however many good outcomes follow.
+func TestSLOPageEvents(t *testing.T) {
+	_, srv := newTestDaemon(t, Config{
+		SLO:        slo.Config{Default: slo.Objective{Latency: time.Minute, Target: 0.5}},
+		Resilience: ResilienceConfig{InvokeTimeout: 200 * time.Millisecond},
+		Chaos: &chaos.Config{Enabled: true, Rules: []chaos.Rule{
+			{Point: chaos.PointVMMAPI, Op: "snapshot/load", Kind: chaos.KindHang, Count: 1},
+		}},
+	})
+	recordedFn(t, srv.URL)
+	invoke := func(want int) {
+		t.Helper()
+		if resp := doJSON(t, "POST", srv.URL+"/functions/hello-world/invoke",
+			map[string]string{"mode": "faasnap", "input": "B"}, nil); resp.StatusCode != want {
+			t.Fatalf("invoke = %d, want %d", resp.StatusCode, want)
+		}
+	}
+	pages := func() []string {
+		t.Helper()
+		var reply struct {
+			Events []events.Event `json:"events"`
+		}
+		doJSON(t, "GET", srv.URL+"/events?type=slo_page", nil, &reply)
+		var out []string
+		for _, e := range reply.Events {
+			out = append(out, e.Function+":"+e.Fields["burning"])
+		}
+		return out
+	}
+
+	invoke(http.StatusGatewayTimeout)
+	if got, want := pages(), []string{"hello-world:true"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("slo_page after one bad outcome = %v, want %v", got, want)
+	}
+	for i := 0; i < 3; i++ {
+		invoke(http.StatusOK)
+	}
+	if got, want := pages(), []string{"hello-world:true", "hello-world:false"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("slo_page after the good outcomes = %v, want %v", got, want)
+	}
+}
+
 // TestProfilesRecordShedOutcomes: even a request rejected at admission
 // leaves a flight record and counts against the SLO.
 func TestProfilesRecordShedOutcomes(t *testing.T) {
@@ -474,7 +522,7 @@ func TestProfilesRecordShedOutcomes(t *testing.T) {
 	if len(raw.Profiles) != 1 || raw.Profiles[0].Status != 404 {
 		t.Fatalf("404 left no flight record: %+v", raw.Profiles)
 	}
-	if rep := d.SLOEngine().Report(); len(rep.Functions) != 0 {
+	if rep := d.slo.Report(); len(rep.Functions) != 0 {
 		t.Fatalf("excluded 4xx still reached the SLO engine: %+v", rep.Functions)
 	}
 }

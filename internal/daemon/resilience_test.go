@@ -553,7 +553,7 @@ func TestChaosCorruptsSnapfileInTransit(t *testing.T) {
 	dir := t.TempDir()
 	_, srv := newTestDaemon(t, Config{StateDir: dir})
 	recordedFn(t, srv.URL)
-	if err := snapfile.Verify(filepath.Join(dir, "hello-world.snap")); err != nil {
+	if _, _, err := snapfile.LoadChunked(filepath.Join(dir, "hello-world.snap")); err != nil {
 		t.Fatalf("persisted snapfile invalid before chaos: %v", err)
 	}
 

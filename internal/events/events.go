@@ -80,7 +80,7 @@ type Event struct {
 const DefaultRing = 1024
 
 // Ledger is a bounded ring of events plus a watch hub (the embedded
-// Hub: Subscribe, Unsubscribe, Dropped, OnDrop, Done, Close). All
+// Hub: Subscribe, Unsubscribe, OnDrop, Done, Close). All
 // methods are safe for concurrent use; Append never blocks on
 // subscribers.
 type Ledger struct {

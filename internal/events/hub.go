@@ -13,18 +13,18 @@ const lineDepth = 4096
 // the per-function fault timelines. A message is the unit of delivery:
 // one line, or several joined by '\n' that must arrive together (one
 // invocation's whole fault timeline). Publish never blocks: a
-// subscriber whose buffer is full loses the message, whole, and the
-// loss is counted once.
+// subscriber whose buffer is full loses the message, whole, and OnDrop
+// counts the loss once.
 type Hub struct {
-	mu      sync.Mutex
-	depth   int
-	subs    map[chan []byte]filter
-	dropped uint64
-	done    chan struct{}
-	once    sync.Once
+	mu    sync.Mutex
+	depth int
+	subs  map[chan []byte]filter
+	done  chan struct{}
+	once  sync.Once
 
 	// OnDrop, if set before the hub is shared, is invoked once per
-	// message dropped on a slow subscriber.
+	// message dropped on a slow subscriber: the hub's one count of its
+	// losses. It runs under the hub's lock.
 	OnDrop func()
 }
 
@@ -89,19 +89,11 @@ func (h *Hub) Publish(typ Type, function string, msg []byte) {
 		select {
 		case ch <- msg:
 		default:
-			h.dropped++
 			if h.OnDrop != nil {
 				h.OnDrop()
 			}
 		}
 	}
-}
-
-// Dropped returns the total messages dropped on slow subscribers.
-func (h *Hub) Dropped() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.dropped
 }
 
 // Done returns a channel closed when the hub shuts down; stream

@@ -82,7 +82,7 @@ func Claims(opt Options) *Report {
 
 	// C4: remote storage — FaaSnap beats FC and REAP on EBS.
 	remote := host
-	remote.Disk = remoteDiskProfile()
+	remote.Disk = blockdev.EBSRemote()
 	remoteFns := []string{"json", "image", "ffmpeg"}
 	if opt.Quick {
 		remoteFns = remoteFns[:1]
@@ -171,6 +171,3 @@ func Claims(opt Options) *Report {
 }
 
 func msd(d time.Duration) string { return ms(d) + "ms" }
-
-// remoteDiskProfile returns the EBS profile for the C4 check.
-func remoteDiskProfile() blockdev.Profile { return blockdev.EBSRemote() }

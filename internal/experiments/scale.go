@@ -163,7 +163,7 @@ func Tiered(opt Options) *Report {
 		rep.Rows = append(rep.Rows, row)
 		for hi, host := range placements {
 			hi := hi
-			t := run.trials(host, arts, mode(core.ModeFaaSnap), fn.B, trials)
+			t := run.trials(host, arts, core.ModeFaaSnap, fn.B, trials)
 			run.then(func() { row[1+hi] = msPair(t.totals()) })
 		}
 	}
@@ -172,9 +172,6 @@ func Tiered(opt Options) *Report {
 		"tiered placement keeps most of the loading-set benefit while storing the bulk of snapshot bytes remotely (§7.2)")
 	return rep
 }
-
-// mode is an identity helper for readability at call sites.
-func mode(m core.Mode) core.Mode { return m }
 
 // ColdStart quantifies the cold-start problem the paper motivates
 // with (§2.1): a full boot-and-initialize start against warm VMs and
@@ -216,7 +213,5 @@ func ratio(a, b interface{ Nanoseconds() int64 }) string {
 	if b.Nanoseconds() == 0 {
 		return "n/a"
 	}
-	return strconvFormat(float64(a.Nanoseconds()) / float64(b.Nanoseconds()))
+	return fmt.Sprintf("%.1fx", float64(a.Nanoseconds())/float64(b.Nanoseconds()))
 }
-
-func strconvFormat(f float64) string { return fmt.Sprintf("%.1fx", f) }

@@ -149,15 +149,7 @@ type Report struct {
 type fnState struct {
 	good, bad int64            // lifetime
 	windows   []*slidingWindow // flattened pairs: fast0, slow0, fast1, slow1, ...
-	burning   bool             // last page-condition state, for transition callbacks
-}
-
-// Gauges receives burn-rate/attainment updates as they change; wired
-// to the telemetry registry by the daemon (kept as an interface so the
-// package stays dependency-free and testable).
-type Gauges interface {
-	SetBurnRate(function, window string, v float64)
-	SetAttainment(function string, v float64)
+	burning   bool             // last page-condition state, for Record's observer
 }
 
 // Config configures an Engine.
@@ -165,31 +157,19 @@ type Config struct {
 	// Default is the objective every function is judged against; zero
 	// fields take DefaultObjective's.
 	Default Objective
-	// Now is the clock (time.Now if nil) — injectable for tests.
-	Now func() time.Time
-	// Gauges, when set, receives burn-rate/attainment updates on Record.
-	Gauges Gauges
-	// OnPage, when set, fires on page-condition transitions: burning
-	// true when fn enters the page condition (a fast window burning > 1
-	// with its paired slow window also > 1), false when it recovers.
-	// Called under the engine lock; must not call back into the engine.
-	OnPage func(function string, burning bool)
 }
 
 // Engine tracks outcomes and computes burn rates.
 type Engine struct {
 	mu  sync.Mutex
-	cfg Config
+	obj Objective
+	now func() time.Time // time.Now; the package's tests advance a fake clock
 	fns map[string]*fnState
 }
 
 // New returns an engine with cfg's defaults applied.
 func New(cfg Config) *Engine {
-	cfg.Default = cfg.Default.withDefaults()
-	if cfg.Now == nil {
-		cfg.Now = time.Now
-	}
-	return &Engine{cfg: cfg, fns: make(map[string]*fnState)}
+	return &Engine{obj: cfg.Default.withDefaults(), now: time.Now, fns: make(map[string]*fnState)}
 }
 
 func (e *Engine) state(fn string) *fnState {
@@ -211,7 +191,7 @@ func (e *Engine) state(fn string) *fnState {
 func (e *Engine) Judge(status int, wall time.Duration) (counted, good bool) {
 	switch {
 	case status/100 == 2:
-		return true, wall <= e.cfg.Default.Latency
+		return true, wall <= e.obj.Latency
 	case status == 429 || status == 504 || status/100 == 5:
 		return true, false
 	default: // 4xx client errors: not the platform's SLO
@@ -219,11 +199,15 @@ func (e *Engine) Judge(status int, wall time.Duration) (counted, good bool) {
 	}
 }
 
-// Record counts one outcome for fn and refreshes gauges.
-func (e *Engine) Record(fn string, good bool) {
+// Record counts one outcome for fn and evaluates fn's state once. When
+// observe is non-nil it receives that state and whether the page
+// condition changed with this outcome. observe runs under the engine
+// lock, so observers see evaluations in the order the engine made
+// them; it must not call back into the engine.
+func (e *Engine) Record(fn string, good bool, observe func(fr FunctionReport, pageChanged bool)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	now := e.cfg.Now()
+	now := e.now()
 	st := e.state(fn)
 	if good {
 		st.good++
@@ -233,28 +217,12 @@ func (e *Engine) Record(fn string, good bool) {
 	for _, w := range st.windows {
 		w.record(now, good)
 	}
-	if e.cfg.Gauges != nil {
-		e.publishLocked(fn, st, now)
+	fr := e.reportLocked(fn, st, now)
+	changed := fr.Burning != st.burning
+	st.burning = fr.Burning
+	if observe != nil {
+		observe(fr, changed)
 	}
-	if e.cfg.OnPage != nil {
-		if burning := e.burningLocked(st, now); burning != st.burning {
-			st.burning = burning
-			e.cfg.OnPage(fn, burning)
-		}
-	}
-}
-
-// burningLocked evaluates the page condition: any fast window burning
-// above 1 with its paired slow window also above 1.
-func (e *Engine) burningLocked(st *fnState, now time.Time) bool {
-	for i := range windows {
-		fg, fb := st.windows[2*i].totals(now)
-		sg, sb := st.windows[2*i+1].totals(now)
-		if burnRate(fg, fb, e.cfg.Default.Target) > 1 && burnRate(sg, sb, e.cfg.Default.Target) > 1 {
-			return true
-		}
-	}
-	return false
 }
 
 // burnRate converts window counts to a burn rate: the bad fraction
@@ -271,49 +239,40 @@ func burnRate(good, bad int64, target float64) float64 {
 	return (float64(bad) / float64(total)) / budget
 }
 
-func windowLabel(d time.Duration) string {
-	return d.Truncate(time.Second).String()
-}
-
-func (e *Engine) publishLocked(fn string, st *fnState, now time.Time) {
-	for i, p := range windows {
-		for j, span := range []time.Duration{p.fast, p.slow} {
-			g, b := st.windows[2*i+j].totals(now)
-			e.cfg.Gauges.SetBurnRate(fn, windowLabel(span), burnRate(g, b, e.cfg.Default.Target))
+// evaluate derives everything a report states beyond its counts: the
+// lifetime attainment, each window's burn rate, and the page condition —
+// a fast window burning above 1 with its paired slow window (the next
+// one) also above 1.
+func (r *FunctionReport) evaluate() {
+	r.Attainment = 1
+	if r.Good+r.Bad > 0 {
+		r.Attainment = float64(r.Good) / float64(r.Good+r.Bad)
+	}
+	for i := range r.Windows {
+		r.Windows[i].BurnRate = burnRate(r.Windows[i].Good, r.Windows[i].Bad, r.Target)
+	}
+	r.Burning = false
+	for i := 0; i+1 < len(r.Windows); i += 2 {
+		if r.Windows[i].BurnRate > 1 && r.Windows[i+1].BurnRate > 1 {
+			r.Burning = true
 		}
 	}
-	att := 1.0
-	if st.good+st.bad > 0 {
-		att = float64(st.good) / float64(st.good+st.bad)
-	}
-	e.cfg.Gauges.SetAttainment(fn, att)
 }
 
 func (e *Engine) reportLocked(fn string, st *fnState, now time.Time) FunctionReport {
 	fr := FunctionReport{
 		Function:  fn,
-		LatencyMs: float64(e.cfg.Default.Latency) / float64(time.Millisecond),
-		Target:    e.cfg.Default.Target,
+		LatencyMs: float64(e.obj.Latency) / float64(time.Millisecond),
+		Target:    e.obj.Target,
 		Good:      st.good,
 		Bad:       st.bad,
+		Windows:   make([]WindowReport, len(st.windows)),
 	}
-	fr.Attainment = 1
-	if st.good+st.bad > 0 {
-		fr.Attainment = float64(st.good) / float64(st.good+st.bad)
+	for i, w := range st.windows {
+		fr.Windows[i].Window = w.span.Truncate(time.Second).String()
+		fr.Windows[i].Good, fr.Windows[i].Bad = w.totals(now)
 	}
-	for i, p := range windows {
-		fg, fb := st.windows[2*i].totals(now)
-		sg, sb := st.windows[2*i+1].totals(now)
-		fastBurn := burnRate(fg, fb, e.cfg.Default.Target)
-		slowBurn := burnRate(sg, sb, e.cfg.Default.Target)
-		fr.Windows = append(fr.Windows,
-			WindowReport{Window: windowLabel(p.fast), Good: fg, Bad: fb, BurnRate: fastBurn},
-			WindowReport{Window: windowLabel(p.slow), Good: sg, Bad: sb, BurnRate: slowBurn},
-		)
-		if fastBurn > 1 && slowBurn > 1 {
-			fr.Burning = true
-		}
-	}
+	fr.evaluate()
 	return fr
 }
 
@@ -321,7 +280,7 @@ func (e *Engine) reportLocked(fn string, st *fnState, now time.Time) FunctionRep
 func (e *Engine) Report() *Report {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	now := e.cfg.Now()
+	now := e.now()
 	names := make([]string, 0, len(e.fns))
 	for n := range e.fns {
 		names = append(names, n)
@@ -335,84 +294,45 @@ func (e *Engine) Report() *Report {
 }
 
 // Merge combines daemon-local reports into a cluster view: counts sum
-// per function and window label, burn rates and attainment are
-// recomputed from the merged counts, and the objective is taken from
-// the first report mentioning the function (they agree when daemons
-// share configuration).
+// per function and per window label, windows keep the order they were
+// first seen in (so the fast/slow pairing survives), and the objective
+// is taken from the first report mentioning the function (they agree
+// when daemons share configuration). Attainment, burn rates and the
+// page condition are then evaluated from the merged counts.
 func Merge(reports []*Report) *Report {
-	type winKey struct{ fn, win string }
-	type winAgg struct {
-		good, bad int64
-		order     int
-	}
 	fns := make(map[string]*FunctionReport)
-	wins := make(map[winKey]*winAgg)
-	order := 0
+	var names []string
 	for _, r := range reports {
 		if r == nil {
 			continue
 		}
-		for i := range r.Functions {
-			fr := &r.Functions[i]
+		for _, fr := range r.Functions {
 			agg, ok := fns[fr.Function]
 			if !ok {
 				agg = &FunctionReport{Function: fr.Function, LatencyMs: fr.LatencyMs, Target: fr.Target}
 				fns[fr.Function] = agg
+				names = append(names, fr.Function)
 			}
 			agg.Good += fr.Good
 			agg.Bad += fr.Bad
+		next:
 			for _, w := range fr.Windows {
-				k := winKey{fr.Function, w.Window}
-				wa, ok := wins[k]
-				if !ok {
-					wa = &winAgg{order: order}
-					order++
-					wins[k] = wa
+				for i := range agg.Windows {
+					if aw := &agg.Windows[i]; aw.Window == w.Window {
+						aw.Good += w.Good
+						aw.Bad += w.Bad
+						continue next
+					}
 				}
-				wa.good += w.Good
-				wa.bad += w.Bad
+				agg.Windows = append(agg.Windows, WindowReport{Window: w.Window, Good: w.Good, Bad: w.Bad})
 			}
 		}
-	}
-	names := make([]string, 0, len(fns))
-	for n := range fns {
-		names = append(names, n)
 	}
 	sort.Strings(names)
 	out := &Report{}
 	for _, n := range names {
 		agg := fns[n]
-		agg.Attainment = 1
-		if agg.Good+agg.Bad > 0 {
-			agg.Attainment = float64(agg.Good) / float64(agg.Good+agg.Bad)
-		}
-		// Collect this function's windows in first-seen order so the
-		// fast/slow pairing from the source reports is preserved.
-		type kw struct {
-			key winKey
-			agg *winAgg
-		}
-		var ks []kw
-		for k, wa := range wins {
-			if k.fn == n {
-				ks = append(ks, kw{k, wa})
-			}
-		}
-		sort.Slice(ks, func(i, j int) bool { return ks[i].agg.order < ks[j].agg.order })
-		for _, k := range ks {
-			agg.Windows = append(agg.Windows, WindowReport{
-				Window:   k.key.win,
-				Good:     k.agg.good,
-				Bad:      k.agg.bad,
-				BurnRate: burnRate(k.agg.good, k.agg.bad, agg.Target),
-			})
-		}
-		// Re-derive the page condition from merged adjacent pairs.
-		for i := 0; i+1 < len(agg.Windows); i += 2 {
-			if agg.Windows[i].BurnRate > 1 && agg.Windows[i+1].BurnRate > 1 {
-				agg.Burning = true
-			}
-		}
+		agg.evaluate()
 		out.Functions = append(out.Functions, *agg)
 	}
 	return out

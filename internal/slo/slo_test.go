@@ -1,6 +1,7 @@
 package slo
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -21,8 +22,9 @@ func (c *fakeClock) Now() time.Time          { return c.now }
 func (c *fakeClock) advance(d time.Duration) { c.now = c.now.Add(d) }
 func newFakeClock() *fakeClock               { return &fakeClock{now: time.Unix(1_700_000_000, 0)} }
 func newTestEngine(c *fakeClock, cfg Config) *Engine {
-	cfg.Now = c.Now
-	return New(cfg)
+	e := New(cfg)
+	e.now = c.Now
+	return e
 }
 
 func TestJudgeClassification(t *testing.T) {
@@ -55,10 +57,10 @@ func TestBurnRateMath(t *testing.T) {
 	clk := newFakeClock()
 	e := newTestEngine(clk, Config{Default: Objective{Latency: time.Second, Target: 0.99}})
 	for i := 0; i < 98; i++ {
-		e.Record("f", true)
+		e.Record("f", true, nil)
 	}
-	e.Record("f", false)
-	e.Record("f", false)
+	e.Record("f", false, nil)
+	e.Record("f", false, nil)
 	rep := e.Report()
 	if len(rep.Functions) != 1 {
 		t.Fatalf("functions = %d, want 1", len(rep.Functions))
@@ -88,7 +90,7 @@ func TestWindowExpiry(t *testing.T) {
 	clk := newFakeClock()
 	e := newTestEngine(clk, Config{Default: Objective{Latency: time.Second, Target: 0.99}})
 	for i := 0; i < 10; i++ {
-		e.Record("f", false)
+		e.Record("f", false, nil)
 	}
 	// Past both fast windows (5m and 30m) the errors fall out of them
 	// but remain in the 1h slow window, so the page condition clears.
@@ -109,35 +111,55 @@ func TestWindowExpiry(t *testing.T) {
 	}
 }
 
-func TestGaugesPublished(t *testing.T) {
-	type key struct{ fn, win string }
-	burns := map[key]float64{}
-	atts := map[string]float64{}
-	g := gaugesFunc{
-		burn: func(fn, win string, v float64) { burns[key{fn, win}] = v },
-		att:  func(fn string, v float64) { atts[fn] = v },
-	}
+// TestRecordObserver: Record hands its one evaluation to the per-call
+// observer — every window's burn rate and the attainment the daemon
+// publishes as gauges — and flags exactly the outcomes that change the
+// page condition.
+func TestRecordObserver(t *testing.T) {
 	clk := newFakeClock()
-	e := newTestEngine(clk, Config{Default: Objective{Latency: time.Second, Target: 0.9}, Gauges: g})
-	e.Record("f", false)
-	if len(burns) != 4 {
-		t.Fatalf("burn gauges = %d, want 4 windows", len(burns))
+	e := newTestEngine(clk, Config{Default: Objective{Latency: time.Second, Target: 0.9}})
+	var seen []FunctionReport
+	var changes []bool
+	observe := func(fr FunctionReport, changed bool) {
+		seen = append(seen, fr)
+		changes = append(changes, changed)
 	}
-	if v := burns[key{"f", "5m0s"}]; !near(v, 10) { // 100% bad / 10% budget
-		t.Errorf("5m burn gauge = %g, want 10", v)
+	e.Record("f", false, observe)
+	if len(seen) != 1 {
+		t.Fatalf("observer ran %d times for one outcome, want 1", len(seen))
 	}
-	if atts["f"] != 0 {
-		t.Errorf("attainment gauge = %g, want 0", atts["f"])
+	f := seen[0]
+	if f.Function != "f" || len(f.Windows) != 4 {
+		t.Fatalf("observed %+v, want f with 4 windows", f)
+	}
+	if w := f.Windows[0]; w.Window != "5m0s" || !near(w.BurnRate, 10) { // 100% bad / 10% budget
+		t.Errorf("5m window = %+v, want burn 10", w)
+	}
+	if f.Attainment != 0 {
+		t.Errorf("attainment = %g, want 0", f.Attainment)
+	}
+	if !f.Burning || !changes[0] {
+		t.Errorf("first bad outcome: burning %v, changed %v; want a page", f.Burning, changes[0])
+	}
+
+	// Good outcomes dilute the lone bad one below the 10% budget: the
+	// page clears once, and stays cleared.
+	for i := 0; i < 20; i++ {
+		e.Record("f", true, observe)
+	}
+	var flips []int
+	for i, c := range changes {
+		if c {
+			flips = append(flips, i)
+		}
+	}
+	if len(flips) != 2 || flips[0] != 0 || seen[flips[1]].Burning || seen[len(seen)-1].Burning {
+		t.Fatalf("page changed at outcomes %v, want the first and the one that clears it", flips)
+	}
+	if rep := e.Report().Functions[0]; !reflect.DeepEqual(rep, seen[len(seen)-1]) {
+		t.Errorf("Report() = %+v, differs from the last observed evaluation %+v", rep, seen[len(seen)-1])
 	}
 }
-
-type gaugesFunc struct {
-	burn func(fn, win string, v float64)
-	att  func(fn string, v float64)
-}
-
-func (g gaugesFunc) SetBurnRate(fn, win string, v float64) { g.burn(fn, win, v) }
-func (g gaugesFunc) SetAttainment(fn string, v float64)    { g.att(fn, v) }
 
 func TestMerge(t *testing.T) {
 	mkReport := func(fn string, good, bad int64) *Report {

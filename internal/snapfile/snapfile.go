@@ -497,16 +497,6 @@ func LoadChunkedWithFault(path string, f Fault) (*core.Artifacts, *ChunkMap, err
 	return ReadChunkedWithFault(fd, f)
 }
 
-// Verify checks the snapfile at path end to end — magic, version,
-// section parsing, trailing CRC — without keeping the artifacts, in
-// one streaming pass. The deploy path prefers LoadChunked so the
-// verified decode is also the state it serves, instead of reading the
-// file twice.
-func Verify(path string) error {
-	_, _, err := LoadChunked(path)
-	return err
-}
-
 // SaveChunked writes arts and their chunk map to path atomically and
 // durably (atomicfile.Write): a committed snapfile is either absent or
 // complete — never half-written.
@@ -529,7 +519,9 @@ func commit(path string, write func(io.Writer) error) error {
 	return atomicfile.Write(path, chaos.CrashSnapfilePreRename, chaos.CrashSnapfilePostRename, write)
 }
 
-// LoadChunked reads artifacts and the chunk map from path.
+// LoadChunked reads artifacts and the chunk map from path, checking the
+// file end to end — magic, version, sections, trailing CRC — in one
+// streaming pass.
 func LoadChunked(path string) (*core.Artifacts, *ChunkMap, error) {
 	return LoadChunkedWithFault(path, FaultNone)
 }

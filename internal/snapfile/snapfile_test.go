@@ -180,6 +180,8 @@ func TestReadWithFault(t *testing.T) {
 	}
 }
 
+// TestVerify: LoadChunked is the verifier — it accepts a committed
+// snapfile and rejects a corrupted or missing one.
 func TestVerify(t *testing.T) {
 	arts := testArtifacts(t)
 	dir := t.TempDir()
@@ -187,8 +189,8 @@ func TestVerify(t *testing.T) {
 	if err := SaveChunked(good, arts, testChunkMap(arts.Mem.Pages)); err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(good); err != nil {
-		t.Fatalf("verify of valid snapfile: %v", err)
+	if _, _, err := LoadChunked(good); err != nil {
+		t.Fatalf("load of valid snapfile: %v", err)
 	}
 
 	raw, err := os.ReadFile(good)
@@ -200,11 +202,11 @@ func TestVerify(t *testing.T) {
 	if err := os.WriteFile(bad, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(bad); err == nil {
-		t.Fatal("verify of corrupted snapfile passed")
+	if _, _, err := LoadChunked(bad); err == nil {
+		t.Fatal("load of corrupted snapfile passed")
 	}
-	if err := Verify(filepath.Join(dir, "absent.snap")); err == nil {
-		t.Fatal("verify of missing snapfile passed")
+	if _, _, err := LoadChunked(filepath.Join(dir, "absent.snap")); err == nil {
+		t.Fatal("load of missing snapfile passed")
 	}
 }
 
