@@ -17,8 +17,6 @@
 package main
 
 import (
-	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -82,23 +80,16 @@ func main() {
 	fmt.Printf("faults: %v\n\n", res.Faults)
 
 	if *jsonl != "" {
-		f, err := os.Create(*jsonl)
-		if err != nil {
-			log.Fatal(err)
+		// The same NDJSON GET /functions/{name}/faults serves.
+		tl := &hostmm.FaultTimeline{
+			Function: fn.Name,
+			Mode:     res.Mode.String(),
+			Input:    res.Input,
+			Setup:    res.Setup,
+			Total:    res.Total,
+			Events:   res.FaultTrace,
 		}
-		enc := json.NewEncoder(f)
-		for _, ev := range res.FaultTrace {
-			if err := enc.Encode(map[string]interface{}{
-				"at_us":  ev.At.Microseconds(),
-				"page":   ev.Page,
-				"kind":   ev.Kind.String(),
-				"dur_us": float64(ev.Duration) / float64(time.Microsecond),
-				"write":  ev.Write,
-			}); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if err := f.Close(); err != nil {
+		if err := os.WriteFile(*jsonl, append(tl.Encode(), '\n'), 0o644); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %d events to %s\n", len(res.FaultTrace), *jsonl)
@@ -136,22 +127,6 @@ func analyze(events []hostmm.FaultEvent, stats *metrics.FaultStats, setup time.D
 	}
 }
 
-// faultLine is one NDJSON line of the daemon's fault endpoint.
-type faultLine struct {
-	Event    string  `json:"event"`
-	Function string  `json:"function"`
-	Mode     string  `json:"mode"`
-	Input    string  `json:"input"`
-	TraceID  string  `json:"trace_id"`
-	SetupUs  int64   `json:"setup_us"`
-	TotalUs  int64   `json:"total_us"`
-	AtUs     int64   `json:"at_us"`
-	Page     int64   `json:"page"`
-	Kind     string  `json:"kind"`
-	DurUs    float64 `json:"dur_us"`
-	Write    bool    `json:"write"`
-}
-
 // analyzeDaemon reads the daemon's fault timeline endpoint and runs
 // the offline analysis on each completed invocation group.
 func analyzeDaemon(base, fn string, watch bool, top int) error {
@@ -169,58 +144,22 @@ func analyzeDaemon(base, fn string, watch bool, top int) error {
 		return fmt.Errorf("daemon returned status %d for %s", resp.StatusCode, url)
 	}
 
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	var (
-		events []hostmm.FaultEvent
-		stats  metrics.FaultStats
-		setup  time.Duration
-		meta   faultLine
-		groups int
-	)
-	for sc.Scan() {
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
+	groups := 0
+	err = hostmm.DecodeFaultTimelines(resp.Body, func(tl *hostmm.FaultTimeline) error {
+		groups++
+		var stats metrics.FaultStats
+		for _, ev := range tl.Events {
+			stats.Record(ev.Kind, ev.Duration)
 		}
-		var ln faultLine
-		if err := json.Unmarshal(raw, &ln); err != nil {
-			fmt.Fprintf(os.Stderr, "skipping bad line: %v\n", err)
-			continue
-		}
-		switch ln.Event {
-		case "invocation":
-			meta = ln
-			setup = time.Duration(ln.SetupUs) * time.Microsecond
-			events = events[:0]
-			stats = metrics.FaultStats{}
-		case "fault":
-			kind, err := metrics.ParseFaultKind(ln.Kind)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "%v\n", err)
-				continue
-			}
-			dur := time.Duration(ln.DurUs * float64(time.Microsecond))
-			events = append(events, hostmm.FaultEvent{
-				At:       time.Duration(ln.AtUs) * time.Microsecond,
-				Page:     ln.Page,
-				Kind:     kind,
-				Duration: dur,
-				Write:    ln.Write,
-			})
-			stats.Record(kind, dur)
-		case "end":
-			groups++
-			fmt.Printf("%s / %s / input %s: total %v (setup %v) trace %s\n",
-				meta.Function, meta.Mode, meta.Input,
-				(time.Duration(meta.TotalUs) * time.Microsecond).Round(100*time.Microsecond),
-				setup.Round(100*time.Microsecond), meta.TraceID)
-			fmt.Printf("faults: %v\n\n", &stats)
-			analyze(events, &stats, setup, top)
-			fmt.Println()
-		}
-	}
-	if err := sc.Err(); err != nil {
+		fmt.Printf("%s / %s / input %s: total %v (setup %v) trace %s\n",
+			tl.Function, tl.Mode, tl.Input, tl.Total.Round(100*time.Microsecond),
+			tl.Setup.Round(100*time.Microsecond), tl.TraceID)
+		fmt.Printf("faults: %v\n\n", &stats)
+		analyze(tl.Events, &stats, tl.Setup, top)
+		fmt.Println()
+		return nil
+	})
+	if err != nil {
 		return err
 	}
 	if groups == 0 {

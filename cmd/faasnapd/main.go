@@ -29,7 +29,6 @@ import (
 	"faasnap/internal/core"
 	"faasnap/internal/daemon"
 	"faasnap/internal/kvstore"
-	"faasnap/internal/obs"
 	"faasnap/internal/slo"
 )
 
@@ -56,14 +55,10 @@ func run(logger *log.Logger) error {
 		maxInFlight   = flag.Int64("max-inflight", 0, "admission-control bound on in-flight invocations (0 = default 256)")
 		maxBurst      = flag.Int("max-burst", 0, "largest accepted burst parallelism (0 = default 256)")
 		quietHTTP     = flag.Bool("quiet-http", false, "drop the per-request access log line (for load benchmarks; telemetry still counts every request)")
-		traceRing     = flag.Int("trace-ring", obs.DefaultRing, "capacity of the trace store and the flight-recorder profile ring (must be > 0)")
 		sloLatency    = flag.Duration("slo-latency", 0, "per-request latency objective for GET /slo (0 = default 500ms)")
 		sloTarget     = flag.Float64("slo-target", 0, "SLO attainment target in (0,1) (0 = default 0.99)")
 	)
 	flag.Parse()
-	if *traceRing <= 0 {
-		return fmt.Errorf("-trace-ring must be > 0, got %d", *traceRing)
-	}
 	if *sloTarget < 0 || *sloTarget >= 1 {
 		return fmt.Errorf("-slo-target must be in [0,1), got %g", *sloTarget)
 	}
@@ -129,7 +124,6 @@ func run(logger *log.Logger) error {
 		// many snapshots starts answering health checks immediately.
 		AsyncRecovery: true,
 		QuietHTTP:     *quietHTTP,
-		TraceRing:     *traceRing,
 		SLO: slo.Config{
 			Default: slo.Objective{Latency: *sloLatency, Target: *sloTarget},
 		},

@@ -63,10 +63,6 @@ type Config struct {
 	// mutex and stderr write serialize the request path; benchmarked
 	// deployments turn it off.
 	QuietHTTP bool
-	// TraceRing caps both the trace store and the flight recorder, so a
-	// profile's exemplar trace usually still resolves while the profile
-	// is retained; <= 0 takes obs.DefaultRing.
-	TraceRing int
 	// SLO configures the objective of the GET /slo engine; the zero
 	// value takes the package default.
 	SLO slo.Config
@@ -141,20 +137,16 @@ func New(cfg Config) (*Daemon, error) {
 	// Fill host defaults field-wise: a partially-specified Host (custom
 	// costs, core count, seed) must survive construction intact.
 	cfg.Host = cfg.Host.WithDefaults()
-	ringSize := cfg.TraceRing
-	if ringSize <= 0 {
-		ringSize = obs.DefaultRing
-	}
 	d := &Daemon{
 		env: env{
 			log:       cfg.Logger,
 			telemetry: telemetry.NewRegistry(),
 			chaos:     chaos.New(),
 			events:    events.NewLedger(0),
-			traces:    trace.NewStore(ringSize),
+			traces:    trace.NewStore(obs.DefaultRing),
 		},
 		cfg:       cfg,
-		profiles:  obs.NewRing(ringSize),
+		profiles:  obs.NewRing(obs.DefaultRing),
 		slo:       slo.New(cfg.SLO),
 		faults:    events.NewHub(faultWatchDepth),
 		res:       cfg.Resilience.withDefaults(),

@@ -12,108 +12,8 @@ import (
 
 	"faasnap/internal/core"
 	"faasnap/internal/hostmm"
-	"faasnap/internal/metrics"
 	"faasnap/internal/trace"
 )
-
-// referenceFaultLines is the encoder the daemon used before it wrote
-// timelines directly: one map and one json.Marshal per line. It is the
-// byte-for-byte oracle for encodeFaultTimeline.
-func referenceFaultLines(tl *faultTimeline) [][]byte {
-	var lines [][]byte
-	put := func(v interface{}) {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			panic(err)
-		}
-		lines = append(lines, raw)
-	}
-	put(map[string]interface{}{
-		"event":    "invocation",
-		"function": tl.function,
-		"mode":     tl.mode,
-		"input":    tl.input,
-		"trace_id": tl.traceID,
-		"setup_us": tl.setup.Microseconds(),
-		"total_us": tl.total.Microseconds(),
-	})
-	for _, ev := range tl.events {
-		put(map[string]interface{}{
-			"event":  "fault",
-			"at_us":  ev.At.Microseconds(),
-			"page":   ev.Page,
-			"kind":   ev.Kind.String(),
-			"dur_us": float64(ev.Duration) / float64(time.Microsecond),
-			"write":  ev.Write,
-		})
-	}
-	put(map[string]interface{}{
-		"event":  "end",
-		"faults": len(tl.events),
-	})
-	return lines
-}
-
-// syntheticEvents returns n fault events cycling through every kind,
-// both write values and a spread of durations.
-func syntheticEvents(n int) []hostmm.FaultEvent {
-	durs := []time.Duration{
-		0, 1, 999, 1500, 2500, 3700, 32 * time.Microsecond, 2500 * time.Microsecond,
-		123456789, 7 * time.Second, 1<<62 + 12345,
-	}
-	evs := make([]hostmm.FaultEvent, n)
-	for i := range evs {
-		evs[i] = hostmm.FaultEvent{
-			At:       time.Duration(i) * 1700 * time.Nanosecond,
-			Page:     int64(i*37) % 524288,
-			Kind:     metrics.FaultKind(i) % metrics.NumFaultKinds,
-			Duration: durs[i%len(durs)],
-			Write:    i%3 == 0,
-		}
-	}
-	return evs
-}
-
-// TestEncodeFaultTimelineMatchesReference pins the typed encoder to the
-// reflection-based one line for line: every fault kind, write true and
-// false, durations from zero and sub-microsecond to seconds, and header
-// strings that need JSON and HTML escaping.
-func TestEncodeFaultTimelineMatchesReference(t *testing.T) {
-	for _, tl := range []*faultTimeline{
-		{function: "image", mode: "faasnap", input: "B", traceID: "0123456789abcdef",
-			setup: 45678 * time.Microsecond, total: 139 * time.Millisecond,
-			events: syntheticEvents(5 * 11 * 3)},
-		{function: "a\"b\\c<d>&e é\x01\xff", mode: "mode(9)", input: "ratio:0.5", traceID: "",
-			events: syntheticEvents(3)},
-		{function: "empty", mode: "warm", input: "A"},
-	} {
-		want := bytes.Join(referenceFaultLines(tl), []byte("\n"))
-		if got := encodeFaultTimeline(tl); !bytes.Equal(got, want) {
-			gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
-			for i := range wl {
-				if i >= len(gl) || !bytes.Equal(gl[i], wl[i]) {
-					t.Fatalf("%s: line %d differs:\n got %s\nwant %s", tl.mode, i, gl[min(i, len(gl)-1)], wl[i])
-				}
-			}
-			t.Fatalf("%s: %d lines, want %d", tl.mode, len(gl), len(wl))
-		}
-	}
-	// A kind outside the enum prints as metrics does, quoted.
-	odd := &faultTimeline{events: []hostmm.FaultEvent{{Kind: 17}}}
-	if got, want := encodeFaultTimeline(odd), bytes.Join(referenceFaultLines(odd), []byte("\n")); !bytes.Equal(got, want) {
-		t.Fatalf("unknown kind: got %s, want %s", got, want)
-	}
-}
-
-// TestEncodeFaultTimelineAllocations: encoding a 20 000-event timeline
-// on demand allocates a handful of objects, not the ~20 per line the
-// map encoder did (417 k for this size).
-func TestEncodeFaultTimelineAllocations(t *testing.T) {
-	tl := &faultTimeline{function: "image", mode: "faasnap", input: "B", traceID: "t", events: syntheticEvents(20000)}
-	if allocs := testing.AllocsPerRun(5, func() { encodeFaultTimeline(tl) }); allocs > 8 {
-		t.Fatalf("encoding 20k events allocates %.0f objects, want a handful", allocs)
-	}
-}
 
 // getFaults returns the body of GET /functions/{fn}/faults.
 func getFaults(t *testing.T, base, fn string) []byte {
@@ -145,7 +45,7 @@ func TestFaultTimelineEncodedOnDemand(t *testing.T) {
 
 	// The publish step with no watcher: a 20k-event trace costs the
 	// holder struct and nothing per event.
-	big := &core.InvokeResult{Mode: core.ModeFaaSnap, Input: "B", FaultTrace: syntheticEvents(20000)}
+	big := &core.InvokeResult{Mode: core.ModeFaaSnap, Input: "B", FaultTrace: make([]hostmm.FaultEvent, 20000)}
 	if allocs := testing.AllocsPerRun(10, func() { d.publishFaults(fs, trace.ID("t"), big) }); allocs > 2 {
 		t.Fatalf("publishFaults with no watcher allocates %.0f objects: the timeline is being encoded for nobody", allocs)
 	}
@@ -154,10 +54,10 @@ func TestFaultTimelineEncodedOnDemand(t *testing.T) {
 	doJSON(t, "POST", srv.URL+"/functions/hello-world/invoke",
 		map[string]string{"mode": "faasnap", "input": "B"}, &inv)
 	tl := fs.faults()
-	if tl == nil || tl.traceID != inv.TraceID || int64(len(tl.events)) != inv.Faults {
+	if tl == nil || tl.TraceID != inv.TraceID || int64(len(tl.Events)) != inv.Faults {
 		t.Fatalf("parked timeline = %+v, want the raw trace of invocation %s (%d faults)", tl, inv.TraceID, inv.Faults)
 	}
-	want := append(bytes.Join(referenceFaultLines(tl), []byte("\n")), '\n')
+	want := append(tl.Encode(), '\n')
 	if got := getFaults(t, srv.URL, "hello-world"); !bytes.Equal(got, want) {
 		t.Fatalf("GET after an unwatched invoke differs from the eager encoding (%d vs %d bytes)", len(got), len(want))
 	}

@@ -25,6 +25,7 @@ import (
 	"faasnap/internal/core"
 	"faasnap/internal/events"
 	"faasnap/internal/guestagent"
+	"faasnap/internal/hostmm"
 	"faasnap/internal/kvstore"
 	"faasnap/internal/trace"
 	"faasnap/internal/vmm"
@@ -59,7 +60,7 @@ type fnState struct {
 	side       sync.Mutex
 	machine    *vmm.Machine
 	agent      *guestagent.Agent
-	lastFaults *faultTimeline
+	lastFaults *hostmm.FaultTimeline
 	deficitN   int
 	deficitSeq uint64
 }
@@ -89,13 +90,13 @@ func (fs *fnState) guest() (*vmm.Machine, *guestagent.Agent) {
 	return fs.machine, fs.agent
 }
 
-func (fs *fnState) faults() *faultTimeline {
+func (fs *fnState) faults() *hostmm.FaultTimeline {
 	fs.side.Lock()
 	defer fs.side.Unlock()
 	return fs.lastFaults
 }
 
-func (fs *fnState) setFaults(tl *faultTimeline) {
+func (fs *fnState) setFaults(tl *hostmm.FaultTimeline) {
 	fs.side.Lock()
 	fs.lastFaults = tl
 	fs.side.Unlock()

@@ -300,7 +300,8 @@ func TestProfilesEndpoint(t *testing.T) {
 // TestProfileRingBound proves the recorder's memory stays bounded: a
 // tiny ring retains only the newest records.
 func TestProfileRingBound(t *testing.T) {
-	_, srv := newTestDaemon(t, Config{StateDir: t.TempDir(), TraceRing: 2})
+	d, srv := newTestDaemon(t, Config{StateDir: t.TempDir()})
+	d.profiles = obs.NewRing(2) // before the first request
 	provisionAndInvoke(t, srv.URL, "hello-world", "faasnap", 4)
 	var raw struct {
 		Profiles []*obs.Profile `json:"profiles"`

@@ -198,14 +198,7 @@ func (s *store) writeSnapfile(name string, save func(path string) error) (*core.
 // it), and the gateway's anti-entropy pass re-pulls the tail with an
 // eager chunk sync from a complete replica.
 func (s *store) load(name string) (*core.Artifacts, *chunkMap, error) {
-	fault := snapfile.FaultNone
-	switch dec := s.chaos.Eval(chaos.PointSnapfile, name+".snap"); {
-	case dec.Is(chaos.KindCorrupt):
-		fault = snapfile.FaultCorrupt
-	case dec.Is(chaos.KindTruncate):
-		fault = snapfile.FaultTruncate
-	}
-	arts, cm, err := snapfile.LoadChunkedWithFault(s.snapPath(name), fault)
+	arts, cm, err := s.decode(name)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -223,6 +216,29 @@ func (s *store) load(name string) (*core.Artifacts, *chunkMap, error) {
 		s.log.Printf("recovery: %s is missing %d lazy chunks (reported as chunks_missing; anti-entropy re-syncs them)", name, lazyMissing)
 	}
 	return arts, cm, nil
+}
+
+// decode reads name's snapfile. When the snapfile chaos rule fires it
+// damages the bytes in transit — the middle byte flipped, or the file
+// cut in half — before decoding, so the checksum and section parsing
+// must catch real damage; otherwise the file streams straight through.
+func (s *store) decode(name string) (*core.Artifacts, *chunkMap, error) {
+	path := s.snapPath(name)
+	dec := s.chaos.Eval(chaos.PointSnapfile, name+".snap")
+	corrupt, truncate := dec.Is(chaos.KindCorrupt), dec.Is(chaos.KindTruncate)
+	if !corrupt && !truncate {
+		return snapfile.LoadChunked(path)
+	}
+	raw, err := atomicfile.ReadFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !corrupt {
+		raw = raw[:len(raw)/2]
+	} else if len(raw) > 0 {
+		raw[len(raw)/2] ^= 0xff
+	}
+	return snapfile.ReadChunked(bytes.NewReader(raw))
 }
 
 // absent counts the refs of cm neither tier of the store can serve: an

@@ -8,8 +8,8 @@ package gateway
 // stale, demoted in placement, and repaired through its normal API from
 // the owner/standby copy: missing registrations and deletes are
 // replayed, missing snapshots pulled chunk by chunk. When a pass that
-// has the backend's status finds no deficits it returns to full ring
-// weight. See GATEWAY.md.
+// has the backend's status finds no deficits it returns to its place
+// in preference order. See GATEWAY.md.
 
 import (
 	"context"
@@ -19,36 +19,16 @@ import (
 	"strconv"
 	"time"
 
+	"faasnap/internal/daemon"
 	"faasnap/internal/events"
 	"faasnap/internal/telemetry"
 	"faasnap/internal/trace"
 )
 
-// manifestEntry mirrors one function of the daemon's GET /status reply:
-// its statedir.Entry plus where its chunk map stands against the store.
-type manifestEntry struct {
-	Name        string `json:"name"`
-	Generation  uint64 `json:"generation"`
-	Deleted     bool   `json:"deleted"`
-	HasSnapshot bool   `json:"has_snapshot"`
-	RecordInput string `json:"record_input,omitempty"`
-	Spec        string `json:"spec,omitempty"`
-	// ChunksPending is what the backend's live lazy fetcher still owes:
-	// absent, but somebody's job — never a reason to repair.
-	ChunksPending int `json:"chunks_pending,omitempty"`
-	// ChunksMissing is the backend's chunk-store deficit against this
-	// function's chunk map that nobody owns (abandoned by the fetcher or
-	// lost out of band); non-zero triggers an eager chunk re-sync repair.
-	ChunksMissing int `json:"chunks_missing,omitempty"`
-	// DeficitSeq is the seq of the backend's manifest_deficit ledger
-	// event announcing that deficit; the gateway's repair event cites it
-	// as cause_seq so the causality chain resolves across daemons.
-	DeficitSeq uint64 `json:"deficit_seq,omitempty"`
-}
-
 // incomplete is how many of its chunks the copy cannot serve to a peer
-// right now.
-func (e manifestEntry) incomplete() int { return e.ChunksPending + e.ChunksMissing }
+// right now: what its backend's lazy fetcher still owes, plus the
+// deficit nobody owns.
+func incomplete(e daemon.StatusFunction) int { return e.ChunksPending + e.ChunksMissing }
 
 // outranks reports whether copy e beats copy w as the version its
 // replica set converges on: the higher generation; among equals — two
@@ -57,7 +37,7 @@ func (e manifestEntry) incomplete() int { return e.ChunksPending + e.ChunksMissi
 // through a tie, then the copy with the snapshot, then the most
 // complete, since a repair source must be able to serve every chunk it
 // advertises.
-func (e manifestEntry) outranks(w manifestEntry) bool {
+func outranks(e, w daemon.StatusFunction) bool {
 	switch {
 	case e.Generation != w.Generation:
 		return e.Generation > w.Generation
@@ -66,27 +46,16 @@ func (e manifestEntry) outranks(w manifestEntry) bool {
 	case e.HasSnapshot != w.HasSnapshot:
 		return e.HasSnapshot
 	}
-	return e.incomplete() < w.incomplete()
+	return incomplete(e) < incomplete(w)
 }
 
-func (v *backendView) entry(fn string) (manifestEntry, bool) {
+func (v *backendView) entry(fn string) (daemon.StatusFunction, bool) {
 	for _, e := range v.Functions {
 		if e.Name == fn {
 			return e, true
 		}
 	}
-	return manifestEntry{}, false
-}
-
-// syncResult mirrors the subset of the daemon's POST /functions/{name}/sync
-// response the gateway accounts for.
-type syncResult struct {
-	ChunksFetched int   `json:"chunks_fetched"`
-	BytesFetched  int64 `json:"bytes_fetched"`
-	// TraceID identifies the restore-waterfall trace the target daemon
-	// minted for this sync; the gateway's repair event carries it so the
-	// transfer can be rendered with `faasnapctl waterfall`.
-	TraceID string `json:"trace_id,omitempty"`
+	return daemon.StatusFunction{}, false
 }
 
 // ResyncNow runs one anti-entropy pass over the status replies
@@ -94,7 +63,7 @@ type syncResult struct {
 // actions issued. The sweep loop calls it after every CheckNow; tests
 // call it directly for a deterministic pass. Passes never overlap.
 //
-// Staleness is judged within each function's replica set (the ring
+// Staleness is judged within each function's replica set (the
 // owner plus the configured standbys — the backends that are supposed
 // to hold it). The highest-generation entry wins: generations count
 // acknowledged client mutations per function, and neither losing a
@@ -175,7 +144,7 @@ func (g *Gateway) ResyncNow() int {
 	syncChunks := func(b *Backend, fn, source string, eager bool, deficitSeq uint64) {
 		start := time.Since(t0)
 		body, _ := json.Marshal(map[string]interface{}{"source": source, "eager": eager})
-		var sr syncResult
+		var sr daemon.SyncResponse
 		if call(b, http.MethodPost, "/functions/"+fn+"/sync", body, &sr) != nil {
 			return
 		}
@@ -194,10 +163,9 @@ func (g *Gateway) ResyncNow() int {
 		}
 		repaired(b, fn, "chunks", action, start, ev)
 	}
-	backends := g.pool.snapshot()
-	current := make(map[string]*backendView, len(backends))
+	current := make(map[string]*backendView, len(g.backends))
 	fns := make(map[string]bool)
-	for _, b := range backends {
+	for _, b := range g.backends {
 		v := b.view.Load()
 		if !v.Ready || v.Recovering || v.Digest == "" {
 			continue
@@ -216,15 +184,15 @@ func (g *Gateway) ResyncNow() int {
 
 	stale := make(map[string]bool)
 	for _, fn := range names {
-		prefs := g.pool.preference(fn, 1+g.cfg.Replicas)
-		var winner *manifestEntry
+		prefs := preference(g.backends, fn, 1+g.cfg.Replicas)
+		var winner *daemon.StatusFunction
 		var winnerAddr string
 		for _, b := range prefs {
 			v := current[b.Addr]
 			if v == nil {
 				continue
 			}
-			if e, ok := v.entry(fn); ok && (winner == nil || e.outranks(*winner)) {
+			if e, ok := v.entry(fn); ok && (winner == nil || outranks(e, *winner)) {
 				we := e
 				winner = &we
 				winnerAddr = b.Addr
@@ -251,7 +219,7 @@ func (g *Gateway) ResyncNow() int {
 				if !replay(b, fn, "register", http.MethodPut, []byte(winner.Spec)) {
 					continue // no point syncing onto a failed register
 				}
-				e = manifestEntry{Name: fn}
+				e = daemon.StatusFunction{}
 			}
 			if !winner.HasSnapshot {
 				continue
@@ -263,7 +231,7 @@ func (g *Gateway) ResyncNow() int {
 				// repairs with a fraction of the snapfile's bytes.
 				stale[b.Addr] = true
 				syncChunks(b, fn, winnerAddr, false, 0)
-			} else if e.ChunksMissing > 0 && winner.incomplete() == 0 {
+			} else if e.ChunksMissing > 0 && incomplete(*winner) == 0 {
 				// The backend has the snapshot but lost part of its chunk
 				// content — a lazy tail its background fetcher abandoned, or
 				// out-of-band loss. It serves fine from its loading set but
@@ -274,7 +242,7 @@ func (g *Gateway) ResyncNow() int {
 			}
 		}
 	}
-	for _, b := range backends {
+	for _, b := range g.backends {
 		if current[b.Addr] == nil {
 			continue // no status, no verdict: it keeps the one it had
 		}

@@ -3,7 +3,7 @@ package gateway
 // Anti-entropy unit tests over scriptable fake backends: staleness
 // detection from /status generations, repairs (register, chunk
 // sync, delete), placement demotion while stale, and recovery to
-// full ring weight once manifests converge.
+// its place in preference order once manifests converge.
 
 import (
 	"bytes"
@@ -33,7 +33,7 @@ func tombstone(name string, gen int) string {
 // prefFakes resolves fn's replica set (owner + n-1 standbys) to fakes.
 func prefFakes(t *testing.T, g *Gateway, fn string, n int, fakes []*fakeBackend) []*fakeBackend {
 	t.Helper()
-	addrs := g.pool.ring.Preference(fn, n)
+	addrs := prefAddrs(g, fn, n)
 	out := make([]*fakeBackend, 0, n)
 	for _, a := range addrs {
 		for _, f := range fakes {
@@ -82,7 +82,7 @@ func TestAntiEntropyRepairsStaleBackend(t *testing.T) {
 
 	// While repairs are in flight the standby is demoted to the back of
 	// the candidate order.
-	sb, _ := g.pool.backend(standby.addr)
+	sb := backendAt(g, standby.addr)
 	if !sb.Stale() {
 		t.Fatal("repaired backend not marked stale")
 	}
@@ -107,7 +107,7 @@ func TestAntiEntropyRepairsStaleBackend(t *testing.T) {
 	}
 
 	// Once the standby's manifest converges, the next pass repairs
-	// nothing and restores full ring weight.
+	// nothing and restores its place in preference order.
 	scriptManifest(standby, "d-owner", liveEntry(fn, 2, true, "A"))
 	g.CheckNow()
 	if n := g.ResyncNow(); n != 0 {
@@ -139,7 +139,7 @@ func TestAntiEntropyFailedSyncRetriesNextSweep(t *testing.T) {
 	if sy, rec := standby.syncs.Load(), standby.records.Load(); sy != 1 || rec != 0 {
 		t.Fatalf("first pass: syncs=%d records=%d, want one sync attempt and no record", sy, rec)
 	}
-	sb, _ := g.pool.backend(standby.addr)
+	sb := backendAt(g, standby.addr)
 	if !sb.Stale() {
 		t.Fatal("backend whose repair failed is not stale")
 	}
@@ -192,7 +192,7 @@ func TestAntiEntropyIgnoresManifestlessBackends(t *testing.T) {
 		t.Fatalf("resync against manifestless backends = %d actions", n)
 	}
 	for _, f := range fakes {
-		b, _ := g.pool.backend(f.addr)
+		b := backendAt(g, f.addr)
 		if b.Stale() {
 			t.Fatalf("manifestless backend %s marked stale", f.addr)
 		}
@@ -282,7 +282,7 @@ func TestAntiEntropyVersionRules(t *testing.T) {
 			if n := owner.syncs.Load() + owner.creates.Load() + owner.deletes.Load(); n != 0 {
 				t.Fatalf("the winner was repaired (%d mutations)", n)
 			}
-			sb, _ := g.pool.backend(standby.addr)
+			sb := backendAt(g, standby.addr)
 			if sb.Stale() != tc.stale {
 				t.Fatalf("standby stale = %v, want %v", sb.Stale(), tc.stale)
 			}
@@ -323,7 +323,7 @@ func TestAntiEntropyKeepsVerdictWithoutStatus(t *testing.T) {
 	if n := g.ResyncNow(); n != 2 {
 		t.Fatalf("repair pass actions = %d, want 2", n)
 	}
-	sb, _ := g.pool.backend(standby.addr)
+	sb := backendAt(g, standby.addr)
 	if !sb.Stale() {
 		t.Fatal("repaired backend not marked stale")
 	}

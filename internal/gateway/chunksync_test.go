@@ -366,8 +366,8 @@ func TestAntiEntropyLeavesLiveTailAlone(t *testing.T) {
 	if n := g.ResyncNow(); n != 2 {
 		t.Fatalf("initial resync actions = %d, want 2 (register + chunk-sync)", n)
 	}
-	entryB := func() manifestEntry {
-		b, _ := g.pool.backend(addrB)
+	entryB := func() daemon.StatusFunction {
+		b := backendAt(g, addrB)
 		e, ok := b.view.Load().entry(fn)
 		if !ok {
 			t.Fatalf("%s missing from B's status", fn)
@@ -394,7 +394,7 @@ func TestAntiEntropyLeavesLiveTailAlone(t *testing.T) {
 			}
 			time.Sleep(time.Millisecond)
 		}
-		if b, _ := g.pool.backend(addrB); b.Stale() {
+		if b := backendAt(g, addrB); b.Stale() {
 			t.Fatalf("replica with %d chunks pending and nothing missing is stale", left)
 		}
 		if left > 0 {

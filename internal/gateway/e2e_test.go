@@ -383,7 +383,8 @@ func TestGatewayE2E(t *testing.T) {
 // back on the same address with a wiped disk. The gateway's health
 // sweep must detect the rejoined-but-stale backend, replay the missing
 // registration and recording from the owner's copy, and restore it to
-// full ring weight — while clients invoking throughout never see a 500.
+// its place in preference order — while clients invoking throughout
+// never see a 500.
 func TestGatewayE2EResync(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3-daemon e2e; skipped in -short")
@@ -470,9 +471,9 @@ func TestGatewayE2EResync(t *testing.T) {
 	})
 	// With the repair done — the copy sits at its source's generation, and
 	// its draining lazy tail is pending, not missing — the first pass that
-	// sees its status finds nothing to repair and returns it to full ring
-	// weight.
-	waitFor(t, "rejoined backend never returned to full ring weight", func() bool {
+	// sees its status finds nothing to repair and returns it to its place
+	// in preference order.
+	waitFor(t, "rejoined backend never returned to its place in preference order", func() bool {
 		b := backendRow(t, gwSrv.URL, standbyAddr)
 		return b.Ready && !b.Stale
 	})

@@ -203,7 +203,7 @@ func TestAttemptClassification(t *testing.T) {
 		for _, col := range columns {
 			net := &scriptedNet{script: map[string]action{"b:1": row.a}}
 			g := newScriptedGateway(t, net, Config{}, "b:1")
-			br := g.pool.backends["b:1"].breaker
+			br := backendAt(g, "b:1").breaker
 			for i := 1; i < breakerThreshold; i++ {
 				br.Report(resilience.Unhealthy)
 			}
@@ -231,7 +231,7 @@ type forwardModel struct {
 	net  *scriptedNet
 	g    *Gateway
 	now  time.Time
-	// owned[i] is a function whose ring owner is backend i.
+	// owned[i] is a function whose owner is backend i.
 	addrs, owned []string
 	// lastHealthy is whether each backend's latest reply was a healthy
 	// one.
@@ -251,13 +251,13 @@ func newForwardModel(t *testing.T, seed int64) *forwardModel {
 	m.g = newScriptedGateway(t, m.net, Config{
 		RequestTimeout: time.Hour, // deadlines are the script's to fire
 	}, m.addrs...)
-	for _, b := range m.g.pool.snapshot() {
+	for _, b := range m.g.backends {
 		b.breaker.SetClock(func() time.Time { return m.now })
 		m.lastHealthy[b.Addr] = true
 	}
 	for _, addr := range m.addrs {
 		for i := 0; ; i++ {
-			if fn := fmt.Sprintf("f%d", i); m.g.pool.ring.Owner(fn) == addr {
+			if fn := fmt.Sprintf("f%d", i); prefAddrs(m.g, fn, 1)[0] == addr {
 				m.owned = append(m.owned, fn)
 				break
 			}
@@ -312,7 +312,7 @@ func (m *forwardModel) step() {
 
 // invariants are what must hold between requests, whatever came before.
 func (m *forwardModel) invariants() {
-	for _, b := range m.g.pool.snapshot() {
+	for _, b := range m.g.backends {
 		if n := b.inflight.Load(); n != 0 {
 			m.fail("%s has %d requests in flight with none open", b.Addr, n)
 		}

@@ -1,12 +1,12 @@
 // Package gateway is the multi-host serving tier in front of N
 // faasnapd backends: the load balancer the daemon's §4.1 deployment
-// story assumes. Placement is snapshot-locality-aware — invocations
-// consistent-hash on function name so repeat requests land on the
-// backend that already holds the function's snapfile and page-cache
-// state (§7.2), with least-loaded spillover when the owner is down,
-// draining, saturated, or breaker-open. Failures retry on another
-// backend under the client's deadline, so one dead host degrades
-// capacity, never availability. See GATEWAY.md.
+// story assumes. Placement is snapshot-locality-aware — backends are
+// ranked by rendezvous hashing of the function name, so repeat
+// requests land on the backend that already holds the function's
+// snapfile and page-cache state (§7.2), with least-loaded spillover
+// when the owner is down, draining, saturated, or breaker-open.
+// Failures retry on another backend under the client's deadline, so
+// one dead host degrades capacity, never availability. See GATEWAY.md.
 package gateway
 
 import (
@@ -17,6 +17,7 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -31,8 +32,8 @@ import (
 
 // Placement values reported in the "placement" response field.
 const (
-	// PlacementSticky: the request was served by its consistent-hash
-	// owner on the first attempt.
+	// PlacementSticky: the request was served by its owner (the first
+	// backend in preference order) on the first attempt.
 	PlacementSticky = "sticky"
 	// PlacementSpillover: the owner was unusable (down, unready,
 	// saturated, breaker-open) and the first attempt went elsewhere.
@@ -100,10 +101,12 @@ func (c Config) withDefaults() Config {
 
 // Gateway fronts a set of faasnapd backends.
 type Gateway struct {
-	cfg  Config
-	log  *log.Logger
-	pool *Pool
-	reg  *telemetry.Registry
+	cfg Config
+	log *log.Logger
+	reg *telemetry.Registry
+	// backends is the configured set, deduplicated and in address
+	// order, fixed at construction: what placement ranks.
+	backends []*Backend
 
 	// events is the gateway's own event ledger (repairs, convergence,
 	// backend breaker/staleness transitions), merged with the daemons'
@@ -160,7 +163,11 @@ func build(cfg Config) (*Gateway, error) {
 		lastRepairSeq: make(map[string]uint64),
 	}
 	g.ctx, g.cancel = context.WithCancel(context.Background())
-	g.pool = newPool(cfg.Backends, g.reg, g.events)
+	addrs := append([]string(nil), cfg.Backends...)
+	sort.Strings(addrs)
+	for _, addr := range slices.Compact(addrs) {
+		g.backends = append(g.backends, newBackend(addr, g.reg, g.events))
+	}
 	return g, nil
 }
 
@@ -232,7 +239,7 @@ func (g *Gateway) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (g *Gateway) readyCount() int {
 	n := 0
-	for _, b := range g.pool.snapshot() {
+	for _, b := range g.backends {
 		if b.Ready() {
 			n++
 		}
@@ -243,10 +250,10 @@ func (g *Gateway) readyCount() int {
 // handleCluster reports the serving topology: every backend's health,
 // breaker, and load from the last sweep, the functions burning SLO
 // budget (asked of the ready backends now) and — with ?fn=<name> — the
-// preference order (owner first) the placement ring assigns it.
+// preference order (owner first) placement assigns it.
 func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 	backends := make([]BackendStatus, 0)
-	for _, b := range g.pool.snapshot() {
+	for _, b := range g.backends {
 		backends = append(backends, b.status())
 	}
 	_, burning, _ := g.clusterSLO(r.Context())
@@ -256,7 +263,10 @@ func (g *Gateway) handleCluster(w http.ResponseWriter, r *http.Request) {
 		"burning_functions": burning,
 	}
 	if fn := r.URL.Query().Get("fn"); fn != "" {
-		prefs := g.pool.ring.Preference(fn, 0)
+		var prefs []string
+		for _, b := range preference(g.backends, fn, 0) {
+			prefs = append(prefs, b.Addr)
+		}
 		out["function"] = fn
 		out["preference"] = prefs
 	}
@@ -274,11 +284,11 @@ func (g *Gateway) nextTraceSC() telemetry.SpanContext {
 }
 
 // candidates returns the ordered backends a request for fn should try:
-// the ring owner first, then the remaining backends by ascending load,
-// ties broken by ring (standby) order so equally-loaded snapshot
+// the owner first, then the remaining backends by ascending load,
+// ties broken by preference (standby) order so equally-loaded snapshot
 // replicas are preferred.
 func (g *Gateway) candidates(fn string) []*Backend {
-	prefs := g.pool.preference(fn, 0)
+	prefs := preference(g.backends, fn, 0)
 	if len(prefs) > 1 {
 		// Spillover order: a standby whose admission window was full at
 		// the last sweep will certainly shed, so unsaturated backends go
@@ -439,7 +449,7 @@ func (g *Gateway) handleForward(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, "no backends configured")
 		return
 	}
-	owner := g.pool.preference(fn, 1)
+	owner := preference(g.backends, fn, 1)
 	attempts := 0
 	sawShed, retryAfter := false, 1
 	var lastMiss *proxyResult
@@ -553,7 +563,7 @@ func (g *Gateway) writeRaw(w http.ResponseWriter, res proxyResult) {
 
 // handleFanout serves PUT /functions/{name} and POST .../record:
 // the mutation lands on the function's owner and is replicated to the
-// next Replicas standbys in ring order, so spillover and failover
+// next Replicas standbys in preference order, so spillover and failover
 // backends already hold the snapshot state when traffic reaches them.
 // The owner's response is returned (first success if the owner is
 // down), extended with the list of backends that accepted the change.
@@ -570,7 +580,7 @@ func (g *Gateway) handleFanout(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		sc = g.nextTraceSC()
 	}
-	prefs := g.pool.preference(fn, 1+g.cfg.Replicas)
+	prefs := preference(g.backends, fn, 1+g.cfg.Replicas)
 	if len(prefs) == 0 {
 		writeErr(w, http.StatusServiceUnavailable, "no backends configured")
 		return
@@ -616,7 +626,7 @@ func (g *Gateway) handleFanout(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	placement := PlacementSpillover
-	if owner := g.pool.preference(fn, 1); len(owner) > 0 && firstBackend == owner[0] {
+	if firstBackend == prefs[0] {
 		placement = PlacementSticky
 	}
 	g.writeProxied(w, *first, firstBackend, placement, map[string]interface{}{"replicated_to": accepted})
@@ -660,7 +670,7 @@ func (g *Gateway) handleDeleteAll(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
 	defer cancel()
 	found := false
-	for _, b := range g.pool.snapshot() {
+	for _, b := range g.backends {
 		if !b.Ready() {
 			continue
 		}

@@ -200,10 +200,29 @@ func newTestGateway(t *testing.T, cfg Config, fakes ...*fakeBackend) *Gateway {
 	return g
 }
 
-// ownerIndex returns which fake owns fn on g's ring.
+// prefAddrs is fn's preference order on g, owner first, as addresses.
+func prefAddrs(g *Gateway, fn string, n int) []string {
+	var out []string
+	for _, b := range preference(g.backends, fn, n) {
+		out = append(out, b.Addr)
+	}
+	return out
+}
+
+// backendAt returns g's backend at addr, nil if there is none.
+func backendAt(g *Gateway, addr string) *Backend {
+	for _, b := range g.backends {
+		if b.Addr == addr {
+			return b
+		}
+	}
+	return nil
+}
+
+// ownerIndex returns which fake owns fn on g.
 func ownerIndex(t *testing.T, g *Gateway, fn string, fakes []*fakeBackend) int {
 	t.Helper()
-	owner := g.pool.ring.Owner(fn)
+	owner := prefAddrs(g, fn, 1)[0]
 	for i, f := range fakes {
 		if f.addr == owner {
 			return i
@@ -280,9 +299,9 @@ func TestSpilloverWhenOwnerUnready(t *testing.T) {
 	fakes[oi].ready.Store(false)
 	g.CheckNow()
 
-	// Load the second-preference backend so least-loaded wins over ring
-	// order.
-	prefs := g.pool.preference("fn-a", 0)
+	// Load the second-preference backend so least-loaded wins over
+	// preference order.
+	prefs := preference(g.backends, "fn-a", 0)
 	prefs[1].inflight.Store(10)
 	rep := gwInvoke(t, g, "fn-a")
 	if rep.status != 200 || rep.placement != PlacementSpillover {
@@ -301,7 +320,7 @@ func TestSpilloverWhenOwnerSaturated(t *testing.T) {
 	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t), newFakeBackend(t)}
 	g := newTestGateway(t, Config{MaxPerBackend: 4}, fakes...)
 	oi := ownerIndex(t, g, "fn-a", fakes)
-	ob, _ := g.pool.backend(fakes[oi].addr)
+	ob := backendAt(g, fakes[oi].addr)
 	ob.inflight.Store(4)
 	rep := gwInvoke(t, g, "fn-a")
 	if rep.status != 200 || rep.placement != PlacementSpillover {
@@ -317,7 +336,7 @@ func TestSpilloverWhenBreakerOpen(t *testing.T) {
 	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t), newFakeBackend(t)}
 	g := newTestGateway(t, Config{}, fakes...)
 	oi := ownerIndex(t, g, "fn-a", fakes)
-	ob, _ := g.pool.backend(fakes[oi].addr)
+	ob := backendAt(g, fakes[oi].addr)
 	ob.breaker.SetClock(func() time.Time { return time.Unix(0, 0) }) // the cooldown never runs out
 	for i := 0; i < 3; i++ {
 		ob.breaker.Report(resilience.Unhealthy)
@@ -372,7 +391,7 @@ func TestRetryOnBackendError(t *testing.T) {
 	if after-before != 1 {
 		t.Fatalf("a 400 cost %d attempts, want 1", after-before)
 	}
-	ob, _ := g.pool.backend(fakes[oi].addr)
+	ob := backendAt(g, fakes[oi].addr)
 	if st := ob.breaker.State().String(); st != "closed" {
 		t.Fatalf("owner breaker %s after a 400, want closed", st)
 	}
@@ -392,7 +411,7 @@ func TestRetryOnSnapshotMiss(t *testing.T) {
 	if rep.status != 200 || rep.placement != PlacementRetry {
 		t.Fatalf("got %d/%q, want 200/retry", rep.status, rep.placement)
 	}
-	ob, _ := g.pool.backend(fakes[oi].addr)
+	ob := backendAt(g, fakes[oi].addr)
 	if st := ob.breaker.State().String(); st != "closed" {
 		t.Fatalf("owner breaker %s after a 404 miss, want closed", st)
 	}
@@ -444,7 +463,7 @@ func TestAllBackendsShed(t *testing.T) {
 	// Sheds are backpressure, not failures: no breaker may have
 	// tripped.
 	for _, f := range fakes {
-		b, _ := g.pool.backend(f.addr)
+		b := backendAt(g, f.addr)
 		if st := b.breaker.State().String(); st != "closed" {
 			t.Fatalf("breaker %s after sheds, want closed", st)
 		}
@@ -494,7 +513,7 @@ func TestProbeWithoutVerdictReleasesBreaker(t *testing.T) {
 				handled <- struct{}{}
 			}))
 			defer srv.Close()
-			b, _ := g.pool.backend(f.addr)
+			b := backendAt(g, f.addr)
 			var cooldowns atomic.Int64 // breaker cooldowns elapsed on its clock
 			start := time.Now()
 			b.breaker.SetClock(func() time.Time {
@@ -554,8 +573,8 @@ func TestProbeWithoutVerdictReleasesBreaker(t *testing.T) {
 	}
 }
 
-// Registration fans out to the owner plus Replicas standbys, in ring
-// order, and reports who accepted it.
+// Registration fans out to the owner plus Replicas standbys, in
+// preference order, and reports who accepted it.
 func TestCreateFanout(t *testing.T) {
 	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t), newFakeBackend(t)}
 	g := newTestGateway(t, Config{Replicas: 1}, fakes...)
@@ -578,9 +597,9 @@ func TestCreateFanout(t *testing.T) {
 	if len(reps) != 2 {
 		t.Fatalf("replicated_to = %v, want owner + 1 standby", body["replicated_to"])
 	}
-	prefs := g.pool.ring.Preference("hello-world", 2)
+	prefs := prefAddrs(g, "hello-world", 2)
 	if reps[0] != prefs[0] || reps[1] != prefs[1] {
-		t.Fatalf("replicated_to = %v, want ring order %v", reps, prefs)
+		t.Fatalf("replicated_to = %v, want preference order %v", reps, prefs)
 	}
 	total := fakes[0].creates.Load() + fakes[1].creates.Load() + fakes[2].creates.Load()
 	if total != 2 {
@@ -620,7 +639,7 @@ func TestClusterEndpoint(t *testing.T) {
 	if readyCount != 1 {
 		t.Fatalf("ready backends = %d, want 1", readyCount)
 	}
-	if len(body.Pref) != 2 || body.Pref[0] != g.pool.ring.Owner("hello-world") {
+	if len(body.Pref) != 2 || body.Pref[0] != prefAddrs(g, "hello-world", 1)[0] {
 		t.Fatalf("preference = %v", body.Pref)
 	}
 }

@@ -31,6 +31,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"faasnap/internal/daemon"
+	"faasnap/internal/statedir"
 )
 
 const (
@@ -48,7 +51,7 @@ func modelChunk(fn, input string, i int) (digest string, ls bool) {
 }
 
 type modelEntry struct {
-	manifestEntry
+	daemon.StatusFunction
 	// tail is what the function's live lazy fetcher still owes, fetched
 	// from tailSource one explicit step at a time; nil without one.
 	tail       []string
@@ -113,10 +116,10 @@ func (m *modelNet) serve(w http.ResponseWriter, r *http.Request, addr string, n 
 	switch {
 	case r.Method == "GET" && r.URL.Path == "/status":
 		m.seen[addr] = m.sweep
-		st := backendState{Ready: true, Digest: "model"}
+		st := daemon.StatusResponse{Ready: true, Digest: "model"}
 		for _, fn := range sortedKeys(n.entries) {
 			e := n.entries[fn]
-			me := e.manifestEntry
+			me := e.StatusFunction
 			if absent := m.absent(n, fn, e); absent > 0 {
 				me.ChunksPending = min(len(e.tail), absent)
 				me.ChunksMissing = max(0, absent-len(e.tail))
@@ -182,7 +185,7 @@ func (m *modelNet) absent(n *modelNode, fn string, e *modelEntry) int {
 func (m *modelNet) mint(n *modelNode, fn string, repair bool, apply func(*modelEntry)) {
 	e := n.entries[fn]
 	if e == nil {
-		e = &modelEntry{manifestEntry: manifestEntry{Name: fn}}
+		e = &modelEntry{StatusFunction: daemon.StatusFunction{Entry: statedir.Entry{Name: fn}}}
 		n.entries[fn] = e
 	}
 	e.Generation++
@@ -244,13 +247,13 @@ func (m *modelNet) sync(addr string, n *modelNode, fn, source string, eager bool
 	}
 	e := n.entries[fn]
 	if e == nil {
-		e = &modelEntry{manifestEntry: manifestEntry{Name: fn}}
+		e = &modelEntry{StatusFunction: daemon.StatusFunction{Entry: statedir.Entry{Name: fn}}}
 		n.entries[fn] = e
 	}
 	e.Generation = max(e.Generation, se.Generation)
 	e.Deleted, e.HasSnapshot, e.RecordInput = false, true, se.RecordInput
 	e.tail, e.tailSource = lazy, source
-	return 200, syncResult{ChunksFetched: fetched, BytesFetched: int64(fetched) << 10}
+	return 200, daemon.SyncResponse{ChunksFetched: fetched, BytesFetched: int64(fetched) << 10}
 }
 
 // advanceTails steps every live tail on n by one chunk: fetched, or —
@@ -486,16 +489,16 @@ func (r *modelRun) converge() {
 // different recordings — generations are counters, not version vectors.)
 func (r *modelRun) settled() string {
 	m := r.net
-	for _, b := range r.g.pool.snapshot() {
+	for _, b := range r.g.backends {
 		if b.Stale() {
 			return b.Addr + " is stale"
 		}
 	}
 	for _, fn := range r.fns {
-		set := r.g.pool.ring.Preference(fn, 1+r.g.cfg.Replicas)
+		set := prefAddrs(r.g, fn, 1+r.g.cfg.Replicas)
 		var w *modelEntry
 		for _, addr := range set {
-			if e := m.nodes[addr].entries[fn]; e != nil && (w == nil || e.outranks(w.manifestEntry)) {
+			if e := m.nodes[addr].entries[fn]; e != nil && (w == nil || outranks(e.StatusFunction, w.StatusFunction)) {
 				w = e
 			}
 		}

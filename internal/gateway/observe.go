@@ -31,10 +31,9 @@ import (
 // (down, wedged, or without the endpoint) contributes nothing to this
 // poll.
 func fanOut[T any](ctx context.Context, g *Gateway, path string) (map[string]*T, []string) {
-	backends := g.pool.snapshot()
-	outs := make([]*T, len(backends))
+	outs := make([]*T, len(g.backends))
 	var wg sync.WaitGroup
-	for i, b := range backends {
+	for i, b := range g.backends {
 		if !b.Ready() {
 			continue
 		}
@@ -52,7 +51,7 @@ func fanOut[T any](ctx context.Context, g *Gateway, path string) (map[string]*T,
 	wg.Wait()
 	per := make(map[string]*T)
 	var addrs []string
-	for i, b := range backends {
+	for i, b := range g.backends {
 		if outs[i] != nil {
 			per[b.Addr] = outs[i]
 			addrs = append(addrs, b.Addr)
@@ -174,7 +173,7 @@ func (g *Gateway) handleTraceFind(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	var ready []*Backend
-	for _, b := range g.pool.snapshot() {
+	for _, b := range g.backends {
 		if b.Ready() {
 			ready = append(ready, b)
 		}

@@ -1,148 +1,64 @@
 package gateway
 
-// Snapshot-locality-aware placement: a consistent-hash ring over the
-// backend set keyed by function name. Repeat invocations of one
-// function hash to the same backend — the one that already holds its
-// snapfile and warm page-cache state (§7.2) — so ownership survives
-// unrelated backends joining or leaving, and the ring's clockwise walk
-// doubles as the standby order for snapshot replication.
+// Snapshot-locality-aware placement: rendezvous (highest-random-weight)
+// hashing of the function name over the configured backends. Repeat
+// invocations of one function rank the same backend first — the one
+// that already holds its snapfile and warm page-cache state (§7.2) —
+// and the ranking doubles as the standby order for snapshot
+// replication. A backend's weight for a key depends on nothing but the
+// two, so ownership does not depend on configuration order, removing a
+// backend moves only the functions it ranked first, and adding one
+// moves functions only to itself.
 
-import (
-	"hash/fnv"
-	"sort"
-	"strconv"
-	"sync"
-)
-
-// defaultVNodes is the virtual-node count per backend; enough that a
-// 3-node cluster splits function ownership roughly evenly.
-const defaultVNodes = 64
-
-// ringPoint is one virtual node on the hash circle.
-type ringPoint struct {
-	hash   uint64
-	member string
-}
-
-// Ring is a consistent-hash ring over backend addresses. Membership is
-// the configured backend set, not the currently-healthy one: ownership
-// must stay stable across transient failures, with availability
-// filtering applied at pick time instead.
-type Ring struct {
-	mu      sync.RWMutex
-	vnodes  int
-	points  []ringPoint
-	members map[string]struct{}
-}
-
-// NewRing builds an empty ring with vnodes virtual nodes per member
-// (<= 0 takes the default).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
+// preference ranks backends for key by hash64(address, key), highest
+// first, and returns the top n (n <= 0: all of them). Element 0 is the
+// sticky owner; the rest are the standby order used for replication,
+// spillover and anti-entropy. The ranking allocates only its result.
+func preference(backends []*Backend, key string, n int) []*Backend {
+	if n <= 0 || n > len(backends) {
+		n = len(backends)
 	}
-	return &Ring{vnodes: vnodes, members: make(map[string]struct{})}
-}
-
-func hash64(s string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(s))
-	// FNV-1a avalanches poorly on short, similar keys (vnode labels differ
-	// only in a suffix digit), which skews ring ownership badly; a 64-bit
-	// finalizer (murmur3 fmix64) fixes the spread.
-	x := h.Sum64()
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
-}
-
-// Add inserts a member's virtual nodes; re-adding is a no-op.
-func (r *Ring) Add(member string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.members[member]; ok {
-		return
-	}
-	r.members[member] = struct{}{}
-	for i := 0; i < r.vnodes; i++ {
-		r.points = append(r.points, ringPoint{hash: hash64(member + "#" + strconv.Itoa(i)), member: member})
-	}
-	sort.Slice(r.points, func(i, j int) bool { return r.points[i].hash < r.points[j].hash })
-}
-
-// Remove drops a member and its virtual nodes. Only keys the member
-// owned move; everything else keeps its owner.
-func (r *Ring) Remove(member string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.members[member]; !ok {
-		return
-	}
-	delete(r.members, member)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.member != member {
-			kept = append(kept, p)
+	out := make([]*Backend, 0, n)
+	// Insertion into the top n, with their weights kept alongside; a
+	// pool of up to 64 backends keeps the weights on the stack.
+	var buf [64]uint64
+	weights := buf[:0]
+	for _, b := range backends {
+		w := hash64(b.Addr, key)
+		if len(out) == n {
+			if w <= weights[n-1] {
+				continue
+			}
+		} else {
+			out, weights = append(out, nil), append(weights, 0)
 		}
+		i := len(out) - 1
+		for ; i > 0 && weights[i-1] < w; i-- {
+			out[i], weights[i] = out[i-1], weights[i-1]
+		}
+		out[i], weights[i] = b, w
 	}
-	r.points = kept
-}
-
-// Members returns the member set, sorted.
-func (r *Ring) Members() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
 	return out
 }
 
-// Size returns the member count.
-func (r *Ring) Size() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.members)
-}
-
-// Owner returns the member owning key ("" on an empty ring).
-func (r *Ring) Owner(key string) string {
-	p := r.Preference(key, 1)
-	if len(p) == 0 {
-		return ""
+// hash64 is FNV-1a over the address, a NUL separator and the key,
+// finished with murmur3's fmix64: FNV-1a alone avalanches poorly on
+// short, similar inputs (addresses that differ in a port digit), which
+// would skew ownership.
+func hash64(addr, key string) uint64 {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037)
+	for i := 0; i < len(addr); i++ {
+		h = (h ^ uint64(addr[i])) * prime
 	}
-	return p[0]
-}
-
-// Preference returns up to n distinct members in ring order starting
-// at key's owner: element 0 is the sticky owner, the rest are the
-// standby order used for snapshot replication and failover. n <= 0
-// returns every member.
-func (r *Ring) Preference(key string, n int) []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if len(r.points) == 0 {
-		return nil
+	h *= prime // the separator byte, 0
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * prime
 	}
-	if n <= 0 || n > len(r.members) {
-		n = len(r.members)
-	}
-	h := hash64(key)
-	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	seen := make(map[string]struct{}, n)
-	for i := 0; i < len(r.points) && len(out) < n; i++ {
-		p := r.points[(start+i)%len(r.points)]
-		if _, dup := seen[p.member]; dup {
-			continue
-		}
-		seen[p.member] = struct{}{}
-		out = append(out, p.member)
-	}
-	return out
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }

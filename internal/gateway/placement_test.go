@@ -5,12 +5,21 @@ import (
 	"testing"
 )
 
-func ringOf(members ...string) *Ring {
-	r := NewRing(0)
-	for _, m := range members {
-		r.Add(m)
+// backendsOf builds an unstarted backend set, in the order given.
+func backendsOf(addrs ...string) []*Backend {
+	out := make([]*Backend, len(addrs))
+	for i, a := range addrs {
+		out[i] = &Backend{Addr: a}
 	}
-	return r
+	return out
+}
+
+// ownerOf is key's first-ranked backend address, "" for no backends.
+func ownerOf(backends []*Backend, key string) string {
+	if p := preference(backends, key, 1); len(p) > 0 {
+		return p[0].Addr
+	}
+	return ""
 }
 
 func keys(n int) []string {
@@ -25,11 +34,11 @@ func keys(n int) []string {
 // two gateways given the same backend set in different orders have to
 // agree on every function's owner.
 func TestRingInsertionOrderIrrelevant(t *testing.T) {
-	a := ringOf("h1:1", "h2:1", "h3:1", "h4:1")
-	b := ringOf("h3:1", "h1:1", "h4:1", "h2:1")
+	a := backendsOf("h1:1", "h2:1", "h3:1", "h4:1")
+	b := backendsOf("h3:1", "h1:1", "h4:1", "h2:1")
 	for _, k := range keys(200) {
-		if a.Owner(k) != b.Owner(k) {
-			t.Fatalf("owner(%s) differs by insertion order: %s vs %s", k, a.Owner(k), b.Owner(k))
+		if ownerOf(a, k) != ownerOf(b, k) {
+			t.Fatalf("owner(%s) differs by insertion order: %s vs %s", k, ownerOf(a, k), ownerOf(b, k))
 		}
 	}
 }
@@ -37,15 +46,15 @@ func TestRingInsertionOrderIrrelevant(t *testing.T) {
 // Removing one backend may only move the keys it owned; every other
 // function keeps its snapshot locality.
 func TestRingStabilityUnderRemove(t *testing.T) {
-	r := ringOf("h1:1", "h2:1", "h3:1", "h4:1")
+	all := backendsOf("h1:1", "h2:1", "h3:1", "h4:1")
+	without := backendsOf("h1:1", "h3:1", "h4:1")
 	before := make(map[string]string)
 	for _, k := range keys(300) {
-		before[k] = r.Owner(k)
+		before[k] = ownerOf(all, k)
 	}
-	r.Remove("h2:1")
 	moved := 0
 	for k, owner := range before {
-		now := r.Owner(k)
+		now := ownerOf(without, k)
 		if owner != "h2:1" {
 			if now != owner {
 				t.Fatalf("key %s moved %s -> %s though its owner stayed", k, owner, now)
@@ -58,23 +67,23 @@ func TestRingStabilityUnderRemove(t *testing.T) {
 		moved++
 	}
 	if moved == 0 {
-		t.Fatal("removed backend owned no keys; vnode spread is broken")
+		t.Fatal("removed backend owned no keys; the hash spread is broken")
 	}
 }
 
 // Adding a backend may only move keys TO the new backend, and only a
 // roughly proportional share of them.
 func TestRingStabilityUnderAdd(t *testing.T) {
-	r := ringOf("h1:1", "h2:1", "h3:1")
+	three := backendsOf("h1:1", "h2:1", "h3:1")
+	four := backendsOf("h1:1", "h2:1", "h3:1", "h4:1")
 	before := make(map[string]string)
 	ks := keys(300)
 	for _, k := range ks {
-		before[k] = r.Owner(k)
+		before[k] = ownerOf(three, k)
 	}
-	r.Add("h4:1")
 	moved := 0
 	for _, k := range ks {
-		now := r.Owner(k)
+		now := ownerOf(four, k)
 		if now != before[k] {
 			if now != "h4:1" {
 				t.Fatalf("key %s moved %s -> %s, not to the new backend", k, before[k], now)
@@ -93,42 +102,66 @@ func TestRingStabilityUnderAdd(t *testing.T) {
 // Preference returns distinct members, owner first, and the standby
 // order is a stable function of the key.
 func TestRingPreference(t *testing.T) {
-	r := ringOf("h1:1", "h2:1", "h3:1")
+	bs := backendsOf("h1:1", "h2:1", "h3:1")
 	for _, k := range keys(50) {
-		p := r.Preference(k, 0)
+		p := preference(bs, k, 0)
 		if len(p) != 3 {
 			t.Fatalf("preference(%s) = %v, want 3 distinct members", k, p)
 		}
-		seen := map[string]bool{}
+		seen := map[*Backend]bool{}
 		for _, m := range p {
 			if seen[m] {
-				t.Fatalf("preference(%s) repeats %s", k, m)
+				t.Fatalf("preference(%s) repeats %s", k, m.Addr)
 			}
 			seen[m] = true
 		}
-		if p[0] != r.Owner(k) {
-			t.Fatalf("preference(%s)[0] = %s, owner = %s", k, p[0], r.Owner(k))
+		if p[0].Addr != ownerOf(bs, k) {
+			t.Fatalf("preference(%s)[0] = %s, owner = %s", k, p[0].Addr, ownerOf(bs, k))
 		}
-		if got := r.Preference(k, 2); len(got) != 2 || got[0] != p[0] || got[1] != p[1] {
+		if got := preference(bs, k, 2); len(got) != 2 || got[0] != p[0] || got[1] != p[1] {
 			t.Fatalf("preference(%s, 2) = %v, want prefix of %v", k, got, p)
 		}
+	}
+	// Ranking allocates its result and nothing else.
+	if allocs := testing.AllocsPerRun(100, func() { preference(bs, "fn-1", 0) }); allocs > 1 {
+		t.Fatalf("preference allocates %.0f objects, want 1", allocs)
 	}
 }
 
 func TestRingEmptyAndSingle(t *testing.T) {
-	r := NewRing(8)
-	if got := r.Preference("fn", 0); got != nil {
-		t.Fatalf("empty ring preference = %v, want nil", got)
+	if got := preference(nil, "fn", 0); len(got) != 0 {
+		t.Fatalf("empty backend set preference = %v, want none", got)
 	}
-	if r.Owner("fn") != "" {
-		t.Fatal("empty ring has an owner")
+	if ownerOf(nil, "fn") != "" {
+		t.Fatal("empty backend set has an owner")
 	}
-	r.Add("only:1")
-	if r.Owner("fn") != "only:1" {
-		t.Fatal("single-member ring must own everything")
+	only := backendsOf("only:1")
+	if ownerOf(only, "fn") != "only:1" {
+		t.Fatal("a single backend must own everything")
 	}
-	r.Remove("missing:1") // no-op
-	if r.Size() != 1 {
-		t.Fatalf("size = %d, want 1", r.Size())
+	if got := preference(only, "fn", 3); len(got) != 1 {
+		t.Fatalf("preference over one backend = %d entries, want 1", len(got))
+	}
+}
+
+// prefSink keeps the benchmarked ranking from being optimised away.
+var prefSink []*Backend
+
+// BenchmarkPreference is the per-request placement cost: one ranking
+// of every configured backend, as candidates does for each forward.
+func BenchmarkPreference(b *testing.B) {
+	for _, n := range []int{3, 64} {
+		addrs := make([]string, n)
+		for i := range addrs {
+			addrs[i] = fmt.Sprintf("10.0.%d.%d:8700", i/256, i%256)
+		}
+		bs := backendsOf(addrs...)
+		ks := keys(24)
+		b.Run(fmt.Sprintf("backends=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				prefSink = preference(bs, ks[i%len(ks)], 0)
+			}
+		})
 	}
 }

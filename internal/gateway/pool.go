@@ -21,6 +21,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"faasnap/internal/daemon"
 	"faasnap/internal/events"
 	"faasnap/internal/resilience"
 	"faasnap/internal/telemetry"
@@ -29,7 +30,7 @@ import (
 // Backend is one faasnapd the gateway routes to.
 type Backend struct {
 	// Addr is the daemon's host:port; it doubles as the backend's
-	// identity on the placement ring.
+	// identity in placement.
 	Addr string
 
 	breaker  *resilience.Breaker
@@ -43,28 +44,13 @@ type Backend struct {
 	stale atomic.Bool
 }
 
-// backendView is one sweep's answer from one backend.
+// backendView is one sweep's answer from one backend: the daemon's
+// GET /status reply, zero when the daemon did not answer; err says why
+// it did not, or why it is not ready.
 type backendView struct {
-	// backendState is the daemon's GET /status reply, zero when the
-	// daemon did not answer; err says why it did not, or why it is not
-	// ready.
-	backendState
+	daemon.StatusResponse
 	err     string
 	checked time.Time
-}
-
-// backendState mirrors the daemon's GET /status reply.
-type backendState struct {
-	Ready         bool     `json:"ready"`
-	Reasons       []string `json:"reasons"`
-	Recovering    bool     `json:"recovering"`
-	InFlight      int64    `json:"inflight"`
-	AdmissionUsed int64    `json:"admission_used"`
-	AdmissionMax  int64    `json:"admission_max"`
-	// Digest and Functions are the durable-state summary; a daemon
-	// without a state dir sends neither.
-	Digest    string          `json:"digest"`
-	Functions []manifestEntry `json:"functions"`
 }
 
 // Ready reports the last health sweep's verdict.
@@ -127,37 +113,23 @@ func (b *Backend) status() BackendStatus {
 	return st
 }
 
-// Pool owns the backend set and the placement ring.
-type Pool struct {
-	ring     *Ring
-	backends map[string]*Backend // fixed at construction
-}
-
-// newPool builds the backend set; every breaker transition lands on the
-// per-backend gauge and in ledger.
-func newPool(addrs []string, reg *telemetry.Registry, ledger *events.Ledger) *Pool {
-	p := &Pool{ring: NewRing(0), backends: make(map[string]*Backend)}
-	for _, addr := range addrs {
-		if _, dup := p.backends[addr]; dup {
-			continue
-		}
-		b := &Backend{Addr: addr}
-		b.view.Store(&backendView{err: "not checked yet"})
-		gauge := reg.Gauge("faasnap_gw_breaker_state",
-			"Per-backend circuit-breaker state (0 closed, 1 open, 2 half-open).",
-			telemetry.L("backend", addr))
-		b.breaker = resilience.NewBreaker(breakerThreshold, breakerCooldown,
-			func(s resilience.BreakerState) {
-				gauge.Set(float64(s))
-				ledger.Append(events.Event{
-					Type:   events.BreakerTransition,
-					Fields: map[string]string{"backend": addr, "state": s.String()},
-				})
+// newBackend builds one backend entry; every breaker transition lands
+// on the per-backend gauge and in ledger.
+func newBackend(addr string, reg *telemetry.Registry, ledger *events.Ledger) *Backend {
+	b := &Backend{Addr: addr}
+	b.view.Store(&backendView{err: "not checked yet"})
+	gauge := reg.Gauge("faasnap_gw_breaker_state",
+		"Per-backend circuit-breaker state (0 closed, 1 open, 2 half-open).",
+		telemetry.L("backend", addr))
+	b.breaker = resilience.NewBreaker(breakerThreshold, breakerCooldown,
+		func(s resilience.BreakerState) {
+			gauge.Set(float64(s))
+			ledger.Append(events.Event{
+				Type:   events.BreakerTransition,
+				Fields: map[string]string{"backend": addr, "state": s.String()},
 			})
-		p.backends[addr] = b
-		p.ring.Add(addr)
-	}
-	return p
+		})
+	return b
 }
 
 // start launches the health loop. The first sweep runs synchronously
@@ -194,7 +166,7 @@ func (g *Gateway) start() {
 // concurrently, and returns when every verdict is in.
 func (g *Gateway) CheckNow() {
 	var wg sync.WaitGroup
-	for _, b := range g.pool.snapshot() {
+	for _, b := range g.backends {
 		wg.Add(1)
 		go func(b *Backend) {
 			defer wg.Done()
@@ -209,7 +181,7 @@ func (g *Gateway) check(b *Backend) {
 	v := &backendView{checked: time.Now()}
 	ctx, cancel := context.WithTimeout(g.ctx, probeTimeout)
 	defer cancel()
-	if err := g.callBackend(ctx, b, http.MethodGet, "/status", nil, &v.backendState); err != nil {
+	if err := g.callBackend(ctx, b, http.MethodGet, "/status", nil, &v.StatusResponse); err != nil {
 		*v = backendView{checked: v.checked, err: err.Error()}
 	} else if !v.Ready {
 		v.err = "not ready: " + strings.Join(v.Reasons, "; ")
@@ -280,34 +252,4 @@ func (g *Gateway) callBackend(ctx context.Context, b *Backend, method, target st
 	}
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 	return nil
-}
-
-// snapshot returns the backend list in stable (address) order.
-func (p *Pool) snapshot() []*Backend {
-	out := make([]*Backend, 0, len(p.backends))
-	for _, addr := range p.ring.Members() {
-		if b, ok := p.backends[addr]; ok {
-			out = append(out, b)
-		}
-	}
-	return out
-}
-
-// backend looks up one backend by address.
-func (p *Pool) backend(addr string) (*Backend, bool) {
-	b, ok := p.backends[addr]
-	return b, ok
-}
-
-// preference maps the ring's member order for key onto live Backend
-// structs: element 0 is the sticky owner.
-func (p *Pool) preference(key string, n int) []*Backend {
-	addrs := p.ring.Preference(key, n)
-	out := make([]*Backend, 0, len(addrs))
-	for _, a := range addrs {
-		if b, ok := p.backend(a); ok {
-			out = append(out, b)
-		}
-	}
-	return out
 }

@@ -21,10 +21,10 @@ import (
 	"faasnap/internal/ring"
 )
 
-// DefaultRing is the default capacity of the profile ring and of the
-// trace store, which the daemon's -trace-ring flag sizes together: one
-// profile per trace keeps the two addressable together — if a profile
-// still exists its exemplar trace usually does too.
+// DefaultRing is the capacity of the daemon's profile ring and of its
+// trace store, which are sized together: one profile per trace keeps
+// the two addressable together — if a profile still exists its
+// exemplar trace usually does too.
 const DefaultRing = 512
 
 // CacheDelta is the page-cache activity attributable to one

@@ -14,7 +14,6 @@ package snapfile
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -447,56 +446,6 @@ func ReadChunked(r io.Reader) (*core.Artifacts, *ChunkMap, error) {
 	}, chunks, nil
 }
 
-// Fault is a storage-corruption fault applied while reading a
-// snapfile, used by the chaos layer to prove the checksum catches real
-// damage. snapfile stays ignorant of who injects it.
-type Fault int
-
-const (
-	// FaultNone reads the file as-is.
-	FaultNone Fault = iota
-	// FaultCorrupt flips one byte in the body, as a torn write or bad
-	// sector would.
-	FaultCorrupt
-	// FaultTruncate drops the file's tail, as a crashed writer would
-	// (SaveChunked's atomic rename normally prevents this; remote copies
-	// can still arrive short).
-	FaultTruncate
-)
-
-// ReadChunkedWithFault is ReadChunked with a storage fault applied to
-// the stream first. Faulted reads are expected to fail the checksum or
-// section parsing; a nil error under FaultCorrupt/FaultTruncate would
-// mean the format's integrity checking has a hole.
-func ReadChunkedWithFault(r io.Reader, f Fault) (*core.Artifacts, *ChunkMap, error) {
-	if f == FaultNone {
-		return ReadChunked(r)
-	}
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, nil, fmt.Errorf("snapfile: read: %w", err)
-	}
-	switch f {
-	case FaultCorrupt:
-		if len(raw) > 0 {
-			raw[len(raw)/2] ^= 0xff
-		}
-	case FaultTruncate:
-		raw = raw[:len(raw)/2]
-	}
-	return ReadChunked(bytes.NewReader(raw))
-}
-
-// LoadChunkedWithFault is LoadChunked with a storage fault applied.
-func LoadChunkedWithFault(path string, f Fault) (*core.Artifacts, *ChunkMap, error) {
-	fd, err := atomicfile.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer fd.Close()
-	return ReadChunkedWithFault(fd, f)
-}
-
 // SaveChunked writes arts and their chunk map to path atomically and
 // durably (atomicfile.Write): a committed snapfile is either absent or
 // complete — never half-written.
@@ -523,5 +472,10 @@ func commit(path string, write func(io.Writer) error) error {
 // file end to end — magic, version, sections, trailing CRC — in one
 // streaming pass.
 func LoadChunked(path string) (*core.Artifacts, *ChunkMap, error) {
-	return LoadChunkedWithFault(path, FaultNone)
+	fd, err := atomicfile.Open(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer fd.Close()
+	return ReadChunked(fd)
 }

@@ -161,6 +161,9 @@ func TestLoadMissingFile(t *testing.T) {
 	}
 }
 
+// TestReadWithFault: a byte flipped mid-body fails the checksum, and a
+// file cut in half fails section parsing. A nil error under either
+// would mean the format's integrity checking has a hole.
 func TestReadWithFault(t *testing.T) {
 	arts := testArtifacts(t)
 	var buf bytes.Buffer
@@ -169,15 +172,23 @@ func TestReadWithFault(t *testing.T) {
 	}
 	data := buf.Bytes()
 
-	if _, _, err := ReadChunkedWithFault(bytes.NewReader(data), FaultNone); err != nil {
-		t.Fatalf("FaultNone read failed: %v", err)
+	if _, _, err := ReadChunked(bytes.NewReader(data)); err != nil {
+		t.Fatalf("clean read failed: %v", err)
 	}
-	if _, _, err := ReadChunkedWithFault(bytes.NewReader(data), FaultCorrupt); err == nil {
+	if _, _, err := ReadChunked(bytes.NewReader(corrupt(data))); err == nil {
 		t.Fatal("corrupted read passed the checksum")
 	}
-	if _, _, err := ReadChunkedWithFault(bytes.NewReader(data), FaultTruncate); err == nil {
+	if _, _, err := ReadChunked(bytes.NewReader(data[:len(data)/2])); err == nil {
 		t.Fatal("truncated read succeeded")
 	}
+}
+
+// corrupt returns a copy of data with its middle byte flipped, as a
+// torn write or bad sector would leave it.
+func corrupt(data []byte) []byte {
+	out := append([]byte(nil), data...)
+	out[len(out)/2] ^= 0xff
+	return out
 }
 
 // TestVerify: LoadChunked is the verifier — it accepts a committed

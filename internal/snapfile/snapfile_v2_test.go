@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -162,7 +163,8 @@ func TestChunkedCorruptions(t *testing.T) {
 	}
 }
 
-// TestChunkedLoadWithFault mirrors TestReadWithFault for v2 files.
+// TestChunkedLoadWithFault mirrors TestReadWithFault for v2 files on
+// disk: LoadChunked rejects a committed snapfile damaged in place.
 func TestChunkedLoadWithFault(t *testing.T) {
 	arts := testArtifacts(t)
 	cm := testChunkMap(arts.Mem.Pages)
@@ -170,13 +172,25 @@ func TestChunkedLoadWithFault(t *testing.T) {
 	if err := SaveChunked(path, arts, cm); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := LoadChunkedWithFault(path, FaultCorrupt); err == nil {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	damaged := filepath.Join(t.TempDir(), "damaged.snap")
+	load := func(data []byte) error {
+		if err := os.WriteFile(damaged, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := LoadChunked(damaged)
+		return err
+	}
+	if load(corrupt(raw)) == nil {
 		t.Fatal("corrupt fault not detected")
 	}
-	if _, _, err := LoadChunkedWithFault(path, FaultTruncate); err == nil {
+	if load(raw[:len(raw)/2]) == nil {
 		t.Fatal("truncate fault not detected")
 	}
-	got, gotCM, err := LoadChunkedWithFault(path, FaultNone)
+	got, gotCM, err := LoadChunked(path)
 	if err != nil || gotCM == nil {
 		t.Fatalf("clean faultless load = %v, cm=%v", err, gotCM)
 	}
