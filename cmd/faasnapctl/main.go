@@ -20,6 +20,7 @@ import (
 	"strconv"
 	"time"
 
+	"faasnap/internal/daemon"
 	"faasnap/internal/resilience"
 	"faasnap/internal/trace"
 )
@@ -334,14 +335,7 @@ func main() {
 		}
 		mustOK(resp, raw)
 		printBody(raw)
-		var gr struct {
-			Removed        int64   `json:"removed_chunks"`
-			ReclaimedBytes int64   `json:"reclaimed_bytes"`
-			Demoted        int64   `json:"demoted_chunks"`
-			ChunksExamined int64   `json:"chunks_examined"`
-			WallMs         float64 `json:"wall_ms"`
-			TraceID        string  `json:"trace_id"`
-		}
+		var gr daemon.GCResponse
 		if json.Unmarshal(raw, &gr) == nil {
 			fmt.Printf("gc: examined %d chunks, freed %d (%s reclaimed), demoted %d, in %.1fms\n",
 				gr.ChunksExamined, gr.Removed, fmtBytes(gr.ReclaimedBytes), gr.Demoted, gr.WallMs)

@@ -24,8 +24,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"faasnap/internal/chaos"
 )
 
 // FS is a filesystem mounted under a root. Its methods behave as the os
@@ -116,19 +114,16 @@ func on(path string) FS {
 // Write commits what write produces to path:
 //
 //	create <base>.*.tmp beside path → write → fsync the file → close
-//	→ [preRename] → rename onto path → [postRename] → fsync the directory
+//	→ rename onto path → fsync the directory
 //
 // Without the file fsync a crash after the rename can leave the
 // committed name pointing at empty or torn data (a rename orders
 // metadata, not the file's pages); without the directory fsync the
 // rename itself may not survive power loss. The temp file keeps the
 // *.tmp suffix the recovery sweeps match and is removed on every error.
-//
-// preRename and postRename name the chaos crashpoints on either side of
-// the rename ("" where a write path has none): dying at the first must
-// leave the commit invisible; dying at the second leaves a file that is
-// complete if it survived at all.
-func Write(path, preRename, postRename string, write func(io.Writer) error) (err error) {
+// Dying before the rename leaves the commit invisible; dying after it
+// leaves a file that is complete if it survived at all.
+func Write(path string, write func(io.Writer) error) (err error) {
 	fsys, dir := on(path), filepath.Dir(path)
 	f, err := fsys.CreateTemp(dir, filepath.Base(path)+".*.tmp")
 	if err != nil {
@@ -149,11 +144,9 @@ func Write(path, preRename, postRename string, write func(io.Writer) error) (err
 	if err != nil {
 		return err
 	}
-	chaos.MaybeCrash(preRename)
 	if err = fsys.Rename(tmp, path); err != nil {
 		return err
 	}
-	chaos.MaybeCrash(postRename)
 	return syncDir(fsys, dir)
 }
 

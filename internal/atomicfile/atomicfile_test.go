@@ -9,16 +9,29 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-
-	"faasnap/internal/chaos"
 )
 
 // tracer is the OS filesystem with every flush recorded, tagged file or
-// dir, and the failSync'th flush failed.
+// dir, the failSync'th flush failed, and every rename recorded.
 type tracer struct {
 	osFS
 	steps           []string
 	syncs, failSync int
+	// aroundRename, when set, runs just before a rename and, if it
+	// succeeded, just after it.
+	aroundRename func(renamed bool)
+}
+
+func (tr *tracer) Rename(oldpath, newpath string) error {
+	tr.steps = append(tr.steps, "rename")
+	if tr.aroundRename != nil {
+		tr.aroundRename(false)
+	}
+	err := tr.osFS.Rename(oldpath, newpath)
+	if tr.aroundRename != nil && err == nil {
+		tr.aroundRename(true)
+	}
+	return err
 }
 
 func (tr *tracer) OpenFile(name string, flag int, perm fs.FileMode) (File, error) {
@@ -48,22 +61,11 @@ func (f tracedFile) Sync() error {
 	return f.File.Sync()
 }
 
-// traceSteps mounts a tracer over dir that also records every crashpoint
-// passed (handed to atPoint when non-nil), in order with the flushes.
-func traceSteps(t *testing.T, dir string, failSync int, atPoint func(point string)) *tracer {
+// traceSteps mounts a tracer over dir.
+func traceSteps(t *testing.T, dir string, failSync int) *tracer {
 	t.Helper()
 	tr := &tracer{failSync: failSync}
-	unmount := Mount(dir, tr)
-	restore := chaos.ObserveCrashpoints(func(p string) {
-		tr.steps = append(tr.steps, p)
-		if atPoint != nil {
-			atPoint(p)
-		}
-	})
-	t.Cleanup(func() {
-		unmount()
-		restore()
-	})
+	t.Cleanup(Mount(dir, tr))
 	return tr
 }
 
@@ -81,36 +83,34 @@ func dirNames(t *testing.T, dir string) []string {
 }
 
 // TestWriteOrder pins the durability sequence every caller inherits:
-// one file fsync before the rename, one directory fsync after it, the
-// two crashpoints on either side of the rename — and at the post-rename
-// crashpoint the final name already holds the complete payload. The
-// counts are the ones each of the four callers had at c632c18: a chunk
-// put, a snapfile commit, a demotion and a compaction each pay exactly
-// one file fsync and one directory fsync, in this order.
+// one file fsync before the rename, one directory fsync after it — and
+// the final name is invisible before the rename and holds the complete
+// payload right after it. The counts are the ones each of the four
+// callers had at c632c18: a chunk put, a snapfile commit, a demotion and
+// a compaction each pay exactly one file fsync and one directory fsync,
+// in this order.
 func TestWriteOrder(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "fn.snap")
 	payload := []byte("snapshot bytes")
 
 	var atPre, atPost string
-	tr := traceSteps(t, dir, 0, func(p string) {
+	tr := traceSteps(t, dir, 0)
+	tr.aroundRename = func(renamed bool) {
 		raw, err := os.ReadFile(path)
-		switch p {
-		case "pre":
-			if err == nil {
-				atPre = "final file visible before the rename"
-			}
+		switch {
+		case !renamed && err == nil:
+			atPre = "final file visible before the rename"
+		case !renamed:
 			if tmps, _ := filepath.Glob(filepath.Join(dir, "fn.snap.*.tmp")); len(tmps) != 1 {
 				atPre = "temp file does not carry the fn.snap.*.tmp name the recovery sweeps match"
 			}
-		case "post":
-			if err != nil || string(raw) != string(payload) {
-				atPost = "final file incomplete at the post-rename crashpoint"
-			}
+		case err != nil || string(raw) != string(payload):
+			atPost = "final file incomplete right after the rename"
 		}
-	})
+	}
 
-	err := Write(path, "pre", "post", func(w io.Writer) error {
+	err := Write(path, func(w io.Writer) error {
 		tr.steps = append(tr.steps, "write")
 		_, err := w.Write(payload)
 		return err
@@ -118,7 +118,7 @@ func TestWriteOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"write", "fsync-file", "pre", "post", "fsync-dir"}
+	want := []string{"write", "fsync-file", "rename", "fsync-dir"}
 	if !reflect.DeepEqual(tr.steps, want) {
 		t.Fatalf("steps = %v, want %v", tr.steps, want)
 	}
@@ -130,15 +130,15 @@ func TestWriteOrder(t *testing.T) {
 	}
 }
 
-// TestWriteWithoutCrashpoints: callers with no crashpoints (demotion,
-// compaction) pass empty names and get the same flushes.
-func TestWriteWithoutCrashpoints(t *testing.T) {
+// TestWriteEmptyFlushesBoth: a write of nothing (the journal's empty
+// start) pays the same file and directory flushes.
+func TestWriteEmptyFlushesBoth(t *testing.T) {
 	dir := t.TempDir()
-	tr := traceSteps(t, dir, 0, nil)
-	if err := Write(filepath.Join(dir, "manifest.log"), "", "", func(w io.Writer) error { return nil }); err != nil {
+	tr := traceSteps(t, dir, 0)
+	if err := Write(filepath.Join(dir, "manifest.log"), func(w io.Writer) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if want := []string{"fsync-file", "fsync-dir"}; !reflect.DeepEqual(tr.steps, want) {
+	if want := []string{"fsync-file", "rename", "fsync-dir"}; !reflect.DeepEqual(tr.steps, want) {
 		t.Fatalf("steps = %v, want %v", tr.steps, want)
 	}
 }
@@ -157,12 +157,12 @@ func TestWriteFailureLeavesNothing(t *testing.T) {
 	}{
 		{name: "write", write: func(io.Writer) error { return errors.New("injected write failure") }},
 		{name: "fsync", failSync: 1, write: ok, wantSteps: []string{"fsync-file"}},
-		{name: "rename", write: ok, blockName: true, wantSteps: []string{"fsync-file", "pre"}},
+		{name: "rename", write: ok, blockName: true, wantSteps: []string{"fsync-file", "rename"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			tr := traceSteps(t, dir, tc.failSync, nil)
+			tr := traceSteps(t, dir, tc.failSync)
 			path := filepath.Join(dir, "target")
 			var want []string
 			if tc.blockName {
@@ -171,7 +171,7 @@ func TestWriteFailureLeavesNothing(t *testing.T) {
 				}
 				want = []string{"target"}
 			}
-			if err := Write(path, "pre", "post", tc.write); err == nil {
+			if err := Write(path, tc.write); err == nil {
 				t.Fatal("Write succeeded despite the injected failure")
 			}
 			if !reflect.DeepEqual(tr.steps, tc.wantSteps) {
@@ -188,7 +188,7 @@ func TestWriteFailureLeavesNothing(t *testing.T) {
 // durable in its parent, one flush each; an existing one costs none.
 func TestMkdirAllFlushesParents(t *testing.T) {
 	dir := t.TempDir()
-	tr := traceSteps(t, dir, 0, nil)
+	tr := traceSteps(t, dir, 0)
 	if err := MkdirAll(filepath.Join(dir, "cas", "chunks", "ab")); err != nil {
 		t.Fatal(err)
 	}

@@ -42,7 +42,6 @@ import (
 
 	"faasnap/internal/atomicfile"
 	"faasnap/internal/blockdev"
-	"faasnap/internal/chaos"
 	"faasnap/internal/telemetry"
 )
 
@@ -228,7 +227,7 @@ func (s *Store) PutDigest(d Digest, data []byte) (bool, error) {
 	if err := atomicfile.MkdirAll(filepath.Dir(final)); err != nil {
 		return false, err
 	}
-	if err := commit(final, chaos.CrashChunkPreRename, chaos.CrashChunkPostRename, data); err != nil {
+	if err := commit(final, data); err != nil {
 		return false, err
 	}
 	s.chunksLocal.Inc()
@@ -236,10 +235,9 @@ func (s *Store) PutDigest(d Digest, data []byte) (bool, error) {
 	return false, nil
 }
 
-// commit makes data durable under path (atomicfile.Write), passing the
-// named crashpoints on either side of the rename.
-func commit(path, preRename, postRename string, data []byte) error {
-	return atomicfile.Write(path, preRename, postRename, func(w io.Writer) error {
+// commit makes data durable under path (atomicfile.Write).
+func commit(path string, data []byte) error {
+	return atomicfile.Write(path, func(w io.Writer) error {
 		_, err := w.Write(data)
 		return err
 	})
@@ -345,7 +343,7 @@ func (s *Store) Demote(d Digest) error {
 	// Only after the cold copy is durable — file and directory entry
 	// both — does the local copy go; a crash before this point leaves
 	// the chunk present in at least one tier.
-	if err := commit(final, "", "", buf.Bytes()); err != nil {
+	if err := commit(final, buf.Bytes()); err != nil {
 		return err
 	}
 	if err := atomicfile.Remove(s.localPath(d)); err != nil {

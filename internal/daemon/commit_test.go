@@ -5,14 +5,15 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
-	"time"
+	"testing/fstest"
 
-	"faasnap/internal/chaos"
 	"faasnap/internal/snapfile"
 )
 
@@ -37,78 +38,76 @@ func post(method, url string, body interface{}) int {
 	return resp.StatusCode
 }
 
-// TestCommitOrderSharedByRecordAndSync: a local recording and a
-// chunk-level sync of the same function pass the same crashpoints in
-// the same order — there is one commit, not two that happen to agree.
-func TestCommitOrderSharedByRecordAndSync(t *testing.T) {
-	_, src := newTestDaemon(t, Config{StateDir: t.TempDir()})
-	recordedFn(t, src.URL)
-	_, dst := newTestDaemon(t, Config{StateDir: t.TempDir()})
-	if resp := doJSON(t, "PUT", dst.URL+"/functions/hello-world", nil, nil); resp.StatusCode != 200 {
-		t.Fatalf("create = %d", resp.StatusCode)
-	}
+// served is a transport that answers every request from h in process,
+// whatever host it is addressed to.
+type served struct{ h http.Handler }
 
-	var mu sync.Mutex
-	var seen []string
-	replied := make(chan struct{}, 1)
-	restore := chaos.ObserveCrashpoints(func(p string) {
-		mu.Lock()
-		seen = append(seen, p)
-		mu.Unlock()
-		if p == chaos.CrashRecordPostReply {
-			replied <- struct{}{}
+func (s served) RoundTrip(r *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	s.h.ServeHTTP(rec, r)
+	return rec.Result(), nil
+}
+
+// TestCommitOrderSharedByRecordAndSync: a local recording and a
+// chunk-level sync of the same function make the same disk operations in
+// the same order from the snapfile's temp file on — there is one commit,
+// not two that happen to agree — and write no chunk after it.
+func TestCommitOrderSharedByRecordAndSync(t *testing.T) {
+	src, dst := boot(t, fstest.MapFS{}), boot(t, fstest.MapFS{})
+	for _, n := range []*node{src, dst} {
+		if code, _ := n.do("PUT", "/functions/hello-world", nil); code != http.StatusOK {
+			t.Fatalf("create = %d", code)
 		}
-	})
-	defer restore()
-	// commitPoints runs op and returns the crashpoints of its commit:
-	// everything from record.post-chunks on (the chunk puts before it
-	// depend on what the store already holds). record.post-reply is
-	// passed after the reply is written, so the client can be ahead of
-	// it.
-	commitPoints := func(op func()) []string {
-		mu.Lock()
-		seen = nil
-		mu.Unlock()
-		op()
-		select {
-		case <-replied:
-		case <-time.After(5 * time.Second):
-			t.Fatalf("commit never reached %s", chaos.CrashRecordPostReply)
+	}
+	if code, _ := src.do("POST", "/functions/hello-world/record", nil); code != http.StatusOK {
+		t.Fatalf("source record = %d", code)
+	}
+	dst.d.store.peer.Transport = served{src.h}
+
+	temp := regexp.MustCompile(`hello-world\.snap\.[0-9]+\.tmp`)
+	// commitOps runs a request on dst and returns the disk operations of
+	// its commit: everything from the snapfile's temp file on (the chunk
+	// puts before it depend on what the store already holds), with the
+	// temp file's number elided and consecutive writes to one file as one.
+	commitOps := func(path string, body any) []string {
+		dst.disk.mu.Lock()
+		from := len(dst.disk.ops)
+		dst.disk.mu.Unlock()
+		if code, _ := dst.do("POST", path, body); code != http.StatusOK {
+			t.Fatalf("%s = %d", path, code)
 		}
-		mu.Lock()
-		defer mu.Unlock()
-		for i, p := range seen {
-			if p == chaos.CrashRecordPostChunks {
-				return append([]string(nil), seen[i:]...)
+		dst.disk.mu.Lock()
+		defer dst.disk.mu.Unlock()
+		var ops []string
+		for _, op := range dst.disk.ops[from:] {
+			if op = temp.ReplaceAllString(op, "hello-world.snap.*.tmp"); ops == nil && op != "create hello-world.snap.*.tmp" {
+				continue
+			}
+			if strings.Contains(op, "cas/") {
+				t.Fatalf("%s: %q after the snapfile's temp file was created", path, op)
+			}
+			if len(ops) == 0 || op != ops[len(ops)-1] || !strings.HasPrefix(op, "write ") {
+				ops = append(ops, op)
 			}
 		}
-		t.Fatalf("commit never passed %s: %v", chaos.CrashRecordPostChunks, seen)
-		return nil
+		return ops
 	}
 
 	want := []string{
-		chaos.CrashRecordPostChunks,
-		chaos.CrashSnapfilePreRename, chaos.CrashSnapfilePostRename,
-		chaos.CrashRecordPreJournal,
-		chaos.CrashManifestPreSync, chaos.CrashManifestPostAppend,
-		chaos.CrashRecordPostReply,
+		"create hello-world.snap.*.tmp",
+		"write hello-world.snap.*.tmp",
+		"fsync hello-world.snap.*.tmp",
+		"rename hello-world.snap.*.tmp → hello-world.snap",
+		"fsync dir .",
+		"write manifest.log",
+		"fsync manifest.log",
 	}
-	record := commitPoints(func() {
-		if resp := doJSON(t, "POST", dst.URL+"/functions/hello-world/record", nil, nil); resp.StatusCode != 200 {
-			t.Fatalf("record = %d", resp.StatusCode)
-		}
-	})
-	if !reflect.DeepEqual(record, want) {
-		t.Fatalf("record commit order = %v, want %v", record, want)
+	if record := commitOps("/functions/hello-world/record", nil); !reflect.DeepEqual(record, want) {
+		t.Fatalf("record commit order = %q, want %q", record, want)
 	}
-	synced := commitPoints(func() {
-		body := map[string]interface{}{"source": strings.TrimPrefix(src.URL, "http://"), "eager": true}
-		if resp := doJSON(t, "POST", dst.URL+"/functions/hello-world/sync", body, nil); resp.StatusCode != 200 {
-			t.Fatalf("sync = %d", resp.StatusCode)
-		}
-	})
-	if !reflect.DeepEqual(synced, want) {
-		t.Fatalf("sync commit order = %v, want %v", synced, want)
+	body := map[string]interface{}{"source": "peer", "eager": true}
+	if synced := commitOps("/functions/hello-world/sync", body); !reflect.DeepEqual(synced, want) {
+		t.Fatalf("sync commit order = %q, want %q", synced, want)
 	}
 }
 

@@ -1,11 +1,10 @@
 package daemon
 
 // The crash matrix, in process. Each case drives a daemon over an
-// in-memory disk (disk_test.go), takes a crash at a named crashpoint or
-// after a seeded number of filesystem operations, and recovers a fresh
-// New over both images the crash leaves against RESILIENCE.md's three
-// invariants. Crashpoint observation is process-global, so none of
-// these tests runs in parallel.
+// in-memory disk (disk_test.go), takes crashes after the disk's own
+// operations — every one of a trigger's, or a seeded sample — and
+// recovers a fresh New over both images each crash leaves against
+// RESILIENCE.md's three invariants.
 
 import (
 	"bytes"
@@ -20,6 +19,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 	"testing/fstest"
@@ -81,7 +81,7 @@ func (n *node) stop() {
 }
 
 func (n *node) do(method, path string, body any) (int, []byte) {
-	var rd io.Reader = http.NoBody
+	var rd io.Reader
 	if body != nil {
 		raw, _ := json.Marshal(body)
 		rd = bytes.NewReader(raw)
@@ -99,27 +99,38 @@ func crashSpec(name string) map[string]interface{} {
 	return spec
 }
 
-// The client operations a crash can interrupt.
+// The operations a crash can interrupt.
 const (
 	opRegister = iota
 	opRecord
 	opInvoke
 	opDelete
-	opCount
+	opGC     // POST /gc
+	opDemote // POST /gc {"demote":true}
 )
 
-// op runs one client operation on fn and returns its status.
+// clientOps is how many of the ops, from the first, make up
+// TestRandomKillInvariants' mix.
+const clientOps = opDelete + 1
+
+var opNames = [...]string{"register", "record", "invoke", "delete", "gc", "demote"}
+
+// op runs one operation on fn and returns its status.
 func (n *node) op(op int, fn string) int {
-	path, body := "/functions/"+fn, any(nil)
+	method, path, body := "POST", "/functions/"+fn, any(nil)
 	switch op {
 	case opRegister:
-		body = crashSpec(fn)
+		method, body = "PUT", crashSpec(fn)
 	case opRecord:
 		path, body = path+"/record", map[string]string{"input": "A"}
 	case opInvoke:
 		path, body = path+"/invoke", map[string]string{"mode": "faasnap", "input": "B"}
+	case opDelete:
+		method = "DELETE"
+	case opGC, opDemote:
+		path, body = "/gc", map[string]bool{"demote": op == opDemote}
 	}
-	code, _ := n.do([opCount]string{"PUT", "POST", "POST", "DELETE"}[op], path, body)
+	code, _ := n.do(method, path, body)
 	return code
 }
 
@@ -129,6 +140,19 @@ func (n *node) get(fn string) (int, bool) {
 	var info FunctionInfo
 	json.Unmarshal(body, &info)
 	return code, info.HasSnapshot
+}
+
+// deficit returns fn's chunks_missing + chunks_pending from GET /status.
+func (n *node) deficit(fn string) int {
+	_, body := n.do("GET", "/status", nil)
+	var st StatusResponse
+	json.Unmarshal(body, &st)
+	for _, f := range st.Functions {
+		if f.Name == fn {
+			return f.ChunksMissing + f.ChunksPending
+		}
+	}
+	return 0
 }
 
 // count returns how many files on the disk have the path prefix.
@@ -145,103 +169,228 @@ func (n *node) count(prefix string) (c int) {
 
 const crashFn = "crash-fn"
 
-// crashScenario is one row of the matrix: the acknowledged ops before
-// the crash, the op the crash interrupts, and what recovery must show on
-// the process image (index 0) and the durable one (1).
-type crashScenario struct {
+// crashTrigger is one row of the matrix: the acknowledged ops before the
+// crash, the op the crash interrupts, and the ops the recovered daemon
+// must then run.
+type crashTrigger struct {
+	name    string
 	prep    []int
 	trigger int
-	want    [2]expect
-	// quarantined: the image held a complete snapfile the journal never
-	// recorded, which recovery must have moved to quarantine.
-	quarantined [2]bool
-	// then runs on the recovered daemon, which must provision anew.
-	then []int
+	then    []int
 }
+
+var crashTriggers = []crashTrigger{
+	// The durable image can keep a torn prefix of the registration, which
+	// recovery truncates; the name must then provision anew.
+	{name: "register", trigger: opRegister, then: []int{opRegister, opRecord, opInvoke}},
+	// Chunks, then the snapfile, then the journal record: whatever the
+	// record wrote before its journal record is durable is swept or
+	// quarantined.
+	{name: "record", prep: []int{opRegister}, trigger: opRecord},
+	// The tombstone comes first: a leftover snapfile cannot resurrect
+	// the function, and a registration of the name starts clean.
+	{name: "delete", prep: []int{opRegister, opRecord}, trigger: opDelete, then: []int{opRegister}},
+	// Every chunk stays in at least one tier, so the snapshot serves
+	// whole and a second demotion finishes the first.
+	{name: "gc-demote", prep: []int{opRegister, opRecord}, trigger: opDemote, then: []int{opInvoke, opDemote}},
+	// Whatever the sweep had not removed, recovery does.
+	{name: "gc-after-delete", prep: []int{opRegister, opRecord, opDelete}, trigger: opGC, then: []int{opRegister, opRecord, opInvoke}},
+}
+
+// instant is one crash the matrix recovers: the disk operation it came
+// after, what it left, and what acknowledgements promised of crashFn.
+type instant struct {
+	at    string
+	crash *crash
+	want  expect
+}
+
+// trace runs tr's prep and trigger on a fresh daemon and crashes after
+// every mutating disk operation the trigger makes and once more after its
+// reply: instants[i] is the crash after ops[i], instants[len(ops)] the
+// one after the reply.
+func (tr crashTrigger) trace(t *testing.T) (ops []string, instants []instant) {
+	n := boot(t, fstest.MapFS{})
+	defer n.stop()
+	var model expect
+	for _, op := range tr.prep {
+		if code := n.op(op, crashFn); code/100 != 2 {
+			t.Fatalf("%s = %d", opNames[op], code)
+		}
+		model = model.after(op, false)
+	}
+	rng := rand.New(rand.NewSource(1))
+	n.disk.mu.Lock()
+	n.disk.afterOp = func() {
+		ops = append(ops, n.disk.ops[len(n.disk.ops)-1])
+		instants = append(instants, instant{"after " + ops[len(ops)-1], n.disk.capture(rng), model.after(tr.trigger, true)})
+	}
+	n.disk.mu.Unlock()
+	if code := n.op(tr.trigger, crashFn); code/100 != 2 {
+		t.Fatalf("%s = %d", opNames[tr.trigger], code)
+	}
+	n.disk.mu.Lock()
+	defer n.disk.mu.Unlock()
+	n.disk.afterOp = nil
+	return ops, append(instants, instant{"after the reply", n.disk.capture(rng), model.after(tr.trigger, false)})
+}
+
+// TestCrashMatrix crashes each trigger after every mutating disk
+// operation it makes and once more after its reply, and recovers a fresh
+// New over both images of every crash against the tri-state model.
+func TestCrashMatrix(t *testing.T) {
+	t.Parallel()
+	for _, tr := range crashTriggers {
+		t.Run(tr.name, func(t *testing.T) {
+			ops, instants := tr.trace(t)
+			t.Logf("%d instants mid-%s, 1 after its reply", len(ops), opNames[tr.trigger])
+			for _, in := range instants {
+				tr.verify(t, in.at+", process image", in.crash.process, in.want)
+				tr.verify(t, in.at+", durable image", in.crash.durable, in.want)
+			}
+		})
+	}
+}
+
+// crashpoint names one instant of a trigger that the write path's
+// ordering fixes an exact outcome for, where TestCrashMatrix's model
+// allows either side of the op in flight. at locates the disk operation
+// the crash comes after in the trigger's log (len(ops): after the reply,
+// -1: not found). On the process image (index 0) and the durable one
+// (1), snapfile is whether the crash left crash-fn.snap and want what
+// recovery must serve.
+type crashpoint struct {
+	trigger  string
+	at       func(ops []string) int
+	want     [2]expect
+	snapfile [2]bool
+}
+
+// first locates the first op matching pattern.
+func first(pattern string) func([]string) int {
+	re := regexp.MustCompile(pattern)
+	return func(ops []string) int {
+		for i, op := range ops {
+			if re.MatchString(op) {
+				return i
+			}
+		}
+		return -1
+	}
+}
+
+// before locates the op just before the first one matching pattern.
+func before(pattern string) func([]string) int {
+	at := first(pattern)
+	return func(ops []string) int {
+		if i := at(ops); i > 0 {
+			return i - 1
+		}
+		return -1
+	}
+}
+
+func lastOp(ops []string) int  { return len(ops) - 1 }
+func replied(ops []string) int { return len(ops) }
 
 var (
 	registered = [2]expect{{yes, no}, {yes, no}}
 	recorded   = [2]expect{{yes, yes}, {yes, yes}}
 )
 
-var crashScenarios = map[string]crashScenario{
-	// A chunk's temp written, a chunk committed, every chunk committed,
-	// the snapfile's temp written: no snapfile references what the record
-	// wrote, so it is all swept.
-	chaos.CrashChunkPreRename:    {prep: []int{opRegister}, trigger: opRecord, want: registered},
-	chaos.CrashChunkPostRename:   {prep: []int{opRegister}, trigger: opRecord, want: registered},
-	chaos.CrashRecordPostChunks:  {prep: []int{opRegister}, trigger: opRecord, want: registered},
-	chaos.CrashSnapfilePreRename: {prep: []int{opRegister}, trigger: opRecord, want: registered},
+var crashpoints = map[string]crashpoint{
+	// A chunk's temp written and flushed, a chunk committed, every chunk
+	// committed, the snapfile's temp written: no snapfile references what
+	// the record wrote, so it is all swept.
+	"cas.chunk-pre-rename":  {trigger: "record", at: first(`^fsync cas/chunks/.*\.tmp$`), want: registered},
+	"cas.chunk-post-rename": {trigger: "record", at: first(`^rename cas/chunks/\S+ → cas/chunks/`), want: registered},
+	"record.post-chunks":    {trigger: "record", at: before(`^create crash-fn\.snap\.[0-9]+\.tmp$`), want: registered},
+	"snapfile.pre-rename":   {trigger: "record", at: first(`^fsync crash-fn\.snap\.[0-9]+\.tmp$`), want: registered},
 	// Snapfile renamed into place, directory not flushed: the process
-	// image holds a complete orphan, the durable one no snapfile at all.
-	chaos.CrashSnapfilePostRename: {prep: []int{opRegister}, trigger: opRecord, want: registered, quarantined: [2]bool{true, false}},
+	// image holds a complete orphan, which recovery quarantines, the
+	// durable one no snapfile at all.
+	"snapfile.post-rename": {trigger: "record", at: first(`^rename crash-fn\.snap\.[0-9]+\.tmp → crash-fn\.snap$`), want: registered, snapfile: [2]bool{true, false}},
 	// Snapfile committed and flushed, record not journaled: an orphan on
 	// both images.
-	chaos.CrashRecordPreJournal: {prep: []int{opRegister}, trigger: opRecord, want: registered, quarantined: [2]bool{true, true}},
+	"record.pre-journal": {trigger: "record", at: before(`^write manifest\.log$`), want: registered, snapfile: [2]bool{true, true}},
 	// Journal record written, not flushed: the process image keeps it
 	// whole; the power cut keeps a torn prefix, which recovery truncates.
-	chaos.CrashManifestPreSync: {trigger: opRegister, want: [2]expect{{yes, no}, {no, no}}, then: []int{opRegister, opRecord, opInvoke}},
+	"manifest.pre-sync": {trigger: "register", at: before(`^fsync manifest\.log$`), want: [2]expect{{yes, no}, {no, no}}},
 	// Journal record flushed: durable though no reply was sent.
-	chaos.CrashManifestPostAppend:  {trigger: opRegister, want: registered},
-	chaos.CrashRegisterPostJournal: {trigger: opRegister, want: registered},
+	"manifest.post-append":  {trigger: "register", at: first(`^fsync manifest\.log$`), want: registered},
+	"register.post-journal": {trigger: "register", at: lastOp, want: registered},
 	// Reply written: the record is acknowledged and survives whole — on a
 	// fresh store, so every chunk shard it wrote into was new.
-	chaos.CrashRecordPostReply: {prep: []int{opRegister}, trigger: opRecord, want: recorded},
+	"record.post-reply": {trigger: "record", at: replied, want: recorded, snapfile: [2]bool{true, true}},
 	// Tombstone flushed, snapfile not yet unlinked: the function stays
-	// deleted, the leftover file cannot resurrect it, and a registration
-	// of the name starts clean.
-	chaos.CrashDeletePostJournal: {prep: []int{opRegister, opRecord}, trigger: opDelete, want: [2]expect{}, then: []int{opRegister}},
+	// deleted, the leftover file is quarantined rather than resurrecting
+	// it, and a registration of the name starts clean.
+	"delete.post-journal": {trigger: "delete", at: first(`^fsync manifest\.log$`), want: [2]expect{}, snapfile: [2]bool{true, true}},
 }
 
-func (sc crashScenario) verify(t *testing.T, r *node, image int) {
-	want := sc.want[image]
-	want.check(t, r, crashFn)
-	if want.snap == no && r.count("cas/")+r.count(crashFn+".snap") > 0 {
-		t.Fatalf("%s: the record's chunks or snapfile outlived recovery", unackedAbsent)
-	}
-	if sc.quarantined[image] && r.count("quarantine/"+crashFn+".snap") == 0 {
-		t.Fatalf("%s: the unjournaled snapfile was not quarantined", unackedAbsent)
-	}
-	for _, op := range sc.then {
-		if code := r.op(op, crashFn); code/100 != 2 {
-			t.Fatalf("op %d after recovery = %d", op, code)
-		}
-		want = want.after(op, false)
-	}
-	want.check(t, r, crashFn)
-}
-
+// TestCrashpointMatrix crashes at each named instant and holds recovery
+// to that instant's exact outcome on both images, on top of the checks
+// TestCrashMatrix makes of every crash.
 func TestCrashpointMatrix(t *testing.T) {
-	for _, point := range chaos.Crashpoints() {
-		sc, ok := crashScenarios[point]
-		if !ok {
-			t.Errorf("crashpoint %q has no scenario — add one to crashScenarios", point)
-			continue
-		}
-		t.Run(point, func(t *testing.T) {
-			n := boot(t, fstest.MapFS{})
-			for _, op := range sc.prep {
-				n.op(op, crashFn)
-			}
-			rng := rand.New(rand.NewSource(1))
-			var c *crash
-			restore := chaos.ObserveCrashpoints(func(p string) {
-				if p == point && c == nil {
-					n.disk.mu.Lock()
-					c = n.disk.capture(rng)
-					n.disk.mu.Unlock()
+	t.Parallel()
+	names := make([]string, 0, len(crashpoints))
+	for name := range crashpoints {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		cp := crashpoints[name]
+		t.Run(name, func(t *testing.T) {
+			var tr crashTrigger
+			for _, row := range crashTriggers {
+				if row.name == cp.trigger {
+					tr = row
 				}
-			})
-			n.op(sc.trigger, crashFn)
-			restore()
-			n.stop()
-			if c == nil {
-				t.Fatalf("the trigger never passed %s", point)
 			}
-			t.Run("process", func(t *testing.T) { sc.verify(t, boot(t, c.process), 0) })
-			t.Run("durable", func(t *testing.T) { sc.verify(t, boot(t, c.durable), 1) })
+			ops, instants := tr.trace(t)
+			i := cp.at(ops)
+			if i < 0 {
+				t.Fatalf("the %s never passed %s: %q", cp.trigger, name, ops)
+			}
+			in := instants[i]
+			for image, img := range [2]fstest.MapFS{in.crash.process, in.crash.durable} {
+				t.Run([2]string{"process", "durable"}[image], func(t *testing.T) {
+					if has := img[crashFn+".snap"] != nil; has != cp.snapfile[image] {
+						t.Fatalf("crashed %s: the image holds %s: %v, want %v", in.at, crashFn+".snap", has, cp.snapfile[image])
+					}
+					tr.verify(t, in.at, img, cp.want[image])
+				})
+			}
 		})
 	}
+}
+
+// verify recovers a daemon over img, left by the crash at, and checks it
+// against want, the row's generic checks, and the row's then ops.
+func (tr crashTrigger) verify(t *testing.T, at string, img fstest.MapFS, want expect) {
+	defer func() {
+		if t.Failed() {
+			t.Logf("crashed %s", at)
+		}
+	}()
+	r := boot(t, img)
+	defer r.stop()
+	got := want.check(t, r, crashFn)
+	if got.snap == no {
+		if r.count("cas/")+r.count(crashFn+".snap") > 0 {
+			t.Fatalf("%s: chunks or a snapfile outlived recovery with no snapshot to serve", unackedAbsent)
+		}
+		if img[crashFn+".snap"] != nil && r.count("quarantine/"+crashFn+".snap") == 0 {
+			t.Fatalf("%s: the snapfile recovery did not serve was not quarantined", unackedAbsent)
+		}
+	}
+	for _, op := range tr.then {
+		if code := r.op(op, crashFn); code/100 != 2 {
+			t.Fatalf("%s after recovery = %d", opNames[op], code)
+		}
+		got = got.after(op, false)
+	}
+	got.check(t, r, crashFn)
 }
 
 // tri is what acknowledgements promised of a fact. maybe covers the op
@@ -294,6 +443,10 @@ func (e expect) check(t *testing.T, r *node, fn string) expect {
 		t.Fatalf("%s: %s recovered as %v, acknowledgements promised %v", ackedSurvive, fn, got, e)
 	case code == http.StatusOK && r.op(opInvoke, fn) != map[bool]int{true: http.StatusOK, false: http.StatusNotFound}[snap]:
 		t.Fatalf("%s: %s has_snapshot = %v, and invoke disagrees", neverCorrupt, fn, snap)
+	case snap && r.deficit(fn) > 0:
+		// Every snapshot here was recorded locally: no fetcher owes a
+		// chunk, so a missing one is a chunk the crash lost.
+		t.Fatalf("%s: %s lost %d chunks", ackedSurvive, fn, r.deficit(fn))
 	}
 	return got
 }
@@ -305,6 +458,7 @@ func (e expect) check(t *testing.T, r *node, fn string) expect {
 // previous round's final crash (process and durable in turn), so what a
 // crash leaves — torn tails, quarantined evidence — is crashed again.
 func TestRandomKillInvariants(t *testing.T) {
+	t.Parallel()
 	const rounds, opsPerRound, crashOneIn, minCrashes = 10, 16, 2, 200
 	rng := rand.New(rand.NewSource(0xFAA5))
 	fns := []string{"crash-a", "crash-b"}
@@ -334,7 +488,7 @@ func TestRandomKillInvariants(t *testing.T) {
 			}
 		}
 		for i := 0; i < opsPerRound; i++ {
-			fn, op := fns[rng.Intn(len(fns))], rng.Intn(opCount)
+			fn, op := fns[rng.Intn(len(fns))], rng.Intn(clientOps)
 			taken = taken[:0]
 			code := n.op(op, fn)
 			for _, c := range taken {
@@ -422,6 +576,7 @@ func TestSIGTERMMidRecordDrainsCleanly(t *testing.T) {
 // TestReadyzProbeLeavesNothing: a crash between the readiness probe's
 // create and its remove leaves a file only recovery can remove.
 func TestReadyzProbeLeavesNothing(t *testing.T) {
+	t.Parallel()
 	n := boot(t, fstest.MapFS{})
 	var c *crash
 	n.disk.afterOp = func() {

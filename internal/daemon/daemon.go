@@ -287,9 +287,9 @@ func (d *Daemon) Handler() http.Handler {
 	handle("PUT /functions/{name}", d.settled(route(d.create, answer)))
 	handle("GET /functions/{name}", route(d.get, answer))
 	handle("DELETE /functions/{name}", d.settled(route(d.remove, noContent)))
-	handle("POST /functions/{name}/record", d.settled(route(d.record, acknowledgeCommit)))
+	handle("POST /functions/{name}/record", d.settled(route(d.record, answer)))
 	handle("GET /functions/{name}/chunkmap", d.stored("", route(d.chunkMap, answer)))
-	handle("POST /functions/{name}/sync", d.settled(d.stored("sync", route(d.sync, acknowledgeCommit))))
+	handle("POST /functions/{name}/sync", d.settled(d.stored("sync", route(d.sync, answer))))
 	handle("GET /chunks/{digest}", d.stored("", d.handleChunkGet))
 	handle("GET /cas", d.stored("", route(d.cas, answer)))
 	handle("POST /gc", d.settled(d.stored("gc", route(d.gc, answer))))
@@ -510,9 +510,9 @@ func writeFailure(w http.ResponseWriter, err error) {
 
 // route is the one adapter of the JSON routes: one call into the index,
 // the store or the lifecycle, then the call's failure, or its result sent
-// by reply (answer, acknowledgeCommit or noContent). The call reads what
-// it needs from the request, the body through decodeBody after its own
-// checks, so record still answers an unknown function before a bad body.
+// by reply (answer or noContent). The call reads what it needs from the
+// request, the body through decodeBody after its own checks, so record
+// still answers an unknown function before a bad body.
 func route[Resp any](call func(*http.Request) (Resp, error), reply func(http.ResponseWriter, interface{})) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		resp, err := call(r)
@@ -728,14 +728,6 @@ func (d *Daemon) record(r *http.Request) (RecordResponse, error) {
 		Result:   res,
 		Duration: res.Duration.String(),
 	}, err
-}
-
-// acknowledgeCommit replies to the request whose snapshot the lifecycle
-// just committed. A crash from here on (record.post-reply) must recover
-// the snapshot intact.
-func acknowledgeCommit(w http.ResponseWriter, reply interface{}) {
-	writeJSON(w, http.StatusOK, reply)
-	chaos.MaybeCrash(chaos.CrashRecordPostReply)
 }
 
 func (d *Daemon) sync(r *http.Request) (SyncResponse, error) {

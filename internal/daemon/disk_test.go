@@ -33,7 +33,12 @@ type disk struct {
 	flushed map[*fstest.MapFile]flush
 	dirs    map[string]map[string]*fstest.MapFile // each directory's entries as of its last fsync
 	temps   int
-	// afterOp, when set, runs with mu held after each mutating operation.
+	// ops logs every mutating operation in order, named by paths under
+	// root: "create x", "mkdir x", "write x", "fsync x", "fsync dir x",
+	// "rename x → y", "remove x", "truncate x".
+	ops []string
+	// afterOp, when set, runs with mu held after each mutating operation
+	// is logged.
 	afterOp func()
 }
 
@@ -117,7 +122,9 @@ func (d *disk) rel(name string) string {
 	return filepath.ToSlash(r)
 }
 
-func (d *disk) tick() {
+// tick logs one mutating operation and runs afterOp. Caller holds d.mu.
+func (d *disk) tick(op string) {
+	d.ops = append(d.ops, op)
 	if d.afterOp != nil {
 		d.afterOp()
 	}
@@ -127,8 +134,9 @@ func (d *disk) tick() {
 // root is made explicitly, so one map lookup answers.
 func (d *disk) isDir(r string) bool { return r == "." || d.files[r] != nil && d.files[r].Mode.IsDir() }
 
-// add puts f at name, whose directory must exist and which must not.
-func (d *disk) add(name string, f *fstest.MapFile) error {
+// add puts f at name, whose directory must exist and which must not;
+// verb names the operation in the log.
+func (d *disk) add(verb, name string, f *fstest.MapFile) error {
 	r := d.rel(name)
 	if !d.isDir(path.Dir(r)) {
 		return &fs.PathError{Op: "create", Path: name, Err: fs.ErrNotExist}
@@ -137,13 +145,13 @@ func (d *disk) add(name string, f *fstest.MapFile) error {
 		return &fs.PathError{Op: "create", Path: name, Err: fs.ErrExist}
 	}
 	d.files[r] = f
-	d.tick()
+	d.tick(verb + " " + r)
 	return nil
 }
 
 func (d *disk) create(name string) (atomicfile.File, error) {
 	f := &fstest.MapFile{Mode: 0o644}
-	if err := d.add(name, f); err != nil {
+	if err := d.add("create", name, f); err != nil {
 		return nil, err
 	}
 	return &dfile{d: d, f: f, name: name}, nil
@@ -189,7 +197,7 @@ func (d *disk) Lstat(name string) (fs.FileInfo, error) {
 }
 
 func (d *disk) Mkdir(name string, _ fs.FileMode) error {
-	_, err := locked(d, func() (any, error) { return nil, d.add(name, &fstest.MapFile{Mode: fs.ModeDir | 0o755}) })
+	_, err := locked(d, func() (any, error) { return nil, d.add("mkdir", name, &fstest.MapFile{Mode: fs.ModeDir | 0o755}) })
 	return err
 }
 
@@ -203,7 +211,7 @@ func (d *disk) Rename(oldpath, newpath string) error {
 	}
 	delete(d.files, from)
 	d.files[to] = f
-	d.tick()
+	d.tick("rename " + from + " → " + to)
 	return nil
 }
 
@@ -215,14 +223,15 @@ func (d *disk) Remove(name string) error {
 		return &fs.PathError{Op: "remove", Path: name, Err: fs.ErrNotExist}
 	}
 	delete(d.files, r)
-	d.tick()
+	d.tick("remove " + r)
 	return nil
 }
 
 func (d *disk) Truncate(name string, size int64) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	f := d.files[d.rel(name)]
+	r := d.rel(name)
+	f := d.files[r]
 	if f == nil || size > int64(len(f.Data)) {
 		return fmt.Errorf("truncate %s to %d: %w", name, size, fs.ErrInvalid)
 	}
@@ -230,7 +239,7 @@ func (d *disk) Truncate(name string, size int64) error {
 	if fl := d.flushed[f]; int(size) < len(fl.data) {
 		d.flushed[f] = flush{data: fl.data, cut: true}
 	}
-	d.tick()
+	d.tick("truncate " + r)
 	return nil
 }
 
@@ -258,24 +267,25 @@ func (f *dfile) Write(p []byte) (int, error) {
 	f.d.mu.Lock()
 	defer f.d.mu.Unlock()
 	f.f.Data = append(f.f.Data, p...)
-	f.d.tick()
+	f.d.tick("write " + f.d.rel(f.name))
 	return len(p), nil
 }
 
 func (f *dfile) Sync() error {
 	f.d.mu.Lock()
 	defer f.d.mu.Unlock()
+	r := f.d.rel(f.name)
 	if !f.dir {
 		f.d.flushed[f.f] = flush{data: f.f.Data[:len(f.f.Data):len(f.f.Data)]}
-	} else {
-		dir := f.d.rel(f.name)
-		kids, _ := f.d.files.ReadDir(dir)
-		f.d.dirs[dir] = map[string]*fstest.MapFile{}
-		for _, k := range kids {
-			f.d.dirs[dir][k.Name()] = f.d.files[path.Join(dir, k.Name())]
-		}
+		f.d.tick("fsync " + r)
+		return nil
 	}
-	f.d.tick()
+	kids, _ := f.d.files.ReadDir(r)
+	f.d.dirs[r] = map[string]*fstest.MapFile{}
+	for _, k := range kids {
+		f.d.dirs[r][k.Name()] = f.d.files[path.Join(r, k.Name())]
+	}
+	f.d.tick("fsync dir " + r)
 	return nil
 }
 

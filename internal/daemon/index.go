@@ -13,7 +13,6 @@ import (
 	"sort"
 	"sync"
 
-	"faasnap/internal/chaos"
 	"faasnap/internal/statedir"
 	"faasnap/internal/workload"
 )
@@ -108,9 +107,9 @@ func (x *index) enter(name string, spec *workload.Spec, step func(*fnState) erro
 }
 
 // register journals fs's registration, spec-only registrations
-// included: a crash after the append (CrashRegisterPostJournal) must
-// still recover the function. Registering an unchanged spec again
-// appends nothing and keeps the generation.
+// included: a crash after the append must still recover the function.
+// Registering an unchanged spec again appends nothing and keeps the
+// generation.
 func (x *index) register(fs *fnState) error {
 	if x.journal == nil {
 		return nil
@@ -118,7 +117,6 @@ func (x *index) register(fs *fnState) error {
 	if _, err := x.journal.Register(fs.spec.Name, specJSON(fs.spec)); err != nil {
 		return fmt.Errorf("journal registration: %w", err)
 	}
-	chaos.MaybeCrash(chaos.CrashRegisterPostJournal)
 	return nil
 }
 
@@ -142,8 +140,8 @@ func (x *index) invalidate(name string) error { return x.journal.Invalidate(name
 // The journal comes first: once the delete is acknowledged a restart
 // must not resurrect the function, and generations keep climbing across
 // the tombstone so re-registers are ordered after it. A crash right
-// after the append (CrashDeletePostJournal) leaves the snapfile behind;
-// recovery sweeps it into quarantine off the tombstone.
+// after the append leaves the snapfile behind; recovery sweeps it into
+// quarantine off the tombstone.
 func (x *index) tombstone(name string) (*fnState, error) {
 	if _, ok := x.lookup(name); !ok {
 		return nil, errNotRegistered
@@ -152,7 +150,6 @@ func (x *index) tombstone(name string) (*fnState, error) {
 		if _, err := x.journal.Delete(name); err != nil {
 			return nil, fmt.Errorf("journal delete: %w", err)
 		}
-		chaos.MaybeCrash(chaos.CrashDeletePostJournal)
 	}
 	v, ok := x.reg.LoadAndDelete(name)
 	if !ok {

@@ -7,7 +7,7 @@ package daemon
 // moves, and nothing else, runs here, between the index (what exists)
 // and the store (its bytes). DESIGN.md, "Daemon: index, store,
 // lifecycle", draws the state machine; RESILIENCE.md, "Crash consistency
-// & recovery", tabulates what each crashpoint on the way leaves behind.
+// & recovery", tabulates what a crash after each step leaves behind.
 
 import (
 	"context"
@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"faasnap/internal/chaos"
 	"faasnap/internal/core"
 	"faasnap/internal/events"
 	"faasnap/internal/guestagent"
@@ -202,22 +201,19 @@ func (l *lifecycle) transition(name string, spec *workload.Spec, serial bool, st
 
 // commit is the one snapshot commit, shared by a local recording and a
 // chunk-level sync from a peer: snapfile commit → read-back verify →
-// journal → publish, passing record.post-chunks and record.pre-journal
-// on the way (RESILIENCE.md, "The snapshot commit"). The caller, inside
-// transition, has made every chunk the snapshot references durable; save
-// writes its snapfile, and input and generation are what the index
-// journals (index.snapshot). A daemon without a store publishes the
-// artifacts it was handed. lazy > 0 publishes the chunk map together
-// with the fetcher that owns that many deferred refs.
+// journal → publish (RESILIENCE.md, "The snapshot commit"). The caller,
+// inside transition, has made every chunk the snapshot references
+// durable; save writes its snapfile, and input and generation are what
+// the index journals (index.snapshot). A daemon without a store
+// publishes the artifacts it was handed. lazy > 0 publishes the chunk
+// map together with the fetcher that owns that many deferred refs.
 func (l *lifecycle) commit(fs *fnState, arts *core.Artifacts, save func(path string) error, input string, generation uint64, lazy int) (*lazyTail, error) {
 	v := &view{arts: arts}
 	if l.store != nil {
-		chaos.MaybeCrash(chaos.CrashRecordPostChunks)
 		var err error
 		if v.arts, v.chunks, err = l.store.writeSnapfile(fs.spec.Name, save); err != nil {
 			return nil, err
 		}
-		chaos.MaybeCrash(chaos.CrashRecordPreJournal)
 		if err := l.idx.snapshot(fs, input, generation); err != nil {
 			return nil, fmt.Errorf("journal snapshot: %w", err)
 		}

@@ -21,7 +21,6 @@ import (
 	"io"
 
 	"faasnap/internal/atomicfile"
-	"faasnap/internal/chaos"
 	"faasnap/internal/core"
 	"faasnap/internal/guest"
 	"faasnap/internal/snapshot"
@@ -450,7 +449,7 @@ func ReadChunked(r io.Reader) (*core.Artifacts, *ChunkMap, error) {
 // durably (atomicfile.Write): a committed snapfile is either absent or
 // complete — never half-written.
 func SaveChunked(path string, arts *core.Artifacts, chunks *ChunkMap) error {
-	return commit(path, func(w io.Writer) error { return WriteChunked(w, arts, chunks) })
+	return atomicfile.Write(path, func(w io.Writer) error { return WriteChunked(w, arts, chunks) })
 }
 
 // CommitRaw writes pre-encoded snapfile bytes (as fetched from a peer
@@ -458,14 +457,10 @@ func SaveChunked(path string, arts *core.Artifacts, chunks *ChunkMap) error {
 // caller is expected to have decoded raw first, so a torn or corrupt
 // transfer never reaches a committed name.
 func CommitRaw(path string, raw []byte) error {
-	return commit(path, func(w io.Writer) error {
+	return atomicfile.Write(path, func(w io.Writer) error {
 		_, err := w.Write(raw)
 		return err
 	})
-}
-
-func commit(path string, write func(io.Writer) error) error {
-	return atomicfile.Write(path, chaos.CrashSnapfilePreRename, chaos.CrashSnapfilePostRename, write)
 }
 
 // LoadChunked reads artifacts and the chunk map from path, checking the

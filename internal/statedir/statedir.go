@@ -39,7 +39,6 @@ import (
 	"sync"
 
 	"faasnap/internal/atomicfile"
-	"faasnap/internal/chaos"
 )
 
 const (
@@ -163,7 +162,7 @@ func Open(dir string) (*Manifest, *Recovery, error) {
 	if rec.Created {
 		// Make the journal's existence itself durable before anything
 		// is acknowledged against it.
-		if err := atomicfile.Write(m.path, "", "", func(io.Writer) error { return nil }); err != nil {
+		if err := atomicfile.Write(m.path, func(io.Writer) error { return nil }); err != nil {
 			return nil, nil, fmt.Errorf("statedir: create manifest: %w", err)
 		}
 	}
@@ -274,11 +273,9 @@ func (m *Manifest) append(r record) error {
 	if _, err := m.f.Write(f); err != nil {
 		return fmt.Errorf("statedir: append: %w", err)
 	}
-	chaos.MaybeCrash(chaos.CrashManifestPreSync)
 	if err := m.f.Sync(); err != nil {
 		return fmt.Errorf("statedir: sync: %w", err)
 	}
-	chaos.MaybeCrash(chaos.CrashManifestPostAppend)
 	if err := m.apply(r); err != nil {
 		return err
 	}
@@ -418,7 +415,7 @@ func (m *Manifest) compactLocked() error {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	err := atomicfile.Write(m.path, "", "", func(w io.Writer) error {
+	err := atomicfile.Write(m.path, func(w io.Writer) error {
 		for _, n := range names {
 			e := m.entries[n]
 			f, err := frame(record{

@@ -78,7 +78,10 @@ func TestEveryOptionHasACaller(t *testing.T) {
 // the chunk store, the journal, the snapfile codec, the daemon — calls
 // an os or path/filepath function that touches the filesystem. Every
 // byte they persist then takes the flush discipline atomicfile enforces,
-// and the crash tests' in-memory disk sees every operation.
+// and the crash tests' in-memory disk sees every operation. Nor does a
+// storage layer import internal/chaos: crash tests choose their instants
+// from the disk's operations, so the write path carries no test
+// instrumentation.
 func TestStateDirHasOneOwner(t *testing.T) {
 	touchesDisk := map[string]string{
 		"os": " Chmod Chown Chtimes Create CreateTemp DirFS Link Lstat Mkdir MkdirAll MkdirTemp Open OpenFile" +
@@ -87,7 +90,11 @@ func TestStateDirHasOneOwner(t *testing.T) {
 	}
 	fset := token.NewFileSet()
 	for path, f := range nonTestFiles(t, fset) {
-		if dir := filepath.ToSlash(filepath.Dir(path)); !strings.Contains(" internal/casstore internal/statedir internal/snapfile internal/daemon ", " "+dir+" ") {
+		dir := " " + filepath.ToSlash(filepath.Dir(path)) + " "
+		if strings.Contains(" internal/atomicfile internal/casstore internal/statedir internal/snapfile ", dir) && importName(f, "faasnap/internal/chaos") != "" {
+			t.Errorf("%s imports faasnap/internal/chaos; the storage layers carry no test instrumentation", path)
+		}
+		if !strings.Contains(" internal/casstore internal/statedir internal/snapfile internal/daemon ", dir) {
 			continue
 		}
 		for pkg, funcs := range touchesDisk {
