@@ -200,13 +200,13 @@ func (s *Store) Has(d Digest) bool {
 	return atomicfile.Exists(s.localPath(d)) || atomicfile.Exists(s.coldPath(d))
 }
 
-// Put stores data under its own digest, returning the digest and
-// whether it was already present (a dedup hit). The commit is atomic
-// and durable; concurrent puts of the same digest are benign — both
-// write identical bytes and rename to the same name.
+// Put stores data under its own digest — hashed once, here — returning
+// the digest and whether it was already present (a dedup hit). The
+// commit is atomic and durable; concurrent puts of the same digest are
+// benign — both write identical bytes and rename to the same name.
 func (s *Store) Put(data []byte) (Digest, bool, error) {
 	d := Sum(data)
-	existed, err := s.PutDigest(d, data)
+	existed, err := s.put(d, data)
 	return d, existed, err
 }
 
@@ -217,6 +217,11 @@ func (s *Store) PutDigest(d Digest, data []byte) (bool, error) {
 	if got := Sum(data); got != d {
 		return false, fmt.Errorf("%w: payload hashes to %s, expected %s", ErrCorrupt, got, d)
 	}
+	return s.put(d, data)
+}
+
+// put commits data, which hashes to d, under d.
+func (s *Store) put(d Digest, data []byte) (bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.Has(d) {

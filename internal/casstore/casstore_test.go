@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"faasnap/internal/core"
+	"faasnap/internal/snapshot"
 	"faasnap/internal/telemetry"
 	"faasnap/internal/workload"
 )
@@ -253,6 +254,40 @@ func TestBuildChunksDeterministic(t *testing.T) {
 	}
 	if cm1.ChunkPages != DefaultChunkPages {
 		t.Fatalf("chunk pages = %d", cm1.ChunkPages)
+	}
+}
+
+// TestFillReusesOneBuffer: PlanChunks' extents, filled one after another
+// into one dirty buffer, are BuildChunks' payloads, zero pages included.
+func TestFillReusesOneBuffer(t *testing.T) {
+	fn, _ := sharedBaseSpecs(t)
+	arts, _ := core.Record(core.DefaultHostConfig(), fn, fn.A)
+	want, chunks := BuildChunks(arts, 0)
+	cm := PlanChunks(arts, 0)
+	if len(cm.Refs) != len(want.Refs) {
+		t.Fatalf("planned %d extents, BuildChunks made %d chunks", len(cm.Refs), len(want.Refs))
+	}
+	buf := bytes.Repeat([]byte{0xa5}, DefaultChunkPages*snapshot.PageSize)
+	zero, zeroPages := make([]byte, snapshot.PageSize), 0
+	for i, ref := range cm.Refs {
+		if ref.Digest != ([32]byte{}) {
+			t.Fatalf("planned extent %d carries a digest", i)
+		}
+		data := Fill(arts, ref, buf)
+		if !bytes.Equal(data, chunks[i].Data) {
+			t.Fatalf("extent %d filled into a reused buffer differs from BuildChunks' payload", i)
+		}
+		for off := 0; off < len(data); off += snapshot.PageSize {
+			if bytes.Equal(data[off:off+snapshot.PageSize], zero) {
+				zeroPages++
+			}
+		}
+		if ref.Digest = Sum(data); ref != want.Refs[i] {
+			t.Fatalf("extent %d = %+v, BuildChunks' ref = %+v", i, ref, want.Refs[i])
+		}
+	}
+	if zeroPages == 0 {
+		t.Fatal("no extent holds a zero page; the reused buffer's stale bytes were never at stake")
 	}
 }
 

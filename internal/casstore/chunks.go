@@ -96,54 +96,33 @@ func lsIntervals(arts *core.Artifacts) []interval {
 	return out
 }
 
-// BuildChunks cuts arts' memory file into content-addressed chunks of
-// chunkPages pages (<= 0 takes DefaultChunkPages). All-zero extents
-// produce no chunk — a restore zero-fills uncovered ranges. Each ref
-// carries whether the chunk overlaps the loading set and the lowest
+// PlanChunks cuts arts' memory file into the extents of chunkPages pages
+// (<= 0 takes DefaultChunkPages) that BuildChunks would make chunks of:
+// refs with no payload read and no digest yet. All-zero extents produce
+// no ref — a restore zero-fills uncovered ranges. Each ref carries
+// whether the extent overlaps the loading set and the lowest
 // overlapping group, which orders eager fetching on restore.
-func BuildChunks(arts *core.Artifacts, chunkPages int64) (*snapfile.ChunkMap, []Chunk) {
+func PlanChunks(arts *core.Artifacts, chunkPages int64) *snapfile.ChunkMap {
 	if chunkPages <= 0 {
 		chunkPages = DefaultChunkPages
 	}
 	mem := arts.Mem
-	baseKey := fmt.Sprintf("base-image-%dp", arts.Fn.BootPages)
-	fnKey := "fn-" + arts.Fn.Name
 	ls := lsIntervals(arts)
 	cm := &snapfile.ChunkMap{ChunkPages: chunkPages}
-	var chunks []Chunk
 	li := 0
 	for start := int64(0); start < mem.Pages; start += chunkPages {
-		end := start + chunkPages
-		if end > mem.Pages {
-			end = mem.Pages
-		}
+		end := min(start+chunkPages, mem.Pages)
 		nonZero := false
-		for p := start; p < end; p++ {
-			if !mem.IsZero(p) {
-				nonZero = true
-				break
-			}
+		for p := start; p < end && !nonZero; p++ {
+			nonZero = !mem.IsZero(p)
 		}
 		if !nonZero {
 			continue
 		}
-		data := make([]byte, (end-start)*snapshot.PageSize)
-		for p := start; p < end; p++ {
-			if mem.IsZero(p) {
-				continue
-			}
-			key := fnKey
-			if p < arts.Fn.BootPages {
-				key = baseKey
-			}
-			off := (p - start) * snapshot.PageSize
-			fillPage(data[off:off+snapshot.PageSize], seedFor(key, p))
-		}
 		ref := snapfile.ChunkRef{
-			Digest:    Sum(data),
 			StartPage: start,
 			Pages:     end - start,
-			Bytes:     int64(len(data)),
+			Bytes:     (end - start) * snapshot.PageSize,
 			Group:     -1,
 		}
 		// Advance the loading-set cursor past intervals that end before
@@ -161,7 +140,40 @@ func BuildChunks(arts *core.Artifacts, chunkPages int64) (*snapfile.ChunkMap, []
 			}
 		}
 		cm.Refs = append(cm.Refs, ref)
-		chunks = append(chunks, Chunk{Ref: ref, Data: data})
+	}
+	return cm
+}
+
+// Fill writes the content of ref's extent of arts' memory file into the
+// first ref.Bytes of buf, zero pages included, and returns them: a
+// buffer can be reused from one extent to the next.
+func Fill(arts *core.Artifacts, ref snapfile.ChunkRef, buf []byte) []byte {
+	data := buf[:ref.Bytes]
+	baseKey := fmt.Sprintf("base-image-%dp", arts.Fn.BootPages)
+	fnKey := "fn-" + arts.Fn.Name
+	for i := int64(0); i < ref.Pages; i++ {
+		p, page := ref.StartPage+i, data[i*snapshot.PageSize:(i+1)*snapshot.PageSize]
+		switch {
+		case arts.Mem.IsZero(p):
+			clear(page)
+		case p < arts.Fn.BootPages:
+			fillPage(page, seedFor(baseKey, p))
+		default:
+			fillPage(page, seedFor(fnKey, p))
+		}
+	}
+	return data
+}
+
+// BuildChunks plans arts' chunks (PlanChunks) and reads and hashes every
+// one of them, holding all of their payloads at once.
+func BuildChunks(arts *core.Artifacts, chunkPages int64) (*snapfile.ChunkMap, []Chunk) {
+	cm := PlanChunks(arts, chunkPages)
+	chunks := make([]Chunk, len(cm.Refs))
+	for i := range cm.Refs {
+		data := Fill(arts, cm.Refs[i], make([]byte, cm.Refs[i].Bytes))
+		cm.Refs[i].Digest = Sum(data)
+		chunks[i] = Chunk{Ref: cm.Refs[i], Data: data}
 	}
 	return cm, chunks
 }

@@ -129,6 +129,10 @@ func TestCASChunkEndpoints(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("chunk get = %d", resp.StatusCode)
 	}
+	if resp.ContentLength != ref.Bytes || len(data) != int(ref.Bytes) || resp.TransferEncoding != nil {
+		t.Fatalf("chunk reply: Content-Length %d, %d bytes, transfer encoding %q; want %d bytes, declared",
+			resp.ContentLength, len(data), resp.TransferEncoding, ref.Bytes)
+	}
 	if got := hex.EncodeToString(func() []byte { s := sha256.Sum256(data); return s[:] }()); got != ref.Digest {
 		t.Fatalf("chunk bytes hash to %s, addressed as %s", got, ref.Digest)
 	}
@@ -469,9 +473,10 @@ func (g *gatedSource) open() {
 	}
 }
 
-// waitParked returns once n held requests have reached the gate. A
-// fetcher issues one request at a time, so with the gate shut the n-th
-// arrival tells how far the daemon's syncs have got.
+// waitParked returns once n held requests have reached the gate. A lazy
+// fetcher issues one request at a time and an eager sync a window of
+// them, so with the gate shut the n-th arrival tells how far the
+// daemon's syncs have got.
 func (g *gatedSource) waitParked(t *testing.T, n int) {
 	t.Helper()
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {

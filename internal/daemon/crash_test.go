@@ -107,13 +107,14 @@ const (
 	opDelete
 	opGC     // POST /gc
 	opDemote // POST /gc {"demote":true}
+	opSync   // an eager sync from the node's peer (node.peer)
 )
 
 // clientOps is how many of the ops, from the first, make up
 // TestRandomKillInvariants' mix.
 const clientOps = opDelete + 1
 
-var opNames = [...]string{"register", "record", "invoke", "delete", "gc", "demote"}
+var opNames = [...]string{"register", "record", "invoke", "delete", "gc", "demote", "sync"}
 
 // op runs one operation on fn and returns its status.
 func (n *node) op(op int, fn string) int {
@@ -129,9 +130,24 @@ func (n *node) op(op int, fn string) int {
 		method = "DELETE"
 	case opGC, opDemote:
 		path, body = "/gc", map[string]bool{"demote": op == opDemote}
+	case opSync:
+		path, body = path+"/sync", map[string]any{"source": "peer", "eager": true}
 	}
 	code, _ := n.do(method, path, body)
 	return code
+}
+
+// peer gives n the source its syncs pull from: a daemon on a disk of its
+// own that has recorded fn, answering n's peer requests in process.
+func (n *node) peer(t *testing.T, fn string) {
+	t.Helper()
+	src := boot(t, fstest.MapFS{})
+	for _, op := range []int{opRegister, opRecord} {
+		if code := src.op(op, fn); code != http.StatusOK {
+			t.Fatalf("source %s = %d", opNames[op], code)
+		}
+	}
+	n.d.store.peer.Transport = served{src.h}
 }
 
 // get returns GET /functions/{fn}'s status and has_snapshot.
@@ -195,6 +211,10 @@ var crashTriggers = []crashTrigger{
 	{name: "gc-demote", prep: []int{opRegister, opRecord}, trigger: opDemote, then: []int{opInvoke, opDemote}},
 	// Whatever the sweep had not removed, recovery does.
 	{name: "gc-after-delete", prep: []int{opRegister, opRecord, opDelete}, trigger: opGC, then: []int{opRegister, opRecord, opInvoke}},
+	// Every chunk, fetched a window at a time, is durable before the
+	// snapfile that references it; a synced function can then be
+	// registered and recorded here.
+	{name: "sync", trigger: opSync, then: []int{opRegister, opRecord, opInvoke}},
 }
 
 // instant is one crash the matrix recovers: the disk operation it came
@@ -212,6 +232,9 @@ type instant struct {
 func (tr crashTrigger) trace(t *testing.T) (ops []string, instants []instant) {
 	n := boot(t, fstest.MapFS{})
 	defer n.stop()
+	if tr.trigger == opSync {
+		n.peer(t, crashFn)
+	}
 	var model expect
 	for _, op := range tr.prep {
 		if code := n.op(op, crashFn); code/100 != 2 {
@@ -416,7 +439,8 @@ func (e expect) after(op int, inflight bool) expect {
 	switch {
 	case op == opRegister:
 		next.present = yes
-	case op == opRecord && e.present == yes, op == opInvoke && !inflight: // a 200 invoke proves a snapshot
+	case op == opRecord && e.present == yes, op == opInvoke && !inflight, // a 200 invoke proves a snapshot
+		op == opSync:
 		next = expect{yes, yes}
 	case op == opDelete:
 		next = expect{no, no}
@@ -444,8 +468,8 @@ func (e expect) check(t *testing.T, r *node, fn string) expect {
 	case code == http.StatusOK && r.op(opInvoke, fn) != map[bool]int{true: http.StatusOK, false: http.StatusNotFound}[snap]:
 		t.Fatalf("%s: %s has_snapshot = %v, and invoke disagrees", neverCorrupt, fn, snap)
 	case snap && r.deficit(fn) > 0:
-		// Every snapshot here was recorded locally: no fetcher owes a
-		// chunk, so a missing one is a chunk the crash lost.
+		// Every snapshot here was recorded locally or synced eagerly: no
+		// fetcher owes a chunk, so a missing one is a chunk the crash lost.
 		t.Fatalf("%s: %s lost %d chunks", ackedSurvive, fn, r.deficit(fn))
 	}
 	return got

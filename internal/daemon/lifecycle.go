@@ -165,6 +165,9 @@ func (l *lifecycle) background(f func()) {
 func (l *lifecycle) close(recovered <-chan struct{}) {
 	l.bgHalt()
 	l.bg.Wait()
+	if l.store != nil {
+		l.store.peer.CloseIdleConnections()
+	}
 	for _, fs := range l.idx.live() {
 		fs.shutdown()
 	}
@@ -467,7 +470,9 @@ func (l *lifecycle) sync(ctx context.Context, name string, req syncRequest, id t
 	// restore did not: dedup hits plus the deferred lazy tail.
 	l.store.saved.Add(float64(resp.BytesTotal - resp.BytesFetched))
 	l.store.syncs.Inc()
-	l.store.refreshDedup()
+	// The refresh walks the whole chunk tree: off the request, as after a
+	// record.
+	l.background(l.store.refreshDedup)
 	l.log.Printf("synced %s from %s: %d/%d chunks fetched (%d present, %d lazy), %d of %d bytes",
 		name, req.Source, resp.ChunksFetched, resp.ChunksTotal, resp.ChunksPresent, resp.ChunksLazy,
 		resp.BytesFetched, resp.BytesTotal)

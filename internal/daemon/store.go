@@ -82,7 +82,11 @@ func openStore(dir string, e env, live func() []*chunkMap) (*store, error) {
 			Fields: map[string]string{"digest": dg.String(), "tier": tier.String()},
 		})
 	})
-	s := &store{env: e, dir: dir, cas: cas, live: live, peer: &http.Client{Timeout: 30 * time.Second}}
+	// The peer pool keeps a connection per window slot: the default keeps
+	// two per host, so a windowed sync would redial on every chunk.
+	peer := http.DefaultTransport.(*http.Transport).Clone()
+	peer.MaxIdleConnsPerHost = window
+	s := &store{env: e, dir: dir, cas: cas, live: live, peer: &http.Client{Timeout: 30 * time.Second, Transport: peer}}
 	s.dedup = s.telemetry.Gauge("faasnap_cas_dedup_ratio",
 		"Fraction of logically referenced chunk bytes saved by dedup and compression (1 - physical/logical).", nil)
 	s.saved = s.telemetry.Counter("faasnap_cas_restore_bytes_saved_total",
@@ -156,19 +160,61 @@ func (s *store) refreshDedup() {
 	s.dedup.Set(max(0, 1-float64(st.PhysicalBytes())/float64(logical)))
 }
 
+// window is how many chunks the chunk plane moves at once: a record's
+// chunk commits, a sync's eager fetches.
+const window = 4
+
+// inWindow runs do for items 0 to n-1, started in order, at most window
+// at a time; worker (< window) names the goroutine an item runs on, so a
+// caller can give each its own buffer. The first error starts no further
+// item and cancels the ctx of those in flight; inWindow returns it once
+// every worker has returned.
+func inWindow(ctx context.Context, n int, do func(ctx context.Context, worker, i int) error) error {
+	ctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := range min(window, n) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1) - 1); i < n && ctx.Err() == nil; i = int(next.Add(1) - 1) {
+				if err := do(ctx, w, i); err != nil {
+					cancel(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	return context.Cause(ctx)
+}
+
 // putSnapshot chunks a recording into the content-addressed store —
 // chunks shared with earlier recordings (the base image) dedup to
 // nothing, and a crash before the snapfile commit leaves only
 // unreferenced chunks for the recovery sweep — and returns the save that
-// encodes its snapfile.
+// encodes its snapfile. Each window worker fills one extent at a time
+// into a buffer of its own and Put hashes it once, so a recording is
+// never held in memory whole.
 func (s *store) putSnapshot(arts *core.Artifacts) (save func(path string) error, err error) {
-	chunks, payloads := casstore.BuildChunks(arts, 0)
-	for _, c := range payloads {
-		if _, err := s.cas.PutDigest(casstore.Digest(c.Ref.Digest), c.Data); err != nil {
-			return nil, fmt.Errorf("persist chunk: %w", err)
+	cm := casstore.PlanChunks(arts, 0)
+	bufs := make([][]byte, window)
+	err = inWindow(context.Background(), len(cm.Refs), func(_ context.Context, w, i int) error {
+		ref := &cm.Refs[i]
+		if int64(len(bufs[w])) < ref.Bytes {
+			bufs[w] = make([]byte, ref.Bytes)
 		}
+		dg, _, err := s.cas.Put(casstore.Fill(arts, *ref, bufs[w]))
+		if err != nil {
+			return fmt.Errorf("persist chunk: %w", err)
+		}
+		ref.Digest = dg
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return func(path string) error { return snapfile.SaveChunked(path, arts, chunks) }, nil
+	return func(path string) error { return snapfile.SaveChunked(path, arts, cm) }, nil
 }
 
 // writeSnapfile commits name's snapfile — an encode of the recorded
@@ -387,12 +433,16 @@ func (s *store) export(name, input string, generation uint64, cm *chunkMap, summ
 	return resp, nil
 }
 
-// fetchChunk pulls one chunk from the source and commits it under its
+// maxChunkBytes is the most one chunk transfer may declare.
+const maxChunkBytes = 64 << 20
+
+// fetchChunk pulls one chunk from the source into *buf, grown to the
+// reply's Content-Length if it is short, and commits it under its
 // digest, reporting which tier served it; PutDigest rejects transfer
 // corruption before commit. ctx bounds the transfer: a lazy fetcher's
 // halt or an eager sync's request ending stops it at once instead of
 // waiting out a peer that never answers.
-func (s *store) fetchChunk(ctx context.Context, source string, dg casstore.Digest) (int64, string, error) {
+func (s *store) fetchChunk(ctx context.Context, source string, dg casstore.Digest, buf *[]byte) (int64, string, error) {
 	resp, err := s.peerGet(ctx, source, "/chunks/"+dg.String())
 	if err != nil {
 		return 0, "", err
@@ -402,15 +452,21 @@ func (s *store) fetchChunk(ctx context.Context, source string, dg casstore.Diges
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		return 0, "", fmt.Errorf("source answered %d for chunk %s", resp.StatusCode, dg)
 	}
-	tier := resp.Header.Get("X-Faasnap-Chunk-Tier")
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
+	tier, n := resp.Header.Get("X-Faasnap-Chunk-Tier"), resp.ContentLength
+	if n < 0 || n > maxChunkBytes {
+		return 0, tier, fmt.Errorf("source declared chunk %s as %d bytes, want a Content-Length of at most %d", dg, n, maxChunkBytes)
+	}
+	if int64(cap(*buf)) < n {
+		*buf = make([]byte, n)
+	}
+	data := (*buf)[:n]
+	if _, err := io.ReadFull(resp.Body, data); err != nil {
 		return 0, tier, err
 	}
 	if _, err := s.cas.PutDigest(dg, data); err != nil {
 		return 0, tier, err
 	}
-	return int64(len(data)), tier, nil
+	return n, tier, nil
 }
 
 func (s *store) peerGet(ctx context.Context, source, path string) (*http.Response, error) {
@@ -510,31 +566,47 @@ type groupSpan struct {
 	tiers      map[string]bool
 }
 
-// fetch pulls refs from source in order, one waterfall span per
-// prefetch group: split's order makes each group's chunks contiguous,
-// so the per-group wall time and serving tiers land on one row each.
+// fetch pulls refs from source, started in split's order with at most a
+// window in flight, and consumes the results in that same order, one
+// waterfall span per prefetch group: split's order makes each group's
+// chunks contiguous, so the per-group wall time and serving tiers land
+// on one row each.
 func (s *store) fetch(ctx context.Context, source string, refs []chunkRef, start time.Time) ([]*groupSpan, int64, error) {
+	type fetched struct {
+		began, done time.Duration
+		bytes       int64
+		tier        string
+	}
+	got := make([]fetched, len(refs))
+	bufs := make([][]byte, window)
+	err := inWindow(ctx, len(refs), func(ctx context.Context, w, i int) (err error) {
+		f := &got[i]
+		f.began = time.Since(start)
+		f.bytes, f.tier, err = s.fetchChunk(ctx, source, casstore.Digest(refs[i].Digest), &bufs[w])
+		f.done = time.Since(start)
+		return err
+	})
+	if err != nil {
+		return nil, 0, err
+	}
 	var groups []*groupSpan
 	var total int64
-	for _, ref := range refs {
+	for i, ref := range refs {
+		f := got[i]
 		var g *groupSpan
 		if n := len(groups); n > 0 && groups[n-1].group == ref.Group && groups[n-1].ls == ref.LS {
 			g = groups[n-1]
 		} else {
-			g = &groupSpan{group: ref.Group, ls: ref.LS, start: time.Since(start), tiers: map[string]bool{}}
+			g = &groupSpan{group: ref.Group, ls: ref.LS, start: f.began, tiers: map[string]bool{}}
 			groups = append(groups, g)
 		}
-		n, tier, err := s.fetchChunk(ctx, source, casstore.Digest(ref.Digest))
-		if err != nil {
-			return nil, 0, err
-		}
-		if tier != "" {
-			g.tiers[tier] = true
+		if f.tier != "" {
+			g.tiers[f.tier] = true
 		}
 		g.chunks++
-		g.bytes += n
-		g.dur = time.Since(start) - g.start
-		total += n
+		g.bytes += f.bytes
+		g.dur = max(g.dur, f.done-g.start)
+		total += f.bytes
 	}
 	return groups, total, nil
 }
@@ -582,6 +654,7 @@ const lazyAttempts = 3
 func (s *store) drain(name, source string, refs []chunkRef, t *lazyTail) (fetched, abandoned int) {
 	defer close(t.done)
 	defer t.halt() // releases the context once drained
+	var buf []byte
 	for i, ref := range refs {
 		dg := casstore.Digest(ref.Digest)
 		var err error
@@ -589,7 +662,7 @@ func (s *store) drain(name, source string, refs []chunkRef, t *lazyTail) (fetche
 		// the plan: never fetch what the store holds.
 		if !s.cas.Has(dg) {
 			err = resilience.Retry(t.ctx, lazyAttempts, 50*time.Millisecond, nil, func() error {
-				_, _, err := s.fetchChunk(t.ctx, source, dg)
+				_, _, err := s.fetchChunk(t.ctx, source, dg, &buf)
 				return err
 			})
 		}

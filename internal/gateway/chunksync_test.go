@@ -426,18 +426,19 @@ func TestAntiEntropyLeavesLiveTailAlone(t *testing.T) {
 }
 
 // TestAntiEntropyRepairOutlastsProbeBound: a repair carries the request
-// deadline, not the status probe's. With the source holding its
-// loading-set chunk replies so the sync takes ~2.5 s, one pass repairs
-// the wiped standby, counts the repair once, and counts every byte the
-// standby fetched.
+// deadline, not the status probe's. With the source serving its
+// loading-set chunks one at a time, each held so the sync takes ~2.5 s
+// however many the standby asks for at once, one pass repairs the wiped
+// standby, counts the repair once, and counts every byte the standby
+// fetched.
 func TestAntiEntropyRepairOutlastsProbeBound(t *testing.T) {
 	dA, _ := startRealDaemon(t)
 	_, addrB := startRealDaemon(t)
 
-	// A is reachable only through the gate, which delays each loading-set
-	// chunk and counts what it sends. The lazy tail is held until the
+	// A is reachable only through the gate, which serves loading-set
+	// chunks one at a time, each after a delay, and counts what it sends. The lazy tail is held until the
 	// test ends, so every chunk byte B fetches in the pass is counted.
-	var mu sync.Mutex
+	var mu, slow sync.Mutex
 	ls := map[string]bool{}
 	var delay time.Duration
 	var sent int64
@@ -461,7 +462,9 @@ func TestAntiEntropyRepairOutlastsProbeBound(t *testing.T) {
 			inner.ServeHTTP(w, r)
 			return
 		}
+		slow.Lock()
 		time.Sleep(d)
+		slow.Unlock()
 		rec := httptest.NewRecorder()
 		inner.ServeHTTP(rec, r)
 		mu.Lock()
