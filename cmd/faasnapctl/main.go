@@ -323,8 +323,7 @@ func main() {
 	case "sync":
 		argc(rest, 2, 3)
 		eager := len(rest) == 3 && rest[2] == "eager"
-		call("POST", "/functions/"+rest[0]+"/sync",
-			map[string]interface{}{"source": rest[1], "eager": eager})
+		call("POST", "/functions/"+rest[0]+"/sync", daemon.SyncRequest{Source: rest[1], Eager: eager})
 	case "gc":
 		argc(rest, 0, 1)
 		demote := len(rest) == 1 && rest[0] == "demote"

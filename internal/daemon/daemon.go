@@ -731,7 +731,7 @@ func (d *Daemon) record(r *http.Request) (RecordResponse, error) {
 }
 
 func (d *Daemon) sync(r *http.Request) (SyncResponse, error) {
-	var req syncRequest
+	var req SyncRequest
 	if err := decodeBody(r, &req); err != nil {
 		return SyncResponse{}, err
 	}

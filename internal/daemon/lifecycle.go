@@ -371,12 +371,13 @@ func (l *lifecycle) record(name string, in workload.Input) (res core.RecordResul
 	return res, nil
 }
 
-type syncRequest struct {
-	// Source is the peer daemon ("host:port") holding the snapshot.
-	Source string `json:"source"`
+// SyncRequest is the body of POST /functions/{name}/sync.
+type SyncRequest struct {
 	// Eager fetches every chunk before replying instead of deferring
 	// non-loading-set chunks to the background.
 	Eager bool `json:"eager"`
+	// Source is the peer daemon ("host:port") holding the snapshot.
+	Source string `json:"source"`
 }
 
 // SyncResponse reports one chunk-level restore.
@@ -402,7 +403,7 @@ type SyncResponse struct {
 // source's generation, not a new one — and hand the lazy tail to a
 // background fetcher. ctx is the request's: the eager transfer ends with
 // it. The restore leaves a waterfall trace under id.
-func (l *lifecycle) sync(ctx context.Context, name string, req syncRequest, id trace.ID) (SyncResponse, error) {
+func (l *lifecycle) sync(ctx context.Context, name string, req SyncRequest, id trace.ID) (SyncResponse, error) {
 	start := time.Now()
 	// A source that cannot supply a usable snapshot fails the sync here,
 	// before it has disturbed a fetcher that is draining fine.

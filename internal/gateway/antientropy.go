@@ -15,8 +15,10 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"faasnap/internal/daemon"
@@ -49,204 +51,160 @@ func outranks(e, w daemon.StatusFunction) bool {
 	return incomplete(e) < incomplete(w)
 }
 
-func (v *backendView) entry(fn string) (daemon.StatusFunction, bool) {
-	for _, e := range v.Functions {
-		if e.Name == fn {
-			return e, true
+// repairKind is one repair action: the repair event's fields.action.
+type repairKind string
+
+const (
+	repairDelete      repairKind = "delete"       // replay the winner's delete
+	repairRegister    repairKind = "register"     // replay the registration, spec included
+	repairChunks      repairKind = "chunks"       // pull the winner's snapshot
+	repairChunksEager repairKind = "chunks_eager" // pull a chunk deficit before replying
+)
+
+// counter is the faasnap_gw_resync_total action label k books under:
+// an eager sync counts as a chunk sync.
+func (k repairKind) counter() string { return strings.TrimSuffix(string(k), "_eager") }
+
+// repair is one action plan decides: target repairs fn. A register
+// carries the winner's spec; a sync names the winner as source, and an
+// eager one the seq of the target's manifest_deficit event.
+type repair struct {
+	kind       repairKind
+	fn         string
+	target     *Backend
+	source     string
+	spec       string
+	deficitSeq uint64
+}
+
+// plan decides one anti-entropy pass. views holds the last sweep's
+// answer of every backend that has a current status, by address; the
+// others are neither sources nor targets. It returns the repairs that
+// bring each function's replica set — its first 1+replicas backends in
+// preference order — to the set's winner, by function name, then in
+// preference order. plan is the one implementation of GATEWAY.md's
+// "Repair rules" table, and TestRepairRuleEveryState checks it over
+// every state of one function on three replicas.
+//
+// The winner is the entry that outranks the others. Generations count
+// acknowledged client mutations, and neither losing a snapshot nor
+// copying one mints, so replicas that saw the same fan-out history
+// agree and one that missed a mutation sits strictly below. A sync
+// makes the target adopt the winner's generation, so the rule cannot
+// fire twice. A register is followed by the sync in the same pass, as
+// the registered copy holds no snapshot. An eager sync needs a complete
+// winner, since it fetches the whole deficit from that one source, and
+// a replica whose only gap is pending chunks is left alone: its lazy
+// fetcher owns them.
+func plan(views map[string]*backendView, backends []*Backend, replicas int) []repair {
+	held := make(map[string]map[string]daemon.StatusFunction, len(views))
+	var names []string
+	for addr, v := range views {
+		byName := make(map[string]daemon.StatusFunction, len(v.Functions))
+		for _, e := range v.Functions {
+			byName[e.Name] = e
+			names = append(names, e.Name)
+		}
+		held[addr] = byName
+	}
+	sort.Strings(names)
+	var out []repair
+	for _, fn := range slices.Compact(names) {
+		prefs := preference(backends, fn, 1+replicas)
+		var winner daemon.StatusFunction
+		source := ""
+		for _, b := range prefs {
+			if e, ok := held[b.Addr][fn]; ok && (source == "" || outranks(e, winner)) {
+				winner, source = e, b.Addr
+			}
+		}
+		if source == "" {
+			continue // held only outside its replica set
+		}
+		for _, b := range prefs {
+			byName, current := held[b.Addr]
+			if !current || b.Addr == source {
+				continue
+			}
+			e, ok := byName[fn]
+			switch {
+			case winner.Deleted:
+				if ok && !e.Deleted {
+					out = append(out, repair{kind: repairDelete, fn: fn, target: b})
+				}
+				continue
+			case !ok || e.Deleted:
+				out = append(out, repair{kind: repairRegister, fn: fn, target: b, spec: winner.Spec})
+				e = daemon.StatusFunction{}
+			}
+			sync := repair{kind: repairChunks, fn: fn, target: b, source: source}
+			switch {
+			case !winner.HasSnapshot:
+			case !e.HasSnapshot || e.Generation < winner.Generation:
+				out = append(out, sync)
+			case e.ChunksMissing > 0 && incomplete(winner) == 0:
+				sync.kind, sync.deficitSeq = repairChunksEager, e.DeficitSeq
+				out = append(out, sync)
+			}
 		}
 	}
-	return daemon.StatusFunction{}, false
+	return out
 }
 
 // ResyncNow runs one anti-entropy pass over the status replies
-// collected by the last health sweep and returns the number of repair
-// actions issued. The sweep loop calls it after every CheckNow; tests
+// collected by the last health sweep and returns the number of repairs
+// that succeeded. The sweep loop calls it after every CheckNow; tests
 // call it directly for a deterministic pass. Passes never overlap.
 //
-// Staleness is judged within each function's replica set (the
-// owner plus the configured standbys — the backends that are supposed
-// to hold it). The highest-generation entry wins: generations count
-// acknowledged client mutations per function, and neither losing a
-// snapshot nor copying one mints, so replicas that processed the same
-// fan-out history agree and a backend that missed operations sits
-// strictly below (outranks settles ties). GATEWAY.md ("Repair rules")
-// tabulates what each replica state gets:
-//
-//   - winner tombstoned: live copies are deleted, so an acknowledged
-//     delete can never resurrect through a backend that was down when it
-//     happened;
-//   - winner live, replica absent or tombstoned: the registration is
-//     replayed, spec body included for custom functions;
-//   - winner has a snapshot the replica lacks or holds at a lower
-//     generation: the replica pulls it with a chunk-level sync and
-//     adopts the winner's generation, so the rule cannot re-fire;
-//   - same snapshot, replica's store missing chunks nobody owns: an
-//     eager chunk sync from a complete copy.
-//
-// Backends without a current status (unreachable this sweep, not ready,
-// recovering, or stateless) are neither sources nor targets, and keep
-// the stale verdict they had.
+// plan decides the repairs; ResyncNow issues them, books each one that
+// succeeds, and marks stale exactly the backends plan targeted. A
+// failed repair issues nothing in its place — a failed register not
+// even its target's sync — and the next pass retries. Backends without
+// a current status (unreachable this sweep, not ready, recovering, or
+// stateless) keep the stale verdict they had.
 func (g *Gateway) ResyncNow() int {
 	g.resyncMu.Lock()
 	defer g.resyncMu.Unlock()
 	t0 := time.Now()
-	type repairRec struct {
-		fn, backend, action, traceID string
-		start, dur                   time.Duration
+	views := make(map[string]*backendView, len(g.backends))
+	for _, b := range g.backends {
+		if v := b.view.Load(); v.Ready && !v.Recovering && v.Digest != "" {
+			views[b.Addr] = v
+		}
 	}
-	var repairs []repairRec
-	// repaired books one successful repair: the per-action counter, a
-	// span on the sweep's trace, and a ledger event — remembered as the
-	// backend's most recent, for the converged event of a later clean pass
-	// to cite as cause_seq.
-	repaired := func(b *Backend, fn, counter, action string, start time.Duration, ev events.Event) {
+	repairs := plan(views, g.backends, g.cfg.Replicas)
+
+	type span struct {
+		repair
+		traceID    string
+		start, dur time.Duration
+	}
+	var spans []span
+	var failed repair // the last repair that failed
+	for _, r := range repairs {
+		if r.target == failed.target && r.fn == failed.fn {
+			continue // no point syncing onto a failed register
+		}
+		start := time.Since(t0)
+		ev, err := g.issue(r)
+		if err != nil {
+			failed = r
+			continue
+		}
 		g.reg.Counter("faasnap_gw_resync_total",
 			"Anti-entropy repair operations issued to stale backends, by backend and action.",
-			telemetry.L("backend", b.Addr, "action", counter)).Inc()
-		repairs = append(repairs, repairRec{
-			fn: fn, backend: b.Addr, action: action, traceID: ev.TraceID,
-			start: start, dur: time.Since(t0) - start,
-		})
-		ev.Type, ev.Function = events.Repair, fn
-		if ev.Fields == nil {
-			ev.Fields = make(map[string]string, 2)
-		}
-		ev.Fields["backend"], ev.Fields["action"] = b.Addr, action
-		g.lastRepairSeq[b.Addr] = g.events.Append(ev).Seq
+			telemetry.L("backend", r.target.Addr, "action", r.kind.counter())).Inc()
+		spans = append(spans, span{r, ev.TraceID, start, time.Since(t0) - start})
+		// The event is remembered as the backend's most recent repair, for
+		// the converged event of a later clean pass to cite as cause_seq.
+		g.lastRepairSeq[r.target.Addr] = g.events.Append(ev).Seq
 	}
-	// call issues one repair under the deadline a client request gets;
-	// Close cuts it short.
-	call := func(b *Backend, method, path string, body []byte, out interface{}) error {
-		ctx, cancel := context.WithTimeout(g.ctx, g.cfg.RequestTimeout)
-		defer cancel()
-		return g.callBackend(ctx, b, method, path, body, out)
-	}
-	// replay repairs b by replaying one mutation through its normal API.
-	replay := func(b *Backend, fn, action, method string, body []byte) bool {
-		start := time.Since(t0)
-		if call(b, method, "/functions/"+fn, body, nil) != nil {
-			return false
-		}
-		repaired(b, fn, action, action, start, events.Event{})
-		return true
-	}
-	// syncChunks repairs b by having it pull fn's snapshot from source
-	// over the chunk-level sync endpoint, so only chunks b doesn't
-	// already hold move over the wire; eager makes it fetch every missing
-	// chunk before replying instead of leaving the tail to its background
-	// fetcher. A failed sync issues nothing in its place: the backend
-	// stays stale and the next sweep retries. An eager sync repairs a
-	// chunk deficit the backend itself announced, so its event cites the
-	// backend's manifest_deficit event as cause: cause_seq plus
-	// cause_origin (the backend's address) resolve against that daemon's
-	// /events ledger, and trace_id resolves to the restore waterfall the
-	// sync minted.
-	syncChunks := func(b *Backend, fn, source string, eager bool, deficitSeq uint64) {
-		start := time.Since(t0)
-		body, _ := json.Marshal(map[string]interface{}{"source": source, "eager": eager})
-		var sr daemon.SyncResponse
-		if call(b, http.MethodPost, "/functions/"+fn+"/sync", body, &sr) != nil {
-			return
-		}
-		g.reg.Counter("faasnap_gw_resync_chunk_bytes_total",
-			"Chunk payload bytes transferred by anti-entropy chunk-sync repairs, by backend.",
-			telemetry.L("backend", b.Addr)).Add(float64(sr.BytesFetched))
-		action := "chunks"
-		ev := events.Event{TraceID: sr.TraceID, Fields: map[string]string{
-			"source":         source,
-			"chunks_fetched": strconv.Itoa(sr.ChunksFetched),
-			"bytes_fetched":  strconv.FormatInt(sr.BytesFetched, 10),
-		}}
-		if eager {
-			action = "chunks_eager"
-			ev.CauseSeq, ev.CauseOrigin = deficitSeq, b.Addr
-		}
-		repaired(b, fn, "chunks", action, start, ev)
-	}
-	current := make(map[string]*backendView, len(g.backends))
-	fns := make(map[string]bool)
-	for _, b := range g.backends {
-		v := b.view.Load()
-		if !v.Ready || v.Recovering || v.Digest == "" {
-			continue
-		}
-		current[b.Addr] = v
-		for _, e := range v.Functions {
-			fns[e.Name] = true
-		}
-	}
-	// Deterministic repair order keeps logs and tests stable.
-	names := make([]string, 0, len(fns))
-	for fn := range fns {
-		names = append(names, fn)
-	}
-	sort.Strings(names)
 
-	stale := make(map[string]bool)
-	for _, fn := range names {
-		prefs := preference(g.backends, fn, 1+g.cfg.Replicas)
-		var winner *daemon.StatusFunction
-		var winnerAddr string
-		for _, b := range prefs {
-			v := current[b.Addr]
-			if v == nil {
-				continue
-			}
-			if e, ok := v.entry(fn); ok && (winner == nil || outranks(e, *winner)) {
-				we := e
-				winner = &we
-				winnerAddr = b.Addr
-			}
-		}
-		if winner == nil {
-			continue
-		}
-		for _, b := range prefs {
-			v := current[b.Addr]
-			if v == nil || b.Addr == winnerAddr {
-				continue
-			}
-			e, ok := v.entry(fn)
-			if winner.Deleted {
-				if ok && !e.Deleted {
-					stale[b.Addr] = true
-					replay(b, fn, "delete", http.MethodDelete, nil)
-				}
-				continue
-			}
-			if !ok || e.Deleted {
-				stale[b.Addr] = true
-				if !replay(b, fn, "register", http.MethodPut, []byte(winner.Spec)) {
-					continue // no point syncing onto a failed register
-				}
-				e = daemon.StatusFunction{}
-			}
-			if !winner.HasSnapshot {
-				continue
-			}
-			if !e.HasSnapshot || e.Generation < winner.Generation {
-				// The backend pulls the winner's chunk map and fetches only
-				// the chunks it is missing, so a standby that shares most
-				// content (same base image, or a stale-but-overlapping copy)
-				// repairs with a fraction of the snapfile's bytes.
-				stale[b.Addr] = true
-				syncChunks(b, fn, winnerAddr, false, 0)
-			} else if e.ChunksMissing > 0 && incomplete(*winner) == 0 {
-				// The backend has the snapshot but lost part of its chunk
-				// content — a lazy tail its background fetcher abandoned, or
-				// out-of-band loss. It serves fine from its loading set but
-				// answers 404 to peers for the missing digests, so repair by
-				// pulling the deficit eagerly from a complete copy.
-				stale[b.Addr] = true
-				syncChunks(b, fn, winnerAddr, true, e.DeficitSeq)
-			}
-		}
-	}
 	for _, b := range g.backends {
-		if current[b.Addr] == nil {
+		if views[b.Addr] == nil {
 			continue // no status, no verdict: it keeps the one it had
 		}
-		now := stale[b.Addr]
+		now := slices.ContainsFunc(repairs, func(r repair) bool { return r.target == b })
 		prev := b.stale.Swap(now)
 		g.reg.Gauge("faasnap_gw_backend_stale",
 			"Backends found stale by the last anti-entropy pass that had their status (1 = repairs in flight, demoted in placement).",
@@ -275,20 +233,60 @@ func (g *Gateway) ResyncNow() int {
 	// store: one root span for the pass, one child per repair action,
 	// chunk syncs cross-linked to the daemon-minted restore waterfall
 	// via the sync_trace tag.
-	if len(repairs) > 0 {
+	if len(spans) > 0 {
 		wall := time.Since(t0)
 		tid := g.traces.NextID()
 		tb := trace.NewBuilder(tid, "anti-entropy-sweep")
 		root := tb.Span("anti-entropy-sweep", "", 0, wall,
-			map[string]string{"actions": strconv.Itoa(len(repairs))})
-		for _, r := range repairs {
-			tags := map[string]string{"backend": r.backend, "action": r.action}
-			if r.traceID != "" {
-				tags["sync_trace"] = r.traceID
+			map[string]string{"actions": strconv.Itoa(len(spans))})
+		for _, s := range spans {
+			tags := map[string]string{"backend": s.target.Addr, "action": string(s.kind)}
+			if s.traceID != "" {
+				tags["sync_trace"] = s.traceID
 			}
-			tb.Span("repair "+r.fn, root, r.start, r.dur, tags)
+			tb.Span("repair "+s.fn, root, s.start, s.dur, tags)
 		}
 		g.traces.Put(tb.Finish())
 	}
-	return len(repairs)
+	return len(spans)
+}
+
+// issue sends one repair through the target's normal API under the
+// deadline a client request gets (Close cuts it short), and returns the
+// repair event that books it. A sync has the target pull fn's snapshot
+// from source over the chunk-level sync endpoint, so only the chunks it
+// lacks move over the wire; an eager one fetches all of them before
+// replying instead of leaving the tail to the background fetcher. An
+// eager sync repairs a deficit the target itself announced, so its
+// event cites that manifest_deficit event: cause_seq plus cause_origin
+// (the target's address) resolve against the daemon's /events ledger,
+// and trace_id resolves to the restore waterfall the sync minted.
+func (g *Gateway) issue(r repair) (events.Event, error) {
+	ctx, cancel := context.WithTimeout(g.ctx, g.cfg.RequestTimeout)
+	defer cancel()
+	ev := events.Event{Type: events.Repair, Function: r.fn,
+		Fields: map[string]string{"backend": r.target.Addr, "action": string(r.kind)}}
+	path := "/functions/" + r.fn
+	switch r.kind {
+	case repairDelete:
+		return ev, g.callBackend(ctx, r.target, http.MethodDelete, path, nil, nil)
+	case repairRegister:
+		return ev, g.callBackend(ctx, r.target, http.MethodPut, path, []byte(r.spec), nil)
+	}
+	body, _ := json.Marshal(daemon.SyncRequest{Source: r.source, Eager: r.kind == repairChunksEager})
+	var sr daemon.SyncResponse
+	if err := g.callBackend(ctx, r.target, http.MethodPost, path+"/sync", body, &sr); err != nil {
+		return ev, err
+	}
+	g.reg.Counter("faasnap_gw_resync_chunk_bytes_total",
+		"Chunk payload bytes transferred by anti-entropy chunk-sync repairs, by backend.",
+		telemetry.L("backend", r.target.Addr)).Add(float64(sr.BytesFetched))
+	ev.TraceID = sr.TraceID
+	ev.Fields["source"] = r.source
+	ev.Fields["chunks_fetched"] = strconv.Itoa(sr.ChunksFetched)
+	ev.Fields["bytes_fetched"] = strconv.FormatInt(sr.BytesFetched, 10)
+	if r.kind == repairChunksEager {
+		ev.CauseSeq, ev.CauseOrigin = r.deficitSeq, r.target.Addr
+	}
+	return ev, nil
 }
