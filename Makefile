@@ -20,16 +20,17 @@ vet:
 	$(GO) vet ./...
 
 test:
-	$(GO) test ./... -timeout 1500s
+	$(GO) test ./... -shuffle=on -timeout 1500s
 
 test-short:
 	$(GO) test ./... -short -timeout 600s
 
 # The parallel experiment runner and daemon are exercised under the
 # race detector; simulations are deterministic, so this is purely a
-# concurrency-safety check.
+# concurrency-safety check. Both runs shuffle the test order (go test
+# prints the seed), so a test that leans on another's leftovers fails.
 test-race:
-	$(GO) test -race ./... -timeout 3000s
+	$(GO) test -race ./... -shuffle=on -timeout 3000s
 
 # The fault-injection matrix (RESILIENCE.md): chaos and resilience
 # units plus the daemon failure-matrix and per-layer fault hooks, under
@@ -81,29 +82,36 @@ bench-check:
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/cpu ./internal/pagecache ./internal/gateway ./internal/daemon
 
-# Non-test Go lines outside benchmark/, per package and in total — the
-# number a simplification moves — in two columns: every line, then
-# code-only lines (non-blank and not a //-only line), so a real
-# reduction can be told from deleted comments. `make loc BASE=<ref>`
-# prints, per package and in total, both columns of <ref>'s tree (taken
-# with `git archive`, nothing checked out), both of this tree's, and
-# their difference.
-LOC_COUNT = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
-	| xargs awk '{ d = FILENAME; sub(/^\.\//, "", d); sub(/\/?[^\/]*$$/, "", d); if (d == "") d = "."; \
+# Go lines outside benchmark/, per package and in total — the number a
+# simplification moves — for the non-test files, then for the _test.go
+# files, each in two columns: every line, then code-only lines
+# (non-blank and not a //-only line), so a real reduction can be told
+# from deleted comments. `make loc BASE=<ref>` prints, per package and in
+# total, both columns of <ref>'s tree (taken with `git archive`, nothing
+# checked out), both of this tree's, and their difference.
+GO_FILES = find . -name '*.go' ! -path './benchmark/*' ! -path './.bench_build/*'
+COUNT_LINES = xargs awk '{ d = FILENAME; sub(/^\.\//, "", d); sub(/\/?[^\/]*$$/, "", d); if (d == "") d = "."; \
 	n[d]++; t++; if ($$0 !~ /^[ \t]*($$|\/\/)/) { c[d]++; ct++ } } \
 	END { for (d in n) printf "%6d %6d %s\n", n[d], c[d], d; printf "%6d %6d total\n", t, ct }'
-
-loc:
-ifeq ($(BASE),)
-	@$(LOC_COUNT) | sort -k3
-else
-	@base=$$(mktemp -d) && trap 'rm -rf "$$base"' EXIT && \
-	git archive "$(BASE)" | tar -x -C "$$base" && \
-	printf '%13s  %13s  %13s\n' base tree difference && \
-	{ (cd "$$base" && $(LOC_COUNT)) | sed 's/^/base /'; $(LOC_COUNT) | sed 's/^/tree /'; } \
+LOC_COUNT = $(GO_FILES) ! -name '*_test.go' | $(COUNT_LINES)
+TEST_COUNT = $(GO_FILES) -name '*_test.go' | $(COUNT_LINES)
+# $(call LOC_DIFF,<count>) prints <count> over $$base and over this tree
+# side by side, with the difference.
+LOC_DIFF = printf '%13s  %13s  %13s\n' base tree difference && \
+	{ (cd "$$base" && $(1)) | sed 's/^/base /'; $(1) | sed 's/^/tree /'; } \
 	| awk '{ k = $$4; seen[k] = 1; if ($$1 == "base") { ba[k] = $$2; bc[k] = $$3 } else { ta[k] = $$2; tc[k] = $$3 } } \
 	END { for (k in seen) printf "%6d %6d  %6d %6d  %+6d %+6d  %s\n", \
 		ba[k], bc[k], ta[k], tc[k], ta[k] - ba[k], tc[k] - bc[k], k }' | sort -k7
+
+loc:
+ifeq ($(BASE),)
+	@echo 'Non-test Go lines:' && $(LOC_COUNT) | sort -k3
+	@echo '_test.go lines:' && $(TEST_COUNT) | sort -k3
+else
+	@base=$$(mktemp -d) && trap 'rm -rf "$$base"' EXIT && \
+	git archive "$(BASE)" | tar -x -C "$$base" && \
+	echo 'Non-test Go lines:' && $(call LOC_DIFF,$(LOC_COUNT)) && \
+	echo '_test.go lines:' && $(call LOC_DIFF,$(TEST_COUNT))
 endif
 
 # Regenerate every paper table/figure (writes bench_results.txt; the

@@ -12,12 +12,15 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
 	"faasnap"
 	"faasnap/internal/core"
 	"faasnap/internal/daemon"
+	"faasnap/internal/gateway"
 	"faasnap/internal/kvstore"
 	"faasnap/internal/workload"
 )
@@ -215,5 +218,104 @@ func TestIntegrationDeterministicEndToEnd(t *testing.T) {
 	t2, f2 := run()
 	if t1 != t2 || f1 != f2 {
 		t.Fatalf("nondeterministic pipeline: %v/%d vs %v/%d", t1, f1, t2, f2)
+	}
+}
+
+// TestMetricsExposition is the scrape half of the one metric lint
+// (internal/daemon's TestMetricsLint is the source half). After real
+// traffic through a gateway in front of a real daemon, and a sweep,
+// every family either tier exposes is snake_case under its tier's
+// prefix — faasnap_gw_ on the gateway, faasnap_ but not faasnap_gw_ on
+// the daemon — with HELP text and a TYPE line, and every series belongs
+// to a family with HELP: the naming contract dashboards and recording
+// rules rely on.
+func TestMetricsExposition(t *testing.T) {
+	quiet := log.New(io.Discard, "", 0)
+	d, err := daemon.New(daemon.Config{StateDir: t.TempDir(), Logger: quiet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(d.Handler())
+	defer d.Close()
+	defer srv.Close()
+	g, err := gateway.New(gateway.Config{Backends: []string{strings.TrimPrefix(srv.URL, "http://")}, Logger: quiet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	gw := httptest.NewServer(g.Handler())
+	defer gw.Close()
+	for _, step := range []struct{ method, path, body string }{
+		{"PUT", "/functions/hello-world", ""},
+		{"POST", "/functions/hello-world/record", `{"input":"A"}`},
+		{"POST", "/functions/hello-world/invoke", `{"mode":"faasnap","input":"B"}`},
+		{"POST", "/functions/hello-world/invoke", `{"mode":"faasnap","input":"B"}`},
+	} {
+		req, _ := http.NewRequest(step.method, gw.URL+step.path, strings.NewReader(step.body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s via the gateway = %d", step.method, step.path, resp.StatusCode)
+		}
+	}
+	g.CheckNow()
+	g.ResyncNow()
+
+	snake := regexp.MustCompile(`^faasnap_[a-z0-9_]+$`)
+	for _, tier := range []struct {
+		name, url string
+		gateway   bool
+	}{{"daemon", srv.URL, false}, {"gateway", gw.URL, true}} {
+		resp, err := http.Get(tier.url + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		helped, typed := map[string]bool{}, map[string]bool{}
+		var families []string
+		for _, line := range strings.Split(string(raw), "\n") {
+			switch {
+			case strings.HasPrefix(line, "# HELP "):
+				fam, text, _ := strings.Cut(strings.TrimPrefix(line, "# HELP "), " ")
+				if strings.TrimSpace(text) == "" {
+					t.Errorf("%s: HELP line without text: %q", tier.name, line)
+				}
+				helped[fam] = true
+				families = append(families, fam)
+			case strings.HasPrefix(line, "# TYPE "):
+				fam, _, _ := strings.Cut(strings.TrimPrefix(line, "# TYPE "), " ")
+				typed[fam] = true
+			case line == "" || strings.HasPrefix(line, "#"):
+			default:
+				// A series line: name{labels} value or name value.
+				name, _, _ := strings.Cut(line, " ")
+				name, _, _ = strings.Cut(name, "{")
+				fam := name
+				for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+					if f := strings.TrimSuffix(name, suffix); f != name && helped[f] {
+						fam = f
+						break
+					}
+				}
+				if !helped[fam] {
+					t.Errorf("%s: series %q has no HELP for family %q", tier.name, name, fam)
+				}
+			}
+		}
+		if len(families) == 0 {
+			t.Fatalf("%s scrape exposed no families", tier.name)
+		}
+		for _, fam := range families {
+			if !snake.MatchString(fam) || strings.HasPrefix(fam, "faasnap_gw_") != tier.gateway {
+				t.Errorf("%s: family %q is not snake_case under the %s prefix", tier.name, fam, tier.name)
+			}
+			if !typed[fam] {
+				t.Errorf("%s: family %q has HELP but no TYPE", tier.name, fam)
+			}
+		}
 	}
 }

@@ -3,6 +3,7 @@ package daemon
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -11,16 +12,17 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"faasnap/internal/events"
 )
 
-// casSpec is a custom function spec; every spec from this helper shares
-// the same base image (boot_mb), so their boot chunks dedup.
-func casSpec(name string) map[string]interface{} {
+// customSpec is a small custom function spec booting a bootMB image:
+// specs of one bootMB share their base image, so their boot chunks
+// dedup. At 16 it records in milliseconds; at 24 its recording is about
+// 24 MB of chunks.
+func customSpec(name string, bootMB int) map[string]interface{} {
 	return map[string]interface{}{
-		"name": name, "boot_mb": 16, "stable_pages": 128,
+		"name": name, "boot_mb": bootMB, "stable_pages": 128,
 		"chunk_mean": 4, "retain_frac": 0.5, "base_ms": 1, "per_kb_us": 2,
 		"init_ms": 5,
 		"input_a": map[string]interface{}{"bytes": 4096, "data_pages": 8},
@@ -30,7 +32,7 @@ func casSpec(name string) map[string]interface{} {
 
 func casProvision(t *testing.T, srv *httptest.Server, name string) {
 	t.Helper()
-	if resp := doJSON(t, "PUT", srv.URL+"/functions/"+name, casSpec(name), nil); resp.StatusCode != http.StatusOK {
+	if resp := doJSON(t, "PUT", srv.URL+"/functions/"+name, customSpec(name, 16), nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("register %s = %d", name, resp.StatusCode)
 	}
 	if resp := doJSON(t, "POST", srv.URL+"/functions/"+name+"/record",
@@ -54,20 +56,13 @@ func hostport(srv *httptest.Server) string {
 	return strings.TrimPrefix(srv.URL, "http://")
 }
 
-// waitLazyDrained polls GET /cas until the background lazy fetcher owes
-// nothing.
-func waitLazyDrained(t *testing.T, srv *httptest.Server) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
+// lazyDrained is whether srv's background lazy fetcher owes nothing.
+func lazyDrained(t *testing.T, srv *httptest.Server) func() bool {
+	return func() bool {
 		var cs CASResponse
 		doJSON(t, "GET", srv.URL+"/cas", nil, &cs)
-		if cs.LazyPendingChunks == 0 {
-			return
-		}
-		time.Sleep(10 * time.Millisecond)
+		return cs.LazyPendingChunks == 0
 	}
-	t.Fatal("lazy chunk fetch never drained")
 }
 
 func TestCASDedupAcrossFunctions(t *testing.T) {
@@ -120,12 +115,8 @@ func TestCASChunkEndpoints(t *testing.T) {
 
 	// A chunk round-trips and hashes to its digest.
 	ref := full.Chunks[0]
-	resp, err := http.Get(srv.URL + "/chunks/" + ref.Digest)
-	if err != nil {
-		t.Fatal(err)
-	}
+	resp := doJSON(t, "GET", srv.URL+"/chunks/"+ref.Digest, nil, nil)
 	data, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("chunk get = %d", resp.StatusCode)
 	}
@@ -213,7 +204,7 @@ func TestCASSyncThreeDaemons(t *testing.T) {
 	if !info.HasSnapshot || info.Chunks == 0 {
 		t.Fatalf("synced function info = %+v", info)
 	}
-	waitLazyDrained(t, srvB)
+	waitFor(t, "lazy chunk fetch never drained", lazyDrained(t, srvB))
 
 	var casB CASResponse
 	doJSON(t, "GET", srvB.URL+"/cas", nil, &casB)
@@ -228,7 +219,7 @@ func TestCASSyncThreeDaemons(t *testing.T) {
 		t.Fatalf("sync C<-B = %d", resp.StatusCode)
 	}
 	casInvoke(t, srvC, "cas-alpha")
-	waitLazyDrained(t, srvC)
+	waitFor(t, "lazy chunk fetch never drained", lazyDrained(t, srvC))
 
 	// A sibling from the same base image: most of its chunks are
 	// already on B, so the transfer is a fraction of the snapshot.
@@ -328,12 +319,7 @@ func TestCASGCDemote(t *testing.T) {
 	if gc.Demoted == 0 || gc.Stats.ColdChunks == 0 {
 		t.Fatalf("nothing demoted: %+v", gc)
 	}
-	resp, err := http.Get(srv.URL + "/chunks/" + coldDigest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
+	resp := doJSON(t, "GET", srv.URL+"/chunks/"+coldDigest, nil, nil)
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Faasnap-Chunk-Tier") != "cold" {
 		t.Fatalf("demoted chunk get = %d tier=%q, want 200 from cold", resp.StatusCode, resp.Header.Get("X-Faasnap-Chunk-Tier"))
 	}
@@ -479,17 +465,11 @@ func (g *gatedSource) open() {
 // daemon's syncs have got.
 func (g *gatedSource) waitParked(t *testing.T, n int) {
 	t.Helper()
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+	waitFor(t, fmt.Sprintf("fewer than %d requests reached the gate", n), func() bool {
 		g.mu.Lock()
-		parked := g.parked
-		g.mu.Unlock()
-		if parked >= n {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d requests reached the gate, want %d", parked, n)
-		}
-	}
+		defer g.mu.Unlock()
+		return g.parked >= n
+	})
 }
 
 // assertServedOnce fails unless every chunk the source served, it
@@ -549,26 +529,22 @@ func TestCASLazyTailPendingIsNotMissing(t *testing.T) {
 	for left := len(lazy); ; left-- {
 		// Each token resolves exactly one chunk; poll until the fetcher
 		// has booked it.
-		deadline := time.Now().Add(30 * time.Second)
-		for {
+		waitFor(t, fmt.Sprintf("chunks_pending never fell to %d", left), func() bool {
 			st := statusOf(t, b, "cas-alpha")
 			if st.ChunksMissing != 0 || st.DeficitSeq != 0 {
 				t.Fatalf("live tail reported as a deficit: %+v", st)
 			}
-			if st.ChunksPending == left {
-				break
-			}
-			if st.ChunksPending < left || time.Now().After(deadline) {
+			if st.ChunksPending < left {
 				t.Fatalf("chunks_pending = %d, want %d", st.ChunksPending, left)
 			}
-			time.Sleep(time.Millisecond)
-		}
+			return st.ChunksPending == left
+		})
 		if left == 0 {
 			break
 		}
 		src.tokens <- struct{}{}
 	}
-	waitLazyDrained(t, b)
+	waitFor(t, "lazy chunk fetch never drained", lazyDrained(t, b))
 	if evs := d.Events().Since(0, events.ManifestDeficit, ""); len(evs) != 0 {
 		t.Fatalf("reading /status during a live tail appended %d manifest_deficit events", len(evs))
 	}
@@ -596,7 +572,7 @@ func TestCASSyncTakesOverLiveTail(t *testing.T) {
 	src.waitParked(t, 1)
 	body["eager"] = true
 	done := make(chan int, 1)
-	go func() { done <- post("POST", b.URL+"/functions/cas-alpha/sync", body) }()
+	go func() { done <- doJSON(t, "POST", b.URL+"/functions/cas-alpha/sync", body, nil).StatusCode }()
 	src.waitParked(t, 2)
 	src.open()
 	if code := <-done; code != http.StatusOK {
@@ -605,7 +581,7 @@ func TestCASSyncTakesOverLiveTail(t *testing.T) {
 	if st := statusOf(t, b, "cas-alpha"); st.ChunksPending != 0 || st.ChunksMissing != 0 {
 		t.Fatalf("after takeover: %+v, want nothing pending or missing", st)
 	}
-	waitLazyDrained(t, b)
+	waitFor(t, "lazy chunk fetch never drained", lazyDrained(t, b))
 	src.assertServedOnce(t, total)
 }
 
@@ -619,16 +595,16 @@ func TestCASFailedSyncLeavesLiveTailAlone(t *testing.T) {
 	d, b := newTestDaemon(t, Config{StateDir: t.TempDir()})
 	src := newGatedSource(t, a.Config.Handler, lazy)
 
-	if code := post("POST", b.URL+"/functions/cas-alpha/sync",
-		map[string]interface{}{"source": hostport(src.srv)}); code != http.StatusOK {
+	if code := doJSON(t, "POST", b.URL+"/functions/cas-alpha/sync",
+		map[string]interface{}{"source": hostport(src.srv)}, nil).StatusCode; code != http.StatusOK {
 		t.Fatalf("lazy sync = %d", code)
 	}
 	// The tail is parked inside its first fetch. Neither an unreachable
 	// source nor one without the function may stop it.
 	_, empty := newTestDaemon(t, Config{StateDir: t.TempDir()})
 	for _, source := range []string{"127.0.0.1:1", hostport(empty)} {
-		if code := post("POST", b.URL+"/functions/cas-alpha/sync",
-			map[string]interface{}{"source": source, "eager": true}); code != http.StatusBadGateway {
+		if code := doJSON(t, "POST", b.URL+"/functions/cas-alpha/sync",
+			map[string]interface{}{"source": source, "eager": true}, nil).StatusCode; code != http.StatusBadGateway {
 			t.Fatalf("sync from %s = %d, want 502", source, code)
 		}
 		if st := statusOf(t, b, "cas-alpha"); st.ChunksPending != len(lazy) || st.ChunksMissing != 0 {
@@ -636,7 +612,7 @@ func TestCASFailedSyncLeavesLiveTailAlone(t *testing.T) {
 		}
 	}
 	src.open()
-	waitLazyDrained(t, b)
+	waitFor(t, "lazy chunk fetch never drained", lazyDrained(t, b))
 	if st := statusOf(t, b, "cas-alpha"); st.ChunksPending != 0 || st.ChunksMissing != 0 {
 		t.Fatalf("after drain: %+v, want nothing pending or missing", st)
 	}
@@ -661,12 +637,12 @@ func TestCASSyncsSerialisePerFunction(t *testing.T) {
 	// cas-alpha's sync gate.
 	stuck := make(chan int, 1)
 	go func() {
-		stuck <- post("POST", b.URL+"/functions/cas-alpha/sync",
-			map[string]interface{}{"source": hostport(src.srv), "eager": true})
+		stuck <- doJSON(t, "POST", b.URL+"/functions/cas-alpha/sync",
+			map[string]interface{}{"source": hostport(src.srv), "eager": true}, nil).StatusCode
 	}()
 	src.waitParked(t, 1)
-	if code := post("POST", b.URL+"/functions/cas-beta/sync",
-		map[string]interface{}{"source": hostport(a), "eager": true}); code != http.StatusOK {
+	if code := doJSON(t, "POST", b.URL+"/functions/cas-beta/sync",
+		map[string]interface{}{"source": hostport(a), "eager": true}, nil).StatusCode; code != http.StatusOK {
 		t.Fatalf("cas-beta sync behind a stuck cas-alpha sync = %d", code)
 	}
 	select {

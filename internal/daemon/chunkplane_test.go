@@ -24,13 +24,6 @@ import (
 	"faasnap/internal/workload"
 )
 
-// bigSpec is a custom function whose recording is about 24 MB of chunks.
-func bigSpec(name string) map[string]interface{} {
-	spec := casSpec(name)
-	spec["boot_mb"] = 24
-	return spec
-}
-
 // TestRecordSyncAllocationBudget: one record and one eager sync of a
 // 24 MB function between two daemons allocate a bounded multiple of the
 // chunk bytes they move. A record fills one reused buffer per window
@@ -43,13 +36,13 @@ func TestRecordSyncAllocationBudget(t *testing.T) {
 	const fn = "budget-fn"
 	_, a := newTestDaemon(t, Config{StateDir: t.TempDir()})
 	_, b := newTestDaemon(t, Config{StateDir: t.TempDir()})
-	if resp := doJSON(t, "PUT", a.URL+"/functions/"+fn, bigSpec(fn), nil); resp.StatusCode != http.StatusOK {
+	if resp := doJSON(t, "PUT", a.URL+"/functions/"+fn, customSpec(fn, 24), nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("register = %d", resp.StatusCode)
 	}
 	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if code := post("POST", a.URL+"/functions/"+fn+"/record", map[string]string{"input": "A"}); code != http.StatusOK {
+	if code := doJSON(t, "POST", a.URL+"/functions/"+fn+"/record", map[string]string{"input": "A"}, nil).StatusCode; code != http.StatusOK {
 		t.Fatalf("record = %d", code)
 	}
 	var sr SyncResponse
@@ -85,7 +78,7 @@ func TestSyncFailingMidWindowKeepsServing(t *testing.T) {
 	src, dst := boot(t, fstest.MapFS{}), boot(t, fstest.MapFS{})
 	// The source's function has a larger base image, so dst holds none of
 	// its chunks.
-	if code, _ := src.do("PUT", "/functions/"+crashFn, casSpec(crashFn)); code != http.StatusOK {
+	if code, _ := src.do("PUT", "/functions/"+crashFn, customSpec(crashFn, 16)); code != http.StatusOK {
 		t.Fatalf("source register = %d", code)
 	}
 	if code := dst.op(opRegister, crashFn); code != http.StatusOK {
@@ -174,9 +167,9 @@ func TestChunkLengthDeclaredAndCapped(t *testing.T) {
 	}
 }
 
-// bigArtifacts records bigSpec.
+// bigArtifacts records a 24 MB custom function.
 func bigArtifacts(b *testing.B) *core.Artifacts {
-	raw, _ := json.Marshal(bigSpec("bench-fn"))
+	raw, _ := json.Marshal(customSpec("bench-fn", 24))
 	spec, err := workload.ParseSpec(raw)
 	if err != nil {
 		b.Fatal(err)
@@ -222,8 +215,8 @@ func BenchmarkEagerSync(b *testing.B) {
 	defer a.Close()
 	srv := httptest.NewServer(a.Handler())
 	defer srv.Close()
-	if post("PUT", srv.URL+"/functions/"+fn, bigSpec(fn)) != http.StatusOK ||
-		post("POST", srv.URL+"/functions/"+fn+"/record", map[string]string{"input": "A"}) != http.StatusOK {
+	if doJSON(b, "PUT", srv.URL+"/functions/"+fn, customSpec(fn, 24), nil).StatusCode != http.StatusOK ||
+		doJSON(b, "POST", srv.URL+"/functions/"+fn+"/record", map[string]string{"input": "A"}, nil).StatusCode != http.StatusOK {
 		b.Fatal("source provisioning failed")
 	}
 	body := `{"source":"` + hostport(srv) + `","eager":true}`

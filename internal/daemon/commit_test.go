@@ -1,9 +1,6 @@
 package daemon
 
 import (
-	"bytes"
-	"encoding/json"
-	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -16,27 +13,6 @@ import (
 
 	"faasnap/internal/snapfile"
 )
-
-// post issues one JSON request without touching t, so it is safe off
-// the test goroutine; status 0 means the request itself failed.
-func post(method, url string, body interface{}) int {
-	var rd io.Reader
-	if body != nil {
-		raw, _ := json.Marshal(body)
-		rd = bytes.NewReader(raw)
-	}
-	req, err := http.NewRequest(method, url, rd)
-	if err != nil {
-		return 0
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode
-}
 
 // served is a transport that answers every request from h in process,
 // whatever host it is addressed to.
@@ -131,14 +107,14 @@ func TestConcurrentRecordSyncPutOnOneFunction(t *testing.T) {
 		// one, so a record (input B) races the sync (input A) on the
 		// snapfile.
 		ops := map[string]func() int{
-			"sync": func() int { return post("POST", dst.URL+"/functions/"+fn+"/sync", syncBody) },
-			"put":  func() int { return post("PUT", dst.URL+"/functions/"+fn, nil) },
+			"sync": func() int { return doJSON(t, "POST", dst.URL+"/functions/"+fn+"/sync", syncBody, nil).StatusCode },
+			"put":  func() int { return doJSON(t, "PUT", dst.URL+"/functions/"+fn, nil, nil).StatusCode },
 		}
 		if round%2 == 0 {
-			post("DELETE", dst.URL+"/functions/"+fn, nil)
+			doJSON(t, "DELETE", dst.URL+"/functions/"+fn, nil, nil)
 		} else {
 			ops["record"] = func() int {
-				return post("POST", dst.URL+"/functions/"+fn+"/record", map[string]string{"input": "B"})
+				return doJSON(t, "POST", dst.URL+"/functions/"+fn+"/record", map[string]string{"input": "B"}, nil).StatusCode
 			}
 		}
 		var wg sync.WaitGroup

@@ -23,7 +23,6 @@ import (
 	"strings"
 	"testing"
 	"testing/fstest"
-	"time"
 
 	"faasnap/internal/chaos"
 	"faasnap/internal/snapfile"
@@ -91,14 +90,6 @@ func (n *node) do(method, path string, body any) (int, []byte) {
 	return rec.Code, rec.Body.Bytes()
 }
 
-// crashSpec is a custom function small enough to record in
-// milliseconds; every one shares its base image, so boot chunks dedup.
-func crashSpec(name string) map[string]interface{} {
-	spec := casSpec(name)
-	spec["boot_mb"] = 1
-	return spec
-}
-
 // The operations a crash can interrupt.
 const (
 	opRegister = iota
@@ -121,7 +112,7 @@ func (n *node) op(op int, fn string) int {
 	method, path, body := "POST", "/functions/"+fn, any(nil)
 	switch op {
 	case opRegister:
-		method, body = "PUT", crashSpec(fn)
+		method, body = "PUT", customSpec(fn, 1)
 	case opRecord:
 		path, body = path+"/record", map[string]string{"input": "A"}
 	case opInvoke:
@@ -548,7 +539,7 @@ func TestSIGTERMMidRecordDrainsCleanly(t *testing.T) {
 	d, srv := newTestDaemon(t, Config{StateDir: dir})
 	srv.Config.RegisterOnShutdown(d.DrainStreams)
 	fn := srv.URL + "/functions/" + crashFn
-	if code := post("PUT", fn, crashSpec(crashFn)); code != http.StatusOK {
+	if code := doJSON(t, "PUT", fn, customSpec(crashFn, 1), nil).StatusCode; code != http.StatusOK {
 		t.Fatalf("register = %d", code)
 	}
 	// Hold the record in its VM pause while the shutdown starts.
@@ -558,16 +549,12 @@ func TestSIGTERMMidRecordDrainsCleanly(t *testing.T) {
 		t.Fatalf("arm chaos = %d", resp.StatusCode)
 	}
 	recorded := make(chan int, 1)
-	go func() { recorded <- post("POST", fn+"/record", map[string]string{"input": "A"}) }()
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+	go func() { recorded <- doJSON(t, "POST", fn+"/record", map[string]string{"input": "A"}, nil).StatusCode }()
+	waitFor(t, "the record never reached its pause", func() bool {
 		var st chaos.Status
-		if doJSON(t, "GET", srv.URL+"/chaos", nil, &st); st.Rules[0].Fired == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the record never reached its pause")
-		}
-	}
+		doJSON(t, "GET", srv.URL+"/chaos", nil, &st)
+		return st.Rules[0].Fired == 1
+	})
 	if err := srv.Config.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -592,7 +579,7 @@ func TestSIGTERMMidRecordDrainsCleanly(t *testing.T) {
 	if resp := doJSON(t, "GET", again.URL+"/functions/"+crashFn, nil, &info); !info.HasSnapshot {
 		t.Fatalf("%s: drained record after restart: get = %d, has_snapshot = false", ackedSurvive, resp.StatusCode)
 	}
-	if code := post("POST", again.URL+"/functions/"+crashFn+"/invoke", map[string]string{"mode": "faasnap", "input": "B"}); code != http.StatusOK {
+	if code := doJSON(t, "POST", again.URL+"/functions/"+crashFn+"/invoke", map[string]string{"mode": "faasnap", "input": "B"}, nil).StatusCode; code != http.StatusOK {
 		t.Fatalf("invoke of the drained snapshot = %d", code)
 	}
 }

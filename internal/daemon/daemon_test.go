@@ -35,31 +35,60 @@ func newTestDaemon(t *testing.T, cfg Config) (*Daemon, *httptest.Server) {
 	return d, srv
 }
 
-func doJSON(t *testing.T, method, url string, body interface{}, out interface{}) *http.Response {
+// doJSON sends one request with body marshalled as JSON (nil for none)
+// and decodes a 2xx reply into out (when non-nil): a *string takes it as
+// text, anything else as JSON. The reply's body stays readable. It never
+// stops the test, so it is safe off the test goroutine: a request that
+// fails is reported with t.Errorf and answers status 0.
+func doJSON(t testing.TB, method, url string, body, out interface{}) *http.Response {
 	t.Helper()
+	failed := func(err error) *http.Response {
+		t.Errorf("%s %s: %v", method, url, err)
+		return &http.Response{Header: http.Header{}, Body: http.NoBody}
+	}
 	var rd io.Reader
 	if body != nil {
 		buf, err := json.Marshal(body)
 		if err != nil {
-			t.Fatal(err)
+			return failed(err)
 		}
 		rd = bytes.NewReader(buf)
 	}
 	req, err := http.NewRequest(method, url, rd)
 	if err != nil {
-		t.Fatal(err)
+		return failed(err)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatal(err)
+		return failed(err)
 	}
-	t.Cleanup(func() { resp.Body.Close() })
-	if out != nil && resp.StatusCode/100 == 2 {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("decode response: %v", err)
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return failed(err)
+	}
+	resp.Body = io.NopCloser(bytes.NewReader(raw))
+	if s, ok := out.(*string); ok {
+		*s = string(raw)
+	} else if out != nil && resp.StatusCode/100 == 2 {
+		if err := json.Unmarshal(raw, out); err != nil {
+			t.Errorf("%s %s: decode: %v", method, url, err)
 		}
 	}
 	return resp
+}
+
+// waitFor polls cond until it holds. The deadline is a hang guard, not
+// a budget: what is awaited either arrives in milliseconds or never.
+func waitFor(t testing.TB, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("hang guard: %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 func TestHealthz(t *testing.T) {
@@ -487,13 +516,10 @@ func TestCreateFailureCleanup(t *testing.T) {
 // of the peer.
 func TestHopConnectionsArePerRequest(t *testing.T) {
 	// settle waits for goroutines on their way out (a closed connection's
-	// loops, the post-record gauge refresh) and returns the count.
-	settle := func(limit int) int {
-		deadline := time.Now().Add(5 * time.Second)
-		for runtime.NumGoroutine() > limit && time.Now().Before(deadline) {
-			time.Sleep(10 * time.Millisecond)
-		}
-		return runtime.NumGoroutine()
+	// loops, the post-record gauge refresh) to leave at most limit.
+	settle := func(limit int, what string) {
+		t.Helper()
+		waitFor(t, fmt.Sprintf("%s: more than %d goroutines", what, limit), func() bool { return runtime.NumGoroutine() <= limit })
 	}
 	beforeNew := runtime.NumGoroutine()
 	d, err := New(Config{Logger: log.New(io.Discard, "", 0), QuietHTTP: true})
@@ -545,11 +571,7 @@ func TestHopConnectionsArePerRequest(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		call("POST", "/functions/hello-world/record", `{"input":"A"}`)
 	}
-	if n := settle(beforeLoop + 10); n > beforeLoop+10 {
-		t.Fatalf("%d goroutines after 200 invokes and 5 records, %d before: hop connections outlive their requests", n, beforeLoop)
-	}
+	settle(beforeLoop+10, fmt.Sprintf("after 200 invokes and 5 records, %d before: hop connections outlive their requests", beforeLoop))
 	shutdown()
-	if n := settle(beforeNew + 5); n > beforeNew+5 {
-		t.Fatalf("%d goroutines after Close, %d before New", n, beforeNew)
-	}
+	settle(beforeNew+5, fmt.Sprintf("after Close, %d before New", beforeNew))
 }

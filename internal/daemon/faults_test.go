@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"net/http"
 	"testing"
 	"time"
@@ -18,16 +17,9 @@ import (
 // getFaults returns the body of GET /functions/{fn}/faults.
 func getFaults(t *testing.T, base, fn string) []byte {
 	t.Helper()
-	resp, err := http.Get(base + "/functions/" + fn + "/faults")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return body
+	var body string
+	doJSON(t, "GET", base+"/functions/"+fn+"/faults", nil, &body)
+	return []byte(body)
 }
 
 // TestFaultTimelineEncodedOnDemand: with nobody watching, an invoke

@@ -69,7 +69,7 @@ func TestHungPeerDoesNotHoldCloseOrDelete(t *testing.T) {
 
 	_, b = lazySync(t.TempDir())
 	prompt("DELETE", func() {
-		if code := post("DELETE", b.URL+"/functions/cas-alpha", nil); code != http.StatusNoContent {
+		if code := doJSON(t, "DELETE", b.URL+"/functions/cas-alpha", nil, nil).StatusCode; code != http.StatusNoContent {
 			t.Fatalf("delete = %d", code)
 		}
 	})
@@ -100,20 +100,15 @@ func TestInvokeDoesNotWaitForRecord(t *testing.T) {
 	}
 	recorded := make(chan int, 1)
 	go func() {
-		recorded <- post("POST", srv.URL+"/functions/cas-alpha/record", map[string]string{"input": "B"})
+		recorded <- doJSON(t, "POST", srv.URL+"/functions/cas-alpha/record", map[string]string{"input": "B"}, nil).StatusCode
 	}()
 	// The rule fires when the record's pause reaches the VMM: from then
 	// on the record holds the function's lock for the length of the delay.
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+	waitFor(t, "the record never reached its pause", func() bool {
 		var st chaos.Status
 		doJSON(t, "GET", srv.URL+"/chaos", nil, &st)
-		if st.Rules[0].Fired == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the record never reached its pause")
-		}
-	}
+		return st.Rules[0].Fired == 1
+	})
 	for _, mode := range []string{"warm", "faasnap"} {
 		out, took := invoke(mode)
 		if took > pause/2 {

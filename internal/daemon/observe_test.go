@@ -2,10 +2,9 @@ package daemon
 
 // Tests for the daemon half of the observability plane: the flight
 // recorder endpoints, the SLO engine wiring, the new Prometheus
-// families, and a lint pass over the whole scrape surface.
+// families, and the source half of the metric lint.
 
 import (
-	"bufio"
 	"go/scanner"
 	"go/token"
 	"io"
@@ -49,27 +48,18 @@ func provisionAndInvoke(t *testing.T, srv string, fn, mode string, n int) map[st
 
 func scrape(t *testing.T, srv string) string {
 	t.Helper()
-	resp, err := http.Get(srv + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var sb strings.Builder
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 64*1024), 1<<22)
-	for sc.Scan() {
-		sb.WriteString(sc.Text())
-		sb.WriteByte('\n')
-	}
-	return sb.String()
+	var out string
+	doJSON(t, "GET", srv+"/metrics", nil, &out)
+	return out
 }
 
 // sourceFamilies returns the metric families the non-test Go source under
-// root registers: every string literal that is a whole faasnap_ name and
-// that keep accepts. They are read from the source, not a scrape, because
-// no one scrape reaches them all (faasnap_manifest_torn_total needs a torn
-// journal). Dot directories and the benchmark module are skipped.
-func sourceFamilies(t *testing.T, root string, keep func(string) bool) map[string]bool {
+// root registers: every string literal that is a whole faasnap_ name.
+// They are read from the source, not a scrape, because no one scrape
+// reaches them all (faasnap_manifest_torn_total needs a torn journal,
+// faasnap_gw_shed_total every backend shedding). Dot directories and the
+// benchmark module are skipped.
+func sourceFamilies(t *testing.T, root string) map[string]bool {
 	t.Helper()
 	name := regexp.MustCompile(`^faasnap_[a-z0-9_]+$`)
 	fams := map[string]bool{}
@@ -96,7 +86,7 @@ func sourceFamilies(t *testing.T, root string, keep func(string) bool) map[strin
 			if tok != token.STRING {
 				continue
 			}
-			if v, err := strconv.Unquote(lit); err == nil && name.MatchString(v) && keep(v) {
+			if v, err := strconv.Unquote(lit); err == nil && name.MatchString(v) {
 				fams[v] = true
 			}
 		}
@@ -123,74 +113,26 @@ func documentedFamilies(t *testing.T, doc string) map[string]bool {
 	return fams
 }
 
-// TestMetricsLint keeps OBSERVABILITY.md's metric tables and the families
-// the daemon's source registers one list (a family without a row fails,
-// and so does a row nothing registers), then parses the full scrape
-// after real traffic and checks every family is faasnap_-prefixed
-// snake_case with a HELP line — the naming contract dashboards and
-// recording rules rely on.
+// TestMetricsLint is the source half of the one metric lint (the root
+// package's TestMetricsExposition is the scrape half): the families the
+// tree's source registers and the doc tables are one list. A faasnap_gw_
+// family belongs in GATEWAY.md's table and every other one in
+// OBSERVABILITY.md's; a family without its row fails, and so does a row
+// nothing registers.
 func TestMetricsLint(t *testing.T) {
-	registered := sourceFamilies(t, "../..", func(name string) bool { return !strings.HasPrefix(name, "faasnap_gw_") })
-	documented := documentedFamilies(t, "../../OBSERVABILITY.md")
-	for name := range registered {
-		if !documented[name] {
-			t.Errorf("family %s is registered but has no row in OBSERVABILITY.md", name)
-		}
-	}
-	for name := range documented {
-		if !registered[name] {
-			t.Errorf("OBSERVABILITY.md has a row for %s, which nothing registers", name)
-		}
-	}
-
-	_, srv := newTestDaemon(t, Config{StateDir: t.TempDir()})
-	provisionAndInvoke(t, srv.URL, "hello-world", "faasnap", 3)
-
-	out := scrape(t, srv.URL)
-	nameRe := regexp.MustCompile(`^faasnap_[a-z0-9_]+$`)
-	helped := map[string]bool{}
-	typed := map[string]bool{}
-	var families []string
-	for _, line := range strings.Split(out, "\n") {
-		switch {
-		case strings.HasPrefix(line, "# HELP "):
-			parts := strings.SplitN(strings.TrimPrefix(line, "# HELP "), " ", 2)
-			if len(parts) != 2 || strings.TrimSpace(parts[1]) == "" {
-				t.Errorf("HELP line without text: %q", line)
-			}
-			helped[parts[0]] = true
-			families = append(families, parts[0])
-		case strings.HasPrefix(line, "# TYPE "):
-			parts := strings.SplitN(strings.TrimPrefix(line, "# TYPE "), " ", 2)
-			typed[parts[0]] = true
-		case line == "" || strings.HasPrefix(line, "#"):
-		default:
-			// A series line: name{labels} value or name value.
-			name := line
-			if i := strings.IndexAny(name, "{ "); i >= 0 {
-				name = name[:i]
-			}
-			base := name
-			for _, suffix := range []string{"_bucket", "_sum", "_count"} {
-				if fam := strings.TrimSuffix(name, suffix); fam != name && helped[fam] {
-					base = fam
-					break
-				}
-			}
-			if !helped[base] {
-				t.Errorf("series %q has no HELP for family %q", name, base)
+	registered := sourceFamilies(t, "../..")
+	for _, doc := range []string{"OBSERVABILITY.md", "GATEWAY.md"} {
+		gw := doc == "GATEWAY.md"
+		documented := documentedFamilies(t, "../../"+doc)
+		for name := range registered {
+			if strings.HasPrefix(name, "faasnap_gw_") == gw && !documented[name] {
+				t.Errorf("family %s is registered but has no row in %s", name, doc)
 			}
 		}
-	}
-	if len(families) == 0 {
-		t.Fatal("scrape exposed no families")
-	}
-	for _, fam := range families {
-		if !nameRe.MatchString(fam) {
-			t.Errorf("family %q is not faasnap_-prefixed snake_case", fam)
-		}
-		if !typed[fam] {
-			t.Errorf("family %q has HELP but no TYPE", fam)
+		for name := range documented {
+			if !registered[name] || strings.HasPrefix(name, "faasnap_gw_") != gw {
+				t.Errorf("%s has a row for %s, which nothing it documents registers", doc, name)
+			}
 		}
 	}
 }
@@ -361,7 +303,7 @@ func TestSLOJudgesWallTime(t *testing.T) {
 		Resilience: ResilienceConfig{MaxInFlight: 1, InvokeTimeout: deadline},
 	})
 	const fn = "slo-fn"
-	if resp := doJSON(t, "PUT", srv.URL+"/functions/"+fn, casSpec(fn), nil); resp.StatusCode != 200 {
+	if resp := doJSON(t, "PUT", srv.URL+"/functions/"+fn, customSpec(fn, 16), nil); resp.StatusCode != 200 {
 		t.Fatalf("create = %d", resp.StatusCode)
 	}
 	if resp := doJSON(t, "POST", srv.URL+"/functions/"+fn+"/record", map[string]string{"input": "A"}, nil); resp.StatusCode != 200 {
@@ -421,9 +363,7 @@ func TestSLOJudgesWallTime(t *testing.T) {
 		st, wall, err := invoke(fn, "")
 		parked <- reply{st, wall, err}
 	}()
-	for d.limiter.InFlight() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the delayed invoke never took its slot", func() bool { return d.limiter.InFlight() > 0 })
 	judge(invoke(fn, ""))
 	p := <-parked
 	judge(p.st, p.wall, p.err)

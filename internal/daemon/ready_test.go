@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"os"
 	"testing"
-	"time"
 
 	"faasnap/internal/kvstore"
 )
@@ -52,16 +51,11 @@ func TestReadyzDrainsOnKvstoreOutageAndRecovers(t *testing.T) {
 	// reconnects on the next PING and readiness recovers without a
 	// daemon restart.
 	var back *kvstore.Server
-	for i := 0; i < 50; i++ {
+	waitFor(t, "rebind kvstore "+addr, func() bool {
 		back = kvstore.NewServer()
-		if _, err = back.Listen(addr); err == nil {
-			break
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("rebind kvstore: %v", err)
-	}
+		_, err = back.Listen(addr)
+		return err == nil
+	})
 	defer back.Close()
 	resp = doJSON(t, "GET", srv.URL+"/readyz", nil, nil)
 	if resp.StatusCode != 200 {

@@ -29,17 +29,8 @@ import (
 // the rendered labels; empty matches every series).
 func metricSum(t *testing.T, url, name, contains string) float64 {
 	t.Helper()
-	resp, err := http.Get(url + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
 	sum := 0.0
-	for _, line := range strings.Split(buf.String(), "\n") {
+	for _, line := range strings.Split(scrape(t, url), "\n") {
 		if !strings.HasPrefix(line, name) {
 			continue
 		}

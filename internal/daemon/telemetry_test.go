@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
@@ -25,18 +24,9 @@ func TestRequestLoggingMiddleware(t *testing.T) {
 	defer srv.Close()
 
 	// Scrape and liveness probes are noise, never access-logged.
-	for _, probe := range []string{"/healthz", "/metrics"} {
-		resp, err := http.Get(srv.URL + probe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+	for _, path := range []string{"/healthz", "/metrics", "/functions/nope"} {
+		doJSON(t, "GET", srv.URL+path, nil, nil)
 	}
-	resp, err := http.Get(srv.URL + "/functions/nope")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
 
 	logged := buf.String()
 	if strings.Contains(logged, "/healthz") || strings.Contains(logged, "/metrics") {
@@ -151,19 +141,10 @@ func TestPrometheusMetricsEndpoint(t *testing.T) {
 	doJSON(t, "POST", srv.URL+"/functions/hello-world/invoke",
 		map[string]string{"mode": "faasnap", "input": "B"}, nil)
 
-	resp, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+	var body string
+	if ct := doJSON(t, "GET", srv.URL+"/metrics", nil, &body).Header.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
 		t.Fatalf("content type = %q", ct)
 	}
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(raw)
 
 	for _, want := range []string{
 		"# TYPE faasnap_invocations_total counter",
@@ -186,17 +167,8 @@ func TestPrometheusMetricsEndpoint(t *testing.T) {
 	}
 
 	// With no traffic in between, a second scrape is byte-identical.
-	resp2, err := http.Get(srv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	raw2, err := io.ReadAll(resp2.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(raw, raw2) {
-		t.Fatalf("scrapes differ with no traffic:\n--- first ---\n%s\n--- second ---\n%s", raw, raw2)
+	if again := scrape(t, srv.URL); again != body {
+		t.Fatalf("scrapes differ with no traffic:\n--- first ---\n%s\n--- second ---\n%s", body, again)
 	}
 }
 
@@ -240,13 +212,8 @@ func TestFaultTimelineEndpoint(t *testing.T) {
 		map[string]string{"mode": "faasnap", "input": "B"}, nil)
 
 	// Non-watch GET dumps the last invocation's timeline.
-	resp, err := http.Get(srv.URL + "/functions/hello-world/faults")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
 	var kinds []string
-	sc := bufio.NewScanner(resp.Body)
+	sc := bufio.NewScanner(doJSON(t, "GET", srv.URL+"/functions/hello-world/faults", nil, nil).Body)
 	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
 	for sc.Scan() {
 		var ln map[string]interface{}
@@ -269,13 +236,8 @@ func TestFaultTimelineEndpoint(t *testing.T) {
 	}
 
 	// Unknown functions 404.
-	resp404, err := http.Get(srv.URL + "/functions/nope/faults")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp404.Body.Close()
-	if resp404.StatusCode != 404 {
-		t.Fatalf("unknown function faults = %d", resp404.StatusCode)
+	if code := doJSON(t, "GET", srv.URL+"/functions/nope/faults", nil, nil).StatusCode; code != 404 {
+		t.Fatalf("unknown function faults = %d", code)
 	}
 }
 

@@ -6,12 +6,15 @@ package gateway
 // its place in preference order once manifests converge.
 
 import (
-	"bytes"
 	"fmt"
+	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 
+	"faasnap/internal/daemon"
 	"faasnap/internal/events"
+	"faasnap/internal/statedir"
 )
 
 // scriptManifest sets the durable-state section of a fake backend's
@@ -30,27 +33,9 @@ func tombstone(name string, gen int) string {
 	return fmt.Sprintf(`{"name":%q,"generation":%d,"deleted":true,"has_snapshot":false}`, name, gen)
 }
 
-// prefFakes resolves fn's replica set (owner + n-1 standbys) to fakes.
-func prefFakes(t *testing.T, g *Gateway, fn string, n int, fakes []*fakeBackend) []*fakeBackend {
-	t.Helper()
-	addrs := prefAddrs(g, fn, n)
-	out := make([]*fakeBackend, 0, n)
-	for _, a := range addrs {
-		for _, f := range fakes {
-			if f.addr == a {
-				out = append(out, f)
-			}
-		}
-	}
-	if len(out) != n {
-		t.Fatalf("resolved %d of %d preference fakes", len(out), n)
-	}
-	return out
-}
-
 func TestAntiEntropyRepairsStaleBackend(t *testing.T) {
-	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t), newFakeBackend(t)}
-	g := newTestGateway(t, Config{Replicas: 1}, fakes...)
+	net, fakes := newFakes(3)
+	g := newTestGateway(t, net, Config{Replicas: 1})
 
 	const fn = "hello-world"
 	prefs := prefFakes(t, g, fn, 2, fakes)
@@ -69,15 +54,15 @@ func TestAntiEntropyRepairsStaleBackend(t *testing.T) {
 	scriptManifest(standby, "d-empty")
 	scriptManifest(outside, "d-empty")
 
-	g.CheckNow()
-	if n := g.ResyncNow(); n != 2 {
+	if n := sweep(g); n != 2 {
 		t.Fatalf("resync actions = %d, want 2 (register + chunks)", n)
 	}
-	if c, sy, rec := standby.creates.Load(), standby.syncs.Load(), standby.records.Load(); c != 1 || sy != 1 || rec != 0 {
+	if c, sy, rec := net.count("PUT /functions/"+fn, standby.addr), net.count("POST /functions/"+fn+"/sync", standby.addr),
+		net.count("POST /functions/"+fn+"/record", standby.addr); c != 1 || sy != 1 || rec != 0 {
 		t.Fatalf("standby repairs: creates=%d syncs=%d records=%d, want 1, 1 and no record replay", c, sy, rec)
 	}
-	if c, sy := outside.creates.Load(), outside.syncs.Load(); c != 0 || sy != 0 {
-		t.Fatalf("non-replica backend was repaired: creates=%d syncs=%d", c, sy)
+	if n := len(net.take(outside.addr)); n != 2 {
+		t.Fatalf("non-replica backend saw %d requests, want its two status sweeps only", n)
 	}
 
 	// While repairs are in flight the standby is demoted to the back of
@@ -92,9 +77,7 @@ func TestAntiEntropyRepairsStaleBackend(t *testing.T) {
 	}
 
 	// The stale verdict and repair counters are visible on /metrics.
-	var buf bytes.Buffer
-	g.reg.WritePrometheus(&buf)
-	metrics := buf.String()
+	metrics := gwScrape(g)
 	for _, want := range []string{
 		`faasnap_gw_resync_total{action="chunks",backend="` + standby.addr + `"} 1`,
 		`faasnap_gw_resync_chunk_bytes_total{backend="` + standby.addr + `"} 4096`,
@@ -109,8 +92,7 @@ func TestAntiEntropyRepairsStaleBackend(t *testing.T) {
 	// Once the standby's manifest converges, the next pass repairs
 	// nothing and restores its place in preference order.
 	scriptManifest(standby, "d-owner", liveEntry(fn, 2, true, "A"))
-	g.CheckNow()
-	if n := g.ResyncNow(); n != 0 {
+	if n := sweep(g); n != 0 {
 		t.Fatalf("converged pass issued %d actions", n)
 	}
 	if sb.Stale() {
@@ -122,21 +104,24 @@ func TestAntiEntropyRepairsStaleBackend(t *testing.T) {
 // issues nothing in its place — no record replay — and leaves the
 // backend stale; the next sweep tries the sync again.
 func TestAntiEntropyFailedSyncRetriesNextSweep(t *testing.T) {
-	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t)}
-	g := newTestGateway(t, Config{Replicas: 1}, fakes...)
+	net, fakes := newFakes(2)
+	g := newTestGateway(t, net, Config{Replicas: 1})
 
 	const fn = "hello-world"
 	prefs := prefFakes(t, g, fn, 2, fakes)
 	owner, standby := prefs[0], prefs[1]
 	scriptManifest(owner, "d-owner", liveEntry(fn, 2, true, "A"))
 	scriptManifest(standby, "d-reg", liveEntry(fn, 1, false, ""))
-	standby.syncFail.Store(true)
+	const syncRoute = "POST /functions/{name}/sync"
+	standby.script(syncRoute, answer(http.StatusBadGateway, ""))
+	syncs := func() (int, int) {
+		return net.count("POST /functions/"+fn+"/sync", standby.addr), net.count("POST /functions/"+fn+"/record", standby.addr)
+	}
 
-	g.CheckNow()
-	if n := g.ResyncNow(); n != 0 {
+	if n := sweep(g); n != 0 {
 		t.Fatalf("failed sync counted as %d repair actions", n)
 	}
-	if sy, rec := standby.syncs.Load(), standby.records.Load(); sy != 1 || rec != 0 {
+	if sy, rec := syncs(); sy != 1 || rec != 0 {
 		t.Fatalf("first pass: syncs=%d records=%d, want one sync attempt and no record", sy, rec)
 	}
 	sb := backendAt(g, standby.addr)
@@ -144,19 +129,18 @@ func TestAntiEntropyFailedSyncRetriesNextSweep(t *testing.T) {
 		t.Fatal("backend whose repair failed is not stale")
 	}
 
-	standby.syncFail.Store(false)
-	g.CheckNow()
-	if n := g.ResyncNow(); n != 1 {
+	standby.script(syncRoute, nil)
+	if n := sweep(g); n != 1 {
 		t.Fatalf("retry pass issued %d actions, want 1 (chunks)", n)
 	}
-	if sy, rec := standby.syncs.Load(), standby.records.Load(); sy != 2 || rec != 0 {
+	if sy, rec := syncs(); sy != 2 || rec != 0 {
 		t.Fatalf("retry pass: syncs=%d records=%d, want 2 and 0", sy, rec)
 	}
 }
 
 func TestAntiEntropyPropagatesDelete(t *testing.T) {
-	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t), newFakeBackend(t)}
-	g := newTestGateway(t, Config{Replicas: 1}, fakes...)
+	net, fakes := newFakes(3)
+	g := newTestGateway(t, net, Config{Replicas: 1})
 
 	const fn = "json"
 	prefs := prefFakes(t, g, fn, 2, fakes)
@@ -168,14 +152,13 @@ func TestAntiEntropyPropagatesDelete(t *testing.T) {
 	scriptManifest(owner, "d-tomb", tombstone(fn, 3))
 	scriptManifest(standby, "d-live", liveEntry(fn, 2, true, "A"))
 
-	g.CheckNow()
-	if n := g.ResyncNow(); n != 1 {
+	if n := sweep(g); n != 1 {
 		t.Fatalf("resync actions = %d, want 1 (delete)", n)
 	}
-	if d := standby.deletes.Load(); d != 1 {
+	if d := net.count("DELETE /functions/"+fn, standby.addr); d != 1 {
 		t.Fatalf("standby deletes = %d, want 1", d)
 	}
-	if d := owner.deletes.Load(); d != 0 {
+	if d := net.count("DELETE /functions/"+fn, owner.addr); d != 0 {
 		t.Fatalf("owner deletes = %d, want 0", d)
 	}
 }
@@ -184,122 +167,75 @@ func TestAntiEntropyIgnoresManifestlessBackends(t *testing.T) {
 	// Backends whose /status carries no durable-state section (stateless
 	// daemons) are neither repair sources nor targets, and never marked
 	// stale.
-	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t)}
-	g := newTestGateway(t, Config{Replicas: 1}, fakes...)
+	net, fakes := newFakes(2)
+	g := newTestGateway(t, net, Config{Replicas: 1})
 
-	g.CheckNow()
-	if n := g.ResyncNow(); n != 0 {
+	if n := sweep(g); n != 0 {
 		t.Fatalf("resync against manifestless backends = %d actions", n)
 	}
 	for _, f := range fakes {
-		b := backendAt(g, f.addr)
-		if b.Stale() {
+		if backendAt(g, f.addr).Stale() {
 			t.Fatalf("manifestless backend %s marked stale", f.addr)
 		}
-		if c := f.creates.Load(); c != 0 {
-			t.Fatalf("manifestless backend repaired: %d creates", c)
+		if hits := net.take(f.addr); len(hits) != 2 {
+			t.Fatalf("manifestless backend saw %v, want its two status sweeps only", hits)
 		}
 	}
 }
 
-// TestAntiEntropyVersionRules is the repair-rule table of GATEWAY.md,
-// one standby state per row against an owner holding the function at
-// generation 2 (or 3, re-recorded) with its snapshot.
+// TestAntiEntropyVersionRules is the repair-rule table of GATEWAY.md
+// as plan rows, one standby state per row against an owner holding the
+// function at generation 2 (or 3, re-recorded) with its snapshot: the
+// pair's statuses in, the repairs out, no HTTP. (That a repair lands and
+// the next pass is clean is TestRepairRuleEveryState's fixed point; the
+// eager repair's event citing the deficit, TestRepairCausalityChain's.)
 func TestAntiEntropyVersionRules(t *testing.T) {
 	const fn = "hello-world"
-	withChunks := func(entry string, pending, missing int) string {
-		return strings.TrimSuffix(entry, "}") + fmt.Sprintf(`,"chunks_pending":%d,"chunks_missing":%d,"deficit_seq":7}`, pending, missing)
+	// entry is fn at gen, recorded with input ("" for no snapshot),
+	// pending and missing chunks; a deficit carries its event's seq, 7.
+	entry := func(gen uint64, input string, pending, missing int) daemon.StatusFunction {
+		e := daemon.StatusFunction{Entry: statedir.Entry{Name: fn, Generation: gen, HasSnapshot: input != "", RecordInput: input},
+			ChunksPending: pending, ChunksMissing: missing}
+		if missing > 0 {
+			e.DeficitSeq = 7
+		}
+		return e
 	}
+	backends := backendsOf("r0:1", "r1:1")
+	owner, standby := preference(backends, fn, 2)[0], preference(backends, fn, 2)[1]
 	for _, tc := range []struct {
 		name           string
-		owner, standby string
-		actions, syncs int
-		action         string // the repair event's action, when one fires
-		stale          bool
-		// healed is the standby's entry once the repair has landed; the
-		// next pass must find nothing to do.
-		healed string
+		owner, standby daemon.StatusFunction
+		want           repairKind // the one repair of the standby, "" for none
 	}{
-		{
-			name:    "same version, same snapshot: nothing to do",
-			owner:   liveEntry(fn, 2, true, "A"),
-			standby: liveEntry(fn, 2, true, "A"),
-		},
-		{
-			// Losing a snapshot does not mint: the standby is at the owner's
-			// generation without the snapshot, so the owner wins the tie.
-			name:    "snapshot quarantined at recovery",
-			owner:   liveEntry(fn, 2, true, "A"),
-			standby: liveEntry(fn, 2, false, ""),
-			actions: 1, syncs: 1, action: "chunks", stale: true,
-			healed: liveEntry(fn, 2, true, "A"),
-		},
-		{
-			// Both hold a snapshot, the standby's is of an older recording.
-			// The sync adopts the owner's generation, so the rule cannot
-			// fire twice.
-			name:    "missed a re-record while down",
-			owner:   liveEntry(fn, 3, true, "B"),
-			standby: liveEntry(fn, 2, true, "A"),
-			actions: 1, syncs: 1, action: "chunks", stale: true,
-			healed: liveEntry(fn, 3, true, "B"),
-		},
-		{
-			name:    "lazy tail still draining: pending is somebody's job",
-			owner:   liveEntry(fn, 2, true, "A"),
-			standby: withChunks(liveEntry(fn, 2, true, "A"), 5, 0),
-		},
-		{
-			name:    "chunks nobody owns: eager re-sync",
-			owner:   liveEntry(fn, 2, true, "A"),
-			standby: withChunks(liveEntry(fn, 2, true, "A"), 5, 2),
-			actions: 1, syncs: 1, action: "chunks_eager", stale: true,
-			healed: liveEntry(fn, 2, true, "A"),
-		},
-		{
-			// A source must be able to serve what it advertises: while the
-			// only other copy is itself incomplete, wait.
-			name:    "chunks nobody owns, no complete source yet",
-			owner:   withChunks(liveEntry(fn, 2, true, "A"), 3, 0),
-			standby: withChunks(liveEntry(fn, 2, true, "A"), 0, 2),
-		},
+		{"same version, same snapshot: nothing to do", entry(2, "A", 0, 0), entry(2, "A", 0, 0), ""},
+		// Losing a snapshot does not mint: the standby is at the owner's
+		// generation without the snapshot, so the owner wins the tie.
+		{"snapshot quarantined at recovery", entry(2, "A", 0, 0), entry(2, "", 0, 0), repairChunks},
+		// Both hold a snapshot, the standby's is of an older recording.
+		// The sync adopts the owner's generation, so the rule cannot fire
+		// twice.
+		{"missed a re-record while down", entry(3, "B", 0, 0), entry(2, "A", 0, 0), repairChunks},
+		{"lazy tail still draining: pending is somebody's job", entry(2, "A", 0, 0), entry(2, "A", 5, 0), ""},
+		{"chunks nobody owns: eager re-sync", entry(2, "A", 0, 0), entry(2, "A", 5, 2), repairChunksEager},
+		// A source must be able to serve what it advertises: while the
+		// only other copy is itself incomplete, wait.
+		{"chunks nobody owns, no complete source yet", entry(2, "A", 3, 0), entry(2, "A", 0, 2), ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t)}
-			g := newTestGateway(t, Config{Replicas: 1}, fakes...)
-			prefs := prefFakes(t, g, fn, 2, fakes)
-			owner, standby := prefs[0], prefs[1]
-			scriptManifest(owner, "d-owner", tc.owner)
-			scriptManifest(standby, "d-standby", tc.standby)
-
-			g.CheckNow()
-			if n := g.ResyncNow(); n != tc.actions {
-				t.Fatalf("actions = %d, want %d", n, tc.actions)
+			views := map[string]*backendView{}
+			for addr, e := range map[string]daemon.StatusFunction{owner.Addr: tc.owner, standby.Addr: tc.standby} {
+				views[addr] = &backendView{StatusResponse: daemon.StatusResponse{Ready: true, Digest: "d", Functions: []daemon.StatusFunction{e}}}
 			}
-			if sy := standby.syncs.Load(); int(sy) != tc.syncs {
-				t.Fatalf("standby syncs = %d, want %d", sy, tc.syncs)
+			var want []repair
+			if tc.want != "" {
+				want = []repair{{kind: tc.want, fn: fn, target: standby, source: owner.Addr}}
+				if tc.want == repairChunksEager {
+					want[0].deficitSeq = 7
+				}
 			}
-			if n := owner.syncs.Load() + owner.creates.Load() + owner.deletes.Load(); n != 0 {
-				t.Fatalf("the winner was repaired (%d mutations)", n)
-			}
-			sb := backendAt(g, standby.addr)
-			if sb.Stale() != tc.stale {
-				t.Fatalf("standby stale = %v, want %v", sb.Stale(), tc.stale)
-			}
-			if tc.action == "" {
-				return
-			}
-			repairs := g.Events().Since(0, events.Repair, fn)
-			if len(repairs) != 1 || repairs[0].Fields["action"] != tc.action {
-				t.Fatalf("repair events = %+v, want one %q", repairs, tc.action)
-			}
-			if tc.action == "chunks_eager" && (repairs[0].CauseSeq != 7 || repairs[0].CauseOrigin != standby.addr) {
-				t.Fatalf("eager repair cause = (%d, %q), want the standby's deficit event", repairs[0].CauseSeq, repairs[0].CauseOrigin)
-			}
-			scriptManifest(standby, "d-owner", tc.healed)
-			g.CheckNow()
-			if n := g.ResyncNow(); n != 0 || sb.Stale() {
-				t.Fatalf("pass after the repair: %d actions, stale=%v; want a clean no-op", n, sb.Stale())
+			if got := plan(views, backends, 1); !reflect.DeepEqual(got, want) {
+				t.Fatalf("plan = %+v, want %+v", got, want)
 			}
 		})
 	}
@@ -311,16 +247,15 @@ func TestAntiEntropyVersionRules(t *testing.T) {
 // its status and finds nothing to repair; the converged event then still
 // cites the last repair.
 func TestAntiEntropyKeepsVerdictWithoutStatus(t *testing.T) {
-	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t)}
-	g := newTestGateway(t, Config{Replicas: 1}, fakes...)
+	net, fakes := newFakes(2)
+	g := newTestGateway(t, net, Config{Replicas: 1})
 	const fn = "hello-world"
 	prefs := prefFakes(t, g, fn, 2, fakes)
 	owner, standby := prefs[0], prefs[1]
 	scriptManifest(owner, "d-owner", liveEntry(fn, 2, true, "A"))
 	scriptManifest(standby, "d-empty")
 
-	g.CheckNow()
-	if n := g.ResyncNow(); n != 2 {
+	if n := sweep(g); n != 2 {
 		t.Fatalf("repair pass actions = %d, want 2", n)
 	}
 	sb := backendAt(g, standby.addr)
@@ -333,10 +268,9 @@ func TestAntiEntropyKeepsVerdictWithoutStatus(t *testing.T) {
 		return g.Events().Since(0, events.BackendClean, ""), g.Events().Since(0, events.Converged, "")
 	}
 
-	standby.down.Store(true)
+	net.set(standby.addr, linkDown)
 	for pass := 1; pass <= 3; pass++ {
-		g.CheckNow()
-		if n := g.ResyncNow(); n != 0 {
+		if n := sweep(g); n != 0 {
 			t.Fatalf("pass %d repaired a backend it has no status for (%d actions)", pass, n)
 		}
 		if !sb.Stale() {
@@ -347,10 +281,9 @@ func TestAntiEntropyKeepsVerdictWithoutStatus(t *testing.T) {
 		}
 	}
 
-	standby.down.Store(false)
+	net.set(standby.addr, linkUp)
 	scriptManifest(standby, "d-owner", liveEntry(fn, 2, true, "A"))
-	g.CheckNow()
-	if n := g.ResyncNow(); n != 0 || sb.Stale() {
+	if n := sweep(g); n != 0 || sb.Stale() {
 		t.Fatalf("pass after rejoin: %d actions, stale=%v", n, sb.Stale())
 	}
 	clean, conv := verdicts()

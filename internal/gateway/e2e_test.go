@@ -1,20 +1,15 @@
-package gateway_test
+package gateway
 
 // End-to-end proof of the multi-host serving tier: three real daemons
-// behind a real gateway over real HTTP. The test registers and records
-// functions through the gateway's fan-out, shows sticky routing lands
-// repeat invocations on the snapshot's owner with one virtual result,
-// then kills one backend mid-burst with chaos armed on another and
-// requires every client-visible answer to be 200/429/504 — never 500.
+// over real HTTP behind a real gateway, served in process. The test
+// registers and records functions through the gateway's fan-out, shows
+// sticky routing lands repeat invocations on the snapshot's owner with
+// one virtual result, then kills one backend mid-burst with chaos armed
+// on another and requires every client-visible answer to be 200/429/504
+// — never 500.
 
 import (
-	"bytes"
-	"encoding/json"
-	"io"
-	"log"
-	"net"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,201 +18,66 @@ import (
 
 	"faasnap/internal/chaos"
 	"faasnap/internal/daemon"
-	"faasnap/internal/gateway"
 )
 
-type e2eNode struct {
-	d      *daemon.Daemon
-	srv    *httptest.Server
-	addr   string
-	killed atomic.Bool
-}
-
-// kill force-closes the backend the way a crashed host looks to the
-// gateway: in-flight connections die mid-request, new dials are
-// refused.
-func (n *e2eNode) kill() {
-	if n.killed.Swap(true) {
-		return
-	}
-	n.srv.CloseClientConnections()
-	n.srv.Close()
-	n.d.Close()
-}
-
-func startNode(t *testing.T) *e2eNode {
-	t.Helper()
-	d, err := daemon.New(daemon.Config{
-		StateDir: t.TempDir(),
-		Logger:   log.New(io.Discard, "", 0),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(d.Handler())
-	n := &e2eNode{d: d, srv: srv, addr: srv.Listener.Addr().String()}
-	t.Cleanup(n.kill)
-	return n
-}
-
-// startNodeAt starts a fresh daemon (empty state dir — the wiped-disk
-// rejoin scenario) listening on the exact address a killed node held,
-// so the gateway's configured backend comes back to life.
-func startNodeAt(t *testing.T, addr string) *e2eNode {
-	t.Helper()
-	d, err := daemon.New(daemon.Config{
-		StateDir: t.TempDir(),
-		Logger:   log.New(io.Discard, "", 0),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ln net.Listener
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		ln, err = net.Listen("tcp", addr)
-		if err == nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("rebind %s: %v", addr, err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-	srv := httptest.NewUnstartedServer(d.Handler())
-	srv.Listener.Close()
-	srv.Listener = ln
-	srv.Start()
-	n := &e2eNode{d: d, srv: srv, addr: addr}
-	t.Cleanup(n.kill)
-	return n
-}
-
-func startGateway(t *testing.T, cfg gateway.Config) *httptest.Server {
-	t.Helper()
-	cfg.Logger = log.New(io.Discard, "", 0)
-	g, err := gateway.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(g.Handler())
-	t.Cleanup(func() {
-		srv.Close()
-		g.Close()
-	})
-	return srv
-}
-
-// invokeOnce posts one invoke through url and returns the status, the
-// placement header, and the reply's virtual total_ms (0 unless 200).
-func invokeOnce(t *testing.T, url, fn string) (int, string, float64) {
-	t.Helper()
-	body := []byte(`{"mode":"faasnap","input":"A"}`)
-	resp, err := http.Post(url+"/functions/"+fn+"/invoke", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("invoke %s: %v", fn, err)
-	}
-	defer resp.Body.Close()
-	var reply struct {
-		TotalMs float64 `json:"total_ms"`
-	}
-	if resp.StatusCode == http.StatusOK {
-		if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-			t.Fatalf("invoke %s: decode: %v", fn, err)
-		}
-	}
-	io.Copy(io.Discard, resp.Body)
-	return resp.StatusCode, resp.Header.Get("X-Faasnap-Placement"), reply.TotalMs
-}
-
-// waitFor polls cond until it holds. The deadline is a hang guard, not
-// a budget: convergence is a bounded number of sweeps, so on any box the
-// condition either arrives or never will.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("hang guard: %s", what)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-}
-
 // backendRow fetches one backend's row of the gateway's GET /cluster.
-func backendRow(t *testing.T, gwURL, addr string) gateway.BackendStatus {
+func backendRow(t *testing.T, h http.Handler, addr string) BackendStatus {
 	t.Helper()
 	var cl struct {
-		Backends []gateway.BackendStatus `json:"backends"`
+		Backends []BackendStatus `json:"backends"`
 	}
-	e2eJSON(t, "GET", gwURL+"/cluster", nil, &cl)
+	call(t, h, "GET", "/cluster", nil, &cl)
 	for _, b := range cl.Backends {
 		if b.Addr == addr {
 			return b
 		}
 	}
 	t.Fatalf("backend %s not in /cluster", addr)
-	return gateway.BackendStatus{}
+	return BackendStatus{}
 }
 
-func e2eJSON(t *testing.T, method, url string, body, out interface{}) *http.Response {
+// startCluster starts three daemons over cfg behind a gateway with one
+// standby per function that sweeps every 25 ms, and returns the daemons
+// by address and the gateway's handler.
+func startCluster(t *testing.T, cfg daemon.Config) (map[string]*daemonNode, http.Handler) {
 	t.Helper()
-	var rd io.Reader
-	if body != nil {
-		buf, err := json.Marshal(body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rd = bytes.NewReader(buf)
-	}
-	req, err := http.NewRequest(method, url, rd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if out != nil && resp.StatusCode/100 == 2 {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("%s %s: decode: %v", method, url, err)
-		}
-	}
-	return resp
-}
-
-func TestGatewayE2E(t *testing.T) {
-	if testing.Short() {
-		t.Skip("3-daemon e2e; skipped in -short")
-	}
-
-	nodes := []*e2eNode{startNode(t), startNode(t), startNode(t)}
-	byAddr := map[string]*e2eNode{}
-	addrs := make([]string, len(nodes))
-	for i, n := range nodes {
-		addrs[i] = n.addr
+	byAddr := map[string]*daemonNode{}
+	var addrs []string
+	for i := 0; i < 3; i++ {
+		n := startDaemon(t, cfg, "")
 		byAddr[n.addr] = n
+		addrs = append(addrs, n.addr)
 	}
-
-	gwSrv := startGateway(t, gateway.Config{
+	g := newTestGateway(t, nil, Config{
 		Backends:       addrs,
 		HealthInterval: 25 * time.Millisecond,
 		RequestTimeout: 10 * time.Second,
 		Replicas:       1,
 	})
+	return byAddr, g.Handler()
+}
+
+// invokeA is the body of every e2e invoke.
+var invokeA = map[string]string{"mode": "faasnap", "input": "A"}
+
+func TestGatewayE2E(t *testing.T) {
+	if testing.Short() {
+		t.Skip("3-daemon e2e; skipped in -short")
+	}
+	t.Parallel()
+	byAddr, gw := startCluster(t, daemon.Config{})
 
 	// --- Provision through the gateway's fan-out: owner + 1 standby. ---
 	for _, fn := range []string{"hello-world", "json"} {
 		var created map[string]interface{}
-		if resp := e2eJSON(t, "PUT", gwSrv.URL+"/functions/"+fn, nil, &created); resp.StatusCode/100 != 2 {
+		if resp := call(t, gw, "PUT", "/functions/"+fn, nil, &created); resp.StatusCode/100 != 2 {
 			t.Fatalf("create %s via gateway = %d", fn, resp.StatusCode)
 		}
 		repl, _ := created["replicated_to"].([]interface{})
 		if len(repl) != 2 {
 			t.Fatalf("create %s replicated_to = %v, want owner + 1 standby", fn, created["replicated_to"])
 		}
-		if resp := e2eJSON(t, "POST", gwSrv.URL+"/functions/"+fn+"/record",
+		if resp := call(t, gw, "POST", "/functions/"+fn+"/record",
 			map[string]string{"input": "A"}, nil); resp.StatusCode/100 != 2 {
 			t.Fatalf("record %s via gateway = %d", fn, resp.StatusCode)
 		}
@@ -226,7 +86,7 @@ func TestGatewayE2E(t *testing.T) {
 	// The merged listing must show each function on exactly its owner
 	// and standby.
 	var listing []map[string]interface{}
-	e2eJSON(t, "GET", gwSrv.URL+"/functions", nil, &listing)
+	call(t, gw, "GET", "/functions", nil, &listing)
 	for _, entry := range listing {
 		on, _ := entry["backends"].([]interface{})
 		if len(on) != 2 {
@@ -238,7 +98,7 @@ func TestGatewayE2E(t *testing.T) {
 	var cluster struct {
 		Preference []string `json:"preference"`
 	}
-	e2eJSON(t, "GET", gwSrv.URL+"/cluster?fn=hello-world", nil, &cluster)
+	call(t, gw, "GET", "/cluster?fn=hello-world", nil, &cluster)
 	if len(cluster.Preference) != 3 {
 		t.Fatalf("cluster preference = %v, want 3 backends", cluster.Preference)
 	}
@@ -254,14 +114,17 @@ func TestGatewayE2E(t *testing.T) {
 	stickyPlacements := map[string]int{}
 	virtual := map[float64]int{}
 	for i := 0; i < samples; i++ {
-		st, pl, ms := invokeOnce(t, gwSrv.URL, "hello-world")
-		if st != 200 {
-			t.Fatalf("invoke %d = %d", i, st)
+		var reply struct {
+			TotalMs float64 `json:"total_ms"`
 		}
-		stickyPlacements[pl]++
-		virtual[ms]++
+		resp := call(t, gw, "POST", "/functions/hello-world/invoke", invokeA, &reply)
+		if resp.StatusCode != 200 {
+			t.Fatalf("invoke %d = %d", i, resp.StatusCode)
+		}
+		stickyPlacements[resp.Header.Get("X-Faasnap-Placement")]++
+		virtual[reply.TotalMs]++
 	}
-	if frac := float64(stickyPlacements[gateway.PlacementSticky]) / samples; frac < 0.9 {
+	if frac := float64(stickyPlacements[PlacementSticky]) / samples; frac < 0.9 {
 		t.Fatalf("sticky placement rate = %.0f%% (%v), want >= 90%%", frac*100, stickyPlacements)
 	}
 	if len(virtual) != 1 || virtual[0] != 0 {
@@ -283,7 +146,7 @@ func TestGatewayE2E(t *testing.T) {
 			DelayMs: 5,
 		}},
 	}
-	if resp := e2eJSON(t, "PUT", "http://"+standby.addr+"/chaos", chaosCfg, nil); resp.StatusCode/100 != 2 {
+	if resp := call(t, nil, "PUT", standby.url()+"/chaos", chaosCfg, nil); resp.StatusCode/100 != 2 {
 		t.Fatalf("arm chaos on standby = %d", resp.StatusCode)
 	}
 
@@ -304,10 +167,10 @@ func TestGatewayE2E(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				st, pl, _ := invokeOnce(t, gwSrv.URL, "hello-world")
+				resp := call(t, gw, "POST", "/functions/hello-world/invoke", invokeA, nil)
 				mu.Lock()
-				statuses[st]++
-				placements[pl]++
+				statuses[resp.StatusCode]++
+				placements[resp.Header.Get("X-Faasnap-Placement")]++
 				mu.Unlock()
 				if completed.Add(1) == killAfter {
 					owner.kill()
@@ -328,29 +191,24 @@ func TestGatewayE2E(t *testing.T) {
 	if statuses[http.StatusOK] == 0 {
 		t.Fatalf("burst produced no 200s: %v", statuses)
 	}
-	if placements[gateway.PlacementSpillover]+placements[gateway.PlacementRetry] == 0 {
+	if placements[PlacementSpillover]+placements[PlacementRetry] == 0 {
 		t.Errorf("owner died mid-burst but no spillover/retry placements observed: %v", placements)
 	}
 	t.Logf("burst through owner kill: statuses=%v placements=%v", statuses, placements)
 
 	// The health checker must have drained the dead owner...
 	waitFor(t, "gateway never marked the killed owner down", func() bool {
-		return !backendRow(t, gwSrv.URL, owner.addr).Ready
+		return !backendRow(t, gw, owner.addr).Ready
 	})
 	// ...while the gateway itself stays ready on the surviving backends.
-	if resp := e2eJSON(t, "GET", gwSrv.URL+"/readyz", nil, nil); resp.StatusCode != 200 {
+	if resp := call(t, gw, "GET", "/readyz", nil, nil); resp.StatusCode != 200 {
 		t.Fatalf("gateway /readyz after losing one backend = %d, want 200", resp.StatusCode)
 	}
 
 	// Gateway telemetry: placement-labelled request counters and
 	// per-backend gauges must be visible on /metrics.
-	mresp, err := http.Get(gwSrv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbody, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	metrics := string(mbody)
+	var metrics string
+	call(t, gw, "GET", "/metrics", nil, &metrics)
 	for _, want := range []string{
 		`faasnap_gw_requests_total`,
 		`placement="sticky"`,
@@ -366,14 +224,13 @@ func TestGatewayE2E(t *testing.T) {
 	var inv struct {
 		TraceID string `json:"trace_id"`
 	}
-	if resp := e2eJSON(t, "POST", gwSrv.URL+"/functions/hello-world/invoke",
-		map[string]string{"mode": "faasnap", "input": "A"}, &inv); resp.StatusCode != 200 {
+	if resp := call(t, gw, "POST", "/functions/hello-world/invoke", invokeA, &inv); resp.StatusCode != 200 {
 		t.Fatalf("post-kill invoke = %d", resp.StatusCode)
 	}
 	if !strings.HasPrefix(inv.TraceID, "gw") {
 		t.Fatalf("trace_id = %q, want a gateway-minted gw… id", inv.TraceID)
 	}
-	if resp := e2eJSON(t, "GET", gwSrv.URL+"/traces/"+inv.TraceID, nil, nil); resp.StatusCode != 200 {
+	if resp := call(t, gw, "GET", "/traces/"+inv.TraceID, nil, nil); resp.StatusCode != 200 {
 		t.Fatalf("GET /traces/%s via gateway = %d, want 200", inv.TraceID, resp.StatusCode)
 	}
 }
@@ -389,27 +246,14 @@ func TestGatewayE2EResync(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3-daemon e2e; skipped in -short")
 	}
-
-	nodes := []*e2eNode{startNode(t), startNode(t), startNode(t)}
-	byAddr := map[string]*e2eNode{}
-	addrs := make([]string, len(nodes))
-	for i, n := range nodes {
-		addrs[i] = n.addr
-		byAddr[n.addr] = n
-	}
-
-	gwSrv := startGateway(t, gateway.Config{
-		Backends:       addrs,
-		HealthInterval: 25 * time.Millisecond,
-		RequestTimeout: 10 * time.Second,
-		Replicas:       1,
-	})
+	t.Parallel()
+	byAddr, gw := startCluster(t, daemon.Config{})
 
 	const fn = "hello-world"
-	if resp := e2eJSON(t, "PUT", gwSrv.URL+"/functions/"+fn, nil, nil); resp.StatusCode/100 != 2 {
+	if resp := call(t, gw, "PUT", "/functions/"+fn, nil, nil); resp.StatusCode/100 != 2 {
 		t.Fatalf("create via gateway = %d", resp.StatusCode)
 	}
-	if resp := e2eJSON(t, "POST", gwSrv.URL+"/functions/"+fn+"/record",
+	if resp := call(t, gw, "POST", "/functions/"+fn+"/record",
 		map[string]string{"input": "A"}, nil); resp.StatusCode/100 != 2 {
 		t.Fatalf("record via gateway = %d", resp.StatusCode)
 	}
@@ -417,18 +261,21 @@ func TestGatewayE2EResync(t *testing.T) {
 	var cluster struct {
 		Preference []string `json:"preference"`
 	}
-	e2eJSON(t, "GET", gwSrv.URL+"/cluster?fn="+fn, nil, &cluster)
+	call(t, gw, "GET", "/cluster?fn="+fn, nil, &cluster)
 	if len(cluster.Preference) < 2 {
 		t.Fatalf("preference = %v", cluster.Preference)
 	}
-	standbyAddr := cluster.Preference[1]
-	standby := byAddr[standbyAddr]
-	// Confirm the standby actually holds the replicated snapshot.
-	var info struct {
-		HasSnapshot bool `json:"has_snapshot"`
+	standby := byAddr[cluster.Preference[1]]
+	// hasSnapshot is whether the standby's daemon holds fn's snapshot.
+	hasSnapshot := func() bool {
+		var info struct {
+			HasSnapshot bool `json:"has_snapshot"`
+		}
+		return call(t, nil, "GET", standby.url()+"/functions/"+fn, nil, &info).StatusCode == 200 && info.HasSnapshot
 	}
-	if resp := e2eJSON(t, "GET", "http://"+standbyAddr+"/functions/"+fn, nil, &info); resp.StatusCode != 200 || !info.HasSnapshot {
-		t.Fatalf("standby lacks replicated snapshot before kill: %d %+v", resp.StatusCode, info)
+	// Confirm the standby actually holds the replicated snapshot.
+	if !hasSnapshot() {
+		t.Fatal("standby lacks replicated snapshot before kill")
 	}
 
 	// Kill the standby cold and bring it back empty on the same address,
@@ -447,8 +294,7 @@ func TestGatewayE2EResync(t *testing.T) {
 					return
 				default:
 				}
-				st, _, _ := invokeOnce(t, gwSrv.URL, fn)
-				statuses <- st
+				statuses <- call(t, gw, "POST", "/functions/"+fn+"/invoke", invokeA, nil).StatusCode
 				time.Sleep(2 * time.Millisecond)
 			}
 		}()
@@ -456,25 +302,19 @@ func TestGatewayE2EResync(t *testing.T) {
 
 	standby.kill()
 	waitFor(t, "gateway never drained the killed standby", func() bool {
-		return !backendRow(t, gwSrv.URL, standbyAddr).Ready
+		return !backendRow(t, gw, standby.addr).Ready
 	})
-	startNodeAt(t, standbyAddr)
+	startDaemon(t, daemon.Config{}, standby.addr)
 
 	// Anti-entropy repairs the rejoined backend: the function must come
 	// back — snapshot included — via re-sync alone.
-	waitFor(t, "rejoined backend never re-synced the lost snapshot", func() bool {
-		var back struct {
-			HasSnapshot bool `json:"has_snapshot"`
-		}
-		resp := e2eJSON(t, "GET", "http://"+standbyAddr+"/functions/"+fn, nil, &back)
-		return resp.StatusCode == 200 && back.HasSnapshot
-	})
+	waitFor(t, "rejoined backend never re-synced the lost snapshot", hasSnapshot)
 	// With the repair done — the copy sits at its source's generation, and
 	// its draining lazy tail is pending, not missing — the first pass that
 	// sees its status finds nothing to repair and returns it to its place
 	// in preference order.
 	waitFor(t, "rejoined backend never returned to its place in preference order", func() bool {
-		b := backendRow(t, gwSrv.URL, standbyAddr)
+		b := backendRow(t, gw, standby.addr)
 		return b.Ready && !b.Stale
 	})
 
@@ -495,13 +335,9 @@ func TestGatewayE2EResync(t *testing.T) {
 	}
 
 	// The repair actions must be visible in gateway telemetry.
-	mresp, err := http.Get(gwSrv.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbody, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	if !strings.Contains(string(mbody), "faasnap_gw_resync_total") {
+	var metrics string
+	call(t, gw, "GET", "/metrics", nil, &metrics)
+	if !strings.Contains(metrics, "faasnap_gw_resync_total") {
 		t.Error("gateway /metrics missing faasnap_gw_resync_total after a repair")
 	}
 	t.Logf("resync window statuses: %v", counts)

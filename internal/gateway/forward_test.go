@@ -1,6 +1,6 @@
 package gateway
 
-// The request path against scripted in-process backends (a RoundTripper
+// The request path against scripted in-process backends (a memNet
 // behind the gateway's one client — no sockets, no timers): the one
 // classification of an attempt, column by column, and a seeded model of
 // the forward path's bookkeeping — in-flight counts, breaker probe
@@ -8,10 +8,7 @@ package gateway
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"io"
-	"log"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -86,9 +83,12 @@ func (c *firedCtx) fire(err error) {
 	close(c.done)
 }
 
+// scriptedReplies is what each replying action answers.
+var scriptedReplies = map[action]int{actOK: 200, act429: 429, act404: 404, act400: 400, act504: 504, act500: 500, act502: 502}
+
 // scriptedNet is the backends: every one always ready, each answering
-// the next request it gets with script[its address]. Requests run one
-// at a time, on the caller's goroutine.
+// the next request it gets with script[its address]. A memNet carries
+// the requests, one at a time, on the caller's goroutine.
 type scriptedNet struct {
 	script map[string]action
 	// ctx is the context of the client request being served, for the
@@ -96,68 +96,34 @@ type scriptedNet struct {
 	ctx *firedCtx
 	// onAttempt, when set, sees every scripted request a backend got.
 	onAttempt func(addr string, a action)
-	// handler is the gateway's, built once by newScriptedGateway.
+	// handler is the gateway's.
 	handler http.Handler
 }
 
-func (n *scriptedNet) RoundTrip(req *http.Request) (*http.Response, error) {
-	reply := func(code int, body string) (*http.Response, error) {
-		rec := httptest.NewRecorder()
-		rec.Header().Set("Content-Type", "application/json")
-		if code == http.StatusTooManyRequests {
-			rec.Header().Set("Retry-After", "1")
+func (n *scriptedNet) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	a := actOK
+	if r.URL.Path != "/status" {
+		a = n.script[r.Host]
+		if n.onAttempt != nil {
+			n.onAttempt(r.Host, a)
 		}
-		rec.WriteHeader(code)
-		io.WriteString(rec, body)
-		return rec.Result(), nil
 	}
-	if req.URL.Path == "/status" {
-		return reply(200, `{"ready":true}`)
-	}
-	a := n.script[req.URL.Host]
-	if n.onAttempt != nil {
-		n.onAttempt(req.URL.Host, a)
+	if code, ok := scriptedReplies[a]; ok {
+		if code == http.StatusTooManyRequests {
+			w.Header().Set("Retry-After", "1")
+		}
+		answer(code, `{"ready":true}`)(w, r)
+		return
 	}
 	switch a {
-	case actOK:
-		return reply(200, `{"ok":true}`)
-	case act429:
-		return reply(429, `{"error":"saturated"}`)
-	case act404:
-		return reply(404, `{"error":"not registered"}`)
-	case act400:
-		return reply(400, `{"error":"bad input"}`)
-	case act504:
-		return reply(504, `{"error":"deadline exceeded"}`)
-	case act500:
-		return reply(500, `{"error":"boom"}`)
-	case act502:
-		return reply(502, `{"error":"bad gateway"}`)
 	case actTransport:
-		return nil, errors.New("connection reset by peer")
+		panic(http.ErrAbortHandler)
 	case actHang:
 		n.ctx.fire(context.DeadlineExceeded)
 	case actCancel:
 		n.ctx.fire(context.Canceled)
 	}
-	<-req.Context().Done()
-	return nil, req.Context().Err()
-}
-
-// newScriptedGateway builds a gateway over net's backends, unstarted,
-// with one sweep done so every backend is ready.
-func newScriptedGateway(t *testing.T, net *scriptedNet, cfg Config, addrs ...string) *Gateway {
-	t.Helper()
-	cfg.Backends = addrs
-	cfg.Logger = log.New(io.Discard, "", 0)
-	g, err := build(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.client.Transport = net
-	g.CheckNow()
-	net.handler = g.Handler()
-	return g
+	<-r.Context().Done()
 }
 
 // send serves one client request through the gateway's handler under a
@@ -202,7 +168,8 @@ func TestAttemptClassification(t *testing.T) {
 	for _, row := range rows {
 		for _, col := range columns {
 			net := &scriptedNet{script: map[string]action{"b:1": row.a}}
-			g := newScriptedGateway(t, net, Config{}, "b:1")
+			g := newTestGateway(t, serving(net, "b:1"), Config{})
+			net.handler = g.Handler()
 			br := backendAt(g, "b:1").breaker
 			for i := 1; i < breakerThreshold; i++ {
 				br.Report(resilience.Unhealthy)
@@ -248,9 +215,10 @@ func newForwardModel(t *testing.T, seed int64) *forwardModel {
 			m.lastHealthy[addr] = healthy
 		}
 	}}
-	m.g = newScriptedGateway(t, m.net, Config{
+	m.g = newTestGateway(t, serving(m.net, m.addrs...), Config{
 		RequestTimeout: time.Hour, // deadlines are the script's to fire
-	}, m.addrs...)
+	})
+	m.net.handler = m.g.Handler()
 	for _, b := range m.g.backends {
 		b.breaker.SetClock(func() time.Time { return m.now })
 		m.lastHealthy[b.Addr] = true
@@ -359,6 +327,7 @@ func runForwardModel(t *testing.T, seed int64) {
 // that is over holds nothing — over seeded schedules, no sockets, no
 // sleeps. A failing seed prints its schedule.
 func TestForwardModel(t *testing.T) {
+	t.Parallel()
 	for seed := int64(1); seed <= 200; seed++ {
 		runForwardModel(t, seed)
 	}

@@ -426,6 +426,12 @@ func (g *Gateway) attempt(ctx context.Context, b *Backend, report func(resilienc
 // fields recording where and how the request landed.
 func (g *Gateway) handleForward(w http.ResponseWriter, r *http.Request) {
 	fn := r.PathValue("name")
+	if r.URL.Query().Get("watch") != "" && r.URL.Path == "/functions/"+fn+"/faults" {
+		// A watch streams from the one daemon running fn; relayed here it
+		// would be buffered until the deadline ran out.
+		writeErr(w, http.StatusBadRequest, "a fault watch is per daemon: GET /cluster?fn=%s names the owner to watch", fn)
+		return
+	}
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "read body: %v", err)

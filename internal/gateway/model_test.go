@@ -1,8 +1,8 @@
 package gateway
 
 // A deterministic model of the replica-state protocol: in-memory model
-// daemons behind the gateway's own http.Client (an in-process
-// RoundTripper — no sockets, no sleeps), the real CheckNow / ResyncNow /
+// daemons behind the gateway's own http.Client (a memNet — no sockets,
+// no sleeps), the real CheckNow / ResyncNow /
 // fan-out handlers on top, and a seeded schedule of client mutations
 // and faults. The model daemons implement the daemon's side of the
 // contract — generations minted by client mutations only, invalidate
@@ -19,14 +19,10 @@ package gateway
 // is stale, and the next pass does nothing.
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
-	"log"
 	"math/rand"
 	"net/http"
-	"net/http/httptest"
 	"sort"
 	"strings"
 	"sync"
@@ -90,24 +86,19 @@ func (m *modelNet) violate(format string, args ...interface{}) {
 	m.violations = append(m.violations, fmt.Sprintf(format, args...))
 }
 
-// RoundTrip makes the cluster the gateway's transport.
-func (m *modelNet) RoundTrip(req *http.Request) (*http.Response, error) {
+// ServeHTTP is every node: a memNet routes each request here, and a
+// node that is down drops it.
+func (m *modelNet) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	addr := req.URL.Host
+	addr, repair := r.Host, m.resyncing
 	n := m.nodes[addr]
-	if n == nil || !n.up {
-		return nil, fmt.Errorf("dial %s: connection refused", addr)
+	if !n.up {
+		panic(http.ErrAbortHandler)
 	}
-	if m.resyncing && m.seen[addr] != m.sweep {
-		m.violate("repair %s %s reached %s, which had no status in sweep %d", req.Method, req.URL.Path, addr, m.sweep)
+	if repair && m.seen[addr] != m.sweep {
+		m.violate("repair %s %s reached %s, which had no status in sweep %d", r.Method, r.URL.Path, addr, m.sweep)
 	}
-	rec := httptest.NewRecorder()
-	m.serve(rec, req, addr, n, m.resyncing)
-	return rec.Result(), nil
-}
-
-func (m *modelNet) serve(w http.ResponseWriter, r *http.Request, addr string, n *modelNode, repair bool) {
 	reply := func(code int, v interface{}) {
 		w.WriteHeader(code)
 		json.NewEncoder(w).Encode(v)
@@ -308,12 +299,7 @@ func newModelRun(t *testing.T, seed int64) *modelRun {
 		r.addrs = append(r.addrs, addr)
 		r.net.nodes[addr] = &modelNode{up: true, entries: map[string]*modelEntry{}, store: map[string]bool{}}
 	}
-	g, err := build(Config{Backends: r.addrs, Replicas: 1 + rng.Intn(2), Logger: log.New(io.Discard, "", 0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.client.Transport = r.net
-	r.g = g
+	r.g = newTestGateway(t, serving(r.net, r.addrs...), Config{Replicas: 1 + rng.Intn(2)})
 	return r
 }
 
@@ -327,10 +313,8 @@ func (r *modelRun) fail(format string, args ...interface{}) {
 }
 
 // client sends one client mutation through the gateway's handler.
-func (r *modelRun) client(method, path, body string) int {
-	rec := httptest.NewRecorder()
-	r.g.Handler().ServeHTTP(rec, httptest.NewRequest(method, path, bytes.NewBufferString(body)))
-	return rec.Code
+func (r *modelRun) client(method, path string, body any) int {
+	return call(r.t, r.g.Handler(), method, path, body, nil).StatusCode
 }
 
 func (r *modelRun) check() {
@@ -368,16 +352,16 @@ func (r *modelRun) step() {
 	switch op := r.rng.Intn(16); op {
 	case 0, 1:
 		if !r.dead[fn] {
-			r.logf("register %s -> %d", fn, r.client("PUT", "/functions/"+fn, ""))
+			r.logf("register %s -> %d", fn, r.client("PUT", "/functions/"+fn, nil))
 		}
 	case 2, 3, 4:
 		if !r.dead[fn] {
 			input := string(rune('A' + r.rng.Intn(3)))
-			r.logf("record %s %s -> %d", fn, input, r.client("POST", "/functions/"+fn+"/record", `{"input":"`+input+`"}`))
+			r.logf("record %s %s -> %d", fn, input, r.client("POST", "/functions/"+fn+"/record", map[string]string{"input": input}))
 		}
 	case 5:
 		if r.rng.Intn(3) == 0 && !r.dead[fn] {
-			code := r.client("DELETE", "/functions/"+fn, "")
+			code := r.client("DELETE", "/functions/"+fn, nil)
 			r.dead[fn] = code == 204
 			r.logf("delete %s -> %d", fn, code)
 		}
@@ -552,6 +536,7 @@ func runModel(t *testing.T, seed int64) []string {
 }
 
 func TestProtocolModel(t *testing.T) {
+	t.Parallel()
 	for seed := int64(1); seed <= 240; seed++ {
 		runModel(t, seed)
 	}

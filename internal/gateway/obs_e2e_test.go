@@ -1,4 +1,4 @@
-package gateway_test
+package gateway
 
 // End-to-end proof of the observability plane: three real daemons with
 // SLO engines behind a real gateway, chaos slowing one backend's
@@ -10,61 +10,29 @@ package gateway_test
 
 import (
 	"fmt"
-	"io"
-	"log"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"faasnap/internal/chaos"
 	"faasnap/internal/daemon"
-	"faasnap/internal/gateway"
 	"faasnap/internal/obs"
 	"faasnap/internal/slo"
 	"faasnap/internal/workload"
 )
 
-func startObsNode(t *testing.T, objective slo.Objective) *e2eNode {
-	t.Helper()
-	d, err := daemon.New(daemon.Config{
-		StateDir: t.TempDir(),
-		Logger:   log.New(io.Discard, "", 0),
-		SLO:      slo.Config{Default: objective},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(d.Handler())
-	n := &e2eNode{d: d, srv: srv, addr: srv.Listener.Addr().String()}
-	t.Cleanup(n.kill)
-	return n
-}
-
 func TestObservabilityE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("3-daemon e2e; skipped in -short")
 	}
+	t.Parallel()
 
 	// A 500ms wall-time objective: the cheap catalog functions used here
 	// finish in tens of milliseconds, so only chaos-delayed invocations
 	// (1.5s stalls) burn budget, with wide margin on both sides for
 	// loaded CI machines.
 	objective := slo.Objective{Latency: 500 * time.Millisecond, Target: 0.99}
-	nodes := []*e2eNode{startObsNode(t, objective), startObsNode(t, objective), startObsNode(t, objective)}
-	byAddr := map[string]*e2eNode{}
-	addrs := make([]string, len(nodes))
-	for i, n := range nodes {
-		addrs[i] = n.addr
-		byAddr[n.addr] = n
-	}
-	gwSrv := startGateway(t, gateway.Config{
-		Backends:       addrs,
-		HealthInterval: 25 * time.Millisecond,
-		RequestTimeout: 10 * time.Second,
-		Replicas:       1,
-	})
+	byAddr, gw := startCluster(t, daemon.Config{SLO: slo.Config{Default: objective}})
 
 	// Pick two functions with distinct sticky owners so chaos on one
 	// owner cannot touch the other function's traffic.
@@ -72,7 +40,7 @@ func TestObservabilityE2E(t *testing.T) {
 		var cl struct {
 			Preference []string `json:"preference"`
 		}
-		e2eJSON(t, "GET", gwSrv.URL+"/cluster?fn="+fn, nil, &cl)
+		call(t, gw, "GET", "/cluster?fn="+fn, nil, &cl)
 		if len(cl.Preference) == 0 {
 			t.Fatalf("no preference for %s", fn)
 		}
@@ -102,10 +70,10 @@ func TestObservabilityE2E(t *testing.T) {
 	}
 
 	for _, fn := range []string{slowFn, fastFn} {
-		if resp := e2eJSON(t, "PUT", gwSrv.URL+"/functions/"+fn, clone(fn), nil); resp.StatusCode/100 != 2 {
+		if resp := call(t, gw, "PUT", "/functions/"+fn, clone(fn), nil); resp.StatusCode/100 != 2 {
 			t.Fatalf("create %s = %d", fn, resp.StatusCode)
 		}
-		if resp := e2eJSON(t, "POST", gwSrv.URL+"/functions/"+fn+"/record",
+		if resp := call(t, gw, "POST", "/functions/"+fn+"/record",
 			map[string]string{"input": "A"}, nil); resp.StatusCode/100 != 2 {
 			t.Fatalf("record %s = %d", fn, resp.StatusCode)
 		}
@@ -126,17 +94,16 @@ func TestObservabilityE2E(t *testing.T) {
 			DelayMs: 1500,
 		}},
 	}
-	if resp := e2eJSON(t, "PUT", "http://"+affected.addr+"/chaos", chaosCfg, nil); resp.StatusCode/100 != 2 {
+	if resp := call(t, nil, "PUT", affected.url()+"/chaos", chaosCfg, nil); resp.StatusCode/100 != 2 {
 		t.Fatalf("arm chaos = %d", resp.StatusCode)
 	}
 
 	const invokes = 8
 	for i := 0; i < invokes; i++ {
-		if st, _, _ := invokeOnce(t, gwSrv.URL, slowFn); st != 200 {
-			t.Fatalf("%s invoke %d = %d", slowFn, i, st)
-		}
-		if st, _, _ := invokeOnce(t, gwSrv.URL, fastFn); st != 200 {
-			t.Fatalf("%s invoke %d = %d", fastFn, i, st)
+		for _, fn := range []string{slowFn, fastFn} {
+			if st := call(t, gw, "POST", "/functions/"+fn+"/invoke", invokeA, nil).StatusCode; st != 200 {
+				t.Fatalf("%s invoke %d = %d", fn, i, st)
+			}
 		}
 	}
 
@@ -147,7 +114,7 @@ func TestObservabilityE2E(t *testing.T) {
 		} `json:"cluster"`
 		Burning []string `json:"burning_functions"`
 	}
-	if resp := e2eJSON(t, "GET", gwSrv.URL+"/cluster/slo", nil, &cslo); resp.StatusCode != 200 {
+	if resp := call(t, gw, "GET", "/cluster/slo", nil, &cslo); resp.StatusCode != 200 {
 		t.Fatalf("/cluster/slo = %d", resp.StatusCode)
 	}
 	reports := map[string]slo.FunctionReport{}
@@ -185,7 +152,7 @@ func TestObservabilityE2E(t *testing.T) {
 	var slowest struct {
 		Profiles []*obs.Profile `json:"profiles"`
 	}
-	if resp := e2eJSON(t, "GET", "http://"+affected.addr+"/profiles?slowest=5", nil, &slowest); resp.StatusCode != 200 {
+	if resp := call(t, nil, "GET", affected.url()+"/profiles?slowest=5", nil, &slowest); resp.StatusCode != 200 {
 		t.Fatalf("/profiles?slowest=5 = %d", resp.StatusCode)
 	}
 	if len(slowest.Profiles) == 0 {
@@ -195,7 +162,7 @@ func TestObservabilityE2E(t *testing.T) {
 		if p.TraceID == "" {
 			t.Fatalf("slowest[%d] has no trace exemplar: %+v", i, p)
 		}
-		if resp := e2eJSON(t, "GET", gwSrv.URL+"/traces/"+p.TraceID, nil, nil); resp.StatusCode != 200 {
+		if resp := call(t, gw, "GET", "/traces/"+p.TraceID, nil, nil); resp.StatusCode != 200 {
 			t.Fatalf("trace %s via gateway = %d, want 200", p.TraceID, resp.StatusCode)
 		}
 	}
@@ -208,7 +175,7 @@ func TestObservabilityE2E(t *testing.T) {
 	var csum struct {
 		Cluster obs.Summary `json:"cluster"`
 	}
-	if resp := e2eJSON(t, "GET", gwSrv.URL+"/cluster/profiles", nil, &csum); resp.StatusCode != 200 {
+	if resp := call(t, gw, "GET", "/cluster/profiles", nil, &csum); resp.StatusCode != 200 {
 		t.Fatalf("/cluster/profiles = %d", resp.StatusCode)
 	}
 	bySummary := map[string]obs.FunctionSummary{}
@@ -229,13 +196,8 @@ func TestObservabilityE2E(t *testing.T) {
 		}
 	}
 
-	mresp, err := http.Get("http://" + affected.addr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	mbody, _ := io.ReadAll(mresp.Body)
-	mresp.Body.Close()
-	scrape := string(mbody)
+	var scrape string
+	call(t, nil, "GET", affected.url()+"/metrics", nil, &scrape)
 	for _, want := range []string{
 		fmt.Sprintf(`faasnap_prefetch_precision_bucket{function=%q,le="+Inf"}`, slowFn),
 		fmt.Sprintf(`faasnap_prefetch_recall_bucket{function=%q,le="+Inf"}`, slowFn),

@@ -6,11 +6,9 @@ package gateway
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"log"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -30,41 +28,24 @@ func sloBody(fn string, good, bad int64) string {
 		fn, good, bad, win("5m0s"), win("1h0m0s"), win("30m0s"), win("6h0m0s"))
 }
 
-func e2eGet(t *testing.T, url string, out interface{}) int {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			t.Fatalf("decode %s: %v", url, err)
-		}
-	}
-	return resp.StatusCode
-}
-
 // TestClusterSLOMerge scripts two backends' /slo reports and checks the
 // gateway merges counts, recomputes burn and flags the burning
 // function, from what the backends answer when it is asked.
 func TestClusterSLOMerge(t *testing.T) {
-	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t), newFakeBackend(t)}
+	net, fakes := newFakes(3)
 	// Backend 0 is burning f; backend 1 is healthy on f and alone on g;
 	// backend 2 answers GET /slo with 404 and must be skipped, not fatal.
-	fakes[0].sloJSON.Store(sloBody("f", 90, 10))
-	fakes[1].sloJSON.Store(strings.Replace(sloBody("f", 100, 0), `}]}`,
-		`},{"function":"g","latency_ms":500,"target":0.99,"good":50,"bad":0,"attainment":1,"windows":[{"window":"5m0s","good":50,"bad":0,"burn_rate":0},{"window":"1h0m0s","good":50,"bad":0,"burn_rate":0}],"burning":false}]}`, 1))
-	g := newTestGateway(t, Config{}, fakes...)
-
-	srv := httptest.NewServer(g.Handler())
-	defer srv.Close()
+	fakes[0].script("GET /slo", answer(200, sloBody("f", 90, 10)))
+	fakes[1].script("GET /slo", answer(200, strings.Replace(sloBody("f", 100, 0), `}]}`,
+		`},{"function":"g","latency_ms":500,"target":0.99,"good":50,"bad":0,"attainment":1,"windows":[{"window":"5m0s","good":50,"bad":0,"burn_rate":0},{"window":"1h0m0s","good":50,"bad":0,"burn_rate":0}],"burning":false}]}`, 1)))
+	g := newTestGateway(t, net, Config{})
+	h := g.Handler()
 	var body struct {
 		Cluster  slo.Report             `json:"cluster"`
 		Burning  []string               `json:"burning_functions"`
 		Backends map[string]*slo.Report `json:"backends"`
 	}
-	if sc := e2eGet(t, srv.URL+"/cluster/slo", &body); sc != 200 {
+	if sc := call(t, h, "GET", "/cluster/slo", nil, &body).StatusCode; sc != 200 {
 		t.Fatalf("/cluster/slo = %d", sc)
 	}
 	if len(body.Backends) != 2 {
@@ -94,7 +75,7 @@ func TestClusterSLOMerge(t *testing.T) {
 	var cl struct {
 		Burning []string `json:"burning_functions"`
 	}
-	e2eGet(t, srv.URL+"/cluster", &cl)
+	call(t, h, "GET", "/cluster", nil, &cl)
 	if len(cl.Burning) != 1 || cl.Burning[0] != "f" {
 		t.Errorf("/cluster burning_functions = %v, want [f]", cl.Burning)
 	}
@@ -103,18 +84,15 @@ func TestClusterSLOMerge(t *testing.T) {
 // TestClusterProfilesMerge scripts two backends' flight-recorder
 // summaries and checks the merged aggregation.
 func TestClusterProfilesMerge(t *testing.T) {
-	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t)}
-	fakes[0].profJSON.Store(`{"count":10,"functions":[{"function":"f","count":10,"errors":1,"degraded":0,"p50_wall_ms":10,"p99_wall_ms":100,"p50_total_ms":20,"p99_total_ms":200,"prefetch_count":10,"prefetch_precision":0.9,"prefetch_recall":0.6,"prefetch_wasted_bytes":100}]}`)
-	fakes[1].profJSON.Store(`{"count":30,"functions":[{"function":"f","count":30,"errors":3,"degraded":0,"p50_wall_ms":30,"p99_wall_ms":50,"p50_total_ms":60,"p99_total_ms":100,"prefetch_count":30,"prefetch_precision":0.5,"prefetch_recall":0.2,"prefetch_wasted_bytes":300}]}`)
-	g := newTestGateway(t, Config{}, fakes...)
-
-	srv := httptest.NewServer(g.Handler())
-	defer srv.Close()
+	net, fakes := newFakes(2)
+	fakes[0].script("GET /profiles", answer(200, `{"count":10,"functions":[{"function":"f","count":10,"errors":1,"degraded":0,"p50_wall_ms":10,"p99_wall_ms":100,"p50_total_ms":20,"p99_total_ms":200,"prefetch_count":10,"prefetch_precision":0.9,"prefetch_recall":0.6,"prefetch_wasted_bytes":100}]}`))
+	fakes[1].script("GET /profiles", answer(200, `{"count":30,"functions":[{"function":"f","count":30,"errors":3,"degraded":0,"p50_wall_ms":30,"p99_wall_ms":50,"p50_total_ms":60,"p99_total_ms":100,"prefetch_count":30,"prefetch_precision":0.5,"prefetch_recall":0.2,"prefetch_wasted_bytes":300}]}`))
+	g := newTestGateway(t, net, Config{})
 	var body struct {
 		Cluster  obs.Summary             `json:"cluster"`
 		Backends map[string]*obs.Summary `json:"backends"`
 	}
-	if sc := e2eGet(t, srv.URL+"/cluster/profiles", &body); sc != 200 {
+	if sc := call(t, g.Handler(), "GET", "/cluster/profiles", nil, &body).StatusCode; sc != 200 {
 		t.Fatalf("/cluster/profiles = %d", sc)
 	}
 	if body.Cluster.Count != 40 || len(body.Backends) != 2 {
@@ -136,14 +114,12 @@ func TestClusterProfilesMerge(t *testing.T) {
 // concurrently, so the backend that has the trace answers immediately
 // even while another backend hangs for its whole timeout slice.
 func TestTraceFindFanout(t *testing.T) {
-	fakes := []*fakeBackend{newFakeBackend(t), newFakeBackend(t), newFakeBackend(t)}
-	fakes[0].traces.Store(func(w http.ResponseWriter, r *http.Request) {
-		select { // wedged backend: holds the probe until its slice expires
-		case <-r.Context().Done():
-		case <-time.After(10 * time.Second):
-		}
+	t.Parallel()
+	net, fakes := newFakes(3)
+	fakes[0].script("GET /traces/{id}", func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done() // wedged backend: holds the probe until its slice expires
 	})
-	fakes[2].traces.Store(func(w http.ResponseWriter, r *http.Request) {
+	fakes[2].script("GET /traces/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if r.PathValue("id") != "gw-abc123" {
 			w.WriteHeader(http.StatusNotFound)
 			return
@@ -151,15 +127,14 @@ func TestTraceFindFanout(t *testing.T) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"trace_id":%q,"spans":[]}`, r.PathValue("id"))
 	})
-	g := newTestGateway(t, Config{RequestTimeout: 5 * time.Second}, fakes...)
-	srv := httptest.NewServer(g.Handler())
-	defer srv.Close()
+	g := newTestGateway(t, net, Config{RequestTimeout: 5 * time.Second})
+	h := g.Handler()
 
 	start := time.Now()
 	var body struct {
 		TraceID string `json:"trace_id"`
 	}
-	if sc := e2eGet(t, srv.URL+"/traces/gw-abc123", &body); sc != 200 {
+	if sc := call(t, h, "GET", "/traces/gw-abc123", nil, &body).StatusCode; sc != 200 {
 		t.Fatalf("trace lookup = %d, want 200", sc)
 	}
 	if body.TraceID != "gw-abc123" {
@@ -170,7 +145,7 @@ func TestTraceFindFanout(t *testing.T) {
 	}
 
 	// Unknown everywhere: 404 once every probe has answered or expired.
-	if sc := e2eGet(t, srv.URL+"/traces/gw-nope", nil); sc != 404 {
+	if sc := call(t, h, "GET", "/traces/gw-nope", nil, nil).StatusCode; sc != 404 {
 		t.Fatalf("unknown trace = %d, want 404", sc)
 	}
 }
@@ -193,49 +168,28 @@ func (b *syncBuffer) String() string {
 	return b.buf.String()
 }
 
-// newLoggedGateway is newTestGateway minus the discard logger: requests
-// land in the returned buffer.
-func newLoggedGateway(t *testing.T, cfg Config, fakes ...*fakeBackend) (*Gateway, *syncBuffer) {
-	t.Helper()
-	buf := &syncBuffer{}
-	for _, f := range fakes {
-		cfg.Backends = append(cfg.Backends, f.addr)
-	}
-	cfg.HealthInterval = time.Hour
-	cfg.Logger = log.New(buf, "", 0)
-	g, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(g.Close)
-	return g, buf
-}
-
 // TestAccessLogNoiseControls: scrape and liveness endpoints are never
 // access-logged, and -quiet-http drops the access log entirely while
 // real traffic still flows.
 func TestAccessLogNoiseControls(t *testing.T) {
-	fake := newFakeBackend(t)
-
-	g, buf := newLoggedGateway(t, Config{}, fake)
-	srv := httptest.NewServer(g.Handler())
-	defer srv.Close()
-	e2eGet(t, srv.URL+"/metrics", nil)
-	e2eGet(t, srv.URL+"/healthz", nil)
+	net, _ := newFakes(1)
+	buf := &syncBuffer{}
+	h := newTestGateway(t, net, Config{Logger: log.New(buf, "", 0)}).Handler()
+	call(t, h, "GET", "/metrics", nil, nil)
+	call(t, h, "GET", "/healthz", nil, nil)
 	if out := buf.String(); strings.Contains(out, "/metrics") || strings.Contains(out, "/healthz") {
 		t.Fatalf("scrape/liveness probes were access-logged:\n%s", out)
 	}
-	if rep := gwInvokeURL(t, srv.URL, "fn-a"); rep.status != 200 {
+	if rep := gwInvoke(t, h, "fn-a"); rep.status != 200 {
 		t.Fatalf("invoke = %d", rep.status)
 	}
 	if !strings.Contains(buf.String(), "POST /functions/fn-a/invoke") {
 		t.Fatalf("default config must log real traffic, got:\n%s", buf.String())
 	}
 
-	q, qbuf := newLoggedGateway(t, Config{QuietHTTP: true}, fake)
-	qsrv := httptest.NewServer(q.Handler())
-	defer qsrv.Close()
-	if rep := gwInvokeURL(t, qsrv.URL, "fn-a"); rep.status != 200 {
+	qbuf := &syncBuffer{}
+	q := newTestGateway(t, net, Config{QuietHTTP: true, Logger: log.New(qbuf, "", 0)}).Handler()
+	if rep := gwInvoke(t, q, "fn-a"); rep.status != 200 {
 		t.Fatalf("quiet invoke = %d", rep.status)
 	}
 	if out := qbuf.String(); strings.Contains(out, "/functions/fn-a/invoke") {

@@ -356,6 +356,7 @@ func enumExplain(final [3]enumReplica, broken []string) int {
 // end holding one recording; and none is left missing a chunk its
 // peers hold. No sockets, goroutines or sleeps.
 func TestRepairRuleEveryState(t *testing.T) {
+	t.Parallel()
 	backends := []*Backend{{Addr: "r0:1"}, {Addr: "r1:1"}, {Addr: "r2:1"}, {Addr: "r3:1"}}
 	members := preference(backends, "f", 3)
 	outside := backends[0]
