@@ -1,0 +1,29 @@
+package core
+
+import (
+	"testing"
+
+	"faasnap/internal/workload"
+)
+
+// BenchmarkPaperCells measures the simulator's wall cost of the paper's
+// own grid: one op is a traced input-B invocation of each of the nine
+// Figure-6 functions in each of the four restore modes, 36 cells. The
+// artifacts are recorded once, before the timer starts.
+func BenchmarkPaperCells(b *testing.B) {
+	var arts []*Artifacts
+	for _, s := range workload.Benchmarks() {
+		arts = append(arts, artifactsFor(b, s.Name))
+	}
+	modes := []Mode{ModeFaaSnap, ModeFirecracker, ModeREAP, ModeCached}
+	cfg := DefaultHostConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, a := range arts {
+			for _, mode := range modes {
+				RunSingleTraced(cfg, a, mode, a.Fn.B)
+			}
+		}
+	}
+}

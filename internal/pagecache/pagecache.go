@@ -13,6 +13,7 @@ package pagecache
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"faasnap/internal/blockdev"
@@ -53,6 +54,32 @@ type File struct {
 	// consumption as Linux's async readahead does.
 	asyncTrigger int64 // page whose access kicks the next async window (-1 off)
 	asyncNext    int64 // first page of the next async window
+
+	flights []flight // device reads in flight, disjoint and unordered
+}
+
+// flight is one device read of a file in flight: pages [start, end),
+// each of which leaves the in-flight set once it has landed, and the
+// event fired when the last one has.
+type flight struct {
+	start, end int64
+	done       *sim.Event
+}
+
+// flightAt returns the read in flight that covers page, or nil and the
+// first page past page that a read in flight covers (f.Pages if none).
+func (f *File) flightAt(page int64) (*flight, int64) {
+	next := f.Pages
+	for i := range f.flights {
+		fl := &f.flights[i]
+		if fl.start <= page && page < fl.end {
+			return fl, page
+		}
+		if fl.start > page && fl.start < next {
+			next = fl.start
+		}
+	}
+	return nil, next
 }
 
 func (f *File) isResident(page int64) bool {
@@ -113,15 +140,17 @@ type pageKey struct {
 
 // Cache is a host page cache bound to one simulation environment.
 type Cache struct {
-	env      *sim.Env
-	files    []*File
-	inflight map[pageKey]*sim.Event
-	stats    Stats
+	env   *sim.Env
+	files []*File
+	stats Stats
 
 	// maxPages bounds total residency; 0 means unlimited (the paper's
 	// 192 GB host never evicts during an experiment). When bounded,
 	// insertion beyond the limit evicts in FIFO order, a conservative
-	// stand-in for kernel reclaim.
+	// stand-in for kernel reclaim. Pages being read cannot be reclaimed,
+	// and pages made resident before the limit was set have no FIFO
+	// entry, so the queue may hold nothing but pages being read: the
+	// cache then stays over the limit until a later insert retries.
 	maxPages   int64
 	fifo       []pageKey
 	fifoHead   int
@@ -130,10 +159,7 @@ type Cache struct {
 
 // New returns an empty cache in env.
 func New(env *sim.Env) *Cache {
-	return &Cache{
-		env:      env,
-		inflight: make(map[pageKey]*sim.Event),
-	}
+	return &Cache{env: env}
 }
 
 // SetLimit bounds the cache to maxPages resident pages (0 = unlimited).
@@ -154,16 +180,19 @@ func (c *Cache) insert(f *File, page int64) bool {
 
 // evictOver reclaims FIFO-oldest resident pages until within limit.
 // Pages with in-flight reads are skipped (the kernel cannot reclaim
-// locked pages).
+// locked pages), and it gives up once a full pass of the queue has
+// found nothing else.
 func (c *Cache) evictOver() {
-	for c.totalPages > c.maxPages && c.fifoHead < len(c.fifo) {
+	for busy := 0; c.totalPages > c.maxPages && busy < len(c.fifo)-c.fifoHead; {
 		key := c.fifo[c.fifoHead]
 		c.fifoHead++
-		if _, busy := c.inflight[key]; busy {
+		f := c.files[key.file]
+		if fl, _ := f.flightAt(key.page); fl != nil {
 			c.fifo = append(c.fifo, key) // retry later
+			busy++
 			continue
 		}
-		f := c.files[key.file]
+		busy = 0
 		if f.isResident(key.page) {
 			f.resident[key.page/64] &^= 1 << (uint(key.page) % 64)
 			f.nresident--
@@ -254,11 +283,27 @@ func (c *Cache) Drop(f *File) {
 // snapshot memory file is preloaded into the page cache before the
 // measurement starts.
 func (c *Cache) Populate(f *File) {
-	for p := int64(0); p < f.Pages; p++ {
-		if c.insert(f, p) {
-			c.stats.PopulatedPages++
+	if c.maxPages > 0 {
+		// A bounded cache inserts page by page, in FIFO order.
+		for p := int64(0); p < f.Pages; p++ {
+			if c.insert(f, p) {
+				c.stats.PopulatedPages++
+			}
 		}
+		return
 	}
+	var n int64
+	for i := range f.resident {
+		full := ^uint64(0)
+		if rest := f.Pages - int64(i)*64; rest < 64 {
+			full = 1<<uint(rest) - 1
+		}
+		n += int64(bits.OnesCount64(full &^ f.resident[i]))
+		f.resident[i] |= full
+	}
+	f.nresident += n
+	c.totalPages += n
+	c.stats.PopulatedPages += n
 }
 
 func (c *Cache) checkPage(f *File, page int64) {
@@ -286,11 +331,11 @@ func (c *Cache) FaultRead(p *sim.Proc, f *File, page int64, class blockdev.Class
 		c.maybeAsyncRA(f, page)
 		return FaultResult{Hit: true}
 	}
-	key := pageKey{f.ID, page}
-	if ev, ok := c.inflight[key]; ok {
+	fl, busyFrom := f.flightAt(page)
+	if fl != nil {
 		// Another process is already reading this page; wait for it.
 		start := c.env.Now()
-		ev.Wait(p)
+		fl.done.Wait(p)
 		c.stats.SharedWaits++
 		return FaultResult{SharedWait: true, IOTime: c.env.Now() - start}
 	}
@@ -310,33 +355,14 @@ func (c *Cache) FaultRead(p *sim.Proc, f *File, page int64, class blockdev.Class
 	// The run covers the faulting page and up to window-1 following
 	// pages, stopping at the first page that is already resident or
 	// already being read.
-	end := page + f.raWindow
-	if end > f.Pages {
-		end = f.Pages
-	}
+	end := min(page+f.raWindow, busyFrom)
 	run := int64(1)
-	for page+run < end {
-		next := page + run
-		if f.isResident(next) {
-			break
-		}
-		if _, busy := c.inflight[pageKey{f.ID, next}]; busy {
-			break
-		}
+	for page+run < end && !f.isResident(page+run) {
 		run++
 	}
 	f.raNext = page + run
 
-	ev := sim.NewEvent(c.env)
-	for i := int64(0); i < run; i++ {
-		c.inflight[pageKey{f.ID, page + i}] = ev
-	}
-	io := f.Dev.Read(p, run*PageSize, class)
-	for i := int64(0); i < run; i++ {
-		c.insert(f, page+i)
-		delete(c.inflight, pageKey{f.ID, page + i})
-	}
-	ev.Fire()
+	io := c.read(p, f, page, page+run, class)
 	c.stats.ReadaheadPages += run - 1
 	// A fully ramped sequential stream arms async readahead: the next
 	// two windows are read in the background and the pipeline re-arms
@@ -401,37 +427,47 @@ func (c *Cache) ReadRange(p *sim.Proc, f *File, start, n int64, class blockdev.C
 			i++
 			continue
 		}
-		if _, busy := c.inflight[pageKey{f.ID, i}]; busy {
-			i++
+		fl, busyFrom := f.flightAt(i)
+		if fl != nil {
+			i = fl.end
 			continue
 		}
 		// Collect a run of missing, idle pages.
+		end := min(start+n, i+bulkRequestPages, busyFrom)
 		run := int64(1)
-		for i+run < start+n && run < bulkRequestPages {
-			next := i + run
-			if f.isResident(next) {
-				break
-			}
-			if _, busy := c.inflight[pageKey{f.ID, next}]; busy {
-				break
-			}
+		for i+run < end && !f.isResident(i+run) {
 			run++
 		}
-		ev := sim.NewEvent(c.env)
-		for j := int64(0); j < run; j++ {
-			c.inflight[pageKey{f.ID, i + j}] = ev
-		}
-		f.Dev.Read(p, run*PageSize, class)
-		for j := int64(0); j < run; j++ {
-			c.insert(f, i+j)
-			delete(c.inflight, pageKey{f.ID, i + j})
-		}
-		ev.Fire()
+		c.read(p, f, i, i+run, class)
 		c.stats.PopulatedPages += run
 		read += run
 		i += run
 	}
 	return read
+}
+
+// read reads pages [start, end) of f as one device request and lands
+// them, each page leaving the in-flight set only after its own insert,
+// so a bounded cache cannot evict the pages still landing. It returns
+// the time spent on the device.
+func (c *Cache) read(p *sim.Proc, f *File, start, end int64, class blockdev.Class) time.Duration {
+	done := sim.NewEvent(c.env)
+	f.flights = append(f.flights, flight{start, end, done})
+	io := f.Dev.Read(p, (end-start)*PageSize, class)
+	i := 0
+	for f.flights[i].done != done {
+		i++
+	}
+	for pg := start; pg < end; pg++ {
+		c.insert(f, pg)
+		f.flights[i].start++
+	}
+	last := len(f.flights) - 1
+	f.flights[i] = f.flights[last]
+	f.flights[last] = flight{}
+	f.flights = f.flights[:last]
+	done.Fire()
+	return io
 }
 
 // ReadRangeDirect reads pages [start, start+n) of f bypassing the page

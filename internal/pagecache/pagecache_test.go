@@ -227,6 +227,24 @@ func TestPopulateMakesEverythingResident(t *testing.T) {
 	}
 }
 
+// TestPopulateCountsOnlyNewPages: Populate over a partly resident
+// 100-page file counts only the pages it adds, and sets no bit past
+// the file's last page.
+func TestPopulateCountsOnlyNewPages(t *testing.T) {
+	e := sim.NewEnv(1)
+	c := New(e)
+	f := c.Register("f", blockdev.New(e, blockdev.NVMeLocal()), 100)
+	e.Go("p", func(p *sim.Proc) { c.ReadRange(p, f, 60, 10, blockdev.PrefetchRead) })
+	e.Run()
+	c.Populate(f)
+	if got := c.Stats().PopulatedPages; got != 100 || c.ResidentPages(f) != 100 || c.totalPages != 100 {
+		t.Fatalf("populated %d (10 read + Populate), resident %d, total %d; want 100 each", got, c.ResidentPages(f), c.totalPages)
+	}
+	if w := c.ResidentWords(f); w[1] != 1<<36-1 {
+		t.Fatalf("second word %#x, want pages 64..99 and nothing past them", w[1])
+	}
+}
+
 func TestReadRangeSkipsResident(t *testing.T) {
 	e, c, f := newCache(t)
 	e.Go("p", func(p *sim.Proc) {
@@ -420,5 +438,24 @@ func TestUnlimitedCacheNeverEvicts(t *testing.T) {
 	e.Run()
 	if c.Stats().Evictions != 0 || c.ResidentPages(f) != 4096 {
 		t.Fatalf("unlimited cache evicted: %+v", c.Stats())
+	}
+}
+
+// TestEvictionStopsAtInFlightPages: pages made resident before the
+// limit was set have no FIFO entry, so the queue can hold nothing but
+// the page being read; eviction gives up on it instead of re-queueing
+// it forever, and the next insert retries.
+func TestEvictionStopsAtInFlightPages(t *testing.T) {
+	e := sim.NewEnv(1)
+	c := New(e)
+	d := blockdev.New(e, blockdev.NVMeLocal())
+	a, b := c.Register("a", d, 64), c.Register("b", d, 64)
+	c.Populate(a)
+	c.SetLimit(1)
+	e.Go("p", func(p *sim.Proc) { c.FaultRead(p, b, 0, blockdev.FaultRead) })
+	e.Run()
+	// The fault reads pages 0..3 of b; each insert evicts the one before.
+	if c.Stats().Evictions != 3 || !c.IsResident(b, 3) || c.ResidentPages(a) != 64 {
+		t.Fatalf("evictions %d, b:3 resident %v, a resident %d; want 3, true, 64", c.Stats().Evictions, c.IsResident(b, 3), c.ResidentPages(a))
 	}
 }

@@ -54,7 +54,7 @@ func TestPropertyResidencyConsistent(t *testing.T) {
 			}
 		})
 		env.Run()
-		if len(c.inflight) != 0 {
+		if len(file.flights) != 0 {
 			return false
 		}
 		return ok

@@ -317,7 +317,18 @@ func (p *Proc) Sleep(d time.Duration) {
 		// processes scheduled at the same instant a chance to run first.
 		d = 0
 	}
-	p.env.post(p.token(), p.env.now+d, wakeTimer)
+	e := p.env
+	at := e.now + d
+	if len(e.events) == 0 || at < e.events[0].at {
+		// Nothing can run before the wake, and the wake can never tie
+		// with a queued event, so it is delivered in place: the clock
+		// advances and the park counts as delivered, as if posted and
+		// popped at once.
+		e.now = at
+		p.gen++
+		return
+	}
+	e.post(p.token(), at, wakeTimer)
 	p.park()
 }
 

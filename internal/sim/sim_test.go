@@ -36,6 +36,41 @@ func TestZeroSleepIsSchedulingPoint(t *testing.T) {
 	}
 }
 
+// TestLoneSleepSkipsTheHeap: sleeps that end before anything queued
+// advance the clock without posting, and Work still counts each.
+func TestLoneSleepSkipsTheHeap(t *testing.T) {
+	e := NewEnv(1)
+	e.Go("lone", func(p *Proc) {
+		for i := 0; i < 5; i++ {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	e.Run()
+	if events, _ := e.Work(); e.seq != 1 || events != 6 || e.Now() != 5*time.Microsecond {
+		t.Fatalf("posted %d, delivered %d events, clock %v; want 1 (the start), 6, 5µs", e.seq, events, e.Now())
+	}
+}
+
+// TestSleepToAQueuedInstantRunsAfterIt: a sleep that ends exactly when
+// a queued event is due goes through the heap and wakes after it.
+func TestSleepToAQueuedInstantRunsAfterIt(t *testing.T) {
+	e := NewEnv(1)
+	var order []string
+	e.Go("a", func(p *Proc) {
+		p.Sleep(2 * time.Microsecond)
+		order = append(order, "a")
+	})
+	e.Go("b", func(p *Proc) {
+		p.Sleep(time.Microsecond) // before a's wake: in place
+		p.Sleep(time.Microsecond) // ties with a's wake
+		order = append(order, "b")
+	})
+	e.Run()
+	if len(order) != 2 || order[0] != "a" {
+		t.Fatalf("order = %v, want [a b]", order)
+	}
+}
+
 func TestSequentialOrdering(t *testing.T) {
 	e := NewEnv(1)
 	var order []int
