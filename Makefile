@@ -75,11 +75,11 @@ bench-check:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
 # One iteration of every Benchmark* function in the DES kernel, the
-# processor-sharing CPU, the page cache, the 36 paper cells of
-# internal/core, the gateway's placement and the daemon's chunk plane
-# (record and eager sync): no timing is compared, but a benchmark that
-# panics, hangs or no longer compiles fails here rather than when
-# someone profiles.
+# processor-sharing CPU, the page cache, internal/core's 36 paper cells
+# (BenchmarkPaperCells) and 16 burst cells (BenchmarkBurstCells), the
+# gateway's placement and the daemon's chunk plane (record and eager
+# sync): no timing is compared, but a benchmark that panics, hangs or
+# no longer compiles fails here rather than when someone profiles.
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/cpu ./internal/pagecache ./internal/core ./internal/gateway ./internal/daemon
 

@@ -25,6 +25,12 @@ type BurstResult struct {
 // single-flight FaaSnap loading); otherwise each VM gets its own copy
 // of the snapshot files, as bursts of different applications would.
 func RunBurst(cfg HostConfig, arts *Artifacts, mode Mode, in workload.Input, parallel int, sameSnapshot bool) BurstResult {
+	br, _ := runBurst(cfg, arts, mode, in, parallel, sameSnapshot)
+	return br
+}
+
+// runBurst is RunBurst, also returning the environment it ran in.
+func runBurst(cfg HostConfig, arts *Artifacts, mode Mode, in workload.Input, parallel int, sameSnapshot bool) (BurstResult, *sim.Env) {
 	h := NewHost(cfg)
 	deps := make([]*Deployment, parallel)
 	if sameSnapshot {
@@ -48,7 +54,7 @@ func RunBurst(cfg HostConfig, arts *Artifacts, mode Mode, in workload.Input, par
 
 	br := BurstResult{Mode: mode, Parallel: parallel, Same: sameSnapshot, Results: results}
 	br.Mean, br.Std = meanStd(results)
-	return br
+	return br, h.Env
 }
 
 // RunMixedBurst launches parallel simultaneous invocations drawn

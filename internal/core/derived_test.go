@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"faasnap/internal/sim"
 	"faasnap/internal/snapshot"
@@ -228,5 +229,29 @@ func TestInvokeSwitchBudget(t *testing.T) {
 		if handoffs > c.handoffs {
 			t.Errorf("%v makes %d goroutine hand-offs, budget %d", c.mode, handoffs, c.handoffs)
 		}
+	}
+}
+
+// TestBurstCellWork pins the DES kernel's work and the virtual result of
+// one burst-direct cell: 16 json/B invocations in Firecracker mode, each
+// VM on its own snapshot files, contending for the host's cores through
+// cpu.PS. The processor-sharing share moves at every start and end of a
+// compute burst, so the cell checks that each broadcast reaches its
+// waiters in order and re-arms every timer under the key it had when
+// each signal was a heap event of its own.
+func TestBurstCellWork(t *testing.T) {
+	arts := artifactsFor(t, "json")
+	br, env := runBurst(DefaultHostConfig(), arts, ModeFirecracker, arts.Fn.B, 16, false)
+	events, handoffs := env.Work()
+	var total time.Duration
+	for _, r := range br.Results {
+		total += r.Total
+	}
+	t.Logf("%d events, %d hand-offs, Σ total %v", events, handoffs, total)
+	if events != 871713 || handoffs != 144501 {
+		t.Errorf("%d events and %d hand-offs, want exactly 871713 and 144501", events, handoffs)
+	}
+	if want := 5632752337 * time.Nanosecond; total != want {
+		t.Errorf("Σ total = %v, want exactly %v", total, want)
 	}
 }

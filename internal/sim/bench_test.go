@@ -16,9 +16,6 @@ func BenchmarkEventThroughput(b *testing.B) {
 	c, t := NewCond(e), &ticker{}
 	e.Go("sleeper", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			if i%1024 == 0 {
-				c.Broadcast() // drops the ticks' spent tokens from c
-			}
 			p.Sleep(time.Microsecond)
 		}
 		t.stop = true

@@ -110,7 +110,6 @@ func TestWaitTimeoutLeavesNoStaleTimers(t *testing.T) {
 	const waiters = 16
 	e := NewEnv(1)
 	c := NewCond(e)
-	parked := 0
 	for i := 0; i < waiters; i++ {
 		e.Go("waiter", func(p *Proc) {
 			for k := 0; k < 500; k++ {
@@ -120,25 +119,112 @@ func TestWaitTimeoutLeavesNoStaleTimers(t *testing.T) {
 				if k%2 == 0 {
 					d = 10 * time.Millisecond
 				}
-				parked++
 				c.WaitTimeout(p, d)
-				parked--
 			}
 		})
 	}
 	e.Go("broadcaster", func(p *Proc) {
 		for k := 0; k < 1000; k++ {
 			p.Sleep(2 * time.Microsecond)
-			pending := parked // each parked waiter gets one signal
 			c.Broadcast()
-			// One timer per live process plus the signals just posted.
-			if n, bound := len(e.events), waiters+1+pending; n > bound {
+			// One timer per live process plus the one batch just posted.
+			if n, bound := len(e.events), waiters+2; n > bound {
 				t.Errorf("at %v: %d queued events, want at most %d", p.Now(), n, bound)
 				return
 			}
 		}
 	})
 	e.Run()
+}
+
+// TestBroadcastDeliversInWaiterOrder broadcasts to three WaitFors: A's
+// wait is over at the signal, B's and C's go on. A is resumed first, and
+// B and C must be rechecked and re-armed at that instant before anything
+// posted after the broadcast, by the broadcaster or by A, runs; at their
+// deadline they must wake after the broadcaster, whose sleep to the same
+// instant was posted before they were re-armed.
+func TestBroadcastDeliversInWaiterOrder(t *testing.T) {
+	const at, d = 10 * time.Microsecond, 5 * time.Microsecond
+	var log []string
+	logf := func(p *Proc, msg string) { log = append(log, fmt.Sprintf("%v %s", p.Now(), msg)) }
+	e := NewEnv(1)
+	c := NewCond(e)
+	waits := []*logged{{name: "A", end: time.Hour}, {name: "B", end: at + d}, {name: "C", end: at + d}}
+	for _, w := range waits {
+		w.env, w.log = e, &log
+		e.Go(w.name, func(p *Proc) {
+			c.WaitFor(p, w)
+			logf(p, w.name+" woke")
+			if w.name == "A" {
+				p.Sleep(0)
+				logf(p, "A yielded")
+			}
+		})
+	}
+	e.Go("broadcaster", func(p *Proc) {
+		p.Sleep(at)
+		waits[0].end = at
+		c.Broadcast()
+		e.Go("probe", func(q *Proc) { logf(q, "probe started") })
+		p.Sleep(d)
+		logf(p, "broadcaster woke")
+	})
+	e.Run()
+	want := []string{
+		"0s recheck A", "0s recheck B", "0s recheck C",
+		"10µs recheck A", "10µs A woke",
+		"10µs recheck B", "10µs recheck C",
+		"10µs probe started", "10µs A yielded",
+		"15µs broadcaster woke",
+		"15µs recheck B", "15µs B woke",
+		"15µs recheck C", "15µs C woke",
+	}
+	if got := strings.Join(log, "\n"); got != strings.Join(want, "\n") {
+		t.Fatalf("delivery order:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
+	}
+}
+
+// logged is a Recheck whose wait is over at end, and which logs each call.
+type logged struct {
+	name string
+	env  *Env
+	end  Time
+	log  *[]string
+}
+
+func (l *logged) Recheck() time.Duration {
+	*l.log = append(*l.log, fmt.Sprintf("%v recheck %s", l.env.Now(), l.name))
+	return l.end - l.env.Now()
+}
+
+// TestTimedOutWaitsLeaveNoTokens lets one WaitFor time out and re-arm
+// 10 000 times with no broadcast in between: the condition must keep no
+// pile of spent tokens, and the ticks must allocate nothing.
+func TestTimedOutWaitsLeaveNoTokens(t *testing.T) {
+	const ticks = 10000
+	e := NewEnv(1)
+	c, tk := NewCond(e), &ticker{}
+	e.Go("ticker", func(p *Proc) { c.WaitFor(p, tk) })
+	var before, after runtime.MemStats
+	most := 0
+	e.Go("watcher", func(p *Proc) {
+		// Checks halfway between ticks, from after the first re-arm.
+		p.Sleep(time.Microsecond + time.Microsecond/2)
+		runtime.ReadMemStats(&before)
+		for i := 0; i < ticks; i++ {
+			most = max(most, len(c.waiters))
+			p.Sleep(time.Microsecond)
+		}
+		runtime.ReadMemStats(&after)
+		tk.stop = true
+	})
+	e.Run()
+	if most > 1 {
+		t.Errorf("%d tokens on the condition, want at most 1", most)
+	}
+	if b := after.TotalAlloc - before.TotalAlloc; b != 0 {
+		t.Errorf("%d ticks allocated %d B, want 0", ticks, b)
+	}
 }
 
 // deadline is a Recheck whose wait is over at a fixed instant.

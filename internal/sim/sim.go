@@ -11,6 +11,8 @@
 // control straight to the process it wakes, carries on when the wake is
 // its own, and decides a Cond.WaitFor's wake on its own stack. Ties in
 // event time are broken by a monotonically increasing sequence number.
+// A Cond.Broadcast is one heap event, delivered token by token, exactly
+// as one event per waiter would have been.
 //
 // Virtual time is represented as time.Duration since the start of the
 // run; no real time passes while a simulation executes.
@@ -19,6 +21,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 )
 
@@ -34,6 +37,7 @@ const (
 	wakeSignal
 	wakeStart
 	wakeKill
+	wakeBatch // a Cond's broadcast: proc is its proxy, gen where it ends
 )
 
 // token names one park of one process. A parked process may be
@@ -173,37 +177,88 @@ func (e *Env) remove(i int) {
 }
 
 // next pops the next deliverable event, advances the clock to it and
-// delivers it: the woken process's other tokens go stale, its pending
-// timeout, if a signal beat it, leaves the heap, and a WaitFor not yet
-// done parks again. It returns a nil process once the queue has drained.
+// delivers it: the woken process's other tokens go stale, and a WaitFor
+// not yet done parks again. It returns a nil process once the queue has
+// drained.
 func (e *Env) next() (*Proc, waitKind) {
 	for len(e.events) > 0 {
 		ev := e.events[0]
-		e.remove(0)
 		p := ev.proc
+		if ev.kind == wakeBatch {
+			if q := e.deliver(p.cond, int(ev.gen)); q != nil {
+				return q, wakeSignal
+			}
+			continue
+		}
 		if p.gen != ev.gen {
-			continue // a rival wake of the same park came first
+			e.remove(0) // a rival wake of the same park came first
+			continue
 		}
 		p.gen++
-		if ev.kind == wakeTimer {
-			p.timer = -1
+		if ev.at > e.now {
+			e.now = ev.at
+		}
+		if e.rearm(p) {
+			continue
+		}
+		e.remove(0)
+		p.timer = -1 // the wake was p's timer, or p had none
+		return p, ev.kind
+	}
+	return nil, 0
+}
+
+// deliver hands out c's batch at the heap's root (up to c.sent[end]) as
+// its signals, which had consecutive sequence numbers, would have popped
+// one by one. The first process to wake loses its timer and is returned;
+// the rest of the batch stays at the root under its key, before every
+// timer rearm moves (those lie later than now).
+func (e *Env) deliver(c *Cond, end int) (p *Proc) {
+	for p == nil && c.head < end {
+		w := c.sent[c.head]
+		c.head++
+		if !w.live() {
+			continue // a rival wake of the same park came first
+		}
+		p = w.proc
+		p.gen++
+		if e.rearm(p) {
+			p = nil
 		} else if p.timer >= 0 {
 			e.remove(p.timer)
 			p.timer = -1
 		}
-		if ev.at > e.now {
-			e.now = ev.at
-		}
-		if p.recheck != nil {
-			if d := p.recheck.Recheck(); d > 0 {
-				p.cond.arm(p, d)
-				continue
-			}
-			p.recheck, p.cond = nil, nil
-		}
-		return p, ev.kind
 	}
-	return nil, 0
+	if c.head == end {
+		e.remove(0) // the batch is spent
+		if end == len(c.sent) {
+			c.sent, c.head = c.sent[:0], 0
+		}
+	}
+	return p
+}
+
+// rearm decides a delivered wake of p if p is in a WaitFor: a wait not
+// yet over parks again, its timer moved in place under the key a remove
+// and a fresh post would give it. It reports whether p parked again.
+func (e *Env) rearm(p *Proc) bool {
+	if p.recheck == nil {
+		return false
+	}
+	d := p.recheck.Recheck()
+	if d <= 0 {
+		p.recheck, p.cond = nil, nil
+		return false
+	}
+	w := p.token()
+	p.cond.add(w)
+	e.seq++
+	i := p.timer
+	e.events[i] = event{at: e.now + d, seq: e.seq, token: w, kind: wakeTimer}
+	if e.down(i) == i {
+		e.up(i)
+	}
+	return true
 }
 
 // handoff transfers control to q with wake k, or tells Run that the
@@ -413,19 +468,41 @@ func (ev *Event) Wait(p *Proc) {
 type Cond struct {
 	env     *Env
 	waiters []token
+	sent    []token // broadcast tokens from sent[head] on, oldest batch first
+	head    int
+	proxy   Proc // names c in the heap events of its batches
 }
 
 // NewCond returns a condition in env.
-func NewCond(env *Env) *Cond { return &Cond{env: env} }
+func NewCond(env *Env) *Cond {
+	c := &Cond{env: env}
+	c.proxy.cond = c
+	return c
+}
 
-// Broadcast wakes every process currently waiting on the condition.
+// Broadcast wakes every process currently waiting on the condition. Its
+// live tokens go out as one batch: one heap event, delivered token by
+// token when it reaches the root.
 func (c *Cond) Broadcast() {
+	n := len(c.sent)
 	for _, w := range c.waiters {
 		if w.live() {
-			c.env.post(w, c.env.now, wakeSignal)
+			c.sent = append(c.sent, w)
 		}
 	}
 	c.waiters = c.waiters[:0]
+	if len(c.sent) > n {
+		c.env.post(token{proc: &c.proxy, gen: uint64(len(c.sent))}, c.env.now, wakeBatch)
+	}
+}
+
+// add registers w as a waiter. A full list first drops the stale tokens
+// of waits a timeout ended, so repeated timeouts leave no pile behind.
+func (c *Cond) add(w token) {
+	if len(c.waiters) == cap(c.waiters) {
+		c.waiters = slices.DeleteFunc(c.waiters, func(v token) bool { return !v.live() })
+	}
+	c.waiters = append(c.waiters, w)
 }
 
 // Wait parks p until the next Broadcast.
@@ -460,6 +537,6 @@ func (c *Cond) WaitTimeout(p *Proc, d time.Duration) bool {
 // arm registers p's next park with c and with a timeout d.
 func (c *Cond) arm(p *Proc, d time.Duration) {
 	w := p.token()
-	c.waiters = append(c.waiters, w)
+	c.add(w)
 	c.env.post(w, c.env.now+d, wakeTimer)
 }
