@@ -130,6 +130,7 @@ fuzz:
 	$(GO) test ./internal/kvstore/ -fuzz FuzzReadCommand -fuzztime 30s -run XXX
 	$(GO) test ./internal/snapfile/ -fuzz FuzzRead -fuzztime 30s -run XXX
 	$(GO) test ./internal/workload/ -fuzz FuzzParseSpec -fuzztime 30s -run XXX
+	$(GO) test ./internal/casstore/ -fuzz FuzzPackTrailer -fuzztime 30s -run XXX
 
 clean:
 	rm -rf figures

@@ -46,6 +46,7 @@ type FS interface {
 // directory's entries.
 type File interface {
 	io.ReadWriteCloser
+	io.ReaderAt
 	Sync() error
 	Name() string
 }
@@ -123,31 +124,59 @@ func on(path string) FS {
 // *.tmp suffix the recovery sweeps match and is removed on every error.
 // Dying before the rename leaves the commit invisible; dying after it
 // leaves a file that is complete if it survived at all.
-func Write(path string, write func(io.Writer) error) (err error) {
-	fsys, dir := on(path), filepath.Dir(path)
-	f, err := fsys.CreateTemp(dir, filepath.Base(path)+".*.tmp")
+func Write(path string, write func(io.Writer) error) error {
+	p, err := Create(path)
 	if err != nil {
 		return err
 	}
-	tmp := f.Name()
-	defer func() {
-		if err != nil {
-			fsys.Remove(tmp)
-		}
-	}()
-	if err = write(f); err == nil {
-		err = f.Sync()
+	if err := write(p); err != nil {
+		p.Abort()
+		return err
 	}
-	if cerr := f.Close(); err == nil {
+	return p.Commit()
+}
+
+// Pending is Write taken apart, for a writer that appends from several
+// goroutines: the temp file of a commit to path, written directly,
+// invisible until Commit and gone after Abort.
+type Pending struct {
+	File
+	fsys FS
+	path string
+}
+
+// Create starts a commit to path by creating its temp file.
+func Create(path string) (*Pending, error) {
+	fsys := on(path)
+	f, err := fsys.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return nil, err
+	}
+	return &Pending{File: f, fsys: fsys, path: path}, nil
+}
+
+// Commit flushes and closes the temp file, renames it onto its path and
+// flushes the directory (see Write); on failure the temp file is gone.
+func (p *Pending) Commit() (err error) {
+	tmp := p.Name()
+	err = p.Sync()
+	if cerr := p.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = p.fsys.Rename(tmp, p.path)
+	}
 	if err != nil {
+		p.fsys.Remove(tmp)
 		return err
 	}
-	if err = fsys.Rename(tmp, path); err != nil {
-		return err
-	}
-	return syncDir(fsys, dir)
+	return syncDir(p.fsys, filepath.Dir(p.path))
+}
+
+// Abort closes and removes the temp file.
+func (p *Pending) Abort() {
+	p.Close()
+	p.fsys.Remove(p.Name())
 }
 
 func syncDir(fsys FS, dir string) error {
@@ -201,8 +230,8 @@ func Remove(path string) error                   { return on(path).Remove(path) 
 // file, that is durable once the file is next synced.
 func Truncate(path string, size int64) error { return on(path).Truncate(path, size) }
 
-// Exists reports whether anything is at path.
-func Exists(path string) bool {
+// exists reports whether anything is at path.
+func exists(path string) bool {
 	_, err := on(path).Lstat(path)
 	return err == nil
 }
@@ -243,7 +272,7 @@ func Quarantine(stateDir, base, src string, raw []byte) (string, error) {
 		return "", err
 	}
 	fsys, dst := on(qdir), filepath.Join(qdir, base)
-	for i := 2; Exists(dst); i++ {
+	for i := 2; exists(dst); i++ {
 		dst = fmt.Sprintf("%s.%d", filepath.Join(qdir, base), i)
 	}
 	if src != "" {

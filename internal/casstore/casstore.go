@@ -8,20 +8,29 @@
 //
 // Chunks live in two tiers under <state-dir>/cas:
 //
-//	chunks/<aa>/<digest>     local tier: raw bytes, fsync-disciplined
-//	cold/<aa>/<digest>.z     cold tier: DEFLATE-compressed, modeled
-//	                         remote latency (internal/blockdev profile)
+//	packs/<seq>.pack         local tier: the chunks one record, sync or
+//	                         GC rewrite added, back to back, and a
+//	                         trailer listing them (pack.go)
+//	cold/<aa>/<digest>.z     cold tier: one DEFLATE-compressed file per
+//	                         chunk, modeled remote latency
+//	                         (internal/blockdev profile)
 //
-// A chunk commit is the same durable write as a snapfile's
-// (atomicfile.Write): temp-file write, file fsync, rename to the digest
-// name, parent-dir fsync. A committed chunk is therefore complete or
-// absent — and because the name is the content hash, Get re-verifies
-// the digest and quarantines (never serves) a chunk that rotted on disk.
+// A pack commit is the same durable write as a snapfile's (one temp
+// file, one fsync, one rename, one directory fsync), and its chunks join
+// the in-memory index (digest → pack section, or cold file) only once it
+// is done; Open rebuilds the index from the pack trailers, whose CRC
+// catches a trailer that rotted, and the cold tier's names. Get reads
+// one section and re-verifies it against its digest: a chunk that
+// rotted on disk is copied into quarantine/ and dropped from the index,
+// never served.
 //
 // The store is refcount-free on the write path: chunks are shared, so
 // deletes only remove references (snapfiles); GC takes the live digest
 // set from the caller — computed from the manifest's live chunk maps,
-// honoring delete tombstones — and removes everything else.
+// honoring delete tombstones — and drops everything else. A pack holding
+// any byte the index does not serve from it (a dead, duplicated,
+// demoted or quarantined chunk) is removed, or rewritten as a new pack,
+// so what GC leaves is exact and reads the same after a restart.
 package casstore
 
 import (
@@ -35,6 +44,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -120,9 +130,14 @@ type Store struct {
 	// the control plane stays fast while the cost is visible.
 	cold blockdev.Profile
 
-	// mu excludes GC/demotion from concurrent puts and gets; the write
-	// path itself is lock-free between rename-based commits.
+	// mu excludes GC and demotion, which remove files, from reads.
 	mu sync.RWMutex
+	// imu guards the index; it is never held across a disk operation.
+	imu    sync.RWMutex
+	chunks map[Digest]loc
+	packs  map[string]*packFile
+	seq    atomic.Uint64 // the last pack number taken
+	bufs   sync.Pool     // *[]byte for Serve
 
 	fetchLocal  *telemetry.Histogram
 	fetchCold   *telemetry.Histogram
@@ -134,6 +149,18 @@ type Store struct {
 	bytesCold   *telemetry.Gauge
 
 	onQuarantine atomic.Pointer[func(d Digest, tier Tier)]
+}
+
+// loc is where the index finds a chunk: a section of a pack, or (pack "")
+// a cold-tier file of n compressed bytes.
+type loc struct {
+	pack   string
+	off, n int64
+}
+
+type packFile struct {
+	size    int64
+	entries []entry
 }
 
 // SetOnQuarantine installs a callback invoked whenever a corrupt chunk
@@ -148,14 +175,17 @@ func (s *Store) SetOnQuarantine(fn func(d Digest, tier Tier)) {
 }
 
 // Open opens the chunk store under stateDir, registering its metric
-// families on reg (nil for none). It creates nothing: a tier's
-// directories are made, and flushed into their parents, with its first
-// chunk.
+// families on reg (nil for none), and indexes what it holds. It creates
+// nothing but evidence: a tier's directories are made, and flushed into
+// their parents, with its first chunk, and a pack whose trailer does not
+// decode is moved to quarantine/.
 func Open(stateDir string, reg *telemetry.Registry) (*Store, error) {
 	s := &Store{
-		dir:   filepath.Join(stateDir, "cas"),
-		state: stateDir,
-		cold:  blockdev.EBSRemote(),
+		dir:    filepath.Join(stateDir, "cas"),
+		state:  stateDir,
+		cold:   blockdev.EBSRemote(),
+		chunks: map[Digest]loc{},
+		packs:  map[string]*packFile{},
 	}
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -178,74 +208,130 @@ func Open(stateDir string, reg *telemetry.Registry) (*Store, error) {
 		"On-disk chunk bytes, by tier (cold is compressed).", telemetry.L("tier", "local"))
 	s.bytesCold = reg.Gauge("faasnap_cas_bytes",
 		"On-disk chunk bytes, by tier (cold is compressed).", telemetry.L("tier", "cold"))
-	s.refreshGauges()
-	return s, nil
+	return s, s.load()
 }
 
-func (s *Store) localDir() string { return filepath.Join(s.dir, "chunks") }
+// load indexes the packs in name order, so the newest copy of a chunk
+// wins, then the cold tier, which wins over any pack: a chunk demoted
+// before a crash is cold, whatever copy a pack still holds.
+func (s *Store) load() error {
+	des, err := atomicfile.ReadDir(s.localDir())
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	for _, de := range des {
+		num, ok := strings.CutSuffix(de.Name(), ".pack")
+		seq, err := strconv.ParseUint(num, 16, 64)
+		if !ok || len(num) != 16 || err != nil {
+			continue // a temp file: sweep fodder
+		}
+		s.seq.Store(max(s.seq.Load(), seq))
+		path := s.packPath(de.Name())
+		info, err := de.Info()
+		if err != nil {
+			return err
+		}
+		f, err := atomicfile.Open(path)
+		if err != nil {
+			return err
+		}
+		entries, err := decodeTrailer(f, info.Size())
+		f.Close()
+		if err != nil {
+			if _, err := atomicfile.Quarantine(s.state, "pack-"+de.Name(), path, nil); err != nil {
+				return err
+			}
+			s.quarantined.Inc()
+			continue
+		}
+		s.install(de.Name(), info.Size(), entries)
+	}
+	err = atomicfile.Walk(s.coldDir(), func(path string, de fs.DirEntry) error {
+		d, perr := ParseDigest(strings.TrimSuffix(de.Name(), ".z"))
+		if info, ierr := de.Info(); perr == nil && ierr == nil {
+			s.chunks[d] = loc{n: info.Size()} // nothing else holds s yet
+		}
+		return nil
+	})
+	s.refreshGauges()
+	return err
+}
+
+func (s *Store) localDir() string { return filepath.Join(s.dir, "packs") }
 func (s *Store) coldDir() string  { return filepath.Join(s.dir, "cold") }
 
-func (s *Store) localPath(d Digest) string {
-	h := d.String()
-	return filepath.Join(s.localDir(), h[:2], h)
-}
+func (s *Store) packPath(name string) string { return filepath.Join(s.localDir(), name) }
 
 func (s *Store) coldPath(d Digest) string {
 	h := d.String()
 	return filepath.Join(s.coldDir(), h[:2], h+".z")
 }
 
-// Has reports whether the digest is stored in either tier.
-func (s *Store) Has(d Digest) bool {
-	return atomicfile.Exists(s.localPath(d)) || atomicfile.Exists(s.coldPath(d))
+// edit changes the index under its lock, then the gauges.
+func (s *Store) edit(change func()) {
+	s.imu.Lock()
+	change()
+	s.imu.Unlock()
+	s.refreshGauges()
 }
 
-// Put stores data under its own digest — hashed once, here — returning
-// the digest and whether it was already present (a dedup hit). The
-// commit is atomic and durable; concurrent puts of the same digest are
-// benign — both write identical bytes and rename to the same name.
+// install indexes a committed pack: each chunk is served from it unless
+// the cold tier holds that chunk.
+func (s *Store) install(name string, size int64, entries []entry) {
+	s.edit(func() {
+		s.packs[name] = &packFile{size: size, entries: entries}
+		for _, e := range entries {
+			if l, ok := s.chunks[e.d]; !ok || l.pack != "" {
+				s.chunks[e.d] = loc{name, e.off, e.n}
+			}
+		}
+	})
+}
+
+func (s *Store) lookup(d Digest) (loc, bool) {
+	s.imu.RLock()
+	defer s.imu.RUnlock()
+	l, ok := s.chunks[d]
+	return l, ok
+}
+
+// Has reports whether the digest is stored in either tier.
+func (s *Store) Has(d Digest) bool {
+	_, ok := s.lookup(d)
+	return ok
+}
+
+// Digests lists every chunk the store serves, in no particular order.
+func (s *Store) Digests() []Digest {
+	s.imu.RLock()
+	defer s.imu.RUnlock()
+	out := make([]Digest, 0, len(s.chunks))
+	for d := range s.chunks {
+		out = append(out, d)
+	}
+	return out
+}
+
+// Put stores data under its own digest as a one-chunk pack, returning
+// the digest and whether it was already present (a dedup hit).
 func (s *Store) Put(data []byte) (Digest, bool, error) {
-	d := Sum(data)
-	existed, err := s.put(d, data)
+	p := s.NewPack()
+	d, existed, err := p.Put(data)
+	if _, cerr := p.Commit(); err == nil {
+		err = cerr
+	}
 	return d, existed, err
 }
 
-// PutDigest stores data that must hash to d — the receive path for
-// chunks fetched from a peer, where a transfer corruption has to be
-// rejected before the bytes are committed under a trusted name.
+// PutDigest stores data that must hash to d as a one-chunk pack; see
+// Pack.PutDigest.
 func (s *Store) PutDigest(d Digest, data []byte) (bool, error) {
-	if got := Sum(data); got != d {
-		return false, fmt.Errorf("%w: payload hashes to %s, expected %s", ErrCorrupt, got, d)
+	p := s.NewPack()
+	existed, err := p.PutDigest(d, data)
+	if _, cerr := p.Commit(); err == nil {
+		err = cerr
 	}
-	return s.put(d, data)
-}
-
-// put commits data, which hashes to d, under d.
-func (s *Store) put(d Digest, data []byte) (bool, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.Has(d) {
-		s.dedupHits.Inc()
-		return true, nil
-	}
-	final := s.localPath(d)
-	if err := atomicfile.MkdirAll(filepath.Dir(final)); err != nil {
-		return false, err
-	}
-	if err := commit(final, data); err != nil {
-		return false, err
-	}
-	s.chunksLocal.Inc()
-	s.bytesLocal.Add(float64(len(data)))
-	return false, nil
-}
-
-// commit makes data durable under path (atomicfile.Write).
-func commit(path string, data []byte) error {
-	return atomicfile.Write(path, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
+	return existed, err
 }
 
 // Get returns a chunk's bytes and the tier that served it, verifying
@@ -253,85 +339,161 @@ func commit(path string, data []byte) error {
 // returns ErrCorrupt — damaged content is evidence, never a response.
 // Cold-tier reads decompress and report the modeled remote-fetch
 // latency on the tier's histogram.
-func (s *Store) Get(d Digest) ([]byte, Tier, error) {
+func (s *Store) Get(d Digest) ([]byte, Tier, error) { return s.read(d, nil) }
+
+// Serve is Get into a pooled buffer: fn is called with the verified
+// bytes, which are reused once it returns.
+func (s *Store) Serve(d Digest, fn func(data []byte, tier Tier)) error {
+	bp, _ := s.bufs.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	defer s.bufs.Put(bp)
+	data, tier, err := s.read(d, *bp)
+	if err != nil {
+		return err
+	}
+	*bp = data
+	fn(data, tier)
+	return nil
+}
+
+// read is Get into buf, grown if short.
+func (s *Store) read(d Digest, buf []byte) ([]byte, Tier, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	start := time.Now()
-	raw, lerr := atomicfile.ReadFile(s.localPath(d))
-	if lerr == nil {
-		if Sum(raw) != d {
-			s.quarantineChunk(s.localPath(d), d, int64(len(raw)), TierLocal)
-			return nil, TierLocal, fmt.Errorf("%w: %s (local tier)", ErrCorrupt, d)
-		}
-		s.fetchLocal.Observe(time.Since(start))
-		return raw, TierLocal, nil
+	l, ok := s.lookup(d)
+	if !ok {
+		return nil, TierLocal, fmt.Errorf("%w: %s", ErrNotFound, d)
 	}
-	if !errors.Is(lerr, fs.ErrNotExist) {
-		// A present-but-unreadable local chunk (EACCES, I/O error) is a
-		// read failure, not absence — falling through to the cold tier
-		// would misreport it as ErrNotFound.
-		return nil, TierLocal, fmt.Errorf("casstore: read chunk %s: %w", d, lerr)
+	if l.pack == "" {
+		return s.readCold(d, l, buf)
 	}
+	raw, err := s.section(l, &buf)
+	if err != nil {
+		return nil, TierLocal, s.readErr(d, l, err)
+	}
+	if Sum(raw) != d {
+		s.quarantine(d, l, raw)
+		return nil, TierLocal, fmt.Errorf("%w: %s (local tier)", ErrCorrupt, d)
+	}
+	s.fetchLocal.Observe(time.Since(start))
+	return raw, TierLocal, nil
+}
+
+// section reads l's bytes from its pack into *buf, grown if short.
+func (s *Store) section(l loc, buf *[]byte) ([]byte, error) {
+	if int64(cap(*buf)) < l.n {
+		*buf = make([]byte, l.n)
+	}
+	raw := (*buf)[:l.n]
+	f, err := atomicfile.Open(s.packPath(l.pack))
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return raw, readAt(f, raw, l.off)
+}
+
+func (s *Store) readCold(d Digest, l loc, buf []byte) ([]byte, Tier, error) {
 	comp, err := atomicfile.ReadFile(s.coldPath(d))
 	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil, TierLocal, fmt.Errorf("%w: %s", ErrNotFound, d)
-		}
-		return nil, TierCold, fmt.Errorf("casstore: read chunk %s: %w", d, err)
+		return nil, TierCold, s.readErr(d, l, err)
 	}
+	out := bytes.NewBuffer(buf[:0])
 	fr := flate.NewReader(bytes.NewReader(comp))
-	raw, err = io.ReadAll(fr)
+	_, err = out.ReadFrom(fr)
 	fr.Close()
-	if err != nil || Sum(raw) != d {
-		s.quarantineChunk(s.coldPath(d), d, int64(len(comp)), TierCold)
+	if err != nil || Sum(out.Bytes()) != d {
+		s.quarantine(d, l, nil)
 		return nil, TierCold, fmt.Errorf("%w: %s (cold tier)", ErrCorrupt, d)
 	}
 	// The modeled remote device: per-request latency plus the
 	// compressed payload over the profile's bandwidth.
 	s.fetchCold.Observe(s.cold.Latency +
 		time.Duration(float64(len(comp))/float64(s.cold.Bandwidth)*float64(time.Second)))
-	return raw, TierCold, nil
+	return out.Bytes(), TierCold, nil
 }
 
-// quarantineChunk moves a failed chunk into the state directory's
-// quarantine, beside snapfiles and torn journal tails. Caller holds at
-// least the read lock.
-func (s *Store) quarantineChunk(path string, d Digest, size int64, tier Tier) {
-	if _, err := atomicfile.Quarantine(s.state, "chunk-"+d.String(), path, nil); err != nil {
+// readErr reports a failed read of d at l. A file that is gone was lost
+// out of band: the index forgets what it said the file held, and d is
+// absent. Any other failure (EACCES, I/O error) of a present chunk is a
+// read failure, not absence.
+func (s *Store) readErr(d Digest, l loc, err error) error {
+	if !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("casstore: read chunk %s: %w", d, err)
+	}
+	s.edit(func() {
+		for dd, ll := range s.chunks {
+			if dd == d || l.pack != "" && ll.pack == l.pack {
+				delete(s.chunks, dd)
+			}
+		}
+		delete(s.packs, l.pack)
+	})
+	return fmt.Errorf("%w: %s", ErrNotFound, d)
+}
+
+// quarantine preserves a chunk that failed verification under the state
+// directory's quarantine/, beside snapfiles and torn journal tails, and
+// drops it from the index: a cold file is moved there, a pack section's
+// bytes, raw, copied, and the pack left for GC to rewrite.
+func (s *Store) quarantine(d Digest, l loc, raw []byte) {
+	tier, src := TierLocal, ""
+	if l.pack == "" {
+		tier, src = TierCold, s.coldPath(d)
+	}
+	if _, err := atomicfile.Quarantine(s.state, "chunk-"+d.String(), src, raw); err != nil {
 		return
 	}
+	s.edit(func() {
+		if s.chunks[d] == l {
+			delete(s.chunks, d)
+		}
+	})
 	s.quarantined.Inc()
 	if fn := s.onQuarantine.Load(); fn != nil {
 		(*fn)(d, tier)
 	}
-	if tier == TierCold {
-		s.chunksCold.Dec()
-		s.bytesCold.Add(-float64(size))
-	} else {
-		s.chunksLocal.Dec()
-		s.bytesLocal.Add(-float64(size))
-	}
 }
 
-// Demote moves a local chunk to the cold tier, compressed. Used for
-// chunks outside every live loading set — the long tail a restore
-// only needs lazily, which can pay the remote fetch cost.
+// Demote moves a local chunk to the cold tier, compressed, and removes
+// its pack if the index serves nothing else from it. Used for chunks
+// outside every live loading set — the long tail a restore only needs
+// lazily, which can pay the remote fetch cost.
 func (s *Store) Demote(d Digest) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	raw, err := atomicfile.ReadFile(s.localPath(d))
-	if err != nil {
-		if atomicfile.Exists(s.coldPath(d)) {
-			return nil // already cold
-		}
+	l, ok := s.lookup(d)
+	switch {
+	case !ok:
 		return fmt.Errorf("%w: %s", ErrNotFound, d)
+	case l.pack == "":
+		return nil // already cold
+	}
+	if err := s.demote(d, l, new([]byte)); err != nil {
+		return err
+	}
+	if keep, _ := s.serving(l.pack); len(keep) == 0 {
+		return s.removePack(l.pack)
+	}
+	return nil
+}
+
+// demote commits d's cold copy, then points the index at it: a crash
+// before that leaves the chunk in its pack. Caller holds mu.
+func (s *Store) demote(d Digest, l loc, buf *[]byte) error {
+	raw, err := s.section(l, buf)
+	if err != nil {
+		return err
 	}
 	if Sum(raw) != d {
-		s.quarantineChunk(s.localPath(d), d, int64(len(raw)), TierLocal)
+		s.quarantine(d, l, raw)
 		return fmt.Errorf("%w: %s", ErrCorrupt, d)
 	}
-	var buf bytes.Buffer
-	zw, err := flate.NewWriter(&buf, flate.BestSpeed)
+	var comp bytes.Buffer
+	zw, err := flate.NewWriter(&comp, flate.BestSpeed)
 	if err != nil {
 		return err
 	}
@@ -345,145 +507,162 @@ func (s *Store) Demote(d Digest) error {
 	if err := atomicfile.MkdirAll(filepath.Dir(final)); err != nil {
 		return err
 	}
-	// Only after the cold copy is durable — file and directory entry
-	// both — does the local copy go; a crash before this point leaves
-	// the chunk present in at least one tier.
-	if err := commit(final, buf.Bytes()); err != nil {
+	if err := atomicfile.Write(final, func(w io.Writer) error {
+		_, err := w.Write(comp.Bytes())
+		return err
+	}); err != nil {
 		return err
 	}
-	if err := atomicfile.Remove(s.localPath(d)); err != nil {
-		return err
-	}
-	s.chunksLocal.Dec()
-	s.bytesLocal.Add(-float64(len(raw)))
-	s.chunksCold.Inc()
-	s.bytesCold.Add(float64(buf.Len()))
+	s.edit(func() { s.chunks[d] = loc{n: int64(comp.Len())} })
 	return nil
 }
 
-// tierEntry is one stored chunk found by a walk.
-type tierEntry struct {
-	digest Digest
-	path   string
-	size   int64
-	tier   Tier
-}
-
-// walk lists every committed chunk in both tiers. Temp files and
-// undecodable names are skipped — they are sweep fodder, not chunks.
-func (s *Store) walk() ([]tierEntry, error) {
-	var out []tierEntry
-	for _, t := range []struct {
-		dir  string
-		tier Tier
-	}{{s.localDir(), TierLocal}, {s.coldDir(), TierCold}} {
-		err := atomicfile.Walk(t.dir, func(path string, de fs.DirEntry) error {
-			name := de.Name()
-			if strings.HasSuffix(name, ".tmp") {
-				return nil
-			}
-			d, perr := ParseDigest(strings.TrimSuffix(name, ".z"))
-			if perr != nil {
-				return nil
-			}
-			info, serr := de.Info()
-			if serr != nil {
-				return nil
-			}
-			out = append(out, tierEntry{digest: d, path: path, size: info.Size(), tier: t.tier})
-			return nil
-		})
-		if err != nil {
-			return nil, err
+// serving returns the entries of pack name the index serves from it,
+// and the pack.
+func (s *Store) serving(name string) (keep []entry, p *packFile) {
+	s.imu.RLock()
+	defer s.imu.RUnlock()
+	p = s.packs[name]
+	for _, e := range p.entries {
+		if s.chunks[e.d] == (loc{name, e.off, e.n}) {
+			keep = append(keep, e)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		return bytes.Compare(out[i].digest[:], out[j].digest[:]) < 0
-	})
-	return out, nil
+	return keep, p
 }
 
-// Stats reports the store's physical occupancy by re-walking the tree,
-// so it is exact even across restarts.
+// removePack deletes a pack the index serves nothing from.
+func (s *Store) removePack(name string) error {
+	s.edit(func() { delete(s.packs, name) })
+	return atomicfile.Remove(s.packPath(name))
+}
+
+// Stats reports the store's physical occupancy from the index: chunks
+// by tier, the packs' size on disk and the cold files'.
 func (s *Store) Stats() (Stats, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.statsLocked()
-}
-
-func (s *Store) statsLocked() (Stats, error) {
-	entries, err := s.walk()
-	if err != nil {
-		return Stats{}, err
-	}
+	s.imu.RLock()
+	defer s.imu.RUnlock()
 	var st Stats
-	for _, e := range entries {
-		if e.tier == TierCold {
+	for _, l := range s.chunks {
+		if l.pack == "" {
 			st.ColdChunks++
-			st.ColdBytes += e.size
+			st.ColdBytes += l.n
 		} else {
 			st.LocalChunks++
-			st.LocalBytes += e.size
 		}
+	}
+	for _, p := range s.packs {
+		st.LocalBytes += p.size
 	}
 	return st, nil
 }
 
-// refreshGauges re-derives the occupancy gauges from disk; called at
-// open and after GC so restarts report true state.
 func (s *Store) refreshGauges() {
-	st, err := s.statsLocked()
-	if err != nil {
-		return
-	}
+	st, _ := s.Stats()
 	s.chunksLocal.Set(float64(st.LocalChunks))
 	s.bytesLocal.Set(float64(st.LocalBytes))
 	s.chunksCold.Set(float64(st.ColdChunks))
 	s.bytesCold.Set(float64(st.ColdBytes))
 }
 
-// GC removes every chunk whose digest live reports false and demotes
-// kept chunks that hot reports false for (nil hot demotes nothing).
-// The caller computes liveness from the manifest's live entries only —
-// tombstoned functions contribute nothing, so an acked delete's chunks
-// are collected (unless shared) and can never resurrect.
+// GC drops every chunk whose digest live reports false and demotes kept
+// local chunks that hot reports false for (nil hot demotes nothing).
+// Then each pack holding a byte the index does not serve from it — a
+// dead, duplicated, demoted or quarantined chunk — is rewritten as a new
+// pack of the rest, or removed if there is none, so what GC leaves is
+// exact. The caller computes liveness from the manifest's live entries
+// only — tombstoned functions contribute nothing, so an acked delete's
+// chunks are collected (unless shared) and can never resurrect.
 func (s *Store) GC(live func(Digest) bool, hot func(Digest) bool) (GCResult, error) {
 	s.mu.Lock()
-	entries, err := s.walk()
-	s.mu.Unlock()
-	if err != nil {
-		return GCResult{}, err
-	}
+	defer s.mu.Unlock()
 	var res GCResult
-	var demote []Digest
-	s.mu.Lock()
-	for _, e := range entries {
-		if live(e.digest) {
-			res.Kept++
-			if e.tier == TierLocal && hot != nil && !hot(e.digest) {
-				demote = append(demote, e.digest)
+	var dead, demote []Digest
+	var names []string
+	// Dead chunks leave the index before any file goes, so the index
+	// never names a chunk that is not on disk.
+	s.edit(func() {
+		for d, l := range s.chunks {
+			switch {
+			case !live(d):
+				delete(s.chunks, d)
+				res.Removed++
+				if l.pack == "" {
+					dead = append(dead, d)
+					res.ReclaimedBytes += l.n
+				}
+			case l.pack != "" && hot != nil && !hot(d):
+				demote = append(demote, d)
+				fallthrough
+			default:
+				res.Kept++
 			}
-			continue
 		}
-		if err := atomicfile.Remove(e.path); err == nil {
-			res.Removed++
-			res.ReclaimedBytes += e.size
+		for name := range s.packs {
+			names = append(names, name)
 		}
+	})
+	for _, d := range dead {
+		_ = atomicfile.Remove(s.coldPath(d))
 	}
-	s.mu.Unlock()
+	sort.Slice(demote, func(i, j int) bool { return bytes.Compare(demote[i][:], demote[j][:]) < 0 })
+	var buf []byte
 	for _, d := range demote {
-		if err := s.Demote(d); err == nil {
+		if l, ok := s.lookup(d); ok && s.demote(d, l, &buf) == nil {
 			res.Demoted++
 		}
 	}
-	s.mu.Lock()
-	s.refreshGauges()
-	s.mu.Unlock()
+	sort.Strings(names)
+	for _, name := range names {
+		freed, err := s.compact(name, &buf)
+		if err != nil {
+			return res, err
+		}
+		res.ReclaimedBytes += freed
+	}
 	return res, nil
 }
 
-// SweepTemp removes leftover chunk temp files — mid-write when the
-// process died, never acknowledged. Recovery calls it before serving.
+// compact rewrites pack name as a new pack of the chunks the index
+// serves from it — each verified on the way, a corrupt one quarantined —
+// or removes it if there are none, and returns the bytes that freed.
+// Caller holds mu.
+func (s *Store) compact(name string, buf *[]byte) (int64, error) {
+	keep, old := s.serving(name)
+	if len(keep) == len(old.entries) && len(keep) > 0 {
+		return 0, nil
+	}
+	p, size := s.NewPack(), int64(footerSize)
+	for _, e := range keep {
+		l := loc{name, e.off, e.n}
+		raw, err := s.section(l, buf)
+		if err == nil && Sum(raw) != e.d {
+			s.quarantine(e.d, l, raw)
+			continue
+		}
+		if err == nil {
+			err = p.append(e.d, raw)
+		}
+		if err != nil {
+			if p.f != nil {
+				p.f.Abort()
+			}
+			return 0, err
+		}
+		size += e.n + entrySize
+	}
+	n, err := p.Commit()
+	if err != nil {
+		return 0, err
+	}
+	if n == 0 {
+		size = 0
+	}
+	return old.size - size, s.removePack(name)
+}
+
+// SweepTemp removes leftover temp files — mid-write when the process
+// died, never acknowledged. Recovery calls it before serving.
 func (s *Store) SweepTemp() {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -65,17 +65,35 @@ func TestGetMissing(t *testing.T) {
 	}
 }
 
+// packOf returns the path of the pack d is served from and d's section
+// of it.
+func packOf(t *testing.T, s *Store, d Digest) (string, loc) {
+	t.Helper()
+	l, ok := s.lookup(d)
+	if !ok || l.pack == "" {
+		t.Fatalf("%s is not in a pack", d)
+	}
+	return s.packPath(l.pack), l
+}
+
 // TestGetLocalReadErrorNotMaskedAsMissing: a local-tier read failure
-// that is not ENOENT (here: the chunk path is a directory, so the read
-// fails with EISDIR) must propagate as an I/O error, not fall through
-// to the cold tier and come back as ErrNotFound.
+// that is not ENOENT (here: the chunk's pack is replaced by a directory,
+// so the read fails with EISDIR) must propagate as an I/O error, not
+// fall through to the cold tier and come back as ErrNotFound.
 func TestGetLocalReadErrorNotMaskedAsMissing(t *testing.T) {
 	s, _ := newStore(t)
-	d := Sum([]byte("unreadable"))
-	if err := os.MkdirAll(s.localPath(d), 0o755); err != nil {
+	d, _, err := s.Put([]byte("unreadable"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := s.Get(d)
+	path, _ := packOf(t, s, d)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = s.Get(d)
 	if err == nil {
 		t.Fatal("get on unreadable local chunk succeeded")
 	}
@@ -87,6 +105,23 @@ func TestGetLocalReadErrorNotMaskedAsMissing(t *testing.T) {
 	}
 }
 
+// TestLostPackIsAbsent: a pack removed out of band makes its chunks
+// absent — ErrNotFound, and Has false — from their first read on.
+func TestLostPackIsAbsent(t *testing.T) {
+	s, _ := newStore(t)
+	d, _, err := s.Put([]byte("lost"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path, _ := packOf(t, s, d)
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Get(d); !errors.Is(err, ErrNotFound) || s.Has(d) {
+		t.Fatalf("get of a chunk whose pack is gone = %v, has = %v; want ErrNotFound, false", err, s.Has(d))
+	}
+}
+
 func TestDemoteAndColdGet(t *testing.T) {
 	s, _ := newStore(t)
 	// Compressible content, as chunk payloads are.
@@ -95,10 +130,11 @@ func TestDemoteAndColdGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	local, _ := packOf(t, s, d)
 	if err := s.Demote(d); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Lstat(s.localPath(d)); !os.IsNotExist(err) {
+	if _, err := os.Lstat(local); !os.IsNotExist(err) {
 		t.Fatal("local copy survived demotion")
 	}
 	got, tier, err := s.Get(d)
@@ -128,10 +164,10 @@ func TestCorruptChunkQuarantines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rot the chunk on disk.
-	path := s.localPath(d)
+	// Rot the chunk inside its pack.
+	path, l := packOf(t, s, d)
 	raw, _ := os.ReadFile(path)
-	raw[len(raw)/2] ^= 0xff
+	raw[l.off+l.n/2] ^= 0xff
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}

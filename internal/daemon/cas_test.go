@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -140,6 +141,41 @@ func TestCASChunkEndpoints(t *testing.T) {
 	}
 }
 
+// damageInPack flips a byte in the middle of chunk hexd, served by the
+// daemon at base, inside the pack under state that holds it — found by
+// its bytes — and returns the pack's path.
+func damageInPack(t *testing.T, state, base, hexd string) string {
+	t.Helper()
+	resp, err := http.Get(base + "/chunks/" + hexd)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("get chunk %s = %d, %v", hexd, resp.StatusCode, err)
+	}
+	packs, _ := filepath.Glob(filepath.Join(state, "cas", "packs", "*.pack"))
+	for _, path := range packs {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i := bytes.Index(raw, data); i >= 0 {
+			raw[i+len(data)/2] ^= 0xff
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			return path
+		}
+	}
+	t.Fatalf("no pack under %s holds chunk %s", state, hexd)
+	return ""
+}
+
+// TestCASCorruptChunkQuarantined: a chunk damaged inside its pack is
+// never served, before a restart or after one; each read that finds the
+// damage copies the bytes into quarantine/, and the pack stays.
 func TestCASCorruptChunkQuarantined(t *testing.T) {
 	state := t.TempDir()
 	_, srv := newTestDaemon(t, Config{StateDir: state})
@@ -148,27 +184,59 @@ func TestCASCorruptChunkQuarantined(t *testing.T) {
 	var full ChunkMapResponse
 	doJSON(t, "GET", srv.URL+"/functions/cas-alpha/chunkmap", nil, &full)
 	hexd := full.Chunks[0].Digest
-	path := filepath.Join(state, "cas", "chunks", hexd[:2], hexd)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	pack := damageInPack(t, state, srv.URL, hexd)
 
-	// First read detects the damage and quarantines; the chunk is never
-	// served corrupt and later reads answer 404.
-	if resp := doJSON(t, "GET", srv.URL+"/chunks/"+hexd, nil, nil); resp.StatusCode != http.StatusInternalServerError {
-		t.Fatalf("corrupt chunk = %d, want 500", resp.StatusCode)
+	// The first read detects the damage and quarantines; the chunk is
+	// never served corrupt and later reads answer 404.
+	for i, base := range []string{"", ".2"} {
+		if resp := doJSON(t, "GET", srv.URL+"/chunks/"+hexd, nil, nil); resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("corrupt chunk = %d, want 500", resp.StatusCode)
+		}
+		if resp := doJSON(t, "GET", srv.URL+"/chunks/"+hexd, nil, nil); resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("quarantined chunk = %d, want 404", resp.StatusCode)
+		}
+		if _, err := os.Stat(filepath.Join(state, "quarantine", "chunk-"+hexd+base)); err != nil {
+			t.Fatalf("corrupt chunk not quarantined: %v", err)
+		}
+		if _, err := os.Stat(pack); err != nil {
+			t.Fatalf("the pack holding the corrupt chunk was removed: %v", err)
+		}
+		if i == 0 {
+			// A restart indexes the damaged copy again from the pack's
+			// trailer: it must be caught again, not served.
+			srv.Close()
+			_, srv = newTestDaemon(t, Config{StateDir: state})
+		}
 	}
-	if resp := doJSON(t, "GET", srv.URL+"/chunks/"+hexd, nil, nil); resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("quarantined chunk = %d, want 404", resp.StatusCode)
+}
+
+// TestCASOccupancySurvivesReopen: GET /cas and the store's Stats, both
+// read off its index, answer the same after a restart over the state
+// directory, before and after a demoting GC.
+func TestCASOccupancySurvivesReopen(t *testing.T) {
+	state := t.TempDir()
+	d, srv := newTestDaemon(t, Config{StateDir: state})
+	casProvision(t, srv, "cas-alpha")
+	casProvision(t, srv, "cas-beta")
+	reopen := func() {
+		t.Helper()
+		var before, after CASResponse
+		doJSON(t, "GET", srv.URL+"/cas", nil, &before)
+		st, _ := d.store.cas.Stats()
+		srv.Close()
+		d, srv = newTestDaemon(t, Config{StateDir: state})
+		doJSON(t, "GET", srv.URL+"/cas", nil, &after)
+		if st2, _ := d.store.cas.Stats(); before != after || st != st2 || st != before.Stats {
+			t.Fatalf("occupancy before a restart: %+v (Stats %+v); after: %+v (Stats %+v)", before, st, after, st2)
+		}
 	}
-	if _, err := os.Stat(filepath.Join(state, "quarantine", "chunk-"+hexd)); err != nil {
-		t.Fatalf("corrupt chunk not quarantined: %v", err)
+	reopen()
+	var gc GCResponse
+	if resp := doJSON(t, "POST", srv.URL+"/gc", map[string]interface{}{"demote": true}, &gc); resp.StatusCode != http.StatusOK || gc.Demoted == 0 {
+		t.Fatalf("gc demote = %d, %+v", resp.StatusCode, gc)
 	}
+	reopen()
+	casInvoke(t, srv, "cas-beta")
 }
 
 // TestCASSyncThreeDaemons is the cross-host restore e2e: A records, B
@@ -421,6 +489,7 @@ type gatedSource struct {
 	mu     sync.Mutex
 	served map[string]int
 	parked int // requests that have reached the gate, released or not
+	gaveUp int // parked requests whose client went away
 }
 
 func newGatedSource(t *testing.T, h http.Handler, hold map[string]bool) *gatedSource {
@@ -435,6 +504,9 @@ func newGatedSource(t *testing.T, h http.Handler, hold map[string]bool) *gatedSo
 				select {
 				case <-g.tokens:
 				case <-r.Context().Done():
+					g.mu.Lock()
+					g.gaveUp++
+					g.mu.Unlock()
 					return
 				}
 			}
@@ -460,15 +532,25 @@ func (g *gatedSource) open() {
 }
 
 // waitParked returns once n held requests have reached the gate. A lazy
-// fetcher issues one request at a time and an eager sync a window of
-// them, so with the gate shut the n-th arrival tells how far the
-// daemon's syncs have got.
+// fetcher and an eager sync each issue a window of them, so with the gate
+// shut the n-th arrival tells how far the daemon's syncs have got.
 func (g *gatedSource) waitParked(t *testing.T, n int) {
 	t.Helper()
 	waitFor(t, fmt.Sprintf("fewer than %d requests reached the gate", n), func() bool {
 		g.mu.Lock()
 		defer g.mu.Unlock()
 		return g.parked >= n
+	})
+}
+
+// waitGaveUp returns once n parked requests have left the gate because
+// their client went away.
+func (g *gatedSource) waitGaveUp(t *testing.T, n int) {
+	t.Helper()
+	waitFor(t, fmt.Sprintf("fewer than %d parked requests gave up", n), func() bool {
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		return g.gaveUp >= n
 	})
 }
 
@@ -565,15 +647,17 @@ func TestCASSyncTakesOverLiveTail(t *testing.T) {
 	if resp := doJSON(t, "POST", b.URL+"/functions/cas-alpha/sync", body, nil); resp.StatusCode != http.StatusOK {
 		t.Fatalf("lazy sync = %d", resp.StatusCode)
 	}
-	// The tail parks inside its first fetch. An eager sync takes over: it
-	// halts the fetcher — cancelling that fetch — and plans the remainder,
-	// so the second request to reach the gate is the takeover's own; open
-	// the gate then.
-	src.waitParked(t, 1)
+	// The tail parks inside its first window of fetches. An eager sync
+	// takes over: it halts the fetcher — cancelling those fetches — and
+	// plans the remainder, so once the tail's requests have given up, the
+	// next to reach the gate is the takeover's own; open the gate then.
+	tail := min(window, len(lazy))
+	src.waitParked(t, tail)
 	body["eager"] = true
 	done := make(chan int, 1)
 	go func() { done <- doJSON(t, "POST", b.URL+"/functions/cas-alpha/sync", body, nil).StatusCode }()
-	src.waitParked(t, 2)
+	src.waitGaveUp(t, tail)
+	src.waitParked(t, tail+1)
 	src.open()
 	if code := <-done; code != http.StatusOK {
 		t.Fatalf("takeover sync = %d", code)
@@ -599,7 +683,7 @@ func TestCASFailedSyncLeavesLiveTailAlone(t *testing.T) {
 		map[string]interface{}{"source": hostport(src.srv)}, nil).StatusCode; code != http.StatusOK {
 		t.Fatalf("lazy sync = %d", code)
 	}
-	// The tail is parked inside its first fetch. Neither an unreachable
+	// The tail is parked inside its first window. Neither an unreachable
 	// source nor one without the function may stop it.
 	_, empty := newTestDaemon(t, Config{StateDir: t.TempDir()})
 	for _, source := range []string{"127.0.0.1:1", hostport(empty)} {

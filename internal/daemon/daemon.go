@@ -752,16 +752,16 @@ func (d *Daemon) gc(r *http.Request) (GCResponse, error) {
 }
 
 func (d *Daemon) handleChunkGet(w http.ResponseWriter, r *http.Request) {
-	data, tier, err := d.store.get(r.PathValue("digest"))
+	err := d.store.serve(r.PathValue("digest"), func(data []byte, tier string) {
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Header().Set("X-Faasnap-Chunk-Tier", tier)
+		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(data)
+	})
 	if err != nil {
 		writeFailure(w, err)
-		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Faasnap-Chunk-Tier", tier)
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
 }
 
 func (d *Daemon) chunkMap(r *http.Request) (ChunkMapResponse, error) {

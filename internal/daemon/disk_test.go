@@ -263,6 +263,19 @@ func (f *dfile) Read(p []byte) (int, error) {
 	return k, nil
 }
 
+func (f *dfile) ReadAt(p []byte, off int64) (int, error) {
+	f.d.mu.Lock()
+	defer f.d.mu.Unlock()
+	if off >= int64(len(f.f.Data)) {
+		return 0, io.EOF
+	}
+	k := copy(p, f.f.Data[off:])
+	if k < len(p) {
+		return k, io.EOF
+	}
+	return k, nil
+}
+
 func (f *dfile) Write(p []byte) (int, error) {
 	f.d.mu.Lock()
 	defer f.d.mu.Unlock()

@@ -364,8 +364,7 @@ func (l *lifecycle) record(name string, in workload.Input) (res core.RecordResul
 	core.ObserveRecord(l.telemetry, name, res)
 	l.log.Printf("recorded %s input %s: ws=%d ls=%d regions=%d", name, in.Name, res.WSPages, res.LSPages, res.LSRegions)
 	if l.store != nil {
-		// The refresh walks the whole chunk tree: off the request, on the
-		// drain group close waits for.
+		// Off the request, on the drain group close waits for.
 		l.background(l.store.refreshDedup)
 	}
 	return res, nil
@@ -471,8 +470,7 @@ func (l *lifecycle) sync(ctx context.Context, name string, req SyncRequest, id t
 	// restore did not: dedup hits plus the deferred lazy tail.
 	l.store.saved.Add(float64(resp.BytesTotal - resp.BytesFetched))
 	l.store.syncs.Inc()
-	// The refresh walks the whole chunk tree: off the request, as after a
-	// record.
+	// Off the request, as after a record.
 	l.background(l.store.refreshDedup)
 	l.log.Printf("synced %s from %s: %d/%d chunks fetched (%d present, %d lazy), %d of %d bytes",
 		name, req.Source, resp.ChunksFetched, resp.ChunksTotal, resp.ChunksPresent, resp.ChunksLazy,
@@ -611,9 +609,9 @@ func (l *lifecycle) gc(demote bool) (GCResponse, error) {
 // latter (the true deficit, never a live tail's pending chunks). It is
 // the one write a read performs: a deficit is announced when it first
 // appears or its size changes; clearing to zero forgets the episode, so
-// the next is announced afresh. pending is read before the store walk
+// the next is announced afresh. pending is read before the store's index
 // and the fetcher gives a chunk up only after storing it, so a chunk
-// resolved mid-walk is counted in pending but not absent: the deficit
+// resolved in between is counted in pending but not absent: the deficit
 // can be transiently under-, never over-reported.
 func (l *lifecycle) observeDeficit(name string) (pending, missing int, seq uint64) {
 	fs, ok := l.idx.lookup(name)

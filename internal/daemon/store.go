@@ -146,7 +146,7 @@ func (s *store) logicalBytes() int64 {
 }
 
 // refreshDedup recomputes faasnap_cas_dedup_ratio from the live chunk
-// maps and the store's physical footprint (a walk of the chunk tree).
+// maps and the store's physical footprint, read off its index.
 func (s *store) refreshDedup() {
 	logical := s.logicalBytes()
 	if logical <= 0 {
@@ -161,7 +161,7 @@ func (s *store) refreshDedup() {
 }
 
 // window is how many chunks the chunk plane moves at once: a record's
-// chunk commits, a sync's eager fetches.
+// fills and hashes, a sync's eager fetches, a lazy tail's fetches.
 const window = 4
 
 // inWindow runs do for items 0 to n-1, started in order, at most window
@@ -189,30 +189,31 @@ func inWindow(ctx context.Context, n int, do func(ctx context.Context, worker, i
 	return context.Cause(ctx)
 }
 
-// putSnapshot chunks a recording into the content-addressed store —
-// chunks shared with earlier recordings (the base image) dedup to
-// nothing, and a crash before the snapfile commit leaves only
+// putSnapshot chunks a recording into the content-addressed store as
+// one pack — chunks shared with earlier recordings (the base image)
+// dedup to nothing, and a crash before the snapfile commit leaves only
 // unreferenced chunks for the recovery sweep — and returns the save that
 // encodes its snapfile. Each window worker fills one extent at a time
-// into a buffer of its own and Put hashes it once, so a recording is
-// never held in memory whole.
+// into a buffer of its own and hashes it once, so a recording is never
+// held in memory whole.
 func (s *store) putSnapshot(arts *core.Artifacts) (save func(path string) error, err error) {
 	cm := casstore.PlanChunks(arts, 0)
+	pack := s.cas.NewPack()
 	bufs := make([][]byte, window)
 	err = inWindow(context.Background(), len(cm.Refs), func(_ context.Context, w, i int) error {
 		ref := &cm.Refs[i]
 		if int64(len(bufs[w])) < ref.Bytes {
 			bufs[w] = make([]byte, ref.Bytes)
 		}
-		dg, _, err := s.cas.Put(casstore.Fill(arts, *ref, bufs[w]))
-		if err != nil {
-			return fmt.Errorf("persist chunk: %w", err)
-		}
+		dg, _, err := pack.Put(casstore.Fill(arts, *ref, bufs[w]))
 		ref.Digest = dg
-		return nil
+		return err
 	})
+	if _, cerr := pack.Commit(); err == nil {
+		err = cerr
+	}
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("persist chunks: %w", err)
 	}
 	return func(path string) error { return snapfile.SaveChunked(path, arts, cm) }, nil
 }
@@ -287,8 +288,9 @@ func (s *store) decode(name string) (*core.Artifacts, *chunkMap, error) {
 	return snapfile.ReadChunked(bytes.NewReader(raw))
 }
 
-// absent counts the refs of cm neither tier of the store can serve: an
-// lstat walk, the out-of-band-loss detector.
+// absent counts the refs of cm neither tier of the store can serve, by
+// index lookups: the detector of chunks lost to a failed lazy fetch or a
+// quarantine.
 func (s *store) absent(cm *chunkMap) (n int) {
 	for _, ref := range cm.Refs {
 		if !s.cas.Has(casstore.Digest(ref.Digest)) {
@@ -352,23 +354,23 @@ func (s *store) sweepDir(journaled func(fn string) bool) {
 	}
 }
 
-// get serves one chunk's bytes and the tier that held them, by hex
-// digest. Corrupt chunks have been quarantined by the store by the time
-// the error surfaces — they are never served; a peer retries elsewhere
-// or re-records.
-func (s *store) get(digest string) ([]byte, string, error) {
+// serve hands one chunk's verified bytes and the tier that held them, by
+// hex digest, to fn, in a buffer reused once fn returns. Corrupt chunks
+// have been quarantined by the store by the time the error surfaces —
+// they are never served; a peer retries elsewhere or re-records.
+func (s *store) serve(digest string, fn func(data []byte, tier string)) error {
 	dg, err := casstore.ParseDigest(digest)
 	if err != nil {
-		return nil, "", failf(http.StatusBadRequest, "%v", err)
+		return failf(http.StatusBadRequest, "%v", err)
 	}
-	data, tier, err := s.cas.Get(dg)
+	err = s.cas.Serve(dg, func(data []byte, tier casstore.Tier) { fn(data, tier.String()) })
 	switch {
 	case err == nil:
-		return data, tier.String(), nil
+		return nil
 	case errors.Is(err, casstore.ErrCorrupt):
-		return nil, "", failf(http.StatusInternalServerError, "chunk %s failed verification and was quarantined", dg)
+		return failf(http.StatusInternalServerError, "chunk %s failed verification and was quarantined", dg)
 	default:
-		return nil, "", failf(http.StatusNotFound, "chunk %s not stored here", dg)
+		return failf(http.StatusNotFound, "chunk %s not stored here", dg)
 	}
 }
 
@@ -437,12 +439,12 @@ func (s *store) export(name, input string, generation uint64, cm *chunkMap, summ
 const maxChunkBytes = 64 << 20
 
 // fetchChunk pulls one chunk from the source into *buf, grown to the
-// reply's Content-Length if it is short, and commits it under its
-// digest, reporting which tier served it; PutDigest rejects transfer
-// corruption before commit. ctx bounds the transfer: a lazy fetcher's
-// halt or an eager sync's request ending stops it at once instead of
-// waiting out a peer that never answers.
-func (s *store) fetchChunk(ctx context.Context, source string, dg casstore.Digest, buf *[]byte) (int64, string, error) {
+// reply's Content-Length if it is short, and hands it to put, which
+// verifies it against its digest before anything commits it; it reports
+// the bytes moved and which tier served them. ctx bounds the transfer:
+// a lazy fetcher's halt or an eager sync's request ending stops it at
+// once instead of waiting out a peer that never answers.
+func (s *store) fetchChunk(ctx context.Context, source string, dg casstore.Digest, buf *[]byte, put func([]byte) error) (int64, string, error) {
 	resp, err := s.peerGet(ctx, source, "/chunks/"+dg.String())
 	if err != nil {
 		return 0, "", err
@@ -463,10 +465,7 @@ func (s *store) fetchChunk(ctx context.Context, source string, dg casstore.Diges
 	if _, err := io.ReadFull(resp.Body, data); err != nil {
 		return 0, tier, err
 	}
-	if _, err := s.cas.PutDigest(dg, data); err != nil {
-		return 0, tier, err
-	}
-	return n, tier, nil
+	return n, tier, put(data)
 }
 
 func (s *store) peerGet(ctx context.Context, source, path string) (*http.Response, error) {
@@ -566,11 +565,11 @@ type groupSpan struct {
 	tiers      map[string]bool
 }
 
-// fetch pulls refs from source, started in split's order with at most a
-// window in flight, and consumes the results in that same order, one
-// waterfall span per prefetch group: split's order makes each group's
-// chunks contiguous, so the per-group wall time and serving tiers land
-// on one row each.
+// fetch pulls refs from source into one pack, started in split's order
+// with at most a window in flight, commits what it fetched, and consumes
+// the results in that same order, one waterfall span per prefetch group:
+// split's order makes each group's chunks contiguous, so the per-group
+// wall time and serving tiers land on one row each.
 func (s *store) fetch(ctx context.Context, source string, refs []chunkRef, start time.Time) ([]*groupSpan, int64, error) {
 	type fetched struct {
 		began, done time.Duration
@@ -579,13 +578,20 @@ func (s *store) fetch(ctx context.Context, source string, refs []chunkRef, start
 	}
 	got := make([]fetched, len(refs))
 	bufs := make([][]byte, window)
+	pack := s.cas.NewPack()
 	err := inWindow(ctx, len(refs), func(ctx context.Context, w, i int) (err error) {
-		f := &got[i]
+		f, dg := &got[i], casstore.Digest(refs[i].Digest)
 		f.began = time.Since(start)
-		f.bytes, f.tier, err = s.fetchChunk(ctx, source, casstore.Digest(refs[i].Digest), &bufs[w])
+		f.bytes, f.tier, err = s.fetchChunk(ctx, source, dg, &bufs[w], func(b []byte) error {
+			_, err := pack.PutDigest(dg, b)
+			return err
+		})
 		f.done = time.Since(start)
 		return err
 	})
+	if _, cerr := pack.Commit(); err == nil {
+		err = cerr
+	}
 	if err != nil {
 		return nil, 0, err
 	}
@@ -615,9 +621,9 @@ func (s *store) fetch(ctx context.Context, source string, refs []chunkRef, start
 // chunks a sync deferred, published in the same view as the chunk map it
 // fetches for. pending is what it still owes — decremented per chunk
 // resolved, fetched or abandoned — and is what GET /status subtracts
-// from the store walk, so a draining tail is never mistaken for a
-// deficit. A fetcher that was halted keeps its claim until the sync that
-// halted it commits or gives up.
+// from the store's absent count, so a draining tail is never mistaken
+// for a deficit. A fetcher that was halted keeps its claim until the
+// sync that halted it commits or gives up.
 type lazyTail struct {
 	pending atomic.Int64
 	ctx     context.Context
@@ -644,50 +650,70 @@ func (t *lazyTail) stop() {
 
 const lazyAttempts = 3
 
-// drain pulls a sync's deferred chunks until done or halted (shutdown,
-// delete, or a newer sync taking the remainder over), retrying
-// transient failures with a short backoff. Failures are not fatal — the
-// function serves from its loading set — but a chunk abandoned here is
-// owned by nobody afterwards: GET /status reports it as chunks_missing,
-// which makes the gateway's anti-entropy pass issue an eager re-sync
-// from a complete replica.
+// drain pulls a sync's deferred chunks a window at a time until done or
+// halted (shutdown, delete, or a newer sync taking the remainder over),
+// retrying transient failures with a short backoff. What lands is
+// committed as packs: each worker commits once its chunk has landed, and
+// a commit takes every chunk landed so far, so a fast source fills packs
+// and a slow one has each chunk stored as soon as it arrives. A chunk
+// leaves pending only once stored, and a halted fetcher has committed
+// everything it fetched. Failures are not fatal — the function serves
+// from its loading set — but a chunk abandoned here is owned by nobody
+// afterwards: GET /status reports it as chunks_missing, which makes the
+// gateway's anti-entropy pass issue an eager re-sync from a complete
+// replica.
 func (s *store) drain(name, source string, refs []chunkRef, t *lazyTail) (fetched, abandoned int) {
 	defer close(t.done)
 	defer t.halt() // releases the context once drained
-	var buf []byte
-	for i, ref := range refs {
-		dg := casstore.Digest(ref.Digest)
-		var err error
-		// A sibling's sync or a local recording may have stored it since
-		// the plan: never fetch what the store holds.
-		if !s.cas.Has(dg) {
-			err = resilience.Retry(t.ctx, lazyAttempts, 50*time.Millisecond, nil, func() error {
-				_, _, err := s.fetchChunk(t.ctx, source, dg, &buf)
-				return err
-			})
-		}
-		if err != nil && t.ctx.Err() != nil {
-			// Halted: the remainder is no longer this fetcher's to resolve.
-			s.lazyPending.Add(-float64(len(refs) - i))
-			return fetched, abandoned
-		}
+	pack := s.cas.NewPack()
+	var resolved, failed atomic.Int64
+	resolve := func(n int, err error) {
 		if err != nil {
-			abandoned++
-			s.lazyFailed.Inc()
-			s.log.Printf("lazy chunk fetch for %s: %v (abandoned after %d attempts)", name, err, lazyAttempts)
-		} else {
-			fetched++
+			failed.Add(int64(n))
+			s.lazyFailed.Add(float64(n))
+			s.log.Printf("lazy chunk fetch for %s: %v (%d abandoned)", name, err, n)
 		}
 		// Resolved either way — stored, or nobody's from here on. After
 		// the store, so the deficit never counts a chunk twice.
-		t.pending.Add(-1)
-		s.lazyPending.Dec()
+		resolved.Add(int64(n))
+		t.pending.Add(-int64(n))
+		s.lazyPending.Add(-float64(n))
 	}
+	bufs := make([][]byte, window)
+	_ = inWindow(t.ctx, len(refs), func(ctx context.Context, w, i int) error {
+		dg := casstore.Digest(refs[i].Digest)
+		// A sibling's sync or a local recording may have stored it since
+		// the plan: never fetch what the store holds.
+		if s.cas.Has(dg) {
+			resolve(1, nil)
+			return nil
+		}
+		err := resilience.Retry(ctx, lazyAttempts, 50*time.Millisecond, nil, func() error {
+			_, _, err := s.fetchChunk(ctx, source, dg, &bufs[w], func(b []byte) error {
+				_, err := pack.PutDigest(dg, b)
+				return err
+			})
+			return err
+		})
+		switch {
+		case err != nil && ctx.Err() != nil:
+			return err // halted: the remainder is no longer this fetcher's
+		case err != nil:
+			resolve(1, err)
+		default:
+			// Commits whatever has landed, this chunk included unless a
+			// commit that started after it landed took it.
+			resolve(pack.Commit())
+		}
+		return nil
+	})
+	s.lazyPending.Add(-float64(int64(len(refs)) - resolved.Load()))
+	abandoned = int(failed.Load())
 	if abandoned > 0 {
 		s.log.Printf("sync of %s left %d lazy chunks unfetched; reported as chunks_missing for anti-entropy re-sync", name, abandoned)
 	}
 	s.refreshDedup()
-	return fetched, abandoned
+	return int(resolved.Load()) - abandoned, abandoned
 }
 
 // GCResponse reports one sweep plus the store's resulting state.

@@ -6,6 +6,7 @@ package gateway
 // and the transferred bytes are measurably smaller than the snapshot.
 
 import (
+	"bytes"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -54,18 +55,37 @@ func chunkMap(t *testing.T, base, fn string) []chunkRef {
 	return cm.Chunks
 }
 
-// dropLazyChunk deletes one chunk of fn outside the loading set from
-// n's local tier, out of band, as a failed lazy fetch leaves it, and
-// returns its digest.
+// dropLazyChunk loses one chunk of fn outside the loading set from n's
+// local tier, as a failed lazy fetch leaves it, and returns its digest:
+// it damages the chunk's bytes inside its pack, out of band, and has n
+// read it once, which quarantines it.
 func dropLazyChunk(t *testing.T, n *daemonNode, fn string) string {
 	t.Helper()
+	get := func(digest string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		n.h.ServeHTTP(rec, httptest.NewRequest("GET", "/chunks/"+digest, nil))
+		return rec
+	}
 	for _, c := range chunkMap(t, n.url(), fn) {
-		if !c.LoadingSet {
-			if err := os.Remove(filepath.Join(n.dir, "cas", "chunks", c.Digest[:2], c.Digest)); err != nil {
-				t.Fatalf("remove chunk file: %v", err)
-			}
-			return c.Digest
+		if c.LoadingSet {
+			continue
 		}
+		data := get(c.Digest).Body.Bytes()
+		packs, _ := filepath.Glob(filepath.Join(n.dir, "cas", "packs", "*.pack"))
+		for _, path := range packs {
+			raw, err := os.ReadFile(path)
+			if i := bytes.Index(raw, data); err == nil && len(data) > 0 && i >= 0 {
+				raw[i+len(data)/2] ^= 0xff
+				if err := os.WriteFile(path, raw, 0o644); err != nil {
+					t.Fatalf("damage chunk: %v", err)
+				}
+				if code := get(c.Digest).Code; code != http.StatusInternalServerError {
+					t.Fatalf("damaged chunk read = %d, want 500", code)
+				}
+				return c.Digest
+			}
+		}
+		t.Fatalf("no pack holds chunk %s", c.Digest)
 	}
 	t.Fatal("chunk map has no lazy chunks")
 	return ""
@@ -181,7 +201,7 @@ func TestAntiEntropyChunkSync(t *testing.T) {
 
 // TestAntiEntropyRepairsMissingLazyChunks: a backend that has the
 // snapshot but lost chunk content (a lazy tail its background fetcher
-// abandoned, simulated here by deleting a chunk file out-of-band)
+// abandoned, simulated here by damaging a chunk until it is quarantined)
 // reports the deficit as chunks_missing in GET /status, and the next
 // anti-entropy pass repairs it with an eager chunk sync — after which
 // the backend serves the digest to peers again and the sweep is a

@@ -191,8 +191,10 @@ func (e *Env) next() (*Proc, waitKind) {
 			continue
 		}
 		if p.gen != ev.gen {
-			e.remove(0) // a rival wake of the same park came first
-			continue
+			// A Cond's wakes ride one batch entry and a batch that wakes a
+			// process removes its timer, so no heap event can have been
+			// beaten to its park.
+			panic("sim: stale heap event; invariant: every heap event but a Cond's batch is the only wake of its park")
 		}
 		p.gen++
 		if ev.at > e.now {
