@@ -6,31 +6,33 @@
 // and over the wire — the dedup/lazy-chunk design of the snapshot
 // optimization literature applied under FaaSnap's loading sets.
 //
-// Chunks live in two tiers under <state-dir>/cas:
+// Chunks live in packs (pack.go): the chunks one commit added, back to
+// back, and a trailer listing them. A pack's directory under
+// <state-dir>/cas is its tier:
 //
-//	packs/<seq>.pack         local tier: the chunks one record, sync or
-//	                         GC rewrite added, back to back, and a
-//	                         trailer listing them (pack.go)
-//	cold/<aa>/<digest>.z     cold tier: one DEFLATE-compressed file per
-//	                         chunk, modeled remote latency
-//	                         (internal/blockdev profile)
+//	packs/<seq>.pack   local tier: a record's, a sync's or a GC
+//	                   rewrite's chunks, as they are
+//	cold/<seq>.pack    cold tier: a demotion's chunks, each
+//	                   DEFLATE-compressed, modeled remote latency
+//	                   (internal/blockdev profile)
 //
 // A pack commit is the same durable write as a snapfile's (one temp
 // file, one fsync, one rename, one directory fsync), and its chunks join
-// the in-memory index (digest → pack section, or cold file) only once it
-// is done; Open rebuilds the index from the pack trailers, whose CRC
-// catches a trailer that rotted, and the cold tier's names. Get reads
-// one section and re-verifies it against its digest: a chunk that
-// rotted on disk is copied into quarantine/ and dropped from the index,
-// never served.
+// the in-memory index (digest → pack section) only once it is done;
+// Open rebuilds the index from the pack trailers, whose CRC catches a
+// trailer that rotted. Every read of a chunk — Get, demotion, GC's
+// rewrite — reads one section, inflates it if cold and re-verifies it
+// against its digest: a chunk that rotted on disk has its section copied
+// into quarantine/ and is dropped from the index, never served.
 //
 // The store is refcount-free on the write path: chunks are shared, so
 // deletes only remove references (snapfiles); GC takes the live digest
 // set from the caller — computed from the manifest's live chunk maps,
-// honoring delete tombstones — and drops everything else. A pack holding
-// any byte the index does not serve from it (a dead, duplicated,
-// demoted or quarantined chunk) is removed, or rewritten as a new pack,
-// so what GC leaves is exact and reads the same after a restart.
+// honoring delete tombstones — and drops everything else. A pack of
+// either tier holding any byte the index does not serve from it (a
+// dead, duplicated, demoted or quarantined chunk) is removed, or
+// rewritten as a new pack, so what GC leaves is exact and reads the same
+// after a restart.
 package casstore
 
 import (
@@ -40,8 +42,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
+	"path"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -92,6 +94,20 @@ func (t Tier) String() string {
 	return "local"
 }
 
+// The tiers' directories under the store's.
+const (
+	localDir = "packs"
+	coldDir  = "cold"
+)
+
+// tierOf is the tier of the pack named "<tier directory>/<seq>.pack".
+func tierOf(pack string) Tier {
+	if strings.HasPrefix(pack, coldDir+"/") {
+		return TierCold
+	}
+	return TierLocal
+}
+
 // ErrNotFound reports a digest absent from both tiers.
 var ErrNotFound = errors.New("casstore: chunk not found")
 
@@ -136,7 +152,7 @@ type Store struct {
 	imu    sync.RWMutex
 	chunks map[Digest]loc
 	packs  map[string]*packFile
-	seq    atomic.Uint64 // the last pack number taken
+	seq    atomic.Uint64 // the last pack number taken, in either tier
 	bufs   sync.Pool     // *[]byte for Serve
 
 	fetchLocal  *telemetry.Histogram
@@ -151,12 +167,14 @@ type Store struct {
 	onQuarantine atomic.Pointer[func(d Digest, tier Tier)]
 }
 
-// loc is where the index finds a chunk: a section of a pack, or (pack "")
-// a cold-tier file of n compressed bytes.
+// loc is where the index finds a chunk: a section of a pack, named
+// "<tier directory>/<seq>.pack".
 type loc struct {
 	pack   string
 	off, n int64
 }
+
+func (l loc) tier() Tier { return tierOf(l.pack) }
 
 type packFile struct {
 	size    int64
@@ -176,9 +194,9 @@ func (s *Store) SetOnQuarantine(fn func(d Digest, tier Tier)) {
 
 // Open opens the chunk store under stateDir, registering its metric
 // families on reg (nil for none), and indexes what it holds. It creates
-// nothing but evidence: a tier's directories are made, and flushed into
-// their parents, with its first chunk, and a pack whose trailer does not
-// decode is moved to quarantine/.
+// nothing but evidence: a tier's directory is made, and flushed into its
+// parent, with its first pack, and a pack whose trailer does not decode
+// is moved to quarantine/.
 func Open(stateDir string, reg *telemetry.Registry) (*Store, error) {
 	s := &Store{
 		dir:    filepath.Join(stateDir, "cas"),
@@ -211,61 +229,46 @@ func Open(stateDir string, reg *telemetry.Registry) (*Store, error) {
 	return s, s.load()
 }
 
-// load indexes the packs in name order, so the newest copy of a chunk
-// wins, then the cold tier, which wins over any pack: a chunk demoted
-// before a crash is cold, whatever copy a pack still holds.
+// load indexes the packs of both tiers; install settles which copy of a
+// chunk two packs hold is served.
 func (s *Store) load() error {
-	des, err := atomicfile.ReadDir(s.localDir())
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return err
-	}
-	for _, de := range des {
-		num, ok := strings.CutSuffix(de.Name(), ".pack")
-		seq, err := strconv.ParseUint(num, 16, 64)
-		if !ok || len(num) != 16 || err != nil {
-			continue // a temp file: sweep fodder
-		}
-		s.seq.Store(max(s.seq.Load(), seq))
-		path := s.packPath(de.Name())
-		info, err := de.Info()
-		if err != nil {
+	for _, dir := range []string{localDir, coldDir} {
+		des, err := atomicfile.ReadDir(filepath.Join(s.dir, dir))
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return err
 		}
-		f, err := atomicfile.Open(path)
-		if err != nil {
-			return err
-		}
-		entries, err := decodeTrailer(f, info.Size())
-		f.Close()
-		if err != nil {
-			if _, err := atomicfile.Quarantine(s.state, "pack-"+de.Name(), path, nil); err != nil {
+		for _, de := range des {
+			num, ok := strings.CutSuffix(de.Name(), ".pack")
+			seq, err := strconv.ParseUint(num, 16, 64)
+			if !ok || len(num) != 16 || err != nil {
+				continue // a temp file: sweep fodder
+			}
+			s.seq.Store(max(s.seq.Load(), seq))
+			name := dir + "/" + de.Name()
+			info, err := de.Info()
+			if err != nil {
 				return err
 			}
-			s.quarantined.Inc()
-			continue
+			f, err := atomicfile.Open(s.path(name))
+			if err != nil {
+				return err
+			}
+			entries, err := decodeTrailer(f, info.Size())
+			f.Close()
+			if err != nil {
+				if _, err := atomicfile.Quarantine(s.state, "pack-"+de.Name(), s.path(name), nil); err != nil {
+					return err
+				}
+				s.quarantined.Inc()
+				continue
+			}
+			s.install(name, info.Size(), entries)
 		}
-		s.install(de.Name(), info.Size(), entries)
 	}
-	err = atomicfile.Walk(s.coldDir(), func(path string, de fs.DirEntry) error {
-		d, perr := ParseDigest(strings.TrimSuffix(de.Name(), ".z"))
-		if info, ierr := de.Info(); perr == nil && ierr == nil {
-			s.chunks[d] = loc{n: info.Size()} // nothing else holds s yet
-		}
-		return nil
-	})
-	s.refreshGauges()
-	return err
+	return nil
 }
 
-func (s *Store) localDir() string { return filepath.Join(s.dir, "packs") }
-func (s *Store) coldDir() string  { return filepath.Join(s.dir, "cold") }
-
-func (s *Store) packPath(name string) string { return filepath.Join(s.localDir(), name) }
-
-func (s *Store) coldPath(d Digest) string {
-	h := d.String()
-	return filepath.Join(s.coldDir(), h[:2], h+".z")
-}
+func (s *Store) path(pack string) string { return filepath.Join(s.dir, pack) }
 
 // edit changes the index under its lock, then the gauges.
 func (s *Store) edit(change func()) {
@@ -276,12 +279,14 @@ func (s *Store) edit(change func()) {
 }
 
 // install indexes a committed pack: each chunk is served from it unless
-// the cold tier holds that chunk.
+// a higher-numbered pack of either tier holds it. A copy always lands in
+// a pack numbered after its source's, so the newest copy is served, at
+// run time and at Open alike.
 func (s *Store) install(name string, size int64, entries []entry) {
 	s.edit(func() {
 		s.packs[name] = &packFile{size: size, entries: entries}
 		for _, e := range entries {
-			if l, ok := s.chunks[e.d]; !ok || l.pack != "" {
+			if l, ok := s.chunks[e.d]; !ok || path.Base(l.pack) < path.Base(name) {
 				s.chunks[e.d] = loc{name, e.off, e.n}
 			}
 		}
@@ -339,7 +344,7 @@ func (s *Store) PutDigest(d Digest, data []byte) (bool, error) {
 // returns ErrCorrupt — damaged content is evidence, never a response.
 // Cold-tier reads decompress and report the modeled remote-fetch
 // latency on the tier's histogram.
-func (s *Store) Get(d Digest) ([]byte, Tier, error) { return s.read(d, nil) }
+func (s *Store) Get(d Digest) ([]byte, Tier, error) { return s.get(d, new([]byte)) }
 
 // Serve is Get into a pooled buffer: fn is called with the verified
 // bytes, which are reused once it returns.
@@ -349,17 +354,16 @@ func (s *Store) Serve(d Digest, fn func(data []byte, tier Tier)) error {
 		bp = new([]byte)
 	}
 	defer s.bufs.Put(bp)
-	data, tier, err := s.read(d, *bp)
+	data, tier, err := s.get(d, bp)
 	if err != nil {
 		return err
 	}
-	*bp = data
 	fn(data, tier)
 	return nil
 }
 
-// read is Get into buf, grown if short.
-func (s *Store) read(d Digest, buf []byte) ([]byte, Tier, error) {
+// get is Get into *buf, grown if short.
+func (s *Store) get(d Digest, buf *[]byte) ([]byte, Tier, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	start := time.Now()
@@ -367,57 +371,62 @@ func (s *Store) read(d Digest, buf []byte) ([]byte, Tier, error) {
 	if !ok {
 		return nil, TierLocal, fmt.Errorf("%w: %s", ErrNotFound, d)
 	}
-	if l.pack == "" {
-		return s.readCold(d, l, buf)
-	}
-	raw, err := s.section(l, &buf)
+	stored, data, err := s.read(d, l, buf)
 	if err != nil {
-		return nil, TierLocal, s.readErr(d, l, err)
+		return nil, l.tier(), err
 	}
-	if Sum(raw) != d {
-		s.quarantine(d, l, raw)
-		return nil, TierLocal, fmt.Errorf("%w: %s (local tier)", ErrCorrupt, d)
+	if l.tier() == TierCold {
+		// The modeled remote device: per-request latency plus the
+		// compressed payload over the profile's bandwidth.
+		s.fetchCold.Observe(s.cold.Latency +
+			time.Duration(float64(len(stored))/float64(s.cold.Bandwidth)*float64(time.Second)))
+	} else {
+		s.fetchLocal.Observe(time.Since(start))
 	}
-	s.fetchLocal.Observe(time.Since(start))
-	return raw, TierLocal, nil
+	return data, l.tier(), nil
 }
 
-// section reads l's bytes from its pack into *buf, grown if short.
-func (s *Store) section(l loc, buf *[]byte) ([]byte, error) {
-	if int64(cap(*buf)) < l.n {
-		*buf = make([]byte, l.n)
+// read is the one read of a chunk: it reads d's section at l, into *buf
+// if local, grown if short, inflates it into *buf if cold, and verifies
+// it. It returns the section as stored and the chunk's bytes. A section
+// that does not verify is copied into quarantine/ and its chunk dropped
+// from the index (ErrCorrupt); a pack that is gone makes its chunks
+// absent (readErr). Caller holds mu.
+func (s *Store) read(d Digest, l loc, buf *[]byte) (stored, data []byte, err error) {
+	cold := l.tier() == TierCold
+	if cold {
+		stored = make([]byte, l.n)
+	} else {
+		if int64(cap(*buf)) < l.n {
+			*buf = make([]byte, l.n)
+		}
+		stored = (*buf)[:l.n]
 	}
-	raw := (*buf)[:l.n]
-	f, err := atomicfile.Open(s.packPath(l.pack))
+	f, err := atomicfile.Open(s.path(l.pack))
+	if err == nil {
+		err = readAt(f, stored, l.off)
+		f.Close()
+	}
 	if err != nil {
-		return nil, err
+		return nil, nil, s.readErr(d, l, err)
 	}
-	defer f.Close()
-	return raw, readAt(f, raw, l.off)
+	data = stored
+	if cold {
+		out := bytes.NewBuffer((*buf)[:0])
+		fr := flate.NewReader(bytes.NewReader(stored))
+		_, err = out.ReadFrom(fr)
+		fr.Close()
+		data, *buf = out.Bytes(), out.Bytes()
+	}
+	if err != nil || Sum(data) != d {
+		s.quarantine(d, l, stored)
+		return nil, nil, fmt.Errorf("%w: %s (%s tier)", ErrCorrupt, d, l.tier())
+	}
+	return stored, data, nil
 }
 
-func (s *Store) readCold(d Digest, l loc, buf []byte) ([]byte, Tier, error) {
-	comp, err := atomicfile.ReadFile(s.coldPath(d))
-	if err != nil {
-		return nil, TierCold, s.readErr(d, l, err)
-	}
-	out := bytes.NewBuffer(buf[:0])
-	fr := flate.NewReader(bytes.NewReader(comp))
-	_, err = out.ReadFrom(fr)
-	fr.Close()
-	if err != nil || Sum(out.Bytes()) != d {
-		s.quarantine(d, l, nil)
-		return nil, TierCold, fmt.Errorf("%w: %s (cold tier)", ErrCorrupt, d)
-	}
-	// The modeled remote device: per-request latency plus the
-	// compressed payload over the profile's bandwidth.
-	s.fetchCold.Observe(s.cold.Latency +
-		time.Duration(float64(len(comp))/float64(s.cold.Bandwidth)*float64(time.Second)))
-	return out.Bytes(), TierCold, nil
-}
-
-// readErr reports a failed read of d at l. A file that is gone was lost
-// out of band: the index forgets what it said the file held, and d is
+// readErr reports a failed read of d at l. A pack that is gone was lost
+// out of band: the index forgets what it said the pack held, and d is
 // absent. Any other failure (EACCES, I/O error) of a present chunk is a
 // read failure, not absence.
 func (s *Store) readErr(d Digest, l loc, err error) error {
@@ -426,7 +435,7 @@ func (s *Store) readErr(d Digest, l loc, err error) error {
 	}
 	s.edit(func() {
 		for dd, ll := range s.chunks {
-			if dd == d || l.pack != "" && ll.pack == l.pack {
+			if ll.pack == l.pack {
 				delete(s.chunks, dd)
 			}
 		}
@@ -435,16 +444,12 @@ func (s *Store) readErr(d Digest, l loc, err error) error {
 	return fmt.Errorf("%w: %s", ErrNotFound, d)
 }
 
-// quarantine preserves a chunk that failed verification under the state
-// directory's quarantine/, beside snapfiles and torn journal tails, and
-// drops it from the index: a cold file is moved there, a pack section's
-// bytes, raw, copied, and the pack left for GC to rewrite.
-func (s *Store) quarantine(d Digest, l loc, raw []byte) {
-	tier, src := TierLocal, ""
-	if l.pack == "" {
-		tier, src = TierCold, s.coldPath(d)
-	}
-	if _, err := atomicfile.Quarantine(s.state, "chunk-"+d.String(), src, raw); err != nil {
+// quarantine preserves the section of a chunk that failed verification,
+// as stored, under the state directory's quarantine/, beside snapfiles
+// and torn journal tails, and drops the chunk from the index; its pack
+// is left for GC to rewrite.
+func (s *Store) quarantine(d Digest, l loc, stored []byte) {
+	if _, err := atomicfile.Quarantine(s.state, "chunk-"+d.String(), "", stored); err != nil {
 		return
 	}
 	s.edit(func() {
@@ -454,78 +459,93 @@ func (s *Store) quarantine(d Digest, l loc, raw []byte) {
 	})
 	s.quarantined.Inc()
 	if fn := s.onQuarantine.Load(); fn != nil {
-		(*fn)(d, tier)
+		(*fn)(d, l.tier())
 	}
 }
 
-// Demote moves a local chunk to the cold tier, compressed, and removes
-// its pack if the index serves nothing else from it. Used for chunks
-// outside every live loading set — the long tail a restore only needs
-// lazily, which can pay the remote fetch cost.
+// Demote moves a local chunk to the cold tier, compressed, as a
+// one-chunk cold pack, and removes its local pack if the index serves
+// nothing else from it. Used for chunks outside every live loading set —
+// the long tail a restore only needs lazily, which can pay the remote
+// fetch cost. A chunk found corrupt on the way is quarantined, and
+// Demote reports it not found.
 func (s *Store) Demote(d Digest) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	l, ok := s.lookup(d)
-	switch {
-	case !ok:
-		return fmt.Errorf("%w: %s", ErrNotFound, d)
-	case l.pack == "":
-		return nil // already cold
+	if ok && l.tier() == TierCold {
+		return nil
 	}
-	if err := s.demote(d, l, new([]byte)); err != nil {
-		return err
+	n, _, err := s.repack(coldDir, []Digest{d})
+	if err == nil && n == 0 {
+		err = fmt.Errorf("%w: %s", ErrNotFound, d)
 	}
-	if keep, _ := s.serving(l.pack); len(keep) == 0 {
-		return s.removePack(l.pack)
+	if keep, _ := s.serving(l.pack); err == nil && len(keep) == 0 {
+		err = s.removePack(l.pack)
 	}
-	return nil
+	return err
 }
 
-// demote commits d's cold copy, then points the index at it: a crash
-// before that leaves the chunk in its pack. Caller holds mu.
-func (s *Store) demote(d Digest, l loc, buf *[]byte) error {
-	raw, err := s.section(l, buf)
+// repack reads each chunk of ds where the index finds it and commits them
+// as one new pack in dir, compressed when a local chunk goes cold; the
+// commit then points the index at them, so a crash before it leaves
+// each chunk where it was. A chunk a read finds corrupt or gone is left
+// out, and so is one a demotion cannot read, which stays local: its read
+// error is returned once the rest are committed. Any other failure
+// commits nothing. It returns how many chunks the new pack holds and its
+// size. Caller holds mu.
+func (s *Store) repack(dir string, ds []Digest) (int, int64, error) {
+	p, buf := s.newPack(dir), new([]byte)
+	var skipped error
+	for _, d := range ds {
+		l, ok := s.lookup(d)
+		if !ok {
+			continue // its pack was found gone on the way
+		}
+		demoting := dir == coldDir && l.tier() == TierLocal
+		stored, data, err := s.read(d, l, buf)
+		switch {
+		case errors.Is(err, ErrCorrupt), errors.Is(err, ErrNotFound):
+			continue
+		case err != nil && demoting:
+			skipped = errors.Join(skipped, err) // it stays local
+			continue
+		case err != nil:
+			p.err = err // commit aborts the pack and returns it
+		case demoting:
+			stored = deflate(data)
+		}
+		if p.append(d, stored) != nil {
+			break
+		}
+	}
+	n, size, err := p.commit()
 	if err != nil {
-		return err
+		return 0, 0, err
 	}
-	if Sum(raw) != d {
-		s.quarantine(d, l, raw)
-		return fmt.Errorf("%w: %s", ErrCorrupt, d)
-	}
+	return n, size, skipped
+}
+
+// deflate compresses a chunk for the cold tier.
+func deflate(raw []byte) []byte {
 	var comp bytes.Buffer
-	zw, err := flate.NewWriter(&comp, flate.BestSpeed)
-	if err != nil {
-		return err
-	}
-	if _, err := zw.Write(raw); err != nil {
-		return err
-	}
-	if err := zw.Close(); err != nil {
-		return err
-	}
-	final := s.coldPath(d)
-	if err := atomicfile.MkdirAll(filepath.Dir(final)); err != nil {
-		return err
-	}
-	if err := atomicfile.Write(final, func(w io.Writer) error {
-		_, err := w.Write(comp.Bytes())
-		return err
-	}); err != nil {
-		return err
-	}
-	s.edit(func() { s.chunks[d] = loc{n: int64(comp.Len())} })
-	return nil
+	zw, _ := flate.NewWriter(&comp, flate.BestSpeed) // fails only on a bad level
+	zw.Write(raw)                                    // a bytes.Buffer takes every write
+	zw.Close()
+	return comp.Bytes()
 }
 
-// serving returns the entries of pack name the index serves from it,
-// and the pack.
-func (s *Store) serving(name string) (keep []entry, p *packFile) {
+// serving returns the digests of the chunks the index serves from pack
+// name, and the pack (nil if the index no longer knows it).
+func (s *Store) serving(name string) (keep []Digest, p *packFile) {
 	s.imu.RLock()
 	defer s.imu.RUnlock()
-	p = s.packs[name]
+	if p = s.packs[name]; p == nil {
+		return nil, nil
+	}
 	for _, e := range p.entries {
 		if s.chunks[e.d] == (loc{name, e.off, e.n}) {
-			keep = append(keep, e)
+			keep = append(keep, e.d)
 		}
 	}
 	return keep, p
@@ -534,31 +554,26 @@ func (s *Store) serving(name string) (keep []entry, p *packFile) {
 // removePack deletes a pack the index serves nothing from.
 func (s *Store) removePack(name string) error {
 	s.edit(func() { delete(s.packs, name) })
-	return atomicfile.Remove(s.packPath(name))
+	return atomicfile.Remove(s.path(name))
 }
 
 // Stats reports the store's physical occupancy from the index: chunks
-// by tier, the packs' size on disk and the cold files'.
-func (s *Store) Stats() (Stats, error) {
+// by tier, and each tier's packs' size on disk, trailers included.
+func (s *Store) Stats() Stats {
 	s.imu.RLock()
 	defer s.imu.RUnlock()
-	var st Stats
+	var n, size [2]int64
 	for _, l := range s.chunks {
-		if l.pack == "" {
-			st.ColdChunks++
-			st.ColdBytes += l.n
-		} else {
-			st.LocalChunks++
-		}
+		n[l.tier()]++
 	}
-	for _, p := range s.packs {
-		st.LocalBytes += p.size
+	for name, p := range s.packs {
+		size[tierOf(name)] += p.size
 	}
-	return st, nil
+	return Stats{n[TierLocal], size[TierLocal], n[TierCold], size[TierCold]}
 }
 
 func (s *Store) refreshGauges() {
-	st, _ := s.Stats()
+	st := s.Stats()
 	s.chunksLocal.Set(float64(st.LocalChunks))
 	s.bytesLocal.Set(float64(st.LocalBytes))
 	s.chunksCold.Set(float64(st.ColdChunks))
@@ -566,20 +581,22 @@ func (s *Store) refreshGauges() {
 }
 
 // GC drops every chunk whose digest live reports false and demotes kept
-// local chunks that hot reports false for (nil hot demotes nothing).
-// Then each pack holding a byte the index does not serve from it — a
-// dead, duplicated, demoted or quarantined chunk — is rewritten as a new
-// pack of the rest, or removed if there is none, so what GC leaves is
-// exact. The caller computes liveness from the manifest's live entries
-// only — tombstoned functions contribute nothing, so an acked delete's
-// chunks are collected (unless shared) and can never resurrect.
+// local chunks that hot reports false for (nil hot demotes nothing), all
+// into one cold pack. Then each pack of either tier holding a byte the
+// index does not serve from it — a dead, duplicated, demoted or
+// quarantined chunk — is rewritten as a new pack of the rest, or removed
+// if there is none, so what GC leaves is exact; a chunk that fails to
+// demote stays local, its failure reported at the end. The caller
+// computes liveness from the manifest's live entries only — tombstoned
+// functions contribute nothing, so an acked delete's chunks are collected
+// (unless shared) and can never resurrect.
 func (s *Store) GC(live func(Digest) bool, hot func(Digest) bool) (GCResult, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var res GCResult
-	var dead, demote []Digest
+	var demote []Digest
 	var names []string
-	// Dead chunks leave the index before any file goes, so the index
+	// Dead chunks leave the index before any pack goes, so the index
 	// never names a chunk that is not on disk.
 	s.edit(func() {
 		for d, l := range s.chunks {
@@ -587,11 +604,7 @@ func (s *Store) GC(live func(Digest) bool, hot func(Digest) bool) (GCResult, err
 			case !live(d):
 				delete(s.chunks, d)
 				res.Removed++
-				if l.pack == "" {
-					dead = append(dead, d)
-					res.ReclaimedBytes += l.n
-				}
-			case l.pack != "" && hot != nil && !hot(d):
+			case l.tier() == TierLocal && hot != nil && !hot(d):
 				demote = append(demote, d)
 				fallthrough
 			default:
@@ -602,63 +615,38 @@ func (s *Store) GC(live func(Digest) bool, hot func(Digest) bool) (GCResult, err
 			names = append(names, name)
 		}
 	})
-	for _, d := range dead {
-		_ = atomicfile.Remove(s.coldPath(d))
-	}
 	sort.Slice(demote, func(i, j int) bool { return bytes.Compare(demote[i][:], demote[j][:]) < 0 })
-	var buf []byte
-	for _, d := range demote {
-		if l, ok := s.lookup(d); ok && s.demote(d, l, &buf) == nil {
-			res.Demoted++
-		}
-	}
+	n, _, demoteErr := s.repack(coldDir, demote)
+	res.Demoted = int64(n)
 	sort.Strings(names)
 	for _, name := range names {
-		freed, err := s.compact(name, &buf)
+		freed, err := s.compact(name)
 		if err != nil {
-			return res, err
+			return res, errors.Join(demoteErr, err)
 		}
 		res.ReclaimedBytes += freed
 	}
-	return res, nil
+	return res, demoteErr
 }
 
-// compact rewrites pack name as a new pack of the chunks the index
-// serves from it — each verified on the way, a corrupt one quarantined —
-// or removes it if there are none, and returns the bytes that freed.
-// Caller holds mu.
-func (s *Store) compact(name string, buf *[]byte) (int64, error) {
+// compact rewrites pack name as a new pack, in its tier, of the chunks
+// the index serves from it, or removes it if there are none, and returns
+// the bytes that freed. Caller holds mu.
+func (s *Store) compact(name string) (int64, error) {
 	keep, old := s.serving(name)
-	if len(keep) == len(old.entries) && len(keep) > 0 {
+	if old == nil || len(keep) == len(old.entries) && len(keep) > 0 {
 		return 0, nil
 	}
-	p, size := s.NewPack(), int64(footerSize)
-	for _, e := range keep {
-		l := loc{name, e.off, e.n}
-		raw, err := s.section(l, buf)
-		if err == nil && Sum(raw) != e.d {
-			s.quarantine(e.d, l, raw)
-			continue
-		}
-		if err == nil {
-			err = p.append(e.d, raw)
-		}
-		if err != nil {
-			if p.f != nil {
-				p.f.Abort()
-			}
-			return 0, err
-		}
-		size += e.n + entrySize
-	}
-	n, err := p.Commit()
+	_, size, err := s.repack(path.Dir(name), keep)
 	if err != nil {
 		return 0, err
 	}
-	if n == 0 {
-		size = 0
+	if err := s.removePack(name); errors.Is(err, fs.ErrNotExist) {
+		return 0, nil // lost out of band: nothing freed
+	} else if err != nil {
+		return 0, err
 	}
-	return old.size - size, s.removePack(name)
+	return old.size - size, nil
 }
 
 // SweepTemp removes leftover temp files — mid-write when the process
@@ -666,9 +654,9 @@ func (s *Store) compact(name string, buf *[]byte) (int64, error) {
 func (s *Store) SweepTemp() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_ = atomicfile.Walk(s.dir, func(path string, de fs.DirEntry) error {
+	_ = atomicfile.Walk(s.dir, func(file string, de fs.DirEntry) error {
 		if strings.HasSuffix(de.Name(), ".tmp") {
-			_ = atomicfile.Remove(path)
+			_ = atomicfile.Remove(file)
 		}
 		return nil
 	})

@@ -3,6 +3,7 @@ package casstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -70,10 +71,10 @@ func TestGetMissing(t *testing.T) {
 func packOf(t *testing.T, s *Store, d Digest) (string, loc) {
 	t.Helper()
 	l, ok := s.lookup(d)
-	if !ok || l.pack == "" {
+	if !ok {
 		t.Fatalf("%s is not in a pack", d)
 	}
-	return s.packPath(l.pack), l
+	return s.path(l.pack), l
 }
 
 // TestGetLocalReadErrorNotMaskedAsMissing: a local-tier read failure
@@ -106,7 +107,8 @@ func TestGetLocalReadErrorNotMaskedAsMissing(t *testing.T) {
 }
 
 // TestLostPackIsAbsent: a pack removed out of band makes its chunks
-// absent — ErrNotFound, and Has false — from their first read on.
+// absent — ErrNotFound, and Has false — from their first read on, be it
+// a Get's or a GC's, and a GC that meets one goes on past it.
 func TestLostPackIsAbsent(t *testing.T) {
 	s, _ := newStore(t)
 	d, _, err := s.Put([]byte("lost"))
@@ -119,6 +121,38 @@ func TestLostPackIsAbsent(t *testing.T) {
 	}
 	if _, _, err := s.Get(d); !errors.Is(err, ErrNotFound) || s.Has(d) {
 		t.Fatalf("get of a chunk whose pack is gone = %v, has = %v; want ErrNotFound, false", err, s.Has(d))
+	}
+
+	// A lost pack holding a live and a dead chunk, first met by GC, and
+	// a partly dead pack named after it.
+	p := s.NewPack()
+	lost, _, _ := p.Put([]byte("lost, live"))
+	p.Put([]byte("lost, dead"))
+	if _, err := p.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	p = s.NewPack()
+	live, _, _ := p.Put([]byte("live"))
+	dead, _, _ := p.Put([]byte("dead"))
+	if _, err := p.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	lostPath, _ := packOf(t, s, lost)
+	later, _ := packOf(t, s, live)
+	if err := os.Remove(lostPath); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.GC(func(d Digest) bool { return d == lost || d == live }, nil); err != nil {
+		t.Fatalf("gc over a lost pack = %v", err)
+	}
+	if _, _, err := s.Get(lost); !errors.Is(err, ErrNotFound) || s.Has(lost) {
+		t.Fatalf("after gc, get of a chunk whose pack is gone = %v, has = %v; want ErrNotFound, false", err, s.Has(lost))
+	}
+	if _, err := os.Lstat(later); !os.IsNotExist(err) {
+		t.Fatal("gc stopped at the lost pack: the partly dead pack after it survived")
+	}
+	if _, _, err := s.Get(live); err != nil || s.Has(dead) {
+		t.Fatalf("after gc, live chunk: %v; dead chunk kept: %v", err, s.Has(dead))
 	}
 }
 
@@ -141,10 +175,7 @@ func TestDemoteAndColdGet(t *testing.T) {
 	if err != nil || tier != TierCold || !bytes.Equal(got, data) {
 		t.Fatalf("cold get = tier=%v err=%v match=%v", tier, err, bytes.Equal(got, data))
 	}
-	st, err := s.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := s.Stats()
 	if st.ColdChunks != 1 || st.LocalChunks != 0 {
 		t.Fatalf("stats = %+v, want 1 cold chunk", st)
 	}
@@ -157,35 +188,132 @@ func TestDemoteAndColdGet(t *testing.T) {
 	}
 }
 
-func TestCorruptChunkQuarantines(t *testing.T) {
-	s, dir := newStore(t)
-	data := []byte("chunk payload with enough bytes to flip")
-	d, _, err := s.Put(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rot the chunk inside its pack.
+// rot flips a byte inside d's section of its pack, returning the pack's
+// path and the section as it now stands.
+func rot(t *testing.T, s *Store, d Digest) (string, []byte) {
+	t.Helper()
 	path, l := packOf(t, s, d)
 	raw, _ := os.ReadFile(path)
 	raw[l.off+l.n/2] ^= 0xff
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := s.Get(d); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("get corrupt = %v, want ErrCorrupt", err)
+	return path, raw[l.off : l.off+l.n]
+}
+
+// TestCorruptChunkQuarantines: a byte flipped inside a chunk's section,
+// in a pack of either tier, is caught by Get, which quarantines the
+// section as stored; the next GC rewrites the pack without the chunk. A
+// good copy stored again before that GC is the one served, after a
+// restart too, and the GC keeps it.
+func TestCorruptChunkQuarantines(t *testing.T) {
+	for _, tier := range []Tier{TierLocal, TierCold} {
+		t.Run(tier.String(), func(t *testing.T) {
+			s, dir := newStore(t)
+			p := s.NewPack()
+			d, _, _ := p.Put([]byte("chunk payload with enough bytes to flip"))
+			neighbour := []byte("its neighbour in the pack")
+			other, _, _ := p.Put(neighbour)
+			if _, err := p.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			if tier == TierCold {
+				if res, err := s.GC(func(Digest) bool { return true }, func(Digest) bool { return false }); err != nil || res.Demoted != 2 {
+					t.Fatalf("demote = %+v, %v", res, err)
+				}
+			}
+			path, section := rot(t, s, d)
+			if _, _, err := s.Get(d); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("get corrupt = %v, want ErrCorrupt", err)
+			}
+			if s.Has(d) {
+				t.Fatal("corrupt chunk still served by Has")
+			}
+			q := filepath.Join(dir, "quarantine", "chunk-"+d.String())
+			if got, err := os.ReadFile(q); err != nil || !bytes.Equal(got, section) {
+				t.Fatalf("quarantine/%s = %q, %v; want the section as stored", filepath.Base(q), got, err)
+			}
+			if _, _, err := s.Get(d); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("get after quarantine = %v, want ErrNotFound", err)
+			}
+			if v := s.quarantined.Value(); v != 1 {
+				t.Fatalf("quarantine counter = %v, want 1", v)
+			}
+			if _, err := s.GC(func(Digest) bool { return true }, nil); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := os.Lstat(path); !os.IsNotExist(err) {
+				t.Fatal("GC kept the pack holding the corrupt chunk")
+			}
+			if _, got, err := s.Get(other); err != nil || got != tier {
+				t.Fatalf("the corrupt chunk's neighbour after GC: tier %v, %v; want %v", got, err, tier)
+			}
+			s2, err := Open(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s2.Has(d) || s2.Stats() != s.Stats() {
+				t.Fatalf("after a reopen: corrupt chunk served %v, stats %+v; want false, %+v", s2.Has(d), s2.Stats(), s.Stats())
+			}
+
+			// The neighbour rots too and is quarantined; a peer's good copy
+			// lands in a new local pack, and the store restarts before any
+			// GC has removed the rotten section.
+			rot(t, s2, other)
+			if _, _, err := s2.Get(other); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("get corrupt neighbour = %v, want ErrCorrupt", err)
+			}
+			if _, err := s2.PutDigest(other, neighbour); err != nil {
+				t.Fatal(err)
+			}
+			s3, err := Open(dir, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s3.GC(func(Digest) bool { return true }, nil); err != nil {
+				t.Fatal(err)
+			}
+			if got, tier, err := s3.Get(other); err != nil || tier != TierLocal || !bytes.Equal(got, neighbour) {
+				t.Fatalf("the copy stored again, after a reopen and a GC: tier %v, %v, match %v; want the local copy", tier, err, bytes.Equal(got, neighbour))
+			}
+		})
 	}
-	if s.Has(d) {
-		t.Fatal("corrupt chunk still served by Has")
+}
+
+// TestColdCopyWinsOverLocalDuplicate: a crash between a demotion's cold
+// commit and the removal of the local pack leaves the chunk in both
+// tiers; a reopened store serves it cold, and the next GC removes the
+// local duplicate.
+func TestColdCopyWinsOverLocalDuplicate(t *testing.T) {
+	s, dir := newStore(t)
+	data := bytes.Repeat([]byte("demoted"), 4096)
+	d, _, err := s.Put(data)
+	if err != nil {
+		t.Fatal(err)
 	}
-	q := filepath.Join(dir, "quarantine", "chunk-"+d.String())
-	if _, err := os.Lstat(q); err != nil {
-		t.Fatalf("corrupt chunk not quarantined at %s: %v", q, err)
+	local, _ := packOf(t, s, d)
+	dup, _ := os.ReadFile(local)
+	if err := s.Demote(d); err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := s.Get(d); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("get after quarantine = %v, want ErrNotFound", err)
+	if err := os.WriteFile(local, dup, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if v := s.quarantined.Value(); v != 1 {
-		t.Fatalf("quarantine counter = %v, want 1", v)
+	s2, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, tier, err := s2.Get(d); err != nil || tier != TierCold || !bytes.Equal(got, data) {
+		t.Fatalf("get after a reopen = tier %v, %v, match %v; want the cold copy", tier, err, bytes.Equal(got, data))
+	}
+	if _, err := s2.GC(func(Digest) bool { return true }, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Lstat(local); !os.IsNotExist(err) {
+		t.Fatal("GC kept the local duplicate of a cold chunk")
+	}
+	if st := s2.Stats(); st != s.Stats() {
+		t.Fatalf("stats after GC %+v, before the duplicate came back %+v", st, s.Stats())
 	}
 }
 
@@ -203,10 +331,9 @@ func TestGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := s.GC(
-		func(d Digest) bool { return d == live || d == coldLive },
-		func(d Digest) bool { return d == live }, // coldLive is live but not hot
-	)
+	isLive := func(d Digest) bool { return d == live || d == coldLive }
+	isHot := func(d Digest) bool { return d == live } // coldLive is live but not hot
+	res, err := s.GC(isLive, isHot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +349,66 @@ func TestGC(t *testing.T) {
 	if _, tier, err := s.Get(coldLive); err != nil || tier != TierCold {
 		t.Fatalf("demoted chunk: tier=%v err=%v, want cold", tier, err)
 	}
+	// What GC leaves is exact: a second sweep finds nothing to do.
+	if res, err := s.GC(isLive, isHot); err != nil || res.ReclaimedBytes != 0 || res.Demoted != 0 {
+		t.Fatalf("second gc = %+v, %v; want nothing reclaimed or demoted", res, err)
+	}
+}
+
+// TestFailedDemotionStaysLocal: a demotion whose cold pack fails to
+// commit (its name is taken by a directory, so the rename fails) moves
+// nothing: the chunk is still served from its local pack. A GC whose
+// demotion meets a chunk it cannot read leaves that chunk local, demotes
+// the rest, compacts every pack and then reports the read failure.
+func TestFailedDemotionStaysLocal(t *testing.T) {
+	s, _ := newStore(t)
+	data := []byte("stays local")
+	d, _, err := s.Put(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	taken := s.path(fmt.Sprintf("%s/%016x.pack", coldDir, s.seq.Load()+1))
+	if err := os.MkdirAll(filepath.Join(taken, "occupied"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Demote(d); err == nil {
+		t.Fatal("a demotion whose cold pack could not commit succeeded")
+	}
+	if got, tier, err := s.Get(d); err != nil || tier != TierLocal || !bytes.Equal(got, data) {
+		t.Fatalf("get after a failed demotion = tier %v, %v, match %v; want the local copy", tier, err, bytes.Equal(got, data))
+	}
+
+	s, _ = newStore(t)
+	unreadable, _, _ := s.Put([]byte("unreadable"))
+	cold, _, _ := s.Put([]byte("goes cold"))
+	dead, _, _ := s.Put([]byte("dead"))
+	path, _ := packOf(t, s, unreadable)
+	deadPack, _ := packOf(t, s, dead)
+	// The pack turned into a directory: its read fails with EISDIR.
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	res, err := s.GC(func(d Digest) bool { return d != dead }, func(Digest) bool { return false })
+	if err == nil || errors.Is(err, ErrNotFound) || errors.Is(err, ErrCorrupt) {
+		t.Fatalf("gc with an unreadable demotion candidate = %v, want its read error", err)
+	}
+	if res.Demoted != 1 || !s.Has(unreadable) {
+		t.Fatalf("gc = %+v, unreadable chunk kept %v; want the other chunk demoted, the unreadable one local", res, s.Has(unreadable))
+	}
+	if _, tier, err := s.Get(cold); err != nil || tier != TierCold {
+		t.Fatalf("the readable candidate after gc: tier %v, %v; want cold", tier, err)
+	}
+	if _, err := os.Lstat(deadPack); !os.IsNotExist(err) {
+		t.Fatal("gc stopped at the unreadable chunk: the dead pack survived")
+	}
 }
 
 func TestSweepTemp(t *testing.T) {
 	s, _ := newStore(t)
-	tmp := filepath.Join(s.localDir(), "ab", "deadbeef.123.tmp")
+	tmp := filepath.Join(s.path(localDir), "ab", "deadbeef.123.tmp")
 	if err := os.MkdirAll(filepath.Dir(tmp), 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -381,10 +563,7 @@ func TestSharedBaseImageDedup(t *testing.T) {
 	if shared*2 <= total {
 		t.Fatalf("shared-base dedup: only %d of %d of B's chunks dedup against A", shared, total)
 	}
-	st, err := s.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := s.Stats()
 	// Store size must sit well below 2x a single snapshot's chunk bytes.
 	if st.PhysicalBytes() >= aBytes*17/10 {
 		t.Fatalf("store holds %d bytes for two snapshots of %d each — dedup not real", st.PhysicalBytes(), aBytes)

@@ -96,6 +96,7 @@ func readAt(r io.ReaderAt, p []byte, off int64) error {
 // until a Commit has made the file that holds it durable.
 type Pack struct {
 	s       *Store
+	dir     string // the tier's directory
 	mu      sync.Mutex
 	f       *atomicfile.Pending // created with the first chunk after a Commit
 	name    string
@@ -105,8 +106,10 @@ type Pack struct {
 	err     error
 }
 
-// NewPack starts a pack.
-func (s *Store) NewPack() *Pack { return &Pack{s: s, in: map[Digest]bool{}} }
+// NewPack starts a local pack.
+func (s *Store) NewPack() *Pack { return s.newPack(localDir) }
+
+func (s *Store) newPack(dir string) *Pack { return &Pack{s: s, dir: dir, in: map[Digest]bool{}} }
 
 // Put appends data under its own digest, hashed once, here, unless the
 // store or the pack already holds it (a dedup hit, reported as existed).
@@ -140,9 +143,9 @@ func (p *Pack) put(d Digest, data []byte) (bool, error) {
 // the pack alone.
 func (p *Pack) append(d Digest, data []byte) error {
 	if p.err == nil && p.f == nil {
-		p.name = fmt.Sprintf("%016x.pack", p.s.seq.Add(1))
-		if p.err = atomicfile.MkdirAll(p.s.localDir()); p.err == nil {
-			p.f, p.err = atomicfile.Create(p.s.packPath(p.name))
+		p.name = fmt.Sprintf("%s/%016x.pack", p.dir, p.s.seq.Add(1))
+		if p.err = atomicfile.MkdirAll(p.s.path(p.dir)); p.err == nil {
+			p.f, p.err = atomicfile.Create(p.s.path(p.name))
 		}
 	}
 	if p.err == nil {
@@ -163,6 +166,12 @@ func (p *Pack) append(d Digest, data []byte) error {
 // empty again: a later Put starts the next file. A pack a Put failed in
 // commits nothing and returns that failure.
 func (p *Pack) Commit() (int, error) {
+	n, _, err := p.commit()
+	return n, err
+}
+
+// commit is Commit, also returning the size of the file it committed.
+func (p *Pack) commit() (int, int64, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	f, name, entries, err := p.f, p.name, p.entries, p.err
@@ -172,15 +181,15 @@ func (p *Pack) Commit() (int, error) {
 		if f != nil {
 			f.Abort()
 		}
-		return len(entries), err
+		return len(entries), 0, err
 	}
 	if _, err := f.Write(appendTrailer(nil, entries)); err != nil {
 		f.Abort()
-		return len(entries), err
+		return len(entries), 0, err
 	}
 	if err := f.Commit(); err != nil {
-		return len(entries), err
+		return len(entries), 0, err
 	}
 	p.s.install(name, size, entries)
-	return len(entries), nil
+	return len(entries), size, nil
 }

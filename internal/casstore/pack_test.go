@@ -56,7 +56,7 @@ func TestPackIsOneCommit(t *testing.T) {
 	if _, err := p.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	packs, _ := filepath.Glob(filepath.Join(s.localDir(), "*"))
+	packs, _ := filepath.Glob(filepath.Join(s.path(localDir), "*"))
 	if len(packs) != 1 {
 		t.Fatalf("pack commit left %q, want one file", packs)
 	}
@@ -92,7 +92,7 @@ func TestPackPutsFromManyGoroutines(t *testing.T) {
 	if n, err := p.Commit(); err != nil || n != 64 {
 		t.Fatalf("commit = %d chunks, %v; want the 64 distinct ones", n, err)
 	}
-	if st, _ := s.Stats(); st.LocalChunks != 64 {
+	if st := s.Stats(); st.LocalChunks != 64 {
 		t.Fatalf("stats = %+v, want 64 local chunks", st)
 	}
 }
@@ -119,12 +119,12 @@ func TestGCRewritesPartlyDeadPack(t *testing.T) {
 	if s.Has(dead) || !s.Has(live) {
 		t.Fatal("GC kept the dead chunk or dropped the live one")
 	}
-	st, _ := s.Stats()
+	st := s.Stats()
 	s2, err := Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st2, _ := s2.Stats(); st2 != st || s2.Has(dead) {
+	if st2 := s2.Stats(); st2 != st || s2.Has(dead) {
 		t.Fatalf("stats after GC %+v, after a reopen %+v", st, st2)
 	}
 }

@@ -222,11 +222,11 @@ func TestCASOccupancySurvivesReopen(t *testing.T) {
 		t.Helper()
 		var before, after CASResponse
 		doJSON(t, "GET", srv.URL+"/cas", nil, &before)
-		st, _ := d.store.cas.Stats()
+		st := d.store.cas.Stats()
 		srv.Close()
 		d, srv = newTestDaemon(t, Config{StateDir: state})
 		doJSON(t, "GET", srv.URL+"/cas", nil, &after)
-		if st2, _ := d.store.cas.Stats(); before != after || st != st2 || st != before.Stats {
+		if st2 := d.store.cas.Stats(); before != after || st != st2 || st != before.Stats {
 			t.Fatalf("occupancy before a restart: %+v (Stats %+v); after: %+v (Stats %+v)", before, st, after, st2)
 		}
 	}

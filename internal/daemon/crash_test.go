@@ -41,7 +41,7 @@ const (
 // journal, snapfiles, chunks of either tier and quarantined evidence.
 // Anything else — a temp file, a readiness probe — is a dropping a crash
 // left and recovery failed to sweep.
-var owned = regexp.MustCompile(`^(manifest\.log|[^/]+\.snap|cas/packs/[0-9a-f]{16}\.pack|cas/cold/[0-9a-f]{2}/[0-9a-f]{64}\.z|quarantine/[^/]+)$`)
+var owned = regexp.MustCompile(`^(manifest\.log|[^/]+\.snap|cas/(packs|cold)/[0-9a-f]{16}\.pack|quarantine/[^/]+)$`)
 
 // node is a daemon over a mounted disk, driven through its handler.
 type node struct {

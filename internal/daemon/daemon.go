@@ -782,7 +782,7 @@ func (d *Daemon) chunkMap(r *http.Request) (ChunkMapResponse, error) {
 	return d.store.export(name, v.arts.RecordInput.Name, e.Generation, v.chunks, r.URL.Query().Get("summary") != "")
 }
 
-func (d *Daemon) cas(*http.Request) (CASResponse, error) { return d.store.report() }
+func (d *Daemon) cas(*http.Request) (CASResponse, error) { return d.store.report(), nil }
 
 // StatusResponse is GET /status: everything the gateway's sweep asks a
 // backend, in one answer — the routing verdict /readyz probes, the load

@@ -153,11 +153,7 @@ func (s *store) refreshDedup() {
 		s.dedup.Set(0)
 		return
 	}
-	st, err := s.cas.Stats()
-	if err != nil {
-		return
-	}
-	s.dedup.Set(max(0, 1-float64(st.PhysicalBytes())/float64(logical)))
+	s.dedup.Set(max(0, 1-float64(s.cas.Stats().PhysicalBytes())/float64(logical)))
 }
 
 // window is how many chunks the chunk plane moves at once: a record's
@@ -751,17 +747,15 @@ func (s *store) sweep(demote bool) (casstore.GCResult, error) {
 	}
 	res, err := s.cas.GC(func(dg casstore.Digest) bool { return live[dg] }, hotFn)
 	s.ops.Unlock()
-	if err == nil {
-		s.gcRemoved.Add(float64(res.Removed))
-		s.refreshDedup()
-	}
+	// A failed sweep has still removed what res counts.
+	s.gcRemoved.Add(float64(res.Removed))
+	s.refreshDedup()
 	return res, err
 }
 
 // stats returns the store's occupancy and the dedup ratio last computed.
 func (s *store) stats() (casstore.Stats, float64) {
-	st, _ := s.cas.Stats()
-	return st, s.dedup.Value()
+	return s.cas.Stats(), s.dedup.Value()
 }
 
 // recoverySweep runs after journal replay: temp chunks from a writer
@@ -789,14 +783,13 @@ type CASResponse struct {
 	LazyPendingChunks int64          `json:"lazy_pending_chunks"`
 }
 
-func (s *store) report() (CASResponse, error) {
+func (s *store) report() CASResponse {
 	s.refreshDedup()
-	st, err := s.cas.Stats()
 	return CASResponse{
-		Stats:             st,
+		Stats:             s.cas.Stats(),
 		LogicalBytes:      s.logicalBytes(),
 		DedupRatio:        s.dedup.Value(),
 		RestoreBytesSaved: int64(s.saved.Value()),
 		LazyPendingChunks: int64(s.lazyPending.Value()),
-	}, err
+	}
 }
