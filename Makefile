@@ -117,9 +117,12 @@ endif
 
 # Regenerate every paper table/figure (writes bench_results.txt; the
 # wall-clock lines go to stderr, so an unchanged model reproduces the
-# committed file byte for byte — CI diffs it).
+# committed file byte for byte — CI diffs it), then check the file
+# against EXPERIMENTS.md's paper rows and -exp claims: a model change
+# whose doc is stale fails here, printing the rows to paste.
 experiments:
 	$(GO) run ./cmd/faasnap-bench -exp all | tee bench_results.txt
+	$(GO) test -count=1 -run 'TestExperimentsDoc|TestParseReports' ./internal/experiments/
 
 # Figure SVGs for the plot-backed experiments.
 figures:

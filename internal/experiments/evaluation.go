@@ -112,7 +112,7 @@ func Fig8(opt Options) *Report {
 	ratios := fig8Ratios
 	if opt.Quick {
 		specs = specs[:2]
-		ratios = []float64{0.5, 1, 2}
+		ratios = []float64{0.25, 1, 4}
 	}
 	rep := &Report{
 		Name:   "fig8",
