@@ -52,7 +52,6 @@ func run(logger *log.Logger) error {
 		replicas       = flag.Int("replicas", 1, "standby backends receiving registration and snapshot replication")
 		healthInterval = flag.Duration("health-interval", time.Second, "backend GET /status sweep period")
 		requestTimeout = flag.Duration("request-timeout", 0, "per-request deadline across all backend attempts (0 = default 30s)")
-		maxPerBackend  = flag.Int64("max-per-backend", 0, "in-flight load per backend before spillover (0 = default 256)")
 		quietHTTP      = flag.Bool("quiet-http", false, "drop the per-request access log line (for load benchmarks; telemetry still counts every request)")
 	)
 	flag.Parse()
@@ -73,7 +72,6 @@ func run(logger *log.Logger) error {
 		Replicas:       *replicas,
 		HealthInterval: *healthInterval,
 		RequestTimeout: *requestTimeout,
-		MaxPerBackend:  *maxPerBackend,
 		QuietHTTP:      *quietHTTP,
 	})
 	if err != nil {

@@ -52,8 +52,7 @@ func run(logger *log.Logger) error {
 		pprofAddr     = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = off)")
 		chaosPath     = flag.String("chaos", "", "JSON chaos config armed at start (also settable live via PUT /chaos)")
 		invokeTimeout = flag.Duration("invoke-timeout", 0, "per-request deadline for /invoke and /burst (0 = default 30s)")
-		maxInFlight   = flag.Int64("max-inflight", 0, "admission-control bound on in-flight invocations (0 = default 256)")
-		maxBurst      = flag.Int("max-burst", 0, "largest accepted burst parallelism (0 = default 256)")
+		maxInFlight   = flag.Int64("max-inflight", 0, "admission window: in-flight invocations plus burst widths, and the widest burst accepted (0 = default 256)")
 		quietHTTP     = flag.Bool("quiet-http", false, "drop the per-request access log line (for load benchmarks; telemetry still counts every request)")
 		sloLatency    = flag.Duration("slo-latency", 0, "per-request latency objective for GET /slo (0 = default 500ms)")
 		sloTarget     = flag.Float64("slo-target", 0, "SLO attainment target in (0,1) (0 = default 0.99)")
@@ -124,13 +123,10 @@ func run(logger *log.Logger) error {
 		// many snapshots starts answering health checks immediately.
 		AsyncRecovery: true,
 		QuietHTTP:     *quietHTTP,
-		SLO: slo.Config{
-			Default: slo.Objective{Latency: *sloLatency, Target: *sloTarget},
-		},
+		SLO:           slo.Objective{Latency: *sloLatency, Target: *sloTarget},
 		Resilience: daemon.ResilienceConfig{
-			InvokeTimeout:    *invokeTimeout,
-			MaxInFlight:      *maxInFlight,
-			MaxBurstParallel: *maxBurst,
+			InvokeTimeout: *invokeTimeout,
+			MaxInFlight:   *maxInFlight,
 		},
 	})
 	if err != nil {

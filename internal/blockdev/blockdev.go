@@ -146,9 +146,6 @@ func New(env *sim.Env, prof Profile) *Device {
 	}
 }
 
-// Profile returns the device profile.
-func (d *Device) Profile() Profile { return d.prof }
-
 // Stats returns a snapshot of the device counters.
 func (d *Device) Stats() Stats { return d.stats }
 

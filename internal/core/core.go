@@ -125,9 +125,6 @@ type HostConfig struct {
 	// vCPU (kernel threads, the in-guest HTTP server) burns while an
 	// invocation runs; it drives CPU contention in burst workloads.
 	BackgroundDuty float64
-	// LoaderMaxAhead bounds how many pages the FaaSnap loader may run
-	// ahead of guest consumption; 0 means unbounded.
-	LoaderMaxAhead int64
 	// Chaos optionally arms the host's data plane with fault injection:
 	// block-device reads consult it (point "blockdev.read", op = request
 	// class, plus the "loading-set" op the FaaSnap restore path checks

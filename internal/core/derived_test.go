@@ -102,7 +102,8 @@ func TestCloneStartsWithNothingDerived(t *testing.T) {
 		}
 	}
 	variant.LS = workingset.BuildLoadingSet(base.WS, base.Mem, 0)
-	variant.WS = workingset.Regroup(base.WS, 256)
+	first := base.WS.Groups[0]
+	variant.WS = &workingset.WorkingSet{Groups: [][]int64{first[:len(first)/2]}}
 	if len(variant.LS.Regions) == len(base.LS.Regions) {
 		t.Fatal("gap-0 loading set has as many regions as the merged one; the test needs them to differ")
 	}

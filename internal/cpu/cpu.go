@@ -38,9 +38,6 @@ func New(env *sim.Env, cores int) *PS {
 	return &PS{env: env, cores: cores, changed: sim.NewCond(env)}
 }
 
-// Cores returns the pool's core count.
-func (c *PS) Cores() int { return c.cores }
-
 // rate returns the fraction of one core each runnable burst receives.
 func (c *PS) rate() float64 {
 	if c.n > c.cores {

@@ -63,9 +63,9 @@ type Config struct {
 	// mutex and stderr write serialize the request path; benchmarked
 	// deployments turn it off.
 	QuietHTTP bool
-	// SLO configures the objective of the GET /slo engine; the zero
-	// value takes the package default.
-	SLO slo.Config
+	// SLO is the objective the GET /slo engine judges every function
+	// against; zero fields take slo.DefaultObjective's.
+	SLO slo.Objective
 	// AsyncRecovery runs manifest replay and snapshot re-deployment in
 	// the background after New returns; /readyz answers 503 with
 	// Retry-After until recovery completes. faasnapd sets it so a host
@@ -1108,8 +1108,8 @@ type BurstResponse struct {
 func (d *Daemon) handleBurst(w http.ResponseWriter, r *http.Request) {
 	var req burstRequest
 	weigh := func() (int64, error) {
-		if req.Parallel <= 0 || req.Parallel > d.res.MaxBurstParallel {
-			return 0, fmt.Errorf("parallel must be in [1,%d]", d.res.MaxBurstParallel)
+		if req.Parallel <= 0 || int64(req.Parallel) > d.limiter.Max() {
+			return 0, fmt.Errorf("parallel must be in [1,%d], the admission window", d.limiter.Max())
 		}
 		return int64(req.Parallel), nil
 	}

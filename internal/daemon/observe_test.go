@@ -299,7 +299,7 @@ func TestSLOJudgesWallTime(t *testing.T) {
 	)
 	d, srv := newTestDaemon(t, Config{
 		StateDir:   t.TempDir(),
-		SLO:        slo.Config{Default: slo.Objective{Latency: objective, Target: 0.99}},
+		SLO:        slo.Objective{Latency: objective, Target: 0.99},
 		Resilience: ResilienceConfig{MaxInFlight: 1, InvokeTimeout: deadline},
 	})
 	const fn = "slo-fn"
@@ -407,7 +407,7 @@ func TestSLOJudgesWallTime(t *testing.T) {
 // more however many good outcomes follow.
 func TestSLOPageEvents(t *testing.T) {
 	_, srv := newTestDaemon(t, Config{
-		SLO:        slo.Config{Default: slo.Objective{Latency: time.Minute, Target: 0.5}},
+		SLO:        slo.Objective{Latency: time.Minute, Target: 0.5},
 		Resilience: ResilienceConfig{InvokeTimeout: 200 * time.Millisecond},
 		Chaos: &chaos.Config{Enabled: true, Rules: []chaos.Rule{
 			{Point: chaos.PointVMMAPI, Op: "snapshot/load", Kind: chaos.KindHang, Count: 1},

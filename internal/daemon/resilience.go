@@ -31,9 +31,9 @@ type ResilienceConfig struct {
 	InvokeTimeout time.Duration
 	// MaxInFlight bounds admitted work across /invoke (weight 1) and
 	// /burst (weight = parallel); excess requests get 429 + Retry-After.
+	// It is also the widest burst accepted: a wider one could never be
+	// admitted and gets 400.
 	MaxInFlight int64
-	// MaxBurstParallel caps burstRequest.Parallel; larger asks get 400.
-	MaxBurstParallel int
 }
 
 const (
@@ -54,9 +54,6 @@ func (c ResilienceConfig) withDefaults() ResilienceConfig {
 	}
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = 256
-	}
-	if c.MaxBurstParallel == 0 {
-		c.MaxBurstParallel = 256
 	}
 	return c
 }
@@ -111,21 +108,13 @@ func (d *Daemon) release(w int64) {
 
 // retryAfter computes the Retry-After hint for a shed request of the
 // given weight: the number of full limiter drain cycles the admitted
-// weight plus this request represents. A barely-saturated host answers
-// 1; a host asked for a burst several times its admission window — or
-// one already far over capacity — answers proportionally more, so the
-// gateway's max-aggregation across backends sees real load, not a
-// constant.
+// weight plus this request represents. A request is shed only when that
+// sum exceeds the window, and validation keeps a burst within one
+// window, so the hint is 2, or 1 when the window drained between the
+// refused Acquire and this read.
 func (d *Daemon) retryAfter(weight int64) int {
 	in, max := d.limiter.InFlight(), d.limiter.Max()
-	if max <= 0 {
-		return 1
-	}
-	ra := int((in + weight + max - 1) / max)
-	if ra < 1 {
-		ra = 1
-	}
-	return ra
+	return int((in + weight + max - 1) / max)
 }
 
 // shed rejects a request at admission, with a load-scaled Retry-After

@@ -369,8 +369,11 @@ func TestSaturationSheds429(t *testing.T) {
 	}
 }
 
+// The admission window is the widest burst: one wider could never be
+// admitted, so it is invalid (400), not shed (429) forever, and one
+// exactly as wide is served by an idle daemon.
 func TestBurstParallelValidation(t *testing.T) {
-	_, srv := newTestDaemon(t, Config{Resilience: ResilienceConfig{MaxBurstParallel: 8}})
+	_, srv := newTestDaemon(t, Config{Resilience: ResilienceConfig{MaxInFlight: 8}})
 	recordedFn(t, srv.URL)
 	for _, parallel := range []int{0, -3, 9} {
 		resp := doJSON(t, "POST", srv.URL+"/functions/hello-world/burst",
@@ -382,7 +385,7 @@ func TestBurstParallelValidation(t *testing.T) {
 	resp := doJSON(t, "POST", srv.URL+"/functions/hello-world/burst",
 		map[string]interface{}{"mode": "faasnap", "parallel": 8}, nil)
 	if resp.StatusCode != 200 {
-		t.Fatalf("burst at the cap = %d, want 200", resp.StatusCode)
+		t.Fatalf("burst as wide as the window = %d, want 200", resp.StatusCode)
 	}
 }
 

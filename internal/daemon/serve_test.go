@@ -69,9 +69,9 @@ func TestServeExits(t *testing.T) {
 		},
 		{
 			// A full window of 4: ceil((4+1)/4) = 2 drain cycles for an
-			// invoke, ceil((4+8)/4) = 3 for a burst of 8.
-			name: "shed", status: 429, parallel: 8, prep: saturate,
-			retry: map[string]string{"invoke": "2", "burst": "3"},
+			// invoke, ceil((4+4)/4) = 2 for a burst as wide as the window.
+			name: "shed", status: 429, parallel: 4, prep: saturate,
+			retry: map[string]string{"invoke": "2", "burst": "2"},
 		},
 		// Validation comes before admission on both routes.
 		{name: "invalid at saturation", fn: "nope", status: 404, prep: saturate},

@@ -216,7 +216,7 @@ func All() []Experiment {
 		{"tiered", "Tiered snapshot storage: loading sets local, memory remote (§7.2)", Tiered},
 		{"coldstart", "Cold starts vs snapshots vs warm starts (§2.1, §7.1)", ColdStart},
 		{"policy", "Serving policies: warm vs snapshot vs cold (§7.1)", PolicyReport},
-		{"ablations", "Design-constant ablations: merge gap, group size (§4.3, §4.6)", Ablations},
+		{"ablations", "Design-constant ablation: region merge gap (§4.6)", Ablations},
 		{"cluster", "Multi-host serving tier: snapshot policies under memory pressure (§7.1, §7.2)", ClusterReport},
 		{"claims", "Artifact-appendix claims C1–C4, read from fig6/8/10/11 (A.4.1)", Claims},
 	}

@@ -235,6 +235,31 @@ func TestGatewayE2E(t *testing.T) {
 	}
 }
 
+// A burst wider than the owner's admission window could never be
+// admitted: the owner answers 400 after one attempt and the gateway
+// passes it through, with no spill to the standby and no 429.
+func TestBurstWiderThanWindowIs400(t *testing.T) {
+	t.Parallel()
+	cfg := daemon.Config{Resilience: daemon.ResilienceConfig{MaxInFlight: 2}}
+	a, b := startDaemon(t, cfg, ""), startDaemon(t, cfg, "")
+	net := serving(nil)
+	net.handlers[a.addr], net.handlers[b.addr] = a.h, b.h
+	g := newTestGateway(t, net, Config{})
+	const fn = "wide-burst"
+	provision(t, a, fn)
+	provision(t, b, fn)
+	resp := call(t, g.Handler(), "POST", "/functions/"+fn+"/burst", map[string]interface{}{"mode": "faasnap", "parallel": 3}, nil)
+	if resp.StatusCode != http.StatusBadRequest || resp.Header.Get("Retry-After") != "" {
+		t.Fatalf("burst of 3 on a window of 2 = %d (Retry-After %q), want 400 with no Retry-After", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if n := net.count("POST /functions/" + fn + "/burst"); n != 1 {
+		t.Fatalf("%d backend attempts, want 1", n)
+	}
+	if got, want := resp.Header.Get("X-Faasnap-Backend"), prefAddrs(g, fn, 1)[0]; got != want {
+		t.Fatalf("answered by %s, want the owner %s", got, want)
+	}
+}
+
 // TestGatewayE2EResync is the anti-entropy acceptance scenario: a
 // standby holding replicated snapshot state is killed cold and comes
 // back on the same address with a wiped disk. The gateway's health

@@ -58,9 +58,6 @@ type Config struct {
 	// Replicas is how many standby backends receive function
 	// registration and snapshot recording besides the owner (default 1).
 	Replicas int
-	// MaxPerBackend is the per-backend in-flight load above which the
-	// owner is considered saturated and spilled over (default 256).
-	MaxPerBackend int64
 	// QuietHTTP drops the per-request access log line entirely (for load
 	// benchmarks; telemetry still counts every request). Scrape noise
 	// (/metrics, /healthz) is never logged regardless.
@@ -92,9 +89,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Replicas == 0 {
 		c.Replicas = 1
-	}
-	if c.MaxPerBackend == 0 {
-		c.MaxPerBackend = 256
 	}
 	return c
 }
@@ -468,7 +462,9 @@ func (g *Gateway) handleForward(w http.ResponseWriter, r *http.Request) {
 			g.deadlineExceeded(w, ctx.Err())
 			return
 		}
-		if !b.Ready() || b.load() >= g.cfg.MaxPerBackend {
+		// A backend whose load has reached the admission window its last
+		// status reported is saturated; one that reported none has no cap.
+		if v := b.view.Load(); !v.Ready || (v.AdmissionMax > 0 && b.load() >= v.AdmissionMax) {
 			continue
 		}
 		report, admitted := b.breaker.Allow()

@@ -69,18 +69,26 @@ func TestSpilloverWhenOwnerUnready(t *testing.T) {
 	}
 }
 
-// A saturated owner (at MaxPerBackend) spills over instead of queueing.
+// An owner whose load has reached the admission window it reports in
+// GET /status spills over instead of queueing; below its window it
+// serves.
 func TestSpilloverWhenOwnerSaturated(t *testing.T) {
-	net, _ := newFakes(3)
-	g := newTestGateway(t, net, Config{MaxPerBackend: 4})
-	owner := prefAddrs(g, "fn-a", 1)[0]
-	backendAt(g, owner).inflight.Store(4)
+	net, fakes := newFakes(3)
+	g := newTestGateway(t, net, Config{})
+	owner := prefFakes(t, g, "fn-a", 1, fakes)[0]
+	owner.script("GET /status", answer(http.StatusOK, `{"ready":true,"inflight":4,"admission_used":4,"admission_max":4}`))
+	g.CheckNow()
 	rep := gwInvoke(t, g.Handler(), "fn-a")
 	if rep.status != 200 || rep.placement != PlacementSpillover {
 		t.Fatalf("got %d/%q, want 200/spillover", rep.status, rep.placement)
 	}
-	if rep.backend == owner {
+	if rep.backend == owner.addr {
 		t.Fatal("saturated owner still chosen")
+	}
+	owner.script("GET /status", answer(http.StatusOK, `{"ready":true,"inflight":4,"admission_used":4,"admission_max":5}`))
+	g.CheckNow()
+	if rep := gwInvoke(t, g.Handler(), "fn-a"); rep.status != 200 || rep.placement != PlacementSticky {
+		t.Fatalf("below its window: got %d/%q, want 200/sticky", rep.status, rep.placement)
 	}
 }
 

@@ -32,7 +32,7 @@ func TestObservabilityE2E(t *testing.T) {
 	// (1.5s stalls) burn budget, with wide margin on both sides for
 	// loaded CI machines.
 	objective := slo.Objective{Latency: 500 * time.Millisecond, Target: 0.99}
-	byAddr, gw := startCluster(t, daemon.Config{SLO: slo.Config{Default: objective}})
+	byAddr, gw := startCluster(t, daemon.Config{SLO: objective})
 
 	// Pick two functions with distinct sticky owners so chaos on one
 	// owner cannot touch the other function's traffic.
@@ -98,7 +98,7 @@ func TestObservabilityE2E(t *testing.T) {
 		t.Fatalf("arm chaos = %d", resp.StatusCode)
 	}
 
-	const invokes = 8
+	const invokes = 2
 	for i := 0; i < invokes; i++ {
 		for _, fn := range []string{slowFn, fastFn} {
 			if st := call(t, gw, "POST", "/functions/"+fn+"/invoke", invokeA, nil).StatusCode; st != 200 {

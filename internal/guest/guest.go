@@ -170,9 +170,6 @@ func (vm *VM) SetSanitize(on bool) {
 	}
 }
 
-// Sanitizing reports the sanitize knob state.
-func (vm *VM) Sanitizing() bool { return vm.sanitize }
-
 // allocPage hands out one heap page: freed pages first (FIFO), then
 // never-used pages.
 func (vm *VM) allocPage() int64 {

@@ -192,12 +192,6 @@ func New(env *sim.Env, cache *pagecache.Cache, costs CostModel, pages int64) *Ad
 	}
 }
 
-// Pages returns the address-space size in pages.
-func (a *AddrSpace) Pages() int64 { return a.pages }
-
-// Costs returns the cost model in force.
-func (a *AddrSpace) Costs() CostModel { return a.costs }
-
 // Stats returns the accumulated fault statistics.
 func (a *AddrSpace) Stats() *metrics.FaultStats { return &a.stats }
 

@@ -230,9 +230,6 @@ func (c *Cache) Register(name string, dev *blockdev.Device, pages int64) *File {
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats clears the cache counters.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // ResidentPages returns the number of resident pages of f.
 func (c *Cache) ResidentPages(f *File) int64 { return f.nresident }
 

@@ -293,9 +293,6 @@ type Proc struct {
 // Name returns the process name given to Go.
 func (p *Proc) Name() string { return p.name }
 
-// Env returns the environment the process belongs to.
-func (p *Proc) Env() *Env { return p.env }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.env.now }
 

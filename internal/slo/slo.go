@@ -152,13 +152,6 @@ type fnState struct {
 	burning   bool             // last page-condition state, for Record's observer
 }
 
-// Config configures an Engine.
-type Config struct {
-	// Default is the objective every function is judged against; zero
-	// fields take DefaultObjective's.
-	Default Objective
-}
-
 // Engine tracks outcomes and computes burn rates.
 type Engine struct {
 	mu  sync.Mutex
@@ -167,9 +160,10 @@ type Engine struct {
 	fns map[string]*fnState
 }
 
-// New returns an engine with cfg's defaults applied.
-func New(cfg Config) *Engine {
-	return &Engine{obj: cfg.Default.withDefaults(), now: time.Now, fns: make(map[string]*fnState)}
+// New returns an engine that judges every function against obj; zero
+// fields of obj take DefaultObjective's.
+func New(obj Objective) *Engine {
+	return &Engine{obj: obj.withDefaults(), now: time.Now, fns: make(map[string]*fnState)}
 }
 
 func (e *Engine) state(fn string) *fnState {

@@ -21,14 +21,14 @@ type fakeClock struct{ now time.Time }
 func (c *fakeClock) Now() time.Time          { return c.now }
 func (c *fakeClock) advance(d time.Duration) { c.now = c.now.Add(d) }
 func newFakeClock() *fakeClock               { return &fakeClock{now: time.Unix(1_700_000_000, 0)} }
-func newTestEngine(c *fakeClock, cfg Config) *Engine {
-	e := New(cfg)
+func newTestEngine(c *fakeClock, obj Objective) *Engine {
+	e := New(obj)
 	e.now = c.Now
 	return e
 }
 
 func TestJudgeClassification(t *testing.T) {
-	e := New(Config{Default: Objective{Latency: 100 * time.Millisecond, Target: 0.99}})
+	e := New(Objective{Latency: 100 * time.Millisecond, Target: 0.99})
 	cases := []struct {
 		status        int
 		wall          time.Duration
@@ -55,7 +55,7 @@ func TestJudgeClassification(t *testing.T) {
 func TestBurnRateMath(t *testing.T) {
 	// With target 0.99 the budget is 1%; a 2% bad fraction burns at 2x.
 	clk := newFakeClock()
-	e := newTestEngine(clk, Config{Default: Objective{Latency: time.Second, Target: 0.99}})
+	e := newTestEngine(clk, Objective{Latency: time.Second, Target: 0.99})
 	for i := 0; i < 98; i++ {
 		e.Record("f", true, nil)
 	}
@@ -88,7 +88,7 @@ func TestBurnRateMath(t *testing.T) {
 
 func TestWindowExpiry(t *testing.T) {
 	clk := newFakeClock()
-	e := newTestEngine(clk, Config{Default: Objective{Latency: time.Second, Target: 0.99}})
+	e := newTestEngine(clk, Objective{Latency: time.Second, Target: 0.99})
 	for i := 0; i < 10; i++ {
 		e.Record("f", false, nil)
 	}
@@ -117,7 +117,7 @@ func TestWindowExpiry(t *testing.T) {
 // page condition.
 func TestRecordObserver(t *testing.T) {
 	clk := newFakeClock()
-	e := newTestEngine(clk, Config{Default: Objective{Latency: time.Second, Target: 0.9}})
+	e := newTestEngine(clk, Objective{Latency: time.Second, Target: 0.9})
 	var seen []FunctionReport
 	var changes []bool
 	observe := func(fr FunctionReport, changed bool) {

@@ -21,10 +21,6 @@ type MemoryFile struct {
 	Pages int64
 	zero  []uint64 // bitset: 1 = page is all zeroes
 	nzero int64
-
-	// Backing is the page-cache handle once the file has been placed
-	// on a device; nil for files not yet materialized.
-	Backing *pagecache.File
 }
 
 // NewMemoryFile returns a memory file of the given page count with

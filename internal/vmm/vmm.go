@@ -152,9 +152,6 @@ func Launch(id string) *Machine {
 	return m
 }
 
-// ID returns the machine id.
-func (m *Machine) ID() string { return m.id }
-
 // State returns the current lifecycle state.
 func (m *Machine) State() State {
 	m.mu.Lock()

@@ -81,30 +81,6 @@ func (ws *WorkingSet) add(pages []int64) {
 	}
 }
 
-// Regroup rebuilds the working set with a different group size,
-// preserving page discovery order. Used by the group-size ablation
-// (the paper fixes N=1024 empirically, §4.3).
-func Regroup(ws *WorkingSet, groupSize int) *WorkingSet {
-	if groupSize <= 0 {
-		panic("workingset: group size must be positive")
-	}
-	out := &WorkingSet{}
-	var cur []int64
-	for _, g := range ws.Groups {
-		for _, p := range g {
-			cur = append(cur, p)
-			if len(cur) == groupSize {
-				out.Groups = append(out.Groups, cur)
-				cur = nil
-			}
-		}
-	}
-	if len(cur) > 0 {
-		out.Groups = append(out.Groups, cur)
-	}
-	return out
-}
-
 // MincoreRecorder performs FaaSnap host page recording against the
 // memory file that backs the record-phase guest.
 type MincoreRecorder struct {

@@ -42,42 +42,6 @@ func TestWorkingSetAddAcrossCalls(t *testing.T) {
 	}
 }
 
-func TestRegroupPreservesOrder(t *testing.T) {
-	ws := &WorkingSet{Groups: [][]int64{{1, 2, 3}, {4, 5}, {6}}}
-	out := Regroup(ws, 2)
-	want := [][]int64{{1, 2}, {3, 4}, {5, 6}}
-	if len(out.Groups) != len(want) {
-		t.Fatalf("groups = %v", out.Groups)
-	}
-	for i := range want {
-		for j := range want[i] {
-			if out.Groups[i][j] != want[i][j] {
-				t.Fatalf("groups = %v, want %v", out.Groups, want)
-			}
-		}
-	}
-	if out.Pages() != ws.Pages() {
-		t.Fatal("regroup lost pages")
-	}
-}
-
-func TestRegroupSingleGroup(t *testing.T) {
-	ws := &WorkingSet{Groups: [][]int64{{1}, {2}, {3}}}
-	out := Regroup(ws, 100)
-	if len(out.Groups) != 1 || len(out.Groups[0]) != 3 {
-		t.Fatalf("groups = %v", out.Groups)
-	}
-}
-
-func TestRegroupPanicsOnBadSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Regroup(&WorkingSet{}, 0)
-}
-
 func TestMincoreRecorderCapturesResidencyInGroups(t *testing.T) {
 	env := sim.NewEnv(1)
 	cache := pagecache.New(env)

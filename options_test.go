@@ -12,23 +12,59 @@ import (
 )
 
 // TestEveryOptionHasACaller holds the configuration surface to the
-// options something uses: every field of the config types below must be
+// options something uses. Every field of the config types below must be
 // set by some non-test file outside the type's own package — a cmd, the
-// benchmark module, or another package. A value nobody sets is a
-// constant, and belongs in the code as one.
+// benchmark module, or another package: a value nobody sets is a
+// constant, and belongs in the code as one. And every field of them and
+// of core.HostConfig must be read (x.Field) by some non-test file: a
+// setting nothing reads is removed. HostConfig's model parameters are set
+// only by DefaultHostConfig, so it is held to the read rule alone.
 func TestEveryOptionHasACaller(t *testing.T) {
-	types := []struct{ dir, pkg, typ string }{
-		{"internal/daemon", "faasnap/internal/daemon", "Config"},
-		{"internal/daemon", "faasnap/internal/daemon", "ResilienceConfig"},
-		{"internal/gateway", "faasnap/internal/gateway", "Config"},
-		{"internal/slo", "faasnap/internal/slo", "Config"},
+	types := []struct {
+		dir, pkg, typ string
+		readOnly      bool // held to the read rule only
+	}{
+		{"internal/daemon", "faasnap/internal/daemon", "Config", false},
+		{"internal/daemon", "faasnap/internal/daemon", "ResilienceConfig", false},
+		{"internal/gateway", "faasnap/internal/gateway", "Config", false},
+		{"internal/slo", "faasnap/internal/slo", "Objective", false},
+		{"internal/core", "faasnap/internal/core", "HostConfig", true},
 	}
 	files := nonTestFiles(t, token.NewFileSet())
+	// read holds every selector name some non-test file reads: x.F
+	// anywhere but as the target of a plain assignment.
+	read := map[string]bool{}
+	for _, f := range files {
+		written := map[ast.Expr]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.AssignStmt:
+				if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
+					for _, lhs := range n.Lhs {
+						written[lhs] = true
+					}
+				}
+			case *ast.SelectorExpr:
+				if !written[n] {
+					read[n.Sel.Name] = true
+				}
+			}
+			return true
+		})
+	}
 	for _, tc := range types {
 		name := filepath.Base(tc.pkg) + "." + tc.typ
 		fields := declaredFields(files, tc.dir, tc.typ)
 		if len(fields) == 0 {
 			t.Fatalf("%s: no fields found in %s", name, tc.dir)
+		}
+		for _, field := range fields {
+			if !read[field] {
+				t.Errorf("%s.%s is read by no non-test file: remove it", name, field)
+			}
+		}
+		if tc.readOnly {
+			continue
 		}
 		set := map[string]bool{}
 		for path, f := range files {
