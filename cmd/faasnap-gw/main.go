@@ -13,8 +13,8 @@
 // anti-entropy pass: the manifests those replies carry are compared
 // across every function's replica set,
 // and a rejoined-but-stale backend is repaired — missing registrations
-// and snapshots re-replicated, missed deletes propagated — before it
-// returns to full ring weight (see GATEWAY.md, "Anti-entropy
+// and snapshots re-replicated, missed deletes propagated — before
+// placement stops trying it last (see GATEWAY.md, "Anti-entropy
 // re-sync").
 //
 // SIGINT/SIGTERM drains in-flight requests before exiting.

@@ -113,10 +113,6 @@ type Daemon struct {
 	recovering atomic.Bool
 	recovered  chan struct{}
 
-	// inFlight counts requests inside instrumented routes — the load
-	// GET /status reports.
-	inFlight atomic.Int64
-
 	// admInFlight/admCapacity mirror the admission limiter into the
 	// scrape surface; cached here so the hot path never takes the
 	// registry's family lock to find them.
@@ -785,15 +781,14 @@ func (d *Daemon) chunkMap(r *http.Request) (ChunkMapResponse, error) {
 func (d *Daemon) cas(*http.Request) (CASResponse, error) { return d.store.report(), nil }
 
 // StatusResponse is GET /status: everything the gateway's sweep asks a
-// backend, in one answer — the routing verdict /readyz probes, the load
-// the admission limiter and in-flight counter hold, and the durable-
-// state summary anti-entropy compares across replicas (omitted by a
-// daemon without a state dir).
+// backend, in one answer — the routing verdict /readyz probes, the
+// admission window's occupancy (the one load figure placement reads),
+// and the durable-state summary anti-entropy compares across replicas
+// (omitted by a daemon without a state dir).
 type StatusResponse struct {
 	Ready         bool             `json:"ready"`
 	Reasons       []string         `json:"reasons,omitempty"`
 	Recovering    bool             `json:"recovering"`
-	InFlight      int64            `json:"inflight"`
 	AdmissionUsed int64            `json:"admission_used"`
 	AdmissionMax  int64            `json:"admission_max"`
 	Digest        string           `json:"digest,omitempty"`
@@ -808,11 +803,9 @@ type StatusResponse struct {
 func (d *Daemon) status(*http.Request) (StatusResponse, error) {
 	reasons := d.notReady()
 	resp := StatusResponse{
-		Ready:      len(reasons) == 0,
-		Reasons:    reasons,
-		Recovering: d.recovering.Load(),
-		// Not counting this request.
-		InFlight:      d.inFlight.Load() - 1,
+		Ready:         len(reasons) == 0,
+		Reasons:       reasons,
+		Recovering:    d.recovering.Load(),
 		AdmissionUsed: d.limiter.InFlight(),
 		AdmissionMax:  d.limiter.Max(),
 	}
@@ -918,7 +911,7 @@ func (d *Daemon) serve(w http.ResponseWriter, r *http.Request, route string,
 	// saturated host sheds before doing any work, and admitting half a
 	// burst would skew the concurrency the caller asked to measure.
 	if !d.admit(weight) {
-		d.shed(w, route, weight)
+		d.shed(w, route)
 		return
 	}
 	prof.AdmissionMs = ms(time.Since(wallStart))

@@ -176,10 +176,9 @@ func TestStatusEndpoint(t *testing.T) {
 	if !mr.Ready || len(mr.Reasons) != 0 || mr.Digest == "" || mr.Recovering {
 		t.Fatalf("status response = %+v", mr)
 	}
-	// The load section is read straight from the limiter and the
-	// in-flight counter; the status request does not count itself.
-	if mr.InFlight != 0 || mr.AdmissionUsed != 0 || mr.AdmissionMax != 7 {
-		t.Fatalf("idle load = inflight %d, admission %d/%d; want 0, 0/7", mr.InFlight, mr.AdmissionUsed, mr.AdmissionMax)
+	// The load section is read straight from the limiter.
+	if mr.AdmissionUsed != 0 || mr.AdmissionMax != 7 {
+		t.Fatalf("idle load = admission %d/%d; want 0/7", mr.AdmissionUsed, mr.AdmissionMax)
 	}
 	if len(mr.Functions) != 1 {
 		t.Fatalf("functions = %+v", mr.Functions)

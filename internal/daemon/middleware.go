@@ -62,11 +62,7 @@ func (d *Daemon) instrument(route string, next http.HandlerFunc) http.HandlerFun
 	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		inFlight.Inc()
-		d.inFlight.Add(1)
-		defer func() {
-			inFlight.Dec()
-			d.inFlight.Add(-1)
-		}()
+		defer inFlight.Dec()
 		sw := &statusWriter{ResponseWriter: w}
 		start := time.Now()
 		next(sw, r)

@@ -106,25 +106,21 @@ func (d *Daemon) release(w int64) {
 	d.admInFlight.Set(float64(d.limiter.InFlight()))
 }
 
-// retryAfter computes the Retry-After hint for a shed request of the
-// given weight: the number of full limiter drain cycles the admitted
-// weight plus this request represents. A request is shed only when that
-// sum exceeds the window, and validation keeps a burst within one
-// window, so the hint is 2, or 1 when the window drained between the
-// refused Acquire and this read.
-func (d *Daemon) retryAfter(weight int64) int {
-	in, max := d.limiter.InFlight(), d.limiter.Max()
-	return int((in + weight + max - 1) / max)
-}
+// ShedRetryAfter is the Retry-After, in seconds, of every shed: by a
+// daemon at admission, and by a gateway whose backends' windows are all
+// full. A shed request exceeds the window by at most one window (the
+// admitted weight is within it, and validation keeps a burst within it),
+// so the work ahead of it plus its own drains in two windows.
+const ShedRetryAfter = 2
 
-// shed rejects a request at admission, with a load-scaled Retry-After
+// shed rejects a request at admission with Retry-After ShedRetryAfter,
 // so well-behaved clients back off instead of hammering a saturated
 // host.
-func (d *Daemon) shed(w http.ResponseWriter, route string, weight int64) {
+func (d *Daemon) shed(w http.ResponseWriter, route string) {
 	d.telemetry.Counter("faasnap_invoke_shed_total",
 		"Requests shed by admission control, by route.",
 		telemetry.L("route", route)).Inc()
-	w.Header().Set("Retry-After", strconv.Itoa(d.retryAfter(weight)))
+	w.Header().Set("Retry-After", strconv.Itoa(ShedRetryAfter))
 	writeErr(w, http.StatusTooManyRequests,
 		"server saturated (%d/%d in flight); retry later", d.limiter.InFlight(), d.limiter.Max())
 }

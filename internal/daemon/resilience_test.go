@@ -347,11 +347,10 @@ func TestSaturationSheds429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("invoke at saturation = %d, want 429", resp.StatusCode)
 	}
-	// Retry-After scales with limiter occupancy: a full window plus this
-	// request's weight is ceil((2+1)/2) = 2 drain cycles, not the old
-	// hardcoded 1.
+	// Retry-After is the constant ShedRetryAfter: a shed request fits
+	// after two drains of the window.
 	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Fatalf("Retry-After = %q, want occupancy-scaled 2", ra)
+		t.Fatalf("Retry-After = %q, want the constant 2", ra)
 	}
 	resp = doJSON(t, "POST", srv.URL+"/functions/hello-world/burst",
 		map[string]interface{}{"mode": "faasnap", "parallel": 2}, nil)
@@ -359,7 +358,7 @@ func TestSaturationSheds429(t *testing.T) {
 		t.Fatalf("burst at saturation = %d, want 429", resp.StatusCode)
 	}
 	if ra := resp.Header.Get("Retry-After"); ra != "2" {
-		t.Fatalf("burst Retry-After = %q, want occupancy-scaled 2", ra)
+		t.Fatalf("burst Retry-After = %q, want the constant 2", ra)
 	}
 	if n := metricSum(t, srv.URL, "faasnap_invoke_shed_total", `route="invoke"`); n != 1 {
 		t.Fatalf("shed_total{invoke} = %v, want 1", n)

@@ -68,8 +68,8 @@ func TestServeExits(t *testing.T) {
 			retry: map[string]string{"invoke": "1", "burst": "1"},
 		},
 		{
-			// A full window of 4: ceil((4+1)/4) = 2 drain cycles for an
-			// invoke, ceil((4+4)/4) = 2 for a burst as wide as the window.
+			// A full window of 4 sheds an invoke and a burst as wide as
+			// the window alike, with ShedRetryAfter.
 			name: "shed", status: 429, parallel: 4, prep: saturate,
 			retry: map[string]string{"invoke": "2", "burst": "2"},
 		},

@@ -71,7 +71,7 @@ func TestAntiEntropyRepairsStaleBackend(t *testing.T) {
 	if !sb.Stale() {
 		t.Fatal("repaired backend not marked stale")
 	}
-	cands := g.candidates(fn)
+	cands, _ := g.candidates(fn)
 	if cands[len(cands)-1] != sb {
 		t.Fatalf("stale backend not demoted: candidate order %v", addrsOf(cands))
 	}

@@ -4,10 +4,10 @@ package gateway
 // checked. Each sweep asks every daemon one question — GET /status —
 // and keeps the answer as one immutable snapshot: the routing verdict
 // (a backend that answers /healthz but cannot persist snapshots or
-// reach its kvstore is drained, not black-holed), the daemon's own
-// in-flight and admission load (combined with the gateway's per-backend
-// in-flight count, which reacts faster than the sweep interval), and
-// the durable-state summary the anti-entropy pass compares.
+// reach its kvstore is drained, not black-holed), the admission
+// window's occupancy (the one load figure placement reads; a backend
+// that fills up between sweeps says so with its own 429), and the
+// durable-state summary the anti-entropy pass compares.
 
 import (
 	"bytes"
@@ -33,8 +33,7 @@ type Backend struct {
 	// identity in placement.
 	Addr string
 
-	breaker  *resilience.Breaker
-	inflight atomic.Int64 // requests this gateway currently has open
+	breaker *resilience.Breaker
 
 	// view is what the last sweep learned, swapped whole; never nil.
 	view atomic.Pointer[backendView]
@@ -61,7 +60,8 @@ func (b *Backend) Ready() bool { return b.view.Load().Ready }
 func (b *Backend) Stale() bool { return b.stale.Load() }
 
 // saturation is the backend's admission-window occupancy in [0, 1] from
-// the last sweep (0 until one has reported the admission window).
+// the last sweep (0 until one has reported the admission window): the
+// one load figure placement reads.
 func (v *backendView) saturation() float64 {
 	if v.AdmissionMax <= 0 {
 		return 0
@@ -69,43 +69,32 @@ func (v *backendView) saturation() float64 {
 	return float64(v.AdmissionUsed) / float64(v.AdmissionMax)
 }
 
-// load is the placement load signal: the gateway's own open requests
-// plus the daemon's in-flight count from the last sweep (which counts
-// load arriving from other gateways or direct clients).
-func (b *Backend) load() int64 {
-	return b.inflight.Load() + b.view.Load().InFlight
-}
-
 // BackendStatus is a backend's row in GET /cluster.
 type BackendStatus struct {
-	Addr            string  `json:"addr"`
-	Ready           bool    `json:"ready"`
-	Breaker         string  `json:"breaker"`
-	InFlightGateway int64   `json:"inflight_gateway"`
-	InFlightDaemon  int64   `json:"inflight_daemon"`
-	AdmissionUsed   int64   `json:"admission_used"`
-	AdmissionMax    int64   `json:"admission_max"`
-	Saturation      float64 `json:"saturation"`
-	Stale           bool    `json:"stale"`
-	ManifestDigest  string  `json:"manifest_digest,omitempty"`
-	LastError       string  `json:"last_error,omitempty"`
-	LastCheck       string  `json:"last_check,omitempty"`
+	Addr           string  `json:"addr"`
+	Ready          bool    `json:"ready"`
+	Breaker        string  `json:"breaker"`
+	AdmissionUsed  int64   `json:"admission_used"`
+	AdmissionMax   int64   `json:"admission_max"`
+	Saturation     float64 `json:"saturation"`
+	Stale          bool    `json:"stale"`
+	ManifestDigest string  `json:"manifest_digest,omitempty"`
+	LastError      string  `json:"last_error,omitempty"`
+	LastCheck      string  `json:"last_check,omitempty"`
 }
 
 func (b *Backend) status() BackendStatus {
 	v := b.view.Load()
 	st := BackendStatus{
-		Addr:            b.Addr,
-		Ready:           v.Ready,
-		Breaker:         b.breaker.State().String(),
-		InFlightGateway: b.inflight.Load(),
-		InFlightDaemon:  v.InFlight,
-		AdmissionUsed:   v.AdmissionUsed,
-		AdmissionMax:    v.AdmissionMax,
-		Saturation:      v.saturation(),
-		Stale:           b.Stale(),
-		ManifestDigest:  v.Digest,
-		LastError:       v.err,
+		Addr:           b.Addr,
+		Ready:          v.Ready,
+		Breaker:        b.breaker.State().String(),
+		AdmissionUsed:  v.AdmissionUsed,
+		AdmissionMax:   v.AdmissionMax,
+		Saturation:     v.saturation(),
+		Stale:          b.Stale(),
+		ManifestDigest: v.Digest,
+		LastError:      v.err,
 	}
 	if !v.checked.IsZero() {
 		st.LastCheck = v.checked.Format(time.RFC3339Nano)
@@ -193,9 +182,7 @@ func (g *Gateway) check(b *Backend) {
 	}
 	gauge("faasnap_gw_backend_up",
 		"Backend readiness as seen by the gateway health checker (1 ready).", oneIf(v.Ready))
-	gauge("faasnap_gw_backend_inflight",
-		"Daemon-reported in-flight requests from the last status sweep.", float64(v.InFlight))
-	gauge("faasnap_gw_backend_admission_inflight",
+	gauge("faasnap_gw_backend_admission_used",
 		"Daemon admission-limiter occupancy from the last status sweep.", float64(v.AdmissionUsed))
 	gauge("faasnap_gw_backend_saturation",
 		"Backend admission-window occupancy in [0,1] from the last status sweep.", v.saturation())
