@@ -2,8 +2,9 @@
 // artifacts. Snapshot memory content is cut into fixed-size,
 // page-aligned extents addressed by SHA-256 (see chunks.go); each
 // distinct chunk is stored once, so functions recorded from a shared
-// base image (guest kernel, runtime) share their common pages on disk
-// and over the wire — the dedup/lazy-chunk design of the snapshot
+// base image (guest kernel, runtime) share their common pages on disk,
+// and a daemon fills those pages from the image rather than moving them
+// (BaseExtent) — the dedup/lazy-chunk design of the snapshot
 // optimization literature applied under FaaSnap's loading sets.
 //
 // Chunks live in packs (pack.go): the chunks one commit added, back to

@@ -146,7 +146,8 @@ func PlanChunks(arts *core.Artifacts, chunkPages int64) *snapfile.ChunkMap {
 
 // Fill writes the content of ref's extent of arts' memory file into the
 // first ref.Bytes of buf, zero pages included, and returns them: a
-// buffer can be reused from one extent to the next.
+// buffer can be reused from one extent to the next. It is the only
+// definition of a page's bytes; BaseExtent reads it.
 func Fill(arts *core.Artifacts, ref snapfile.ChunkRef, buf []byte) []byte {
 	data := buf[:ref.Bytes]
 	baseKey := fmt.Sprintf("base-image-%dp", arts.Fn.BootPages)
@@ -163,6 +164,27 @@ func Fill(arts *core.Artifacts, ref snapfile.ChunkRef, buf []byte) []byte {
 		}
 	}
 	return data
+}
+
+// Extent names one base extent: its pages of the base image of
+// BootPages pages.
+type Extent struct{ BootPages, StartPage, Pages int64 }
+
+// BaseExtent reports whether ref's extent of arts' memory file is a base
+// extent, and names it: every page lies below the function's BootPages
+// and none is zero, so Fill writes it from the base-image key alone and
+// every function on that image holds the same bytes there.
+func BaseExtent(arts *core.Artifacts, ref snapfile.ChunkRef) (Extent, bool) {
+	end := ref.StartPage + ref.Pages
+	if end > arts.Fn.BootPages || end > arts.Mem.Pages || ref.Bytes != ref.Pages*snapshot.PageSize {
+		return Extent{}, false
+	}
+	for p := ref.StartPage; p < end; p++ {
+		if arts.Mem.IsZero(p) {
+			return Extent{}, false
+		}
+	}
+	return Extent{arts.Fn.BootPages, ref.StartPage, ref.Pages}, true
 }
 
 // BuildChunks plans arts' chunks (PlanChunks) and reads and hashes every

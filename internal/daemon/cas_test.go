@@ -4,17 +4,21 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"faasnap/internal/casstore"
 	"faasnap/internal/events"
+	"faasnap/internal/snapfile"
 )
 
 // customSpec is a small custom function spec booting a bootMB image:
@@ -570,11 +574,68 @@ func (g *gatedSource) assertServedOnce(t *testing.T, n int) {
 	}
 }
 
-// lazyDigests returns the non-loading-set digests of name's chunk map.
-func lazyDigests(t *testing.T, srv *httptest.Server, name string) (lazy map[string]bool, total int) {
+// foreignBase serves h, except that name's chunk map names each base
+// extent under the digest of other bytes — its first byte flipped —
+// which it serves itself: a peer whose base image differs from every
+// other daemon's, so a sync fetches every chunk from it, the lazy tail
+// (in this model, only base extents) included.
+func foreignBase(t *testing.T, h http.Handler, name string) http.Handler {
 	t.Helper()
+	cmr := chunkMapOf(t, h, name)
+	arts, cm, err := snapfile.ReadChunked(bytes.NewReader(cmr.Snapfile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := map[string][]byte{}
+	for i, ref := range cm.Refs {
+		if _, ok := casstore.BaseExtent(arts, ref); !ok {
+			continue
+		}
+		data := casstore.Fill(arts, ref, make([]byte, ref.Bytes))
+		data[0] ^= 0xff
+		dg := casstore.Sum(data)
+		cm.Refs[i].Digest, cmr.Chunks[i].Digest = dg, dg.String()
+		own[dg.String()] = data
+	}
+	if len(own) == 0 {
+		t.Fatalf("%s has no base extents to make foreign", name)
+	}
+	var raw bytes.Buffer
+	if err := snapfile.WriteChunked(&raw, arts, cm); err != nil {
+		t.Fatal(err)
+	}
+	cmr.Snapfile = raw.Bytes()
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/functions/"+name+"/chunkmap" {
+			json.NewEncoder(w).Encode(cmr)
+			return
+		}
+		if data, ok := own[strings.TrimPrefix(r.URL.Path, "/chunks/")]; ok {
+			w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+			w.Write(data)
+			return
+		}
+		h.ServeHTTP(w, r)
+	})
+}
+
+// chunkMapOf is name's full chunk map as h serves it.
+func chunkMapOf(t *testing.T, h http.Handler, name string) ChunkMapResponse {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/functions/"+name+"/chunkmap", nil))
 	var cm ChunkMapResponse
-	doJSON(t, "GET", srv.URL+"/functions/"+name+"/chunkmap", nil, &cm)
+	if err := json.Unmarshal(rec.Body.Bytes(), &cm); rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("chunk map of %s = %d: %v", name, rec.Code, err)
+	}
+	return cm
+}
+
+// lazyDigests returns the non-loading-set digests of name's chunk map as
+// h serves it.
+func lazyDigests(t *testing.T, h http.Handler, name string) (lazy map[string]bool, total int) {
+	t.Helper()
+	cm := chunkMapOf(t, h, name)
 	lazy = make(map[string]bool)
 	for _, c := range cm.Chunks {
 		if !c.LoadingSet {
@@ -594,11 +655,12 @@ func lazyDigests(t *testing.T, srv *httptest.Server, name string) (lazy map[stri
 func TestCASLazyTailPendingIsNotMissing(t *testing.T) {
 	_, a := newTestDaemon(t, Config{StateDir: t.TempDir()})
 	casProvision(t, a, "cas-alpha")
-	lazy, total := lazyDigests(t, a, "cas-alpha")
+	foreign := foreignBase(t, a.Config.Handler, "cas-alpha")
+	lazy, total := lazyDigests(t, foreign, "cas-alpha")
 	// b before the gate: cleanups run last-in first-out, and b's Close
 	// waits for a fetcher the gate may still be holding.
 	d, b := newTestDaemon(t, Config{StateDir: t.TempDir()})
-	src := newGatedSource(t, a.Config.Handler, lazy)
+	src := newGatedSource(t, foreign, lazy)
 
 	var sr SyncResponse
 	if resp := doJSON(t, "POST", b.URL+"/functions/cas-alpha/sync",
@@ -639,9 +701,10 @@ func TestCASLazyTailPendingIsNotMissing(t *testing.T) {
 func TestCASSyncTakesOverLiveTail(t *testing.T) {
 	_, a := newTestDaemon(t, Config{StateDir: t.TempDir()})
 	casProvision(t, a, "cas-alpha")
-	lazy, total := lazyDigests(t, a, "cas-alpha")
+	foreign := foreignBase(t, a.Config.Handler, "cas-alpha")
+	lazy, total := lazyDigests(t, foreign, "cas-alpha")
 	_, b := newTestDaemon(t, Config{StateDir: t.TempDir()})
-	src := newGatedSource(t, a.Config.Handler, lazy)
+	src := newGatedSource(t, foreign, lazy)
 
 	body := map[string]interface{}{"source": hostport(src.srv)}
 	if resp := doJSON(t, "POST", b.URL+"/functions/cas-alpha/sync", body, nil); resp.StatusCode != http.StatusOK {
@@ -675,9 +738,10 @@ func TestCASSyncTakesOverLiveTail(t *testing.T) {
 func TestCASFailedSyncLeavesLiveTailAlone(t *testing.T) {
 	_, a := newTestDaemon(t, Config{StateDir: t.TempDir()})
 	casProvision(t, a, "cas-alpha")
-	lazy, total := lazyDigests(t, a, "cas-alpha")
+	foreign := foreignBase(t, a.Config.Handler, "cas-alpha")
+	lazy, total := lazyDigests(t, foreign, "cas-alpha")
 	d, b := newTestDaemon(t, Config{StateDir: t.TempDir()})
-	src := newGatedSource(t, a.Config.Handler, lazy)
+	src := newGatedSource(t, foreign, lazy)
 
 	if code := doJSON(t, "POST", b.URL+"/functions/cas-alpha/sync",
 		map[string]interface{}{"source": hostport(src.srv)}, nil).StatusCode; code != http.StatusOK {
@@ -713,9 +777,10 @@ func TestCASSyncsSerialisePerFunction(t *testing.T) {
 	_, a := newTestDaemon(t, Config{StateDir: t.TempDir()})
 	casProvision(t, a, "cas-alpha")
 	casProvision(t, a, "cas-beta")
-	lazy, _ := lazyDigests(t, a, "cas-alpha")
+	foreign := foreignBase(t, a.Config.Handler, "cas-alpha")
+	lazy, _ := lazyDigests(t, foreign, "cas-alpha")
 	_, b := newTestDaemon(t, Config{StateDir: t.TempDir()})
-	src := newGatedSource(t, a.Config.Handler, lazy)
+	src := newGatedSource(t, foreign, lazy)
 
 	// An eager sync of cas-alpha parks inside its eager fetch, holding
 	// cas-alpha's sync gate.
@@ -740,4 +805,137 @@ func TestCASSyncsSerialisePerFunction(t *testing.T) {
 	}
 	casInvoke(t, b, "cas-alpha")
 	casInvoke(t, b, "cas-beta")
+}
+
+// baseRefs splits name's chunk map as h serves it into the digests of
+// its base extents and of the rest, each with its bytes.
+func baseRefs(t *testing.T, h http.Handler, name string) (base, own map[string]int64) {
+	t.Helper()
+	arts, cm, err := snapfile.ReadChunked(bytes.NewReader(chunkMapOf(t, h, name).Snapfile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, own = map[string]int64{}, map[string]int64{}
+	for _, ref := range cm.Refs {
+		if _, ok := casstore.BaseExtent(arts, ref); ok {
+			base[casstore.Digest(ref.Digest).String()] = ref.Bytes
+		} else {
+			own[casstore.Digest(ref.Digest).String()] = ref.Bytes
+		}
+	}
+	return base, own
+}
+
+// TestCASSyncAsksSourceOnlyForNonBaseChunks: a function that is mostly
+// base image syncs with the source asked, once each, for its other
+// chunks only — eagerly or through a lazy tail. The reply counts the
+// base fills apart from what was fetched, the saved-bytes counter takes
+// them, and the waterfall tags them with the tier "base".
+func TestCASSyncAsksSourceOnlyForNonBaseChunks(t *testing.T) {
+	_, a := newTestDaemon(t, Config{StateDir: t.TempDir()})
+	casProvision(t, a, "cas-alpha")
+	base, own := baseRefs(t, a.Config.Handler, "cas-alpha")
+	if len(base) <= len(own) || len(own) == 0 {
+		t.Fatalf("%d base extents, %d other chunks; the test needs a function that is mostly base image", len(base), len(own))
+	}
+	var ownBytes int64
+	for _, n := range own {
+		ownBytes += n
+	}
+
+	for _, eager := range []bool{true, false} {
+		_, b := newTestDaemon(t, Config{StateDir: t.TempDir()})
+		src := newGatedSource(t, a.Config.Handler, nil)
+		var sr SyncResponse
+		if resp := doJSON(t, "POST", b.URL+"/functions/cas-alpha/sync",
+			map[string]interface{}{"source": hostport(src.srv), "eager": eager}, &sr); resp.StatusCode != http.StatusOK {
+			t.Fatalf("sync (eager %v) = %d", eager, resp.StatusCode)
+		}
+		waitFor(t, "lazy tail never drained", lazyDrained(t, b))
+		src.assertServedOnce(t, len(own))
+		src.mu.Lock()
+		for dg := range src.served {
+			if _, ok := own[dg]; !ok {
+				t.Fatalf("eager %v: source asked for base extent %s", eager, dg[:8])
+			}
+		}
+		src.mu.Unlock()
+		if st := statusOf(t, b, "cas-alpha"); st.ChunksMissing != 0 || st.ChunksPending != 0 {
+			t.Fatalf("eager %v: after the sync %+v, want every chunk held", eager, st)
+		}
+		casInvoke(t, b, "cas-alpha")
+		var cas CASResponse
+		doJSON(t, "GET", b.URL+"/cas", nil, &cas)
+		if cas.RestoreBytesSaved != sr.BytesTotal-sr.BytesFetched {
+			t.Fatalf("eager %v: restore_bytes_saved = %d, want %d", eager, cas.RestoreBytesSaved, sr.BytesTotal-sr.BytesFetched)
+		}
+		if !eager {
+			if sr.ChunksBase != 0 || sr.ChunksLazy != len(base) {
+				t.Fatalf("lazy sync: %+v, want the %d base extents deferred", sr, len(base))
+			}
+			continue
+		}
+		if sr.ChunksBase != len(base) || sr.ChunksFetched != len(own) || sr.BytesFetched != ownBytes || sr.ChunksPresent+sr.ChunksLazy != 0 {
+			t.Fatalf("eager sync: %+v, want %d base fills and %d chunks (%d bytes) fetched", sr, len(base), len(own), ownBytes)
+		}
+		var spans []struct {
+			Name string            `json:"name"`
+			Tags map[string]string `json:"tags"`
+		}
+		doJSON(t, "GET", b.URL+"/traces/"+sr.TraceID, nil, &spans)
+		var tagged bool
+		for _, sp := range spans {
+			tagged = tagged || sp.Name == "eager-fetch" && strings.Contains(sp.Tags["tier"], "base")
+		}
+		if !tagged {
+			t.Fatalf("no eager-fetch span tagged tier base: %+v", spans)
+		}
+	}
+}
+
+// TestCASSyncFetchesForeignBaseExtent: a source whose chunk map names
+// the base extents under other digests has each of them fetched from it
+// once and stored under its digest — the local bytes, which hash to
+// something else, are stored under no digest, and the base table learns
+// nothing from them: a sibling recorded here afterwards gets the base
+// image's own digests.
+func TestCASSyncFetchesForeignBaseExtent(t *testing.T) {
+	_, a := newTestDaemon(t, Config{StateDir: t.TempDir()})
+	casProvision(t, a, "cas-alpha")
+	foreign := foreignBase(t, a.Config.Handler, "cas-alpha")
+	fbase, _ := baseRefs(t, a.Config.Handler, "cas-alpha")
+	_, b := newTestDaemon(t, Config{StateDir: t.TempDir()})
+	src := newGatedSource(t, foreign, nil)
+	var sr SyncResponse
+	if resp := doJSON(t, "POST", b.URL+"/functions/cas-alpha/sync",
+		map[string]interface{}{"source": hostport(src.srv), "eager": true}, &sr); resp.StatusCode != http.StatusOK {
+		t.Fatalf("sync from a foreign base = %d", resp.StatusCode)
+	}
+	src.assertServedOnce(t, sr.ChunksTotal)
+	if sr.ChunksBase != 0 || sr.ChunksFetched != sr.ChunksTotal || sr.BytesFetched != sr.BytesTotal {
+		t.Fatalf("sync from a foreign base: %+v, want every chunk fetched", sr)
+	}
+	for _, c := range chunkMapOf(t, foreign, "cas-alpha").Chunks {
+		resp, err := http.Get(b.URL + "/chunks/" + c.Digest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || casstore.Sum(body).String() != c.Digest {
+			t.Fatalf("chunk %s on the receiver = %d, %d bytes hashing to %s", c.Digest[:8], resp.StatusCode, len(body), casstore.Sum(body))
+		}
+	}
+	casInvoke(t, b, "cas-alpha")
+
+	casProvision(t, b, "cas-beta")
+	bbase, _ := baseRefs(t, b.Config.Handler, "cas-beta")
+	if len(bbase) != len(fbase) {
+		t.Fatalf("sibling recorded %d base extents, the source's function %d", len(bbase), len(fbase))
+	}
+	for dg := range bbase {
+		if _, ok := fbase[dg]; !ok {
+			t.Fatalf("sibling's base extent %s is not the base image's", dg[:8])
+		}
+	}
 }

@@ -379,12 +379,15 @@ type SyncRequest struct {
 	Source string `json:"source"`
 }
 
-// SyncResponse reports one chunk-level restore.
+// SyncResponse reports one chunk-level restore. ChunksFetched and
+// BytesFetched count what came from the source; ChunksBase counts eager
+// chunks filled from the base image on this daemon.
 type SyncResponse struct {
 	Function      string `json:"function"`
 	Source        string `json:"source"`
 	ChunksTotal   int    `json:"chunks_total"`
 	ChunksFetched int    `json:"chunks_fetched"`
+	ChunksBase    int    `json:"chunks_base"`
 	ChunksPresent int    `json:"chunks_present"`
 	ChunksLazy    int    `json:"chunks_lazy"`
 	BytesTotal    int64  `json:"bytes_total"`
@@ -413,6 +416,7 @@ func (l *lifecycle) sync(ctx context.Context, name string, req SyncRequest, id t
 	var (
 		prev, tail            *lazyTail
 		groups                []*groupSpan
+		base                  int
 		fetched               int64
 		decodeDur, commitFrom time.Duration
 	)
@@ -429,7 +433,7 @@ func (l *lifecycle) sync(ctx context.Context, name string, req SyncRequest, id t
 		l.store.split(plan, req.Eager)
 		decodeDur = time.Since(start)
 		l.store.syncSeconds("decode").Observe(decodeDur)
-		if groups, fetched, err = l.store.fetch(ctx, req.Source, plan.eager, start); err != nil {
+		if groups, base, fetched, err = l.store.fetch(ctx, req.Source, plan.arts, plan.eager, start); err != nil {
 			return failf(http.StatusBadGateway, "fetch chunk: %v", err)
 		}
 		commitFrom = time.Since(start)
@@ -455,7 +459,8 @@ func (l *lifecycle) sync(ctx context.Context, name string, req SyncRequest, id t
 		Function:      name,
 		Source:        req.Source,
 		ChunksTotal:   len(plan.cm.Refs),
-		ChunksFetched: len(plan.eager),
+		ChunksFetched: len(plan.eager) - base,
+		ChunksBase:    base,
 		ChunksPresent: plan.present,
 		ChunksLazy:    len(plan.lazy),
 		BytesTotal:    plan.cm.TotalBytes(),
@@ -467,19 +472,20 @@ func (l *lifecycle) sync(ctx context.Context, name string, req SyncRequest, id t
 	l.traces.Put(tr)
 
 	// Saved = bytes a whole-snapshot copy would have moved now but this
-	// restore did not: dedup hits plus the deferred lazy tail.
+	// restore did not: dedup hits, base fills and the deferred lazy tail.
 	l.store.saved.Add(float64(resp.BytesTotal - resp.BytesFetched))
 	l.store.syncs.Inc()
 	// Off the request, as after a record.
 	l.background(l.store.refreshDedup)
-	l.log.Printf("synced %s from %s: %d/%d chunks fetched (%d present, %d lazy), %d of %d bytes",
-		name, req.Source, resp.ChunksFetched, resp.ChunksTotal, resp.ChunksPresent, resp.ChunksLazy,
+	l.log.Printf("synced %s from %s: %d/%d chunks fetched (%d base, %d present, %d lazy), %d of %d bytes",
+		name, req.Source, resp.ChunksFetched, resp.ChunksTotal, resp.ChunksBase, resp.ChunksPresent, resp.ChunksLazy,
 		resp.BytesFetched, resp.BytesTotal)
 	if tail != nil {
-		// Only the deferred refs: the fetcher must not keep the plan's
-		// snapfile bytes alive while it drains.
-		lazy, offset := plan.lazy, time.Since(start)
-		l.background(func() { l.drainTail(name, req.Source, lazy, tail, tr, offset) })
+		// Only the deferred refs and the decoded artifacts base fills read:
+		// the fetcher must not keep the plan's snapfile bytes alive while
+		// it drains.
+		arts, lazy, offset := plan.arts, plan.lazy, time.Since(start)
+		l.background(func() { l.drainTail(name, req.Source, arts, lazy, tail, tr, offset) })
 	}
 	return resp, nil
 }
@@ -527,9 +533,9 @@ func syncWaterfall(id trace.ID, resp SyncResponse, wall, decodeDur time.Duration
 // root stretched to cover it — Put overwrites in place, so the
 // waterfall behind GET /traces/{id} gains the tail. offset is where on
 // the waterfall the tail starts.
-func (l *lifecycle) drainTail(name, source string, lazy []chunkRef, t *lazyTail, tr *trace.Trace, offset time.Duration) {
+func (l *lifecycle) drainTail(name, source string, arts *core.Artifacts, lazy []chunkRef, t *lazyTail, tr *trace.Trace, offset time.Duration) {
 	began := time.Now()
-	fetched, abandoned := l.store.drain(name, source, lazy, t)
+	fetched, abandoned := l.store.drain(name, source, arts, lazy, t)
 	dur := time.Since(began)
 	l.store.syncSeconds("lazy").Observe(dur)
 	root := *tr.Spans[0]

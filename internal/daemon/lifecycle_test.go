@@ -29,7 +29,8 @@ import (
 func TestHungPeerDoesNotHoldCloseOrDelete(t *testing.T) {
 	_, a := newTestDaemon(t, Config{StateDir: t.TempDir()})
 	casProvision(t, a, "cas-alpha")
-	lazy, _ := lazyDigests(t, a, "cas-alpha")
+	foreign := foreignBase(t, a.Config.Handler, "cas-alpha")
+	lazy, _ := lazyDigests(t, foreign, "cas-alpha")
 
 	// lazySync restores cas-alpha onto a fresh daemon through a peer that
 	// serves the chunk map and the loading set and hangs on every lazy
@@ -37,7 +38,7 @@ func TestHungPeerDoesNotHoldCloseOrDelete(t *testing.T) {
 	lazySync := func(dir string) (*Daemon, *httptest.Server) {
 		t.Helper()
 		d, b := newTestDaemon(t, Config{StateDir: dir})
-		src := newGatedSource(t, a.Config.Handler, lazy)
+		src := newGatedSource(t, foreign, lazy)
 		var sr SyncResponse
 		if resp := doJSON(t, "POST", b.URL+"/functions/cas-alpha/sync",
 			map[string]interface{}{"source": hostport(src.srv)}, &sr); resp.StatusCode != http.StatusOK {

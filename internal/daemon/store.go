@@ -60,6 +60,10 @@ type store struct {
 	// snapfile would then reference chunks that no longer exist. Writers
 	// hold read; sweeps hold write.
 	ops sync.RWMutex
+	// base is the table of base extents' digests, one per base image
+	// (casstore.Extent → casstore.Digest): filled the first time this
+	// daemon hashes an extent, by a record or a sync, lost on restart.
+	base sync.Map
 
 	dedup       *telemetry.Gauge
 	saved       *telemetry.Counter
@@ -90,7 +94,7 @@ func openStore(dir string, e env, live func() []*chunkMap) (*store, error) {
 	s.dedup = s.telemetry.Gauge("faasnap_cas_dedup_ratio",
 		"Fraction of logically referenced chunk bytes saved by dedup and compression (1 - physical/logical).", nil)
 	s.saved = s.telemetry.Counter("faasnap_cas_restore_bytes_saved_total",
-		"Bytes a chunk-level restore did not transfer eagerly (already present via dedup, or deferred to lazy fetch).", nil)
+		"Bytes a chunk-level restore did not transfer eagerly (already present via dedup, filled from the base image, or deferred to lazy fetch).", nil)
 	s.lazyPending = s.telemetry.Gauge("faasnap_cas_lazy_pending_chunks",
 		"Chunks a completed sync still owes to the background lazy fetcher.", nil)
 	s.lazyFailed = s.telemetry.Counter("faasnap_cas_lazy_failed_chunks_total",
@@ -185,11 +189,20 @@ func inWindow(ctx context.Context, n int, do func(ctx context.Context, worker, i
 	return context.Cause(ctx)
 }
 
+// fill writes ref's extent of arts into *buf, grown if short.
+func fill(arts *core.Artifacts, ref chunkRef, buf *[]byte) []byte {
+	if int64(cap(*buf)) < ref.Bytes {
+		*buf = make([]byte, ref.Bytes)
+	}
+	return casstore.Fill(arts, ref, *buf)
+}
+
 // putSnapshot chunks a recording into the content-addressed store as
-// one pack — chunks shared with earlier recordings (the base image)
-// dedup to nothing, and a crash before the snapfile commit leaves only
-// unreferenced chunks for the recovery sweep — and returns the save that
-// encodes its snapfile. Each window worker fills one extent at a time
+// one pack — chunks shared with earlier recordings dedup to nothing, and
+// a crash before the snapfile commit leaves only unreferenced chunks for
+// the recovery sweep — and returns the save that encodes its snapfile.
+// A base extent whose digest the base table holds and the store has is
+// neither filled nor hashed; each window worker fills any other extent
 // into a buffer of its own and hashes it once, so a recording is never
 // held in memory whole.
 func (s *store) putSnapshot(arts *core.Artifacts) (save func(path string) error, err error) {
@@ -198,10 +211,15 @@ func (s *store) putSnapshot(arts *core.Artifacts) (save func(path string) error,
 	bufs := make([][]byte, window)
 	err = inWindow(context.Background(), len(cm.Refs), func(_ context.Context, w, i int) error {
 		ref := &cm.Refs[i]
-		if int64(len(bufs[w])) < ref.Bytes {
-			bufs[w] = make([]byte, ref.Bytes)
+		ext, base := casstore.BaseExtent(arts, *ref)
+		if dg, ok := s.base.Load(ext); base && ok && s.cas.Has(dg.(casstore.Digest)) {
+			ref.Digest = dg.(casstore.Digest)
+			return nil
 		}
-		dg, _, err := pack.Put(casstore.Fill(arts, *ref, bufs[w]))
+		dg, _, err := pack.Put(fill(arts, *ref, &bufs[w]))
+		if base && err == nil {
+			s.base.Store(ext, dg)
+		}
 		ref.Digest = dg
 		return err
 	})
@@ -464,6 +482,31 @@ func (s *store) fetchChunk(ctx context.Context, source string, dg casstore.Diges
 	return n, tier, put(data)
 }
 
+// obtain stores the chunk ref names in pack, deciding where its bytes
+// come from. A base extent is filled here, from the base image, and
+// stored through PutDigest, which hashes it; the source is asked only
+// for any other chunk, or for a base extent whose bytes here do not hash
+// to ref's digest. It returns the bytes the source sent and the tier
+// that served them, "base" for a local fill.
+func (s *store) obtain(ctx context.Context, source string, arts *core.Artifacts, ref chunkRef, pack *casstore.Pack, buf *[]byte) (int64, string, error) {
+	dg := casstore.Digest(ref.Digest)
+	put := func(b []byte) error {
+		_, err := pack.PutDigest(dg, b)
+		return err
+	}
+	if ext, base := casstore.BaseExtent(arts, ref); base {
+		err := put(fill(arts, ref, buf))
+		if err == nil {
+			s.base.Store(ext, dg)
+			return 0, "base", nil
+		}
+		if !errors.Is(err, casstore.ErrCorrupt) {
+			return 0, "", err
+		}
+	}
+	return s.fetchChunk(ctx, source, dg, buf, put)
+}
+
 func (s *store) peerGet(ctx context.Context, source, path string) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+source+path, nil)
 	if err != nil {
@@ -551,7 +594,8 @@ func (s *store) split(p *syncPlan, eager bool) {
 }
 
 // groupSpan is one prefetch group's eager fetch on the restore
-// waterfall: offsets from the sync's start, and the tiers that served.
+// waterfall: offsets from the sync's start, the tiers that served, and
+// the bytes the source sent.
 type groupSpan struct {
 	group      int64
 	ls         bool
@@ -561,12 +605,13 @@ type groupSpan struct {
 	tiers      map[string]bool
 }
 
-// fetch pulls refs from source into one pack, started in split's order
-// with at most a window in flight, commits what it fetched, and consumes
-// the results in that same order, one waterfall span per prefetch group:
-// split's order makes each group's chunks contiguous, so the per-group
-// wall time and serving tiers land on one row each.
-func (s *store) fetch(ctx context.Context, source string, refs []chunkRef, start time.Time) ([]*groupSpan, int64, error) {
+// fetch obtains refs into one pack, started in split's order with at
+// most a window in flight, commits them, and consumes the results in
+// that same order, one waterfall span per prefetch group: split's order
+// makes each group's chunks contiguous, so the per-group wall time and
+// serving tiers land on one row each. It returns the spans, how many
+// chunks were filled from the base image and the bytes the source sent.
+func (s *store) fetch(ctx context.Context, source string, arts *core.Artifacts, refs []chunkRef, start time.Time) ([]*groupSpan, int, int64, error) {
 	type fetched struct {
 		began, done time.Duration
 		bytes       int64
@@ -576,12 +621,9 @@ func (s *store) fetch(ctx context.Context, source string, refs []chunkRef, start
 	bufs := make([][]byte, window)
 	pack := s.cas.NewPack()
 	err := inWindow(ctx, len(refs), func(ctx context.Context, w, i int) (err error) {
-		f, dg := &got[i], casstore.Digest(refs[i].Digest)
+		f := &got[i]
 		f.began = time.Since(start)
-		f.bytes, f.tier, err = s.fetchChunk(ctx, source, dg, &bufs[w], func(b []byte) error {
-			_, err := pack.PutDigest(dg, b)
-			return err
-		})
+		f.bytes, f.tier, err = s.obtain(ctx, source, arts, refs[i], pack, &bufs[w])
 		f.done = time.Since(start)
 		return err
 	})
@@ -589,9 +631,10 @@ func (s *store) fetch(ctx context.Context, source string, refs []chunkRef, start
 		err = cerr
 	}
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, 0, err
 	}
 	var groups []*groupSpan
+	var base int
 	var total int64
 	for i, ref := range refs {
 		f := got[i]
@@ -605,12 +648,15 @@ func (s *store) fetch(ctx context.Context, source string, refs []chunkRef, start
 		if f.tier != "" {
 			g.tiers[f.tier] = true
 		}
+		if f.tier == "base" {
+			base++
+		}
 		g.chunks++
 		g.bytes += f.bytes
 		g.dur = max(g.dur, f.done-g.start)
 		total += f.bytes
 	}
-	return groups, total, nil
+	return groups, base, total, nil
 }
 
 // lazyTail is one function's background chunk fetcher: the owner of the
@@ -646,7 +692,7 @@ func (t *lazyTail) stop() {
 
 const lazyAttempts = 3
 
-// drain pulls a sync's deferred chunks a window at a time until done or
+// drain obtains a sync's deferred chunks a window at a time until done or
 // halted (shutdown, delete, or a newer sync taking the remainder over),
 // retrying transient failures with a short backoff. What lands is
 // committed as packs: each worker commits once its chunk has landed, and
@@ -658,7 +704,7 @@ const lazyAttempts = 3
 // afterwards: GET /status reports it as chunks_missing, which makes the
 // gateway's anti-entropy pass issue an eager re-sync from a complete
 // replica.
-func (s *store) drain(name, source string, refs []chunkRef, t *lazyTail) (fetched, abandoned int) {
+func (s *store) drain(name, source string, arts *core.Artifacts, refs []chunkRef, t *lazyTail) (fetched, abandoned int) {
 	defer close(t.done)
 	defer t.halt() // releases the context once drained
 	pack := s.cas.NewPack()
@@ -677,18 +723,14 @@ func (s *store) drain(name, source string, refs []chunkRef, t *lazyTail) (fetche
 	}
 	bufs := make([][]byte, window)
 	_ = inWindow(t.ctx, len(refs), func(ctx context.Context, w, i int) error {
-		dg := casstore.Digest(refs[i].Digest)
 		// A sibling's sync or a local recording may have stored it since
 		// the plan: never fetch what the store holds.
-		if s.cas.Has(dg) {
+		if s.cas.Has(casstore.Digest(refs[i].Digest)) {
 			resolve(1, nil)
 			return nil
 		}
 		err := resilience.Retry(ctx, lazyAttempts, 50*time.Millisecond, nil, func() error {
-			_, _, err := s.fetchChunk(ctx, source, dg, &bufs[w], func(b []byte) error {
-				_, err := pack.PutDigest(dg, b)
-				return err
-			})
+			_, _, err := s.obtain(ctx, source, arts, refs[i], pack, &bufs[w])
 			return err
 		})
 		switch {

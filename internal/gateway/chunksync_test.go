@@ -7,6 +7,7 @@ package gateway
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -17,8 +18,10 @@ import (
 	"testing"
 	"time"
 
+	"faasnap/internal/casstore"
 	"faasnap/internal/daemon"
 	"faasnap/internal/events"
+	"faasnap/internal/snapfile"
 )
 
 // provision registers fn on n as a small custom function and records
@@ -260,6 +263,54 @@ func TestAntiEntropyRepairsMissingLazyChunks(t *testing.T) {
 	}
 }
 
+// foreignBase serves n's daemon, except that fn's chunk map names each
+// base extent under the digest of other bytes — its first byte flipped —
+// which it serves itself: a source whose base image differs from every
+// other daemon's, so a sync fetches every chunk from it, the lazy tail
+// (in this model, only base extents) included. It returns the chunk map
+// it serves.
+func foreignBase(t *testing.T, n *daemonNode, fn string) (http.Handler, []chunkRef) {
+	t.Helper()
+	var cmr daemon.ChunkMapResponse
+	call(t, nil, "GET", n.url()+"/functions/"+fn+"/chunkmap", nil, &cmr)
+	arts, cm, err := snapfile.ReadChunked(bytes.NewReader(cmr.Snapfile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := map[string][]byte{}
+	for i, ref := range cm.Refs {
+		if _, ok := casstore.BaseExtent(arts, ref); !ok {
+			continue
+		}
+		data := casstore.Fill(arts, ref, make([]byte, ref.Bytes))
+		data[0] ^= 0xff
+		dg := casstore.Sum(data)
+		cm.Refs[i].Digest, cmr.Chunks[i].Digest = dg, dg.String()
+		own[dg.String()] = data
+	}
+	var raw bytes.Buffer
+	if err := snapfile.WriteChunked(&raw, arts, cm); err != nil {
+		t.Fatal(err)
+	}
+	cmr.Snapfile = raw.Bytes()
+	chunks := make([]chunkRef, len(cmr.Chunks))
+	for i, c := range cmr.Chunks {
+		chunks[i] = chunkRef{Digest: c.Digest, LoadingSet: c.LoadingSet}
+	}
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/functions/"+fn+"/chunkmap" {
+			json.NewEncoder(w).Encode(cmr)
+			return
+		}
+		if data, ok := own[strings.TrimPrefix(r.URL.Path, "/chunks/")]; ok {
+			w.Header().Set("Content-Length", strconv.Itoa(len(data)))
+			w.Write(data)
+			return
+		}
+		n.h.ServeHTTP(w, r)
+	}), chunks
+}
+
 // TestAntiEntropyLeavesLiveTailAlone: a replica whose lazy tail is still
 // draining is not a replica with a deficit. With the source's non-
 // loading-set chunks held behind a gate, every pass that runs while the
@@ -271,7 +322,7 @@ func TestAntiEntropyLeavesLiveTailAlone(t *testing.T) {
 	g := newTestGateway(t, nil, Config{Replicas: 1, Backends: []string{a.addr, b.addr}})
 	const fn = "livetail-alpha"
 	provision(t, a, fn)
-	chunks := chunkMap(t, a.url(), fn)
+	source, chunks := foreignBase(t, a, fn)
 
 	// A's non-loading-set chunks are held at a gate in front of it, one
 	// released per token.
@@ -295,7 +346,7 @@ func TestAntiEntropyLeavesLiveTailAlone(t *testing.T) {
 			served[dg]++
 			mu.Unlock()
 		}
-		a.h.ServeHTTP(w, r)
+		source.ServeHTTP(w, r)
 	}))
 	// On the way out open the gate first: the cleanups wait for held
 	// requests.

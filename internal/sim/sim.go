@@ -220,7 +220,10 @@ func (e *Env) deliver(c *Cond, end int) (p *Proc) {
 		w := c.sent[c.head]
 		c.head++
 		if !w.live() {
-			continue // a rival wake of the same park came first
+			// A rival wake of the same park came first: a timer due at
+			// the Broadcast's instant and queued before its batch
+			// (TestTimeoutTiedWithBroadcast).
+			continue
 		}
 		p = w.proc
 		p.gen++

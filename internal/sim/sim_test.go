@@ -233,6 +233,39 @@ func TestCondWaitTimeout(t *testing.T) {
 	}
 }
 
+// TestTimeoutTiedWithBroadcast: a WaitTimeout whose timer falls on the
+// instant of a Broadcast, queued before the broadcaster's batch, wakes
+// on the timer. The batch still holds that waiter's wake, now stale:
+// delivery skips it (Env.deliver's rival-wake branch) and wakes the
+// waiter queued behind it.
+func TestTimeoutTiedWithBroadcast(t *testing.T) {
+	e := NewEnv(1)
+	c := NewCond(e)
+	var tied, behind bool
+	e.Go("broadcaster", func(p *Proc) {
+		p.Sleep(10 * time.Microsecond) // queued before the timer below
+		c.Broadcast()
+	})
+	e.Go("tied", func(p *Proc) {
+		p.Sleep(5 * time.Microsecond)
+		tied = c.WaitTimeout(p, 5*time.Microsecond)
+		if p.Now() != 10*time.Microsecond {
+			t.Errorf("tied waiter woke at %v, want 10µs", p.Now())
+		}
+	})
+	e.Go("behind", func(p *Proc) {
+		p.Sleep(7 * time.Microsecond)
+		behind = c.WaitTimeout(p, time.Second)
+		if p.Now() != 10*time.Microsecond {
+			t.Errorf("waiter behind woke at %v, want 10µs", p.Now())
+		}
+	})
+	e.Run()
+	if tied || !behind {
+		t.Fatalf("tied waiter signalled = %v, waiter behind signalled = %v; want the timer first, then the broadcast", tied, behind)
+	}
+}
+
 func TestResourceFIFO(t *testing.T) {
 	e := NewEnv(1)
 	r := NewResource(e, 1)
