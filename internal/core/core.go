@@ -19,6 +19,7 @@ import (
 	"faasnap/internal/guest"
 	"faasnap/internal/hostmm"
 	"faasnap/internal/metrics"
+	"faasnap/internal/pagebits"
 	"faasnap/internal/pagecache"
 	"faasnap/internal/sim"
 	"faasnap/internal/snapshot"
@@ -259,9 +260,9 @@ type Artifacts struct {
 // invocation of the snapshot. The zero value is an empty holder.
 type derived struct {
 	mu       sync.Mutex
-	nonZero  []snapshot.Region  // nil until scanned
-	plans    [2][]MapRegion     // without, with the loading-set layer
-	prefetch [numModes]*pageSet // by the mode whose plan it is
+	nonZero  []snapshot.Region       // nil until scanned
+	plans    [2][]MapRegion          // without, with the loading-set layer
+	prefetch [numModes]*pagebits.Set // by the mode whose plan it is
 }
 
 // Clone returns a shallow copy whose derived-set fields (WS, LS, ...)

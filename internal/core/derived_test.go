@@ -7,9 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"faasnap/internal/pagebits"
 	"faasnap/internal/sim"
 	"faasnap/internal/snapshot"
 	"faasnap/internal/workingset"
+	"faasnap/internal/workload"
 )
 
 // referenceMappingPlan is MappingPlan as it was when every restore
@@ -28,13 +30,13 @@ func referenceMappingPlan(a *Artifacts, withLoadingSet bool) []MapRegion {
 }
 
 // referencePrefetchSet is prefetchSet as it was when every traced
-// invoke rebuilt the bitmap.
-func referencePrefetchSet(arts *Artifacts, mode Mode, lsDegraded bool) *pageSet {
-	set := newPageSet(arts.Fn.GuestConfig().Pages)
+// invoke rebuilt the bitmap a page at a time.
+func referencePrefetchSet(arts *Artifacts, mode Mode, lsDegraded bool) *pagebits.Set {
+	set := pagebits.New(arts.Fn.GuestConfig().Pages)
 	addRegions := func(regions []snapshot.Region) {
 		for _, reg := range regions {
 			for p := reg.Start; p < reg.End(); p++ {
-				set.add(p)
+				set.Add(p)
 			}
 		}
 	}
@@ -50,17 +52,27 @@ func referencePrefetchSet(arts *Artifacts, mode Mode, lsDegraded bool) *pageSet 
 	case ModeConcurrentPaging:
 		for _, g := range arts.WS.Groups {
 			for _, p := range g {
-				set.add(p)
+				set.Add(p)
 			}
 		}
 	case ModeREAP:
 		for _, p := range arts.ReapWS.Pages {
-			set.add(p)
+			set.Add(p)
 		}
 	default:
 		return nil
 	}
 	return set
+}
+
+// setRuns lists a page set's runs, nil for no set.
+func setRuns(s *pagebits.Set) [][2]int64 {
+	if s == nil {
+		return nil
+	}
+	runs := [][2]int64{}
+	s.Runs(func(start, end int64) { runs = append(runs, [2]int64{start, end}) })
+	return runs
 }
 
 // checkDerived compares everything the holder serves with the per-call
@@ -78,7 +90,7 @@ func checkDerived(t *testing.T, what string, a *Artifacts) {
 		}
 		for mode := Mode(0); mode < numModes; mode++ {
 			for _, degraded := range []bool{false, true} {
-				if got, want := a.prefetchSet(mode, degraded), referencePrefetchSet(a, mode, degraded); !reflect.DeepEqual(got, want) {
+				if got, want := setRuns(a.prefetchSet(mode, degraded)), setRuns(referencePrefetchSet(a, mode, degraded)); !reflect.DeepEqual(got, want) {
 					t.Fatalf("%s: call %d: prefetchSet(%v, degraded=%v) differs from the reference", what, call, mode, degraded)
 				}
 			}
@@ -161,40 +173,57 @@ func TestDerivedConcurrentFirstUse(t *testing.T) {
 
 // TestInvokeAllocationBudget is the CI-visible half of the benchmark's
 // alloc_mb_per_op: one traced image/B invocation must stay within
-// 1.5 MB and 8 000 heap objects in each paper mode, and FaaSnap's few
+// 0.75 MB and 2 500 heap objects in each paper mode, and FaaSnap's few
 // hundred mmaps may not cost more than a quarter over Firecracker's
-// one. (Before the VMA splice and the per-snapshot derivations: 55.5 /
-// 12.1 / 11.5 / 11.6 MB for faasnap / firecracker / reap / cached;
-// before the direct hand-off kernel: 1.8–2.2 MB and 29k–48k objects.)
+// one; a small function's FaaSnap invoke (the small-gateway shape)
+// must stay within 0.1 MB. (Before the page state moved onto sparse
+// pagebits leaves and the fault event shrank to 32 bytes: 1.07 / 1.03
+// / 1.03 / 0.92 MB for faasnap / firecracker / reap / cached, and
+// 0.34 MB for the small function; before the VMA splice and the
+// per-snapshot derivations: 55.5 / 12.1 / 11.5 / 11.6 MB; before the
+// direct hand-off kernel: 1.8–2.2 MB and 29k–48k objects.)
 func TestInvokeAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation sizes")
 	}
-	const budgetMB, budgetMallocs = 1.5, 8000
-	arts := artifactsFor(t, "image")
+	const budgetMallocs = 2500
 	cfg := DefaultHostConfig()
-	perInvoke := func(mode Mode) (mb, mallocs float64) {
-		RunSingleTraced(cfg, arts, mode, arts.Fn.B) // fill what is derived once
+	perInvoke := func(arts *Artifacts, mode Mode, in workload.Input) (mb, mallocs float64) {
+		RunSingleTraced(cfg, arts, mode, in) // fill what is derived once
 		const runs = 3
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			RunSingleTraced(cfg, arts, mode, arts.Fn.B)
+			RunSingleTraced(cfg, arts, mode, in)
 		}
 		runtime.ReadMemStats(&after)
 		return float64(after.TotalAlloc-before.TotalAlloc) / runs / (1 << 20),
 			float64(after.Mallocs-before.Mallocs) / runs
 	}
+	image, small := artifactsFor(t, "image"), smallArtifacts(t, 7)
 	mb := map[Mode]float64{}
-	for _, mode := range []Mode{ModeFaaSnap, ModeFirecracker, ModeREAP, ModeCached} {
-		var mallocs float64
-		mb[mode], mallocs = perInvoke(mode)
-		t.Logf("%-12s %.2f MB, %.0f objects per traced invoke", mode, mb[mode], mallocs)
-		if mb[mode] > budgetMB {
-			t.Errorf("%v allocates %.2f MB per invoke, budget %.1f MB", mode, mb[mode], budgetMB)
+	for _, c := range []struct {
+		arts     *Artifacts
+		mode     Mode
+		in       workload.Input
+		budgetMB float64
+	}{
+		{image, ModeFaaSnap, image.Fn.B, 0.75},
+		{image, ModeFirecracker, image.Fn.B, 0.75},
+		{image, ModeREAP, image.Fn.B, 0.75},
+		{image, ModeCached, image.Fn.B, 0.75},
+		{small, ModeFaaSnap, small.Fn.A, 0.1},
+	} {
+		cellMB, mallocs := perInvoke(c.arts, c.mode, c.in)
+		t.Logf("%-12s %-12s %.3f MB, %.0f objects per traced invoke", c.arts.Fn.Name, c.mode, cellMB, mallocs)
+		if cellMB > c.budgetMB {
+			t.Errorf("%s %v allocates %.3f MB per invoke, budget %.2f MB", c.arts.Fn.Name, c.mode, cellMB, c.budgetMB)
 		}
 		if mallocs > budgetMallocs {
-			t.Errorf("%v allocates %.0f objects per invoke, budget %d", mode, mallocs, budgetMallocs)
+			t.Errorf("%s %v allocates %.0f objects per invoke, budget %d", c.arts.Fn.Name, c.mode, mallocs, budgetMallocs)
+		}
+		if c.arts == image {
+			mb[c.mode] = cellMB
 		}
 	}
 	if mb[ModeFaaSnap] > 1.25*mb[ModeFirecracker] {

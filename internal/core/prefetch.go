@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"faasnap/internal/metrics"
+	"faasnap/internal/pagebits"
 	"faasnap/internal/snapshot"
 )
 
@@ -44,47 +45,11 @@ type PrefetchStats struct {
 	MissedMajorTime time.Duration
 }
 
-// pageSet is a guest-page bitmap.
-type pageSet struct {
-	bits []uint64
-	n    int64
-}
-
-func newPageSet(pages int64) *pageSet {
-	return &pageSet{bits: make([]uint64, (pages+63)/64)}
-}
-
-func (s *pageSet) add(p int64) {
-	if p < 0 || p >= int64(len(s.bits))*64 {
-		return
-	}
-	w, b := p/64, uint(p%64)
-	if s.bits[w]&(1<<b) == 0 {
-		s.bits[w] |= 1 << b
-		s.n++
-	}
-}
-
-func (s *pageSet) addRegions(regions []snapshot.Region) {
-	for _, reg := range regions {
-		for p := reg.Start; p < reg.End(); p++ {
-			s.add(p)
-		}
-	}
-}
-
-func (s *pageSet) has(p int64) bool {
-	if p < 0 || p >= int64(len(s.bits))*64 {
-		return false
-	}
-	return s.bits[p/64]&(1<<uint(p%64)) != 0
-}
-
 // prefetchSet returns the guest pages the given restore mode
 // prefetches for these artifacts, or nil when the mode has no prefetch
 // plan (warm, plain Firecracker, Cached, cold). The bitmap is built
 // once per mode and shared: callers only read it.
-func (a *Artifacts) prefetchSet(mode Mode, lsDegraded bool) *pageSet {
+func (a *Artifacts) prefetchSet(mode Mode, lsDegraded bool) *pagebits.Set {
 	if mode == ModeFaaSnap && lsDegraded {
 		// Degraded restores fall back to the per-region plan over the
 		// unmerged regions.
@@ -100,23 +65,28 @@ func (a *Artifacts) prefetchSet(mode Mode, lsDegraded bool) *pageSet {
 	if set := a.derived.prefetch[mode]; set != nil {
 		return set
 	}
-	set := newPageSet(a.Fn.GuestConfig().Pages)
+	set := pagebits.New(a.Fn.GuestConfig().Pages)
+	addRegions := func(regions []snapshot.Region) {
+		for _, reg := range regions {
+			set.AddRange(reg.Start, reg.End())
+		}
+	}
 	switch mode {
 	case ModeFaaSnap:
 		// The loading-set regions include merge-gap filler pages; those
 		// are genuinely read from disk, so they count as prefetched.
-		set.addRegions(a.LS.Regions)
+		addRegions(a.LS.Regions)
 	case ModePerRegion:
-		set.addRegions(a.LSUnmerged.Regions)
+		addRegions(a.LSUnmerged.Regions)
 	case ModeConcurrentPaging:
 		for _, g := range a.WS.Groups {
 			for _, p := range g {
-				set.add(p)
+				set.Add(p)
 			}
 		}
 	case ModeREAP:
 		for _, p := range a.ReapWS.Pages {
-			set.add(p)
+			set.Add(p)
 		}
 	}
 	a.derived.prefetch[mode] = set
@@ -136,29 +106,23 @@ func ComputePrefetch(arts *Artifacts, r *InvokeResult) *PrefetchStats {
 	if pre == nil {
 		return nil
 	}
-	used := newPageSet(arts.Fn.GuestConfig().Pages)
-	ps := &PrefetchStats{PrefetchedPages: pre.n}
+	used := pagebits.New(arts.Fn.GuestConfig().Pages)
+	ps := &PrefetchStats{PrefetchedPages: pre.Count()}
 	for _, ev := range r.FaultTrace {
 		switch ev.Kind {
 		case metrics.FaultMinor, metrics.FaultMajor, metrics.FaultUffd:
 		default: // anonymous zero-fill / PTE fixup: no snapshot data moved
 			continue
 		}
-		used.add(ev.Page)
-		if ev.Kind == metrics.FaultMajor && !pre.has(ev.Page) {
+		prefetched := pre.Has(ev.Page)
+		if used.Add(ev.Page) && prefetched {
+			ps.HitPages++
+		}
+		if ev.Kind == metrics.FaultMajor && !prefetched {
 			ps.MissedMajorTime += ev.Duration
 		}
 	}
-	ps.UsedPages = used.n
-	for w := range pre.bits {
-		var both uint64
-		if w < len(used.bits) {
-			both = pre.bits[w] & used.bits[w]
-		}
-		for ; both != 0; both &= both - 1 {
-			ps.HitPages++
-		}
-	}
+	ps.UsedPages = used.Count()
 	if ps.PrefetchedPages > 0 {
 		ps.Precision = float64(ps.HitPages) / float64(ps.PrefetchedPages)
 	}

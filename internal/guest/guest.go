@@ -13,6 +13,7 @@ package guest
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"faasnap/internal/cpu"
@@ -83,9 +84,12 @@ type AllocState struct {
 	Next int64   // bump pointer for never-used heap pages
 }
 
-// Clone returns a deep copy.
+// Clone returns a copy that shares the free list's array: allocPage
+// only reslices the list from the front, and capping the copy at its
+// length makes its first append reallocate, so neither side ever writes
+// an element the other can read.
 func (s AllocState) Clone() AllocState {
-	return AllocState{Free: append([]int64(nil), s.Free...), Next: s.Next}
+	return AllocState{Free: s.Free[:len(s.Free):len(s.Free)], Next: s.Next}
 }
 
 // Config describes the guest memory layout.
@@ -156,8 +160,11 @@ func (vm *VM) AddrSpace() *hostmm.AddrSpace { return vm.as }
 // Memory returns the live guest memory content map.
 func (vm *VM) Memory() *snapshot.MemoryFile { return vm.mem }
 
-// AllocState returns a copy of the allocator state for snapshotting.
-func (vm *VM) AllocState() AllocState { return vm.alloc.Clone() }
+// AllocState returns a deep copy of the allocator state for
+// snapshotting: the snapshot's free list is its own array.
+func (vm *VM) AllocState() AllocState {
+	return AllocState{Free: slices.Clone(vm.alloc.Free), Next: vm.alloc.Next}
+}
 
 // SetSanitize toggles freed-page sanitizing, the procfs knob the
 // daemon flips between record and test phases (§5).
@@ -207,12 +214,13 @@ func (vm *VM) Exec(p *sim.Proc, prog *Program) {
 		case OpTouch:
 			vm.touch(p, op.Pages, op.Write, op.NonZero, op.PerPage)
 		case OpAllocWrite:
-			pages := make([]int64, op.Count)
-			for i := range pages {
-				pages[i] = vm.allocPage()
+			held := slices.Grow(vm.allocs[op.Tag], int(op.Count))
+			n := len(held)
+			for i := int64(0); i < op.Count; i++ {
+				held = append(held, vm.allocPage())
 			}
-			vm.allocs[op.Tag] = append(vm.allocs[op.Tag], pages...)
-			vm.touch(p, pages, true, op.NonZero, op.PerPage)
+			vm.allocs[op.Tag] = held
+			vm.touch(p, held[n:], true, op.NonZero, op.PerPage)
 		case OpFree:
 			vm.free(p, op.Tag, op.Frac)
 		default:
@@ -253,13 +261,13 @@ func (vm *VM) free(p *sim.Proc, tag string, frac float64) {
 	freed := pages[:n]
 	vm.allocs[tag] = pages[n:]
 	var sanitizeCost time.Duration
-	for _, page := range freed {
-		if vm.sanitize {
+	if vm.sanitize {
+		for _, page := range freed {
 			vm.mem.SetZero(page, true)
 			sanitizeCost += vm.cfg.SanitizePerPage
 		}
-		vm.alloc.Free = append(vm.alloc.Free, page)
 	}
+	vm.alloc.Free = append(vm.alloc.Free, freed...)
 	vm.compute(p, sanitizeCost)
 }
 

@@ -237,6 +237,42 @@ func TestAllocStateSurvivesCloning(t *testing.T) {
 	}
 }
 
+// TestAllocStateClonesShareNothingWritable restores one snapshot's
+// allocator state into VMs on several goroutines at once, as
+// concurrent invocations do (run with -race). Each VM must reuse the
+// snapshot's freed pages in FIFO order, then bump-allocate, and the
+// snapshot's state must come out as it went in.
+func TestAllocStateClonesShareNothingWritable(t *testing.T) {
+	snap := AllocState{Free: []int64{600, 601, 700, 512}, Next: 800}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := newWorld(t)
+			w.vm = NewVM(w.env, w.ps, w.as, w.mem, snap.Clone(), w.cfg)
+			w.vm.SetSanitize(g%2 == 0)
+			w.env.Go("vcpu", func(p *sim.Proc) {
+				w.vm.Exec(p, &Program{Ops: []Op{
+					{Kind: OpAllocWrite, Count: 2, Tag: "a", NonZero: true},
+					{Kind: OpFree, Tag: "a", Frac: 1.0},
+					{Kind: OpAllocWrite, Count: 6, Tag: "b", NonZero: true},
+				}})
+			})
+			w.env.Run()
+			// "a" takes 600 and 601 and frees them to the back of the
+			// queue; "b" drains the queue, then bumps.
+			if got := fmt.Sprint(w.vm.LiveAlloc("b")); got != "[700 512 600 601 800 801]" {
+				t.Errorf("goroutine %d allocated %v", g, got)
+			}
+		}()
+	}
+	wg.Wait()
+	if fmt.Sprint(snap.Free) != "[600 601 700 512]" || snap.Next != 800 {
+		t.Fatalf("snapshot allocator state changed to %+v", snap)
+	}
+}
+
 func TestAnonAllocSemanticGap(t *testing.T) {
 	// When the whole guest is file-mapped (vanilla Firecracker restore),
 	// guest anonymous allocation faults become file-backed host faults —

@@ -13,13 +13,13 @@ package hostmm
 
 import (
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
 	"time"
 
 	"faasnap/internal/blockdev"
 	"faasnap/internal/metrics"
+	"faasnap/internal/pagebits"
 	"faasnap/internal/pagecache"
 	"faasnap/internal/sim"
 )
@@ -108,9 +108,8 @@ type AddrSpace struct {
 
 	vmas []VMA // sorted by Start, non-overlapping, covering subsets
 
-	ptePresent []uint64
-	eptMapped  []uint64
-	rss        int64
+	ptePresent *pagebits.Set // host PTEs; their count is the RSS
+	eptMapped  *pagebits.Set
 
 	uffdHandler UffdHandler
 	uffdLo      int64
@@ -126,8 +125,8 @@ type AddrSpace struct {
 type FaultEvent struct {
 	At       sim.Time
 	Page     int64
-	Kind     metrics.FaultKind
 	Duration time.Duration
+	Kind     metrics.FaultKind
 	Write    bool
 }
 
@@ -187,8 +186,8 @@ func New(env *sim.Env, cache *pagecache.Cache, costs CostModel, pages int64) *Ad
 		cache:      cache,
 		costs:      costs,
 		pages:      pages,
-		ptePresent: make([]uint64, (pages+63)/64),
-		eptMapped:  make([]uint64, (pages+63)/64),
+		ptePresent: pagebits.New(pages),
+		eptMapped:  pagebits.New(pages),
 	}
 }
 
@@ -203,18 +202,7 @@ func (a *AddrSpace) MmapCalls() int { return a.mmapCalls }
 
 // RSS returns the resident-set size in pages, as the daemon reads from
 // procfs during host page recording.
-func (a *AddrSpace) RSS() int64 { return a.rss }
-
-func bitGet(b []uint64, i int64) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
-func bitSet(b []uint64, i int64) bool {
-	w := &b[i/64]
-	bit := uint64(1) << (uint(i) % 64)
-	if *w&bit != 0 {
-		return false
-	}
-	*w |= bit
-	return true
-}
+func (a *AddrSpace) RSS() int64 { return a.ptePresent.Count() }
 
 func (a *AddrSpace) check(page int64) {
 	if page < 0 || page >= a.pages {
@@ -264,20 +252,10 @@ func (a *AddrSpace) Mmap(p *sim.Proc, start, n int64, back Backing, file *pageca
 		k++
 	}
 	a.vmas = slices.Replace(a.vmas, lo, hi, repl[:k]...)
-	// Discard PTEs in the replaced range, one bitmap word at a time: the
-	// base mapping covers the whole guest on every restore.
-	for w := start / 64; w <= (end-1)/64; w++ {
-		mask := ^uint64(0)
-		if lo := w * 64; lo < start {
-			mask <<= uint(start - lo)
-		}
-		if hi := w*64 + 64; hi > end {
-			mask &= ^uint64(0) >> uint(hi-end)
-		}
-		a.rss -= int64(bits.OnesCount64(a.ptePresent[w] & mask))
-		a.ptePresent[w] &^= mask
-		a.eptMapped[w] &^= mask
-	}
+	// Discard PTEs in the replaced range. The base mapping covers the
+	// whole guest on every restore; a range clear skips empty leaves.
+	a.ptePresent.RemoveRange(start, end)
+	a.eptMapped.RemoveRange(start, end)
 	a.mmapCalls++
 	if p != nil {
 		p.Sleep(a.costs.MmapCall)
@@ -309,9 +287,7 @@ func (a *AddrSpace) RegisterUffd(lo, hi int64, handler UffdHandler) {
 // for the copy cost itself (typically via CostModel.UffdCopy).
 func (a *AddrSpace) InstallPage(page int64) {
 	a.check(page)
-	if bitSet(a.ptePresent, page) {
-		a.rss++
-	}
+	a.ptePresent.Add(page)
 }
 
 // Prewarm marks pages as fully mapped (PTE and EPT present) at no
@@ -320,10 +296,8 @@ func (a *AddrSpace) InstallPage(page int64) {
 func (a *AddrSpace) Prewarm(pages []int64) {
 	for _, page := range pages {
 		a.check(page)
-		if bitSet(a.ptePresent, page) {
-			a.rss++
-		}
-		bitSet(a.eptMapped, page)
+		a.ptePresent.Add(page)
+		a.eptMapped.Add(page)
 	}
 }
 
@@ -338,13 +312,13 @@ func (a *AddrSpace) Touch(p *sim.Proc, page int64) (metrics.FaultKind, time.Dura
 // file-backed mappings additionally pay the copy-on-write cost.
 func (a *AddrSpace) TouchW(p *sim.Proc, page int64, write bool) (metrics.FaultKind, time.Duration) {
 	a.check(page)
-	if bitGet(a.eptMapped, page) {
+	if a.eptMapped.Has(page) {
 		return -1, 0
 	}
 	start := a.env.Now()
 	var kind metrics.FaultKind
 	switch {
-	case bitGet(a.ptePresent, page):
+	case a.ptePresent.Has(page):
 		// Host PTE exists (installed by uffd or touched by the VMM):
 		// only the stage-2 mapping needs fixing.
 		p.Sleep(a.costs.PTEFixup)
@@ -353,9 +327,7 @@ func (a *AddrSpace) TouchW(p *sim.Proc, page int64, write bool) (metrics.FaultKi
 		p.Sleep(a.costs.UffdWake)
 		a.uffdHandler.HandleFault(p, page)
 		p.Sleep(a.costs.UffdCopy)
-		if bitSet(a.ptePresent, page) {
-			a.rss++
-		}
+		a.ptePresent.Add(page)
 		kind = metrics.FaultUffd
 	default:
 		vma, ok := a.Lookup(page)
@@ -379,11 +351,9 @@ func (a *AddrSpace) TouchW(p *sim.Proc, page int64, write bool) (metrics.FaultKi
 				p.Sleep(a.costs.CowCopy)
 			}
 		}
-		if bitSet(a.ptePresent, page) {
-			a.rss++
-		}
+		a.ptePresent.Add(page)
 	}
-	bitSet(a.eptMapped, page)
+	a.eptMapped.Add(page)
 	d := a.env.Now() - start
 	a.stats.Record(kind, d)
 	if a.faultHook != nil {

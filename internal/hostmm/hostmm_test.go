@@ -3,6 +3,7 @@ package hostmm
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"faasnap/internal/blockdev"
 	"faasnap/internal/metrics"
@@ -373,5 +374,10 @@ func TestFaultHookFiresPerFault(t *testing.T) {
 	}
 	if events[0].Kind != metrics.FaultAnon {
 		t.Fatalf("kind = %v", events[0].Kind)
+	}
+	// A traced invoke preallocates one event per page its program
+	// touches (45 026 for ffmpeg/B), so the event's size is its cost.
+	if size := unsafe.Sizeof(FaultEvent{}); size != 32 {
+		t.Fatalf("FaultEvent is %d bytes, want 32", size)
 	}
 }

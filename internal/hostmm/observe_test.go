@@ -60,7 +60,7 @@ func syntheticEvents(n int) []FaultEvent {
 		evs[i] = FaultEvent{
 			At:       time.Duration(i) * 1700 * time.Nanosecond,
 			Page:     int64(i*37) % 524288,
-			Kind:     metrics.FaultKind(i) % metrics.NumFaultKinds,
+			Kind:     metrics.FaultKind(i % int(metrics.NumFaultKinds)),
 			Duration: durs[i%len(durs)],
 			Write:    i%3 == 0,
 		}

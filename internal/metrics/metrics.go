@@ -13,7 +13,9 @@ import (
 )
 
 // FaultKind classifies how a guest page access was resolved on the host.
-type FaultKind int
+// It is one byte, so a traced fault (hostmm.FaultEvent) packs into 32;
+// signed, so a negative kind can mean "no fault".
+type FaultKind int8
 
 const (
 	// FaultAnon is a fault on an anonymous mapping served by zero-fill.

@@ -13,10 +13,10 @@ package pagecache
 
 import (
 	"fmt"
-	"math/bits"
 	"time"
 
 	"faasnap/internal/blockdev"
+	"faasnap/internal/pagebits"
 	"faasnap/internal/sim"
 )
 
@@ -43,10 +43,9 @@ type File struct {
 	Dev   *blockdev.Device
 	Pages int64 // file length in pages
 
-	resident  []uint64 // residency bitset
-	nresident int64
-	raNext    int64 // next expected sequential fault page
-	raWindow  int64 // current readahead window in pages
+	resident *pagebits.Set
+	raNext   int64 // next expected sequential fault page
+	raWindow int64 // current readahead window in pages
 
 	// Async readahead state: once a stream is fully ramped, the next
 	// window is prefetched in the background and re-armed when the
@@ -82,26 +81,8 @@ func (f *File) flightAt(page int64) (*flight, int64) {
 	return nil, next
 }
 
-func (f *File) isResident(page int64) bool {
-	return f.resident[page/64]&(1<<(uint(page)%64)) != 0
-}
-
-func (f *File) setResident(page int64) bool {
-	w := &f.resident[page/64]
-	bit := uint64(1) << (uint(page) % 64)
-	if *w&bit != 0 {
-		return false
-	}
-	*w |= bit
-	f.nresident++
-	return true
-}
-
 func (f *File) clearAll() {
-	for i := range f.resident {
-		f.resident[i] = 0
-	}
-	f.nresident = 0
+	f.resident.RemoveRange(0, f.Pages)
 	f.raNext = -1
 	f.raWindow = initialRAPages
 	f.asyncTrigger = -1
@@ -167,7 +148,7 @@ func (c *Cache) SetLimit(maxPages int64) { c.maxPages = maxPages }
 
 // insert marks a page resident and applies the eviction policy.
 func (c *Cache) insert(f *File, page int64) bool {
-	if !f.setResident(page) {
+	if !f.resident.Add(page) {
 		return false
 	}
 	c.totalPages++
@@ -193,9 +174,7 @@ func (c *Cache) evictOver() {
 			continue
 		}
 		busy = 0
-		if f.isResident(key.page) {
-			f.resident[key.page/64] &^= 1 << (uint(key.page) % 64)
-			f.nresident--
+		if f.resident.Remove(key.page) {
 			c.totalPages--
 			c.stats.Evictions++
 		}
@@ -218,7 +197,7 @@ func (c *Cache) Register(name string, dev *blockdev.Device, pages int64) *File {
 		Name:         name,
 		Dev:          dev,
 		Pages:        pages,
-		resident:     make([]uint64, (pages+63)/64),
+		resident:     pagebits.New(pages),
 		raNext:       -1,
 		raWindow:     initialRAPages,
 		asyncTrigger: -1,
@@ -231,13 +210,13 @@ func (c *Cache) Register(name string, dev *blockdev.Device, pages int64) *File {
 func (c *Cache) Stats() Stats { return c.stats }
 
 // ResidentPages returns the number of resident pages of f.
-func (c *Cache) ResidentPages(f *File) int64 { return f.nresident }
+func (c *Cache) ResidentPages(f *File) int64 { return f.resident.Count() }
 
 // ResidentBytes returns the total cache footprint in bytes.
 func (c *Cache) ResidentBytes() int64 {
 	var n int64
 	for _, f := range c.files {
-		n += f.nresident * PageSize
+		n += f.resident.Count() * PageSize
 	}
 	return n
 }
@@ -245,7 +224,7 @@ func (c *Cache) ResidentBytes() int64 {
 // IsResident reports whether page of f is in the cache.
 func (c *Cache) IsResident(f *File, page int64) bool {
 	c.checkPage(f, page)
-	return f.isResident(page)
+	return f.resident.Has(page)
 }
 
 // Mincore reports residency for pages [lo, hi) of f, like the mincore
@@ -256,22 +235,22 @@ func (c *Cache) Mincore(f *File, lo, hi int64) []bool {
 	}
 	out := make([]bool, hi-lo)
 	for i := range out {
-		out[i] = f.isResident(lo + int64(i))
+		out[i] = f.resident.Has(lo + int64(i))
 	}
 	return out
 }
 
-// ResidentWords returns a copy of f's residency bitset (64 pages per
-// word). Recorders use it to diff residency between mincore scans
-// without allocating per-page slices.
-func (c *Cache) ResidentWords(f *File) []uint64 {
-	return append([]uint64(nil), f.resident...)
+// Resident returns a copy-on-write snapshot of f's residency. Recorders
+// use it to diff residency between mincore scans without allocating
+// per-page slices.
+func (c *Cache) Resident(f *File) *pagebits.Set {
+	return f.resident.Clone()
 }
 
 // Drop evicts every resident page of f (echo 3 > drop_caches, scoped to
 // one file). Pages with in-flight reads complete and land resident.
 func (c *Cache) Drop(f *File) {
-	c.totalPages -= f.nresident
+	c.totalPages -= f.resident.Count()
 	f.clearAll()
 }
 
@@ -289,16 +268,7 @@ func (c *Cache) Populate(f *File) {
 		}
 		return
 	}
-	var n int64
-	for i := range f.resident {
-		full := ^uint64(0)
-		if rest := f.Pages - int64(i)*64; rest < 64 {
-			full = 1<<uint(rest) - 1
-		}
-		n += int64(bits.OnesCount64(full &^ f.resident[i]))
-		f.resident[i] |= full
-	}
-	f.nresident += n
+	n := f.resident.AddRange(0, f.Pages)
 	c.totalPages += n
 	c.stats.PopulatedPages += n
 }
@@ -323,7 +293,7 @@ type FaultResult struct {
 // the same page coalesce onto one device request.
 func (c *Cache) FaultRead(p *sim.Proc, f *File, page int64, class blockdev.Class) FaultResult {
 	c.checkPage(f, page)
-	if f.isResident(page) {
+	if f.resident.Has(page) {
 		c.stats.MinorHits++
 		c.maybeAsyncRA(f, page)
 		return FaultResult{Hit: true}
@@ -354,7 +324,7 @@ func (c *Cache) FaultRead(p *sim.Proc, f *File, page int64, class blockdev.Class
 	// already being read.
 	end := min(page+f.raWindow, busyFrom)
 	run := int64(1)
-	for page+run < end && !f.isResident(page+run) {
+	for page+run < end && !f.resident.Has(page+run) {
 		run++
 	}
 	f.raNext = page + run
@@ -420,7 +390,7 @@ func (c *Cache) ReadRange(p *sim.Proc, f *File, start, n int64, class blockdev.C
 	var read int64
 	i := start
 	for i < start+n {
-		if f.isResident(i) {
+		if f.resident.Has(i) {
 			i++
 			continue
 		}
@@ -432,7 +402,7 @@ func (c *Cache) ReadRange(p *sim.Proc, f *File, start, n int64, class blockdev.C
 		// Collect a run of missing, idle pages.
 		end := min(start+n, i+bulkRequestPages, busyFrom)
 		run := int64(1)
-		for i+run < end && !f.isResident(i+run) {
+		for i+run < end && !f.resident.Has(i+run) {
 			run++
 		}
 		c.read(p, f, i, i+run, class)

@@ -240,8 +240,10 @@ func TestPopulateCountsOnlyNewPages(t *testing.T) {
 	if got := c.Stats().PopulatedPages; got != 100 || c.ResidentPages(f) != 100 || c.totalPages != 100 {
 		t.Fatalf("populated %d (10 read + Populate), resident %d, total %d; want 100 each", got, c.ResidentPages(f), c.totalPages)
 	}
-	if w := c.ResidentWords(f); w[1] != 1<<36-1 {
-		t.Fatalf("second word %#x, want pages 64..99 and nothing past them", w[1])
+	var runs [][2]int64
+	c.Resident(f).Runs(func(start, end int64) { runs = append(runs, [2]int64{start, end}) })
+	if len(runs) != 1 || runs[0] != [2]int64{0, 100} {
+		t.Fatalf("resident runs %v, want pages 0..99 and nothing past them", runs)
 	}
 }
 

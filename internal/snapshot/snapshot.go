@@ -8,8 +8,8 @@ package snapshot
 
 import (
 	"fmt"
-	"math/bits"
 
+	"faasnap/internal/pagebits"
 	"faasnap/internal/pagecache"
 )
 
@@ -19,8 +19,7 @@ const PageSize = pagecache.PageSize
 // MemoryFile is the page map of a snapshot's guest memory file.
 type MemoryFile struct {
 	Pages int64
-	zero  []uint64 // bitset: 1 = page is all zeroes
-	nzero int64
+	zero  *pagebits.Set // set = page is all zeroes
 }
 
 // NewMemoryFile returns a memory file of the given page count with
@@ -29,14 +28,8 @@ func NewMemoryFile(pages int64) *MemoryFile {
 	if pages <= 0 {
 		panic("snapshot: memory file must have pages")
 	}
-	m := &MemoryFile{
-		Pages: pages,
-		zero:  make([]uint64, (pages+63)/64),
-	}
-	for i := range m.zero {
-		m.zero[i] = ^uint64(0)
-	}
-	m.nzero = pages
+	m := &MemoryFile{Pages: pages, zero: pagebits.New(pages)}
+	m.zero.AddRange(0, pages)
 	return m
 }
 
@@ -49,44 +42,36 @@ func (m *MemoryFile) check(page int64) {
 // IsZero reports whether page is all zeroes.
 func (m *MemoryFile) IsZero(page int64) bool {
 	m.check(page)
-	return m.zero[page/64]&(1<<(uint(page)%64)) != 0
+	return m.zero.Has(page)
 }
 
 // SetZero marks page as zero or non-zero.
 func (m *MemoryFile) SetZero(page int64, z bool) {
 	m.check(page)
-	w := &m.zero[page/64]
-	bit := uint64(1) << (uint(page) % 64)
-	was := *w&bit != 0
-	if was == z {
-		return
-	}
 	if z {
-		*w |= bit
-		m.nzero++
+		m.zero.Add(page)
 	} else {
-		*w &^= bit
-		m.nzero--
+		m.zero.Remove(page)
 	}
 }
 
 // NonZeroPages returns the number of non-zero pages.
-func (m *MemoryFile) NonZeroPages() int64 { return m.Pages - m.nzero }
+func (m *MemoryFile) NonZeroPages() int64 { return m.Pages - m.zero.Count() }
 
 // SparseBytes returns the on-disk size when stored as a sparse file
 // (zero pages occupy no blocks), per the paper's §7.2 storage-cost
 // discussion.
 func (m *MemoryFile) SparseBytes() int64 { return m.NonZeroPages() * PageSize }
 
-// Clone returns a deep copy of the page map (the new snapshot taken
-// after the record-phase invocation).
+// Clone returns a copy of the page map (the guest memory an invocation
+// starts from, or the new snapshot taken after the record-phase
+// invocation). The copy shares the page map copy-on-write, so a write
+// to either file never shows in the other. Cloning writes nothing to a
+// file that is itself an unwritten clone, and nothing but atomic
+// ownership bits to any other, so any number of goroutines may clone
+// one shared snapshot's file at once.
 func (m *MemoryFile) Clone() *MemoryFile {
-	n := &MemoryFile{
-		Pages: m.Pages,
-		zero:  append([]uint64(nil), m.zero...),
-		nzero: m.nzero,
-	}
-	return n
+	return &MemoryFile{Pages: m.Pages, zero: m.zero.Clone()}
 }
 
 // Region is a run of consecutive guest pages of one kind.
@@ -107,33 +92,18 @@ func (r Region) End() int64 { return r.Start + r.Len }
 // non-zero regions", §4.5).
 func (m *MemoryFile) ScanRegions() []Region {
 	var out []Region
-	cur := Region{Group: -1}
-	// One bitmap word at a time: a run of equal bits inside a word is a
-	// trailing-zeros count, so a 2 GB guest costs 8 192 words, not
-	// 524 288 page tests.
-	for base := int64(0); base < m.Pages; base += 64 {
-		n := min(64, m.Pages-base)
-		w := m.zero[base/64]
-		for off := int64(0); off < n; {
-			rest := w >> uint(off)
-			z := rest&1 != 0
-			if z {
-				rest = ^rest
-			}
-			run := min(int64(bits.TrailingZeros64(rest)), n-off)
-			if cur.Len > 0 && cur.Zero == z {
-				cur.Len += run
-			} else {
-				if cur.Len > 0 {
-					out = append(out, cur)
-				}
-				cur = Region{Start: base + off, Len: run, Zero: z, Group: -1}
-			}
-			off += run
+	// The zero map's runs are the zero regions and its gaps the
+	// non-zero ones; a clear or full pagebits leaf is one step.
+	next := int64(0)
+	m.zero.Runs(func(start, end int64) {
+		if start > next {
+			out = append(out, Region{Start: next, Len: start - next, Group: -1})
 		}
-	}
-	if cur.Len > 0 {
-		out = append(out, cur)
+		out = append(out, Region{Start: start, Len: end - start, Zero: true, Group: -1})
+		next = end
+	})
+	if next < m.Pages {
+		out = append(out, Region{Start: next, Len: m.Pages - next, Group: -1})
 	}
 	return out
 }

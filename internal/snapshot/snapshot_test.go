@@ -1,8 +1,12 @@
 package snapshot
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -50,6 +54,42 @@ func TestCloneIsIndependent(t *testing.T) {
 	c.SetZero(6, false)
 	if m.NonZeroPages() != 1 || c.NonZeroPages() != 2 {
 		t.Fatalf("m=%d c=%d", m.NonZeroPages(), c.NonZeroPages())
+	}
+}
+
+// TestConcurrentClonesAreIsolated clones one memory file from many
+// goroutines, as concurrent invocations of one snapshot do, and writes
+// every clone. Under -race it shows the clones share nothing writable;
+// the source and every clone must end as if they had been deep copies.
+func TestConcurrentClonesAreIsolated(t *testing.T) {
+	const pages = 3*4096 + 100
+	src := NewMemoryFile(pages)
+	for p := int64(4000); p < 4200; p++ {
+		src.SetZero(p, false)
+	}
+	want := src.ScanRegions()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				c := src.Clone()
+				p := int64(g*1500 + i) // never in [4000, 4200)
+				c.SetZero(p, false)
+				c.SetZero(4100, true)
+				if c.NonZeroPages() != 200 {
+					t.Errorf("clone %d/%d: %d non-zero pages", g, i, c.NonZeroPages())
+				}
+				if c.IsZero(p) || !c.IsZero(4100) {
+					t.Errorf("clone %d/%d lost its own writes", g, i)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := src.ScanRegions(); !slices.Equal(got, want) {
+		t.Fatalf("source regions changed under its clones: %v, want %v", got, want)
 	}
 }
 
@@ -229,69 +269,78 @@ func TestZeroScanProperty(t *testing.T) {
 	}
 }
 
-// scanRegionsPerBit is the page-at-a-time scan ScanRegions used before
-// it walked the bitmap by words, kept as the oracle.
-func scanRegionsPerBit(m *MemoryFile) []Region {
-	var out []Region
-	var cur Region
-	cur.Group = -1
-	for p := int64(0); p < m.Pages; p++ {
-		z := m.IsZero(p)
-		if cur.Len > 0 && cur.Zero == z {
-			cur.Len++
-			continue
-		}
-		if cur.Len > 0 {
-			out = append(out, cur)
-		}
-		cur = Region{Start: p, Len: 1, Zero: z, Group: -1}
-	}
-	if cur.Len > 0 {
-		out = append(out, cur)
-	}
-	return out
-}
+// scanRegionsDigest is the SHA-256 of TestScanRegionsDigest's regions,
+// computed with the word-at-a-time scan that ScanRegions was before
+// the zero map moved onto pagebits leaves (and which was itself
+// checked against a page-at-a-time scan on the same shapes).
+const scanRegionsDigest = "15e88bbc9d164b0af22e76395d94d4eb2579adce801098bec7f14162e6181747"
 
-// TestScanRegionsMatchesPerBit compares the word-wise scan with the
-// per-bit reference on the shapes a word walk can get wrong: page
-// counts off a word boundary, uniform files, whole words alternating,
-// runs crossing word boundaries, and seeded random bitmaps of several
-// densities.
-func TestScanRegionsMatchesPerBit(t *testing.T) {
-	check := func(name string, m *MemoryFile) {
-		t.Helper()
-		if got, want := m.ScanRegions(), scanRegionsPerBit(m); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: %d pages: got %v, want %v", name, m.Pages, got, want)
+// TestScanRegionsDigest pins ScanRegions on the shapes a word or leaf
+// walk can get wrong: page counts off a word or leaf boundary, uniform
+// files, whole words and whole leaves alternating, runs crossing word
+// and leaf boundaries, and seeded random bitmaps of several densities.
+// Each shape is scanned again after a clone and a write to the clone,
+// then to the source, so the digest also covers copy-on-write.
+func TestScanRegionsDigest(t *testing.T) {
+	h := sha256.New()
+	scan := func(m *MemoryFile) {
+		for _, r := range m.ScanRegions() {
+			fmt.Fprintf(h, "%d+%d/%v ", r.Start, r.Len, r.Zero)
 		}
+		fmt.Fprintf(h, "| %d %d\n", m.Pages, m.NonZeroPages())
 	}
-	for _, pages := range []int64{1, 63, 64, 65, 127, 128, 1000, 4096} {
+	flip := func(m *MemoryFile, p int64) { m.SetZero(p, !m.IsZero(p)) }
+	check := func(m *MemoryFile) {
+		scan(m)
+		c := m.Clone()
+		p, q := m.Pages*3/7, m.Pages-1-m.Pages/5
+		flip(c, p)
+		scan(c)
+		scan(m)
+		flip(m, q)
+		scan(c)
+		scan(m)
+		flip(m, q)
+	}
+	for _, pages := range []int64{1, 63, 64, 65, 127, 128, 1000, 4095, 4096, 4097, 9000, 12288} {
 		m := NewMemoryFile(pages)
-		check("all-zero", m)
+		check(m)
 		for p := int64(0); p < pages; p++ {
 			m.SetZero(p, false)
 		}
-		check("all-non-zero", m)
+		check(m)
 		for p := int64(0); p < pages; p++ {
 			m.SetZero(p, p/64%2 == 0)
 		}
-		check("alternating words", m)
+		check(m)
 		for p := int64(0); p < pages; p++ {
 			m.SetZero(p, (p+32)/64%2 == 0)
 		}
-		check("runs straddling words", m)
-		m.SetZero(pages-1, !m.IsZero(pages-1))
-		check("last page flipped", m)
+		check(m)
+		for p := int64(0); p < pages; p++ {
+			m.SetZero(p, p/4096%2 == 0)
+		}
+		check(m)
+		for p := int64(0); p < pages; p++ {
+			m.SetZero(p, (p+2048)/4096%2 == 0)
+		}
+		check(m)
+		flip(m, pages-1)
+		check(m)
 		for seed := int64(0); seed < 40; seed++ {
 			rng := rand.New(rand.NewSource(seed))
-			flip := 1 + rng.Intn(8) // mean run length
+			mean := 1 + rng.Intn(8) // mean run length
 			z := true
 			for p := int64(0); p < pages; p++ {
-				if rng.Intn(flip) == 0 {
+				if rng.Intn(mean) == 0 {
 					z = !z
 				}
 				m.SetZero(p, z)
 			}
-			check("random", m)
+			check(m)
 		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != scanRegionsDigest {
+		t.Fatalf("ScanRegions digest = %s, want %s", got, scanRegionsDigest)
 	}
 }

@@ -26,6 +26,7 @@ import (
 
 	"faasnap/internal/blockdev"
 	"faasnap/internal/hostmm"
+	"faasnap/internal/pagebits"
 	"faasnap/internal/pagecache"
 	"faasnap/internal/sim"
 	"faasnap/internal/snapshot"
@@ -90,7 +91,7 @@ type MincoreRecorder struct {
 	interval time.Duration
 
 	ws      WorkingSet
-	seen    []uint64
+	seen    *pagebits.Set
 	lastRSS int64
 	stopped *sim.Event
 	scans   int
@@ -108,7 +109,7 @@ func NewMincoreRecorder(env *sim.Env, cache *pagecache.Cache, file *pagecache.Fi
 		file:     file,
 		as:       as,
 		interval: interval,
-		seen:     make([]uint64, (file.Pages+63)/64),
+		seen:     pagebits.New(file.Pages),
 		stopped:  sim.NewEvent(env),
 	}
 }
@@ -145,20 +146,14 @@ func (r *MincoreRecorder) Stop() {
 // appends new pages in ascending address order.
 func (r *MincoreRecorder) scan() {
 	r.scans++
-	words := r.cache.ResidentWords(r.file)
 	var fresh []int64
-	for w := range words {
-		diff := words[w] &^ r.seen[w]
-		if diff == 0 {
-			continue
-		}
-		for b := 0; b < 64; b++ {
-			if diff&(1<<uint(b)) != 0 {
-				fresh = append(fresh, int64(w*64+b))
+	r.cache.Resident(r.file).Runs(func(start, end int64) {
+		for p := start; p < end; p++ {
+			if r.seen.Add(p) {
+				fresh = append(fresh, p)
 			}
 		}
-		r.seen[w] |= diff
-	}
+	})
 	r.ws.add(fresh)
 }
 

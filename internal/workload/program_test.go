@@ -164,3 +164,48 @@ func TestProgramConcurrentFirstUse(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestFirstInt63nMatchesMathRand pins firstInt63n to a freshly seeded
+// math/rand source on 100 000 random (seed, n) pairs: seeds anywhere
+// in int64 (zero, negative, multiples of 2³¹−1 included), n from tiny
+// to near 2⁶³, powers of two or not. Where firstInt63n declines, the
+// source's first draw must be one Int63n rejects.
+func TestFirstInt63nMatchesMathRand(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	declined := 0
+	for i := 0; i < 100000; i++ {
+		seed := rng.Int63() - rng.Int63()
+		switch i % 16 {
+		case 0:
+			seed = int64(i%7) * lehmerM * int64(1-2*(i%2))
+		case 1:
+			seed = int64(i % 5)
+		}
+		var n int64
+		switch i % 4 {
+		case 0:
+			n = 1 + rng.Int63n(1000)
+		case 1:
+			n = 1 << rng.Intn(63)
+		case 2:
+			n = 1 + rng.Int63()
+		default:
+			n = 1<<62 + rng.Int63n(1<<62) // rejects up to half of all draws
+		}
+		got, ok := firstInt63n(seed, n)
+		src := rand.New(rand.NewSource(seed))
+		if !ok {
+			declined++
+			if v := src.Int63(); v <= 1<<63-1-int64((1<<63)%uint64(n)) {
+				t.Fatalf("seed %d, n %d: declined a draw (%d) Int63n accepts", seed, n, v)
+			}
+			continue
+		}
+		if want := src.Int63n(n); got != want {
+			t.Fatalf("seed %d, n %d: got %d, math/rand draws %d", seed, n, got, want)
+		}
+	}
+	if declined == 0 {
+		t.Fatal("no draw was rejected; the fallback went untested")
+	}
+}

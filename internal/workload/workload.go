@@ -205,15 +205,74 @@ func (s *Spec) CleanMemory() *snapshot.MemoryFile {
 
 // touchedPrefix returns how many pages of a run an invocation with the
 // given seed touches: between 80% and 100%, varying per (run, seed).
-// Identical seeds touch identical prefixes. rng is reseeded for the
-// run, which leaves it in the state a fresh source of that seed has.
-func touchedPrefix(rng *rand.Rand, r run, seed int64, idx int) int64 {
+// Identical seeds touch identical prefixes: the slack is the first
+// Int63n draw of a math/rand source freshly seeded for the run.
+func touchedPrefix(r run, seed int64, idx int) int64 {
 	if r.length <= 2 {
 		return r.length
 	}
-	rng.Seed(seed ^ int64(idx)*0x4f1bbcdcbfa53e0b)
+	seed ^= int64(idx) * 0x4f1bbcdcbfa53e0b
 	slack := r.length / 5
-	return r.length - int64(rng.Int63n(slack+1))
+	d, ok := firstInt63n(seed, slack+1)
+	if !ok {
+		d = rand.New(rand.NewSource(seed)).Int63n(slack + 1)
+	}
+	return r.length - d
+}
+
+// math/rand's source is an additive lagged Fibonacci generator over
+// 607 words. Seeding fills word i from steps 21+3i, 22+3i and 23+3i of a
+// Lehmer chain (x → 48271·x mod 2³¹−1) started at the seed, XORed with
+// a fixed table entry, and the first draw is word 333 plus word 606.
+// firstInt63n jumps the chain to those six steps instead of filling
+// all 607 words.
+const (
+	lehmerA = 48271
+	lehmerM = 1<<31 - 1
+	// math/rand's rngCooked[333] and rngCooked[606].
+	cooked333 int64 = -4633371852008891965
+	cooked606 int64 = 4152330101494654406
+)
+
+var jump333, jump606 = lehmerPow(21 + 3*333), lehmerPow(21 + 3*606)
+
+func lehmerPow(k int) uint64 {
+	x := uint64(1)
+	for i := 0; i < k; i++ {
+		x = x * lehmerA % lehmerM
+	}
+	return x
+}
+
+// seededWord returns the source word whose first Lehmer step is
+// x0·jump, as Seed computes it.
+func seededWord(x0, jump uint64, cooked int64) int64 {
+	x1 := x0 * jump % lehmerM
+	x2 := x1 * lehmerA % lehmerM
+	x3 := x2 * lehmerA % lehmerM
+	return int64(x1)<<40 ^ int64(x2)<<20 ^ int64(x3) ^ cooked
+}
+
+// firstInt63n returns rand.New(rand.NewSource(seed)).Int63n(n). It
+// reports false when that first draw is one Int63n rejects and draws
+// again (probability below n/2⁶³); the caller then seeds a real source.
+func firstInt63n(seed, n int64) (int64, bool) {
+	seed %= lehmerM
+	if seed < 0 {
+		seed += lehmerM
+	}
+	if seed == 0 {
+		seed = 89482311 // math/rand's substitute for a zero seed
+	}
+	x0 := uint64(seed)
+	v := (seededWord(x0, jump333, cooked333) + seededWord(x0, jump606, cooked606)) & (1<<63 - 1)
+	if n&(n-1) == 0 {
+		return v & (n - 1), true
+	}
+	if v > 1<<63-1-int64((1<<63)%uint64(n)) {
+		return 0, false
+	}
+	return v % n, true
 }
 
 // dataSlices is how many pieces the input buffer allocation is split
@@ -252,12 +311,11 @@ func (s *Spec) buildProgram(in Input) *guest.Program {
 	// touch input-dependent run prefixes.
 	var touched int64
 	prefixes := make([]int64, len(runs))
-	rng := rand.New(rand.NewSource(0)) // reseeded per run by touchedPrefix
 	for i, r := range runs {
 		if s.SeqStable {
 			prefixes[i] = r.length
 		} else {
-			prefixes[i] = touchedPrefix(rng, r, in.Seed, i)
+			prefixes[i] = touchedPrefix(r, in.Seed, i)
 		}
 		touched += prefixes[i]
 	}
