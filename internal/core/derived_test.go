@@ -257,7 +257,7 @@ func TestInvokeSwitchBudget(t *testing.T) {
 			t.Errorf("%v delivers %d events, want exactly %d", c.mode, events, c.events)
 		}
 		if handoffs > c.handoffs {
-			t.Errorf("%v makes %d goroutine hand-offs, budget %d", c.mode, handoffs, c.handoffs)
+			t.Errorf("%v makes %d hand-offs, budget %d", c.mode, handoffs, c.handoffs)
 		}
 	}
 }

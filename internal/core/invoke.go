@@ -176,7 +176,9 @@ func (d *Deployment) reapFetch(p *sim.Proc, as *hostmm.AddrSpace, r *InvokeResul
 // memory file, and (for full FaaSnap) the loading-set regions on the
 // loading-set file.
 func (d *Deployment) mmapPerRegion(p *sim.Proc, as *hostmm.AddrSpace, withLSFile bool) {
-	for _, m := range d.Arts.MappingPlan(withLSFile && d.lsFile != nil) {
+	plan := d.Arts.MappingPlan(withLSFile && d.lsFile != nil)
+	as.Grow(2 * len(plan))
+	for _, m := range plan {
 		switch m.Backing {
 		case MapAnon:
 			as.Mmap(p, m.Start, m.Pages, hostmm.BackAnon, nil, 0)

@@ -262,6 +262,10 @@ func (a *AddrSpace) Mmap(p *sim.Proc, start, n int64, back Backing, file *pageca
 	}
 }
 
+// Grow makes room for n more VMAs, so a run of Mmap calls whose count
+// is known ahead (each adds at most two) grows the list once.
+func (a *AddrSpace) Grow(n int) { a.vmas = slices.Grow(a.vmas, n) }
+
 // VMAs returns a copy of the current mapping list.
 func (a *AddrSpace) VMAs() []VMA { return append([]VMA(nil), a.vmas...) }
 

@@ -9,7 +9,7 @@ import (
 // timer events per second the DES kernel can process. A second process
 // parked in Cond.WaitFor keeps a tick queued a microsecond ahead and is
 // re-armed on the kernel's stack, so each of the sleeper's wakes is
-// posted to and popped from the heap behind a tick, with no goroutine
+// posted to and popped from the heap behind a tick, with no process
 // switch. One op is one sleep and one tick.
 func BenchmarkEventThroughput(b *testing.B) {
 	e := NewEnv(1)

@@ -237,7 +237,7 @@ func (d *deadline) Recheck() time.Duration { return d.end - d.p.Now() }
 
 // TestWaitForMatchesWaitTimeoutLoop runs one seeded schedule twice:
 // once with each wait a loop of WaitTimeout that rechecks its deadline
-// on its own goroutine, once with a WaitFor the kernel rechecks. Both
+// on its own stack, once with a WaitFor the kernel rechecks. Both
 // must deliver the same events in the same order, and WaitFor must
 // resume no process before its wait is over.
 func TestWaitForMatchesWaitTimeoutLoop(t *testing.T) {
@@ -286,7 +286,7 @@ func TestWaitForMatchesWaitTimeoutLoop(t *testing.T) {
 	}
 }
 
-// settleGoroutines waits for exiting process goroutines to finish and
+// settleGoroutines waits for exiting goroutines to finish and
 // reports whether the count fell back to base.
 func settleGoroutines(base int) (int, bool) {
 	deadline := time.Now().Add(2 * time.Second)
@@ -299,53 +299,102 @@ func settleGoroutines(base int) (int, bool) {
 	}
 }
 
-func TestRunLeavesNoGoroutinesAfterPanic(t *testing.T) {
-	base := runtime.NumGoroutine()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("expected panic from Run")
+// TestRunLeavesNoGoroutines checks that Run stops every coroutine it
+// made, however the run ends, and that a process that panics or calls
+// runtime.Goexit (as t.FailNow does) fails Run with the process's name.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		procs func(e *Env)
+		want  string // Run's panic, if any
+	}{
+		{name: "drained", procs: func(e *Env) {
+			for i := 0; i < 4; i++ {
+				e.Go("sleeper", func(p *Proc) { p.Sleep(time.Duration(i) * time.Microsecond) })
 			}
-		}()
-		e := NewEnv(1)
-		ev := NewEvent(e)
-		for i := 0; i < 4; i++ {
-			e.Go("parked", func(p *Proc) { ev.Wait(p) })
-		}
-		e.Go("sleeper", func(p *Proc) { p.Sleep(time.Millisecond) })
-		e.Go("bad", func(p *Proc) {
-			p.Sleep(time.Microsecond)
-			e.Go("unstarted", func(p *Proc) { p.Sleep(time.Microsecond) })
-			panic("boom")
+		}},
+		{name: "parked-daemons", procs: func(e *Env) {
+			c, r := NewCond(e), NewResource(e, 1)
+			for i := 0; i < 4; i++ {
+				e.Go("daemon", func(p *Proc) {
+					for {
+						c.Wait(p)
+					}
+				})
+			}
+			e.Go("holder", func(p *Proc) { r.Acquire(p) })
+			e.Go("blocked", func(p *Proc) { r.Acquire(p) })
+			e.Go("worker", func(p *Proc) {
+				p.Sleep(time.Microsecond)
+				c.Broadcast()
+				p.Sleep(time.Microsecond)
+			})
+		}},
+		{name: "idle-coroutines", procs: func(e *Env) {
+			for i := 0; i < 4; i++ {
+				e.Go("early", func(p *Proc) { p.Sleep(time.Microsecond) })
+			}
+			e.Go("late", func(p *Proc) {
+				p.Sleep(time.Millisecond)
+				p.Join(e.Go("reuser", func(p *Proc) { p.Sleep(time.Microsecond) }))
+			})
+		}},
+		{name: "panic", want: `sim: process "bad" panicked: boom`, procs: func(e *Env) {
+			ev := NewEvent(e)
+			for i := 0; i < 4; i++ {
+				e.Go("parked", func(p *Proc) { ev.Wait(p) })
+			}
+			e.Go("sleeper", func(p *Proc) { p.Sleep(time.Millisecond) })
+			e.Go("bad", func(p *Proc) {
+				p.Sleep(time.Microsecond)
+				e.Go("unstarted", func(p *Proc) { p.Sleep(time.Microsecond) })
+				panic("boom")
+			})
+		}},
+		{name: "goexit", want: `sim: process "quitter" panicked: runtime.Goexit called`, procs: func(e *Env) {
+			e.Go("parked", func(p *Proc) { NewEvent(e).Wait(p) })
+			e.Go("quitter", func(p *Proc) {
+				p.Sleep(time.Microsecond)
+				runtime.Goexit()
+			})
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			got := func() (r any) {
+				defer func() { r = recover() }()
+				e := NewEnv(1)
+				tc.procs(e)
+				e.Run()
+				return nil
+			}()
+			if got == nil && tc.want != "" || got != nil && got != tc.want {
+				t.Fatalf("Run panicked with %v, want %q", got, tc.want)
+			}
+			if n, ok := settleGoroutines(base); !ok {
+				t.Fatalf("%d goroutines after the run, want %d", n, base)
+			}
 		})
-		e.Run()
-	}()
-	if n, ok := settleGoroutines(base); !ok {
-		t.Fatalf("%d goroutines after a panicking run, want %d", n, base)
 	}
 }
 
-func TestRunLeavesNoGoroutinesForParkedDaemons(t *testing.T) {
-	base := runtime.NumGoroutine()
+// TestSequentialProcessesReuseCoroutines runs a chain of short-lived
+// processes, each started by the one before it as it ends: a finished
+// process's coroutine runs the next one, so two are ever made.
+func TestSequentialProcessesReuseCoroutines(t *testing.T) {
 	e := NewEnv(1)
-	c := NewCond(e)
-	r := NewResource(e, 1)
-	for i := 0; i < 4; i++ {
-		e.Go("daemon", func(p *Proc) {
-			for {
-				c.Wait(p)
-			}
-		})
+	links, most := 0, 0
+	var link func(p *Proc)
+	link = func(p *Proc) {
+		p.Sleep(time.Microsecond)
+		if links++; links < 100 {
+			e.Go("link", link)
+		}
+		most = max(most, len(e.coros))
 	}
-	e.Go("holder", func(p *Proc) { r.Acquire(p) })
-	e.Go("blocked", func(p *Proc) { r.Acquire(p) })
-	e.Go("worker", func(p *Proc) {
-		p.Sleep(time.Microsecond)
-		c.Broadcast()
-		p.Sleep(time.Microsecond)
-	})
+	e.Go("link", link)
 	e.Run()
-	if n, ok := settleGoroutines(base); !ok {
-		t.Fatalf("%d goroutines after the run, want %d", n, base)
+	if links != 100 || most > 2 {
+		t.Fatalf("%d links made %d coroutines, want 100 links on at most 2", links, most)
 	}
 }

@@ -1,18 +1,26 @@
-// Package sim provides a deterministic, goroutine-based discrete-event
-// simulation kernel. It is the substrate under every timing-sensitive
-// component of the FaaSnap reproduction: block devices, the host page
-// cache, page-fault handling, vCPUs, and the FaaSnap loader all run as
-// sim processes against a virtual clock.
+//go:build go1.23
+
+// The build line above is the one place go1.23 is asked for: iter.Pull
+// is go1.23's, and go.mod stays at go 1.22 so that building the
+// benchmark module with -mod=mod does not rewrite its go.mod.
+
+// Package sim provides a deterministic discrete-event simulation
+// kernel. It is the substrate under every timing-sensitive component of
+// the FaaSnap reproduction: block devices, the host page cache,
+// page-fault handling, vCPUs, and the FaaSnap loader all run as sim
+// processes against a virtual clock.
 //
 // The kernel follows the classic process-interaction style (as in SimPy):
-// each process is a goroutine, but exactly one goroutine runs at a time,
-// so a simulation is fully deterministic. There is no scheduler
-// goroutine: a process that blocks pops the next event itself and hands
-// control straight to the process it wakes, carries on when the wake is
-// its own, and decides a Cond.WaitFor's wake on its own stack. Ties in
-// event time are broken by a monotonically increasing sequence number.
-// A Cond.Broadcast is one heap event, delivered token by token, exactly
-// as one event per waiter would have been.
+// each process is a coroutine (iter.Pull), and Run is one loop on the
+// caller's goroutine that resumes the process the last one woke, so
+// exactly one process runs at a time and a simulation is fully
+// deterministic. A process that blocks pops the next event itself,
+// carries on when the wake is its own, and decides a Cond.WaitFor's wake
+// on its own stack; otherwise it names the process it woke and yields
+// to Run. A finished process's coroutine runs the next process Go
+// starts. Ties in event time are broken by a monotonically increasing
+// sequence number. A Cond.Broadcast is one heap event, delivered token
+// by token, exactly as one event per waiter would have been.
 //
 // Virtual time is represented as time.Duration since the start of the
 // run; no real time passes while a simulation executes.
@@ -20,6 +28,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"slices"
 	"time"
@@ -36,7 +45,6 @@ const (
 	wakeTimer waitKind = iota
 	wakeSignal
 	wakeStart
-	wakeKill
 	wakeBatch // a Cond's broadcast: proc is its proxy, gen where it ends
 )
 
@@ -71,16 +79,19 @@ type Env struct {
 	now    Time
 	events []event // 4-ary min-heap on (at, seq)
 	seq    uint64
-	done   chan struct{} // the queue drained or a process panicked
 	procs  []*Proc
 	rng    *rand.Rand
-	failed interface{} // panic value captured from a process
 	inRun  bool
-	hops   uint64 // hand-offs between goroutines; see Work
+	hops   uint64 // switches from one process to another; see Work
+	to     *Proc  // the process Run resumes next; nil once the queue drained
+	wake   waitKind
+	coros  []*coro // every coroutine made since the last close
+	idle   []*coro // coroutines whose process finished, for Go to reuse
 }
 
 // Work reports the events the kernel has delivered (live pops, each of
-// which bumps one generation) and its hand-offs between goroutines.
+// which bumps one generation) and its hand-offs, switches from one
+// process to another.
 func (e *Env) Work() (events, handoffs uint64) {
 	for _, p := range e.procs {
 		events += p.gen
@@ -91,10 +102,7 @@ func (e *Env) Work() (events, handoffs uint64) {
 // NewEnv returns a fresh environment whose random source is seeded with
 // seed, making every run reproducible.
 func NewEnv(seed int64) *Env {
-	return &Env{
-		done: make(chan struct{}),
-		rng:  rand.New(rand.NewSource(seed)),
-	}
+	return &Env{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -266,30 +274,26 @@ func (e *Env) rearm(p *Proc) bool {
 	return true
 }
 
-// handoff transfers control to q with wake k, or tells Run that the
-// queue has drained when q is nil.
+// handoff names q, with wake k, as the process Run resumes next, or
+// tells Run that the queue has drained when q is nil.
 func (e *Env) handoff(q *Proc, k waitKind) {
-	if q == nil {
-		e.done <- struct{}{}
-		return
+	if q != nil {
+		e.hops++
 	}
-	e.hops++
-	q.resume <- k
+	e.to, e.wake = q, k
 }
 
 // Proc is a simulation process. All methods that advance virtual time
 // (Sleep, waits on events and resources) must be called from the
-// process's own goroutine.
+// process itself.
 type Proc struct {
 	env      *Env
 	name     string
-	resume   chan waitKind
+	co       *coro
 	gen      uint64 // parks delivered so far; tokens of older parks are stale
 	timer    int    // heap index of the pending timeout, or -1
 	cond     *Cond
 	recheck  Recheck // decides the WaitFor p is parked in on cond, if any
-	done     bool
-	killed   bool
 	finished *Event
 }
 
@@ -302,58 +306,78 @@ func (p *Proc) Now() Time { return p.env.now }
 // token names the park p is about to make.
 func (p *Proc) token() token { return token{proc: p, gen: p.gen} }
 
-// errKilled is panicked inside process goroutines that are still parked
-// when the environment shuts down; the run wrapper swallows it.
+// errKilled is panicked inside processes that are still parked when the
+// environment shuts down; the run wrapper swallows it.
 type errKilled struct{}
+
+// A coro is a coroutine that runs process bodies one after another: a
+// finished process leaves it on its Env's idle list for the next Go.
+type coro struct {
+	resume func() (struct{}, bool)
+	stop   func()
+	yield  func(struct{}) bool
+	p      *Proc
+	fn     func(*Proc)
+}
 
 // Go creates a new process running fn. It may be called before Run or
 // from a running process; the new process starts at the current virtual
 // time (after the caller yields).
 func (e *Env) Go(name string, fn func(*Proc)) *Proc {
-	p := &Proc{
-		env:      e,
-		name:     name,
-		resume:   make(chan waitKind),
-		timer:    -1,
-		finished: NewEvent(e),
+	var c *coro
+	if n := len(e.idle); n > 0 {
+		c, e.idle = e.idle[n-1], e.idle[:n-1]
+	} else {
+		c = &coro{}
+		c.resume, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+			c.yield = yield
+			for c.p.run(c.fn) && yield(struct{}{}) {
+			}
+		})
+		e.coros = append(e.coros, c)
 	}
+	p := &Proc{env: e, name: name, co: c, timer: -1, finished: NewEvent(e)}
+	c.p, c.fn = p, fn
 	e.procs = append(e.procs, p)
 	e.post(p.token(), e.now, wakeStart)
-	go p.run(fn)
 	return p
 }
 
-func (p *Proc) run(fn func(*Proc)) {
+// run runs fn as p's body, then hands control on and leaves p's
+// coroutine idle. It reports false if p was killed at close, which ends
+// the coroutine. A panic, or a runtime.Goexit, in fn ends the coroutine
+// with a panic that Run passes on.
+func (p *Proc) run(fn func(*Proc)) (more bool) {
 	e := p.env
+	returned := false
 	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(errKilled); ok {
-				// Parked process killed at shutdown: exit without
-				// touching the kernel (close resumes us and waits for
-				// the channel to close).
-				close(p.resume)
-				return
-			}
-			p.done = true
-			e.failed = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
-			e.done <- struct{}{}
+		if returned {
 			return
 		}
-		p.done = true
-		p.finished.Fire()
-		e.handoff(e.next())
+		r := recover()
+		if _, killed := r.(errKilled); killed {
+			return
+		}
+		if r == nil {
+			// fn called runtime.Goexit, which iter.Pull would pass on
+			// to end Run's goroutine; a panic reaches Run instead.
+			r = "runtime.Goexit called"
+		}
+		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 	}()
-	if <-p.resume == wakeKill {
-		panic(errKilled{})
-	}
 	fn(p)
+	returned = true
+	p.finished.Fire()
+	e.handoff(e.next())
+	e.idle = append(e.idle, p.co)
+	return true
 }
 
 // park blocks the calling process until one of its registered wake
 // events is delivered, and reports which kind it was. It is the one
 // place a process blocks and is woken: it pops the next event itself
-// and returns at once if the wake is its own, or hands control to the
-// process it wakes and waits to be handed control back.
+// and returns at once if the wake is its own, or names the process it
+// wakes and yields to Run until Run resumes it.
 func (p *Proc) park() waitKind {
 	e := p.env
 	q, k := e.next()
@@ -361,10 +385,10 @@ func (p *Proc) park() waitKind {
 		return k
 	}
 	e.handoff(q, k)
-	if k = <-p.resume; k == wakeKill {
+	if !p.co.yield(struct{}{}) {
 		panic(errKilled{})
 	}
-	return k
+	return e.wake
 }
 
 // Sleep advances the process by d of virtual time.
@@ -396,35 +420,31 @@ func (p *Proc) Join(other *Proc) {
 
 // Run executes the simulation until the event queue drains, then kills
 // any processes still parked (for example daemon loops waiting on
-// conditions) so no goroutines leak. It panics if any process panicked.
-// Run itself only wakes the first process; from then on processes hand
-// control to one another until the queue drains or one panics.
+// conditions) and stops every coroutine, so no goroutines leak. It
+// panics if any process panicked. Run resumes the process each switch
+// names until one finds the queue drained.
 func (e *Env) Run() {
 	if e.inRun {
 		panic("sim: Run called reentrantly")
 	}
 	e.inRun = true
-	defer func() { e.inRun = false }()
-	if q, k := e.next(); q != nil {
-		q.resume <- k
-		<-e.done
-	}
-	e.close()
-	if e.failed != nil {
-		panic(e.failed)
+	defer func() {
+		e.close()
+		e.inRun = false
+	}()
+	e.to, e.wake = e.next()
+	for e.to != nil {
+		e.to.co.resume()
 	}
 }
 
-// close kills all parked processes so their goroutines exit.
+// close stops every coroutine: a parked process's yield reports false
+// and its park panics errKilled; an idle one returns.
 func (e *Env) close() {
-	for _, p := range e.procs {
-		if !p.done && !p.killed {
-			p.killed = true
-			p.resume <- wakeKill
-			<-p.resume // closed by the wrapper on exit
-			p.done = true
-		}
+	for _, c := range e.coros {
+		c.stop()
 	}
+	e.coros, e.idle = nil, nil
 }
 
 // Event is a one-shot completion event. Waiting on a fired event
