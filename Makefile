@@ -77,9 +77,10 @@ bench-check:
 # One iteration of every Benchmark* function in the DES kernel, the
 # processor-sharing CPU, the page cache, internal/core's 36 paper cells
 # (BenchmarkPaperCells) and 16 burst cells (BenchmarkBurstCells), the
-# gateway's placement and the daemon's chunk plane (record and eager
-# sync): no timing is compared, but a benchmark that panics, hangs or
-# no longer compiles fails here rather than when someone profiles.
+# gateway's placement, the daemon's chunk plane (record and eager sync)
+# and its restore hop to a fresh VMM per mode (BenchmarkRestore): no
+# timing is compared, but a benchmark that panics, hangs or no longer
+# compiles fails here rather than when someone profiles.
 bench-micro:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/cpu ./internal/pagecache ./internal/core ./internal/gateway ./internal/daemon
 

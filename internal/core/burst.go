@@ -25,7 +25,8 @@ type BurstResult struct {
 // single-flight FaaSnap loading); otherwise each VM gets its own copy
 // of the snapshot files, as bursts of different applications would.
 func RunBurst(cfg HostConfig, arts *Artifacts, mode Mode, in workload.Input, parallel int, sameSnapshot bool) BurstResult {
-	br, _ := runBurst(cfg, arts, mode, in, parallel, sameSnapshot)
+	br, env := runBurst(cfg, arts, mode, in, parallel, sameSnapshot)
+	env.Release()
 	return br
 }
 

@@ -383,6 +383,7 @@ func RunSingle(cfg HostConfig, arts *Artifacts, mode Mode, in workload.Input) *I
 		r = d.Invoke(p, mode, in)
 	})
 	h.Env.Run()
+	h.Env.Release()
 	return r
 }
 
@@ -397,6 +398,7 @@ func RunSingleTraced(cfg HostConfig, arts *Artifacts, mode Mode, in workload.Inp
 		r = d.Invoke(p, mode, in)
 	})
 	h.Env.Run()
+	h.Env.Release()
 	r.Prefetch = ComputePrefetch(arts, r)
 	return r
 }

@@ -37,7 +37,6 @@ import (
 	"faasnap/internal/slo"
 	"faasnap/internal/telemetry"
 	"faasnap/internal/trace"
-	"faasnap/internal/vmm"
 	"faasnap/internal/workload"
 )
 
@@ -623,29 +622,6 @@ func (d *Daemon) remove(r *http.Request) (struct{}, error) {
 	return struct{}{}, d.life.delete(r.PathValue("name"))
 }
 
-// regionMaps converts the artifacts' mapping plan into the VMM API's
-// region-map extension.
-func regionMaps(arts *core.Artifacts, name string) []vmm.RegionMap {
-	var out []vmm.RegionMap
-	for _, m := range arts.MappingPlan(true) {
-		rm := vmm.RegionMap{StartPage: m.Start, Pages: m.Pages}
-		switch m.Backing {
-		case core.MapAnon:
-			rm.Backing = "anonymous"
-		case core.MapMemoryFile:
-			rm.Backing = "memory_file"
-			rm.Path = "/snapshots/" + name + ".mem"
-			rm.Offset = m.FileOff
-		case core.MapLoadingSet:
-			rm.Backing = "loading_set"
-			rm.Path = "/snapshots/" + name + ".ls"
-			rm.Offset = m.FileOff
-		}
-		out = append(out, rm)
-	}
-	return out
-}
-
 // inputDescriptor is what the daemon stores in the kvstore per input.
 type inputDescriptor struct {
 	Name      string `json:"name"`
@@ -856,7 +832,7 @@ type InvokeResponse struct {
 type call struct {
 	prof *obs.Profile
 	fs   *fnState
-	arts *core.Artifacts
+	view *view     // the snapshot served, as published when validated
 	mode core.Mode // what the client asked for
 	in   workload.Input
 	// served is the restore's outcome; served.mode is what actually
@@ -952,7 +928,7 @@ func (d *Daemon) parseCall(r *http.Request, c *call, body interface{}, common *i
 	if c.in, err = d.resolveInput(c.fs.spec, common.Input); err != nil {
 		return 0, err
 	}
-	if c.arts = c.fs.published().arts; c.arts == nil {
+	if c.view = c.fs.published(); c.view.arts == nil {
 		return 0, errNoSnapshot
 	}
 	return weight, nil
@@ -963,7 +939,7 @@ func (d *Daemon) parseCall(r *http.Request, c *call, body interface{}, common *i
 // the profile. One restore guards a whole burst: invocations of one
 // snapshot share it (§6.6). The only error is deadline expiry.
 func (d *Daemon) restore(ctx context.Context, c *call, sc telemetry.SpanContext) (err error) {
-	if c.served, err = d.resilientRestore(ctx, c.fs.spec.Name, c.arts, c.mode, sc); err != nil {
+	if c.served, err = d.resilientRestore(ctx, c.fs.spec.Name, c.view, c.mode, sc); err != nil {
 		return err
 	}
 	c.prof.Retries = c.served.retries
@@ -1039,7 +1015,7 @@ func (d *Daemon) invokeOne(ctx context.Context, r *http.Request, c *call) (inter
 	if len(remote) > 0 {
 		agentParent.SpanID = remote[0].SpanID
 	}
-	res := core.RunSingleTraced(d.cfg.Host, c.arts, c.served.mode, c.in)
+	res := core.RunSingleTraced(d.cfg.Host, c.view.arts, c.served.mode, c.in)
 	fillProfile(prof, res)
 	out := c.response(res)
 	// Forward the request to the in-guest server, as the daemon does
@@ -1115,7 +1091,7 @@ func (d *Daemon) handleBurst(w http.ResponseWriter, r *http.Request) {
 			return nil, err
 		}
 		same := req.SameSnapshot == nil || *req.SameSnapshot
-		br := core.RunBurst(d.cfg.Host, c.arts, c.served.mode, c.in, req.Parallel, same)
+		br := core.RunBurst(d.cfg.Host, c.view.arts, c.served.mode, c.in, req.Parallel, same)
 		c.prof.ServedMode = c.served.mode.String()
 		c.prof.ExecMs = ms(br.Mean)
 		c.prof.TotalMs = ms(br.Mean)

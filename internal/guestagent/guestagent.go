@@ -45,9 +45,10 @@ type Agent struct {
 	sanitize atomic.Bool
 	chaos    atomic.Pointer[chaos.Injector]
 
-	lis    *pipenet.Listener
-	server *http.Server
-	done   chan struct{}
+	lis       *pipenet.Listener
+	transport http.RoundTripper // every Client's, dialing lis
+	server    *http.Server
+	done      chan struct{}
 
 	invocations atomic.Int64
 	telCounter  *telemetry.Counter
@@ -61,6 +62,7 @@ func Start(name string, exec Executor) *Agent {
 		lis:  pipenet.NewListener(name + "-guest:80"),
 		done: make(chan struct{}),
 	}
+	a.transport = pipenet.Transport(a.lis)
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", a.handleHealth)
 	mux.HandleFunc("POST /invoke", a.handleInvoke)
@@ -196,7 +198,7 @@ type Client struct {
 // Client returns an HTTP client connected to the agent over the
 // virtual network.
 func (a *Agent) Client() *Client {
-	return &Client{telemetry.NewHopClient(pipenet.Transport(a.lis))}
+	return &Client{telemetry.NewHopClient(a.transport)}
 }
 
 // do sends one request to the agent — op names it in errors — with body

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -175,5 +176,38 @@ func TestTransportDialsPerRequest(t *testing.T) {
 	}
 	if n := dials.Load(); n != 5 {
 		t.Fatalf("%d dials for 5 requests, want one each", n)
+	}
+}
+
+// The reply buffer is sized to the usual reply, not a limit: a header
+// line and a body several times its size, and a request body far past
+// the write buffer, cross intact.
+func TestTransportCarriesLargeMessages(t *testing.T) {
+	l := NewListener("http")
+	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Error(err)
+		}
+		w.Header().Set("X-Echo-Len", fmt.Sprint(len(body)))
+		w.Header().Set("X-Big", strings.Repeat("h", 8*replyBufferSize))
+		w.Write(body[:16*replyBufferSize])
+	})}
+	go srv.Serve(l)
+	defer srv.Close()
+
+	req := strings.Repeat("0123456789abcdef", 6<<10) // 96 KiB
+	resp, err := (&http.Client{Transport: Transport(l)}).Post("http://vmm/", "application/json", strings.NewReader(req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	got, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.Header.Get("X-Echo-Len") != fmt.Sprint(len(req)) || len(resp.Header.Get("X-Big")) != 8*replyBufferSize ||
+		string(got) != req[:16*replyBufferSize] {
+		t.Fatalf("echo len %s, header %d B, body %d B", resp.Header.Get("X-Echo-Len"), len(resp.Header.Get("X-Big")), len(got))
 	}
 }

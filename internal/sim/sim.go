@@ -31,6 +31,7 @@ import (
 	"iter"
 	"math/rand"
 	"slices"
+	"sync"
 	"time"
 )
 
@@ -99,18 +100,45 @@ func (e *Env) Work() (events, handoffs uint64) {
 	return events, e.hops
 }
 
+// sources holds the random sources released environments handed back,
+// for NewEnv to reseed: a fresh source is 5 KB and the largest fixed
+// allocation of a one-shot simulation.
+var sources sync.Pool
+
 // NewEnv returns a fresh environment whose random source is seeded with
-// seed, making every run reproducible.
+// seed, making every run reproducible. A reused source is reseeded, which
+// gives exactly the sequence of a new one.
 func NewEnv(seed int64) *Env {
+	if rng, ok := sources.Get().(*rand.Rand); ok {
+		rng.Seed(seed)
+		return &Env{rng: rng}
+	}
 	return &Env{rng: rand.New(rand.NewSource(seed))}
+}
+
+// Release hands the environment's random source back for a later NewEnv
+// to reuse. Call it once nothing will run in e again: Run may be called
+// more than once, so only its caller knows the last. A released Env
+// holds no source, and its Rand panics rather than share one.
+func (e *Env) Release() {
+	if e.rng != nil {
+		sources.Put(e.rng)
+		e.rng = nil
+	}
 }
 
 // Now returns the current virtual time.
 func (e *Env) Now() Time { return e.now }
 
 // Rand returns the environment's deterministic random source. It must
-// only be used from the currently running process or before Run.
-func (e *Env) Rand() *rand.Rand { return e.rng }
+// only be used from the currently running process or before Run, and
+// never after Release.
+func (e *Env) Rand() *rand.Rand {
+	if e.rng == nil {
+		panic("sim: Rand on a released Env")
+	}
+	return e.rng
+}
 
 func (e *Env) post(t token, at Time, kind waitKind) {
 	if at < e.now {

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -402,5 +404,56 @@ func TestShutdownKillsParkedProcesses(t *testing.T) {
 	e.Run()
 	if reached {
 		t.Fatal("stuck process ran past its wait")
+	}
+}
+
+// A reseeded source draws exactly what a fresh one seeded alike draws,
+// so NewEnv may hand out a released Env's source.
+func TestReseededSourceMatchesFresh(t *testing.T) {
+	reused := rand.New(rand.NewSource(0))
+	seeds := []int64{math.MinInt64, -1, math.MaxInt64, 1 << 40}
+	for s := int64(0); s < 1000; s++ {
+		seeds = append(seeds, s, s*7919+13)
+	}
+	for _, seed := range seeds {
+		reused.Int63() // leave state behind
+		reused.Seed(seed)
+		fresh := rand.New(rand.NewSource(seed))
+		for i := 0; i < 1000; i++ {
+			if a, b := reused.Int63(), fresh.Int63(); a != b {
+				t.Fatalf("seed %d draw %d: reseeded %d, fresh %d", seed, i, a, b)
+			}
+		}
+	}
+}
+
+// Released environments hand their sources on: an Env made after a
+// Release draws what one made first would, and the released Env's Rand
+// panics instead of sharing the source.
+func TestReleaseHandsSourceOn(t *testing.T) {
+	draws := func(e *Env) (out [8]float64) {
+		for i := range out {
+			out[i] = e.Rand().Float64()
+		}
+		return out
+	}
+	want := draws(NewEnv(42))
+	for i := 0; i < 4; i++ {
+		e := NewEnv(int64(i))
+		draws(e)
+		e.Run()
+		e.Release()
+		e.Release() // idempotent
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("Rand on a released Env did not panic")
+				}
+			}()
+			e.Rand()
+		}()
+		if got := draws(NewEnv(42)); got != want {
+			t.Fatalf("after release %d: draws %v, want %v", i, got, want)
+		}
 	}
 }

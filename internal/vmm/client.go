@@ -79,7 +79,13 @@ func (c *Client) do(method, path string, body, out interface{}) error {
 	}
 	var rd io.Reader
 	if body != nil {
-		buf, err := json.Marshal(body)
+		var buf []byte
+		var err error
+		if load, ok := body.(LoadBody); ok {
+			buf, err = load.encodeLoad()
+		} else {
+			buf, err = json.Marshal(body)
+		}
 		if err != nil {
 			return fmt.Errorf("vmm: encode request: %w", err)
 		}
@@ -139,10 +145,29 @@ func (c *Client) Resume() error {
 	return c.do(http.MethodPatch, "/vm", vmPatch{State: "Resumed"}, nil)
 }
 
+// LoadBody is the body of a snapshot load: a SnapshotLoadRequest,
+// encoded on every send, or an EncodedLoad, encoded once and sent as it
+// is. Both put the same bytes on the wire.
+type LoadBody interface {
+	encodeLoad() ([]byte, error)
+}
+
+func (r SnapshotLoadRequest) encodeLoad() ([]byte, error) { return json.Marshal(r) }
+
+// EncodedLoad is a SnapshotLoadRequest encoded by EncodeLoad, for a
+// caller that sends one request to many VMs. It must not be modified
+// once it has been sent.
+type EncodedLoad []byte
+
+// EncodeLoad encodes req as LoadSnapshot puts it on the wire.
+func EncodeLoad(req SnapshotLoadRequest) (EncodedLoad, error) { return req.encodeLoad() }
+
+func (e EncodedLoad) encodeLoad() ([]byte, error) { return e, nil }
+
 // LoadSnapshot restores a snapshot into a fresh VM, optionally with
 // FaaSnap per-region mappings.
-func (c *Client) LoadSnapshot(req SnapshotLoadRequest) error {
-	return c.do(http.MethodPut, "/snapshot/load", req, nil)
+func (c *Client) LoadSnapshot(body LoadBody) error {
+	return c.do(http.MethodPut, "/snapshot/load", body, nil)
 }
 
 // CreateSnapshot snapshots a paused VM.
