@@ -77,7 +77,9 @@ bench-check:
 # One iteration of every Benchmark* function in the DES kernel, the
 # processor-sharing CPU, the page cache, internal/core's 36 paper cells
 # (BenchmarkPaperCells) and 16 burst cells (BenchmarkBurstCells), the
-# gateway's placement, the daemon's chunk plane (record and eager sync)
+# gateway's placement (BenchmarkPreference) and its hop, one invoke
+# relayed to a fake backend (BenchmarkForward), the daemon's chunk
+# plane (record and eager sync)
 # and its restore hop to a fresh VMM per mode (BenchmarkRestore): no
 # timing is compared, but a benchmark that panics, hangs or no longer
 # compiles fails here rather than when someone profiles.

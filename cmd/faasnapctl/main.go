@@ -68,7 +68,8 @@ tier; every command above works unchanged, e.g.
 	os.Exit(2)
 }
 
-// doOnce issues one request, returning the response and its body.
+// doOnce issues one request, returning the response and its body. A
+// reply routed through a gateway says on stderr where it landed.
 func doOnce(method, path string, body []byte) (*http.Response, []byte, error) {
 	var rd io.Reader
 	if body != nil {
@@ -87,6 +88,11 @@ func doOnce(method, path string, body []byte) (*http.Response, []byte, error) {
 	}
 	defer resp.Body.Close()
 	raw, _ := io.ReadAll(resp.Body)
+	for _, h := range []string{"X-Faasnap-Backend", "X-Faasnap-Placement", "X-Faasnap-Replicated-To"} {
+		if v := resp.Header.Get(h); v != "" {
+			fmt.Fprintf(os.Stderr, "%s: %s\n", h, v)
+		}
+	}
 	return resp, raw, nil
 }
 
@@ -338,9 +344,6 @@ func main() {
 		if json.Unmarshal(raw, &gr) == nil {
 			fmt.Printf("gc: examined %d chunks, freed %d (%s reclaimed), demoted %d, in %.1fms\n",
 				gr.ChunksExamined, gr.Removed, fmtBytes(gr.ReclaimedBytes), gr.Demoted, gr.WallMs)
-			if gr.TraceID != "" {
-				fmt.Printf("gc: trace %s (render with: faasnapctl waterfall %s)\n", gr.TraceID, gr.TraceID)
-			}
 		}
 	case "delete":
 		argc(rest, 1, 1)

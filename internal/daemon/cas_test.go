@@ -352,6 +352,29 @@ func TestCASGCHonorsTombstones(t *testing.T) {
 	if gc.Kept == 0 {
 		t.Fatal("gc removed the survivor's chunks")
 	}
+	// The sweep is recorded once, as its gc_sweep event: no trace.
+	var sweeps struct {
+		Events []events.Event `json:"events"`
+	}
+	doJSON(t, "GET", srv.URL+"/events?type=gc_sweep", nil, &sweeps)
+	if len(sweeps.Events) != 1 {
+		t.Fatalf("gc left %d gc_sweep events, want 1", len(sweeps.Events))
+	}
+	ev := sweeps.Events[0]
+	if wall, err := strconv.ParseFloat(ev.Fields["wall_ms"], 64); err != nil || wall < 0 || ev.TraceID != "" {
+		t.Fatalf("gc_sweep event = %+v, want a wall_ms field and no trace", ev)
+	}
+	var ids []string
+	doJSON(t, "GET", srv.URL+"/traces", nil, &ids)
+	for _, id := range ids {
+		var spans []struct {
+			Name string `json:"name"`
+		}
+		doJSON(t, "GET", srv.URL+"/traces/"+id, nil, &spans)
+		if len(spans) > 0 && spans[0].Name == "cas-gc" {
+			t.Fatalf("gc left trace %s beside its event", id)
+		}
+	}
 	// The survivor still serves.
 	casInvoke(t, srv, "cas-alpha")
 

@@ -577,7 +577,7 @@ type gcRequest struct {
 	Demote bool `json:"demote"`
 }
 
-// gc runs the store's refcount sweep and leaves its trace and event.
+// gc runs the store's refcount sweep and leaves its event.
 func (l *lifecycle) gc(demote bool) (GCResponse, error) {
 	start := time.Now()
 	res, err := l.store.sweep(demote)
@@ -591,12 +591,9 @@ func (l *lifecycle) gc(demote bool) (GCResponse, error) {
 		"removed":  strconv.FormatInt(res.Removed, 10),
 		"demoted":  strconv.FormatInt(res.Demoted, 10),
 		"bytes":    strconv.FormatInt(res.ReclaimedBytes, 10),
+		"wall_ms":  events.Millis(wall),
 	}
-	tid := l.traces.NextID()
-	tb := trace.NewBuilder(tid, "cas-gc")
-	tb.Span("cas-gc", "", 0, wall, tags)
-	l.traces.Put(tb.Finish())
-	l.events.Append(events.Event{Type: events.GCSweep, TraceID: string(tid), Fields: tags})
+	l.events.Append(events.Event{Type: events.GCSweep, Fields: tags})
 	l.log.Printf("cas gc: removed %d chunks (%d bytes), kept %d, demoted %d in %s",
 		res.Removed, res.ReclaimedBytes, res.Kept, res.Demoted, wall)
 	st, dedup := l.store.stats()
@@ -604,7 +601,6 @@ func (l *lifecycle) gc(demote bool) (GCResponse, error) {
 		GCResult:       res,
 		ChunksExamined: res.Kept + res.Removed,
 		WallMs:         ms(wall),
-		TraceID:        string(tid),
 		Stats:          st,
 		DedupRatio:     dedup,
 	}, nil
@@ -714,7 +710,7 @@ func (l *lifecycle) recover() {
 		TraceID: string(tid),
 		Fields: map[string]string{
 			"functions": functions,
-			"wall_ms":   strconv.FormatInt(wall.Milliseconds(), 10),
+			"wall_ms":   events.Millis(wall),
 		},
 	})
 	digest, _ := l.idx.status()

@@ -760,7 +760,6 @@ type GCResponse struct {
 	// ChunksExamined is every chunk the sweep judged (kept + removed).
 	ChunksExamined int64          `json:"chunks_examined"`
 	WallMs         float64        `json:"wall_ms"`
-	TraceID        string         `json:"trace_id,omitempty"`
 	Stats          casstore.Stats `json:"stats"`
 	DedupRatio     float64        `json:"dedup_ratio"`
 }

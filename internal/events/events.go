@@ -5,7 +5,7 @@
 // The ledger records what the control plane did while no request was
 // in flight — breaker transitions, anti-entropy repairs, GC sweeps,
 // chunk quarantines, lazy-fetch abandonment, recovery replay, chaos
-// rule firings, SLO page conditions, and backend stale/clean
+// rule firings, SLO page conditions, and backend stale/converged
 // transitions. Each event carries a sequence number that is monotonic
 // per ledger (per daemon or per gateway); causal links between events
 // are expressed as (cause_seq, cause_origin) pairs so a repair on the
@@ -15,6 +15,7 @@ package events
 
 import (
 	"encoding/json"
+	"strconv"
 	"sync"
 	"time"
 
@@ -55,11 +56,15 @@ const (
 	// SLOPage fires when a function's error budget enters or leaves
 	// the page condition (fast and slow burn both above 1).
 	SLOPage Type = "slo_page"
-	// BackendStale fires when the gateway marks a backend stale.
+	// BackendStale fires when the gateway marks a backend stale;
+	// Converged fires when it is clean again.
 	BackendStale Type = "backend_stale"
-	// BackendClean fires when the gateway marks a backend clean again.
-	BackendClean Type = "backend_clean"
 )
+
+// Millis formats d as a wall_ms field: milliseconds to the microsecond.
+func Millis(d time.Duration) string {
+	return strconv.FormatFloat(float64(d.Microseconds())/1000, 'f', 3, 64)
+}
 
 // Event is one entry in the ledger. Seq is assigned by Append and is
 // monotonic within one ledger; CauseSeq/CauseOrigin optionally link to

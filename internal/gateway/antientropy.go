@@ -24,7 +24,6 @@ import (
 	"faasnap/internal/daemon"
 	"faasnap/internal/events"
 	"faasnap/internal/telemetry"
-	"faasnap/internal/trace"
 )
 
 // incomplete is how many of its chunks the copy cannot serve to a peer
@@ -165,7 +164,6 @@ func plan(views map[string]*backendView, backends []*Backend, replicas int) []re
 func (g *Gateway) ResyncNow() int {
 	g.resyncMu.Lock()
 	defer g.resyncMu.Unlock()
-	t0 := time.Now()
 	views := make(map[string]*backendView, len(g.backends))
 	for _, b := range g.backends {
 		if v := b.view.Load(); v.Ready && !v.Recovering && v.Digest != "" {
@@ -174,27 +172,23 @@ func (g *Gateway) ResyncNow() int {
 	}
 	repairs := plan(views, g.backends, g.cfg.Replicas)
 
-	type span struct {
-		repair
-		traceID    string
-		start, dur time.Duration
-	}
-	var spans []span
+	done := 0
 	var failed repair // the last repair that failed
 	for _, r := range repairs {
 		if r.target == failed.target && r.fn == failed.fn {
 			continue // no point syncing onto a failed register
 		}
-		start := time.Since(t0)
+		start := time.Now()
 		ev, err := g.issue(r)
 		if err != nil {
 			failed = r
 			continue
 		}
+		done++
+		ev.Fields["wall_ms"] = events.Millis(time.Since(start))
 		g.reg.Counter("faasnap_gw_resync_total",
 			"Anti-entropy repair operations issued to stale backends, by backend and action.",
 			telemetry.L("backend", r.target.Addr, "action", r.kind.counter())).Inc()
-		spans = append(spans, span{r, ev.TraceID, start, time.Since(t0) - start})
 		// The event is remembered as the backend's most recent repair, for
 		// the converged event of a later clean pass to cite as cause_seq.
 		g.lastRepairSeq[r.target.Addr] = g.events.Append(ev).Seq
@@ -212,43 +206,20 @@ func (g *Gateway) ResyncNow() int {
 		if now == prev {
 			continue
 		}
-		verdict := func(typ events.Type) events.Event {
-			return events.Event{Type: typ, Fields: map[string]string{"backend": b.Addr}}
-		}
-		if now {
-			g.events.Append(verdict(events.BackendStale))
-			continue
-		}
-		g.events.Append(verdict(events.BackendClean))
-		// Converged closes the causality chain: it cites the backend's
-		// last repair event (a gateway-ledger seq) as cause_seq.
-		ev := verdict(events.Converged)
-		if cause := g.lastRepairSeq[b.Addr]; cause > 0 {
-			ev.CauseSeq, ev.CauseOrigin = cause, "gateway"
+		ev := events.Event{Type: events.BackendStale, Fields: map[string]string{"backend": b.Addr}}
+		if !now {
+			// Converged records the backend coming back clean and closes
+			// the causality chain: it cites the backend's last repair
+			// event (a gateway-ledger seq) as cause_seq.
+			ev.Type = events.Converged
+			if cause := g.lastRepairSeq[b.Addr]; cause > 0 {
+				ev.CauseSeq, ev.CauseOrigin = cause, "gateway"
+			}
 		}
 		g.events.Append(ev)
 	}
 
-	// A sweep that issued repairs leaves a trace in the gateway-local
-	// store: one root span for the pass, one child per repair action,
-	// chunk syncs cross-linked to the daemon-minted restore waterfall
-	// via the sync_trace tag.
-	if len(spans) > 0 {
-		wall := time.Since(t0)
-		tid := g.traces.NextID()
-		tb := trace.NewBuilder(tid, "anti-entropy-sweep")
-		root := tb.Span("anti-entropy-sweep", "", 0, wall,
-			map[string]string{"actions": strconv.Itoa(len(spans))})
-		for _, s := range spans {
-			tags := map[string]string{"backend": s.target.Addr, "action": string(s.kind)}
-			if s.traceID != "" {
-				tags["sync_trace"] = s.traceID
-			}
-			tb.Span("repair "+s.fn, root, s.start, s.dur, tags)
-		}
-		g.traces.Put(tb.Finish())
-	}
-	return len(spans)
+	return done
 }
 
 // issue sends one repair through the target's normal API under the

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -63,6 +64,20 @@ func TestAntiEntropyRepairsStaleBackend(t *testing.T) {
 	}
 	if n := len(net.take(outside.addr)); n != 2 {
 		t.Fatalf("non-replica backend saw %d requests, want its two status sweeps only", n)
+	}
+
+	// Each repair is recorded once, as its repair event with its
+	// duration. The pass leaves no gateway trace, so the id every daemon
+	// mints first still reaches the daemon that holds it.
+	for _, ev := range g.Events().Since(0, events.Repair, fn) {
+		if wall, err := strconv.ParseFloat(ev.Fields["wall_ms"], 64); err != nil || wall < 0 {
+			t.Fatalf("repair event %+v carries no wall_ms", ev)
+		}
+	}
+	owner.script("GET /traces/{id}", answer(http.StatusOK, `{"held_by":"owner"}`))
+	var trace string
+	if sc := call(t, g.Handler(), "GET", "/traces/0000000000000001", nil, &trace).StatusCode; sc != http.StatusOK || trace != `{"held_by":"owner"}` {
+		t.Fatalf("GET /traces/0000000000000001 = %d %s, want the owner's trace", sc, trace)
 	}
 
 	// While repairs are in flight the standby is demoted to the back of
@@ -242,7 +257,7 @@ func TestAntiEntropyVersionRules(t *testing.T) {
 }
 
 // TestAntiEntropyKeepsVerdictWithoutStatus: a stale backend that dies
-// mid-repair stays stale — no backend_clean, no converged — through
+// mid-repair stays stale — no converged event — through
 // every pass that cannot see it, and is cleared only by a pass that has
 // its status and finds nothing to repair; the converged event then still
 // cites the last repair.
@@ -264,9 +279,7 @@ func TestAntiEntropyKeepsVerdictWithoutStatus(t *testing.T) {
 	}
 	repairs := g.Events().Since(0, events.Repair, fn)
 	lastRepair := repairs[len(repairs)-1].Seq
-	verdicts := func() (clean, converged []events.Event) {
-		return g.Events().Since(0, events.BackendClean, ""), g.Events().Since(0, events.Converged, "")
-	}
+	converged := func() []events.Event { return g.Events().Since(0, events.Converged, "") }
 
 	net.set(standby.addr, linkDown)
 	for pass := 1; pass <= 3; pass++ {
@@ -276,8 +289,8 @@ func TestAntiEntropyKeepsVerdictWithoutStatus(t *testing.T) {
 		if !sb.Stale() {
 			t.Fatalf("pass %d cleared the verdict of a backend it could not see", pass)
 		}
-		if clean, conv := verdicts(); len(clean)+len(conv) != 0 {
-			t.Fatalf("pass %d: backend_clean %v / converged %v for a node that is still down", pass, clean, conv)
+		if conv := converged(); len(conv) != 0 {
+			t.Fatalf("pass %d: converged %v for a node that is still down", pass, conv)
 		}
 	}
 
@@ -286,9 +299,9 @@ func TestAntiEntropyKeepsVerdictWithoutStatus(t *testing.T) {
 	if n := sweep(g); n != 0 || sb.Stale() {
 		t.Fatalf("pass after rejoin: %d actions, stale=%v", n, sb.Stale())
 	}
-	clean, conv := verdicts()
-	if len(clean) != 1 || len(conv) != 1 || conv[0].Fields["backend"] != standby.addr {
-		t.Fatalf("after rejoin: backend_clean %v, converged %v; want one each for the standby", clean, conv)
+	conv := converged()
+	if len(conv) != 1 || conv[0].Fields["backend"] != standby.addr {
+		t.Fatalf("after rejoin: converged %v; want one for the standby", conv)
 	}
 	if conv[0].CauseSeq != lastRepair || conv[0].CauseOrigin != "gateway" {
 		t.Fatalf("converged cause = (%d, %q), want the last repair (%d, gateway)", conv[0].CauseSeq, conv[0].CauseOrigin, lastRepair)

@@ -69,13 +69,12 @@ func TestGatewayE2E(t *testing.T) {
 
 	// --- Provision through the gateway's fan-out: owner + 1 standby. ---
 	for _, fn := range []string{"hello-world", "json"} {
-		var created map[string]interface{}
-		if resp := call(t, gw, "PUT", "/functions/"+fn, nil, &created); resp.StatusCode/100 != 2 {
+		resp := call(t, gw, "PUT", "/functions/"+fn, nil, nil)
+		if resp.StatusCode/100 != 2 {
 			t.Fatalf("create %s via gateway = %d", fn, resp.StatusCode)
 		}
-		repl, _ := created["replicated_to"].([]interface{})
-		if len(repl) != 2 {
-			t.Fatalf("create %s replicated_to = %v, want owner + 1 standby", fn, created["replicated_to"])
+		if repl := resp.Header.Get("X-Faasnap-Replicated-To"); len(strings.Split(repl, ",")) != 2 {
+			t.Fatalf("create %s X-Faasnap-Replicated-To = %q, want owner + 1 standby", fn, repl)
 		}
 		if resp := call(t, gw, "POST", "/functions/"+fn+"/record",
 			map[string]string{"input": "A"}, nil); resp.StatusCode/100 != 2 {

@@ -22,6 +22,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,10 +31,9 @@ import (
 	"faasnap/internal/events"
 	"faasnap/internal/resilience"
 	"faasnap/internal/telemetry"
-	"faasnap/internal/trace"
 )
 
-// Placement values reported in the "placement" response field.
+// Placement values reported in the X-Faasnap-Placement response header.
 const (
 	// PlacementSticky: the request was served by its owner (the first
 	// backend in preference order) on the first attempt.
@@ -107,10 +107,8 @@ type Gateway struct {
 
 	// events is the gateway's own event ledger (repairs, convergence,
 	// backend breaker/staleness transitions), merged with the daemons'
-	// ledgers by GET /cluster/events; traces holds the anti-entropy
-	// sweep traces GET /traces/{id} checks before fanning out.
+	// ledgers by GET /cluster/events.
 	events *events.Ledger
-	traces *trace.Store
 
 	// client carries every request to a backend. It has no timeout of
 	// its own: each call's context carries the deadline of whoever
@@ -154,7 +152,6 @@ func build(cfg Config) (*Gateway, error) {
 		log:           cfg.Logger,
 		reg:           telemetry.NewRegistry(),
 		events:        events.NewLedger(0),
-		traces:        trace.NewStore(0),
 		client:        &http.Client{},
 		done:          make(chan struct{}),
 		lastRepairSeq: make(map[string]uint64),
@@ -412,8 +409,9 @@ func (g *Gateway) attempt(ctx context.Context, b *Backend, report func(resilienc
 //     replica may, so it is a miss, not an error;
 //   - deadline expiry anywhere returns 504.
 //
-// Successful JSON-object responses gain "placement" and "backend"
-// fields recording where and how the request landed.
+// A relayed reply is the daemon's as it wrote it; where and how it
+// landed travel in the X-Faasnap-Backend and X-Faasnap-Placement
+// headers.
 func (g *Gateway) handleForward(w http.ResponseWriter, r *http.Request) {
 	fn := r.PathValue("name")
 	if r.URL.Query().Get("watch") != "" && r.URL.Path == "/functions/"+fn+"/faults" {
@@ -496,7 +494,9 @@ func (g *Gateway) handleForward(w http.ResponseWriter, r *http.Request) {
 			lastErr = fmt.Errorf("backend %s returned %d", b.Addr, res.status)
 		default:
 			// 2xx, 4xx client errors, and backend 504s pass through.
-			g.writeProxied(w, res, b, placement, nil)
+			w.Header().Set("X-Faasnap-Backend", b.Addr)
+			w.Header().Set("X-Faasnap-Placement", placement)
+			writeRaw(w, res)
 			return
 		}
 	}
@@ -512,7 +512,7 @@ func (g *Gateway) handleForward(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if lastMiss != nil {
-		g.writeRaw(w, *lastMiss)
+		writeRaw(w, *lastMiss)
 		return
 	}
 	g.reg.Counter("faasnap_gw_unroutable_total",
@@ -530,27 +530,9 @@ func (g *Gateway) deadlineExceeded(w http.ResponseWriter, err error) {
 	writeErr(w, http.StatusGatewayTimeout, "deadline exceeded: %v", err)
 }
 
-// writeProxied relays a backend response, stamping placement metadata
-// (and the caller's extra fields) into JSON-object bodies and always
-// into response headers.
-func (g *Gateway) writeProxied(w http.ResponseWriter, res proxyResult, b *Backend, placement string, extra map[string]interface{}) {
-	w.Header().Set("X-Faasnap-Backend", b.Addr)
-	w.Header().Set("X-Faasnap-Placement", placement)
-	var obj map[string]interface{}
-	if json.Unmarshal(res.body, &obj) == nil && obj != nil {
-		obj["backend"] = b.Addr
-		obj["placement"] = placement
-		for k, v := range extra {
-			obj[k] = v
-		}
-		if raw, err := json.Marshal(obj); err == nil {
-			res.body, res.header = raw, http.Header{"Content-Type": []string{"application/json"}}
-		}
-	}
-	g.writeRaw(w, res)
-}
-
-func (g *Gateway) writeRaw(w http.ResponseWriter, res proxyResult) {
+// writeRaw relays a backend reply as the backend wrote it: status,
+// Content-Type and body bytes.
+func writeRaw(w http.ResponseWriter, res proxyResult) {
 	if ct := res.header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
 	}
@@ -562,8 +544,9 @@ func (g *Gateway) writeRaw(w http.ResponseWriter, res proxyResult) {
 // the mutation lands on the function's owner and is replicated to the
 // next Replicas standbys in preference order, so spillover and failover
 // backends already hold the snapshot state when traffic reaches them.
-// The owner's response is returned (first success if the owner is
-// down), extended with the list of backends that accepted the change.
+// The owner's reply is relayed as written (the first success if the
+// owner is down); X-Faasnap-Replicated-To names the backends that
+// accepted the change, in the order they accepted it.
 func (g *Gateway) handleFanout(w http.ResponseWriter, r *http.Request) {
 	fn := r.PathValue("name")
 	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
@@ -608,7 +591,7 @@ func (g *Gateway) handleFanout(w http.ResponseWriter, r *http.Request) {
 	}
 	if first == nil {
 		if clientErr != nil {
-			g.writeRaw(w, *clientErr)
+			writeRaw(w, *clientErr)
 			return
 		}
 		if ctx.Err() != nil {
@@ -622,7 +605,10 @@ func (g *Gateway) handleFanout(w http.ResponseWriter, r *http.Request) {
 	if firstBackend == prefs[0] {
 		placement = PlacementSticky
 	}
-	g.writeProxied(w, *first, firstBackend, placement, map[string]interface{}{"replicated_to": accepted})
+	w.Header().Set("X-Faasnap-Backend", firstBackend.Addr)
+	w.Header().Set("X-Faasnap-Placement", placement)
+	w.Header().Set("X-Faasnap-Replicated-To", strings.Join(accepted, ","))
+	writeRaw(w, *first)
 }
 
 // handleListAll merges GET /functions across every ready backend,

@@ -5,8 +5,11 @@ package gateway
 // deadline propagation — no real daemons involved.
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -37,9 +40,6 @@ func TestStickyRoutingHitsOwner(t *testing.T) {
 		}
 		if rep.backend != owner.addr {
 			t.Fatalf("invoke %d backend = %q, want owner %q", i, rep.backend, owner.addr)
-		}
-		if rep.body["placement"] != "sticky" || rep.body["backend"] != owner.addr {
-			t.Fatalf("response body missing placement metadata: %v", rep.body)
 		}
 	}
 	if n := net.count("POST /functions/hello-world/invoke", owner.addr); n != 10 {
@@ -328,24 +328,88 @@ func TestProbeWithoutVerdictReleasesBreaker(t *testing.T) {
 }
 
 // Registration fans out to the owner plus Replicas standbys, in
-// preference order, and reports who accepted it.
+// preference order, and names the backends that accepted it in
+// acceptance order; the reply is the first acceptor's, as written.
 func TestCreateFanout(t *testing.T) {
-	net, _ := newFakes(3)
-	g := newTestGateway(t, net, Config{Replicas: 1})
-	var body map[string]interface{}
-	if resp := call(t, g.Handler(), "PUT", "/functions/hello-world", nil, &body); resp.StatusCode != 200 {
-		t.Fatalf("status = %d", resp.StatusCode)
+	net, fakes := newFakes(3)
+	g := newTestGateway(t, net, Config{Replicas: 2})
+	prefs := prefFakes(t, g, "hello-world", 3, fakes)
+	const created = `{"name":"hello-world","vm_state":"Running"}`
+	put := func(wantBackend, wantPlacement string, wantReplicas ...*fakeBackend) {
+		t.Helper()
+		var got string
+		resp := call(t, g.Handler(), "PUT", "/functions/hello-world", nil, &got)
+		if resp.StatusCode != 200 || got != created {
+			t.Fatalf("fan-out reply = %d %s, want the first acceptor's %s", resp.StatusCode, got, created)
+		}
+		var addrs []string
+		for _, f := range wantReplicas {
+			addrs = append(addrs, f.addr)
+		}
+		if r, want := resp.Header.Get("X-Faasnap-Replicated-To"), strings.Join(addrs, ","); r != want {
+			t.Fatalf("X-Faasnap-Replicated-To = %q, want %q", r, want)
+		}
+		if b, p := resp.Header.Get("X-Faasnap-Backend"), resp.Header.Get("X-Faasnap-Placement"); b != wantBackend || p != wantPlacement {
+			t.Fatalf("landing headers = %q/%q, want %q/%s", b, p, wantBackend, wantPlacement)
+		}
 	}
-	reps, _ := body["replicated_to"].([]interface{})
-	if len(reps) != 2 {
-		t.Fatalf("replicated_to = %v, want owner + 1 standby", body["replicated_to"])
+	put(prefs[0].addr, PlacementSticky, prefs...)
+	if total := net.count("PUT /functions/hello-world"); total != 3 {
+		t.Fatalf("%d backends saw the create, want 3", total)
 	}
-	prefs := prefAddrs(g, "hello-world", 2)
-	if reps[0] != prefs[0] || reps[1] != prefs[1] {
-		t.Fatalf("replicated_to = %v, want preference order %v", reps, prefs)
+	prefs[0].script("PUT /functions/{name}", answer(http.StatusServiceUnavailable, `{"error":"draining"}`))
+	put(prefs[1].addr, PlacementSpillover, prefs[1], prefs[2])
+}
+
+// A routed reply is relayed as the daemon wrote it — status,
+// Content-Type and body bytes — and where it landed travels only in
+// the headers.
+func TestForwardRelaysReplyAsWritten(t *testing.T) {
+	net, fakes := newFakes(1)
+	const body = `{"z":1,"a":1.50}`
+	fakes[0].script(invokeRoute, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/x-test")
+		w.WriteHeader(http.StatusAccepted)
+		io.WriteString(w, body)
+	})
+	g := newTestGateway(t, net, Config{})
+	var got string
+	resp := call(t, g.Handler(), "POST", "/functions/fn-a/invoke", nil, &got)
+	if resp.StatusCode != http.StatusAccepted || resp.Header.Get("Content-Type") != "application/x-test" || got != body {
+		t.Fatalf("relayed %d %q %s, want the backend's 202 application/x-test %s",
+			resp.StatusCode, resp.Header.Get("Content-Type"), got, body)
 	}
-	if total := net.count("PUT /functions/hello-world"); total != 2 {
-		t.Fatalf("%d backends saw the create, want 2", total)
+	if b, p := resp.Header.Get("X-Faasnap-Backend"), resp.Header.Get("X-Faasnap-Placement"); b != fakes[0].addr || p != PlacementSticky {
+		t.Fatalf("landing headers = %q/%q, want %q/sticky", b, p, fakes[0].addr)
+	}
+}
+
+// BenchmarkForward is one invoke through the gateway's handler to a
+// fake backend over the memNet, answering with a daemon-shaped invoke
+// reply: the gateway hop's own cost per request.
+func BenchmarkForward(b *testing.B) {
+	net, fakes := newFakes(3)
+	reply, err := json.Marshal(daemon.InvokeResponse{Function: "hello-world", Mode: "faasnap", Input: "B",
+		SetupMs: 45.048, InvokeMs: 3.366697, TotalMs: 48.414697, FetchMs: 0.25, FetchMB: 1.5,
+		Faults: 253, MajorFaults: 1, FaultTimeMs: 0.75, MmapCalls: 32, TraceID: "gw0000000000002a"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, f := range fakes {
+		f.script(invokeRoute, func(w http.ResponseWriter, r *http.Request) { w.Write(reply) })
+	}
+	g := newTestGateway(b, net, Config{})
+	h := g.Handler()
+	body := []byte(`{"mode":"faasnap","input":"B"}`)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := httptest.NewRequest(http.MethodPost, "/functions/hello-world/invoke", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("invoke = %d", rec.Code)
+		}
 	}
 }
 

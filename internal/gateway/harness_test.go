@@ -237,7 +237,7 @@ func newFakes(n int) (*memNet, []*fakeBackend) {
 // process (nil: over real sockets). Its first sweep runs before it
 // returns, and unless cfg sets HealthInterval the loop does not tick
 // for an hour, so tests drive sweeps with CheckNow and ResyncNow.
-func newTestGateway(t *testing.T, net *memNet, cfg Config) *Gateway {
+func newTestGateway(t testing.TB, net *memNet, cfg Config) *Gateway {
 	t.Helper()
 	if net != nil && len(cfg.Backends) == 0 {
 		cfg.Backends = net.addrs()

@@ -22,7 +22,6 @@ import (
 	"faasnap/internal/obs"
 	"faasnap/internal/slo"
 	"faasnap/internal/telemetry"
-	"faasnap/internal/trace"
 )
 
 // fanOut GETs path from every ready backend concurrently and returns
@@ -160,18 +159,10 @@ func (g *Gateway) handleClusterEvents(w http.ResponseWriter, r *http.Request) {
 // minted the id, but only the daemon that served the invocation stored
 // the stitched trace. Probes fan out concurrently, each holding a
 // slice of the request budget rather than the whole of it, so one
-// wedged backend cannot starve the lookup; the first 200 wins.
-// Gateway-local traces (anti-entropy sweeps) resolve without fan-out.
+// wedged backend cannot starve the lookup; the first 200 wins. The
+// gateway holds no traces of its own: a repair is recorded as its
+// repair event, which names its sync's daemon waterfall.
 func (g *Gateway) handleTraceFind(w http.ResponseWriter, r *http.Request) {
-	if t, ok := g.traces.Get(trace.ID(r.PathValue("id"))); ok {
-		raw, err := t.MarshalZipkin()
-		if err == nil {
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			w.Write(raw)
-			return
-		}
-	}
 	var ready []*Backend
 	for _, b := range g.backends {
 		if b.Ready() {
@@ -210,7 +201,7 @@ func (g *Gateway) handleTraceFind(w http.ResponseWriter, r *http.Request) {
 	}
 	for range ready {
 		if res := <-results; res != nil {
-			g.writeRaw(w, *res)
+			writeRaw(w, *res)
 			return
 		}
 	}
