@@ -131,12 +131,21 @@ experiments:
 figures:
 	$(GO) run ./cmd/faasnap-bench -exp fig7,fig8,fig10,fig11 -svg figures
 
-# Short fuzz pass over the parsers.
+# Short fuzz pass over the parsers, 30 s each: FuzzReadCommand (the
+# kvstore protocol), FuzzRead (snapfile), FuzzParseSpec (workload
+# specs), FuzzPackTrailer (casstore packs), and the two differential
+# fuzzers that hold the flat JSON codecs to encoding/json, FuzzDecodeLoad
+# (the VMM's snapshot-load body) and FuzzSpans (the X-Faasnap-Spans
+# header). Tier-1 runs every target's seed corpus. The load bodies run
+# to 83 KB, so minimizing one is capped at 100 runs, or the fuzzer
+# would spend its time there.
 fuzz:
 	$(GO) test ./internal/kvstore/ -fuzz FuzzReadCommand -fuzztime 30s -run XXX
 	$(GO) test ./internal/snapfile/ -fuzz FuzzRead -fuzztime 30s -run XXX
 	$(GO) test ./internal/workload/ -fuzz FuzzParseSpec -fuzztime 30s -run XXX
 	$(GO) test ./internal/casstore/ -fuzz FuzzPackTrailer -fuzztime 30s -run XXX
+	$(GO) test ./internal/vmm/ -fuzz FuzzDecodeLoad -fuzztime 30s -fuzzminimizetime 100x -run XXX
+	$(GO) test ./internal/telemetry/ -fuzz FuzzSpans -fuzztime 30s -fuzzminimizetime 100x -run XXX
 
 clean:
 	rm -rf figures

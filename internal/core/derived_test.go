@@ -3,6 +3,7 @@ package core
 import (
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -186,6 +187,11 @@ func TestDerivedConcurrentFirstUse(t *testing.T) {
 func TestInvokeAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation sizes")
+	}
+	// The budgets were read on go1.24; allocation sizes move between
+	// releases.
+	if v := runtime.Version(); !strings.HasPrefix(v, "go1.24") {
+		t.Logf("the budgets were read on go1.24 and this is %s: a miss is a finding about the toolchain, not a flake", v)
 	}
 	const budgetMallocs = 2500
 	cfg := DefaultHostConfig()

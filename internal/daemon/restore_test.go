@@ -8,6 +8,7 @@ import (
 	"log"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"sync"
 	"testing"
 
@@ -47,6 +48,10 @@ func wantLoad(t *testing.T, arts *core.Artifacts, name string, mode core.Mode) [
 	}
 	return raw
 }
+
+// budgetToolchain is the Go release the allocation budgets of this
+// package's tests were read on; allocation sizes move between releases.
+const budgetToolchain = "go1.24"
 
 var restoreModes = []core.Mode{core.ModeFaaSnap, core.ModePerRegion, core.ModeREAP, core.ModeFirecracker, core.ModeCached}
 
@@ -163,13 +168,20 @@ func TestConcurrentRestoresShareOneEncode(t *testing.T) {
 
 // TestRestoreAllocationBudget is the restore hop's share of a small
 // invoke's allocation: daemon client, pipe, VMM server and the VMM's
-// decode of the body. (While every restore encoded its body, each VMM
-// built a ServeMux and decoded through a growing buffer, and each dial
-// took a 4 KiB read buffer: 413 KB and 1 691 objects for a hello-world
-// FaaSnap restore, 30.3 KB and 296 objects for a Firecracker one.)
+// decode of the body. The budgets were read on budgetToolchain. (While
+// the VMM decoded the region maps with encoding/json into a fresh
+// buffer and each span header went through it too: 189.4 KB and 1 144
+// objects for a hello-world FaaSnap restore. While every restore
+// encoded its body, each VMM built a ServeMux and decoded through a
+// growing buffer, and each dial took a 4 KiB read buffer: 413 KB and
+// 1 691 objects for a FaaSnap restore, 30.3 KB and 296 objects for a
+// Firecracker one.)
 func TestRestoreAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation changes allocation sizes")
+	}
+	if v := runtime.Version(); !strings.HasPrefix(v, budgetToolchain) {
+		t.Logf("the budgets were read on %s and this is %s: a miss is a finding about the toolchain, not a flake", budgetToolchain, v)
 	}
 	d, _ := newTestDaemon(t, Config{})
 	v := &view{name: "hello-world", arts: recordArts(t, "hello-world")}
@@ -183,7 +195,7 @@ func TestRestoreAllocationBudget(t *testing.T) {
 		kb      float64
 		objects float64
 	}{
-		{core.ModeFaaSnap, 200, 1200},
+		{core.ModeFaaSnap, 88, 205},
 		{core.ModeFirecracker, 24, 230},
 	} {
 		restoreOnce(t, d, "hello-world", v, c.mode) // encode the body

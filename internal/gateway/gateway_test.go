@@ -16,6 +16,7 @@ import (
 	"os"
 	"reflect"
 	"regexp"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -23,6 +24,7 @@ import (
 
 	"faasnap/internal/daemon"
 	"faasnap/internal/resilience"
+	"faasnap/internal/telemetry"
 )
 
 func TestStickyRoutingHitsOwner(t *testing.T) {
@@ -610,6 +612,8 @@ func TestNewRejectsBadConfig(t *testing.T) {
 // reads and reports: the Field column under API.md's GET /status names
 // exactly the members of daemon.StatusResponse and, as functions[].m,
 // of StatusFunction; the one under GET /cluster, of BackendStatus.
+// OBSERVABILITY.md's list of the X-Faasnap-Spans header's members is
+// held to telemetry.RemoteSpan's JSON names the same way.
 func TestStatusShapesDocumented(t *testing.T) {
 	raw, err := os.ReadFile("../../API.md")
 	if err != nil {
@@ -642,6 +646,48 @@ func TestStatusShapesDocumented(t *testing.T) {
 		}
 		for m := range unnamed {
 			t.Errorf("API.md's %s table has no row for member %q", heading, m)
+		}
+	}
+
+	// OBSERVABILITY.md's X-Faasnap-Spans bullet lists, in parentheses,
+	// the members of each span the VMM and guest agent send back.
+	obs, err := os.ReadFile("../../OBSERVABILITY.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, bullet, _ := strings.Cut(string(obs), "**`X-Faasnap-Spans`**")
+	bullet, _, _ = strings.Cut(bullet, "\n- ")
+	var listed, sent []string
+	if list := regexp.MustCompile("\\((`[^)]*)\\)").FindStringSubmatch(bullet); list != nil {
+		for _, m := range code.FindAllStringSubmatch(list[1], -1) {
+			listed = append(listed, m[1])
+		}
+	}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(telemetry.RemoteSpan{})) {
+		sent = append(sent, strings.Split(f.Tag.Get("json"), ",")[0])
+	}
+	slices.Sort(listed)
+	slices.Sort(sent)
+	if !slices.Equal(listed, sent) {
+		t.Errorf("OBSERVABILITY.md lists the spans header's members as %q; RemoteSpan sends %q", listed, sent)
+	}
+}
+
+// An events list with nothing in it is [] on the daemon's GET /events
+// and on the gateway's merged GET /cluster/events alike, never null.
+func TestEmptyEventListsAreArrays(t *testing.T) {
+	d := startDaemon(t, daemon.Config{}, "")
+	g := newTestGateway(t, nil, Config{Backends: []string{d.addr}})
+	for _, c := range []struct {
+		h   http.Handler
+		url string
+	}{
+		{nil, d.url() + "/events?type=none"},
+		{g.Handler(), "/cluster/events?type=none"},
+	} {
+		var body string
+		if call(t, c.h, "GET", c.url, nil, &body).StatusCode != http.StatusOK || !strings.Contains(body, `"events":[]`) {
+			t.Errorf("GET %s = %s, want an empty events array", c.url, body)
 		}
 	}
 }

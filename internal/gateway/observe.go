@@ -152,6 +152,9 @@ func (g *Gateway) handleClusterEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		return merged[i].Seq < merged[j].Seq
 	})
+	if merged == nil {
+		merged = []events.Event{} // "events":[], as a daemon's GET /events answers
+	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{"events": merged})
 }
 

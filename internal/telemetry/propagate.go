@@ -11,6 +11,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -65,11 +67,7 @@ func Inject(h http.Header, sc SpanContext) {
 
 // Extract reads the context from request headers.
 func Extract(h http.Header) (SpanContext, bool) {
-	v := h.Get(TraceparentHeader)
-	if v == "" {
-		return SpanContext{}, false
-	}
-	return ParseTraceparent(v)
+	return ParseTraceparent(h.Get(TraceparentHeader))
 }
 
 // RemoteSpan is one span reported by a lower layer (VMM or guest
@@ -86,10 +84,19 @@ type RemoteSpan struct {
 	Tags     map[string]string `json:"tags,omitempty"`
 }
 
-// EncodeSpans serializes spans for the response header.
+// maxFlatTags is the most tags a span may carry for EncodeSpans to
+// write it itself; the spans this tree emits carry one or two.
+const maxFlatTags = 4
+
+// EncodeSpans serializes spans for the response header as json.Marshal
+// does, appending the bytes itself unless a string needs escaping or a
+// span carries more than maxFlatTags tags.
 func EncodeSpans(spans []RemoteSpan) string {
 	if len(spans) == 0 {
 		return ""
+	}
+	if enc, ok := encodeFlatSpans(spans); ok {
+		return enc
 	}
 	raw, err := json.Marshal(spans)
 	if err != nil {
@@ -98,16 +105,87 @@ func EncodeSpans(spans []RemoteSpan) string {
 	return string(raw)
 }
 
-// DecodeSpans parses a spans response header.
+func encodeFlatSpans(spans []RemoteSpan) (string, bool) {
+	var b strings.Builder
+	b.Grow(200 * len(spans))
+	flat := true
+	str := func(lit, s string) {
+		b.WriteString(lit)
+		b.WriteString(s)
+		b.WriteByte('"')
+		for i := 0; i < len(s); i++ {
+			flat = flat && plain(s[i])
+		}
+	}
+	var num [20]byte
+	sep := `[{"name":"`
+	for _, sp := range spans {
+		str(sep, sp.Name)
+		sep = `,{"name":"`
+		str(`,"service":"`, sp.Service)
+		str(`,"id":"`, sp.SpanID)
+		str(`,"parentId":"`, sp.ParentID)
+		b.WriteString(`,"startUs":`)
+		b.Write(strconv.AppendInt(num[:0], sp.StartUs, 10))
+		b.WriteString(`,"durUs":`)
+		b.Write(strconv.AppendInt(num[:0], sp.DurUs, 10))
+		keys := make([]string, 0, maxFlatTags)
+		for k := range sp.Tags {
+			keys = append(keys, k)
+		}
+		slices.Sort(keys) // as json.Marshal sorts a map's keys
+		flat = flat && len(keys) <= maxFlatTags
+		lit := `,"tags":{"`
+		for _, k := range keys {
+			str(lit, k)
+			str(`:"`, sp.Tags[k])
+			lit = `,"`
+		}
+		if len(keys) > 0 {
+			b.WriteByte('}')
+		}
+		b.WriteByte('}')
+	}
+	b.WriteByte(']')
+	return b.String(), flat
+}
+
+// DecodeSpans parses a spans response header: in one pass into
+// substrings of s when EncodeSpans wrote it itself, else by json.Unmarshal.
 func DecodeSpans(s string) ([]RemoteSpan, error) {
 	if s == "" {
 		return nil, nil
+	}
+	if spans, ok := decodeFlatSpans(s); ok {
+		return spans, nil
 	}
 	var spans []RemoteSpan
 	if err := json.Unmarshal([]byte(s), &spans); err != nil {
 		return nil, fmt.Errorf("telemetry: bad spans header: %w", err)
 	}
 	return spans, nil
+}
+
+func decodeFlatSpans(s string) (spans []RemoteSpan, ok bool) {
+	f := Flat[string]{Src: s}
+	spans = make([]RemoteSpan, 0, strings.Count(s, `{"name":`))
+	f.Lit("[")
+	for more := true; more; more = f.Opt(",") {
+		sp := RemoteSpan{Name: f.Str(`{"name":`), Service: f.Str(`,"service":`), SpanID: f.Str(`,"id":`),
+			ParentID: f.Str(`,"parentId":`), StartUs: f.Int(`,"startUs":`), DurUs: f.Int(`,"durUs":`)}
+		if f.Opt(`,"tags":{`) {
+			sp.Tags = make(map[string]string, 2)
+			for more := true; more; more = f.Opt(",") {
+				k := f.Str("")
+				sp.Tags[k] = f.Str(":")
+			}
+			f.Lit("}")
+		}
+		f.Lit("}")
+		spans = append(spans, sp)
+	}
+	f.Lit("]")
+	return spans, f.Done()
 }
 
 // spanCollector accumulates the spans one traced request produces.
@@ -141,16 +219,9 @@ func AddSpan(r *http.Request, name string, start, dur time.Duration, tags map[st
 		SpanID:   c.newID(),
 		ParentID: c.reqSpan,
 		StartUs:  start.Microseconds(),
-		DurUs:    maxInt64(dur.Microseconds(), 1),
+		DurUs:    max(dur.Microseconds(), 1),
 		Tags:     tags,
 	})
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // bufferedResponse delays the response until the handler finishes so
@@ -207,7 +278,7 @@ func TraceMiddleware(service string, next http.Handler) http.Handler {
 			SpanID:   col.reqSpan,
 			ParentID: sc.SpanID,
 			StartUs:  0,
-			DurUs:    maxInt64(time.Since(col.start).Microseconds(), 1),
+			DurUs:    max(time.Since(col.start).Microseconds(), 1),
 			Tags: map[string]string{
 				"service":          service,
 				"http.status_code": fmt.Sprintf("%d", buf.status),

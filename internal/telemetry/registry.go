@@ -57,27 +57,31 @@ func escapeLabel(v string) string {
 	return v
 }
 
-// render serializes the label set as {a="b",c="d"}, sorted by name;
-// empty sets render as "".
-func (ls Labels) render() string {
-	if len(ls) == 0 {
-		return ""
-	}
-	s := append(Labels(nil), ls...)
-	sort.Slice(s, func(i, j int) bool { return s[i].Name < s[j].Name })
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, l := range s {
-		if i > 0 {
-			b.WriteByte(',')
+// appendKey appends ls's series key, {a="b",c="d"} sorted by name, or
+// nothing for no labels. It sorts a stack copy by insertion, as
+// sort.Slice (whose closure moved the copy to the heap) does for up to
+// 12 labels, so even a repeated name keeps its place.
+func appendKey(dst []byte, ls Labels) []byte {
+	var arr [8]Label
+	s := append(arr[:0], ls...)
+	for i := 1; i < len(s); i++ {
+		for j := i; j > 0 && s[j].Name < s[j-1].Name; j-- {
+			s[j], s[j-1] = s[j-1], s[j]
 		}
-		b.WriteString(l.Name)
-		b.WriteString(`="`)
-		b.WriteString(escapeLabel(l.Value))
-		b.WriteByte('"')
 	}
-	b.WriteByte('}')
-	return b.String()
+	sep := byte('{')
+	for _, l := range s {
+		dst = append(dst, sep)
+		sep = ','
+		dst = append(dst, l.Name...)
+		dst = append(dst, `="`...)
+		dst = append(dst, escapeLabel(l.Value)...)
+		dst = append(dst, '"')
+	}
+	if len(s) > 0 {
+		dst = append(dst, '}')
+	}
+	return dst
 }
 
 // withExtraLabel inserts one more pair into an already-rendered label
@@ -267,63 +271,44 @@ func (r *Registry) family(name, help, kind string) *family {
 	return f
 }
 
-// Counter returns (creating if needed) the counter series name{labels}.
-func (r *Registry) Counter(name, help string, labels Labels) *Counter {
-	f := r.family(name, help, kindCounter)
+// series returns (creating if needed) the series name{labels}. The key
+// is built on the stack and the map indexed with it unconverted, so
+// only creating a series allocates.
+func series[M any](r *Registry, name, help, kind string, labels Labels) *M {
+	f := r.family(name, help, kind)
+	var buf [128]byte
+	key := appendKey(buf[:0], labels)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	key := labels.render()
-	if m, ok := f.series[key]; ok {
-		return m.(*Counter)
+	if m, ok := f.series[string(key)]; ok {
+		return m.(*M)
 	}
-	c := &Counter{}
-	f.series[key] = c
-	return c
+	m := new(M)
+	f.series[string(key)] = m
+	return m
+}
+
+// Counter returns (creating if needed) the counter series name{labels}.
+func (r *Registry) Counter(name, help string, labels Labels) *Counter {
+	return series[Counter](r, name, help, kindCounter, labels)
 }
 
 // Gauge returns (creating if needed) the gauge series name{labels}.
 func (r *Registry) Gauge(name, help string, labels Labels) *Gauge {
-	f := r.family(name, help, kindGauge)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	key := labels.render()
-	if m, ok := f.series[key]; ok {
-		return m.(*Gauge)
-	}
-	g := &Gauge{}
-	f.series[key] = g
-	return g
+	return series[Gauge](r, name, help, kindGauge, labels)
 }
 
 // Histogram returns (creating if needed) the histogram series
 // name{labels}.
 func (r *Registry) Histogram(name, help string, labels Labels) *Histogram {
-	f := r.family(name, help, kindHistogram)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	key := labels.render()
-	if m, ok := f.series[key]; ok {
-		return m.(*Histogram)
-	}
-	h := &Histogram{}
-	f.series[key] = h
-	return h
+	return series[Histogram](r, name, help, kindHistogram, labels)
 }
 
 // RatioHistogram returns (creating if needed) the ratio-histogram
 // series name{labels}. It exposes as a Prometheus histogram with
 // linear [0,1] buckets.
 func (r *Registry) RatioHistogram(name, help string, labels Labels) *RatioHistogram {
-	f := r.family(name, help, kindHistogram)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	key := labels.render()
-	if m, ok := f.series[key]; ok {
-		return m.(*RatioHistogram)
-	}
-	h := &RatioHistogram{}
-	f.series[key] = h
-	return h
+	return series[RatioHistogram](r, name, help, kindHistogram, labels)
 }
 
 func formatFloat(v float64) string {
@@ -362,45 +347,28 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 				fmt.Fprintf(w, "%s%s %s\n", f.name, k, formatFloat(m.Value()))
 			case *Gauge:
 				fmt.Fprintf(w, "%s%s %s\n", f.name, k, formatFloat(m.Value()))
-			case *Histogram:
-				writeHistogram(w, f.name, k, m)
-			case *RatioHistogram:
-				writeRatioHistogram(w, f.name, k, m)
+			case *Histogram: // at the internal/metrics bounds, in seconds
+				writeHistogram(w, f.name, k, m.counts[:], func(i int) float64 { return metrics.BucketBound(i).Seconds() }, m.Sum().Seconds(), m.Count())
+			case *RatioHistogram: // linear bounds 0.1 … 1
+				writeHistogram(w, f.name, k, m.counts[:], func(i int) float64 { return float64(i+1) / ratioBuckets }, m.Sum(), m.Count())
 			}
 		}
 		f.mu.Unlock()
 	}
 }
 
-// writeHistogram renders one histogram series: cumulative le buckets
-// at the internal/metrics bucket bounds (in seconds), then sum and
-// count.
-func writeHistogram(w io.Writer, name, labels string, h *Histogram) {
+// writeHistogram renders one histogram series: cumulative le buckets,
+// the last +Inf and each other at bound(i), then sum and count.
+func writeHistogram(w io.Writer, name, labels string, counts []atomic.Int64, bound func(int) float64, sum float64, n int64) {
 	var cum int64
-	for i := 0; i < histBuckets; i++ {
-		cum += h.counts[i].Load()
+	for i := range counts {
+		cum += counts[i].Load()
 		le := "+Inf"
-		if i < histBuckets-1 {
-			le = formatFloat(metrics.BucketBound(i).Seconds())
+		if i < len(counts)-1 {
+			le = formatFloat(bound(i))
 		}
 		fmt.Fprintf(w, "%s_bucket%s %d\n", name, withExtraLabel(labels, "le", le), cum)
 	}
-	fmt.Fprintf(w, "%s_sum%s %s\n", name, labels, formatFloat(h.Sum().Seconds()))
-	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, h.Count())
-}
-
-// writeRatioHistogram renders one ratio-histogram series with linear
-// le bounds 0.1 … 1 plus +Inf.
-func writeRatioHistogram(w io.Writer, name, labels string, h *RatioHistogram) {
-	var cum int64
-	for i := 0; i <= ratioBuckets; i++ {
-		cum += h.counts[i].Load()
-		le := "+Inf"
-		if i < ratioBuckets {
-			le = formatFloat(float64(i+1) / ratioBuckets)
-		}
-		fmt.Fprintf(w, "%s_bucket%s %d\n", name, withExtraLabel(labels, "le", le), cum)
-	}
-	fmt.Fprintf(w, "%s_sum%s %s\n", name, labels, formatFloat(h.Sum()))
-	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, h.Count())
+	fmt.Fprintf(w, "%s_sum%s %s\n", name, labels, formatFloat(sum))
+	fmt.Fprintf(w, "%s_count%s %d\n", name, labels, n)
 }

@@ -51,6 +51,31 @@ func TestSameSeriesReturnsSameInstance(t *testing.T) {
 	}
 }
 
+// Finding an existing series allocates nothing: its key is rendered on
+// the stack and looked up without a string conversion, whatever order
+// its labels were given in. (A value that needs escaping costs its
+// escaped copy.)
+func TestSeriesLookupAllocatesNothing(t *testing.T) {
+	reg := NewRegistry()
+	labels := L("route", "/functions/{name}/invoke", "code", "200", "mode", "faasnap")
+	reversed := Labels{labels[2], labels[1], labels[0]}
+	c := reg.Counter("reqs_total", "requests", labels)
+	h := reg.Histogram("latency_seconds", "latency", labels)
+	r := reg.RatioHistogram("hit_ratio", "hits", labels)
+	g := reg.Gauge("up", "up", nil)
+	allocs := testing.AllocsPerRun(100, func() {
+		if reg.Counter("reqs_total", "requests", reversed) != c ||
+			reg.Histogram("latency_seconds", "latency", labels) != h ||
+			reg.RatioHistogram("hit_ratio", "hits", reversed) != r ||
+			reg.Gauge("up", "up", nil) != g {
+			t.Fatal("a lookup created a new series")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a lookup of existing series allocates %.1f objects", allocs)
+	}
+}
+
 func TestKindMismatchPanics(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("m", "h", nil)

@@ -330,16 +330,31 @@ func (m *Machine) handleSnapshotLoad(w http.ResponseWriter, r *http.Request) {
 }
 
 // maxSizedLoad caps the Content-Length decodeLoad sizes its buffer to
-// up front: far above the largest mapping plan's encoding (83 KB for
-// the Figure 6 functions), so a bogus length cannot make the VMM
-// allocate it before a byte arrives.
+// up front, and the buffer it keeps for the next load: far above the
+// largest mapping plan's encoding (83 KB for the Figure 6 functions),
+// so a bogus length cannot make the VMM allocate it before a byte
+// arrives.
 const maxSizedLoad = 4 << 20
 
-// decodeLoad reads a snapshot-load body whole and unmarshals it into
-// req. A body that declares its length, up to maxSizedLoad, is read
-// into one buffer sized to it; any other grows its buffer as it reads.
+// loadBufs recycles decodeLoad's read buffers across restores. Neither
+// decode keeps a reference into the bytes: the flat pass copies each
+// distinct string out once, and json.Unmarshal copies what it keeps.
+var loadBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decodeLoad reads a snapshot-load body whole into a pooled buffer and
+// decodes it into req: by decodeFlatLoad when the body has the shape
+// json.Marshal writes, and by json.Unmarshal otherwise, so an odd but
+// valid body gets encoding/json's answer and a bad one its error. A
+// body that declares its length, up to maxSizedLoad, is read into a
+// buffer sized to it; any other grows the buffer as it reads.
 func decodeLoad(r *http.Request, req *SnapshotLoadRequest) error {
-	var buf bytes.Buffer
+	buf := loadBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxSizedLoad+bytes.MinRead {
+			loadBufs.Put(buf)
+		}
+	}()
+	buf.Reset()
 	if n := r.ContentLength; n > 0 && n <= maxSizedLoad {
 		// ReadFrom wants MinRead bytes free to see EOF without growing.
 		buf.Grow(int(n) + bytes.MinRead)
@@ -347,7 +362,55 @@ func decodeLoad(r *http.Request, req *SnapshotLoadRequest) error {
 	if _, err := buf.ReadFrom(r.Body); err != nil {
 		return err
 	}
+	if decodeFlatLoad(buf.Bytes(), req) {
+		return nil
+	}
+	*req = SnapshotLoadRequest{} // what the flat pass filled before it gave up
 	return json.Unmarshal(buf.Bytes(), req)
+}
+
+// decodeFlatLoad parses body in one pass when it is exactly what
+// json.Marshal writes for a SnapshotLoadRequest, and reports whether
+// it was. Each distinct string is copied out once per body: the
+// backings are the three constants, and a path repeated over hundreds
+// of regions is one string.
+func decodeFlatLoad(body []byte, req *SnapshotLoadRequest) bool {
+	f := telemetry.Flat[[]byte]{Src: body}
+	known := [8]string{"anonymous", "memory_file", "loading_set"}
+	interned := known[:3]
+	str := func(lit string) string {
+		b := f.Str(lit)
+		for _, s := range interned {
+			if s == string(b) {
+				return s
+			}
+		}
+		interned = append(interned, string(b))
+		return interned[len(interned)-1]
+	}
+	req.SnapshotPath = str(`{"snapshot_path":`)
+	req.MemBackend = MemBackend{BackendType: str(`,"mem_backend":{"backend_type":`), BackendPath: str(`,"backend_path":`)}
+	f.Lit(`},"resume_vm":`)
+	if req.ResumeVM = !f.Opt("false"); req.ResumeVM {
+		f.Lit("true")
+	}
+	if f.Opt(`,"region_maps":[`) {
+		req.RegionMaps = make([]RegionMap, 0, bytes.Count(body, []byte(`{"start_page":`)))
+		for more := true; more; more = f.Opt(",") {
+			rm := RegionMap{StartPage: f.Int(`{"start_page":`), Pages: f.Int(`,"pages":`), Backing: str(`,"backing":`)}
+			if f.Opt(`,"path":`) {
+				rm.Path = str("")
+			}
+			if f.Opt(`,"offset":`) {
+				rm.Offset = f.Int("")
+			}
+			f.Lit("}")
+			req.RegionMaps = append(req.RegionMaps, rm)
+		}
+		f.Lit("]")
+	}
+	f.Lit("}")
+	return f.Done()
 }
 
 func (m *Machine) handleSnapshotCreate(w http.ResponseWriter, r *http.Request) {
