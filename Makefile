@@ -52,7 +52,8 @@ gateway-e2e:
 # unit-level store/chunking invariants, then the daemon-level flow —
 # record two functions from a shared base image, assert the dedup is
 # real, and restore them chunk-by-chunk onto daemons that never
-# recorded them (loading set eager, tail lazy) across a 3-daemon chain,
+# recorded them (loading set first, then the rest, base extents filled
+# locally, whole before the reply) across a 3-daemon chain,
 # with GC honoring delete tombstones and corrupt chunks quarantining.
 cas-smoke:
 	$(GO) test -race -count=1 ./internal/casstore/ -timeout 300s

@@ -42,10 +42,10 @@ commands:
   burst <fn> <mode> <input> <parallel> [same|diff]
   delete <fn>                               remove a function
   manifest                                  daemon status: readiness, load, durable-state manifest (digest,
-                                            per-function generations, chunks pending / missing)
+                                            per-function generations, chunks missing)
   cas                                       chunk-store occupancy and dedup accounting
   chunkmap <fn>                             snapshot chunk-map summary (count, bytes, loading set)
-  sync <fn> <source host:port> [eager]      pull fn's snapshot from a peer, missing chunks only
+  sync <fn> <source host:port>              pull fn's snapshot from a peer, missing chunks only
   gc [demote]                               sweep unreferenced chunks (demote: compress cold chunks)
   traces [id]                               list invocation traces, or fetch one (Zipkin v2 JSON)
   waterfall <trace-id>                      render a trace as an ASCII waterfall (restore, gc, sweep, recovery)
@@ -327,9 +327,8 @@ func main() {
 		argc(rest, 1, 1)
 		call("GET", "/functions/"+rest[0]+"/chunkmap?summary=1", nil)
 	case "sync":
-		argc(rest, 2, 3)
-		eager := len(rest) == 3 && rest[2] == "eager"
-		call("POST", "/functions/"+rest[0]+"/sync", daemon.SyncRequest{Source: rest[1], Eager: eager})
+		argc(rest, 2, 2)
+		call("POST", "/functions/"+rest[0]+"/sync", daemon.SyncRequest{Source: rest[1]})
 	case "gc":
 		argc(rest, 0, 1)
 		demote := len(rest) == 1 && rest[0] == "demote"

@@ -4,8 +4,8 @@
 // distinct chunk is stored once, so functions recorded from a shared
 // base image (guest kernel, runtime) share their common pages on disk,
 // and a daemon fills those pages from the image rather than moving them
-// (BaseExtent) — the dedup/lazy-chunk design of the snapshot
-// optimization literature applied under FaaSnap's loading sets.
+// (BaseExtent) — the chunk-dedup design of the snapshot optimization
+// literature applied under FaaSnap's loading sets.
 //
 // Chunks live in packs (pack.go): the chunks one commit added, back to
 // back, and a trailer listing them. A pack's directory under

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -59,15 +60,6 @@ func casInvoke(t *testing.T, srv *httptest.Server, name string) {
 // address form the sync API takes.
 func hostport(srv *httptest.Server) string {
 	return strings.TrimPrefix(srv.URL, "http://")
-}
-
-// lazyDrained is whether srv's background lazy fetcher owes nothing.
-func lazyDrained(t *testing.T, srv *httptest.Server) func() bool {
-	return func() bool {
-		var cs CASResponse
-		doJSON(t, "GET", srv.URL+"/cas", nil, &cs)
-		return cs.LazyPendingChunks == 0
-	}
 }
 
 func TestCASDedupAcrossFunctions(t *testing.T) {
@@ -254,29 +246,30 @@ func TestCASSyncThreeDaemons(t *testing.T) {
 
 	casProvision(t, srvA, "cas-alpha")
 
-	// B pulls alpha from A. Only the loading set moves eagerly; the
-	// lazy tail must leave the reply's transfer strictly smaller than
-	// the full snapshot.
+	// B pulls alpha from A. Base extents are filled on B, so the
+	// transfer is strictly smaller than the full snapshot, and the
+	// snapshot is whole when the reply comes.
 	var sync SyncResponse
 	if resp := doJSON(t, "POST", srvB.URL+"/functions/cas-alpha/sync",
 		map[string]interface{}{"source": hostport(srvA)}, &sync); resp.StatusCode != http.StatusOK {
 		t.Fatalf("sync B<-A = %d", resp.StatusCode)
 	}
-	if sync.ChunksFetched == 0 || sync.ChunksLazy == 0 {
-		t.Fatalf("sync fetched %d eagerly, deferred %d; want both > 0: %+v",
-			sync.ChunksFetched, sync.ChunksLazy, sync)
+	if sync.ChunksFetched == 0 || sync.ChunksBase == 0 {
+		t.Fatalf("sync fetched %d, filled %d from the base image; want both > 0: %+v",
+			sync.ChunksFetched, sync.ChunksBase, sync)
 	}
 	if sync.BytesFetched >= sync.BytesTotal {
-		t.Fatalf("lazy restore transferred %d of %d bytes — nothing deferred", sync.BytesFetched, sync.BytesTotal)
+		t.Fatalf("restore transferred %d of %d bytes — no base fills", sync.BytesFetched, sync.BytesTotal)
 	}
-	// The function serves immediately from its loading set.
+	if st := statusOf(t, srvB, "cas-alpha"); st.ChunksMissing != 0 {
+		t.Fatalf("after the sync reply: %+v, want every chunk held", st)
+	}
 	casInvoke(t, srvB, "cas-alpha")
 	var info FunctionInfo
 	doJSON(t, "GET", srvB.URL+"/functions/cas-alpha", nil, &info)
 	if !info.HasSnapshot || info.Chunks == 0 {
 		t.Fatalf("synced function info = %+v", info)
 	}
-	waitFor(t, "lazy chunk fetch never drained", lazyDrained(t, srvB))
 
 	var casB CASResponse
 	doJSON(t, "GET", srvB.URL+"/cas", nil, &casB)
@@ -291,14 +284,13 @@ func TestCASSyncThreeDaemons(t *testing.T) {
 		t.Fatalf("sync C<-B = %d", resp.StatusCode)
 	}
 	casInvoke(t, srvC, "cas-alpha")
-	waitFor(t, "lazy chunk fetch never drained", lazyDrained(t, srvC))
 
 	// A sibling from the same base image: most of its chunks are
 	// already on B, so the transfer is a fraction of the snapshot.
 	casProvision(t, srvA, "cas-beta")
 	var syncBeta SyncResponse
 	if resp := doJSON(t, "POST", srvB.URL+"/functions/cas-beta/sync",
-		map[string]interface{}{"source": hostport(srvA), "eager": true}, &syncBeta); resp.StatusCode != http.StatusOK {
+		map[string]interface{}{"source": hostport(srvA)}, &syncBeta); resp.StatusCode != http.StatusOK {
 		t.Fatalf("sync beta B<-A = %d", resp.StatusCode)
 	}
 	if syncBeta.ChunksPresent == 0 {
@@ -310,8 +302,13 @@ func TestCASSyncThreeDaemons(t *testing.T) {
 	casInvoke(t, srvB, "cas-beta")
 }
 
+// TestCASSyncRejectsBadSource: a sync needs a source and a state
+// directory, and one whose source cannot supply a snapshot —
+// unreachable, or without the function — is a 502 that leaves what the
+// function has alone: its synced snapshot stays as it was, nothing goes missing, and
+// no deficit is announced.
 func TestCASSyncRejectsBadSource(t *testing.T) {
-	_, srv := newTestDaemon(t, Config{StateDir: t.TempDir()})
+	d, srv := newTestDaemon(t, Config{StateDir: t.TempDir()})
 	if resp := doJSON(t, "POST", srv.URL+"/functions/x/sync",
 		map[string]interface{}{}, nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("sync without source = %d, want 400", resp.StatusCode)
@@ -320,6 +317,27 @@ func TestCASSyncRejectsBadSource(t *testing.T) {
 		map[string]interface{}{"source": "127.0.0.1:1"}, nil); resp.StatusCode != http.StatusBadGateway {
 		t.Fatalf("sync from dead source = %d, want 502", resp.StatusCode)
 	}
+	_, a := newTestDaemon(t, Config{StateDir: t.TempDir()})
+	casProvision(t, a, "cas-alpha")
+	if code := doJSON(t, "POST", srv.URL+"/functions/cas-alpha/sync",
+		map[string]interface{}{"source": hostport(a)}, nil).StatusCode; code != http.StatusOK {
+		t.Fatalf("sync = %d", code)
+	}
+	before := statusOf(t, srv, "cas-alpha")
+	_, empty := newTestDaemon(t, Config{StateDir: t.TempDir()})
+	for _, source := range []string{"127.0.0.1:1", hostport(empty)} {
+		if code := doJSON(t, "POST", srv.URL+"/functions/cas-alpha/sync",
+			map[string]interface{}{"source": source}, nil).StatusCode; code != http.StatusBadGateway {
+			t.Fatalf("sync from %s = %d, want 502", source, code)
+		}
+		if st := statusOf(t, srv, "cas-alpha"); !reflect.DeepEqual(st, before) || st.ChunksMissing != 0 {
+			t.Fatalf("after a failed sync from %s: %+v, want it as it was, %+v", source, st, before)
+		}
+	}
+	if evs := d.Events().Since(0, events.ManifestDeficit, ""); len(evs) != 0 {
+		t.Fatalf("failed syncs announced %d manifest_deficit events", len(evs))
+	}
+	casInvoke(t, srv, "cas-alpha")
 	// Stateless daemons have no chunk plane at all.
 	_, stateless := newTestDaemon(t, Config{})
 	if resp := doJSON(t, "POST", stateless.URL+"/functions/x/sync",
@@ -508,8 +526,8 @@ func TestCASSyncAdoptsSourceGeneration(t *testing.T) {
 }
 
 // gatedSource fronts a daemon and holds GET /chunks/{digest} for the
-// digests in hold until a token arrives, counting every chunk it
-// serves: a peer whose lazy tail drains one chunk per token.
+// digests in hold until the gate opens, counting every chunk it serves:
+// a peer that hangs on part of a snapshot.
 type gatedSource struct {
 	srv    *httptest.Server
 	tokens chan struct{}
@@ -558,9 +576,9 @@ func (g *gatedSource) open() {
 	}
 }
 
-// waitParked returns once n held requests have reached the gate. A lazy
-// fetcher and an eager sync each issue a window of them, so with the gate
-// shut the n-th arrival tells how far the daemon's syncs have got.
+// waitParked returns once n held requests have reached the gate. A sync
+// issues a window of them, so with the gate shut the n-th arrival tells
+// how far the daemon's syncs have got.
 func (g *gatedSource) waitParked(t *testing.T, n int) {
 	t.Helper()
 	waitFor(t, fmt.Sprintf("fewer than %d requests reached the gate", n), func() bool {
@@ -600,8 +618,8 @@ func (g *gatedSource) assertServedOnce(t *testing.T, n int) {
 // foreignBase serves h, except that name's chunk map names each base
 // extent under the digest of other bytes — its first byte flipped —
 // which it serves itself: a peer whose base image differs from every
-// other daemon's, so a sync fetches every chunk from it, the lazy tail
-// (in this model, only base extents) included.
+// other daemon's, so a sync fetches every chunk from it, the base
+// extents included (in this model, every chunk outside the loading set).
 func foreignBase(t *testing.T, h http.Handler, name string) http.Handler {
 	t.Helper()
 	cmr := chunkMapOf(t, h, name)
@@ -654,143 +672,17 @@ func chunkMapOf(t *testing.T, h http.Handler, name string) ChunkMapResponse {
 	return cm
 }
 
-// lazyDigests returns the non-loading-set digests of name's chunk map as
-// h serves it.
-func lazyDigests(t *testing.T, h http.Handler, name string) (lazy map[string]bool, total int) {
+// foreignDigests returns the digests name's chunk map names its base
+// extents under as h serves it: behind foreignBase, chunks only the
+// source can supply.
+func foreignDigests(t *testing.T, h http.Handler, name string) map[string]bool {
 	t.Helper()
-	cm := chunkMapOf(t, h, name)
-	lazy = make(map[string]bool)
-	for _, c := range cm.Chunks {
-		if !c.LoadingSet {
-			lazy[c.Digest] = true
-		}
+	base, _ := baseRefs(t, h, name)
+	held := make(map[string]bool, len(base))
+	for dg := range base {
+		held[dg] = true
 	}
-	if len(lazy) < 2 {
-		t.Fatalf("chunk map has %d lazy chunks; the test needs a tail", len(lazy))
-	}
-	return lazy, len(cm.Chunks)
-}
-
-// TestCASLazyTailPendingIsNotMissing: while a lazy tail drains, GET
-// /status reports what it still owes as chunks_pending — falling to
-// zero one resolved chunk at a time — never as chunks_missing, and
-// reading it appends nothing to the ledger.
-func TestCASLazyTailPendingIsNotMissing(t *testing.T) {
-	_, a := newTestDaemon(t, Config{StateDir: t.TempDir()})
-	casProvision(t, a, "cas-alpha")
-	foreign := foreignBase(t, a.Config.Handler, "cas-alpha")
-	lazy, total := lazyDigests(t, foreign, "cas-alpha")
-	// b before the gate: cleanups run last-in first-out, and b's Close
-	// waits for a fetcher the gate may still be holding.
-	d, b := newTestDaemon(t, Config{StateDir: t.TempDir()})
-	src := newGatedSource(t, foreign, lazy)
-
-	var sr SyncResponse
-	if resp := doJSON(t, "POST", b.URL+"/functions/cas-alpha/sync",
-		map[string]interface{}{"source": hostport(src.srv)}, &sr); resp.StatusCode != http.StatusOK {
-		t.Fatalf("lazy sync = %d", resp.StatusCode)
-	}
-	if sr.ChunksLazy != len(lazy) {
-		t.Fatalf("sync deferred %d chunks, want the %d lazy ones", sr.ChunksLazy, len(lazy))
-	}
-	for left := len(lazy); ; left-- {
-		// Each token resolves exactly one chunk; poll until the fetcher
-		// has booked it.
-		waitFor(t, fmt.Sprintf("chunks_pending never fell to %d", left), func() bool {
-			st := statusOf(t, b, "cas-alpha")
-			if st.ChunksMissing != 0 || st.DeficitSeq != 0 {
-				t.Fatalf("live tail reported as a deficit: %+v", st)
-			}
-			if st.ChunksPending < left {
-				t.Fatalf("chunks_pending = %d, want %d", st.ChunksPending, left)
-			}
-			return st.ChunksPending == left
-		})
-		if left == 0 {
-			break
-		}
-		src.tokens <- struct{}{}
-	}
-	waitFor(t, "lazy chunk fetch never drained", lazyDrained(t, b))
-	if evs := d.Events().Since(0, events.ManifestDeficit, ""); len(evs) != 0 {
-		t.Fatalf("reading /status during a live tail appended %d manifest_deficit events", len(evs))
-	}
-	src.assertServedOnce(t, total)
-}
-
-// TestCASSyncTakesOverLiveTail: a sync that arrives while the
-// function's lazy fetcher is live stops it and plans its remainder —
-// one fetcher per function, no chunk fetched twice.
-func TestCASSyncTakesOverLiveTail(t *testing.T) {
-	_, a := newTestDaemon(t, Config{StateDir: t.TempDir()})
-	casProvision(t, a, "cas-alpha")
-	foreign := foreignBase(t, a.Config.Handler, "cas-alpha")
-	lazy, total := lazyDigests(t, foreign, "cas-alpha")
-	_, b := newTestDaemon(t, Config{StateDir: t.TempDir()})
-	src := newGatedSource(t, foreign, lazy)
-
-	body := map[string]interface{}{"source": hostport(src.srv)}
-	if resp := doJSON(t, "POST", b.URL+"/functions/cas-alpha/sync", body, nil); resp.StatusCode != http.StatusOK {
-		t.Fatalf("lazy sync = %d", resp.StatusCode)
-	}
-	// The tail parks inside its first window of fetches. An eager sync
-	// takes over: it halts the fetcher — cancelling those fetches — and
-	// plans the remainder, so once the tail's requests have given up, the
-	// next to reach the gate is the takeover's own; open the gate then.
-	tail := min(window, len(lazy))
-	src.waitParked(t, tail)
-	body["eager"] = true
-	done := make(chan int, 1)
-	go func() { done <- doJSON(t, "POST", b.URL+"/functions/cas-alpha/sync", body, nil).StatusCode }()
-	src.waitGaveUp(t, tail)
-	src.waitParked(t, tail+1)
-	src.open()
-	if code := <-done; code != http.StatusOK {
-		t.Fatalf("takeover sync = %d", code)
-	}
-	if st := statusOf(t, b, "cas-alpha"); st.ChunksPending != 0 || st.ChunksMissing != 0 {
-		t.Fatalf("after takeover: %+v, want nothing pending or missing", st)
-	}
-	waitFor(t, "lazy chunk fetch never drained", lazyDrained(t, b))
-	src.assertServedOnce(t, total)
-}
-
-// TestCASFailedSyncLeavesLiveTailAlone: a sync whose source cannot
-// supply a snapshot fails before it touches the function's live lazy
-// fetcher — the tail keeps its claim and drains, nothing goes missing.
-func TestCASFailedSyncLeavesLiveTailAlone(t *testing.T) {
-	_, a := newTestDaemon(t, Config{StateDir: t.TempDir()})
-	casProvision(t, a, "cas-alpha")
-	foreign := foreignBase(t, a.Config.Handler, "cas-alpha")
-	lazy, total := lazyDigests(t, foreign, "cas-alpha")
-	d, b := newTestDaemon(t, Config{StateDir: t.TempDir()})
-	src := newGatedSource(t, foreign, lazy)
-
-	if code := doJSON(t, "POST", b.URL+"/functions/cas-alpha/sync",
-		map[string]interface{}{"source": hostport(src.srv)}, nil).StatusCode; code != http.StatusOK {
-		t.Fatalf("lazy sync = %d", code)
-	}
-	// The tail is parked inside its first window. Neither an unreachable
-	// source nor one without the function may stop it.
-	_, empty := newTestDaemon(t, Config{StateDir: t.TempDir()})
-	for _, source := range []string{"127.0.0.1:1", hostport(empty)} {
-		if code := doJSON(t, "POST", b.URL+"/functions/cas-alpha/sync",
-			map[string]interface{}{"source": source, "eager": true}, nil).StatusCode; code != http.StatusBadGateway {
-			t.Fatalf("sync from %s = %d, want 502", source, code)
-		}
-		if st := statusOf(t, b, "cas-alpha"); st.ChunksPending != len(lazy) || st.ChunksMissing != 0 {
-			t.Fatalf("after failed sync from %s: %+v, want %d pending, 0 missing", source, st, len(lazy))
-		}
-	}
-	src.open()
-	waitFor(t, "lazy chunk fetch never drained", lazyDrained(t, b))
-	if st := statusOf(t, b, "cas-alpha"); st.ChunksPending != 0 || st.ChunksMissing != 0 {
-		t.Fatalf("after drain: %+v, want nothing pending or missing", st)
-	}
-	if evs := d.Events().Since(0, events.ManifestDeficit, ""); len(evs) != 0 {
-		t.Fatalf("failed syncs turned a live tail into %d manifest_deficit events", len(evs))
-	}
-	src.assertServedOnce(t, total)
+	return held
 }
 
 // TestCASSyncsSerialisePerFunction: a sync stuck on a slow source holds
@@ -801,20 +693,19 @@ func TestCASSyncsSerialisePerFunction(t *testing.T) {
 	casProvision(t, a, "cas-alpha")
 	casProvision(t, a, "cas-beta")
 	foreign := foreignBase(t, a.Config.Handler, "cas-alpha")
-	lazy, _ := lazyDigests(t, foreign, "cas-alpha")
 	_, b := newTestDaemon(t, Config{StateDir: t.TempDir()})
-	src := newGatedSource(t, foreign, lazy)
+	src := newGatedSource(t, foreign, foreignDigests(t, foreign, "cas-alpha"))
 
-	// An eager sync of cas-alpha parks inside its eager fetch, holding
-	// cas-alpha's sync gate.
+	// A sync of cas-alpha parks inside its fetch, holding cas-alpha's
+	// sync gate.
 	stuck := make(chan int, 1)
 	go func() {
 		stuck <- doJSON(t, "POST", b.URL+"/functions/cas-alpha/sync",
-			map[string]interface{}{"source": hostport(src.srv), "eager": true}, nil).StatusCode
+			map[string]interface{}{"source": hostport(src.srv)}, nil).StatusCode
 	}()
 	src.waitParked(t, 1)
 	if code := doJSON(t, "POST", b.URL+"/functions/cas-beta/sync",
-		map[string]interface{}{"source": hostport(a), "eager": true}, nil).StatusCode; code != http.StatusOK {
+		map[string]interface{}{"source": hostport(a)}, nil).StatusCode; code != http.StatusOK {
 		t.Fatalf("cas-beta sync behind a stuck cas-alpha sync = %d", code)
 	}
 	select {
@@ -851,9 +742,9 @@ func baseRefs(t *testing.T, h http.Handler, name string) (base, own map[string]i
 
 // TestCASSyncAsksSourceOnlyForNonBaseChunks: a function that is mostly
 // base image syncs with the source asked, once each, for its other
-// chunks only — eagerly or through a lazy tail. The reply counts the
-// base fills apart from what was fetched, the saved-bytes counter takes
-// them, and the waterfall tags them with the tier "base".
+// chunks only, whatever the request's ignored "eager" says. The reply
+// counts the base fills apart from what was fetched, the saved-bytes
+// counter takes them, and the waterfall tags them with the tier "base".
 func TestCASSyncAsksSourceOnlyForNonBaseChunks(t *testing.T) {
 	_, a := newTestDaemon(t, Config{StateDir: t.TempDir()})
 	casProvision(t, a, "cas-alpha")
@@ -874,7 +765,6 @@ func TestCASSyncAsksSourceOnlyForNonBaseChunks(t *testing.T) {
 			map[string]interface{}{"source": hostport(src.srv), "eager": eager}, &sr); resp.StatusCode != http.StatusOK {
 			t.Fatalf("sync (eager %v) = %d", eager, resp.StatusCode)
 		}
-		waitFor(t, "lazy tail never drained", lazyDrained(t, b))
 		src.assertServedOnce(t, len(own))
 		src.mu.Lock()
 		for dg := range src.served {
@@ -883,7 +773,7 @@ func TestCASSyncAsksSourceOnlyForNonBaseChunks(t *testing.T) {
 			}
 		}
 		src.mu.Unlock()
-		if st := statusOf(t, b, "cas-alpha"); st.ChunksMissing != 0 || st.ChunksPending != 0 {
+		if st := statusOf(t, b, "cas-alpha"); st.ChunksMissing != 0 {
 			t.Fatalf("eager %v: after the sync %+v, want every chunk held", eager, st)
 		}
 		casInvoke(t, b, "cas-alpha")
@@ -892,14 +782,8 @@ func TestCASSyncAsksSourceOnlyForNonBaseChunks(t *testing.T) {
 		if cas.RestoreBytesSaved != sr.BytesTotal-sr.BytesFetched {
 			t.Fatalf("eager %v: restore_bytes_saved = %d, want %d", eager, cas.RestoreBytesSaved, sr.BytesTotal-sr.BytesFetched)
 		}
-		if !eager {
-			if sr.ChunksBase != 0 || sr.ChunksLazy != len(base) {
-				t.Fatalf("lazy sync: %+v, want the %d base extents deferred", sr, len(base))
-			}
-			continue
-		}
-		if sr.ChunksBase != len(base) || sr.ChunksFetched != len(own) || sr.BytesFetched != ownBytes || sr.ChunksPresent+sr.ChunksLazy != 0 {
-			t.Fatalf("eager sync: %+v, want %d base fills and %d chunks (%d bytes) fetched", sr, len(base), len(own), ownBytes)
+		if sr.ChunksBase != len(base) || sr.ChunksFetched != len(own) || sr.BytesFetched != ownBytes || sr.ChunksPresent != 0 {
+			t.Fatalf("eager %v: %+v, want %d base fills and %d chunks (%d bytes) fetched", eager, sr, len(base), len(own), ownBytes)
 		}
 		var spans []struct {
 			Name string            `json:"name"`
@@ -911,30 +795,37 @@ func TestCASSyncAsksSourceOnlyForNonBaseChunks(t *testing.T) {
 			tagged = tagged || sp.Name == "eager-fetch" && strings.Contains(sp.Tags["tier"], "base")
 		}
 		if !tagged {
-			t.Fatalf("no eager-fetch span tagged tier base: %+v", spans)
+			t.Fatalf("eager %v: no eager-fetch span tagged tier base: %+v", eager, spans)
 		}
 	}
 }
 
 // TestCASSyncFetchesForeignBaseExtent: a source whose chunk map names
 // the base extents under other digests has each of them fetched from it
-// once and stored under its digest — the local bytes, which hash to
-// something else, are stored under no digest, and the base table learns
-// nothing from them: a sibling recorded here afterwards gets the base
-// image's own digests.
+// once and stored under its digest, before the reply — the local bytes,
+// which hash to something else, are stored under no digest, and the
+// base table learns nothing from them: a sibling recorded here
+// afterwards gets the base image's own digests. Reading the receiver's
+// status then finds nothing missing and announces no deficit.
 func TestCASSyncFetchesForeignBaseExtent(t *testing.T) {
 	_, a := newTestDaemon(t, Config{StateDir: t.TempDir()})
 	casProvision(t, a, "cas-alpha")
 	foreign := foreignBase(t, a.Config.Handler, "cas-alpha")
 	fbase, _ := baseRefs(t, a.Config.Handler, "cas-alpha")
-	_, b := newTestDaemon(t, Config{StateDir: t.TempDir()})
+	d, b := newTestDaemon(t, Config{StateDir: t.TempDir()})
 	src := newGatedSource(t, foreign, nil)
 	var sr SyncResponse
 	if resp := doJSON(t, "POST", b.URL+"/functions/cas-alpha/sync",
-		map[string]interface{}{"source": hostport(src.srv), "eager": true}, &sr); resp.StatusCode != http.StatusOK {
+		map[string]interface{}{"source": hostport(src.srv)}, &sr); resp.StatusCode != http.StatusOK {
 		t.Fatalf("sync from a foreign base = %d", resp.StatusCode)
 	}
 	src.assertServedOnce(t, sr.ChunksTotal)
+	if st := statusOf(t, b, "cas-alpha"); st.ChunksMissing != 0 || st.DeficitSeq != 0 {
+		t.Fatalf("after the sync reply: %+v, want nothing missing", st)
+	}
+	if evs := d.Events().Since(0, events.ManifestDeficit, ""); len(evs) != 0 {
+		t.Fatalf("reading /status after a whole sync appended %d manifest_deficit events", len(evs))
+	}
 	if sr.ChunksBase != 0 || sr.ChunksFetched != sr.ChunksTotal || sr.BytesFetched != sr.BytesTotal {
 		t.Fatalf("sync from a foreign base: %+v, want every chunk fetched", sr)
 	}

@@ -162,7 +162,7 @@ func TestConcurrentRecordSyncPutOnOneFunction(t *testing.T) {
 				round, me.RecordInput, arts.RecordInput.Name, diskArts.RecordInput.Name)
 		}
 	}
-	if _, n, _ := d.life.observeDeficit(fn); n != 0 {
+	if n, _ := d.life.observeDeficit(fn); n != 0 {
 		t.Fatalf("%d chunks of the final chunk map are missing from the store", n)
 	}
 }

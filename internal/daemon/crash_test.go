@@ -151,14 +151,14 @@ func (n *node) get(fn string) (int, bool) {
 	return code, info.HasSnapshot
 }
 
-// deficit returns fn's chunks_missing + chunks_pending from GET /status.
+// deficit returns fn's chunks_missing from GET /status.
 func (n *node) deficit(fn string) int {
 	_, body := n.do("GET", "/status", nil)
 	var st StatusResponse
 	json.Unmarshal(body, &st)
 	for _, f := range st.Functions {
 		if f.Name == fn {
-			return f.ChunksMissing + f.ChunksPending
+			return f.ChunksMissing
 		}
 	}
 	return 0
@@ -485,8 +485,8 @@ func (e expect) check(t *testing.T, r *node, fn string) expect {
 	case code == http.StatusOK && r.op(opInvoke, fn) != map[bool]int{true: http.StatusOK, false: http.StatusNotFound}[snap]:
 		t.Fatalf("%s: %s has_snapshot = %v, and invoke disagrees", neverCorrupt, fn, snap)
 	case snap && r.deficit(fn) > 0:
-		// Every snapshot here was recorded locally or synced eagerly: no
-		// fetcher owes a chunk, so a missing one is a chunk the crash lost.
+		// Every snapshot holds every chunk it references at its commit, so
+		// a missing one is a chunk the crash lost.
 		t.Fatalf("%s: %s lost %d chunks", ackedSurvive, fn, r.deficit(fn))
 	}
 	return got

@@ -218,7 +218,9 @@ func (d *Daemon) DrainStreams() {
 	d.events.Close()
 }
 
-// Close shuts down background fetchers, managed VMMs and connections.
+// Close halts background work and the transfers of syncs in flight,
+// waits for records and syncs still in flight, then stops managed VMMs
+// and connections.
 func (d *Daemon) Close() {
 	d.DrainStreams()
 	d.life.close(d.recovered)
@@ -789,7 +791,7 @@ func (d *Daemon) status(*http.Request) (StatusResponse, error) {
 	resp.Digest, entries = d.idx.status()
 	for _, sf := range entries {
 		if !sf.Deleted && sf.HasSnapshot {
-			sf.ChunksPending, sf.ChunksMissing, sf.DeficitSeq = d.life.observeDeficit(sf.Name)
+			sf.ChunksMissing, sf.DeficitSeq = d.life.observeDeficit(sf.Name)
 		}
 		resp.Functions = append(resp.Functions, sf)
 	}

@@ -202,13 +202,10 @@ func specJSON(spec *workload.Spec) string {
 // chunk map stands against the local chunk store.
 type StatusFunction struct {
 	statedir.Entry
-	// ChunksPending counts chunk-map refs a live background fetcher
-	// still owes: absent for now, and somebody's job.
-	ChunksPending int `json:"chunks_pending,omitempty"`
-	// ChunksMissing counts refs absent from both tiers and owned by
-	// nobody — abandoned after retries, lost out of band, or found at
-	// recovery. Non-zero tells the gateway's anti-entropy pass this
-	// replica needs an eager chunk re-sync from a complete copy.
+	// ChunksMissing counts refs absent from both tiers — quarantined on
+	// read or lost out of band with their pack. Non-zero tells the
+	// gateway's anti-entropy pass this replica needs a chunk re-sync from
+	// a complete copy.
 	ChunksMissing int `json:"chunks_missing,omitempty"`
 	// DeficitSeq is the ledger seq of the manifest_deficit event that
 	// announced ChunksMissing; the gateway links its repair event back to

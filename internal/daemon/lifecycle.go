@@ -32,14 +32,12 @@ import (
 )
 
 // view is what serving and reporting read of a function: one immutable
-// value, swapped whole by a commit. A chunk map is therefore never
-// visible without the lazy fetcher that owns its deferred refs, and the
-// snapshot-load bodies encoded from arts never outlive them.
+// value, swapped whole by a commit, so the snapshot-load bodies encoded
+// from arts never outlive them.
 type view struct {
 	name   string // the function's; the load bodies' paths carry it
 	arts   *core.Artifacts
 	chunks *chunkMap // nil without a persisted snapshot
-	tail   *lazyTail // nil when no sync left one
 	loads  loadBodies
 }
 
@@ -76,14 +74,6 @@ func newFnState(spec *workload.Spec) *fnState {
 // published returns what readers see of the function; never nil.
 func (fs *fnState) published() *view { return fs.pub.Load() }
 
-// publish swaps the function's view. The fetcher of a displaced view is
-// halted: a function never has two.
-func (fs *fnState) publish(v *view) {
-	if old := fs.pub.Swap(v); old.tail != nil && old.tail != v.tail {
-		old.tail.halt()
-	}
-}
-
 // guest returns the function's long-lived VM and its agent, nil for a
 // function recovered or synced without a PUT.
 func (fs *fnState) guest() (*vmm.Machine, *guestagent.Agent) {
@@ -104,20 +94,9 @@ func (fs *fnState) setFaults(tl *hostmm.FaultTimeline) {
 	fs.side.Unlock()
 }
 
-// haltTail stops the function's lazy fetcher, if it has one, and returns
-// it once it has exited.
-func (fs *fnState) haltTail() *lazyTail {
-	t := fs.published().tail
-	if t != nil {
-		t.stop()
-	}
-	return t
-}
-
-// shutdown stops the function's lazy fetcher and, once any transition in
-// flight has finished, its VMM and guest agent.
+// shutdown stops the function's VMM and guest agent once any transition
+// in flight has finished.
 func (fs *fnState) shutdown() {
-	fs.haltTail()
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if m, a := fs.guest(); m != nil {
@@ -127,18 +106,17 @@ func (fs *fnState) shutdown() {
 }
 
 // lifecycle moves functions between states. It is the only writer of
-// fnState and the only caller of publish.
+// fnState and the only one to swap its published view.
 //
 // Lock order, taken in transition and nowhere else: fs.syncing, then
 // store.ops for reading, then fs.mu. fs.syncing keeps a function to one
-// sync at a time, from the takeover of its live lazy fetcher to the
-// publish of its successor (it lives in the index's entry, so a delete
-// reclaims it; syncs that race to create an entry are serialized by
-// fs.mu alone, and publish halts the tail of whichever committed first);
-// store.ops holds the GC sweep (its writer, store.sweep) off from the
-// moment a chunk is counted present or made durable until the published
-// chunk map references it; fs.mu serializes commits to one function and
-// the driving of its VM. Readers take none of them: they load the view.
+// sync at a time, from sorting its missing chunks to its publish (it lives in the index's
+// entry, so a delete reclaims it; syncs that race to create an entry are
+// serialized by fs.mu alone); store.ops holds the GC sweep (its writer,
+// store.sweep) and close off from the moment a chunk is counted present
+// or made durable until the published chunk map references it; fs.mu
+// serializes commits to one function and the driving of its VM. Readers
+// take none of them: they load the view.
 type lifecycle struct {
 	env
 	idx   *index
@@ -146,10 +124,9 @@ type lifecycle struct {
 	host  core.HostConfig
 	kv    *kvstore.Client
 
-	// bgCtx/bg halt and drain background work — lazy fetchers, gauge
-	// refreshes — on close, so no goroutine writes into the state dir
-	// after shutdown. Whatever tail a fetcher leaves is reported as
-	// chunks_missing and re-synced by anti-entropy.
+	// bgCtx/bg halt and drain background work — gauge refreshes — on
+	// close, and bgCtx also ends every sync's transfer, so no goroutine
+	// writes into the state dir after shutdown.
 	bgCtx  context.Context
 	bgHalt context.CancelFunc
 	bg     sync.WaitGroup
@@ -163,12 +140,16 @@ func (l *lifecycle) background(f func()) {
 	}()
 }
 
-// close halts background work, then every function's VMM and agent,
-// then the journal — after recovery, which may still be appending.
+// close halts background work and the transfers of syncs in flight,
+// waits for any record or sync still inside its transition (store.ops'
+// write side), then stops every function's VMM and agent, then the
+// journal — after recovery, which may still be appending.
 func (l *lifecycle) close(recovered <-chan struct{}) {
 	l.bgHalt()
 	l.bg.Wait()
 	if l.store != nil {
+		l.store.ops.Lock()
+		l.store.ops.Unlock()
 		l.store.peer.CloseIdleConnections()
 	}
 	for _, fs := range l.idx.live() {
@@ -211,24 +192,20 @@ func (l *lifecycle) transition(name string, spec *workload.Spec, serial bool, st
 // inside transition, has made every chunk the snapshot references
 // durable; save writes its snapfile, and input and generation are what
 // the index journals (index.snapshot). A daemon without a store
-// publishes the artifacts it was handed. lazy > 0 publishes the chunk
-// map together with the fetcher that owns that many deferred refs.
-func (l *lifecycle) commit(fs *fnState, arts *core.Artifacts, save func(path string) error, input string, generation uint64, lazy int) (*lazyTail, error) {
+// publishes the artifacts it was handed.
+func (l *lifecycle) commit(fs *fnState, arts *core.Artifacts, save func(path string) error, input string, generation uint64) error {
 	v := &view{name: fs.spec.Name, arts: arts}
 	if l.store != nil {
 		var err error
 		if v.arts, v.chunks, err = l.store.writeSnapfile(fs.spec.Name, save); err != nil {
-			return nil, err
+			return err
 		}
 		if err := l.idx.snapshot(fs, input, generation); err != nil {
-			return nil, fmt.Errorf("journal snapshot: %w", err)
-		}
-		if lazy > 0 {
-			v.tail = l.store.newTail(l.bgCtx, lazy)
+			return fmt.Errorf("journal snapshot: %w", err)
 		}
 	}
-	fs.publish(v)
-	return v.tail, nil
+	fs.pub.Store(v)
+	return nil
 }
 
 // create registers name, booting its long-lived VM if it has none, and
@@ -357,9 +334,8 @@ func (l *lifecycle) record(name string, in workload.Input) (res core.RecordResul
 				return err
 			}
 		}
-		// A new generation, nothing deferred.
-		_, err = l.commit(fs, arts, save, in.Name, 0, 0)
-		return err
+		// A new generation.
+		return l.commit(fs, arts, save, in.Name, 0)
 	})
 	if err != nil {
 		return res, err
@@ -375,15 +351,15 @@ func (l *lifecycle) record(name string, in workload.Input) (res core.RecordResul
 
 // SyncRequest is the body of POST /functions/{name}/sync.
 type SyncRequest struct {
-	// Eager fetches every chunk before replying instead of deferring
-	// non-loading-set chunks to the background.
-	Eager bool `json:"eager"`
+	// Eager is accepted and ignored: every sync holds every chunk before
+	// it replies. The route decodes strictly, and older clients send it.
+	Eager bool `json:"eager,omitempty"`
 	// Source is the peer daemon ("host:port") holding the snapshot.
 	Source string `json:"source"`
 }
 
 // SyncResponse reports one chunk-level restore. ChunksFetched and
-// BytesFetched count what came from the source; ChunksBase counts eager
+// BytesFetched count what came from the source; ChunksBase counts
 // chunks filled from the base image on this daemon.
 type SyncResponse struct {
 	Function      string `json:"function"`
@@ -392,51 +368,40 @@ type SyncResponse struct {
 	ChunksFetched int    `json:"chunks_fetched"`
 	ChunksBase    int    `json:"chunks_base"`
 	ChunksPresent int    `json:"chunks_present"`
-	ChunksLazy    int    `json:"chunks_lazy"`
 	BytesTotal    int64  `json:"bytes_total"`
 	BytesFetched  int64  `json:"bytes_fetched"`
 	SnapfileBytes int64  `json:"snapfile_bytes"`
 	// TraceID identifies the restore's waterfall trace (snapfile decode,
-	// per-group eager fetches, commit, lazy tail) in GET /traces/{id}.
+	// per-group eager fetches, commit) in GET /traces/{id}.
 	TraceID string `json:"trace_id,omitempty"`
 }
 
 // sync restores a function this daemon may never have recorded, from a
-// peer: fetch and decode the chunk map + raw snapfile, take over the
-// function's live lazy fetcher if it has one, keep only the chunks
-// missing locally, fetch the eager ones, commit — journaling the
-// source's generation, not a new one — and hand the lazy tail to a
-// background fetcher. ctx is the request's: the eager transfer ends with
-// it. The restore leaves a waterfall trace under id.
+// peer: fetch and decode the chunk map + raw snapfile, keep only the
+// chunks missing locally, fill the base extents and fetch the rest, and
+// commit — journaling the source's generation, not a new one. The
+// transfer ends with the request's ctx or the daemon's close, whichever
+// comes first. The restore leaves a waterfall trace under id.
 func (l *lifecycle) sync(ctx context.Context, name string, req SyncRequest, id trace.ID) (SyncResponse, error) {
 	start := time.Now()
-	// A source that cannot supply a usable snapshot fails the sync here,
-	// before it has disturbed a fetcher that is draining fine.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	defer context.AfterFunc(l.bgCtx, cancel)()
 	plan, err := l.store.planFrom(ctx, name, req.Source)
 	if err != nil {
 		return SyncResponse{}, failf(http.StatusBadGateway, "%v", err)
 	}
 	var (
-		prev, tail            *lazyTail
 		groups                []*groupSpan
 		base                  int
 		fetched               int64
 		decodeDur, commitFrom time.Duration
 	)
 	_, err = l.transition(name, plan.arts.Fn, true, func() error {
-		// At most one fetcher per function: stop the live one before
-		// splitting, so what it had not fetched yet is planned here and
-		// nothing it was fetching is fetched twice. It stays published,
-		// still claiming its remainder as pending, until this sync's commit
-		// replaces it — or until this sync fails and its claim is dropped,
-		// which is when the remainder becomes missing.
-		if fs, ok := l.idx.lookup(name); ok {
-			prev = fs.haltTail()
-		}
-		l.store.split(plan, req.Eager)
+		l.store.sortMissing(plan)
 		decodeDur = time.Since(start)
 		l.store.syncSeconds("decode").Observe(decodeDur)
-		if groups, base, fetched, err = l.store.fetch(ctx, req.Source, plan.arts, plan.eager, start); err != nil {
+		if groups, base, fetched, err = l.store.fetch(ctx, req.Source, plan.arts, plan.missing, start); err != nil {
 			return failf(http.StatusBadGateway, "fetch chunk: %v", err)
 		}
 		commitFrom = time.Since(start)
@@ -446,12 +411,8 @@ func (l *lifecycle) sync(ctx context.Context, name string, req SyncRequest, id t
 		// Chunks durable; commit the snapfile exactly as received, into the
 		// entry the index already holds: a concurrent PUT's entry (and the
 		// VM behind it) must survive.
-		tail, err = l.commit(fs, nil, plan.save, plan.arts.RecordInput.Name, plan.generation, len(plan.lazy))
-		return err
+		return l.commit(fs, nil, plan.save, plan.arts.RecordInput.Name, plan.generation)
 	})
-	if prev != nil {
-		defer prev.pending.Store(0)
-	}
 	if err != nil {
 		return SyncResponse{}, err
 	}
@@ -462,40 +423,30 @@ func (l *lifecycle) sync(ctx context.Context, name string, req SyncRequest, id t
 		Function:      name,
 		Source:        req.Source,
 		ChunksTotal:   len(plan.cm.Refs),
-		ChunksFetched: len(plan.eager) - base,
+		ChunksFetched: len(plan.missing) - base,
 		ChunksBase:    base,
 		ChunksPresent: plan.present,
-		ChunksLazy:    len(plan.lazy),
 		BytesTotal:    plan.cm.TotalBytes(),
 		BytesFetched:  fetched,
 		SnapfileBytes: int64(len(plan.raw)),
 		TraceID:       string(id),
 	}
-	tr := syncWaterfall(id, resp, time.Since(start), decodeDur, groups, commitFrom, commitDur)
-	l.traces.Put(tr)
+	l.traces.Put(syncWaterfall(id, resp, time.Since(start), decodeDur, groups, commitFrom, commitDur))
 
-	// Saved = bytes a whole-snapshot copy would have moved now but this
-	// restore did not: dedup hits, base fills and the deferred lazy tail.
+	// Saved = bytes a whole-snapshot copy would have moved but this
+	// restore did not: dedup hits and base fills.
 	l.store.saved.Add(float64(resp.BytesTotal - resp.BytesFetched))
 	l.store.syncs.Inc()
 	// Off the request, as after a record.
 	l.background(l.store.refreshDedup)
-	l.log.Printf("synced %s from %s: %d/%d chunks fetched (%d base, %d present, %d lazy), %d of %d bytes",
-		name, req.Source, resp.ChunksFetched, resp.ChunksTotal, resp.ChunksBase, resp.ChunksPresent, resp.ChunksLazy,
+	l.log.Printf("synced %s from %s: %d/%d chunks fetched (%d base, %d present), %d of %d bytes",
+		name, req.Source, resp.ChunksFetched, resp.ChunksTotal, resp.ChunksBase, resp.ChunksPresent,
 		resp.BytesFetched, resp.BytesTotal)
-	if tail != nil {
-		// Only the deferred refs and the decoded artifacts base fills read:
-		// the fetcher must not keep the plan's snapfile bytes alive while
-		// it drains.
-		arts, lazy, offset := plan.arts, plan.lazy, time.Since(start)
-		l.background(func() { l.drainTail(name, req.Source, arts, lazy, tail, tr, offset) })
-	}
 	return resp, nil
 }
 
 // syncWaterfall assembles a restore's waterfall trace: decode → eager
-// fetch per prefetch group (tier-labelled) → commit. The lazy tail
-// appends its span when the background fetcher drains.
+// fetch per prefetch group (tier-labelled) → commit.
 func syncWaterfall(id trace.ID, resp SyncResponse, wall, decodeDur time.Duration, groups []*groupSpan, commitStart, commitDur time.Duration) *trace.Trace {
 	tb := trace.NewBuilder(id, "chunk-sync "+resp.Function)
 	root := tb.Span("chunk-sync "+resp.Function, "", 0, wall, map[string]string{
@@ -516,59 +467,15 @@ func syncWaterfall(id trace.ID, resp SyncResponse, wall, decodeDur time.Duration
 		if len(tiers) > 0 {
 			tier = strings.Join(tiers, ",")
 		}
-		tags := map[string]string{
+		tb.Span("eager-fetch", root, g.start, g.dur, map[string]string{
 			"group":  strconv.FormatInt(g.group, 10),
 			"tier":   tier,
 			"chunks": strconv.Itoa(g.chunks),
 			"bytes":  strconv.FormatInt(g.bytes, 10),
-		}
-		if !g.ls {
-			tags["eager_tail"] = "true"
-		}
-		tb.Span("eager-fetch", root, g.start, g.dur, tags)
+		})
 	}
 	tb.Span("commit", root, commitStart, commitDur, nil)
 	return tb.Finish()
-}
-
-// drainTail fetches a sync's deferred chunks in the background, then
-// re-puts the restore's trace with a lazy-tail span appended and the
-// root stretched to cover it — Put overwrites in place, so the
-// waterfall behind GET /traces/{id} gains the tail. offset is where on
-// the waterfall the tail starts.
-func (l *lifecycle) drainTail(name, source string, arts *core.Artifacts, lazy []chunkRef, t *lazyTail, tr *trace.Trace, offset time.Duration) {
-	began := time.Now()
-	fetched, abandoned := l.store.drain(name, source, arts, lazy, t)
-	dur := time.Since(began)
-	l.store.syncSeconds("lazy").Observe(dur)
-	root := *tr.Spans[0]
-	root.Duration = (offset + dur).Microseconds()
-	spans := append([]*trace.Span{&root}, tr.Spans[1:]...)
-	spans = append(spans, &trace.Span{
-		TraceID:   tr.ID,
-		SpanID:    trace.SpanID(tr.ID, len(tr.Spans)+1),
-		ParentID:  root.SpanID,
-		Name:      "lazy-tail",
-		Timestamp: offset.Microseconds(),
-		Duration:  dur.Microseconds(),
-		Tags: map[string]string{
-			"chunks":    strconv.Itoa(len(lazy)),
-			"fetched":   strconv.Itoa(fetched),
-			"abandoned": strconv.Itoa(abandoned),
-		},
-	})
-	l.traces.Put(&trace.Trace{ID: tr.ID, Name: tr.Name, Spans: spans})
-	if abandoned > 0 {
-		l.events.Append(events.Event{
-			Type:     events.LazyAbandoned,
-			Function: name,
-			TraceID:  string(tr.ID),
-			Fields: map[string]string{
-				"abandoned": strconv.Itoa(abandoned),
-				"source":    source,
-			},
-		})
-	}
 }
 
 type gcRequest struct {
@@ -606,32 +513,23 @@ func (l *lifecycle) gc(demote bool) (GCResponse, error) {
 	}, nil
 }
 
-// observeDeficit splits the refs of name's chunk map that neither tier
-// of the local store can serve into the two facts GET /status reports:
-// pending — still owed by the function's live lazy fetcher — and
-// missing — owned by nobody, so only an anti-entropy re-sync brings
-// them back — plus the seq of the manifest_deficit event announcing the
-// latter (the true deficit, never a live tail's pending chunks). It is
-// the one write a read performs: a deficit is announced when it first
+// observeDeficit counts the refs of name's chunk map that neither tier
+// of the local store can serve — missing, so only an anti-entropy
+// re-sync brings them back — and returns the count GET /status reports
+// with the seq of the manifest_deficit event announcing it. It is the
+// one write a read performs: a deficit is announced when it first
 // appears or its size changes; clearing to zero forgets the episode, so
-// the next is announced afresh. pending is read before the store's index
-// and the fetcher gives a chunk up only after storing it, so a chunk
-// resolved in between is counted in pending but not absent: the deficit
-// can be transiently under-, never over-reported.
-func (l *lifecycle) observeDeficit(name string) (pending, missing int, seq uint64) {
+// the next is announced afresh.
+func (l *lifecycle) observeDeficit(name string) (missing int, seq uint64) {
 	fs, ok := l.idx.lookup(name)
 	if !ok {
-		return 0, 0, 0
+		return 0, 0
 	}
 	v := fs.published()
 	if v.chunks == nil {
-		return 0, 0, 0
+		return 0, 0
 	}
-	if v.tail != nil {
-		pending = int(v.tail.pending.Load())
-	}
-	absent := l.store.absent(v.chunks)
-	pending, missing = min(pending, absent), max(0, absent-pending)
+	missing = l.store.absent(v.chunks)
 	fs.side.Lock()
 	defer fs.side.Unlock()
 	if missing != fs.deficitN {
@@ -644,7 +542,7 @@ func (l *lifecycle) observeDeficit(name string) (pending, missing int, seq uint6
 			}).Seq
 		}
 	}
-	return pending, missing, fs.deficitSeq
+	return missing, fs.deficitSeq
 }
 
 // recover rebuilds the registry from the journal: it re-deploys verified
@@ -676,7 +574,7 @@ func (l *lifecycle) recover() {
 			if arts, cm, err := l.store.load(e.Name); err != nil {
 				l.invalidate(e.Name, err)
 			} else {
-				fs.publish(&view{name: spec.Name, arts: arts, chunks: cm})
+				fs.pub.Store(&view{name: spec.Name, arts: arts, chunks: cm})
 				l.log.Printf("reloaded snapshot for %s (%d WS pages, generation %d)", e.Name, arts.WS.Pages(), e.Generation)
 			}
 		}

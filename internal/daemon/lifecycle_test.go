@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -22,58 +23,80 @@ import (
 	"faasnap/internal/chaos"
 )
 
-// TestHungPeerDoesNotHoldCloseOrDelete: a lazy fetcher parked inside a
-// GET to a peer that never answers is cancelled by its halt, so Close
-// and DELETE return at once instead of waiting out the peer client's
-// 30 s; what it had not fetched is reported missing after a restart.
+// TestHungPeerDoesNotHoldCloseOrDelete: a sync parked inside a chunk
+// GET to a peer that never answers is cut short by the daemon's close,
+// so Close returns at once instead of waiting out the peer client's
+// 30 s, the sync answers, and it commits nothing: after a restart the
+// function is as it was before the sync. DELETE does not wait for the
+// parked sync either.
 func TestHungPeerDoesNotHoldCloseOrDelete(t *testing.T) {
 	_, a := newTestDaemon(t, Config{StateDir: t.TempDir()})
 	casProvision(t, a, "cas-alpha")
 	foreign := foreignBase(t, a.Config.Handler, "cas-alpha")
-	lazy, _ := lazyDigests(t, foreign, "cas-alpha")
+	held := foreignDigests(t, foreign, "cas-alpha")
 
-	// lazySync restores cas-alpha onto a fresh daemon through a peer that
-	// serves the chunk map and the loading set and hangs on every lazy
-	// chunk, and returns once the tail is parked inside its first fetch.
-	lazySync := func(dir string) (*Daemon, *httptest.Server) {
+	// parkedSync registers cas-alpha on a fresh daemon over dir and syncs
+	// it through a peer that serves the chunk map and the loading set and
+	// hangs on every base extent. It returns the function's status before
+	// the sync and, once the sync is parked inside its fetch, the channel
+	// its reply's status code arrives on.
+	type parked struct {
+		d      *Daemon
+		srv    *httptest.Server
+		src    *gatedSource
+		before StatusFunction
+		code   chan int
+	}
+	parkedSync := func(dir string) parked {
 		t.Helper()
 		d, b := newTestDaemon(t, Config{StateDir: dir})
-		src := newGatedSource(t, foreign, lazy)
-		var sr SyncResponse
-		if resp := doJSON(t, "POST", b.URL+"/functions/cas-alpha/sync",
-			map[string]interface{}{"source": hostport(src.srv)}, &sr); resp.StatusCode != http.StatusOK {
-			t.Fatalf("lazy sync = %d", resp.StatusCode)
+		if code := doJSON(t, "PUT", b.URL+"/functions/cas-alpha", customSpec("cas-alpha", 16), nil).StatusCode; code != http.StatusOK {
+			t.Fatalf("register = %d", code)
 		}
-		if sr.ChunksLazy != len(lazy) {
-			t.Fatalf("sync deferred %d chunks, want the %d lazy ones", sr.ChunksLazy, len(lazy))
-		}
-		src.waitParked(t, 1)
-		return d, b
+		p := parked{d: d, srv: b, src: newGatedSource(t, foreign, held), before: statusOf(t, b, "cas-alpha"), code: make(chan int, 1)}
+		go func() {
+			p.code <- doJSON(t, "POST", b.URL+"/functions/cas-alpha/sync",
+				map[string]interface{}{"source": hostport(p.src.srv)}, nil).StatusCode
+		}()
+		p.src.waitParked(t, 1)
+		return p
 	}
 	prompt := func(what string, f func()) {
 		t.Helper()
-		start := time.Now()
-		f()
-		if took := time.Since(start); took > time.Second {
-			t.Fatalf("%s took %v behind a hung peer, want < 1s", what, took)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			f()
+		}()
+		select {
+		case <-done:
+		case <-time.After(time.Second):
+			t.Fatalf("%s took over 1s behind a hung peer", what)
 		}
 	}
 
 	dir := t.TempDir()
-	d, b := lazySync(dir)
-	b.Close()
-	prompt("Close", d.Close)
-	_, again := newTestDaemon(t, Config{StateDir: dir})
-	if st := statusOf(t, again, "cas-alpha"); st.ChunksPending != 0 || st.ChunksMissing != len(lazy) {
-		t.Fatalf("after the halt and a restart: %+v, want 0 pending and the %d unfetched chunks missing", st, len(lazy))
-	}
-
-	_, b = lazySync(t.TempDir())
-	prompt("DELETE", func() {
-		if code := doJSON(t, "DELETE", b.URL+"/functions/cas-alpha", nil, nil).StatusCode; code != http.StatusNoContent {
-			t.Fatalf("delete = %d", code)
+	p := parkedSync(dir)
+	prompt("Close", p.d.Close)
+	prompt("the parked sync's reply", func() {
+		if code := <-p.code; code != http.StatusBadGateway {
+			t.Errorf("sync cut short by Close = %d, want 502", code)
 		}
 	})
+	p.srv.Close()
+	_, again := newTestDaemon(t, Config{StateDir: dir})
+	if st := statusOf(t, again, "cas-alpha"); !reflect.DeepEqual(st, p.before) {
+		t.Fatalf("after Close and a restart: %+v, want it as before the sync, %+v", st, p.before)
+	}
+
+	p = parkedSync(t.TempDir())
+	prompt("DELETE", func() {
+		if code := doJSON(t, "DELETE", p.srv.URL+"/functions/cas-alpha", nil, nil).StatusCode; code != http.StatusNoContent {
+			t.Errorf("delete = %d", code)
+		}
+	})
+	p.src.open()
+	<-p.code
 }
 
 // TestInvokeDoesNotWaitForRecord: while a re-record of a function sits

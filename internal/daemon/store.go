@@ -4,12 +4,12 @@ package daemon
 // content-addressed store (internal/casstore) and its snapfile
 // (internal/snapfile) carries a chunk map referencing it; a function
 // this daemon never recorded is restored by pulling a peer's chunk map
-// and only the chunks missing here — loading-set chunks eagerly in group
-// order, per the paper's per-region restore priority, the rest lazily in
-// the background. The store owns the chunk store, the snapfile paths,
-// the peer client and the chunk-plane gauges, and is the only code that
-// imports either package; a daemon without a state directory has no
-// store at all.
+// and only the chunks missing here — loading-set chunks first, in group
+// order, per the paper's per-region restore priority, then the rest —
+// before the snapshot commits; base extents are filled locally. The
+// store owns the chunk store, the snapfile paths, the peer client and
+// the chunk-plane gauges, and is the only code that imports either
+// package; a daemon without a state directory has no store at all.
 
 import (
 	"bytes"
@@ -31,7 +31,6 @@ import (
 	"faasnap/internal/chaos"
 	"faasnap/internal/core"
 	"faasnap/internal/events"
-	"faasnap/internal/resilience"
 	"faasnap/internal/snapfile"
 	"faasnap/internal/telemetry"
 )
@@ -65,12 +64,10 @@ type store struct {
 	// daemon hashes an extent, by a record or a sync, lost on restart.
 	base sync.Map
 
-	dedup       *telemetry.Gauge
-	saved       *telemetry.Counter
-	lazyPending *telemetry.Gauge
-	lazyFailed  *telemetry.Counter
-	syncs       *telemetry.Counter
-	gcRemoved   *telemetry.Counter
+	dedup     *telemetry.Gauge
+	saved     *telemetry.Counter
+	syncs     *telemetry.Counter
+	gcRemoved *telemetry.Counter
 }
 
 // openStore opens the chunk store under dir and registers the chunk
@@ -94,11 +91,7 @@ func openStore(dir string, e env, live func() []*chunkMap) (*store, error) {
 	s.dedup = s.telemetry.Gauge("faasnap_cas_dedup_ratio",
 		"Fraction of logically referenced chunk bytes saved by dedup and compression (1 - physical/logical).", nil)
 	s.saved = s.telemetry.Counter("faasnap_cas_restore_bytes_saved_total",
-		"Bytes a chunk-level restore did not transfer eagerly (already present via dedup, filled from the base image, or deferred to lazy fetch).", nil)
-	s.lazyPending = s.telemetry.Gauge("faasnap_cas_lazy_pending_chunks",
-		"Chunks a completed sync still owes to the background lazy fetcher.", nil)
-	s.lazyFailed = s.telemetry.Counter("faasnap_cas_lazy_failed_chunks_total",
-		"Lazy chunk fetches abandoned after retries; an abandoned chunk is owned by nobody, so GET /status reports it as chunks_missing for anti-entropy repair.", nil)
+		"Bytes a chunk-level restore did not transfer (already present via dedup, or filled from the base image).", nil)
 	s.syncs = s.telemetry.Counter("faasnap_cas_sync_total",
 		"Chunk-level restores served for functions this daemon never recorded.", nil)
 	s.gcRemoved = s.telemetry.Counter("faasnap_cas_gc_removed_chunks_total",
@@ -106,7 +99,7 @@ func openStore(dir string, e env, live func() []*chunkMap) (*store, error) {
 	// Background-op duration histograms are registered up front so they
 	// appear in the scrape before their first observation.
 	s.gcSeconds()
-	for _, p := range []string{"decode", "eager", "commit", "lazy"} {
+	for _, p := range []string{"decode", "eager", "commit"} {
 		s.syncSeconds(p)
 	}
 	return s, nil
@@ -120,7 +113,7 @@ func (s *store) gcSeconds() *telemetry.Histogram {
 // syncSeconds returns the chunk-sync phase histogram for one phase.
 func (s *store) syncSeconds(phase string) *telemetry.Histogram {
 	return s.telemetry.Histogram("faasnap_cas_sync_seconds",
-		"Chunk-level restore wall time by phase (decode, eager fetch, commit, lazy tail).",
+		"Chunk-level restore wall time by phase (decode, eager fetch, commit).",
 		telemetry.L("phase", phase))
 }
 
@@ -161,7 +154,7 @@ func (s *store) refreshDedup() {
 }
 
 // window is how many chunks the chunk plane moves at once: a record's
-// fills and hashes, a sync's eager fetches, a lazy tail's fetches.
+// fills and hashes, a sync's fills and fetches.
 const window = 4
 
 // inWindow runs do for items 0 to n-1, started in order, at most window
@@ -253,17 +246,17 @@ func (s *store) writeSnapfile(name string, save func(path string) error) (*core.
 // (chunk map included), applying any armed chaos storage fault, and
 // checks the chunk map against the store. A missing loading-set chunk
 // makes the snapshot unusable (the eager restore path would stall), so
-// it is an error; missing lazy chunks are tolerated — a sync target that
-// crashed mid-lazy-fetch still serves, the deficit is reported as
-// chunks_missing in GET /status (no fetcher survived the crash to own
-// it), and the gateway's anti-entropy pass re-pulls the tail with an
-// eager chunk sync from a complete replica.
+// it is an error; other missing chunks — quarantined on read, or in a
+// pack lost out of band — are tolerated: the snapshot still serves, the
+// deficit is reported as chunks_missing in GET /status, and the
+// gateway's anti-entropy pass re-pulls it with a chunk sync from a
+// complete replica.
 func (s *store) load(name string) (*core.Artifacts, *chunkMap, error) {
 	arts, cm, err := s.decode(name)
 	if err != nil {
 		return nil, nil, err
 	}
-	var lazyMissing int
+	var missing int
 	for _, ref := range cm.Refs {
 		if s.cas.Has(casstore.Digest(ref.Digest)) {
 			continue
@@ -271,10 +264,10 @@ func (s *store) load(name string) (*core.Artifacts, *chunkMap, error) {
 		if ref.LS {
 			return nil, nil, fmt.Errorf("loading-set chunk %x missing from store", ref.Digest[:8])
 		}
-		lazyMissing++
+		missing++
 	}
-	if lazyMissing > 0 {
-		s.log.Printf("recovery: %s is missing %d lazy chunks (reported as chunks_missing; anti-entropy re-syncs them)", name, lazyMissing)
+	if missing > 0 {
+		s.log.Printf("recovery: %s is missing %d chunks outside its loading set (reported as chunks_missing; anti-entropy re-syncs them)", name, missing)
 	}
 	return arts, cm, nil
 }
@@ -303,8 +296,8 @@ func (s *store) decode(name string) (*core.Artifacts, *chunkMap, error) {
 }
 
 // absent counts the refs of cm neither tier of the store can serve, by
-// index lookups: the detector of chunks lost to a failed lazy fetch or a
-// quarantine.
+// index lookups: the detector of chunks lost to a quarantine or a lost
+// pack.
 func (s *store) absent(cm *chunkMap) (n int) {
 	for _, ref := range cm.Refs {
 		if !s.cas.Has(casstore.Digest(ref.Digest)) {
@@ -456,8 +449,8 @@ const maxChunkBytes = 64 << 20
 // reply's Content-Length if it is short, and hands it to put, which
 // verifies it against its digest before anything commits it; it reports
 // the bytes moved and which tier served them. ctx bounds the transfer:
-// a lazy fetcher's halt or an eager sync's request ending stops it at
-// once instead of waiting out a peer that never answers.
+// the sync's request or the daemon's close ending stops it at once
+// instead of waiting out a peer that never answers.
 func (s *store) fetchChunk(ctx context.Context, source string, dg casstore.Digest, buf *[]byte, put func([]byte) error) (int64, string, error) {
 	resp, err := s.peerGet(ctx, source, "/chunks/"+dg.String())
 	if err != nil {
@@ -524,11 +517,11 @@ type syncPlan struct {
 	// generation is the source's journaled generation for the function;
 	// the commit adopts it rather than minting one.
 	generation uint64
-	// eager chunks are fetched before the reply — loading-set chunks
+	// missing chunks are obtained before the commit — loading-set chunks
 	// first, lowest group first (the paper's per-region restore
-	// priority); lazy ones by the background fetcher afterwards.
-	eager, lazy []chunkRef
-	present     int // refs the local store already holds
+	// priority), then the rest.
+	missing []chunkRef
+	present int // refs the local store already holds
 }
 
 // save commits the snapfile exactly as received.
@@ -567,10 +560,10 @@ func (s *store) planFrom(ctx context.Context, name, source string) (*syncPlan, e
 	return p, nil
 }
 
-// split sorts the chunks this store is missing into p's eager and lazy
-// sets. The caller holds ops for reading from here to the publish of
-// p's chunk map, so no sweep collects a chunk counted as present.
-func (s *store) split(p *syncPlan, eager bool) {
+// sortMissing sorts the chunks this store is missing into fetch order.
+// The caller holds ops for reading from here to the publish of p's chunk
+// map, so no sweep collects a chunk counted as present.
+func (s *store) sortMissing(p *syncPlan) {
 	refs := append([]chunkRef(nil), p.cm.Refs...)
 	sort.SliceStable(refs, func(i, j int) bool {
 		if refs[i].LS != refs[j].LS {
@@ -582,13 +575,10 @@ func (s *store) split(p *syncPlan, eager bool) {
 		return refs[i].StartPage < refs[j].StartPage
 	})
 	for _, ref := range refs {
-		switch {
-		case s.cas.Has(casstore.Digest(ref.Digest)):
+		if s.cas.Has(casstore.Digest(ref.Digest)) {
 			p.present++
-		case ref.LS || eager:
-			p.eager = append(p.eager, ref)
-		default:
-			p.lazy = append(p.lazy, ref)
+		} else {
+			p.missing = append(p.missing, ref)
 		}
 	}
 }
@@ -605,9 +595,9 @@ type groupSpan struct {
 	tiers      map[string]bool
 }
 
-// fetch obtains refs into one pack, started in split's order with at
-// most a window in flight, commits them, and consumes the results in
-// that same order, one waterfall span per prefetch group: split's order
+// fetch obtains refs into one pack, started in sortMissing's order with
+// at most a window in flight, commits them, and consumes the results in
+// that same order, one waterfall span per prefetch group: that order
 // makes each group's chunks contiguous, so the per-group wall time and
 // serving tiers land on one row each. It returns the spans, how many
 // chunks were filled from the base image and the bytes the source sent.
@@ -657,101 +647,6 @@ func (s *store) fetch(ctx context.Context, source string, arts *core.Artifacts, 
 		total += f.bytes
 	}
 	return groups, base, total, nil
-}
-
-// lazyTail is one function's background chunk fetcher: the owner of the
-// chunks a sync deferred, published in the same view as the chunk map it
-// fetches for. pending is what it still owes — decremented per chunk
-// resolved, fetched or abandoned — and is what GET /status subtracts
-// from the store's absent count, so a draining tail is never mistaken
-// for a deficit. A fetcher that was halted keeps its claim until the
-// sync that halted it commits or gives up.
-type lazyTail struct {
-	pending atomic.Int64
-	ctx     context.Context
-	halt    context.CancelFunc
-	done    chan struct{}
-}
-
-// newTail returns the owner of n deferred chunks, to be handed to drain;
-// cancelling parent halts it.
-func (s *store) newTail(parent context.Context, n int) *lazyTail {
-	t := &lazyTail{done: make(chan struct{})}
-	t.ctx, t.halt = context.WithCancel(parent)
-	t.pending.Store(int64(n))
-	s.lazyPending.Add(float64(n))
-	return t
-}
-
-// stop halts the fetcher and returns once it has exited; its in-flight
-// fetch is cancelled, so this does not wait on the peer.
-func (t *lazyTail) stop() {
-	t.halt()
-	<-t.done
-}
-
-const lazyAttempts = 3
-
-// drain obtains a sync's deferred chunks a window at a time until done or
-// halted (shutdown, delete, or a newer sync taking the remainder over),
-// retrying transient failures with a short backoff. What lands is
-// committed as packs: each worker commits once its chunk has landed, and
-// a commit takes every chunk landed so far, so a fast source fills packs
-// and a slow one has each chunk stored as soon as it arrives. A chunk
-// leaves pending only once stored, and a halted fetcher has committed
-// everything it fetched. Failures are not fatal — the function serves
-// from its loading set — but a chunk abandoned here is owned by nobody
-// afterwards: GET /status reports it as chunks_missing, which makes the
-// gateway's anti-entropy pass issue an eager re-sync from a complete
-// replica.
-func (s *store) drain(name, source string, arts *core.Artifacts, refs []chunkRef, t *lazyTail) (fetched, abandoned int) {
-	defer close(t.done)
-	defer t.halt() // releases the context once drained
-	pack := s.cas.NewPack()
-	var resolved, failed atomic.Int64
-	resolve := func(n int, err error) {
-		if err != nil {
-			failed.Add(int64(n))
-			s.lazyFailed.Add(float64(n))
-			s.log.Printf("lazy chunk fetch for %s: %v (%d abandoned)", name, err, n)
-		}
-		// Resolved either way — stored, or nobody's from here on. After
-		// the store, so the deficit never counts a chunk twice.
-		resolved.Add(int64(n))
-		t.pending.Add(-int64(n))
-		s.lazyPending.Add(-float64(n))
-	}
-	bufs := make([][]byte, window)
-	_ = inWindow(t.ctx, len(refs), func(ctx context.Context, w, i int) error {
-		// A sibling's sync or a local recording may have stored it since
-		// the plan: never fetch what the store holds.
-		if s.cas.Has(casstore.Digest(refs[i].Digest)) {
-			resolve(1, nil)
-			return nil
-		}
-		err := resilience.Retry(ctx, lazyAttempts, 50*time.Millisecond, nil, func() error {
-			_, _, err := s.obtain(ctx, source, arts, refs[i], pack, &bufs[w])
-			return err
-		})
-		switch {
-		case err != nil && ctx.Err() != nil:
-			return err // halted: the remainder is no longer this fetcher's
-		case err != nil:
-			resolve(1, err)
-		default:
-			// Commits whatever has landed, this chunk included unless a
-			// commit that started after it landed took it.
-			resolve(pack.Commit())
-		}
-		return nil
-	})
-	s.lazyPending.Add(-float64(int64(len(refs)) - resolved.Load()))
-	abandoned = int(failed.Load())
-	if abandoned > 0 {
-		s.log.Printf("sync of %s left %d lazy chunks unfetched; reported as chunks_missing for anti-entropy re-sync", name, abandoned)
-	}
-	s.refreshDedup()
-	return int(resolved.Load()) - abandoned, abandoned
 }
 
 // GCResponse reports one sweep plus the store's resulting state.
@@ -821,7 +716,6 @@ type CASResponse struct {
 	LogicalBytes      int64          `json:"logical_bytes"`
 	DedupRatio        float64        `json:"dedup_ratio"`
 	RestoreBytesSaved int64          `json:"restore_bytes_saved"`
-	LazyPendingChunks int64          `json:"lazy_pending_chunks"`
 }
 
 func (s *store) report() CASResponse {
@@ -831,6 +725,5 @@ func (s *store) report() CASResponse {
 		LogicalBytes:      s.logicalBytes(),
 		DedupRatio:        s.dedup.Value(),
 		RestoreBytesSaved: int64(s.saved.Value()),
-		LazyPendingChunks: int64(s.lazyPending.Value()),
 	}
 }

@@ -4,13 +4,12 @@
 //
 // The ledger records what the control plane did while no request was
 // in flight — breaker transitions, anti-entropy repairs, GC sweeps,
-// chunk quarantines, lazy-fetch abandonment, recovery replay, chaos
-// rule firings, SLO page conditions, and backend stale/converged
-// transitions. Each event carries a sequence number that is monotonic
-// per ledger (per daemon or per gateway); causal links between events
-// are expressed as (cause_seq, cause_origin) pairs so a repair on the
-// gateway can point at the manifest-deficit event on the daemon that
-// triggered it.
+// chunk quarantines, recovery replay, chaos rule firings, SLO page
+// conditions, and backend stale/converged transitions. Each event
+// carries a sequence number that is monotonic per ledger (per daemon or
+// per gateway); causal links between events are expressed as
+// (cause_seq, cause_origin) pairs so a repair on the gateway can point
+// at the manifest-deficit event on the daemon that triggered it.
 package events
 
 import (
@@ -45,9 +44,6 @@ const (
 	// SnapfileQuarantine fires when the daemon quarantines a corrupt
 	// snapshot file.
 	SnapfileQuarantine Type = "snapfile_quarantine"
-	// LazyAbandoned fires when the background lazy fetcher gives up on
-	// one or more chunks after exhausting retries.
-	LazyAbandoned Type = "lazy_abandoned"
 	// RecoveryReplay fires after a daemon finishes replaying its
 	// manifest journal at startup.
 	RecoveryReplay Type = "recovery_replay"

@@ -26,11 +26,6 @@ import (
 	"faasnap/internal/telemetry"
 )
 
-// incomplete is how many of its chunks the copy cannot serve to a peer
-// right now: what its backend's lazy fetcher still owes, plus the
-// deficit nobody owns.
-func incomplete(e daemon.StatusFunction) int { return e.ChunksPending + e.ChunksMissing }
-
 // outranks reports whether copy e beats copy w as the version its
 // replica set converges on: the higher generation; among equals — two
 // replicas that each missed a different mutation can count to the same
@@ -47,7 +42,7 @@ func outranks(e, w daemon.StatusFunction) bool {
 	case e.HasSnapshot != w.HasSnapshot:
 		return e.HasSnapshot
 	}
-	return incomplete(e) < incomplete(w)
+	return e.ChunksMissing < w.ChunksMissing
 }
 
 // repairKind is one repair action: the repair event's fields.action.
@@ -57,16 +52,16 @@ const (
 	repairDelete      repairKind = "delete"       // replay the winner's delete
 	repairRegister    repairKind = "register"     // replay the registration, spec included
 	repairChunks      repairKind = "chunks"       // pull the winner's snapshot
-	repairChunksEager repairKind = "chunks_eager" // pull a chunk deficit before replying
+	repairChunksEager repairKind = "chunks_eager" // re-pull a chunk deficit the target announced
 )
 
 // counter is the faasnap_gw_resync_total action label k books under:
-// an eager sync counts as a chunk sync.
+// a deficit repair counts as a chunk sync.
 func (k repairKind) counter() string { return strings.TrimSuffix(string(k), "_eager") }
 
 // repair is one action plan decides: target repairs fn. A register
-// carries the winner's spec; a sync names the winner as source, and an
-// eager one the seq of the target's manifest_deficit event.
+// carries the winner's spec; a sync names the winner as source, and a
+// deficit repair the seq of the target's manifest_deficit event.
 type repair struct {
 	kind       repairKind
 	fn         string
@@ -91,10 +86,9 @@ type repair struct {
 // agree and one that missed a mutation sits strictly below. A sync
 // makes the target adopt the winner's generation, so the rule cannot
 // fire twice. A register is followed by the sync in the same pass, as
-// the registered copy holds no snapshot. An eager sync needs a complete
-// winner, since it fetches the whole deficit from that one source, and
-// a replica whose only gap is pending chunks is left alone: its lazy
-// fetcher owns them.
+// the registered copy holds no snapshot. A deficit repair needs a
+// complete winner, since it fetches the whole deficit from that one
+// source.
 func plan(views map[string]*backendView, backends []*Backend, replicas int) []repair {
 	held := make(map[string]map[string]daemon.StatusFunction, len(views))
 	var names []string
@@ -141,7 +135,7 @@ func plan(views map[string]*backendView, backends []*Backend, replicas int) []re
 			case !winner.HasSnapshot:
 			case !e.HasSnapshot || e.Generation < winner.Generation:
 				out = append(out, sync)
-			case e.ChunksMissing > 0 && incomplete(winner) == 0:
+			case e.ChunksMissing > 0 && winner.ChunksMissing == 0:
 				sync.kind, sync.deficitSeq = repairChunksEager, e.DeficitSeq
 				out = append(out, sync)
 			}
@@ -226,12 +220,11 @@ func (g *Gateway) ResyncNow() int {
 // deadline a client request gets (Close cuts it short), and returns the
 // repair event that books it. A sync has the target pull fn's snapshot
 // from source over the chunk-level sync endpoint, so only the chunks it
-// lacks move over the wire; an eager one fetches all of them before
-// replying instead of leaving the tail to the background fetcher. An
-// eager sync repairs a deficit the target itself announced, so its
-// event cites that manifest_deficit event: cause_seq plus cause_origin
-// (the target's address) resolve against the daemon's /events ledger,
-// and trace_id resolves to the restore waterfall the sync minted.
+// lacks move over the wire. A deficit repair answers a deficit the
+// target itself announced, so its event cites that manifest_deficit
+// event: cause_seq plus cause_origin (the target's address) resolve
+// against the daemon's /events ledger, and trace_id resolves to the
+// restore waterfall the sync minted.
 func (g *Gateway) issue(r repair) (events.Event, error) {
 	ctx, cancel := context.WithTimeout(g.ctx, g.cfg.RequestTimeout)
 	defer cancel()
@@ -244,7 +237,7 @@ func (g *Gateway) issue(r repair) (events.Event, error) {
 	case repairRegister:
 		return ev, g.callBackend(ctx, r.target, http.MethodPut, path, []byte(r.spec), nil)
 	}
-	body, _ := json.Marshal(daemon.SyncRequest{Source: r.source, Eager: r.kind == repairChunksEager})
+	body, _ := json.Marshal(daemon.SyncRequest{Source: r.source})
 	var sr daemon.SyncResponse
 	if err := g.callBackend(ctx, r.target, http.MethodPost, path+"/sync", body, &sr); err != nil {
 		return ev, err

@@ -54,6 +54,7 @@ func TestAntiEntropyRepairsStaleBackend(t *testing.T) {
 	scriptManifest(owner, "d-owner", liveEntry(fn, 2, true, "A"))
 	scriptManifest(standby, "d-empty")
 	scriptManifest(outside, "d-empty")
+	standby.script("POST /functions/{name}/sync", answer(http.StatusOK, `{"function":"hello-world","chunks_fetched":3,"bytes_fetched":4096,"trace_id":"5eed00000000abcd"}`))
 
 	if n := sweep(g); n != 2 {
 		t.Fatalf("resync actions = %d, want 2 (register + chunks)", n)
@@ -67,17 +68,21 @@ func TestAntiEntropyRepairsStaleBackend(t *testing.T) {
 	}
 
 	// Each repair is recorded once, as its repair event with its
-	// duration. The pass leaves no gateway trace, so the id every daemon
-	// mints first still reaches the daemon that holds it.
+	// duration. The pass leaves no gateway trace, so the id the sync's
+	// reply carried reaches the daemon that minted it.
+	var synced string
 	for _, ev := range g.Events().Since(0, events.Repair, fn) {
 		if wall, err := strconv.ParseFloat(ev.Fields["wall_ms"], 64); err != nil || wall < 0 {
 			t.Fatalf("repair event %+v carries no wall_ms", ev)
 		}
+		if ev.Fields["action"] == string(repairChunks) {
+			synced = ev.TraceID
+		}
 	}
-	owner.script("GET /traces/{id}", answer(http.StatusOK, `{"held_by":"owner"}`))
+	standby.script("GET /traces/{id}", answer(http.StatusOK, `{"held_by":"standby"}`))
 	var trace string
-	if sc := call(t, g.Handler(), "GET", "/traces/0000000000000001", nil, &trace).StatusCode; sc != http.StatusOK || trace != `{"held_by":"owner"}` {
-		t.Fatalf("GET /traces/0000000000000001 = %d %s, want the owner's trace", sc, trace)
+	if sc := call(t, g.Handler(), "GET", "/traces/"+synced, nil, &trace).StatusCode; synced == "" || sc != http.StatusOK || trace != `{"held_by":"standby"}` {
+		t.Fatalf("GET /traces/%s = %d %s, want the standby's trace", synced, sc, trace)
 	}
 
 	// While repairs are in flight the standby is demoted to the back of
@@ -207,10 +212,10 @@ func TestAntiEntropyIgnoresManifestlessBackends(t *testing.T) {
 func TestAntiEntropyVersionRules(t *testing.T) {
 	const fn = "hello-world"
 	// entry is fn at gen, recorded with input ("" for no snapshot),
-	// pending and missing chunks; a deficit carries its event's seq, 7.
-	entry := func(gen uint64, input string, pending, missing int) daemon.StatusFunction {
+	// missing chunks; a deficit carries its event's seq, 7.
+	entry := func(gen uint64, input string, missing int) daemon.StatusFunction {
 		e := daemon.StatusFunction{Entry: statedir.Entry{Name: fn, Generation: gen, HasSnapshot: input != "", RecordInput: input},
-			ChunksPending: pending, ChunksMissing: missing}
+			ChunksMissing: missing}
 		if missing > 0 {
 			e.DeficitSeq = 7
 		}
@@ -223,19 +228,18 @@ func TestAntiEntropyVersionRules(t *testing.T) {
 		owner, standby daemon.StatusFunction
 		want           repairKind // the one repair of the standby, "" for none
 	}{
-		{"same version, same snapshot: nothing to do", entry(2, "A", 0, 0), entry(2, "A", 0, 0), ""},
+		{"same version, same snapshot: nothing to do", entry(2, "A", 0), entry(2, "A", 0), ""},
 		// Losing a snapshot does not mint: the standby is at the owner's
 		// generation without the snapshot, so the owner wins the tie.
-		{"snapshot quarantined at recovery", entry(2, "A", 0, 0), entry(2, "", 0, 0), repairChunks},
+		{"snapshot quarantined at recovery", entry(2, "A", 0), entry(2, "", 0), repairChunks},
 		// Both hold a snapshot, the standby's is of an older recording.
 		// The sync adopts the owner's generation, so the rule cannot fire
 		// twice.
-		{"missed a re-record while down", entry(3, "B", 0, 0), entry(2, "A", 0, 0), repairChunks},
-		{"lazy tail still draining: pending is somebody's job", entry(2, "A", 0, 0), entry(2, "A", 5, 0), ""},
-		{"chunks nobody owns: eager re-sync", entry(2, "A", 0, 0), entry(2, "A", 5, 2), repairChunksEager},
+		{"missed a re-record while down", entry(3, "B", 0), entry(2, "A", 0), repairChunks},
+		{"chunks nobody owns: eager re-sync", entry(2, "A", 0), entry(2, "A", 2), repairChunksEager},
 		// A source must be able to serve what it advertises: while the
 		// only other copy is itself incomplete, wait.
-		{"chunks nobody owns, no complete source yet", entry(2, "A", 3, 0), entry(2, "A", 0, 2), ""},
+		{"chunks nobody owns, no complete source yet", entry(2, "A", 3), entry(2, "A", 2), ""},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			views := map[string]*backendView{}

@@ -7,7 +7,6 @@ package gateway
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -18,10 +17,7 @@ import (
 	"testing"
 	"time"
 
-	"faasnap/internal/casstore"
 	"faasnap/internal/daemon"
-	"faasnap/internal/events"
-	"faasnap/internal/snapfile"
 )
 
 // provision registers fn on n as a small custom function and records
@@ -58,11 +54,10 @@ func chunkMap(t *testing.T, base, fn string) []chunkRef {
 	return cm.Chunks
 }
 
-// dropLazyChunk loses one chunk of fn outside the loading set from n's
-// local tier, as a failed lazy fetch leaves it, and returns its digest:
-// it damages the chunk's bytes inside its pack, out of band, and has n
-// read it once, which quarantines it.
-func dropLazyChunk(t *testing.T, n *daemonNode, fn string) string {
+// damageChunk loses one chunk of fn outside the loading set from n's
+// local tier and returns its digest: it damages the chunk's bytes inside
+// its pack, out of band, and has n read it once, which quarantines it.
+func damageChunk(t *testing.T, n *daemonNode, fn string) string {
 	t.Helper()
 	get := func(digest string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
@@ -90,19 +85,8 @@ func dropLazyChunk(t *testing.T, n *daemonNode, fn string) string {
 		}
 		t.Fatalf("no pack holds chunk %s", c.Digest)
 	}
-	t.Fatal("chunk map has no lazy chunks")
+	t.Fatal("chunk map has no chunk outside the loading set")
 	return ""
-}
-
-// casDrained is whether n's background lazy fetcher owes nothing.
-func casDrained(t *testing.T, n *daemonNode) func() bool {
-	return func() bool {
-		var cs struct {
-			LazyPendingChunks int64 `json:"lazy_pending_chunks"`
-		}
-		call(t, nil, "GET", n.url()+"/cas", nil, &cs)
-		return cs.LazyPendingChunks == 0
-	}
 }
 
 // metricValue greps one sample line out of the registry's Prometheus
@@ -148,7 +132,7 @@ func TestAntiEntropyChunkSync(t *testing.T) {
 		t.Fatalf(`resync action "chunks" = %v, want 1`, v)
 	}
 	moved := metricValue(t, g, `faasnap_gw_resync_chunk_bytes_total{backend="`+b.addr+`"}`)
-	// Only the loading set moves eagerly: the transfer must be real but
+	// Base extents are filled on B: the transfer must be real but
 	// measurably smaller than the whole snapshot's chunk payload.
 	if moved <= 0 || int64(moved) >= cm.TotalBytes {
 		t.Fatalf("chunk-sync moved %v bytes of a %d-byte snapshot; want 0 < moved < total", moved, cm.TotalBytes)
@@ -167,10 +151,9 @@ func TestAntiEntropyChunkSync(t *testing.T) {
 		t.Fatalf("invoke on standby = %d", st)
 	}
 
-	// Wait for B's lazy tail, then repair a sibling function from the
-	// same base image: most chunks are already on B, so the second sync
-	// moves far fewer bytes than the first.
-	waitFor(t, "B's lazy tail never drained", casDrained(t, b))
+	// Repair a sibling function from the same base image: most chunks
+	// are already on B, so the second sync moves far fewer bytes than
+	// the first.
 	const sibling = "chunksync-beta"
 	provision(t, a, sibling)
 	var cmSib struct {
@@ -185,9 +168,8 @@ func TestAntiEntropyChunkSync(t *testing.T) {
 	if delta <= 0 || int64(delta)*2 >= cmSib.TotalBytes {
 		t.Fatalf("sibling sync moved %v of %d bytes; want a fraction via shared chunks", delta, cmSib.TotalBytes)
 	}
-	// After the lazy tails drain, the standby's store holds both
-	// functions with the base image stored once.
-	waitFor(t, "B's lazy tail never drained", casDrained(t, b))
+	// The standby's store holds both functions with the base image
+	// stored once.
 	var cas struct {
 		DedupRatio float64 `json:"dedup_ratio"`
 	}
@@ -203,12 +185,11 @@ func TestAntiEntropyChunkSync(t *testing.T) {
 }
 
 // TestAntiEntropyRepairsMissingLazyChunks: a backend that has the
-// snapshot but lost chunk content (a lazy tail its background fetcher
-// abandoned, simulated here by damaging a chunk until it is quarantined)
-// reports the deficit as chunks_missing in GET /status, and the next
-// anti-entropy pass repairs it with an eager chunk sync — after which
-// the backend serves the digest to peers again and the sweep is a
-// no-op.
+// snapshot but lost chunk content outside its loading set (a chunk
+// damaged in its pack and quarantined on read) reports the deficit as
+// chunks_missing in GET /status, and the next anti-entropy pass repairs
+// it with a chunk sync — after which the backend serves the digest to
+// peers again and the sweep is a no-op.
 func TestAntiEntropyRepairsMissingLazyChunks(t *testing.T) {
 	t.Parallel()
 	a, b := startDaemon(t, daemon.Config{}, ""), startDaemon(t, daemon.Config{}, "")
@@ -219,11 +200,9 @@ func TestAntiEntropyRepairsMissingLazyChunks(t *testing.T) {
 	if n := sweep(g); n != 2 {
 		t.Fatalf("initial resync actions = %d, want 2 (register + chunk-sync)", n)
 	}
-	waitFor(t, "B's lazy tail never drained", casDrained(t, b))
 
-	// Drop one non-loading-set chunk from B's local tier, as a failed
-	// lazy fetch would have left it.
-	victim := dropLazyChunk(t, b, fn)
+	// Lose one non-loading-set chunk from B's local tier.
+	victim := damageChunk(t, b, fn)
 	if st := call(t, nil, "GET", b.url()+"/chunks/"+victim, nil, nil).StatusCode; st != http.StatusNotFound {
 		t.Fatalf("deleted chunk served with %d", st)
 	}
@@ -243,7 +222,7 @@ func TestAntiEntropyRepairsMissingLazyChunks(t *testing.T) {
 		t.Fatalf("chunks_missing on B = %d, want 1", n)
 	}
 
-	// One repair action: an eager chunk sync that restores the deficit.
+	// One repair action: a chunk sync that restores the deficit.
 	if n := sweep(g); n != 1 {
 		t.Fatalf("repair pass actions = %d, want 1", n)
 	}
@@ -260,156 +239,6 @@ func TestAntiEntropyRepairsMissingLazyChunks(t *testing.T) {
 	// Converged: the next pass is a no-op.
 	if n := sweep(g); n != 0 {
 		t.Fatalf("converged pass issued %d actions", n)
-	}
-}
-
-// foreignBase serves n's daemon, except that fn's chunk map names each
-// base extent under the digest of other bytes — its first byte flipped —
-// which it serves itself: a source whose base image differs from every
-// other daemon's, so a sync fetches every chunk from it, the lazy tail
-// (in this model, only base extents) included. It returns the chunk map
-// it serves.
-func foreignBase(t *testing.T, n *daemonNode, fn string) (http.Handler, []chunkRef) {
-	t.Helper()
-	var cmr daemon.ChunkMapResponse
-	call(t, nil, "GET", n.url()+"/functions/"+fn+"/chunkmap", nil, &cmr)
-	arts, cm, err := snapfile.ReadChunked(bytes.NewReader(cmr.Snapfile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	own := map[string][]byte{}
-	for i, ref := range cm.Refs {
-		if _, ok := casstore.BaseExtent(arts, ref); !ok {
-			continue
-		}
-		data := casstore.Fill(arts, ref, make([]byte, ref.Bytes))
-		data[0] ^= 0xff
-		dg := casstore.Sum(data)
-		cm.Refs[i].Digest, cmr.Chunks[i].Digest = dg, dg.String()
-		own[dg.String()] = data
-	}
-	var raw bytes.Buffer
-	if err := snapfile.WriteChunked(&raw, arts, cm); err != nil {
-		t.Fatal(err)
-	}
-	cmr.Snapfile = raw.Bytes()
-	chunks := make([]chunkRef, len(cmr.Chunks))
-	for i, c := range cmr.Chunks {
-		chunks[i] = chunkRef{Digest: c.Digest, LoadingSet: c.LoadingSet}
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/functions/"+fn+"/chunkmap" {
-			json.NewEncoder(w).Encode(cmr)
-			return
-		}
-		if data, ok := own[strings.TrimPrefix(r.URL.Path, "/chunks/")]; ok {
-			w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-			w.Write(data)
-			return
-		}
-		n.h.ServeHTTP(w, r)
-	}), chunks
-}
-
-// TestAntiEntropyLeavesLiveTailAlone: a replica whose lazy tail is still
-// draining is not a replica with a deficit. With the source's non-
-// loading-set chunks held behind a gate, every pass that runs while the
-// tail drains reads chunks_pending falling and chunks_missing zero,
-// repairs nothing, and the source serves each chunk exactly once.
-func TestAntiEntropyLeavesLiveTailAlone(t *testing.T) {
-	t.Parallel()
-	a, b := startDaemon(t, daemon.Config{}, ""), startDaemon(t, daemon.Config{}, "")
-	g := newTestGateway(t, nil, Config{Replicas: 1, Backends: []string{a.addr, b.addr}})
-	const fn = "livetail-alpha"
-	provision(t, a, fn)
-	source, chunks := foreignBase(t, a, fn)
-
-	// A's non-loading-set chunks are held at a gate in front of it, one
-	// released per token.
-	var mu sync.Mutex
-	hold := map[string]bool{}
-	served := map[string]int{}
-	tokens := make(chan struct{})
-	for _, c := range chunks {
-		hold[c.Digest] = !c.LoadingSet
-	}
-	a.front.Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if dg, ok := strings.CutPrefix(r.URL.Path, "/chunks/"); ok {
-			if hold[dg] {
-				select {
-				case <-tokens:
-				case <-r.Context().Done():
-					return
-				}
-			}
-			mu.Lock()
-			served[dg]++
-			mu.Unlock()
-		}
-		source.ServeHTTP(w, r)
-	}))
-	// On the way out open the gate first: the cleanups wait for held
-	// requests.
-	defer close(tokens)
-	tail := 0
-	for _, held := range hold {
-		if held {
-			tail++
-		}
-	}
-	if tail < 2 {
-		t.Fatalf("chunk map has %d lazy chunks; the test needs a tail", tail)
-	}
-
-	if n := sweep(g); n != 2 {
-		t.Fatalf("initial resync actions = %d, want 2 (register + chunk-sync)", n)
-	}
-	for left := tail; left >= 0; left-- {
-		// One token resolves one chunk; sweep until B's status shows it.
-		waitFor(t, "chunks_pending never fell to "+strconv.Itoa(left), func() bool {
-			if n := sweep(g); n != 0 {
-				t.Fatalf("pass with %d chunks pending issued %d repairs", left, n)
-			}
-			e, ok := backendAt(g, b.addr).view.Load().entry(fn)
-			if !ok {
-				t.Fatalf("%s missing from B's status", fn)
-			}
-			if e.ChunksMissing != 0 {
-				t.Fatalf("live tail reported as missing: %+v", e)
-			}
-			if e.ChunksPending < left {
-				t.Fatalf("chunks_pending = %d, want %d", e.ChunksPending, left)
-			}
-			return e.ChunksPending == left
-		})
-		if backendAt(g, b.addr).Stale() {
-			t.Fatalf("replica with %d chunks pending and nothing missing is stale", left)
-		}
-		if left > 0 {
-			tokens <- struct{}{}
-		}
-	}
-
-	if v := metricValue(t, g, `faasnap_gw_resync_total{action="chunks",backend="`+b.addr+`"}`); v != 1 {
-		t.Fatalf(`resync action "chunks" = %v, want 1 (the initial sync only)`, v)
-	}
-	for _, e := range g.Events().Since(0, events.Repair, fn) {
-		if e.Fields["action"] == "chunks_eager" {
-			t.Fatalf("eager repair fired at a live tail: %+v", e)
-		}
-	}
-	if evs := b.d.Events().Since(0, events.ManifestDeficit, ""); len(evs) != 0 {
-		t.Fatalf("B announced %d deficits while its tail was live", len(evs))
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(served) != len(chunks) {
-		t.Fatalf("source served %d distinct chunks, want %d", len(served), len(chunks))
-	}
-	for dg, n := range served {
-		if n != 1 {
-			t.Fatalf("source served chunk %s %d times, want once", dg[:8], n)
-		}
 	}
 }
 
@@ -436,30 +265,21 @@ func TestAntiEntropyRepairOutlastsProbeBound(t *testing.T) {
 	}
 
 	// A gate in front of A serves loading-set chunks one at a time, each
-	// after a delay, and counts what it sends. The lazy tail is held until
-	// the test ends, so every chunk byte B fetches in the pass is counted.
+	// after a delay, and counts every chunk byte it sends.
 	var mu, slow sync.Mutex
 	delay := 2500 * time.Millisecond / time.Duration(len(ls))
 	var sent int64
-	release := make(chan struct{})
 	a.front.Store(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		dg, ok := strings.CutPrefix(r.URL.Path, "/chunks/")
 		if !ok {
 			a.h.ServeHTTP(w, r)
 			return
 		}
-		if !ls[dg] {
-			select {
-			case <-release:
-			case <-r.Context().Done():
-				return
-			}
-			a.h.ServeHTTP(w, r)
-			return
+		if ls[dg] {
+			slow.Lock()
+			time.Sleep(delay)
+			slow.Unlock()
 		}
-		slow.Lock()
-		time.Sleep(delay)
-		slow.Unlock()
 		rec := httptest.NewRecorder()
 		a.h.ServeHTTP(rec, r)
 		mu.Lock()
@@ -471,10 +291,6 @@ func TestAntiEntropyRepairOutlastsProbeBound(t *testing.T) {
 		w.WriteHeader(rec.Code)
 		w.Write(rec.Body.Bytes())
 	}))
-	// On the way out open the gate first: the cleanups wait for held
-	// requests.
-	defer close(release)
-
 	start := time.Now()
 	if n := sweep(g); n != 2 {
 		t.Fatalf("resync actions = %d, want 2 (register + chunk-sync)", n)

@@ -333,10 +333,9 @@ func TestGatewayE2EResync(t *testing.T) {
 	// Anti-entropy repairs the rejoined backend: the function must come
 	// back — snapshot included — via re-sync alone.
 	waitFor(t, "rejoined backend never re-synced the lost snapshot", hasSnapshot)
-	// With the repair done — the copy sits at its source's generation, and
-	// its draining lazy tail is pending, not missing — the first pass that
-	// sees its status finds nothing to repair and returns it to its place
-	// in preference order.
+	// With the repair done — the copy sits at its source's generation,
+	// whole — the first pass that sees its status finds nothing to repair
+	// and returns it to its place in preference order.
 	waitFor(t, "rejoined backend never returned to its place in preference order", func() bool {
 		b := backendRow(t, gw, standby.addr)
 		return b.Ready && !b.Stale

@@ -9,6 +9,7 @@ package gateway
 import (
 	"bytes"
 	"net/http"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -51,8 +52,8 @@ func TestGatewayGoldenScrapeFamilies(t *testing.T) {
 }
 
 // waterfallHas is whether the trace id, looked up through the gateway's
-// handler h, renders as a waterfall holding every one of wants (the
-// lazy tail lands after the sync reply). The rendering lands in *out.
+// handler h, renders as a waterfall holding every one of wants. The
+// rendering lands in *out.
 func waterfallHas(t *testing.T, h http.Handler, id string, out *string, wants ...string) func() bool {
 	return func() bool {
 		var spans []*trace.Span
@@ -125,21 +126,22 @@ func TestEventsSmoke(t *testing.T) {
 
 	// The repair's restore trace resolves through the gateway fan-out
 	// and renders as a waterfall: decode, tier-labelled eager fetch
-	// groups, commit, lazy tail.
-	waitFor(t, "B's lazy tail never drained", casDrained(t, b))
+	// groups, commit.
 	var wf string
 	waitFor(t, "the repair's waterfall never showed every phase", waterfallHas(t, h, repair.TraceID, &wf,
-		"chunk-sync", "snapfile-decode", "eager-fetch", "tier=", "commit", "lazy-tail"))
+		"chunk-sync", "snapfile-decode", "eager-fetch", "tier=", "commit"))
 	if !strings.Contains(wf, "trace "+repair.TraceID) {
 		t.Fatalf("waterfall header missing trace id:\n%s", wf)
 	}
 }
 
-// TestRepairCausalityChain is the 3-daemon acceptance test: a deleted
-// chunk produces a manifest_deficit event on the damaged daemon, the
-// gateway's repair event cites it via (cause_seq, cause_origin), the
-// repair's trace resolves through the gateway, and the converged event
-// closes the chain by citing the repair.
+// TestRepairCausalityChain is the 3-daemon acceptance test: a chunk
+// damaged in its pack produces a manifest_deficit event on the damaged
+// daemon, the gateway's repair event cites it via (cause_seq,
+// cause_origin), the repair's trace resolves through the gateway, and
+// the converged event closes the chain by citing the repair. No two
+// daemons mint the same trace id, so every repair's trace_id resolves
+// to the trace of the daemon its event names.
 func TestRepairCausalityChain(t *testing.T) {
 	t.Parallel()
 	a, b, c := startDaemon(t, daemon.Config{}, ""), startDaemon(t, daemon.Config{}, ""), startDaemon(t, daemon.Config{}, "")
@@ -151,11 +153,9 @@ func TestRepairCausalityChain(t *testing.T) {
 	if n := sweep(g); n != 4 {
 		t.Fatalf("initial resync actions = %d, want 4 (register + chunk-sync on B and C)", n)
 	}
-	waitFor(t, "B's lazy tail never drained", casDrained(t, b))
-	waitFor(t, "C's lazy tail never drained", casDrained(t, c))
 
 	// The wiped-replica sync left a restore waterfall: per-group eager
-	// fetches with tier labels plus the asynchronous lazy tail.
+	// fetches with tier labels.
 	var initial *events.Event
 	for _, e := range g.Events().Since(0, events.Repair, fn) {
 		e := e
@@ -168,13 +168,13 @@ func TestRepairCausalityChain(t *testing.T) {
 	}
 	var wf string
 	waitFor(t, "the initial sync's waterfall never showed every phase", waterfallHas(t, h, initial.TraceID, &wf,
-		"chunk-sync", "snapfile-decode", "eager-fetch", "tier=", "commit", "lazy-tail"))
+		"chunk-sync", "snapfile-decode", "eager-fetch", "tier=", "commit"))
 
-	// Damage B: drop one non-loading-set chunk out-of-band.
-	dropLazyChunk(t, b, fn)
+	// Damage B: lose one non-loading-set chunk out of band.
+	damageChunk(t, b, fn)
 
 	// The sweep's status read makes B announce the deficit, and the
-	// repair pass issues exactly one eager chunk sync.
+	// repair pass issues exactly one chunk sync.
 	if n := sweep(g); n != 1 {
 		t.Fatalf("repair pass actions = %d, want 1", n)
 	}
@@ -265,6 +265,31 @@ func TestRepairCausalityChain(t *testing.T) {
 	for _, k := range []string{"deficit", "repair", "converged"} {
 		if !seen[k] {
 			t.Errorf("merged /cluster/events missing the %s link (have %v)", k, seen)
+		}
+	}
+
+	// Every trace id is one daemon's: recovery replays and restores.
+	minted := map[string]string{}
+	for _, n := range []*daemonNode{a, b, c} {
+		var ids []string
+		call(t, nil, "GET", n.url()+"/traces", nil, &ids)
+		for _, id := range ids {
+			if other, dup := minted[id]; dup {
+				t.Fatalf("trace id %s minted by both %s and %s", id, other, n.addr)
+			}
+			minted[id] = n.addr
+		}
+	}
+	for _, e := range g.Events().Since(0, events.Repair, fn) {
+		if e.TraceID == "" {
+			continue // a register carries no trace
+		}
+		var got, want []*trace.Span
+		call(t, h, "GET", "/traces/"+e.TraceID, nil, &got)
+		call(t, nil, "GET", "http://"+e.Fields["backend"]+"/traces/"+e.TraceID, nil, &want)
+		if minted[e.TraceID] != e.Fields["backend"] || len(want) == 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("repair %+v: its trace, minted by %q, resolves through the gateway as %d spans, want its backend's %d",
+				e, minted[e.TraceID], len(got), len(want))
 		}
 	}
 }

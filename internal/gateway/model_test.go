@@ -6,17 +6,16 @@ package gateway
 // fan-out handlers on top, and a seeded schedule of client mutations
 // and faults. The model daemons implement the daemon's side of the
 // contract — generations minted by client mutations only, invalidate
-// keeps them, sync adopts them; a lazy tail owns its pending chunks and
-// advances only when the schedule says so — so the properties checked
-// here are properties of the rules in antientropy.go against that
+// keeps them, sync adopts them and holds every chunk when it replies —
+// so the properties checked here are properties of the rules in antientropy.go against that
 // contract (which internal/daemon's own tests pin on the real thing).
 //
 // Throughout a schedule: no live replica's generation exceeds the
 // highest one a client mutation minted; no node fetches a digest it holds; no
 // repair reaches a node, or names a source, the last sweep had no
 // status for. After it, with every node up, within a bounded number of
-// passes: each replica set agrees, nothing is pending or missing, nobody
-// is stale, and the next pass does nothing.
+// passes: each replica set agrees, nothing is missing, nobody is stale,
+// and the next pass does nothing.
 
 import (
 	"encoding/json"
@@ -38,7 +37,10 @@ const (
 )
 
 // modelChunk is chunk i of fn recorded with input: its digest and
-// whether it is in the loading set.
+// whether it is in the loading set. A chunk outside every loading set
+// stands for a base extent, which a sync fills locally (in the daemon's
+// recordings every such chunk is one), so only loading-set chunks ever
+// come from a source.
 func modelChunk(fn, input string, i int) (digest string, ls bool) {
 	if i < modelShared {
 		return fmt.Sprintf("base/%d", i), i == 0
@@ -46,13 +48,9 @@ func modelChunk(fn, input string, i int) (digest string, ls bool) {
 	return fmt.Sprintf("%s/%s/%d", fn, input, i), i%3 == 0
 }
 
-type modelEntry struct {
-	daemon.StatusFunction
-	// tail is what the function's live lazy fetcher still owes, fetched
-	// from tailSource one explicit step at a time; nil without one.
-	tail       []string
-	tailSource string
-}
+// modelEntry is what a model daemon holds of a function: what its GET
+// /status reports, ChunksMissing filled in when it is asked.
+type modelEntry = daemon.StatusFunction
 
 type modelNode struct {
 	up      bool
@@ -110,11 +108,8 @@ func (m *modelNet) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		st := daemon.StatusResponse{Ready: true, Digest: "model"}
 		for _, fn := range sortedKeys(n.entries) {
 			e := n.entries[fn]
-			me := e.StatusFunction
-			if absent := m.absent(n, fn, e); absent > 0 {
-				me.ChunksPending = min(len(e.tail), absent)
-				me.ChunksMissing = max(0, absent-len(e.tail))
-			}
+			me := *e
+			me.ChunksMissing = m.absent(n, fn, e)
 			st.Functions = append(st.Functions, me)
 		}
 		reply(200, st)
@@ -130,7 +125,7 @@ func (m *modelNet) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		m.mint(n, parts[1], repair, func(e *modelEntry) {
-			e.Deleted, e.HasSnapshot, e.RecordInput, e.tail = true, false, "", nil
+			e.Deleted, e.HasSnapshot, e.RecordInput = true, false, ""
 		})
 		w.WriteHeader(204)
 	case len(parts) == 3 && parts[2] == "record" && r.Method == "POST":
@@ -148,12 +143,9 @@ func (m *modelNet) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		reply(200, map[string]string{"function": fn})
 	case len(parts) == 3 && parts[2] == "sync" && r.Method == "POST":
-		var body struct {
-			Source string
-			Eager  bool
-		}
+		var body struct{ Source string }
 		json.NewDecoder(r.Body).Decode(&body)
-		code, out := m.sync(addr, n, parts[1], body.Source, body.Eager)
+		code, out := m.sync(addr, n, parts[1], body.Source)
 		reply(code, out)
 	default:
 		reply(404, map[string]string{"error": "no such route"})
@@ -176,7 +168,7 @@ func (m *modelNet) absent(n *modelNode, fn string, e *modelEntry) int {
 func (m *modelNet) mint(n *modelNode, fn string, repair bool, apply func(*modelEntry)) {
 	e := n.entries[fn]
 	if e == nil {
-		e = &modelEntry{StatusFunction: daemon.StatusFunction{Entry: statedir.Entry{Name: fn}}}
+		e = &modelEntry{Entry: statedir.Entry{Name: fn}}
 		n.entries[fn] = e
 	}
 	e.Generation++
@@ -186,8 +178,8 @@ func (m *modelNet) mint(n *modelNode, fn string, repair bool, apply func(*modelE
 	}
 }
 
-// fetch moves one chunk from src into n's store, as the sync's eager
-// phase or a lazy tail's step does; false when src cannot serve it.
+// fetch moves one loading-set chunk from src into n's store, as a sync
+// does; false when src cannot serve it.
 func (m *modelNet) fetch(addr string, n *modelNode, src *modelNode, dg string) bool {
 	if n.store[dg] {
 		m.violate("%s fetched %s, which it holds", addr, dg)
@@ -199,10 +191,9 @@ func (m *modelNet) fetch(addr string, n *modelNode, src *modelNode, dg string) b
 	return true
 }
 
-// sync is POST /functions/{fn}/sync on n: take over fn's live tail,
-// plan what the store lacks, fetch the eager part, adopt the source's
-// generation, leave the rest to a new tail.
-func (m *modelNet) sync(addr string, n *modelNode, fn, source string, eager bool) (int, interface{}) {
+// sync is POST /functions/{fn}/sync on n: fill or fetch what the store
+// lacks, then adopt the source's generation.
+func (m *modelNet) sync(addr string, n *modelNode, fn, source string) (int, interface{}) {
 	bad := func(why string) (int, interface{}) { return 502, map[string]string{"error": why} }
 	src := m.nodes[source]
 	if m.seen[source] != m.sweep {
@@ -215,52 +206,26 @@ func (m *modelNet) sync(addr string, n *modelNode, fn, source string, eager bool
 	if se == nil || se.Deleted || !se.HasSnapshot {
 		return bad("source has no snapshot")
 	}
-	if e := n.entries[fn]; e != nil {
-		if eager && len(e.tail) > 0 && m.absent(n, fn, e) <= len(e.tail) {
-			m.violate("eager repair of %s fired at %s, whose live tail owns everything it lacks", fn, addr)
-		}
-		e.tail = nil // taken over: what it had not fetched is planned below
-	}
-	var lazy []string
 	fetched := 0
 	for i := 0; i < modelChunks; i++ {
-		dg, ls := modelChunk(fn, se.RecordInput, i)
-		switch {
+		switch dg, ls := modelChunk(fn, se.RecordInput, i); {
 		case n.store[dg]:
-		case ls || eager:
-			if !m.fetch(addr, n, src, dg) {
-				return bad("source cannot serve " + dg)
-			}
-			fetched++
+		case !ls:
+			n.store[dg] = true // a base fill
+		case !m.fetch(addr, n, src, dg):
+			return bad("source cannot serve " + dg)
 		default:
-			lazy = append(lazy, dg)
+			fetched++
 		}
 	}
 	e := n.entries[fn]
 	if e == nil {
-		e = &modelEntry{StatusFunction: daemon.StatusFunction{Entry: statedir.Entry{Name: fn}}}
+		e = &modelEntry{Entry: statedir.Entry{Name: fn}}
 		n.entries[fn] = e
 	}
 	e.Generation = max(e.Generation, se.Generation)
 	e.Deleted, e.HasSnapshot, e.RecordInput = false, true, se.RecordInput
-	e.tail, e.tailSource = lazy, source
 	return 200, daemon.SyncResponse{ChunksFetched: fetched, BytesFetched: int64(fetched) << 10}
-}
-
-// advanceTails steps every live tail on n by one chunk: fetched, or —
-// the source cannot serve it — abandoned to nobody.
-func (m *modelNet) advanceTails(addr string, n *modelNode) {
-	for _, fn := range sortedKeys(n.entries) {
-		e := n.entries[fn]
-		for len(e.tail) > 0 {
-			dg := e.tail[0]
-			e.tail = e.tail[1:]
-			if !n.store[dg] { // the real fetcher skips what arrived meanwhile, too
-				m.fetch(addr, n, m.nodes[e.tailSource], dg)
-				break
-			}
-		}
-	}
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -336,20 +301,16 @@ func (r *modelRun) step() {
 	addr := r.addrs[r.rng.Intn(len(r.addrs))]
 	n := m.nodes[addr]
 	fn := r.fns[r.rng.Intn(len(r.fns))]
-	// rejoin brings a killed node back — a restart found no fetcher
-	// alive, whatever else it found.
+	// rejoin brings a killed node back with what recover leaves.
 	rejoin := func(what string, recover func()) {
 		if n.up {
 			return
 		}
 		r.logf("%s %s", what, addr)
 		n.up = true
-		for _, e := range n.entries {
-			e.tail = nil
-		}
 		recover()
 	}
-	switch op := r.rng.Intn(16); op {
+	switch op := r.rng.Intn(14); op {
 	case 0, 1:
 		if !r.dead[fn] {
 			r.logf("register %s -> %d", fn, r.client("PUT", "/functions/"+fn, nil))
@@ -389,23 +350,13 @@ func (r *modelRun) step() {
 			delete(n.store, dg)
 		}
 	case 11:
-		if e := n.entries[fn]; e != nil && len(e.tail) > 0 {
-			r.logf("abandon-tail %s %s (%d chunks)", addr, fn, len(e.tail))
-			e.tail = nil
-		}
-	case 12:
-		if n.up {
-			r.logf("advance-tails %s", addr)
-			m.advanceTails(addr, n)
-		}
-	case 13:
 		r.logf("check")
 		r.check()
-	case 14:
+	case 12:
 		if r.fresh {
 			r.logf("resync -> %d", r.resync())
 		}
-	case 15:
+	case 13:
 		r.check()
 		r.logf("sweep -> %d", r.resync())
 	}
@@ -429,29 +380,18 @@ func (r *modelRun) invariants() {
 	}
 }
 
-// converge brings every node up, lets the tails drain, and requires
-// the cluster to settle within a bounded number of passes.
+// converge brings every node up and requires the cluster to settle
+// within a bounded number of passes.
 func (r *modelRun) converge() {
-	m := r.net
 	r.logf("-- converge")
-	for _, n := range m.nodes {
-		if !n.up {
-			n.up = true
-			for _, e := range n.entries {
-				e.tail = nil
-			}
-		}
+	for _, n := range r.net.nodes {
+		n.up = true
 	}
 	const maxPasses = 6
 	for pass := 1; ; pass++ {
 		r.check()
 		actions := r.resync()
 		r.logf("pass %d -> %d", pass, actions)
-		for i := 0; i < modelChunks; i++ {
-			for _, addr := range r.addrs {
-				m.advanceTails(addr, m.nodes[addr])
-			}
-		}
 		r.invariants()
 		if actions == 0 && r.settled() == "" {
 			return
@@ -482,7 +422,7 @@ func (r *modelRun) settled() string {
 		set := prefAddrs(r.g, fn, 1+r.g.cfg.Replicas)
 		var w *modelEntry
 		for _, addr := range set {
-			if e := m.nodes[addr].entries[fn]; e != nil && (w == nil || outranks(e.StatusFunction, w.StatusFunction)) {
+			if e := m.nodes[addr].entries[fn]; e != nil && (w == nil || outranks(*e, *w)) {
 				w = e
 			}
 		}
@@ -495,7 +435,7 @@ func (r *modelRun) settled() string {
 		complete := false
 		for _, addr := range set {
 			if e := m.nodes[addr].entries[fn]; e != nil && e.HasSnapshot && e.Generation == w.Generation &&
-				len(e.tail) == 0 && m.absent(m.nodes[addr], fn, e) == 0 {
+				m.absent(m.nodes[addr], fn, e) == 0 {
 				complete = true
 			}
 		}
@@ -513,9 +453,6 @@ func (r *modelRun) settled() string {
 				if !e.HasSnapshot || e.Generation != w.Generation {
 					return fmt.Sprintf("%s on %s is (gen %d, snapshot %v), winner at gen %d",
 						fn, addr, e.Generation, e.HasSnapshot, w.Generation)
-				}
-				if len(e.tail) > 0 {
-					return fmt.Sprintf("%s on %s still has %d chunks pending", fn, addr, len(e.tail))
 				}
 				if absent := m.absent(n, fn, e); absent > 0 && complete {
 					return fmt.Sprintf("%s on %s is missing %d chunks a complete copy could supply", fn, addr, absent)

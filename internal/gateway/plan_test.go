@@ -38,32 +38,31 @@ func (v *backendView) entry(fn string) (daemon.StatusFunction, bool) {
 }
 
 // enumChunks is the chunk count of a recording: replica i may miss
-// chunk i and owe chunk 3+i, so no two replicas lack the same chunk.
+// chunk i, so no two replicas lack the same chunk.
 const (
-	enumChunks = 6
+	enumChunks = 3
 	enumAll    = 1<<enumChunks - 1
 )
 
 // enumReplica is one replica of function "f": what its GET /status
-// shows, and which chunks of its recording it holds (bit i is chunk i)
-// and its lazy fetcher still owes.
+// shows, and which chunks of its recording it holds (bit i is chunk i).
 type enumReplica struct {
 	status        bool // the sweep has a current status from it
 	present       bool
 	deleted, snap bool
 	gen           uint64
 	rec           byte
-	held, pending uint8
+	held          uint8
 }
 
 func (r enumReplica) live() bool { return r.status && r.present && !r.deleted }
 
-// missing is what the replica lacks and nobody owes.
+// missing is what the replica lacks.
 func (r enumReplica) missing() uint8 {
 	if !r.snap {
 		return 0
 	}
-	return enumAll &^ r.held &^ r.pending
+	return enumAll &^ r.held
 }
 
 func (r enumReplica) String() string {
@@ -77,14 +76,13 @@ func (r enumReplica) String() string {
 	case !r.snap:
 		return fmt.Sprintf("live@%d", r.gen)
 	}
-	return fmt.Sprintf("%c@%d/k%d/j%d", r.rec, r.gen, bits.OnesCount8(r.missing()), bits.OnesCount8(r.pending))
+	return fmt.Sprintf("%c@%d/k%d", r.rec, r.gen, bits.OnesCount8(r.missing()))
 }
 
 // enumAlphabet lists the states replica i can be in: no status; absent;
 // or a tombstone, a live entry without a snapshot, or a live entry with
-// recording x or y missing k and owing j chunks, k, j in {0, 1}, each
-// at generation 1+g for g in {0, 1, 2} (the journal mints the first
-// generation at 1).
+// recording x or y missing k chunks, k in {0, 1}, each at generation
+// 1+g for g in {0, 1, 2} (the journal mints the first generation at 1).
 func enumAlphabet(i int) []enumReplica {
 	out := []enumReplica{{}, {status: true}}
 	for gen := uint64(1); gen <= 3; gen++ {
@@ -93,17 +91,7 @@ func enumAlphabet(i int) []enumReplica {
 			enumReplica{status: true, present: true, gen: gen})
 		for _, rec := range []byte("xy") {
 			for k := 0; k < 2; k++ {
-				for j := 0; j < 2; j++ {
-					r := enumReplica{status: true, present: true, snap: true, gen: gen, rec: rec, held: enumAll}
-					if k == 1 {
-						r.held &^= 1 << i
-					}
-					if j == 1 {
-						r.held &^= 1 << (3 + i)
-						r.pending = 1 << (3 + i)
-					}
-					out = append(out, r)
-				}
+				out = append(out, enumReplica{status: true, present: true, snap: true, gen: gen, rec: rec, held: enumAll &^ uint8(k<<i)})
 			}
 		}
 	}
@@ -121,7 +109,7 @@ func enumViews(set *[3]enumReplica, members []*Backend, outside *Backend) map[st
 		v := &backendView{StatusResponse: daemon.StatusResponse{Ready: true, Digest: "enum"}}
 		if r.present {
 			e := daemon.StatusFunction{Entry: statedir.Entry{Name: "f", Generation: r.gen, Deleted: r.deleted, HasSnapshot: r.snap},
-				ChunksPending: bits.OnesCount8(r.pending), ChunksMissing: bits.OnesCount8(r.missing())}
+				ChunksMissing: bits.OnesCount8(r.missing())}
 			if r.snap {
 				e.RecordInput = string(r.rec)
 			}
@@ -144,7 +132,6 @@ const (
 	propFixedPoint = "no fixed point after 2 passes"
 	propNoStatus   = "repair reaches a replica with no status or outside the set"
 	propNoSource   = "repair copies a state no replica in the set holds"
-	propInFlight   = "repair targets a copy whose lazy fetcher owns all it lacks"
 	propOutranks   = "copy outranks its source"
 	propResurrects = "tombstone resurrects"
 	propOneRec     = "live replicas hold different recordings"
@@ -195,9 +182,6 @@ func enumApply(set *[3]enumReplica, at map[string]int, r repair) []string {
 		s := set[i]
 		if !s.live() || !s.snap {
 			return append(broken, propNoSource)
-		}
-		if t.live() && t.snap && t.gen == s.gen && t.pending != 0 && t.missing() == 0 {
-			broken = append(broken, propInFlight)
 		}
 		held := s.held
 		if t.live() && t.snap && t.rec == s.rec {
@@ -349,9 +333,7 @@ func enumExplain(final [3]enumReplica, broken []string) int {
 // holding a newer copy, and checks, for each: plan reaches a fixed
 // point within 2 passes; no repair reaches a replica with no status or
 // outside the set, or names one as source; every repair copies a state
-// some replica in the set holds; no repair targets a
-// copy at its source's generation whose lazy fetcher owes everything
-// it lacks (pending > 0, nothing missing); no copy outranks its source;
+// some replica in the set holds; no copy outranks its source;
 // no tombstone at the highest generation resurrects; all live replicas
 // end holding one recording; and none is left missing a chunk its
 // peers hold. No sockets, goroutines or sleeps.

@@ -2,6 +2,8 @@ package hostmm
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -9,44 +11,6 @@ import (
 
 	"faasnap/internal/metrics"
 )
-
-// referenceFaultLines is the reflection-based encoder: one map and one
-// json.Marshal per line. It is the byte-for-byte oracle for
-// FaultTimeline.Encode.
-func referenceFaultLines(tl *FaultTimeline) [][]byte {
-	var lines [][]byte
-	put := func(v interface{}) {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			panic(err)
-		}
-		lines = append(lines, raw)
-	}
-	put(map[string]interface{}{
-		"event":    "invocation",
-		"function": tl.Function,
-		"mode":     tl.Mode,
-		"input":    tl.Input,
-		"trace_id": tl.TraceID,
-		"setup_us": tl.Setup.Microseconds(),
-		"total_us": tl.Total.Microseconds(),
-	})
-	for _, ev := range tl.Events {
-		put(map[string]interface{}{
-			"event":  "fault",
-			"at_us":  ev.At.Microseconds(),
-			"page":   ev.Page,
-			"kind":   ev.Kind.String(),
-			"dur_us": float64(ev.Duration) / float64(time.Microsecond),
-			"write":  ev.Write,
-		})
-	}
-	put(map[string]interface{}{
-		"event":  "end",
-		"faults": len(tl.Events),
-	})
-	return lines
-}
 
 // syntheticEvents returns n fault events cycling through every kind,
 // both write values and a spread of durations.
@@ -68,34 +32,51 @@ func syntheticEvents(n int) []FaultEvent {
 	return evs
 }
 
-// TestEncodeFaultTimelineMatchesReference pins Encode to the
-// reflection-based one line for line: every fault kind, write true and
-// false, durations from zero and sub-microsecond to seconds, and header
-// strings that need JSON and HTML escaping.
+// faultLinesDigest is the SHA-256 of what the reflection-based encoder
+// (one map and one json.Marshal per line) wrote for the timelines of
+// TestEncodeFaultTimelineMatchesReference, each followed by a newline;
+// it was recorded before that encoder was retired.
+const faultLinesDigest = "6516ff8724f490f3a865582a3eda7c1e1dfac372468bf78493d6929c1dbb50fb"
+
+// TestEncodeFaultTimelineMatchesReference pins Encode byte for byte to
+// the reflection-based encoder's output by its committed digest: every
+// fault kind, one outside the enum, write true and false, durations from
+// zero and sub-microsecond to seconds, and header strings that need JSON
+// and HTML escaping (U+2028 among them). Each line must also be one JSON object, framed by
+// the invocation and end lines.
 func TestEncodeFaultTimelineMatchesReference(t *testing.T) {
+	h := sha256.New()
 	for _, tl := range []*FaultTimeline{
 		{Function: "image", Mode: "faasnap", Input: "B", TraceID: "0123456789abcdef",
 			Setup: 45678 * time.Microsecond, Total: 139 * time.Millisecond,
 			Events: syntheticEvents(5 * 11 * 3)},
-		{Function: "a\"b\\c<d>&e é\x01\xff", Mode: "mode(9)", Input: "ratio:0.5", TraceID: "",
+		{Function: "a\"b\\c<d>&e\u2028é\x01\xff", Mode: "mode(9)", Input: "ratio:0.5", TraceID: "",
 			Events: syntheticEvents(3)},
 		{Function: "empty", Mode: "warm", Input: "A"},
+		{Events: []FaultEvent{{Kind: 17}}},
 	} {
-		want := bytes.Join(referenceFaultLines(tl), []byte("\n"))
-		if got := tl.Encode(); !bytes.Equal(got, want) {
-			gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
-			for i := range wl {
-				if i >= len(gl) || !bytes.Equal(gl[i], wl[i]) {
-					t.Fatalf("%s: line %d differs:\n got %s\nwant %s", tl.Mode, i, gl[min(i, len(gl)-1)], wl[i])
-				}
-			}
-			t.Fatalf("%s: %d lines, want %d", tl.Mode, len(gl), len(wl))
+		got := tl.Encode()
+		lines := bytes.Split(got, []byte("\n"))
+		if len(lines) != len(tl.Events)+2 {
+			t.Fatalf("%s: %d lines, want %d", tl.Mode, len(lines), len(tl.Events)+2)
 		}
+		for i, line := range lines {
+			var obj struct{ Event string }
+			want := "fault"
+			switch i {
+			case 0:
+				want = "invocation"
+			case len(lines) - 1:
+				want = "end"
+			}
+			if err := json.Unmarshal(line, &obj); err != nil || obj.Event != want {
+				t.Fatalf("%s: line %d = %s (%v), want a %q object", tl.Mode, i, line, err, want)
+			}
+		}
+		h.Write(append(got, '\n'))
 	}
-	// A kind outside the enum prints as metrics does, quoted.
-	odd := &FaultTimeline{Events: []FaultEvent{{Kind: 17}}}
-	if got, want := odd.Encode(), bytes.Join(referenceFaultLines(odd), []byte("\n")); !bytes.Equal(got, want) {
-		t.Fatalf("unknown kind: got %s, want %s", got, want)
+	if got := hex.EncodeToString(h.Sum(nil)); got != faultLinesDigest {
+		t.Fatalf("encoded timelines hash to %s, want %s", got, faultLinesDigest)
 	}
 }
 

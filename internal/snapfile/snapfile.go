@@ -40,9 +40,9 @@ const (
 
 // ChunkRef is one content-addressed extent of the memory file: Pages
 // guest pages starting at StartPage whose content hashes to Digest.
-// LS marks a chunk that overlaps the loading set — a restore must
-// fetch those eagerly, lowest Group first (the paper's per-region
-// priority); the rest can arrive lazily.
+// LS marks a chunk that overlaps the loading set — a restore fetches
+// those first, lowest Group first (the paper's per-region priority),
+// then the rest.
 type ChunkRef struct {
 	Digest    [DigestLen]byte
 	StartPage int64

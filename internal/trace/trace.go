@@ -8,6 +8,7 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"time"
 
@@ -94,15 +95,18 @@ type Store struct {
 	nextID uint64
 }
 
-// NewStore returns a store retaining up to capacity traces.
+// NewStore returns a store retaining up to capacity traces. Its ids
+// count up from a start drawn once per store, below 2^63 so the count
+// never wraps to the all-zero id: stores that start from the same state
+// — every daemon of a cluster — do not mint the same ids.
 func NewStore(capacity int) *Store {
 	if capacity <= 0 {
 		capacity = 256
 	}
-	return &Store{byID: make(map[ID]*Trace), ids: ring.New[ID](capacity)}
+	return &Store{byID: make(map[ID]*Trace), ids: ring.New[ID](capacity), nextID: rand.Uint64() >> 1}
 }
 
-// NextID allocates a fresh trace id.
+// NextID allocates a fresh trace id: 16 hex digits.
 func (s *Store) NextID() ID {
 	s.mu.Lock()
 	defer s.mu.Unlock()

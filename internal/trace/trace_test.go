@@ -3,6 +3,7 @@ package trace
 import (
 	"encoding/json"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -74,6 +75,21 @@ func TestStorePutGetList(t *testing.T) {
 	}
 	if len(s.ListNewest(0)) != 1 || s.Len() != 1 {
 		t.Fatal("list/len wrong")
+	}
+}
+
+// TestStoresMintDistinctIDs: two stores started alike — two daemons —
+// mint different ids, each 16 hex digits and never all zeros.
+func TestStoresMintDistinctIDs(t *testing.T) {
+	a, b := NewStore(1), NewStore(1)
+	seen := map[ID]bool{}
+	for i := 0; i < 100; i++ {
+		for _, id := range []ID{a.NextID(), b.NextID()} {
+			if seen[id] || len(id) != 16 || strings.Trim(string(id), "0123456789abcdef") != "" || strings.Trim(string(id), "0") == "" {
+				t.Fatalf("id %q: repeated, or not 16 hex digits with one non-zero", id)
+			}
+			seen[id] = true
+		}
 	}
 }
 

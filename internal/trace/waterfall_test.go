@@ -12,7 +12,7 @@ func TestRenderWaterfall(t *testing.T) {
 	b.Span("snapfile-decode", root, 0, time.Millisecond, nil)
 	b.Span("eager-fetch", root, time.Millisecond, 4*time.Millisecond,
 		map[string]string{"group": "0", "tier": "local"})
-	b.Span("lazy-tail", root, 6*time.Millisecond, 4*time.Millisecond,
+	b.Span("commit", root, 6*time.Millisecond, 4*time.Millisecond,
 		map[string]string{"fetched": "3"})
 	tr := b.Finish()
 
@@ -41,7 +41,7 @@ func TestRenderWaterfall(t *testing.T) {
 			t.Errorf("row without bar: %q", l)
 		}
 	}
-	// Later spans start further right: lazy-tail's bar begins after
+	// Later spans start further right: commit's bar begins after
 	// snapfile-decode's.
 	if strings.Index(lines[4], "█") <= strings.Index(lines[2], "█") {
 		t.Errorf("timeline not ordered:\n%s", out)
