@@ -52,8 +52,8 @@ gateway-e2e:
 # unit-level store/chunking invariants, then the daemon-level flow —
 # record two functions from a shared base image, assert the dedup is
 # real, and restore them chunk-by-chunk onto daemons that never
-# recorded them (loading set first, then the rest, base extents filled
-# locally, whole before the reply) across a 3-daemon chain,
+# recorded them (in chunk-map order, base extents filled locally, whole
+# before the reply) across a 3-daemon chain,
 # with GC honoring delete tombstones and corrupt chunks quarantining.
 cas-smoke:
 	$(GO) test -race -count=1 ./internal/casstore/ -timeout 300s
@@ -80,7 +80,7 @@ bench-check:
 # (BenchmarkPaperCells) and 16 burst cells (BenchmarkBurstCells), the
 # gateway's placement (BenchmarkPreference) and its hop, one invoke
 # relayed to a fake backend (BenchmarkForward), the daemon's chunk
-# plane (record and eager sync)
+# plane (record and sync)
 # and its restore hop to a fresh VMM per mode (BenchmarkRestore): no
 # timing is compared, but a benchmark that panics, hangs or no longer
 # compiles fails here rather than when someone profiles.

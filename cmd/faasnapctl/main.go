@@ -325,7 +325,7 @@ func main() {
 		call("GET", "/cas", nil)
 	case "chunkmap":
 		argc(rest, 1, 1)
-		call("GET", "/functions/"+rest[0]+"/chunkmap?summary=1", nil)
+		call("GET", "/functions/"+rest[0]+"/chunkmap", nil)
 	case "sync":
 		argc(rest, 2, 2)
 		call("POST", "/functions/"+rest[0]+"/sync", daemon.SyncRequest{Source: rest[1]})

@@ -101,7 +101,7 @@ func lsIntervals(arts *core.Artifacts) []interval {
 // refs with no payload read and no digest yet. All-zero extents produce
 // no ref — a restore zero-fills uncovered ranges. Each ref carries
 // whether the extent overlaps the loading set and the lowest
-// overlapping group, which orders eager fetching on restore.
+// overlapping group, as the snapfile format records them.
 func PlanChunks(arts *core.Artifacts, chunkPages int64) *snapfile.ChunkMap {
 	if chunkPages <= 0 {
 		chunkPages = DefaultChunkPages

@@ -12,14 +12,17 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"faasnap/internal/casstore"
+	"faasnap/internal/core"
 	"faasnap/internal/events"
 	"faasnap/internal/snapfile"
+	"faasnap/internal/trace"
 )
 
 // customSpec is a small custom function spec booting a bootMB image:
@@ -94,25 +97,53 @@ func TestCASDedupAcrossFunctions(t *testing.T) {
 	}
 }
 
+// TestCASChunkEndpoints: the chunk map is a summary and nothing more;
+// the snapfile travels as the file on disk, declared, with the journaled
+// generation; a chunk travels declared and hashes to its digest.
 func TestCASChunkEndpoints(t *testing.T) {
-	_, srv := newTestDaemon(t, Config{StateDir: t.TempDir()})
+	state := t.TempDir()
+	_, srv := newTestDaemon(t, Config{StateDir: state})
 	casProvision(t, srv, "cas-alpha")
 
-	var sum ChunkMapResponse
-	doJSON(t, "GET", srv.URL+"/functions/cas-alpha/chunkmap?summary=1", nil, &sum)
-	if sum.ChunkCount == 0 || sum.Chunks != nil || sum.Snapfile != nil {
-		t.Fatalf("summary chunkmap = %+v", sum)
+	var sum map[string]json.RawMessage
+	doJSON(t, "GET", srv.URL+"/functions/cas-alpha/chunkmap", nil, &sum)
+	keys := make([]string, 0, len(sum))
+	for k := range sum {
+		keys = append(keys, k)
 	}
-	var full ChunkMapResponse
-	doJSON(t, "GET", srv.URL+"/functions/cas-alpha/chunkmap", nil, &full)
-	if len(full.Chunks) != full.ChunkCount || len(full.Snapfile) == 0 {
-		t.Fatalf("full chunkmap: %d refs of %d, %d snapfile bytes",
-			len(full.Chunks), full.ChunkCount, len(full.Snapfile))
+	sort.Strings(keys)
+	if want := []string{"chunk_count", "chunk_pages", "function", "generation", "ls_bytes", "record_input", "total_bytes"}; !reflect.DeepEqual(keys, want) {
+		t.Fatalf("chunk map fields = %v, want the summary's %v", keys, want)
+	}
+	var cmr ChunkMapResponse
+	doJSON(t, "GET", srv.URL+"/functions/cas-alpha/chunkmap", nil, &cmr)
+
+	resp := doJSON(t, "GET", srv.URL+"/functions/cas-alpha/snapfile", nil, nil)
+	raw, _ := io.ReadAll(resp.Body)
+	onDisk, err := os.ReadFile(filepath.Join(state, "cas-alpha.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.ContentLength != int64(len(onDisk)) || !bytes.Equal(raw, onDisk) ||
+		resp.Header.Get("Content-Type") != "application/octet-stream" {
+		t.Fatalf("snapfile reply = %d, Content-Length %d, %d bytes, %q; want the %d bytes on disk, declared",
+			resp.StatusCode, resp.ContentLength, len(raw), resp.Header.Get("Content-Type"), len(onDisk))
+	}
+	if gen := resp.Header.Get("X-Faasnap-Generation"); gen != strconv.FormatUint(statusOf(t, srv, "cas-alpha").Generation, 10) || gen != strconv.FormatUint(cmr.Generation, 10) {
+		t.Fatalf("snapfile generation %q, chunk map's %d, want the journaled one", gen, cmr.Generation)
+	}
+	_, cm, _ := snapfileOf(t, srv.Config.Handler, "cas-alpha")
+	if len(cm.Refs) != cmr.ChunkCount || cm.TotalBytes() != cmr.TotalBytes {
+		t.Fatalf("snapfile holds %d refs (%d bytes), the chunk map counts %d (%d)", len(cm.Refs), cm.TotalBytes(), cmr.ChunkCount, cmr.TotalBytes)
+	}
+	if resp := doJSON(t, "GET", srv.URL+"/functions/nope/snapfile", nil, nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("snapfile of an unknown function = %d, want 404", resp.StatusCode)
 	}
 
 	// A chunk round-trips and hashes to its digest.
-	ref := full.Chunks[0]
-	resp := doJSON(t, "GET", srv.URL+"/chunks/"+ref.Digest, nil, nil)
+	ref := cm.Refs[0]
+	digest := casstore.Digest(ref.Digest).String()
+	resp = doJSON(t, "GET", srv.URL+"/chunks/"+digest, nil, nil)
 	data, _ := io.ReadAll(resp.Body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("chunk get = %d", resp.StatusCode)
@@ -121,8 +152,8 @@ func TestCASChunkEndpoints(t *testing.T) {
 		t.Fatalf("chunk reply: Content-Length %d, %d bytes, transfer encoding %q; want %d bytes, declared",
 			resp.ContentLength, len(data), resp.TransferEncoding, ref.Bytes)
 	}
-	if got := hex.EncodeToString(func() []byte { s := sha256.Sum256(data); return s[:] }()); got != ref.Digest {
-		t.Fatalf("chunk bytes hash to %s, addressed as %s", got, ref.Digest)
+	if got := hex.EncodeToString(func() []byte { s := sha256.Sum256(data); return s[:] }()); got != digest {
+		t.Fatalf("chunk bytes hash to %s, addressed as %s", got, digest)
 	}
 	if tier := resp.Header.Get("X-Faasnap-Chunk-Tier"); tier != "local" {
 		t.Fatalf("chunk tier = %q, want local", tier)
@@ -177,9 +208,8 @@ func TestCASCorruptChunkQuarantined(t *testing.T) {
 	_, srv := newTestDaemon(t, Config{StateDir: state})
 	casProvision(t, srv, "cas-alpha")
 
-	var full ChunkMapResponse
-	doJSON(t, "GET", srv.URL+"/functions/cas-alpha/chunkmap", nil, &full)
-	hexd := full.Chunks[0].Digest
+	_, cm, _ := snapfileOf(t, srv.Config.Handler, "cas-alpha")
+	hexd := casstore.Digest(cm.Refs[0].Digest).String()
 	pack := damageInPack(t, state, srv.URL, hexd)
 
 	// The first read detects the damage and quarantines; the chunk is
@@ -412,12 +442,11 @@ func TestCASGCDemote(t *testing.T) {
 	_, srv := newTestDaemon(t, Config{StateDir: t.TempDir()})
 	casProvision(t, srv, "cas-alpha")
 
-	var full ChunkMapResponse
-	doJSON(t, "GET", srv.URL+"/functions/cas-alpha/chunkmap", nil, &full)
+	_, cm, _ := snapfileOf(t, srv.Config.Handler, "cas-alpha")
 	var coldDigest string
-	for _, ref := range full.Chunks {
-		if !ref.LoadingSet {
-			coldDigest = ref.Digest
+	for _, ref := range cm.Refs {
+		if !ref.LS {
+			coldDigest = casstore.Digest(ref.Digest).String()
 			break
 		}
 	}
@@ -622,11 +651,8 @@ func (g *gatedSource) assertServedOnce(t *testing.T, n int) {
 // extents included (in this model, every chunk outside the loading set).
 func foreignBase(t *testing.T, h http.Handler, name string) http.Handler {
 	t.Helper()
-	cmr := chunkMapOf(t, h, name)
-	arts, cm, err := snapfile.ReadChunked(bytes.NewReader(cmr.Snapfile))
-	if err != nil {
-		t.Fatal(err)
-	}
+	arts, cm, gen := snapfileOf(t, h, name)
+	// own holds what the fake serves itself, by path.
 	own := map[string][]byte{}
 	for i, ref := range cm.Refs {
 		if _, ok := casstore.BaseExtent(arts, ref); !ok {
@@ -635,8 +661,8 @@ func foreignBase(t *testing.T, h http.Handler, name string) http.Handler {
 		data := casstore.Fill(arts, ref, make([]byte, ref.Bytes))
 		data[0] ^= 0xff
 		dg := casstore.Sum(data)
-		cm.Refs[i].Digest, cmr.Chunks[i].Digest = dg, dg.String()
-		own[dg.String()] = data
+		cm.Refs[i].Digest = dg
+		own["/chunks/"+dg.String()] = data
 	}
 	if len(own) == 0 {
 		t.Fatalf("%s has no base extents to make foreign", name)
@@ -645,13 +671,10 @@ func foreignBase(t *testing.T, h http.Handler, name string) http.Handler {
 	if err := snapfile.WriteChunked(&raw, arts, cm); err != nil {
 		t.Fatal(err)
 	}
-	cmr.Snapfile = raw.Bytes()
+	own["/functions/"+name+"/snapfile"] = raw.Bytes()
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/functions/"+name+"/chunkmap" {
-			json.NewEncoder(w).Encode(cmr)
-			return
-		}
-		if data, ok := own[strings.TrimPrefix(r.URL.Path, "/chunks/")]; ok {
+		if data, ok := own[r.URL.Path]; ok {
+			w.Header().Set("X-Faasnap-Generation", strconv.FormatUint(gen, 10))
 			w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 			w.Write(data)
 			return
@@ -660,16 +683,21 @@ func foreignBase(t *testing.T, h http.Handler, name string) http.Handler {
 	})
 }
 
-// chunkMapOf is name's full chunk map as h serves it.
-func chunkMapOf(t *testing.T, h http.Handler, name string) ChunkMapResponse {
+// snapfileOf is name's snapfile as h serves it, decoded, and the
+// generation its reply names.
+func snapfileOf(t *testing.T, h http.Handler, name string) (*core.Artifacts, *chunkMap, uint64) {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/functions/"+name+"/chunkmap", nil))
-	var cm ChunkMapResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &cm); rec.Code != http.StatusOK || err != nil {
-		t.Fatalf("chunk map of %s = %d: %v", name, rec.Code, err)
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/functions/"+name+"/snapfile", nil))
+	gen, err := strconv.ParseUint(rec.Header().Get("X-Faasnap-Generation"), 10, 64)
+	if rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("snapfile of %s = %d: %v", name, rec.Code, err)
 	}
-	return cm
+	arts, cm, err := snapfile.ReadChunked(rec.Body)
+	if err != nil {
+		t.Fatalf("snapfile of %s: %v", name, err)
+	}
+	return arts, cm, gen
 }
 
 // foreignDigests returns the digests name's chunk map names its base
@@ -725,10 +753,7 @@ func TestCASSyncsSerialisePerFunction(t *testing.T) {
 // its base extents and of the rest, each with its bytes.
 func baseRefs(t *testing.T, h http.Handler, name string) (base, own map[string]int64) {
 	t.Helper()
-	arts, cm, err := snapfile.ReadChunked(bytes.NewReader(chunkMapOf(t, h, name).Snapfile))
-	if err != nil {
-		t.Fatal(err)
-	}
+	arts, cm, _ := snapfileOf(t, h, name)
 	base, own = map[string]int64{}, map[string]int64{}
 	for _, ref := range cm.Refs {
 		if _, ok := casstore.BaseExtent(arts, ref); ok {
@@ -744,7 +769,8 @@ func baseRefs(t *testing.T, h http.Handler, name string) (base, own map[string]i
 // base image syncs with the source asked, once each, for its other
 // chunks only, whatever the request's ignored "eager" says. The reply
 // counts the base fills apart from what was fetched, the saved-bytes
-// counter takes them, and the waterfall tags them with the tier "base".
+// counter takes them, and the waterfall is decode, one fetch span
+// tagged with the reply's counts and the tier "base", and commit.
 func TestCASSyncAsksSourceOnlyForNonBaseChunks(t *testing.T) {
 	_, a := newTestDaemon(t, Config{StateDir: t.TempDir()})
 	casProvision(t, a, "cas-alpha")
@@ -785,17 +811,28 @@ func TestCASSyncAsksSourceOnlyForNonBaseChunks(t *testing.T) {
 		if sr.ChunksBase != len(base) || sr.ChunksFetched != len(own) || sr.BytesFetched != ownBytes || sr.ChunksPresent != 0 {
 			t.Fatalf("eager %v: %+v, want %d base fills and %d chunks (%d bytes) fetched", eager, sr, len(base), len(own), ownBytes)
 		}
-		var spans []struct {
-			Name string            `json:"name"`
-			Tags map[string]string `json:"tags"`
-		}
+		var spans []trace.Span
 		doJSON(t, "GET", b.URL+"/traces/"+sr.TraceID, nil, &spans)
-		var tagged bool
+		var phases []string
+		var fetch map[string]string
 		for _, sp := range spans {
-			tagged = tagged || sp.Name == "eager-fetch" && strings.Contains(sp.Tags["tier"], "base")
+			if sp.ParentID != "" {
+				phases = append(phases, sp.Name)
+			}
+			if sp.Name == "fetch" {
+				fetch = sp.Tags
+			}
 		}
-		if !tagged {
-			t.Fatalf("eager %v: no eager-fetch span tagged tier base: %+v", eager, spans)
+		if want := []string{"snapfile-decode", "fetch", "commit"}; !reflect.DeepEqual(phases, want) {
+			t.Fatalf("eager %v: waterfall %v, want %v", eager, phases, want)
+		}
+		if want := map[string]string{
+			"chunks": strconv.Itoa(sr.ChunksFetched),
+			"base":   strconv.Itoa(sr.ChunksBase),
+			"bytes":  strconv.FormatInt(sr.BytesFetched, 10),
+			"tier":   "base,local",
+		}; !reflect.DeepEqual(fetch, want) {
+			t.Fatalf("eager %v: fetch span tagged %v, want %v", eager, fetch, want)
 		}
 	}
 }
@@ -829,15 +866,17 @@ func TestCASSyncFetchesForeignBaseExtent(t *testing.T) {
 	if sr.ChunksBase != 0 || sr.ChunksFetched != sr.ChunksTotal || sr.BytesFetched != sr.BytesTotal {
 		t.Fatalf("sync from a foreign base: %+v, want every chunk fetched", sr)
 	}
-	for _, c := range chunkMapOf(t, foreign, "cas-alpha").Chunks {
-		resp, err := http.Get(b.URL + "/chunks/" + c.Digest)
+	_, cm, _ := snapfileOf(t, foreign, "cas-alpha")
+	for _, ref := range cm.Refs {
+		dg := casstore.Digest(ref.Digest).String()
+		resp, err := http.Get(b.URL + "/chunks/" + dg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK || casstore.Sum(body).String() != c.Digest {
-			t.Fatalf("chunk %s on the receiver = %d, %d bytes hashing to %s", c.Digest[:8], resp.StatusCode, len(body), casstore.Sum(body))
+		if resp.StatusCode != http.StatusOK || casstore.Sum(body).String() != dg {
+			t.Fatalf("chunk %s on the receiver = %d, %d bytes hashing to %s", dg[:8], resp.StatusCode, len(body), casstore.Sum(body))
 		}
 	}
 	casInvoke(t, b, "cas-alpha")

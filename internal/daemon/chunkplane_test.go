@@ -1,6 +1,6 @@
 package daemon
 
-// The chunk plane's window: what a record and an eager sync allocate and
+// The chunk plane's window: what a record and a sync allocate and
 // how fast they move chunks, and what a sync that fails mid-window
 // leaves behind.
 
@@ -103,7 +103,7 @@ func TestSyncFailingMidWindowKeepsServing(t *testing.T) {
 	}
 	fs, _ := dst.d.idx.lookup(crashFn)
 	prev := fs.published()
-	_, body := src.do("GET", "/functions/"+crashFn+"/chunkmap?summary=1", nil)
+	_, body := src.do("GET", "/functions/"+crashFn+"/chunkmap", nil)
 	var cm ChunkMapResponse
 	if json.Unmarshal(body, &cm); cm.ChunkCount <= 2*window {
 		t.Fatalf("the source's function has %d chunks; the test needs more than two windows", cm.ChunkCount)
@@ -158,23 +158,26 @@ func TestSyncFailingMidWindowKeepsServing(t *testing.T) {
 	}
 }
 
-// TestChunkLengthDeclaredAndCapped: a sync refuses a chunk reply that
-// declares no Content-Length, or one over maxChunkBytes, and says why.
+// TestChunkLengthDeclaredAndCapped: a sync refuses a chunk or snapfile
+// reply that declares no Content-Length, or one over maxBodyBytes, and
+// says why.
 func TestChunkLengthDeclaredAndCapped(t *testing.T) {
 	dst := boot(t, fstest.MapFS{})
 	dst.peer(t, crashFn)
 	src := dst.d.store.peer.Transport
-	for _, n := range []int64{-1, maxChunkBytes + 1} {
-		dst.d.store.peer.Transport = roundTrip(func(r *http.Request) (*http.Response, error) {
-			if !strings.HasPrefix(r.URL.Path, "/chunks/") {
-				return src.RoundTrip(r)
+	for _, prefix := range []string{"/chunks/", "/functions/" + crashFn + "/snapfile"} {
+		for _, n := range []int64{-1, maxBodyBytes + 1} {
+			dst.d.store.peer.Transport = roundTrip(func(r *http.Request) (*http.Response, error) {
+				if !strings.HasPrefix(r.URL.Path, prefix) {
+					return src.RoundTrip(r)
+				}
+				return &http.Response{StatusCode: http.StatusOK, ContentLength: n, Header: http.Header{},
+					Body: io.NopCloser(strings.NewReader("")), Request: r}, nil
+			})
+			code, body := dst.do("POST", "/functions/"+crashFn+"/sync", map[string]interface{}{"source": "peer", "eager": true})
+			if code != http.StatusBadGateway || !strings.Contains(string(body), "want a Content-Length of at most") {
+				t.Fatalf("%s declared as %d bytes: sync = %d %s, want a 502 naming the cap", prefix, n, code, body)
 			}
-			return &http.Response{StatusCode: http.StatusOK, ContentLength: n, Header: http.Header{},
-				Body: io.NopCloser(strings.NewReader("")), Request: r}, nil
-		})
-		code, body := dst.do("POST", "/functions/"+crashFn+"/sync", map[string]interface{}{"source": "peer", "eager": true})
-		if code != http.StatusBadGateway || !strings.Contains(string(body), "want a Content-Length of at most") {
-			t.Fatalf("chunk declared as %d bytes: sync = %d %s, want a 502 naming the cap", n, code, body)
 		}
 	}
 }
@@ -213,10 +216,10 @@ func BenchmarkPutSnapshot(b *testing.B) {
 	}
 }
 
-// BenchmarkEagerSync syncs a 24 MB function eagerly from a daemon over
-// loopback onto an empty one: MB/s over the chunk bytes it restores,
-// fetched or filled from the base image, allocations per sync.
-func BenchmarkEagerSync(b *testing.B) {
+// BenchmarkSync syncs a 24 MB function from a daemon over loopback onto
+// an empty one: MB/s over the chunk bytes it restores, fetched or filled
+// from the base image, allocations per sync.
+func BenchmarkSync(b *testing.B) {
 	const fn = "bench-fn"
 	quiet := log.New(io.Discard, "", 0)
 	a, err := New(Config{StateDir: b.TempDir(), Logger: quiet})
@@ -230,7 +233,7 @@ func BenchmarkEagerSync(b *testing.B) {
 		doJSON(b, "POST", srv.URL+"/functions/"+fn+"/record", map[string]string{"input": "A"}, nil).StatusCode != http.StatusOK {
 		b.Fatal("source provisioning failed")
 	}
-	body := `{"source":"` + hostport(srv) + `","eager":true}`
+	body := `{"source":"` + hostport(srv) + `"}`
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()

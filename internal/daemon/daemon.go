@@ -286,6 +286,7 @@ func (d *Daemon) Handler() http.Handler {
 	handle("DELETE /functions/{name}", d.settled(route(d.remove, noContent)))
 	handle("POST /functions/{name}/record", d.settled(route(d.record, answer)))
 	handle("GET /functions/{name}/chunkmap", d.stored("", route(d.chunkMap, answer)))
+	handle("GET /functions/{name}/snapfile", d.stored("", d.handleSnapfile))
 	handle("POST /functions/{name}/sync", d.settled(d.stored("sync", route(d.sync, answer))))
 	handle("GET /chunks/{digest}", d.stored("", d.handleChunkGet))
 	handle("GET /cas", d.stored("", route(d.cas, answer)))
@@ -738,22 +739,56 @@ func (d *Daemon) handleChunkGet(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-func (d *Daemon) chunkMap(r *http.Request) (ChunkMapResponse, error) {
-	name := r.PathValue("name")
+// snapshotOf is what a peer is handed of name's snapshot. The generation
+// is read before the view and the view before the snapfile, the reverse
+// of the commit's order (snapfile, journal, publish): a peer may be
+// handed newer bytes than the generation it adopts with them, never
+// older ones.
+func (d *Daemon) snapshotOf(name string) (generation uint64, v *view, err error) {
 	fs, ok := d.idx.lookup(name)
 	if !ok {
-		return ChunkMapResponse{}, errNotRegistered
+		return 0, nil, errNotRegistered
 	}
-	// The generation is read before the view and the view before the
-	// snapfile, the reverse of the commit's order (snapfile, journal,
-	// publish): a peer may be handed newer bytes than the generation it
-	// adopts with them, never older ones.
 	e, _ := d.idx.entry(name)
-	v := fs.published()
-	if v.chunks == nil {
-		return ChunkMapResponse{}, failf(http.StatusNotFound, "%s has no chunked snapshot", name)
+	if v = fs.published(); v.chunks == nil {
+		return 0, nil, failf(http.StatusNotFound, "%s has no chunked snapshot", name)
 	}
-	return d.store.export(name, v.arts.RecordInput.Name, e.Generation, v.chunks, r.URL.Query().Get("summary") != "")
+	return e.Generation, v, nil
+}
+
+func (d *Daemon) chunkMap(r *http.Request) (ChunkMapResponse, error) {
+	gen, v, err := d.snapshotOf(r.PathValue("name"))
+	if err != nil {
+		return ChunkMapResponse{}, err
+	}
+	return ChunkMapResponse{
+		Function:    v.name,
+		RecordInput: v.arts.RecordInput.Name,
+		Generation:  gen,
+		ChunkPages:  v.chunks.ChunkPages,
+		ChunkCount:  len(v.chunks.Refs),
+		TotalBytes:  v.chunks.TotalBytes(),
+		LSBytes:     v.chunks.LSBytes(),
+	}, nil
+}
+
+// handleSnapfile serves name's snapfile as it sits on disk, with the
+// generation a peer syncing from here adopts.
+func (d *Daemon) handleSnapfile(w http.ResponseWriter, r *http.Request) {
+	name := r.PathValue("name")
+	gen, _, err := d.snapshotOf(name)
+	var raw []byte
+	if err == nil {
+		raw, err = d.store.readSnapfile(name)
+	}
+	if err != nil {
+		writeFailure(w, err)
+		return
+	}
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("X-Faasnap-Generation", strconv.FormatUint(gen, 10))
+	w.Header().Set("Content-Length", strconv.Itoa(len(raw)))
+	_, _ = w.Write(raw)
 }
 
 func (d *Daemon) cas(*http.Request) (CASResponse, error) { return d.store.report(), nil }

@@ -9,7 +9,9 @@ package daemon
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
 	"sort"
 	"sync"
 
@@ -120,13 +122,22 @@ func (x *index) register(fs *fnState) error {
 	return nil
 }
 
+// errTombstoned refuses a synced copy of a function deleted here at a
+// generation its source's does not outrank: the acknowledged delete
+// stands.
+var errTombstoned = failf(http.StatusConflict, "deleted here at a generation the source's does not outrank")
+
 // snapshot journals fs's committed snapshot: a local recording
 // (generation 0) mints a generation, one synced from a peer adopts that
 // peer's, never a new one. Reached only through a snapshot commit, which
 // a daemon without a journal does not persist.
 func (x *index) snapshot(fs *fnState, input string, generation uint64) error {
 	if generation != 0 {
-		return x.journal.Adopt(fs.spec.Name, specJSON(fs.spec), input, generation)
+		err := x.journal.Adopt(fs.spec.Name, specJSON(fs.spec), input, generation)
+		if errors.Is(err, statedir.ErrTombstoned) {
+			return errTombstoned
+		}
+		return err
 	}
 	_, err := x.journal.Record(fs.spec.Name, input)
 	return err

@@ -14,9 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -110,9 +108,10 @@ func (fs *fnState) shutdown() {
 //
 // Lock order, taken in transition and nowhere else: fs.syncing, then
 // store.ops for reading, then fs.mu. fs.syncing keeps a function to one
-// sync at a time, from sorting its missing chunks to its publish (it lives in the index's
-// entry, so a delete reclaims it; syncs that race to create an entry are
-// serialized by fs.mu alone); store.ops holds the GC sweep (its writer,
+// sync at a time, from finding its missing chunks to its publish (it
+// lives in the index's entry, so a delete reclaims it; syncs that race to
+// create an entry are serialized by fs.mu alone); store.ops holds the GC
+// sweep (its writer,
 // store.sweep) and close off from the moment a chunk is counted present
 // or made durable until the published chunk map references it; fs.mu
 // serializes commits to one function and the driving of its VM. Readers
@@ -160,13 +159,13 @@ func (l *lifecycle) close(recovered <-chan struct{}) {
 }
 
 // transition runs one state change of name under the locks of the
-// lifecycle's order. stage, when given, runs before the function's own
-// lock is taken (a sync's fetch must not hold up the function's other
-// transitions); step runs on the entry, inserted for spec when a sync or
-// a PUT meets an unknown name (see index.enter for what a failed step
-// leaves).
-func (l *lifecycle) transition(name string, spec *workload.Spec, serial bool, stage func() error, step func(*fnState) error) (*fnState, error) {
-	if fs, ok := l.idx.lookup(name); ok && serial {
+// lifecycle's order. stage, given by a sync alone, runs under the
+// function's sync gate and before its own lock is taken (a sync's fetch
+// must not hold up the function's other transitions); step runs on the
+// entry, inserted for spec when a sync or a PUT meets an unknown name
+// (see index.enter for what a failed step leaves).
+func (l *lifecycle) transition(name string, spec *workload.Spec, stage func() error, step func(*fnState) error) (*fnState, error) {
+	if fs, ok := l.idx.lookup(name); ok && stage != nil {
 		fs.syncing.Lock()
 		defer fs.syncing.Unlock()
 	}
@@ -201,6 +200,10 @@ func (l *lifecycle) commit(fs *fnState, arts *core.Artifacts, save func(path str
 			return err
 		}
 		if err := l.idx.snapshot(fs, input, generation); err != nil {
+			if errors.Is(err, errTombstoned) {
+				// The delete stands, and takes the snapfile as it did.
+				l.store.remove(fs.spec.Name)
+			}
 			return fmt.Errorf("journal snapshot: %w", err)
 		}
 	}
@@ -211,7 +214,7 @@ func (l *lifecycle) commit(fs *fnState, arts *core.Artifacts, save func(path str
 // create registers name, booting its long-lived VM if it has none, and
 // journals the registration before it is acknowledged.
 func (l *lifecycle) create(name string, spec *workload.Spec) (*fnState, error) {
-	return l.transition(name, spec, false, nil, func(fs *fnState) error {
+	return l.transition(name, spec, nil, func(fs *fnState) error {
 		if m, _ := fs.guest(); m == nil {
 			m, a, err := l.boot(name)
 			if err != nil {
@@ -322,7 +325,7 @@ func (l *lifecycle) recordSnapshot(fs *fnState, in workload.Input) (arts *core.A
 // snapshot it produced. Readers keep the previous view until the commit
 // publishes: an invoke never waits for a record.
 func (l *lifecycle) record(name string, in workload.Input) (res core.RecordResult, err error) {
-	_, err = l.transition(name, nil, false, nil, func(fs *fnState) error {
+	_, err = l.transition(name, nil, nil, func(fs *fnState) error {
 		var arts *core.Artifacts
 		if arts, res, err = l.recordSnapshot(fs, in); err != nil {
 			return err
@@ -372,16 +375,17 @@ type SyncResponse struct {
 	BytesFetched  int64  `json:"bytes_fetched"`
 	SnapfileBytes int64  `json:"snapfile_bytes"`
 	// TraceID identifies the restore's waterfall trace (snapfile decode,
-	// per-group eager fetches, commit) in GET /traces/{id}.
+	// fetch, commit) in GET /traces/{id}.
 	TraceID string `json:"trace_id,omitempty"`
 }
 
 // sync restores a function this daemon may never have recorded, from a
-// peer: fetch and decode the chunk map + raw snapfile, keep only the
-// chunks missing locally, fill the base extents and fetch the rest, and
-// commit — journaling the source's generation, not a new one. The
-// transfer ends with the request's ctx or the daemon's close, whichever
-// comes first. The restore leaves a waterfall trace under id.
+// peer: fetch and decode its snapfile, fill the base extents and fetch
+// the other chunks missing locally, and commit — journaling the source's
+// generation, not a new one, unless this daemon deleted the function at
+// a generation the source's does not outrank (409). The transfer ends
+// with the request's ctx or the daemon's close, whichever comes first.
+// The restore leaves a waterfall trace under id.
 func (l *lifecycle) sync(ctx context.Context, name string, req SyncRequest, id trace.ID) (SyncResponse, error) {
 	start := time.Now()
 	ctx, cancel := context.WithCancel(ctx)
@@ -392,20 +396,21 @@ func (l *lifecycle) sync(ctx context.Context, name string, req SyncRequest, id t
 		return SyncResponse{}, failf(http.StatusBadGateway, "%v", err)
 	}
 	var (
-		groups                []*groupSpan
+		missing               []chunkRef
 		base                  int
 		fetched               int64
+		tier                  string
 		decodeDur, commitFrom time.Duration
 	)
-	_, err = l.transition(name, plan.arts.Fn, true, func() error {
-		l.store.sortMissing(plan)
+	_, err = l.transition(name, plan.arts.Fn, func() error {
+		missing = l.store.absent(plan.cm)
 		decodeDur = time.Since(start)
 		l.store.syncSeconds("decode").Observe(decodeDur)
-		if groups, base, fetched, err = l.store.fetch(ctx, req.Source, plan.arts, plan.missing, start); err != nil {
+		if base, fetched, tier, err = l.store.fetch(ctx, req.Source, plan.arts, missing); err != nil {
 			return failf(http.StatusBadGateway, "fetch chunk: %v", err)
 		}
 		commitFrom = time.Since(start)
-		l.store.syncSeconds("eager").Observe(commitFrom - decodeDur)
+		l.store.syncSeconds("fetch").Observe(commitFrom - decodeDur)
 		return nil
 	}, func(fs *fnState) error {
 		// Chunks durable; commit the snapfile exactly as received, into the
@@ -423,15 +428,32 @@ func (l *lifecycle) sync(ctx context.Context, name string, req SyncRequest, id t
 		Function:      name,
 		Source:        req.Source,
 		ChunksTotal:   len(plan.cm.Refs),
-		ChunksFetched: len(plan.missing) - base,
+		ChunksFetched: len(missing) - base,
 		ChunksBase:    base,
-		ChunksPresent: plan.present,
+		ChunksPresent: len(plan.cm.Refs) - len(missing),
 		BytesTotal:    plan.cm.TotalBytes(),
 		BytesFetched:  fetched,
 		SnapfileBytes: int64(len(plan.raw)),
 		TraceID:       string(id),
 	}
-	l.traces.Put(syncWaterfall(id, resp, time.Since(start), decodeDur, groups, commitFrom, commitDur))
+	// The restore's waterfall: decode → fetch → commit.
+	tb := trace.NewBuilder(id, "chunk-sync "+name)
+	root := tb.Span("chunk-sync "+name, "", 0, time.Since(start), map[string]string{
+		"function": name,
+		"source":   req.Source,
+		"chunks":   strconv.Itoa(resp.ChunksTotal),
+	})
+	tb.Span("snapfile-decode", root, 0, decodeDur, map[string]string{
+		"bytes": strconv.FormatInt(resp.SnapfileBytes, 10),
+	})
+	tb.Span("fetch", root, decodeDur, commitFrom-decodeDur, map[string]string{
+		"chunks": strconv.Itoa(resp.ChunksFetched),
+		"base":   strconv.Itoa(resp.ChunksBase),
+		"bytes":  strconv.FormatInt(resp.BytesFetched, 10),
+		"tier":   tier,
+	})
+	tb.Span("commit", root, commitFrom, commitDur, nil)
+	l.traces.Put(tb.Finish())
 
 	// Saved = bytes a whole-snapshot copy would have moved but this
 	// restore did not: dedup hits and base fills.
@@ -443,39 +465,6 @@ func (l *lifecycle) sync(ctx context.Context, name string, req SyncRequest, id t
 		name, req.Source, resp.ChunksFetched, resp.ChunksTotal, resp.ChunksBase, resp.ChunksPresent,
 		resp.BytesFetched, resp.BytesTotal)
 	return resp, nil
-}
-
-// syncWaterfall assembles a restore's waterfall trace: decode → eager
-// fetch per prefetch group (tier-labelled) → commit.
-func syncWaterfall(id trace.ID, resp SyncResponse, wall, decodeDur time.Duration, groups []*groupSpan, commitStart, commitDur time.Duration) *trace.Trace {
-	tb := trace.NewBuilder(id, "chunk-sync "+resp.Function)
-	root := tb.Span("chunk-sync "+resp.Function, "", 0, wall, map[string]string{
-		"function": resp.Function,
-		"source":   resp.Source,
-		"chunks":   strconv.Itoa(resp.ChunksTotal),
-	})
-	tb.Span("snapfile-decode", root, 0, decodeDur, map[string]string{
-		"bytes": strconv.FormatInt(resp.SnapfileBytes, 10),
-	})
-	for _, g := range groups {
-		tiers := make([]string, 0, len(g.tiers))
-		for t := range g.tiers {
-			tiers = append(tiers, t)
-		}
-		sort.Strings(tiers)
-		tier := "none" // every chunk of the group was already present
-		if len(tiers) > 0 {
-			tier = strings.Join(tiers, ",")
-		}
-		tb.Span("eager-fetch", root, g.start, g.dur, map[string]string{
-			"group":  strconv.FormatInt(g.group, 10),
-			"tier":   tier,
-			"chunks": strconv.Itoa(g.chunks),
-			"bytes":  strconv.FormatInt(g.bytes, 10),
-		})
-	}
-	tb.Span("commit", root, commitStart, commitDur, nil)
-	return tb.Finish()
 }
 
 type gcRequest struct {
@@ -529,7 +518,7 @@ func (l *lifecycle) observeDeficit(name string) (missing int, seq uint64) {
 	if v.chunks == nil {
 		return 0, 0
 	}
-	missing = l.store.absent(v.chunks)
+	missing = len(l.store.absent(v.chunks))
 	fs.side.Lock()
 	defer fs.side.Unlock()
 	if missing != fs.deficitN {

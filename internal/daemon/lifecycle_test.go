@@ -13,6 +13,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strconv"
@@ -28,7 +29,9 @@ import (
 // so Close returns at once instead of waiting out the peer client's
 // 30 s, the sync answers, and it commits nothing: after a restart the
 // function is as it was before the sync. DELETE does not wait for the
-// parked sync either.
+// parked sync either, and the sync cannot undo it: its source's copy is
+// at the tombstone's generation, so it answers 409 and leaves the
+// function deleted, without a snapfile, before a restart and after.
 func TestHungPeerDoesNotHoldCloseOrDelete(t *testing.T) {
 	_, a := newTestDaemon(t, Config{StateDir: t.TempDir()})
 	casProvision(t, a, "cas-alpha")
@@ -89,14 +92,38 @@ func TestHungPeerDoesNotHoldCloseOrDelete(t *testing.T) {
 		t.Fatalf("after Close and a restart: %+v, want it as before the sync, %+v", st, p.before)
 	}
 
-	p = parkedSync(t.TempDir())
+	dir = t.TempDir()
+	p = parkedSync(dir)
 	prompt("DELETE", func() {
 		if code := doJSON(t, "DELETE", p.srv.URL+"/functions/cas-alpha", nil, nil).StatusCode; code != http.StatusNoContent {
 			t.Errorf("delete = %d", code)
 		}
 	})
+	deleted := statusOf(t, p.srv, "cas-alpha")
+	if !deleted.Deleted || deleted.HasSnapshot {
+		t.Fatalf("after the delete: %+v", deleted)
+	}
 	p.src.open()
-	<-p.code
+	if code := <-p.code; code != http.StatusConflict {
+		t.Fatalf("sync landing after an acknowledged delete = %d, want 409", code)
+	}
+	gone := func(srv *httptest.Server, when string) {
+		t.Helper()
+		if st := statusOf(t, srv, "cas-alpha"); !reflect.DeepEqual(st, deleted) {
+			t.Fatalf("%s: %+v, want it as the delete left it, %+v", when, st, deleted)
+		}
+		if code := doJSON(t, "GET", srv.URL+"/functions/cas-alpha", nil, nil).StatusCode; code != http.StatusNotFound {
+			t.Fatalf("%s: GET = %d, want 404", when, code)
+		}
+		if _, err := os.Stat(filepath.Join(dir, "cas-alpha.snap")); !os.IsNotExist(err) {
+			t.Fatalf("%s: a snapfile is left behind (%v)", when, err)
+		}
+	}
+	gone(p.srv, "after the refused sync")
+	p.d.Close()
+	p.srv.Close()
+	_, again = newTestDaemon(t, Config{StateDir: dir})
+	gone(again, "after a restart")
 }
 
 // TestInvokeDoesNotWaitForRecord: while a re-record of a function sits

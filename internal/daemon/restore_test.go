@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"log"
+	"math"
 	"runtime"
 	"runtime/debug"
 	"strings"
@@ -199,16 +200,21 @@ func TestRestoreAllocationBudget(t *testing.T) {
 		{core.ModeFirecracker, 24, 230},
 	} {
 		restoreOnce(t, d, "hello-world", v, c.mode) // encode the body
-		const runs = 20
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			restoreOnce(t, d, "hello-world", v, c.mode)
+		// The counters are process-wide, so another test's goroutines can
+		// only add to a window: the smallest of three is the restores'.
+		const runs, windows = 20, 3
+		kb, objects := math.Inf(1), math.Inf(1)
+		for range windows {
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				restoreOnce(t, d, "hello-world", v, c.mode)
+			}
+			runtime.ReadMemStats(&after)
+			kb = min(kb, float64(after.TotalAlloc-before.TotalAlloc)/runs/1024)
+			objects = min(objects, float64(after.Mallocs-before.Mallocs)/runs)
 		}
-		runtime.ReadMemStats(&after)
-		kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
-		objects := float64(after.Mallocs-before.Mallocs) / runs
 		t.Logf("hello-world %-12v %.1f KB, %.0f objects per restore", c.mode, kb, objects)
 		if kb > c.kb || objects > c.objects {
 			t.Errorf("a %v restore allocates %.1f KB and %.0f objects, budget %.0f KB and %.0f", c.mode, kb, objects, c.kb, c.objects)

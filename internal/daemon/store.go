@@ -3,10 +3,9 @@ package daemon
 // The store: a function's bytes. Every recording is chunked into the
 // content-addressed store (internal/casstore) and its snapfile
 // (internal/snapfile) carries a chunk map referencing it; a function
-// this daemon never recorded is restored by pulling a peer's chunk map
-// and only the chunks missing here — loading-set chunks first, in group
-// order, per the paper's per-region restore priority, then the rest —
-// before the snapshot commits; base extents are filled locally. The
+// this daemon never recorded is restored by pulling a peer's snapfile
+// and then, in chunk-map order, only the chunks missing here, before the
+// snapshot commits; base extents are filled locally. The
 // store owns the chunk store, the snapfile paths, the peer client and
 // the chunk-plane gauges, and is the only code that imports either
 // package; a daemon without a state directory has no store at all.
@@ -14,13 +13,14 @@ package daemon
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -48,7 +48,7 @@ type store struct {
 	// sweep may not collect, and the size the store would need with no
 	// dedup.
 	live func() []*chunkMap
-	// peer fetches chunk maps and chunks from peer daemons. Separate from
+	// peer fetches snapfiles and chunks from peer daemons. Separate from
 	// the gateway's client: sync transfers can be large.
 	peer *http.Client
 
@@ -99,7 +99,7 @@ func openStore(dir string, e env, live func() []*chunkMap) (*store, error) {
 	// Background-op duration histograms are registered up front so they
 	// appear in the scrape before their first observation.
 	s.gcSeconds()
-	for _, p := range []string{"decode", "eager", "commit"} {
+	for _, p := range []string{"decode", "fetch", "commit"} {
 		s.syncSeconds(p)
 	}
 	return s, nil
@@ -113,7 +113,7 @@ func (s *store) gcSeconds() *telemetry.Histogram {
 // syncSeconds returns the chunk-sync phase histogram for one phase.
 func (s *store) syncSeconds(phase string) *telemetry.Histogram {
 	return s.telemetry.Histogram("faasnap_cas_sync_seconds",
-		"Chunk-level restore wall time by phase (decode, eager fetch, commit).",
+		"Chunk-level restore wall time by phase (decode, fetch, commit).",
 		telemetry.L("phase", phase))
 }
 
@@ -295,16 +295,16 @@ func (s *store) decode(name string) (*core.Artifacts, *chunkMap, error) {
 	return snapfile.ReadChunked(bytes.NewReader(raw))
 }
 
-// absent counts the refs of cm neither tier of the store can serve, by
-// index lookups: the detector of chunks lost to a quarantine or a lost
-// pack.
-func (s *store) absent(cm *chunkMap) (n int) {
+// absent returns the refs of cm neither tier of the store can serve, in
+// chunk-map order, by index lookups: what a sync fetches, and the
+// detector of chunks lost to a quarantine or a lost pack.
+func (s *store) absent(cm *chunkMap) (refs []chunkRef) {
 	for _, ref := range cm.Refs {
 		if !s.cas.Has(casstore.Digest(ref.Digest)) {
-			n++
+			refs = append(refs, ref)
 		}
 	}
-	return n
+	return refs
 }
 
 // remove deletes name's snapfile; its chunks go with the next sweep
@@ -381,106 +381,69 @@ func (s *store) serve(digest string, fn func(data []byte, tier string)) error {
 	}
 }
 
-// ChunkRefJSON is one chunk-map entry in API responses.
-type ChunkRefJSON struct {
-	Digest     string `json:"digest"`
-	StartPage  int64  `json:"start_page"`
-	Pages      int64  `json:"pages"`
-	Bytes      int64  `json:"bytes"`
-	LoadingSet bool   `json:"loading_set"`
-	Group      int64  `json:"group"`
-}
-
-// ChunkMapResponse is GET /functions/{name}/chunkmap: everything a
-// peer needs to restore the function — the raw snapfile (metadata +
-// chunk map, CRC intact) and the refs to fetch. With ?summary=1 the
-// refs and snapfile are omitted.
+// ChunkMapResponse is GET /functions/{name}/chunkmap: a summary of the
+// published chunk map. The snapfile and its refs travel as the file
+// itself, GET /functions/{name}/snapfile.
 type ChunkMapResponse struct {
 	Function    string `json:"function"`
 	RecordInput string `json:"record_input"`
-	// Generation is this daemon's journaled generation for the function:
-	// what a peer syncing from here adopts as its own.
-	Generation uint64         `json:"generation"`
-	ChunkPages int64          `json:"chunk_pages"`
-	ChunkCount int            `json:"chunk_count"`
-	TotalBytes int64          `json:"total_bytes"`
-	LSBytes    int64          `json:"ls_bytes"`
-	Chunks     []ChunkRefJSON `json:"chunks,omitempty"`
-	Snapfile   []byte         `json:"snapfile,omitempty"`
+	// Generation is this daemon's journaled generation for the function.
+	Generation uint64 `json:"generation"`
+	ChunkPages int64  `json:"chunk_pages"`
+	ChunkCount int    `json:"chunk_count"`
+	TotalBytes int64  `json:"total_bytes"`
+	LSBytes    int64  `json:"ls_bytes"`
 }
 
-// export describes name's published chunk map for a peer; unless summary
-// it attaches the refs and the snapfile as it sits on disk.
-func (s *store) export(name, input string, generation uint64, cm *chunkMap, summary bool) (ChunkMapResponse, error) {
-	resp := ChunkMapResponse{
-		Function:    name,
-		RecordInput: input,
-		Generation:  generation,
-		ChunkPages:  cm.ChunkPages,
-		ChunkCount:  len(cm.Refs),
-		TotalBytes:  cm.TotalBytes(),
-		LSBytes:     cm.LSBytes(),
-	}
-	if summary {
-		return resp, nil
-	}
-	var err error
-	if resp.Snapfile, err = atomicfile.ReadFile(s.snapPath(name)); err != nil {
-		return resp, fmt.Errorf("read snapfile: %w", err)
-	}
-	resp.Chunks = make([]ChunkRefJSON, 0, len(cm.Refs))
-	for _, ref := range cm.Refs {
-		resp.Chunks = append(resp.Chunks, ChunkRefJSON{
-			Digest:     casstore.Digest(ref.Digest).String(),
-			StartPage:  ref.StartPage,
-			Pages:      ref.Pages,
-			Bytes:      ref.Bytes,
-			LoadingSet: ref.LS,
-			Group:      ref.Group,
-		})
-	}
-	return resp, nil
+// readSnapfile returns name's snapfile as it sits on disk.
+func (s *store) readSnapfile(name string) ([]byte, error) {
+	return atomicfile.ReadFile(s.snapPath(name))
 }
 
-// maxChunkBytes is the most one chunk transfer may declare.
-const maxChunkBytes = 64 << 20
+// maxBodyBytes is the most one chunk or snapfile transfer may declare.
+const maxBodyBytes = 64 << 20
 
-// fetchChunk pulls one chunk from the source into *buf, grown to the
-// reply's Content-Length if it is short, and hands it to put, which
-// verifies it against its digest before anything commits it; it reports
-// the bytes moved and which tier served them. ctx bounds the transfer:
-// the sync's request or the daemon's close ending stops it at once
-// instead of waiting out a peer that never answers.
-func (s *store) fetchChunk(ctx context.Context, source string, dg casstore.Digest, buf *[]byte, put func([]byte) error) (int64, string, error) {
-	resp, err := s.peerGet(ctx, source, "/chunks/"+dg.String())
+// getSized reads the body of the source's answer to GET path into *buf,
+// grown to the reply's Content-Length if it is short; a reply that
+// declares no length, or one over maxBodyBytes, is refused unread. It
+// returns the body and the reply's header. ctx bounds the transfer: the
+// sync's request or the daemon's close ending stops it at once instead
+// of waiting out a peer that never answers.
+func (s *store) getSized(ctx context.Context, source, path string, buf *[]byte) ([]byte, http.Header, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+source+path, nil)
 	if err != nil {
-		return 0, "", err
+		return nil, nil, err
+	}
+	resp, err := s.peer.Do(req)
+	if err != nil {
+		return nil, nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-		return 0, "", fmt.Errorf("source answered %d for chunk %s", resp.StatusCode, dg)
+		return nil, resp.Header, fmt.Errorf("source answered %d for %s", resp.StatusCode, path)
 	}
-	tier, n := resp.Header.Get("X-Faasnap-Chunk-Tier"), resp.ContentLength
-	if n < 0 || n > maxChunkBytes {
-		return 0, tier, fmt.Errorf("source declared chunk %s as %d bytes, want a Content-Length of at most %d", dg, n, maxChunkBytes)
+	n := resp.ContentLength
+	if n < 0 || n > maxBodyBytes {
+		return nil, resp.Header, fmt.Errorf("source declared %s as %d bytes, want a Content-Length of at most %d", path, n, maxBodyBytes)
 	}
 	if int64(cap(*buf)) < n {
 		*buf = make([]byte, n)
 	}
 	data := (*buf)[:n]
 	if _, err := io.ReadFull(resp.Body, data); err != nil {
-		return 0, tier, err
+		return nil, resp.Header, err
 	}
-	return n, tier, put(data)
+	return data, resp.Header, nil
 }
 
 // obtain stores the chunk ref names in pack, deciding where its bytes
 // come from. A base extent is filled here, from the base image, and
 // stored through PutDigest, which hashes it; the source is asked only
 // for any other chunk, or for a base extent whose bytes here do not hash
-// to ref's digest. It returns the bytes the source sent and the tier
-// that served them, "base" for a local fill.
+// to ref's digest, and what it sends is verified by PutDigest too. It
+// returns the bytes the source sent and the tier that served them,
+// "base" for a local fill.
 func (s *store) obtain(ctx context.Context, source string, arts *core.Artifacts, ref chunkRef, pack *casstore.Pack, buf *[]byte) (int64, string, error) {
 	dg := casstore.Digest(ref.Digest)
 	put := func(b []byte) error {
@@ -497,19 +460,14 @@ func (s *store) obtain(ctx context.Context, source string, arts *core.Artifacts,
 			return 0, "", err
 		}
 	}
-	return s.fetchChunk(ctx, source, dg, buf, put)
-}
-
-func (s *store) peerGet(ctx context.Context, source, path string) (*http.Response, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://"+source+path, nil)
+	data, h, err := s.getSized(ctx, source, "/chunks/"+dg.String(), buf)
 	if err != nil {
-		return nil, err
+		return 0, "", err
 	}
-	return s.peer.Do(req)
+	return int64(len(data)), h.Get("X-Faasnap-Chunk-Tier"), put(data)
 }
 
-// syncPlan is a peer's snapshot, decoded, and what restoring it here
-// has to move.
+// syncPlan is a peer's snapshot, decoded.
 type syncPlan struct {
 	raw  []byte // the peer's snapfile, byte for byte
 	arts *core.Artifacts
@@ -517,41 +475,27 @@ type syncPlan struct {
 	// generation is the source's journaled generation for the function;
 	// the commit adopts it rather than minting one.
 	generation uint64
-	// missing chunks are obtained before the commit — loading-set chunks
-	// first, lowest group first (the paper's per-region restore
-	// priority), then the rest.
-	missing []chunkRef
-	present int // refs the local store already holds
 }
 
 // save commits the snapfile exactly as received.
 func (p *syncPlan) save(path string) error { return snapfile.CommitRaw(path, p.raw) }
 
-// planFrom fetches the source's chunk map and snapfile for name and
-// decodes it. Every error means the source could not supply a usable
-// snapshot; nothing local has been touched yet.
+// planFrom fetches the source's snapfile for name and decodes it. Every
+// error means the source could not supply a usable snapshot; nothing
+// local has been touched yet.
 func (s *store) planFrom(ctx context.Context, name, source string) (*syncPlan, error) {
-	cmResp, err := s.peerGet(ctx, source, "/functions/"+name+"/chunkmap")
+	var buf []byte
+	raw, h, err := s.getSized(ctx, source, "/functions/"+name+"/snapfile", &buf)
 	if err != nil {
-		return nil, fmt.Errorf("source chunk map: %w", err)
+		return nil, fmt.Errorf("source snapfile: %w", err)
 	}
-	var cmr ChunkMapResponse
-	err = json.NewDecoder(io.LimitReader(cmResp.Body, 256<<20)).Decode(&cmr)
-	io.Copy(io.Discard, io.LimitReader(cmResp.Body, 4096))
-	cmResp.Body.Close()
-	if cmResp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("source has no chunk map for %s (%d)", name, cmResp.StatusCode)
-	}
-	if err != nil || len(cmr.Snapfile) == 0 {
-		return nil, fmt.Errorf("source chunk map undecodable: %v", err)
-	}
-	if cmr.Generation == 0 {
+	p := &syncPlan{raw: raw}
+	if p.generation, err = strconv.ParseUint(h.Get("X-Faasnap-Generation"), 10, 64); err != nil || p.generation == 0 {
 		return nil, fmt.Errorf("source reports no journaled generation for %s", name)
 	}
 	// Decode before committing anything: a torn transfer must fail the
 	// snapfile CRC here, not after it has a committed name.
-	p := &syncPlan{raw: cmr.Snapfile, generation: cmr.Generation}
-	if p.arts, p.cm, err = snapfile.ReadChunked(bytes.NewReader(p.raw)); err != nil {
+	if p.arts, p.cm, err = snapfile.ReadChunked(bytes.NewReader(raw)); err != nil {
 		return nil, fmt.Errorf("source snapfile invalid: %w", err)
 	}
 	if p.arts.Fn.Name != name {
@@ -560,93 +504,43 @@ func (s *store) planFrom(ctx context.Context, name, source string) (*syncPlan, e
 	return p, nil
 }
 
-// sortMissing sorts the chunks this store is missing into fetch order.
-// The caller holds ops for reading from here to the publish of p's chunk
-// map, so no sweep collects a chunk counted as present.
-func (s *store) sortMissing(p *syncPlan) {
-	refs := append([]chunkRef(nil), p.cm.Refs...)
-	sort.SliceStable(refs, func(i, j int) bool {
-		if refs[i].LS != refs[j].LS {
-			return refs[i].LS
-		}
-		if refs[i].LS && refs[i].Group != refs[j].Group {
-			return refs[i].Group < refs[j].Group
-		}
-		return refs[i].StartPage < refs[j].StartPage
-	})
-	for _, ref := range refs {
-		if s.cas.Has(casstore.Digest(ref.Digest)) {
-			p.present++
-		} else {
-			p.missing = append(p.missing, ref)
-		}
-	}
-}
-
-// groupSpan is one prefetch group's eager fetch on the restore
-// waterfall: offsets from the sync's start, the tiers that served, and
-// the bytes the source sent.
-type groupSpan struct {
-	group      int64
-	ls         bool
-	start, dur time.Duration
-	chunks     int
-	bytes      int64
-	tiers      map[string]bool
-}
-
-// fetch obtains refs into one pack, started in sortMissing's order with
-// at most a window in flight, commits them, and consumes the results in
-// that same order, one waterfall span per prefetch group: that order
-// makes each group's chunks contiguous, so the per-group wall time and
-// serving tiers land on one row each. It returns the spans, how many
-// chunks were filled from the base image and the bytes the source sent.
-func (s *store) fetch(ctx context.Context, source string, arts *core.Artifacts, refs []chunkRef, start time.Time) ([]*groupSpan, int, int64, error) {
+// fetch obtains refs into one pack, started in order with at most a
+// window in flight, and commits them. It returns how many chunks were
+// filled from the base image, the bytes the source sent, and the tiers
+// that served, sorted and comma-joined ("none" for no chunk).
+func (s *store) fetch(ctx context.Context, source string, arts *core.Artifacts, refs []chunkRef) (base int, sent int64, tier string, err error) {
 	type fetched struct {
-		began, done time.Duration
-		bytes       int64
-		tier        string
+		bytes int64
+		tier  string
 	}
 	got := make([]fetched, len(refs))
 	bufs := make([][]byte, window)
 	pack := s.cas.NewPack()
-	err := inWindow(ctx, len(refs), func(ctx context.Context, w, i int) (err error) {
-		f := &got[i]
-		f.began = time.Since(start)
-		f.bytes, f.tier, err = s.obtain(ctx, source, arts, refs[i], pack, &bufs[w])
-		f.done = time.Since(start)
+	err = inWindow(ctx, len(refs), func(ctx context.Context, w, i int) (err error) {
+		got[i].bytes, got[i].tier, err = s.obtain(ctx, source, arts, refs[i], pack, &bufs[w])
 		return err
 	})
 	if _, cerr := pack.Commit(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		return nil, 0, 0, err
+		return 0, 0, "", err
 	}
-	var groups []*groupSpan
-	var base int
-	var total int64
-	for i, ref := range refs {
-		f := got[i]
-		var g *groupSpan
-		if n := len(groups); n > 0 && groups[n-1].group == ref.Group && groups[n-1].ls == ref.LS {
-			g = groups[n-1]
-		} else {
-			g = &groupSpan{group: ref.Group, ls: ref.LS, start: f.began, tiers: map[string]bool{}}
-			groups = append(groups, g)
-		}
-		if f.tier != "" {
-			g.tiers[f.tier] = true
-		}
+	var tiers []string
+	for _, f := range got {
 		if f.tier == "base" {
 			base++
 		}
-		g.chunks++
-		g.bytes += f.bytes
-		g.dur = max(g.dur, f.done-g.start)
-		total += f.bytes
+		if f.tier != "" && !slices.Contains(tiers, f.tier) {
+			tiers = append(tiers, f.tier)
+		}
+		sent += f.bytes
 	}
-	return groups, base, total, nil
+	if len(tiers) == 0 {
+		return base, sent, "none", nil
+	}
+	sort.Strings(tiers)
+	return base, sent, strings.Join(tiers, ","), nil
 }
 
 // GCResponse reports one sweep plus the store's resulting state.

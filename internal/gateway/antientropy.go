@@ -149,12 +149,14 @@ func plan(views map[string]*backendView, backends []*Backend, replicas int) []re
 // that succeeded. The sweep loop calls it after every CheckNow; tests
 // call it directly for a deterministic pass. Passes never overlap.
 //
-// plan decides the repairs; ResyncNow issues them, books each one that
-// succeeds, and marks stale exactly the backends plan targeted. A
-// failed repair issues nothing in its place — a failed register not
-// even its target's sync — and the next pass retries. Backends without
-// a current status (unreachable this sweep, not ready, recovering, or
-// stateless) keep the stale verdict they had.
+// plan decides the repairs; ResyncNow drops those of a function fanned
+// out since the last CheckNow began (its statuses may predate the
+// outcome), issues the rest, books each one that succeeds, and marks
+// stale exactly the backends plan targeted. A failed repair issues
+// nothing in its place — a failed register not even its target's sync
+// — and the next pass retries. Backends without a current status
+// (unreachable this sweep, not ready, recovering, or stateless), or
+// targeted by dropped repairs alone, keep their verdict.
 func (g *Gateway) ResyncNow() int {
 	g.resyncMu.Lock()
 	defer g.resyncMu.Unlock()
@@ -164,7 +166,10 @@ func (g *Gateway) ResyncNow() int {
 			views[b.Addr] = v
 		}
 	}
-	repairs := plan(views, g.backends, g.cfg.Replicas)
+	planned := plan(views, g.backends, g.cfg.Replicas)
+	g.fanMu.Lock()
+	repairs := slices.DeleteFunc(slices.Clone(planned), func(r repair) bool { _, ok := g.fanouts[r.fn]; return ok })
+	g.fanMu.Unlock()
 
 	done := 0
 	var failed repair // the last repair that failed
@@ -189,10 +194,11 @@ func (g *Gateway) ResyncNow() int {
 	}
 
 	for _, b := range g.backends {
-		if views[b.Addr] == nil {
-			continue // no status, no verdict: it keeps the one it had
+		targets := func(r repair) bool { return r.target == b }
+		now := slices.ContainsFunc(repairs, targets)
+		if views[b.Addr] == nil || !now && slices.ContainsFunc(planned, targets) {
+			continue // no status, or one a fan-out overtook: it keeps its verdict
 		}
-		now := slices.ContainsFunc(repairs, func(r repair) bool { return r.target == b })
 		prev := b.stale.Swap(now)
 		g.reg.Gauge("faasnap_gw_backend_stale",
 			"Backends found stale by the last anti-entropy pass that had their status (1 = repairs in flight, demoted in placement).",

@@ -319,3 +319,50 @@ func addrsOf(bs []*Backend) []string {
 	}
 	return out
 }
+
+// TestNoRepairRacesAFanout: a sweep that lands while a record's fan-out
+// holds its standby leg sees the standby behind the owner, and a pass
+// over that sweep's statuses after the fan-out returns reads a state the
+// fan-out has moved past; neither repairs anything. The pass after the
+// next sweep sees the fan-out's outcome, here a failed standby leg, and
+// repairs it as today.
+func TestNoRepairRacesAFanout(t *testing.T) {
+	net, fakes := newFakes(2)
+	g := newTestGateway(t, net, Config{Replicas: 1})
+
+	const fn = "hello-world"
+	prefs := prefFakes(t, g, fn, 2, fakes)
+	owner, standby := prefs[0], prefs[1]
+	scriptManifest(owner, "d-reg", liveEntry(fn, 1, false, ""))
+	scriptManifest(standby, "d-reg", liveEntry(fn, 1, false, ""))
+	if n := sweep(g); n != 0 {
+		t.Fatalf("registered replicas: %d repairs, want none", n)
+	}
+	const recordRoute = "POST /functions/{name}/record"
+	owner.script(recordRoute, func(w http.ResponseWriter, r *http.Request) {
+		scriptManifest(owner, "d-rec", liveEntry(fn, 2, true, "A"))
+		fmt.Fprintf(w, `{"function":%q}`, fn)
+	})
+	during := -1
+	standby.script(recordRoute, func(w http.ResponseWriter, r *http.Request) {
+		during = sweep(g) // between the owner's leg and this one
+		http.Error(w, "injected", http.StatusInternalServerError)
+	})
+	syncs := func() int { return net.count("POST /functions/"+fn+"/sync", standby.addr) }
+
+	if code := call(t, g.Handler(), "POST", "/functions/"+fn+"/record", map[string]string{"input": "A"}, nil).StatusCode; code != http.StatusOK {
+		t.Fatalf("record through the gateway = %d", code)
+	}
+	if during != 0 || syncs() != 0 {
+		t.Fatalf("a sweep between the legs: %d repairs, %d syncs sent; want none", during, syncs())
+	}
+	if n := g.ResyncNow(); n != 0 || syncs() != 0 {
+		t.Fatalf("a pass over statuses taken before the fan-out ended: %d repairs, %d syncs sent; want none", n, syncs())
+	}
+	if backendAt(g, standby.addr).Stale() {
+		t.Fatal("the standby was marked stale from a status the fan-out overtook")
+	}
+	if n := sweep(g); n != 1 || syncs() != 1 {
+		t.Fatalf("the pass after a fresh sweep: %d repairs, %d syncs sent; want the failed leg synced once", n, syncs())
+	}
+}

@@ -17,7 +17,9 @@ import (
 	"testing"
 	"time"
 
+	"faasnap/internal/casstore"
 	"faasnap/internal/daemon"
+	"faasnap/internal/snapfile"
 )
 
 // provision registers fn on n as a small custom function and records
@@ -39,19 +41,16 @@ func provision(t *testing.T, n *daemonNode, fn string) {
 	}
 }
 
-type chunkRef struct {
-	Digest     string `json:"digest"`
-	LoadingSet bool   `json:"loading_set"`
-}
-
-// chunkMap is fn's chunk map on the daemon at base.
-func chunkMap(t *testing.T, base, fn string) []chunkRef {
+// chunkMap is fn's chunk map on n, read from the snapfile n serves.
+func chunkMap(t *testing.T, n *daemonNode, fn string) []snapfile.ChunkRef {
 	t.Helper()
-	var cm struct {
-		Chunks []chunkRef `json:"chunks"`
+	rec := httptest.NewRecorder()
+	n.h.ServeHTTP(rec, httptest.NewRequest("GET", "/functions/"+fn+"/snapfile", nil))
+	_, cm, err := snapfile.ReadChunked(rec.Body)
+	if rec.Code != http.StatusOK || err != nil {
+		t.Fatalf("snapfile of %s on %s = %d: %v", fn, n.addr, rec.Code, err)
 	}
-	call(t, nil, "GET", base+"/functions/"+fn+"/chunkmap", nil, &cm)
-	return cm.Chunks
+	return cm.Refs
 }
 
 // damageChunk loses one chunk of fn outside the loading set from n's
@@ -64,11 +63,12 @@ func damageChunk(t *testing.T, n *daemonNode, fn string) string {
 		n.h.ServeHTTP(rec, httptest.NewRequest("GET", "/chunks/"+digest, nil))
 		return rec
 	}
-	for _, c := range chunkMap(t, n.url(), fn) {
-		if c.LoadingSet {
+	for _, c := range chunkMap(t, n, fn) {
+		if c.LS {
 			continue
 		}
-		data := get(c.Digest).Body.Bytes()
+		digest := casstore.Digest(c.Digest).String()
+		data := get(digest).Body.Bytes()
 		packs, _ := filepath.Glob(filepath.Join(n.dir, "cas", "packs", "*.pack"))
 		for _, path := range packs {
 			raw, err := os.ReadFile(path)
@@ -77,13 +77,13 @@ func damageChunk(t *testing.T, n *daemonNode, fn string) string {
 				if err := os.WriteFile(path, raw, 0o644); err != nil {
 					t.Fatalf("damage chunk: %v", err)
 				}
-				if code := get(c.Digest).Code; code != http.StatusInternalServerError {
+				if code := get(digest).Code; code != http.StatusInternalServerError {
 					t.Fatalf("damaged chunk read = %d, want 500", code)
 				}
-				return c.Digest
+				return digest
 			}
 		}
-		t.Fatalf("no pack holds chunk %s", c.Digest)
+		t.Fatalf("no pack holds chunk %s", digest)
 	}
 	t.Fatal("chunk map has no chunk outside the loading set")
 	return ""
@@ -118,7 +118,7 @@ func TestAntiEntropyChunkSync(t *testing.T) {
 		TotalBytes int64 `json:"total_bytes"`
 		LSBytes    int64 `json:"ls_bytes"`
 	}
-	call(t, nil, "GET", a.url()+"/functions/"+fn+"/chunkmap?summary=1", nil, &cm)
+	call(t, nil, "GET", a.url()+"/functions/"+fn+"/chunkmap", nil, &cm)
 	if cm.TotalBytes == 0 || cm.LSBytes >= cm.TotalBytes {
 		t.Fatalf("chunk map on A: %+v", cm)
 	}
@@ -159,7 +159,7 @@ func TestAntiEntropyChunkSync(t *testing.T) {
 	var cmSib struct {
 		TotalBytes int64 `json:"total_bytes"`
 	}
-	call(t, nil, "GET", a.url()+"/functions/"+sibling+"/chunkmap?summary=1", nil, &cmSib)
+	call(t, nil, "GET", a.url()+"/functions/"+sibling+"/chunkmap", nil, &cmSib)
 	if n := sweep(g); n != 2 {
 		t.Fatalf("sibling resync actions = %d, want 2", n)
 	}
@@ -255,9 +255,9 @@ func TestAntiEntropyRepairOutlastsProbeBound(t *testing.T) {
 	const fn = "bigrepair-alpha"
 	provision(t, a, fn)
 	ls := map[string]bool{}
-	for _, c := range chunkMap(t, a.url(), fn) {
-		if c.LoadingSet {
-			ls[c.Digest] = true
+	for _, c := range chunkMap(t, a, fn) {
+		if c.LS {
+			ls[casstore.Digest(c.Digest).String()] = true
 		}
 	}
 	if len(ls) == 0 {

@@ -125,11 +125,10 @@ func TestEventsSmoke(t *testing.T) {
 	}
 
 	// The repair's restore trace resolves through the gateway fan-out
-	// and renders as a waterfall: decode, tier-labelled eager fetch
-	// groups, commit.
+	// and renders as a waterfall: decode, a tier-labelled fetch, commit.
 	var wf string
 	waitFor(t, "the repair's waterfall never showed every phase", waterfallHas(t, h, repair.TraceID, &wf,
-		"chunk-sync", "snapfile-decode", "eager-fetch", "tier=", "commit"))
+		"chunk-sync", "snapfile-decode", "  fetch ", "tier=", "commit"))
 	if !strings.Contains(wf, "trace "+repair.TraceID) {
 		t.Fatalf("waterfall header missing trace id:\n%s", wf)
 	}
@@ -154,8 +153,8 @@ func TestRepairCausalityChain(t *testing.T) {
 		t.Fatalf("initial resync actions = %d, want 4 (register + chunk-sync on B and C)", n)
 	}
 
-	// The wiped-replica sync left a restore waterfall: per-group eager
-	// fetches with tier labels.
+	// The wiped-replica sync left a restore waterfall: a fetch with tier
+	// labels.
 	var initial *events.Event
 	for _, e := range g.Events().Since(0, events.Repair, fn) {
 		e := e
@@ -168,7 +167,7 @@ func TestRepairCausalityChain(t *testing.T) {
 	}
 	var wf string
 	waitFor(t, "the initial sync's waterfall never showed every phase", waterfallHas(t, h, initial.TraceID, &wf,
-		"chunk-sync", "snapfile-decode", "eager-fetch", "tier=", "commit"))
+		"chunk-sync", "snapfile-decode", "  fetch ", "tier=", "commit"))
 
 	// Damage B: lose one non-loading-set chunk out of band.
 	damageChunk(t, b, fn)
@@ -221,10 +220,10 @@ func TestRepairCausalityChain(t *testing.T) {
 		t.Fatalf("cause_seq %d did not resolve on %s: %+v", repair.CauseSeq, b.addr, resolved.Events)
 	}
 
-	// The eager repair's trace resolves through the gateway fan-out with
-	// tier-labelled eager fetches.
-	waitFor(t, "the eager repair's waterfall never showed its fetches", waterfallHas(t, h, repair.TraceID, &wf,
-		"chunk-sync", "eager-fetch", "tier="))
+	// The deficit repair's trace resolves through the gateway fan-out
+	// with a tier-labelled fetch.
+	waitFor(t, "the deficit repair's waterfall never showed its fetch", waterfallHas(t, h, repair.TraceID, &wf,
+		"chunk-sync", "  fetch ", "tier="))
 
 	// Converged: the next clean pass closes the chain, citing the
 	// repair event in the gateway's own ledger.

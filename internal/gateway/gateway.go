@@ -126,6 +126,9 @@ type Gateway struct {
 	// emits can cite it as cause_seq.
 	resyncMu      sync.Mutex
 	lastRepairSeq map[string]uint64
+	// fanouts counts fan-outs in flight by function; CheckNow forgets ended ones.
+	fanMu   sync.Mutex
+	fanouts map[string]int
 
 	traceSeq atomic.Uint64
 }
@@ -155,6 +158,7 @@ func build(cfg Config) (*Gateway, error) {
 		client:        &http.Client{},
 		done:          make(chan struct{}),
 		lastRepairSeq: make(map[string]uint64),
+		fanouts:       make(map[string]int),
 	}
 	g.ctx, g.cancel = context.WithCancel(context.Background())
 	addrs := append([]string(nil), cfg.Backends...)
@@ -554,6 +558,10 @@ func (g *Gateway) handleFanout(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
+	g.fanMu.Lock()
+	g.fanouts[fn]++
+	g.fanMu.Unlock()
+	defer func() { g.fanMu.Lock(); g.fanouts[fn]--; g.fanMu.Unlock() }()
 	ctx, cancel := context.WithTimeout(r.Context(), g.cfg.RequestTimeout)
 	defer cancel()
 	sc, ok := telemetry.Extract(r.Header)

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"strings"
 	"sync"
@@ -154,6 +155,9 @@ func (g *Gateway) start() {
 // CheckNow runs one health + load sweep across all backends,
 // concurrently, and returns when every verdict is in.
 func (g *Gateway) CheckNow() {
+	g.fanMu.Lock()
+	maps.DeleteFunc(g.fanouts, func(_ string, n int) bool { return n == 0 })
+	g.fanMu.Unlock()
 	var wg sync.WaitGroup
 	for _, b := range g.backends {
 		wg.Add(1)

@@ -338,14 +338,22 @@ func (m *Manifest) Invalidate(name string) error {
 	return m.append(record{Op: OpInvalidate, Name: name, Gen: e.Generation})
 }
 
+// ErrTombstoned is Adopt's refusal to resurrect a deleted function.
+var ErrTombstoned = errors.New("statedir: a tombstone at or above the source's generation")
+
 // Adopt journals a snapshot synced from a peer whose entry sits at
 // generation gen: name becomes live with that snapshot at
 // max(local, gen), in one record. A live entry keeps its registered
-// spec; an absent or tombstoned one takes spec.
+// spec; an absent one, or one tombstoned below gen, takes spec. A
+// tombstone at gen or above refuses with ErrTombstoned: among equal
+// generations the delete outranks the copy.
 func (m *Manifest) Adopt(name, spec, input string, gen uint64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if e := m.entries[name]; e != nil {
+		if e.Deleted && e.Generation >= gen {
+			return ErrTombstoned
+		}
 		if !e.Deleted {
 			spec = e.Spec
 		}

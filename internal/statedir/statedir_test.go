@@ -1,6 +1,7 @@
 package statedir
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -113,11 +114,29 @@ func TestOnlyClientMutationsMint(t *testing.T) {
 	if err := m.Adopt("new", `{"name":"new"}`, "A", 2); err != nil {
 		t.Fatal(err)
 	}
+	// A tombstone at or above the source's generation refuses: among
+	// equals the delete outranks the copy. One below it takes the copy.
+	m.Register("gone", "")
+	m.Delete("gone")
+	for _, gen := range []uint64{1, 2} {
+		if err := m.Adopt("gone", "", "A", gen); !errors.Is(err, ErrTombstoned) {
+			t.Fatalf("adopt at %d over a tombstone at 2 = %v, want ErrTombstoned", gen, err)
+		}
+	}
+	if e, _ := m.Get("gone"); !e.Deleted || e.HasSnapshot || e.Generation != 2 {
+		t.Fatalf("tombstone after refused adopts = %+v", e)
+	}
+	if err := m.Adopt("gone", `{"name":"gone"}`, "A", 3); err != nil {
+		t.Fatal(err)
+	}
 	want := m.Entries()
 	if e := want[0]; e.Name != "fn" || e.Generation != 5 || !e.HasSnapshot || e.RecordInput != "B" || e.Spec != `{"name":"fn"}` {
 		t.Fatalf("adopted entry = %+v", e)
 	}
-	if e := want[1]; e.Generation != 2 || !e.HasSnapshot || e.Spec != `{"name":"new"}` {
+	if e := want[1]; e.Deleted || e.Generation != 3 || !e.HasSnapshot || e.Spec != `{"name":"gone"}` {
+		t.Fatalf("entry adopted over a lower tombstone = %+v", e)
+	}
+	if e := want[2]; e.Generation != 2 || !e.HasSnapshot || e.Spec != `{"name":"new"}` {
 		t.Fatalf("adopted new entry = %+v", e)
 	}
 	m.Close()

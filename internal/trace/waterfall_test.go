@@ -10,8 +10,8 @@ func TestRenderWaterfall(t *testing.T) {
 	b := NewBuilder("0000000000000abc", "chunk-sync fn-a")
 	root := b.Span("chunk-sync fn-a", "", 0, 10*time.Millisecond, nil)
 	b.Span("snapfile-decode", root, 0, time.Millisecond, nil)
-	b.Span("eager-fetch", root, time.Millisecond, 4*time.Millisecond,
-		map[string]string{"group": "0", "tier": "local"})
+	b.Span("fetch", root, time.Millisecond, 4*time.Millisecond,
+		map[string]string{"chunks": "3", "tier": "local"})
 	b.Span("commit", root, 6*time.Millisecond, 4*time.Millisecond,
 		map[string]string{"fetched": "3"})
 	tr := b.Finish()
@@ -23,7 +23,7 @@ func TestRenderWaterfall(t *testing.T) {
 	for _, want := range []string{
 		"chunk-sync fn-a",
 		"  snapfile-decode", // child indented under root
-		"[group=0 tier=local]",
+		"[chunks=3 tier=local]",
 		"[fetched=3]",
 		"10.0ms",
 	} {
